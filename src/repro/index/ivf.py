@@ -38,110 +38,31 @@ missed.  Raise ``nprobe`` (recall) or lower it (throughput);
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.index.base import IndexHit
 from repro.index.flat import _MIN_CAPACITY, FlatIndex
-from repro.index.postings import (
-    Postings,
-    RowMap,
-    build_inverted_lists,
-    cell_bounds,
-    probe_scan,
-    probe_scan_batched,
-    probe_scan_threaded,
-    topk_hits,
-)
-
-# Rows per assignment-matmul block: bounds the (block × nlist) score matrix.
-_ASSIGN_BLOCK_ELEMS = 4_194_304
+from repro.index.postings import topk_hits
+from repro.index.routing import RoutedIndex, Router, ScoreRows, training_sample
 
 
-def spherical_kmeans(
-    sample: np.ndarray,
-    nlist: int,
-    iters: int,
-    rng: np.random.Generator,
-    dtype: np.dtype = np.float32,
-) -> np.ndarray:
-    """Spherical k-means: unit-norm centroids, max-dot assignment.
-
-    The coarse-quantizer trainer shared by :class:`IVFIndex` and the routed
-    quantized backends (``repro.index.quantized``), so centroid-training
-    behaviour (init, dead-cell reseeding, re-normalization) cannot drift
-    between them.  Dead cells re-seed onto random sample points.
-    """
-    n = sample.shape[0]
-    nlist = min(nlist, n)
-    init = rng.choice(n, size=nlist, replace=False)
-    centroids = sample[init].astype(np.float64)
-    sample64 = sample.astype(np.float64)
-    for _ in range(iters):
-        assign = np.argmax(sample64 @ centroids.T, axis=1)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, sample64)
-        counts = np.bincount(assign, minlength=nlist)
-        empty = counts == 0
-        if empty.any():
-            sums[empty] = sample64[rng.choice(n, size=int(empty.sum()))]
-            counts[empty] = 1
-        centroids = sums / counts[:, None]
-        norms = np.linalg.norm(centroids, axis=1, keepdims=True)
-        centroids /= np.where(norms > 1e-12, norms, 1.0)
-    return np.ascontiguousarray(centroids, dtype=dtype)
-
-
-def sorted_probes(centroid_scores: np.ndarray, nprobe: int) -> np.ndarray:
-    """The ``nprobe`` best cells per query, in descending centroid-score order.
-
-    Best-first probing is what makes exact-bound pruning and threshold early
-    termination effective (the best candidates surface in the first probes);
-    the stable sort keeps the order deterministic under score ties.  Shared
-    by :class:`IVFIndex` and the routed quantized backends.
-    """
-    n_queries, nlist = centroid_scores.shape
-    if nprobe < nlist:
-        part = np.argpartition(-centroid_scores, kth=nprobe - 1, axis=1)[:, :nprobe]
-    else:
-        part = np.broadcast_to(np.arange(nlist), (n_queries, nlist))
-    order = np.argsort(
-        -np.take_along_axis(centroid_scores, part, axis=1), axis=1, kind="stable"
-    )
-    return np.take_along_axis(part, order, axis=1)
-
-
-class IVFIndex(FlatIndex):
+class IVFIndex(RoutedIndex, FlatIndex):
     """Approximate incremental cosine index over k-means inverted lists.
 
     Parameters
     ----------
     dim, dtype, initial_capacity, chunk_size:
         Storage-layer knobs, identical to :class:`FlatIndex`.
-    nlist:
-        Number of k-means cells.  ``None`` (default) picks ``4·⌈√n⌉`` at
-        each (re)training from the live size — deliberately finer than the
-        classical ``√n`` balance point, because probing is one vectorized
-        gather while list scans pay the matmul; smaller cells cut scanned
-        rows at a negligible centroid-scan cost for n ≤ 10⁶.
-    nprobe:
-        Cells probed per query.  The recall/throughput dial: the expected
-        scanned fraction of the corpus is ``nprobe / nlist``.
+    nlist, nprobe, kmeans_iters, repartition_growth, auto_repartition, prune_probes:
+        Routing knobs, see :class:`repro.index.routing.Router`.
     min_train_size:
         Below this many entries the index stays untrained and searches
         exactly; the first add reaching it triggers k-means.
     train_sample:
         Maximum rows fed to k-means (a uniform sample of the live rows when
         the corpus is larger).
-    kmeans_iters:
-        Lloyd iterations per training.
-    repartition_growth:
-        Retrain when ``len(self)`` — or the add/remove count since the last
-        training — reaches this multiple of the size at that training
-        (amortizes retraining to O(d) per mutation and keeps churning
-        plateau-size caches from going stale).
     seed:
         Seeds k-means init and sampling; a given add/remove sequence is
         fully deterministic.
@@ -162,202 +83,50 @@ class IVFIndex(FlatIndex):
         seed: int = 0,
         auto_repartition: bool = True,
         prune_probes: bool = True,
-        scan_threads: int = 1,
     ) -> None:
-        if nlist is not None and nlist < 1:
-            raise ValueError("nlist must be >= 1")
-        if nprobe < 1:
-            raise ValueError("nprobe must be >= 1")
         if min_train_size < 2:
             raise ValueError("min_train_size must be >= 2")
         if train_sample < 2:
             raise ValueError("train_sample must be >= 2")
-        if kmeans_iters < 1:
-            raise ValueError("kmeans_iters must be >= 1")
-        if repartition_growth <= 1.0:
-            raise ValueError("repartition_growth must be > 1")
-        if scan_threads < 1:
-            raise ValueError("scan_threads must be >= 1")
         super().__init__(
             dim=dim, dtype=dtype, initial_capacity=initial_capacity, chunk_size=chunk_size
         )
-        self._nlist_config = nlist
-        self._nprobe = int(nprobe)
         self._min_train_size = int(min_train_size)
         self._train_sample = int(train_sample)
-        self._kmeans_iters = int(kmeans_iters)
-        self._repartition_growth = float(repartition_growth)
         self._seed = int(seed)
         self._rng = np.random.default_rng(seed)
-        self._centroids: Optional[np.ndarray] = None  # (nlist, d) unit rows
-        self._lists: List[Postings] = []
-        self._list_of: Dict[int, int] = {}  # id -> inverted-list index
-        self._row_of = RowMap()
-        self._trained_size = 0
-        # Adds + removes since the last training: a capacity-bounded cache
-        # plateaus in size while eviction churn replaces its contents, so
-        # growth alone cannot be the repartition trigger.
-        self._mutations_since_train = 0
-        # With auto_repartition=False, a due retraining is flagged here and
-        # deferred to the explicit maintenance() hook, keeping the O(n)
-        # k-means off the add path (the serving fleet runs maintenance
-        # between batching windows).
-        self._auto_repartition = bool(auto_repartition)
-        self._repartition_due = False
-        # Per-cell (a_min, a_max, b_max) score-bound stats for exact probe
-        # pruning; computed lazily from the live rows on the first probed
-        # search (or by maintenance()) and updated incrementally on add.
-        self._prune_probes = bool(prune_probes)
-        self._cell_stats: "Optional[tuple]" = None
-        self._scan_threads = int(scan_threads)
-        self._scan_stats: Dict[str, int] = {
-            "probes_scanned": 0,
-            "probes_pruned": 0,
-            "rows_scanned": 0,
-            "early_stops": 0,
-        }
+        self._router = Router(
+            self._dtype,
+            self._scratch,
+            nlist=nlist,
+            nprobe=nprobe,
+            kmeans_iters=kmeans_iters,
+            repartition_growth=repartition_growth,
+            auto_repartition=auto_repartition,
+            prune_probes=prune_probes,
+        )
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
     @property
     def is_trained(self) -> bool:
         """Whether the coarse quantizer exists (False → exact flat scans)."""
-        return self._centroids is not None
-
-    @property
-    def nlist(self) -> int:
-        """Current number of cells (0 while untrained)."""
-        return 0 if self._centroids is None else int(self._centroids.shape[0])
-
-    @property
-    def nprobe(self) -> int:
-        """Cells probed per query."""
-        return self._nprobe
-
-    @nprobe.setter
-    def nprobe(self, value: int) -> None:
-        if int(value) < 1:
-            raise ValueError("nprobe must be >= 1")
-        self._nprobe = int(value)
-
-    @property
-    def routing_nbytes(self) -> int:
-        """Bytes of the routing structures (centroids + lists + row map).
-
-        Kept separate from :attr:`nbytes`, which across every backend counts
-        only the live row storage.
-        """
-        total = self._row_of.nbytes + sum(p.nbytes for p in self._lists)
-        if self._centroids is not None:
-            total += int(self._centroids.nbytes)
-        return int(total)
-
-    @property
-    def prune_probes(self) -> bool:
-        """Whether exact-bound probe pruning is enabled (decision-invariant)."""
-        return self._prune_probes
-
-    @prune_probes.setter
-    def prune_probes(self, value: bool) -> None:
-        self._prune_probes = bool(value)
-
-    @property
-    def scan_threads(self) -> int:
-        """Worker threads for the optional parallel probe scan (1 = serial)."""
-        return self._scan_threads
-
-    @scan_threads.setter
-    def scan_threads(self, value: int) -> None:
-        if int(value) < 1:
-            raise ValueError("scan_threads must be >= 1")
-        self._scan_threads = int(value)
-
-    @property
-    def scan_stats(self) -> Dict[str, int]:
-        """Cumulative probe-scan counters (scanned/pruned cells, rows, stops)."""
-        return dict(self._scan_stats)
-
-    def reset_scan_stats(self) -> None:
-        """Zero the :attr:`scan_stats` counters."""
-        for key in self._scan_stats:
-            self._scan_stats[key] = 0
+        return self._router.is_trained
 
     # ------------------------------------------------------------------ #
-    # Training / partitioning
+    # Training / maintenance
     # ------------------------------------------------------------------ #
-    def _assign(self, unit_rows: np.ndarray) -> np.ndarray:
-        """Nearest-centroid (max-dot) cell per row, blocked to bound memory."""
-        nlist = self._centroids.shape[0]
-        block = max(1, _ASSIGN_BLOCK_ELEMS // nlist)
-        out = np.empty(unit_rows.shape[0], dtype=np.int64)
-        for start in range(0, unit_rows.shape[0], block):
-            chunk = unit_rows[start : start + block]
-            out[start : start + chunk.shape[0]] = np.argmax(
-                chunk @ self._centroids.T, axis=1
-            )
-        return out
-
-    def _kmeans(self, sample: np.ndarray, nlist: int) -> np.ndarray:
-        """Spherical k-means via the shared trainer, in the storage dtype."""
-        return spherical_kmeans(
-            sample, nlist, self._kmeans_iters, self._rng, dtype=self._dtype
-        )
+    def _scored_rows(self, start: int, stop: int) -> np.ndarray:
+        """Storage rows ``[start, stop)`` — what the scan scores, verbatim."""
+        return self._matrix[start:stop]
 
     def _train(self) -> None:
         """(Re)fit centroids on the live rows and rebuild every inverted list."""
-        size = self._size
-        rows = self._matrix[:size]
-        if size > self._train_sample:
-            sample = rows[self._rng.choice(size, size=self._train_sample, replace=False)]
-        else:
-            sample = rows
-        nlist = self._nlist_config or 4 * int(math.ceil(math.sqrt(size)))
-        nlist = max(1, min(nlist, sample.shape[0]))
-        self._centroids = self._kmeans(sample, nlist)
-        assign = self._assign(rows)
-        self._lists, self._list_of = build_inverted_lists(
-            self._ids[:size], assign, nlist
+        rows = self._matrix[: self._size]
+        self._router.fit(
+            rows,
+            training_sample(rows, self._train_sample, self._rng),
+            self._ids[: self._size],
+            self._rng,
         )
-        self._trained_size = size
-        self._mutations_since_train = 0
-        self._repartition_due = False
-        # Bound stats refer to the old partition; recompute lazily (first
-        # probed search or maintenance()) from the fresh assignment.
-        self._cell_stats = None
-
-    # ------------------------------------------------------------------ #
-    # Probe-pruning bound stats
-    # ------------------------------------------------------------------ #
-    def _cell_stats_update(self, rows: np.ndarray, assign: np.ndarray) -> None:
-        """Fold freshly assigned rows into the per-cell bound stats."""
-        if self._cell_stats is None:
-            return
-        a_min, a_max, b_max = self._cell_stats
-        R = np.asarray(rows, dtype=np.float64)
-        C = self._centroids[assign].astype(np.float64)
-        a = np.einsum("ij,ij->i", R, C)
-        sq = np.einsum("ij,ij->i", R, R)
-        b = np.sqrt(np.maximum(0.0, sq - a * a))
-        np.minimum.at(a_min, assign, a)
-        np.maximum.at(a_max, assign, a)
-        np.maximum.at(b_max, assign, b)
-
-    def _compute_cell_stats(self) -> None:
-        """(Re)build the per-cell bound stats from every live row, blocked."""
-        nlist = self._centroids.shape[0]
-        self._cell_stats = (np.zeros(nlist), np.zeros(nlist), np.zeros(nlist))
-        if self._size == 0:
-            return
-        assign = np.empty(self._size, dtype=np.int64)
-        for li, lst in enumerate(self._lists):
-            view = lst.view()
-            if view.size:
-                assign[self._row_of.rows(view)] = li
-        block = max(1, _ASSIGN_BLOCK_ELEMS // max(self._dim or 1, 1))
-        for start in range(0, self._size, block):
-            stop = min(start + block, self._size)
-            self._cell_stats_update(self._matrix[start:stop], assign[start:stop])
 
     def maintenance(self) -> Dict[str, object]:
         """Run deferred repartitioning and bound-stat refreshes off-query.
@@ -367,17 +136,11 @@ class IVFIndex(FlatIndex):
         stats so the first search after a (re)partition doesn't pay for them.
         """
         done: Dict[str, object] = {}
-        if self._repartition_due:
+        if self._router.repartition_due:
             self._train()
             done["repartitioned"] = True
-            done["trained_size"] = self._trained_size
-        if (
-            self._prune_probes
-            and self._centroids is not None
-            and self._cell_stats is None
-            and self._size
-        ):
-            self._compute_cell_stats()
+            done["trained_size"] = self._router.trained_size
+        if self._router.refresh_cell_stats(self._scored_rows):
             done["cell_stats_refreshed"] = True
         return done
 
@@ -385,53 +148,20 @@ class IVFIndex(FlatIndex):
     # Mutation hooks (storage layer calls these after each change)
     # ------------------------------------------------------------------ #
     def _post_add(self, ids: np.ndarray, start_row: int) -> None:
-        self._row_of.set_block(ids, start_row)
-        if self._centroids is None:
-            if self._size >= self._min_train_size:
-                self._train()
-            return
         block = self._matrix[start_row : start_row + ids.shape[0]]
-        assign = self._assign(block)
-        for id, li in zip(ids.tolist(), assign.tolist()):
-            self._lists[li].append(id)
-            self._list_of[id] = li
-        self._cell_stats_update(block, assign)
-        self._mutations_since_train += ids.shape[0]
-        # Repartition on growth (size doubled) or on churn (the corpus
-        # turned over in place — size plateaus under a bounded cache's
-        # eviction, but stale centroids still degrade recall/balance).
-        # Inline by default; deferred to maintenance() when the owner opted
-        # the retraining off the query/add path.
-        threshold = self._repartition_growth * self._trained_size
-        if self._size >= threshold or self._mutations_since_train >= threshold:
-            if self._auto_repartition:
-                self._train()
-            else:
-                self._repartition_due = True
+        refit_due = self._router.note_added(
+            ids, start_row, block, self._scored_rows
+        )
+        if refit_due or (
+            not self._router.is_trained and self._size >= self._min_train_size
+        ):
+            self._train()
 
     def _post_remove(self, id: int, row: int, moved_id: Optional[int]) -> None:
-        self._row_of.unset(id)
-        if moved_id is not None:
-            self._row_of.move(moved_id, row)
-        if self._row_of.compaction_due(self._size):
-            # Entry ids grow forever; re-anchor the id→row table to the
-            # live span so bounded caches don't leak map slots under churn.
-            self._row_of.maybe_compact(self._ids[: self._size])
-        if self._centroids is None:
-            return
-        li = self._list_of.pop(id)
-        self._lists[li].discard(id)
-        self._mutations_since_train += 1
+        self._router.note_removed(id, row, moved_id, self._ids[: self._size])
 
     def _post_clear(self) -> None:
-        self._centroids = None
-        self._lists = []
-        self._list_of = {}
-        self._row_of.clear()
-        self._trained_size = 0
-        self._mutations_since_train = 0
-        self._repartition_due = False
-        self._cell_stats = None
+        self._router.clear()
 
     # ------------------------------------------------------------------ #
     # Snapshot protocol (see repro.index.snapshot)
@@ -440,77 +170,41 @@ class IVFIndex(FlatIndex):
 
     def _snapshot_params(self) -> Dict[str, object]:
         params = super()._snapshot_params()
+        params.update(self._router.snapshot_params())
         params.update(
             {
-                "nlist": self._nlist_config,
-                "nprobe": self._nprobe,
                 "min_train_size": self._min_train_size,
                 "train_sample": self._train_sample,
-                "kmeans_iters": self._kmeans_iters,
-                "repartition_growth": self._repartition_growth,
                 "seed": self._seed,
-                "auto_repartition": self._auto_repartition,
-                "prune_probes": self._prune_probes,
-                "scan_threads": self._scan_threads,
             }
         )
         return params
 
     def _snapshot_state(self) -> Dict[str, object]:
         state = super()._snapshot_state()
-        state.update(
-            {
-                "trained_size": self._trained_size,
-                "mutations_since_train": self._mutations_since_train,
-                "rng_state": self._rng.bit_generator.state,
-                "repartition_due": self._repartition_due,
-            }
-        )
+        state.update(self._router.snapshot_state())
+        state["rng_state"] = self._rng.bit_generator.state
         return state
 
     def _snapshot_arrays(self) -> Dict[str, np.ndarray]:
         arrays = super()._snapshot_arrays()
-        if self._centroids is not None:
-            arrays["centroids"] = self._centroids
-            # Cell per live row: the inverted lists and list_of rebuild from
-            # this without re-running (rng-consuming) k-means on load.  A
-            # trained index drained to empty and reloaded has no id column
-            # allocated at all.
-            live_ids = (
-                self._ids[: self._size]
-                if self._ids is not None
-                else np.zeros(0, np.int64)
-            )
-            arrays["assign"] = np.asarray(
-                [self._list_of[int(i)] for i in live_ids], dtype=np.int64
-            )
+        # A trained index drained to empty and reloaded has no id column
+        # allocated at all.
+        live_ids = (
+            self._ids[: self._size] if self._ids is not None else np.zeros(0, np.int64)
+        )
+        arrays.update(self._router.snapshot_arrays(live_ids, ""))
         return arrays
-
-    def _post_restore(self) -> None:
-        if self._size:
-            self._row_of.set_block(self._ids[: self._size].copy(), 0)
 
     def _restore(
         self, state: Mapping[str, object], arrays: Mapping[str, np.ndarray]
     ) -> None:
         super()._restore(state, arrays)
-        if "centroids" in arrays:
-            self._centroids = np.ascontiguousarray(
-                arrays["centroids"], dtype=self._dtype
-            )
-            assign = np.asarray(arrays["assign"], dtype=np.int64)
-            # Use the snapshot's id column, not self._ids — a trained index
-            # drained to empty restores with no storage allocated at all.
-            self._lists, self._list_of = build_inverted_lists(
-                np.asarray(arrays["ids"], dtype=np.int64),
-                assign,
-                self._centroids.shape[0],
-            )
-        self._trained_size = int(state["trained_size"])
-        self._mutations_since_train = int(state["mutations_since_train"])
-        self._repartition_due = bool(state.get("repartition_due", False))
-        # Bound stats are derived state; recompute lazily after restore.
-        self._cell_stats = None
+        # Use the snapshot's id column, not self._ids — a trained index
+        # drained to empty restores with no storage allocated at all.
+        self._router.restore(
+            state, arrays, np.asarray(arrays["ids"], dtype=np.int64), ""
+        )
         rng_state = state.get("rng_state")
         if rng_state is not None:
             rng = np.random.default_rng(self._seed)
@@ -535,19 +229,14 @@ class IVFIndex(FlatIndex):
 
         Exact (inherited flat scan) while the index is untrained; afterwards
         each query costs one ``(1, nlist)`` centroid matmul plus a
-        brute-force pass over the probed lists only.  Hit lists may hold
-        fewer than ``min(top_k, len(self))`` entries when the probed cells
-        are sparse — the price of approximate search.
-
-        Probes run best-first with exact-bound pruning (decision-invariant;
-        see :attr:`prune_probes`).  ``stop_score`` stops probing a query once
-        the running best score reaches it — lossy by design, for callers that
-        admit on a score threshold the best hit already cleared.
-        ``prenormalized=True`` skips query normalization as in
-        :meth:`FlatIndex.search`.  All intermediates live in reused scratch
-        buffers; the only per-call allocations are the returned hit lists.
+        brute-force pass over the probed lists only (see
+        :meth:`repro.index.routing.Router.search` for the two scan modes and
+        what ``stop_score`` trades away).  ``prenormalized=True`` skips query
+        normalization as in :meth:`FlatIndex.search`.  All intermediates
+        live in reused scratch buffers; the only per-call allocations are
+        the returned hit lists.
         """
-        if self._centroids is None:
+        if not self._router.is_trained:
             return super().search(
                 queries,
                 top_k=top_k,
@@ -560,108 +249,35 @@ class IVFIndex(FlatIndex):
             Q = np.atleast_2d(np.asarray(queries))
         else:
             Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        n_queries = Q.shape[0]
         if self._size == 0:
-            return [[] for _ in range(n_queries)]
+            return [[] for _ in range(Q.shape[0])]
         Qn = self._prepare_queries(Q, prenormalized)
-        nlist = self._centroids.shape[0]
-        nprobe = min(self._nprobe, nlist)
         sc = self._scratch
-        centroid_scores = sc.get("ivf.cscores", (n_queries, nlist), self._dtype)
-        np.matmul(Qn, self._centroids.T, out=centroid_scores)
-        probes = sorted_probes(centroid_scores, nprobe)
-        # The threaded scan has no pruning/early-stop hooks (both are
-        # result-invariant no-ops, so the serial loop stays the reference);
-        # a stop_score request falls back to the serial scan.
-        threaded = self._scan_threads > 1 and stop_score is None
-        # Bound pruning only pays on the per-cell early-termination scan;
-        # plain searches take the single-pass batched scan below, where
-        # there is no per-cell control flow left to prune.
-        bounds = None
-        if stop_score is not None and self._prune_probes and not threaded:
-            if self._cell_stats is None:
-                self._compute_cell_stats()
-            bounds = cell_bounds(centroid_scores, self._cell_stats, sc, "ivf.bounds")
         matrix = self._matrix
-        results: List[List[IndexHit]] = []
-        for qi in range(n_queries):
-            plist = probes[qi]
-            total = 0
-            for li in plist:
-                total += len(self._lists[li])
-            if total == 0:
-                results.append([])
-                continue
-            cand_ids = sc.get("ivf.cand_ids", (total,), np.int64)
-            cand_rows = sc.get("ivf.cand_rows", (total,), np.int64)
-            cand_scores = sc.get("ivf.cand_scores", (total,), self._dtype)
+
+        def scorer(qi: int) -> ScoreRows:
             qn = Qn[qi]
-            if threaded:
 
-                def score_rows_alloc(rows: np.ndarray, out: np.ndarray) -> None:
-                    np.matmul(matrix[rows], qn, out=out)
-
-                filled = probe_scan_threaded(
-                    plist,
-                    self._lists,
-                    self._row_of,
-                    score_rows_alloc,
-                    cand_ids,
-                    cand_rows,
-                    cand_scores,
-                    self._scan_threads,
-                    self._scan_stats,
+            def score_rows(rows: np.ndarray, out: np.ndarray) -> None:
+                rowbuf = sc.get(
+                    "ivf.rowgather", (rows.shape[0], matrix.shape[1]), self._dtype
                 )
-            elif stop_score is not None:
+                matrix.take(rows, axis=0, out=rowbuf)
+                np.matmul(rowbuf, qn, out=out)
 
-                def score_rows(rows: np.ndarray, out: np.ndarray) -> None:
-                    rowbuf = sc.get(
-                        "ivf.rowgather", (rows.shape[0], matrix.shape[1]), self._dtype
-                    )
-                    matrix.take(rows, axis=0, out=rowbuf)
-                    np.matmul(rowbuf, qn, out=out)
+            return score_rows
 
-                kth_buf = sc.get("ivf.kth", (total,), self._dtype)
-                filled = probe_scan(
-                    plist,
-                    self._lists,
-                    self._row_of,
-                    score_rows,
-                    cand_ids,
-                    cand_rows,
-                    cand_scores,
-                    kth_buf,
-                    top_k,
-                    bounds[qi] if bounds is not None else None,
-                    stop_score,
-                    self._scan_stats,
-                )
-            else:
-                # Plain probing: one gather + one matvec over every probed
-                # cell (see probe_scan_batched — per-cell dispatch is the
-                # latency floor once cells are small).  Scores come back in
-                # ascending-row order; translate rows back to ids in place.
+        def rank(qi: int, rows: np.ndarray, scores: np.ndarray) -> List[IndexHit]:
+            ids = sc.get("ivf.hit_ids", rows.shape, np.int64)
+            self._ids.take(rows, out=ids)
+            return topk_hits(ids, scores, top_k, score_threshold)
 
-                def score_rows_batched(rows: np.ndarray, out: np.ndarray) -> None:
-                    rowbuf = sc.get(
-                        "ivf.rowgather", (rows.shape[0], matrix.shape[1]), self._dtype
-                    )
-                    matrix.take(rows, axis=0, out=rowbuf)
-                    np.matmul(rowbuf, qn, out=out)
-
-                filled = probe_scan_batched(
-                    plist,
-                    self._lists,
-                    self._row_of,
-                    score_rows_batched,
-                    cand_ids,
-                    cand_rows,
-                    cand_scores,
-                    self._scan_stats,
-                )
-                if filled:
-                    self._ids.take(cand_rows[:filled], out=cand_ids[:filled])
-            results.append(
-                topk_hits(cand_ids[:filled], cand_scores[:filled], top_k, score_threshold)
-            )
-        return results
+        return self._router.search(
+            Qn,
+            scorer,
+            rank,
+            self._scored_rows,
+            top_k,
+            self._dtype,
+            stop_score=stop_score,
+        )

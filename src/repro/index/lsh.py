@@ -178,13 +178,7 @@ class LSHIndex(FlatIndex):
                 bucket.append(id)
 
     def _post_remove(self, id: int, row: int, moved_id: Optional[int]) -> None:
-        self._row_of.unset(id)
-        if moved_id is not None:
-            self._row_of.move(moved_id, row)
-        if self._row_of.compaction_due(self._size):
-            # Entry ids grow forever; re-anchor the id→row table to the
-            # live span so bounded caches don't leak map slots under churn.
-            self._row_of.maybe_compact(self._ids[: self._size])
+        self._row_of.swap_remove(id, row, moved_id, self._ids[: self._size])
         id_keys = self._keys_of.pop(id)
         for t in range(self._n_tables):
             key = int(id_keys[t])

@@ -22,7 +22,7 @@ the owning index.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -196,6 +196,24 @@ class RowMap:
             self._rows[slot] = -1
             self._live -= 1
 
+    def swap_remove(
+        self, id: int, row: int, moved_id: Optional[int], ids_by_row: np.ndarray
+    ) -> None:
+        """Upkeep after the owner swap-deleted ``id`` from ``row``.
+
+        ``moved_id`` is the former last row's id that now occupies ``row``
+        (``None`` when the victim itself was last); ``ids_by_row`` is the
+        owner's live id column after the delete.  Entry ids grow forever, so
+        this also re-anchors the table to the live span on the amortized
+        :meth:`compaction_due` schedule — bounded caches don't leak map
+        slots under churn.
+        """
+        self.unset(id)
+        if moved_id is not None:
+            self.move(moved_id, row)
+        if self.compaction_due(ids_by_row.shape[0]):
+            self.maybe_compact(ids_by_row)
+
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """Vectorized translation of an id array to its current rows."""
         return self._rows[ids - self._base]
@@ -264,8 +282,7 @@ class ScratchBuffers:
     fresh arrays per call (fresh >128 KiB allocations are mmap-backed and
     page-fault on first touch, which is exactly the tail-latency noise the
     hot path must avoid).  Views are only valid until the next ``get`` with
-    the same key; the arena is single-threaded by design — the optional
-    thread-parallel probe scan allocates per-task temporaries instead.
+    the same key; the arena is single-threaded by design.
     """
 
     __slots__ = ("_bufs",)
@@ -373,10 +390,10 @@ def cell_bounds(
 
 
 def probe_scan(
-    probe_cells,
+    probe_cells: np.ndarray,
     lists: List[Postings],
     row_map: RowMap,
-    score_rows,
+    score_rows: Callable[[np.ndarray, np.ndarray], None],
     cand_ids: np.ndarray,
     cand_rows: np.ndarray,
     cand_scores: np.ndarray,
@@ -386,7 +403,7 @@ def probe_scan(
     stop_score: Optional[float],
     stats: dict,
 ) -> int:
-    """One query's probe loop, shared by the IVF and routed-quantized scans.
+    """One query's best-first probe loop (driven by ``routing.Router.search``).
 
     Iterates ``probe_cells`` (best-first), gathering each cell's ids/rows
     into the caller's scratch segments and scoring them via ``score_rows``.
@@ -447,10 +464,10 @@ def probe_scan(
 
 
 def probe_scan_batched(
-    probe_cells,
+    probe_cells: np.ndarray,
     lists: List[Postings],
     row_map: RowMap,
-    score_rows,
+    score_rows: Callable[[np.ndarray, np.ndarray], None],
     cand_ids: np.ndarray,
     cand_rows: np.ndarray,
     cand_scores: np.ndarray,
@@ -458,7 +475,7 @@ def probe_scan_batched(
 ) -> int:
     """Single-pass probe scan: every probed cell gathered, then ONE scoring call.
 
-    The routed-quantized hot path.  Once cells are small (a few hundred
+    The routed hot path.  Once cells are small (a few hundred
     rows), :func:`probe_scan`'s per-cell Python/BLAS dispatch — not the
     arithmetic — is the latency floor, at tens of microseconds per probe.
     When neither threshold early termination nor bound pruning is requested
@@ -496,66 +513,14 @@ def probe_scan_batched(
     return filled
 
 
-def probe_scan_threaded(
-    probe_cells,
-    lists: List[Postings],
-    row_map: RowMap,
-    score_rows_alloc,
-    cand_ids: np.ndarray,
-    cand_rows: np.ndarray,
-    cand_scores: np.ndarray,
-    threads: int,
-    stats: dict,
-) -> int:
-    """Thread-parallel probe scan: all probes scored into disjoint segments.
-
-    Byte-identical output to :func:`probe_scan` without pruning/early-stop
-    (each row's score is a per-row dot independent of how the scan is
-    partitioned, and both optimizations are result-invariant no-ops), so the
-    serial loop remains the reference.  NumPy releases the GIL inside the
-    BLAS/gather kernels, so this pays off only on multi-core hosts with
-    large ``nprobe``; ``score_rows_alloc`` must be thread-safe (allocate its
-    own temporaries — the shared scratch arena is single-threaded).
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    segments = []
-    filled = 0
-    for li in probe_cells:
-        c = len(lists[li])
-        if c == 0:
-            continue
-        segments.append((li, filled, c))
-        filled += c
-    if not segments:
-        return 0
-
-    def scan(seg):
-        li, off, c = seg
-        ids_seg = cand_ids[off : off + c]
-        ids_seg[:] = lists[li].view()
-        # Same canonical per-cell order as the serial scan (see probe_scan).
-        ids_seg.sort()
-        rows = row_map.rows(ids_seg)
-        cand_rows[off : off + c] = rows
-        score_rows_alloc(rows, cand_scores[off : off + c])
-
-    with ThreadPoolExecutor(max_workers=min(threads, len(segments))) as pool:
-        list(pool.map(scan, segments))
-    stats["probes_scanned"] += len(segments)
-    stats["rows_scanned"] += filled
-    return filled
-
-
 def build_inverted_lists(
     ids: np.ndarray, assign: np.ndarray, nlist: int
 ) -> "tuple[List[Postings], dict]":
     """Build per-cell inverted lists from a cell assignment, vectorized.
 
     ``ids[i]`` belongs to cell ``assign[i]``.  Returns the ``nlist``
-    :class:`Postings` plus the ``id -> cell`` dict the owning index keeps
-    for O(1) removal.  Shared by IVF training/restore and the routed
-    quantized backends so the rebuild logic cannot drift between them.
+    :class:`Postings` plus the ``id -> cell`` dict the router keeps for
+    O(1) removal (used by both fitting and snapshot restore).
     """
     lists = [Postings() for _ in range(nlist)]
     order = np.argsort(assign, kind="stable")

@@ -50,7 +50,6 @@ codes, lists and scores.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -58,21 +57,8 @@ import numpy as np
 from repro.index.base import IndexHit, VectorIndex
 from repro.index.flat import _MIN_CAPACITY
 from repro.index.flat import normalize_rows as _normalize_rows
-from repro.index.ivf import _ASSIGN_BLOCK_ELEMS
-from repro.index.ivf import sorted_probes as _sorted_probes
-from repro.index.ivf import spherical_kmeans as _spherical_kmeans
-from repro.index.postings import (
-    Postings,
-    RowMap,
-    ScratchBuffers,
-    build_inverted_lists,
-    cell_bounds,
-    det_topk,
-    probe_scan,
-    probe_scan_batched,
-    probe_scan_threaded,
-    topk_hits,
-)
+from repro.index.postings import ScratchBuffers, det_topk, topk_hits
+from repro.index.routing import RoutedIndex, Router, ScoreRows, training_sample
 
 # Rows per encode/assignment block: bounds the temporary float matrices.
 _ENCODE_BLOCK = 16384
@@ -447,7 +433,7 @@ class ProductQuantizer:
 # --------------------------------------------------------------------------- #
 # The quantized index
 # --------------------------------------------------------------------------- #
-class QuantizedIndex(VectorIndex):
+class QuantizedIndex(RoutedIndex, VectorIndex):
     """Shared storage + search machinery of the quantized backends.
 
     Not registered directly; use :class:`SQ8Index` / :class:`PQIndex` (or the
@@ -472,7 +458,6 @@ class QuantizedIndex(VectorIndex):
         fused_scan: bool = True,
         auto_repartition: bool = True,
         prune_probes: bool = True,
-        scan_threads: int = 1,
     ) -> None:
         if dim is not None and dim < 1:
             raise ValueError("dim must be >= 1")
@@ -486,16 +471,6 @@ class QuantizedIndex(VectorIndex):
             raise ValueError("train_sample must be >= 2")
         if rescore < 1:
             raise ValueError("rescore must be >= 1")
-        if nlist is not None and nlist < 1:
-            raise ValueError("nlist must be >= 1")
-        if nprobe < 1:
-            raise ValueError("nprobe must be >= 1")
-        if kmeans_iters < 1:
-            raise ValueError("kmeans_iters must be >= 1")
-        if repartition_growth <= 1.0:
-            raise ValueError("repartition_growth must be > 1")
-        if scan_threads < 1:
-            raise ValueError("scan_threads must be >= 1")
         if dim is not None:
             quantizer.validate_dim(int(dim))
         self._quantizer = quantizer
@@ -507,10 +482,6 @@ class QuantizedIndex(VectorIndex):
         self._train_sample = int(train_sample)
         self._rescore = int(rescore)
         self._routed = bool(routed)
-        self._nlist_config = nlist
-        self._nprobe = int(nprobe)
-        self._kmeans_iters = int(kmeans_iters)
-        self._repartition_growth = float(repartition_growth)
         self._seed = int(seed)
         self._rng = np.random.default_rng(seed)
         self._size = 0
@@ -525,33 +496,26 @@ class QuantizedIndex(VectorIndex):
         # True while the code/staging matrix is an adopted read-only memmap
         # from load_index(mmap=True); mutations materialize a copy first.
         self._mmap_backed = False
-        self._row_of = RowMap()
-        self._centroids: Optional[np.ndarray] = None  # (nlist, d) f32 unit rows
-        self._lists: List[Postings] = []
-        self._list_of: Dict[int, int] = {}
-        self._trained_size = 0
-        self._mutations_since_train = 0
-        # Latency engineering state (see the IVFIndex counterparts): fused
-        # single-pass scans vs the decode-to-float64 reference path, deferred
-        # repartitioning behind maintenance(), exact-bound probe pruning, the
-        # optional thread-parallel probe scan, reused scratch buffers, and —
-        # for even-m PQ — a column-major uint16 pair-code mirror of the code
+        # Latency engineering state: fused single-pass scans vs the
+        # decode-to-float64 reference path, reused scratch buffers, and — for
+        # even-m PQ — a column-major uint16 pair-code mirror of the code
         # matrix that halves ADC gathers on the single-query path.
         self._fused_scan = bool(fused_scan)
-        self._auto_repartition = bool(auto_repartition)
-        self._repartition_due = False
-        self._prune_probes = bool(prune_probes)
-        self._scan_threads = int(scan_threads)
         self._scratch = ScratchBuffers()
         self._pair_mirror: Optional[np.ndarray] = None  # (m//2, capacity) u16
-        self._cell_stats: "Optional[tuple]" = None
         self._layout_clustered = False  # rows grouped cell-major on disk?
-        self._scan_stats: Dict[str, int] = {
-            "probes_scanned": 0,
-            "probes_pruned": 0,
-            "rows_scanned": 0,
-            "early_stops": 0,
-        }
+        # Built for unrouted instances too (it stays untrained and empty):
+        # they share the nprobe/prune_probes/scan_stats surface.
+        self._router = Router(
+            np.float32,
+            self._scratch,
+            nlist=nlist,
+            nprobe=nprobe,
+            kmeans_iters=kmeans_iters,
+            repartition_growth=repartition_growth,
+            auto_repartition=auto_repartition,
+            prune_probes=prune_probes,
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -616,38 +580,6 @@ class QuantizedIndex(VectorIndex):
         return self._rescore
 
     @property
-    def fused_scan(self) -> bool:
-        """Whether searches use the fused single-pass ADC scans.
-
-        Settable on a live index — the scan-acceleration structures are
-        maintained regardless of the flag, so flipping it switches between
-        the fused path and the decode-to-float reference path in place.
-        The latency benchmark relies on this to A/B both paths against the
-        exact same index state.
-        """
-        return self._fused_scan
-
-    @fused_scan.setter
-    def fused_scan(self, value: bool) -> None:
-        self._fused_scan = bool(value)
-
-    @property
-    def nlist(self) -> int:
-        """Routing cells (0 while unrouted or untrained)."""
-        return 0 if self._centroids is None else int(self._centroids.shape[0])
-
-    @property
-    def nprobe(self) -> int:
-        """Cells probed per query when routed."""
-        return self._nprobe
-
-    @nprobe.setter
-    def nprobe(self, value: int) -> None:
-        if int(value) < 1:
-            raise ValueError("nprobe must be >= 1")
-        self._nprobe = int(value)
-
-    @property
     def ids(self) -> List[int]:
         return [] if self._ids is None else [int(i) for i in self._ids[: self._size]]
 
@@ -683,14 +615,6 @@ class QuantizedIndex(VectorIndex):
         return int(self._quantizer.nbytes)
 
     @property
-    def routing_nbytes(self) -> int:
-        """Bytes of the routing structures (centroids + lists + row map)."""
-        total = self._row_of.nbytes + sum(p.nbytes for p in self._lists)
-        if self._centroids is not None:
-            total += int(self._centroids.nbytes)
-        return int(total)
-
-    @property
     def fused_scan(self) -> bool:
         """Fused single-pass ADC scans (True) vs the decode-to-float64
         reference scan (False).  Togglable at runtime so benchmarks and
@@ -699,37 +623,9 @@ class QuantizedIndex(VectorIndex):
 
     @fused_scan.setter
     def fused_scan(self, value: bool) -> None:
+        """Switch scan paths in place (the acceleration structures are
+        maintained regardless of the flag)."""
         self._fused_scan = bool(value)
-
-    @property
-    def prune_probes(self) -> bool:
-        """Whether exact-bound probe pruning is enabled (routed, fused mode)."""
-        return self._prune_probes
-
-    @prune_probes.setter
-    def prune_probes(self, value: bool) -> None:
-        self._prune_probes = bool(value)
-
-    @property
-    def scan_threads(self) -> int:
-        """Worker threads for the optional parallel probe scan (1 = serial)."""
-        return self._scan_threads
-
-    @scan_threads.setter
-    def scan_threads(self, value: int) -> None:
-        if int(value) < 1:
-            raise ValueError("scan_threads must be >= 1")
-        self._scan_threads = int(value)
-
-    @property
-    def scan_stats(self) -> Dict[str, int]:
-        """Cumulative scan counters (scanned/pruned probes, rows, early stops)."""
-        return dict(self._scan_stats)
-
-    def reset_scan_stats(self) -> None:
-        """Zero the :attr:`scan_stats` counters."""
-        for key in self._scan_stats:
-            self._scan_stats[key] = 0
 
     @property
     def scan_nbytes(self) -> int:
@@ -818,16 +714,10 @@ class QuantizedIndex(VectorIndex):
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
-    def _training_sample(self, rows: np.ndarray) -> np.ndarray:
-        if rows.shape[0] > self._train_sample:
-            pick = self._rng.choice(rows.shape[0], size=self._train_sample, replace=False)
-            return rows[pick]
-        return rows
-
     def _train(self) -> None:
         """Train codec (once) + routing on the staged rows, encode, drop staging."""
         rows = self._staging[: self._size]
-        sample = self._training_sample(rows)
+        sample = training_sample(rows, self._train_sample, self._rng)
         self._quantizer.train(sample, self._rng)
         capacity = self._staging.shape[0]
         self._codes = np.empty(
@@ -837,45 +727,17 @@ class QuantizedIndex(VectorIndex):
             block = rows[start : start + _ENCODE_BLOCK]
             self._codes[start : start + block.shape[0]] = self._quantizer.encode(block)
         if self._routed:
-            self._train_routing(rows, sample)
+            self._fit_routing(rows, sample)
+        else:
+            # Snapshots record the codec's training size either way.
+            self._router.trained_size = self._size
         self._staging = None
-        self._trained_size = self._size
-        self._mutations_since_train = 0
-        self._repartition_due = False
         self._mirror_sync(0, self._size)
 
-    def _assign_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Nearest-centroid cell per float32 row, blocked to bound memory.
-
-        The old one-shot ``rows @ centroids.T`` materialized an
-        ``(n, nlist)`` float32 score matrix — ~16 GB at 10⁶ rows with the
-        default ``nlist ≈ 4√n`` — on every repartition.
-        """
-        nlist = self._centroids.shape[0]
-        block = max(1, _ASSIGN_BLOCK_ELEMS // nlist)
-        out = np.empty(rows.shape[0], dtype=np.int64)
-        for start in range(0, rows.shape[0], block):
-            chunk = rows[start : start + block]
-            out[start : start + chunk.shape[0]] = np.argmax(
-                chunk @ self._centroids.T, axis=1
-            )
-        return out
-
-    def _train_routing(self, rows: np.ndarray, sample: np.ndarray) -> None:
-        """(Re)fit the coarse centroids and rebuild every inverted list."""
-        size = self._size
-        nlist = self._nlist_config or 4 * int(math.ceil(math.sqrt(size)))
-        nlist = max(1, min(nlist, sample.shape[0]))
-        self._centroids = _spherical_kmeans(
-            sample, nlist, self._kmeans_iters, self._rng
-        )
-        assign = self._assign_rows(np.asarray(rows, dtype=np.float32))
-        self._lists, self._list_of = build_inverted_lists(
-            self._ids[:size], assign, self._centroids.shape[0]
-        )
-        # Bound stats refer to the old partition; recompute lazily.  Storage
-        # still reflects arrival order until the next maintenance() pass.
-        self._cell_stats = None
+    def _fit_routing(self, rows: np.ndarray, sample: np.ndarray) -> None:
+        """(Re)partition the live rows into the router's cells."""
+        self._router.fit(rows, sample, self._ids[: self._size], self._rng)
+        # Storage still reflects arrival order until the next maintenance().
         self._layout_clustered = False
 
     def _retrain_routing(self) -> None:
@@ -884,10 +746,9 @@ class QuantizedIndex(VectorIndex):
         for start in range(0, self._size, _ENCODE_BLOCK):
             chunk = self._codes[start : min(start + _ENCODE_BLOCK, self._size)]
             rows[start : start + chunk.shape[0]] = self._quantizer.decode(chunk)
-        self._train_routing(rows, self._training_sample(rows))
-        self._trained_size = self._size
-        self._mutations_since_train = 0
-        self._repartition_due = False
+        self._fit_routing(
+            rows, training_sample(rows, self._train_sample, self._rng)
+        )
 
     # ------------------------------------------------------------------ #
     # Scan-acceleration structures (pair mirror, probe-pruning bound stats)
@@ -926,40 +787,11 @@ class QuantizedIndex(VectorIndex):
         pairs += np.uint16(k) * codes[:, 1::2]
         self._pair_mirror[:, start:stop] = pairs.T
 
-    def _cell_stats_update(self, codes: np.ndarray, assign: np.ndarray) -> None:
-        """Fold freshly assigned code rows into the per-cell bound stats.
-
-        Mirrors ``IVFIndex._cell_stats_update`` but decodes the codes first:
-        the bound must cover the *reconstructed* rows the scan actually
-        scores, not the exact originals.
-        """
-        if self._cell_stats is None:
-            return
-        a_min, a_max, b_max = self._cell_stats
-        R = self._quantizer.decode(codes, dtype=np.float64)
-        C = self._centroids[assign].astype(np.float64)
-        a = np.einsum("ij,ij->i", R, C)
-        sq = np.einsum("ij,ij->i", R, R)
-        b = np.sqrt(np.maximum(0.0, sq - a * a))
-        np.minimum.at(a_min, assign, a)
-        np.maximum.at(a_max, assign, a)
-        np.maximum.at(b_max, assign, b)
-
-    def _compute_cell_stats(self) -> None:
-        """(Re)build the per-cell bound stats from every live code row."""
-        nlist = self._centroids.shape[0]
-        self._cell_stats = (np.zeros(nlist), np.zeros(nlist), np.zeros(nlist))
-        if self._size == 0:
-            return
-        assign = np.empty(self._size, dtype=np.int64)
-        for li, lst in enumerate(self._lists):
-            view = lst.view()
-            if view.size:
-                assign[self._row_of.rows(view)] = li
-        block = max(1, _ASSIGN_BLOCK_ELEMS // max(self._dim or 1, 1))
-        for start in range(0, self._size, block):
-            stop = min(start + block, self._size)
-            self._cell_stats_update(self._codes[start:stop], assign[start:stop])
+    def _scored_rows(self, start: int, stop: int) -> np.ndarray:
+        """Code rows ``[start, stop)`` decoded: the probe-pruning bound must
+        cover the *reconstructed* rows the scan actually scores, not the
+        exact originals."""
+        return self._quantizer.decode(self._codes[start:stop], dtype=np.float64)
 
     def _compact_layout(self) -> None:
         """Reorder storage cell-major: each cell's codes become one
@@ -980,21 +812,21 @@ class QuantizedIndex(VectorIndex):
         n = self._size
         ids_new = np.empty(n, dtype=np.int64)
         pos = 0
-        for lst in self._lists:
+        for lst in self._router.lists:
             view = lst.view()
             c = view.shape[0]
             if c == 0:
                 continue
             ids_new[pos : pos + c] = np.sort(view)
             pos += c
-        order = self._row_of.rows(ids_new)  # new row -> old row
+        order = self._router.row_map.rows(ids_new)  # new row -> old row
         self._codes[:n] = self._codes[:n].take(order, axis=0)
         self._norms[:n] = self._norms[:n].take(order)
         self._ids[:n] = ids_new
         if self._pair_mirror is not None:
             self._pair_mirror[:, :n] = self._pair_mirror[:, :n].take(order, axis=1)
         self._id_map = dict(zip(ids_new.tolist(), range(n)))
-        self._row_of.remap_block(ids_new, 0)
+        self._router.row_map.remap_block(ids_new, 0)
         self._layout_clustered = True
 
     def maintenance(self) -> Dict[str, object]:
@@ -1009,27 +841,19 @@ class QuantizedIndex(VectorIndex):
         doesn't pay for them.
         """
         done: Dict[str, object] = {}
-        if self._repartition_due:
+        if self._router.repartition_due:
             self._retrain_routing()
             done["repartitioned"] = True
-            done["trained_size"] = self._trained_size
+            done["trained_size"] = self._router.trained_size
         if (
-            self._routed
-            and self._centroids is not None
+            self._router.is_trained
             and self._codes is not None
             and self._size
             and not self._layout_clustered
         ):
             self._compact_layout()
             done["layout_compacted"] = True
-        if (
-            self._routed
-            and self._prune_probes
-            and self._centroids is not None
-            and self._cell_stats is None
-            and self._size
-        ):
-            self._compute_cell_stats()
+        if self._router.refresh_cell_stats(self._scored_rows):
             done["cell_stats_refreshed"] = True
         return done
 
@@ -1096,38 +920,19 @@ class QuantizedIndex(VectorIndex):
         self._after_add(np.asarray(ids, dtype=np.int64), start, unit)
         return list(ids)
 
-    # NOTE: the incremental routing maintenance below (assign-on-add,
-    # list-discard + RowMap compaction on remove, growth/churn repartition
-    # trigger) deliberately parallels IVFIndex._post_add/_post_remove in
-    # ivf.py — the storage models differ (codes vs float rows), but a change
-    # to the threshold or compaction rule there almost certainly applies
-    # here too.  The list-rebuild itself is shared (build_inverted_lists).
     def _after_add(self, ids: np.ndarray, start_row: int, unit_rows: np.ndarray) -> None:
-        if self._routed:
-            self._row_of.set_block(ids, start_row)
+        refit_due = self._routed and self._router.note_added(
+            ids, start_row, unit_rows, self._scored_rows
+        )
         if not self._quantizer.is_trained:
             if self._size >= self._min_train_size:
                 self._train()
             return
         self._mirror_sync(start_row, start_row + ids.shape[0])
-        if self._routed and self._centroids is not None:
-            assign = self._assign_rows(np.asarray(unit_rows, dtype=np.float32))
-            for id, li in zip(ids.tolist(), assign.tolist()):
-                self._lists[li].append(id)
-                self._list_of[id] = li
+        if self._routed:
             self._layout_clustered = False
-            self._cell_stats_update(
-                self._codes[start_row : start_row + ids.shape[0]], assign
-            )
-            self._mutations_since_train += ids.shape[0]
-            # Inline by default; deferred to maintenance() when the owner
-            # opted the O(n) retraining off the query/add path.
-            threshold = self._repartition_growth * self._trained_size
-            if self._size >= threshold or self._mutations_since_train >= threshold:
-                if self._auto_repartition:
-                    self._retrain_routing()
-                else:
-                    self._repartition_due = True
+            if refit_due:
+                self._retrain_routing()
 
     def remove(self, id: int) -> None:
         id = int(id)
@@ -1148,16 +953,8 @@ class QuantizedIndex(VectorIndex):
             self._id_to_row[moved_id] = row
         self._size -= 1
         if self._routed:
-            self._row_of.unset(id)
-            if moved_id is not None:
-                self._row_of.move(moved_id, row)
-            if self._row_of.compaction_due(self._size):
-                self._row_of.maybe_compact(self._ids[: self._size])
-            if self._centroids is not None:
-                li = self._list_of.pop(id)
-                self._lists[li].discard(id)
-                self._mutations_since_train += 1
-                self._layout_clustered = False
+            self._router.note_removed(id, row, moved_id, self._ids[: self._size])
+            self._layout_clustered = False
 
     def rebuild(self, vectors: np.ndarray, ids: Sequence[int]) -> None:
         ids = [int(i) for i in ids]
@@ -1187,15 +984,8 @@ class QuantizedIndex(VectorIndex):
         self._id_map = {}
         self._mmap_backed = False
         self._quantizer.reset()
-        self._row_of.clear()
-        self._centroids = None
-        self._lists = []
-        self._list_of = {}
-        self._trained_size = 0
-        self._mutations_since_train = 0
-        self._repartition_due = False
+        self._router.clear()
         self._pair_mirror = None
-        self._cell_stats = None
         self._layout_clustered = False
         self._scratch.clear()
         self._dim = self._constructor_dim
@@ -1315,7 +1105,7 @@ class QuantizedIndex(VectorIndex):
                 for qi in range(n_queries)
             ]
 
-        if self._routed and self._centroids is not None:
+        if self._router.is_trained:
             return self._search_routed(Qf, unit, top_k, score_threshold, stop_score)
 
         if n_queries <= _MIRROR_MAX_BATCH:
@@ -1385,7 +1175,7 @@ class QuantizedIndex(VectorIndex):
                         stop_score is not None
                         and float(out[sel].max()) >= stop_score
                     ):
-                        self._scan_stats["early_stops"] += 1
+                        self._router.scan_stats["early_stops"] += 1
                         break
                 results.append(
                     self._rank(
@@ -1434,7 +1224,7 @@ class QuantizedIndex(VectorIndex):
                 and n_queries == 1
                 and float(acc_scores[0, : fills[0]].max()) >= stop_score
             ):
-                self._scan_stats["early_stops"] += 1
+                self._router.scan_stats["early_stops"] += 1
                 break
         return [
             self._rank(
@@ -1505,33 +1295,18 @@ class QuantizedIndex(VectorIndex):
     ) -> List[List[IndexHit]]:
         """Probe the ``nprobe`` nearest cells and rank their lists' codes.
 
-        The default scan is :func:`probe_scan_batched`: every probed cell's
-        ids concatenate into one canonical (ascending) candidate block and a
-        single fused scoring call covers them all — per-cell dispatch, not
-        arithmetic, is the latency floor once cells are a few hundred rows.
-        With ``stop_score`` set the scan switches to the per-cell
-        :func:`probe_scan` loop, which honours threshold early termination
-        and (``prune_probes``) exact-bound pruning between cells.  Candidate
-        gathers, casts and scores all live in scratch; the reference path
-        (``fused_scan=False``) decodes probed rows to a materialized float64
-        matrix.
+        :meth:`repro.index.routing.Router.search` runs the probe loop; this
+        supplies the per-query code scorer — SQ8-fused gather+cast+gemv, PQ
+        LUT gathers, or (``fused_scan=False``) the reference path that
+        decodes probed rows to a materialized float64 matrix — and ranks
+        with :meth:`_rank`.  Candidate gathers, casts and scores all live in
+        scratch.  The reference path probes unpruned: it is the oracle
+        the pruned fused scan is compared against.
         """
         n_queries = Qf.shape[0]
-        nlist = self._centroids.shape[0]
-        nprobe = min(self._nprobe, nlist)
         sc = self._scratch
         qz = self._quantizer
-        centroid_scores = sc.get("rt.cscores", (n_queries, nlist), np.float32)
-        np.matmul(Qf, self._centroids.T, out=centroid_scores)
-        probes = _sorted_probes(centroid_scores, nprobe)
         fused = self._fused_scan
-        threaded = self._scan_threads > 1 and stop_score is None
-        bounds = None
-        if stop_score is not None and fused and self._prune_probes and not threaded:
-            if self._cell_stats is None:
-                self._compute_cell_stats()
-            bounds = cell_bounds(centroid_scores, self._cell_stats, sc, "rt.bounds")
-        keff_target = top_k * self._rescore if self._rescore > 1 else top_k
         sq = isinstance(qz, ScalarQuantizer)
         if fused and sq:
             scaled_q = sc.get("rt.scaled_q", Qf.shape, np.float32)
@@ -1543,19 +1318,8 @@ class QuantizedIndex(VectorIndex):
             for qi in range(n_queries):
                 qz.build_lut(Qf[qi], luts[qi])
         codes = self._codes
-        results: List[List[IndexHit]] = []
-        for qi in range(n_queries):
-            plist = probes[qi]
-            total = 0
-            for li in plist:
-                total += len(self._lists[li])
-            if total == 0:
-                results.append([])
-                continue
-            cand_ids = sc.get("rt.cand_ids", (total,), np.int64)
-            cand_rows = sc.get("rt.cand_rows", (total,), np.int64)
-            score_dtype = np.float32 if fused else np.float64
-            cand_scores = sc.get("rt.cand_scores", (total,), score_dtype)
+
+        def scorer(qi: int) -> ScoreRows:
             if fused and sq:
                 sq_q = scaled_q[qi]
                 off_q = float(q_off[qi])
@@ -1563,22 +1327,11 @@ class QuantizedIndex(VectorIndex):
                 def score_rows(rows: np.ndarray, out: np.ndarray) -> None:
                     qz.score_rows_fused(codes, rows, sq_q, off_q, out, sc, "rt")
 
-                def score_rows_alloc(rows: np.ndarray, out: np.ndarray) -> None:
-                    cast = codes[rows].astype(np.float32)
-                    np.matmul(cast, sq_q, out=out)
-                    np.add(out, off_q, out=out)
-
             elif fused:
                 lut_q = luts[qi]
 
                 def score_rows(rows: np.ndarray, out: np.ndarray) -> None:
                     qz.score_rows_lut(codes, rows, lut_q, out, sc, "rt")
-
-                def score_rows_alloc(rows: np.ndarray, out: np.ndarray) -> None:
-                    gathered = codes[rows]
-                    np.take(lut_q[0], gathered[:, 0], out=out)
-                    for j in range(1, qz.m):
-                        out += lut_q[j][gathered[:, j]]
 
             else:
                 u64 = unit64[qi]
@@ -1587,57 +1340,21 @@ class QuantizedIndex(VectorIndex):
                     decoded = qz.decode(codes[rows], dtype=np.float64)
                     np.matmul(decoded, u64, out=out)
 
-                score_rows_alloc = score_rows
+            return score_rows
 
-            if threaded:
-                filled = probe_scan_threaded(
-                    plist,
-                    self._lists,
-                    self._row_of,
-                    score_rows_alloc,
-                    cand_ids,
-                    cand_rows,
-                    cand_scores,
-                    self._scan_threads,
-                    self._scan_stats,
-                )
-            elif stop_score is not None:
-                kth_buf = sc.get("rt.kth", (total,), score_dtype)
-                filled = probe_scan(
-                    plist,
-                    self._lists,
-                    self._row_of,
-                    score_rows,
-                    cand_ids,
-                    cand_rows,
-                    cand_scores,
-                    kth_buf,
-                    keff_target,
-                    bounds[qi] if bounds is not None else None,
-                    stop_score,
-                    self._scan_stats,
-                )
-            else:
-                filled = probe_scan_batched(
-                    plist,
-                    self._lists,
-                    self._row_of,
-                    score_rows,
-                    cand_ids,
-                    cand_rows,
-                    cand_scores,
-                    self._scan_stats,
-                )
-            results.append(
-                self._rank(
-                    cand_rows[:filled],
-                    cand_scores[:filled],
-                    unit64[qi],
-                    top_k,
-                    score_threshold,
-                )
-            )
-        return results
+        def rank(qi: int, rows: np.ndarray, scores: np.ndarray) -> List[IndexHit]:
+            return self._rank(rows, scores, unit64[qi], top_k, score_threshold)
+
+        return self._router.search(
+            Qf,
+            scorer,
+            rank,
+            self._scored_rows,
+            top_k * self._rescore if self._rescore > 1 else top_k,
+            np.float32 if fused else np.float64,
+            stop_score=stop_score,
+            bounded=fused,
+        )
 
     # ------------------------------------------------------------------ #
     # Snapshot protocol (see repro.index.snapshot)
@@ -1658,15 +1375,9 @@ class QuantizedIndex(VectorIndex):
             "train_sample": self._train_sample,
             "rescore": self._rescore,
             "routed": self._routed,
-            "nlist": self._nlist_config,
-            "nprobe": self._nprobe,
-            "kmeans_iters": self._kmeans_iters,
-            "repartition_growth": self._repartition_growth,
+            **self._router.snapshot_params(),
             "seed": self._seed,
             "fused_scan": self._fused_scan,
-            "auto_repartition": self._auto_repartition,
-            "prune_probes": self._prune_probes,
-            "scan_threads": self._scan_threads,
         }
 
     def _snapshot_state(self) -> Dict[str, object]:
@@ -1674,9 +1385,7 @@ class QuantizedIndex(VectorIndex):
             "dim": self._dim,
             "next_id": self._next_id,
             "trained": bool(self._quantizer.is_trained),
-            "trained_size": self._trained_size,
-            "mutations_since_train": self._mutations_since_train,
-            "repartition_due": self._repartition_due,
+            **self._router.snapshot_state(),
             "layout_clustered": self._layout_clustered,
             "rng_state": self._rng.bit_generator.state,
         }
@@ -1700,14 +1409,7 @@ class QuantizedIndex(VectorIndex):
                 else np.zeros((0, code_width), dtype=np.uint8)
             )
             arrays.update(self._quantizer.snapshot_arrays())
-            if self._routed and self._centroids is not None:
-                arrays["rt_centroids"] = self._centroids
-                live_ids = (
-                    self._ids[:n] if self._ids is not None else np.zeros(0, np.int64)
-                )
-                arrays["rt_assign"] = np.asarray(
-                    [self._list_of[int(i)] for i in live_ids], dtype=np.int64
-                )
+            arrays.update(self._router.snapshot_arrays(arrays["ids"], "rt_"))
         else:
             arrays["staging"] = (
                 self._staging[:n]
@@ -1756,27 +1458,17 @@ class QuantizedIndex(VectorIndex):
                 self._ids[:n] = ids
                 self._id_map = {int(i): r for r, i in enumerate(ids.tolist())}
             self._size = n
-            if self._routed:
-                self._row_of.set_block(ids, 0)
-        if self._routed and "rt_centroids" in arrays:
-            self._centroids = np.ascontiguousarray(
-                arrays["rt_centroids"], dtype=np.float32
-            )
-            assign = np.asarray(arrays["rt_assign"], dtype=np.int64)
-            self._lists, self._list_of = build_inverted_lists(
-                ids, assign, self._centroids.shape[0]
-            )
+        if self._routed:
+            self._router.restore(state, arrays, ids, "rt_")
+        else:
+            self._router.trained_size = int(state["trained_size"])
         self._next_id = int(state["next_id"])
-        self._trained_size = int(state["trained_size"])
-        self._mutations_since_train = int(state["mutations_since_train"])
-        self._repartition_due = bool(state.get("repartition_due", False))
         # Snapshots preserve row order byte-for-byte, so cell-major layout
         # survives the round trip and the flag can be restored as-is.
         self._layout_clustered = bool(state.get("layout_clustered", False))
         # Scan-acceleration structures are derived state: rebuild the PQ
         # pair mirror from the restored codes; cell stats recompute lazily.
         self._mirror_sync(0, self._size)
-        self._cell_stats = None
         rng_state = state.get("rng_state")
         if rng_state is not None:
             rng = np.random.default_rng(self._seed)
@@ -1797,7 +1489,7 @@ class SQ8Index(QuantizedIndex):
     routed, nlist, nprobe:
         Enable IVF coarse routing over the quantized rows (the registry's
         ``"ivf+sq8"``).
-    fused_scan, auto_repartition, prune_probes, scan_threads:
+    fused_scan, auto_repartition, prune_probes:
         Hot-path scan knobs shared with :class:`QuantizedIndex`.
     """
 
@@ -1818,7 +1510,6 @@ class SQ8Index(QuantizedIndex):
         fused_scan: bool = True,
         auto_repartition: bool = True,
         prune_probes: bool = True,
-        scan_threads: int = 1,
     ) -> None:
         super().__init__(
             ScalarQuantizer(),
@@ -1837,7 +1528,6 @@ class SQ8Index(QuantizedIndex):
             fused_scan=fused_scan,
             auto_repartition=auto_repartition,
             prune_probes=prune_probes,
-            scan_threads=scan_threads,
         )
 
     @property
@@ -1880,7 +1570,6 @@ class PQIndex(QuantizedIndex):
         fused_scan: bool = True,
         auto_repartition: bool = True,
         prune_probes: bool = True,
-        scan_threads: int = 1,
     ) -> None:
         super().__init__(
             ProductQuantizer(m=m, ksub=ksub, kmeans_iters=max(kmeans_iters, 1)),
@@ -1899,7 +1588,6 @@ class PQIndex(QuantizedIndex):
             fused_scan=fused_scan,
             auto_repartition=auto_repartition,
             prune_probes=prune_probes,
-            scan_threads=scan_threads,
         )
         self._m = int(m)
         self._ksub = int(ksub)

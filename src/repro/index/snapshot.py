@@ -329,6 +329,9 @@ def load_index(
     if expected is not None and not isinstance(expected, list):
         raise SnapshotError(f"snapshot at {path} has a corrupted arrays block")
     arrays = read_arrays(path, mmap=mmap, expected=expected)
+    # Retired with the thread-pool probe scan; snapshots written before
+    # that still carry it (always 1 — nothing ever set it).
+    params = {k: v for k, v in params.items() if k != "scan_threads"}
     try:
         index = make_index(backend, **params)
     except (TypeError, ValueError) as exc:

@@ -10,7 +10,7 @@ from repro.metrics.classification import (
     recall,
 )
 from repro.metrics.reporting import format_table, format_confusion_matrix
-from repro.metrics.timing import LatencyHistogram, Timer, SimulatedClock
+from repro.metrics.timing import LatencyHistogram, Timer
 
 __all__ = [
     "ConfusionMatrix",
@@ -22,7 +22,6 @@ __all__ = [
     "evaluate_decisions",
     "LatencyHistogram",
     "Timer",
-    "SimulatedClock",
     "format_table",
     "format_confusion_matrix",
 ]

@@ -5,16 +5,15 @@ Two notions of time coexist in the reproduction:
 * **Wall-clock time** (:class:`Timer`) — used for quantities the paper
   actually measures on real hardware that we *can* also measure here, such as
   embedding-computation time (Fig. 15) and semantic-search time (Fig. 10b).
-* **Simulated time** (:class:`SimulatedClock`) — used for quantities that
-  depend on hardware we do not have (LLM inference latency in Fig. 5); the
-  latency model contributes simulated durations that are accumulated on a
-  virtual clock so traces remain deterministic.
+* **Simulated time** (:class:`repro.core.clock.VirtualClock`) — used for
+  quantities that depend on hardware we do not have (LLM inference latency
+  in Fig. 5); the latency model contributes simulated durations so traces
+  remain deterministic.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
@@ -164,24 +163,3 @@ class _HistogramInterval:
 
     def __exit__(self, *exc_info) -> None:
         self._hist.record(time.perf_counter_ns() - self._start)
-
-
-@dataclass
-class SimulatedClock:
-    """A virtual clock advanced by modelled durations."""
-
-    now: float = 0.0
-    history: List[float] = field(default_factory=list)
-
-    def advance(self, seconds: float) -> float:
-        """Advance the clock and return the new time."""
-        if seconds < 0:
-            raise ValueError("cannot advance the clock by a negative duration")
-        self.now += seconds
-        self.history.append(seconds)
-        return self.now
-
-    def reset(self) -> None:
-        """Return to t=0 and clear the history."""
-        self.now = 0.0
-        self.history.clear()

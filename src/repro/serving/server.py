@@ -107,14 +107,6 @@ class ServerConfig:
         thread (no pool, no cross-shard parallelism) and LLM requests are
         stamped with virtual event times — the mode :meth:`CacheServer.replay`
         uses for byte-exact parity with the simulator.
-    worker_threads:
-        Size of the flush executor pool in live mode (default 1: flushes
-        execute sequentially off the event loop, which preserves per-user
-        FIFO while arrivals keep filling the next batch; ignored when
-        ``deterministic``).
-    precompute_embeddings:
-        Embed each flush with one cross-user encoder call and hand every
-        cache its rows (requires constructing the server with ``encoder=``).
     """
 
     n_shards: int = 4
@@ -124,8 +116,6 @@ class ServerConfig:
     enroll_on_miss: bool = True
     index_maintenance: bool = True
     deterministic: bool = False
-    worker_threads: Optional[int] = None
-    precompute_embeddings: bool = True
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -136,8 +126,6 @@ class ServerConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_batch_wait_s < 0:
             raise ValueError("max_batch_wait_s must be >= 0")
-        if self.worker_threads is not None and self.worker_threads < 1:
-            raise ValueError("worker_threads must be >= 1 when set")
 
 
 @dataclass
@@ -452,6 +440,7 @@ class CacheServer:
         self._loop_thread: Optional[threading.Thread] = None
         self._batch_task: Optional[asyncio.Task] = None
         self._arrival: Optional[asyncio.Event] = None
+        self._stop_requested: Optional[asyncio.Event] = None
         self._running = False
 
     # ------------------------------------------------------------------ #
@@ -515,7 +504,7 @@ class CacheServer:
     # ------------------------------------------------------------------ #
     def _embed_flush(self, requests: Sequence[_PendingRequest]) -> Optional[np.ndarray]:
         """One cross-user encoder call for the whole flush (or None)."""
-        if self.encoder is None or not self.config.precompute_embeddings:
+        if self.encoder is None:
             return None
         embs = self.encoder.encode(
             [r.query for r in requests], compress=self.compress
@@ -767,7 +756,8 @@ class CacheServer:
                 except asyncio.TimeoutError:
                     continue
             now = self.clock()
-            if not self._batcher.due(now):
+            # Once shutdown began, drain at once: nothing more will coalesce.
+            if self._running and not self._batcher.due(now):
                 deadline = self._batcher.next_deadline()
                 delay = max(0.0, (deadline or now) - now)
                 self._arrival.clear()
@@ -791,18 +781,21 @@ class CacheServer:
         self._loop = asyncio.get_running_loop()
         self._arrival = asyncio.Event()
         if not self.config.deterministic:
-            # One worker is the sweet spot: flushes execute sequentially
-            # (per-user FIFO requires it) while the event loop stays free to
-            # admit arrivals — which is what fills the next batch.
-            workers = self.config.worker_threads or 1
+            # One worker: flushes execute sequentially (per-user FIFO
+            # requires it) while the event loop stays free to admit
+            # arrivals — which is what fills the next batch.
             self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="cache-server"
+                max_workers=1, thread_name_prefix="cache-server"
             )
         self._running = True
         self._batch_task = asyncio.get_running_loop().create_task(self._batch_loop())
 
     async def shutdown(self) -> None:
-        """Drain pending requests and stop the batch loop."""
+        """Drain pending requests, stop the batch loop, release the pool.
+
+        The only place that clears ``_running``: the batch loop keeps
+        flushing until the queue is empty, and it is awaited here.
+        """
         if not self._running:
             return
         self._running = False
@@ -832,9 +825,9 @@ class CacheServer:
 
             async def _main() -> None:
                 await self.serve()
+                self._stop_requested = asyncio.Event()
                 ready.set()
-                while self._running:
-                    await asyncio.sleep(0.01)
+                await self._stop_requested.wait()
                 await self.shutdown()
 
             loop.run_until_complete(_main())
@@ -850,8 +843,7 @@ class CacheServer:
         """Stop a :meth:`start`-ed server, draining pending requests."""
         if self._loop_thread is None:
             return
-        self._running = False
-        if self._loop is not None and self._arrival is not None:
-            self._loop.call_soon_threadsafe(self._arrival.set)
+        if self._loop is not None and self._stop_requested is not None:
+            self._loop.call_soon_threadsafe(self._stop_requested.set)
         self._loop_thread.join(timeout=timeout)
         self._loop_thread = None

@@ -38,6 +38,7 @@ BACKENDS = ["flat", "ivf", "lsh"]
 SMALL_PARAMS = {
     "flat": {},
     "ivf": {"min_train_size": 8, "nlist": 4, "nprobe": 4},
+    "ivf+sq8": {"min_train_size": 8, "nlist": 4, "nprobe": 4},
     "lsh": {"n_tables": 8, "n_bits": 4, "multiprobe": 2},
 }
 
@@ -46,6 +47,12 @@ def small_index(backend: str, dim=8, **overrides) -> VectorIndex:
     params = dict(SMALL_PARAMS[backend])
     params.update(overrides)
     return make_index(backend, dim=dim, **params)
+
+
+def row_map(index: VectorIndex):
+    """The id→row table: the shared router's for routed backends, LSH's own."""
+    router = getattr(index, "_router", None)
+    return index._row_of if router is None else router.row_map
 
 
 # --------------------------------------------------------------------------- #
@@ -250,12 +257,16 @@ def test_ivf_trains_and_repartitions(rng=np.random.default_rng(12)):
     assert hits and hits[0].id == 0
 
 
-def test_ivf_repartitions_under_plateau_churn(rng=np.random.default_rng(14)):
+@pytest.mark.parametrize("backend", ["ivf", "ivf+sq8"])
+def test_ivf_repartitions_under_plateau_churn(backend):
     """Eviction-style churn at constant size must still trigger retraining."""
-    ivf = IVFIndex(dim=8, min_train_size=16, nlist=4, nprobe=4, repartition_growth=2.0)
+    rng = np.random.default_rng(14)
+    ivf = make_index(
+        backend, dim=8, min_train_size=16, nlist=4, nprobe=4, repartition_growth=2.0
+    )
     ids = ivf.add_batch(rng.normal(size=(16, 8)))
     assert ivf.is_trained
-    first_training_marker = ivf._trained_size
+    first_training_marker = ivf._router.trained_size
     # Replace the whole corpus several times over without growing it.
     next_vecs = rng.normal(size=(64, 8))
     for i, vec in enumerate(next_vecs):
@@ -264,13 +275,13 @@ def test_ivf_repartitions_under_plateau_churn(rng=np.random.default_rng(14)):
     assert len(ivf) == 16
     # Mutations (64 adds + 64 removes) far exceed 2× the trained size, so
     # at least one retraining must have happened since the first.
-    assert ivf._mutations_since_train < 32
+    assert ivf._router.mutations_since_train < 32
     assert first_training_marker == 16  # sanity: the first training was at 16
     hits = ivf.search(next_vecs[-1], top_k=1)[0]
     assert hits and hits[0].id == ids[-1]
 
 
-@pytest.mark.parametrize("backend", ["ivf", "lsh"])
+@pytest.mark.parametrize("backend", ["ivf", "ivf+sq8", "lsh"])
 def test_row_map_stays_bounded_under_churn(backend):
     """Monotonic entry ids must not grow the id→row table without bound."""
     rng = np.random.default_rng(15)
@@ -283,13 +294,13 @@ def test_row_map_stays_bounded_under_churn(backend):
     assert len(index) == 64
     # Lifetime-max id is ~5k, but the live span is 64 — the map must have
     # re-anchored instead of keeping a slot for every id ever issued.
-    assert index._row_of.slots <= 4 * 1024
+    assert row_map(index).slots <= 4 * 1024
     for id in (ids[0], ids[-1]):
         hits = index.search(index.get(id), top_k=1)[0]
         assert hits and hits[0].id == id
 
 
-@pytest.mark.parametrize("backend", ["ivf", "lsh"])
+@pytest.mark.parametrize("backend", ["ivf", "ivf+sq8", "lsh"])
 def test_row_map_handles_id_reuse_below_compacted_base(backend):
     """Explicit re-adds of old (low) ids stay correct after map compaction."""
     rng = np.random.default_rng(16)
@@ -403,6 +414,6 @@ def test_row_map_anchors_after_clear_with_high_ids():
     high_ids = list(range(10_000_000, 10_000_032))
     index.rebuild(rng.normal(size=(32, 8)), ids=high_ids)
     assert sorted(index.ids) == high_ids
-    assert index._row_of.slots <= 64
+    assert row_map(index).slots <= 64
     hits = index.search(index.get(high_ids[0]), top_k=1)[0]
     assert hits and hits[0].id == high_ids[0]

@@ -16,7 +16,7 @@ from repro.metrics.classification import (
     recall,
 )
 from repro.metrics.reporting import format_confusion_matrix, format_metric_comparison, format_table
-from repro.metrics.timing import LatencyHistogram, SimulatedClock, Timer
+from repro.metrics.timing import LatencyHistogram, Timer
 
 
 class TestConfusionMatrix:
@@ -105,17 +105,6 @@ class TestTiming:
             pass
         timer.reset()
         assert timer.durations == [] and timer.last == 0.0
-
-    def test_simulated_clock(self):
-        clock = SimulatedClock()
-        clock.advance(1.5)
-        clock.advance(0.5)
-        assert clock.now == pytest.approx(2.0)
-        assert clock.history == [1.5, 0.5]
-        with pytest.raises(ValueError):
-            clock.advance(-1.0)
-        clock.reset()
-        assert clock.now == 0.0
 
 
 class TestLatencyHistogram:

@@ -164,6 +164,39 @@ def test_load_index_restores_rng_continuity(tmp_path):
     assert hit_signature(loaded.search(queries)) == hit_signature(b.search(queries))
 
 
+@pytest.mark.parametrize("mmap", [False, True])
+@pytest.mark.parametrize("name", ["ivf", "ivf+sq8", "ivf+pq"])
+def test_load_drops_retired_scan_threads_param(name, mmap, tmp_path):
+    """Manifests written while ``scan_threads`` was a constructor parameter
+    carry ``"scan_threads": 1``; load drops that key and no other."""
+    params = {"min_train_size": 32, "nprobe": 4, "seed": 3}
+    if name == "ivf+pq":
+        params.update(m=4, ksub=16)
+    live = make_index(name, dim=DIM, **params)
+    rng = np.random.default_rng(21)
+    grow = rng.normal(size=(200, DIM))
+    live.add_batch(grow[:60])
+    path = live.save(tmp_path / "snap")
+    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    assert "scan_threads" not in manifest["params"]
+    manifest["params"]["scan_threads"] = 1
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+    loaded = load_index(path, mmap=mmap)
+    queries = rng.normal(size=(5, DIM))
+    assert hit_signature(loaded.search(queries)) == hit_signature(live.search(queries))
+    # Past the repartition threshold: the next retraining must match too.
+    loaded.add_batch(grow[60:])
+    live.add_batch(grow[60:])
+    assert loaded.nlist == live.nlist > 0
+    assert hit_signature(loaded.search(queries)) == hit_signature(live.search(queries))
+
+    manifest["params"]["no_such_kwarg"] = 1
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(SnapshotError, match="rejects"):
+        load_index(path, mmap=mmap)
+
+
 # --------------------------------------------------------------------------- #
 # Manifest validation
 # --------------------------------------------------------------------------- #

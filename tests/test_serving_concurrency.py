@@ -24,6 +24,8 @@ lookup, insert (miss→enrol) and eviction churn — and assert:
 
 from __future__ import annotations
 
+import gc
+import logging
 import threading
 
 import pytest
@@ -247,6 +249,37 @@ class TestThreadedHammer:
             server.stop()
         assert not errors
         assert ProbedCache.overlaps == 0
+
+
+def test_stop_drains_the_queue_and_tears_down(caplog):
+    """stop() right after a burst: every queued request still resolves, the
+    batch task is awaited (not destroyed pending) and the pool is released."""
+    encoder = make_tiny_encoder()
+    caches = {}
+
+    def factory(user_id):
+        return caches.setdefault(
+            user_id, MeanCache(encoder, MeanCacheConfig(similarity_threshold=0.999))
+        )
+
+    # A batch cap above the burst and a long coalescing wait: nothing has
+    # flushed when stop() lands, so shutdown itself must drain the queue.
+    server = _server(factory, max_batch_size=64, max_batch_wait_s=5.0)
+    server.start()
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        futures = [
+            server.submit_threadsafe(f"user-{i % 4}", f"burst question number {i}")
+            for i in range(24)
+        ]
+        server.stop()
+        gc.collect()  # a batch task left pending would be reported here
+    assert all(future.done() for future in futures)
+    assert all(future.result(timeout=0).response for future in futures)
+    assert server.metrics.completed == 24
+    assert server._batch_task is None
+    assert server._pool is None
+    assert not server._running
+    assert "Task was destroyed" not in caplog.text
 
 
 class TestHammerUnderRuntimeChecker:
