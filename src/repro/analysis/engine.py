@@ -95,13 +95,6 @@ class ModuleContext:
                 return ancestor
         return None
 
-    def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
-        """The innermost enclosing class definition, if any."""
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, ast.ClassDef):
-                return ancestor
-        return None
-
     def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
         """Build a :class:`Finding` anchored at ``node``."""
         return Finding(

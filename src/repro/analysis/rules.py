@@ -128,8 +128,8 @@ class ConcurrencyContractRule(Rule):
 
     The serving contract (``docs/serving.md``): no index backend is
     thread-safe, and the fix is *not* a lock inside the backend — it is the
-    server adapter layer (shard locks, the shared-L2 lock, the quantized
-    tier's lock).  Two checks:
+    server adapter layer (shard locks, the quantized tier's lock).  Two
+    checks:
 
     * creating a ``threading.Lock``/``RLock``/``Condition``/``Semaphore``
       inside ``repro/index/`` is flagged — a backend growing its own lock
@@ -138,7 +138,7 @@ class ConcurrencyContractRule(Rule):
     * in ``repro/serving/server.py``, calling an unsafe cache/index method
       (:data:`UNSAFE_CACHE_METHODS`) outside a ``with <...>.lock`` scope is
       flagged — server code paths reach caches only through a lock-holding
-      scope (``CacheAdapter`` normalization happens *inside* those scopes).
+      scope.
     """
 
     id = "RPL001"
@@ -205,9 +205,6 @@ class ConcurrencyContractRule(Rule):
                 continue
             if _inside_lock_scope(ctx, node):
                 continue
-            enclosing = ctx.enclosing_class(node)
-            if enclosing is not None and enclosing.name == "CacheAdapter":
-                continue  # the normalization layer runs inside its callers' locks
             yield ctx.finding(
                 self.id,
                 node,

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.core.cache import CacheDecision, CacheStats
 from repro.core.pipeline import (
     DecideStage,
     EncoderEmbed,
@@ -39,7 +40,7 @@ from repro.core.storage import object_nbytes
 from repro.core.validation import require_query_text, require_query_texts
 from repro.embeddings.model import SiameseEncoder
 from repro.embeddings.zoo import load_encoder
-from repro.index import IndexHit, VectorIndex
+from repro.index import VectorIndex
 from repro.index.registry import resolve_index, validate_backend
 from repro.index.snapshot import (
     SnapshotError,
@@ -84,31 +85,6 @@ class GPTCacheConfig:
         if self.network_rtt_s < 0:
             raise ValueError("network_rtt_s must be >= 0")
         validate_backend(self.index_backend)
-
-
-@dataclass
-class GPTCacheDecision:
-    """Outcome of one baseline lookup."""
-
-    hit: bool
-    query: str
-    response: Optional[str] = None
-    matched_query: Optional[str] = None
-    #: query text of the top retrieved candidate (set on misses too)
-    top_candidate_query: Optional[str] = None
-    similarity: float = 0.0
-    candidates: List[IndexHit] = field(default_factory=list)
-    embed_time_s: float = 0.0
-    search_time_s: float = 0.0
-    network_time_s: float = 0.0
-    #: the probe's embedding from the lookup's Embed stage; pass it to
-    #: ``insert``/``enroll`` on a miss to skip a second encoder forward.
-    embedding: Optional[np.ndarray] = None
-
-    @property
-    def total_overhead_s(self) -> float:
-        """Measured lookup overhead plus the modelled network round trip."""
-        return self.embed_time_s + self.search_time_s + self.network_time_s
 
 
 @dataclass
@@ -182,6 +158,13 @@ class GPTCache:
         """The vector index holding the cached query embeddings."""
         return self._index
 
+    @property
+    def stats(self) -> CacheStats:
+        """The ``lookups``/``hits`` counters as a :class:`CacheStats` view."""
+        return CacheStats(
+            lookups=self.lookups, hits=self.hits, misses=self.lookups - self.hits
+        )
+
     def users(self) -> List[str]:
         """Distinct user ids whose queries are stored centrally."""
         return sorted({e.user_id for e in self._entries})
@@ -240,7 +223,7 @@ class GPTCache:
             response = responses[i] if responses is not None else f"cached response for: {query}"
             self.insert(query, response, user_id=user_id, embedding=embeddings[i])
 
-    def lookup(self, query: str, context: Sequence[str] = (), user_id: str = "default") -> GPTCacheDecision:
+    def lookup(self, query: str, context: Sequence[str] = (), user_id: str = "default") -> CacheDecision:
         """Hit/miss decision; ``context`` is accepted but ignored (no context handling).
 
         A single-probe run of the shared lookup pipeline (the ContextVerify
@@ -255,7 +238,7 @@ class GPTCache:
         queries: Sequence[str],
         user_id: str = "default",
         embeddings: Optional[np.ndarray] = None,
-    ) -> List[GPTCacheDecision]:
+    ) -> List[CacheDecision]:
         """Vectorized equivalent of calling :meth:`lookup` per query in order.
 
         One encoder call embeds the whole batch and one matmul searches it;
@@ -392,13 +375,13 @@ class _GPTCacheDecide(DecideStage):
     def __init__(self, cache: "GPTCache") -> None:
         self._cache = cache
 
-    def decide(self, selection: Selection) -> GPTCacheDecision:
+    def decide(self, selection: Selection) -> CacheDecision:
         cache = self._cache
         top_query = (
             cache._entries[selection.hits[0].id].query if selection.hits else None
         )
         if selection.best is None:
-            return GPTCacheDecision(
+            return CacheDecision(
                 hit=False,
                 query=selection.probe.query,
                 top_candidate_query=top_query,
@@ -411,7 +394,7 @@ class _GPTCacheDecide(DecideStage):
             )
         entry = cache._entries[selection.best.id]
         cache.hits += 1
-        return GPTCacheDecision(
+        return CacheDecision(
             hit=True,
             query=selection.probe.query,
             response=entry.response,

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.cache import CacheDecision, CacheStats
 from repro.core.pipeline import (
     AlwaysAdmit,
     CapacityEnroll,
@@ -138,8 +139,8 @@ class KeywordCache:
             response = responses[i] if responses is not None else f"cached response for: {query}"
             self.insert(query, response)
 
-    def lookup(self, query: str) -> Optional[str]:
-        """Return the cached response for an exact (normalised) match, else None.
+    def lookup(self, query: str) -> CacheDecision:
+        """Hit (with the cached response) on an exact normalised match, else miss.
 
         A single-probe run of the shared lookup pipeline with the Retrieve
         stage swapped for exact key matching.
@@ -147,7 +148,7 @@ class KeywordCache:
         self.lookups += 1
         return self.pipeline.run_one(query)
 
-    def lookup_batch(self, queries: Sequence[str]) -> List[Optional[str]]:
+    def lookup_batch(self, queries: Sequence[str]) -> List[CacheDecision]:
         """Look up many queries in order (the batched workload entry point).
 
         Exact-match lookups are already O(1), so unlike the semantic caches
@@ -161,22 +162,38 @@ class KeywordCache:
         return self.pipeline.run([Probe.make(query) for query in queries])
 
     @property
+    def stats(self) -> CacheStats:
+        """The ``lookups``/``hits`` counters as a :class:`CacheStats` view."""
+        return CacheStats(
+            lookups=self.lookups, hits=self.hits, misses=self.lookups - self.hits
+        )
+
+    @property
     def hit_rate(self) -> float:
         """Fraction of lookups that hit."""
         return self.hits / self.lookups if self.lookups else 0.0
 
 
 class _KeywordDecide(DecideStage):
-    """Decide stage: map an exact-match selection to the cached response."""
+    """Decide stage: an exact match is a hit at similarity 1.0, else a miss.
+
+    ``matched_query`` stays unset: a key stands for every query that
+    normalises to it, so there is no single matched text to verify against.
+    The stage timings stay 0.0 too — a dictionary probe is reported as free,
+    which keeps the keyword floor's latency numbers purely the LLM's.
+    """
 
     def __init__(self, cache: "KeywordCache") -> None:
         self._cache = cache
 
-    def decide(self, selection: Selection) -> Optional[str]:
+    def decide(self, selection: Selection) -> CacheDecision:
         cache = self._cache
+        query = selection.probe.query
         if selection.best is None:
-            return None
+            return CacheDecision(hit=False, query=query)
         key = cache._id_keys[selection.best.id]
         cache.hits += 1
         cache._policy.record_access(selection.best.id)
-        return cache._data[key][1]
+        return CacheDecision(
+            hit=True, query=query, response=cache._data[key][1], similarity=1.0
+        )

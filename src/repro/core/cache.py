@@ -152,7 +152,11 @@ class CacheEntry:
 
 @dataclass
 class CacheDecision:
-    """The outcome of one lookup.
+    """The outcome of one lookup, for every cache variant in the repository.
+
+    :class:`MeanCache`, :class:`~repro.core.tiered.TieredCache` and the
+    ``GPTCache`` / ``KeywordCache`` baselines all return this type, so the
+    serving layer reads decisions without probing their shape.
 
     For decisions produced by :meth:`MeanCache.lookup_batch`, ``embed_time_s``
     and ``search_time_s`` are the batch's wall-clock cost divided evenly over
@@ -173,14 +177,17 @@ class CacheDecision:
     context_verified: bool = False
     embed_time_s: float = 0.0
     search_time_s: float = 0.0
+    #: modelled round trip to a remote cache (the central GPTCache baseline
+    #: pays it even on a hit); 0.0 for an on-device cache
+    network_time_s: float = 0.0
     #: the probe's embedding from the lookup's Embed stage; pass it to
     #: ``insert``/``enroll`` on a miss to skip a second encoder forward.
     embedding: Optional[np.ndarray] = None
 
     @property
     def total_overhead_s(self) -> float:
-        """Embedding plus search wall-clock overhead of the lookup."""
-        return self.embed_time_s + self.search_time_s
+        """Embedding, search and (for a remote cache) network overhead."""
+        return self.embed_time_s + self.search_time_s + self.network_time_s
 
 
 @dataclass

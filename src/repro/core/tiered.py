@@ -16,7 +16,7 @@ building blocks into that memory hierarchy:
   One ``QuantizedTier`` may be **shared** by many ``TieredCache`` instances —
   the :class:`~repro.serving.server.CacheServer` slots a ``TieredCache`` in
   as the shard-local cache with the quantized tier shared across shards (the
-  tier carries its own lock, exactly like the server's ``_SharedL2`` hook).
+  tier carries its own lock).
 
 Data movement:
 
@@ -121,9 +121,8 @@ class QuantizedTier:
     """The shared L2: texts keyed by id over a quantized vector index.
 
     Thread-safe behind one re-entrant lock (several shard executors may
-    probe a shared tier at once — the same concurrency story as the
-    server's ``_SharedL2``).  Capacity is FIFO-bounded when ``max_entries``
-    is set; an unbounded tier never drops entries.
+    probe a shared tier at once).  Capacity is FIFO-bounded when
+    ``max_entries`` is set; an unbounded tier never drops entries.
 
     With ``snapshot_dir`` set the tier maintains a crash-safe on-disk
     snapshot: :meth:`flush` appends pending mutations to the snapshot's

@@ -19,9 +19,10 @@ cache, sharing one LLM web service:
   multi-tenant mixes, external log import, plus the declarative
   :class:`ScenarioSpec` registry the evaluation matrix
   (:mod:`repro.experiments.scenario_bench`) drives.
-* :mod:`repro.serving.scheduling` — the shared scheduler abstraction:
+* :mod:`repro.serving.scheduling` — the shared serving core:
   :class:`BatchExecutor` (the two-phase batch execution core both frontends
-  drive), :class:`CacheAdapter`, and :class:`Scheduler` policies.
+  drive), :class:`CacheAdapter`, and :func:`iter_windows` (virtual-time
+  batching windows).
 * :mod:`repro.serving.server` — :class:`CacheServer`, the live asyncio
   serving tier: hash-sharded per-user caches behind per-shard locks, a
   bounded admission queue with :class:`BackpressureError` shedding, and an
@@ -56,8 +57,6 @@ from repro.serving.scenarios import (
 from repro.serving.scheduling import (
     BatchExecutor,
     CacheAdapter,
-    Scheduler,
-    VirtualClockScheduler,
     iter_windows,
 )
 from repro.serving.server import (
@@ -86,8 +85,6 @@ __all__ = [
     "UserStats",
     "BatchExecutor",
     "CacheAdapter",
-    "Scheduler",
-    "VirtualClockScheduler",
     "iter_windows",
     "BackpressureError",
     "CacheServer",

@@ -8,9 +8,8 @@ scheduled together — each cache's queries in the window go through a single
 ``lookup_batch`` call, so the per-query embed/search overhead amortizes the
 way a deployed batching frontend would.
 
-Since PR 8 the simulator is one *scheduler* over the shared serving core
-(:mod:`repro.serving.scheduling`): a
-:class:`~repro.serving.scheduling.VirtualClockScheduler` turns the trace
+The simulator is one frontend over the shared serving core
+(:mod:`repro.serving.scheduling`): :func:`replay_windows` carves the trace
 into deterministic virtual-time windows and a
 :class:`~repro.serving.scheduling.BatchExecutor` runs each window through
 the same two-phase lookup/enroll semantics the live asyncio server
@@ -18,10 +17,10 @@ the same two-phase lookup/enroll semantics the live asyncio server
 ``tests/test_serving_parity.py`` pins the two frontends byte-identical on a
 shared trace.
 
-Any cache variant rides along: the executor adapts MeanCache-style decision
-objects, GPTCache-style decisions and KeywordCache's plain ``Optional[str]``
-responses to one outcome shape (see :class:`LookupOutcome`), and enrolment
-goes through the variant's pipeline Enroll/Evict stage.  A ``cache_factory``
+Any cache variant rides along: every variant returns
+:class:`~repro.core.cache.CacheDecision`, which the executor folds into one
+outcome shape (see :class:`LookupOutcome`), and enrolment goes through the
+variant's pipeline Enroll/Evict stage.  A ``cache_factory``
 returning the *same* object for every user models a central shared cache
 (the GPTCache deployment); returning fresh instances models the paper's
 per-device fleet.
@@ -44,7 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.index.snapshot import (
     SnapshotError,
@@ -57,18 +56,14 @@ from repro.serving.scheduling import (
     BatchExecutor,
     CacheAdapter,
     LookupOutcome,
-    VirtualClockScheduler,
+    iter_windows,
     storage_report,
 )
-from repro.serving.workload import Trace
+from repro.serving.workload import Trace, WorkloadEvent
 
 #: Snapshot format tag / version of ``FleetSimulator.checkpoint`` directories.
 FLEET_FORMAT = "repro-fleet"
 FLEET_VERSION = 1
-
-# Backwards-compatible aliases: these classes lived here before the shared
-# scheduling layer factored them out for the live server to reuse.
-_CacheAdapter = CacheAdapter
 
 
 @dataclass(frozen=True)
@@ -86,16 +81,10 @@ class FleetConfig:
         arrivals, approaching sequential semantics.
     enroll_on_miss:
         Whether misses enrol the LLM's response in the user's cache.
-    index_maintenance:
-        Run each touched cache's ``index.maintenance()`` between batching
-        windows, so deferred index reorganization (IVF repartitioning with
-        ``auto_repartition=False``, cell-stat refreshes) happens off the
-        lookup path rather than inside a query.
     """
 
     batch_window_s: float = 0.25
     enroll_on_miss: bool = True
-    index_maintenance: bool = True
 
     def __post_init__(self) -> None:
         if self.batch_window_s < 0:
@@ -265,6 +254,49 @@ class FleetResult:
         )
 
 
+def replay_windows(
+    trace: Trace,
+    batch_window_s: float,
+    step: Callable[[List[WorkloadEvent]], Iterable[LookupOutcome]],
+    collect_outcomes: bool = False,
+) -> FleetResult:
+    """The one replay loop: window → ``step`` → aggregate.
+
+    ``trace`` is carved into virtual-time windows of ``batch_window_s``;
+    ``step(window)`` serves one window and returns its outcomes, which are
+    folded into per-user and fleet-wide totals.  :meth:`FleetSimulator.run`
+    and :meth:`CacheServer.replay <repro.serving.server.CacheServer.replay>`
+    differ only in the ``step`` they pass.  ``collect_outcomes`` also
+    retains every per-event :class:`LookupOutcome` on the result (off by
+    default: at fleet scale the aggregate is the product).
+    """
+    per_user: Dict[str, UserStats] = {}
+    outcomes: List[LookupOutcome] = []
+    virtual_end = 0.0
+    start = time.perf_counter()
+    for window in iter_windows(trace.events, batch_window_s):
+        for outcome in step(window):
+            stats = per_user.setdefault(outcome.event.user_id, UserStats())
+            stats.record(outcome)
+            virtual_end = max(
+                virtual_end, outcome.event.time_s + outcome.total_latency_s
+            )
+            if collect_outcomes:
+                outcomes.append(outcome)
+    wall_clock = time.perf_counter() - start
+    # Count the users actually served rather than echoing the trace's
+    # configured fleet size: with churn, cold-start successors appear
+    # under fresh ids, so the two can legitimately differ.
+    return FleetResult(
+        n_users=len(per_user),
+        n_events=len(trace),
+        virtual_duration_s=virtual_end,
+        wall_clock_s=wall_clock,
+        per_user=per_user,
+        outcomes=outcomes,
+    )
+
+
 class FleetSimulator:
     """Runs a traffic trace over N per-user caches and one shared service."""
 
@@ -301,7 +333,6 @@ class FleetSimulator:
             enroll_on_miss=self.config.enroll_on_miss,
             adaptation=adaptation,
         )
-        self.scheduler = VirtualClockScheduler(self.config.batch_window_s)
 
     @property
     def caches(self) -> Dict[str, CacheAdapter]:
@@ -387,34 +418,19 @@ class FleetSimulator:
             Also retain every per-event :class:`LookupOutcome` on the result
             (off by default: at fleet scale the aggregate is the product).
         """
-        per_user: Dict[str, UserStats] = {}
-        outcomes: List[LookupOutcome] = []
-        virtual_end = 0.0
-        start = time.perf_counter()
-        for window in self.scheduler.batches(trace):
-            for outcome in self.executor.execute(window):
-                stats = per_user.setdefault(outcome.event.user_id, UserStats())
-                stats.record(outcome)
-                virtual_end = max(
-                    virtual_end, outcome.event.time_s + outcome.total_latency_s
-                )
-                if collect_outcomes:
-                    outcomes.append(outcome)
+
+        def step(window: List[WorkloadEvent]) -> List[LookupOutcome]:
+            outcomes = self.executor.execute(window)
             # Windows arrive in time order; adaptation rounds due inside
             # this window fire before the next window's lookups, on the
             # trace's virtual clock.
             self.executor.advance_adaptation(window[-1].time_s)
-            if self.config.index_maintenance:
-                self.executor.maintenance()
-        wall_clock = time.perf_counter() - start
-        # Count the users actually served rather than echoing the trace's
-        # configured fleet size: with churn, cold-start successors appear
-        # under fresh ids, so the two can legitimately differ.
-        return FleetResult(
-            n_users=len(per_user),
-            n_events=len(trace),
-            virtual_duration_s=virtual_end,
-            wall_clock_s=wall_clock,
-            per_user=per_user,
-            outcomes=outcomes,
+            # Deferred index reorganization (IVF repartitioning with
+            # ``auto_repartition=False``, cell-stat refreshes) runs between
+            # windows, off the lookup path.
+            self.executor.maintenance()
+            return outcomes
+
+        return replay_windows(
+            trace, self.config.batch_window_s, step, collect_outcomes
         )

@@ -1,31 +1,29 @@
-"""The shared scheduling layer under every serving frontend.
+"""The serving core under every frontend.
 
-PR 2 gave the repo a deterministic virtual-clock simulator
-(:class:`~repro.serving.fleet.FleetSimulator`); the live asyncio server
-(:class:`~repro.serving.server.CacheServer`) needs to drive the *same*
-pipeline stages under real wall-clock concurrency.  This module factors the
-piece both share — "take a batch of arrivals, classify them through their
-caches, forward misses to the LLM service, enrol" — out of the simulator so
-the two frontends cannot drift:
+The deterministic virtual-clock simulator
+(:class:`~repro.serving.fleet.FleetSimulator`) and the live asyncio server
+(:class:`~repro.serving.server.CacheServer`) drive the *same* pipeline
+stages — "take a batch of arrivals, classify them through their caches,
+forward misses to the LLM service, enrol" — through this module, so the two
+frontends cannot drift:
 
-* :class:`CacheAdapter` — normalises any cache variant (MeanCache decision
-  objects, GPTCache decisions, KeywordCache's plain ``Optional[str]``) to one
-  batched lookup/enroll surface.
+* :class:`CacheAdapter` — one batched lookup/enroll surface over any cache
+  variant.  Every cache returns :class:`~repro.core.cache.CacheDecision`;
+  the adapter only decides which optional arguments (contexts, precomputed
+  embeddings) a variant's ``lookup_batch`` takes.
 * :class:`BatchExecutor` — executes one batch of
-  :class:`~repro.serving.workload.WorkloadEvent` arrivals with the
-  two-phase semantics the simulator pinned byte-exact in PR 2: **all** of a
-  batch's lookups complete before **any** of its misses enrol, so no event
-  can hit an entry enrolled by a later-arriving event and results are
-  independent of grouping order.  The executor owns the per-cache intent
-  oracle (hit verification), the optional online-adaptation hookup, and the
-  deferred index-maintenance pass.
-* :class:`Scheduler` — turns a trace into an ordered stream of batches.
-  :class:`VirtualClockScheduler` is the simulator's windowing policy
+  :class:`~repro.serving.workload.WorkloadEvent` arrivals with two-phase
+  semantics: **all** of a batch's lookups complete before **any** of its
+  misses enrol, so no event can hit an entry enrolled by a later-arriving
+  event and results are independent of grouping order.  The executor owns
+  the per-cache intent oracle (hit verification), the optional
+  online-adaptation hookup, and the deferred index-maintenance pass.
+* :func:`iter_windows` — carves a trace into virtual-time batching windows
   (arrivals within ``batch_window_s`` of a window's first event batch
-  together); the live server's adaptive micro-batcher
-  (:class:`~repro.serving.server.MicroBatcher`) is the wall-clock
-  counterpart.  ``tests/test_serving_parity.py`` replays one trace through
-  both frontends and asserts byte-identical per-event decisions.
+  together).  The live server's wall-clock counterpart is its adaptive
+  micro-batcher (:class:`~repro.serving.server.MicroBatcher`).
+  ``tests/test_serving_parity.py`` replays one trace through both frontends
+  and asserts byte-identical per-event decisions.
 
 Concurrency contract
 --------------------
@@ -44,8 +42,9 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
+from repro.core.cache import CacheDecision
 from repro.core.clock import VirtualClock
-from repro.serving.workload import Trace, WorkloadEvent
+from repro.serving.workload import WorkloadEvent
 
 
 @dataclass
@@ -71,10 +70,6 @@ class LookupOutcome:
     #: answered the probe's intent, False = a false hit, None = unverifiable
     #: (miss, no intent metadata, or an entry the fleet never saw enrol)
     verified: Optional[bool] = None
-    #: where the response came from: ``"local"`` (the user's cache tier),
-    #: ``"shared"`` (the executor's miss fallback, e.g. the server's L2) or
-    #: ``"llm"`` (a full miss forwarded to the service)
-    source: str = "llm"
 
     @property
     def total_latency_s(self) -> float:
@@ -82,21 +77,8 @@ class LookupOutcome:
         return self.cache_overhead_s + self.llm_latency_s
 
 
-@dataclass
-class BatchLookup:
-    """One normalised per-query result out of :meth:`CacheAdapter.lookup_batch`."""
-
-    hit: bool
-    response: Optional[str]
-    overhead_s: float
-    embedding: Optional[object]
-    similarity: float
-    matched_query: Optional[str]
-    top_query: Optional[str]
-
-
 class CacheAdapter:
-    """Normalises any cache variant to one batched lookup/enroll surface."""
+    """One batched lookup/enroll surface over any cache variant."""
 
     def __init__(self, cache) -> None:
         """Wrap ``cache`` and sniff its batched-lookup capabilities."""
@@ -110,14 +92,8 @@ class CacheAdapter:
         queries: Sequence[str],
         contexts: Sequence[Sequence[str]],
         embeddings: Optional[np.ndarray] = None,
-    ) -> List[BatchLookup]:
-        """Batched lookup normalised to one :class:`BatchLookup` per query.
-
-        Decision objects must expose ``hit``/``response``/``total_overhead_s``
-        (attribute errors surface loudly rather than skewing aggregates with
-        silent defaults); ``similarity``/``matched_query`` are optional (the
-        adaptation loop degrades gracefully without them).  A bare
-        ``str | None`` is the exact-match shape: similarity 1.0 on a hit.
+    ) -> List[CacheDecision]:
+        """The cache's decisions for ``queries``, one per query in order.
 
         ``embeddings`` (one row per query) is the cross-cache micro-batcher's
         amortization hook: when the serving layer already embedded the whole
@@ -130,35 +106,7 @@ class CacheAdapter:
             kwargs["contexts"] = [list(c) for c in contexts]
         if self._accepts_embeddings and embeddings is not None:
             kwargs["embeddings"] = embeddings
-        raw = self.cache.lookup_batch(list(queries), **kwargs)
-        outcomes: List[BatchLookup] = []
-        for item in raw:
-            if item is None or isinstance(item, str):
-                # KeywordCache-style: the response itself (or None on miss).
-                outcomes.append(
-                    BatchLookup(
-                        hit=item is not None,
-                        response=item,
-                        overhead_s=0.0,
-                        embedding=None,
-                        similarity=1.0 if item is not None else 0.0,
-                        matched_query=None,
-                        top_query=None,
-                    )
-                )
-            else:
-                outcomes.append(
-                    BatchLookup(
-                        hit=bool(item.hit),
-                        response=item.response,
-                        overhead_s=float(item.total_overhead_s),
-                        embedding=getattr(item, "embedding", None),
-                        similarity=float(getattr(item, "similarity", 0.0)),
-                        matched_query=getattr(item, "matched_query", None),
-                        top_query=getattr(item, "top_candidate_query", None),
-                    )
-                )
-        return outcomes
+        return self.cache.lookup_batch(list(queries), **kwargs)
 
     def enroll(
         self,
@@ -199,13 +147,6 @@ class BatchExecutor:
     service read its own injected wall clock instead — the two-clocks fix
     from :class:`~repro.llm.service.SimulatedLLMService`.
 
-    ``miss_fallback`` inserts a second cache tier between a local miss and
-    the LLM: an object with ``lookup(event, embedding) ->
-    Optional[(response, similarity)]`` (probe the tier) and
-    ``enroll(event, response, embedding)`` (called after the LLM answers a
-    full miss).  The server wires its optional shared L2 through this hook;
-    the hook object owns its own synchronization (it may be contended by
-    several shard executors at once).
     """
 
     def __init__(
@@ -215,14 +156,12 @@ class BatchExecutor:
         enroll_on_miss: bool = True,
         adaptation: Optional[object] = None,
         stamp_event_time: bool = True,
-        miss_fallback: Optional[object] = None,
     ) -> None:
         self.cache_factory = cache_factory
         self.service = service
         self.enroll_on_miss = enroll_on_miss
         self.adaptation = adaptation
         self.stamp_event_time = stamp_event_time
-        self.miss_fallback = miss_fallback
         #: Simulation runs (``stamp_event_time=True``) drive every cache's
         #: entry timestamps from this virtual clock, advanced to each
         #: window's max event time before lookups run — entry TTL/recency
@@ -298,7 +237,7 @@ class BatchExecutor:
         for i, event in enumerate(events):
             adapter = self.adapter(event.user_id)
             by_cache.setdefault(id(adapter.cache), (adapter, []))[1].append(i)
-        looked_up: Dict[int, BatchLookup] = {}
+        looked_up: Dict[int, CacheDecision] = {}
         for adapter, rows in by_cache.values():
             group = [events[i] for i in rows]
             group_embs = embeddings[np.asarray(rows)] if embeddings is not None else None
@@ -321,7 +260,7 @@ class BatchExecutor:
             # probe's intent; on a miss, whether the *top retrieved
             # candidate* would have (feeding near-miss pair mining).
             verified: Optional[bool] = None
-            reference = result.matched_query if result.hit else result.top_query
+            reference = result.matched_query if result.hit else result.top_candidate_query
             if reference is not None and event.intent_key:
                 reference_intent = intent_map.get(reference)
                 if reference_intent is not None:
@@ -330,50 +269,35 @@ class BatchExecutor:
                 event=event,
                 hit=result.hit,
                 response=result.response,
-                cache_overhead_s=result.overhead_s,
+                cache_overhead_s=result.total_overhead_s,
                 embedding=result.embedding,
                 similarity=result.similarity,
                 matched_query=result.matched_query,
                 verified=verified,
-                source="local" if result.hit else "llm",
             )
             if not result.hit:
-                fallback_hit = None
-                if self.miss_fallback is not None:
-                    fallback_hit = self.miss_fallback.lookup(event, result.embedding)
-                if fallback_hit is not None:
-                    response, similarity = fallback_hit
-                    outcome.hit = True
-                    outcome.response = response
-                    outcome.similarity = max(outcome.similarity, float(similarity))
-                    outcome.source = "shared"
-                else:
-                    kwargs: Dict[str, object] = {}
-                    if self._service_accepts_now and self.stamp_event_time:
-                        kwargs["now"] = event.time_s
-                    llm = self.service.query(
+                kwargs: Dict[str, object] = {}
+                if self._service_accepts_now and self.stamp_event_time:
+                    kwargs["now"] = event.time_s
+                llm = self.service.query(
+                    event.query,
+                    client_id=event.user_id,
+                    context=list(event.context),
+                    **kwargs,
+                )
+                outcome.response = llm.text
+                outcome.llm_latency_s = llm.latency_s
+                outcome.cost_usd = llm.cost_usd
+                if self.enroll_on_miss:
+                    adapter.enroll(
                         event.query,
-                        client_id=event.user_id,
-                        context=list(event.context),
-                        **kwargs,
+                        llm.text,
+                        event.context,
+                        event.user_id,
+                        embedding=result.embedding,
                     )
-                    outcome.response = llm.text
-                    outcome.llm_latency_s = llm.latency_s
-                    outcome.cost_usd = llm.cost_usd
-                    if self.enroll_on_miss:
-                        adapter.enroll(
-                            event.query,
-                            llm.text,
-                            event.context,
-                            event.user_id,
-                            embedding=result.embedding,
-                        )
-                        if event.intent_key:
-                            intent_map[event.query] = event.intent_key
-                        if self.miss_fallback is not None:
-                            self.miss_fallback.enroll(
-                                event, llm.text, result.embedding
-                            )
+                    if event.intent_key:
+                        intent_map[event.query] = event.intent_key
             if self.adaptation is not None:
                 self.adaptation.observe(
                     event.user_id,
@@ -382,7 +306,7 @@ class BatchExecutor:
                     verified=outcome.verified,
                     followup=event.is_followup,
                     query=event.query,
-                    matched_query=outcome.matched_query or result.top_query,
+                    matched_query=outcome.matched_query or result.top_candidate_query,
                     time_s=event.time_s,
                 )
             outcomes.append(outcome)
@@ -413,9 +337,6 @@ class BatchExecutor:
                 index.maintenance()
 
 
-# --------------------------------------------------------------------------- #
-# Schedulers
-# --------------------------------------------------------------------------- #
 def storage_report(caches: Iterable[object]) -> Dict[str, object]:
     """Fleet-level bytes-vs-hit-rate accounting over a set of cache objects.
 
@@ -463,10 +384,9 @@ def storage_report(caches: Iterable[object]) -> Dict[str, object]:
             cache_bytes = int(parts["l1_bytes"]) + int(parts["l2_bytes"])
             entries = int(parts["l1_entries"]) + int(parts["l2_entries"])
         else:
-            stats = getattr(cache, "stats", None)
-            if stats is not None:
-                lookups += int(getattr(stats, "lookups", 0))
-                hits += int(getattr(stats, "hits", 0))
+            stats = cache.stats
+            lookups += int(stats.lookups)
+            hits += int(stats.hits)
             embedding_bytes = getattr(cache, "embedding_storage_bytes", None)
             cache_bytes = int(embedding_bytes()) if embedding_bytes else 0
             cache_bytes += int(getattr(getattr(cache, "index", None), "nbytes", 0))
@@ -508,38 +428,3 @@ def iter_windows(
             window_end = event.time_s + width
     if window:
         yield window
-
-
-class Scheduler:
-    """Turns a trace into an ordered stream of executor batches.
-
-    A scheduler decides *which arrivals run together*; the
-    :class:`BatchExecutor` decides what happens inside a batch.  The
-    deterministic simulator and the live server differ only in scheduler:
-    virtual-time windows vs a wall-clock adaptive micro-batcher.
-    """
-
-    def batches(self, trace: Trace) -> Iterator[List[WorkloadEvent]]:
-        """Yield the trace's events as ordered batches."""
-        raise NotImplementedError
-
-
-class VirtualClockScheduler(Scheduler):
-    """The simulator's policy: batch arrivals within ``batch_window_s``.
-
-    Windowed batching has the standard batched-lookup semantics: all of a
-    window's lookups complete before any of its misses enrol, so an entry
-    enrolled in window *k* is visible from window *k+1* on.  Duplicate
-    queries that miss inside the *same* window therefore each pay the LLM
-    and each enrol; ``batch_window_s=0`` batches only simultaneous arrivals,
-    approaching sequential semantics.
-    """
-
-    def __init__(self, batch_window_s: float = 0.25) -> None:
-        if batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
-        self.batch_window_s = batch_window_s
-
-    def batches(self, trace: Trace) -> Iterator[List[WorkloadEvent]]:
-        """Yield virtual-time windows over the trace."""
-        return iter_windows(trace.events, self.batch_window_s)

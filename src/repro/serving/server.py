@@ -1,8 +1,8 @@
 """The real-concurrency serving tier: an asyncio semantic-cache service.
 
-Everything the repo measured before PR 8 ran on the simulator's
-single-threaded virtual clock.  :class:`CacheServer` serves the same
-federated-cache stack under *real* concurrent load:
+The simulator runs on a single-threaded virtual clock;
+:class:`CacheServer` serves the same federated-cache stack under *real*
+concurrent load:
 
 * **Hash-sharded per-user caches.**  Users hash (stable CRC32) onto
   ``n_shards`` shards; each shard owns its users' caches behind one
@@ -20,9 +20,11 @@ federated-cache stack under *real* concurrent load:
   flush is embedded with **one** cross-user encoder call (the dominant
   per-request cost) and each shard's caches then retrieve from their own
   indexes via the precomputed rows.
-* **Optional shared L2.**  A ``shared_cache`` is consulted on per-user
-  misses before the LLM (behind its own lock); LLM responses enrol into
-  both tiers.
+* **Shared L2 through the cache, not the server.**  A second tier shared
+  by all users is a ``cache_factory`` returning
+  :class:`~repro.core.tiered.TieredCache` instances over one shared
+  :class:`~repro.core.tiered.QuantizedTier` (which carries its own lock);
+  the server has no L2 path of its own.
 
 The execution semantics inside a flush are exactly the simulator's
 (:class:`~repro.serving.scheduling.BatchExecutor` is shared): all lookups
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import logging
 import threading
 import time
 import zlib
@@ -54,15 +57,11 @@ import numpy as np
 from repro.analysis.runtime import guard_cache, maybe_tracked_lock
 from repro.llm.service import SimulatedLLMService
 from repro.metrics.timing import LatencyHistogram
-from repro.serving.fleet import FleetResult, UserStats
-from repro.serving.scheduling import (
-    BatchExecutor,
-    CacheAdapter,
-    LookupOutcome,
-    iter_windows,
-    storage_report,
-)
+from repro.serving.fleet import FleetResult, replay_windows
+from repro.serving.scheduling import BatchExecutor, LookupOutcome, storage_report
 from repro.serving.workload import Trace, WorkloadEvent
+
+logger = logging.getLogger(__name__)
 
 
 class BackpressureError(RuntimeError):
@@ -100,8 +99,6 @@ class ServerConfig:
         the batch is not full (the latency bound on coalescing).
     enroll_on_miss:
         Whether misses enrol the LLM's response in the user's cache.
-    index_maintenance:
-        Run deferred index maintenance on touched caches after each flush.
     deterministic:
         Single-worker mode: flush execution runs inline on the calling
         thread (no pool, no cross-shard parallelism) and LLM requests are
@@ -114,7 +111,6 @@ class ServerConfig:
     max_batch_size: int = 64
     max_batch_wait_s: float = 0.002
     enroll_on_miss: bool = True
-    index_maintenance: bool = True
     deterministic: bool = False
 
     def __post_init__(self) -> None:
@@ -136,9 +132,6 @@ class ServerResponse:
     query: str
     hit: bool
     response: Optional[str]
-    #: where the answer came from: ``"local"`` (per-user cache), ``"shared"``
-    #: (the L2 tier) or ``"llm"`` (a miss forwarded to the service)
-    source: str
     similarity: float = 0.0
     cache_overhead_s: float = 0.0
     llm_latency_s: float = 0.0
@@ -153,15 +146,19 @@ class ServerMetrics:
 
     completed: int = 0
     hits: int = 0
-    shared_hits: int = 0
     llm_requests: int = 0
     shed: int = 0
-    flushes: int = 0
-    batch_sizes: List[int] = field(default_factory=list)
-    depth_samples: List[int] = field(default_factory=list)
+    #: flush size -> number of flushes of that size (at most
+    #: ``max_batch_size`` keys in live mode, so memory stays bounded)
+    flush_sizes: Dict[int, int] = field(default_factory=dict)
     max_depth_seen: int = 0
     e2e_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     queue_wait: LatencyHistogram = field(default_factory=LatencyHistogram)
+
+    @property
+    def flushes(self) -> int:
+        """Flushes executed so far."""
+        return sum(self.flush_sizes.values())
 
     @property
     def offered(self) -> int:
@@ -176,29 +173,31 @@ class ServerMetrics:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of completed requests served from either cache tier."""
+        """Fraction of completed requests served from a cache."""
         return self.hits / self.completed if self.completed else 0.0
 
     @property
     def mean_batch_size(self) -> float:
         """Mean flush size (1.0 = no coalescing happened)."""
-        if not self.batch_sizes:
+        flushes = self.flushes
+        if not flushes:
             return 0.0
-        return float(sum(self.batch_sizes)) / len(self.batch_sizes)
+        requests = sum(size * count for size, count in self.flush_sizes.items())
+        return float(requests) / flushes
+
+    def record_flush(self, size: int) -> None:
+        """Count one flush of ``size`` requests."""
+        self.flush_sizes[size] = self.flush_sizes.get(size, 0) + 1
 
     def batch_size_histogram(self) -> Dict[int, int]:
         """Flush-size -> count histogram."""
-        hist: Dict[int, int] = {}
-        for size in self.batch_sizes:
-            hist[size] = hist.get(size, 0) + 1
-        return dict(sorted(hist.items()))
+        return dict(sorted(self.flush_sizes.items()))
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready summary."""
         return {
             "completed": self.completed,
             "hits": self.hits,
-            "shared_hits": self.shared_hits,
             "llm_requests": self.llm_requests,
             "shed": self.shed,
             "shed_rate": self.shed_rate,
@@ -218,26 +217,11 @@ class ServerMetrics:
 class _PendingRequest:
     """One admitted request waiting for (or inside) a flush."""
 
-    seq: int
-    user_id: str
-    query: str
-    context: Tuple[str, ...]
-    time_s: float
+    #: the executor-facing arrival (a replayed trace event, or one built by
+    #: :meth:`CacheServer.submit` stamped with the server clock)
+    event: WorkloadEvent
     enqueued_at: float
     future: Optional[asyncio.Future] = None
-    intent_key: str = ""
-    is_followup: bool = False
-
-    def to_event(self) -> WorkloadEvent:
-        """The executor-facing event form of this request."""
-        return WorkloadEvent(
-            time_s=self.time_s,
-            user_id=self.user_id,
-            query=self.query,
-            context=self.context,
-            is_followup=self.is_followup,
-            intent_key=self.intent_key,
-        )
 
 
 class MicroBatcher:
@@ -332,42 +316,6 @@ class _Shard:
         self.executor = executor
 
 
-class _SharedL2:
-    """The optional shared second-tier cache, serialized behind its own lock.
-
-    Plugged into every shard executor as the ``miss_fallback`` hook: a
-    per-user miss probes this tier before paying the LLM, and LLM answers
-    enrol here as well as in the user's own cache.  The lock is this tier's
-    whole concurrency story — several shard executors may probe it at once.
-    """
-
-    def __init__(self, cache) -> None:
-        self.lock = maybe_tracked_lock("shared.l2")
-        self.adapter = CacheAdapter(guard_cache(cache, self.lock, "shared_l2"))
-
-    def lookup(
-        self, event: WorkloadEvent, embedding: Optional[np.ndarray]
-    ) -> Optional[Tuple[str, float]]:
-        """Probe the shared tier; returns (response, similarity) on a hit."""
-        embs = None
-        if embedding is not None:
-            embs = np.atleast_2d(np.asarray(embedding, dtype=np.float64))
-        with self.lock:
-            result = self.adapter.lookup_batch(
-                [event.query], [event.context], embeddings=embs
-            )[0]
-        if result.hit and result.response is not None:
-            return result.response, result.similarity
-        return None
-
-    def enroll(self, event: WorkloadEvent, response: str, embedding) -> None:
-        """Enrol an LLM answer into the shared tier."""
-        with self.lock:
-            self.adapter.enroll(
-                event.query, response, event.context, event.user_id, embedding=embedding
-            )
-
-
 class CacheServer:
     """Asyncio cache service over hash-sharded per-user caches.
 
@@ -387,7 +335,6 @@ class CacheServer:
         config: Optional[ServerConfig] = None,
         encoder=None,
         compress: bool = False,
-        shared_cache=None,
         adaptation: Optional[object] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -397,9 +344,9 @@ class CacheServer:
         the cross-user batched embed; without it each cache embeds its own
         flush slice.  ``service`` defaults to a thread-safe
         :class:`SimulatedLLMService` stamping requests on ``clock``.
-        ``shared_cache`` adds the L2 tier.  ``adaptation`` hooks the online
-        federated loop exactly as in the simulator (advance fires after
-        each flush on the flush's max event time).
+        ``adaptation`` hooks the online federated loop exactly as in the
+        simulator (advance fires after each flush on the flush's max event
+        time).
         """
         self.config = config or ServerConfig()
         self.clock = clock
@@ -411,7 +358,6 @@ class CacheServer:
         self.adaptation = adaptation
         self.metrics = ServerMetrics()
         self._factory = cache_factory
-        self.shared = _SharedL2(shared_cache) if shared_cache is not None else None
         self._shards = [
             _Shard(
                 BatchExecutor(
@@ -420,7 +366,6 @@ class CacheServer:
                     enroll_on_miss=self.config.enroll_on_miss,
                     adaptation=adaptation,
                     stamp_event_time=self.config.deterministic,
-                    miss_fallback=self.shared,
                 ),
                 name=f"shard[{i}]",
             )
@@ -434,7 +379,6 @@ class CacheServer:
             self.config.max_batch_wait_s,
             self.config.max_queue_depth,
         )
-        self._seq = 0
         self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
@@ -485,19 +429,16 @@ class CacheServer:
     def storage_report(self) -> Dict[str, object]:
         """Server-wide bytes-vs-hit-rate accounting over every live cache.
 
-        Covers all shard-local caches plus the optional shared L2 tier,
-        each distinct cache object counted once; tiered caches contribute
-        their per-tier breakdown — see
+        Covers every shard-local cache, each distinct cache object counted
+        once; tiered caches contribute their per-tier breakdown (a shared
+        quantized tier counted once) — see
         :func:`repro.serving.scheduling.storage_report`.
         """
-        caches = [
+        return storage_report(
             adapter.cache
             for shard in self._shards
             for adapter in shard.executor.adapters.values()
-        ]
-        if self.shared is not None:
-            caches.append(self.shared.adapter.cache)
-        return storage_report(caches)
+        )
 
     # ------------------------------------------------------------------ #
     # Flush execution (shared by live + deterministic paths)
@@ -507,7 +448,7 @@ class CacheServer:
         if self.encoder is None:
             return None
         embs = self.encoder.encode(
-            [r.query for r in requests], compress=self.compress
+            [r.event.query for r in requests], compress=self.compress
         )
         return np.atleast_2d(np.asarray(embs, dtype=np.float64))
 
@@ -519,14 +460,12 @@ class CacheServer:
     ) -> List[LookupOutcome]:
         """Execute one shard's slice of a flush under the shard lock.
 
-        The shared L2 (if any) is consulted inside the executor's miss path
-        via its ``miss_fallback`` hook; the L2 carries its own lock, so two
-        shards probing it concurrently stay serialized there.
+        Deferred index maintenance for the caches the slice touched runs
+        under the same lock, after the slice's lookups and enrolments.
         """
         with shard.lock:
             outcomes = shard.executor.execute(events, embeddings=embeddings)
-            if self.config.index_maintenance:
-                shard.executor.maintenance()
+            shard.executor.maintenance()
             return outcomes
 
     def _classify_flush(
@@ -542,11 +481,11 @@ class CacheServer:
         mode).  Cross-request amortization comes from the single flush-wide
         encoder call, not from shard parallelism.
         """
-        events = [r.to_event() for r in requests]
+        events = [r.event for r in requests]
         embeddings = self._embed_flush(requests)
         by_shard: Dict[int, List[int]] = {}
-        for i, request in enumerate(requests):
-            by_shard.setdefault(self.shard_of(request.user_id), []).append(i)
+        for i, event in enumerate(events):
+            by_shard.setdefault(self.shard_of(event.user_id), []).append(i)
         results: List[Optional[LookupOutcome]] = [None] * len(requests)
         for shard_idx, rows in by_shard.items():
             shard_events = [events[i] for i in rows]
@@ -573,19 +512,16 @@ class CacheServer:
         drained_at: float,
     ) -> ServerResponse:
         """Fold one flush result into the metrics and build the response."""
-        source = outcome.source
         queue_wait = max(0.0, drained_at - request.enqueued_at)
         self.metrics.completed += 1
         self.metrics.hits += int(outcome.hit)
-        self.metrics.shared_hits += int(source == "shared")
         self.metrics.llm_requests += int(not outcome.hit)
         self.metrics.queue_wait.record(int(queue_wait * 1e9))
         return ServerResponse(
-            user_id=request.user_id,
-            query=request.query,
+            user_id=request.event.user_id,
+            query=request.event.query,
             hit=outcome.hit,
             response=outcome.response,
-            source=source,
             similarity=outcome.similarity,
             cache_overhead_s=outcome.cache_overhead_s,
             llm_latency_s=outcome.llm_latency_s,
@@ -616,24 +552,11 @@ class CacheServer:
         """
         if not self.config.deterministic:
             raise ValueError("replay requires ServerConfig(deterministic=True)")
-        per_user: Dict[str, UserStats] = {}
-        outcomes: List[LookupOutcome] = []
-        virtual_end = 0.0
-        start = time.perf_counter()
-        for window in iter_windows(trace.events, batch_window_s):
+
+        def step(window: List[WorkloadEvent]) -> List[LookupOutcome]:
             requests: List[_PendingRequest] = []
             for event in window:
-                request = _PendingRequest(
-                    seq=self._seq,
-                    user_id=event.user_id,
-                    query=event.query,
-                    context=tuple(event.context),
-                    time_s=event.time_s,
-                    enqueued_at=event.time_s,
-                    intent_key=event.intent_key,
-                    is_followup=event.is_followup,
-                )
-                self._seq += 1
+                request = _PendingRequest(event=event, enqueued_at=event.time_s)
                 try:
                     self._batcher.offer(request, now=event.time_s)
                 except BackpressureError:
@@ -643,27 +566,15 @@ class CacheServer:
             drained = self._batcher.drain(limit=None)
             assert drained == requests
             if not drained:
-                continue
-            self.metrics.flushes += 1
-            self.metrics.batch_sizes.append(len(drained))
+                return []
+            self.metrics.record_flush(len(drained))
+            outcomes: List[LookupOutcome] = []
             for request, outcome in self._classify_flush(drained):
                 self._record(request, outcome, len(drained), request.enqueued_at)
-                stats = per_user.setdefault(request.user_id, UserStats())
-                stats.record(outcome)
-                virtual_end = max(
-                    virtual_end, outcome.event.time_s + outcome.total_latency_s
-                )
-                if collect_outcomes:
-                    outcomes.append(outcome)
-        wall_clock = time.perf_counter() - start
-        return FleetResult(
-            n_users=len(per_user),
-            n_events=len(trace),
-            virtual_duration_s=virtual_end,
-            wall_clock_s=wall_clock,
-            per_user=per_user,
-            outcomes=outcomes,
-        )
+                outcomes.append(outcome)
+            return outcomes
+
+        return replay_windows(trace, batch_window_s, step, collect_outcomes)
 
     # ------------------------------------------------------------------ #
     # Live asyncio serving
@@ -684,23 +595,19 @@ class CacheServer:
             raise RuntimeError("server is not running; call start() or serve()")
         now = self.clock()
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        request = _PendingRequest(
-            seq=self._seq,
+        event = WorkloadEvent(
+            time_s=now,
             user_id=user_id,
             query=query,
             context=tuple(context),
-            time_s=now,
-            enqueued_at=now,
-            future=future,
             intent_key=intent_key,
         )
-        self._seq += 1
+        request = _PendingRequest(event=event, enqueued_at=now, future=future)
         try:
             self._batcher.offer(request, now=now)
         except BackpressureError:
             self.metrics.shed += 1
             raise
-        self.metrics.depth_samples.append(self._batcher.depth)
         self.metrics.max_depth_seen = max(
             self.metrics.max_depth_seen, self._batcher.depth
         )
@@ -721,10 +628,16 @@ class CacheServer:
         )
 
     async def _flush(self, batch: List[_PendingRequest]) -> None:
-        """Execute one drained batch and resolve its futures."""
+        """Execute one drained batch and resolve its futures.
+
+        A failure inside the flush (an encoder, cache or LLM exception) is
+        contained to this batch: its futures fail with the exception, one
+        warning is logged, and the batch loop keeps serving later requests.
+        Cancellation is not an ``Exception``: it fails the futures too, then
+        propagates.
+        """
         drained_at = self.clock()
-        self.metrics.flushes += 1
-        self.metrics.batch_sizes.append(len(batch))
+        self.metrics.record_flush(len(batch))
         loop = asyncio.get_running_loop()
         try:
             if self._pool is not None and not self.config.deterministic:
@@ -733,11 +646,20 @@ class CacheServer:
                 )
             else:
                 pairs = self._classify_flush(batch)
-        except BaseException as exc:  # pragma: no cover - defensive
+        except BaseException as exc:
+            # Fail the waiters either way: no submit() may hang on a flush
+            # that will never resolve.
             for request in batch:
                 if request.future is not None and not request.future.done():
                     request.future.set_exception(exc)
-            raise
+            if not isinstance(exc, Exception):
+                raise
+            logger.warning(
+                "flush of %d request(s) failed; failing that batch only",
+                len(batch),
+                exc_info=True,
+            )
+            return
         for request, outcome in pairs:
             response = self._record(request, outcome, len(batch), drained_at)
             if request.future is not None and not request.future.done():

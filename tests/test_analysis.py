@@ -86,14 +86,6 @@ class TestRPL001:
         """
         assert "RPL001" not in rules_fired(snippet, rel="repro/serving/server.py")
 
-    def test_cache_adapter_methods_exempt(self):
-        snippet = """
-        class CacheAdapter:
-            def lookup(self, cache, queries):
-                return cache.lookup_batch(queries)
-        """
-        assert "RPL001" not in rules_fired(snippet, rel="repro/serving/server.py")
-
 
 # --------------------------------------------------------------------------- #
 # RPL002 determinism

@@ -11,6 +11,8 @@ from repro.core.client import MeanCacheClient
 from repro.core.compression import compress_cache
 from repro.core.storage import InMemoryStore
 from repro.llm.service import SimulatedLLMService
+from repro.serving.fleet import FleetSimulator
+from repro.serving.workload import WorkloadConfig, WorkloadGenerator
 
 
 @pytest.fixture()
@@ -247,9 +249,9 @@ class TestBaselines:
     def test_keyword_cache_exact_match_only(self):
         kc = KeywordCache()
         kc.insert("How can I sort a list in Python?", "use sorted()")
-        assert kc.lookup("how can i sort a list in python") == "use sorted()"
+        assert kc.lookup("how can i sort a list in python").response == "use sorted()"
         # A paraphrase is a miss for the keyword cache (the paper's motivation).
-        assert kc.lookup("What is the best way to order a python list?") is None
+        assert not kc.lookup("What is the best way to order a python list?").hit
 
     def test_keyword_cache_eviction(self):
         kc = KeywordCache(KeywordCacheConfig(max_entries=2))
@@ -261,7 +263,24 @@ class TestBaselines:
     def test_keyword_cache_sorted_tokens_mode(self):
         kc = KeywordCache(KeywordCacheConfig(sort_tokens=True))
         kc.insert("python list sort", "r")
-        assert kc.lookup("sort python list") == "r"
+        assert kc.lookup("sort python list").response == "r"
+
+    @pytest.mark.parametrize("variant", ["shared_gptcache", "keyword"])
+    def test_baseline_fleet_storage_report_hit_rate(self, tiny_encoder, variant):
+        """storage_report reads the baselines' counters (it reported 0.0)."""
+        central = GPTCache(tiny_encoder, GPTCacheConfig())
+        factories = {
+            "shared_gptcache": lambda user_id: central,
+            "keyword": lambda user_id: KeywordCache(),
+        }
+        trace = WorkloadGenerator(
+            WorkloadConfig(n_users=4, queries_per_user=12, duplicate_rate=0.5),
+            seed=3,
+        ).generate()
+        sim = FleetSimulator(factories[variant])
+        result = sim.run(trace)
+        assert result.hit_rate > 0
+        assert sim.storage_report()["hit_rate"] == result.hit_rate
 
 
 class TestMeanCacheClient:

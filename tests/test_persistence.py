@@ -35,6 +35,7 @@ import pytest
 from conftest import make_tiny_encoder
 
 from repro.baselines.gptcache import GPTCache, GPTCacheConfig
+from repro.baselines.keyword_cache import KeywordCache
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.index import SnapshotError, load_index, make_index
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
@@ -516,14 +517,8 @@ def test_fleet_checkpoint_deduplicates_shared_cache(tmp_path):
 
 
 def test_fleet_checkpoint_rejects_unsaveable_cache(tmp_path):
-    class NoSave:
-        def lookup_batch(self, queries):
-            return [None for _ in queries]
-
-        def insert(self, query, response):
-            pass
-
-    sim = FleetSimulator(cache_factory=lambda uid: NoSave())
+    # The keyword baseline has no save() method.
+    sim = FleetSimulator(cache_factory=lambda uid: KeywordCache())
     trace = WorkloadGenerator(
         WorkloadConfig(n_users=1, queries_per_user=2), seed=0
     ).generate()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines.gptcache import GPTCache, GPTCacheConfig
 from repro.baselines.keyword_cache import KeywordCache
-from repro.core.cache import MeanCache, MeanCacheConfig
+from repro.core.cache import CacheDecision, MeanCache, MeanCacheConfig
 from repro.core.context import ContextChain
 from repro.core.pipeline import (
     AlwaysAdmit,
@@ -26,6 +26,7 @@ from repro.core.pipeline import (
     SimilarityThreshold,
     UnboundedEnroll,
 )
+from repro.core.tiered import TieredCache
 from repro.embeddings.zoo import load_encoder
 from repro.index import FlatIndex, IndexHit
 
@@ -297,4 +298,37 @@ class TestCacheWiring:
         kw_a, kw_b = KeywordCache(), KeywordCache()
         kw_a.populate(queries)
         kw_b.populate(queries)
-        assert [kw_a.lookup(p) for p in probes] == kw_b.lookup_batch(probes)
+        for s, b in zip([kw_a.lookup(p) for p in probes], kw_b.lookup_batch(probes)):
+            assert (s.hit, s.response) == (b.hit, b.response)
+
+    @pytest.mark.parametrize("variant", ["meancache", "gptcache", "keyword", "tiered"])
+    def test_every_variant_returns_cache_decision(self, tiny_encoder, variant):
+        """The one lookup result type: what the serving layer reads off a
+        decision is populated by every cache, single and batched."""
+        cache = {
+            "meancache": lambda: MeanCache(tiny_encoder, MeanCacheConfig()),
+            "gptcache": lambda: GPTCache(tiny_encoder, GPTCacheConfig()),
+            "keyword": lambda: KeywordCache(),
+            "tiered": lambda: TieredCache(tiny_encoder, MeanCacheConfig()),
+        }[variant]()
+        enrolled, fresh = "how can i sort a list in python", "plan a trip to japan"
+        cache.insert(enrolled, "use sorted()")
+        single = [cache.lookup(enrolled), cache.lookup(fresh)]
+        batched = cache.lookup_batch([enrolled, fresh])
+        for hit, miss in (single, batched):
+            assert isinstance(hit, CacheDecision) and isinstance(miss, CacheDecision)
+            assert hit.hit is True and hit.response == "use sorted()"
+            assert hit.similarity == pytest.approx(1.0)
+            assert miss.hit is False and miss.response is None
+            assert miss.similarity < hit.similarity
+            for decision in (hit, miss):
+                assert decision.total_overhead_s >= 0.0
+                assert decision.total_overhead_s == pytest.approx(
+                    decision.embed_time_s
+                    + decision.search_time_s
+                    + decision.network_time_s
+                )
+            # Only the remote (central) variant pays a network round trip,
+            # on hits and misses alike.
+            rtt = GPTCacheConfig().network_rtt_s if variant == "gptcache" else 0.0
+            assert hit.network_time_s == miss.network_time_s == rtt

@@ -282,6 +282,55 @@ def test_stop_drains_the_queue_and_tears_down(caplog):
     assert "Task was destroyed" not in caplog.text
 
 
+def test_flush_failure_is_contained_to_its_batch(caplog):
+    """A cache raising inside a flush fails that batch's requests only: the
+    batch loop survives, another user's next request is served, and stop()
+    still tears down cleanly."""
+    encoder = make_tiny_encoder()
+
+    class PoisonableCache(MeanCache):
+        def lookup_batch(self, queries, contexts=None, embeddings=None):
+            if any("poison" in query for query in queries):
+                raise RuntimeError("poisoned lookup")
+            return super().lookup_batch(
+                queries, contexts=contexts, embeddings=embeddings
+            )
+
+    caches = {}
+
+    def factory(user_id):
+        return caches.setdefault(
+            user_id,
+            PoisonableCache(encoder, MeanCacheConfig(similarity_threshold=0.999)),
+        )
+
+    # One request per flush, so "that batch" is exactly the poisoned request.
+    server = _server(factory, max_batch_size=1, max_batch_wait_s=0.0)
+    server.start()
+    with caplog.at_level(logging.WARNING):
+        try:
+            poisoned = server.submit_threadsafe("mallory", "a poison question")
+            with pytest.raises(RuntimeError, match="poisoned lookup"):
+                poisoned.result(timeout=5)
+            served = server.submit_threadsafe("alice", "an ordinary question")
+            response = served.result(timeout=5)
+        finally:
+            server.stop()
+            gc.collect()  # a batch task left pending would be reported here
+    assert response.response and not response.hit
+    assert server.metrics.completed == 1  # the failed request is not counted
+    assert server.metrics.flushes == 2
+    flush_warnings = [
+        record
+        for record in caplog.records
+        if record.name == "repro.serving.server" and record.levelno == logging.WARNING
+    ]
+    assert len(flush_warnings) == 1
+    assert server._batch_task is None
+    assert server._pool is None
+    assert "Task was destroyed" not in caplog.text
+
+
 class TestHammerUnderRuntimeChecker:
     """The miss-then-hit hammer re-run with the lock tracker active.
 
