@@ -1,12 +1,9 @@
-"""Benchmark: index throughput vs the seed path + the ANN backend sweep.
+"""Benchmark: the ANN backend sweep, single-query latency and persistence.
 
-Two index benchmarks are recorded into ``BENCH_index.json`` at the repo root
-(field reference in ``docs/benchmarks.md``) so later PRs can track the perf
-trajectory:
+Three index benchmarks are recorded into ``BENCH_index.json`` at the repo
+root (field reference in ``docs/benchmarks.md``) so later PRs can track the
+perf trajectory:
 
-* ``microbench`` — the incremental :class:`repro.index.FlatIndex` against
-  the seed cache's hot path (per-insert ``np.vstack`` rebuild, per-lookup
-  corpus re-normalization);
 * ``backends`` — recall@k vs lookup throughput vs bytes-per-entry of the
   approximate and quantized backends (IVF inverted lists, multi-probe LSH,
   int8 scalar quantization, product quantization, IVF-routed SQ8) against
@@ -32,11 +29,7 @@ from pathlib import Path
 
 from conftest import emit
 
-from repro.experiments.index_bench import (
-    run_backend_sweep,
-    run_index_bench,
-    run_latency_bench,
-)
+from repro.experiments.index_bench import run_backend_sweep, run_latency_bench
 from repro.experiments.persistence_bench import (
     format_persistence_report,
     run_delta_bench,
@@ -46,7 +39,6 @@ from repro.experiments.persistence_bench import (
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_index.json"
 
-N_ENTRIES = 10_000
 DIM = 64
 N_QUERIES = 200
 TOP_K = 5
@@ -134,37 +126,8 @@ def _write_payload(update):
             payload = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
         except json.JSONDecodeError:
             payload = {}
-    if "microbench" not in payload and "n_entries" in payload:
-        # Pre-sweep layout: the microbench dict was the whole file.
-        payload = {"microbench": payload}
     payload.update(update)
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def test_index_insert_and_lookup_throughput(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_index_bench(
-            n_entries=N_ENTRIES, dim=DIM, n_queries=N_QUERIES, top_k=TOP_K, seed=0
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    emit("Index microbenchmark", result.format())
-
-    _write_payload({"microbench": result.to_dict()})
-    emit("BENCH_index.json", f"microbench section written to {BENCH_JSON}")
-
-    # Acceptance floor: at 10k entries the incremental index must enrol at
-    # least 5x faster than the seed's per-insert np.vstack rebuild.  (In
-    # practice the gap is orders of magnitude — the seed path is O(n^2).)
-    assert result.insert_speedup >= 5.0, result.to_dict()
-    # Lookups must not regress: pre-normalized storage skips the per-call
-    # corpus pass, so per-query search should be at least as fast.
-    assert result.lookup_speedup >= 1.0, result.to_dict()
-    # The single-call batched search must also beat the seed per-query loop.
-    # (It is not asserted against the per-query *index* loop: at this corpus
-    # size both are dominated by the same matmul and differ only by noise.)
-    assert result.batch_speedup >= 1.0, result.to_dict()
 
 
 def test_backend_recall_throughput_sweep(benchmark):

@@ -16,7 +16,6 @@ from the cache when the best cosine similarity reaches a fixed threshold of
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -44,18 +43,15 @@ from repro.index import VectorIndex
 from repro.index.registry import resolve_index, validate_backend
 from repro.index.snapshot import (
     SnapshotError,
-    atomic_snapshot_dir,
-    load_index,
-    read_arrays,
-    read_manifest,
-    write_arrays,
-    write_manifest,
+    load_cache_snapshot,
+    native_float_dtype,
+    save_cache_snapshot,
+    stack_rows,
 )
 
 #: Snapshot format tag / version of ``GPTCache.save`` directories.
 #: Version 2 writes atomically and stores embeddings as a raw ``.npy`` at
-#: the index's native dtype; version 1 (in-place npz, float64) snapshots
-#: are still readable.
+#: the index's native dtype.
 GPTCACHE_FORMAT = "repro-gptcache"
 GPTCACHE_VERSION = 2
 
@@ -263,47 +259,36 @@ class GPTCache:
     def save(self, path: "str | Path") -> Path:
         """Snapshot the central cache to a directory (see ``MeanCache.save``).
 
-        Stores the config, hit counters, every entry's texts/user id, the
-        embeddings (at the index's native dtype) and the vector index's own
-        snapshot.  The write is atomic: the whole directory is staged in a
-        ``tmp-`` sibling and renamed into place, so a crash mid-save leaves
-        the previous snapshot generation intact.
+        The same envelope with the baseline's payload: config, hit counters,
+        every entry's texts/user id and the embeddings.
         """
-        path = Path(path)
-        meta = [
+        records = [
             {"query": e.query, "response": e.response, "user_id": e.user_id}
             for e in self._entries
         ]
-        native = np.dtype(getattr(self._index, "dtype", np.float32))
-        if native.kind != "f":
-            native = np.dtype(np.float32)
-        embeddings = (
-            np.stack([e.embedding for e in self._entries]).astype(native, copy=False)
-            if self._entries
-            else np.zeros((0, self._index.dim or 0), dtype=native)
+        embeddings = stack_rows(
+            [e.embedding for e in self._entries],
+            self._index.dim or 0,
+            native_float_dtype(self._index),
         )
         config = asdict(self.config)
         config["index_params"] = (
             dict(self.config.index_params) if self.config.index_params else None
         )
-        with atomic_snapshot_dir(path) as stage:
-            (stage / "entries.json").write_text(
-                json.dumps(meta, indent=1) + "\n", encoding="utf-8"
-            )
-            write_arrays(stage, {"embeddings": embeddings})
-            self._index.save(stage / "index")
-            write_manifest(
-                stage,
-                {
-                    "format": GPTCACHE_FORMAT,
-                    "version": GPTCACHE_VERSION,
-                    "config": config,
-                    "lookups": int(self.lookups),
-                    "hits": int(self.hits),
-                    "arrays": ["embeddings"],
-                },
-            )
-        return path
+        payload = {
+            "config": config,
+            "lookups": int(self.lookups),
+            "hits": int(self.hits),
+        }
+        return save_cache_snapshot(
+            path,
+            GPTCACHE_FORMAT,
+            GPTCACHE_VERSION,
+            payload,
+            records,
+            {"embeddings": embeddings},
+            self._index,
+        )
 
     @classmethod
     def load(
@@ -316,27 +301,20 @@ class GPTCache:
         byte-exactly.
         """
         path = Path(path)
-        manifest = read_manifest(path, GPTCACHE_FORMAT, GPTCACHE_VERSION)
-        try:
-            config = GPTCacheConfig(**manifest["config"])
-            lookups = int(manifest["lookups"])
-            hits = int(manifest["hits"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SnapshotError(
-                f"snapshot at {path} has a corrupted manifest payload: {exc}"
-            ) from exc
-        cache = cls(encoder=encoder, config=config)
-        cache._index = load_index(path / "index")
-        cache.pipeline = cache._build_pipeline()
-        try:
-            meta = json.loads((path / "entries.json").read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise SnapshotError(f"snapshot at {path} has no entries.json") from exc
-        # Keep the stored dtype — version-2 snapshots persist at the index's
-        # native dtype (version-1 float64 payloads load as saved).
-        embeddings = np.asarray(
-            read_arrays(path, expected=["embeddings"])["embeddings"]
+
+        def build(manifest: Mapping[str, object]) -> "GPTCache":
+            cache = cls(encoder=encoder, config=GPTCacheConfig(**manifest["config"]))
+            cache.lookups = int(manifest["lookups"])
+            cache.hits = int(manifest["hits"])
+            return cache
+
+        cache, index, meta, data = load_cache_snapshot(
+            path, GPTCACHE_FORMAT, GPTCACHE_VERSION, build, required=("embeddings",)
         )
+        cache._index = index
+        cache.pipeline = cache._build_pipeline()
+        # Keep the stored dtype: snapshots persist at the index's native dtype.
+        embeddings = np.asarray(data["embeddings"])
         if len(meta) != embeddings.shape[0]:
             raise SnapshotError(
                 f"snapshot at {path} is inconsistent: {len(meta)} entry records "
@@ -358,8 +336,6 @@ class GPTCache:
             )
             for record, embedding in zip(meta, embeddings)
         ]
-        cache.lookups = lookups
-        cache.hits = hits
         return cache
 
 

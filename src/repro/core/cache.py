@@ -17,7 +17,6 @@ and its context chain.  On a lookup the cache:
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -26,7 +25,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.clock import Clock, WALL_CLOCK
-from repro.core.context import ContextChain
+from repro.core.context import (
+    ContextChain,
+    pack_context_embeddings,
+    unpack_context_embeddings,
+)
 from repro.core.pipeline import (
     CapacityEnroll,
     ChainContextVerify,
@@ -46,18 +49,16 @@ from repro.index import IndexHit, VectorIndex
 from repro.index.registry import resolve_index, validate_backend
 from repro.index.snapshot import (
     SnapshotError,
-    atomic_snapshot_dir,
-    load_index,
-    read_arrays,
-    read_manifest,
-    write_arrays,
-    write_manifest,
+    load_cache_snapshot,
+    native_float_dtype,
+    save_cache_snapshot,
+    stack_rows,
 )
 
 #: Snapshot format tag / version of ``MeanCache.save`` directories.
 #: Version 2 writes atomically (staged + renamed), stores arrays as raw
 #: per-array ``.npy`` files and persists embeddings at the index's native
-#: dtype; version 1 (in-place npz, float64) snapshots are still readable.
+#: dtype.
 MEANCACHE_FORMAT = "repro-meancache"
 MEANCACHE_VERSION = 2
 
@@ -427,6 +428,11 @@ class MeanCache:
                 f"{self._index.dim}"
             )
 
+        if not np.isfinite(embedding).all():
+            # Checked here, before a victim is evicted for an entry the
+            # index would then refuse (its store rejects non-finite rows).
+            raise ValueError("embedding must be finite (NaN/inf component)")
+
         self.pipeline.enroll.ensure_capacity()
 
         entry = CacheEntry(
@@ -447,17 +453,21 @@ class MeanCache:
         self._index.add(embedding, id=entry.entry_id)
         self._policy.record_insert(entry.entry_id)
         self.stats.insertions += 1
+        self._mirror(entry)
+        return entry.entry_id
+
+    def _mirror(self, entry: CacheEntry) -> None:
+        """Write ``entry`` through to the attached store, if any."""
         if self.store is not None:
             self.store.set(
                 f"entry:{entry.entry_id}",
                 {
-                    "query": query,
-                    "response": response,
-                    "embedding": embedding,
+                    "query": entry.query,
+                    "response": entry.response,
+                    "embedding": entry.embedding,
                     "context": list(entry.context.texts),
                 },
             )
-        return entry.entry_id
 
     def _evict_one(self) -> None:
         victim_id = self._policy.select_victim()
@@ -545,9 +555,7 @@ class MeanCache:
         and wrappers (e.g. the tiered cache) extend it with their own
         background work such as delta-log compaction.
         """
-        maintain = getattr(self._index, "maintenance", None)
-        if maintain is not None:
-            maintain()
+        self._index.maintenance()
 
     def set_threshold(self, threshold: float) -> None:
         """Update the adaptive similarity threshold τ.
@@ -571,23 +579,17 @@ class MeanCache:
     def save(self, path: "str | Path") -> Path:
         """Snapshot the whole cache state to a directory, atomically.
 
-        The snapshot holds ``manifest.json`` (config, stats, eviction-policy
-        state, next entry id), ``entries.json`` (texts and per-entry
-        metadata), ``arrays/`` (entry and context-chain embeddings, stored at
-        the index's native dtype so snapshot bytes agree with the restored
-        in-memory size) and an ``index/`` subdirectory with the vector
-        index's own snapshot.  The whole directory is staged in a ``tmp-``
-        sibling and published with one atomic rename: a crash mid-save
-        leaves the previous snapshot generation untouched, and files the new
-        generation does not write (stale delta logs, larger prior arrays)
-        cannot survive into it.  :meth:`load` rebuilds a cache whose lookup
-        decisions are byte-identical to this one's.  The encoder is *not*
-        serialized — model weights are distributed by the FL pipeline, so
-        ``load`` takes the encoder as an argument.
+        One cache snapshot envelope (:func:`repro.index.snapshot.
+        save_cache_snapshot`): the manifest carries config, stats,
+        eviction-policy state and the next entry id; ``entries.json`` the
+        texts and per-entry metadata; ``arrays/`` the entry and context-chain
+        embeddings.  :meth:`load` rebuilds a cache whose lookup decisions are
+        byte-identical to this one's.  The encoder is *not* serialized —
+        model weights are distributed by the FL pipeline, so ``load`` takes
+        the encoder as an argument.
         """
-        path = Path(path)
         entries = list(self._entries.values())
-        meta = [
+        records = [
             {
                 "entry_id": int(e.entry_id),
                 "query": e.query,
@@ -600,57 +602,33 @@ class MeanCache:
             for e in entries
         ]
         dim = entries[0].embedding.shape[0] if entries else (self._index.dim or 0)
-        native = np.dtype(getattr(self._index, "dtype", np.float32))
-        if native.kind != "f":
-            native = np.dtype(np.float32)
-        embeddings = (
-            np.stack([e.embedding for e in entries]).astype(native, copy=False)
-            if entries
-            else np.zeros((0, dim), dtype=native)
-        )
-        ctx_ids = [int(e.entry_id) for e in entries if e.context.embedding is not None]
-        ctx_embeddings = (
-            np.stack(
-                [e.context.embedding for e in entries if e.context.embedding is not None]
-            ).astype(native, copy=False)
-            if ctx_ids
-            else np.zeros((0, dim), dtype=native)
-        )
+        native = native_float_dtype(self._index)
         arrays = {
-            "embeddings": embeddings,
+            "embeddings": stack_rows([e.embedding for e in entries], dim, native),
             "entry_ids": np.asarray(
                 [int(e.entry_id) for e in entries], dtype=np.int64
             ),
-            "ctx_entry_ids": np.asarray(ctx_ids, dtype=np.int64),
-            "ctx_embeddings": ctx_embeddings,
+            **pack_context_embeddings(
+                ((e.entry_id, e.context) for e in entries), dim, native
+            ),
         }
         config = asdict(self.config)
         config["index_params"] = (
             dict(self.config.index_params) if self.config.index_params else None
         )
-        with atomic_snapshot_dir(path) as stage:
-            (stage / "entries.json").write_text(
-                json.dumps(meta, indent=1) + "\n", encoding="utf-8"
-            )
-            write_arrays(stage, arrays)
-            self._index.save(stage / "index")
-            write_manifest(
-                stage,
-                {
-                    "format": MEANCACHE_FORMAT,
-                    "version": MEANCACHE_VERSION,
-                    "config": config,
-                    "next_id": int(self._next_id),
-                    "stats": asdict(self.stats),
-                    "policy": {
-                        "name": self.config.eviction_policy,
-                        "state": self._policy.state_dict(),
-                    },
-                    "embedding_dim": int(dim) if dim else None,
-                    "arrays": sorted(arrays),
-                },
-            )
-        return path
+        payload = {
+            "config": config,
+            "next_id": int(self._next_id),
+            "stats": asdict(self.stats),
+            "policy": {
+                "name": self.config.eviction_policy,
+                "state": self._policy.state_dict(),
+            },
+            "embedding_dim": int(dim) if dim else None,
+        }
+        return save_cache_snapshot(
+            path, MEANCACHE_FORMAT, MEANCACHE_VERSION, payload, records, arrays, self._index
+        )
 
     @classmethod
     def load(
@@ -668,54 +646,41 @@ class MeanCache:
         foreign-format or future-version snapshots.
         """
         path = Path(path)
-        manifest = read_manifest(path, MEANCACHE_FORMAT, MEANCACHE_VERSION)
-        try:
-            config = MeanCacheConfig(**manifest["config"])
-            next_id = int(manifest["next_id"])
-            stats = CacheStats(**manifest["stats"])
-            policy_name = manifest["policy"]["name"]
-            policy_state = manifest["policy"]["state"]
-        except (KeyError, TypeError, ValueError) as exc:
-            # Keep the documented exception contract: a manifest whose
-            # format/version pass but whose payload is truncated or renamed
-            # is still a corrupted snapshot, not a caller bug.
-            raise SnapshotError(
-                f"snapshot at {path} has a corrupted manifest payload: {exc}"
-            ) from exc
-        cache = cls(encoder, config, store=store)
-        cache._index = load_index(path / "index")
-        saved_dim = manifest.get("embedding_dim")
+
+        def build(manifest: Mapping[str, object]) -> tuple:
+            cache = cls(encoder, MeanCacheConfig(**manifest["config"]), store=store)
+            cache._next_id = int(manifest["next_id"])
+            cache.stats = CacheStats(**manifest["stats"])
+            cache._policy = make_policy(manifest["policy"]["name"])
+            cache._policy.load_state_dict(manifest["policy"]["state"])
+            return cache, manifest.get("embedding_dim")
+
+        (cache, saved_dim), index, meta, data = load_cache_snapshot(
+            path,
+            MEANCACHE_FORMAT,
+            MEANCACHE_VERSION,
+            build,
+            required=("embeddings", "entry_ids", "ctx_entry_ids", "ctx_embeddings"),
+        )
+        cache._index = index
         if (
             saved_dim is not None
-            and cache._index.dim is not None
-            and int(saved_dim) != int(cache._index.dim)
+            and index.dim is not None
+            and int(saved_dim) != int(index.dim)
         ):
             raise SnapshotError(
                 f"snapshot at {path} is inconsistent: manifest embedding_dim "
-                f"{saved_dim} vs index dim {cache._index.dim}"
+                f"{saved_dim} vs index dim {index.dim}"
             )
         # The pipeline's retrieve stage captured the constructor-built index;
         # rebuild it over the loaded one.
         cache.pipeline = cache._build_pipeline()
-        try:
-            meta = json.loads((path / "entries.json").read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise SnapshotError(f"snapshot at {path} has no entries.json") from exc
-        expected = manifest.get("arrays")
-        data = read_arrays(
-            path, expected=expected if isinstance(expected, list) else None
-        )
-        # Keep the stored dtype: version-2 snapshots persist at the index's
-        # native dtype, so the restored in-memory footprint matches the
-        # on-disk bytes instead of silently doubling back to float64.
+        # Keep the stored dtype: snapshots persist at the index's native
+        # dtype, so the restored in-memory footprint matches the on-disk
+        # bytes instead of silently doubling back to float64.
         embeddings = np.asarray(data["embeddings"])
         entry_ids = [int(i) for i in np.asarray(data["entry_ids"])]
-        ctx_embedding_of = {
-            int(i): np.asarray(emb)
-            for i, emb in zip(
-                np.asarray(data["ctx_entry_ids"]), np.asarray(data["ctx_embeddings"])
-            )
-        }
+        ctx_embedding_of = unpack_context_embeddings(data)
         if len(meta) != len(entry_ids):
             raise SnapshotError(
                 f"snapshot at {path} is inconsistent: {len(meta)} entry records "
@@ -746,24 +711,10 @@ class MeanCache:
                 f"snapshot at {path} is inconsistent: entry ids and index ids differ"
             )
         cache._entries = entries
-        cache._next_id = next_id
-        cache.stats = stats
-        cache._policy = make_policy(policy_name)
-        cache._policy.load_state_dict(policy_state)
-        if store is not None:
-            # Backfill the write-through mirror so external store readers
-            # see the same entries the cache serves (insert() mirrors every
-            # later entry the same way).
-            for entry in entries.values():
-                store.set(
-                    f"entry:{entry.entry_id}",
-                    {
-                        "query": entry.query,
-                        "response": entry.response,
-                        "embedding": entry.embedding,
-                        "context": list(entry.context.texts),
-                    },
-                )
+        # Backfill the write-through mirror so external store readers see
+        # the same entries the cache serves.
+        for entry in entries.values():
+            cache._mirror(entry)
         return cache
 
 

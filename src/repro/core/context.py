@@ -17,11 +17,12 @@ query embeddings), so paraphrased parents still match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.embeddings.similarity import cosine_similarity
+from repro.index.snapshot import stack_rows
 
 
 @dataclass(frozen=True)
@@ -93,3 +94,28 @@ def context_matches(
     if query_context.is_empty != cached_context.is_empty:
         return False
     return query_context.similarity_to(cached_context) >= threshold
+
+
+def pack_context_embeddings(
+    chains: Iterable[Tuple[int, ContextChain]], dim: int, dtype: np.dtype
+) -> Dict[str, np.ndarray]:
+    """The ``ctx_entry_ids``/``ctx_embeddings`` arrays of a cache snapshot.
+
+    Only chains that carry an embedding (contextual entries) are stored;
+    ``chains`` yields ``(entry id, chain)`` in entry order.
+    """
+    embedded = [(int(i), c.embedding) for i, c in chains if c.embedding is not None]
+    return {
+        "ctx_entry_ids": np.asarray([i for i, _ in embedded], dtype=np.int64),
+        "ctx_embeddings": stack_rows([e for _, e in embedded], dim, dtype),
+    }
+
+
+def unpack_context_embeddings(arrays: Mapping[str, np.ndarray]) -> Dict[int, np.ndarray]:
+    """Entry id -> chain embedding, from :func:`pack_context_embeddings` arrays."""
+    return {
+        int(i): np.asarray(embedding)
+        for i, embedding in zip(
+            np.asarray(arrays["ctx_entry_ids"]), np.asarray(arrays["ctx_embeddings"])
+        )
+    }

@@ -48,8 +48,7 @@ as a read-only memory map — the zero-copy warm start benchmarked in
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -63,7 +62,12 @@ from repro.core.cache import (
     MeanCache,
     MeanCacheConfig,
 )
-from repro.core.context import ContextChain, context_matches
+from repro.core.context import (
+    ContextChain,
+    context_matches,
+    pack_context_embeddings,
+    unpack_context_embeddings,
+)
 from repro.core.storage import object_nbytes
 from repro.core.validation import require_query_text
 from repro.embeddings.model import SiameseEncoder
@@ -73,12 +77,11 @@ from repro.index.snapshot import (
     append_delta,
     atomic_snapshot_dir,
     delta_log_size,
-    load_index,
-    read_arrays,
+    load_cache_snapshot,
+    native_float_dtype,
     read_deltas,
     read_manifest,
-    save_index,
-    write_arrays,
+    save_cache_snapshot,
     write_manifest,
 )
 
@@ -159,7 +162,11 @@ class QuantizedTier:
             Path(snapshot_dir) if snapshot_dir is not None else None
         )
         self.compact_every = int(compact_every)
-        # Mutations since the last flush; one delta record commits them all.
+        self._reset_pending()
+
+    def _reset_pending(self) -> None:
+        """Forget the mutations buffered since the last flush (one delta
+        record commits them all)."""
         self._pending_ids: List[int] = []
         self._pending_vectors: List[np.ndarray] = []
         self._pending_meta: List[Dict[str, object]] = []
@@ -192,8 +199,8 @@ class QuantizedTier:
         """Bytes of vector state: code rows + codec/routing + ctx chains."""
         with self.lock:
             total = int(self._index.nbytes)
-            total += int(getattr(self._index, "codec_nbytes", 0))
-            total += int(getattr(self._index, "routing_nbytes", 0))
+            total += int(self._index.codec_nbytes)
+            total += int(self._index.routing_nbytes)
             total += sum(
                 int(e.context.embedding.nbytes)
                 for e in self._entries.values()
@@ -334,70 +341,38 @@ class QuantizedTier:
         with self.lock:
             self._entries.clear()
             self._index.clear()
-            self._pending_ids.clear()
-            self._pending_vectors.clear()
-            self._pending_meta.clear()
-            self._pending_removed.clear()
+            self._reset_pending()
 
     # ------------------------------------------------------------------ #
     # Persistence: atomic full snapshots + append-only delta log
     # ------------------------------------------------------------------ #
     def save(self, path: "str | Path") -> Path:
         """Write a full snapshot atomically (discarding any delta log)."""
-        path = Path(path)
         with self.lock:
             entries = list(self._entries.values())
-            meta = [_tier_entry_record(e, with_ctx_embedding=False) for e in entries]
-            ctx_ids = [
-                int(e.entry_id) for e in entries if e.context.embedding is not None
-            ]
-            dim = self._index.dim or 0
-            ctx_embeddings = (
-                np.stack(
-                    [
-                        np.asarray(e.context.embedding, dtype=np.float32)
-                        for e in entries
-                        if e.context.embedding is not None
-                    ]
-                )
-                if ctx_ids
-                else np.zeros((0, dim), dtype=np.float32)
-            )
-            arrays = {
-                "ctx_entry_ids": np.asarray(ctx_ids, dtype=np.int64),
-                "ctx_embeddings": ctx_embeddings,
+            payload = {
+                "backend": self._backend,
+                "params": dict(self._params),
+                "next_id": int(self._next_id),
+                "max_entries": self.max_entries,
+                "compact_every": self.compact_every,
+                "stats": asdict(self.stats),
             }
-            with atomic_snapshot_dir(path) as stage:
-                (stage / "entries.json").write_text(
-                    json.dumps(meta, indent=1) + "\n", encoding="utf-8"
-                )
-                write_arrays(stage, arrays)
-                save_index(self._index, stage / "index")
-                write_manifest(
-                    stage,
-                    {
-                        "format": TIER_FORMAT,
-                        "version": TIER_VERSION,
-                        "backend": self._backend,
-                        "params": dict(self._params),
-                        "next_id": int(self._next_id),
-                        "max_entries": self.max_entries,
-                        "compact_every": self.compact_every,
-                        "stats": {
-                            "lookups": self.stats.lookups,
-                            "hits": self.stats.hits,
-                            "misses": self.stats.misses,
-                            "insertions": self.stats.insertions,
-                            "evictions": self.stats.evictions,
-                        },
-                        "arrays": sorted(arrays),
-                    },
-                )
+            path = save_cache_snapshot(
+                path,
+                TIER_FORMAT,
+                TIER_VERSION,
+                payload,
+                [_tier_entry_record(e, with_ctx_embedding=False) for e in entries],
+                pack_context_embeddings(
+                    ((e.entry_id, e.context) for e in entries),
+                    self._index.dim or 0,
+                    native_float_dtype(self._index),
+                ),
+                self._index,
+            )
             # The published snapshot captures every pending mutation.
-            self._pending_ids.clear()
-            self._pending_vectors.clear()
-            self._pending_meta.clear()
-            self._pending_removed.clear()
+            self._reset_pending()
         return path
 
     def flush(self) -> None:
@@ -424,17 +399,12 @@ class QuantizedTier:
                 removed=list(self._pending_removed),
                 meta={"entries": list(self._pending_meta)},
             )
-            self._pending_ids.clear()
-            self._pending_vectors.clear()
-            self._pending_meta.clear()
-            self._pending_removed.clear()
+            self._reset_pending()
 
     def maintenance(self) -> None:
         """Off-query-path upkeep: index maintenance, flush, compaction."""
         with self.lock:
-            maintain = getattr(self._index, "maintenance", None)
-            if maintain is not None:
-                maintain()
+            self._index.maintenance()
             self.flush()
             if self.snapshot_dir is not None and (
                 self.snapshot_dir / "manifest.json"
@@ -454,47 +424,29 @@ class QuantizedTier:
         there; set it to ``None`` to detach.
         """
         path = Path(path)
-        manifest = read_manifest(path, TIER_FORMAT, TIER_VERSION)
-        try:
-            backend = str(manifest["backend"])
-            params = dict(manifest.get("params") or {})
-            next_id = int(manifest["next_id"])
-            max_entries = manifest.get("max_entries")
-            compact_every = int(manifest.get("compact_every", 64))
-            stats = CacheStats(**manifest.get("stats", {}))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SnapshotError(
-                f"snapshot at {path} has a corrupted manifest payload: {exc}"
-            ) from exc
-        tier = cls.__new__(cls)
-        tier._backend = backend
-        tier._params = params
-        tier._index = load_index(path / "index", mmap=mmap)
-        tier._entries = {}
-        tier._next_id = next_id
-        tier.max_entries = int(max_entries) if max_entries is not None else None
-        tier.stats = stats
-        tier.lock = maybe_tracked_rlock("tier.l2")
-        tier.snapshot_dir = path
-        tier.compact_every = compact_every
-        tier._pending_ids = []
-        tier._pending_vectors = []
-        tier._pending_meta = []
-        tier._pending_removed = []
-        try:
-            meta = json.loads((path / "entries.json").read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise SnapshotError(f"snapshot at {path} has no entries.json") from exc
-        expected = manifest.get("arrays")
-        data = read_arrays(
-            path, expected=expected if isinstance(expected, list) else None
-        )
-        ctx_embedding_of = {
-            int(i): np.asarray(emb)
-            for i, emb in zip(
-                np.asarray(data["ctx_entry_ids"]), np.asarray(data["ctx_embeddings"])
+
+        def build(manifest: Mapping[str, object]) -> "QuantizedTier":
+            tier = cls(
+                backend=str(manifest["backend"]),
+                params=manifest.get("params"),
+                max_entries=manifest.get("max_entries"),
+                snapshot_dir=path,
+                compact_every=int(manifest.get("compact_every", 64)),
             )
-        }
+            tier._next_id = int(manifest["next_id"])
+            tier.stats = CacheStats(**manifest.get("stats", {}))
+            return tier
+
+        tier, index, meta, data = load_cache_snapshot(
+            path,
+            TIER_FORMAT,
+            TIER_VERSION,
+            build,
+            required=("ctx_entry_ids", "ctx_embeddings"),
+            mmap=mmap,
+        )
+        tier._index = index
+        ctx_embedding_of = unpack_context_embeddings(data)
         for record in meta:
             entry = _tier_entry_from_record(
                 record, ctx_embedding_of.get(int(record["entry_id"]))

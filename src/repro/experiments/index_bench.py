@@ -1,17 +1,10 @@
-"""Index benchmarks: seed-path comparison and the ANN backend sweep.
+"""Index benchmarks: the ANN backend sweep and single-query latency.
 
 Two measurements live here, both backing ``benchmarks/test_bench_index.py``
 (which records ``BENCH_index.json`` for cross-PR tracking; field reference
-in ``docs/benchmarks.md``) and the "Index microbenchmark" section of the
-full experiment runner:
+in ``docs/benchmarks.md``):
 
-1. :func:`run_index_bench` — the original microbenchmark of the incremental
-   :class:`~repro.index.FlatIndex` against the seed cache's hot path (the
-   per-insert ``np.vstack`` rebuild and per-lookup corpus re-normalization).
-   Synthetic embeddings, no encoder in the loop, so the numbers isolate the
-   index itself.
-
-2. :func:`run_backend_sweep` — the recall/throughput/memory trade-off of
+1. :func:`run_backend_sweep` — the recall/throughput/memory trade-off of
    the approximate and quantized backends (IVF, LSH, SQ8, PQ, IVF+SQ8)
    against exact flat search at several corpus sizes, on
    :func:`make_ann_workload`'s paraphrase-style clustered workload.  Exact
@@ -21,7 +14,7 @@ full experiment runner:
    up (bytes-per-entry lands in the ``backends`` section of
    BENCH_index.json).
 
-3. :func:`run_latency_bench` — single-query latency histograms (p50/p95/p99
+2. :func:`run_latency_bench` — single-query latency histograms (p50/p95/p99
    over ``time.perf_counter_ns`` samples) for the quantized backends' fused
    scans against their decode-to-float reference path, on the same index
    state (the ``fused_scan`` flag is flipped in place between passes).
@@ -41,167 +34,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.embeddings.similarity import semantic_search
 from repro.index import FlatIndex, make_index
 from repro.index.quantized import QuantizedIndex
 from repro.index.registry import seeded_params
 from repro.metrics.reporting import format_table
 from repro.metrics.timing import LatencyHistogram
-
-
-@dataclass(frozen=True)
-class IndexBenchResult:
-    """Wall-clock timings of the seed-style path vs the incremental index."""
-
-    n_entries: int
-    dim: int
-    n_queries: int
-    top_k: int
-    seed_insert_s: float
-    index_insert_s: float
-    seed_lookup_s: float
-    index_lookup_s: float
-    index_lookup_batch_s: float
-
-    # ------------------------------------------------------------------ #
-    @property
-    def seed_insert_throughput(self) -> float:
-        """Seed-style inserts per second."""
-        return self.n_entries / self.seed_insert_s if self.seed_insert_s > 0 else float("inf")
-
-    @property
-    def index_insert_throughput(self) -> float:
-        """Index inserts per second."""
-        return self.n_entries / self.index_insert_s if self.index_insert_s > 0 else float("inf")
-
-    @property
-    def insert_speedup(self) -> float:
-        """Index insert throughput over seed-style insert throughput."""
-        return self.seed_insert_s / self.index_insert_s if self.index_insert_s > 0 else float("inf")
-
-    @property
-    def lookup_speedup(self) -> float:
-        """Per-query index search speedup over the seed-style search."""
-        return self.seed_lookup_s / self.index_lookup_s if self.index_lookup_s > 0 else float("inf")
-
-    @property
-    def batch_speedup(self) -> float:
-        """Batched index search speedup over the seed-style per-query loop."""
-        if self.index_lookup_batch_s <= 0:
-            return float("inf")
-        return self.seed_lookup_s / self.index_lookup_batch_s
-
-    def to_dict(self) -> Dict[str, float]:
-        """JSON-serializable record (the ``BENCH_index.json`` payload)."""
-        return {
-            "n_entries": self.n_entries,
-            "dim": self.dim,
-            "n_queries": self.n_queries,
-            "top_k": self.top_k,
-            "seed_insert_s": self.seed_insert_s,
-            "index_insert_s": self.index_insert_s,
-            "seed_insert_throughput_per_s": self.seed_insert_throughput,
-            "index_insert_throughput_per_s": self.index_insert_throughput,
-            "insert_speedup": self.insert_speedup,
-            "seed_lookup_s": self.seed_lookup_s,
-            "index_lookup_s": self.index_lookup_s,
-            "index_lookup_batch_s": self.index_lookup_batch_s,
-            "lookup_speedup": self.lookup_speedup,
-            "batch_speedup": self.batch_speedup,
-        }
-
-    def format(self) -> str:
-        """Render the comparison as a report table."""
-        rows = [
-            [
-                "insert (one by one)",
-                f"{self.seed_insert_s:.4f}",
-                f"{self.index_insert_s:.4f}",
-                f"{self.insert_speedup:.1f}x",
-            ],
-            [
-                "lookup (per query)",
-                f"{self.seed_lookup_s:.4f}",
-                f"{self.index_lookup_s:.4f}",
-                f"{self.lookup_speedup:.1f}x",
-            ],
-            [
-                "lookup (batched)",
-                f"{self.seed_lookup_s:.4f}",
-                f"{self.index_lookup_batch_s:.4f}",
-                f"{self.batch_speedup:.1f}x",
-            ],
-        ]
-        return format_table(
-            ["Operation", "Seed path (s)", "FlatIndex (s)", "Speedup"],
-            rows,
-            title=(
-                f"Index microbenchmark: {self.n_entries} entries x {self.dim}d, "
-                f"{self.n_queries} queries, top_k={self.top_k}"
-            ),
-        )
-
-
-def _seed_style_insert(vectors: np.ndarray) -> np.ndarray:
-    """The seed cache's append path: one np.vstack matrix rebuild per entry."""
-    matrix = None
-    for row in vectors:
-        if matrix is None:
-            matrix = row.reshape(1, -1).copy()
-        else:
-            matrix = np.vstack([matrix, row.reshape(1, -1)])
-    return matrix
-
-
-def run_index_bench(
-    n_entries: int = 10_000,
-    dim: int = 64,
-    n_queries: int = 200,
-    top_k: int = 5,
-    seed: int = 0,
-) -> IndexBenchResult:
-    """Time seed-style vs index insert/lookup on random unit-ish embeddings."""
-    if n_entries < 1 or n_queries < 1:
-        raise ValueError("n_entries and n_queries must be >= 1")
-    rng = np.random.default_rng(seed)
-    vectors = rng.normal(size=(n_entries, dim))
-    queries = rng.normal(size=(n_queries, dim))
-
-    start = time.perf_counter()
-    matrix = _seed_style_insert(vectors)
-    seed_insert_s = time.perf_counter() - start
-
-    index = FlatIndex(dim=dim)
-    start = time.perf_counter()
-    for row in vectors:
-        index.add(row)
-    index_insert_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for q in queries:
-        semantic_search(q, matrix, top_k=top_k)
-    seed_lookup_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for q in queries:
-        index.search(q, top_k=top_k)
-    index_lookup_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    index.search(queries, top_k=top_k)
-    index_lookup_batch_s = time.perf_counter() - start
-
-    return IndexBenchResult(
-        n_entries=n_entries,
-        dim=dim,
-        n_queries=n_queries,
-        top_k=top_k,
-        seed_insert_s=seed_insert_s,
-        index_insert_s=index_insert_s,
-        seed_lookup_s=seed_lookup_s,
-        index_lookup_s=index_lookup_s,
-        index_lookup_batch_s=index_lookup_batch_s,
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -411,11 +248,7 @@ def _recall_against(
 
 def _total_nbytes(index) -> int:
     """The backend's whole footprint: rows + routing + codec tables."""
-    return (
-        int(index.nbytes)
-        + int(getattr(index, "routing_nbytes", 0))
-        + int(getattr(index, "codec_nbytes", 0))
-    )
+    return int(index.nbytes) + int(index.routing_nbytes) + int(index.codec_nbytes)
 
 
 def _build_backend(backend: str, dim: int, params: Mapping[str, object], seed: int):

@@ -23,11 +23,7 @@ from repro.experiments.fig13_14_threshold import run_fig13_14
 from repro.experiments.fig15_model_cost import run_fig15
 from repro.experiments.fig16_llama_threshold import run_fig16
 from repro.experiments.fleet_bench import run_drift_adaptation_bench, run_fleet_bench
-from repro.experiments.index_bench import (
-    run_backend_sweep,
-    run_index_bench,
-    run_latency_bench,
-)
+from repro.experiments.index_bench import run_backend_sweep, run_latency_bench
 from repro.experiments.table1 import run_table1
 
 
@@ -84,9 +80,6 @@ def run_all(scale: "str | None" = None, seed: int = 0) -> FullReport:
     ).format()
     report.sections["Figure 16 (Llama-2 threshold sweep)"] = run_fig16(
         resolved.name, seed=seed, bundle=bundle
-    ).format()
-    report.sections["Index microbenchmark (insert/lookup throughput)"] = run_index_bench(
-        n_entries=2_000 if resolved.name == "quick" else 10_000, seed=seed
     ).format()
     report.sections["ANN backend sweep (recall vs throughput vs memory)"] = run_backend_sweep(
         sizes=(2_000, 10_000) if resolved.name == "quick" else (10_000, 100_000),

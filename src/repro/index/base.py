@@ -8,9 +8,10 @@ those same ids back from :meth:`VectorIndex.search`, so the index is free to
 reorder rows internally (e.g. swap-with-last deletion) without the caller
 ever tracking row positions.
 
-:class:`repro.index.FlatIndex` is the concrete implementation; alternative
-backends (IVF, HNSW, a GPU matrix, a sharded remote index) only need to
-honour this contract to slot underneath :class:`repro.core.cache.MeanCache`.
+:class:`repro.index.store.RowStore` implements the storage half of this
+contract once for every built-in backend; out-of-tree backends (HNSW, a GPU
+matrix, a sharded remote index) only need to honour the contract to slot
+underneath :class:`repro.core.cache.MeanCache`.
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ class VectorIndex(abc.ABC):
         except KeyError:
             return False
         return True
+
+    #: Bytes of trained codec tables / routing structures kept beside the
+    #: rows ``nbytes`` counts; backends that have them override with a
+    #: property, so storage accounting reads them without probing.
+    codec_nbytes: int = 0
+    routing_nbytes: int = 0
 
     #: Whether ``search`` accepts the optional ``stop_score`` keyword
     #: (threshold-aware early termination).  Callers such as

@@ -4,15 +4,15 @@ The seed implementation of the cache kept embeddings in a plain ``(n, d)``
 array that was re-built with ``np.vstack`` on every insert (O(n) copy per
 insert, O(n²) enrolment), re-normalized in full on every lookup and compacted
 with ``np.delete`` plus an O(n) row re-index on every eviction.
-:class:`FlatIndex` replaces all three hot paths:
+:class:`FlatIndex` replaces all three hot paths.  Appends, swap-with-last
+deletes, id addressing and snapshot storage are the shared row store's
+(:mod:`repro.index.store`); what this class adds on top of it is
 
-* **Amortized-O(1) appends** — rows live in a pre-allocated matrix whose
-  capacity doubles when full, so an insert is a single row write.
-* **Pre-normalized rows with cached norms** — vectors are normalized to unit
-  length once at insert time (the original norm is kept so the raw vector can
-  be reconstructed), so a lookup is one matmul with no corpus pass.
-* **Swap-with-last deletion** — removing a row copies the last row into its
-  slot and shrinks the logical size; no matrix copy, no re-index loop.
+* **pre-normalized rows with cached norms** — vectors are normalized to unit
+  length once at insert time and stored as-is in the storage dtype (the
+  original norm is kept so the raw vector can be reconstructed), so a lookup
+  is one matmul with no corpus pass;
+* the exhaustive, chunked top-k **search** over those rows.
 
 Scores are exact cosine similarities (this is still an exhaustive search; the
 index changes the constants, not the asymptotics of one matmul).  Storage is
@@ -22,31 +22,16 @@ throughput at a ~1e-6 score tolerance versus float64 (see ``docs/api.md``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.embeddings.similarity import chunked_topk
-from repro.index.base import IndexHit, VectorIndex
-from repro.index.postings import ScratchBuffers
-
-_MIN_CAPACITY = 64
+from repro.index.base import IndexHit
+from repro.index.store import _MIN_CAPACITY, RowStore
 
 
-def normalize_rows(vectors: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """Unit-normalize rows in float64, returning (unit rows, norms).
-
-    The one normalization rule every backend shares (flat family via
-    :meth:`FlatIndex._normalize`, the quantized backends directly), so the
-    epsilon and dtype policy cannot drift between storage tiers.
-    """
-    V = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    norms = np.linalg.norm(V, axis=1, keepdims=True)
-    unit = V / np.where(norms > 1e-12, norms, 1.0)
-    return unit, norms[:, 0]
-
-
-class FlatIndex(VectorIndex):
+class FlatIndex(RowStore):
     """Exact incremental cosine index (contiguous, pre-normalized storage).
 
     Parameters
@@ -70,72 +55,14 @@ class FlatIndex(VectorIndex):
         initial_capacity: int = _MIN_CAPACITY,
         chunk_size: int = 65536,
     ) -> None:
-        if dim is not None and dim < 1:
-            raise ValueError("dim must be >= 1")
-        if initial_capacity < 1:
-            raise ValueError("initial_capacity must be >= 1")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        self._dim = dim
-        self._constructor_dim = dim  # restored on clear(); None means data-driven
         self._dtype = np.dtype(dtype)
+        super().__init__(dim, initial_capacity, chunk_size, norm_dtype=self._dtype)
         if self._dtype.kind != "f":
             raise ValueError("dtype must be a floating-point type")
-        self._initial_capacity = max(initial_capacity, 1)
-        self._chunk_size = chunk_size
-        self._size = 0
-        self._next_id = 0
-        self._matrix: Optional[np.ndarray] = None  # (capacity, dim) unit rows
-        self._norms: Optional[np.ndarray] = None  # (capacity,) original L2 norms
-        self._ids: Optional[np.ndarray] = None  # (capacity,) int64 entry ids
-        # id -> row map, built lazily (None after an mmap-backed restore so a
-        # zero-copy warm start pays no O(n) python loop up front).
-        self._id_map: Optional[Dict[int, int]] = {}
-        # True while storage is an adopted read-only memmap from
-        # load_index(mmap=True); any mutation first materializes a copy.
-        self._mmap_backed = False
-        # Reused query-preparation buffers: repeat lookups against the same
-        # index never re-allocate the normalized query matrices.
-        self._scratch = ScratchBuffers()
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def _id_to_row(self) -> Dict[int, int]:
-        """The id -> storage-row map, built on first id-keyed access."""
-        if self._id_map is None:
-            ids = self._ids[: self._size] if self._ids is not None else ()
-            self._id_map = {int(i): r for r, i in enumerate(np.asarray(ids).tolist())}
-        return self._id_map
-
-    @property
-    def mmap_backed(self) -> bool:
-        """True while storage is a read-only memory map (zero-copy restore)."""
-        return self._mmap_backed
-
-    def _materialize(self) -> None:
-        """Replace mmap-backed storage with a private in-memory copy.
-
-        Called before any mutation: the mapped arrays from
-        ``load_index(mmap=True)`` are read-only (and shared with the
-        snapshot file), so the first add/remove pays one copy and every
-        later mutation is the usual in-place path.
-        """
-        if not self._mmap_backed:
-            return
-        self._matrix = np.array(self._matrix)
-        self._norms = np.array(self._norms)
-        self._ids = np.array(self._ids)
-        self._mmap_backed = False
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def dim(self) -> Optional[int]:
-        return self._dim
-
     @property
     def dtype(self) -> np.dtype:
         """Storage dtype of the matrix."""
@@ -144,37 +71,7 @@ class FlatIndex(VectorIndex):
     @property
     def capacity(self) -> int:
         """Allocated rows (>= len(self))."""
-        return 0 if self._matrix is None else int(self._matrix.shape[0])
-
-    @property
-    def ids(self) -> List[int]:
-        return [] if self._ids is None else [int(i) for i in self._ids[: self._size]]
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the *live* rows: matrix + cached norms + id column.
-
-        Exactly ``len(self) * (dim * itemsize + itemsize + 8)`` — the norm
-        column is counted once (neither omitted nor folded into the matrix
-        term) and :attr:`matrix_nbytes` is always ``nbytes`` minus the norm
-        and id columns; ``tests/test_index.py`` pins both identities.  The
-        backing arrays are over-allocated for amortized-O(1) appends, so the
-        process-level footprint is :attr:`allocated_nbytes`.
-        """
-        if self._matrix is None:
-            return 0
-        return int(
-            self._matrix[: self._size].nbytes
-            + self._norms[: self._size].nbytes
-            + self._ids[: self._size].nbytes
-        )
-
-    @property
-    def allocated_nbytes(self) -> int:
-        """Bytes actually allocated (capacity rows, not just live ones)."""
-        if self._matrix is None:
-            return 0
-        return int(self._matrix.nbytes + self._norms.nbytes + self._ids.nbytes)
+        return 0 if self._rows is None else int(self._rows.shape[0])
 
     @property
     def matrix_nbytes(self) -> int:
@@ -184,34 +81,32 @@ class FlatIndex(VectorIndex):
         storage" (the paper's Figure 10a axis); :attr:`nbytes` additionally
         counts the cached norms and id column.
         """
-        return 0 if self._matrix is None else int(self._matrix[: self._size].nbytes)
+        return 0 if self._rows is None else int(self._rows[: self._size].nbytes)
 
     def vectors(self) -> np.ndarray:
         """Read-only view of the live **unit-norm** rows (internal order)."""
-        if self._matrix is None:
+        if self._rows is None:
             d = self._dim or 0
             return np.zeros((0, d), dtype=self._dtype)
-        view = self._matrix[: self._size]
+        view = self._rows[: self._size]
         view.flags.writeable = False
         return view
 
-    def __contains__(self, id: int) -> bool:
-        return int(id) in self._id_to_row
-
     def get(self, id: int) -> np.ndarray:
+        """Return the stored (un-normalized) vector for ``id``."""
         row = self._id_to_row.get(id)
         if row is None:
             raise KeyError(f"no vector with id {id}")
         return np.asarray(
-            self._matrix[row], dtype=np.float64
+            self._rows[row], dtype=np.float64
         ) * float(self._norms[row])
 
     # ------------------------------------------------------------------ #
-    # Mutation
+    # Storage layout and query preparation
     # ------------------------------------------------------------------ #
-    def _normalize(self, vectors: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """Unit-normalize rows in float64, returning (unit rows, norms)."""
-        return normalize_rows(vectors)
+    def _row_layout(self) -> Tuple[int, np.dtype]:
+        """Unit rows in the storage dtype, one column per dimension."""
+        return self._dim or 0, self._dtype
 
     def _prepare_queries(self, Q: np.ndarray, prenormalized: bool) -> np.ndarray:
         """The query batch as a row-contiguous storage-dtype matrix.
@@ -223,9 +118,7 @@ class FlatIndex(VectorIndex):
         cast into a reused scratch buffer.  The default path performs the
         usual float64 normalization, but writes both the unit rows and the
         storage-dtype cast into scratch, so repeated lookups allocate nothing
-        query-shaped.  The arithmetic (same ufuncs, same order) is identical
-        to :func:`normalize_rows` + ``np.ascontiguousarray`` — scores do not
-        change by a single bit.
+        query-shaped (see :meth:`RowStore._unit_queries`).
         """
         if Q.shape[1] != self._dim:
             raise ValueError(f"query dim {Q.shape[1]} != index dim {self._dim}")
@@ -235,181 +128,12 @@ class FlatIndex(VectorIndex):
             out = self._scratch.get("query.cast", Q.shape, self._dtype)
             np.copyto(out, Q, casting="unsafe")
             return out
-        norms = np.linalg.norm(Q, axis=1, keepdims=True)
-        unit = self._scratch.get("query.unit64", Q.shape, np.float64)
-        np.divide(Q, np.where(norms > 1e-12, norms, 1.0), out=unit)
+        unit = self._unit_queries(Q)
         if self._dtype == np.float64:
             return unit
         out = self._scratch.get("query.cast", Q.shape, self._dtype)
         np.copyto(out, unit, casting="unsafe")
         return out
-
-    def _ensure_capacity(self, extra: int) -> None:
-        needed = self._size + extra
-        if self._matrix is None:
-            capacity = max(self._initial_capacity, needed)
-            self._matrix = np.empty((capacity, self._dim), dtype=self._dtype)
-            self._norms = np.empty(capacity, dtype=self._dtype)
-            self._ids = np.empty(capacity, dtype=np.int64)
-            return
-        capacity = self._matrix.shape[0]
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        grown = np.empty((capacity, self._dim), dtype=self._dtype)
-        grown[: self._size] = self._matrix[: self._size]
-        self._matrix = grown
-        grown_norms = np.empty(capacity, dtype=self._dtype)
-        grown_norms[: self._size] = self._norms[: self._size]
-        self._norms = grown_norms
-        grown_ids = np.empty(capacity, dtype=np.int64)
-        grown_ids[: self._size] = self._ids[: self._size]
-        self._ids = grown_ids
-
-    def _check_dim(self, d: int) -> None:
-        if self._dim is None:
-            self._dim = int(d)
-        elif d != self._dim:
-            raise ValueError(f"vector dim {d} does not match index dim {self._dim}")
-
-    def add(self, vector: np.ndarray, id: Optional[int] = None) -> int:
-        vector = np.asarray(vector, dtype=np.float64).reshape(-1)
-        self._check_dim(vector.shape[0])
-        if id is None:
-            id = self._next_id
-        id = int(id)
-        if id in self._id_to_row:
-            raise ValueError(f"id {id} is already in the index")
-        self._next_id = max(self._next_id, id + 1)
-        self._materialize()
-        self._ensure_capacity(1)
-        unit, norms = self._normalize(vector)
-        row = self._size
-        self._matrix[row] = unit[0]
-        self._norms[row] = norms[0]
-        self._ids[row] = id
-        self._id_to_row[id] = row
-        self._size += 1
-        self._post_add(np.asarray([id], dtype=np.int64), row)
-        return id
-
-    def add_batch(self, vectors: np.ndarray, ids: Optional[Sequence[int]] = None) -> List[int]:
-        V = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if V.size == 0:
-            return []
-        self._check_dim(V.shape[1])
-        n = V.shape[0]
-        if ids is None:
-            ids = list(range(self._next_id, self._next_id + n))
-        else:
-            ids = [int(i) for i in ids]
-            if len(ids) != n:
-                raise ValueError("ids must align with vectors")
-            if len(set(ids)) != n:
-                raise ValueError("ids must be unique")
-            for i in ids:
-                if i in self._id_to_row:
-                    raise ValueError(f"id {i} is already in the index")
-        self._materialize()
-        self._ensure_capacity(n)
-        unit, norms = self._normalize(V)
-        start = self._size
-        self._matrix[start : start + n] = unit
-        self._norms[start : start + n] = norms
-        self._ids[start : start + n] = ids
-        for offset, i in enumerate(ids):
-            self._id_to_row[i] = start + offset
-        self._size += n
-        self._next_id = max(self._next_id, max(ids) + 1)
-        self._post_add(np.asarray(ids, dtype=np.int64), start)
-        return list(ids)
-
-    def remove(self, id: int) -> None:
-        id = int(id)
-        if id not in self._id_to_row:
-            raise KeyError(f"no vector with id {id}")
-        self._materialize()
-        row = self._id_to_row.pop(id)
-        last = self._size - 1
-        moved_id: Optional[int] = None
-        if row != last:
-            # Swap-with-last: O(d) instead of an O(n·d) matrix compaction.
-            self._matrix[row] = self._matrix[last]
-            self._norms[row] = self._norms[last]
-            moved_id = int(self._ids[last])
-            self._ids[row] = moved_id
-            self._id_to_row[moved_id] = row
-        self._size -= 1
-        self._post_remove(id, row, moved_id)
-
-    def rebuild(self, vectors: np.ndarray, ids: Sequence[int]) -> None:
-        ids = [int(i) for i in ids]
-        V = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if not ids:
-            # np.atleast_2d turns an empty 1-D input into shape (1, 0), so
-            # handle "rebuild to empty" before the alignment check.
-            if V.size != 0:
-                raise ValueError("ids must align with vectors")
-            self.clear(reset_ids=False)
-            return
-        if V.shape[0] != len(ids):
-            raise ValueError("ids must align with vectors")
-        if self._constructor_dim is not None and V.shape[1] != self._constructor_dim:
-            raise ValueError(
-                f"vector dim {V.shape[1]} does not match index dim "
-                f"{self._constructor_dim}"
-            )
-        self.clear(reset_ids=False)
-        self._dim = int(V.shape[1])
-        self.add_batch(V, ids=ids)
-
-    def clear(self, reset_ids: bool = True) -> None:
-        self._size = 0
-        self._matrix = None
-        self._norms = None
-        self._ids = None
-        self._id_map = {}
-        self._mmap_backed = False
-        self._scratch.clear()
-        # A data-driven dim unpins so the next add may re-fix it (e.g. the
-        # cache is cleared and re-populated after a PCA head changed the
-        # embedding dimensionality); an explicit constructor dim stays.
-        self._dim = self._constructor_dim
-        if reset_ids:
-            self._next_id = 0
-        self._post_clear()
-
-    # ------------------------------------------------------------------ #
-    # Subclass hooks
-    # ------------------------------------------------------------------ #
-    # Approximate backends (repro.index.ivf / repro.index.lsh) keep routing
-    # structures — inverted lists, hash buckets — alongside the flat row
-    # storage.  These hooks fire after every structural mutation so a
-    # subclass can keep those structures consistent without re-implementing
-    # the storage layer.  The base implementations are no-ops.
-
-    def _post_add(self, ids: np.ndarray, start_row: int) -> None:
-        """Called after ``len(ids)`` rows were written at ``start_row``."""
-
-    def _post_remove(self, id: int, row: int, moved_id: Optional[int]) -> None:
-        """Called after ``id`` was swap-deleted from ``row``.
-
-        ``moved_id`` is the id of the former last row that now occupies
-        ``row`` (``None`` when the victim itself was last).
-        """
-
-    def _post_clear(self) -> None:
-        """Called after the index was emptied (clear / rebuild)."""
-
-    def _post_restore(self) -> None:
-        """Called after a snapshot reinstated the flat storage.
-
-        Subclasses rebuild whatever routing structures derive
-        deterministically from the stored rows (LSH re-hashes its tables
-        here); structures that do not (IVF's trained centroids) are restored
-        from their own snapshot arrays instead.
-        """
 
     # ------------------------------------------------------------------ #
     # Snapshot protocol (see repro.index.snapshot)
@@ -428,55 +152,25 @@ class FlatIndex(VectorIndex):
         return {"dim": self._dim, "next_id": self._next_id}
 
     def _snapshot_arrays(self) -> Dict[str, np.ndarray]:
-        n = self._size
-        d = self._dim or 0
-        if self._matrix is None:
-            return {
-                "matrix": np.zeros((0, d), dtype=self._dtype),
-                "norms": np.zeros(0, dtype=self._dtype),
-                "ids": np.zeros(0, dtype=np.int64),
-            }
-        return {
-            "matrix": self._matrix[:n],
-            "norms": self._norms[:n],
-            "ids": self._ids[:n],
-        }
+        return self._snapshot_rows("matrix")
 
     def _restore(
         self, state: Mapping[str, object], arrays: Mapping[str, np.ndarray]
     ) -> None:
         self.clear(reset_ids=True)
-        ids = np.asarray(arrays["ids"], dtype=np.int64)
-        n = int(ids.shape[0])
-        if state["dim"] is not None:
-            self._dim = int(state["dim"])
-        if n:
-            matrix = arrays["matrix"]
-            norms = arrays["norms"]
-            if (
-                isinstance(matrix, np.memmap)
-                and matrix.dtype == self._dtype
-                and np.asarray(norms).dtype == self._dtype
-            ):
-                # Zero-copy warm start: adopt the mapped snapshot arrays as
-                # the storage (capacity == size; the id map builds lazily and
-                # the first mutation materializes a private copy).
-                self._matrix = matrix
-                self._norms = np.asarray(norms)
-                self._ids = ids
-                self._id_map = None
-                self._mmap_backed = True
-            else:
-                self._ensure_capacity(n)
-                # Snapshots store the storage dtype, so these copies are
-                # bit-exact round-trips.
-                self._matrix[:n] = np.asarray(matrix, dtype=self._dtype)
-                self._norms[:n] = np.asarray(norms, dtype=self._dtype)
-                self._ids[:n] = ids
-                self._id_map = {int(i): r for r, i in enumerate(ids.tolist())}
-            self._size = n
-        self._next_id = int(state["next_id"])
+        self._restore_rows(state, arrays["matrix"], arrays["norms"], arrays["ids"])
         self._post_restore()
+
+    def _post_restore(self) -> None:
+        """Called after a snapshot reinstated the flat storage.
+
+        Approximate subclasses keep routing structures — inverted lists,
+        hash buckets — consistent through the store's ``_post_add`` /
+        ``_post_remove`` / ``_post_clear`` hooks; here they rebuild whatever
+        derives deterministically from the stored rows (LSH re-hashes its
+        tables).  Structures that do not (IVF's trained centroids) are
+        restored from their own snapshot arrays instead.
+        """
 
     # ------------------------------------------------------------------ #
     # Search
@@ -511,7 +205,7 @@ class FlatIndex(VectorIndex):
         queries_n = self._prepare_queries(Q, prenormalized)
         scores, rows = chunked_topk(
             queries_n,
-            self._matrix[: self._size],
+            self._rows[: self._size],
             top_k=top_k,
             chunk_size=self._chunk_size,
             corpus_prenormalized=True,

@@ -43,9 +43,10 @@ from typing import Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.index.base import IndexHit
-from repro.index.flat import _MIN_CAPACITY, FlatIndex
+from repro.index.flat import FlatIndex
 from repro.index.postings import topk_hits
 from repro.index.routing import RoutedIndex, Router, ScoreRows, training_sample
+from repro.index.store import _MIN_CAPACITY
 
 
 class IVFIndex(RoutedIndex, FlatIndex):
@@ -116,11 +117,11 @@ class IVFIndex(RoutedIndex, FlatIndex):
     # ------------------------------------------------------------------ #
     def _scored_rows(self, start: int, stop: int) -> np.ndarray:
         """Storage rows ``[start, stop)`` — what the scan scores, verbatim."""
-        return self._matrix[start:stop]
+        return self._rows[start:stop]
 
     def _train(self) -> None:
         """(Re)fit centroids on the live rows and rebuild every inverted list."""
-        rows = self._matrix[: self._size]
+        rows = self._rows[: self._size]
         self._router.fit(
             rows,
             training_sample(rows, self._train_sample, self._rng),
@@ -147,8 +148,8 @@ class IVFIndex(RoutedIndex, FlatIndex):
     # ------------------------------------------------------------------ #
     # Mutation hooks (storage layer calls these after each change)
     # ------------------------------------------------------------------ #
-    def _post_add(self, ids: np.ndarray, start_row: int) -> None:
-        block = self._matrix[start_row : start_row + ids.shape[0]]
+    def _post_add(self, ids: np.ndarray, start_row: int, unit: np.ndarray) -> None:
+        block = self._rows[start_row : start_row + ids.shape[0]]
         refit_due = self._router.note_added(
             ids, start_row, block, self._scored_rows
         )
@@ -205,11 +206,7 @@ class IVFIndex(RoutedIndex, FlatIndex):
         self._router.restore(
             state, arrays, np.asarray(arrays["ids"], dtype=np.int64), ""
         )
-        rng_state = state.get("rng_state")
-        if rng_state is not None:
-            rng = np.random.default_rng(self._seed)
-            rng.bit_generator.state = rng_state
-            self._rng = rng
+        self._restore_rng(state)
 
     # ------------------------------------------------------------------ #
     # Search
@@ -253,7 +250,7 @@ class IVFIndex(RoutedIndex, FlatIndex):
             return [[] for _ in range(Q.shape[0])]
         Qn = self._prepare_queries(Q, prenormalized)
         sc = self._scratch
-        matrix = self._matrix
+        matrix = self._rows
 
         def scorer(qi: int) -> ScoreRows:
             qn = Qn[qi]

@@ -41,8 +41,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.index.base import IndexHit
-from repro.index.flat import _MIN_CAPACITY, FlatIndex
+from repro.index.flat import FlatIndex
 from repro.index.postings import Postings, RowMap, topk_hits
+from repro.index.store import _MIN_CAPACITY
 
 
 class LSHIndex(FlatIndex):
@@ -162,9 +163,11 @@ class LSHIndex(FlatIndex):
     # ------------------------------------------------------------------ #
     # Mutation hooks (storage layer calls these after each change)
     # ------------------------------------------------------------------ #
-    def _post_add(self, ids: np.ndarray, start_row: int) -> None:
+    def _post_add(self, ids: np.ndarray, start_row: int, unit: np.ndarray) -> None:
+        # Hashes the *stored* storage-dtype rows, not the float64 ``unit``:
+        # restore re-hashes from storage alone and must rebuild equal tables.
         self._row_of.set_block(ids, start_row)
-        rows = self._matrix[start_row : start_row + ids.shape[0]]
+        rows = self._rows[start_row : start_row + ids.shape[0]]
         keys = self._hash(rows)
         for i, id in enumerate(ids.tolist()):
             # copy(): a view of `keys` would pin the whole batch's key
@@ -218,7 +221,9 @@ class LSHIndex(FlatIndex):
 
     def _post_restore(self) -> None:
         if self._size:
-            self._post_add(self._ids[: self._size].copy(), 0)
+            self._post_add(
+                self._ids[: self._size].copy(), 0, self._rows[: self._size]
+            )
 
     # ------------------------------------------------------------------ #
     # Search
@@ -268,10 +273,7 @@ class LSHIndex(FlatIndex):
         n_queries = Q.shape[0]
         if self._size == 0:
             return [[] for _ in range(n_queries)]
-        if Q.shape[1] != self._dim:
-            raise ValueError(f"query dim {Q.shape[1]} != index dim {self._dim}")
-        unit, _ = self._normalize(Q)
-        Qn = np.ascontiguousarray(unit, dtype=self._dtype)
+        Qn = self._prepare_queries(Q, prenormalized=False)
         projections = self._project(Qn)  # (q, n_tables, n_bits)
         exact_keys = self._keys(projections)  # (q, n_tables)
         if self._multiprobe > 0:
@@ -290,7 +292,7 @@ class LSHIndex(FlatIndex):
             )
         else:
             probe_keys = exact_keys[:, :, None]
-        matrix = self._matrix
+        matrix = self._rows
         results: List[List[IndexHit]] = []
         for qi in range(n_queries):
             cand_ids = self._candidates(probe_keys[qi].tolist())

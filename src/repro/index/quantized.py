@@ -19,14 +19,13 @@ of score precision for a 3.5–10x smaller per-entry footprint:
   of query-sub-vector × centroid dot products per query, after which each
   stored vector's score is ``m`` table lookups — no per-entry float math.
 
-Both backends share the flat storage discipline (contiguous code matrix,
-amortized-O(1) appends via capacity doubling, O(code_width) swap-with-last
-deletes, id-centric API) and train lazily like :class:`~repro.index.IVFIndex`:
-below ``min_train_size`` vectors are staged in float32 and searched exactly;
-the first add reaching the threshold trains the quantizer, encodes the
-staged rows and drops the float staging buffer.  The quantizer is trained
-once and then frozen (the standard faiss contract); ``clear``/``rebuild``
-reset it.
+Row storage is the shared :class:`~repro.index.store.RowStore`; the payload
+changes phase once.  Both backends train lazily like
+:class:`~repro.index.IVFIndex`: below ``min_train_size`` vectors the payload
+is float32 staging rows, searched exactly; the first add reaching the
+threshold trains the quantizer and swaps the payload for the uint8 code rows
+of the staged vectors.  The quantizer is trained once and then frozen (the
+standard faiss contract); ``clear``/``rebuild`` reset it.
 
 Optional **exact re-ranking**: with ``rescore > 1`` a search first selects
 ``top_k · rescore`` candidates by the fast quantized scores, then recomputes
@@ -50,15 +49,14 @@ codes, lists and scores.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.index.base import IndexHit, VectorIndex
-from repro.index.flat import _MIN_CAPACITY
-from repro.index.flat import normalize_rows as _normalize_rows
-from repro.index.postings import ScratchBuffers, det_topk, topk_hits
+from repro.index.base import IndexHit
+from repro.index.postings import det_topk, topk_hits
 from repro.index.routing import RoutedIndex, Router, ScoreRows, training_sample
+from repro.index.store import _MIN_CAPACITY, RowStore
 
 # Rows per encode/assignment block: bounds the temporary float matrices.
 _ENCODE_BLOCK = 16384
@@ -433,8 +431,8 @@ class ProductQuantizer:
 # --------------------------------------------------------------------------- #
 # The quantized index
 # --------------------------------------------------------------------------- #
-class QuantizedIndex(RoutedIndex, VectorIndex):
-    """Shared storage + search machinery of the quantized backends.
+class QuantizedIndex(RoutedIndex, RowStore):
+    """Codec, training and search machinery of the quantized backends.
 
     Not registered directly; use :class:`SQ8Index` / :class:`PQIndex` (or the
     registry names ``"sq8"``, ``"pq"``, ``"ivf+sq8"``, ``"ivf+pq"``).
@@ -459,12 +457,7 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
         auto_repartition: bool = True,
         prune_probes: bool = True,
     ) -> None:
-        if dim is not None and dim < 1:
-            raise ValueError("dim must be >= 1")
-        if initial_capacity < 1:
-            raise ValueError("initial_capacity must be >= 1")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+        super().__init__(dim, initial_capacity, chunk_size, norm_dtype=np.float32)
         if min_train_size < 2:
             raise ValueError("min_train_size must be >= 2")
         if train_sample < 2:
@@ -474,34 +467,17 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
         if dim is not None:
             quantizer.validate_dim(int(dim))
         self._quantizer = quantizer
-        self._dim = dim
-        self._constructor_dim = dim
-        self._initial_capacity = max(int(initial_capacity), 1)
-        self._chunk_size = int(chunk_size)
         self._min_train_size = int(min_train_size)
         self._train_sample = int(train_sample)
         self._rescore = int(rescore)
         self._routed = bool(routed)
         self._seed = int(seed)
         self._rng = np.random.default_rng(seed)
-        self._size = 0
-        self._next_id = 0
-        self._staging: Optional[np.ndarray] = None  # (capacity, d) f32 unit rows
-        self._codes: Optional[np.ndarray] = None  # (capacity, code_width) uint8
-        self._norms: Optional[np.ndarray] = None  # (capacity,) f32 original norms
-        self._ids: Optional[np.ndarray] = None  # (capacity,) int64
-        # id -> row map, built lazily (None after an mmap-backed restore so a
-        # zero-copy warm start pays no O(n) python loop up front).
-        self._id_map: Optional[Dict[int, int]] = {}
-        # True while the code/staging matrix is an adopted read-only memmap
-        # from load_index(mmap=True); mutations materialize a copy first.
-        self._mmap_backed = False
         # Latency engineering state: fused single-pass scans vs the
-        # decode-to-float64 reference path, reused scratch buffers, and — for
-        # even-m PQ — a column-major uint16 pair-code mirror of the code
-        # matrix that halves ADC gathers on the single-query path.
+        # decode-to-float64 reference path and — for even-m PQ — a
+        # column-major uint16 pair-code mirror of the code matrix that
+        # halves ADC gathers on the single-query path.
         self._fused_scan = bool(fused_scan)
-        self._scratch = ScratchBuffers()
         self._pair_mirror: Optional[np.ndarray] = None  # (m//2, capacity) u16
         self._layout_clustered = False  # rows grouped cell-major on disk?
         # Built for unrouted instances too (it stays untrained and empty):
@@ -520,43 +496,6 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def _id_to_row(self) -> Dict[int, int]:
-        """The id -> storage-row map, built on first id-keyed access."""
-        if self._id_map is None:
-            ids = self._ids[: self._size] if self._ids is not None else ()
-            self._id_map = {int(i): r for r, i in enumerate(np.asarray(ids).tolist())}
-        return self._id_map
-
-    @property
-    def mmap_backed(self) -> bool:
-        """True while storage is a read-only memory map (zero-copy restore)."""
-        return self._mmap_backed
-
-    def _materialize(self) -> None:
-        """Replace mmap-backed storage with a private in-memory copy.
-
-        The mapped arrays from ``load_index(mmap=True)`` are read-only and
-        shared with the snapshot file; the first mutation pays one copy and
-        every later mutation is the usual in-place path.
-        """
-        if not self._mmap_backed:
-            return
-        if self._codes is not None:
-            self._codes = np.array(self._codes)
-        if self._staging is not None:
-            self._staging = np.array(self._staging)
-        self._norms = np.array(self._norms)
-        self._ids = np.array(self._ids)
-        self._mmap_backed = False
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def dim(self) -> Optional[int]:
-        return self._dim
-
     @property
     def is_trained(self) -> bool:
         """Whether the codec exists (False → exact float32 staging scans)."""
@@ -578,36 +517,6 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
     def rescore(self) -> int:
         """Exact-rescore multiplier R (top-k·R candidates re-ranked in f64)."""
         return self._rescore
-
-    @property
-    def ids(self) -> List[int]:
-        return [] if self._ids is None else [int(i) for i in self._ids[: self._size]]
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the live rows: codes (or float staging) + norms + ids.
-
-        After training this is ``len(self) * (code_width + 4 + 8)`` — the
-        quantized payload plus the float32 norm and int64 id columns.  The
-        codec tables and routing structures are fixed overheads, reported
-        separately by :attr:`codec_nbytes` / :attr:`routing_nbytes`.
-        """
-        if self._size == 0:
-            return 0
-        payload = self._codes if self._codes is not None else self._staging
-        return int(
-            payload[: self._size].nbytes
-            + self._norms[: self._size].nbytes
-            + self._ids[: self._size].nbytes
-        )
-
-    @property
-    def allocated_nbytes(self) -> int:
-        """Bytes actually allocated (capacity rows, not just live ones)."""
-        payload = self._codes if self._codes is not None else self._staging
-        if payload is None:
-            return 0
-        return int(payload.nbytes + self._norms.nbytes + self._ids.nbytes)
 
     @property
     def codec_nbytes(self) -> int:
@@ -642,9 +551,6 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
             total += int(self._pair_mirror.nbytes)
         return int(total)
 
-    def __contains__(self, id: int) -> bool:
-        return int(id) in self._id_to_row
-
     def get(self, id: int) -> np.ndarray:
         """The stored vector for ``id``.
 
@@ -655,83 +561,53 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
         row = self._id_to_row.get(int(id))
         if row is None:
             raise KeyError(f"no vector with id {id}")
-        if self._codes is not None:
+        if self._quantizer.is_trained:
             unit = self._quantizer.decode(
-                self._codes[row : row + 1], dtype=np.float64
+                self._rows[row : row + 1], dtype=np.float64
             )[0]
         else:
-            unit = np.asarray(self._staging[row], dtype=np.float64)
+            unit = np.asarray(self._rows[row], dtype=np.float64)
         return unit * float(self._norms[row])
 
     # ------------------------------------------------------------------ #
-    # Capacity / dim
+    # Storage layout: float32 staging rows, then uint8 code rows
     # ------------------------------------------------------------------ #
+    def _row_layout(self) -> Tuple[int, np.dtype]:
+        """Code rows once the codec is trained, float32 staging rows before."""
+        if self._quantizer.is_trained:
+            width = self._quantizer.code_width(self._dim) if self._dim else 0
+            return width, np.dtype(np.uint8)
+        return self._dim or 0, np.dtype(np.float32)
+
+    def _encode_rows(self, unit: np.ndarray) -> np.ndarray:
+        """Quantize once trained; staging rows are stored as-is."""
+        return self._quantizer.encode(unit) if self._quantizer.is_trained else unit
+
     def _check_dim(self, d: int) -> None:
         if self._dim is None:
             self._quantizer.validate_dim(int(d))
-            self._dim = int(d)
-        elif d != self._dim:
-            raise ValueError(f"vector dim {d} does not match index dim {self._dim}")
-
-    def _ensure_capacity(self, extra: int) -> None:
-        needed = self._size + extra
-        if self._norms is None:
-            capacity = max(self._initial_capacity, needed)
-            if self._quantizer.is_trained:
-                self._codes = np.empty(
-                    (capacity, self._quantizer.code_width(self._dim)), dtype=np.uint8
-                )
-            else:
-                self._staging = np.empty((capacity, self._dim), dtype=np.float32)
-            self._norms = np.empty(capacity, dtype=np.float32)
-            self._ids = np.empty(capacity, dtype=np.int64)
-            return
-        capacity = self._norms.shape[0]
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        payload = self._codes if self._codes is not None else self._staging
-        grown = np.empty((capacity, payload.shape[1]), dtype=payload.dtype)
-        grown[: self._size] = payload[: self._size]
-        if self._codes is not None:
-            self._codes = grown
-        else:
-            self._staging = grown
-        if self._pair_mirror is not None:
-            grown_mirror = np.empty(
-                (self._pair_mirror.shape[0], capacity), dtype=np.uint16
-            )
-            grown_mirror[:, : self._size] = self._pair_mirror[:, : self._size]
-            self._pair_mirror = grown_mirror
-        grown_norms = np.empty(capacity, dtype=np.float32)
-        grown_norms[: self._size] = self._norms[: self._size]
-        self._norms = grown_norms
-        grown_ids = np.empty(capacity, dtype=np.int64)
-        grown_ids[: self._size] = self._ids[: self._size]
-        self._ids = grown_ids
+        super()._check_dim(d)
 
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
     def _train(self) -> None:
         """Train codec (once) + routing on the staged rows, encode, drop staging."""
-        rows = self._staging[: self._size]
+        rows = self._rows[: self._size]
         sample = training_sample(rows, self._train_sample, self._rng)
         self._quantizer.train(sample, self._rng)
-        capacity = self._staging.shape[0]
-        self._codes = np.empty(
-            (capacity, self._quantizer.code_width(self._dim)), dtype=np.uint8
+        codes = np.empty(
+            (self._rows.shape[0], self._quantizer.code_width(self._dim)), dtype=np.uint8
         )
         for start in range(0, self._size, _ENCODE_BLOCK):
             block = rows[start : start + _ENCODE_BLOCK]
-            self._codes[start : start + block.shape[0]] = self._quantizer.encode(block)
+            codes[start : start + block.shape[0]] = self._quantizer.encode(block)
         if self._routed:
             self._fit_routing(rows, sample)
         else:
             # Snapshots record the codec's training size either way.
             self._router.trained_size = self._size
-        self._staging = None
+        self._rows = codes  # the float staging rows are dropped here
         self._mirror_sync(0, self._size)
 
     def _fit_routing(self, rows: np.ndarray, sample: np.ndarray) -> None:
@@ -744,7 +620,7 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
         """Re-partition from the dequantized rows (the floats are gone)."""
         rows = np.empty((self._size, self._dim), dtype=np.float32)
         for start in range(0, self._size, _ENCODE_BLOCK):
-            chunk = self._codes[start : min(start + _ENCODE_BLOCK, self._size)]
+            chunk = self._rows[start : min(start + _ENCODE_BLOCK, self._size)]
             rows[start : start + chunk.shape[0]] = self._quantizer.decode(chunk)
         self._fit_routing(
             rows, training_sample(rows, self._train_sample, self._rng)
@@ -772,17 +648,21 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
         ``fused_scan`` toggle) so flipping the flag on a live index needs no
         rebuild.  Built lazily on the first sync after training or restore.
         """
-        if self._codes is None or not self._mirror_eligible():
+        if self._rows is None or not self._mirror_eligible():
             return
         k = self._quantizer.ksub_eff
+        shape = (self._quantizer.m // 2, self._rows.shape[0])
         if self._pair_mirror is None:
-            self._pair_mirror = np.empty(
-                (self._quantizer.m // 2, self._codes.shape[0]), dtype=np.uint16
-            )
+            self._pair_mirror = np.empty(shape, dtype=np.uint16)
             start, stop = 0, self._size
+        elif self._pair_mirror.shape[1] < shape[1]:
+            # The store doubled the code matrix under this add; follow it.
+            grown = np.empty(shape, dtype=np.uint16)
+            grown[:, :start] = self._pair_mirror[:, :start]
+            self._pair_mirror = grown
         if stop <= start:
             return
-        codes = self._codes[start:stop]
+        codes = self._rows[start:stop]
         pairs = codes[:, 0::2].astype(np.uint16)
         pairs += np.uint16(k) * codes[:, 1::2]
         self._pair_mirror[:, start:stop] = pairs.T
@@ -791,7 +671,7 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
         """Code rows ``[start, stop)`` decoded: the probe-pruning bound must
         cover the *reconstructed* rows the scan actually scores, not the
         exact originals."""
-        return self._quantizer.decode(self._codes[start:stop], dtype=np.float64)
+        return self._quantizer.decode(self._rows[start:stop], dtype=np.float64)
 
     def _compact_layout(self) -> None:
         """Reorder storage cell-major: each cell's codes become one
@@ -820,7 +700,7 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
             ids_new[pos : pos + c] = np.sort(view)
             pos += c
         order = self._router.row_map.rows(ids_new)  # new row -> old row
-        self._codes[:n] = self._codes[:n].take(order, axis=0)
+        self._rows[:n] = self._rows[:n].take(order, axis=0)
         self._norms[:n] = self._norms[:n].take(order)
         self._ids[:n] = ids_new
         if self._pair_mirror is not None:
@@ -845,12 +725,7 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
             self._retrain_routing()
             done["repartitioned"] = True
             done["trained_size"] = self._router.trained_size
-        if (
-            self._router.is_trained
-            and self._codes is not None
-            and self._size
-            and not self._layout_clustered
-        ):
+        if self._router.is_trained and self._size and not self._layout_clustered:
             self._compact_layout()
             done["layout_compacted"] = True
         if self._router.refresh_cell_stats(self._scored_rows):
@@ -858,71 +733,11 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
         return done
 
     # ------------------------------------------------------------------ #
-    # Mutation
+    # Mutation hooks (the row store calls these after each change)
     # ------------------------------------------------------------------ #
-    def add(self, vector: np.ndarray, id: Optional[int] = None) -> int:
-        vector = np.asarray(vector, dtype=np.float64).reshape(-1)
-        self._check_dim(vector.shape[0])
-        if id is None:
-            id = self._next_id
-        id = int(id)
-        if id in self._id_to_row:
-            raise ValueError(f"id {id} is already in the index")
-        self._next_id = max(self._next_id, id + 1)
-        self._materialize()
-        self._ensure_capacity(1)
-        unit, norms = _normalize_rows(vector)
-        row = self._size
-        if self._quantizer.is_trained:
-            self._codes[row] = self._quantizer.encode(unit)[0]
-        else:
-            self._staging[row] = unit[0]
-        self._norms[row] = norms[0]
-        self._ids[row] = id
-        self._id_to_row[id] = row
-        self._size += 1
-        self._after_add(np.asarray([id], dtype=np.int64), row, unit)
-        return id
-
-    def add_batch(
-        self, vectors: np.ndarray, ids: Optional[Sequence[int]] = None
-    ) -> List[int]:
-        V = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if V.size == 0:
-            return []
-        self._check_dim(V.shape[1])
-        n = V.shape[0]
-        if ids is None:
-            ids = list(range(self._next_id, self._next_id + n))
-        else:
-            ids = [int(i) for i in ids]
-            if len(ids) != n:
-                raise ValueError("ids must align with vectors")
-            if len(set(ids)) != n:
-                raise ValueError("ids must be unique")
-            for i in ids:
-                if i in self._id_to_row:
-                    raise ValueError(f"id {i} is already in the index")
-        self._materialize()
-        self._ensure_capacity(n)
-        unit, norms = _normalize_rows(V)
-        start = self._size
-        if self._quantizer.is_trained:
-            self._codes[start : start + n] = self._quantizer.encode(unit)
-        else:
-            self._staging[start : start + n] = unit
-        self._norms[start : start + n] = norms
-        self._ids[start : start + n] = ids
-        for offset, i in enumerate(ids):
-            self._id_to_row[i] = start + offset
-        self._size += n
-        self._next_id = max(self._next_id, max(ids) + 1)
-        self._after_add(np.asarray(ids, dtype=np.int64), start, unit)
-        return list(ids)
-
-    def _after_add(self, ids: np.ndarray, start_row: int, unit_rows: np.ndarray) -> None:
+    def _post_add(self, ids: np.ndarray, start_row: int, unit: np.ndarray) -> None:
         refit_due = self._routed and self._router.note_added(
-            ids, start_row, unit_rows, self._scored_rows
+            ids, start_row, unit, self._scored_rows
         )
         if not self._quantizer.is_trained:
             if self._size >= self._min_train_size:
@@ -934,63 +749,18 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
             if refit_due:
                 self._retrain_routing()
 
-    def remove(self, id: int) -> None:
-        id = int(id)
-        if int(id) not in self._id_to_row:
-            raise KeyError(f"no vector with id {id}")
-        self._materialize()
-        row = self._id_to_row.pop(id)
-        payload = self._codes if self._codes is not None else self._staging
-        last = self._size - 1
-        moved_id: Optional[int] = None
-        if row != last:
-            payload[row] = payload[last]
-            if self._pair_mirror is not None:
-                self._pair_mirror[:, row] = self._pair_mirror[:, last]
-            self._norms[row] = self._norms[last]
-            moved_id = int(self._ids[last])
-            self._ids[row] = moved_id
-            self._id_to_row[moved_id] = row
-        self._size -= 1
+    def _post_remove(self, id: int, row: int, moved_id: Optional[int]) -> None:
+        if moved_id is not None and self._pair_mirror is not None:
+            self._pair_mirror[:, row] = self._pair_mirror[:, self._size]
         if self._routed:
             self._router.note_removed(id, row, moved_id, self._ids[: self._size])
             self._layout_clustered = False
 
-    def rebuild(self, vectors: np.ndarray, ids: Sequence[int]) -> None:
-        ids = [int(i) for i in ids]
-        V = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if not ids:
-            if V.size != 0:
-                raise ValueError("ids must align with vectors")
-            self.clear(reset_ids=False)
-            return
-        if V.shape[0] != len(ids):
-            raise ValueError("ids must align with vectors")
-        if self._constructor_dim is not None and V.shape[1] != self._constructor_dim:
-            raise ValueError(
-                f"vector dim {V.shape[1]} does not match index dim "
-                f"{self._constructor_dim}"
-            )
-        self.clear(reset_ids=False)
-        self._check_dim(int(V.shape[1]))
-        self.add_batch(V, ids=ids)
-
-    def clear(self, reset_ids: bool = True) -> None:
-        self._size = 0
-        self._staging = None
-        self._codes = None
-        self._norms = None
-        self._ids = None
-        self._id_map = {}
-        self._mmap_backed = False
+    def _post_clear(self) -> None:
         self._quantizer.reset()
         self._router.clear()
         self._pair_mirror = None
         self._layout_clustered = False
-        self._scratch.clear()
-        self._dim = self._constructor_dim
-        if reset_ids:
-            self._next_id = 0
 
     # ------------------------------------------------------------------ #
     # Search
@@ -1021,9 +791,7 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
             qf = sc.get("query.f32", Q.shape, np.float32)
             np.copyto(qf, Q, casting="unsafe")
             return unit, qf
-        norms = np.linalg.norm(Q, axis=1, keepdims=True)
-        unit = sc.get("query.unit64", Q.shape, np.float64)
-        np.divide(Q, np.where(norms > 1e-12, norms, 1.0), out=unit)
+        unit = self._unit_queries(Q)
         qf = sc.get("query.f32", Q.shape, np.float32)
         np.copyto(qf, unit, casting="unsafe")
         return unit, qf
@@ -1048,13 +816,13 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
         are the final scores and the two paths differ within codec error).
         """
         n = cand_scores.shape[0]
-        if self._rescore > 1 and self._codes is not None:
+        if self._rescore > 1:
             keff = min(top_k * self._rescore, n)
             if keff < n:
                 keep = det_topk(cand_scores, keff)
                 cand_rows = cand_rows[keep]
                 cand_scores = cand_scores[keep]
-            decoded = self._quantizer.decode(self._codes[cand_rows], dtype=np.float64)
+            decoded = self._quantizer.decode(self._rows[cand_rows], dtype=np.float64)
             cand_scores = decoded @ query64
         return topk_hits(
             self._ids[cand_rows], cand_scores, top_k, score_threshold
@@ -1097,7 +865,7 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
 
         if not self._quantizer.is_trained:
             # Staging phase is bounded by min_train_size: one matmul is fine.
-            scores = Qf @ self._staging[: self._size].T
+            scores = Qf @ self._rows[: self._size].T
             return [
                 topk_hits(
                     self._ids[: self._size], scores[qi], top_k, score_threshold
@@ -1204,11 +972,11 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
             c = stop - start
             if sbuf is not None:
                 S = sbuf[:, :c]
-                qz.scores_fused(Qf, self._codes[start:stop], S, sc)
+                qz.scores_fused(Qf, self._rows[start:stop], S, sc)
             elif fused:
-                S = qz.scores(Qf, self._codes[start:stop])
+                S = qz.scores(Qf, self._rows[start:stop])
             else:
-                decoded = qz.decode(self._codes[start:stop], dtype=np.float64)
+                decoded = qz.decode(self._rows[start:stop], dtype=np.float64)
                 S = unit64 @ decoded.T
             kk = min(keff, c)
             for qi in range(n_queries):
@@ -1258,10 +1026,10 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
         for start in range(0, self._size, self._chunk_size):
             stop = min(start + self._chunk_size, self._size)
             if self._fused_scan:
-                S = self._quantizer.scores(Qf, self._codes[start:stop])
+                S = self._quantizer.scores(Qf, self._rows[start:stop])
             else:
                 decoded = self._quantizer.decode(
-                    self._codes[start:stop], dtype=np.float64
+                    self._rows[start:stop], dtype=np.float64
                 )
                 S = unit64 @ decoded.T
             c = stop - start
@@ -1317,7 +1085,7 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
             luts = sc.get("rt.lut", (n_queries, qz.m, qz.ksub_eff), np.float32)
             for qi in range(n_queries):
                 qz.build_lut(Qf[qi], luts[qi])
-        codes = self._codes
+        codes = self._rows
 
         def scorer(qi: int) -> ScoreRows:
             if fused and sq:
@@ -1391,89 +1159,40 @@ class QuantizedIndex(RoutedIndex, VectorIndex):
         }
 
     def _snapshot_arrays(self) -> Dict[str, np.ndarray]:
-        n = self._size
-        d = self._dim or 0
-        arrays: Dict[str, np.ndarray] = {
-            "ids": self._ids[:n] if self._ids is not None else np.zeros(0, np.int64),
-            "norms": (
-                self._norms[:n] if self._norms is not None else np.zeros(0, np.float32)
-            ),
-        }
-        if self._quantizer.is_trained:
-            # A trained index drained to empty (or loaded from such a
-            # snapshot) has no codes matrix allocated yet.
-            code_width = self._quantizer.code_width(self._dim) if self._dim else 0
-            arrays["codes"] = (
-                self._codes[:n]
-                if self._codes is not None
-                else np.zeros((0, code_width), dtype=np.uint8)
-            )
-            arrays.update(self._quantizer.snapshot_arrays())
-            arrays.update(self._router.snapshot_arrays(arrays["ids"], "rt_"))
-        else:
-            arrays["staging"] = (
-                self._staging[:n]
-                if self._staging is not None
-                else np.zeros((0, d), np.float32)
-            )
+        if not self._quantizer.is_trained:
+            return self._snapshot_rows("staging")
+        arrays = self._snapshot_rows("codes")
+        arrays.update(self._quantizer.snapshot_arrays())
+        arrays.update(self._router.snapshot_arrays(arrays["ids"], "rt_"))
         return arrays
 
     def _restore(self, state: Mapping[str, object], arrays: Mapping[str, np.ndarray]) -> None:
         self.clear(reset_ids=True)
-        ids = np.asarray(arrays["ids"], dtype=np.int64)
-        norms = np.asarray(arrays["norms"], dtype=np.float32)
-        n = int(ids.shape[0])
-        if state["dim"] is not None:
-            self._quantizer.validate_dim(int(state["dim"]))
-            self._dim = int(state["dim"])
-        if bool(state["trained"]):
+        trained = bool(state["trained"])
+        if trained:
             self._quantizer.restore_arrays(arrays)
-        if n:
-            trained = self._quantizer.is_trained
-            source = arrays["codes"] if trained else arrays["staging"]
-            want_dtype = np.uint8 if trained else np.float32
-            if (
-                not self._routed
-                and isinstance(source, np.memmap)
-                and source.dtype == want_dtype
-                and np.asarray(norms).dtype == np.float32
-            ):
-                # Zero-copy warm start: adopt the mapped code (or staging)
-                # matrix as storage; the id map builds lazily and the first
-                # mutation materializes a private copy.  The routed variants
-                # rebuild inverted lists anyway, so they take the copy path.
-                if trained:
-                    self._codes = source
-                else:
-                    self._staging = source
-                self._norms = np.asarray(norms)
-                self._ids = ids
-                self._id_map = None
-                self._mmap_backed = True
-            else:
-                self._ensure_capacity(n)
-                payload = self._codes if self._codes is not None else self._staging
-                payload[:n] = np.asarray(source, dtype=payload.dtype)
-                self._norms[:n] = norms
-                self._ids[:n] = ids
-                self._id_map = {int(i): r for r, i in enumerate(ids.tolist())}
-            self._size = n
+        # The routed variants rebuild inverted lists anyway, so they always
+        # copy; unrouted ones adopt a mapped code (or staging) matrix.
+        self._restore_rows(
+            state,
+            arrays["codes" if trained else "staging"],
+            arrays["norms"],
+            arrays["ids"],
+            adopt_mmap=not self._routed,
+        )
         if self._routed:
-            self._router.restore(state, arrays, ids, "rt_")
+            self._router.restore(
+                state, arrays, np.asarray(arrays["ids"], dtype=np.int64), "rt_"
+            )
         else:
             self._router.trained_size = int(state["trained_size"])
-        self._next_id = int(state["next_id"])
         # Snapshots preserve row order byte-for-byte, so cell-major layout
         # survives the round trip and the flag can be restored as-is.
         self._layout_clustered = bool(state.get("layout_clustered", False))
         # Scan-acceleration structures are derived state: rebuild the PQ
         # pair mirror from the restored codes; cell stats recompute lazily.
         self._mirror_sync(0, self._size)
-        rng_state = state.get("rng_state")
-        if rng_state is not None:
-            rng = np.random.default_rng(self._seed)
-            rng.bit_generator.state = rng_state
-            self._rng = rng
+        self._restore_rng(state)
 
 
 class SQ8Index(QuantizedIndex):

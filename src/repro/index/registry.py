@@ -22,6 +22,7 @@ the process.
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.index.base import VectorIndex
@@ -99,17 +100,12 @@ def seeded_params(
 
     Shared by the benchmark harnesses (``run_backend_sweep`` /
     ``run_fleet_bench``) so their determinism rule cannot drift.  An
-    explicit ``seed`` in ``params`` always wins.  Otherwise support is
-    detected from the factory's signature when it names ``seed``
-    explicitly (this also covers factories with other *required*
-    arguments); factories that hide their parameters behind ``**kwargs``
-    (the routed-composition wrappers) are probed by constructing a
-    throwaway empty instance — cheap, since backends allocate storage
-    lazily.  Backends without a seed parameter (``flat``, custom
-    registrations) come back unchanged.
+    explicit ``seed`` in ``params`` always wins.  Otherwise support is read
+    off the factory's signature: every seeded backend names ``seed``
+    explicitly (the routed-composition wrappers included).  Backends
+    without a seed parameter (``flat``, custom registrations) come back
+    unchanged.
     """
-    import inspect
-
     merged = dict(params)
     if "seed" in merged:
         return merged
@@ -119,16 +115,6 @@ def seeded_params(
     except (TypeError, ValueError):  # pragma: no cover - C-level callables
         signature_params = {}
     if "seed" in signature_params:
-        merged["seed"] = seed
-        return merged
-    takes_kwargs = any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in signature_params.values()
-    )
-    if takes_kwargs:
-        try:
-            factory(**merged, seed=seed)
-        except TypeError:
-            return merged
         merged["seed"] = seed
     return merged
 
@@ -157,7 +143,7 @@ def _routed(cls) -> Callable[..., VectorIndex]:
     """Factory composing IVF coarse routing over a quantized storage tier.
 
     ``seed`` is an explicit parameter so :func:`seeded_params` can detect
-    seed support from the signature without constructing a probe instance.
+    seed support from the signature.
     """
 
     def factory(seed: int = 0, **params) -> VectorIndex:

@@ -527,6 +527,15 @@ class RoutedIndex:
     """
 
     _router: Router
+    _seed: int
+    _rng: np.random.Generator
+
+    def _restore_rng(self, state: Mapping[str, object]) -> None:
+        """Continue the training RNG stream a snapshot's ``state`` recorded."""
+        rng_state = state.get("rng_state")
+        if rng_state is not None:
+            self._rng = np.random.default_rng(self._seed)
+            self._rng.bit_generator.state = rng_state
 
     @property
     def nlist(self) -> int:

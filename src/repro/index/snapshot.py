@@ -13,9 +13,6 @@ A snapshot is a directory holding:
   log of mutations applied since the full snapshot (see :func:`append_delta`),
   folded back into a full snapshot by :func:`compact_snapshot`.
 
-Version 1 snapshots (a single ``arrays.npz``) are still readable; new
-snapshots are always written in the version-2 per-array layout.
-
 Crash-safety contract
 ---------------------
 Every snapshot write stages the complete directory under a ``tmp-`` sibling,
@@ -34,10 +31,17 @@ undecodable JSON, a foreign ``format`` tag or an unsupported ``version``
 raise :class:`SnapshotError` with a message naming the offending field, so a
 corrupted or future-format checkpoint is rejected instead of half-restored.
 
-The cache-level snapshots (``MeanCache.save`` / ``GPTCache.save``) reuse the
-same manifest/array/atomic-commit discipline with their own format tags and
-nest an index snapshot in an ``index/`` subdirectory, so one recursive copy
-of the directory is a complete warm-start image.
+Cache snapshot envelope
+-----------------------
+``MeanCache``, ``GPTCache`` and ``QuantizedTier`` snapshots are one envelope
+around an index snapshot, written by :func:`save_cache_snapshot` and read by
+:func:`load_cache_snapshot`: ``entries.json`` (per-entry texts and
+metadata), ``arrays/`` (per-entry embeddings at the index's native float
+dtype — :func:`native_float_dtype`), the vector index's own snapshot nested
+under ``index/``, and the cache's ``manifest.json`` (its own format tag)
+written last — all staged and published as one directory, so one recursive
+copy is a complete warm-start image.  Composite saves (``TieredCache``, the
+fleet checkpoint) only nest such envelopes under one more atomic stage.
 """
 
 from __future__ import annotations
@@ -50,18 +54,28 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
 INDEX_FORMAT = "repro-index"
-#: Version 2 stores per-array raw ``.npy`` files (mmap-able); version 1
-#: stored a single ``arrays.npz`` and is still readable.
+#: Version 2 stores per-array raw ``.npy`` files (mmap-able).
 INDEX_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
-ARRAYS_NAME = "arrays.npz"  # legacy v1 payload
-ARRAYS_DIR = "arrays"  # v2 payload: one raw .npy per array
+ARRAYS_DIR = "arrays"  # one raw .npy per array
+ENTRIES_NAME = "entries.json"  # cache envelopes: per-entry texts + metadata
+INDEX_DIR = "index"  # cache envelopes: the nested index snapshot
 DELTAS_NAME = "deltas.jsonl"
 DELTAS_DIR = "deltas"
 
@@ -212,36 +226,25 @@ def read_arrays(
 ) -> Dict[str, np.ndarray]:
     """Load the snapshot's numpy payload; raises :class:`SnapshotError`.
 
-    ``mmap=True`` returns read-only ``np.memmap`` views of the version-2
-    per-array files — no bytes are copied until a consumer touches the pages.
-    Version-1 ``arrays.npz`` payloads are still readable (always copied; the
-    zip container cannot be mmapped). ``expected`` names arrays that must be
-    present — a stage torn before all arrays landed is rejected instead of
-    half-restored.
+    ``mmap=True`` returns read-only ``np.memmap`` views of the per-array
+    files — no bytes are copied until a consumer touches the pages.
+    ``expected`` names arrays that must be present — a stage torn before all
+    arrays landed is rejected instead of half-restored.
     """
     path = Path(path)
     arrays_dir = path / ARRAYS_DIR
-    out: Dict[str, np.ndarray] = {}
-    if arrays_dir.is_dir():
-        for file in sorted(arrays_dir.glob("*.npy")):
-            try:
-                out[file.stem] = np.load(
-                    file,
-                    mmap_mode="r" if mmap else None,
-                    allow_pickle=False,
-                )
-            except (OSError, ValueError) as exc:
-                raise SnapshotError(f"corrupted snapshot array {file}: {exc}") from exc
-    elif (path / ARRAYS_NAME).is_file():
-        try:
-            with np.load(path / ARRAYS_NAME, allow_pickle=False) as data:
-                out = {name: data[name] for name in data.files}
-        except (OSError, ValueError) as exc:
-            raise SnapshotError(
-                f"corrupted snapshot arrays {path / ARRAYS_NAME}: {exc}"
-            ) from exc
-    else:
+    if not arrays_dir.is_dir():
         raise SnapshotError(f"no snapshot arrays at {arrays_dir}")
+    out: Dict[str, np.ndarray] = {}
+    for file in sorted(arrays_dir.glob("*.npy")):
+        try:
+            out[file.stem] = np.load(
+                file,
+                mmap_mode="r" if mmap else None,
+                allow_pickle=False,
+            )
+        except (OSError, ValueError) as exc:
+            raise SnapshotError(f"corrupted snapshot array {file}: {exc}") from exc
     if expected is not None:
         missing = sorted(set(expected) - set(out))
         if missing:
@@ -343,6 +346,104 @@ def load_index(
         for record in read_deltas(path):
             record.apply(index)
     return index
+
+
+# --------------------------------------------------------------------------- #
+# Cache snapshot envelope (entries.json + arrays/ + index/ + manifest last)
+# --------------------------------------------------------------------------- #
+_T = TypeVar("_T")
+
+
+def native_float_dtype(index: object) -> np.dtype:
+    """The float dtype cache snapshots store per-entry embeddings at.
+
+    The index's storage dtype when it is a float type (``flat``/``ivf``/
+    ``lsh``), else float32 (quantized backends, custom indexes) — so the
+    snapshot's bytes agree with the restored in-memory size.
+    """
+    native = np.dtype(getattr(index, "dtype", np.float32))
+    return native if native.kind == "f" else np.dtype(np.float32)
+
+
+def stack_rows(rows: Sequence[np.ndarray], dim: int, dtype: np.dtype) -> np.ndarray:
+    """``rows`` as one ``(n, dim)`` matrix of ``dtype`` (``(0, dim)`` when empty)."""
+    if not rows:
+        return np.zeros((0, dim), dtype=dtype)
+    return np.stack(rows).astype(dtype, copy=False)
+
+
+def save_cache_snapshot(
+    path: "str | Path",
+    format_tag: str,
+    version: int,
+    payload: Mapping[str, object],
+    records: Sequence[Mapping[str, object]],
+    arrays: Mapping[str, np.ndarray],
+    index: object,
+) -> Path:
+    """Atomically publish one cache snapshot envelope at ``path``.
+
+    ``payload`` is the cache's own manifest content (config, counters, …);
+    ``records`` become ``entries.json``, ``arrays`` the per-array ``.npy``
+    files and ``index`` the nested ``index/`` snapshot.  The manifest is
+    written last, so a torn stage is never loadable; the previous
+    generation at ``path`` is replaced wholesale (stale delta logs or larger
+    prior arrays cannot survive into the new one).
+    """
+    path = Path(path)
+    with atomic_snapshot_dir(path) as stage:
+        (stage / ENTRIES_NAME).write_text(
+            json.dumps(list(records), indent=1) + "\n", encoding="utf-8"
+        )
+        write_arrays(stage, arrays)
+        save_index(index, stage / INDEX_DIR)
+        write_manifest(
+            stage,
+            {
+                "format": format_tag,
+                "version": version,
+                **payload,
+                "arrays": sorted(arrays),
+            },
+        )
+    return path
+
+
+def load_cache_snapshot(
+    path: "str | Path",
+    format_tag: str,
+    max_version: int,
+    build: Callable[[Mapping[str, object]], _T],
+    required: Sequence[str],
+    mmap: bool = False,
+) -> "Tuple[_T, object, List[Dict[str, object]], Dict[str, np.ndarray]]":
+    """Read a :func:`save_cache_snapshot` envelope; raises :class:`SnapshotError`.
+
+    Returns ``(build(manifest), index, entries.json records, arrays)``.
+    The manifest is validated before anything else is touched; ``build``
+    turns its payload into the (still empty) cache, and a manifest whose
+    format and version pass but whose payload is truncated or renamed
+    (``KeyError`` / ``TypeError`` / ``ValueError`` from ``build``) is still
+    a corrupted snapshot, not a caller bug.  ``required`` names the arrays
+    the caller reads, on top of the manifest's own list; ``mmap`` is
+    forwarded to :func:`load_index`.
+    """
+    path = Path(path)
+    manifest = read_manifest(path, format_tag, max_version)
+    try:
+        built = build(manifest)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(
+            f"snapshot at {path} has a corrupted manifest payload: {exc}"
+        ) from exc
+    index = load_index(path / INDEX_DIR, mmap=mmap)
+    try:
+        records = json.loads((path / ENTRIES_NAME).read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise SnapshotError(f"snapshot at {path} has no {ENTRIES_NAME}") from exc
+    listed = manifest.get("arrays")
+    expected = set(required) | set(listed if isinstance(listed, list) else ())
+    return built, index, records, read_arrays(path, expected=sorted(expected))
 
 
 # --------------------------------------------------------------------------- #

@@ -27,6 +27,7 @@ from repro.analysis.runtime import (
     reset_registry,
 )
 from repro.core.cache import MeanCache, MeanCacheConfig
+from repro.index import make_index
 from repro.index.flat import FlatIndex
 
 
@@ -155,15 +156,38 @@ class TestLockOrder:
 # --------------------------------------------------------------------------- #
 # Ownership guards
 # --------------------------------------------------------------------------- #
+# One backend per client of the shared row store: the flat family, its
+# routed subclass, the quantized family and its routed composition.
+STORE_CLIENTS = ["flat", "ivf", "sq8", "ivf+sq8"]
+
+
 class TestOwnershipGuards:
-    def test_guarded_index_requires_lock(self):
+    @pytest.mark.parametrize("backend", STORE_CLIENTS)
+    def test_guarded_index_requires_lock(self, backend):
         lock = TrackedLock("shard")
-        index = guard_index(FlatIndex(), lock, "test.index")
+        index = guard_index(make_index(backend), lock, "test.index")
         with pytest.raises(LockOwnershipError):
             index.add([1.0, 0.0], id=0)
         with lock:
             index.add([1.0, 0.0], id=0)
             assert index.search([[1.0, 0.0]], top_k=1)
+
+    @pytest.mark.parametrize("backend", STORE_CLIENTS)
+    def test_guarded_rebuild_reenters_guarded_add_batch(self, backend):
+        """The shared ``rebuild`` body calls ``self.add_batch`` — the
+        instance-level guarded wrapper — so it must pass with the lock held
+        (re-entering the guard) and raise without it, before mutating."""
+        lock = TrackedLock("shard")
+        index = guard_index(make_index(backend), lock, "test.index")
+        with lock:
+            index.add_batch([[1.0, 0.0], [0.0, 1.0]], ids=[0, 1])
+        with pytest.raises(LockOwnershipError):
+            index.rebuild([[1.0, 1.0]], ids=[5])
+        assert index.ids == [0, 1]
+        with lock:
+            index.rebuild([[1.0, 1.0]], ids=[5])
+            assert index.ids == [5]
+            assert [h.id for h in index.search([[1.0, 1.0]], top_k=1)[0]] == [5]
 
     def test_guard_is_per_instance(self):
         lock = TrackedLock("shard")

@@ -136,6 +136,34 @@ class TestEviction:
         assert "delta echo foxtrot" not in remaining
 
 
+    def test_non_finite_embedding_rejected_before_eviction(self, tiny_encoder):
+        """A poisoned embedding at capacity costs nothing: no victim is
+        evicted for it and no entry, index row, policy slot or counter moves."""
+        from dataclasses import asdict
+
+        cache = MeanCache(tiny_encoder, MeanCacheConfig(max_entries=3))
+        for i in range(3):
+            cache.insert(f"query number {i} about topic {i}", f"r{i}")
+        bad = np.asarray(cache.entries[0].embedding).copy()
+        bad[3] = np.nan
+        before = (
+            [e.entry_id for e in cache.entries],
+            cache.index.ids,
+            cache._policy.state_dict(),
+            asdict(cache.stats),
+        )
+        with pytest.raises(ValueError, match="finite"):
+            cache.insert("poisoned entry", "r", embedding=bad)
+        assert before == (
+            [e.entry_id for e in cache.entries],
+            cache.index.ids,
+            cache._policy.state_dict(),
+            asdict(cache.stats),
+        )
+        # The id the rejected insert would have taken is still the next one.
+        assert cache.insert("a healthy entry", "r") == 3
+
+
 class TestContextHandling:
     def test_contextual_trap_misses_with_verification(self, trained_encoder):
         config = MeanCacheConfig(similarity_threshold=0.8, verify_context=True, context_threshold=0.6)

@@ -20,7 +20,11 @@ Covers the snapshot subsystem end to end:
   embeddings persist at the index's native dtype, the append-only delta log
   replays/compacts correctly (torn trailing line included), and
   ``load_index(mmap=True)`` restores without copying the row matrix
-  (tracemalloc ceiling).
+  (tracemalloc ceiling);
+* golden snapshots: the directories under ``tests/fixtures/snapshots``
+  (written by ``tests/golden_snapshots.py`` before the one-row-store /
+  one-envelope refactor) load eagerly and memory-mapped to the recorded
+  search results and decisions, and re-save to the recorded bytes.
 """
 
 from __future__ import annotations
@@ -102,6 +106,42 @@ def test_index_round_trip_stays_usable(name, tmp_path):
     with pytest.raises(ValueError):
         loaded.add(rng.normal(size=DIM), id=loaded.ids[0])
     assert len(loaded.search(rng.normal(size=DIM), top_k=3)[0]) == 3
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+@pytest.mark.parametrize("n", [10, 120])
+def test_mmap_load_materializes_exactly_once(name, n, tmp_path):
+    """The store's copy-on-write contract, per backend and training phase.
+
+    An mmap load adopts the snapshot's arrays (except the routed quantized
+    backends, which rebuild their lists and copy); the first mutation swaps
+    in one private copy and later mutations write that copy in place.
+    """
+    index = make_index(name, dim=DIM, **BACKENDS[name])
+    index.add_batch(np.random.default_rng(5).normal(size=(n, DIM)))
+    index.save(tmp_path / "snap")
+    assert not load_index(tmp_path / "snap").mmap_backed
+    loaded = load_index(tmp_path / "snap", mmap=True)
+    assert loaded.mmap_backed == (name != "ivf+sq8")
+    queries = np.random.default_rng(6).normal(size=(4, DIM))
+    assert hit_signature(loaded.search(queries)) == hit_signature(index.search(queries))
+    mapped = loaded._rows
+    assert loaded.mmap_backed == isinstance(mapped, np.memmap)
+
+    loaded.remove(loaded.ids[0])
+    assert not loaded.mmap_backed
+    private = loaded._rows
+    assert not isinstance(private, np.memmap)
+    if isinstance(mapped, np.memmap):
+        assert private is not mapped and private.flags.writeable
+    loaded.remove(loaded.ids[0])
+    assert loaded._rows is private  # no second copy
+    index.remove(index.ids[0])
+    index.remove(index.ids[0])
+    assert loaded.ids == index.ids
+    assert hit_signature(loaded.search(queries)) == hit_signature(index.search(queries))
+    # The snapshot the map came from is untouched by the mutations.
+    assert len(load_index(tmp_path / "snap")) == n
 
 
 @pytest.mark.parametrize("name", ["sq8", "pq", "ivf", "ivf+sq8"])
@@ -244,6 +284,19 @@ def test_load_rejects_missing_arrays(tmp_path):
     shutil.rmtree(path / "arrays")
     with pytest.raises(SnapshotError, match="no snapshot arrays"):
         load_index(path)
+
+
+def test_load_rejects_legacy_npz_payload(tmp_path):
+    """A well-formed manifest beside only a pre-v2 ``arrays.npz`` is refused
+    outright — the single-file reader is gone, nothing is half-loaded."""
+    path = _saved_index(tmp_path)
+    arrays = {f.stem: np.load(f) for f in (path / "arrays").glob("*.npy")}
+    shutil.rmtree(path / "arrays")
+    np.savez(path / "arrays.npz", **arrays)
+    with pytest.raises(SnapshotError, match="no snapshot arrays"):
+        load_index(path)
+    with pytest.raises(SnapshotError, match="no snapshot arrays"):
+        load_index(path, mmap=True)
 
 
 def test_unregistered_base_index_save_raises_snapshot_error(tmp_path):
@@ -403,6 +456,42 @@ def test_gptcache_round_trip_decisions(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
+# Golden snapshots: formats and restored behaviour pinned across refactors
+# --------------------------------------------------------------------------- #
+def _golden_cases():
+    import golden_snapshots as gs
+
+    names = [gs.fixture_name(b) for b in gs.INDEX_BACKENDS] + list(gs.CACHE_NAMES)
+    return [
+        (name, mmap)
+        for name in names
+        for mmap in ((False, True) if gs.supports_mmap(name) else (False,))
+    ]
+
+
+@pytest.mark.parametrize("name,mmap", _golden_cases())
+def test_golden_snapshot_loads_and_resaves_identically(name, mmap, tmp_path):
+    """Every fixture loads to the recorded results and re-saves to the
+    recorded bytes, eagerly and memory-mapped."""
+    import golden_snapshots as gs
+
+    expected = json.loads(gs.EXPECTED_PATH.read_text(encoding="utf-8"))[name]
+    work = tmp_path / "fixture"
+    shutil.copytree(gs.FIXTURE_DIR / name, work)
+    loaded = gs.load_fixture(name, work, mmap=mmap)
+    mode = "mmap" if mmap else "eager"
+    assert gs.storage_index(name, loaded).mmap_backed == expected[mode + "_mmap_backed"]
+
+    # Re-save first: observing a cache moves its stats and policy state.
+    loaded.save(tmp_path / "resaved")
+    resaved = gs.tree_hashes(tmp_path / "resaved")
+    assert resaved == expected["resave"]
+    if name != "tier":  # the tier's re-save folds its delta log
+        assert resaved == gs.tree_hashes(gs.FIXTURE_DIR / name)
+    assert gs.observe(name, loaded) == expected["observed"]
+
+
+# --------------------------------------------------------------------------- #
 # Golden-fixture byte-exactness through a save/load cycle
 # --------------------------------------------------------------------------- #
 def test_saved_and_reloaded_meancache_reproduces_golden_decisions():
@@ -544,7 +633,7 @@ def test_kill_mid_save_preserves_previous_snapshot(tmp_path, monkeypatch):
     ``tmp-`` sibling, so a crash before it leaves the published directory
     byte-identical and the torn stage unloadable (and cleaned up).
     """
-    import repro.core.cache as cache_module
+    import repro.index.snapshot as snapshot_module
 
     encoder = make_tiny_encoder()
     cache = _populated_meancache(encoder)
@@ -557,10 +646,16 @@ def test_kill_mid_save_preserves_previous_snapshot(tmp_path, monkeypatch):
     # manifest (arrays + entries already written into the stage).
     cache.insert("a brand new question", "a brand new response")
 
-    def exploding_write_manifest(path, manifest):
-        raise OSError("simulated crash before manifest commit")
+    real_write_manifest = snapshot_module.write_manifest
 
-    monkeypatch.setattr(cache_module, "write_manifest", exploding_write_manifest)
+    def exploding_write_manifest(path, manifest):
+        # The nested index snapshot commits; the cache's own manifest — the
+        # envelope's commit point — is the write that dies.
+        if manifest["format"] == "repro-meancache":
+            raise OSError("simulated crash before manifest commit")
+        real_write_manifest(path, manifest)
+
+    monkeypatch.setattr(snapshot_module, "write_manifest", exploding_write_manifest)
     with pytest.raises(OSError, match="simulated crash"):
         cache.save(target)
     monkeypatch.undo()
