@@ -17,12 +17,17 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
 from repro.embeddings.tokenizer import Tokenizer, TokenizerConfig
+
+#: Most tokens :class:`HashedFeaturizer` keeps hashed slots for; the memo is
+#: cleared when it would grow past this.
+SLOT_MEMO_TOKENS = 32768
 
 
 def stable_token_hash(token: str, seed: int = 0) -> int:
@@ -83,7 +88,8 @@ class HashedFeaturizer:
         self.config = config or FeaturizerConfig()
         self.tokenizer = tokenizer or Tokenizer(TokenizerConfig())
         # Per-instance memo of token -> (index, sign).  Purely a speed
-        # optimisation; contents are fully determined by the config.
+        # optimisation: contents are fully determined by the config, so it is
+        # bounded by SLOT_MEMO_TOKENS and simply cleared on overflow.
         self._memo: Dict[str, tuple[int, float]] = {}
 
     @property
@@ -101,6 +107,8 @@ class HashedFeaturizer:
         if self.config.signed:
             sign = 1.0 if (h >> 63) & 1 else -1.0
         slot = (int(index), sign)
+        if len(self._memo) >= SLOT_MEMO_TOKENS:
+            self._memo.clear()
         self._memo[token] = slot
         return slot
 
@@ -109,13 +117,16 @@ class HashedFeaturizer:
         vec = np.zeros(self.config.n_features, dtype=np.float64)
         if not tokens:
             return vec
-        counts: Dict[tuple[int, float], float] = {}
-        for token in tokens:
-            slot = self._slot(token)
-            counts[slot] = counts.get(slot, 0.0) + 1.0
+        try:
+            counts = Counter(map(self._memo.__getitem__, tokens))
+        except KeyError:
+            counts = Counter(map(self._slot, tokens))
+        sublinear = self.config.sublinear_tf
         for (index, sign), count in counts.items():
-            value = 1.0 + np.log(count) if self.config.sublinear_tf else count
-            vec[index] += sign * value
+            if count == 1:
+                vec[index] += sign  # 1 + log 1 is exactly 1.0
+            else:
+                vec[index] += sign * (1.0 + np.log(count) if sublinear else count)
         if self.config.normalize:
             norm = np.linalg.norm(vec)
             if norm > 0.0:

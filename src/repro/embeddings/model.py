@@ -17,16 +17,22 @@ federated-learning layer can serialize, average and redistribute them.
 An optional PCA compression head (``attach_pca``) projects embeddings to a
 lower dimension at inference time, mirroring MeanCache's Figure 3 design where
 the learned principal components become an extra layer of the deployed model.
+
+A serving-time encoder is a pure function of its text, so :meth:`freeze`
+marks the weights read-only and lets ``encode`` answer texts it has already
+encoded from a bounded text -> row memo (:data:`MEMO_ROWS`); every method that
+changes the weights or the PCA head thaws the encoder and drops the memo.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.embeddings.featurizer import FeaturizerConfig, HashedFeaturizer
+from repro.embeddings.featurizer import FeaturizerConfig, HashedFeaturizer, stable_token_hash
 from repro.embeddings.losses import combined_multitask_loss
 from repro.embeddings.optim import Adam, Optimizer
 from repro.embeddings.pca import PCA
@@ -97,6 +103,55 @@ class EncoderConfig:
             raise ValueError("text_noise must be non-negative")
 
 
+#: Rows a frozen encoder's text -> embedding memo holds before the oldest is
+#: dropped (FIFO); about 3 MB of float64 at 768 dimensions.
+MEMO_ROWS = 512
+
+
+class _RowMemo:
+    """What exists only while an encoder is frozen: rows, counters, a lock.
+
+    ``rows`` maps a text to its uncompressed embedding (one memo serves both
+    ``compress`` settings); ``locked`` lists the arrays :meth:`freeze` made
+    read-only, so :meth:`unfreeze` restores exactly those.
+    """
+
+    def __init__(self, locked: List[np.ndarray]) -> None:
+        self.rows: Dict[str, np.ndarray] = {}
+        self.locked = locked
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.lock = threading.Lock()
+
+    def stats(self) -> Dict[str, int]:
+        with self.lock:
+            return {
+                "rows": len(self.rows),
+                "bytes": sum(row.nbytes for row in self.rows.values()),
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }
+
+    def lookup(self, texts: Sequence[str]) -> List[Optional[np.ndarray]]:
+        """The held row of each text, ``None`` where there is none (a hit each)."""
+        with self.lock:
+            found = [self.rows.get(text) for text in texts]
+            self.hits += sum(row is not None for row in found)
+        return found
+
+    def store(self, texts: Sequence[str], rows: np.ndarray) -> None:
+        """Keep own copies of the just-encoded ``rows`` (a miss each)."""
+        with self.lock:
+            self.misses += len(texts)
+            for text, row in zip(texts[-MEMO_ROWS:], rows[-MEMO_ROWS:]):
+                self.rows[text] = row.copy()
+            while len(self.rows) > MEMO_ROWS:
+                del self.rows[next(iter(self.rows))]
+                self.evictions += 1
+
+
 class SiameseEncoder:
     """Two-layer MLP sentence encoder with L2-normalised outputs."""
 
@@ -121,6 +176,7 @@ class SiameseEncoder:
             )
         self.featurizer = featurizer
         self.pca: Optional[PCA] = None
+        self._memo: Optional[_RowMemo] = None  # not None <=> frozen
         self._init_weights()
 
     # ------------------------------------------------------------------ #
@@ -157,13 +213,21 @@ class SiameseEncoder:
         return [self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy()]
 
     def set_parameters(self, params: Sequence[np.ndarray]) -> None:
-        """Replace the trainable parameters (shapes must match)."""
+        """Replace the trainable parameters (shapes must match, values finite).
+
+        All four arrays are checked before any is replaced, so a rejected call
+        leaves the old weights (and a frozen encoder's memo) in place; an
+        accepted one thaws the encoder.
+        """
         if len(params) != 4:
             raise ValueError(f"expected 4 parameter arrays, got {len(params)}")
         expected = [self.W1.shape, self.b1.shape, self.W2.shape, self.b2.shape]
-        for p, shape in zip(params, expected):
+        for name, p, shape in zip(self.PARAM_NAMES, params, expected):
             if p.shape != shape:
                 raise ValueError(f"parameter shape mismatch: {p.shape} != {shape}")
+            if not np.isfinite(p).all():
+                raise ValueError(f"parameter {name} has non-finite values")
+        self.unfreeze()
         dtype = np.dtype(self.config.dtype)
         self.W1 = np.array(params[0], dtype=dtype)
         self.b1 = np.array(params[1], dtype=dtype)
@@ -173,6 +237,48 @@ class SiameseEncoder:
     def parameter_count(self) -> int:
         """Total number of scalar parameters."""
         return sum(int(np.prod(p.shape)) for p in self.get_parameters())
+
+    # ------------------------------------------------------------------ #
+    # Frozen (serving-time) state
+    # ------------------------------------------------------------------ #
+    def freeze(self) -> None:
+        """Declare the weights fixed: ``encode`` may now reuse rows.
+
+        The four weight arrays and an attached PCA head's arrays become
+        read-only, so an in-place writer raises instead of leaving the memo
+        stale.  ``set_parameters``, ``load_state_dict``, ``train_on_pairs``,
+        ``attach_pca``, ``detach_pca`` and ``fit_pca`` thaw the encoder again.
+        No-op when already frozen.
+        """
+        if self._memo is not None:
+            return
+        arrays = [self.W1, self.b1, self.W2, self.b2]
+        if self.pca is not None:
+            arrays += [self.pca.mean_, self.pca.components_, self.pca.explained_variance_]
+        locked = [a for a in arrays if a.flags.writeable]
+        for array in locked:
+            array.flags.writeable = False
+        self._memo = _RowMemo(locked)
+
+    def unfreeze(self) -> Dict[str, int]:
+        """Make the weights writable again and drop the memo.
+
+        Returns the memo's final :meth:`memo_stats` (zeros when the encoder
+        was not frozen).
+        """
+        stats = self.memo_stats()
+        if self._memo is not None:
+            for array in self._memo.locked:
+                array.flags.writeable = True
+            self._memo = None
+        return stats
+
+    def memo_stats(self) -> Dict[str, int]:
+        """``rows``/``bytes`` held and ``hits``/``misses``/``evictions`` counted
+        by the memo since :meth:`freeze`; all zero when unfrozen."""
+        if self._memo is None:
+            return {"rows": 0, "bytes": 0, "hits": 0, "misses": 0, "evictions": 0}
+        return self._memo.stats()
 
     # ------------------------------------------------------------------ #
     # Forward / backward
@@ -262,15 +368,33 @@ class SiameseEncoder:
         """
         single = isinstance(texts, str)
         batch = [texts] if single else list(texts)
-        X = self.featurize(batch)
-        E = self.forward(X)
-        if self.config.text_noise > 0.0:
-            E = self._apply_text_noise(E, batch)
+        memo = self._memo
+        E = self._embed(batch) if memo is None else self._embed_memoized(memo, batch)
         if compress and self.pca is not None:
             E = self.pca.transform(E)
             norms = np.linalg.norm(E, axis=1, keepdims=True)
             E = E / np.where(norms > 1e-12, norms, 1.0)
         return E[0] if single else E
+
+    def _embed(self, batch: List[str]) -> np.ndarray:
+        """Uncompressed ``(len(batch), output_dim)`` embeddings of ``batch``."""
+        E = self.forward(self.featurize(batch))
+        if self.config.text_noise > 0.0:
+            E = self._apply_text_noise(E, batch)
+        return E
+
+    def _embed_memoized(self, memo: _RowMemo, batch: List[str]) -> np.ndarray:
+        """:meth:`_embed` that encodes only the distinct texts ``memo`` lacks."""
+        found = memo.lookup(batch)
+        missing = list(dict.fromkeys(t for t, row in zip(batch, found) if row is None))
+        if missing:
+            fresh = self._embed(missing)
+            memo.store(missing, fresh)
+            if len(missing) == len(batch):
+                return fresh
+            fresh_row = dict(zip(missing, fresh))
+            found = [fresh_row[t] if row is None else row for t, row in zip(batch, found)]
+        return np.array(found, dtype=np.float64).reshape(len(batch), self.config.output_dim)
 
     def _apply_text_noise(self, E: np.ndarray, texts: Sequence[str]) -> np.ndarray:
         """Mix a deterministic per-text noise vector into each embedding.
@@ -281,8 +405,6 @@ class SiameseEncoder:
         direction keyed on the exact text.  Paraphrases get *different* noise
         directions, which is precisely what degrades duplicate detection.
         """
-        from repro.embeddings.featurizer import stable_token_hash
-
         sigma = self.config.text_noise
         noisy = np.array(E, dtype=np.float64, copy=True)
         for i, text in enumerate(texts):
@@ -314,10 +436,12 @@ class SiameseEncoder:
                 f"PCA was fitted on {pca.n_features}-dim embeddings, "
                 f"encoder outputs {self.config.output_dim}"
             )
+        self.unfreeze()
         self.pca = pca
 
     def detach_pca(self) -> None:
         """Remove the PCA compression head."""
+        self.unfreeze()
         self.pca = None
 
     def fit_pca(self, texts: Sequence[str], n_components: int = 64) -> PCA:
@@ -326,6 +450,7 @@ class SiameseEncoder:
         This implements Figure 3-a: embed the corpus, learn the principal
         components, and attach them as an additional projection layer.
         """
+        self.unfreeze()
         E = self.encode(list(texts), compress=False)
         pca = PCA(n_components=n_components)
         pca.fit(E)
@@ -363,6 +488,7 @@ class SiameseEncoder:
         -------
         List of mean epoch losses (length ``epochs``).
         """
+        self.unfreeze()
         if not pairs:
             return [0.0] * epochs
         optimizer = optimizer or Adam(lr=1e-2)

@@ -45,6 +45,7 @@ class SGD(Optimizer):
             raise ValueError("momentum must be in [0, 1)")
 
     def step(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
+        """``p -= lr * (momentum-smoothed, weight-decayed) g``, in place."""
         if len(params) != len(grads):
             raise ValueError("params and grads must have the same length")
         for i, (p, g) in enumerate(zip(params, grads)):
@@ -64,6 +65,7 @@ class SGD(Optimizer):
             p -= self.lr * update
 
     def reset(self) -> None:
+        """Forget the momentum velocities."""
         self._velocity.clear()
 
 
@@ -86,6 +88,7 @@ class Adam(Optimizer):
             raise ValueError("betas must be in [0, 1)")
 
     def step(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
+        """One bias-corrected Adam update of ``params``, in place."""
         if len(params) != len(grads):
             raise ValueError("params and grads must have the same length")
         self._t += 1
@@ -109,6 +112,7 @@ class Adam(Optimizer):
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def reset(self) -> None:
+        """Forget both moment estimates and the step count."""
         self._m.clear()
         self._v.clear()
         self._t = 0

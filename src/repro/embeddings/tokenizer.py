@@ -11,9 +11,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
+
+#: Most words :class:`Tokenizer` keeps ``cg:`` n-gram tokens for; the memo is
+#: cleared when it would grow past this (a pure function of the config, so
+#: clearing changes no output).
+NGRAM_MEMO_WORDS = 4096
 
 # A small, fixed stop-word list.  Queries to LLM services are short; dropping
 # ubiquitous function words sharpens the lexical signal for similarity.  The
@@ -82,6 +87,9 @@ class Tokenizer:
 
     def __init__(self, config: TokenizerConfig | None = None) -> None:
         self.config = config or TokenizerConfig()
+        # word -> its "cg:"-prefixed n-gram tokens.  Purely a speed
+        # optimisation, bounded by NGRAM_MEMO_WORDS.
+        self._ngram_memo: Dict[str, Tuple[str, ...]] = {}
 
     def words(self, text: str) -> List[str]:
         """Return the word tokens of ``text`` (stop-words removed if configured)."""
@@ -117,8 +125,16 @@ class Tokenizer:
         """
         words = self.words(text)
         tokens: List[str] = list(words)
-        for word in words:
-            tokens.extend(f"cg:{g}" for g in self.char_ngrams(word))
+        if self.config.char_ngram_max:
+            memo = self._ngram_memo
+            for word in words:
+                grams = memo.get(word)
+                if grams is None:
+                    grams = tuple(f"cg:{g}" for g in self.char_ngrams(word))
+                    if len(memo) >= NGRAM_MEMO_WORDS:
+                        memo.clear()
+                    memo[word] = grams
+                tokens.extend(grams)
         return tokens
 
     def tokenize_batch(self, texts: Sequence[str] | Iterable[str]) -> List[List[str]]:

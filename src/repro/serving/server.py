@@ -19,7 +19,10 @@ concurrent load:
   the oldest has waited ``max_batch_wait_s``, whichever comes first.  A
   flush is embedded with **one** cross-user encoder call (the dominant
   per-request cost) and each shard's caches then retrieve from their own
-  indexes via the precomputed rows.
+  indexes via the precomputed rows.  The server freezes the encoder it was
+  given for as long as it serves (and during :meth:`CacheServer.replay`), so
+  a follow-up's context chain — the same user's earlier queries — is read
+  from the encoder's bounded row memo instead of being encoded again.
 * **Shared L2 through the cache, not the server.**  A second tier shared
   by all users is a ``cache_factory`` returning
   :class:`~repro.core.tiered.TieredCache` instances over one shared
@@ -154,6 +157,9 @@ class ServerMetrics:
     max_depth_seen: int = 0
     e2e_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     queue_wait: LatencyHistogram = field(default_factory=LatencyHistogram)
+    #: the frozen encoder's ``memo_stats()``, folded in each time the server
+    #: thaws it: counters add up, ``rows``/``bytes`` are the last thaw's
+    encoder_memo: Dict[str, int] = field(default_factory=dict)
 
     @property
     def flushes(self) -> int:
@@ -189,6 +195,12 @@ class ServerMetrics:
         """Count one flush of ``size`` requests."""
         self.flush_sizes[size] = self.flush_sizes.get(size, 0) + 1
 
+    def record_thaw(self, stats: Dict[str, int]) -> None:
+        """Fold in what the encoder's memo held and counted when thawed."""
+        for key in ("hits", "misses", "evictions"):
+            stats[key] += self.encoder_memo.get(key, 0)
+        self.encoder_memo = stats
+
     def batch_size_histogram(self) -> Dict[int, int]:
         """Flush-size -> count histogram."""
         return dict(sorted(self.flush_sizes.items()))
@@ -210,6 +222,10 @@ class ServerMetrics:
             "max_queue_depth_seen": self.max_depth_seen,
             "e2e_latency": self.e2e_latency.to_dict(),
             "queue_wait": self.queue_wait.to_dict(),
+            **{
+                f"encoder_memo_{key}": self.encoder_memo.get(key, 0)
+                for key in ("rows", "bytes", "hits", "misses", "evictions")
+            },
         }
 
 
@@ -452,6 +468,16 @@ class CacheServer:
         )
         return np.atleast_2d(np.asarray(embs, dtype=np.float64))
 
+    def _freeze_encoder(self) -> None:
+        """The encoder's weights do not change while this server serves."""
+        if self.encoder is not None:
+            self.encoder.freeze()
+
+    def _thaw_encoder(self) -> None:
+        """Hand the encoder back writable, keeping what its memo counted."""
+        if self.encoder is not None:
+            self.metrics.record_thaw(self.encoder.unfreeze())
+
     def _run_shard(
         self,
         shard: _Shard,
@@ -574,7 +600,11 @@ class CacheServer:
                 outcomes.append(outcome)
             return outcomes
 
-        return replay_windows(trace, batch_window_s, step, collect_outcomes)
+        self._freeze_encoder()
+        try:
+            return replay_windows(trace, batch_window_s, step, collect_outcomes)
+        finally:
+            self._thaw_encoder()
 
     # ------------------------------------------------------------------ #
     # Live asyncio serving
@@ -709,6 +739,7 @@ class CacheServer:
             self._pool = concurrent.futures.ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="cache-server"
             )
+        self._freeze_encoder()
         self._running = True
         self._batch_task = asyncio.get_running_loop().create_task(self._batch_loop())
 
@@ -721,15 +752,18 @@ class CacheServer:
         if not self._running:
             return
         self._running = False
-        if self._arrival is not None:
-            self._arrival.set()
-        if self._batch_task is not None:
-            await self._batch_task
-            self._batch_task = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._loop = None
+        try:
+            if self._arrival is not None:
+                self._arrival.set()
+            if self._batch_task is not None:
+                await self._batch_task
+                self._batch_task = None
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+                self._pool = None
+            self._loop = None
+        finally:
+            self._thaw_encoder()
 
     def start(self) -> None:
         """Run the server's event loop on a dedicated daemon thread.
