@@ -9,10 +9,10 @@ perf trajectory:
   int8 scalar quantization, product quantization, IVF-routed SQ8) against
   exact flat search at 10k and 100k entries on the standard clustered
   paraphrase workload;
-* ``latency`` — single-query p50/p95/p99 of the quantized backends' fused
-  scans against their decode-to-float reference path on the same index
-  state, at 10^5 and 10^6 entries, with same-run relative regression gates
-  (methodology in ``docs/benchmarks.md``);
+* ``latency`` — single-query p50/p95/p99 of the quantized backends next to
+  exact flat search on the same vectors, at 10^5 and 10^6 entries, with
+  same-run backend-over-flat regression gates (methodology in
+  ``docs/benchmarks.md``);
 * ``persistence`` — snapshot restore wall-time (full-copy vs mmap
   zero-copy) and bytes-per-entry at 10^6 entries, delta-append cost vs
   snapshot size, and the tiered fleet's bytes-vs-hit-rate trade against an
@@ -73,24 +73,28 @@ LATENCY_REPEATS = 2
 LATENCY_WARMUP = 10
 
 
-def _latency_p99_floors(n_entries):
-    """Minimum reference/fused p99 ratio per backend at the gated size.
+def _latency_ceilings(n_entries):
+    """Maximum backend/flat p50 and p99 ratio per backend at the gated size.
 
-    The flat-scan backends (sq8, pq) score every row, so a single query
-    measures in the tens/hundreds of milliseconds at 10^6 entries and the
-    5x fused-scan floor is noise-immune.  The routed composition's fused
-    queries land near a millisecond, where single-core scheduler bursts
-    can inflate an individual p99 sample several-fold even under the
-    best-of-``repeats`` protocol; its floor keeps headroom for that (the
-    typical measured ratio at 10^6 is ~5x — see BENCH_index.json).  Below
-    ~10^6 the routed backend's fixed routing cost dominates both paths and
-    the fused scan has structurally less to win, hence the size tiers.
+    What the gate must catch is a quantized scan falling back to decoding
+    rows into a float matrix (the speed of ``tests/reference_scan.py``):
+    17-22x slower for the flat-scan backends and ~3x for the routed one.
+    Committed BENCH_index.json has backend/flat p50 of 1.26 (sq8), 3.4 (pq),
+    0.22 (ivf+sq8) at 10^5 and 0.74, 1.84, 0.035 at 10^6; a host whose flat
+    sgemv is relatively faster roughly doubles those (2.1, 7.5, 0.43 at 10^5
+    on the 2-vCPU container this was tuned on), a reversion multiplies them
+    (to >= 27, 58, 0.66 at 10^5; 14, 44, 0.137 at 10^6).  The ceilings sit
+    between: >= 2x above the committed ratios, below every reverted one.
+    The routed backend's margin is the thin one — its reference path only
+    ever decoded the probed cells.  Below ~5*10^4 entries fixed per-query
+    costs (routing, PQ's pair-LUT build) dominate both sides and the ratio
+    says nothing about the scan, so nothing is gated there.
     """
     if n_entries >= 500_000:
-        return {"sq8": 5.0, "pq": 5.0, "ivf+sq8": 3.0}
+        return {"sq8": 4.0, "pq": 12.0, "ivf+sq8": 0.12}
     if n_entries >= 50_000:
-        return {"sq8": 4.0, "pq": 4.0, "ivf+sq8": 1.5}
-    return {"sq8": 3.0, "pq": 3.0, "ivf+sq8": 1.1}
+        return {"sq8": 6.0, "pq": 25.0, "ivf+sq8": 0.65}
+    return {}
 
 
 # ---------------------------------------------------------------------- #
@@ -197,32 +201,30 @@ def test_single_query_latency_gates(benchmark):
     _write_payload({"latency": result.to_dict()})
     emit("BENCH_index.json", f"latency section written to {BENCH_JSON}")
 
-    # Gates are *relative* (fused vs reference, same run, same index state):
-    # absolute latency depends on the runner, but the fused scans' advantage
-    # over the materializing reference path does not.  They apply at the
-    # largest measured size, where the scan dominates per-query cost.
+    # Gates are *relative* (backend over flat, same run, same vectors):
+    # absolute latency depends on the runner; how far a compressed scan sits
+    # from the exact one depends on it far less, and not at all like a
+    # reversion to decode speed does.  They apply at the largest measured
+    # size, where the scan dominates per-query cost.
     largest = max(LATENCY_SIZES)
-    for backend, floor in _latency_p99_floors(largest).items():
-        p99_ratio = result.ratio(backend, largest, "p99_ms")
-        p50_ratio = result.ratio(backend, largest, "p50_ms")
+    for backend, ceiling in _latency_ceilings(largest).items():
         context = {
             "backend": backend,
             "n_entries": largest,
-            "p99_ratio": p99_ratio,
-            "p50_ratio": p50_ratio,
-            "floor": floor,
-            "fused": result.point(backend, largest, "fused").to_dict(),
-            "reference": result.point(backend, largest, "reference").to_dict(),
+            "p50_vs_flat": result.vs_flat(backend, largest, "p50_ms"),
+            "p99_vs_flat": result.vs_flat(backend, largest, "p99_ms"),
+            "ceiling": ceiling,
+            "point": result.point(backend, largest).to_dict(),
+            "flat": result.point("flat", largest).to_dict(),
         }
-        assert p99_ratio >= floor, context
-        # The median must move too — a tail-only win would be noise.
-        assert p50_ratio >= min(floor, 2.0), context
-    # Fused scans must not cost recall: identical decision invariance is
-    # pinned by tests/test_index_properties.py; here we only sanity-check
-    # that the fused path produced real histograms at every size.
+        assert context["p50_vs_flat"] <= ceiling, context
+        assert context["p99_vs_flat"] <= ceiling, context
+    # Decision invariance against the decode scan is pinned by
+    # tests/test_index_properties.py; here we only sanity-check that every
+    # backend produced real histograms at every size.
     for size in LATENCY_SIZES:
         for backend in QUANTIZED_BACKENDS + ROUTED_QUANTIZED_BACKENDS:
-            assert result.point(backend, size, "fused").count == LATENCY_QUERIES
+            assert result.point(backend, size).count == LATENCY_QUERIES
 
 
 def test_persistence_gates(benchmark):

@@ -15,14 +15,14 @@ in ``docs/benchmarks.md``):
    BENCH_index.json).
 
 2. :func:`run_latency_bench` — single-query latency histograms (p50/p95/p99
-   over ``time.perf_counter_ns`` samples) for the quantized backends' fused
-   scans against their decode-to-float reference path, on the same index
-   state (the ``fused_scan`` flag is flipped in place between passes).
-   Latency, unlike throughput, is dominated by per-call fixed costs —
-   allocations, page faults on fresh large buffers, per-cell dispatch — so
-   this is the measurement that validates the fused/scratch-buffer hot-path
-   work; the methodology (warmup, per-query best-of-``repeats``, nearest-
-   rank percentiles) is documented in ``docs/benchmarks.md``.  Lands in the
+   over ``time.perf_counter_ns`` samples) for the quantized backends next
+   to exact flat search on the same vectors.  Latency, unlike throughput,
+   is dominated by per-call fixed costs — allocations, page faults on fresh
+   large buffers, per-cell dispatch — so this is the measurement that
+   guards the fused/scratch-buffer hot path: a scan that fell back to
+   decoding rows would be an order of magnitude behind flat.  The
+   methodology (warmup, per-query best-of-``repeats``, nearest-rank
+   percentiles) is documented in ``docs/benchmarks.md``.  Lands in the
    ``latency`` section of BENCH_index.json.
 """
 
@@ -35,7 +35,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.index import FlatIndex, make_index
-from repro.index.quantized import QuantizedIndex
 from repro.index.registry import seeded_params
 from repro.metrics.reporting import format_table
 from repro.metrics.timing import LatencyHistogram
@@ -376,22 +375,18 @@ def run_backend_sweep(
 
 
 # --------------------------------------------------------------------------- #
-# Single-query latency: fused-scan vs reference-path histograms per backend
+# Single-query latency: one histogram per backend, read against flat's
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class LatencyBenchPoint:
-    """One (backend, corpus size, scan mode) latency histogram.
+    """One (backend, corpus size) single-query latency histogram.
 
-    ``mode`` is ``"fused"`` or ``"reference"`` for the quantized backends
-    (same index, ``fused_scan`` flipped in place between the passes) and
-    ``"exact"`` for backends without a fused/reference split.  Percentiles
-    are nearest-rank over per-query best-of-``repeats`` samples.
+    Percentiles are nearest-rank over per-query best-of-``repeats`` samples.
     """
 
     backend: str
     n_entries: int
     dim: int
-    mode: str
     params: Mapping[str, object]
     count: int
     repeats: int
@@ -407,7 +402,6 @@ class LatencyBenchPoint:
             "backend": self.backend,
             "n_entries": self.n_entries,
             "dim": self.dim,
-            "mode": self.mode,
             "params": dict(self.params),
             "count": self.count,
             "repeats": self.repeats,
@@ -421,7 +415,7 @@ class LatencyBenchPoint:
 
 @dataclass
 class LatencyBenchResult:
-    """All (backend, size, mode) latency histograms of one run."""
+    """All (backend, size) latency histograms of one run."""
 
     points: List[LatencyBenchPoint] = field(default_factory=list)
     top_k: int = 5
@@ -431,42 +425,22 @@ class LatencyBenchResult:
     warmup: int = 10
     seed: int = 0
 
-    def point(self, backend: str, n_entries: int, mode: str) -> LatencyBenchPoint:
-        """The histogram for one backend at one corpus size in one mode."""
+    def point(self, backend: str, n_entries: int) -> LatencyBenchPoint:
+        """The histogram for one backend at one corpus size."""
         for p in self.points:
-            if p.backend == backend and p.n_entries == n_entries and p.mode == mode:
+            if p.backend == backend and p.n_entries == n_entries:
                 return p
         raise KeyError(
-            f"no latency point for backend {backend!r} at {n_entries} entries "
-            f"in mode {mode!r}"
+            f"no latency point for backend {backend!r} at {n_entries} entries"
         )
 
-    def ratio(self, backend: str, n_entries: int, stat: str = "p99_ms") -> float:
-        """Reference-over-fused ratio of ``stat`` (> 1 means fused is faster)."""
-        fused = getattr(self.point(backend, n_entries, "fused"), stat)
-        ref = getattr(self.point(backend, n_entries, "reference"), stat)
-        return ref / fused if fused > 0 else float("inf")
+    def vs_flat(self, backend: str, n_entries: int, stat: str = "p99_ms") -> float:
+        """``backend``'s ``stat`` over flat's at the same size (< 1 is faster)."""
+        flat = getattr(self.point("flat", n_entries), stat)
+        return getattr(self.point(backend, n_entries), stat) / flat
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form (the ``latency`` block of BENCH_index.json)."""
-        ratios = []
-        seen = set()
-        for p in self.points:
-            key = (p.backend, p.n_entries)
-            if p.mode == "exact" or key in seen:
-                continue
-            seen.add(key)
-            try:
-                ratios.append(
-                    {
-                        "backend": p.backend,
-                        "n_entries": p.n_entries,
-                        "p50_ratio": self.ratio(*key, stat="p50_ms"),
-                        "p99_ratio": self.ratio(*key, stat="p99_ms"),
-                    }
-                )
-            except KeyError:
-                continue
         return {
             "top_k": self.top_k,
             "dim": self.dim,
@@ -475,36 +449,26 @@ class LatencyBenchResult:
             "warmup": self.warmup,
             "seed": self.seed,
             "points": [p.to_dict() for p in self.points],
-            "ratios": ratios,
         }
 
     def format(self) -> str:
-        """Render the per-backend latency table with fused/reference ratios."""
-        rows = []
-        for p in self.points:
-            if p.mode == "fused":
-                try:
-                    ratio = f"{self.ratio(p.backend, p.n_entries):.1f}x"
-                except KeyError:
-                    ratio = "-"
-            else:
-                ratio = "-"
-            rows.append(
-                [
-                    p.backend,
-                    p.n_entries,
-                    p.mode,
-                    f"{p.p50_ms:.3f}",
-                    f"{p.p95_ms:.3f}",
-                    f"{p.p99_ms:.3f}",
-                    ratio,
-                ]
-            )
+        """Render the per-backend latency table with the p50-over-flat column."""
+        rows = [
+            [
+                p.backend,
+                p.n_entries,
+                f"{p.p50_ms:.3f}",
+                f"{p.p95_ms:.3f}",
+                f"{p.p99_ms:.3f}",
+                f"{self.vs_flat(p.backend, p.n_entries, 'p50_ms'):.2f}x",
+            ]
+            for p in self.points
+        ]
         return format_table(
-            ["Backend", "Entries", "Mode", "p50 (ms)", "p95 (ms)", "p99 (ms)", "p99 gain"],
+            ["Backend", "Entries", "p50 (ms)", "p95 (ms)", "p99 (ms)", "p50 vs flat"],
             rows,
             title=(
-                "Single-query latency: fused vs reference scans "
+                "Single-query latency "
                 f"(dim={self.dim}, {self.n_queries} queries x best-of-"
                 f"{self.repeats}, top_k={self.top_k})"
             ),
@@ -514,10 +478,10 @@ class LatencyBenchResult:
 def default_latency_backends(dim: int) -> Mapping[str, Mapping[str, object]]:
     """The standard latency-bench configurations for ``dim`` dimensions.
 
-    The quantized trio the fused-scan work targets, plus exact flat search
-    as the context line.  ``ivf+sq8`` probes 64 cells — the high-recall
-    serving configuration, where the scan (not the routing) dominates and
-    the fused path has the most ground to win — with repartitioning
+    Exact flat search — the line every other backend is read against, so
+    it comes first — plus the quantized trio the fused-scan work targets.
+    ``ivf+sq8`` probes 64 cells — the high-recall serving configuration,
+    where the scan (not the routing) dominates — with repartitioning
     deferred to :meth:`~repro.index.base.VectorIndex.maintenance` as the
     serving fleet runs it.
     """
@@ -564,17 +528,15 @@ def run_latency_bench(
     backends: Optional[Mapping[str, Mapping[str, object]]] = None,
     seed: int = 0,
 ) -> LatencyBenchResult:
-    """Measure single-query p50/p95/p99 per backend, fused vs reference.
+    """Measure single-query p50/p95/p99 per backend.
 
     For each corpus size and backend the index is built once on the
     :func:`make_ann_workload` vectors, :meth:`maintenance` runs (deferred
     repartitioning plus cell-major layout compaction — the steady state a
     served index reaches between batching windows), and the same queries
-    are timed one at a time: first with the default fused scans, then —
-    for the quantized backends — with ``fused_scan`` flipped off, so the
-    reference pass scores the exact same index state.  Relative (same-run)
-    fused/reference ratios are what ``benchmarks/test_bench_index.py``
-    gates on; absolute numbers are machine-dependent context.
+    are timed one at a time.  Relative (same-run) backend-over-flat ratios
+    are what ``benchmarks/test_bench_index.py`` gates on; absolute numbers
+    are machine-dependent context.
     """
     if n_queries < 1 or repeats < 1 or warmup < 0:
         raise ValueError("n_queries and repeats must be >= 1, warmup >= 0")
@@ -596,31 +558,23 @@ def run_latency_bench(
             index = _build_backend(name, dim, params, seed)
             index.add_batch(vectors)
             index.maintenance()
-            toggle = isinstance(index, QuantizedIndex)
-            modes = (("fused", True), ("reference", False)) if toggle else (("exact", None),)
-            for mode, fused in modes:
-                if fused is not None:
-                    index.fused_scan = fused
-                hist = _measure_single_query(
-                    index, queries[warmup:], top_k, warmup, repeats
+            hist = _measure_single_query(
+                index, queries[warmup:], top_k, warmup, repeats
+            )
+            stats = hist.to_dict()
+            result.points.append(
+                LatencyBenchPoint(
+                    backend=name,
+                    n_entries=n_entries,
+                    dim=dim,
+                    params=dict(params),
+                    count=hist.count,
+                    repeats=repeats,
+                    warmup=warmup,
+                    p50_ms=stats["p50_ns"] / 1e6,
+                    p95_ms=stats["p95_ns"] / 1e6,
+                    p99_ms=stats["p99_ns"] / 1e6,
+                    mean_ms=stats["mean_ns"] / 1e6,
                 )
-                stats = hist.to_dict()
-                result.points.append(
-                    LatencyBenchPoint(
-                        backend=name,
-                        n_entries=n_entries,
-                        dim=dim,
-                        mode=mode,
-                        params=dict(params),
-                        count=hist.count,
-                        repeats=repeats,
-                        warmup=warmup,
-                        p50_ms=stats["p50_ns"] / 1e6,
-                        p95_ms=stats["p95_ns"] / 1e6,
-                        p99_ms=stats["p99_ns"] / 1e6,
-                        mean_ms=stats["mean_ns"] / 1e6,
-                    )
-                )
-            if toggle:
-                index.fused_scan = True
+            )
     return result

@@ -85,7 +85,7 @@ def run_all(scale: "str | None" = None, seed: int = 0) -> FullReport:
         sizes=(2_000, 10_000) if resolved.name == "quick" else (10_000, 100_000),
         seed=seed,
     ).format()
-    report.sections["Single-query latency (fused vs reference scans)"] = run_latency_bench(
+    report.sections["Single-query latency (per backend, vs flat)"] = run_latency_bench(
         sizes=(10_000,) if resolved.name == "quick" else (100_000, 1_000_000),
         n_queries=30 if resolved.name == "quick" else 100,
         seed=seed,

@@ -27,7 +27,7 @@ from repro.index.base import IndexHit, VectorIndex
 from repro.index.flat import FlatIndex
 from repro.index.ivf import IVFIndex
 from repro.index.lsh import LSHIndex
-from repro.index.quantized import PQIndex, QuantizedIndex, SQ8Index
+from repro.index.quantized import QuantizedIndex
 from repro.index.registry import available_backends, make_index, register_index
 from repro.index.snapshot import (
     SnapshotError,
@@ -45,9 +45,7 @@ __all__ = [
     "IVFIndex",
     "IndexHit",
     "LSHIndex",
-    "PQIndex",
     "QuantizedIndex",
-    "SQ8Index",
     "SnapshotError",
     "VectorIndex",
     "append_delta",

@@ -29,7 +29,8 @@ from repro.index.base import VectorIndex
 from repro.index.flat import FlatIndex
 from repro.index.ivf import IVFIndex
 from repro.index.lsh import LSHIndex
-from repro.index.quantized import PQIndex, SQ8Index
+from repro.index.codecs import Codec, ProductQuantizer, ScalarQuantizer
+from repro.index.quantized import QuantizedIndex
 
 _FACTORIES: Dict[str, Callable[..., VectorIndex]] = {}
 
@@ -78,12 +79,14 @@ def make_index(backend: str = "flat", **params) -> VectorIndex:
     Parameters
     ----------
     backend:
-        A registered name — ``"flat"``, ``"ivf"`` or ``"lsh"`` out of the
-        box (case-insensitive).
+        A registered name (case-insensitive) — out of the box ``"flat"``,
+        ``"ivf"``, ``"lsh"``, ``"sq8"``, ``"pq"``, ``"ivf+sq8"`` or
+        ``"ivf+pq"``.
     **params:
         Passed through to the backend constructor (``dim``, ``dtype``, and
         the backend's own knobs: ``nlist``/``nprobe`` for IVF,
-        ``n_tables``/``n_bits``/``multiprobe`` for LSH, …).
+        ``n_tables``/``n_bits``/``multiprobe`` for LSH, ``rescore`` for the
+        quantized compositions, ``m``/``ksub`` for the PQ ones, …).
 
     Raises
     ------
@@ -102,7 +105,7 @@ def seeded_params(
     ``run_fleet_bench``) so their determinism rule cannot drift.  An
     explicit ``seed`` in ``params`` always wins.  Otherwise support is read
     off the factory's signature: every seeded backend names ``seed``
-    explicitly (the routed-composition wrappers included).  Backends
+    explicitly (the quantized-composition factories included).  Backends
     without a seed parameter (``flat``, custom registrations) come back
     unchanged.
     """
@@ -139,24 +142,45 @@ def resolve_index(
     return make_index(backend, **dict(params or {}))
 
 
-def _routed(cls) -> Callable[..., VectorIndex]:
-    """Factory composing IVF coarse routing over a quantized storage tier.
+def _sq8(params: Dict[str, object]) -> Codec:
+    return ScalarQuantizer()
+
+
+def _pq(params: Dict[str, object]) -> Codec:
+    """``m``/``ksub`` are the codec's; ``kmeans_iters`` it shares with routing."""
+    return ProductQuantizer(
+        m=params.pop("m", 16),
+        ksub=params.pop("ksub", 256),
+        kmeans_iters=params.get("kmeans_iters", 8),
+    )
+
+
+def _quantized(
+    make_codec: Callable[[Dict[str, object]], Codec], routed: bool
+) -> Callable[..., VectorIndex]:
+    """Factory for one codec × routing composition of :class:`QuantizedIndex`.
 
     ``seed`` is an explicit parameter so :func:`seeded_params` can detect
     seed support from the signature.
     """
 
     def factory(seed: int = 0, **params) -> VectorIndex:
-        params.setdefault("routed", True)
-        return cls(seed=seed, **params)
+        params.setdefault("routed", routed)
+        return QuantizedIndex(make_codec(params), seed=seed, **params)
 
     return factory
 
 
-register_index("flat", FlatIndex)
-register_index("ivf", IVFIndex)
-register_index("lsh", LSHIndex)
-register_index("sq8", SQ8Index)
-register_index("pq", PQIndex)
-register_index("ivf+sq8", _routed(SQ8Index))
-register_index("ivf+pq", _routed(PQIndex))
+#: name -> factory: the exact/approximate float backends, then every
+#: codec × routing composition of the quantized index.
+_BUILTIN: Dict[str, Callable[..., VectorIndex]] = {
+    "flat": FlatIndex,
+    "ivf": IVFIndex,
+    "lsh": LSHIndex,
+    "sq8": _quantized(_sq8, routed=False),
+    "pq": _quantized(_pq, routed=False),
+    "ivf+sq8": _quantized(_sq8, routed=True),
+    "ivf+pq": _quantized(_pq, routed=True),
+}
+for _name, _factory in _BUILTIN.items():
+    register_index(_name, _factory)

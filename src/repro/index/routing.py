@@ -444,7 +444,6 @@ class Router:
         keff: int,
         score_dtype: np.dtype,
         stop_score: Optional[float] = None,
-        bounded: bool = True,
     ) -> List[List[IndexHit]]:
         """Probe the ``nprobe`` nearest cells per query and rank their rows.
 
@@ -462,9 +461,8 @@ class Router:
         the threshold — lossy by design, for callers that admit on a score
         threshold the best hit already cleared — and, with
         :attr:`prune_probes`, skips cells whose exact score bound cannot
-        enter the top ``keff`` (decision-invariant).  Bound pruning only pays
-        on that per-cell scan; ``bounded=False`` turns it off for an owner
-        whose scan must stay unpruned (a reference path).
+        enter the top ``keff`` (decision-invariant; bound pruning only pays
+        on that per-cell scan).
         """
         n_queries = queries.shape[0]
         nlist = self.centroids.shape[0]
@@ -473,7 +471,7 @@ class Router:
         np.matmul(queries, self.centroids.T, out=centroid_scores)
         probes = sorted_probes(centroid_scores, min(self._nprobe, nlist))
         bounds = None
-        if stop_score is not None and bounded and self.prune_probes:
+        if stop_score is not None and self.prune_probes:
             if self._cell_stats is None:
                 self._compute_cell_stats(scored_rows)
             bounds = cell_bounds(centroid_scores, self._cell_stats, sc, "rt.bounds")

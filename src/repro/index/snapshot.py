@@ -81,6 +81,13 @@ DELTAS_DIR = "deltas"
 
 _ARRAY_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.+-]*$")
 
+#: Constructor params older manifests carry for knobs that no longer exist:
+#: ``scan_threads`` went with the thread-pool probe scan (always 1 — nothing
+#: ever set it), ``fused_scan`` with the decode-to-float64 reference scan
+#: (now ``tests/reference_scan.py``).  Dropped on load; any other unknown
+#: key is still rejected by the backend constructor.
+_RETIRED_PARAMS = ("scan_threads", "fused_scan")
+
 
 class SnapshotError(ValueError):
     """A snapshot is missing, corrupted, foreign or version-incompatible."""
@@ -332,9 +339,7 @@ def load_index(
     if expected is not None and not isinstance(expected, list):
         raise SnapshotError(f"snapshot at {path} has a corrupted arrays block")
     arrays = read_arrays(path, mmap=mmap, expected=expected)
-    # Retired with the thread-pool probe scan; snapshots written before
-    # that still carry it (always 1 — nothing ever set it).
-    params = {k: v for k, v in params.items() if k != "scan_threads"}
+    params = {k: v for k, v in params.items() if k not in _RETIRED_PARAMS}
     try:
         index = make_index(backend, **params)
     except (TypeError, ValueError) as exc:
