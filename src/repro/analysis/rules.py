@@ -150,7 +150,7 @@ class ConcurrencyContractRule(Rule):
 
     _LOCK_FACTORIES = frozenset({"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"})
     #: Receiver-name segments identifying cache/index-ish objects in server
-    #: code; ``self._arrival.clear()`` (an asyncio.Event) stays exempt while
+    #: code; ``self._wake.notify()`` (the flush condition) stays exempt while
     #: ``shard.executor.execute()`` / ``self.adapter.enroll()`` are checked.
     _CACHE_RECEIVERS = frozenset(
         {"executor", "adapter", "cache", "caches", "index", "indexes",

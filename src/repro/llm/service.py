@@ -104,7 +104,7 @@ class SimulatedLLMService:
 
     * the **virtual event clock** — the fleet simulator replays a trace at
       virtual arrival times and passes each request's ``now`` explicitly;
-    * the **wall clock** — the live asyncio server issues requests in real
+    * the **wall clock** — the live threaded server issues requests in real
       time, so request stamps must come from ``time.monotonic``.
 
     ``clock`` makes the choice injectable: a zero-argument callable the

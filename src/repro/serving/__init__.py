@@ -23,7 +23,7 @@ cache, sharing one LLM web service:
   :class:`BatchExecutor` (the two-phase batch execution core both frontends
   drive), :class:`CacheAdapter`, and :func:`iter_windows` (virtual-time
   batching windows).
-* :mod:`repro.serving.server` — :class:`CacheServer`, the live asyncio
+* :mod:`repro.serving.server` — :class:`CacheServer`, the live threaded
   serving tier: hash-sharded per-user caches behind per-shard locks, a
   bounded admission queue with :class:`BackpressureError` shedding, and an
   adaptive cross-user micro-batcher (:class:`MicroBatcher`).

@@ -12,7 +12,7 @@ The simulator is one frontend over the shared serving core
 (:mod:`repro.serving.scheduling`): :func:`replay_windows` carves the trace
 into deterministic virtual-time windows and a
 :class:`~repro.serving.scheduling.BatchExecutor` runs each window through
-the same two-phase lookup/enroll semantics the live asyncio server
+the same two-phase lookup/enroll semantics the live threaded server
 (:class:`~repro.serving.server.CacheServer`) uses under wall-clock load —
 ``tests/test_serving_parity.py`` pins the two frontends byte-identical on a
 shared trace.

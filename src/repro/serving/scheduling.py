@@ -1,7 +1,7 @@
 """The serving core under every frontend.
 
 The deterministic virtual-clock simulator
-(:class:`~repro.serving.fleet.FleetSimulator`) and the live asyncio server
+(:class:`~repro.serving.fleet.FleetSimulator`) and the live threaded server
 (:class:`~repro.serving.server.CacheServer`) drive the *same* pipeline
 stages — "take a batch of arrivals, classify them through their caches,
 forward misses to the LLM service, enrol" — through this module, so the two

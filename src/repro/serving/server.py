@@ -1,4 +1,4 @@
-"""The real-concurrency serving tier: an asyncio semantic-cache service.
+"""The real-concurrency serving tier: a threaded semantic-cache service.
 
 The simulator runs on a single-threaded virtual clock;
 :class:`CacheServer` serves the same federated-cache stack under *real*
@@ -37,10 +37,13 @@ mode) therefore produces byte-identical per-event decisions to
 :class:`~repro.serving.fleet.FleetSimulator` — ``tests/test_serving_parity.py``
 pins this.
 
-Live wall-clock serving runs on an asyncio event loop (started in-thread or
-via :meth:`start` on a dedicated daemon thread) with flush execution on a
-small thread pool; ``experiments/serving_bench.py`` drives it from real
-client threads and lands the numbers in ``BENCH_serving.json``.
+Live wall-clock serving runs on one daemon flush thread
+(:meth:`CacheServer.start` / :meth:`CacheServer.stop`) sleeping on the one
+``threading.Condition`` that guards the admission queue: client threads offer
+requests under it, the thread executes one flush at a time and resolves the
+futures itself.  The coroutine API (``serve`` / ``submit`` / ``shutdown``)
+wraps the threaded one.  ``experiments/serving_bench.py`` drives the server
+from real client threads and lands the numbers in ``BENCH_serving.json``.
 """
 
 from __future__ import annotations
@@ -103,10 +106,9 @@ class ServerConfig:
     enroll_on_miss:
         Whether misses enrol the LLM's response in the user's cache.
     deterministic:
-        Single-worker mode: flush execution runs inline on the calling
-        thread (no pool, no cross-shard parallelism) and LLM requests are
-        stamped with virtual event times — the mode :meth:`CacheServer.replay`
-        uses for byte-exact parity with the simulator.
+        Replay mode: :meth:`CacheServer.replay` runs each flush inline on
+        the calling thread (no flush thread) and LLM requests are stamped
+        with virtual event times — byte-exact parity with the simulator.
     """
 
     n_shards: int = 4
@@ -151,6 +153,8 @@ class ServerMetrics:
     hits: int = 0
     llm_requests: int = 0
     shed: int = 0
+    #: requests admitted and then failed by an exception inside their flush
+    failed: int = 0
     #: flush size -> number of flushes of that size (at most
     #: ``max_batch_size`` keys in live mode, so memory stays bounded)
     flush_sizes: Dict[int, int] = field(default_factory=dict)
@@ -168,8 +172,8 @@ class ServerMetrics:
 
     @property
     def offered(self) -> int:
-        """Requests that reached admission (served + shed)."""
-        return self.completed + self.shed
+        """Requests that reached admission (served + failed + shed)."""
+        return self.completed + self.failed + self.shed
 
     @property
     def shed_rate(self) -> float:
@@ -212,6 +216,7 @@ class ServerMetrics:
             "hits": self.hits,
             "llm_requests": self.llm_requests,
             "shed": self.shed,
+            "failed": self.failed,
             "shed_rate": self.shed_rate,
             "hit_rate": self.hit_rate,
             "flushes": self.flushes,
@@ -234,10 +239,11 @@ class _PendingRequest:
     """One admitted request waiting for (or inside) a flush."""
 
     #: the executor-facing arrival (a replayed trace event, or one built by
-    #: :meth:`CacheServer.submit` stamped with the server clock)
+    #: :meth:`CacheServer.submit_threadsafe` stamped with the server clock)
     event: WorkloadEvent
     enqueued_at: float
-    future: Optional[asyncio.Future] = None
+    #: what the flush thread resolves (live mode; a replayed request has none)
+    future: Optional["concurrent.futures.Future[ServerResponse]"] = None
 
 
 class MicroBatcher:
@@ -256,8 +262,8 @@ class MicroBatcher:
     * :meth:`due` fires iff the batch is full or the oldest pending request
       has waited ``max_wait_s``.
 
-    The class is not thread-safe; the server only touches it from its event
-    loop (live mode) or the replaying thread (deterministic mode).
+    The class is not thread-safe; the server only touches it under its
+    condition (live mode) or from the replaying thread (deterministic mode).
     """
 
     def __init__(
@@ -333,15 +339,15 @@ class _Shard:
 
 
 class CacheServer:
-    """Asyncio cache service over hash-sharded per-user caches.
+    """Cache service over hash-sharded per-user caches.
 
-    Synchronous single-worker use (deterministic replay, unit tests) needs
-    no event loop: :meth:`replay` drives the micro-batcher and shards
-    inline.  Live use either runs inside an existing loop (``await
-    server.submit(...)`` with ``async with server.serving()``), or lets the
-    server own a loop on a daemon thread (:meth:`start` / :meth:`stop`) and
-    drives it from real client threads via :meth:`submit_threadsafe` — the
-    load generator's mode.
+    Deterministic replay (and unit tests) needs no thread: :meth:`replay`
+    drives the micro-batcher and shards inline.  Live use is
+    :meth:`start` → :meth:`submit_threadsafe` from any number of client
+    threads → :meth:`stop`: the server owns one daemon flush thread and
+    nothing else.  Callers inside an event loop use the same server through
+    ``await server.serve()`` / ``await server.submit(...)`` / ``await
+    server.shutdown()``, which wrap the three calls above.
     """
 
     def __init__(
@@ -395,12 +401,10 @@ class CacheServer:
             self.config.max_batch_wait_s,
             self.config.max_queue_depth,
         )
-        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_thread: Optional[threading.Thread] = None
-        self._batch_task: Optional[asyncio.Task] = None
-        self._arrival: Optional[asyncio.Event] = None
-        self._stop_requested: Optional[asyncio.Event] = None
+        #: guards ``_batcher`` and ``_running`` while live; the flush thread
+        #: sleeps on it and admission wakes it
+        self._wake = threading.Condition()
+        self._thread: Optional[threading.Thread] = None
         self._running = False
 
     # ------------------------------------------------------------------ #
@@ -502,10 +506,9 @@ class CacheServer:
         Shard slices run sequentially on the calling thread (each under its
         shard lock): flushes execute one at a time anyway — per-user FIFO
         depends on it — and with the GIL over NumPy-bound work, fanning the
-        slices out to more threads buys nothing while risking pool
-        starvation (this method already runs *on* the worker pool in live
-        mode).  Cross-request amortization comes from the single flush-wide
-        encoder call, not from shard parallelism.
+        slices out to more threads buys nothing.  Cross-request amortization
+        comes from the single flush-wide encoder call, not from shard
+        parallelism.
         """
         events = [r.event for r in requests]
         embeddings = self._embed_flush(requests)
@@ -607,24 +610,25 @@ class CacheServer:
             self._thaw_encoder()
 
     # ------------------------------------------------------------------ #
-    # Live asyncio serving
+    # Live serving: one flush thread, one condition
     # ------------------------------------------------------------------ #
-    async def submit(
+    def submit_threadsafe(
         self,
         user_id: str,
         query: str,
         context: Sequence[str] = (),
         intent_key: str = "",
-    ) -> ServerResponse:
-        """Admit one request and await its flushed result.
+    ) -> "concurrent.futures.Future[ServerResponse]":
+        """Admit one request from any thread; the future is its flushed result.
 
-        Raises :class:`BackpressureError` immediately when the admission
-        queue is at its bound (the request is shed, not queued).
+        A request arriving while the admission queue is at its bound is shed,
+        not queued: its future is already failed with
+        :class:`BackpressureError` when this returns.  Raises
+        ``RuntimeError`` when the server is not running (before
+        :meth:`start`, or once :meth:`stop` began).
         """
-        if self._loop is None:
-            raise RuntimeError("server is not running; call start() or serve()")
         now = self.clock()
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        future: "concurrent.futures.Future[ServerResponse]" = concurrent.futures.Future()
         event = WorkloadEvent(
             time_s=now,
             user_id=user_id,
@@ -633,55 +637,68 @@ class CacheServer:
             intent_key=intent_key,
         )
         request = _PendingRequest(event=event, enqueued_at=now, future=future)
+        with self._wake:
+            # Tested under the condition the flush thread's exit test holds:
+            # whatever is admitted here is drained before the thread returns.
+            if not self._running:
+                raise RuntimeError("server is not running; call start() first")
+            try:
+                self._batcher.offer(request, now=now)
+            except BackpressureError as exc:
+                self.metrics.shed += 1
+                future.set_exception(exc)
+                return future
+            depth = self._batcher.depth
+            self.metrics.max_depth_seen = max(self.metrics.max_depth_seen, depth)
+            # The thread sleeps untimed on an empty queue and until the oldest
+            # request's deadline otherwise; only the first arrival and the one
+            # that fills the batch change when it must wake.
+            if depth == 1 or depth >= self.config.max_batch_size:
+                self._wake.notify()
+        return future
+
+    def _flush_loop(self) -> None:
+        """The flush thread: wait until a flush is due, drain, execute, repeat.
+
+        Returns once :meth:`stop` cleared ``_running`` and the queue is empty;
+        after stop began nothing more will coalesce, so it drains at once.
+        """
         try:
-            self._batcher.offer(request, now=now)
-        except BackpressureError:
-            self.metrics.shed += 1
-            raise
-        self.metrics.max_depth_seen = max(
-            self.metrics.max_depth_seen, self._batcher.depth
-        )
-        if self._arrival is not None:
-            self._arrival.set()
-        response = await future
-        self.metrics.e2e_latency.record(int((self.clock() - now) * 1e9))
-        return response
+            while True:
+                with self._wake:
+                    while self._running and not self._batcher.due(now := self.clock()):
+                        deadline = self._batcher.next_deadline()
+                        self._wake.wait(None if deadline is None else deadline - now)
+                    batch = self._batcher.drain(limit=self.config.max_batch_size)
+                if not batch:
+                    return
+                self._flush(batch)
+        finally:
+            self._thaw_encoder()
 
-    def submit_threadsafe(
-        self, user_id: str, query: str, context: Sequence[str] = ()
-    ) -> "concurrent.futures.Future[ServerResponse]":
-        """Submit from any thread into the server's own loop (see start())."""
-        if self._loop is None:
-            raise RuntimeError("server is not running; call start() first")
-        return asyncio.run_coroutine_threadsafe(
-            self.submit(user_id, query, context), self._loop
-        )
-
-    async def _flush(self, batch: List[_PendingRequest]) -> None:
+    def _flush(self, drained: List[_PendingRequest]) -> None:
         """Execute one drained batch and resolve its futures.
 
-        A failure inside the flush (an encoder, cache or LLM exception) is
-        contained to this batch: its futures fail with the exception, one
-        warning is logged, and the batch loop keeps serving later requests.
-        Cancellation is not an ``Exception``: it fails the futures too, then
-        propagates.
+        A future its client cancelled while it was queued is dropped here
+        instead of breaking the batch.  A failure inside the flush (an
+        encoder, cache or LLM exception) is contained to this batch: its
+        futures fail with the exception, one warning is logged, and the flush
+        loop keeps serving later requests.  Anything that is not an
+        ``Exception`` fails the futures too, then propagates.
         """
         drained_at = self.clock()
+        batch = [r for r in drained if r.future.set_running_or_notify_cancel()]
+        if not batch:
+            return
         self.metrics.record_flush(len(batch))
-        loop = asyncio.get_running_loop()
         try:
-            if self._pool is not None and not self.config.deterministic:
-                pairs = await loop.run_in_executor(
-                    self._pool, self._classify_flush, batch
-                )
-            else:
-                pairs = self._classify_flush(batch)
+            pairs = self._classify_flush(batch)
         except BaseException as exc:
-            # Fail the waiters either way: no submit() may hang on a flush
+            # Fail the waiters either way: no client may hang on a flush
             # that will never resolve.
+            self.metrics.failed += len(batch)
             for request in batch:
-                if request.future is not None and not request.future.done():
-                    request.future.set_exception(exc)
+                request.future.set_exception(exc)
             if not isinstance(exc, Exception):
                 raise
             logger.warning(
@@ -690,116 +707,67 @@ class CacheServer:
                 exc_info=True,
             )
             return
+        resolved_at = self.clock()
         for request, outcome in pairs:
             response = self._record(request, outcome, len(batch), drained_at)
-            if request.future is not None and not request.future.done():
-                request.future.set_result(response)
-
-    async def _batch_loop(self) -> None:
-        """Coalesce pending requests into flushes (max-batch or max-wait)."""
-        assert self._arrival is not None
-        while self._running or self._batcher.depth:
-            if self._batcher.depth == 0:
-                self._arrival.clear()
-                if not self._running:
-                    break
-                try:
-                    await asyncio.wait_for(self._arrival.wait(), timeout=0.1)
-                except asyncio.TimeoutError:
-                    continue
-            now = self.clock()
-            # Once shutdown began, drain at once: nothing more will coalesce.
-            if self._running and not self._batcher.due(now):
-                deadline = self._batcher.next_deadline()
-                delay = max(0.0, (deadline or now) - now)
-                self._arrival.clear()
-                try:
-                    # Wake early on new arrivals (the batch may fill before
-                    # the oldest request ages out).
-                    await asyncio.wait_for(self._arrival.wait(), timeout=delay)
-                except asyncio.TimeoutError:
-                    pass
-                if not self._batcher.due(self.clock()) and self._running:
-                    continue
-            batch = self._batcher.drain(limit=self.config.max_batch_size)
-            if batch:
-                await self._flush(batch)
+            self.metrics.e2e_latency.record(int((resolved_at - request.enqueued_at) * 1e9))
+            request.future.set_result(response)
 
     # -- lifecycle ------------------------------------------------------ #
-    async def serve(self) -> None:
-        """Start serving inside the *current* event loop (async context)."""
-        if self._running:
-            return
-        self._loop = asyncio.get_running_loop()
-        self._arrival = asyncio.Event()
-        if not self.config.deterministic:
-            # One worker: flushes execute sequentially (per-user FIFO
-            # requires it) while the event loop stays free to admit
-            # arrivals — which is what fills the next batch.
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="cache-server"
-            )
-        self._freeze_encoder()
-        self._running = True
-        self._batch_task = asyncio.get_running_loop().create_task(self._batch_loop())
-
-    async def shutdown(self) -> None:
-        """Drain pending requests, stop the batch loop, release the pool.
-
-        The only place that clears ``_running``: the batch loop keeps
-        flushing until the queue is empty, and it is awaited here.
-        """
-        if not self._running:
-            return
-        self._running = False
-        try:
-            if self._arrival is not None:
-                self._arrival.set()
-            if self._batch_task is not None:
-                await self._batch_task
-                self._batch_task = None
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-            self._loop = None
-        finally:
-            self._thaw_encoder()
-
     def start(self) -> None:
-        """Run the server's event loop on a dedicated daemon thread.
+        """Start the flush thread; the encoder stays frozen while it lives.
 
-        The load-generator mode: real client threads then call
-        :meth:`submit_threadsafe`.  Pair with :meth:`stop`.
+        Client threads then call :meth:`submit_threadsafe`.  Pair with
+        :meth:`stop`.
         """
-        if self._loop_thread is not None:
-            raise RuntimeError("server already started")
-        ready = threading.Event()
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-
-            async def _main() -> None:
-                await self.serve()
-                self._stop_requested = asyncio.Event()
-                ready.set()
-                await self._stop_requested.wait()
-                await self.shutdown()
-
-            loop.run_until_complete(_main())
-            loop.close()
-
-        self._loop_thread = threading.Thread(
-            target=_run, name="cache-server-loop", daemon=True
-        )
-        self._loop_thread.start()
-        ready.wait()
+        with self._wake:
+            if self._thread is not None:
+                raise RuntimeError("server already started")
+            self._freeze_encoder()
+            self._running = True
+            self._thread = threading.Thread(
+                target=self._flush_loop, name="cache-server-flush", daemon=True
+            )
+            self._thread.start()
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Stop a :meth:`start`-ed server, draining pending requests."""
-        if self._loop_thread is None:
+        """Refuse new requests, serve everything already admitted, join.
+
+        If the flush thread is still draining after ``timeout`` seconds a
+        warning is logged and the server stays stopped-but-unjoined (the
+        encoder still frozen): call :meth:`stop` again to finish the join.
+        """
+        with self._wake:
+            self._running = False
+            self._wake.notify()
+        thread = self._thread
+        if thread is None:
             return
-        if self._loop is not None and self._stop_requested is not None:
-            self._loop.call_soon_threadsafe(self._stop_requested.set)
-        self._loop_thread.join(timeout=timeout)
-        self._loop_thread = None
+        thread.join(timeout=timeout)
+        if thread.is_alive():
+            logger.warning(
+                "flush thread still draining after %.1f s; call stop() again", timeout
+            )
+            return
+        self._thread = None
+
+    # -- the same server for callers inside an event loop --------------- #
+    async def serve(self) -> None:
+        """:meth:`start`, for callers inside an event loop."""
+        self.start()
+
+    async def submit(
+        self,
+        user_id: str,
+        query: str,
+        context: Sequence[str] = (),
+        intent_key: str = "",
+    ) -> ServerResponse:
+        """:meth:`submit_threadsafe`, awaited (shed → :class:`BackpressureError`)."""
+        return await asyncio.wrap_future(
+            self.submit_threadsafe(user_id, query, context, intent_key)
+        )
+
+    async def shutdown(self) -> None:
+        """:meth:`stop`, off-loaded so the caller's loop keeps running."""
+        await asyncio.to_thread(self.stop)

@@ -26,14 +26,16 @@ from __future__ import annotations
 
 import gc
 import logging
+import sys
 import threading
+import time
 
 import pytest
 
 from conftest import make_tiny_encoder
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
-from repro.serving.server import CacheServer, ServerConfig
+from repro.serving.server import BackpressureError, CacheServer, ServerConfig
 
 pytestmark = pytest.mark.serving
 
@@ -78,6 +80,11 @@ def _hammer(server, queries_of_thread):
     for thread in threads:
         thread.join()
     return responses, errors
+
+
+def _server_threads():
+    """Live threads a CacheServer started (they are all named ``cache-server…``)."""
+    return [t for t in threading.enumerate() if t.name.startswith("cache-server")]
 
 
 def assert_cache_invariants(cache):
@@ -252,8 +259,8 @@ class TestThreadedHammer:
 
 
 def test_stop_drains_the_queue_and_tears_down(caplog):
-    """stop() right after a burst: every queued request still resolves, the
-    batch task is awaited (not destroyed pending) and the pool is released."""
+    """stop() right after a burst: every queued request still resolves and
+    the flush thread is joined and forgotten."""
     encoder = make_tiny_encoder()
     caches = {}
 
@@ -272,19 +279,19 @@ def test_stop_drains_the_queue_and_tears_down(caplog):
             for i in range(24)
         ]
         server.stop()
-        gc.collect()  # a batch task left pending would be reported here
+        gc.collect()  # a task left pending would be reported here
     assert all(future.done() for future in futures)
     assert all(future.result(timeout=0).response for future in futures)
     assert server.metrics.completed == 24
-    assert server._batch_task is None
-    assert server._pool is None
+    assert server._thread is None
+    assert _server_threads() == []
     assert not server._running
     assert "Task was destroyed" not in caplog.text
 
 
 def test_flush_failure_is_contained_to_its_batch(caplog):
     """A cache raising inside a flush fails that batch's requests only: the
-    batch loop survives, another user's next request is served, and stop()
+    flush loop survives, another user's next request is served, and stop()
     still tears down cleanly."""
     encoder = make_tiny_encoder()
 
@@ -316,9 +323,11 @@ def test_flush_failure_is_contained_to_its_batch(caplog):
             response = served.result(timeout=5)
         finally:
             server.stop()
-            gc.collect()  # a batch task left pending would be reported here
+            gc.collect()  # a task left pending would be reported here
     assert response.response and not response.hit
-    assert server.metrics.completed == 1  # the failed request is not counted
+    assert server.metrics.completed == 1  # the failed request is counted apart
+    assert server.metrics.failed == 1
+    assert server.metrics.offered == 2 and server.metrics.to_dict()["failed"] == 1
     assert server.metrics.flushes == 2
     flush_warnings = [
         record
@@ -326,9 +335,203 @@ def test_flush_failure_is_contained_to_its_batch(caplog):
         if record.name == "repro.serving.server" and record.levelno == logging.WARNING
     ]
     assert len(flush_warnings) == 1
-    assert server._batch_task is None
-    assert server._pool is None
+    assert server._thread is None
+    assert _server_threads() == []
     assert "Task was destroyed" not in caplog.text
+
+
+class TestFlushThreadLifecycle:
+    """The live server is one flush thread behind one condition."""
+
+    def _factory(self):
+        encoder = make_tiny_encoder()
+        caches = {}
+
+        def factory(user_id):
+            return caches.setdefault(
+                user_id, MeanCache(encoder, MeanCacheConfig(similarity_threshold=0.999))
+            )
+
+        return factory
+
+    def test_submitters_racing_stop_lose_nothing(self):
+        """8 clients submit while another thread stops the server: every
+        future ever returned resolves, every refused call raised, and the
+        metrics account for exactly the admitted requests."""
+        server = _server(
+            self._factory(), max_queue_depth=16, max_batch_size=4, max_batch_wait_s=0.0005
+        )
+        server.start()
+        returned, refused, errors = [], [], []
+        go = threading.Event()
+
+        def client(tid):
+            try:
+                go.wait(timeout=10)
+                for i in range(400):
+                    try:
+                        returned.append(
+                            server.submit_threadsafe(f"user-{tid}", f"race {tid} item {i}")
+                        )
+                    except RuntimeError as exc:
+                        assert "server is not running" in str(exc)
+                        refused.append((tid, i))
+                        return
+            except BaseException as exc:  # surfaced on the main thread below
+                errors.append((tid, exc))
+
+        def stopper():
+            go.wait(timeout=10)
+            while len(returned) < 40:  # let some traffic through first
+                time.sleep(0.0005)
+            server.stop()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(t,)) for t in range(8)]
+            threads.append(threading.Thread(target=stopper))
+            for thread in threads:
+                thread.start()
+            go.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop()
+        assert not errors, errors[0]
+        # stop() returned only after the flush thread drained the queue: no
+        # future is pending, whichever side of the stop it was admitted on.
+        assert all(future.done() for future in returned)
+        shed = [f for f in returned if isinstance(f.exception(), BackpressureError)]
+        served = [f for f in returned if f.exception() is None]
+        assert len(shed) + len(served) == len(returned)
+        assert all(f.result().response for f in served)
+        assert refused, "stop() landed after every client finished; nothing raced"
+        metrics = server.metrics
+        assert (metrics.completed, metrics.shed, metrics.failed) == (len(served), len(shed), 0)
+        assert metrics.offered == len(returned)
+        assert _server_threads() == []
+
+    def test_cancelled_queued_future_is_dropped_not_its_batch(self):
+        """A client cancels while queued: the batch's other requests are
+        served, the cancelled one is never executed or counted."""
+        # Nothing flushes before stop(): the long wait keeps all three queued.
+        server = _server(self._factory(), max_batch_size=64, max_batch_wait_s=30.0)
+        server.start()
+        try:
+            futures = [
+                server.submit_threadsafe("alice", f"cancellable question {i}") for i in range(3)
+            ]
+            assert futures[1].cancel()
+        finally:
+            server.stop()
+        assert futures[1].cancelled()
+        assert [f.result(timeout=0).query for f in (futures[0], futures[2])] == [
+            "cancellable question 0",
+            "cancellable question 2",
+        ]
+        assert server.metrics.completed == 2
+        assert server.metrics.batch_size_histogram() == {2: 1}
+        assert server.service.stats.n_requests == 2  # the dropped one paid no LLM
+
+    def test_exactly_one_server_thread_while_serving(self):
+        server = _server(self._factory())
+        assert _server_threads() == []
+        server.start()
+        try:
+            assert server.submit_threadsafe("alice", "who is counting").result(timeout=10)
+            assert [t.name for t in _server_threads()] == ["cache-server-flush"]
+            with pytest.raises(RuntimeError, match="already started"):
+                server.start()
+        finally:
+            server.stop()
+        assert _server_threads() == []
+        server.stop()  # a second stop is a no-op
+
+    def test_submit_outside_start_stop_raises_synchronously(self):
+        server = _server(self._factory())
+        with pytest.raises(RuntimeError, match="server is not running"):
+            server.submit_threadsafe("alice", "too early")
+        server.start()
+        server.stop()
+        with pytest.raises(RuntimeError, match="server is not running"):
+            server.submit_threadsafe("alice", "too late")
+        assert server.metrics.offered == 0
+
+    def test_stop_timeout_keeps_the_thread_and_the_freeze(self, caplog):
+        """stop(timeout) expiring mid-flush warns, keeps the handle and the
+        encoder frozen; a second stop() finishes the join and thaws."""
+        encoder = make_tiny_encoder()
+        entered, release = threading.Event(), threading.Event()
+
+        class SlowCache(MeanCache):
+            def lookup_batch(self, queries, contexts=None, embeddings=None):
+                entered.set()
+                assert release.wait(timeout=30)
+                return super().lookup_batch(queries, contexts=contexts, embeddings=embeddings)
+
+        cache = SlowCache(encoder, MeanCacheConfig(similarity_threshold=0.999))
+        server = CacheServer(
+            lambda uid: cache,
+            service=_fast_service(),
+            config=ServerConfig(max_batch_size=1, max_batch_wait_s=0.0),
+            encoder=encoder,
+        )
+        server.start()
+        try:
+            future = server.submit_threadsafe("alice", "a slow question")
+            assert entered.wait(timeout=10)
+            with caplog.at_level(logging.WARNING, logger="repro.serving.server"):
+                server.stop(timeout=0.05)
+            assert "still draining" in caplog.text
+            assert server._thread is not None and server._thread.is_alive()
+            assert not encoder.W1.flags.writeable  # still frozen: the thread still runs
+            with pytest.raises(RuntimeError, match="already started"):
+                server.start()
+            with pytest.raises(RuntimeError, match="server is not running"):
+                server.submit_threadsafe("alice", "after stop began")
+        finally:
+            release.set()
+            server.stop()
+        assert future.result(timeout=0).response
+        assert server._thread is None and _server_threads() == []
+        assert encoder.W1.flags.writeable
+        assert server.metrics.to_dict()["encoder_memo_misses"] == 1
+
+    def test_submit_threadsafe_forwards_intent_key(self):
+        """The thread API carries the intent key, so a re-ask is verified."""
+
+        class Recorder:
+            def __init__(self):
+                self.observed = []
+
+            def register_user(self, user_id, cache):
+                pass
+
+            def observe(self, user_id, **kwargs):
+                self.observed.append((kwargs["hit"], kwargs["verified"]))
+
+            def advance(self, now_s):
+                pass
+
+        recorder = Recorder()
+        server = CacheServer(
+            self._factory(),
+            service=_fast_service(),
+            config=ServerConfig(max_batch_size=1, max_batch_wait_s=0.0),
+            adaptation=recorder,
+        )
+        server.start()
+        try:
+            for intent in ("paris", "paris", "rome"):
+                server.submit_threadsafe(
+                    "alice", "what is the capital of France", intent_key=intent
+                ).result(timeout=10)
+        finally:
+            server.stop()
+        assert recorder.observed == [(False, None), (True, True), (True, False)]
 
 
 class TestHammerUnderRuntimeChecker:
@@ -391,8 +594,6 @@ class TestSlowHammer:
         time; everything admitted must resolve; cache invariants must hold
         through the contention; accounting must balance exactly.
         """
-        from repro.serving.server import BackpressureError
-
         encoder = make_tiny_encoder()
         caches = {}
 
@@ -443,6 +644,7 @@ class TestSlowHammer:
         assert len(served) + shed_count[0] == offered
         assert server.metrics.completed == len(served)
         assert server.metrics.shed == shed_count[0]
+        assert server.metrics.failed == 0
         assert server.metrics.offered == offered
         for cache in caches.values():
             assert_cache_invariants(cache)
