@@ -76,9 +76,9 @@ from repro.index.snapshot import (
     SnapshotError,
     append_delta,
     atomic_snapshot_dir,
-    delta_log_size,
     load_cache_snapshot,
     native_float_dtype,
+    open_delta_log,
     read_deltas,
     read_manifest,
     save_cache_snapshot,
@@ -131,7 +131,18 @@ class QuantizedTier:
     snapshot: :meth:`flush` appends pending mutations to the snapshot's
     delta log (cost proportional to the delta, never a full rewrite) and
     :meth:`maintenance` folds the log into a fresh full snapshot once it
-    exceeds ``compact_every`` records.
+    holds ``compact_every`` records.  The tier counts its log records in
+    memory: the directory is read once, before the first append to a
+    snapshot that was already there (which is also when a torn tail left
+    by a crashed append is cut off), and again only after an append of its
+    own failed — nothing else may write to ``snapshot_dir`` while the tier
+    is attached to it, bar a full snapshot of this tier published over it
+    (:meth:`TieredCache.published_at`).
+
+    Upkeep is split by owner.  Committing mutations (:meth:`flush`) is
+    owed by every cache that made some; :meth:`maintenance` — the index's
+    own upkeep and compaction — is owed once per served batch however many
+    caches share the tier (see ``docs/serving.md``, "Upkeep contract").
     """
 
     def __init__(
@@ -162,7 +173,25 @@ class QuantizedTier:
             Path(snapshot_dir) if snapshot_dir is not None else None
         )
         self.compact_every = int(compact_every)
+        #: the directory ``_log_records`` describes: unset until the first
+        #: append reads it, stale once ``snapshot_dir`` is pointed elsewhere
+        self._counted_dir: Optional[Path] = None
+        self._log_records: Optional[int] = None
         self._reset_pending()
+
+    def _log_length(self) -> Optional[int]:
+        """Delta records on top of the baseline in ``snapshot_dir``, or
+        ``None`` while no baseline exists there.  Reads the directory once
+        (cutting off a crashed append's torn tail on the way); :meth:`save`
+        and :meth:`flush` keep count after that."""
+        if self._counted_dir != self.snapshot_dir:
+            self._log_records = (
+                open_delta_log(self.snapshot_dir)
+                if (self.snapshot_dir / "manifest.json").is_file()
+                else None
+            )
+            self._counted_dir = self.snapshot_dir
+        return self._log_records
 
     def _reset_pending(self) -> None:
         """Forget the mutations buffered since the last flush (one delta
@@ -371,9 +400,18 @@ class QuantizedTier:
                 ),
                 self._index,
             )
-            # The published snapshot captures every pending mutation.
-            self._reset_pending()
+            self._rebaselined(path)
         return path
+
+    def _rebaselined(self, path: Path) -> None:
+        """A full snapshot of the tier was just published at ``path``
+        (caller holds the lock, and has since the snapshot was taken).  If
+        that is the tier's own ``snapshot_dir``, it now captures every
+        pending mutation under an empty log; a copy saved elsewhere leaves
+        both as they were, still owed to ``snapshot_dir``."""
+        if self.snapshot_dir is not None and path.resolve() == self.snapshot_dir.resolve():
+            self._reset_pending()
+            self._counted_dir, self._log_records = self.snapshot_dir, 0
 
     def flush(self) -> None:
         """Commit pending mutations to the snapshot's delta log.
@@ -385,33 +423,44 @@ class QuantizedTier:
         if self.snapshot_dir is None:
             return
         with self.lock:
-            if not (self.snapshot_dir / "manifest.json").is_file():
+            n_records = self._log_length()
+            if n_records is None:
                 self.save(self.snapshot_dir)
                 return
             if not (self._pending_ids or self._pending_removed):
                 return
-            append_delta(
-                self.snapshot_dir,
-                vectors=(
-                    np.stack(self._pending_vectors) if self._pending_ids else None
-                ),
-                ids=list(self._pending_ids),
-                removed=list(self._pending_removed),
-                meta={"entries": list(self._pending_meta)},
-            )
+            try:
+                append_delta(
+                    self.snapshot_dir,
+                    vectors=(
+                        np.stack(self._pending_vectors) if self._pending_ids else None
+                    ),
+                    ids=list(self._pending_ids),
+                    removed=list(self._pending_removed),
+                    meta={"entries": list(self._pending_meta)},
+                    seq=n_records + 1,
+                )
+            except BaseException:
+                # A failed append may have left a fragment on the log: make
+                # the retry re-read the directory, which cuts it off.
+                self._counted_dir = None
+                raise
+            self._log_records = n_records + 1
             self._reset_pending()
 
     def maintenance(self) -> None:
-        """Off-query-path upkeep: index maintenance, flush, compaction."""
+        """The tier's own off-query-path upkeep: index maintenance, then
+        compaction once the delta log holds ``compact_every`` records.
+
+        Owed once per served batch, not once per cache sharing the tier
+        (the serving layer de-duplicates by tier identity).  Anything still
+        pending is flushed first, so a standalone tier needs no other call.
+        """
         with self.lock:
             self._index.maintenance()
             self.flush()
-            if self.snapshot_dir is not None and (
-                self.snapshot_dir / "manifest.json"
-            ).is_file():
-                n_records, _rows = delta_log_size(self.snapshot_dir)
-                if n_records >= self.compact_every:
-                    self.save(self.snapshot_dir)
+            if self.snapshot_dir is not None and self._log_length() >= self.compact_every:
+                self.save(self.snapshot_dir)
 
     @classmethod
     def load(cls, path: "str | Path", mmap: bool = False) -> "QuantizedTier":
@@ -752,9 +801,20 @@ class TieredCache:
         self.l1.clear()
         self.l2.clear()
 
-    def maintenance(self) -> None:
-        """Between-batch upkeep: both indexes, then L2 flush/compaction."""
+    def local_maintenance(self) -> None:
+        """This cache's own share of between-batch upkeep: L1 index upkeep,
+        then committing the tier's pending mutations — its own, and any a
+        neighbour served in the same batch has not committed yet — as one
+        delta-log record, durable when this returns.  The tier's own upkeep
+        (:meth:`QuantizedTier.maintenance`) is not included: whoever drives
+        several caches over one tier owes that once per batch."""
         self.l1.maintenance()
+        self.l2.flush()
+
+    def maintenance(self) -> None:
+        """Between-batch upkeep of a cache driven on its own:
+        :meth:`local_maintenance`, then the tier's."""
+        self.local_maintenance()
         self.l2.maintenance()
 
     # ------------------------------------------------------------------ #
@@ -772,19 +832,36 @@ class TieredCache:
         checkpoint's user map.
         """
         path = Path(path)
-        with atomic_snapshot_dir(path) as stage:
-            self.l1.save(stage / "l1")
-            self.l2.save(stage / "l2")
-            write_manifest(
-                stage,
-                {
-                    "format": TIERED_FORMAT,
-                    "version": TIERED_VERSION,
-                    "promote_on_hit": self.promote_on_hit,
-                    "promotions": self._promotions,
-                },
-            )
+        # The tier stays locked from its staged snapshot to the publish, so
+        # a checkpoint in place (``path / "l2"`` is the tier's own
+        # ``snapshot_dir``) rebases its delta log on exactly what was staged.
+        with self.l2.lock:
+            with atomic_snapshot_dir(path) as stage:
+                self.l1.save(stage / "l1")
+                self.l2.save(stage / "l2")
+                write_manifest(
+                    stage,
+                    {
+                        "format": TIERED_FORMAT,
+                        "version": TIERED_VERSION,
+                        "promote_on_hit": self.promote_on_hit,
+                        "promotions": self._promotions,
+                    },
+                )
+            self.published_at(path)
         return path
+
+    def published_at(self, path: "str | Path") -> None:
+        """The snapshot the last :meth:`save` wrote now sits at ``path``.
+
+        For a caller that saved into a staging directory of its own and
+        renamed that into place (the fleet checkpoint): if ``path / "l2"``
+        is the tier's own ``snapshot_dir``, its delta log was just rebased
+        on that snapshot.  Nothing may mutate the cache between the save
+        and this call.
+        """
+        with self.l2.lock:
+            self.l2._rebaselined(Path(path) / "l2")
 
     @classmethod
     def load(

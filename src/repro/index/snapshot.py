@@ -51,7 +51,7 @@ import os
 import re
 import shutil
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -377,6 +377,60 @@ def stack_rows(rows: Sequence[np.ndarray], dim: int, dtype: np.dtype) -> np.ndar
     return np.stack(rows).astype(dtype, copy=False)
 
 
+#: ``json.dumps(..., indent=1)`` runs the pure-Python encoder (``indent``
+#: selects it), which took three quarters of a 10^4-entry tier's compaction;
+#: an encoder with separators but no ``indent`` runs in C.  These two put one
+#: leaf per line: a column of scalars, and the items of a list-valued field
+#: at the depth ``indent=1`` gives them.
+_COLUMN = json.JSONEncoder(separators=(",\n", ": "))
+_ITEMS = json.JSONEncoder(separators=(",\n   ", ": "))
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _dumps_records(records: List[Mapping[str, object]]) -> str:
+    """``json.dumps(records, indent=1)``, byte for byte, from C-encoder calls.
+
+    Covers what cache snapshots carry: dicts that all have the same string
+    keys in the same order, each key's values all scalars or all flat lists
+    of scalars.  Every scalar column is encoded by one C call and split
+    back into its leaves (a JSON string holds no raw newline, so the
+    separator occurs nowhere else); the ``indent=1`` framing around them is
+    composed by hand.  Any other shape goes to the ``indent=1`` encoder.
+    """
+    if not records:
+        return "[]"
+    keys = tuple(records[0]) if type(records[0]) is dict else ()
+    if (
+        not keys
+        or set(map(type, keys)) != {str}
+        or set(map(type, records)) != {dict}
+        or not all(map(keys.__eq__, map(tuple, records)))
+    ):
+        return json.dumps(records, indent=1)
+    columns: List[List[str]] = []
+    for key in keys:
+        column = [record[key] for record in records]
+        kinds = set(map(type, column))
+        if kinds <= _SCALARS:
+            columns.append(_COLUMN.encode(column)[1:-1].split(",\n"))
+        elif kinds == {list} and all(
+            set(map(type, items)) <= _SCALARS for items in filter(None, column)
+        ):
+            columns.append(
+                [
+                    f"[\n   {_ITEMS.encode(items)[1:-1]}\n  ]" if items else "[]"
+                    for items in column
+                ]
+            )
+        else:
+            return json.dumps(records, indent=1)
+    # One %-template per record shape; a "%" inside a key is doubled so it
+    # does not read as a conversion.
+    fields = (json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
+    template = "{\n  " + ",\n  ".join(fields) + "\n }"
+    return "[\n " + ",\n ".join(map(template.__mod__, zip(*columns))) + "\n]"
+
+
 def save_cache_snapshot(
     path: "str | Path",
     format_tag: str,
@@ -398,7 +452,7 @@ def save_cache_snapshot(
     path = Path(path)
     with atomic_snapshot_dir(path) as stage:
         (stage / ENTRIES_NAME).write_text(
-            json.dumps(list(records), indent=1) + "\n", encoding="utf-8"
+            _dumps_records(list(records)) + "\n", encoding="utf-8"
         )
         write_arrays(stage, arrays)
         save_index(index, stage / INDEX_DIR)
@@ -475,30 +529,50 @@ class DeltaRecord:
             index.remove(int(removed_id))
 
 
-def _delta_lines(path: Path) -> List[Dict[str, object]]:
+def _delta_lines(path: Path, repair: bool = False) -> List[Dict[str, object]]:
     """Parsed ``deltas.jsonl`` lines, tolerating a torn trailing line.
 
     A line that fails to decode is the uncommitted tail of a crashed append
     when (and only when) it is the last non-empty line — anything earlier is
     real corruption and raises :class:`SnapshotError`.
+
+    ``repair=True`` is for a caller about to append: the torn tail is cut off
+    the file (a complete record the crash left without its newline is
+    terminated instead), so the next record starts on a line of its own
+    rather than being glued onto the fragment.
     """
     log = path / DELTAS_NAME
     if not log.is_file():
         return []
-    raw_lines = [
-        line for line in log.read_text(encoding="utf-8").splitlines() if line.strip()
-    ]
+    data = log.read_bytes()
+    raw_lines = data.splitlines(keepends=True)
+    last = max((i for i, line in enumerate(raw_lines) if line.strip()), default=-1)
     records: List[Dict[str, object]] = []
-    for i, line in enumerate(raw_lines):
+    committed = offset = 0  # bytes of the log holding committed records / scanned
+    for i, line in enumerate(raw_lines[: last + 1]):
+        offset += len(line)
+        if not line.strip():
+            continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if i == len(raw_lines) - 1:
+        except ValueError as exc:  # JSONDecodeError, or a fragment cut mid-character
+            if i == last:
                 break  # torn trailing append; the log is valid up to here
             raise SnapshotError(f"corrupted delta log {log}: line {i + 1}: {exc}") from exc
         if not isinstance(record, dict):
             raise SnapshotError(f"corrupted delta log {log}: line {i + 1} is not an object")
         records.append(record)
+        committed = offset
+    if repair:
+        unterminated = committed > 0 and not data[:committed].endswith(b"\n")
+        if unterminated or data[committed:].strip():
+            with open(log, "r+b") as fh:
+                fh.truncate(committed)
+                if unterminated:
+                    fh.seek(committed)
+                    fh.write(b"\n")
+                fh.flush()
+                os.fsync(fh.fileno())
     return records
 
 
@@ -548,6 +622,7 @@ def append_delta(
     ids: Optional[Sequence[int]] = None,
     removed: Sequence[int] = (),
     meta: Optional[object] = None,
+    seq: Optional[int] = None,
 ) -> int:
     """Append one mutation record to the snapshot's delta log; returns its seq.
 
@@ -557,17 +632,25 @@ def append_delta(
     full arrays are never rewritten. The log is folded back into a full
     snapshot by :func:`compact_snapshot` (or implicitly by the next
     :func:`save_index`, whose atomic directory replace discards it).
+
+    Without ``seq`` the call checks that a snapshot exists at ``path`` and
+    reads the log to number the record, cutting off the torn tail a crashed
+    append may have left (:func:`open_delta_log`).  An appender that has
+    done that once and counts its own records passes ``seq`` — the record
+    count so far plus one — and the call touches neither the manifest nor
+    the log's existing lines.
     """
     path = Path(path)
-    if not (path / MANIFEST_NAME).is_file():
-        raise SnapshotError(f"no snapshot at {path} to append a delta to")
+    if seq is None:
+        if not (path / MANIFEST_NAME).is_file():
+            raise SnapshotError(f"no snapshot at {path} to append a delta to")
+        seq = open_delta_log(path) + 1
     if vectors is not None:
         vectors = np.atleast_2d(np.asarray(vectors))
         if ids is None or len(ids) != vectors.shape[0]:
             raise ValueError("ids must align with vectors")
     elif ids:
         raise ValueError("ids given without vectors")
-    seq = len(_delta_lines(path)) + 1
     record: Dict[str, object] = {
         "seq": seq,
         "ids": [int(i) for i in (ids or ())],
@@ -586,12 +669,32 @@ def append_delta(
         record["file"] = file_name
     # The log line is the commit point: a crash before this append leaves an
     # ignored orphan .npy, a crash mid-append leaves a torn trailing line
-    # that readers skip.
-    with open(path / DELTAS_NAME, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+    # that readers skip and the next appender's open_delta_log cuts off.  An
+    # append that fails in-process takes its bytes back off the log, so the
+    # caller's retry of the same record is not a duplicate.
+    with open(path / DELTAS_NAME, "ab") as fh:
+        committed = fh.seek(0, os.SEEK_END)
+        try:
+            fh.write((json.dumps(record) + "\n").encode("utf-8"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        except BaseException:
+            with suppress(OSError):
+                fh.truncate(committed)
+            raise
     return seq
+
+
+def open_delta_log(path: "str | Path") -> int:
+    """Make the delta log at ``path`` safe to append to; returns its record count.
+
+    What an appender does once before its first record: the committed records
+    are counted (the next one is numbered count + 1) and a torn trailing
+    line — the uncommitted tail of an append a crash interrupted — is cut
+    off the file, so the next record is not glued onto the fragment and
+    lost with it.  A missing log counts 0.
+    """
+    return len(_delta_lines(Path(path), repair=True))
 
 
 def delta_log_size(path: "str | Path") -> Tuple[int, int]:

@@ -377,6 +377,12 @@ class FleetSimulator:
                 stage,
                 {"format": FLEET_FORMAT, "version": FLEET_VERSION, "users": users},
             )
+        # A cache that keeps a delta log where its snapshot just landed (a
+        # restored tiered cache checkpointed in place) rebases it.
+        for adapter in self.caches.values():
+            published_at = getattr(adapter.cache, "published_at", None)
+            if published_at is not None:
+                published_at(path / key_of_cache[id(adapter.cache)])
         return path
 
     def restore(self, path: "str | Path", loader: Callable[[Path], object]) -> None:
@@ -427,8 +433,9 @@ class FleetSimulator:
             self.executor.advance_adaptation(window[-1].time_s)
             # Deferred index reorganization (IVF repartitioning with
             # ``auto_repartition=False``, cell-stat refreshes) runs between
-            # windows, off the lookup path.
-            self.executor.maintenance()
+            # windows, off the lookup path: each touched cache's share, then
+            # each shared tier under them once.
+            self.executor.maintenance(self.executor.maintenance())
             return outcomes
 
         return replay_windows(

@@ -17,7 +17,8 @@ frontends cannot drift:
   misses enrol, so no event can hit an entry enrolled by a later-arriving
   event and results are independent of grouping order.  The executor owns
   the per-cache intent oracle (hit verification), the optional
-  online-adaptation hookup, and the deferred index-maintenance pass.
+  online-adaptation hookup, and the deferred maintenance passes (per cache,
+  then once per shared tier).
 * :func:`iter_windows` — carves a trace into virtual-time batching windows
   (arrivals within ``batch_window_s`` of a window's first event batch
   together).  The live server's wall-clock counterpart is its adaptive
@@ -317,24 +318,43 @@ class BatchExecutor:
         if self.adaptation is not None:
             self.adaptation.advance(now_s)
 
-    def maintenance(self) -> None:
-        """Deferred background work for every cache the last batch touched.
+    def maintenance(self, targets: Optional[Iterable[object]] = None) -> List[object]:
+        """Deferred background work for ``targets`` — by default every cache
+        the last batch touched.  Returns the shared tiers still owed upkeep.
 
         IVF repartitioning (``auto_repartition=False``), probe-bound stat
         refreshes, layout compaction and snapshot delta-log folding run
         here, between batches — the query path itself never pays for
-        reorganization.  A cache exposing its own ``maintenance()`` (the
-        tiered cache compacts its L2 delta log there) owns the whole hook;
-        otherwise the executor falls through to the cache's index.
+        reorganization.  A target exposing its own ``maintenance()`` owns
+        the whole hook; otherwise the executor falls through to the
+        target's index.
+
+        A tiered cache does only its own share here
+        (:meth:`~repro.core.tiered.TieredCache.local_maintenance`: L1 index
+        upkeep, and its tier mutations committed to the delta log), and its
+        quantized tier is returned instead of maintained: a tier shared by
+        many caches is owed one upkeep per batch, not one per cache.  The
+        caller hands the returned tiers, each distinct object once, back as
+        ``targets`` when the whole batch has run — the simulator at once,
+        the server after its last shard slice.
         """
-        for adapter in self._touched.values():
-            maintain = getattr(adapter.cache, "maintenance", None)
+        if targets is None:
+            targets = [adapter.cache for adapter in self._touched.values()]
+        owed: Dict[int, object] = {}
+        for target in targets:
+            local = getattr(target, "local_maintenance", None)
+            if local is not None:
+                local()
+                owed[id(target.l2)] = target.l2
+                continue
+            maintain = getattr(target, "maintenance", None)
             if maintain is not None:
                 maintain()
                 continue
-            index = getattr(adapter.cache, "index", None)
+            index = getattr(target, "index", None)
             if index is not None and hasattr(index, "maintenance"):
                 index.maintenance()
+        return list(owed.values())
 
 
 def storage_report(caches: Iterable[object]) -> Dict[str, object]:

@@ -487,15 +487,19 @@ class CacheServer:
         shard: _Shard,
         events: List[WorkloadEvent],
         embeddings: Optional[np.ndarray],
+        tiers: Dict[int, object],
     ) -> List[LookupOutcome]:
         """Execute one shard's slice of a flush under the shard lock.
 
-        Deferred index maintenance for the caches the slice touched runs
-        under the same lock, after the slice's lookups and enrolments.
+        Each cache the slice touched does its own share of the deferred
+        upkeep under the same lock, after the slice's lookups and
+        enrolments; the shared tiers under those caches are collected into
+        ``tiers`` (by identity) for the flush to maintain once.
         """
         with shard.lock:
             outcomes = shard.executor.execute(events, embeddings=embeddings)
-            shard.executor.maintenance()
+            for tier in shard.executor.maintenance():
+                tiers[id(tier)] = tier
             return outcomes
 
     def _classify_flush(
@@ -516,14 +520,24 @@ class CacheServer:
         for i, event in enumerate(events):
             by_shard.setdefault(self.shard_of(event.user_id), []).append(i)
         results: List[Optional[LookupOutcome]] = [None] * len(requests)
+        tiers: Dict[int, object] = {}
         for shard_idx, rows in by_shard.items():
             shard_events = [events[i] for i in rows]
             shard_embs = (
                 embeddings[np.asarray(rows)] if embeddings is not None else None
             )
-            outcomes = self._run_shard(self._shards[shard_idx], shard_events, shard_embs)
+            outcomes = self._run_shard(
+                self._shards[shard_idx], shard_events, shard_embs, tiers
+            )
             for i, outcome in zip(rows, outcomes):
                 results[i] = outcome
+        # Every slice has committed its tier mutations; each shared tier's
+        # own upkeep (index maintenance, compaction when due) runs once for
+        # the flush, before any of its responses goes out.  The pass touches
+        # no executor state, so any shard's executor serves.
+        for tier in tiers.values():
+            with tier.lock:
+                self._shards[0].executor.maintenance([tier])
         if self.adaptation is not None and events:
             self._advance_adaptation(max(e.time_s for e in events))
         return [(request, results[i]) for i, request in enumerate(requests)]

@@ -35,6 +35,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_tiny_encoder
 
@@ -627,6 +629,41 @@ def test_fleet_checkpoint_deduplicates_shared_cache(tmp_path):
     resumed.run(second)
 
 
+def test_fleet_checkpoint_in_place_rebases_restored_tier_logs(tmp_path):
+    """A restored tiered cache logs its tier's mutations under the checkpoint
+    it came from; checkpointing over that directory replaces the log's
+    baseline, and the tier must count (and owe) from the new one."""
+    from repro.core.tiered import QuantizedTier, TieredCache
+    from repro.index import delta_log_size
+
+    encoder = make_tiny_encoder()
+    first, second = _split_trace(n_users=2)
+    factory = lambda uid: TieredCache(
+        encoder, MeanCacheConfig(max_entries=2), l2_params={"min_train_size": 10_000}
+    )
+    sim = _fleet(encoder, factory)
+    sim.run(first)
+    sim.checkpoint(tmp_path / "ckpt")
+
+    resumed = _fleet(encoder, factory)
+    resumed.restore(tmp_path / "ckpt", loader=lambda p: TieredCache.load(p, encoder))
+    resumed.run(second)
+    caches = [adapter.cache for adapter in resumed.caches.values()]
+    assert all(delta_log_size(c.l2.snapshot_dir)[0] > 0 for c in caches)
+    for cache in caches:  # demotions still pending when the checkpoint lands
+        for i in range(3):
+            cache.insert(f"enrolled between windows {i}", "r")
+        assert cache.l2._pending_ids
+    resumed.checkpoint(tmp_path / "ckpt")
+    for cache in caches:
+        assert not cache.l2._pending_ids
+        cache.insert("enrolled after the checkpoint", "r")
+        cache.maintenance()
+        assert cache.l2._log_length() == delta_log_size(cache.l2.snapshot_dir)[0] == 1
+        loaded = QuantizedTier.load(cache.l2.snapshot_dir)
+        assert [e.query for e in loaded.entries] == [e.query for e in cache.l2.entries]
+
+
 def test_fleet_checkpoint_rejects_unsaveable_cache(tmp_path):
     # The keyword baseline has no save() method.
     sim = FleetSimulator(cache_factory=lambda uid: KeywordCache())
@@ -815,6 +852,105 @@ def test_delta_log_rejects_mid_file_corruption(tmp_path):
     (path / "deltas.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(SnapshotError, match="corrupted delta log"):
         load_index(path)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        '{"seq": 2, "ids": [11], "rem',  # cut mid-record
+        '{"seq": 2, "ids": [], "removed": [1], "file": null}',  # cut before its newline
+        '{"seq": 2, "ids": [11], "rem\n',  # garbage that did get a newline
+    ],
+)
+def test_append_after_a_torn_tail_keeps_every_committed_record(tmp_path, tail):
+    """A crashed append's fragment must not swallow the next record.
+
+    Appending onto the torn line would make the new (fsynced, acknowledged)
+    record part of an undecodable tail readers skip, and one append later a
+    mid-file corruption no load survives.
+    """
+    from repro.index import append_delta, delta_log_size
+
+    index = make_index("flat", dim=DIM)
+    index.add_batch(np.random.default_rng(6).normal(size=(8, DIM)))
+    path = tmp_path / "snap"
+    index.save(path)
+    append_delta(path, vectors=np.ones((1, DIM)), ids=[50])
+    with open(path / "deltas.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(tail)
+    complete = tail.endswith("}")  # a whole record counts; only its newline was lost
+    committed = 2 if complete else 1
+    assert delta_log_size(path)[0] == committed
+
+    assert append_delta(path, vectors=np.ones((1, DIM)), ids=[60]) == committed + 1
+    assert 60 in load_index(path).ids
+    assert append_delta(path, removed=[50]) == committed + 2
+    loaded = load_index(path)
+    assert 60 in loaded.ids and 50 not in loaded.ids
+    assert (1 in loaded.ids) == (not complete)
+    assert delta_log_size(path)[0] == committed + 2
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=12),  # non-ASCII, controls, quotes, backslashes, "%"
+    st.sampled_from(['"', "\\", "\n", ",\n", "},\n {", "%s", "\u2028", "\x00"]),
+)
+_JSON_VALUES = st.one_of(_JSON_LEAVES, st.lists(_JSON_LEAVES, max_size=3))
+#: same keys in every record (the shape the fast path covers) ...
+_UNIFORM_RECORDS = st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries({k: _JSON_VALUES for k in keys}), max_size=6)
+)
+#: ... and everything it must hand to the reference encoder
+_RAGGED_RECORDS = st.lists(
+    st.one_of(
+        st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=4),
+        st.dictionaries(
+            st.text(max_size=4), st.lists(st.lists(_JSON_LEAVES, max_size=2), max_size=2), max_size=2
+        ),
+        st.dictionaries(st.integers(0, 9), _JSON_LEAVES, max_size=3),
+        _JSON_LEAVES,
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(records=st.one_of(_UNIFORM_RECORDS, _RAGGED_RECORDS))
+def test_fast_entries_writer_matches_indent_1_encoder(records):
+    """``entries.json`` text == ``json.dumps(records, indent=1)`` whatever
+    the records hold: the shapes the fast path covers and the ones it hands
+    to the reference encoder."""
+    from repro.index.snapshot import _dumps_records
+
+    assert _dumps_records(records) == json.dumps(records, indent=1)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [],
+        [  # MeanCache
+            {"entry_id": 0, "query": "caf\u00e9 \"q\"", "response": "r\\n", "context": [],
+             "created_at": 12.5, "last_accessed": 1e-7, "hit_count": 3},
+            {"entry_id": 1, "query": "q2", "response": "", "context": ["turn \u4e00", ""],
+             "created_at": 0.0, "last_accessed": -0.0, "hit_count": 0},
+        ],
+        [{"query": "q", "response": "r", "user_id": None}],  # GPTCache
+        [{"entry_id": 7, "query": "q", "response": "r", "context": ["only turn"]}],  # tier
+        [{"a": 1}, {"a": [1]}],  # a column that is a list in one record only
+        [{"a": [[1]]}],  # nested one level too deep: the fallback
+        [{"a": {"b": 1}}],
+        [{}],
+    ],
+)
+def test_fast_entries_writer_on_the_shapes_caches_write(records):
+    from repro.index.snapshot import _dumps_records
+
+    assert _dumps_records(records) == json.dumps(records, indent=1)
 
 
 def test_mmap_load_is_zero_copy(tmp_path):

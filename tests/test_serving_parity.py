@@ -30,6 +30,7 @@ from conftest import make_tiny_encoder
 from repro.baselines.gptcache import GPTCache, GPTCacheConfig
 from repro.baselines.keyword_cache import KeywordCache
 from repro.core.cache import MeanCache, MeanCacheConfig
+from repro.core.tiered import QuantizedTier, TieredCache
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving.fleet import FleetConfig, FleetSimulator
 from repro.serving.server import CacheServer, ServerConfig
@@ -99,6 +100,27 @@ def _meancache_factory(encoder):
     return lambda uid: MeanCache(encoder, MeanCacheConfig(similarity_threshold=0.8))
 
 
+def _tiered_factory(encoder, snapshot_dir):
+    """Per-user 3-entry L1s over one shared, snapshotted sq8 tier."""
+    tier = QuantizedTier(
+        params={"min_train_size": 24, "seed": 0},
+        snapshot_dir=snapshot_dir,
+        compact_every=4,
+    )
+    caches = {}
+
+    def factory(uid):
+        if uid not in caches:
+            caches[uid] = TieredCache(
+                encoder,
+                MeanCacheConfig(max_entries=3, similarity_threshold=0.8),
+                l2=tier,
+            )
+        return caches[uid]
+
+    return factory, tier
+
+
 def collect_parity_summary():
     """The pinned MeanCache decision stream (fixture-regeneration entry)."""
     trace = _make_trace()
@@ -142,6 +164,24 @@ class TestSimulatorServerParity:
         self.assert_identical_streams(sim_result, srv_result, len(trace))
         # Every user collapsed onto the shared cache's owning shard.
         assert len({server.shard_of(uid) for uid in trace.user_ids}) == 1
+
+    def test_tiered_fleet_byte_identical(self, trace, tmp_path):
+        """A shared tier maintained once per window (simulator) and once per
+        flush across shards (server) decides the same, and both leave a
+        snapshot that loads back to the live tier."""
+        encoder = make_tiny_encoder()
+        sim_factory, sim_tier = _tiered_factory(encoder, tmp_path / "sim")
+        srv_factory, srv_tier = _tiered_factory(encoder, tmp_path / "srv")
+        sim_result = _run_simulator(trace, sim_factory)
+        srv_result, server = _run_server(trace, srv_factory)
+        self.assert_identical_streams(sim_result, srv_result, len(trace))
+        assert len({server.shard_of(uid) for uid in trace.user_ids}) > 1
+        assert sim_tier.stats.hits == srv_tier.stats.hits > 0  # the L2 served
+        for tier in (sim_tier, srv_tier):
+            loaded = QuantizedTier.load(tier.snapshot_dir)
+            assert [(e.entry_id, e.query) for e in loaded.entries] == [
+                (e.entry_id, e.query) for e in tier.entries
+            ]
 
     def test_keyword_variant_byte_identical(self, trace):
         sim_result = _run_simulator(trace, lambda uid: KeywordCache())

@@ -19,6 +19,7 @@ Pins the tiered cache's contract (ISSUE 9):
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -401,6 +402,140 @@ def test_tier_maintenance_compacts_delta_log(tmp_path):
     assert _tier_state(loaded) == _tier_state(tier)
 
 
+def _assert_count_matches_disk(tier):
+    from repro.index import delta_log_size
+
+    has_baseline = (tier.snapshot_dir / "manifest.json").is_file()
+    on_disk = delta_log_size(tier.snapshot_dir)[0] if has_baseline else None
+    assert tier._log_length() == on_disk
+
+
+@st.composite
+def log_op_sequences(draw):
+    return draw(
+        st.lists(
+            st.sampled_from(
+                ["insert", "pop", "flush", "maintenance", "save", "save_elsewhere", "load"]
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(ops=log_op_sequences(), preexisting=st.booleans())
+def test_tier_counts_its_delta_log_in_memory(ops, preexisting, tmp_path_factory):
+    """After every step the tier's in-memory record count is what a reader
+    of the directory finds — including over a directory that already held
+    a snapshot plus log, and across a save to some other path."""
+    tmp_path = tmp_path_factory.mktemp("count")
+    snap = tmp_path / "snap"
+    rng = np.random.default_rng(7)
+
+    def new_tier():
+        return QuantizedTier(
+            dim=DIM, params=UNTRAINED, snapshot_dir=snap, compact_every=3
+        )
+
+    tier = new_tier()
+    if preexisting:
+        for i in range(3):
+            tier.insert(f"earlier {i}", "r", rng.normal(size=DIM))
+            tier.flush()  # baseline, then two records
+        tier = QuantizedTier.load(snap)
+    _assert_count_matches_disk(tier)
+    for step, op in enumerate(ops):
+        if op == "insert":
+            tier.insert(f"query {step}", "r", rng.normal(size=DIM))
+        elif op == "pop" and len(tier):
+            tier.pop(tier.entries[step % len(tier)].entry_id)
+        elif op == "flush":
+            tier.flush()
+        elif op == "maintenance":
+            tier.maintenance()
+        elif op == "save":
+            tier.save(snap)
+        elif op == "save_elsewhere":
+            pending = list(tier._pending_ids)
+            tier.save(tmp_path / "elsewhere")
+            assert tier._pending_ids == pending  # still owed to snapshot_dir
+        elif op == "load" and (snap / "manifest.json").is_file():
+            tier.flush()
+            tier = QuantizedTier.load(snap)
+        _assert_count_matches_disk(tier)
+    tier.flush()
+    assert _tier_state(QuantizedTier.load(snap)) == _tier_state(tier)
+
+
+def test_tier_constructed_over_an_existing_snapshot_counts_its_log(tmp_path):
+    from repro.index import delta_log_size
+
+    snap = tmp_path / "snap"
+    rng = np.random.default_rng(8)
+    first = QuantizedTier(dim=DIM, params=UNTRAINED, snapshot_dir=snap)
+    for i in range(3):
+        first.insert(f"earlier {i}", "r", rng.normal(size=DIM))
+        first.flush()
+    tier = QuantizedTier(dim=DIM, params=UNTRAINED, snapshot_dir=snap)
+    assert tier._log_length() == delta_log_size(snap)[0] == 2
+    # Pointed at another directory, the tier counts that one afresh.
+    tier.snapshot_dir = tmp_path / "moved"
+    tier.insert("after the move", "r", rng.normal(size=DIM))
+    tier.flush()  # no baseline there yet: this writes it
+    _assert_count_matches_disk(tier)
+    assert tier._log_length() == 0 and delta_log_size(snap)[0] == 2
+
+
+def test_steady_state_upkeep_never_rereads_the_log(tmp_path, monkeypatch):
+    from repro.index import snapshot
+
+    reads = []
+    original = snapshot._delta_lines
+
+    def spy(path, *args, **kwargs):
+        reads.append(path)
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(snapshot, "_delta_lines", spy)
+    rng = np.random.default_rng(9)
+    seed_tier = QuantizedTier(dim=DIM, params=UNTRAINED, snapshot_dir=tmp_path / "snap")
+    seed_tier.insert("seed", "r", rng.normal(size=DIM))
+    seed_tier.flush()
+    tier = QuantizedTier.load(tmp_path / "snap")
+    tier.compact_every = 4
+    tier.insert("first after load", "r", rng.normal(size=DIM))
+    tier.flush()  # the one read: counts the log, would cut off a torn tail
+    del reads[:]
+    for i in range(10):  # crosses two compactions
+        tier.insert(f"steady {i}", "r", rng.normal(size=DIM))
+        tier.flush()
+        tier.maintenance()
+    assert reads == []
+    assert _tier_state(QuantizedTier.load(tmp_path / "snap")) == _tier_state(tier)
+
+
+def test_reloaded_tier_appends_past_a_torn_tail(tmp_path):
+    """Crash mid-append, restart, keep serving: the records appended after
+    the restart are not glued onto the fragment and lost with it."""
+    snap = tmp_path / "snap"
+    rng = np.random.default_rng(10)
+    tier = QuantizedTier(dim=DIM, params=UNTRAINED, snapshot_dir=snap)
+    for i in range(2):
+        tier.insert(f"before the crash {i}", "r", rng.normal(size=DIM))
+        tier.flush()
+    with open(snap / "deltas.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"seq": 2, "ids": [11], "rem')
+
+    for step in range(2):
+        tier = QuantizedTier.load(snap)
+        tier.insert(f"after the crash {step}", "r", rng.normal(size=DIM))
+        tier.flush()
+        loaded = QuantizedTier.load(snap)
+        assert _tier_state(loaded) == _tier_state(tier)
+        assert f"after the crash {step}" in {e.query for e in loaded.entries}
+
+
 def test_tiered_cache_save_load_round_trip(tmp_path):
     encoder = make_tiny_encoder()
     cache = _tiered(encoder, l1_entries=3)
@@ -429,6 +564,125 @@ def test_tiered_cache_save_load_round_trip(tmp_path):
         for i in range(4):
             loaded.insert(f"fresh post-load query {i}", "r")
         assert len(loaded.l2) > grown
+
+
+@pytest.mark.parametrize("reloaded", [False, True])
+def test_tiered_cache_checkpointed_in_place_keeps_a_loadable_log(reloaded, tmp_path):
+    """``save(X)`` over a cache whose tier logs to ``X/l2`` stages the tier
+    elsewhere and renames it in: the tier must still learn that its log was
+    rebased, or the next record re-adds rows the new baseline already has."""
+    from repro.index import delta_log_size
+
+    encoder = make_tiny_encoder()
+    snap = tmp_path / "tc"
+    cache = TieredCache(
+        encoder,
+        MeanCacheConfig(max_entries=2),
+        l2_params=dict(UNTRAINED),
+        snapshot_dir=snap,
+    )
+    queries = _queries(12)
+    for q in queries[:4]:
+        cache.insert(q, f"response to {q}")
+    cache.save(snap)  # baseline, nothing in the log yet
+    if reloaded:
+        cache = TieredCache.load(snap, encoder)
+    for q in queries[4:8]:
+        cache.insert(q, f"response to {q}")
+    cache.maintenance()  # demotions committed as a delta record
+    assert delta_log_size(snap / "l2")[0] == 1
+    for q in queries[8:10]:
+        cache.insert(q, f"response to {q}")
+    assert cache.l2._pending_ids  # demotions pending across the checkpoint
+    cache.save(snap)
+    assert not cache.l2._pending_ids
+    _assert_count_matches_disk(cache.l2)
+    for q in queries[10:]:
+        cache.insert(q, f"response to {q}")
+    cache.maintenance()
+    _assert_count_matches_disk(cache.l2)
+    assert delta_log_size(snap / "l2")[0] == 1
+
+    loaded = TieredCache.load(snap, encoder.clone())
+    assert _tier_state(loaded.l2) == _tier_state(cache.l2)
+    # l1 is as of the checkpoint; the tier's log carries it forward
+    assert len(loaded.l2) == len(cache.l2) == len(queries) - 2
+
+    # a checkpoint saved elsewhere leaves the pending demotions owed
+    cache.insert("one more to demote", "r")
+    pending = list(cache.l2._pending_ids)
+    assert pending
+    cache.save(tmp_path / "elsewhere")
+    assert cache.l2._pending_ids == pending
+    cache.maintenance()
+    assert _tier_state(QuantizedTier.load(snap / "l2")) == _tier_state(cache.l2)
+
+
+def test_failed_append_leaves_the_log_as_it_was(tmp_path, monkeypatch):
+    """The log line is written whole but its fsync raises: the bytes come
+    back off the log, so retrying the flush does not commit the same rows
+    twice (which no load would accept)."""
+    from repro.index import snapshot
+
+    snap = tmp_path / "snap"
+    rng = np.random.default_rng(11)
+    tier = QuantizedTier(dim=DIM, params=UNTRAINED, snapshot_dir=snap)
+    for i in range(2):
+        tier.insert(f"committed {i}", "r", rng.normal(size=DIM))
+        tier.flush()
+    before = (snap / "deltas.jsonl").read_bytes()
+
+    real_fsync = os.fsync
+
+    def fsync_failing_on_the_log(fd):
+        if os.readlink(f"/proc/self/fd/{fd}").endswith("deltas.jsonl"):
+            raise OSError(5, "Input/output error")
+        real_fsync(fd)
+
+    tier.insert("not yet durable", "r", rng.normal(size=DIM))
+    monkeypatch.setattr(snapshot.os, "fsync", fsync_failing_on_the_log)
+    with pytest.raises(OSError):
+        tier.flush()
+    monkeypatch.undo()
+    assert (snap / "deltas.jsonl").read_bytes() == before
+    assert tier._pending_ids  # still owed
+
+    tier.flush()
+    _assert_count_matches_disk(tier)
+    assert _tier_state(QuantizedTier.load(snap)) == _tier_state(tier)
+
+
+def test_flush_after_a_failed_append_cuts_off_its_fragment(tmp_path, monkeypatch):
+    """An append that dies mid-write in this process and cannot take its
+    bytes back leaves what a crash leaves; the retried flush re-reads the
+    directory and appends past the fragment, not onto it."""
+    from repro.core import tiered
+
+    snap = tmp_path / "snap"
+    rng = np.random.default_rng(12)
+    tier = QuantizedTier(dim=DIM, params=UNTRAINED, snapshot_dir=snap)
+    for i in range(2):
+        tier.insert(f"committed {i}", "r", rng.normal(size=DIM))
+        tier.flush()
+
+    def append_dying_mid_write(path, **kwargs):
+        with open(path / "deltas.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"seq": 2, "ids": [2], "rem')
+        raise OSError(28, "No space left on device")
+
+    tier.insert("not yet durable", "r", rng.normal(size=DIM))
+    monkeypatch.setattr(tiered, "append_delta", append_dying_mid_write)
+    with pytest.raises(OSError):
+        tier.flush()
+    monkeypatch.undo()
+
+    for step in range(2):
+        tier.flush()
+        _assert_count_matches_disk(tier)
+        loaded = QuantizedTier.load(snap)
+        assert _tier_state(loaded) == _tier_state(tier)
+        assert "not yet durable" in {e.query for e in loaded.entries}
+        tier.insert(f"after the failure {step}", "r", rng.normal(size=DIM))
 
 
 # --------------------------------------------------------------------------- #
