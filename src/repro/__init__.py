@@ -18,8 +18,8 @@ The package is organised as a set of substrates plus the core contribution:
 ``repro.core``
     MeanCache itself: the user-side semantic cache with context-chain
     verification, adaptive thresholds, PCA-compressed embeddings, eviction
-    policies, persistent storage, and the shared composable lookup pipeline
-    (``repro.core.pipeline``) every cache variant runs on.
+    policies, persistent storage, and the lookup rule every semantic cache
+    shares (three functions in ``repro.core.pipeline``).
 ``repro.serving``
     Multi-client serving: deterministic fleet workload generation, the
     fleet simulator (N per-user caches against one shared service) and

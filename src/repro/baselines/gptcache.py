@@ -24,22 +24,12 @@ from typing import List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.cache import CacheDecision, CacheStats
-from repro.core.pipeline import (
-    DecideStage,
-    EncoderEmbed,
-    IndexRetrieve,
-    LookupPipeline,
-    NoContextVerify,
-    Probe,
-    Selection,
-    SimilarityThreshold,
-    UnboundedEnroll,
-)
+from repro.core.pipeline import embed_probes, first_admissible, search_candidates
 from repro.core.storage import object_nbytes
 from repro.core.validation import require_query_text, require_query_texts
 from repro.embeddings.model import SiameseEncoder
 from repro.embeddings.zoo import load_encoder
-from repro.index import VectorIndex
+from repro.index import IndexHit, VectorIndex
 from repro.index.registry import resolve_index, validate_backend
 from repro.index.snapshot import (
     SnapshotError,
@@ -119,26 +109,6 @@ class GPTCache:
         )
         self.lookups = 0
         self.hits = 0
-        self.pipeline = self._build_pipeline()
-
-    def _build_pipeline(self) -> LookupPipeline:
-        """The shared lookup pipeline, GPTCache flavour.
-
-        Identical Embed/Retrieve/Threshold stages to MeanCache, but the
-        ContextVerify stage is dropped (:class:`NoContextVerify` — the
-        baseline ignores conversation state, which is what produces its
-        context-trap false hits) and enrolment never evicts.
-        """
-        return LookupPipeline(
-            # compress=True mirrors the encoder's encode() default; it is a
-            # no-op unless a PCA head is attached to the baseline encoder.
-            embed=EncoderEmbed(self.encoder, compress=True),
-            retrieve=IndexRetrieve(self._index, top_k=lambda: self.config.top_k),
-            threshold=SimilarityThreshold(lambda: self.config.similarity_threshold),
-            context_verify=NoContextVerify(),
-            decide=_GPTCacheDecide(self),
-            enroll=UnboundedEnroll(insert=self.insert),
-        )
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -219,15 +189,33 @@ class GPTCache:
             response = responses[i] if responses is not None else f"cached response for: {query}"
             self.insert(query, response, user_id=user_id, embedding=embeddings[i])
 
+    def enroll(
+        self,
+        query: str,
+        response: str,
+        context: Sequence[str] = (),
+        user_id: Optional[str] = None,
+        embedding: Optional[np.ndarray] = None,
+    ) -> None:
+        """:meth:`insert` under the enrolment signature every cache shares.
+
+        The central cache never evicts and ignores ``context``; ``user_id``
+        keeps the entry attributed to whoever asked.
+        """
+        self.insert(
+            query,
+            response,
+            user_id="default" if user_id is None else user_id,
+            embedding=embedding,
+        )
+
     def lookup(self, query: str, context: Sequence[str] = (), user_id: str = "default") -> CacheDecision:
         """Hit/miss decision; ``context`` is accepted but ignored (no context handling).
 
-        A single-probe run of the shared lookup pipeline (the ContextVerify
-        stage is :class:`~repro.core.pipeline.NoContextVerify`).
+        The same rule as :meth:`lookup_batch`, for one probe.
         """
         require_query_text(query)
-        self.lookups += 1
-        return self.pipeline.run_one(query)
+        return self._lookup([query], None)[0]
 
     def lookup_batch(
         self,
@@ -241,17 +229,66 @@ class GPTCache:
         the measured embed/search wall-clock is split evenly per query.
         ``embeddings`` (one row per query, from this cache's encoder) skips
         the embed call entirely — the serving micro-batcher's amortization
-        hook.
+        hook.  A batch the cache rejects raises ``ValueError`` and counts no
+        lookup.
         """
         queries = require_query_texts(queries)
         if not queries:
             return []
-        self.lookups += len(queries)
-        if embeddings is not None:
-            embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-        return self.pipeline.run(
-            [Probe.make(query) for query in queries], reprs=embeddings
+        return self._lookup(queries, embeddings)
+
+    def _lookup(
+        self, queries: Sequence[str], embeddings: Optional[np.ndarray]
+    ) -> List[CacheDecision]:
+        """MeanCache's lookup rule minus the context check, at a fixed τ.
+
+        Candidates arrive ranked by descending similarity, so "first
+        admissible candidate wins" is exactly the seed's "best candidate
+        clears the fixed 0.7 threshold" rule.  Ignoring conversation state
+        is what produces the baseline's context-trap false hits.
+        """
+        # compress=True mirrors the encoder's encode() default; it is a
+        # no-op unless a PCA head is attached to the baseline encoder.
+        matrix, embed_s = embed_probes(self.encoder, queries, True, embeddings)
+        hit_lists, search_s = search_candidates(self._index, matrix, self.config.top_k)
+        return [
+            self._decide(query, hit_lists[i], matrix[i], embed_s, search_s)
+            for i, query in enumerate(queries)
+        ]
+
+    def _decide(
+        self,
+        query: str,
+        hits: List[IndexHit],
+        embedding: np.ndarray,
+        embed_s: float,
+        search_s: float,
+    ) -> CacheDecision:
+        """One probe's decision plus the baseline's accounting.
+
+        Every decision carries the modelled network round trip — the central
+        cache is remote even on a hit.
+        """
+        best, _ = first_admissible(hits, self.config.similarity_threshold)
+        decision = CacheDecision(
+            hit=best is not None,
+            query=query,
+            top_candidate_query=self._entries[hits[0].id].query if hits else None,
+            similarity=hits[0].score if hits else 0.0,
+            candidates=hits,
+            embed_time_s=embed_s,
+            search_time_s=search_s,
+            network_time_s=self.config.network_rtt_s,
+            embedding=embedding,
         )
+        self.lookups += 1
+        if best is not None:
+            entry = self._entries[best.id]
+            self.hits += 1
+            decision.response = entry.response
+            decision.matched_query = entry.query
+            decision.similarity = best.score
+        return decision
 
     # ------------------------------------------------------------------ #
     # Persistence (versioned, atomically-published snapshot directory)
@@ -312,7 +349,6 @@ class GPTCache:
             path, GPTCACHE_FORMAT, GPTCACHE_VERSION, build, required=("embeddings",)
         )
         cache._index = index
-        cache.pipeline = cache._build_pipeline()
         # Keep the stored dtype: snapshots persist at the index's native dtype.
         embeddings = np.asarray(data["embeddings"])
         if len(meta) != embeddings.shape[0]:
@@ -337,49 +373,3 @@ class GPTCache:
             for record, embedding in zip(meta, embeddings)
         ]
         return cache
-
-
-class _GPTCacheDecide(DecideStage):
-    """Decide stage: the fixed-threshold hit rule plus baseline accounting.
-
-    Candidates arrive ranked by descending similarity, so "first admitted
-    candidate wins" is exactly the seed's "best candidate clears the fixed
-    0.7 threshold" rule.  Every decision carries the modelled network round
-    trip — the central cache is remote even on a hit.
-    """
-
-    def __init__(self, cache: "GPTCache") -> None:
-        self._cache = cache
-
-    def decide(self, selection: Selection) -> CacheDecision:
-        cache = self._cache
-        top_query = (
-            cache._entries[selection.hits[0].id].query if selection.hits else None
-        )
-        if selection.best is None:
-            return CacheDecision(
-                hit=False,
-                query=selection.probe.query,
-                top_candidate_query=top_query,
-                similarity=selection.top_score,
-                candidates=selection.hits,
-                embed_time_s=selection.embed_time_s,
-                search_time_s=selection.search_time_s,
-                network_time_s=cache.config.network_rtt_s,
-                embedding=selection.embedding,
-            )
-        entry = cache._entries[selection.best.id]
-        cache.hits += 1
-        return CacheDecision(
-            hit=True,
-            query=selection.probe.query,
-            response=entry.response,
-            matched_query=entry.query,
-            top_candidate_query=top_query,
-            similarity=selection.best.score,
-            candidates=selection.hits,
-            embed_time_s=selection.embed_time_s,
-            search_time_s=selection.search_time_s,
-            network_time_s=cache.config.network_rtt_s,
-            embedding=selection.embedding,
-        )

@@ -15,19 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import CacheDecision, CacheStats
-from repro.core.pipeline import (
-    AlwaysAdmit,
-    CapacityEnroll,
-    DecideStage,
-    ExactKeyRetrieve,
-    KeyEmbed,
-    LookupPipeline,
-    NoContextVerify,
-    Probe,
-    Selection,
-)
 from repro.core.policy import EvictionPolicy, make_policy
-from repro.core.validation import require_query_text
+from repro.core.validation import require_query_text, require_query_texts
 from repro.embeddings.tokenizer import DEFAULT_STOPWORDS
 
 _WS_RE = re.compile(r"\s+")
@@ -60,32 +49,6 @@ class KeywordCache:
         self._next_id = 0
         self.lookups = 0
         self.hits = 0
-        self.pipeline = self._build_pipeline()
-
-    def _build_pipeline(self) -> LookupPipeline:
-        """The shared lookup pipeline, exact-match flavour.
-
-        The semantic caches' Embed/Retrieve stages are swapped for key
-        normalisation plus dictionary exact matching; an exact match is
-        already binary, so the threshold stage admits everything.
-        """
-        return LookupPipeline(
-            embed=KeyEmbed(self.normalize),
-            retrieve=ExactKeyRetrieve(self._key_ids),
-            threshold=AlwaysAdmit(),
-            context_verify=NoContextVerify(),
-            decide=_KeywordDecide(self),
-            enroll=CapacityEnroll(
-                size=lambda: len(self._data),
-                max_entries=lambda: self.config.max_entries,
-                evict_one=self._evict_one,
-                # Exact matching stores no vectors; context/embedding are
-                # accepted (the uniform enroll surface) and ignored.
-                insert=lambda query, response, context=(), embedding=None: self.insert(
-                    query, response
-                ),
-            ),
-        )
 
     # ------------------------------------------------------------------ #
     def normalize(self, query: str) -> str:
@@ -123,7 +86,8 @@ class KeywordCache:
             self._data[key] = (query, response)
             self._policy.record_access(self._key_ids[key])
             return
-        self.pipeline.enroll.ensure_capacity()
+        while len(self._data) >= self.config.max_entries:
+            self._evict_one()
         entry_id = self._next_id
         self._next_id += 1
         self._data[key] = (query, response)
@@ -135,18 +99,44 @@ class KeywordCache:
         """Bulk insert."""
         if responses is not None and len(responses) != len(queries):
             raise ValueError("responses must align with queries")
-        for i, query in enumerate(queries):
+        for i, query in enumerate(require_query_texts(queries)):
             response = responses[i] if responses is not None else f"cached response for: {query}"
             self.insert(query, response)
+
+    def enroll(
+        self,
+        query: str,
+        response: str,
+        context: Sequence[str] = (),
+        user_id: Optional[str] = None,
+        embedding: Optional[object] = None,
+    ) -> None:
+        """:meth:`insert` under the enrolment signature every cache shares.
+
+        Exact matching stores no vectors and knows no conversations or
+        users, so everything but the pair itself is ignored.
+        """
+        self.insert(query, response)
 
     def lookup(self, query: str) -> CacheDecision:
         """Hit (with the cached response) on an exact normalised match, else miss.
 
-        A single-probe run of the shared lookup pipeline with the Retrieve
-        stage swapped for exact key matching.
+        A hit reports similarity 1.0 and leaves ``matched_query`` unset: a
+        key stands for every query that normalises to it, so there is no
+        single matched text to verify against.  The timings stay 0.0 too — a
+        dictionary probe is reported as free, which keeps the keyword floor's
+        latency numbers purely the LLM's.
         """
+        key = self.normalize(require_query_text(query))
         self.lookups += 1
-        return self.pipeline.run_one(query)
+        entry_id = self._key_ids.get(key)
+        if entry_id is None:
+            return CacheDecision(hit=False, query=query)
+        self.hits += 1
+        self._policy.record_access(entry_id)
+        return CacheDecision(
+            hit=True, query=query, response=self._data[key][1], similarity=1.0
+        )
 
     def lookup_batch(self, queries: Sequence[str]) -> List[CacheDecision]:
         """Look up many queries in order (the batched workload entry point).
@@ -156,10 +146,7 @@ class KeywordCache:
         ``GPTCache.lookup_batch`` so workload drivers treat every cache
         uniformly.
         """
-        if not queries:
-            return []
-        self.lookups += len(queries)
-        return self.pipeline.run([Probe.make(query) for query in queries])
+        return [self.lookup(query) for query in require_query_texts(queries)]
 
     @property
     def stats(self) -> CacheStats:
@@ -172,28 +159,3 @@ class KeywordCache:
     def hit_rate(self) -> float:
         """Fraction of lookups that hit."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-
-class _KeywordDecide(DecideStage):
-    """Decide stage: an exact match is a hit at similarity 1.0, else a miss.
-
-    ``matched_query`` stays unset: a key stands for every query that
-    normalises to it, so there is no single matched text to verify against.
-    The stage timings stay 0.0 too — a dictionary probe is reported as free,
-    which keeps the keyword floor's latency numbers purely the LLM's.
-    """
-
-    def __init__(self, cache: "KeywordCache") -> None:
-        self._cache = cache
-
-    def decide(self, selection: Selection) -> CacheDecision:
-        cache = self._cache
-        query = selection.probe.query
-        if selection.best is None:
-            return CacheDecision(hit=False, query=query)
-        key = cache._id_keys[selection.best.id]
-        cache.hits += 1
-        cache._policy.record_access(selection.best.id)
-        return CacheDecision(
-            hit=True, query=query, response=cache._data[key][1], similarity=1.0
-        )

@@ -7,9 +7,9 @@
 * :mod:`repro.core.cache` — :class:`MeanCache` implementing Algorithm 1:
   embedding-based semantic matching with an adaptive cosine threshold,
   context-chain verification and PCA-compressed embeddings.
-* :mod:`repro.core.pipeline` — the shared composable lookup pipeline
-  (Embed → Retrieve → Threshold → ContextVerify → Decide → Enroll/Evict)
-  every cache variant runs on.
+* :mod:`repro.core.pipeline` — the lookup rule as three functions
+  (``embed_probes``, ``search_candidates``, ``first_admissible``) that every
+  semantic cache and the quantized L2 tier call.
 * :mod:`repro.core.tiered` — :class:`TieredCache`: a small exact L1 over a
   large (optionally shared) quantized L2 with promotion/demotion and
   crash-safe delta-logged snapshots.
@@ -22,7 +22,6 @@ from repro.core.cache import MeanCache, MeanCacheConfig, CacheDecision, CacheEnt
 from repro.core.client import MeanCacheClient, ClientQueryResult
 from repro.core.compression import compress_cache, CompressionReport
 from repro.core.context import ContextChain, context_matches
-from repro.core.pipeline import LookupPipeline, Probe, Selection
 from repro.core.policy import LRUPolicy, LFUPolicy, FIFOPolicy, make_policy
 from repro.core.storage import InMemoryStore, DiskStore
 from repro.core.tiered import QuantizedTier, TierEntry, TieredCache
@@ -36,9 +35,6 @@ __all__ = [
     "ClientQueryResult",
     "ContextChain",
     "context_matches",
-    "LookupPipeline",
-    "Probe",
-    "Selection",
     "LRUPolicy",
     "LFUPolicy",
     "FIFOPolicy",

@@ -27,20 +27,11 @@ import numpy as np
 from repro.core.clock import Clock, WALL_CLOCK
 from repro.core.context import (
     ContextChain,
+    context_matches,
     pack_context_embeddings,
     unpack_context_embeddings,
 )
-from repro.core.pipeline import (
-    CapacityEnroll,
-    ChainContextVerify,
-    DecideStage,
-    EncoderEmbed,
-    IndexRetrieve,
-    LookupPipeline,
-    Probe,
-    Selection,
-    SimilarityThreshold,
-)
+from repro.core.pipeline import embed_probes, first_admissible, search_candidates
 from repro.core.policy import EvictionPolicy, make_policy
 from repro.core.storage import BaseStore, object_nbytes
 from repro.core.validation import require_query_text, require_query_texts
@@ -181,8 +172,8 @@ class CacheDecision:
     #: modelled round trip to a remote cache (the central GPTCache baseline
     #: pays it even on a hit); 0.0 for an on-device cache
     network_time_s: float = 0.0
-    #: the probe's embedding from the lookup's Embed stage; pass it to
-    #: ``insert``/``enroll`` on a miss to skip a second encoder forward.
+    #: the probe's embedding as the lookup computed (or was handed) it; pass
+    #: it to ``insert``/``enroll`` on a miss to skip a second encoder forward.
     embedding: Optional[np.ndarray] = None
 
     @property
@@ -239,38 +230,6 @@ class MeanCache:
         self._policy: EvictionPolicy = make_policy(self.config.eviction_policy)
         self._next_id = 0
         self.stats = CacheStats()
-        self.pipeline = self._build_pipeline()
-
-    def _build_pipeline(self) -> LookupPipeline:
-        """Assemble the shared lookup pipeline from MeanCache's stages.
-
-        Knobs that can change after construction (τ is re-learned via
-        :meth:`set_threshold`) are passed as live callables.
-        """
-        context_verify = ChainContextVerify(
-            embed_context=self._embed_context,
-            entry_context=lambda entry_id: self._entries[entry_id].context,
-            threshold=lambda: self.config.context_threshold,
-            enabled=lambda: self.config.verify_context,
-        )
-        return LookupPipeline(
-            embed=EncoderEmbed(self.encoder, compress=lambda: self.config.compressed),
-            retrieve=IndexRetrieve(
-                self._index,
-                top_k=lambda: self.config.top_k,
-                threshold=lambda: self.config.similarity_threshold,
-                early_stop_margin=self.config.early_stop_margin,
-            ),
-            threshold=SimilarityThreshold(lambda: self.config.similarity_threshold),
-            context_verify=context_verify,
-            decide=_MeanCacheDecide(self),
-            enroll=CapacityEnroll(
-                size=lambda: len(self._entries),
-                max_entries=lambda: self.config.max_entries,
-                evict_one=self._evict_one,
-                insert=self.insert,
-            ),
-        )
 
     def set_clock(self, clock: Clock) -> None:
         """Swap the timestamp source (used by simulation wiring).
@@ -345,12 +304,10 @@ class MeanCache:
     def lookup(self, query: str, context: Sequence[str] = ()) -> CacheDecision:
         """Decide hit/miss for ``query`` under conversational ``context``.
 
-        A single-probe run of the shared lookup pipeline
-        (Embed → Retrieve → Threshold → ContextVerify → Decide).
+        The same rule as :meth:`lookup_batch`, for one probe.
         """
         require_query_text(query)
-        self.stats.lookups += 1
-        return self.pipeline.run_one(query, context)
+        return self._lookup([query], [context], None)[0]
 
     def lookup_batch(
         self,
@@ -385,21 +342,113 @@ class MeanCache:
 
         Returns
         -------
-        One :class:`CacheDecision` per query, in input order.
+        One :class:`CacheDecision` per query, in input order.  A batch the
+        cache rejects (misaligned, wrong-dimension or non-finite
+        ``embeddings``) raises ``ValueError`` and counts no lookup.
         """
         queries = require_query_texts(queries)
         if contexts is not None and len(contexts) != len(queries):
             raise ValueError("contexts must align with queries")
         if not queries:
             return []
-        self.stats.lookups += len(queries)
-        probes = [
-            Probe.make(query, contexts[i] if contexts is not None else ())
+        return self._lookup(queries, contexts, embeddings)
+
+    def _lookup(
+        self,
+        queries: Sequence[str],
+        contexts: Optional[Sequence[Sequence[str]]],
+        embeddings: Optional[np.ndarray],
+    ) -> List[CacheDecision]:
+        """Algorithm 1 lines 1-7 over validated, non-empty ``queries``.
+
+        Nothing is captured from the config ahead of the call, so a τ pushed
+        through :meth:`set_threshold` (or a replaced ``config``) governs the
+        next probe.  The single body under both public entry points: neither
+        of those calls the other.
+        """
+        config = self.config
+        matrix, embed_s = embed_probes(
+            self.encoder, queries, config.compressed, embeddings
+        )
+        hit_lists, search_s = search_candidates(
+            self._index,
+            matrix,
+            config.top_k,
+            # τ plus headroom over codec/scan score error
+            stop_score=(
+                None
+                if config.early_stop_margin is None
+                else config.similarity_threshold + config.early_stop_margin
+            ),
+        )
+        return [
+            self._decide(
+                query,
+                contexts[i] if contexts is not None else (),
+                hit_lists[i],
+                matrix[i],
+                embed_s,
+                search_s,
+            )
             for i, query in enumerate(queries)
         ]
-        if embeddings is not None:
-            embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-        return self.pipeline.run(probes, reprs=embeddings)
+
+    def _decide(
+        self,
+        query: str,
+        context: Sequence[str],
+        hits: List[IndexHit],
+        embedding: np.ndarray,
+        embed_s: float,
+        search_s: float,
+    ) -> CacheDecision:
+        """Pick the winner among one probe's candidates and account for it.
+
+        Counts the lookup together with its hit or miss, so
+        ``lookups == hits + misses`` whatever was rejected upstream.  A hit
+        also bumps the entry's hit counter, access stamp and eviction-policy
+        recency (Algorithm 1's cache-side effects).
+        """
+        config = self.config
+        chain: List[ContextChain] = []
+
+        def context_ok(entry_id: int) -> bool:
+            if not chain:  # embedded for the first candidate to clear τ, once
+                chain.append(self._embed_context(context))
+            return context_matches(
+                chain[0], self._entries[entry_id].context, config.context_threshold
+            )
+
+        best, context_checked = first_admissible(
+            hits,
+            config.similarity_threshold,
+            context_ok if config.verify_context else None,
+        )
+        decision = CacheDecision(
+            hit=best is not None,
+            query=query,
+            top_candidate_query=self._entries[hits[0].id].query if hits else None,
+            similarity=hits[0].score if hits else 0.0,
+            candidates=hits,
+            context_verified=context_checked,
+            embed_time_s=embed_s,
+            search_time_s=search_s,
+            embedding=embedding,
+        )
+        self.stats.lookups += 1
+        if best is None:
+            self.stats.misses += 1
+            return decision
+        entry = self._entries[best.id]
+        entry.hit_count += 1
+        entry.last_accessed = self.clock()
+        self._policy.record_access(entry.entry_id)
+        self.stats.hits += 1
+        decision.response = entry.response
+        decision.matched_query = entry.query
+        decision.entry_id = entry.entry_id
+        decision.similarity = best.score
+        return decision
 
     # ------------------------------------------------------------------ #
     # Insertion (Algorithm 1, line 9) and eviction
@@ -433,7 +482,8 @@ class MeanCache:
             # index would then refuse (its store rejects non-finite rows).
             raise ValueError("embedding must be finite (NaN/inf component)")
 
-        self.pipeline.enroll.ensure_capacity()
+        while len(self._entries) >= self.config.max_entries:
+            self._evict_one()
 
         entry = CacheEntry(
             query=query,
@@ -455,6 +505,23 @@ class MeanCache:
         self.stats.insertions += 1
         self._mirror(entry)
         return entry.entry_id
+
+    def enroll(
+        self,
+        query: str,
+        response: str,
+        context: Sequence[str] = (),
+        user_id: Optional[str] = None,
+        embedding: Optional[np.ndarray] = None,
+    ) -> None:
+        """Admit a missed query's (query, response) pair — the one enrolment
+        surface every cache variant shares (the serving layer calls it).
+
+        :meth:`insert` under the uniform signature: ``user_id`` is ignored
+        (the device *is* the user); ``embedding`` — the missed lookup's
+        ``decision.embedding`` — skips a second encoder forward.
+        """
+        self.insert(query, response, context=context, embedding=embedding)
 
     def _mirror(self, entry: CacheEntry) -> None:
         """Write ``entry`` through to the attached store, if any."""
@@ -564,9 +631,8 @@ class MeanCache:
         (:mod:`repro.federated.simulation`) pushes the round's aggregated τ
         here, and the online fleet loop
         (:class:`~repro.federated.online.OnlineThresholdAdapter`) pushes each
-        user's personalized τ between batching windows.  The pipeline's
-        :class:`~repro.core.pipeline.SimilarityThreshold` stage reads the
-        config live, so the next lookup already admits under the new value.
+        user's personalized τ between batching windows.  Every lookup reads
+        the config afresh, so the next one already admits under the new value.
         """
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
@@ -672,9 +738,6 @@ class MeanCache:
                 f"snapshot at {path} is inconsistent: manifest embedding_dim "
                 f"{saved_dim} vs index dim {index.dim}"
             )
-        # The pipeline's retrieve stage captured the constructor-built index;
-        # rebuild it over the loaded one.
-        cache.pipeline = cache._build_pipeline()
         # Keep the stored dtype: snapshots persist at the index's native
         # dtype, so the restored in-memory footprint matches the on-disk
         # bytes instead of silently doubling back to float64.
@@ -716,56 +779,6 @@ class MeanCache:
         for entry in entries.values():
             cache._mirror(entry)
         return cache
-
-
-class _MeanCacheDecide(DecideStage):
-    """Decide stage: build the :class:`CacheDecision` and account for it.
-
-    Bookkeeping on a hit (entry hit counters, eviction-policy access
-    recording) matches Algorithm 1's cache-side effects; miss/hit counters
-    land in :attr:`MeanCache.stats`.
-    """
-
-    def __init__(self, cache: "MeanCache") -> None:
-        self._cache = cache
-
-    def decide(self, selection: Selection) -> CacheDecision:
-        cache = self._cache
-        top_query = (
-            cache._entries[selection.hits[0].id].query if selection.hits else None
-        )
-        if selection.best is None:
-            cache.stats.misses += 1
-            return CacheDecision(
-                hit=False,
-                query=selection.probe.query,
-                top_candidate_query=top_query,
-                candidates=selection.hits,
-                similarity=selection.top_score,
-                context_verified=selection.context_checked,
-                embed_time_s=selection.embed_time_s,
-                search_time_s=selection.search_time_s,
-                embedding=selection.embedding,
-            )
-        entry = cache._entries[selection.best.id]
-        entry.hit_count += 1
-        entry.last_accessed = cache.clock()
-        cache._policy.record_access(entry.entry_id)
-        cache.stats.hits += 1
-        return CacheDecision(
-            hit=True,
-            query=selection.probe.query,
-            response=entry.response,
-            matched_query=entry.query,
-            top_candidate_query=top_query,
-            entry_id=entry.entry_id,
-            similarity=selection.best.score,
-            candidates=selection.hits,
-            context_verified=selection.context_checked,
-            embed_time_s=selection.embed_time_s,
-            search_time_s=selection.search_time_s,
-            embedding=selection.embedding,
-        )
 
 
 class _ContextEncoderProxy:

@@ -7,9 +7,8 @@ keeps exact-search quality.  :class:`TieredCache` composes the two existing
 building blocks into that memory hierarchy:
 
 * **L1** — a small exact per-user :class:`~repro.core.cache.MeanCache` over a
-  flat float index, running the full lookup pipeline (Embed → Retrieve →
-  Threshold → ContextVerify → Decide).  Hot entries live here at full
-  precision.
+  flat float index, running the full lookup rule (embed, top-k, τ, context
+  check).  Hot entries live here at full precision.
 * **L2** — a large :class:`QuantizedTier` over a quantized index (``sq8``,
   ``pq`` or ``ivf+sq8``): per-entry storage is the code row (e.g. 1 byte per
   dimension for sq8) instead of a float64 embedding plus a float32 index row.
@@ -20,9 +19,9 @@ building blocks into that memory hierarchy:
 
 Data movement:
 
-* an **L1 miss falls through** to L2: the probe's own embedding (from the
-  pipeline's Embed stage) is searched against the quantized rows under the
-  same live τ and context-verification rule, so no query is re-encoded;
+* an **L1 miss falls through** to L2: the probe's own embedding (carried on
+  the L1 decision) is searched against the quantized rows under the same
+  live τ and context-verification rule, so no query is re-encoded;
 * an **L2 hit promotes** the entry into L1 (the dequantized vector is
   reconstructed from the code row — again no re-encode);
 * an **L1 eviction demotes** the victim into L2, re-using the entry's stored
@@ -48,6 +47,7 @@ as a read-only memory map — the zero-copy warm start benchmarked in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -68,6 +68,7 @@ from repro.core.context import (
     pack_context_embeddings,
     unpack_context_embeddings,
 )
+from repro.core.pipeline import first_admissible
 from repro.core.storage import object_nbytes
 from repro.core.validation import require_query_text
 from repro.embeddings.model import SiameseEncoder
@@ -329,41 +330,43 @@ class QuantizedTier:
     ) -> Optional[Tuple[int, float]]:
         """Best admissible candidate for a probe embedding, or ``None``.
 
-        Applies the same decision rule as the L1 pipeline's Threshold +
-        ContextVerify stages: candidates are scanned in descending score
-        order, must clear ``threshold``, and (when ``verify_context``) must
-        match the probe's context chain.  ``probe_context`` is a lazy
-        callable so the probe's chain is embedded only when a candidate
-        actually needs verification.  Counts one lookup (and a hit or miss)
-        on the tier's :class:`~repro.core.cache.CacheStats`.
+        The L1 lookup's decision rule
+        (:func:`~repro.core.pipeline.first_admissible`): candidates in
+        descending score order, the first to clear ``threshold`` and (when
+        ``verify_context``) to match the probe's context chain wins.
+        ``probe_context`` is a lazy callable so the probe's chain is
+        embedded only when a candidate actually needs verification.  Counts
+        one lookup (and a hit or miss) on the tier's
+        :class:`~repro.core.cache.CacheStats`.
         """
         with self.lock:
+            best = None
+            if self._entries:
+                query = np.atleast_2d(np.asarray(embedding, dtype=np.float64))
+                hits = self._index.search(query, top_k=top_k)[0]
+                chain: List[ContextChain] = []
+
+                def context_ok(entry_id: int) -> bool:
+                    if not chain:  # embedded for the first candidate that needs it, once
+                        chain.append(
+                            probe_context() if probe_context else ContextChain.empty()
+                        )
+                    return context_matches(
+                        chain[0], self._entries[entry_id].context, context_threshold
+                    )
+
+                best, _ = first_admissible(
+                    # only rows whose entry the tier still holds
+                    [hit for hit in hits if hit.id in self._entries],
+                    threshold,
+                    context_ok if verify_context else None,
+                )
             self.stats.lookups += 1
-            if not self._entries:
+            if best is None:
                 self.stats.misses += 1
                 return None
-            query = np.atleast_2d(np.asarray(embedding, dtype=np.float64))
-            hits = self._index.search(query, top_k=top_k)[0]
-            chain: Optional[ContextChain] = None
-            for hit in hits:
-                if hit.score < threshold:
-                    break  # descending order: nothing later clears τ
-                entry = self._entries.get(hit.id)
-                if entry is None:
-                    continue
-                if verify_context:
-                    if chain is None:
-                        chain = (
-                            probe_context()
-                            if probe_context is not None
-                            else ContextChain.empty()
-                        )
-                    if not context_matches(chain, entry.context, context_threshold):
-                        continue
-                self.stats.hits += 1
-                return int(hit.id), float(hit.score)
-            self.stats.misses += 1
-            return None
+            self.stats.hits += 1
+            return int(best.id), float(best.score)
 
     def clear(self) -> None:
         """Drop every entry (pending delta buffers included)."""
@@ -587,9 +590,9 @@ class TieredCache:
 
     Drop-in for :class:`~repro.core.cache.MeanCache` wherever the serving
     layer's :class:`~repro.serving.scheduling.CacheAdapter` duck-typing
-    reaches: ``lookup_batch(queries, contexts=, embeddings=)``, a
-    ``pipeline`` whose enroll stage inserts into L1, ``save``/``load``,
-    ``set_threshold`` and ``maintenance``.  Pass a pre-built ``l2`` to share
+    reaches: ``lookup_batch(queries, contexts=, embeddings=)``, an
+    ``enroll`` that inserts into L1, ``save``/``load``, ``set_threshold``
+    and ``maintenance``.  Pass a pre-built ``l2`` to share
     one quantized tier across many per-user caches (fleet/server mode); by
     default each instance owns a private tier.
     """
@@ -638,11 +641,6 @@ class TieredCache:
     def config(self) -> MeanCacheConfig:
         """The L1 tier's config (τ, context threshold, capacity, …)."""
         return self.l1.config
-
-    @property
-    def pipeline(self):
-        """The L1 lookup pipeline (its enroll stage inserts into L1)."""
-        return self.l1.pipeline
 
     @property
     def index(self):
@@ -700,7 +698,7 @@ class TieredCache:
         }
 
     # ------------------------------------------------------------------ #
-    # Lookup: L1 pipeline, then the L2 fall-through
+    # Lookup: L1, then the L2 fall-through
     # ------------------------------------------------------------------ #
     def lookup(self, query: str, context: Sequence[str] = ()) -> CacheDecision:
         """Single-probe lookup through both tiers."""
@@ -712,9 +710,9 @@ class TieredCache:
         contexts: Optional[Sequence[Sequence[str]]] = None,
         embeddings: Optional[np.ndarray] = None,
     ) -> List[CacheDecision]:
-        """Batched lookup: one L1 pipeline pass, then per-miss L2 probes.
+        """Batched lookup: one L1 pass, then per-miss L2 probes.
 
-        Each L1 miss probes L2 with the pipeline's own probe embedding (no
+        Each L1 miss probes L2 with the L1 decision's probe embedding (no
         re-encode) under the live τ and context rule.  Promotions happen
         only after **every** probe in the batch is matched, so duplicate
         probes all see the entry exactly once (in whichever tier held it
@@ -734,7 +732,7 @@ class TieredCache:
                 decision.embedding,
                 top_k=self.l1.config.top_k,
                 threshold=self.l1.config.similarity_threshold,
-                probe_context=_lazy_chain(self.l1, ctx_texts),
+                probe_context=functools.partial(self.l1._embed_context, ctx_texts),
                 context_threshold=self.l1.config.context_threshold,
                 verify_context=self.l1.config.verify_context,
             )
@@ -778,6 +776,18 @@ class TieredCache:
     ) -> int:
         """Enrol into L1 (new entries are hot); may cascade a demotion."""
         return self.l1.insert(query, response, context=context, embedding=embedding)
+
+    def enroll(
+        self,
+        query: str,
+        response: str,
+        context: Sequence[str] = (),
+        user_id: Optional[str] = None,
+        embedding: Optional[np.ndarray] = None,
+    ) -> None:
+        """:meth:`insert` under the enrolment signature every cache shares
+        (``user_id`` ignored: the hierarchy belongs to one user)."""
+        self.insert(query, response, context=context, embedding=embedding)
 
     def _demote(self, entry: CacheEntry) -> None:
         """L1 eviction hook: move the victim into L2, embedding and all."""
@@ -886,17 +896,3 @@ class TieredCache:
         cache.promote_on_hit = bool(manifest.get("promote_on_hit", True))
         cache._promotions = int(manifest.get("promotions", 0))
         return cache
-
-
-def _lazy_chain(
-    cache: MeanCache, ctx_texts: Tuple[str, ...]
-) -> Callable[[], ContextChain]:
-    """Embed a probe's context chain at most once, and only when needed."""
-    memo: List[ContextChain] = []
-
-    def build() -> ContextChain:
-        if not memo:
-            memo.append(cache._embed_context(ctx_texts))
-        return memo[0]
-
-    return build

@@ -13,7 +13,12 @@ def require_query_text(query: str) -> str:
 
 
 def require_query_texts(queries: Sequence[str]) -> List[str]:
-    """Validate a batch of query strings, returning them as a list."""
+    """Validate a batch of query strings, returning them as a list.
+
+    A bare ``str`` is rejected: iterating it would probe each character.
+    """
+    if isinstance(queries, str):
+        raise ValueError("queries must be a sequence of strings, not one string")
     queries = list(queries)
     for query in queries:
         if not isinstance(query, str) or not query.strip():

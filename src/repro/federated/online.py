@@ -8,8 +8,8 @@ on the fleet's virtual clock periodically samples clients, runs local
 threshold sweeps over the mined observations, aggregates the local optima
 into a global τ with :func:`~repro.federated.aggregation.aggregate_thresholds`,
 and pushes a per-user *personalized* blend of the local and global optima
-into each cache's live ``set_threshold`` hook — the callable the
-:class:`~repro.core.pipeline.SimilarityThreshold` stage reads on every probe.
+into each cache's live ``set_threshold`` hook — it replaces the config whose
+τ every lookup reads afresh, so the very next probe is admitted under it.
 
 Pair mining (the client-side label source)
 ------------------------------------------

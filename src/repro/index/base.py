@@ -111,7 +111,7 @@ class VectorIndex(abc.ABC):
 
     #: Whether ``search`` accepts the optional ``stop_score`` keyword
     #: (threshold-aware early termination).  Callers such as
-    #: :class:`repro.core.pipeline.IndexRetrieve` check this capability flag
+    #: :func:`repro.core.pipeline.search_candidates` check this capability flag
     #: instead of the signature, so backends without the feature (and test
     #: doubles) keep working unchanged.
     supports_stop_score: bool = False

@@ -1,7 +1,7 @@
 """String-keyed factory registry for vector-index backends.
 
 Everything that owns a :class:`~repro.index.base.VectorIndex` — the caches,
-the pipeline's retrieve stage, the fleet benchmark — selects its backend
+the quantized tier, the fleet benchmark — selects its backend
 through :func:`make_index`, so swapping exact search for IVF or LSH is a
 configuration change (``MeanCacheConfig(index_backend="ivf")``) rather than
 a code change:

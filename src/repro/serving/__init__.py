@@ -10,7 +10,7 @@ cache, sharing one LLM web service:
   drift phases, :class:`ArrivalSchedule` diurnal/flash-crowd re-timing);
   :class:`Trace` serializes to JSON for traffic replay.
 * :mod:`repro.serving.fleet` — :class:`FleetSimulator` replays a trace over
-  N per-user caches (any variant on the shared lookup pipeline) against one
+  N per-user caches (any variant with ``lookup_batch``/``enroll``) against one
   shared :class:`~repro.llm.service.SimulatedLLMService` on a virtual event
   clock, with batched lookup scheduling and per-fleet/per-user hit-rate,
   latency and cost aggregation.

@@ -20,7 +20,7 @@ shared trace.
 Any cache variant rides along: every variant returns
 :class:`~repro.core.cache.CacheDecision`, which the executor folds into one
 outcome shape (see :class:`LookupOutcome`), and enrolment goes through the
-variant's pipeline Enroll/Evict stage.  A ``cache_factory``
+variant's ``enroll`` method.  A ``cache_factory``
 returning the *same* object for every user models a central shared cache
 (the GPTCache deployment); returning fresh instances models the paper's
 per-device fleet.

@@ -2,9 +2,9 @@
 
 The deterministic virtual-clock simulator
 (:class:`~repro.serving.fleet.FleetSimulator`) and the live threaded server
-(:class:`~repro.serving.server.CacheServer`) drive the *same* pipeline
-stages — "take a batch of arrivals, classify them through their caches,
-forward misses to the LLM service, enrol" — through this module, so the two
+(:class:`~repro.serving.server.CacheServer`) drive the *same* steps —
+"take a batch of arrivals, classify them through their caches, forward
+misses to the LLM service, enrol" — through this module, so the two
 frontends cannot drift:
 
 * :class:`CacheAdapter` — one batched lookup/enroll surface over any cache
@@ -98,7 +98,7 @@ class CacheAdapter:
 
         ``embeddings`` (one row per query) is the cross-cache micro-batcher's
         amortization hook: when the serving layer already embedded the whole
-        flush with one encoder call, vector caches skip their own Embed stage.
+        flush with one encoder call, vector caches skip their own encode.
         Variants that cannot consume precomputed embeddings (the keyword
         baseline) silently ignore them.
         """
@@ -117,19 +117,15 @@ class CacheAdapter:
         user_id: str,
         embedding: Optional[object] = None,
     ) -> None:
-        """Enrol through the variant's pipeline Enroll/Evict stage.
+        """Enrol through the cache's ``enroll`` (every variant has one).
 
         ``user_id`` keeps per-user attribution in central shared caches
         (per-device caches ignore it); ``embedding`` reuses the lookup's
-        Embed-stage output so enrolment skips a second encoder forward.
+        probe embedding so enrolment skips a second encoder forward.
         """
-        pipeline = getattr(self.cache, "pipeline", None)
-        if pipeline is not None and pipeline.enroll is not None:
-            pipeline.enroll.enroll(
-                query, response, context=context, user_id=user_id, embedding=embedding
-            )
-        else:  # pragma: no cover - every repo variant has a pipeline
-            self.cache.insert(query, response)
+        self.cache.enroll(
+            query, response, context=context, user_id=user_id, embedding=embedding
+        )
 
 
 class BatchExecutor:

@@ -676,7 +676,12 @@ class CacheServer:
 
         Returns once :meth:`stop` cleared ``_running`` and the queue is empty;
         after stop began nothing more will coalesce, so it drains at once.
+        An exception that escapes a flush kills the thread, so on the way
+        out it stops admitting and fails every future it still owed — the
+        unresolved rest of its batch and everything queued — with that
+        exception: no client waits on a thread that is gone.
         """
+        batch: List[_PendingRequest] = []
         try:
             while True:
                 with self._wake:
@@ -687,6 +692,15 @@ class CacheServer:
                 if not batch:
                     return
                 self._flush(batch)
+        except BaseException as exc:
+            with self._wake:
+                self._running = False
+                owed = batch + self._batcher.drain(limit=None)
+            for request in owed:
+                if not request.future.done():
+                    self.metrics.failed += 1
+                    request.future.set_exception(exc)
+            raise
         finally:
             self._thaw_encoder()
 

@@ -1,7 +1,7 @@
 """Golden-decision collector for the pipeline parity regression test.
 
-The lookup pipeline refactor (``repro.core.pipeline``) must not change a
-single hit/miss decision of any experiment.  This module runs the three
+No rewrite of the lookup rule (``repro.core.pipeline``) may change a single
+hit/miss decision of any experiment.  This module runs the three
 decision-producing experiments — Table I (standalone), Table I (contextual)
 and Figure 5 — at ``quick`` scale and serializes every system's decision
 stream to a canonical JSON structure:
@@ -11,13 +11,14 @@ stream to a canonical JSON structure:
 * ``matches``— the matched cache entry id (MeanCache) or matched query text
   (GPTCache), ``None`` on a miss.
 
-``tests/fixtures/golden_decisions_quick.json`` was generated from the
-pre-pipeline implementation (the seed's monolithic lookup loops) via::
+``tests/fixtures/golden_decisions_quick.json`` was generated from the seed's
+monolithic lookup loops via::
 
     PYTHONPATH=src:tests python -m golden_decisions
 
 and the parity test asserts that the current code reproduces it byte for
-byte.  Regenerate only when a deliberate, documented decision-level change
+byte.  It has since pinned three implementations: those loops, the stage
+framework that replaced them, and today's three functions.  Regenerate only when a deliberate, documented decision-level change
 lands.
 """
 

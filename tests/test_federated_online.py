@@ -362,11 +362,9 @@ class TestFleetIntegration:
         )
         simulator.run(drift_trace)
         for uid, cache in caches.items():
+            # The config every lookup reads afresh (that the next probe is
+            # admitted under it: test_pipeline.py::test_set_threshold_is_live).
             assert cache.config.similarity_threshold == pytest.approx(
-                adapter.threshold_for(uid)
-            )
-            # The pipeline's Threshold stage reads the same live value.
-            assert cache.pipeline.threshold.threshold == pytest.approx(
                 adapter.threshold_for(uid)
             )
 

@@ -1,10 +1,11 @@
-"""Golden-decision regression: the pipeline rewire changes no decision.
+"""Golden-decision regression: rewriting the lookup rule changes no decision.
 
-``tests/fixtures/golden_decisions_quick.json`` was generated from the
-pre-pipeline implementation (monolithic ``lookup``/``_decide``/``insert``
-loops) by ``tests/golden_decisions.py``.  This test re-runs Table I
-(standalone), Table I (contextual) and Figure 5 on the current code and
-asserts every system's hit/miss stream, similarity stream (bit-exact via
+``tests/fixtures/golden_decisions_quick.json`` was generated from the seed's
+monolithic ``lookup``/``_decide``/``insert`` loops by
+``tests/golden_decisions.py``; the three functions of
+``repro.core.pipeline`` are the third implementation it pins.  This test
+re-runs Table I (standalone), Table I (contextual) and Figure 5 on the
+current code and asserts every system's hit/miss stream, similarity stream (bit-exact via
 ``float.hex``) and matched-entry stream are byte-identical to the fixture.
 """
 

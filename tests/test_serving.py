@@ -483,9 +483,7 @@ class TestFleetSimulator:
         decision = cache.lookup("how can i sort a list in python")
         assert not decision.hit and decision.embedding is not None
         assert encoder.calls == 1
-        cache.pipeline.enroll.enroll(
-            decision.query, "use sorted()", embedding=decision.embedding
-        )
+        cache.enroll(decision.query, "use sorted()", embedding=decision.embedding)
         assert encoder.calls == 1  # enrolment did not re-encode
         assert len(cache) == 1
         assert cache.lookup("how can i sort a list in python").hit

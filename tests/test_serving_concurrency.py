@@ -500,6 +500,56 @@ class TestFlushThreadLifecycle:
         assert encoder.W1.flags.writeable
         assert server.metrics.to_dict()["encoder_memo_misses"] == 1
 
+    def test_dead_flush_thread_fails_what_it_owed_and_stops_admitting(self):
+        """An exception escaping a flush outside the contained part kills
+        the thread: the batch in flight and everything queued fail with it
+        (nobody hangs), later submits are refused, stop() still joins and
+        thaws."""
+        encoder = make_tiny_encoder()
+        cache = MeanCache(encoder, MeanCacheConfig(similarity_threshold=0.999))
+        entered, release = threading.Event(), threading.Event()
+        server = CacheServer(
+            lambda uid: cache,
+            service=_fast_service(),
+            config=ServerConfig(max_batch_size=1, max_batch_wait_s=0.0),
+            encoder=encoder,
+        )
+
+        def broken_record(*args, **kwargs):
+            entered.set()
+            assert release.wait(timeout=30)
+            raise RuntimeError("metrics exploded")
+
+        server._record = broken_record
+        # Tier-1 turns an exception escaping a thread into a failure; this
+        # one is the point of the test, so take it from the hook ourselves.
+        escaped = []
+        hook, threading.excepthook = threading.excepthook, escaped.append
+        server.start()
+        try:
+            in_flight = server.submit_threadsafe("alice", "the flush that dies")
+            assert entered.wait(timeout=10)
+            queued = server.submit_threadsafe("alice", "queued behind it")
+            release.set()
+            for future in (in_flight, queued):
+                with pytest.raises(RuntimeError, match="metrics exploded"):
+                    future.result(timeout=2)
+            server._thread.join(timeout=10)
+            with pytest.raises(RuntimeError, match="server is not running"):
+                server.submit_threadsafe("alice", "after the thread died")
+        finally:
+            release.set()
+            server.stop()
+            threading.excepthook = hook
+        # The exception still escaped the thread (it is not swallowed).
+        assert [args.exc_type for args in escaped] == [RuntimeError]
+        assert not server._running
+        assert server._thread is None and _server_threads() == []
+        assert encoder.W1.flags.writeable
+        metrics = server.metrics
+        assert (metrics.completed, metrics.failed, metrics.shed) == (0, 2, 0)
+        assert metrics.offered == 2
+
     def test_submit_threadsafe_forwards_intent_key(self):
         """The thread API carries the intent key, so a re-ask is verified."""
 
