@@ -17,6 +17,7 @@ and its context chain.  On a lookup the cache:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -477,10 +478,13 @@ class MeanCache:
                 f"{self._index.dim}"
             )
 
-        if not np.isfinite(embedding).all():
-            # Checked here, before a victim is evicted for an entry the
-            # index would then refuse (its store rejects non-finite rows).
+        if not math.isfinite(embedding @ embedding):
+            # The index's own criterion (a finite norm), asked before a
+            # victim is evicted for a row its store would then refuse.
             raise ValueError("embedding must be finite (NaN/inf component)")
+        # Everything that can fail comes before the capacity loop: an encoder
+        # error while embedding the context chain must not cost a victim.
+        chain = context if isinstance(context, ContextChain) else self._embed_context(context)
 
         while len(self._entries) >= self.config.max_entries:
             self._evict_one()
@@ -489,18 +493,14 @@ class MeanCache:
             query=query,
             response=response,
             embedding=embedding,
-            context=(
-                context
-                if isinstance(context, ContextChain)
-                else self._embed_context(context)
-            ),
+            context=chain,
             entry_id=self._next_id,
             created_at=self.clock(),
             last_accessed=self.clock(),
         )
+        self._index.add(embedding, id=entry.entry_id)
         self._next_id += 1
         self._entries[entry.entry_id] = entry
-        self._index.add(embedding, id=entry.entry_id)
         self._policy.record_insert(entry.entry_id)
         self.stats.insertions += 1
         self._mirror(entry)

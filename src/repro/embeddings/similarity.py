@@ -58,6 +58,19 @@ def chunked_topk(
     by the chunk regardless of corpus size.  Both :func:`semantic_search` and
     :class:`repro.index.FlatIndex` search through this routine.
 
+    The selection is ``argpartition`` over ``[running best | -sims]`` per
+    block and one ``argsort`` of the k survivors; those two calls on those
+    values *define* the returned scores and the order among exactly equal
+    ones, so everything around them is bookkeeping and is kept to one
+    ``(q, k + chunk)`` buffer of negated scores: the block's similarities are
+    negated straight into its tail, the running best is written back into its
+    first k columns, and a survivor's corpus row is its buffer column shifted
+    by ``start - k`` (no index matrix is built).  The k leading columns start
+    as ``+inf`` placeholders and stay part of the partitioned row even when a
+    single block covers the corpus: partitioning ``k + n`` values does not
+    leave ties in the order partitioning the ``n`` alone would.  A single
+    probe runs the same calls on 1-D views.
+
     Parameters
     ----------
     normalized_queries:
@@ -77,35 +90,45 @@ def chunked_topk(
     -------
     ``(scores, indices)`` arrays of shape ``(q, k)`` with
     ``k = min(top_k, n_corpus)``, each row sorted by descending score.  Every
-    returned score is finite (the ``-inf`` merge sentinel never survives,
-    since k is capped at the corpus size).
+    returned score is finite (the ``+inf`` placeholders never survive, since
+    k is capped at the corpus size).
     """
     n_queries = normalized_queries.shape[0]
     n_corpus = corpus.shape[0]
     k = min(top_k, n_corpus)
-    best_scores = np.full((n_queries, k), -np.inf, dtype=np.result_type(normalized_queries, corpus))
-    best_indices = np.zeros((n_queries, k), dtype=np.int64)
+    buffer = np.empty(
+        (n_queries, k + min(chunk_size, n_corpus)),
+        dtype=np.result_type(normalized_queries, corpus),
+    )
+    if n_queries == 1:
+        neg, rows = buffer[0], ()
+    else:
+        neg, rows = buffer, (np.arange(n_queries)[:, None],)
+    best = np.inf  # negated running best; placeholders before the first block
 
     for start in range(0, n_corpus, chunk_size):
         chunk = corpus[start : start + chunk_size]
         if not corpus_prenormalized:
             c_norm = np.linalg.norm(chunk, axis=1, keepdims=True)
             chunk = chunk / np.where(c_norm > 1e-12, c_norm, 1.0)
-        sims = normalized_queries @ chunk.T  # (q, chunk)
-        # Merge this chunk's candidates with the running best.
-        combined_scores = np.concatenate([best_scores, sims], axis=1)
-        combined_indices = np.concatenate(
-            [best_indices, np.broadcast_to(np.arange(start, start + chunk.shape[0]), sims.shape)],
-            axis=1,
-        )
-        top = np.argpartition(-combined_scores, kth=k - 1, axis=1)[:, :k]
-        rows = np.arange(n_queries)[:, None]
-        best_scores = combined_scores[rows, top]
-        best_indices = combined_indices[rows, top]
+        stop = k + chunk.shape[0]
+        neg[..., :k] = best
+        np.negative(normalized_queries @ chunk.T, out=buffer[:, k:stop])
+        top = neg[..., :stop].argpartition(k - 1)[..., :k]
+        fresh = top - (k - start)  # corpus rows, for survivors from this block
+        if start or stop < 2 * k:
+            # A column below k may survive: an earlier block's candidate keeps
+            # the row it was given there (a placeholder's was 0).
+            carried = best_indices[rows + (np.minimum(top, k - 1),)] if start else 0
+            fresh = np.where(top < k, carried, fresh)
+        best_indices = fresh
+        best = neg[rows + (top,)]
 
-    order = np.argsort(-best_scores, axis=1)
-    rows = np.arange(n_queries)[:, None]
-    return best_scores[rows, order], best_indices[rows, order]
+    order = rows + (best.argsort(),)
+    return (
+        np.negative(best[order]).reshape(n_queries, k),
+        best_indices[order].reshape(n_queries, k),
+    )
 
 
 def semantic_search(

@@ -22,6 +22,7 @@ throughput at a ~1e-6 score tolerance versus float64 (see ``docs/api.md``).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -116,9 +117,9 @@ class FlatIndex(RowStore):
         storage dtype passes through with **zero copies** (the returned array
         shares memory with the input), and any other layout pays exactly one
         cast into a reused scratch buffer.  The default path performs the
-        usual float64 normalization, but writes both the unit rows and the
-        storage-dtype cast into scratch, so repeated lookups allocate nothing
-        query-shaped (see :meth:`RowStore._unit_queries`).
+        usual float64 normalization and writes the unit rows into scratch in
+        the storage dtype, so repeated lookups allocate nothing query-shaped
+        (see :meth:`RowStore._unit_queries`).
         """
         if Q.shape[1] != self._dim:
             raise ValueError(f"query dim {Q.shape[1]} != index dim {self._dim}")
@@ -128,12 +129,7 @@ class FlatIndex(RowStore):
             out = self._scratch.get("query.cast", Q.shape, self._dtype)
             np.copyto(out, Q, casting="unsafe")
             return out
-        unit = self._unit_queries(Q)
-        if self._dtype == np.float64:
-            return unit
-        out = self._scratch.get("query.cast", Q.shape, self._dtype)
-        np.copyto(out, unit, casting="unsafe")
-        return out
+        return self._unit_queries(Q, self._dtype)
 
     # ------------------------------------------------------------------ #
     # Snapshot protocol (see repro.index.snapshot)
@@ -195,13 +191,11 @@ class FlatIndex(RowStore):
         """
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if prenormalized:
-            Q = np.atleast_2d(np.asarray(queries))
-        else:
-            Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        n_queries = Q.shape[0]
+        Q = np.asarray(queries, dtype=None if prenormalized else np.float64)
+        if Q.ndim != 2:
+            Q = np.atleast_2d(Q)
         if self._size == 0:
-            return [[] for _ in range(n_queries)]
+            return [[] for _ in range(Q.shape[0])]
         queries_n = self._prepare_queries(Q, prenormalized)
         scores, rows = chunked_topk(
             queries_n,
@@ -211,17 +205,15 @@ class FlatIndex(RowStore):
             corpus_prenormalized=True,
         )
         # float32 rounding can push a self-match a hair past 1.0.
-        np.clip(scores, -1.0, 1.0, out=scores)
-        live_ids = self._ids[: self._size]
-        results: List[List[IndexHit]] = []
-        for qi in range(n_queries):
-            hits: List[IndexHit] = []
-            for j in range(scores.shape[1]):
-                score = float(scores[qi, j])
-                if not np.isfinite(score):
-                    continue
-                if score_threshold is not None and score < score_threshold:
-                    continue
-                hits.append(IndexHit(id=int(live_ids[rows[qi, j]]), score=score))
-            results.append(hits)
-        return results
+        scores.clip(-1.0, 1.0, out=scores)
+        floor = -math.inf if score_threshold is None else score_threshold
+        # One conversion per array: .tolist() yields the Python floats and
+        # ints that float()/int() gave hit by hit.
+        return [
+            [
+                IndexHit(id, score)
+                for id, score in zip(id_row, score_row)
+                if math.isfinite(score) and not score < floor
+            ]
+            for id_row, score_row in zip(self._ids[rows].tolist(), scores.tolist())
+        ]

@@ -22,6 +22,7 @@ the owning index.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -292,16 +293,11 @@ class ScratchBuffers:
 
     def get(self, key: str, shape: "tuple[int, ...]", dtype) -> np.ndarray:
         """An uninitialized ``shape``/``dtype`` view backed by reused storage."""
-        size = 1
-        for extent in shape:
-            size *= int(extent)
-        dt = np.dtype(dtype)
+        size = int(math.prod(shape))
         buf = self._bufs.get(key)
-        if buf is None or buf.dtype != dt or buf.size < size:
-            capacity = max(size, 64)
-            capacity = 1 << (capacity - 1).bit_length()
-            buf = np.empty(capacity, dtype=dt)
-            self._bufs[key] = buf
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            capacity = 1 << (max(size, 64) - 1).bit_length()
+            buf = self._bufs[key] = np.empty(capacity, dtype=dtype)
         return buf[:size].reshape(shape)
 
     @property

@@ -374,7 +374,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
             raise ValueError(f"query dim {Q.shape[1]} != index dim {self._dim}")
         sc = self._scratch
         if prenormalized:
-            unit = sc.get("query.unit64", Q.shape, np.float64)
+            unit = sc.get("query.unit", Q.shape, np.float64)
             np.copyto(unit, Q, casting="unsafe")
             if Q.dtype == np.float32 and Q.flags.c_contiguous:
                 return unit, Q

@@ -40,13 +40,16 @@ _MIN_CAPACITY = 64
 
 
 def _row_norms(M: np.ndarray) -> np.ndarray:
-    """``(n, 1)`` L2 norms of the rows of ``M``; raises for a non-finite one.
+    """``(n, 1)`` L2 norms of the float rows of ``M``; raises for a non-finite one.
 
     The one place the store validates values: a row (or query) with a NaN or
     inf component has no cosine, and its norm — computed here anyway — is
-    where that shows, so the check costs no extra pass over the data.
+    where that shows, so the check costs no extra pass over the data.  The
+    ufuncs are the ones ``np.linalg.norm(M, axis=1, keepdims=True)`` runs for
+    a real matrix, called without its argument dispatch, which for a single
+    probe cost more than the arithmetic.
     """
-    norms = np.linalg.norm(M, axis=1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(M * M, axis=1, keepdims=True))
     if not np.isfinite(norms).all():
         raise ValueError("vectors must have finite norms (NaN or inf component)")
     return norms
@@ -59,7 +62,9 @@ def normalize_rows(vectors: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     cannot drift between backends.  Raises ``ValueError`` for rows whose norm
     is not finite.
     """
-    V = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    V = np.asarray(vectors, dtype=np.float64)
+    if V.ndim != 2:
+        V = np.atleast_2d(V)
     norms = _row_norms(V)
     unit = V / np.where(norms > 1e-12, norms, 1.0)
     return unit, norms[:, 0]
@@ -243,14 +248,16 @@ class RowStore(VectorIndex):
         elif d != self._dim:
             raise ValueError(f"vector dim {d} does not match index dim {self._dim}")
 
-    def _unit_queries(self, Q: np.ndarray) -> np.ndarray:
-        """Float64 unit rows of the ``(q, d)`` batch ``Q``, in scratch.
+    def _unit_queries(self, Q: np.ndarray, dtype: np.dtype = np.float64) -> np.ndarray:
+        """Unit rows of the ``(q, d)`` float64 batch ``Q`` as ``dtype``, in scratch.
 
         Same ufuncs in the same order as :func:`normalize_rows` (non-finite
-        queries are rejected the same way), so scores do not change by a bit.
+        queries are rejected the same way); a narrower ``dtype`` is the
+        float64 quotient rounded once on the way out, so scores do not change
+        by a bit.
         """
         norms = _row_norms(Q)
-        unit = self._scratch.get("query.unit64", Q.shape, np.float64)
+        unit = self._scratch.get("query.unit", Q.shape, dtype)
         np.divide(Q, np.where(norms > 1e-12, norms, 1.0), out=unit)
         return unit
 
@@ -259,14 +266,14 @@ class RowStore(VectorIndex):
     # ------------------------------------------------------------------ #
     def add(self, vector: np.ndarray, id: Optional[int] = None) -> int:
         """Insert one vector; returns its id (auto-assigned when ``id`` is None)."""
-        vector = np.asarray(vector, dtype=np.float64).reshape(-1)
+        vector = np.asarray(vector, dtype=np.float64).reshape(1, -1)
         unit, norms = normalize_rows(vector)  # rejects non-finite rows
-        self._check_dim(vector.shape[0])
         if id is None:
             id = self._next_id
         id = int(id)
         if id in self._id_to_row:
             raise ValueError(f"id {id} is already in the index")
+        self._check_dim(vector.shape[1])  # last check: it pins an unset dim
         self._next_id = max(self._next_id, id + 1)
         self._materialize()
         self._ensure_capacity(1)
@@ -287,7 +294,6 @@ class RowStore(VectorIndex):
         if V.size == 0:
             return []
         unit, norms = normalize_rows(V)  # rejects non-finite rows
-        self._check_dim(V.shape[1])
         n = V.shape[0]
         if ids is None:
             ids = list(range(self._next_id, self._next_id + n))
@@ -300,6 +306,7 @@ class RowStore(VectorIndex):
             for i in ids:
                 if i in self._id_to_row:
                     raise ValueError(f"id {i} is already in the index")
+        self._check_dim(V.shape[1])  # last check: it pins an unset dim
         self._materialize()
         self._ensure_capacity(n)
         start = self._size

@@ -163,6 +163,51 @@ class TestEviction:
         # The id the rejected insert would have taken is still the next one.
         assert cache.insert("a healthy entry", "r") == 3
 
+    @staticmethod
+    def _enrol_state(cache):
+        from dataclasses import asdict
+
+        return (
+            [e.entry_id for e in cache.entries],
+            cache.index.ids,
+            cache._policy.state_dict(),
+            asdict(cache.stats),
+        )
+
+    def test_overflowing_embedding_rejected_before_eviction(self, tiny_encoder):
+        """Finite components, infinite norm: the index refuses such a row, so
+        the cache must refuse it while its victim is still in place."""
+        cache = MeanCache(tiny_encoder, MeanCacheConfig(max_entries=2))
+        cache.insert("alpha bravo charlie", "r0")
+        cache.insert("delta echo foxtrot", "r1")
+        huge = np.full(cache.embedding_dim, 1e200)
+        assert np.isfinite(huge).all()
+        before = self._enrol_state(cache)
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            cache.insert("golf hotel india", "r2", embedding=huge)
+        assert self._enrol_state(cache) == before
+
+    def test_failed_context_embed_costs_no_victim(self, tiny_encoder, monkeypatch):
+        """An encoder failure while embedding the context chain enrols nothing
+        and therefore evicts nothing (the chain is built before the capacity
+        loop runs)."""
+        cache = MeanCache(tiny_encoder, MeanCacheConfig(max_entries=2))
+        cache.insert("alpha bravo charlie", "r0")
+        cache.insert("delta echo foxtrot", "r1")
+        embedding, _ = cache.embed("golf hotel india")
+        before = self._enrol_state(cache)
+
+        def encoder_down(*args, **kwargs):
+            raise RuntimeError("encoder down")
+
+        monkeypatch.setattr(tiny_encoder, "encode", encoder_down)
+        with pytest.raises(RuntimeError, match="encoder down"):
+            cache.insert("golf hotel india", "r2", context=["a parent turn"], embedding=embedding)
+        assert self._enrol_state(cache) == before
+        monkeypatch.undo()
+        assert cache.insert("golf hotel india", "r2", context=["a parent turn"]) == 2
+        assert len(cache) == 2 and cache.stats.evictions == 1
+
 
 class TestContextHandling:
     def test_contextual_trap_misses_with_verification(self, trained_encoder):

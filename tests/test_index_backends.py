@@ -314,6 +314,26 @@ def test_non_finite_rejected_by_routed_sq8(rng):
     check_non_finite_rejected("ivf+sq8", rng)
 
 
+@pytest.mark.parametrize("backend", sorted(SMALL_PARAMS))
+def test_rejected_batch_leaves_dim_unpinned(backend):
+    """A batch (or row) refused for its ids changes nothing: not the dimension
+    of an empty data-driven index either, which is checked — and pinned —
+    only once every other check has passed."""
+    index = small_index(backend, dim=None)
+    block = np.ones((2, 16))
+    for ids, message in (([1, 1], "unique"), ([1, 2, 3], "align")):
+        with pytest.raises(ValueError, match=message):
+            index.add_batch(block, ids=ids)
+        assert index.dim is None and len(index) == 0 and index.ids == []
+    assert index.add(np.ones(8)) == 0  # neither the dim nor an auto id was taken
+    assert index.dim == 8
+    with pytest.raises(ValueError, match="already in the index"):
+        index.add(np.ones(16), id=0)  # the duplicate id is reported, dim untouched
+    with pytest.raises(ValueError, match="already in the index"):
+        index.add_batch(np.ones((2, 16)), ids=[5, 0])
+    assert index.dim == 8 and index.ids == [0]
+
+
 # --------------------------------------------------------------------------- #
 # Recall floors on the standard workload (the parity-style test)
 # --------------------------------------------------------------------------- #

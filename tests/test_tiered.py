@@ -91,6 +91,42 @@ def _tier_queries(cache):
 # --------------------------------------------------------------------------- #
 # Promotion / demotion invariants
 # --------------------------------------------------------------------------- #
+def test_failed_enrol_demotes_nothing(monkeypatch):
+    """An encoder failure while embedding the new entry's context chain must
+    not push an L1 victim into L2 for an entry that is never enrolled."""
+    from dataclasses import asdict
+
+    encoder = make_tiny_encoder()
+    cache = _tiered(encoder, l1_entries=2)
+    first, second, third = _queries(3)
+    cache.insert(first, "r0")
+    cache.insert(second, "r1")
+    embedding, _ = cache.l1.embed(third)
+
+    def state():
+        return (
+            [e.entry_id for e in cache.l1.entries],
+            cache.l1.index.ids,
+            cache.l1._policy.state_dict(),
+            asdict(cache.l1.stats),
+            len(cache.l2),
+            asdict(cache.l2.stats),
+        )
+
+    before = state()
+
+    def encoder_down(*args, **kwargs):
+        raise RuntimeError("encoder down")
+
+    monkeypatch.setattr(encoder, "encode", encoder_down)
+    with pytest.raises(RuntimeError, match="encoder down"):
+        cache.insert(third, "r2", context=[first], embedding=embedding)
+    assert state() == before
+    monkeypatch.undo()
+    cache.insert(third, "r2", context=[first], embedding=embedding)
+    assert (len(cache.l1), len(cache.l2)) == (2, 1)
+
+
 def test_l1_eviction_demotes_into_l2():
     cache = _tiered(make_tiny_encoder(), l1_entries=4)
     queries = _queries(10)
