@@ -9,7 +9,7 @@ suite can activate any rule on an in-memory snippet by picking its ``rel``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.engine import Finding, ModuleContext, Rule
 
@@ -385,7 +385,9 @@ class SnapshotDisciplineRule(Rule):
     commit protocol.  In persistence code (``repro/index/``, ``repro/core/``,
     ``repro/baselines/``, ``repro/serving/fleet.py``), any direct
     ``open(..., "w"/"wb")``, ``np.save*`` or ``Path.write_text/write_bytes``
-    outside those scopes is flagged.
+    outside those scopes is flagged, and so is ``open`` in an append or
+    update mode (``"a"``, ``"ab"``, ``"r+b"``) outside the delta log's one
+    writer and one repairer.
     """
 
     id = "RPL004"
@@ -393,9 +395,12 @@ class SnapshotDisciplineRule(Rule):
     description = "snapshot writes go through atomic_snapshot_dir / the delta-log protocol"
 
     _SCOPES = ("repro/index/", "repro/core/", "repro/baselines/", "repro/serving/fleet.py")
-    #: snapshot.py functions that *are* the write protocol (hand-reviewed:
-    #: write_* target a stage, append_delta is the documented commit point).
-    _HELPER_FUNCTIONS = frozenset({"write_manifest", "write_arrays", "append_delta"})
+    #: snapshot.py functions that *are* the write protocol (hand-reviewed).
+    #: write_* create files, and only inside a stage:
+    _HELPER_FUNCTIONS = frozenset({"write_manifest", "write_arrays"})
+    #: append_delta is the log's commit point and only appends; _delta_lines
+    #: cuts a crashed append's torn tail off in place:
+    _LOG_FUNCTIONS = frozenset({"append_delta", "_delta_lines"})
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Flag direct file writes outside the atomic staging protocol."""
@@ -404,16 +409,17 @@ class SnapshotDisciplineRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            description = self._write_call(node)
-            if description is None:
+            write = self._write_call(node)
+            if write is None:
                 continue
             if _inside_atomic_stage(ctx, node):
                 continue
+            description, allowed_in = write
             enclosing = ctx.enclosing_function(node)
             if (
                 ctx.rel == "repro/index/snapshot.py"
                 and enclosing is not None
-                and enclosing.name in self._HELPER_FUNCTIONS
+                and enclosing.name in allowed_in
             ):
                 continue
             yield ctx.finding(
@@ -424,22 +430,24 @@ class SnapshotDisciplineRule(Rule):
                 "append_delta() (crash-safety contract, docs/analysis.md)",
             )
 
-    @staticmethod
-    def _write_call(node: ast.Call) -> Optional[str]:
+    def _write_call(self, node: ast.Call) -> Optional[Tuple[str, FrozenSet[str]]]:
+        """(what the write is, the snapshot.py functions that may make it)."""
         func = node.func
         if isinstance(func, ast.Name) and func.id == "open" and len(node.args) >= 2:
             mode = node.args[1]
             if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
                 if mode.value.startswith(("w", "x")):
-                    return f'open(..., "{mode.value}")'
+                    return f'open(..., "{mode.value}")', self._HELPER_FUNCTIONS
+                if mode.value.startswith("a") or "+" in mode.value:
+                    return f'open(..., "{mode.value}")', self._LOG_FUNCTIONS
             return None
         if isinstance(func, ast.Attribute):
             if func.attr in ("save", "savez", "savez_compressed") and isinstance(
                 func.value, ast.Name
             ) and func.value.id in ("np", "numpy"):
-                return f"np.{func.attr}()"
+                return f"np.{func.attr}()", self._HELPER_FUNCTIONS
             if func.attr in ("write_text", "write_bytes"):
-                return f".{func.attr}()"
+                return f".{func.attr}()", self._HELPER_FUNCTIONS
         return None
 
 

@@ -419,9 +419,9 @@ class QuantizedTier:
     def flush(self) -> None:
         """Commit pending mutations to the snapshot's delta log.
 
-        Costs O(delta), not O(tier): the vectors land in one per-delta
-        ``.npy`` and one JSON line commits them.  The first flush (no
-        snapshot on disk yet) writes the full baseline instead.
+        Costs O(delta), not O(tier): one JSON line, carrying the vectors,
+        is appended to the log and fsynced.  The first flush (no snapshot
+        on disk yet) writes the full baseline instead.
         """
         if self.snapshot_dir is None:
             return

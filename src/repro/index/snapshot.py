@@ -9,9 +9,9 @@ A snapshot is a directory holding:
 * ``arrays/<name>.npy`` — every numpy array of the live state (the storage
   matrix or code matrix, norms, ids, centroids, …) as a raw ``.npy`` file, so
   :func:`load_index` can memory-map them (``mmap=True``) without copying;
-* optionally ``deltas.jsonl`` + ``deltas/<seq>.npy`` — an append-only delta
-  log of mutations applied since the full snapshot (see :func:`append_delta`),
-  folded back into a full snapshot by :func:`compact_snapshot`.
+* optionally ``deltas.jsonl`` — an append-only delta log of mutations applied
+  since the full snapshot, one self-contained JSON line per record
+  (:func:`append_delta`), folded back in by :func:`compact_snapshot`.
 
 Crash-safety contract
 ---------------------
@@ -22,9 +22,9 @@ mid-write) never contains a complete manifest+arrays pair and is rejected by
 :func:`read_manifest` / :func:`read_arrays`; the previous generation at the
 target path survives byte-for-byte. Publishing replaces the *whole*
 directory, so files a smaller new generation does not write (stale deltas,
-larger prior arrays) cannot leak into it. Delta appends commit on the
-``deltas.jsonl`` line: the per-delta ``.npy`` is written and fsynced first,
-and a torn trailing line (or an orphan ``.npy``) is ignored by readers.
+larger prior arrays) cannot leak into it. A delta append is one write and one
+fsync of ``deltas.jsonl`` and touches no other file: a crash leaves the record
+absent or as a torn trailing line, which readers ignore and the next appender cuts off.
 
 Loading validates the manifest *before* touching any array: a missing file,
 undecodable JSON, a foreign ``format`` tag or an unsupported ``version``
@@ -46,6 +46,7 @@ fleet checkpoint) only nest such envelopes under one more atomic stage.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import re
@@ -77,7 +78,6 @@ ARRAYS_DIR = "arrays"  # one raw .npy per array
 ENTRIES_NAME = "entries.json"  # cache envelopes: per-entry texts + metadata
 INDEX_DIR = "index"  # cache envelopes: the nested index snapshot
 DELTAS_NAME = "deltas.jsonl"
-DELTAS_DIR = "deltas"
 
 _ARRAY_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.+-]*$")
 
@@ -516,7 +516,7 @@ class DeltaRecord:
     ids: Tuple[int, ...]
     removed: Tuple[int, ...]
     #: vectors added by this delta, aligned with ``ids`` (None for pure
-    #: removals); dtype preserved from the append call.
+    #: removals); bit-equal to the append call's rows and read-only.
     vectors: Optional[np.ndarray]
     #: opaque JSON payload the caller attached (e.g. the tier's entry texts)
     meta: Optional[object] = None
@@ -529,17 +529,16 @@ class DeltaRecord:
             index.remove(int(removed_id))
 
 
-def _delta_lines(path: Path, repair: bool = False) -> List[Dict[str, object]]:
-    """Parsed ``deltas.jsonl`` lines, tolerating a torn trailing line.
+def _delta_lines(path: Path, repair: bool = False) -> List[Tuple[int, Dict[str, object]]]:
+    """``(1-based line, parsed record)`` of ``deltas.jsonl``, tolerating a torn tail.
 
     A line that fails to decode is the uncommitted tail of a crashed append
     when (and only when) it is the last non-empty line — anything earlier is
     real corruption and raises :class:`SnapshotError`.
 
-    ``repair=True`` is for a caller about to append: the torn tail is cut off
-    the file (a complete record the crash left without its newline is
-    terminated instead), so the next record starts on a line of its own
-    rather than being glued onto the fragment.
+    ``repair=True`` is for a caller about to append (:func:`open_delta_log`):
+    the torn tail is cut off the file, and a complete record the crash left
+    without its newline is terminated instead.
     """
     log = path / DELTAS_NAME
     if not log.is_file():
@@ -547,7 +546,7 @@ def _delta_lines(path: Path, repair: bool = False) -> List[Dict[str, object]]:
     data = log.read_bytes()
     raw_lines = data.splitlines(keepends=True)
     last = max((i for i, line in enumerate(raw_lines) if line.strip()), default=-1)
-    records: List[Dict[str, object]] = []
+    records: List[Tuple[int, Dict[str, object]]] = []
     committed = offset = 0  # bytes of the log holding committed records / scanned
     for i, line in enumerate(raw_lines[: last + 1]):
         offset += len(line)
@@ -561,7 +560,7 @@ def _delta_lines(path: Path, repair: bool = False) -> List[Dict[str, object]]:
             raise SnapshotError(f"corrupted delta log {log}: line {i + 1}: {exc}") from exc
         if not isinstance(record, dict):
             raise SnapshotError(f"corrupted delta log {log}: line {i + 1} is not an object")
-        records.append(record)
+        records.append((i + 1, record))
         committed = offset
     if repair:
         unterminated = committed > 0 and not data[:committed].endswith(b"\n")
@@ -576,43 +575,48 @@ def _delta_lines(path: Path, repair: bool = False) -> List[Dict[str, object]]:
     return records
 
 
+_ROW_KINDS = "fiu"  #: dtype kinds of a delta's rows: their bytes are the value (never ``object``)
+
+
 def read_deltas(path: "str | Path") -> List[DeltaRecord]:
     """The snapshot's committed delta records, in append order.
 
-    A trailing record whose per-delta ``.npy`` never landed (crash between
-    the array write and the log append is impossible — the array is written
-    first — but the converse orphan is) is dropped; a missing array earlier
-    in the log raises :class:`SnapshotError`.
+    A line that decodes as JSON is committed, so a ``vectors`` field that
+    does not decode to ``len(ids)`` rows (bad base64, byte count, shape or
+    dtype; ``ids`` without it) raises :class:`SnapshotError` naming the log,
+    the line and the ``seq``, as does a line of the former format (non-null
+    ``file``); only a crashed append's torn trailing line is dropped.
     """
     path = Path(path)
-    lines = _delta_lines(path)
     records: List[DeltaRecord] = []
-    for i, line in enumerate(lines):
-        file_name = line.get("file")
-        vectors: Optional[np.ndarray] = None
-        if file_name is not None:
-            delta_file = path / str(file_name)
-            if not delta_file.is_file():
-                if i == len(lines) - 1:
-                    break  # torn trailing append
-                raise SnapshotError(
-                    f"delta log at {path} references missing array {file_name!r}"
+    for i, (lineno, line) in enumerate(_delta_lines(path)):
+        field, vectors = line.get("vectors"), None
+        try:
+            seq = int(line.get("seq", i + 1))
+            ids = tuple(int(x) for x in line.get("ids", ()))
+            removed = tuple(int(x) for x in line.get("removed", ()))
+            if line.get("file") is not None:
+                raise ValueError(
+                    f"rows kept in {line['file']!r}: written by the per-delta .npy format, which "
+                    "this build does not read — compact the log with the version that wrote it"
                 )
-            try:
-                vectors = np.load(delta_file, allow_pickle=False)
-            except (OSError, ValueError) as exc:
-                raise SnapshotError(
-                    f"corrupted delta array {delta_file}: {exc}"
-                ) from exc
-        records.append(
-            DeltaRecord(
-                seq=int(line.get("seq", i + 1)),
-                ids=tuple(int(x) for x in line.get("ids", ())),
-                removed=tuple(int(x) for x in line.get("removed", ())),
-                vectors=vectors,
-                meta=line.get("meta"),
-            )
-        )
+            if field is None and ids:
+                raise ValueError("ids given without vectors")
+            if field is not None:
+                name, shape = field["dtype"], field["shape"]
+                dtype = np.dtype(name) if isinstance(name, str) else None
+                if dtype is None or dtype.kind not in _ROW_KINDS:
+                    raise ValueError(f"dtype {name!r} is not a plain float/int dtype")
+                raw = base64.b64decode(field["b64"], validate=True)
+                vectors = np.frombuffer(raw, dtype=dtype).reshape(shape)  # or raises: bad length
+                if list(vectors.shape) != shape or vectors.shape[:1] != (len(ids),):
+                    raise ValueError(f"{vectors.shape} rows for shape {shape}, {len(ids)} ids")
+        except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise SnapshotError(
+                f"delta log {path / DELTAS_NAME}: line {lineno} (seq {line.get('seq')}): "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        records.append(DeltaRecord(seq, ids, removed, vectors, line.get("meta")))
     return records
 
 
@@ -626,52 +630,49 @@ def append_delta(
 ) -> int:
     """Append one mutation record to the snapshot's delta log; returns its seq.
 
-    Cost is proportional to the delta, not the snapshot: the added vectors
-    land in their own ``deltas/<seq>.npy`` (fsynced before the log line
-    commits them) and one JSON line is appended to ``deltas.jsonl`` — the
-    full arrays are never rewritten. The log is folded back into a full
-    snapshot by :func:`compact_snapshot` (or implicitly by the next
-    :func:`save_index`, whose atomic directory replace discards it).
+    Cost is proportional to the delta, not the snapshot: one JSON line is
+    appended to ``deltas.jsonl`` and fsynced once, and nothing else is
+    created or rewritten.  The added rows are in the line, as ``{"dtype",
+    "shape", "b64"}`` of their C-contiguous bytes, whatever their size (a
+    1,000 x 768 float32 delta is one ~4 MB line).  The log is folded back
+    into a full snapshot by :func:`compact_snapshot` (or implicitly by the
+    next :func:`save_index`, whose atomic directory replace discards it).
 
     Without ``seq`` the call checks that a snapshot exists at ``path`` and
-    reads the log to number the record, cutting off the torn tail a crashed
-    append may have left (:func:`open_delta_log`).  An appender that has
-    done that once and counts its own records passes ``seq`` — the record
-    count so far plus one — and the call touches neither the manifest nor
-    the log's existing lines.
+    numbers the record from the log (:func:`open_delta_log`, which also cuts
+    off a crashed append's torn tail).  An appender that has done that once
+    and counts its own records passes ``seq`` — the count so far plus one —
+    and the call touches neither the manifest nor the log's existing lines.
     """
     path = Path(path)
     if seq is None:
         if not (path / MANIFEST_NAME).is_file():
             raise SnapshotError(f"no snapshot at {path} to append a delta to")
         seq = open_delta_log(path) + 1
+    encoded: Optional[Dict[str, object]] = None
     if vectors is not None:
-        vectors = np.atleast_2d(np.asarray(vectors))
-        if ids is None or len(ids) != vectors.shape[0]:
+        rows = np.ascontiguousarray(np.atleast_2d(np.asarray(vectors)))
+        if ids is None or len(ids) != rows.shape[0]:
             raise ValueError("ids must align with vectors")
+        if rows.dtype.kind not in _ROW_KINDS:
+            raise ValueError(f"delta vectors must be float or int, got {rows.dtype}")
+        b64 = base64.b64encode(rows).decode("ascii")
+        encoded = {"dtype": rows.dtype.str, "shape": list(rows.shape), "b64": b64}
     elif ids:
         raise ValueError("ids given without vectors")
     record: Dict[str, object] = {
         "seq": seq,
         "ids": [int(i) for i in (ids or ())],
         "removed": [int(i) for i in removed],
-        "file": None,
+        "vectors": encoded,
     }
     if meta is not None:
         record["meta"] = meta
-    if vectors is not None:
-        deltas_dir = path / DELTAS_DIR
-        deltas_dir.mkdir(exist_ok=True)
-        file_name = f"{DELTAS_DIR}/delta-{seq:08d}.npy"
-        np.save(path / file_name, vectors)
-        _fsync_file(path / file_name)
-        _fsync_dir(deltas_dir)
-        record["file"] = file_name
-    # The log line is the commit point: a crash before this append leaves an
-    # ignored orphan .npy, a crash mid-append leaves a torn trailing line
-    # that readers skip and the next appender's open_delta_log cuts off.  An
-    # append that fails in-process takes its bytes back off the log, so the
-    # caller's retry of the same record is not a duplicate.
+    # The fsynced line is the commit point: a crash before it leaves the log
+    # as it was, a crash mid-append leaves a torn trailing line that readers
+    # skip and the next appender's open_delta_log cuts off.  An append that
+    # fails in-process takes its bytes back off the log, so the caller's
+    # retry of the same record is not a duplicate.
     with open(path / DELTAS_NAME, "ab") as fh:
         committed = fh.seek(0, os.SEEK_END)
         try:
@@ -688,11 +689,10 @@ def append_delta(
 def open_delta_log(path: "str | Path") -> int:
     """Make the delta log at ``path`` safe to append to; returns its record count.
 
-    What an appender does once before its first record: the committed records
-    are counted (the next one is numbered count + 1) and a torn trailing
-    line — the uncommitted tail of an append a crash interrupted — is cut
-    off the file, so the next record is not glued onto the fragment and
-    lost with it.  A missing log counts 0.
+    What an appender does once before its first record (numbered count + 1):
+    a torn trailing line — the uncommitted tail of an append a crash
+    interrupted — is cut off the file, so the next record is not glued onto
+    the fragment and lost with it.  A missing log counts 0.
     """
     return len(_delta_lines(Path(path), repair=True))
 
@@ -700,7 +700,7 @@ def open_delta_log(path: "str | Path") -> int:
 def delta_log_size(path: "str | Path") -> Tuple[int, int]:
     """(number of committed delta records, total rows they add)."""
     lines = _delta_lines(Path(path))
-    return len(lines), sum(len(line.get("ids", ())) for line in lines)
+    return len(lines), sum(len(line.get("ids", ())) for _, line in lines)
 
 
 def compact_snapshot(path: "str | Path", mmap: bool = False) -> object:

@@ -55,8 +55,11 @@ class ResponseGenerator:
         rng = np.random.default_rng(_stable_seed(query))
         opener = _OPENERS[int(rng.integers(len(_OPENERS)))]
         words: List[str] = opener.split()
-        while len(words) < n_tokens:
-            words.append(_BODY_WORDS[int(rng.integers(len(_BODY_WORDS)))])
+        if len(words) < n_tokens:
+            # One sized draw yields the same bounded-integer stream as one
+            # scalar draw per word (pinned by tests/test_response_generator.py).
+            picks = rng.integers(len(_BODY_WORDS), size=n_tokens - len(words))
+            words.extend(_BODY_WORDS[i] for i in picks.tolist())
         return " ".join(words[:n_tokens])
 
 

@@ -15,20 +15,26 @@ two-record delta log, a ``MeanCache``, a ``GPTCache`` and a ``TieredCache``
   mode, ``CacheDecision`` fields, and the SHA-256 of every file a
   load → save cycle writes.
 
-The fixtures were generated at the commit *before* the refactor via::
+The fixtures are generated by::
 
     PYTHONPATH=src:tests python -m golden_snapshots
 
 ``tests/test_persistence.py`` loads each one eagerly and memory-mapped and
 compares exactly.  Regenerate only for a deliberate, documented format
-change.
+change (the last: delta records carry their rows in the log line, which
+rewrote ``tier/deltas.jsonl`` and nothing else).  ``--check`` regenerates
+into a temporary directory instead and reports every file that differs from
+the committed one; tier-1 runs it, so the committed bytes are always what the
+tree generates and never "generated at commit X" on trust.
 """
 
 from __future__ import annotations
 
+import difflib
 import hashlib
 import json
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 from typing import Dict, List
@@ -338,17 +344,17 @@ def supports_mmap(name: str) -> bool:
 # --------------------------------------------------------------------------- #
 # Generator
 # --------------------------------------------------------------------------- #
-def generate() -> None:
-    """Write every fixture directory and ``expected.json``."""
-    if FIXTURE_DIR.exists():
-        shutil.rmtree(FIXTURE_DIR)
-    FIXTURE_DIR.mkdir(parents=True)
+def generate(root: Path = FIXTURE_DIR) -> None:
+    """Write every fixture directory and ``expected.json`` under ``root``."""
+    if root.exists():
+        shutil.rmtree(root)
+    root.mkdir(parents=True)
     for backend in INDEX_BACKENDS:
-        build_index(backend).save(FIXTURE_DIR / fixture_name(backend))
-    build_tier(FIXTURE_DIR / "tier")
-    build_meancache().save(FIXTURE_DIR / "meancache")
-    build_gptcache().save(FIXTURE_DIR / "gptcache")
-    build_tiered().save(FIXTURE_DIR / "tiered")
+        build_index(backend).save(root / fixture_name(backend))
+    build_tier(root / "tier")
+    build_meancache().save(root / "meancache")
+    build_gptcache().save(root / "gptcache")
+    build_tiered().save(root / "tiered")
 
     expected: Dict[str, object] = {}
     names = [fixture_name(b) for b in INDEX_BACKENDS] + list(CACHE_NAMES)
@@ -357,7 +363,7 @@ def generate() -> None:
             record: Dict[str, object] = {}
             for mmap in (False, True) if supports_mmap(name) else (False,):
                 work = Path(tmp) / f"{name}-{int(mmap)}"
-                shutil.copytree(FIXTURE_DIR / name, work)
+                shutil.copytree(root / name, work)
                 loaded = load_fixture(name, work, mmap=mmap)
                 mode = "mmap" if mmap else "eager"
                 record[mode + "_mmap_backed"] = bool(storage_index(name, loaded).mmap_backed)
@@ -369,11 +375,44 @@ def generate() -> None:
                 assert record.setdefault("observed", seen) == seen, name
             if name != "tier":
                 # No delta log to fold: a load -> save cycle is the identity.
-                assert record["resave"] == tree_hashes(FIXTURE_DIR / name), name
+                assert record["resave"] == tree_hashes(root / name), name
             expected[name] = record
-    EXPECTED_PATH.write_text(json.dumps(expected, indent=1) + "\n", encoding="utf-8")
+    (root / EXPECTED_PATH.name).write_text(
+        json.dumps(expected, indent=1) + "\n", encoding="utf-8"
+    )
+
+
+def check() -> List[str]:
+    """Regenerate every fixture into a temporary directory; one report per
+    file that is not byte for byte the committed one (empty when none)."""
+    reports: List[str] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp) / FIXTURE_DIR.name
+        generate(fresh)
+        committed, generated = tree_hashes(FIXTURE_DIR), tree_hashes(fresh)
+        for name in sorted(set(committed) | set(generated)):
+            if committed.get(name) == generated.get(name):
+                continue
+            if name not in generated or name not in committed:
+                where = "committed" if name in committed else "generated"
+                reports.append(f"{name}: only in the {where} tree")
+            elif name.endswith((".json", ".jsonl")):
+                old = (FIXTURE_DIR / name).read_text(encoding="utf-8").splitlines()
+                new = (fresh / name).read_text(encoding="utf-8").splitlines()
+                diff = difflib.unified_diff(old, new, "committed", "generated", n=0, lineterm="")
+                reports.append(f"{name}:\n" + "\n".join(line[:200] for line in list(diff)[:40]))
+            else:
+                reports.append(
+                    f"{name}: sha256 {committed[name][:12]} committed, "
+                    f"{generated[name][:12]} generated"
+                )
+    return reports
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        differing = check()
+        print("\n".join(differing) or f"{FIXTURE_DIR} is what this tree generates")
+        sys.exit(1 if differing else 0)
     generate()
     print(f"wrote {EXPECTED_PATH}")

@@ -267,6 +267,44 @@ class TestRPL004:
         """
         assert "RPL004" not in rules_fired(snippet, rel="repro/metrics/report.py")
 
+    @pytest.mark.parametrize("mode", ["a", "ab", "r+b"])
+    def test_in_place_write_outside_the_delta_log_fires(self, mode):
+        snippet = f"""
+        def log_event(path, line):
+            with open(path, "{mode}") as f:
+                f.write(line)
+        """
+        assert "RPL004" in rules_fired(snippet, rel="repro/core/mystore.py")
+        # ... and in snapshot.py itself, outside the log's writer and repairer.
+        assert "RPL004" in rules_fired(snippet, rel="repro/index/snapshot.py")
+
+    @pytest.mark.parametrize(
+        "function, mode", [("append_delta", "ab"), ("_delta_lines", "r+b")]
+    )
+    def test_the_delta_log_writer_and_repairer_may_write_in_place(self, function, mode):
+        snippet = f"""
+        def {function}(path, line):
+            with open(path, "{mode}") as f:
+                f.write(line)
+        """
+        assert "RPL004" not in rules_fired(snippet, rel="repro/index/snapshot.py")
+        # The allowlist is snapshot.py's, not the name's.
+        assert "RPL004" in rules_fired(snippet, rel="repro/core/mystore.py")
+
+    def test_append_delta_may_no_longer_create_files(self):
+        snippet = """
+        import numpy as np
+
+        def append_delta(path, rows):
+            np.save(path / "delta.npy", rows)
+            with open(path / "delta.bin", "wb") as f:
+                f.write(rows.tobytes())
+        """
+        findings = [
+            f for f in run(snippet, rel="repro/index/snapshot.py") if f.rule == "RPL004"
+        ]
+        assert len(findings) == 2
+
 
 # --------------------------------------------------------------------------- #
 # RPL005 public-API hygiene

@@ -22,9 +22,10 @@ Covers the snapshot subsystem end to end:
   ``load_index(mmap=True)`` restores without copying the row matrix
   (tracemalloc ceiling);
 * golden snapshots: the directories under ``tests/fixtures/snapshots``
-  (written by ``tests/golden_snapshots.py`` before the one-row-store /
-  one-envelope refactor) load eagerly and memory-mapped to the recorded
-  search results and decisions, and re-save to the recorded bytes.
+  (written by ``tests/golden_snapshots.py``, whose ``--check`` proves here
+  that they are what the tree generates) load eagerly and memory-mapped to
+  the recorded search results and decisions, and re-save to the recorded
+  bytes.
 """
 
 from __future__ import annotations
@@ -515,6 +516,16 @@ def test_golden_snapshot_loads_and_resaves_identically(name, mmap, tmp_path):
     assert gs.observe(name, loaded) == expected["observed"]
 
 
+def test_committed_snapshot_fixtures_are_what_this_tree_generates():
+    """``python -m golden_snapshots --check``: a full regeneration into a
+    temporary directory reproduces every committed fixture file and
+    ``expected.json`` byte for byte, so a format change cannot land without
+    the regenerated fixture beside it."""
+    import golden_snapshots as gs
+
+    assert gs.check() == []
+
+
 # --------------------------------------------------------------------------- #
 # Golden-fixture byte-exactness through a save/load cycle
 # --------------------------------------------------------------------------- #
@@ -889,6 +900,128 @@ def test_append_after_a_torn_tail_keeps_every_committed_record(tmp_path, tail):
     assert 60 in loaded.ids and 50 not in loaded.ids
     assert (1 in loaded.ids) == (not complete)
     assert delta_log_size(path)[0] == committed + 2
+
+
+def _snapshot_with_log(tmp_path):
+    index = make_index("flat", dim=4)
+    index.add_batch(np.random.default_rng(7).normal(size=(6, 4)))
+    path = tmp_path / "snap"
+    index.save(path)
+    return index, path
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "shape, order", [((4,), "C"), ((3, 4), "C"), ((3, 4), "F"), ((0, 4), "C")]
+)
+def test_delta_rows_round_trip_bit_for_bit(tmp_path, dtype, shape, order):
+    """What ``append_delta`` was given is what ``read_deltas`` returns: same
+    values, dtype and (row-matrix) shape, and nothing but the log on disk."""
+    from repro.index import append_delta, read_deltas
+
+    index, path = _snapshot_with_log(tmp_path)
+    rows = np.asarray(
+        np.random.default_rng(8).normal(size=shape).astype(dtype), order=order
+    )
+    ids = list(range(100, 100 + np.atleast_2d(rows).shape[0]))
+    append_delta(path, removed=[0])
+    assert append_delta(path, vectors=rows, ids=ids, meta={"note": "kept"}) == 2
+    assert sorted(p.name for p in path.iterdir()) == ["arrays", "deltas.jsonl", "manifest.json"]
+
+    first, second = read_deltas(path)
+    assert first.vectors is None and first.removed == (0,)
+    assert second.ids == tuple(ids) and second.meta == {"note": "kept"}
+    assert second.vectors.dtype == rows.dtype
+    assert second.vectors.shape == np.atleast_2d(rows).shape
+    assert second.vectors.tobytes() == np.ascontiguousarray(np.atleast_2d(rows)).tobytes()
+    assert not second.vectors.flags.writeable  # apply() only feeds add_batch
+
+    loaded = load_index(path)
+    assert set(loaded.ids) == (set(index.ids) | set(ids)) - {0}
+
+
+def test_append_delta_rejects_rows_it_could_not_read_back(tmp_path):
+    from repro.index import append_delta, delta_log_size
+
+    _, path = _snapshot_with_log(tmp_path)
+    for rows in (np.ones((1, 4), dtype=bool), np.array([["a", "b", "c", "d"]])):
+        with pytest.raises(ValueError, match="float or int"):
+            append_delta(path, vectors=rows, ids=[50])
+    assert delta_log_size(path) == (0, 0)
+    assert not (path / "deltas.jsonl").exists()
+
+
+def _good_vectors_field():
+    import base64
+
+    rows = np.arange(8, dtype=np.float32).reshape(2, 4)
+    return {"dtype": "<f4", "shape": [2, 4], "b64": base64.b64encode(rows).decode("ascii")}
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda r: r["vectors"].update(b64="not base64!"), "line 2 .seq 2."),
+        (lambda r: r["vectors"].update(b64=r["vectors"]["b64"][:-4]), "line 2 .seq 2."),
+        (lambda r: r["vectors"].update(shape=[2, 3]), "line 2 .seq 2."),
+        (lambda r: r["vectors"].update(shape=[2, -1]), "line 2 .seq 2."),
+        (lambda r: r["vectors"].update(shape=[1, 8]), "line 2 .seq 2."),
+        (lambda r: r.update(ids=[7]), "for shape .2, 4., 1 ids"),
+        (lambda r: r["vectors"].update(dtype="O"), "not a plain float/int dtype"),
+        (lambda r: r["vectors"].update(dtype="<U4"), "not a plain float/int dtype"),
+        (lambda r: r["vectors"].update(dtype=None), "not a plain float/int dtype"),
+        (lambda r: r["vectors"].update(dtype="f4,i4"), "not a plain float/int dtype"),
+        (lambda r: r["vectors"].pop("b64"), "KeyError"),
+        (lambda r: r.update(vectors=[1, 2]), "line 2 .seq 2."),
+        (lambda r: r.update(vectors=None), "ids given without vectors"),
+        (lambda r: r.update(ids=["x", 8]), "line 2 .seq 2."),
+    ],
+)
+@pytest.mark.parametrize("position", ["last", "middle"])
+def test_a_committed_record_with_a_bad_payload_is_a_snapshot_error(
+    tmp_path, damage, message, position
+):
+    """A line that parses as JSON is committed — last in the log or not — so
+    a payload that does not decode names the log, the line and the seq
+    instead of surfacing as the backend's bare ``ValueError``."""
+    from repro.index import read_deltas
+
+    _, path = _snapshot_with_log(tmp_path)
+    record = {"seq": 2, "ids": [7, 8], "removed": [], "vectors": _good_vectors_field()}
+    lines = [json.dumps({"seq": 1, "ids": [], "removed": [1], "vectors": None}), json.dumps(record)]
+    (path / "deltas.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert [r.seq for r in read_deltas(path)] == [1, 2]  # undamaged, it reads
+
+    damage(record)
+    lines[1] = json.dumps(record)
+    if position == "middle":
+        lines.append(json.dumps({"seq": 3, "ids": [], "removed": [2], "vectors": None}))
+    (path / "deltas.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for read in (read_deltas, load_index):
+        with pytest.raises(SnapshotError, match=message) as caught:
+            read(path)
+        assert str(path / "deltas.jsonl") in str(caught.value)
+
+
+def test_a_log_of_the_per_delta_npy_format_is_refused(tmp_path):
+    """One delta format: a record that keeps its rows in ``deltas/*.npy`` is
+    not read, and the error says which build must compact it."""
+    from repro.index import append_delta, read_deltas
+
+    _, path = _snapshot_with_log(tmp_path)
+    (path / "deltas").mkdir()
+    np.save(path / "deltas" / "delta-00000001.npy", np.zeros((1, 4), dtype=np.float32))
+    legacy = {"seq": 1, "ids": [50], "removed": [], "file": "deltas/delta-00000001.npy"}
+    (path / "deltas.jsonl").write_text(json.dumps(legacy) + "\n", encoding="utf-8")
+    for read in (read_deltas, load_index):
+        with pytest.raises(SnapshotError, match="per-delta .npy format.*version that wrote it"):
+            read(path)
+    # a pure removal of that format carried "file": null and still reads
+    (path / "deltas.jsonl").write_text(
+        '{"seq": 1, "ids": [], "removed": [1], "file": null}\n', encoding="utf-8"
+    )
+    assert read_deltas(path)[0].removed == (1,)
+    assert append_delta(path, removed=[2]) == 2
 
 
 _JSON_LEAVES = st.one_of(
