@@ -7,6 +7,17 @@ Architecture (per query)::
     z = h @ W2 + b2                       (output_dim,)
     e = z / ||z||                         (unit-norm embedding)
 
+``x`` is sparse — a query sets ~50 of 2,048 hashed features — so at inference
+the first layer is what it is in every real sentence encoder, an embedding
+lookup: ``x @ W1`` is computed as ``x[nz] @ W1[nz]`` over the row's non-zero
+features ``nz`` alone.  Training (``forward(X, cache)``) keeps the dense
+product, whose ``backward`` needs the dense ``X`` anyway and whose arithmetic
+defines the pretrained checkpoints.  The two sum the same products in a
+different order and agree to within ``8 * 2**-53`` per embedding component;
+both round to the same float32, the width every index stores and scores with
+(``tests/test_forward_differential.py`` checks both against the old all-dense
+body).
+
 The encoder is the NumPy stand-in for the paper's MPNet/ALBERT sentence
 transformers.  It is *siamese*: the same weights encode both sides of a query
 pair, and training minimises the multitask objective of
@@ -291,11 +302,37 @@ class SiameseEncoder:
         """Forward pass from feature vectors ``X`` to unit-norm embeddings.
 
         The pipeline is ``x -> tanh(xW1+b1) -> zW2+b2 -> normalise -> add the
-        anisotropic component -> normalise``.  If ``cache`` is supplied,
-        intermediates required by :meth:`backward` are stored in it.
+        anisotropic component -> normalise``.
+
+        Without ``cache`` (inference) the first layer is an embedding lookup:
+        each row sums only the rows of ``W1`` its non-zero features select, so
+        a hashed text (~50 features of 2,048) reads ~50 rows instead of the
+        whole matrix, and a row's activations do not depend on what it was
+        batched with.  Cost grows with the non-zero count: a row with nine
+        tenths of its features set costs about three times the dense product.
+
+        With ``cache`` (training) the first layer is the dense ``X @ W1`` and
+        the intermediates required by :meth:`backward` are stored in ``cache``.
+        The two modes agree to within ``8 * 2**-53`` per embedding component,
+        not bit for bit: they sum the same products in a different order.
+
+        Raises ``ValueError`` when ``X`` is not ``n_features`` wide.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        pre_h = X @ self.W1 + self.b1
+        if X.ndim != 2 or X.shape[1] != self.W1.shape[0]:
+            raise ValueError(
+                f"feature matrix of shape {X.shape} does not match the encoder's "
+                f"input width: {X.shape[-1]} != {self.W1.shape[0]}"
+            )
+        if cache is not None:
+            pre_h = X @ self.W1 + self.b1
+        else:
+            W1 = self.W1
+            pre_h = np.empty((X.shape[0], W1.shape[1]), dtype=np.float64)
+            for i, x in enumerate(X):
+                nz = np.flatnonzero(x)
+                pre_h[i] = x[nz] @ W1[nz]
+            pre_h += self.b1
         h = np.tanh(pre_h)
         z = h @ self.W2 + self.b2
         z_norms = np.linalg.norm(z, axis=1, keepdims=True)

@@ -8,7 +8,7 @@ fine-tuning, mirroring SBERT's default).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -81,6 +81,7 @@ class Adam(Optimizer):
     _m: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _v: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _t: int = field(default=0, repr=False)
+    _scratch: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         Optimizer.__init__(self, self.lr)
@@ -88,7 +89,14 @@ class Adam(Optimizer):
             raise ValueError("betas must be in [0, 1)")
 
     def step(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
-        """One bias-corrected Adam update of ``params``, in place."""
+        """One bias-corrected Adam update of ``params``, in place.
+
+        The moments are updated in place too, and every intermediate lands in
+        one of two scratch arrays kept per parameter, so a step allocates
+        nothing after the first.  Each line is one operation of the textbook
+        expressions noted beside it, in their evaluation order, so the result
+        is bit-identical to evaluating them with temporaries.
+        """
         if len(params) != len(grads):
             raise ValueError("params and grads must have the same length")
         self._t += 1
@@ -96,23 +104,39 @@ class Adam(Optimizer):
         for i, (p, g) in enumerate(zip(params, grads)):
             if p.shape != g.shape:
                 raise ValueError(f"shape mismatch at parameter {i}: {p.shape} vs {g.shape}")
+            if i not in self._m:
+                dtype = np.result_type(p, g)
+                self._m[i] = np.zeros(p.shape, dtype=dtype)
+                self._v[i] = np.zeros(p.shape, dtype=dtype)
+                self._scratch[i] = (np.empty(p.shape, dtype=dtype), np.empty(p.shape, dtype=dtype))
+            m, v = self._m[i], self._v[i]
+            a, b = self._scratch[i]
             if self.weight_decay:
-                g = g + self.weight_decay * p
-            m = self._m.get(i)
-            v = self._v.get(i)
-            if m is None:
-                m = np.zeros_like(p)
-                v = np.zeros_like(p)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self._m[i] = m
-            self._v[i] = v
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                # g = g + weight_decay * p   (b is free until v_hat)
+                np.multiply(p, self.weight_decay, out=b)
+                b += g
+                g = b
+            # m = beta1 * m + (1 - beta1) * g
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
+            # v = beta2 * v + (1 - beta2) * (g * g)
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
+            v *= self.beta2
+            v += a
+            # p -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, 1.0 - self.beta1**t, out=a)
+            a *= self.lr
+            np.divide(v, 1.0 - self.beta2**t, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
     def reset(self) -> None:
         """Forget both moment estimates and the step count."""
         self._m.clear()
         self._v.clear()
+        self._scratch.clear()
         self._t = 0

@@ -22,10 +22,21 @@ The fixtures are generated by::
 ``tests/test_persistence.py`` loads each one eagerly and memory-mapped and
 compares exactly.  Regenerate only for a deliberate, documented format
 change (the last: delta records carry their rows in the log line, which
-rewrote ``tier/deltas.jsonl`` and nothing else).  ``--check`` regenerates
-into a temporary directory instead and reports every file that differs from
-the committed one; tier-1 runs it, so the committed bytes are always what the
-tree generates and never "generated at commit X" on trust.
+rewrote ``tier/deltas.jsonl`` and nothing else) or a value-level re-pin:
+
+* decision level (hit/miss, matched entry, response, victim, tier,
+  ``decision_sha256``) is exact and never re-pinned without a ROADMAP line;
+* value level (``float.hex()`` scores, on-disk float arrays) may be re-pinned
+  by a PR that shows decision-level equality on every fixture and on the four
+  bench workloads seed by seed, regenerates with the command above only, and
+  lists each changed value with old/new hex and ulp distance (the last: the
+  encoder's lookup first layer moved ``tiered``'s float64 L2 re-score by one
+  ulp; every snapshot tree stayed byte-identical).
+
+``--check`` regenerates into a temporary directory instead and reports every
+file that differs from the committed one; tier-1 runs it, so the committed
+bytes are always what the tree generates and never "generated at commit X" on
+trust.
 """
 
 from __future__ import annotations
