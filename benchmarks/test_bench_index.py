@@ -5,10 +5,9 @@ root (field reference in ``docs/benchmarks.md``) so later PRs can track the
 perf trajectory:
 
 * ``backends`` — recall@k vs lookup throughput vs bytes-per-entry of the
-  approximate and quantized backends (IVF inverted lists, multi-probe LSH,
-  int8 scalar quantization, product quantization, IVF-routed SQ8) against
-  exact flat search at 10k and 100k entries on the standard clustered
-  paraphrase workload;
+  approximate and quantized backends (IVF inverted lists, int8 scalar
+  quantization, IVF-routed SQ8) against exact flat search at 10k and 100k
+  entries on the standard clustered paraphrase workload;
 * ``latency`` — single-query p50/p95/p99 of the quantized backends next to
   exact flat search on the same vectors, at 10^5 and 10^6 entries, with
   same-run backend-over-flat regression gates (methodology in
@@ -44,8 +43,8 @@ N_QUERIES = 200
 TOP_K = 5
 
 SWEEP_SIZES = (10_000, 100_000)
-APPROX_BACKENDS = ("ivf", "lsh")
-QUANTIZED_BACKENDS = ("sq8", "pq")
+APPROX_BACKENDS = ("ivf",)
+QUANTIZED_BACKENDS = ("sq8",)
 ROUTED_QUANTIZED_BACKENDS = ("ivf+sq8",)
 MIN_RECALL = 0.9
 MIN_BATCH_SPEEDUP_AT_100K = 10.0
@@ -78,22 +77,22 @@ def _latency_ceilings(n_entries):
 
     What the gate must catch is a quantized scan falling back to decoding
     rows into a float matrix (the speed of ``tests/reference_scan.py``):
-    17-22x slower for the flat-scan backends and ~3x for the routed one.
-    Committed BENCH_index.json has backend/flat p50 of 1.26 (sq8), 3.4 (pq),
-    0.22 (ivf+sq8) at 10^5 and 0.74, 1.84, 0.035 at 10^6; a host whose flat
-    sgemv is relatively faster roughly doubles those (2.1, 7.5, 0.43 at 10^5
-    on the 2-vCPU container this was tuned on), a reversion multiplies them
-    (to >= 27, 58, 0.66 at 10^5; 14, 44, 0.137 at 10^6).  The ceilings sit
-    between: >= 2x above the committed ratios, below every reverted one.
-    The routed backend's margin is the thin one — its reference path only
-    ever decoded the probed cells.  Below ~5*10^4 entries fixed per-query
-    costs (routing, PQ's pair-LUT build) dominate both sides and the ratio
-    says nothing about the scan, so nothing is gated there.
+    17-22x slower for the flat-scan backend and ~3x for the routed one.
+    Backend/flat p50 was 1.26 (sq8), 0.22 (ivf+sq8) at 10^5 and 0.74, 0.035
+    at 10^6 on the host the ceilings were set on; a host whose flat sgemv is
+    relatively faster reads more (the committed BENCH_index.json, from a
+    2-vCPU container: 1.98, 0.54 at 10^5 and 1.44, 0.09 at 10^6), a
+    reversion multiplies them (to >= 27, 0.66 at 10^5; 14, 0.137 at 10^6).
+    The ceilings sit between: above every measured ratio, below every
+    reverted one.  The routed backend's margin is the thin one — its
+    reference path only ever decoded the probed cells.  Below ~5*10^4
+    entries fixed per-query costs (routing) dominate both sides and the
+    ratio says nothing about the scan, so nothing is gated there.
     """
     if n_entries >= 500_000:
-        return {"sq8": 4.0, "pq": 12.0, "ivf+sq8": 0.12}
+        return {"sq8": 4.0, "ivf+sq8": 0.12}
     if n_entries >= 50_000:
-        return {"sq8": 6.0, "pq": 25.0, "ivf+sq8": 0.65}
+        return {"sq8": 6.0, "ivf+sq8": 0.65}
     return {}
 
 
@@ -168,7 +167,7 @@ def test_backend_recall_throughput_sweep(benchmark):
             assert point.recall_at_k >= MIN_RECALL, point.to_dict()
     for backend in QUANTIZED_BACKENDS:
         # The memory floor is pinned at 100k, where fixed codec tables have
-        # amortized away (at 10k a PQ codebook alone is ~6 bytes/entry).
+        # amortized away.
         at_100k = result.point(backend, 100_000)
         assert (
             at_100k.bytes_per_entry_vs_flat <= MAX_QUANTIZED_BYTES_RATIO_AT_100K

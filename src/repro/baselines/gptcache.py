@@ -52,8 +52,8 @@ class GPTCacheConfig:
 
     ``index_backend``/``index_params`` pick the vector-index backend through
     :func:`repro.index.make_index` — a central never-evicting cache is
-    exactly where the corpus outgrows exact scans, so the approximate
-    backends (``"ivf"``, ``"lsh"``) matter most here.
+    exactly where the corpus outgrows exact scans, so the routed backends
+    (``"ivf"``, ``"ivf+sq8"``) matter most here.
     """
 
     similarity_threshold: float = 0.7

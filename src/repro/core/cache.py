@@ -82,8 +82,9 @@ class MeanCacheConfig:
     index_backend:
         Vector-index backend name resolved through
         :func:`repro.index.make_index` — ``"flat"`` (exact, the default),
-        ``"ivf"`` or ``"lsh"`` (sublinear approximate search for large
-        caches; see ``docs/api.md`` for the choosing guide).
+        ``"ivf"`` (sublinear approximate search for large caches), ``"sq8"``
+        or ``"ivf+sq8"`` (int8 quantized storage); see ``docs/api.md`` for
+        the choosing guide.
     index_params:
         Extra keyword parameters for the backend constructor (e.g.
         ``{"nprobe": 16}`` for IVF).
@@ -503,7 +504,7 @@ class MeanCache:
         self._entries[entry.entry_id] = entry
         self._policy.record_insert(entry.entry_id)
         self.stats.insertions += 1
-        self._mirror(entry)
+        self._write_through(entry)
         return entry.entry_id
 
     def enroll(
@@ -523,7 +524,7 @@ class MeanCache:
         """
         self.insert(query, response, context=context, embedding=embedding)
 
-    def _mirror(self, entry: CacheEntry) -> None:
+    def _write_through(self, entry: CacheEntry) -> None:
         """Write ``entry`` through to the attached store, if any."""
         if self.store is not None:
             self.store.set(
@@ -777,7 +778,7 @@ class MeanCache:
         # Backfill the write-through mirror so external store readers see
         # the same entries the cache serves.
         for entry in entries.values():
-            cache._mirror(entry)
+            cache._write_through(entry)
         return cache
 
 

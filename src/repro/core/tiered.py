@@ -9,9 +9,9 @@ building blocks into that memory hierarchy:
 * **L1** — a small exact per-user :class:`~repro.core.cache.MeanCache` over a
   flat float index, running the full lookup rule (embed, top-k, τ, context
   check).  Hot entries live here at full precision.
-* **L2** — a large :class:`QuantizedTier` over a quantized index (``sq8``,
-  ``pq`` or ``ivf+sq8``): per-entry storage is the code row (e.g. 1 byte per
-  dimension for sq8) instead of a float64 embedding plus a float32 index row.
+* **L2** — a large :class:`QuantizedTier` over a quantized index (``sq8``
+  or ``ivf+sq8``): per-entry storage is the code row (1 byte per dimension)
+  instead of a float64 embedding plus a float32 index row.
   One ``QuantizedTier`` may be **shared** by many ``TieredCache`` instances —
   the :class:`~repro.serving.server.CacheServer` slots a ``TieredCache`` in
   as the shard-local cache with the quantized tier shared across shards (the

@@ -187,7 +187,7 @@ def run_fleet_bench(
     stateless), matching a deployment where all devices run the same
     distributed model snapshot.  ``index_backend``/``index_params`` select
     each cache's vector-index backend (any :func:`repro.index.make_index`
-    name), so the same trace can be replayed over flat/IVF/LSH/quantized
+    name), so the same trace can be replayed over flat/IVF/quantized
     fleets.
 
     Every RNG in the run derives from ``seed``: the workload generator, the

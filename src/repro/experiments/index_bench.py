@@ -5,7 +5,7 @@ Two measurements live here, both backing ``benchmarks/test_bench_index.py``
 in ``docs/benchmarks.md``):
 
 1. :func:`run_backend_sweep` — the recall/throughput/memory trade-off of
-   the approximate and quantized backends (IVF, LSH, SQ8, PQ, IVF+SQ8)
+   the approximate and quantized backends (IVF, SQ8, IVF+SQ8)
    against exact flat search at several corpus sizes, on
    :func:`make_ann_workload`'s paraphrase-style clustered workload.  Exact
    search is O(n·d) per query and O(4d) bytes per entry, so it loses ground
@@ -253,29 +253,25 @@ def _total_nbytes(index) -> int:
 def _build_backend(backend: str, dim: int, params: Mapping[str, object], seed: int):
     """Build a sweep backend, threading the sweep seed into its RNGs.
 
-    Every randomized backend (IVF/LSH/SQ8/PQ and compositions) takes a
-    ``seed`` kwarg; injecting the sweep's seed (via the registry's shared
+    Every randomized backend (IVF/SQ8/IVF+SQ8) takes a ``seed`` kwarg;
+    injecting the sweep's seed (via the registry's shared
     :func:`~repro.index.registry.seeded_params` rule) makes
     BENCH_index.json deltas attributable to code changes, not to run-to-run
-    k-means/hyperplane noise.
+    k-means noise.
     """
     return make_index(backend, dim=dim, **seeded_params(backend, params, seed))
 
 
-def default_sweep_backends(dim: int) -> Mapping[str, Mapping[str, object]]:
-    """The standard sweep configurations for a ``dim``-dimensional workload.
+def default_sweep_backends() -> Mapping[str, Mapping[str, object]]:
+    """The standard sweep configurations.
 
-    Sublinear routing (ivf/lsh), quantized storage (sq8/pq) and the
-    routed-quantized composition.  PQ runs at ``m = dim`` (scalar
-    subspaces) — the configuration that keeps recall in the τ-band the
-    caches need while still storing ~0.29x of flat; IVF+SQ8 probes 16 cells
-    to hold recall with quantized scoring.
+    Sublinear routing (ivf), quantized storage (sq8) and the
+    routed-quantized composition; IVF+SQ8 probes 16 cells to hold recall
+    with quantized scoring.
     """
     return {
         "ivf": {},
-        "lsh": {},
         "sq8": {},
-        "pq": {"m": dim},
         "ivf+sq8": {"nprobe": 16},
     }
 
@@ -298,12 +294,12 @@ def run_backend_sweep(
     path) and batched (one call for all queries — the fleet path).  Each
     point also records the backend's total bytes (rows + routing + codec)
     for the memory column.  ``backends`` maps backend name → constructor
-    params and defaults to :func:`default_sweep_backends` for the sweep's
-    ``dim``.  The ``seed`` kwarg drives the workload *and* every backend's
-    internal RNG, so a sweep is deterministic end to end.
+    params and defaults to :func:`default_sweep_backends`.  The ``seed``
+    kwarg drives the workload *and* every backend's internal RNG, so a sweep
+    is deterministic end to end.
     """
     if backends is None:
-        backends = default_sweep_backends(dim)
+        backends = default_sweep_backends()
     result = BackendSweepResult(top_k=top_k, dim=dim, n_queries=n_queries, seed=seed)
     for n_entries in sizes:
         vectors, queries = make_ann_workload(
@@ -475,11 +471,11 @@ class LatencyBenchResult:
         )
 
 
-def default_latency_backends(dim: int) -> Mapping[str, Mapping[str, object]]:
-    """The standard latency-bench configurations for ``dim`` dimensions.
+def default_latency_backends() -> Mapping[str, Mapping[str, object]]:
+    """The standard latency-bench configurations.
 
     Exact flat search — the line every other backend is read against, so
-    it comes first — plus the quantized trio the fused-scan work targets.
+    it comes first — plus the quantized pair the fused-scan work targets.
     ``ivf+sq8`` probes 64 cells — the high-recall serving configuration,
     where the scan (not the routing) dominates — with repartitioning
     deferred to :meth:`~repro.index.base.VectorIndex.maintenance` as the
@@ -488,7 +484,6 @@ def default_latency_backends(dim: int) -> Mapping[str, Mapping[str, object]]:
     return {
         "flat": {},
         "sq8": {},
-        "pq": {"m": dim},
         "ivf+sq8": {"nprobe": 64, "auto_repartition": False},
     }
 
@@ -541,7 +536,7 @@ def run_latency_bench(
     if n_queries < 1 or repeats < 1 or warmup < 0:
         raise ValueError("n_queries and repeats must be >= 1, warmup >= 0")
     if backends is None:
-        backends = default_latency_backends(dim)
+        backends = default_latency_backends()
     result = LatencyBenchResult(
         top_k=top_k,
         dim=dim,

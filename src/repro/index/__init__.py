@@ -2,10 +2,9 @@
 
 The cache-side replacement for "a numpy array we vstack onto": a contiguous,
 pre-normalized embedding matrix with amortized-O(1) appends, O(d) swap-delete
-and one-matmul batched search — plus sublinear approximate backends (IVF
-inverted lists, random-hyperplane LSH), quantized storage tiers (int8 scalar
-quantization, product quantization, and their IVF-routed compositions)
-behind the same :class:`VectorIndex` contract, selected by name through
+and one-matmul batched search — plus sublinear approximate search (IVF inverted
+lists) and int8 scalar-quantized storage, unrouted or IVF-routed, behind the
+same :class:`VectorIndex` contract, selected by name through
 :func:`make_index`.  Every backend snapshots to a crash-safe versioned
 directory (JSON manifest + per-array ``.npy``, published atomically) via
 ``index.save(path)`` / :func:`load_index` — ``mmap=True`` restores without
@@ -26,7 +25,6 @@ True
 from repro.index.base import IndexHit, VectorIndex
 from repro.index.flat import FlatIndex
 from repro.index.ivf import IVFIndex
-from repro.index.lsh import LSHIndex
 from repro.index.quantized import QuantizedIndex
 from repro.index.registry import available_backends, make_index, register_index
 from repro.index.snapshot import (
@@ -44,7 +42,6 @@ __all__ = [
     "FlatIndex",
     "IVFIndex",
     "IndexHit",
-    "LSHIndex",
     "QuantizedIndex",
     "SnapshotError",
     "VectorIndex",

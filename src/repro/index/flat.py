@@ -155,18 +155,6 @@ class FlatIndex(RowStore):
     ) -> None:
         self.clear(reset_ids=True)
         self._restore_rows(state, arrays["matrix"], arrays["norms"], arrays["ids"])
-        self._post_restore()
-
-    def _post_restore(self) -> None:
-        """Called after a snapshot reinstated the flat storage.
-
-        Approximate subclasses keep routing structures — inverted lists,
-        hash buckets — consistent through the store's ``_post_add`` /
-        ``_post_remove`` / ``_post_clear`` hooks; here they rebuild whatever
-        derives deterministically from the stored rows (LSH re-hashes its
-        tables).  Structures that do not (IVF's trained centroids) are
-        restored from their own snapshot arrays instead.
-        """
 
     # ------------------------------------------------------------------ #
     # Search

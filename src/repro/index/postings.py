@@ -1,12 +1,13 @@
-"""Internal building blocks shared by the bucketed ANN backends.
+"""Internal building blocks of the routed scans and the quantized scan.
 
-:class:`repro.index.ivf.IVFIndex` and :class:`repro.index.lsh.LSHIndex` both
-route a query to a small subset of the stored rows (an inverted list, a hash
-bucket) and brute-force only that subset.  Two pieces of bookkeeping are
-common to every such backend and live here:
+The IVF router (:mod:`repro.index.routing`, under
+:class:`repro.index.ivf.IVFIndex` and the routed
+:class:`repro.index.quantized.QuantizedIndex`) sends a query to a small
+subset of the stored rows — the inverted lists of its nearest cells — and
+brute-forces only that subset.  Its bookkeeping lives here:
 
 * :class:`Postings` — a growable, swap-deletable ``int64`` id array, the
-  representation of one inverted list / one hash bucket.  Appends are
+  representation of one inverted list.  Appends are
   amortized O(1) (capacity doubling, like the index matrix itself), removal
   is swap-with-last, and ``view()`` exposes the live ids as a numpy slice so
   search-side gathers never copy per element.
@@ -14,10 +15,13 @@ common to every such backend and live here:
   indexed by id, ``-1`` for absent ids).  The flat storage layer keeps a
   Python dict for one-at-a-time operations; candidate gathering in a search
   needs thousands of translations per query, which this answers with a
-  single fancy-index instead of a dict-lookup loop.
+  single fancy-index instead of a dict-lookup loop;
+* the probe loops, the cell score bounds behind probe pruning, and the
+  ranking tail (:func:`det_topk`, :func:`topk_hits`) the quantized flat scan
+  shares, plus the :class:`ScratchBuffers` arena every hot path draws from.
 
-Both classes are internal: ids handed to them must already be validated by
-the owning index.
+All of it is internal: ids handed in must already be validated by the
+owning index.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ _MIN_POSTING_CAPACITY = 8
 
 
 class Postings:
-    """One bucket's ids: growable int64 array with swap-with-last removal."""
+    """One inverted list's ids: growable int64 array with swap-with-last removal."""
 
     __slots__ = ("_ids", "_size")
 
@@ -46,7 +50,7 @@ class Postings:
 
     @property
     def nbytes(self) -> int:
-        """Bytes allocated for this bucket's id storage."""
+        """Bytes allocated for this list's id storage."""
         return int(self._ids.nbytes)
 
     def view(self) -> np.ndarray:
@@ -80,7 +84,7 @@ class Postings:
         self._size += n
 
     def discard(self, id: int) -> bool:
-        """Remove ``id`` by scanning the bucket (buckets are small); True if found."""
+        """Remove ``id`` by scanning the list (lists are small); True if found."""
         live = self._ids[: self._size]
         hits = np.nonzero(live == id)[0]
         if hits.size == 0:
@@ -535,24 +539,14 @@ def topk_hits(
     scores: np.ndarray,
     top_k: int,
     score_threshold: Optional[float],
-    max_duplicates: int = 1,
 ) -> List[IndexHit]:
     """Rank one query's scored candidates into a descending hit list.
 
-    Shared tail of every bucketed search: partial-select the top scores,
-    order them, clip float32 rounding back into the valid cosine range and
-    apply the optional score floor.
-
-    ``max_duplicates`` is the maximum multiplicity of one id in
-    ``candidate_ids`` (LSH probes several tables, so an id can be scored
-    once per table).  Selecting ``(top_k − 1) · max_duplicates + 1``
-    elements is guaranteed to contain ``top_k`` distinct ids when they
-    exist, which lets callers skip a per-query ``np.unique`` over the whole
-    candidate set — the dedup happens here, on the handful of winners.
+    Shared tail of the routed and quantized searches: partial-select the top
+    scores, order them, clip float32 rounding back into the valid cosine
+    range and apply the optional score floor.
     """
-    n = scores.shape[0]
-    k = min(top_k if max_duplicates <= 1 else (top_k - 1) * max_duplicates + 1, n)
-    top = det_topk(scores, k)
+    top = det_topk(scores, min(top_k, scores.shape[0]))
     # Order by (-score, id): exact score ties rank the lower id first, so the
     # final hit list does not depend on candidate order (probe order differs
     # between the fused and reference scan paths).
@@ -564,16 +558,6 @@ def topk_hits(
         ranked_scores = ranked_scores[keep]
         ranked_ids = ranked_ids[keep]
     hits: List[IndexHit] = []
-    if max_duplicates <= 1:
-        for id, score in zip(ranked_ids.tolist(), ranked_scores.tolist()):
-            hits.append(IndexHit(id=id, score=score))
-        return hits
-    seen = set()
     for id, score in zip(ranked_ids.tolist(), ranked_scores.tolist()):
-        if id in seen:
-            continue
-        seen.add(id)
         hits.append(IndexHit(id=id, score=score))
-        if len(hits) == top_k:
-            break
     return hits

@@ -1,12 +1,11 @@
-"""Quantized storage: one index over a codec, a row store and a router.
+"""Quantized storage: one index over the int8 codec, a row store and a router.
 
 The exact backends keep every embedding as ``d`` float32 values; at the
 paper's fleet scale (millions of per-device caches) the embedding matrix is
 the cache's dominant memory cost.  :class:`QuantizedIndex` trades a small
-amount of score precision for a 3.5–10x smaller per-entry footprint by
-storing uint8 code rows of a :class:`~repro.index.codecs.Codec` — int8
-scalar quantization (``"sq8"``) or product quantization (``"pq"``); how a
-code row is built and scored is entirely the codec's business (see
+amount of score precision for a ~3.5x smaller per-entry footprint by storing
+the uint8 code rows of a :class:`~repro.index.codecs.ScalarQuantizer`
+(``"sq8"``); how a code row is built and scored is the codec's business (see
 :mod:`repro.index.codecs`).
 
 Row storage is the shared :class:`~repro.index.store.RowStore`; the payload
@@ -23,8 +22,8 @@ those candidates' scores in float64 against the dequantized codes and ranks
 the final ``top_k`` from that — tightening the ordering at a per-query cost
 proportional to ``top_k · rescore`` instead of ``n``.
 
-Optional **IVF routing** (``routed=True``, registered as ``"ivf+sq8"`` /
-``"ivf+pq"``): the same spherical-k-means coarse quantizer as
+Optional **IVF routing** (``routed=True``, registered as ``"ivf+sq8"``):
+the same spherical-k-means coarse quantizer as
 :class:`~repro.index.IVFIndex` is trained alongside the codec, so a query
 scans only the ``nprobe`` nearest cells' codes — compounding the memory win
 with sublinear lookups.  Routing retrains (from the *dequantized* rows — the
@@ -44,28 +43,29 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.index.base import IndexHit
-from repro.index.codecs import _ENCODE_BLOCK, Codec
+from repro.index.codecs import ScalarQuantizer
 from repro.index.postings import det_topk, topk_hits
 from repro.index.routing import RoutedIndex, Router, training_sample
 from repro.index.store import _MIN_CAPACITY, RowStore
 
-# Query-batch ceiling for the latency-engineered flat scan (codec query
-# tables, deterministic per-chunk selection, early stop).  Larger batches
-# take the batched-throughput gemm path, whose per-query cost is already
-# amortized.
-_MIRROR_MAX_BATCH = 4
+# Rows per encode/decode block: bounds the temporary float matrices.
+_ENCODE_BLOCK = 16384
+# Query-batch ceiling for the latency-path unrouted scan: the whole batch is
+# scored per chunk by one fused cast+gemm into scratch, each chunk's survivors
+# are cut by the deterministic ``det_topk``, and a single query may stop
+# early.  Larger batches take the batched-throughput gemm path, whose
+# per-query cost is already amortized.
+_SMALL_BATCH_MAX = 4
 
 
 class QuantizedIndex(RoutedIndex, RowStore):
-    """Cosine index over the uint8 code rows of ``codec``.
+    """Cosine index over int8 scalar-quantized code rows.
 
-    Registered as ``"sq8"`` / ``"pq"`` and, with ``routed=True``,
-    ``"ivf+sq8"`` / ``"ivf+pq"`` (see :mod:`repro.index.registry`).
+    Registered as ``"sq8"`` and, with ``routed=True``, ``"ivf+sq8"`` (see
+    :mod:`repro.index.registry`).
 
     Parameters
     ----------
-    codec:
-        The :class:`~repro.index.codecs.Codec` that encodes and scores rows.
     dim, initial_capacity, chunk_size:
         Storage-layer knobs, identical to :class:`~repro.index.FlatIndex`.
     min_train_size, train_sample:
@@ -85,7 +85,6 @@ class QuantizedIndex(RoutedIndex, RowStore):
 
     def __init__(
         self,
-        codec: Codec,
         dim: Optional[int] = None,
         initial_capacity: int = _MIN_CAPACITY,
         chunk_size: int = 65536,
@@ -108,9 +107,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
             raise ValueError("train_sample must be >= 2")
         if rescore < 1:
             raise ValueError("rescore must be >= 1")
-        if dim is not None:
-            codec.validate_dim(int(dim))
-        self._codec = codec
+        self._codec = ScalarQuantizer()
         self._min_train_size = int(min_train_size)
         self._train_sample = int(train_sample)
         self._rescore = int(rescore)
@@ -135,7 +132,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def codec(self) -> Codec:
+    def codec(self) -> ScalarQuantizer:
         """The codec whose code rows this index stores."""
         return self._codec
 
@@ -163,12 +160,12 @@ class QuantizedIndex(RoutedIndex, RowStore):
 
     @property
     def codec_nbytes(self) -> int:
-        """Bytes of the trained codec tables (scale/offset or codebooks)."""
+        """Bytes of the trained codec tables (scale + offset)."""
         return int(self._codec.nbytes)
 
     @property
     def scan_nbytes(self) -> int:
-        """Bytes of the scan-acceleration structures (codec mirror + scratch).
+        """Bytes of the scan-acceleration structures (the scratch arena).
 
         Deliberately separate from :attr:`nbytes` / :attr:`codec_nbytes` /
         :attr:`routing_nbytes`: those report the storage the paper's memory
@@ -176,7 +173,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
         path allocation-free and can be dropped (``clear``) without losing
         any state.
         """
-        return int(self._scratch.nbytes + self._codec.scan_nbytes)
+        return int(self._scratch.nbytes)
 
     def get(self, id: int) -> np.ndarray:
         """The stored vector for ``id``.
@@ -208,11 +205,6 @@ class QuantizedIndex(RoutedIndex, RowStore):
         """Quantize once trained; staging rows are stored as-is."""
         return self._codec.encode(unit) if self._codec.is_trained else unit
 
-    def _check_dim(self, d: int) -> None:
-        if self._dim is None:
-            self._codec.validate_dim(int(d))
-        super()._check_dim(d)
-
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
@@ -220,7 +212,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
         """Train codec (once) + routing on the staged rows, encode, drop staging."""
         rows = self._rows[: self._size]
         sample = training_sample(rows, self._train_sample, self._rng)
-        self._codec.train(sample, self._rng)
+        self._codec.train(sample)
         codes = np.empty(
             (self._rows.shape[0], self._codec.code_width(self._dim)), dtype=np.uint8
         )
@@ -233,7 +225,6 @@ class QuantizedIndex(RoutedIndex, RowStore):
             # Snapshots record the codec's training size either way.
             self._router.trained_size = self._size
         self._rows = codes  # the float staging rows are dropped here
-        self._sync_scan(0, self._size)
 
     def _fit_routing(self, rows: np.ndarray, sample: np.ndarray) -> None:
         """(Re)partition the live rows into the router's cells."""
@@ -252,14 +243,8 @@ class QuantizedIndex(RoutedIndex, RowStore):
         )
 
     # ------------------------------------------------------------------ #
-    # Scan-acceleration upkeep (codec scan structures, pruning bound stats)
+    # Scan upkeep (pruning bound stats, cell-major layout)
     # ------------------------------------------------------------------ #
-    def _sync_scan(self, start: int, stop: int) -> None:
-        """Let the codec refresh its flat-scan structures over code rows
-        ``[start, stop)`` — unrouted only: the routed scan never reads them."""
-        if not self._routed and self._rows is not None:
-            self._codec.sync_scan(self._rows, start, stop, self._size)
-
     def _scored_rows(self, start: int, stop: int) -> np.ndarray:
         """Code rows ``[start, stop)`` decoded: the probe-pruning bound must
         cover the *reconstructed* rows the scan actually scores, not the
@@ -334,15 +319,12 @@ class QuantizedIndex(RoutedIndex, RowStore):
             if self._size >= self._min_train_size:
                 self._train()
             return
-        self._sync_scan(start_row, start_row + ids.shape[0])
         if self._routed:
             self._layout_clustered = False
             if refit_due:
                 self._retrain_routing()
 
     def _post_remove(self, id: int, row: int, moved_id: Optional[int]) -> None:
-        if moved_id is not None:
-            self._codec.swap_remove(row, self._size)
         if self._routed:
             self._router.note_removed(id, row, moved_id, self._ids[: self._size])
             self._layout_clustered = False
@@ -438,9 +420,8 @@ class QuantizedIndex(RoutedIndex, RowStore):
         ``stop_score`` enables lossy threshold early termination: scanning a
         query stops once its running best scan score reaches the value
         (honored by the routed probe loop per query, and by the flat scan
-        for single-query and small-batch PQ lookups; ignored while
-        untrained).  ``prenormalized=True`` skips query normalization as in
-        :meth:`FlatIndex.search`.
+        for a single query; ignored while untrained).  ``prenormalized=True``
+        skips query normalization as in :meth:`FlatIndex.search`.
         """
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
@@ -478,7 +459,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
                 stop_score=stop_score,
             )
 
-        if n_queries <= _MIRROR_MAX_BATCH:
+        if n_queries <= _SMALL_BATCH_MAX:
             return self._search_flat_small(
                 Qf, unit, top_k, score_threshold, stop_score
             )
@@ -492,15 +473,13 @@ class QuantizedIndex(RoutedIndex, RowStore):
         score_threshold: Optional[float],
         stop_score: Optional[float],
     ) -> List[List[IndexHit]]:
-        """Latency-path flat scan (≤ ``_MIRROR_MAX_BATCH`` queries).
+        """Latency-path flat scan (≤ ``_SMALL_BATCH_MAX`` queries).
 
-        The codec scores each chunk in a single pass with every
-        intermediate in scratch, ``group`` queries at a time (SQ8: the whole
-        batch per blocked cast+gemm; mirrored PQ: one query per pair-LUT
-        gather).  Each chunk's ``keff`` survivors are selected with the
-        deterministic :func:`det_topk`, so the candidate set is a pure
-        function of the scan scores.  Early stop applies to queries scanned
-        on their own.
+        The codec scores each chunk for the whole batch in a single blocked
+        cast+gemm pass with every intermediate in scratch.  Each chunk's
+        ``keff`` survivors are selected with the deterministic
+        :func:`det_topk`, so the candidate set is a pure function of the scan
+        scores.  Early stop applies to a single query.
         """
         n = self._size
         n_queries = Qf.shape[0]
@@ -508,43 +487,39 @@ class QuantizedIndex(RoutedIndex, RowStore):
         chunk = self._chunk_size
         keff = min(max(top_k * self._rescore, top_k), n)
         cap = min(keff * -(-n // chunk), n)
-        group, score = self._codec.chunk_scorer(Qf, self._rows, min(chunk, n), sc)
-        acc_rows = sc.get("flat.acc_rows", (group, cap), np.int64)
-        acc_scores = sc.get("flat.acc_scores", (group, cap), np.float64)
-        results: List[List[IndexHit]] = []
-        for lo in range(0, n_queries, group):
-            hi = min(lo + group, n_queries)
-            fills = [0] * (hi - lo)
-            for start in range(0, n, chunk):
-                stop = min(start + chunk, n)
-                S = score(lo, hi, start, stop)
-                kk = min(keff, stop - start)
-                for j in range(hi - lo):
-                    sel = det_topk(S[j], kk)
-                    cnt = sel.shape[0]
-                    seg = acc_rows[j, fills[j] : fills[j] + cnt]
-                    seg[:] = sel
-                    seg += start
-                    acc_scores[j, fills[j] : fills[j] + cnt] = S[j][sel]
-                    fills[j] += cnt
-                if (
-                    stop_score is not None
-                    and hi - lo == 1
-                    and float(acc_scores[0, : fills[0]].max()) >= stop_score
-                ):
-                    self._router.scan_stats["early_stops"] += 1
-                    break
-            results.extend(
-                self._rank(
-                    acc_rows[j, : fills[j]],
-                    acc_scores[j, : fills[j]],
-                    unit64[lo + j],
-                    top_k,
-                    score_threshold,
-                )
-                for j in range(hi - lo)
+        score = self._codec.chunk_scorer(Qf, self._rows, min(chunk, n), sc)
+        acc_rows = sc.get("flat.acc_rows", (n_queries, cap), np.int64)
+        acc_scores = sc.get("flat.acc_scores", (n_queries, cap), np.float64)
+        fills = [0] * n_queries
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            S = score(start, stop)
+            kk = min(keff, stop - start)
+            for j in range(n_queries):
+                sel = det_topk(S[j], kk)
+                cnt = sel.shape[0]
+                seg = acc_rows[j, fills[j] : fills[j] + cnt]
+                seg[:] = sel
+                seg += start
+                acc_scores[j, fills[j] : fills[j] + cnt] = S[j][sel]
+                fills[j] += cnt
+            if (
+                stop_score is not None
+                and n_queries == 1
+                and float(acc_scores[0, : fills[0]].max()) >= stop_score
+            ):
+                self._router.scan_stats["early_stops"] += 1
+                break
+        return [
+            self._rank(
+                acc_rows[j, : fills[j]],
+                acc_scores[j, : fills[j]],
+                unit64[j],
+                top_k,
+                score_threshold,
             )
-        return results
+            for j in range(n_queries)
+        ]
 
     def _search_flat_batch(
         self,
@@ -553,10 +528,11 @@ class QuantizedIndex(RoutedIndex, RowStore):
         top_k: int,
         score_threshold: Optional[float],
     ) -> List[List[IndexHit]]:
-        """Batched-throughput flat scan (> ``_MIRROR_MAX_BATCH`` queries).
+        """Batched-throughput flat scan (> ``_SMALL_BATCH_MAX`` queries).
 
-        Chunked :meth:`Codec.scores <repro.index.codecs.Codec.scores>` gemm /
-        LUT gathers with an ``argpartition`` cut per chunk.
+        Chunked :meth:`ScalarQuantizer.scores
+        <repro.index.codecs.ScalarQuantizer.scores>` gemms with an
+        ``argpartition`` cut per chunk.
         """
         n_queries = Qf.shape[0]
         keff = min(max(top_k * self._rescore, top_k), self._size)
@@ -591,7 +567,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
     # ------------------------------------------------------------------ #
     @property
     def snapshot_backend(self) -> str:
-        """The registry name of this composition: codec name, ``ivf+`` when routed."""
+        """The registry name of this composition: ``sq8``, ``ivf+sq8`` when routed."""
         return ("ivf+" if self._routed else "") + self._codec.name
 
     def _snapshot_params(self) -> Dict[str, object]:
@@ -605,7 +581,6 @@ class QuantizedIndex(RoutedIndex, RowStore):
             "routed": self._routed,
             **self._router.snapshot_params(),
             "seed": self._seed,
-            **self._codec.snapshot_params(),
         }
 
     def _snapshot_state(self) -> Dict[str, object]:
@@ -647,9 +622,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
         else:
             self._router.trained_size = int(state["trained_size"])
         # Snapshots preserve row order byte-for-byte, so cell-major layout
-        # survives the round trip and the flag can be restored as-is.
+        # survives the round trip and the flag can be restored as-is; cell
+        # stats recompute lazily.
         self._layout_clustered = bool(state.get("layout_clustered", False))
-        # Codec scan structures are derived state: rebuilt from the restored
-        # codes; cell stats recompute lazily.
-        self._sync_scan(0, self._size)
         self._restore_rng(state)

@@ -2,8 +2,8 @@
 
 Everything that owns a :class:`~repro.index.base.VectorIndex` — the caches,
 the quantized tier, the fleet benchmark — selects its backend
-through :func:`make_index`, so swapping exact search for IVF or LSH is a
-configuration change (``MeanCacheConfig(index_backend="ivf")``) rather than
+through :func:`make_index`, so swapping exact search for IVF or quantized
+storage is a configuration change (``MeanCacheConfig(index_backend="ivf")``) rather than
 a code change:
 
 >>> from repro.index import make_index
@@ -12,9 +12,8 @@ a code change:
 'IVFIndex'
 
 Built-in backends: ``"flat"`` (exact), ``"ivf"`` (k-means inverted lists),
-``"lsh"`` (random-hyperplane hashing), ``"sq8"`` (int8 scalar-quantized
-storage), ``"pq"`` (product quantization), and the routed compositions
-``"ivf+sq8"`` / ``"ivf+pq"`` (IVF cells over quantized rows).  Out-of-tree
+``"sq8"`` (int8 scalar-quantized storage) and the routed composition
+``"ivf+sq8"`` (IVF cells over quantized rows).  Out-of-tree
 backends (a GPU matrix, a remote shard) register themselves with
 :func:`register_index` and become addressable from every cache config in
 the process.
@@ -28,8 +27,6 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 from repro.index.base import VectorIndex
 from repro.index.flat import FlatIndex
 from repro.index.ivf import IVFIndex
-from repro.index.lsh import LSHIndex
-from repro.index.codecs import Codec, ProductQuantizer, ScalarQuantizer
 from repro.index.quantized import QuantizedIndex
 
 _FACTORIES: Dict[str, Callable[..., VectorIndex]] = {}
@@ -80,13 +77,11 @@ def make_index(backend: str = "flat", **params) -> VectorIndex:
     ----------
     backend:
         A registered name (case-insensitive) — out of the box ``"flat"``,
-        ``"ivf"``, ``"lsh"``, ``"sq8"``, ``"pq"``, ``"ivf+sq8"`` or
-        ``"ivf+pq"``.
+        ``"ivf"``, ``"sq8"`` or ``"ivf+sq8"``.
     **params:
         Passed through to the backend constructor (``dim``, ``dtype``, and
-        the backend's own knobs: ``nlist``/``nprobe`` for IVF,
-        ``n_tables``/``n_bits``/``multiprobe`` for LSH, ``rescore`` for the
-        quantized compositions, ``m``/``ksub`` for the PQ ones, …).
+        the backend's own knobs: ``nlist``/``nprobe`` for IVF, ``rescore``
+        for the quantized ones, …).
 
     Raises
     ------
@@ -142,23 +137,8 @@ def resolve_index(
     return make_index(backend, **dict(params or {}))
 
 
-def _sq8(params: Dict[str, object]) -> Codec:
-    return ScalarQuantizer()
-
-
-def _pq(params: Dict[str, object]) -> Codec:
-    """``m``/``ksub`` are the codec's; ``kmeans_iters`` it shares with routing."""
-    return ProductQuantizer(
-        m=params.pop("m", 16),
-        ksub=params.pop("ksub", 256),
-        kmeans_iters=params.get("kmeans_iters", 8),
-    )
-
-
-def _quantized(
-    make_codec: Callable[[Dict[str, object]], Codec], routed: bool
-) -> Callable[..., VectorIndex]:
-    """Factory for one codec × routing composition of :class:`QuantizedIndex`.
+def _quantized(routed: bool) -> Callable[..., VectorIndex]:
+    """Factory for the unrouted or routed :class:`QuantizedIndex`.
 
     ``seed`` is an explicit parameter so :func:`seeded_params` can detect
     seed support from the signature.
@@ -166,21 +146,18 @@ def _quantized(
 
     def factory(seed: int = 0, **params) -> VectorIndex:
         params.setdefault("routed", routed)
-        return QuantizedIndex(make_codec(params), seed=seed, **params)
+        return QuantizedIndex(seed=seed, **params)
 
     return factory
 
 
-#: name -> factory: the exact/approximate float backends, then every
-#: codec × routing composition of the quantized index.
+#: name -> factory: the exact and routed float backends, then the quantized
+#: index unrouted and routed.
 _BUILTIN: Dict[str, Callable[..., VectorIndex]] = {
     "flat": FlatIndex,
     "ivf": IVFIndex,
-    "lsh": LSHIndex,
-    "sq8": _quantized(_sq8, routed=False),
-    "pq": _quantized(_pq, routed=False),
-    "ivf+sq8": _quantized(_sq8, routed=True),
-    "ivf+pq": _quantized(_pq, routed=True),
+    "sq8": _quantized(routed=False),
+    "ivf+sq8": _quantized(routed=True),
 }
 for _name, _factory in _BUILTIN.items():
     register_index(_name, _factory)

@@ -88,6 +88,12 @@ _ARRAY_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.+-]*$")
 #: key is still rejected by the backend constructor.
 _RETIRED_PARAMS = ("scan_threads", "fused_scan")
 
+#: Backends that no longer exist, each with the registered name that
+#: replaces it (each lost to its replacement on recall at no fewer bytes per
+#: entry; ``docs/benchmarks.md``).  A snapshot of one is refused with a
+#: message naming the replacement.
+_RETIRED_BACKENDS = {"lsh": "ivf", "pq": "sq8", "ivf+pq": "ivf+sq8"}
+
 
 class SnapshotError(ValueError):
     """A snapshot is missing, corrupted, foreign or version-incompatible."""
@@ -310,8 +316,8 @@ def load_index(
     the mapped storage/code matrices directly (zero-copy warm start — bytes
     are paged in on first search, and the first mutation transparently
     materializes a private copy). Backends with derived routing structures
-    (IVF, LSH) still rebuild those structures and gain only the smaller
-    read.
+    (``ivf``, ``ivf+sq8``) still rebuild those structures and gain only the
+    smaller read.
 
     ``replay_deltas`` applies the snapshot's append-only delta log (if any)
     on top of the restored base — see :func:`append_delta`. Replaying
@@ -322,6 +328,12 @@ def load_index(
 
     path = Path(path)
     manifest = read_manifest(path, INDEX_FORMAT, INDEX_VERSION)
+    retired = str(manifest.get("backend")).strip().lower()
+    if retired in _RETIRED_BACKENDS:
+        raise SnapshotError(
+            f"snapshot at {path} is of the retired {retired!r} backend; "
+            f"rebuild it as {_RETIRED_BACKENDS[retired]!r} from the source vectors"
+        )
     try:
         backend = validate_backend(str(manifest.get("backend")))
     except ValueError as exc:
@@ -362,8 +374,8 @@ _T = TypeVar("_T")
 def native_float_dtype(index: object) -> np.dtype:
     """The float dtype cache snapshots store per-entry embeddings at.
 
-    The index's storage dtype when it is a float type (``flat``/``ivf``/
-    ``lsh``), else float32 (quantized backends, custom indexes) — so the
+    The index's storage dtype when it is a float type (``flat``/``ivf``),
+    else float32 (quantized backends, custom indexes) — so the
     snapshot's bytes agree with the restored in-memory size.
     """
     native = np.dtype(getattr(index, "dtype", np.float32))

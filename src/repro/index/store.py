@@ -1,9 +1,9 @@
 """Row-addressed storage: the one storage layer under every index backend.
 
 Every backend keeps its vectors as the rows of one contiguous *payload*
-matrix — unit float rows for the flat family (``flat``/``ivf``/``lsh``),
-float32 staging rows and later uint8 code rows for the quantized family
-(``sq8``/``pq`` and their routed compositions) — beside a column of the
+matrix — unit float rows for the flat family (``flat``/``ivf``), float32
+staging rows and later uint8 code rows for the quantized family (``sq8``
+and its routed composition ``ivf+sq8``) — beside a column of the
 original L2 norms and an int64 id column.  :class:`RowStore` is the single
 implementation of that discipline:
 
@@ -24,7 +24,7 @@ A backend supplies only what differs: :meth:`RowStore._row_layout` (payload
 width and dtype), :meth:`RowStore._encode_rows` (unit rows → payload rows:
 the identity cast, or ``quantizer.encode``), ``get``, ``search`` and the
 ``_post_add``/``_post_remove``/``_post_clear`` hooks that keep routing
-structures and scan mirrors consistent with the rows.
+structures consistent with the rows.
 """
 
 from __future__ import annotations

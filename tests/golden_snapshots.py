@@ -3,7 +3,7 @@
 The storage refactor (one row store under every index backend, one snapshot
 envelope under every cache) must not move a byte of any on-disk format nor a
 bit of any restored search.  This module builds one small instance of every
-persistable thing — the seven index backends (trained where trainable, after
+persistable thing — the four index backends (trained where trainable, after
 a few removes), a :class:`~repro.core.tiered.QuantizedTier` with a
 two-record delta log, a ``MeanCache``, a ``GPTCache`` and a ``TieredCache``
 — and writes
@@ -64,11 +64,8 @@ REMOVED = (3, 77, 150, 299)
 INDEX_BACKENDS: Dict[str, Dict[str, object]] = {
     "flat": {},
     "ivf": {"nprobe": 4, "seed": 3},
-    "lsh": {"n_tables": 4, "n_bits": 5, "multiprobe": 2, "seed": 3},
     "sq8": {"seed": 3},
-    "pq": {"m": 4, "ksub": 16, "seed": 3},
     "ivf+sq8": {"nprobe": 4, "seed": 3},
-    "ivf+pq": {"m": 4, "ksub": 16, "nprobe": 4, "seed": 3},
 }
 
 CACHE_NAMES = ("tier", "meancache", "gptcache", "tiered")

@@ -2,8 +2,8 @@
 
 A refactor of the index layer (who owns a scan, which class a registry name
 builds) must not move one bit of one score.  This module drives every
-registered backend — plus the ``rescore=1``, deferred-repartition, float64,
-multi-chunk and odd-``m`` variants — through one fixed add / add_batch /
+registered backend — plus the ``rescore=1``, deferred-repartition, float64
+and multi-chunk variants — through one fixed add / add_batch /
 remove / id-reuse / repartition / maintenance / save+load / rebuild / clear
 script and records, at each checkpoint, what a caller can observe:
 
@@ -28,7 +28,6 @@ Regenerate only for a deliberate, documented change of search arithmetic.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import tempfile
 from pathlib import Path
@@ -40,31 +39,21 @@ FIXTURE_PATH = Path(__file__).resolve().parent / "fixtures" / "index_streams.jso
 
 DIM = 24
 _ROUTED = {"min_train_size": 32, "nprobe": 4, "seed": 5}
-_PQ = {"m": 4, "ksub": 16}
 
 #: name -> (registry backend, constructor params).  ``chunk_size=48`` makes
-#: the unrouted quantized scans multi-chunk at the script's sizes; ``m=3`` is
-#: a PQ without the even-``m`` pair mirror.
+#: the unrouted quantized scans multi-chunk at the script's sizes.
 COMPOSITIONS: Dict[str, Tuple[str, Dict[str, object]]] = {
     "flat": ("flat", {}),
     "flat-f64": ("flat", {"dtype": "float64"}),
     "ivf": ("ivf", dict(_ROUTED)),
     "ivf-f64": ("ivf", {**_ROUTED, "dtype": "float64"}),
     "ivf-deferred": ("ivf", {**_ROUTED, "auto_repartition": False}),
-    "lsh": ("lsh", {"n_tables": 4, "n_bits": 6, "multiprobe": 2, "seed": 5}),
     "sq8": ("sq8", {"min_train_size": 32, "seed": 5}),
     "sq8-chunked": ("sq8", {"min_train_size": 32, "seed": 5, "chunk_size": 48}),
     "sq8-rescore1": ("sq8", {"min_train_size": 32, "seed": 5, "rescore": 1, "chunk_size": 48}),
-    "pq": ("pq", {**_PQ, "min_train_size": 32, "seed": 5}),
-    "pq-chunked": ("pq", {**_PQ, "min_train_size": 32, "seed": 5, "chunk_size": 48}),
-    "pq-rescore1": ("pq", {**_PQ, "min_train_size": 32, "seed": 5, "rescore": 1, "chunk_size": 48}),
-    "pq-odd-m": ("pq", {"m": 3, "ksub": 16, "min_train_size": 32, "seed": 5, "chunk_size": 48}),
     "ivf+sq8": ("ivf+sq8", dict(_ROUTED)),
     "ivf+sq8-rescore1": ("ivf+sq8", {**_ROUTED, "rescore": 1}),
     "ivf+sq8-deferred": ("ivf+sq8", {**_ROUTED, "auto_repartition": False}),
-    "ivf+pq": ("ivf+pq", {**_ROUTED, **_PQ}),
-    "ivf+pq-rescore1": ("ivf+pq", {**_ROUTED, **_PQ, "rescore": 1}),
-    "ivf+pq-deferred": ("ivf+pq", {**_ROUTED, **_PQ, "auto_repartition": False}),
 }
 
 _NBYTES = ("nbytes", "allocated_nbytes", "codec_nbytes", "routing_nbytes", "scan_nbytes")
@@ -102,14 +91,13 @@ def observe(index, queries: np.ndarray, stored: np.ndarray) -> Dict[str, object]
     seen["batch5_top2_threshold"] = _digest(
         index.search(queries[:5], top_k=2, score_threshold=0.2)
     )
-    if "prenormalized" in inspect.signature(index.search).parameters:  # not lsh
-        unit = _unit(queries[:6])
-        seen["prenormalized_f64"] = _digest(index.search(unit, top_k=4, prenormalized=True))
-        unit32 = np.ascontiguousarray(unit, dtype=np.float32)
-        seen["prenormalized_f32"] = _digest(index.search(unit32, top_k=4, prenormalized=True))
-        seen["prenormalized_single"] = hit_signature(
-            index.search(unit32[0], top_k=3, prenormalized=True)
-        )
+    unit = _unit(queries[:6])
+    seen["prenormalized_f64"] = _digest(index.search(unit, top_k=4, prenormalized=True))
+    unit32 = np.ascontiguousarray(unit, dtype=np.float32)
+    seen["prenormalized_f32"] = _digest(index.search(unit32, top_k=4, prenormalized=True))
+    seen["prenormalized_single"] = hit_signature(
+        index.search(unit32[0], top_k=3, prenormalized=True)
+    )
     if index.supports_stop_score:
         probes = np.vstack([stored, queries[:4]])
         for label, stop in (("reachable", 0.5), ("unreachable", 2.0)):

@@ -2,8 +2,8 @@
 
 What ``QuantizedIndex`` used to carry as a second, runtime-selectable scan
 path: every candidate row is dequantized to a materialized float64 matrix
-and scored with one plain matmul — no query tables, no mirrors, no chunk
-pre-selection, no probe pruning.  With ``rescore > 1`` the index's final
+and scored with one plain matmul — no query tables, no chunk pre-selection, no
+probe pruning.  With ``rescore > 1`` the index's final
 scores are a float64 rescore of a deterministic candidate set, so its hits
 must equal this oracle's exactly; with ``rescore == 1`` only within codec
 error.

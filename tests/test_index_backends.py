@@ -4,10 +4,11 @@ Three layers:
 
 * the backend registry (``make_index`` / ``register_index``) resolves names,
   rejects unknowns and accepts out-of-tree factories;
-* every backend (flat / ivf / lsh) honours the same ``VectorIndex`` edge
-  cases — empty-index lookups, remove-then-add id reuse, dim mismatches,
-  ``rebuild`` round-trips — via one parametrized suite;
-* the approximate backends keep recall@k ≥ 0.9 against exact flat search on
+* every backend (flat / ivf / sq8 / ivf+sq8) honours the same
+  ``VectorIndex`` edge cases — empty-index lookups, remove-then-add id
+  reuse, dim mismatches, ``rebuild`` round-trips — via one parametrized
+  suite;
+* the approximate backend keeps recall@k ≥ 0.9 against exact flat search on
   the standard clustered paraphrase workload (the parity-style floor the
   benchmark sweep also enforces at scale).
 """
@@ -22,7 +23,7 @@ from repro.experiments.index_bench import make_ann_workload
 from repro.index import (
     FlatIndex,
     IVFIndex,
-    LSHIndex,
+    QuantizedIndex,
     VectorIndex,
     available_backends,
     make_index,
@@ -30,40 +31,54 @@ from repro.index import (
 )
 from repro.index.registry import _FACTORIES
 
-BACKENDS = ["flat", "ivf", "lsh"]
+BACKENDS = ["flat", "ivf"]
 # The shared row store sits under every registered name, so the edge-case
 # suite runs on the quantized family too.  With SMALL_PARAMS those stay in
-# their exact float32 staging phase for the score-exact cases; the storage
-# contract cases train them explicitly.  ``ivf+sq8`` is left to the
-# dedicated tests below: its SMALL_PARAMS train the codec on 8 rows, which
-# the score-exact assertions cannot survive (``ivf+pq`` covers the routed
-# quantized composition here).
-EDGE_BACKENDS = BACKENDS + ["sq8", "pq", "ivf+pq"]
-TRAINABLE = {"ivf", "sq8", "pq", "ivf+sq8", "ivf+pq"}
+# their exact float32 staging phase for the score-exact cases (a codec
+# trained on a handful of rows cannot survive them); the storage contract
+# cases train them explicitly.  The ``-variant`` compositions rerun the
+# suite with float64 storage, deferred repartition, a multi-chunk flat scan
+# and a routed scan without exact rescore.
+EDGE_BACKENDS = BACKENDS + [
+    "sq8",
+    "ivf+sq8",
+    "flat-f64",
+    "ivf-deferred",
+    "sq8-chunked",
+    "ivf+sq8-rescore1",
+]
+TRAINABLE = {"ivf", "sq8", "ivf+sq8"}
 
-# Small-corpus parameters that still exercise the approximate routing
-# structures: IVF trains after 8 vectors and probes every cell, LSH uses
-# wide buckets (4 bits) with directed multi-probe.
+# Small-corpus parameters: IVF trains after 8 vectors and probes every cell;
+# the quantized backends keep the default min_train_size, so tests that need
+# ivf+sq8's router trained pass ``min_train_size=8`` themselves.  A name is a
+# registry backend, optionally followed by ``-variant``.
 SMALL_PARAMS = {
     "flat": {},
     "ivf": {"min_train_size": 8, "nlist": 4, "nprobe": 4},
-    "ivf+sq8": {"min_train_size": 8, "nlist": 4, "nprobe": 4},
-    "lsh": {"n_tables": 8, "n_bits": 4, "multiprobe": 2},
+    "ivf+sq8": {"nlist": 4, "nprobe": 4},
     "sq8": {},
-    "pq": {"m": 4, "ksub": 16},
-    "ivf+pq": {"m": 4, "ksub": 16, "nlist": 4, "nprobe": 4},
+    "flat-f64": {"dtype": np.float64},
+    "ivf-deferred": {"min_train_size": 8, "nlist": 4, "nprobe": 4, "auto_repartition": False},
+    "sq8-chunked": {"chunk_size": 16},
+    "ivf+sq8-rescore1": {"nlist": 4, "nprobe": 4, "rescore": 1},
 }
+
+
+def registry_name(backend: str) -> str:
+    """The registry backend a SMALL_PARAMS name builds."""
+    return backend.split("-")[0]
 
 
 def small_index(backend: str, dim=8, **overrides) -> VectorIndex:
     params = dict(SMALL_PARAMS[backend])
     params.update(overrides)
-    return make_index(backend, dim=dim, **params)
+    return make_index(registry_name(backend), dim=dim, **params)
 
 
 def trained_index(backend: str, rng, dim=16, n=64) -> VectorIndex:
     """``n`` rows in a ``dim``-d index, trained where the backend trains."""
-    overrides = {"min_train_size": 32} if backend in TRAINABLE else {}
+    overrides = {"min_train_size": 32} if registry_name(backend) in TRAINABLE else {}
     index = small_index(backend, dim=dim, **overrides)
     index.add_batch(rng.normal(size=(n, dim)))
     assert getattr(index, "is_trained", True)
@@ -106,23 +121,17 @@ def check_non_finite_rejected(backend: str, rng) -> None:
     assert index.add(rng.normal(size=16)) == 64  # no auto id was burnt
 
 
-def row_map(index: VectorIndex):
-    """The id→row table: the shared router's for routed backends, LSH's own."""
-    router = getattr(index, "_router", None)
-    return index._row_of if router is None else router.row_map
-
-
 # --------------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------------- #
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(BACKENDS) <= set(available_backends())
+        assert available_backends() == ("flat", "ivf", "ivf+sq8", "sq8")
 
     def test_make_index_types(self):
         assert isinstance(make_index("flat"), FlatIndex)
         assert isinstance(make_index("ivf"), IVFIndex)
-        assert isinstance(make_index("lsh"), LSHIndex)
+        assert isinstance(make_index("sq8"), QuantizedIndex)
 
     def test_case_and_whitespace_insensitive(self):
         assert isinstance(make_index("  IVF "), IVFIndex)
@@ -131,8 +140,8 @@ class TestRegistry:
         index = make_index("ivf", dim=16, nprobe=3)
         assert index.dim == 16
         assert index.nprobe == 3
-        lsh = make_index("lsh", n_tables=2, n_bits=6)
-        assert (lsh.n_tables, lsh.n_bits) == (2, 6)
+        routed = make_index("ivf+sq8", rescore=3, nprobe=2)
+        assert (routed.routed, routed.rescore, routed.nprobe) == (True, 3, 2)
 
     def test_unknown_backend_lists_available(self):
         with pytest.raises(ValueError, match="flat"):
@@ -309,11 +318,6 @@ class TestBackendEdgeCases:
             assert hits and hits[0].id == id
 
 
-def test_non_finite_rejected_by_routed_sq8(rng):
-    """The seventh registry name (see EDGE_BACKENDS for why it sits apart)."""
-    check_non_finite_rejected("ivf+sq8", rng)
-
-
 @pytest.mark.parametrize("backend", sorted(SMALL_PARAMS))
 def test_rejected_batch_leaves_dim_unpinned(backend):
     """A batch (or row) refused for its ids changes nothing: not the dimension
@@ -337,7 +341,7 @@ def test_rejected_batch_leaves_dim_unpinned(backend):
 # --------------------------------------------------------------------------- #
 # Recall floors on the standard workload (the parity-style test)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ["ivf", "lsh"])
+@pytest.mark.parametrize("backend", ["ivf"])
 def test_recall_at_least_090_vs_flat(backend):
     n, dim, n_queries, top_k = 4_000, 32, 100, 5
     vectors, queries = make_ann_workload(n, dim=dim, n_queries=n_queries, seed=3)
@@ -407,11 +411,11 @@ def test_ivf_repartitions_under_plateau_churn(backend):
     assert hits and hits[0].id == ids[-1]
 
 
-@pytest.mark.parametrize("backend", ["ivf", "ivf+sq8", "lsh"])
+@pytest.mark.parametrize("backend", ["ivf", "ivf+sq8"])
 def test_row_map_stays_bounded_under_churn(backend):
     """Monotonic entry ids must not grow the id→row table without bound."""
     rng = np.random.default_rng(15)
-    index = small_index(backend)
+    index = small_index(backend, min_train_size=8)
     ids = index.add_batch(rng.normal(size=(64, 8)))
     # Sustained evict-oldest/insert-newest churn: ids only ever increase.
     for _ in range(5_000):
@@ -420,17 +424,17 @@ def test_row_map_stays_bounded_under_churn(backend):
     assert len(index) == 64
     # Lifetime-max id is ~5k, but the live span is 64 — the map must have
     # re-anchored instead of keeping a slot for every id ever issued.
-    assert row_map(index).slots <= 4 * 1024
+    assert index._router.row_map.slots <= 4 * 1024
     for id in (ids[0], ids[-1]):
         hits = index.search(index.get(id), top_k=1)[0]
         assert hits and hits[0].id == id
 
 
-@pytest.mark.parametrize("backend", ["ivf", "ivf+sq8", "lsh"])
+@pytest.mark.parametrize("backend", ["ivf", "ivf+sq8"])
 def test_row_map_handles_id_reuse_below_compacted_base(backend):
     """Explicit re-adds of old (low) ids stay correct after map compaction."""
     rng = np.random.default_rng(16)
-    index = small_index(backend)
+    index = small_index(backend, min_train_size=8)
     ids = index.add_batch(rng.normal(size=(64, 8)))
     for _ in range(2_000):  # churn enough to re-anchor the map upward
         index.remove(ids.pop(0))
@@ -442,17 +446,6 @@ def test_row_map_handles_id_reuse_below_compacted_base(backend):
     for id in (0, ids[-1]):  # older entries must remain reachable too
         got = index.search(index.get(id), top_k=1)[0]
         assert got and got[0].id == id
-
-
-def test_lsh_is_deterministic_per_seed(rng=np.random.default_rng(13)):
-    V = rng.normal(size=(64, 8))
-    Q = rng.normal(size=(8, 8))
-    a = LSHIndex(dim=8, n_tables=4, n_bits=6, seed=9)
-    b = LSHIndex(dim=8, n_tables=4, n_bits=6, seed=9)
-    a.add_batch(V)
-    b.add_batch(V)
-    for ha, hb in zip(a.search(Q, top_k=3), b.search(Q, top_k=3)):
-        assert [(h.id, h.score) for h in ha] == [(h.id, h.score) for h in hb]
 
 
 # --------------------------------------------------------------------------- #
@@ -475,9 +468,7 @@ def test_meancache_runs_on_any_backend(backend):
     assert hit.hit and hit.response == "use sorted()"
     miss = cache.lookup("completely unrelated gardening question")
     assert not miss.hit
-    assert type(cache.index).__name__ == {
-        "flat": "FlatIndex", "ivf": "IVFIndex", "lsh": "LSHIndex"
-    }[backend]
+    assert type(cache.index).__name__ == {"flat": "FlatIndex", "ivf": "IVFIndex"}[backend]
 
 
 def test_meancache_rejects_unknown_backend():
@@ -488,12 +479,12 @@ def test_meancache_rejects_unknown_backend():
 def test_gptcache_runs_on_approximate_backend():
     cache = GPTCache(
         make_tiny_encoder(),
-        GPTCacheConfig(index_backend="lsh", index_params=SMALL_PARAMS["lsh"]),
+        GPTCacheConfig(index_backend="ivf", index_params=SMALL_PARAMS["ivf"]),
     )
     cache.insert("what's the weather like today", "sunny", user_id="u1")
     decision = cache.lookup("what's the weather like today")
     assert decision.hit
-    assert type(cache.index).__name__ == "LSHIndex"
+    assert type(cache.index).__name__ == "IVFIndex"
 
 
 def test_gptcache_rejects_unknown_backend():
@@ -522,24 +513,15 @@ def test_injected_index_must_be_empty():
         GPTCache(make_tiny_encoder(), index=populated)
 
 
-def test_lsh_stored_keys_do_not_pin_the_batch_matrix():
-    """Per-id key rows must own their memory: a view into the add_batch key
-    matrix would keep the whole batch allocation alive while any single id
-    from the batch survives eviction."""
-    index = make_index("lsh", dim=8, **SMALL_PARAMS["lsh"])
-    index.add_batch(np.random.default_rng(17).normal(size=(32, 8)))
-    assert all(keys.base is None for keys in index._keys_of.values())
-
-
 def test_row_map_anchors_after_clear_with_high_ids():
     """A rebuild late in a cache's life re-adds with large monotonic ids;
     the freshly cleared map must size by id span, not id magnitude."""
     rng = np.random.default_rng(18)
-    index = make_index("lsh", dim=8, **SMALL_PARAMS["lsh"])
+    index = make_index("ivf", dim=8, **SMALL_PARAMS["ivf"])
     index.add_batch(rng.normal(size=(32, 8)))
     high_ids = list(range(10_000_000, 10_000_032))
     index.rebuild(rng.normal(size=(32, 8)), ids=high_ids)
     assert sorted(index.ids) == high_ids
-    assert row_map(index).slots <= 64
+    assert index._router.row_map.slots <= 64
     hits = index.search(index.get(high_ids[0]), top_k=1)[0]
     assert hits and hits[0].id == high_ids[0]

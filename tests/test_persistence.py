@@ -31,6 +31,7 @@ Covers the snapshot subsystem end to end:
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -54,9 +55,7 @@ DIM = 16
 BACKENDS = {
     "flat": {},
     "ivf": {"min_train_size": 32, "nprobe": 4, "seed": 3},
-    "lsh": {"n_tables": 4, "n_bits": 6, "multiprobe": 2, "seed": 3},
     "sq8": {"min_train_size": 32, "seed": 3},
-    "pq": {"m": 4, "ksub": 16, "min_train_size": 32, "seed": 3},
     "ivf+sq8": {"min_train_size": 32, "nprobe": 4, "seed": 3},
 }
 
@@ -147,7 +146,7 @@ def test_mmap_load_materializes_exactly_once(name, n, tmp_path):
     assert len(load_index(tmp_path / "snap")) == n
 
 
-@pytest.mark.parametrize("name", ["sq8", "pq", "ivf", "ivf+sq8"])
+@pytest.mark.parametrize("name", ["sq8", "ivf", "ivf+sq8"])
 def test_trained_but_empty_snapshot_recycles(name, tmp_path):
     """Train, drain to empty, save → load → save again must round-trip.
 
@@ -181,6 +180,23 @@ def test_load_rejects_unknown_backend(tmp_path):
         load_index(path)
 
 
+@pytest.mark.parametrize(
+    "name, replacement", [("lsh", "ivf"), ("pq", "sq8"), ("ivf+pq", "ivf+sq8")]
+)
+def test_retired_backend_names_fail_clearly(name, replacement, tmp_path):
+    """A config naming a retired backend lists the four that exist; a
+    snapshot of one is refused with the name of its replacement."""
+    with pytest.raises(ValueError, match=r"available: flat, ivf, ivf\+sq8, sq8$"):
+        MeanCacheConfig(index_backend=name)
+    path = _saved_index(tmp_path)
+    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    manifest["backend"] = name
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(SnapshotError, match=f"retired '{re.escape(name)}'") as caught:
+        load_index(path)
+    assert f"rebuild it as '{replacement}'" in str(caught.value)
+
+
 def test_load_rejects_bad_params(tmp_path):
     path = _saved_index(tmp_path)
     manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
@@ -211,10 +227,7 @@ def test_load_index_restores_rng_continuity(tmp_path):
 def _check_load_drops_retired_param(name, key, value, mmap, tmp_path):
     """A manifest carrying the retired constructor param ``key`` loads with
     bit-identical hits; load drops that key and no other."""
-    params = {"min_train_size": 32, "nprobe": 4, "seed": 3}
-    if name.endswith("pq"):
-        params.update(m=4, ksub=16)
-    live = make_index(name, dim=DIM, **params)
+    live = make_index(name, dim=DIM, min_train_size=32, nprobe=4, seed=3)
     rng = np.random.default_rng(21)
     grow = rng.normal(size=(200, DIM))
     live.add_batch(grow[:60])
@@ -241,7 +254,7 @@ def _check_load_drops_retired_param(name, key, value, mmap, tmp_path):
 
 
 @pytest.mark.parametrize("mmap", [False, True])
-@pytest.mark.parametrize("name", ["ivf", "ivf+sq8", "ivf+pq"])
+@pytest.mark.parametrize("name", ["ivf", "ivf+sq8"])
 def test_load_drops_retired_scan_threads_param(name, mmap, tmp_path):
     """Manifests written while ``scan_threads`` was a constructor parameter
     carry ``"scan_threads": 1``."""
@@ -250,7 +263,7 @@ def test_load_drops_retired_scan_threads_param(name, mmap, tmp_path):
 
 @pytest.mark.parametrize("mmap", [False, True])
 @pytest.mark.parametrize("value", [True, False])
-@pytest.mark.parametrize("name", ["sq8", "pq", "ivf+sq8", "ivf+pq"])
+@pytest.mark.parametrize("name", ["sq8", "ivf+sq8"])
 def test_load_drops_retired_fused_scan_param(name, value, mmap, tmp_path):
     """Manifests written while the quantized backends had a runtime
     ``fused_scan`` toggle carry it (``true`` unless someone saved mid-flip);
@@ -401,7 +414,7 @@ def test_meancache_round_trip_decisions_and_policy(policy, tmp_path):
     "backend,params",
     [
         ("ivf", {"min_train_size": 16, "seed": 2}),
-        ("lsh", {"n_tables": 4, "n_bits": 5, "seed": 2}),
+        ("ivf+sq8", {"min_train_size": 16, "nprobe": 4, "seed": 2}),
         ("sq8", {"min_train_size": 16, "seed": 2}),
     ],
 )
