@@ -15,9 +15,12 @@ concurrent load:
   the pending queue; an arrival beyond it is shed immediately with a typed
   :class:`BackpressureError` instead of growing an unbounded backlog.
 * **Adaptive micro-batching.**  Concurrent requests coalesce into one
-  flush: the batcher fires when ``max_batch_size`` requests are pending or
-  the oldest has waited ``max_batch_wait_s``, whichever comes first.  A
-  flush is embedded with **one** cross-user encoder call (the dominant
+  flush: the batcher fires as soon as as many requests are pending as the
+  last flush drained (at most ``max_batch_size``; a fresh server starts at
+  ``max_batch_size``), or once the oldest has waited ``max_batch_wait_s``,
+  whichever comes first.  A closed loop of k clients therefore waits out
+  the deadline once and then flushes the moment its k clients are back.
+  A flush is embedded with **one** cross-user encoder call (the dominant
   per-request cost) and each shard's caches then retrieve from their own
   indexes via the precomputed rows.  The server freezes the encoder it was
   given for as long as it serves (and during :meth:`CacheServer.replay`), so
@@ -69,6 +72,13 @@ from repro.serving.workload import Trace, WorkloadEvent
 
 logger = logging.getLogger(__name__)
 
+#: Why a flush fired, as :meth:`MicroBatcher.fire_reason` names it:
+#: ``max_batch_size`` pending (``full``), as many pending as the last flush
+#: drained (``target``), the oldest aged ``max_batch_wait_s`` or a replayed
+#: window closed (``deadline``), or :meth:`CacheServer.stop` draining what
+#: was still waiting for company (``stop``).
+FLUSH_REASONS = ("full", "target", "deadline", "stop")
+
 
 class BackpressureError(RuntimeError):
     """A request was shed because the admission queue is full.
@@ -101,8 +111,10 @@ class ServerConfig:
     max_batch_size:
         Flush when this many requests are pending (the batch cap).
     max_batch_wait_s:
-        Flush when the oldest pending request has waited this long, even if
-        the batch is not full (the latency bound on coalescing).
+        The longest a request waits for company: flush when the oldest
+        pending request has waited this long, even if fewer requests are
+        pending than the last flush drained.  Only a change in traffic (a
+        fresh server, or fewer clients than last flush) waits it out.
     enroll_on_miss:
         Whether misses enrol the LLM's response in the user's cache.
     deterministic:
@@ -158,6 +170,11 @@ class ServerMetrics:
     #: flush size -> number of flushes of that size (at most
     #: ``max_batch_size`` keys in live mode, so memory stays bounded)
     flush_sizes: Dict[int, int] = field(default_factory=dict)
+    #: why each flush fired -> count, one key per :data:`FLUSH_REASONS`; the
+    #: counts sum to :attr:`flushes`
+    flush_reasons: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(FLUSH_REASONS, 0)
+    )
     max_depth_seen: int = 0
     e2e_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     queue_wait: LatencyHistogram = field(default_factory=LatencyHistogram)
@@ -195,9 +212,10 @@ class ServerMetrics:
         requests = sum(size * count for size, count in self.flush_sizes.items())
         return float(requests) / flushes
 
-    def record_flush(self, size: int) -> None:
-        """Count one flush of ``size`` requests."""
+    def record_flush(self, size: int, reason: str) -> None:
+        """Count one flush of ``size`` requests, fired for ``reason``."""
         self.flush_sizes[size] = self.flush_sizes.get(size, 0) + 1
+        self.flush_reasons[reason] += 1
 
     def record_thaw(self, stats: Dict[str, int]) -> None:
         """Fold in what the encoder's memo held and counted when thawed."""
@@ -220,6 +238,7 @@ class ServerMetrics:
             "shed_rate": self.shed_rate,
             "hit_rate": self.hit_rate,
             "flushes": self.flushes,
+            "flush_reasons": dict(self.flush_reasons),
             "mean_batch_size": self.mean_batch_size,
             "batch_size_histogram": {
                 str(k): v for k, v in self.batch_size_histogram().items()
@@ -259,8 +278,16 @@ class MicroBatcher:
       stored;
     * every admitted request is drained exactly once, in global FIFO offer
       order (which implies per-user FIFO);
-    * :meth:`due` fires iff the batch is full or the oldest pending request
-      has waited ``max_wait_s``.
+    * :meth:`due` fires iff at least :attr:`flush_depth` requests are
+      pending — ``max_batch_size``, or fewer if the last non-empty drain
+      was smaller — or the oldest pending request has waited
+      ``max_wait_s``; so no admitted request is due later than
+      :meth:`next_deadline`.
+
+    The depth target is read off the traffic: a closed loop of k clients
+    drains k per flush, so after one flush that waits out the deadline the
+    next fires the moment the k-th client is back, instead of idling until
+    the oldest has aged ``max_wait_s``.
 
     The class is not thread-safe; the server only touches it under its
     condition (live mode) or from the replaying thread (deterministic mode).
@@ -282,11 +309,18 @@ class MicroBatcher:
         self.admitted = 0
         self.shed = 0
         self.drained = 0
+        #: size of the last non-empty drain (``max_batch_size`` before any)
+        self.target = max_batch_size
 
     @property
     def depth(self) -> int:
         """Number of pending (admitted, not yet drained) requests."""
         return len(self._pending)
+
+    @property
+    def flush_depth(self) -> int:
+        """Pending depth at which a flush is due without waiting."""
+        return min(self.max_batch_size, self.target)
 
     def offer(self, item: object, now: float) -> None:
         """Admit one request, or shed it with :class:`BackpressureError`."""
@@ -308,25 +342,39 @@ class MicroBatcher:
             return None
         return self._pending[0][0] + self.max_wait_s
 
-    def due(self, now: float) -> bool:
-        """Whether a flush should fire now (batch full, or oldest aged out)."""
+    def fire_reason(self, now: float) -> Optional[str]:
+        """Why a flush should fire now (see :data:`FLUSH_REASONS`), or None."""
         if not self._pending:
-            return False
-        if len(self._pending) >= self.max_batch_size:
-            return True
-        return self.oldest_wait(now) >= self.max_wait_s
+            return None
+        depth = len(self._pending)
+        if depth >= self.max_batch_size:
+            return "full"
+        if depth >= self.target:
+            return "target"
+        # Compared against the deadline itself, so due(next_deadline()) holds
+        # exactly and the flush thread never wakes a rounding error early.
+        if now >= self._pending[0][0] + self.max_wait_s:
+            return "deadline"
+        return None
+
+    def due(self, now: float) -> bool:
+        """Whether a flush should fire now (target depth reached, or oldest aged out)."""
+        return self.fire_reason(now) is not None
 
     def drain(self, limit: Optional[int] = None) -> List[object]:
         """Pop up to ``limit`` requests in FIFO order (``None`` = all).
 
         The default live flush passes ``max_batch_size``; the deterministic
         replay drains a whole virtual window in one call so window grouping
-        matches the simulator's exactly.
+        matches the simulator's exactly.  A non-empty drain's size becomes
+        the depth :meth:`due` next waits for.
         """
         if limit is None:
             limit = len(self._pending)
         batch = [self._pending.popleft()[1] for _ in range(min(limit, len(self._pending)))]
         self.drained += len(batch)
+        if batch:
+            self.target = len(batch)
         return batch
 
 
@@ -610,7 +658,8 @@ class CacheServer:
             assert drained == requests
             if not drained:
                 return []
-            self.metrics.record_flush(len(drained))
+            # A replayed window drains when its virtual window closes.
+            self.metrics.record_flush(len(drained), "deadline")
             outcomes: List[LookupOutcome] = []
             for request, outcome in self._classify_flush(drained):
                 self._record(request, outcome, len(drained), request.enqueued_at)
@@ -666,8 +715,8 @@ class CacheServer:
             self.metrics.max_depth_seen = max(self.metrics.max_depth_seen, depth)
             # The thread sleeps untimed on an empty queue and until the oldest
             # request's deadline otherwise; only the first arrival and the one
-            # that fills the batch change when it must wake.
-            if depth == 1 or depth >= self.config.max_batch_size:
+            # that brings the queue to the flush depth change when it must wake.
+            if depth == 1 or depth >= self._batcher.flush_depth:
                 self._wake.notify()
         return future
 
@@ -685,13 +734,15 @@ class CacheServer:
         try:
             while True:
                 with self._wake:
-                    while self._running and not self._batcher.due(now := self.clock()):
+                    while (
+                        reason := self._batcher.fire_reason(now := self.clock())
+                    ) is None and self._running:
                         deadline = self._batcher.next_deadline()
                         self._wake.wait(None if deadline is None else deadline - now)
                     batch = self._batcher.drain(limit=self.config.max_batch_size)
                 if not batch:
                     return
-                self._flush(batch)
+                self._flush(batch, reason or "stop")
         except BaseException as exc:
             with self._wake:
                 self._running = False
@@ -704,8 +755,8 @@ class CacheServer:
         finally:
             self._thaw_encoder()
 
-    def _flush(self, drained: List[_PendingRequest]) -> None:
-        """Execute one drained batch and resolve its futures.
+    def _flush(self, drained: List[_PendingRequest], reason: str) -> None:
+        """Execute one drained batch (fired for ``reason``), resolve its futures.
 
         A future its client cancelled while it was queued is dropped here
         instead of breaking the batch.  A failure inside the flush (an
@@ -718,7 +769,7 @@ class CacheServer:
         batch = [r for r in drained if r.future.set_running_or_notify_cancel()]
         if not batch:
             return
-        self.metrics.record_flush(len(batch))
+        self.metrics.record_flush(len(batch), reason)
         try:
             pairs = self._classify_flush(batch)
         except BaseException as exc:

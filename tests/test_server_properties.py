@@ -11,9 +11,11 @@ check the batching invariants the live server depends on:
 * **bounded admission** — pending depth never exceeds ``max_queue_depth``;
   the over-bound offer raises the *typed* :class:`BackpressureError` (with
   the depth and limit attached) and leaves the queue untouched;
-* **flush policy** — :meth:`due` fires iff the batch is full or the oldest
-  pending request has aged past ``max_wait_s``, and :meth:`next_deadline`
-  is exactly the oldest offer time plus the wait bound.
+* **flush policy** — :meth:`due` fires iff as many requests are pending as
+  the last non-empty drain took (``max_batch_size`` before any, never more)
+  or the oldest pending request has aged past ``max_wait_s``;
+  :meth:`next_deadline` is exactly the oldest offer time plus the wait
+  bound, and the batcher is always due by then.
 """
 
 from __future__ import annotations
@@ -129,40 +131,83 @@ class TestMicroBatcherProperties:
             drained.setdefault(request.user_id, []).append(request)
         assert drained == offered
 
-    @given(
-        offers=st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=10),
-        probe_dt=st.floats(0.0, 1.0, allow_nan=False),
-        config=_configs,
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_due_iff_full_or_aged(self, offers, probe_dt, config):
+    @given(ops=_operations, config=_configs)
+    @settings(max_examples=300, deadline=None)
+    def test_due_iff_target_reached_or_aged(self, ops, config):
+        """The model: a flush is due iff the pending depth reaches the last
+        non-empty drain's size (``max_batch_size`` before any, and never
+        above it) or the oldest pending request is ``max_wait_s`` old."""
         max_batch, max_wait, max_depth = config
         batcher = MicroBatcher(max_batch, max_wait, max_depth)
-        admitted_times = []
+        offered_at: List[float] = []  # pending offer times, oldest first
+        target = max_batch
         now = 0.0
-        for dt in offers:
-            now += dt
-            try:
+        for op, arg in ops:
+            if op == "offer":
+                try:
+                    batcher.offer(object(), now=now)
+                    offered_at.append(now)
+                except BackpressureError:
+                    pass
+            elif op == "drain":
+                take = len(offered_at) if arg is None else min(arg, len(offered_at))
+                assert len(batcher.drain(limit=arg)) == take
+                del offered_at[:take]
+                if take:
+                    target = take
+            else:
+                now += arg
+            depth = len(offered_at)
+            assert batcher.flush_depth == min(max_batch, target)
+            if depth >= max_batch:
+                expected = "full"
+            elif depth and depth >= target:
+                expected = "target"
+            elif depth and now >= offered_at[0] + max_wait:
+                expected = "deadline"
+            else:
+                expected = None
+            assert batcher.fire_reason(now) == expected
+            assert batcher.due(now) == (expected is not None)
+            if depth:
+                deadline = batcher.next_deadline()
+                assert deadline == offered_at[0] + max_wait
+                # No admitted request is due later than next_deadline().
+                assert all(deadline <= t + max_wait for t in offered_at)
+                assert batcher.due(deadline)
+                assert batcher.oldest_wait(now) == pytest.approx(
+                    max(0.0, now - offered_at[0])
+                )
+            else:
+                assert batcher.next_deadline() is None
+                assert batcher.oldest_wait(now) == 0.0
+
+    def test_step_down_waits_out_one_deadline_then_follows(self):
+        """k clients in a closed loop, then k - 1: the fresh batcher waits out
+        the deadline once, flushes the moment all k are back after that, and
+        the step down costs exactly one more deadline wait."""
+        batcher = MicroBatcher(max_batch_size=64, max_wait_s=0.2, max_queue_depth=64)
+        now = 0.0
+
+        def round_of(k):
+            """k clients are back; the reason a flush fires right then."""
+            for i in range(k):
+                assert not batcher.due(now), f"due after {i} of {k} arrivals"
                 batcher.offer(object(), now=now)
-                admitted_times.append(now)
-            except BackpressureError:
-                pass
-        probe = now + probe_dt
-        expected = len(admitted_times) >= max_batch or (
-            bool(admitted_times) and probe - admitted_times[0] >= max_wait
-        )
-        assert batcher.due(probe) == expected
-        if admitted_times:
-            assert batcher.next_deadline() == pytest.approx(
-                admitted_times[0] + max_wait
-            )
-            assert batcher.oldest_wait(probe) == pytest.approx(
-                max(0.0, probe - admitted_times[0])
-            )
-        else:
-            assert batcher.next_deadline() is None
-            assert batcher.oldest_wait(probe) == 0.0
-            assert not batcher.due(probe)
+            return batcher.fire_reason(now)
+
+        reasons = []
+        for k in (4, 4, 4, 3, 3, 3):
+            reason = round_of(k)
+            if reason is None:
+                assert batcher.fire_reason(now + 0.1999) is None
+                now += 0.2
+                reason = batcher.fire_reason(now)
+            reasons.append(reason)
+            assert len(batcher.drain(limit=64)) == k
+            assert batcher.flush_depth == k
+            now += 0.001  # the flush runs; its clients resubmit
+        assert reasons == ["deadline", "target", "target", "deadline", "target", "target"]
 
     def test_empty_batcher_is_never_due(self):
         batcher = MicroBatcher(4, 0.0, 8)

@@ -436,6 +436,67 @@ class TestFlushThreadLifecycle:
         assert server.metrics.batch_size_histogram() == {2: 1}
         assert server.service.stats.n_requests == 2  # the dropped one paid no LLM
 
+    def test_closed_loop_flushes_when_its_clients_are_back(self):
+        """4 clients in a closed loop against a 0.2 s coalescing wait: only
+        the first flush waits it out; every later one fires the moment the
+        4th client is back, so 15 rounds take far less than 15 x 0.2 s."""
+        n_clients, rounds, wait_s = 4, 15, 0.2
+        server = _server(self._factory(), max_batch_size=64, max_batch_wait_s=wait_s)
+        go = threading.Barrier(n_clients)
+        responses = {tid: [] for tid in range(n_clients)}
+        errors = []
+
+        def client(tid):
+            try:
+                go.wait(timeout=10)
+                for i in range(rounds):
+                    future = server.submit_threadsafe(f"user-{tid}", f"loop {tid} round {i}")
+                    responses[tid].append(future.result(timeout=10))
+            except BaseException as exc:  # surfaced on the main thread below
+                errors.append((tid, exc))
+
+        threads = [threading.Thread(target=client, args=(t,)) for t in range(n_clients)]
+        server.start()
+        began = time.perf_counter()
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            elapsed = time.perf_counter() - began
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            server.stop()
+        assert not errors, errors[0]
+        assert elapsed < 0.5 * rounds * wait_s
+        metrics = server.metrics
+        assert metrics.batch_size_histogram() == {n_clients: rounds}
+        assert metrics.to_dict()["flush_reasons"] == {
+            "full": 0,
+            "target": rounds - 1,
+            "deadline": 1,
+            "stop": 0,
+        }
+        # The deadline flush is the first one: its oldest request waited the
+        # whole window, no later request did.
+        assert max(r[0].queue_wait_s for r in responses.values()) >= wait_s
+        assert all(r.queue_wait_s < wait_s for rs in responses.values() for r in rs[1:])
+
+    def test_flush_reasons_sum_to_flushes(self):
+        """A cap of 2 and a long wait: a burst of 5 flushes twice because the
+        batch is full, and stop() drains the odd one out."""
+        server = _server(self._factory(), max_batch_size=2, max_batch_wait_s=30.0)
+        server.start()
+        try:
+            futures = [server.submit_threadsafe("alice", f"burst {i}") for i in range(5)]
+        finally:
+            server.stop()
+        assert all(f.result(timeout=0).response for f in futures)
+        metrics = server.metrics
+        assert metrics.batch_size_histogram() == {1: 1, 2: 2}
+        assert metrics.flush_reasons == {"full": 2, "target": 0, "deadline": 0, "stop": 1}
+        assert sum(metrics.flush_reasons.values()) == metrics.flushes
+
     def test_exactly_one_server_thread_while_serving(self):
         server = _server(self._factory())
         assert _server_threads() == []
