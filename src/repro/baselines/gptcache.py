@@ -35,6 +35,7 @@ from repro.index.snapshot import (
     SnapshotError,
     load_cache_snapshot,
     native_float_dtype,
+    record_blocks,
     save_cache_snapshot,
     stack_rows,
 )
@@ -322,7 +323,7 @@ class GPTCache:
             GPTCACHE_FORMAT,
             GPTCACHE_VERSION,
             payload,
-            records,
+            record_blocks(records),
             {"embeddings": embeddings},
             self._index,
         )

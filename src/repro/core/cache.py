@@ -43,6 +43,7 @@ from repro.index.snapshot import (
     SnapshotError,
     load_cache_snapshot,
     native_float_dtype,
+    record_blocks,
     save_cache_snapshot,
     stack_rows,
 )
@@ -177,6 +178,10 @@ class CacheDecision:
     #: the probe's embedding as the lookup computed (or was handed) it; pass
     #: it to ``insert``/``enroll`` on a miss to skip a second encoder forward.
     embedding: Optional[np.ndarray] = None
+    #: the probe's context chain, when the lookup embedded it (a candidate
+    #: cleared τ and needed context verification); a tier probed after this
+    #: one reuses it instead of embedding the chain again
+    context_chain: Optional[ContextChain] = None
 
     @property
     def total_overhead_s(self) -> float:
@@ -436,6 +441,7 @@ class MeanCache:
             embed_time_s=embed_s,
             search_time_s=search_s,
             embedding=embedding,
+            context_chain=chain[0] if chain else None,
         )
         self.stats.lookups += 1
         if best is None:
@@ -694,7 +700,13 @@ class MeanCache:
             "embedding_dim": int(dim) if dim else None,
         }
         return save_cache_snapshot(
-            path, MEANCACHE_FORMAT, MEANCACHE_VERSION, payload, records, arrays, self._index
+            path,
+            MEANCACHE_FORMAT,
+            MEANCACHE_VERSION,
+            payload,
+            record_blocks(records),
+            arrays,
+            self._index,
         )
 
     @classmethod

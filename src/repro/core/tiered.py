@@ -82,6 +82,7 @@ from repro.index.snapshot import (
     open_delta_log,
     read_deltas,
     read_manifest,
+    record_blocks,
     save_cache_snapshot,
     write_manifest,
 )
@@ -93,13 +94,15 @@ TIER_FORMAT = "repro-tiered-l2"
 TIER_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class TierEntry:
     """One demoted (query, response) pair resident in the quantized tier.
 
     Unlike :class:`~repro.core.cache.CacheEntry` there is **no** per-entry
     float embedding: the vector lives only as a code row in the tier's
-    quantized index, which is the whole bytes-per-entry win.
+    quantized index, which is the whole bytes-per-entry win.  Frozen: the
+    tier renders an entry's ``entries.json`` block once and reuses it in
+    every later snapshot (:meth:`QuantizedTier.save`).
     """
 
     entry_id: int
@@ -132,12 +135,18 @@ class QuantizedTier:
     snapshot: :meth:`flush` appends pending mutations to the snapshot's
     delta log (cost proportional to the delta, never a full rewrite) and
     :meth:`maintenance` folds the log into a fresh full snapshot once it
-    holds ``compact_every`` records.  The tier counts its log records in
-    memory: the directory is read once, before the first append to a
-    snapshot that was already there (which is also when a torn tail left
-    by a crashed append is cut off), and again only after an append of its
-    own failed — nothing else may write to ``snapshot_dir`` while the tier
-    is attached to it, bar a full snapshot of this tier published over it
+    holds ``compact_every`` records.  A fold's CPU follows what changed
+    since the last one: each entry's ``entries.json`` block is rendered by
+    the first full snapshot that holds it and kept for the entry's
+    lifetime, so a fold renders only the entries added since.  Its bytes
+    do not: every fold still writes the whole tier.
+
+    The tier counts its log records in memory: the directory is read once,
+    before the first append to a snapshot that was already there (which
+    is also when a torn tail left by a crashed append is cut off), and
+    again only after an append of its own failed — nothing else may write
+    to ``snapshot_dir`` while the tier is attached to it, bar a full
+    snapshot of this tier published over it
     (:meth:`TieredCache.published_at`).
 
     Upkeep is split by owner.  Committing mutations (:meth:`flush`) is
@@ -166,6 +175,9 @@ class QuantizedTier:
         self._params = dict(params)
         self._index = make_index(backend, **params)
         self._entries: Dict[int, TierEntry] = {}  # id -> entry, FIFO order
+        #: id -> the entry's rendered entries.json block, for live entries
+        #: some save() has rendered (see save)
+        self._blocks: Dict[int, str] = {}
         self._next_id = 0
         self.max_entries = max_entries
         self.stats = CacheStats()
@@ -182,9 +194,11 @@ class QuantizedTier:
 
     def _log_length(self) -> Optional[int]:
         """Delta records on top of the baseline in ``snapshot_dir``, or
-        ``None`` while no baseline exists there.  Reads the directory once
-        (cutting off a crashed append's torn tail on the way); :meth:`save`
-        and :meth:`flush` keep count after that."""
+        ``None`` while there is no baseline a log record can extend: none
+        on disk yet, or a :meth:`clear` since the last one.  Reads the
+        directory once (cutting off a crashed append's torn tail on the
+        way); :meth:`save`, :meth:`flush` and :meth:`clear` keep count after
+        that."""
         if self._counted_dir != self.snapshot_dir:
             self._log_records = (
                 open_delta_log(self.snapshot_dir)
@@ -239,13 +253,21 @@ class QuantizedTier:
             return total
 
     def total_storage_bytes(self) -> int:
-        """Bytes of the whole tier (texts + contexts + index payload)."""
+        """Bytes of the whole tier: texts + contexts + index payload, and
+        the rendered ``entries.json`` blocks :meth:`save` keeps.  The blocks
+        are a host-side copy of the texts, so :meth:`embedding_storage_bytes`
+        and :meth:`TieredCache.storage_breakdown` (bytes-per-entry
+        accounting) leave them out."""
         with self.lock:
-            return self.embedding_storage_bytes() + sum(
-                object_nbytes(e.query)
-                + object_nbytes(e.response)
-                + sum(object_nbytes(t) for t in e.context.texts)
-                for e in self._entries.values()
+            return (
+                self.embedding_storage_bytes()
+                + sum(
+                    object_nbytes(e.query)
+                    + object_nbytes(e.response)
+                    + sum(object_nbytes(t) for t in e.context.texts)
+                    for e in self._entries.values()
+                )
+                + sum(map(object_nbytes, self._blocks.values()))
             )
 
     # ------------------------------------------------------------------ #
@@ -290,6 +312,7 @@ class QuantizedTier:
 
     def _remove_locked(self, entry_id: int) -> None:
         del self._entries[entry_id]
+        self._blocks.pop(entry_id, None)
         self._index.remove(entry_id)
         if self.snapshot_dir is not None:
             if entry_id in self._pending_ids:
@@ -369,19 +392,39 @@ class QuantizedTier:
             return int(best.id), float(best.score)
 
     def clear(self) -> None:
-        """Drop every entry (pending delta buffers included)."""
+        """Drop every entry (pending delta buffers included).
+
+        Committed like any other mutation: the snapshot in ``snapshot_dir``
+        still holds the dropped entries, so the next :meth:`flush` publishes
+        a full snapshot (of what the tier holds by then) instead of
+        appending to its log.
+        """
         with self.lock:
             self._entries.clear()
+            self._blocks.clear()
             self._index.clear()
             self._reset_pending()
+            self._counted_dir, self._log_records = self.snapshot_dir, None
 
     # ------------------------------------------------------------------ #
     # Persistence: atomic full snapshots + append-only delta log
     # ------------------------------------------------------------------ #
     def save(self, path: "str | Path") -> Path:
-        """Write a full snapshot atomically (discarding any delta log)."""
+        """Write a full snapshot atomically (discarding any delta log).
+
+        ``entries.json`` is joined from per-entry blocks: an entry's block
+        is rendered by the first save that holds it and kept until the
+        entry leaves, so a save renders only the entries added since the
+        last one (all of them after :meth:`load`).  The arrays, the nested
+        index snapshot and the file bytes are written whole every time.
+        """
         with self.lock:
             entries = list(self._entries.values())
+            fresh = [e for e in entries if e.entry_id not in self._blocks]
+            rendered = record_blocks(
+                [_tier_entry_record(e, with_ctx_embedding=False) for e in fresh]
+            )
+            self._blocks.update(zip((e.entry_id for e in fresh), rendered))
             payload = {
                 "backend": self._backend,
                 "params": dict(self._params),
@@ -395,7 +438,7 @@ class QuantizedTier:
                 TIER_FORMAT,
                 TIER_VERSION,
                 payload,
-                [_tier_entry_record(e, with_ctx_embedding=False) for e in entries],
+                [self._blocks[e.entry_id] for e in entries],
                 pack_context_embeddings(
                     ((e.entry_id, e.context) for e in entries),
                     self._index.dim or 0,
@@ -453,7 +496,9 @@ class QuantizedTier:
 
     def maintenance(self) -> None:
         """The tier's own off-query-path upkeep: index maintenance, then
-        compaction once the delta log holds ``compact_every`` records.
+        compaction once the delta log holds ``compact_every`` records.  A
+        compaction is a :meth:`save`: it renders the entries added since the
+        last one and writes the whole tier.
 
         Owed once per served batch, not once per cache sharing the tier
         (the serving layer de-duplicates by tier identity).  Anything still
@@ -713,8 +758,9 @@ class TieredCache:
         """Batched lookup: one L1 pass, then per-miss L2 probes.
 
         Each L1 miss probes L2 with the L1 decision's probe embedding (no
-        re-encode) under the live τ and context rule.  Promotions happen
-        only after **every** probe in the batch is matched, so duplicate
+        re-encode) under the live τ and context rule, reusing the context
+        chain the L1 lookup embedded, if it did.  Promotions happen only
+        after **every** probe in the batch is matched, so duplicate
         probes all see the entry exactly once (in whichever tier held it
         when the batch started) — an entry is never scored twice for one
         probe.
@@ -727,12 +773,19 @@ class TieredCache:
         for i, decision in enumerate(decisions):
             if decision.hit or decision.embedding is None:
                 continue
-            ctx_texts = tuple(contexts[i]) if contexts is not None else ()
+            chain = decision.context_chain
             found = self.l2.match(
                 decision.embedding,
                 top_k=self.l1.config.top_k,
                 threshold=self.l1.config.similarity_threshold,
-                probe_context=functools.partial(self.l1._embed_context, ctx_texts),
+                probe_context=(
+                    (lambda chain=chain: chain)
+                    if chain is not None
+                    else functools.partial(
+                        self.l1._embed_context,
+                        tuple(contexts[i]) if contexts is not None else (),
+                    )
+                ),
                 context_threshold=self.l1.config.context_threshold,
                 verify_context=self.l1.config.verify_context,
             )

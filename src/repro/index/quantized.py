@@ -268,15 +268,12 @@ class QuantizedIndex(RoutedIndex, RowStore):
         """
         self._materialize()
         n = self._size
-        ids_new = np.empty(n, dtype=np.int64)
-        pos = 0
-        for lst in self._router.lists:
-            view = lst.view()
-            c = view.shape[0]
-            if c == 0:
-                continue
-            ids_new[pos : pos + c] = np.sort(view)
-            pos += c
+        ids, cells = self._router.members()
+        # Cell-major, ascending id within a cell: one sort of a (cell, id)
+        # key, which is unique because the ids are.
+        base = int(ids.min())
+        span = int(ids.max()) - base + 1
+        ids_new = np.sort(cells * span + (ids - base)) % span + base
         order = self._router.row_map.rows(ids_new)  # new row -> old row
         self._rows[:n] = self._rows[:n].take(order, axis=0)
         self._norms[:n] = self._norms[:n].take(order)

@@ -16,7 +16,7 @@ cost model and the repartitioning rule are described in
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -219,6 +219,14 @@ class Router:
         for key in self.scan_stats:
             self.scan_stats[key] = 0
 
+    def members(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ids, cells)``: every routed id and its cell, as two flat arrays
+        in list order (cell 0's ids first, each cell's in its list's order)."""
+        views = [lst.view() for lst in self.lists]
+        ids = np.concatenate(views) if views else np.zeros(0, dtype=np.int64)
+        cells = np.repeat(np.arange(len(views)), [view.shape[0] for view in views])
+        return ids, cells
+
     # ------------------------------------------------------------------ #
     # Fitting / partitioning
     # ------------------------------------------------------------------ #
@@ -397,18 +405,17 @@ class Router:
     def snapshot_arrays(self, live_ids: np.ndarray, prefix: str) -> Dict[str, np.ndarray]:
         """``{prefix}centroids`` + ``{prefix}assign`` (empty while untrained).
 
-        ``assign`` is the cell per live row: the inverted lists and
-        ``list_of`` rebuild from it without re-running (rng-consuming)
-        k-means on load.
+        ``live_ids`` is the owner's id column in row order.  ``assign`` is
+        the cell per live row, scattered from the inverted lists through the
+        row map: the lists and ``list_of`` rebuild from it without
+        re-running (rng-consuming) k-means on load.
         """
         if self.centroids is None:
             return {}
-        return {
-            prefix + "centroids": self.centroids,
-            prefix + "assign": np.asarray(
-                [self.list_of[int(i)] for i in live_ids], dtype=np.int64
-            ),
-        }
+        ids, cells = self.members()
+        assign = np.empty(len(live_ids), dtype=np.int64)
+        assign[self.row_map.rows(ids)] = cells
+        return {prefix + "centroids": self.centroids, prefix + "assign": assign}
 
     def restore(
         self,

@@ -399,18 +399,23 @@ _ITEMS = json.JSONEncoder(separators=(",\n   ", ": "))
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
-def _dumps_records(records: List[Mapping[str, object]]) -> str:
-    """``json.dumps(records, indent=1)``, byte for byte, from C-encoder calls.
+def record_blocks(records: Sequence[Mapping[str, object]]) -> List[str]:
+    """Each record as ``json.dumps(records, indent=1)`` prints it in the list.
 
-    Covers what cache snapshots carry: dicts that all have the same string
-    keys in the same order, each key's values all scalars or all flat lists
-    of scalars.  Every scalar column is encoded by one C call and split
-    back into its leaves (a JSON string holds no raw newline, so the
+    A record's block depends on that record alone, so a caller may keep the
+    blocks of records that do not change and join them with new ones
+    (:func:`save_cache_snapshot` does the joining).  Covers what cache
+    snapshots carry from C-encoder calls: dicts that all have the same
+    string keys in the same order, each key's values all scalars or all
+    flat lists of scalars.  Every scalar column is encoded by one C call and
+    split back into its leaves (a JSON string holds no raw newline, so the
     separator occurs nowhere else); the ``indent=1`` framing around them is
-    composed by hand.  Any other shape goes to the ``indent=1`` encoder.
+    composed by hand.  Any other shape goes to the ``indent=1`` encoder one
+    record at a time, its lines shifted one level deeper.
     """
+    records = list(records)
     if not records:
-        return "[]"
+        return []
     keys = tuple(records[0]) if type(records[0]) is dict else ()
     if (
         not keys
@@ -418,7 +423,7 @@ def _dumps_records(records: List[Mapping[str, object]]) -> str:
         or set(map(type, records)) != {dict}
         or not all(map(keys.__eq__, map(tuple, records)))
     ):
-        return json.dumps(records, indent=1)
+        return _indented_blocks(records)
     columns: List[List[str]] = []
     for key in keys:
         column = [record[key] for record in records]
@@ -435,12 +440,29 @@ def _dumps_records(records: List[Mapping[str, object]]) -> str:
                 ]
             )
         else:
-            return json.dumps(records, indent=1)
+            return _indented_blocks(records)
     # One %-template per record shape; a "%" inside a key is doubled so it
     # does not read as a conversion.
     fields = (json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
     template = "{\n  " + ",\n  ".join(fields) + "\n }"
-    return "[\n " + ",\n ".join(map(template.__mod__, zip(*columns))) + "\n]"
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _indented_blocks(records: Sequence[Mapping[str, object]]) -> List[str]:
+    """The ``indent=1`` encoder's blocks: a list item sits one level deeper
+    than the same value printed on its own (no JSON string holds a raw
+    newline, so every newline is a line break to indent)."""
+    return [json.dumps(record, indent=1).replace("\n", "\n ") for record in records]
+
+
+def _join_blocks(blocks: Sequence[str]) -> str:
+    """The ``indent=1`` list around :func:`record_blocks` output."""
+    return "[\n " + ",\n ".join(blocks) + "\n]" if blocks else "[]"
+
+
+def _dumps_records(records: List[Mapping[str, object]]) -> str:
+    """``json.dumps(records, indent=1)``, byte for byte (see :func:`record_blocks`)."""
+    return _join_blocks(record_blocks(records))
 
 
 def save_cache_snapshot(
@@ -448,24 +470,23 @@ def save_cache_snapshot(
     format_tag: str,
     version: int,
     payload: Mapping[str, object],
-    records: Sequence[Mapping[str, object]],
+    blocks: Sequence[str],
     arrays: Mapping[str, np.ndarray],
     index: object,
 ) -> Path:
     """Atomically publish one cache snapshot envelope at ``path``.
 
     ``payload`` is the cache's own manifest content (config, counters, …);
-    ``records`` become ``entries.json``, ``arrays`` the per-array ``.npy``
-    files and ``index`` the nested ``index/`` snapshot.  The manifest is
-    written last, so a torn stage is never loadable; the previous
-    generation at ``path`` is replaced wholesale (stale delta logs or larger
-    prior arrays cannot survive into the new one).
+    ``blocks`` — the entry records as :func:`record_blocks` renders them,
+    in entry order — become ``entries.json``, ``arrays`` the per-array
+    ``.npy`` files and ``index`` the nested ``index/`` snapshot.  The
+    manifest is written last, so a torn stage is never loadable; the
+    previous generation at ``path`` is replaced wholesale (stale delta logs
+    or larger prior arrays cannot survive into the new one).
     """
     path = Path(path)
     with atomic_snapshot_dir(path) as stage:
-        (stage / ENTRIES_NAME).write_text(
-            _dumps_records(list(records)) + "\n", encoding="utf-8"
-        )
+        (stage / ENTRIES_NAME).write_text(_join_blocks(blocks) + "\n", encoding="utf-8")
         write_arrays(stage, arrays)
         save_index(index, stage / INDEX_DIR)
         write_manifest(

@@ -1064,15 +1064,27 @@ _RAGGED_RECORDS = st.lists(
 )
 
 
+def _joined_blocks(records):
+    """The records' :func:`record_blocks`, each rendered alone as the memo of
+    a tier keeps them, in the ``indent=1`` list framing."""
+    from repro.index.snapshot import record_blocks
+
+    blocks = record_blocks(records)
+    assert blocks == [block for record in records for block in record_blocks([record])]
+    return "[\n " + ",\n ".join(blocks) + "\n]" if blocks else "[]"
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(records=st.one_of(_UNIFORM_RECORDS, _RAGGED_RECORDS))
 def test_fast_entries_writer_matches_indent_1_encoder(records):
     """``entries.json`` text == ``json.dumps(records, indent=1)`` whatever
     the records hold: the shapes the fast path covers and the ones it hands
-    to the reference encoder."""
+    to the reference encoder — and so do the per-record blocks, whichever
+    batch rendered each."""
     from repro.index.snapshot import _dumps_records
 
     assert _dumps_records(records) == json.dumps(records, indent=1)
+    assert _joined_blocks(records) == json.dumps(records, indent=1)
 
 
 @pytest.mark.parametrize(
@@ -1097,6 +1109,7 @@ def test_fast_entries_writer_on_the_shapes_caches_write(records):
     from repro.index.snapshot import _dumps_records
 
     assert _dumps_records(records) == json.dumps(records, indent=1)
+    assert _joined_blocks(records) == json.dumps(records, indent=1)
 
 
 def test_mmap_load_is_zero_copy(tmp_path):
