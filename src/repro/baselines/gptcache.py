@@ -346,7 +346,7 @@ class GPTCache:
             cache.hits = int(manifest["hits"])
             return cache
 
-        cache, index, meta, data = load_cache_snapshot(
+        cache, index, meta, data, _ = load_cache_snapshot(
             path, GPTCACHE_FORMAT, GPTCACHE_VERSION, build, required=("embeddings",)
         )
         cache._index = index

@@ -682,7 +682,7 @@ class MeanCache:
                 [int(e.entry_id) for e in entries], dtype=np.int64
             ),
             **pack_context_embeddings(
-                ((e.entry_id, e.context) for e in entries), dim, native
+                ((e.entry_id, e.context.embedding) for e in entries), dim, native
             ),
         }
         config = asdict(self.config)
@@ -734,7 +734,7 @@ class MeanCache:
             cache._policy.load_state_dict(manifest["policy"]["state"])
             return cache, manifest.get("embedding_dim")
 
-        (cache, saved_dim), index, meta, data = load_cache_snapshot(
+        (cache, saved_dim), index, meta, data, _ = load_cache_snapshot(
             path,
             MEANCACHE_FORMAT,
             MEANCACHE_VERSION,

@@ -97,14 +97,14 @@ def context_matches(
 
 
 def pack_context_embeddings(
-    chains: Iterable[Tuple[int, ContextChain]], dim: int, dtype: np.dtype
+    embeddings: Iterable[Tuple[int, Optional[np.ndarray]]], dim: int, dtype: np.dtype
 ) -> Dict[str, np.ndarray]:
     """The ``ctx_entry_ids``/``ctx_embeddings`` arrays of a cache snapshot.
 
-    Only chains that carry an embedding (contextual entries) are stored;
-    ``chains`` yields ``(entry id, chain)`` in entry order.
+    ``embeddings`` yields ``(entry id, chain embedding)`` in entry order;
+    only the chains that carry one (contextual entries) are stored.
     """
-    embedded = [(int(i), c.embedding) for i, c in chains if c.embedding is not None]
+    embedded = [(int(i), e) for i, e in embeddings if e is not None]
     return {
         "ctx_entry_ids": np.asarray([i for i, _ in embedded], dtype=np.int64),
         "ctx_embeddings": stack_rows([e for _, e in embedded], dim, dtype),

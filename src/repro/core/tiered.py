@@ -48,6 +48,7 @@ as a read-only memory map — the zero-copy warm start benchmarked in
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -84,6 +85,7 @@ from repro.index.snapshot import (
     read_manifest,
     record_blocks,
     save_cache_snapshot,
+    split_blocks,
     write_manifest,
 )
 
@@ -137,9 +139,11 @@ class QuantizedTier:
     :meth:`maintenance` folds the log into a fresh full snapshot once it
     holds ``compact_every`` records.  A fold's CPU follows what changed
     since the last one: each entry's ``entries.json`` block is rendered by
-    the first full snapshot that holds it and kept for the entry's
-    lifetime, so a fold renders only the entries added since.  Its bytes
-    do not: every fold still writes the whole tier.
+    the first full snapshot that holds it (or kept from the file
+    :meth:`load` read) for the entry's lifetime, so a fold renders only the
+    entries added since, and the context-chain arrays are packed from the
+    contextual entries alone.  Its bytes do not: every fold still writes
+    the whole tier.
 
     The tier counts its log records in memory: the directory is read once,
     before the first append to a snapshot that was already there (which
@@ -175,9 +179,13 @@ class QuantizedTier:
         self._params = dict(params)
         self._index = make_index(backend, **params)
         self._entries: Dict[int, TierEntry] = {}  # id -> entry, FIFO order
-        #: id -> the entry's rendered entries.json block, for live entries
-        #: some save() has rendered (see save)
+        #: id -> the entry's rendered entries.json block, for the entries
+        #: some save() rendered or load() read: always a FIFO prefix of
+        #: ``_entries`` (see save)
         self._blocks: Dict[int, str] = {}
+        #: id -> context-chain embedding of each live contextual entry, in
+        #: FIFO order: what a save packs, without walking every entry
+        self._ctx: Dict[int, np.ndarray] = {}
         self._next_id = 0
         self.max_entries = max_entries
         self.stats = CacheStats()
@@ -245,11 +253,7 @@ class QuantizedTier:
             total = int(self._index.nbytes)
             total += int(self._index.codec_nbytes)
             total += int(self._index.routing_nbytes)
-            total += sum(
-                int(e.context.embedding.nbytes)
-                for e in self._entries.values()
-                if e.context.embedding is not None
-            )
+            total += sum(int(e.nbytes) for e in self._ctx.values())
             return total
 
     def total_storage_bytes(self) -> int:
@@ -300,19 +304,31 @@ class QuantizedTier:
             entry_id = self._next_id
             self._next_id += 1
             self._index.add(vector, id=entry_id)
-            self._entries[entry_id] = TierEntry(
+            entry = TierEntry(
                 entry_id=entry_id, query=query, response=response, context=context
             )
+            self._hold(entry)
             self.stats.insertions += 1
             if self.snapshot_dir is not None:
                 self._pending_ids.append(entry_id)
                 self._pending_vectors.append(vector)
-                self._pending_meta.append(_tier_entry_record(self._entries[entry_id]))
+                self._pending_meta.append(_tier_entry_record(entry))
             return entry_id
 
-    def _remove_locked(self, entry_id: int) -> None:
+    def _hold(self, entry: TierEntry) -> None:
+        """Keep ``entry`` as the newest (its index row is the caller's)."""
+        self._entries[entry.entry_id] = entry
+        if entry.context.embedding is not None:
+            self._ctx[entry.entry_id] = entry.context.embedding
+
+    def _drop(self, entry_id: int) -> None:
+        """Forget ``entry_id`` and what is kept beside it (not its index row)."""
         del self._entries[entry_id]
         self._blocks.pop(entry_id, None)
+        self._ctx.pop(entry_id, None)
+
+    def _remove_locked(self, entry_id: int) -> None:
+        self._drop(entry_id)
         self._index.remove(entry_id)
         if self.snapshot_dir is not None:
             if entry_id in self._pending_ids:
@@ -402,6 +418,7 @@ class QuantizedTier:
         with self.lock:
             self._entries.clear()
             self._blocks.clear()
+            self._ctx.clear()
             self._index.clear()
             self._reset_pending()
             self._counted_dir, self._log_records = self.snapshot_dir, None
@@ -413,14 +430,15 @@ class QuantizedTier:
         """Write a full snapshot atomically (discarding any delta log).
 
         ``entries.json`` is joined from per-entry blocks: an entry's block
-        is rendered by the first save that holds it and kept until the
-        entry leaves, so a save renders only the entries added since the
-        last one (all of them after :meth:`load`).  The arrays, the nested
-        index snapshot and the file bytes are written whole every time.
+        is rendered by the first save that holds it (or kept from the file
+        :meth:`load` read) until the entry leaves.  The entries without one
+        are the FIFO suffix added since, so a save renders only those; the
+        context-chain arrays are packed from the contextual entries alone.
+        The arrays, the index snapshot and the file bytes are written whole
+        every time, each file fsynced once.
         """
         with self.lock:
-            entries = list(self._entries.values())
-            fresh = [e for e in entries if e.entry_id not in self._blocks]
+            fresh = list(itertools.islice(self._entries.values(), len(self._blocks), None))
             rendered = record_blocks(
                 [_tier_entry_record(e, with_ctx_embedding=False) for e in fresh]
             )
@@ -438,9 +456,9 @@ class QuantizedTier:
                 TIER_FORMAT,
                 TIER_VERSION,
                 payload,
-                [self._blocks[e.entry_id] for e in entries],
+                list(self._blocks.values()),
                 pack_context_embeddings(
-                    ((e.entry_id, e.context) for e in entries),
+                    self._ctx.items(),
                     self._index.dim or 0,
                     native_float_dtype(self._index),
                 ),
@@ -519,6 +537,12 @@ class QuantizedTier:
         materializes it again, so compacted snapshots restore fastest.  The
         loaded tier keeps ``snapshot_dir = path`` and continues appending
         there; set it to ``None`` to detach.
+
+        The base snapshot's ``entries.json`` blocks are kept as read
+        (:func:`~repro.index.snapshot.split_blocks`), so the first save
+        renders only the entries the delta log added; a file that does not
+        split back into its records' blocks (edited by hand, say) keeps
+        none, and that save renders every entry.
         """
         path = Path(path)
 
@@ -534,7 +558,7 @@ class QuantizedTier:
             tier.stats = CacheStats(**manifest.get("stats", {}))
             return tier
 
-        tier, index, meta, data = load_cache_snapshot(
+        tier, index, meta, data, text = load_cache_snapshot(
             path,
             TIER_FORMAT,
             TIER_VERSION,
@@ -545,14 +569,18 @@ class QuantizedTier:
         tier._index = index
         ctx_embedding_of = unpack_context_embeddings(data)
         for record in meta:
-            entry = _tier_entry_from_record(
-                record, ctx_embedding_of.get(int(record["entry_id"]))
+            tier._hold(
+                _tier_entry_from_record(record, ctx_embedding_of.get(int(record["entry_id"])))
             )
-            tier._entries[entry.entry_id] = entry
         if set(tier._entries) != set(tier._index.ids):
             raise SnapshotError(
                 f"snapshot at {path} is inconsistent: entry ids and index ids differ"
             )
+        # Keep the file's blocks if it splits into one per entry (counting
+        # distinct ids, so a record listed twice keeps none).
+        blocks = split_blocks(text, len(tier._entries))
+        if blocks is not None:
+            tier._blocks = dict(zip(tier._entries, blocks))
         # Replay the delta log (texts from each record's meta, vectors into
         # the index) — mutations committed after the base snapshot.
         for record in read_deltas(path):
@@ -561,17 +589,18 @@ class QuantizedTier:
             entry_records = (record.meta or {}).get("entries", [])
             for entry_record in entry_records:
                 ctx_embedding = entry_record.get("ctx_embedding")
-                entry = _tier_entry_from_record(
-                    entry_record,
-                    np.asarray(ctx_embedding, dtype=np.float32)
-                    if ctx_embedding is not None
-                    else None,
+                tier._hold(
+                    _tier_entry_from_record(
+                        entry_record,
+                        np.asarray(ctx_embedding, dtype=np.float32)
+                        if ctx_embedding is not None
+                        else None,
+                    )
                 )
-                tier._entries[entry.entry_id] = entry
             for removed_id in record.removed:
                 removed_id = int(removed_id)
                 if removed_id in tier._entries:
-                    del tier._entries[removed_id]
+                    tier._drop(removed_id)
                     tier._index.remove(removed_id)
             if record.ids:
                 tier._next_id = max(tier._next_id, max(record.ids) + 1)
@@ -598,20 +627,24 @@ def _tier_entry_record(
     return record
 
 
+#: the chain of every standalone entry a load rebuilds (chains are frozen,
+#: so one instance serves them all)
+_STANDALONE = ContextChain.empty()
+
+
 def _tier_entry_from_record(
     record: Mapping[str, object], ctx_embedding: Optional[np.ndarray]
 ) -> TierEntry:
-    texts = tuple(record.get("context") or ())
+    texts = record.get("context")
+    if texts or ctx_embedding is not None:
+        context = ContextChain(
+            texts=tuple(texts or ()),
+            embedding=np.asarray(ctx_embedding) if ctx_embedding is not None else None,
+        )
+    else:
+        context = _STANDALONE
     return TierEntry(
-        entry_id=int(record["entry_id"]),
-        query=str(record["query"]),
-        response=str(record["response"]),
-        context=ContextChain(
-            texts=texts,
-            embedding=(
-                np.asarray(ctx_embedding) if ctx_embedding is not None else None
-            ),
-        ),
+        int(record["entry_id"]), str(record["query"]), str(record["response"]), context
     )
 
 

@@ -95,7 +95,7 @@ class FlatIndex(RowStore):
 
     def get(self, id: int) -> np.ndarray:
         """Return the stored (un-normalized) vector for ``id``."""
-        row = self._id_to_row.get(id)
+        row = self._id_to_row.get(int(id))
         if row is None:
             raise KeyError(f"no vector with id {id}")
         return np.asarray(

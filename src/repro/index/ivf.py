@@ -105,6 +105,7 @@ class IVFIndex(RoutedIndex, FlatIndex):
             repartition_growth=repartition_growth,
             auto_repartition=auto_repartition,
             prune_probes=prune_probes,
+            row_map=self._row_map,
         )
 
     @property
@@ -159,7 +160,7 @@ class IVFIndex(RoutedIndex, FlatIndex):
             self._train()
 
     def _post_remove(self, id: int, row: int, moved_id: Optional[int]) -> None:
-        self._router.note_removed(id, row, moved_id, self._ids[: self._size])
+        self._router.note_removed(id, row, self._size)
 
     def _post_clear(self) -> None:
         self._router.clear()
@@ -189,18 +190,16 @@ class IVFIndex(RoutedIndex, FlatIndex):
 
     def _snapshot_arrays(self) -> Dict[str, np.ndarray]:
         arrays = super()._snapshot_arrays()
-        # A trained index drained to empty and reloaded has no id column
-        # allocated at all.
-        live_ids = (
-            self._ids[: self._size] if self._ids is not None else np.zeros(0, np.int64)
-        )
-        arrays.update(self._router.snapshot_arrays(live_ids, ""))
+        arrays.update(self._router.snapshot_arrays(""))
         return arrays
 
     def _restore(
         self, state: Mapping[str, object], arrays: Mapping[str, np.ndarray]
     ) -> None:
         super()._restore(state, arrays)
+        # The probe scans gather through the row map: fill it now even after
+        # a zero-copy (mmap) restore, which defers it.
+        self._fill_row_map()
         # Use the snapshot's id column, not self._ids — a trained index
         # drained to empty restores with no storage allocated at all.
         self._router.restore(

@@ -11,11 +11,12 @@ brute-forces only that subset.  Its bookkeeping lives here:
   amortized O(1) (capacity doubling, like the index matrix itself), removal
   is swap-with-last, and ``view()`` exposes the live ids as a numpy slice so
   search-side gathers never copy per element.
-* :class:`RowMap` — a vectorized id → row mapping (a dense ``int64`` array
-  indexed by id, ``-1`` for absent ids).  The flat storage layer keeps a
-  Python dict for one-at-a-time operations; candidate gathering in a search
-  needs thousands of translations per query, which this answers with a
-  single fancy-index instead of a dict-lookup loop;
+* :class:`RowMap` — the id → row mapping of every row store (a dense
+  ``int64`` array indexed by id, ``-1`` for absent ids).  It answers the
+  store's one-at-a-time operations (``get``/``in``/``set``) and the blocks
+  an append, a restore or a layout pass writes at once, and the router
+  borrows it: candidate gathering in a search needs thousands of
+  translations per query, which one fancy-index answers;
 * the probe loops, the cell score bounds behind probe pruning, and the
   ranking tail (:func:`det_topk`, :func:`topk_hits`) the quantized flat scan
   shares, plus the :class:`ScratchBuffers` arena every hot path draws from.
@@ -98,7 +99,7 @@ class Postings:
 
 
 class RowMap:
-    """Dense id → row translation supporting vectorized candidate gathers.
+    """Dense id → row translation: scalar lookups and vectorized gathers.
 
     Storage is an array indexed by ``id − base``.  Cache entry ids grow
     monotonically and are never reused, so without the ``base`` offset a
@@ -151,6 +152,31 @@ class RowMap:
         """Allocated table slots (compaction-trigger input)."""
         return int(self._rows.shape[0])
 
+    def get(self, id: int) -> Optional[int]:
+        """The row of ``id``, or None when it is not mapped."""
+        slot = id - self._base
+        rows = self._rows
+        if 0 <= slot < len(rows):
+            row = rows.item(slot)
+            if row >= 0:
+                return row
+        return None
+
+    def __contains__(self, id: int) -> bool:
+        slot = id - self._base
+        return 0 <= slot < len(self._rows) and self._rows.item(slot) >= 0
+
+    def set(self, id: int, row: int) -> None:
+        """Map one new ``id`` to ``row``: :meth:`set_block` for a block of one."""
+        if self._live == 0:
+            self._base = id
+        elif id < self._base:
+            self._rebase(id)
+        if id - self._base >= len(self._rows):
+            self._ensure(id)
+        self._rows[id - self._base] = row
+        self._live += 1
+
     def set_block(self, ids: np.ndarray, start_row: int) -> None:
         """Map ``ids`` to the consecutive rows starting at ``start_row``.
 
@@ -187,24 +213,10 @@ class RowMap:
             start_row, start_row + ids.shape[0], dtype=np.int64
         )
 
-    def move(self, id: int, row: int) -> None:
-        """Point ``id`` at a new row (after a swap-with-last delete)."""
-        if id < self._base:
-            self._rebase(id)
-        self._ensure(id)
-        self._rows[id - self._base] = row
-
-    def unset(self, id: int) -> None:
-        """Drop ``id`` from the mapping."""
-        slot = id - self._base
-        if 0 <= slot < self._rows.shape[0] and self._rows[slot] != -1:
-            self._rows[slot] = -1
-            self._live -= 1
-
     def swap_remove(
         self, id: int, row: int, moved_id: Optional[int], ids_by_row: np.ndarray
     ) -> None:
-        """Upkeep after the owner swap-deleted ``id`` from ``row``.
+        """Upkeep after the owner swap-deleted the mapped ``id`` from ``row``.
 
         ``moved_id`` is the former last row's id that now occupies ``row``
         (``None`` when the victim itself was last); ``ids_by_row`` is the
@@ -213,10 +225,14 @@ class RowMap:
         :meth:`compaction_due` schedule — bounded caches don't leak map
         slots under churn.
         """
-        self.unset(id)
+        rows, base = self._rows, self._base
+        rows[id - base] = -1
+        self._live -= 1
         if moved_id is not None:
-            self.move(moved_id, row)
-        if self.compaction_due(ids_by_row.shape[0]):
+            rows[moved_id - base] = row  # mapped until now, so inside the table
+        if self._countdown > 1:
+            self._countdown -= 1  # compaction_due's count, without the call
+        elif self.compaction_due(ids_by_row.shape[0]):
             self.maybe_compact(ids_by_row)
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
@@ -513,14 +529,11 @@ def probe_scan_batched(
     return filled
 
 
-def build_inverted_lists(
-    ids: np.ndarray, assign: np.ndarray, nlist: int
-) -> "tuple[List[Postings], dict]":
+def build_inverted_lists(ids: np.ndarray, assign: np.ndarray, nlist: int) -> List[Postings]:
     """Build per-cell inverted lists from a cell assignment, vectorized.
 
-    ``ids[i]`` belongs to cell ``assign[i]``.  Returns the ``nlist``
-    :class:`Postings` plus the ``id -> cell`` dict the router keeps for
-    O(1) removal (used by both fitting and snapshot restore).
+    ``ids[i]`` belongs to cell ``assign[i]``; returns the ``nlist``
+    :class:`Postings` (used by both fitting and snapshot restore).
     """
     lists = [Postings() for _ in range(nlist)]
     order = np.argsort(assign, kind="stable")
@@ -531,7 +544,7 @@ def build_inverted_lists(
     ends = np.searchsorted(sorted_assign, cells, side="right")
     for li in range(nlist):
         lists[li].extend(sorted_ids[starts[li] : ends[li]])
-    return lists, dict(zip(ids.tolist(), assign.tolist()))
+    return lists
 
 
 def topk_hits(

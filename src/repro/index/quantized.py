@@ -115,8 +115,9 @@ class QuantizedIndex(RoutedIndex, RowStore):
         self._seed = int(seed)
         self._rng = np.random.default_rng(seed)
         self._layout_clustered = False  # rows grouped cell-major on disk?
-        # Built for unrouted instances too (it stays untrained and empty):
-        # they share the nprobe/prune_probes/scan_stats surface.
+        # Built for unrouted instances too (it stays untrained and empty, and
+        # keeps an empty row map of its own — it never gathers): they share
+        # the nprobe/prune_probes/scan_stats surface.
         self._router = Router(
             np.float32,
             self._scratch,
@@ -126,6 +127,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
             repartition_growth=repartition_growth,
             auto_repartition=auto_repartition,
             prune_probes=prune_probes,
+            row_map=self._row_map if self._routed else None,
         )
 
     # ------------------------------------------------------------------ #
@@ -268,18 +270,17 @@ class QuantizedIndex(RoutedIndex, RowStore):
         """
         self._materialize()
         n = self._size
-        ids, cells = self._router.members()
-        # Cell-major, ascending id within a cell: one sort of a (cell, id)
+        ids, cells = self._ids[:n], self._router.cells[:n]
+        # Cell-major, ascending id within a cell: one argsort of a (cell, id)
         # key, which is unique because the ids are.
         base = int(ids.min())
         span = int(ids.max()) - base + 1
-        ids_new = np.sort(cells * span + (ids - base)) % span + base
-        order = self._router.row_map.rows(ids_new)  # new row -> old row
+        order = np.argsort(cells * span + (ids - base))  # new row -> old row
         self._rows[:n] = self._rows[:n].take(order, axis=0)
         self._norms[:n] = self._norms[:n].take(order)
-        self._ids[:n] = ids_new
-        self._id_map = dict(zip(ids_new.tolist(), range(n)))
-        self._router.row_map.remap_block(ids_new, 0)
+        ids[:] = ids.take(order)
+        cells[:] = cells.take(order)
+        self._row_map.remap_block(ids, 0)
         self._layout_clustered = True
 
     def maintenance(self) -> Dict[str, object]:
@@ -323,7 +324,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
 
     def _post_remove(self, id: int, row: int, moved_id: Optional[int]) -> None:
         if self._routed:
-            self._router.note_removed(id, row, moved_id, self._ids[: self._size])
+            self._router.note_removed(id, row, self._size)
             self._layout_clustered = False
 
     def _post_clear(self) -> None:
@@ -595,7 +596,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
             return self._snapshot_rows("staging")
         arrays = self._snapshot_rows("codes")
         arrays.update(self._codec.snapshot_arrays())
-        arrays.update(self._router.snapshot_arrays(arrays["ids"], "rt_"))
+        arrays.update(self._router.snapshot_arrays("rt_"))
         return arrays
 
     def _restore(self, state: Mapping[str, object], arrays: Mapping[str, np.ndarray]) -> None:
@@ -604,7 +605,8 @@ class QuantizedIndex(RoutedIndex, RowStore):
         if trained:
             self._codec.restore_arrays(arrays)
         # The routed variants rebuild inverted lists anyway, so they always
-        # copy; unrouted ones adopt a mapped code (or staging) matrix.
+        # copy (which also fills the row map their scans gather through);
+        # unrouted ones adopt a mapped code (or staging) matrix.
         self._restore_rows(
             state,
             arrays["codes" if trained else "staging"],

@@ -1,22 +1,24 @@
 """The IVF coarse router shared by every routed backend.
 
 :class:`Router` owns everything that makes a search *routed*: the spherical
-k-means centroids, one inverted list of ids per cell, the vectorized
-id → row map the probe scans gather through, the growth-or-churn
-repartition trigger, the per-cell score-bound stats behind exact probe
-pruning, the scan counters and the probe loop itself.  It never sees how
-rows are stored: :class:`repro.index.ivf.IVFIndex` (float rows) and the
-routed :class:`repro.index.quantized.QuantizedIndex` (uint8 codes) each hold
-one router, hand it float rows to partition, and supply a
+k-means centroids, one inverted list of ids per cell, each stored row's
+cell (:attr:`Router.cells`, an array aligned with the owner's rows), the
+growth-or-churn repartition trigger, the per-cell score-bound stats behind
+exact probe pruning, the scan counters and the probe loop itself.  It
+never sees how rows are stored: :class:`repro.index.ivf.IVFIndex` (float
+rows) and the routed :class:`repro.index.quantized.QuantizedIndex` (uint8
+codes) each hold one router, hand it float rows to partition, and supply a
 ``score_rows(rows, out)`` callable per query plus a ranking tail.  The
-cost model and the repartitioning rule are described in
-:mod:`repro.index.ivf`.
+probe scans gather through the owner's id → row
+:class:`~repro.index.postings.RowMap`, which the router borrows and never
+writes: the owner keeps it, as it keeps the rows.  The cost model and the
+repartitioning rule are described in :mod:`repro.index.ivf`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -131,6 +133,10 @@ class Router:
         flags it in :attr:`repartition_due` for the owner's ``maintenance()``.
     prune_probes:
         Whether ``stop_score`` searches skip cells by exact score bound.
+    row_map:
+        The owner's id → row map, which the probe scans gather through.
+        An owner that never routes passes none and the router keeps an
+        empty one of its own.
     """
 
     def __init__(
@@ -143,6 +149,7 @@ class Router:
         repartition_growth: float = 2.0,
         auto_repartition: bool = True,
         prune_probes: bool = True,
+        row_map: Optional[RowMap] = None,
     ) -> None:
         if nlist is not None and nlist < 1:
             raise ValueError("nlist must be >= 1")
@@ -160,8 +167,12 @@ class Router:
         self.prune_probes = bool(prune_probes)
         self.centroids: Optional[np.ndarray] = None  # (nlist, d) unit rows
         self.lists: List[Postings] = []
-        self.list_of: Dict[int, int] = {}  # id -> inverted-list index
-        self.row_map = RowMap()
+        #: cell of each of the owner's rows ``[0, size)`` while trained
+        #: (over-allocated like the rows; the tail is garbage)
+        self.cells = np.zeros(0, dtype=np.int64)
+        #: ids held in the inverted lists: the owner's live size once fit
+        self.size = 0
+        self.row_map = row_map if row_map is not None else RowMap()
         self.trained_size = 0
         self.mutations_since_train = 0
         self.repartition_due = False
@@ -202,13 +213,13 @@ class Router:
         self._nprobe = int(value)
 
     @property
-    def size(self) -> int:
-        """Ids currently held in the inverted lists (the live size once fit)."""
-        return len(self.list_of)
-
-    @property
     def nbytes(self) -> int:
-        """Bytes of the routing structures (centroids + lists + row map)."""
+        """Bytes of the routing structures (centroids + lists + row map).
+
+        :attr:`cells` is not counted: it is upkeep state, not something a
+        search reads, and ``routing_nbytes`` is pinned by the index-stream
+        fixtures.
+        """
         total = self.row_map.nbytes + sum(p.nbytes for p in self.lists)
         if self.centroids is not None:
             total += int(self.centroids.nbytes)
@@ -218,14 +229,6 @@ class Router:
         """Zero the :attr:`scan_stats` counters."""
         for key in self.scan_stats:
             self.scan_stats[key] = 0
-
-    def members(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(ids, cells)``: every routed id and its cell, as two flat arrays
-        in list order (cell 0's ids first, each cell's in its list's order)."""
-        views = [lst.view() for lst in self.lists]
-        ids = np.concatenate(views) if views else np.zeros(0, dtype=np.int64)
-        cells = np.repeat(np.arange(len(views)), [view.shape[0] for view in views])
-        return ids, cells
 
     # ------------------------------------------------------------------ #
     # Fitting / partitioning
@@ -261,9 +264,9 @@ class Router:
         self.centroids = spherical_kmeans(
             sample, nlist, self.kmeans_iters, rng, dtype=self._dtype
         )
-        self.lists, self.list_of = build_inverted_lists(
-            ids, self.assign(rows), self.centroids.shape[0]
-        )
+        self.cells = self.assign(rows)
+        self.lists = build_inverted_lists(ids, self.cells, self.centroids.shape[0])
+        self.size = size
         self.trained_size = size
         self.mutations_since_train = 0
         self.repartition_due = False
@@ -286,18 +289,22 @@ class Router:
         churn (the corpus turned over in place) passed the threshold and
         ``auto_repartition`` is on.  With it off the refit is only flagged in
         :attr:`repartition_due`, keeping the O(n) k-means off the add path.
+        The owner has already mapped ``ids`` to their rows.
         """
-        self.row_map.set_block(ids, start_row)
         if self.centroids is None:
             return False
         assign = self.assign(rows)
+        stop = start_row + ids.shape[0]
+        if stop > self.cells.shape[0]:
+            grown = np.empty(max(stop, 2 * self.cells.shape[0]), dtype=np.int64)
+            grown[:start_row] = self.cells[:start_row]
+            self.cells = grown
+        self.cells[start_row:stop] = assign
         for id, li in zip(ids.tolist(), assign.tolist()):
             self.lists[li].append(id)
-            self.list_of[id] = li
+        self.size += ids.shape[0]
         if self._cell_stats is not None:
-            self._fold_cell_stats(
-                scored_rows(start_row, start_row + ids.shape[0]), assign
-            )
+            self._fold_cell_stats(scored_rows(start_row, stop), assign)
         self.mutations_since_train += ids.shape[0]
         threshold = self.repartition_growth * self.trained_size
         if self.size >= threshold or self.mutations_since_train >= threshold:
@@ -306,27 +313,32 @@ class Router:
             self.repartition_due = True
         return False
 
-    def note_removed(
-        self, id: int, row: int, moved_id: Optional[int], live_ids: np.ndarray
-    ) -> None:
+    def note_removed(self, id: int, row: int, last: int) -> None:
         """Unroute ``id`` after the owner swap-deleted it from ``row``.
 
-        ``moved_id`` is the former last row's id now living in ``row``
-        (None when the victim was last); ``live_ids`` the id column after
-        the delete.
+        ``last`` is the former last row, whose occupant now lives in ``row``
+        (``last == row`` when the victim was last): its cell moves along.
+        Raises ``RuntimeError`` when the cell :attr:`cells` names for
+        ``row`` does not list ``id`` — an internal inconsistency that would
+        otherwise leave a stale id in a list for the scans to gather.
         """
-        self.row_map.swap_remove(id, row, moved_id, live_ids)
         if self.centroids is None:
             return
-        self.lists[self.list_of.pop(id)].discard(id)
+        cell = int(self.cells[row])
+        if not self.lists[cell].discard(id):
+            raise RuntimeError(
+                f"router out of sync: id {id} (row {row}) is not in its cell {cell}'s list"
+            )
+        self.cells[row] = self.cells[last]
+        self.size -= 1
         self.mutations_since_train += 1
 
     def clear(self) -> None:
         """Forget the partition and every routed id (counters keep running)."""
         self.centroids = None
         self.lists = []
-        self.list_of = {}
-        self.row_map.clear()
+        self.cells = np.zeros(0, dtype=np.int64)
+        self.size = 0
         self.trained_size = 0
         self.mutations_since_train = 0
         self.repartition_due = False
@@ -352,17 +364,10 @@ class Router:
         nlist, dim = self.centroids.shape
         self._cell_stats = (np.zeros(nlist), np.zeros(nlist), np.zeros(nlist))
         size = self.size
-        if size == 0:
-            return
-        assign = np.empty(size, dtype=np.int64)
-        for li, lst in enumerate(self.lists):
-            view = lst.view()
-            if view.size:
-                assign[self.row_map.rows(view)] = li
         block = max(1, _ASSIGN_BLOCK_ELEMS // max(dim, 1))
         for start in range(0, size, block):
             stop = min(start + block, size)
-            self._fold_cell_stats(scored_rows(start, stop), assign[start:stop])
+            self._fold_cell_stats(scored_rows(start, stop), self.cells[start:stop])
 
     def refresh_cell_stats(self, scored_rows: ScoredRows) -> bool:
         """Precompute missing bound stats off-query; True if it did any work.
@@ -402,20 +407,19 @@ class Router:
             "repartition_due": self.repartition_due,
         }
 
-    def snapshot_arrays(self, live_ids: np.ndarray, prefix: str) -> Dict[str, np.ndarray]:
+    def snapshot_arrays(self, prefix: str) -> Dict[str, np.ndarray]:
         """``{prefix}centroids`` + ``{prefix}assign`` (empty while untrained).
 
-        ``live_ids`` is the owner's id column in row order.  ``assign`` is
-        the cell per live row, scattered from the inverted lists through the
-        row map: the lists and ``list_of`` rebuild from it without
-        re-running (rng-consuming) k-means on load.
+        ``assign`` is a copy of :attr:`cells` over the live rows: the lists
+        and the cells rebuild from it without re-running (rng-consuming)
+        k-means on load.
         """
         if self.centroids is None:
             return {}
-        ids, cells = self.members()
-        assign = np.empty(len(live_ids), dtype=np.int64)
-        assign[self.row_map.rows(ids)] = cells
-        return {prefix + "centroids": self.centroids, prefix + "assign": assign}
+        return {
+            prefix + "centroids": self.centroids,
+            prefix + "assign": self.cells[: self.size].copy(),
+        }
 
     def restore(
         self,
@@ -424,17 +428,17 @@ class Router:
         ids: np.ndarray,
         prefix: str,
     ) -> None:
-        """Reinstate a cleared router from a snapshot; ``ids`` in row order."""
-        self.row_map.set_block(ids, 0)
+        """Reinstate a cleared router from a snapshot; ``ids`` in row order.
+
+        The owner restores (or defers) its row map itself.
+        """
         if prefix + "centroids" in arrays:
             self.centroids = np.ascontiguousarray(
                 arrays[prefix + "centroids"], dtype=self._dtype
             )
-            self.lists, self.list_of = build_inverted_lists(
-                ids,
-                np.asarray(arrays[prefix + "assign"], dtype=np.int64),
-                self.centroids.shape[0],
-            )
+            self.cells = np.array(arrays[prefix + "assign"], dtype=np.int64)
+            self.lists = build_inverted_lists(ids, self.cells, self.centroids.shape[0])
+            self.size = int(ids.shape[0])
         self.trained_size = int(state["trained_size"])
         self.mutations_since_train = int(state["mutations_since_train"])
         self.repartition_due = bool(state.get("repartition_due", False))

@@ -270,6 +270,31 @@ def read_arrays(
 # --------------------------------------------------------------------------- #
 # Index snapshots
 # --------------------------------------------------------------------------- #
+def _write_index(index: object, directory: Path) -> None:
+    """Write ``index``'s snapshot into ``directory``: arrays, then manifest.
+
+    No staging and no fsync: the caller's :func:`atomic_snapshot_dir`
+    stage does both once for everything it holds.
+    """
+    backend = getattr(index, "snapshot_backend", None)
+    if backend is None:
+        raise SnapshotError(
+            f"{type(index).__name__} does not support snapshots "
+            "(no snapshot_backend name)"
+        )
+    arrays = index._snapshot_arrays()
+    manifest = {
+        "format": INDEX_FORMAT,
+        "version": INDEX_VERSION,
+        "backend": backend,
+        "params": index._snapshot_params(),
+        "state": index._snapshot_state(),
+        "arrays": sorted(arrays),
+    }
+    write_arrays(directory, arrays)
+    write_manifest(directory, manifest)
+
+
 def save_index(index: object, path: "str | Path") -> Path:
     """Snapshot any backend implementing the snapshot protocol to ``path``.
 
@@ -280,25 +305,9 @@ def save_index(index: object, path: "str | Path") -> Path:
     including any delta log accumulated on top of it — is replaced wholesale
     only once the new generation is completely on disk.
     """
-    backend = getattr(index, "snapshot_backend", None)
-    if backend is None:
-        raise SnapshotError(
-            f"{type(index).__name__} does not support snapshots "
-            "(no snapshot_backend name)"
-        )
     path = Path(path)
-    arrays = index._snapshot_arrays()
-    manifest = {
-        "format": INDEX_FORMAT,
-        "version": INDEX_VERSION,
-        "backend": backend,
-        "params": index._snapshot_params(),
-        "state": index._snapshot_state(),
-        "arrays": sorted(arrays),
-    }
     with atomic_snapshot_dir(path) as stage:
-        write_arrays(stage, arrays)
-        write_manifest(stage, manifest)
+        _write_index(index, stage)
     return path
 
 
@@ -460,6 +469,34 @@ def _join_blocks(blocks: Sequence[str]) -> str:
     return "[\n " + ",\n ".join(blocks) + "\n]" if blocks else "[]"
 
 
+#: Where one record's block ends and the next begins in an ``indent=1``
+#: list of objects: a record closes at one space of indent, anything nested
+#: in it at two or more, and no JSON string holds a raw newline.
+_BETWEEN_RECORDS = "\n },\n {"
+
+
+def split_blocks(text: str, count: int) -> Optional[List[str]]:
+    """The inverse of :func:`_join_blocks` for an ``entries.json`` text.
+
+    ``text`` is the file as read (its trailing newline included) and
+    ``count`` the number of records it parsed to.  Returns the ``count``
+    record blocks, or None when the text did not come from joining blocks —
+    re-indented by hand, say: the split is accepted only if it yields
+    ``count`` blocks that join back to ``text`` byte for byte.
+    """
+    head, tail = "[\n {", "\n }\n]\n"
+    if text == "[]\n":
+        blocks: List[str] = []
+    elif text.startswith(head) and text.endswith(tail):
+        inner = text[len(head) : -len(tail)]
+        blocks = ["{" + part + "\n }" for part in inner.split(_BETWEEN_RECORDS)]
+    else:
+        return None
+    if len(blocks) != count or _join_blocks(blocks) + "\n" != text:
+        return None
+    return blocks
+
+
 def _dumps_records(records: List[Mapping[str, object]]) -> str:
     """``json.dumps(records, indent=1)``, byte for byte (see :func:`record_blocks`)."""
     return _join_blocks(record_blocks(records))
@@ -479,7 +516,8 @@ def save_cache_snapshot(
     ``payload`` is the cache's own manifest content (config, counters, …);
     ``blocks`` — the entry records as :func:`record_blocks` renders them,
     in entry order — become ``entries.json``, ``arrays`` the per-array
-    ``.npy`` files and ``index`` the nested ``index/`` snapshot.  The
+    ``.npy`` files and ``index`` the nested ``index/`` snapshot, written
+    straight into the one stage (which fsyncs each file once).  The
     manifest is written last, so a torn stage is never loadable; the
     previous generation at ``path`` is replaced wholesale (stale delta logs
     or larger prior arrays cannot survive into the new one).
@@ -488,7 +526,7 @@ def save_cache_snapshot(
     with atomic_snapshot_dir(path) as stage:
         (stage / ENTRIES_NAME).write_text(_join_blocks(blocks) + "\n", encoding="utf-8")
         write_arrays(stage, arrays)
-        save_index(index, stage / INDEX_DIR)
+        _write_index(index, stage / INDEX_DIR)
         write_manifest(
             stage,
             {
@@ -508,10 +546,13 @@ def load_cache_snapshot(
     build: Callable[[Mapping[str, object]], _T],
     required: Sequence[str],
     mmap: bool = False,
-) -> "Tuple[_T, object, List[Dict[str, object]], Dict[str, np.ndarray]]":
+) -> "Tuple[_T, object, List[Dict[str, object]], Dict[str, np.ndarray], str]":
     """Read a :func:`save_cache_snapshot` envelope; raises :class:`SnapshotError`.
 
-    Returns ``(build(manifest), index, entries.json records, arrays)``.
+    Returns ``(build(manifest), index, entries.json records, arrays,
+    entries.json text)`` — the text the records were parsed from, so a
+    caller can keep the records' blocks (:func:`split_blocks`) without
+    reading the file again.
     The manifest is validated before anything else is touched; ``build``
     turns its payload into the (still empty) cache, and a manifest whose
     format and version pass but whose payload is truncated or renamed
@@ -530,12 +571,13 @@ def load_cache_snapshot(
         ) from exc
     index = load_index(path / INDEX_DIR, mmap=mmap)
     try:
-        records = json.loads((path / ENTRIES_NAME).read_text(encoding="utf-8"))
+        text = (path / ENTRIES_NAME).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise SnapshotError(f"snapshot at {path} has no {ENTRIES_NAME}") from exc
+    records = json.loads(text)
     listed = manifest.get("arrays")
     expected = set(required) | set(listed if isinstance(listed, list) else ())
-    return built, index, records, read_arrays(path, expected=sorted(expected))
+    return built, index, records, read_arrays(path, expected=sorted(expected)), text
 
 
 # --------------------------------------------------------------------------- #

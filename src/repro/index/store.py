@@ -11,8 +11,12 @@ implementation of that discipline:
   one row write;
 * **swap-with-last deletion** — removing a row copies the last row into its
   slot: O(row width), no matrix copy, no re-index loop;
-* **id-centric addressing** — a lazily built id → row map (``None`` after a
-  memory-mapped restore, so a zero-copy warm start pays no O(n) loop);
+* **id-centric addressing** — one id → row map per store, a
+  :class:`~repro.index.postings.RowMap` (a dense base-anchored ``int64``
+  table, re-anchored to the live id span under churn) that a routed
+  backend's router borrows for its gathers.  After a memory-mapped restore
+  it stays empty until the first id-keyed call, so a zero-copy warm start
+  pays no O(n) pass;
 * **mmap adopt / materialize** — ``load_index(mmap=True)`` adopts the mapped
   snapshot arrays as storage; the first mutation copies them once;
 * **validation at the door** — duplicate ids, mismatched dims and rows whose
@@ -34,7 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.index.base import VectorIndex
-from repro.index.postings import ScratchBuffers
+from repro.index.postings import RowMap, ScratchBuffers
 
 _MIN_CAPACITY = 64
 
@@ -116,9 +120,11 @@ class RowStore(VectorIndex):
         self._rows: Optional[np.ndarray] = None  # (capacity, width) payload rows
         self._norms: Optional[np.ndarray] = None  # (capacity,) original L2 norms
         self._ids: Optional[np.ndarray] = None  # (capacity,) int64 entry ids
-        # id -> row map, built lazily (None after an mmap-backed restore so a
-        # zero-copy warm start pays no O(n) python loop up front).
-        self._id_map: Optional[Dict[int, int]] = {}
+        # id -> row map (read through _id_to_row).  An mmap-backed restore
+        # defers filling it to the first id-keyed call, so a zero-copy warm
+        # start pays no O(n) pass up front.
+        self._row_map = RowMap()
+        self._row_map_deferred = False
         # True while storage is an adopted read-only memmap from
         # load_index(mmap=True); any mutation first materializes a copy.
         self._mmap_backed = False
@@ -156,12 +162,21 @@ class RowStore(VectorIndex):
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def _id_to_row(self) -> Dict[int, int]:
-        """The id -> storage-row map, built on first id-keyed access."""
-        if self._id_map is None:
-            ids = self._ids[: self._size] if self._ids is not None else ()
-            self._id_map = {int(i): r for r, i in enumerate(np.asarray(ids).tolist())}
-        return self._id_map
+    def _id_to_row(self) -> RowMap:
+        """The id -> storage-row map, filled here if a restore deferred it."""
+        if self._row_map_deferred:
+            self._fill_row_map()
+        return self._row_map
+
+    def _fill_row_map(self) -> None:
+        """Map the live ids now, if an mmap-backed restore left the map empty.
+
+        A routed backend calls this from its restore: its scans gather
+        through the map without going through :attr:`_id_to_row`.
+        """
+        if self._row_map_deferred:
+            self._row_map_deferred = False
+            self._row_map.set_block(self._ids[: self._size], 0)
 
     @property
     def mmap_backed(self) -> bool:
@@ -182,7 +197,7 @@ class RowStore(VectorIndex):
     @property
     def ids(self) -> List[int]:
         """Ids of the stored vectors (internal row order)."""
-        return [] if self._ids is None else [int(i) for i in self._ids[: self._size]]
+        return [] if self._ids is None else self._ids[: self._size].tolist()
 
     @property
     def nbytes(self) -> int:
@@ -271,7 +286,8 @@ class RowStore(VectorIndex):
         if id is None:
             id = self._next_id
         id = int(id)
-        if id in self._id_to_row:
+        row_map = self._id_to_row
+        if id in row_map:
             raise ValueError(f"id {id} is already in the index")
         self._check_dim(vector.shape[1])  # last check: it pins an unset dim
         self._next_id = max(self._next_id, id + 1)
@@ -281,7 +297,7 @@ class RowStore(VectorIndex):
         self._rows[row] = self._encode_rows(unit)[0]
         self._norms[row] = norms[0]
         self._ids[row] = id
-        self._id_to_row[id] = row
+        row_map.set(id, row)
         self._size += 1
         self._post_add(np.asarray([id], dtype=np.int64), row, unit)
         return id
@@ -303,30 +319,32 @@ class RowStore(VectorIndex):
                 raise ValueError("ids must align with vectors")
             if len(set(ids)) != n:
                 raise ValueError("ids must be unique")
+            row_map = self._id_to_row
             for i in ids:
-                if i in self._id_to_row:
+                if i in row_map:
                     raise ValueError(f"id {i} is already in the index")
         self._check_dim(V.shape[1])  # last check: it pins an unset dim
         self._materialize()
         self._ensure_capacity(n)
         start = self._size
+        id_block = np.asarray(ids, dtype=np.int64)
         self._rows[start : start + n] = self._encode_rows(unit)
         self._norms[start : start + n] = norms
-        self._ids[start : start + n] = ids
-        for offset, i in enumerate(ids):
-            self._id_to_row[i] = start + offset
+        self._ids[start : start + n] = id_block
+        self._id_to_row.set_block(id_block, start)
         self._size += n
         self._next_id = max(self._next_id, max(ids) + 1)
-        self._post_add(np.asarray(ids, dtype=np.int64), start, unit)
+        self._post_add(id_block, start, unit)
         return list(ids)
 
     def remove(self, id: int) -> None:
         """Delete one vector by id; raises ``KeyError`` for unknown ids."""
         id = int(id)
-        if id not in self._id_to_row:
+        row_map = self._id_to_row
+        row = row_map.get(id)
+        if row is None:
             raise KeyError(f"no vector with id {id}")
         self._materialize()
-        row = self._id_to_row.pop(id)
         last = self._size - 1
         moved_id: Optional[int] = None
         if row != last:
@@ -335,8 +353,8 @@ class RowStore(VectorIndex):
             self._norms[row] = self._norms[last]
             moved_id = int(self._ids[last])
             self._ids[row] = moved_id
-            self._id_to_row[moved_id] = row
         self._size -= 1
+        row_map.swap_remove(id, row, moved_id, self._ids[: self._size])
         self._post_remove(id, row, moved_id)
 
     def rebuild(self, vectors: np.ndarray, ids: Sequence[int]) -> None:
@@ -366,7 +384,8 @@ class RowStore(VectorIndex):
         self._rows = None
         self._norms = None
         self._ids = None
-        self._id_map = {}
+        self._row_map.clear()
+        self._row_map_deferred = False
         self._mmap_backed = False
         self._scratch.clear()
         # A data-driven dim unpins so the next add may re-fix it (e.g. the
@@ -410,9 +429,9 @@ class RowStore(VectorIndex):
         Whatever else :meth:`_row_layout` depends on (a codec's trained flag)
         must already be restored.  Memory-mapped ``rows`` in the payload dtype are adopted
         without copying when ``adopt_mmap`` allows (capacity == size; the id
-        map builds lazily and the first mutation materializes a private
-        copy); anything else is copied — snapshots store the storage dtypes,
-        so those copies are bit-exact round-trips.
+        map is filled on the first id-keyed call and the first mutation
+        materializes a private copy); anything else is copied — snapshots
+        store the storage dtypes, so those copies are bit-exact round-trips.
         """
         if state["dim"] is not None:
             self._check_dim(int(state["dim"]))
@@ -429,13 +448,13 @@ class RowStore(VectorIndex):
                 self._rows = rows
                 self._norms = np.asarray(norms)
                 self._ids = ids
-                self._id_map = None
+                self._row_map_deferred = True
                 self._mmap_backed = True
             else:
                 self._ensure_capacity(n)
                 self._rows[:n] = np.asarray(rows, dtype=dtype)
                 self._norms[:n] = np.asarray(norms, dtype=self._norm_dtype)
                 self._ids[:n] = ids
-                self._id_map = {int(i): r for r, i in enumerate(ids.tolist())}
+                self._row_map.set_block(ids, 0)
             self._size = n
         self._next_id = int(state["next_id"])

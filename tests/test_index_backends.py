@@ -411,11 +411,19 @@ def test_ivf_repartitions_under_plateau_churn(backend):
     assert hits and hits[0].id == ids[-1]
 
 
-@pytest.mark.parametrize("backend", ["ivf", "ivf+sq8"])
+def churn_index(backend: str) -> VectorIndex:
+    """A small index of ``backend``, trained from its 8th row where it trains."""
+    overrides = {"min_train_size": 8} if registry_name(backend) in TRAINABLE else {}
+    return small_index(backend, **overrides)
+
+
+# Every row store keeps its id→row map as a RowMap (the router borrows its
+# owner's), so the map's bounds hold on every backend.
+@pytest.mark.parametrize("backend", BACKENDS + ["sq8", "ivf+sq8"])
 def test_row_map_stays_bounded_under_churn(backend):
     """Monotonic entry ids must not grow the id→row table without bound."""
     rng = np.random.default_rng(15)
-    index = small_index(backend, min_train_size=8)
+    index = churn_index(backend)
     ids = index.add_batch(rng.normal(size=(64, 8)))
     # Sustained evict-oldest/insert-newest churn: ids only ever increase.
     for _ in range(5_000):
@@ -424,17 +432,17 @@ def test_row_map_stays_bounded_under_churn(backend):
     assert len(index) == 64
     # Lifetime-max id is ~5k, but the live span is 64 — the map must have
     # re-anchored instead of keeping a slot for every id ever issued.
-    assert index._router.row_map.slots <= 4 * 1024
+    assert index._id_to_row.slots <= 4 * 1024
     for id in (ids[0], ids[-1]):
         hits = index.search(index.get(id), top_k=1)[0]
         assert hits and hits[0].id == id
 
 
-@pytest.mark.parametrize("backend", ["ivf", "ivf+sq8"])
+@pytest.mark.parametrize("backend", BACKENDS + ["sq8", "ivf+sq8"])
 def test_row_map_handles_id_reuse_below_compacted_base(backend):
     """Explicit re-adds of old (low) ids stay correct after map compaction."""
     rng = np.random.default_rng(16)
-    index = small_index(backend, min_train_size=8)
+    index = churn_index(backend)
     ids = index.add_batch(rng.normal(size=(64, 8)))
     for _ in range(2_000):  # churn enough to re-anchor the map upward
         index.remove(ids.pop(0))
@@ -513,15 +521,16 @@ def test_injected_index_must_be_empty():
         GPTCache(make_tiny_encoder(), index=populated)
 
 
-def test_row_map_anchors_after_clear_with_high_ids():
+@pytest.mark.parametrize("backend", BACKENDS + ["sq8", "ivf+sq8"])
+def test_row_map_anchors_after_clear_with_high_ids(backend):
     """A rebuild late in a cache's life re-adds with large monotonic ids;
     the freshly cleared map must size by id span, not id magnitude."""
     rng = np.random.default_rng(18)
-    index = make_index("ivf", dim=8, **SMALL_PARAMS["ivf"])
+    index = small_index(backend)
     index.add_batch(rng.normal(size=(32, 8)))
     high_ids = list(range(10_000_000, 10_000_032))
     index.rebuild(rng.normal(size=(32, 8)), ids=high_ids)
     assert sorted(index.ids) == high_ids
-    assert index._router.row_map.slots <= 64
+    assert index._id_to_row.slots <= 64
     hits = index.search(index.get(high_ids[0]), top_k=1)[0]
     assert hits and hits[0].id == high_ids[0]

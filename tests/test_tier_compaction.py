@@ -9,8 +9,13 @@ rendered ``entries.json`` block from the save that first wrote it, so:
   whatever ran before it (a generated operation sequence, GIPS-style:
   insert with and without context, pop, FIFO eviction, clear, flush, save,
   load-and-continue, compaction);
-* the block memo holds exactly the live entries once a save ran;
-* a fold renders the entries added since the previous one, not the tier.
+* the block memo is a FIFO prefix of the live entries, each block the
+  reference rendering of its record, and all of them once a save ran; the
+  context-chain memo is the contextual entries in FIFO order; the router's
+  per-row cells agree with its inverted lists;
+* a fold renders the entries added since the previous one, not the tier —
+  and the first fold after a load renders only what the delta log added;
+* a fold fsyncs each file it writes once.
 
 Also here: ``clear()`` is durable like any other mutation, a context chain
 the L1 lookup embedded is not embedded again for the L2 fall-through, and
@@ -21,6 +26,7 @@ replaced (kept below as oracles).
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -53,6 +59,20 @@ def _image(tier):
 def _reference_entries_json(tier) -> str:
     records = [_tier_entry_record(e, with_ctx_embedding=False) for e in tier.entries]
     return json.dumps(records, indent=1) + "\n"
+
+
+def _reference_block(entry) -> str:
+    """``entry``'s record as ``json.dumps(records, indent=1)`` prints it in the list."""
+    text = json.dumps([_tier_entry_record(entry, with_ctx_embedding=False)], indent=1)
+    return text[len("[\n ") : -len("\n]")]
+
+
+def _members(router):
+    """Every routed id and its cell, in list order (cell 0's ids first)."""
+    views = [lst.view() for lst in router.lists]
+    ids = np.concatenate(views) if views else np.zeros(0, dtype=np.int64)
+    cells = np.repeat(np.arange(len(views)), [view.shape[0] for view in views])
+    return ids, cells
 
 
 # --------------------------------------------------------------------------- #
@@ -126,12 +146,39 @@ class TierFolds(RuleBasedStateMachine):
         self.tier.flush()
         loaded = QuantizedTier.load(self.root / "snap")
         assert _image(loaded) == _image(self.tier)
-        assert loaded._blocks == {}  # rendered by the first save, not on load
         self.attach(loaded)
 
     @invariant()
-    def memo_holds_live_entries_only(self):
-        assert set(self.tier._blocks) <= set(self.tier._entries)
+    def block_memo_is_a_fifo_prefix_of_reference_blocks(self):
+        tier = self.tier
+        kept = list(tier._blocks)
+        assert kept == list(tier._entries)[: len(kept)]
+        for entry_id, block in tier._blocks.items():
+            assert block == _reference_block(tier.entry(entry_id))
+
+    @invariant()
+    def ctx_memo_is_the_contextual_entries_in_fifo_order(self):
+        expected = [
+            (e.entry_id, e.context.embedding)
+            for e in self.tier.entries
+            if e.context.embedding is not None
+        ]
+        assert list(self.tier._ctx) == [entry_id for entry_id, _ in expected]
+        for entry_id, embedding in expected:
+            assert self.tier._ctx[entry_id] is embedding
+
+    @invariant()
+    def router_cells_agree_with_the_lists(self):
+        index = self.tier.index
+        router = index._router
+        if not router.is_trained:
+            return
+        ids, cells = _members(router)
+        n = len(index)
+        assert router.size == n == ids.shape[0]
+        rows = index._id_to_row.rows(ids)
+        assert np.array_equal(np.sort(rows), np.arange(n))
+        assert np.array_equal(router.cells[rows], cells)
 
     @invariant()
     def a_save_writes_the_reference_encoding(self):
@@ -154,7 +201,8 @@ TestTierFolds.settings = settings(
 # --------------------------------------------------------------------------- #
 # What a fold renders
 # --------------------------------------------------------------------------- #
-def test_a_fold_renders_only_the_entries_added_since_the_last(tmp_path, monkeypatch):
+def _count_renders(monkeypatch):
+    """The ids of the ``entries.json`` records the tier renders from now on."""
     rendered = []
 
     def counted(entry, with_ctx_embedding=True):
@@ -163,6 +211,15 @@ def test_a_fold_renders_only_the_entries_added_since_the_last(tmp_path, monkeypa
         return _tier_entry_record(entry, with_ctx_embedding)
 
     monkeypatch.setattr("repro.core.tiered._tier_entry_record", counted)
+    return rendered
+
+
+def _contextual(i: int):
+    return ContextChain(texts=(f"turn {i}",), embedding=_unit(1000 + i)) if i % 3 == 0 else None
+
+
+def test_a_fold_renders_only_the_entries_added_since_the_last(tmp_path, monkeypatch):
+    rendered = _count_renders(monkeypatch)
     tier = QuantizedTier(
         dim=DIM, params=UNTRAINED, snapshot_dir=tmp_path / "snap", compact_every=1
     )
@@ -177,6 +234,88 @@ def test_a_fold_renders_only_the_entries_added_since_the_last(tmp_path, monkeypa
         assert sorted(rendered) == new
         assert set(tier._blocks) == {e.entry_id for e in tier.entries}
     assert QuantizedTier.load(tmp_path / "snap").entries == tier.entries
+
+
+def test_the_first_fold_after_a_load_renders_only_what_the_deltas_added(
+    tmp_path, monkeypatch
+):
+    snap = tmp_path / "snap"
+    tier = QuantizedTier(
+        dim=DIM,
+        backend="ivf+sq8",
+        params={"min_train_size": 6, "nlist": 2, "seed": 0},
+        snapshot_dir=snap,
+        compact_every=100,
+    )
+    old = [tier.insert(f"old {i}", "r", _unit(i), _contextual(i)) for i in range(30)]
+    tier.flush()  # the baseline: a full snapshot
+    added = [tier.insert(f"added {i}", "r", _unit(50 + i), _contextual(i)) for i in range(4)]
+    tier.flush()
+    tier.pop(old[2])
+    tier.pop(added[0])
+    tier.flush()
+    added += [tier.insert(f"late {i}", "r", _unit(60 + i), _contextual(i)) for i in range(2)]
+    tier.flush()  # three log records on top of the baseline
+
+    loaded = QuantizedTier.load(snap)
+    assert _image(loaded) == _image(tier)
+    kept = list(loaded._blocks)
+    rendered = _count_renders(monkeypatch)
+    loaded.save(snap)
+    assert rendered == added[1:]
+    assert kept == [i for i in old if i != old[2]]
+    assert (snap / "entries.json").read_text(encoding="utf-8") == _reference_entries_json(tier)
+
+
+def test_an_entries_file_that_does_not_rejoin_is_rendered_again(tmp_path, monkeypatch):
+    snap = tmp_path / "snap"
+    tier = QuantizedTier(dim=DIM, params=UNTRAINED, snapshot_dir=snap)
+    ids = [tier.insert(f"q{i}", f"r {i}", _unit(i), _contextual(i)) for i in range(7)]
+    tier.save(snap)
+    reference = (snap / "entries.json").read_text(encoding="utf-8")
+    records = json.loads(reference)
+    (snap / "entries.json").write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
+
+    loaded = QuantizedTier.load(snap)
+    assert _image(loaded) == _image(tier)
+    assert loaded._blocks == {}
+    rendered = _count_renders(monkeypatch)
+    loaded.save(snap)
+    assert rendered == ids
+    assert (snap / "entries.json").read_text(encoding="utf-8") == reference
+
+
+def test_a_fold_fsyncs_each_file_once(tmp_path, monkeypatch):
+    """The index snapshot is written into the tier's stage, not staged,
+    fsynced and published on its own inside it."""
+    snap = tmp_path / "snap"
+    tier = QuantizedTier(
+        dim=DIM,
+        backend="ivf+sq8",
+        params={"min_train_size": 6, "nlist": 2, "seed": 0},
+        snapshot_dir=snap,
+        compact_every=1,
+    )
+    for i in range(20):
+        tier.insert(f"q{i}", "r", _unit(i), _contextual(i))
+    tier.flush()
+    tier.insert("one more", "r", _unit(99))
+    tier.flush()
+    fsynced = []
+    fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (fsynced.append(fd), fsync(fd))[1])
+    tier.save(snap)  # what maintenance() does once the log is due
+    written = list(snap.rglob("*"))
+    assert {p.relative_to(snap).as_posix() for p in written} >= {
+        "entries.json",
+        "manifest.json",
+        "index/manifest.json",
+        "index/arrays/codes.npy",
+        "index/arrays/rt_assign.npy",
+    }
+    # Once per file and directory under the snapshot, once for the snapshot
+    # directory itself and once for its parent after the rename.
+    assert len(fsynced) == len(written) + 2
 
 
 # --------------------------------------------------------------------------- #
@@ -258,13 +397,26 @@ def test_the_l2_fall_through_reuses_the_chain_l1_embedded(monkeypatch):
 # The vectorized router paths against the loops they replaced
 # --------------------------------------------------------------------------- #
 def _assign_per_id(router, live_ids):
-    """``Router.snapshot_arrays``'s former body: one dict lookup per id."""
-    return np.asarray([router.list_of[int(i)] for i in live_ids], dtype=np.int64)
+    """A live row's cell the way the router once kept it: an id -> cell dict
+    built from the inverted lists, looked up once per id."""
+    cell_of = {int(i): li for li, lst in enumerate(router.lists) for i in lst.view()}
+    return np.asarray([cell_of[int(i)] for i in live_ids], dtype=np.int64)
 
 
 def _cell_major_per_cell(router):
-    """``QuantizedIndex._compact_layout``'s former loop: a sort per cell."""
+    """``QuantizedIndex._compact_layout``'s loop before the one sort: a sort per cell."""
     return np.concatenate([np.sort(lst.view()) for lst in router.lists if len(lst)])
+
+
+def _cell_major_by_members(router):
+    """``QuantizedIndex._compact_layout``'s body before the per-row cells: the
+    routed ids and cells, one sort of a (cell, id) key, and the new id -> row
+    dict."""
+    ids, cells = _members(router)
+    base = int(ids.min())
+    span = int(ids.max()) - base + 1
+    ids_new = np.sort(cells * span + (ids - base)) % span + base
+    return ids_new, dict(zip(ids_new.tolist(), range(len(ids_new))))
 
 
 def _churned(backend, rng):
@@ -286,9 +438,13 @@ def _check_against_oracles(index):
     assert np.array_equal(arrays[prefix + "assign"], _assign_per_id(router, live))
     if hasattr(index, "_compact_layout"):
         expected = _cell_major_per_cell(router)
+        expected_ids, expected_rows = _cell_major_by_members(router)
+        assert np.array_equal(expected_ids, expected)
         index._compact_layout()
         assert np.array_equal(np.asarray(index.ids), expected)
         assert np.array_equal(router.row_map.rows(expected), np.arange(len(expected)))
+        assert {i: index._id_to_row.get(i) for i in expected_rows} == expected_rows
+        assert router.row_map is index._id_to_row
         assert np.array_equal(
             index._snapshot_arrays()[prefix + "assign"],
             _assign_per_id(router, np.asarray(index.ids, dtype=np.int64)),
