@@ -27,12 +27,39 @@ float64/float32 vectors of the same dimensionalities (768 → 6 KB, 4096 →
 initialisation and adds no similarity-oriented structure, reproducing the
 finding that a general-purpose LLM's raw embeddings are a weak similarity
 signal.
+
+Pretrained checkpoints
+----------------------
+As in the paper, a client loads a pretrained encoder and only fine-tunes it.
+The weights of every entry that pretrains ship under
+``checkpoints/<name>/`` as a snapshot directory (``manifest.json`` with the
+``repro-encoder`` format tag, a spec fingerprint and the SHA-256 of the
+parameter bytes, plus one float64 ``.npy`` per parameter), so
+:func:`load_encoder` reads them instead of re-running the pretraining pass.
+:func:`_pretrain` stays the one definition they are generated from::
+
+    python -m repro.embeddings.zoo --write-checkpoints   # regenerate all
+    python -m repro.embeddings.zoo --check               # retrain, compare bytes
+
+The pass is byte-reproducible only at a fixed BLAS thread count (OpenBLAS
+rounds some of the loss's small products differently with more threads, by
+~1e-17 per gradient component), so both commands pretrain in a process
+pinned to one thread (:data:`PRETRAIN_ENV`), as ``bench/run.py`` does.
 """
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
+import hashlib
+import json
+import logging
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +67,26 @@ from repro.embeddings.featurizer import FeaturizerConfig, HashedFeaturizer
 from repro.embeddings.model import EncoderConfig, SiameseEncoder
 from repro.embeddings.optim import Adam
 from repro.embeddings.tokenizer import Tokenizer, TokenizerConfig
+from repro.index.snapshot import (
+    SnapshotError,
+    atomic_snapshot_dir,
+    read_arrays,
+    read_manifest,
+    write_arrays,
+    write_manifest,
+)
+
+logger = logging.getLogger("repro.embeddings.zoo")
+
+#: One snapshot directory per zoo entry that pretrains (``<root>/<name>/``).
+CHECKPOINT_ROOT = Path(__file__).resolve().parent / "checkpoints"
+CHECKPOINT_FORMAT = "repro-encoder"
+CHECKPOINT_VERSION = 1
+#: Named by every error about an unusable checkpoint.
+REGEN_COMMAND = "python -m repro.embeddings.zoo --write-checkpoints"
+#: Environment the checkpoints are pretrained under.  BLAS reads it once,
+#: when NumPy loads, so it pins a fresh process, not a running one.
+PRETRAIN_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 #: Domains used to synthesise the "public pretraining corpus" the zoo models
 #: are pretrained on (mirroring how MPNet/ALBERT sentence encoders are
@@ -186,7 +233,11 @@ def _pretraining_pairs(n_pairs: int) -> List[Tuple[str, str, int]]:
 
 
 def _pretrain(encoder: SiameseEncoder, spec: EncoderSpec) -> None:
-    """Run the spec's pretraining pass in place (no-op for 0 epochs)."""
+    """Run the spec's pretraining pass in place (no-op for 0 epochs).
+
+    The definition of the shipped checkpoints: ``--write-checkpoints`` stores
+    what this produces and ``--check`` compares against it byte for byte.
+    """
     if spec.pretrain_epochs <= 0:
         return
     pairs = _pretraining_pairs(spec.pretrain_pairs)
@@ -199,6 +250,93 @@ def _pretrain(encoder: SiameseEncoder, spec: EncoderSpec) -> None:
     )
 
 
+def _spec_fingerprint(spec: EncoderSpec) -> str:
+    """SHA-256 of the spec fields and module constants the pretraining reads."""
+    fields = {
+        "config": dataclasses.asdict(spec.config),
+        "pretrain_epochs": spec.pretrain_epochs,
+        "pretrain_pairs": spec.pretrain_pairs,
+        "pretrain_lr": spec.pretrain_lr,
+        "pretrain_seed": PRETRAIN_SEED,
+        "pretrain_domains": list(PRETRAIN_DOMAINS),
+    }
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+
+
+def _parameter_digest(params: Sequence[np.ndarray]) -> str:
+    """SHA-256 of the parameter arrays' bytes, in ``PARAM_NAMES`` order."""
+    digest = hashlib.sha256()
+    for array in params:
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _read_checkpoint(name: str, encoder: SiameseEncoder) -> List[np.ndarray]:
+    """The shipped parameters of zoo entry ``name``, verified.
+
+    ``encoder`` (the entry's architecture) supplies each array's expected
+    shape and dtype.  Raises :class:`SnapshotError` naming the directory and
+    :data:`REGEN_COMMAND` when the checkpoint is missing or foreign, an array
+    is missing or mis-shaped, the bytes do not hash to the manifest's digest,
+    or the manifest was written for a different spec.
+    """
+    directory = CHECKPOINT_ROOT / name
+    try:
+        manifest = read_manifest(directory, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
+        if manifest.get("fingerprint") != _spec_fingerprint(ENCODER_SPECS[name]):
+            raise SnapshotError(
+                f"it was written for a different spec of {name!r} "
+                "(the spec was edited without regenerating)"
+            )
+        arrays = read_arrays(directory, expected=SiameseEncoder.PARAM_NAMES)
+        params = [arrays[key] for key in SiameseEncoder.PARAM_NAMES]
+        for key, array in zip(SiameseEncoder.PARAM_NAMES, params):
+            want = getattr(encoder, key)
+            if array.shape != want.shape or array.dtype != want.dtype:
+                raise SnapshotError(
+                    f"array {key} is {array.dtype}{array.shape}, "
+                    f"expected {want.dtype}{want.shape}"
+                )
+        digest = _parameter_digest(params)
+        if digest != manifest.get("params_sha256"):
+            raise SnapshotError(
+                f"parameter SHA-256 {digest} does not match the manifest's "
+                f"{manifest.get('params_sha256')}"
+            )
+    except SnapshotError as exc:
+        raise SnapshotError(
+            f"zoo checkpoint {directory} is unusable: {exc}; regenerate it with "
+            f"`{REGEN_COMMAND}`"
+        ) from None
+    logger.debug("loaded %s from %s (sha256 %s)", name, directory, digest)
+    return params
+
+
+def _pinned_env() -> Dict[str, str]:
+    """Environment for a child process that pretrains: this one's, with
+    :data:`PRETRAIN_ENV` applied and this package importable."""
+    path = [str(Path(__file__).resolve().parents[2]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, **PRETRAIN_ENV, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def _write_checkpoint(name: str, encoder: SiameseEncoder) -> Path:
+    """Publish ``encoder``'s parameters as zoo entry ``name``'s checkpoint."""
+    state = encoder.state_dict()
+    manifest = {
+        "format": CHECKPOINT_FORMAT,
+        "version": CHECKPOINT_VERSION,
+        "encoder": name,
+        "fingerprint": _spec_fingerprint(ENCODER_SPECS[name]),
+        "params_sha256": _parameter_digest(list(state.values())),
+        "arrays": list(state),
+    }
+    directory = CHECKPOINT_ROOT / name
+    with atomic_snapshot_dir(directory) as stage:
+        write_arrays(stage, state)
+        write_manifest(stage, manifest)
+    return directory
+
+
 def load_encoder(name: str, seed: int | None = None, pretrained: bool = True) -> SiameseEncoder:
     """Instantiate a zoo encoder by name.
 
@@ -209,16 +347,22 @@ def load_encoder(name: str, seed: int | None = None, pretrained: bool = True) ->
         ``llama2-sim``).
     seed:
         Optional seed override (changes the "pretrained checkpoint" while
-        keeping the architecture).
+        keeping the architecture).  No checkpoint ships for a seed other than
+        the spec's own, so such a load runs the pretraining pass (seconds;
+        logged at INFO).
     pretrained:
         When True (default) the returned encoder carries the spec's
-        "public corpus" pretraining (cached per process, so repeated loads are
-        cheap).  When False the raw random initialisation is returned.
+        "public corpus" pretraining, read from its shipped checkpoint (cached
+        per process, so repeated loads are cheap).  When False the raw random
+        initialisation is returned.
 
     Raises
     ------
     KeyError
         If ``name`` is not a known zoo entry.
+    SnapshotError
+        If the shipped checkpoint is missing, corrupted or stale (see
+        :func:`_read_checkpoint`); it is never silently retrained.
     """
     try:
         spec = ENCODER_SPECS[name]
@@ -249,15 +393,19 @@ def load_encoder(name: str, seed: int | None = None, pretrained: bool = True) ->
         tokenizer,
     )
     encoder = SiameseEncoder(config, featurizer)
-    do_pretrain = pretrained and spec.pretrain_epochs > 0
-    if do_pretrain:
-        cache_key = (name, config.seed, True)
-        cached = _PRETRAINED_CACHE.get(cache_key)
-        if cached is None:
-            _pretrain(encoder, spec)
-            _PRETRAINED_CACHE[cache_key] = encoder.get_parameters()
+    if not pretrained or spec.pretrain_epochs <= 0:
+        return encoder
+    cache_key = (name, config.seed, True)
+    cached = _PRETRAINED_CACHE.get(cache_key)
+    if cached is None:
+        if config.seed == spec.config.seed:
+            cached = _read_checkpoint(name, encoder)
         else:
-            encoder.set_parameters(cached)
+            logger.info("pretraining %s at seed %d: no checkpoint for this seed", name, config.seed)
+            _pretrain(encoder, spec)
+            cached = encoder.get_parameters()
+        _PRETRAINED_CACHE[cache_key] = cached
+    encoder.set_parameters(cached)
     return encoder
 
 
@@ -267,3 +415,51 @@ def spec_for(name: str) -> EncoderSpec:
         known = ", ".join(sorted(ENCODER_SPECS))
         raise KeyError(f"unknown encoder {name!r}; known encoders: {known}")
     return ENCODER_SPECS[name]
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Regenerate (``--write-checkpoints``) or verify (``--check``) every
+    shipped checkpoint by re-running its pretraining; returns the exit code
+    (1 when ``--check`` finds a checkpoint unusable or not byte-equal)."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.embeddings.zoo",
+        description="Pretrain every zoo entry that pretrains and write or verify its checkpoint.",
+    )
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write-checkpoints", action="store_true", help="rewrite every checkpoint")
+    mode.add_argument("--check", action="store_true", help="exit 1 on any byte difference")
+    args = parser.parse_args(argv)
+    if any(os.environ.get(key) != value for key, value in PRETRAIN_ENV.items()):
+        flag = "--write-checkpoints" if args.write_checkpoints else "--check"
+        rerun = f"import sys; from repro.embeddings.zoo import main; sys.exit(main([{flag!r}]))"
+        return subprocess.call([sys.executable, "-c", rerun], env=_pinned_env())
+    failed = False
+    for name, spec in ENCODER_SPECS.items():
+        if spec.pretrain_epochs <= 0:
+            continue
+        encoder = load_encoder(name, pretrained=False)
+        _pretrain(encoder, spec)
+        if args.write_checkpoints:
+            print(f"wrote {_write_checkpoint(name, encoder)}")
+            continue
+        try:
+            shipped = _read_checkpoint(name, encoder)
+        except SnapshotError as exc:
+            print(f"FAIL {exc}")
+            failed = True
+            continue
+        differ = [
+            key
+            for key, array in zip(SiameseEncoder.PARAM_NAMES, shipped)
+            if array.tobytes() != getattr(encoder, key).tobytes()
+        ]
+        if differ:
+            print(f"FAIL {CHECKPOINT_ROOT / name}: {differ} differ from a fresh pretraining pass")
+            failed = True
+        else:
+            print(f"ok   {CHECKPOINT_ROOT / name}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

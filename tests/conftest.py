@@ -2,8 +2,8 @@
 
 Most unit tests use a deliberately tiny encoder (256 hashed features, 32
 hidden units, 64-d embeddings, no pretraining) so the whole suite stays fast;
-a handful of integration tests use the real zoo encoders, which are pretrained
-once per session and cached by the zoo.
+a handful of integration tests use the real zoo encoders, which load their
+shipped checkpoints once per session and are cached by the zoo.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def small_workload():
 
 @pytest.fixture(scope="session")
 def albert_encoder():
-    """The pretrained ALBERT-class zoo encoder (built once per session)."""
+    """The pretrained ALBERT-class zoo encoder (loaded once per session)."""
     from repro.embeddings.zoo import load_encoder
 
     return load_encoder("albert-sim")

@@ -1,7 +1,8 @@
 """Integration-level tests: encoder zoo, full FL simulation, experiment smoke runs.
 
-These use the real zoo encoders (pretrained once per session) and the quick
-experiment scale, so they are the slowest tests in the suite.
+These use the real zoo encoders (loaded from their checkpoints once per
+session) and the quick experiment scale, so they are the slowest tests in
+the suite.
 """
 
 import numpy as np
