@@ -26,6 +26,7 @@ UNSAFE_CACHE_METHODS = frozenset(
         "clear",
         "rebuild",
         "populate",
+        "lookup",
         "lookup_batch",
         "match",
         "pop",

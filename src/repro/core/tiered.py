@@ -29,10 +29,20 @@ Data movement:
 
 The tiers are disjoint (promotion removes from L2, demotion removes from
 L1), so an entry is scored **at most once per probe** across the hierarchy.
-In :meth:`TieredCache.lookup_batch`, promotions are applied only after every
-probe in the batch has been matched, so duplicate probes in one batch all
+
+A batch reaches the tier in three steps, so one tier search serves every
+L1 miss of the batch however many caches share the tier:
+:meth:`TieredCache.lookup_l1` runs the L1 pass and holds each miss back as a
+:class:`TierProbe`; :func:`match_probes` answers the held-back probes with
+one :meth:`QuantizedTier.match` per tier; :func:`serve_probes` then serves
+the matched probes and applies the promotions, cache by cache
+(:meth:`TieredCache.serve_matches`).  :meth:`TieredCache.lookup_batch` is
+the three steps for one cache; the serving layer runs them across every
+cache of a flush, all before any of its misses enrols.  Promotions are
+applied only after every probe has been matched, so duplicate probes all
 see the entry (decision parity with a single exact cache on duplicate-heavy
-traffic — pinned in ``tests/test_tiered.py``).
+traffic — pinned in ``tests/test_tiered.py``), and an entry several caches
+matched moves into the L1 of the earliest-arriving probe's cache only.
 
 Persistence: a ``QuantizedTier`` given a ``snapshot_dir`` keeps a crash-safe
 snapshot there — full generations written atomically via
@@ -49,9 +59,19 @@ from __future__ import annotations
 
 import functools
 import itertools
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -73,7 +93,7 @@ from repro.core.pipeline import first_admissible
 from repro.core.storage import object_nbytes
 from repro.core.validation import require_query_text
 from repro.embeddings.model import SiameseEncoder
-from repro.index import make_index
+from repro.index import IndexHit, make_index
 from repro.index.snapshot import (
     SnapshotError,
     append_delta,
@@ -360,52 +380,81 @@ class QuantizedTier:
     # ------------------------------------------------------------------ #
     def match(
         self,
-        embedding: np.ndarray,
+        embeddings: np.ndarray,
         top_k: int,
-        threshold: float,
-        probe_context: Optional[Callable[[], ContextChain]] = None,
-        context_threshold: float = 0.7,
-        verify_context: bool = True,
-    ) -> Optional[Tuple[int, float]]:
-        """Best admissible candidate for a probe embedding, or ``None``.
+        thresholds: Sequence[float],
+        probe_contexts: Optional[Sequence[Optional[Callable[[], ContextChain]]]] = None,
+        context_thresholds: Optional[Sequence[float]] = None,
+        verify_context: Optional[Sequence[bool]] = None,
+    ) -> List[Optional[Tuple[TierEntry, float]]]:
+        """Best admissible candidate per probe row: ``(entry, score)`` or ``None``.
 
-        The L1 lookup's decision rule
+        ``embeddings`` is a ``(q, d)`` probe matrix, searched with **one**
+        index search under one lock hold; the other arguments are per row
+        (τ is personalised per cache, so rows of several caches differ).
+        Each row takes the L1 lookup's decision rule
         (:func:`~repro.core.pipeline.first_admissible`): candidates in
-        descending score order, the first to clear ``threshold`` and (when
-        ``verify_context``) to match the probe's context chain wins.
-        ``probe_context`` is a lazy callable so the probe's chain is
-        embedded only when a candidate actually needs verification.  Counts
-        one lookup (and a hit or miss) on the tier's
+        descending score order, the first to clear its ``thresholds`` entry
+        and (when its ``verify_context`` flag is set — the default) to match
+        the probe's context chain within its ``context_thresholds`` entry
+        (default 0.7) wins.  A ``probe_contexts`` entry is a lazy callable,
+        so a chain is embedded only when a candidate actually needs
+        verification (``None``: the probe is standalone).  The entry is
+        returned as the tier held it at match time.  Counts one lookup (and
+        a hit or miss) per row on the tier's
         :class:`~repro.core.cache.CacheStats`.
         """
+        queries = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+        n = queries.shape[0]
         with self.lock:
-            best = None
-            if self._entries:
-                query = np.atleast_2d(np.asarray(embedding, dtype=np.float64))
-                hits = self._index.search(query, top_k=top_k)[0]
-                chain: List[ContextChain] = []
-
-                def context_ok(entry_id: int) -> bool:
-                    if not chain:  # embedded for the first candidate that needs it, once
-                        chain.append(
-                            probe_context() if probe_context else ContextChain.empty()
-                        )
-                    return context_matches(
-                        chain[0], self._entries[entry_id].context, context_threshold
-                    )
-
-                best, _ = first_admissible(
-                    # only rows whose entry the tier still holds
-                    [hit for hit in hits if hit.id in self._entries],
-                    threshold,
-                    context_ok if verify_context else None,
+            hit_lists = (
+                self._index.search(queries, top_k=top_k)
+                if self._entries
+                else [[] for _ in range(n)]
+            )
+            found = [
+                self._admit(*row)
+                for row in zip(
+                    hit_lists,
+                    thresholds,
+                    [None] * n if probe_contexts is None else probe_contexts,
+                    [0.7] * n if context_thresholds is None else context_thresholds,
+                    [True] * n if verify_context is None else verify_context,
                 )
-            self.stats.lookups += 1
-            if best is None:
-                self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            return int(best.id), float(best.score)
+            ]
+            hits = sum(f is not None for f in found)
+            self.stats.lookups += n
+            self.stats.hits += hits
+            self.stats.misses += n - hits
+            return found
+
+    def _admit(
+        self,
+        hits: List[IndexHit],
+        threshold: float,
+        probe_context: Optional[Callable[[], ContextChain]],
+        context_threshold: float,
+        verify_context: bool,
+    ) -> Optional[Tuple[TierEntry, float]]:
+        """One probe row's winner among its candidates (caller holds the lock)."""
+        chain: List[ContextChain] = []
+
+        def context_ok(entry_id: int) -> bool:
+            if not chain:  # embedded for the first candidate that needs it, once
+                chain.append(probe_context() if probe_context else ContextChain.empty())
+            return context_matches(
+                chain[0], self._entries[entry_id].context, context_threshold
+            )
+
+        best, _ = first_admissible(
+            # only rows whose entry the tier still holds
+            [hit for hit in hits if hit.id in self._entries],
+            threshold,
+            context_ok if verify_context else None,
+        )
+        if best is None:
+            return None
+        return self._entries[best.id], float(best.score)
 
     def clear(self) -> None:
         """Drop every entry (pending delta buffers included).
@@ -648,6 +697,84 @@ def _tier_entry_from_record(
     )
 
 
+@dataclass(eq=False)
+class TierProbe:
+    """One L1 miss held back for its tier's batched match.
+
+    :meth:`TieredCache.lookup_l1` makes one per L1 miss; :func:`match_probes`
+    fills in ``found`` — the winning tier entry as the match captured it,
+    with its score — and ``promote``; :func:`serve_probes` serves it.
+    """
+
+    cache: "TieredCache"
+    #: the probe's position in the cache's lookup batch
+    row: int
+    #: the probe's L1 decision, turned into a hit when the tier matches
+    decision: CacheDecision
+    embedding: np.ndarray
+    #: the probe's context chain, embedded on first call
+    context: Callable[[], ContextChain]
+    found: Optional[Tuple[TierEntry, float]] = None
+    #: whether the matched entry moves into this probe's cache's L1
+    promote: bool = False
+
+
+def match_probes(probes: Sequence[TierProbe]) -> None:
+    """Answer held-back L1 misses, given in arrival order: one
+    :meth:`QuantizedTier.match` per tier (per ``top_k`` when the caches
+    sharing a tier differ in it), each row under its own cache's τ and
+    context rule.
+
+    An entry matched by probes of several caches is claimed by the cache of
+    the earliest of them: only there is it promoted (if that cache promotes
+    on hit); every other probe is served it from the tier.
+    """
+    groups: Dict[Tuple[int, int], List[TierProbe]] = {}
+    for probe in probes:
+        key = (id(probe.cache.l2), probe.cache.config.top_k)
+        groups.setdefault(key, []).append(probe)
+    for (_, top_k), group in groups.items():
+        configs = [p.cache.config for p in group]
+        found = group[0].cache.l2.match(
+            np.array([p.embedding for p in group], dtype=np.float64),
+            top_k,
+            [c.similarity_threshold for c in configs],
+            [p.context for p in group],
+            [c.context_threshold for c in configs],
+            [c.verify_context for c in configs],
+        )
+        for probe, hit in zip(group, found):
+            probe.found = hit
+    claims: Dict[Tuple[int, int], TieredCache] = {}
+    for probe in probes:
+        if probe.found is not None:
+            key = (id(probe.cache.l2), probe.found[0].entry_id)
+            owner = claims.setdefault(key, probe.cache)
+            probe.promote = owner is probe.cache and owner.promote_on_hit
+
+
+def serve_probes(
+    probes: Sequence[TierProbe],
+    lock_for: Callable[["TieredCache"], ContextManager[object]] = lambda cache: nullcontext(),
+) -> None:
+    """Serve matched probes, given in arrival order, cache by cache
+    (:meth:`TieredCache.serve_matches`, each under ``lock_for(cache)``).
+
+    The caches go in the order of their earliest probe, whichever driver
+    ran the lookups, and all before any of the batch's misses enrols: no
+    enrolment's demotion can evict a matched entry ahead of its promotion,
+    and a batch ends in one state however its caches were grouped (across
+    the server's shards or in the simulator's one executor).
+    """
+    by_cache: Dict[int, List[TierProbe]] = {}
+    for probe in probes:
+        by_cache.setdefault(id(probe.cache), []).append(probe)
+    for group in by_cache.values():
+        cache = group[0].cache
+        with lock_for(cache):
+            cache.serve_matches(group)
+
+
 class _L1Cache(MeanCache):
     """MeanCache whose evictions hand the victim to a demotion hook."""
 
@@ -707,6 +834,10 @@ class TieredCache:
         # L2→L1 promotions pass through l1.insert; tracked so the combined
         # stats can report them as movement rather than new insertions.
         self._promotions = 0
+        # L1 misses this cache served from L2.  A shared tier's own hit
+        # counter counts every sharing cache's, so the combined stats use
+        # this instead.
+        self._l2_hits = 0
 
     # ------------------------------------------------------------------ #
     # MeanCache-compatible surface
@@ -733,19 +864,20 @@ class TieredCache:
         """Hierarchy-level counters derived from the per-tier stats.
 
         ``lookups``/``hits``/``misses`` see the hierarchy as one cache (an
-        L2 hit is a cache hit, not a miss); ``insertions`` counts entries
-        entering through L1 (demotions are movement, not new data);
-        ``evictions`` counts entries actually dropped (L2 FIFO evictions —
-        an L1 eviction merely demotes).  Inspect ``l1.stats`` / ``l2.stats``
-        for the per-tier view.
+        L2 hit this cache served is a cache hit, not a miss — counted per
+        cache, so caches sharing a tier do not see each other's);
+        ``insertions`` counts entries entering through L1 (demotions are
+        movement, not new data); ``evictions`` counts entries actually
+        dropped (L2 FIFO evictions — an L1 eviction merely demotes).
+        Inspect ``l1.stats`` / ``l2.stats`` for the per-tier view.
         """
-        l1, l2 = self.l1.stats, self.l2.stats
+        l1 = self.l1.stats
         return CacheStats(
             lookups=l1.lookups,
-            hits=l1.hits + l2.hits,
-            misses=max(0, l1.misses - l2.hits),
+            hits=l1.hits + self._l2_hits,
+            misses=l1.misses - self._l2_hits,
             insertions=max(0, l1.insertions - self._promotions),
-            evictions=l2.evictions,
+            evictions=self.l2.stats.evictions,
         )
 
     def tier_stats(self) -> Dict[str, CacheStats]:
@@ -788,7 +920,9 @@ class TieredCache:
         contexts: Optional[Sequence[Sequence[str]]] = None,
         embeddings: Optional[np.ndarray] = None,
     ) -> List[CacheDecision]:
-        """Batched lookup: one L1 pass, then per-miss L2 probes.
+        """Batched lookup: one L1 pass, one L2 match for all its misses,
+        then the promotions (:meth:`lookup_l1`, :func:`match_probes` and
+        :meth:`serve_matches` in a row).
 
         Each L1 miss probes L2 with the L1 decision's probe embedding (no
         re-encode) under the live τ and context rule, reusing the context
@@ -798,57 +932,79 @@ class TieredCache:
         when the batch started) — an entry is never scored twice for one
         probe.
         """
+        decisions, probes = self.lookup_l1(queries, contexts, embeddings)
+        match_probes(probes)
+        self.serve_matches(probes)
+        return decisions
+
+    def lookup_l1(
+        self,
+        queries: Sequence[str],
+        contexts: Optional[Sequence[Sequence[str]]] = None,
+        embeddings: Optional[np.ndarray] = None,
+    ) -> Tuple[List[CacheDecision], List[TierProbe]]:
+        """The L1 pass of :meth:`lookup_batch`: the L1 decisions, and each
+        L1 miss held back as a :class:`TierProbe` for the tier."""
         decisions = self.l1.lookup_batch(
             queries, contexts=contexts, embeddings=embeddings
         )
-        # l2_id -> [(decision index, score), ...]
-        matched: Dict[int, List[Tuple[int, float]]] = {}
+        probes = []
         for i, decision in enumerate(decisions):
             if decision.hit or decision.embedding is None:
                 continue
             chain = decision.context_chain
-            found = self.l2.match(
-                decision.embedding,
-                top_k=self.l1.config.top_k,
-                threshold=self.l1.config.similarity_threshold,
-                probe_context=(
+            probes.append(
+                TierProbe(
+                    self,
+                    i,
+                    decision,
+                    decision.embedding,
                     (lambda chain=chain: chain)
                     if chain is not None
                     else functools.partial(
                         self.l1._embed_context,
                         tuple(contexts[i]) if contexts is not None else (),
-                    )
-                ),
-                context_threshold=self.l1.config.context_threshold,
-                verify_context=self.l1.config.verify_context,
+                    ),
+                )
             )
-            if found is not None:
-                l2_id, score = found
-                matched.setdefault(l2_id, []).append((i, score))
-        for l2_id, probe_hits in matched.items():
-            if self.promote_on_hit:
-                entry, embedding = self.l2.pop(l2_id)
-                entry_id = self.l1.insert(
-                    entry.query,
-                    entry.response,
-                    context=entry.context,
-                    embedding=embedding,
-                )
-                self._promotions += 1
-            else:
-                entry = self.l2.entry(l2_id)
-                entry_id = l2_id
-            for i, score in probe_hits:
-                decision = decisions[i]
-                decision.hit = True
-                decision.response = entry.response
-                decision.matched_query = entry.query
-                decision.entry_id = entry_id
-                decision.similarity = score
-                decision.context_verified = (
-                    self.l1.config.verify_context and not entry.context.is_empty
-                )
-        return decisions
+        return decisions, probes
+
+    def serve_matches(self, probes: Sequence[TierProbe]) -> None:
+        """Turn this cache's matched probes into hits on their L1 decisions.
+
+        An entry the cache claimed (``promote``) moves into L1 once, and
+        every probe that matched it records its new L1 id; other matches
+        record the tier id and leave the entry in L2.  An entry that left
+        the tier between the match and its promotion (another user of the
+        tier removed it) is still served as matched, just not promoted.
+        """
+        promoted: Dict[int, int] = {}  # tier id -> L1 id
+        for probe in probes:
+            if probe.found is None:
+                continue
+            entry, score = probe.found
+            entry_id = entry.entry_id
+            if probe.promote and entry_id not in promoted:
+                with self.l2.lock:  # membership test and pop in one step
+                    embedding = self.l2.pop(entry_id)[1] if entry_id in self.l2 else None
+                if embedding is not None:
+                    promoted[entry_id] = self.l1.insert(
+                        entry.query,
+                        entry.response,
+                        context=entry.context,
+                        embedding=embedding,
+                    )
+                    self._promotions += 1
+            self._l2_hits += 1
+            decision = probe.decision
+            decision.hit = True
+            decision.response = entry.response
+            decision.matched_query = entry.query
+            decision.entry_id = promoted.get(entry_id, entry_id)
+            decision.similarity = score
+            decision.context_verified = (
+                self.l1.config.verify_context and not entry.context.is_empty
+            )
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -942,6 +1098,7 @@ class TieredCache:
                         "version": TIERED_VERSION,
                         "promote_on_hit": self.promote_on_hit,
                         "promotions": self._promotions,
+                        "l2_hits": self._l2_hits,
                     },
                 )
             self.published_at(path)
@@ -981,4 +1138,5 @@ class TieredCache:
         cache.l2 = l2
         cache.promote_on_hit = bool(manifest.get("promote_on_hit", True))
         cache._promotions = int(manifest.get("promotions", 0))
+        cache._l2_hits = int(manifest.get("l2_hits", 0))
         return cache

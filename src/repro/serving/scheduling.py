@@ -15,7 +15,11 @@ frontends cannot drift:
   :class:`~repro.serving.workload.WorkloadEvent` arrivals with two-phase
   semantics: **all** of a batch's lookups complete before **any** of its
   misses enrol, so no event can hit an entry enrolled by a later-arriving
-  event and results are independent of grouping order.  The executor owns
+  event and results are independent of grouping order.  A lookup that falls
+  through to a shared quantized tier is held back after the L1 pass and
+  answered by one batched match per tier
+  (:func:`~repro.core.tiered.match_probes`), so the rule holds across every
+  cache sharing the tier — across shards, in the server.  The executor owns
   the per-cache intent oracle (hit verification), the optional
   online-adaptation hookup, and the deferred maintenance passes (per cache,
   then once per shared tier).
@@ -45,6 +49,7 @@ import numpy as np
 
 from repro.core.cache import CacheDecision
 from repro.core.clock import VirtualClock
+from repro.core.tiered import TieredCache, TierProbe, match_probes, serve_probes
 from repro.serving.workload import WorkloadEvent
 
 
@@ -109,6 +114,21 @@ class CacheAdapter:
             kwargs["embeddings"] = embeddings
         return self.cache.lookup_batch(list(queries), **kwargs)
 
+    def lookup_held(
+        self,
+        queries: Sequence[str],
+        contexts: Sequence[Sequence[str]],
+        embeddings: Optional[np.ndarray] = None,
+    ) -> Tuple[List[CacheDecision], List[TierProbe]]:
+        """:meth:`lookup_batch`, except that a tiered cache stops after its
+        L1 pass: its misses come back held for the tier, with their L1
+        decisions (every other cache holds none back)."""
+        if isinstance(self.cache, TieredCache):
+            return self.cache.lookup_l1(
+                list(queries), [list(c) for c in contexts], embeddings
+            )
+        return self.lookup_batch(queries, contexts, embeddings), []
+
     def enroll(
         self,
         query: str,
@@ -128,6 +148,12 @@ class CacheAdapter:
         )
 
 
+#: A batch between :meth:`BatchExecutor.lookup` and the rest of
+#: :meth:`BatchExecutor.execute`: its events and their decisions by event
+#: index.
+_OpenBatch = Tuple[Sequence[WorkloadEvent], Dict[int, CacheDecision]]
+
+
 class BatchExecutor:
     """Executes batches of arrivals against per-user caches + one service.
 
@@ -137,7 +163,10 @@ class BatchExecutor:
     per-cache intent oracle used to verify hits, and the optional online
     adaptation hookup; :meth:`execute` runs one batch with the pinned
     two-phase semantics (all lookups, then misses/enrolment in arrival
-    order).
+    order).  A frontend whose batch spans several executors over one shared
+    tier (the server's shards) opens each slice with :meth:`lookup`,
+    answers and serves every slice's held-back tier probes at once, and
+    then calls :meth:`execute` per slice for the rest.
 
     ``stamp_event_time=True`` (the simulator) timestamps LLM requests with
     each event's virtual arrival time; ``False`` (the live server) lets the
@@ -172,6 +201,8 @@ class BatchExecutor:
         #: the oracle used to verify hits (user feedback stand-in)
         self._intent_maps: Dict[int, Dict[str, str]] = {}
         self._touched: Dict[int, CacheAdapter] = {}
+        #: the batch :meth:`lookup` opened for :meth:`execute`
+        self._open: Optional[_OpenBatch] = None
         self._service_accepts_now = "now" in inspect.signature(service.query).parameters
 
     # ------------------------------------------------------------------ #
@@ -202,28 +233,31 @@ class BatchExecutor:
         return adapter
 
     # ------------------------------------------------------------------ #
-    def execute(
+    def lookup(
         self,
         events: Sequence[WorkloadEvent],
         embeddings: Optional[np.ndarray] = None,
-    ) -> List[LookupOutcome]:
-        """Run one batch of arrivals; returns outcomes in input order.
+    ) -> List[Tuple[int, TierProbe]]:
+        """Step (a) of a batch: every cache's lookups, up to the shared tier.
 
-        Phase 1 — lookups.  The batch's arrivals are grouped by *underlying
-        cache object* (per-user fleets: one group per user; a shared central
-        cache: one group for the whole batch), preserving arrival order
-        within each group, and each group is classified with one
-        ``lookup_batch`` call.  ``embeddings`` (one row per event, e.g. the
-        server's single cross-user encoder call for the whole flush) is
-        sliced per group and handed to caches that accept precomputed
-        embeddings.
+        The batch's arrivals are grouped by *underlying cache object*
+        (per-user fleets: one group per user; a shared central cache: one
+        group for the whole batch), preserving arrival order within each
+        group, and each group is classified with one lookup call.
+        ``embeddings`` (one row per event, e.g. the server's single
+        cross-user encoder call for the whole flush) is sliced per group
+        and handed to caches that accept precomputed embeddings.  A tiered
+        cache stops after its L1 pass (:meth:`TieredCache.lookup_l1
+        <repro.core.tiered.TieredCache.lookup_l1>`).
 
-        Phase 2 — misses and enrolment, in input order.  All lookups
-        complete before any enrolment, so a decision can only depend on
-        entries enrolled by *previous* batches — no event can hit an entry
-        enrolled by a later-arriving event, even on a shared cache, and
-        results are independent of grouping order.
+        Returns those held-back L1 misses as ``(event index, probe)`` pairs
+        in arrival order; the caller answers and serves them
+        (:func:`~repro.core.tiered.match_probes`, then
+        :func:`~repro.core.tiered.serve_probes`) and then calls
+        :meth:`execute` with the same ``events`` object.  Opens the batch
+        for that call, discarding any batch a failed flush left open.
         """
+        self._open = None
         if self.virtual_clock is not None and len(events):
             # Window-level stamping: every entry enrolled by this batch is
             # stamped with the window's max arrival time, so stamps are
@@ -235,17 +269,54 @@ class BatchExecutor:
             adapter = self.adapter(event.user_id)
             by_cache.setdefault(id(adapter.cache), (adapter, []))[1].append(i)
         looked_up: Dict[int, CacheDecision] = {}
+        held: List[Tuple[int, TierProbe]] = []
         for adapter, rows in by_cache.values():
             group = [events[i] for i in rows]
             group_embs = embeddings[np.asarray(rows)] if embeddings is not None else None
-            results = adapter.lookup_batch(
+            results, probes = adapter.lookup_held(
                 [e.query for e in group],
                 [e.context for e in group],
                 embeddings=group_embs,
             )
             for i, result in zip(rows, results):
                 looked_up[i] = result
+            held.extend((rows[probe.row], probe) for probe in probes)
         self._touched = {id(a.cache): a for a, _ in by_cache.values()}
+        self._open = (events, looked_up)
+        held.sort(key=lambda pair: pair[0])
+        return held
+
+    def execute(
+        self,
+        events: Sequence[WorkloadEvent],
+        embeddings: Optional[np.ndarray] = None,
+    ) -> List[LookupOutcome]:
+        """Run one batch of arrivals; returns outcomes in input order.
+
+        Phase 1 — lookups: :meth:`lookup`, then one batched match per
+        shared tier over the L1 misses it held back, then the tiered
+        caches' promotions (:func:`~repro.core.tiered.serve_probes`).  When
+        :meth:`lookup` already opened a batch, its caller has answered and
+        served the held-back probes, and this call — which must get the
+        same ``events`` object — starts at phase 2.
+
+        Phase 2 — misses and enrolment, in input order.  All lookups
+        complete before any enrolment, so a decision can only depend on
+        entries enrolled by *previous* batches — no event can hit an entry
+        enrolled by a later-arriving event, even on a shared cache, and
+        results are independent of grouping order.
+        """
+        opened, self._open = self._open, None
+        if opened is None:
+            probes = [probe for _, probe in self.lookup(events, embeddings)]
+            match_probes(probes)
+            serve_probes(probes)
+            opened, self._open = self._open, None
+        elif opened[0] is not events:
+            raise RuntimeError(
+                "execute() was given other events than the batch lookup() opened"
+            )
+        _, looked_up = opened
 
         outcomes: List[LookupOutcome] = []
         for i, event in enumerate(events):

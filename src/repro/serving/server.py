@@ -64,6 +64,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.runtime import guard_cache, maybe_tracked_lock
+from repro.core.tiered import TierProbe, match_probes, serve_probes
 from repro.llm.service import SimulatedLLMService
 from repro.metrics.timing import LatencyHistogram
 from repro.serving.fleet import FleetResult, replay_windows
@@ -530,53 +531,61 @@ class CacheServer:
         if self.encoder is not None:
             self.metrics.record_thaw(self.encoder.unfreeze())
 
-    def _run_shard(
-        self,
-        shard: _Shard,
-        events: List[WorkloadEvent],
-        embeddings: Optional[np.ndarray],
-        tiers: Dict[int, object],
-    ) -> List[LookupOutcome]:
-        """Execute one shard's slice of a flush under the shard lock.
-
-        Each cache the slice touched does its own share of the deferred
-        upkeep under the same lock, after the slice's lookups and
-        enrolments; the shared tiers under those caches are collected into
-        ``tiers`` (by identity) for the flush to maintain once.
-        """
-        with shard.lock:
-            outcomes = shard.executor.execute(events, embeddings=embeddings)
-            for tier in shard.executor.maintenance():
-                tiers[id(tier)] = tier
-            return outcomes
-
     def _classify_flush(
         self, requests: List[_PendingRequest]
     ) -> List[Tuple[_PendingRequest, LookupOutcome]]:
-        """Group a flush by shard, execute each slice, restore input order.
+        """Group a flush by shard and execute it in four steps.
 
-        Shard slices run sequentially on the calling thread (each under its
-        shard lock): flushes execute one at a time anyway — per-user FIFO
-        depends on it — and with the GIL over NumPy-bound work, fanning the
-        slices out to more threads buys nothing.  Cross-request amortization
-        comes from the single flush-wide encoder call, not from shard
-        parallelism.
+        (a) Each shard slice runs its lookups under its shard lock; a tiered
+        cache's L1 misses are held back.  (b) The held-back probes of the
+        whole flush are answered in arrival order by one batched match per
+        shared tier, under the tier's lock alone.  (c) Every tiered cache
+        with a held-back probe serves its matches and applies its
+        promotions under its shard lock, caches in the order of their
+        earliest probe (:func:`~repro.core.tiered.serve_probes`, the
+        simulator's order too).  (d) Each slice, under its shard lock again,
+        forwards its misses and enrols (:meth:`BatchExecutor.execute`);
+        each cache it touched then does its own share of the deferred
+        upkeep.  So every lookup and promotion of the flush completes
+        before any of its misses enrols, across shards as within one.
+
+        Slices run sequentially on the calling thread: flushes execute one
+        at a time anyway — per-user FIFO depends on it — and with the GIL
+        over NumPy-bound work, fanning the slices out to more threads buys
+        nothing.  Cross-request amortization comes from the single
+        flush-wide encoder call and tier match, not from shard parallelism.
         """
         events = [r.event for r in requests]
         embeddings = self._embed_flush(requests)
         by_shard: Dict[int, List[int]] = {}
         for i, event in enumerate(events):
             by_shard.setdefault(self.shard_of(event.user_id), []).append(i)
-        results: List[Optional[LookupOutcome]] = [None] * len(requests)
-        tiers: Dict[int, object] = {}
+        slices = []
+        held: List[Tuple[int, TierProbe]] = []
+        shard_of_cache: Dict[int, _Shard] = {}
         for shard_idx, rows in by_shard.items():
+            shard = self._shards[shard_idx]
             shard_events = [events[i] for i in rows]
             shard_embs = (
                 embeddings[np.asarray(rows)] if embeddings is not None else None
             )
-            outcomes = self._run_shard(
-                self._shards[shard_idx], shard_events, shard_embs, tiers
-            )
+            with shard.lock:
+                probes = shard.executor.lookup(shard_events, embeddings=shard_embs)
+            for i, probe in probes:
+                held.append((rows[i], probe))
+                shard_of_cache[id(probe.cache)] = shard
+            slices.append((shard, rows, shard_events, shard_embs))
+        held.sort(key=lambda pair: pair[0])
+        probes = [probe for _, probe in held]
+        match_probes(probes)
+        serve_probes(probes, lambda cache: shard_of_cache[id(cache)].lock)
+        results: List[Optional[LookupOutcome]] = [None] * len(requests)
+        tiers: Dict[int, object] = {}
+        for shard, rows, shard_events, shard_embs in slices:
+            with shard.lock:
+                outcomes = shard.executor.execute(shard_events, embeddings=shard_embs)
+                for tier in shard.executor.maintenance():
+                    tiers[id(tier)] = tier
             for i, outcome in zip(rows, outcomes):
                 results[i] = outcome
         # Every slice has committed its tier mutations; each shared tier's

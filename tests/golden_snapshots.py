@@ -21,8 +21,9 @@ The fixtures are generated by::
 
 ``tests/test_persistence.py`` loads each one eagerly and memory-mapped and
 compares exactly.  Regenerate only for a deliberate, documented format
-change (the last: delta records carry their rows in the log line, which
-rewrote ``tier/deltas.jsonl`` and nothing else) or a value-level re-pin:
+change (the last: the tiered manifest records the L2 hits its cache
+served, ``l2_hits``, which rewrote ``tiered/manifest.json`` and its hash in
+``expected.json`` and nothing else) or a value-level re-pin:
 
 * decision level (hit/miss, matched entry, response, victim, tier,
   ``decision_sha256``) is exact and never re-pinned without a ROADMAP line;
@@ -192,8 +193,10 @@ def observe_tier(tier) -> Dict[str, object]:
     chain = ContextChain(texts=("earlier turn",), embedding=np.ones(DIM) / np.sqrt(DIM))
     matches = []
     for vector in tier_vectors()[::4]:
-        found = tier.match(vector, top_k=3, threshold=0.5, probe_context=lambda: chain)
-        matches.append(None if found is None else [found[0], float(found[1]).hex()])
+        (found,) = tier.match(vector[None], 3, [0.5], [lambda: chain])
+        matches.append(
+            None if found is None else [found[0].entry_id, float(found[1]).hex()]
+        )
     return {
         "len": len(tier),
         "ids": [e.entry_id for e in tier.entries],

@@ -513,10 +513,8 @@ def test_every_call_site_equals_the_oracle(case):
         embedded.append(1)
         return ContextChain(texts=("parent",), embedding=EAST)
 
-    found = tier.match(
-        EAST, top_k=n, threshold=tau, probe_context=probe_context, verify_context=verify
-    )
-    assert (found[0] if found is not None else None) == expected
+    (found,) = tier.match(EAST[None], n, [tau], [probe_context], verify_context=[verify])
+    assert (found[0].entry_id if found is not None else None) == expected
     assert len(embedded) <= 1
     if expected is not None:
         assert found[1] == dict(hits)[expected]

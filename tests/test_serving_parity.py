@@ -34,7 +34,7 @@ from repro.core.tiered import QuantizedTier, TieredCache
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving.fleet import FleetConfig, FleetSimulator
 from repro.serving.server import CacheServer, ServerConfig
-from repro.serving.workload import WorkloadConfig, WorkloadGenerator
+from repro.serving.workload import Trace, WorkloadConfig, WorkloadEvent, WorkloadGenerator
 
 FIXTURE_PATH = (
     Path(__file__).resolve().parent / "fixtures" / "golden_serving_decisions.json"
@@ -119,6 +119,30 @@ def _tiered_factory(encoder, snapshot_dir):
         return caches[uid]
 
     return factory, tier
+
+
+#: Unrelated questions; users "a" and "c" share a shard, "b" does not
+#: (``n_shards=4``).
+CROSS_SHARD_X = "how do I handle database sharding"
+CROSS_SHARD_Y = "what oven temperature for sourdough bread"
+CROSS_SHARD_Z = "which tax deductions can a freelancer claim"
+
+
+def _one_entry_l1s(encoder, tier_entries=None):
+    """Per-user 1-entry L1s over one shared tier (unbounded by default)."""
+    tier = QuantizedTier(max_entries=tier_entries)
+    caches = {}
+
+    def factory(uid):
+        if uid not in caches:
+            caches[uid] = TieredCache(
+                encoder,
+                MeanCacheConfig(max_entries=1, similarity_threshold=0.8),
+                l2=tier,
+            )
+        return caches[uid]
+
+    return factory, tier, caches
 
 
 def collect_parity_summary():
@@ -217,6 +241,92 @@ class TestSimulatorServerParity:
             assert float.fromhex(fused_hex) == pytest.approx(
                 float.fromhex(plain_hex), abs=1e-9
             )
+
+    def test_no_probe_sees_a_demotion_from_its_own_flush(self):
+        """``a``'s enrolment of Y demotes X into the shared tier; ``b``'s probe
+        for X in the same window must miss on both frontends, even when the
+        server runs ``a``'s shard slice first."""
+        encoder = make_tiny_encoder()
+        events = [
+            WorkloadEvent(0.0, "a", CROSS_SHARD_X),
+            WorkloadEvent(10.0, "a", CROSS_SHARD_Y),
+            WorkloadEvent(10.01, "b", CROSS_SHARD_X),
+        ]
+        trace = Trace(events, n_users=2)
+        sim_factory, _, _ = _one_entry_l1s(encoder)
+        srv_factory, _, _ = _one_entry_l1s(encoder)
+        sim_result = _run_simulator(trace, sim_factory)
+        srv_result, server = _run_server(trace, srv_factory)
+        assert server.shard_of("a") != server.shard_of("b")
+        self.assert_identical_streams(sim_result, srv_result, len(trace))
+        assert [o.hit for o in sorted(srv_result.outcomes, key=_event_key)] == [
+            False, False, False
+        ]
+
+    def test_an_entry_matched_by_two_caches_moves_into_the_earliest(self):
+        """Both probes of a tier entry are served it; the entry is popped
+        once, into the L1 of the earlier arrival — ``b``, whose shard slice
+        the server runs second (``c`` opened ``a``'s shard first)."""
+        encoder = make_tiny_encoder()
+        events = [
+            WorkloadEvent(0.0, "c", CROSS_SHARD_Y),
+            WorkloadEvent(0.01, "b", CROSS_SHARD_X),
+            WorkloadEvent(0.02, "a", CROSS_SHARD_X),
+        ]
+        trace = Trace(events, n_users=3)
+        results = []
+        for run in (_run_simulator, lambda t, f: _run_server(t, f)[0]):
+            factory, tier, caches = _one_entry_l1s(encoder)
+            embedding, _ = MeanCache(encoder).embed(CROSS_SHARD_X)
+            x_id = tier.insert(CROSS_SHARD_X, "answer X", embedding)
+            pops = []
+            pop = tier.pop
+            tier.pop = lambda entry_id: pops.append(entry_id) or pop(entry_id)
+            result = run(trace, factory)
+            hits = {o.event.user_id: o for o in result.outcomes}
+            assert hits["a"].hit and hits["b"].hit and not hits["c"].hit
+            assert hits["a"].response == hits["b"].response == "answer X"
+            assert pops == [x_id] and x_id not in tier
+            assert [e.query for e in caches["b"].l1.entries] == [CROSS_SHARD_X]
+            assert [e.query for e in caches["a"].l1.entries] == []
+            results.append(result)
+        self.assert_identical_streams(*results, len(trace))
+
+    def test_every_promotion_lands_before_any_enrolment(self):
+        """``b``'s probe matches X in the full one-entry tier; ``c``, which
+        arrived first and whose shard slice the server runs first, enrols Z
+        and so demotes W into that tier.  On both frontends X moves into
+        ``b``'s L1 before W arrives, so ``b``'s re-ask of X in a later
+        window hits in L1 — W's demotion never evicts X from the hierarchy."""
+        encoder = make_tiny_encoder()
+        events = [
+            WorkloadEvent(0.0, "c", CROSS_SHARD_Z),
+            WorkloadEvent(0.01, "b", CROSS_SHARD_X),
+            WorkloadEvent(10.0, "b", CROSS_SHARD_X),
+        ]
+        trace = Trace(events, n_users=2)
+        results, servers = [], []
+
+        def run_server(trace, factory):
+            result, server = _run_server(trace, factory)
+            servers.append(server)
+            return result
+
+        for run in (_run_simulator, run_server):
+            factory, tier, caches = _one_entry_l1s(encoder, tier_entries=1)
+            embedding, _ = MeanCache(encoder).embed(CROSS_SHARD_X)
+            tier.insert(CROSS_SHARD_X, "answer X", embedding)
+            factory("c").insert(CROSS_SHARD_Y, "answer W")
+            result = run(trace, factory)
+            served = [(o.event.user_id, o.hit) for o in sorted(result.outcomes, key=_event_key)]
+            assert served == [("b", True), ("b", True), ("c", False)]
+            assert [e.query for e in tier.entries] == [CROSS_SHARD_Y]
+            assert [e.query for e in caches["b"].l1.entries] == [CROSS_SHARD_X]
+            assert caches["b"].l1.stats.hits == 1
+            results.append(result)
+        (server,) = servers
+        assert server.shard_of("b") != server.shard_of("c")
+        self.assert_identical_streams(*results, len(trace))
 
     def test_golden_fixture_pin(self):
         """Both frontends still reproduce the committed decision stream."""

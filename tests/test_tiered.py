@@ -29,10 +29,13 @@ from hypothesis import strategies as st
 
 from conftest import make_tiny_encoder
 
-from repro.core.cache import MeanCache, MeanCacheConfig
-from repro.core.tiered import QuantizedTier, TieredCache
+from repro.core.cache import CacheStats, MeanCache, MeanCacheConfig
+from repro.core.context import ContextChain
+from repro.core.tiered import QuantizedTier, TieredCache, match_probes
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
+from repro.serving.scheduling import BatchExecutor
 from repro.serving.server import CacheServer, ServerConfig
+from repro.serving.workload import WorkloadEvent
 
 # L2 stays in its exact float staging phase below min_train_size, which
 # makes tier scores identical to flat search — the parity tests rely on
@@ -326,19 +329,184 @@ def test_combined_stats_view():
     assert breakdown["l1_bytes"] > 0 and breakdown["l2_bytes"] > 0
 
 
+def test_stats_count_only_the_l2_hits_a_cache_served(tmp_path):
+    """A shared tier's hit counter is every sharing cache's; each cache's
+    combined stats count the L2 hits it served itself, and keep them across
+    a save/load."""
+    encoder = make_tiny_encoder()
+    tier = QuantizedTier(params=dict(UNTRAINED))
+    idle, busy = (_tiered(encoder, l1_entries=2, l2=tier) for _ in range(2))
+    queries = _queries(4)
+    for q in queries:
+        busy.insert(q, f"response to {q}")
+    assert busy.lookup(queries[0]).hit  # served from L2
+    assert tier.stats.hits == 1
+    assert idle.stats == CacheStats()
+    assert (busy.stats.lookups, busy.stats.hits, busy.stats.misses) == (1, 1, 0)
+    restored = TieredCache.load(busy.save(tmp_path / "busy"), encoder)
+    assert restored.stats == busy.stats
+
+
+# --------------------------------------------------------------------------- #
+# The batched tier match
+# --------------------------------------------------------------------------- #
+DIM = 16
+
+
+def _routed_tier(n=400):
+    """A trained, maintained ``ivf+sq8`` tier of ``n`` random entries."""
+    vectors = np.random.default_rng(0).normal(size=(n, DIM))
+    tier = QuantizedTier(dim=DIM, backend="ivf+sq8", params={"nlist": 16, "seed": 0})
+    for i, vector in enumerate(vectors):
+        tier.insert(f"q{i}", f"r{i}", vector)
+    tier.maintenance()
+    return tier, vectors
+
+
+def _near(vectors):
+    """Probes a little off ``vectors``."""
+    return vectors + 0.05 * np.random.default_rng(1).normal(size=vectors.shape)
+
+
+def _found(found):
+    return None if found is None else (found[0].entry_id, float(found[1]).hex())
+
+
+def test_batched_match_equals_single_row_matches():
+    tier, vectors = _routed_tier()
+    probes = np.concatenate([_near(vectors[:5]), np.random.default_rng(2).normal(size=(4, DIM))])
+    batched = [_found(f) for f in tier.match(probes, 5, [0.9] * len(probes))]
+    singles = [_found(tier.match(p[None], 5, [0.9])[0]) for p in probes]
+    assert batched == singles
+    assert None in batched and batched[:5] == [(i, batched[i][1]) for i in range(5)]
+
+
+def test_batched_match_counts_one_lookup_per_row():
+    tier, vectors = _routed_tier()
+    before = CacheStats(**vars(tier.stats))
+    found = tier.match(_near(vectors[:3]), 5, [0.9, 0.9, 2.0])
+    assert [f is not None for f in found] == [True, True, False]
+    assert tier.stats.lookups == before.lookups + 3
+    assert tier.stats.hits == before.hits + 2
+    assert tier.stats.misses == before.misses + 1
+
+
+def test_batched_match_takes_tau_per_row():
+    tier, vectors = _routed_tier()
+    probe = _near(vectors[3:4])
+    ((entry, score),) = tier.match(probe, 5, [-1.0])
+    low, high = tier.match(np.repeat(probe, 2, axis=0), 5, [score - 1e-9, score + 1e-9])
+    assert low is not None and low[0] is entry
+    assert high is None
+
+
+def test_batched_match_embeds_a_context_only_where_a_candidate_needs_it():
+    """Row 0 has a candidate to verify; row 1 has none above its τ; row 2
+    does not verify context."""
+    tier, vectors = _routed_tier()
+    embedded = []
+
+    def chain(row):
+        def embed():
+            embedded.append(row)
+            return ContextChain.empty()
+
+        return embed
+
+    found = tier.match(
+        vectors[:3],
+        5,
+        [0.5, 2.0, 0.5],
+        [chain(0), chain(1), chain(2)],
+        verify_context=[True, True, False],
+    )
+    assert embedded == [0]
+    assert [f is not None for f in found] == [True, False, True]
+
+
+@pytest.mark.serving
+def test_a_shard_serves_its_next_flush_after_a_failed_one():
+    """A flush whose tier match raised fails its own requests and leaves
+    its shards' lookups open; the next flush discards them and is served
+    from the tier as usual."""
+    encoder = make_tiny_encoder()
+    tier = QuantizedTier(params=dict(UNTRAINED))
+    query = _queries(1)[0]
+    tier.insert(query, "from the tier", MeanCache(encoder).embed(query)[0])
+    match = tier.match
+
+    def fail_once(*args, **kwargs):
+        tier.match = match
+        raise RuntimeError("tier down")
+
+    tier.match = fail_once
+    server = CacheServer(
+        cache_factory=lambda uid: _tiered(encoder, l2=tier),
+        service=SimulatedLLMService(LLMServiceConfig(seed=0), thread_safe=True),
+        config=ServerConfig(n_shards=2, max_batch_wait_s=0.0),
+    )
+    server.start()
+    try:
+        with pytest.raises(RuntimeError, match="tier down"):
+            server.submit_threadsafe("u", query).result(timeout=10)
+        response = server.submit_threadsafe("u", query).result(timeout=10)
+    finally:
+        server.stop()
+    assert response.hit and response.response == "from the tier"
+    assert server.metrics.failed == 1 and query not in {e.query for e in tier.entries}
+
+
+def test_a_match_that_left_the_tier_is_served_but_not_promoted():
+    """Another user of the tier removed the matched entry between the match
+    and the promotion: the probe is still served the entry as matched, and
+    nothing moves into L1."""
+    encoder = make_tiny_encoder()
+    tier = QuantizedTier(params=dict(UNTRAINED))
+    x = _queries(1)[0]
+    x_id = tier.insert(x, "answer X", MeanCache(encoder).embed(x)[0])
+    cache = _tiered(encoder, l2=tier)
+    decisions, probes = cache.lookup_l1([x])
+    match_probes(probes)
+    assert probes[0].promote
+    tier.pop(x_id)
+    cache.serve_matches(probes)
+    (decision,) = decisions
+    assert decision.hit and decision.response == "answer X"
+    assert decision.entry_id == x_id
+    assert len(cache.l1) == 0 and len(tier) == 0
+    assert cache.stats.hits == 1
+
+
+def test_execute_refuses_events_other_than_the_open_batch():
+    """Once :meth:`BatchExecutor.lookup` opened a batch, ``execute`` with
+    another events list raises instead of looking it up a second time; the
+    refused batch is dropped, so the next ``execute`` runs a whole batch."""
+    encoder = make_tiny_encoder()
+    cache = _tiered(encoder)
+    executor = BatchExecutor(
+        lambda uid: cache, SimulatedLLMService(LLMServiceConfig(seed=0))
+    )
+    events = [WorkloadEvent(0.0, "u", _queries(1)[0])]
+    executor.lookup(events)
+    with pytest.raises(RuntimeError, match="other events"):
+        executor.execute(list(events))
+    assert cache.l1.stats.lookups == 1
+    (outcome,) = executor.execute(events)
+    assert not outcome.hit and cache.l1.stats.lookups == 2
+
+
 # --------------------------------------------------------------------------- #
 # Persistence round-trips (Hypothesis op sequences)
 # --------------------------------------------------------------------------- #
-DIM = 16
 
 
 def _probe_signature(tier, probes):
     """Byte-exact signature of the tier's match decisions for ``probes``."""
     out = []
     for p in probes:
-        found = tier.match(p, top_k=5, threshold=-2.0, verify_context=False)
+        (found,) = tier.match(p[None], 5, [-2.0], verify_context=[False])
         out.append(
-            (found[0], float(found[1]).hex()) if found is not None else None
+            (found[0].entry_id, float(found[1]).hex()) if found is not None else None
         )
     return out
 
