@@ -17,7 +17,7 @@ from the cache when the best cosine similarity reaches a fixed threshold of
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence
 
@@ -34,17 +34,17 @@ from repro.index.registry import resolve_index, validate_backend
 from repro.index.snapshot import (
     SnapshotError,
     load_cache_snapshot,
-    native_float_dtype,
     record_blocks,
     save_cache_snapshot,
-    stack_rows,
 )
 
 #: Snapshot format tag / version of ``GPTCache.save`` directories.
-#: Version 2 writes atomically and stores embeddings as a raw ``.npy`` at
-#: the index's native dtype.
+#: Version 2 writes atomically and stores embeddings as a raw ``.npy``.
+#: Version 3 stores each vector once, in the nested ``index/`` snapshot,
+#: and has no ``arrays/`` (a v2 snapshot still loads; its copy is checked,
+#: then dropped).
 GPTCACHE_FORMAT = "repro-gptcache"
-GPTCACHE_VERSION = 2
+GPTCACHE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,25 @@ class GPTCacheConfig:
 
 @dataclass
 class _StoredEntry:
+    """One central entry: texts and attribution over its index row."""
+
     query: str
     response: str
-    embedding: np.ndarray
     user_id: str
+    entry_id: int
+    #: the cache's vector index, which holds this entry's row
+    index: VectorIndex = field(repr=False, compare=False)
+
+    @property
+    def embedding(self) -> np.ndarray:
+        """The entry's vector, read from its index row."""
+        return self.index.get(self.entry_id)
 
     def nbytes(self) -> int:
+        """Text footprint (the vector is counted by the index)."""
         return (
             object_nbytes(self.query)
             + object_nbytes(self.response)
-            + int(self.embedding.nbytes)
             + object_nbytes(self.user_id)
         )
 
@@ -137,16 +146,14 @@ class GPTCache:
         return sorted({e.user_id for e in self._entries})
 
     def embedding_storage_bytes(self) -> int:
-        """Bytes used by the stored (float64) embeddings, as in the seed.
-
-        The index's float32 search matrix is separate bookkeeping; inspect
-        ``self._index.nbytes`` for its footprint.
-        """
-        return sum(int(e.embedding.nbytes) for e in self._entries)
+        """Bytes of the vector state the cache holds: the index's live rows
+        (with norms and ids) and any codec or routing tables.  Each entry's
+        vector is counted once, as its index row."""
+        return self._index.storage_nbytes
 
     def total_storage_bytes(self) -> int:
         """Bytes used by the whole central cache."""
-        return sum(e.nbytes() for e in self._entries)
+        return self.embedding_storage_bytes() + sum(e.nbytes() for e in self._entries)
 
     # ------------------------------------------------------------------ #
     def embed(self, text: str) -> tuple[np.ndarray, float]:
@@ -166,11 +173,9 @@ class GPTCache:
         require_query_text(query)
         if embedding is None:
             embedding, _ = self.embed(query)
-        embedding = np.asarray(embedding, dtype=np.float64).reshape(-1)
-        self._index.add(embedding, id=len(self._entries))
-        self._entries.append(
-            _StoredEntry(query=query, response=response, embedding=embedding, user_id=user_id)
-        )
+        entry_id = len(self._entries)
+        self._index.add(np.asarray(embedding, dtype=np.float64).reshape(-1), id=entry_id)
+        self._entries.append(_StoredEntry(query, response, user_id, entry_id, self._index))
 
     def populate(
         self, queries: Sequence[str], responses: Optional[Sequence[str]] = None, user_id: str = "default"
@@ -297,18 +302,14 @@ class GPTCache:
     def save(self, path: "str | Path") -> Path:
         """Snapshot the central cache to a directory (see ``MeanCache.save``).
 
-        The same envelope with the baseline's payload: config, hit counters,
-        every entry's texts/user id and the embeddings.
+        The same envelope with the baseline's payload: config, hit counters
+        and every entry's texts/user id; the vectors live once, in the
+        nested ``index/`` snapshot.
         """
         records = [
             {"query": e.query, "response": e.response, "user_id": e.user_id}
             for e in self._entries
         ]
-        embeddings = stack_rows(
-            [e.embedding for e in self._entries],
-            self._index.dim or 0,
-            native_float_dtype(self._index),
-        )
         config = asdict(self.config)
         config["index_params"] = (
             dict(self.config.index_params) if self.config.index_params else None
@@ -324,7 +325,7 @@ class GPTCache:
             GPTCACHE_VERSION,
             payload,
             record_blocks(records),
-            {"embeddings": embeddings},
+            {},
             self._index,
         )
 
@@ -344,18 +345,19 @@ class GPTCache:
             cache = cls(encoder=encoder, config=GPTCacheConfig(**manifest["config"]))
             cache.lookups = int(manifest["lookups"])
             cache.hits = int(manifest["hits"])
-            return cache
+            return cache, int(manifest["version"])
 
-        cache, index, meta, data, _ = load_cache_snapshot(
-            path, GPTCACHE_FORMAT, GPTCACHE_VERSION, build, required=("embeddings",)
+        (cache, version), index, meta, data, _ = load_cache_snapshot(
+            path, GPTCACHE_FORMAT, GPTCACHE_VERSION, build, required=()
         )
         cache._index = index
-        # Keep the stored dtype: snapshots persist at the index's native dtype.
-        embeddings = np.asarray(data["embeddings"])
-        if len(meta) != embeddings.shape[0]:
+        if version < 3 and len(data.get("embeddings", ())) != len(meta):
+            # Before v3 each vector was stored a second time beside the
+            # index's rows; the copy must line up with the entries, and is
+            # then dropped.
             raise SnapshotError(
                 f"snapshot at {path} is inconsistent: {len(meta)} entry records "
-                f"vs {embeddings.shape[0]} embeddings"
+                f"vs {len(data.get('embeddings', ()))} embeddings"
             )
         # The baseline never evicts, so index ids must be exactly the list
         # positions — anything else is a corrupted/mixed snapshot.
@@ -365,12 +367,7 @@ class GPTCache:
                 "positions differ"
             )
         cache._entries = [
-            _StoredEntry(
-                query=record["query"],
-                response=record["response"],
-                embedding=embedding,
-                user_id=record["user_id"],
-            )
-            for record, embedding in zip(meta, embeddings)
+            _StoredEntry(record["query"], record["response"], record["user_id"], i, index)
+            for i, record in enumerate(meta)
         ]
         return cache

@@ -1,8 +1,9 @@
 """MeanCache: the user-side semantic cache (paper Algorithm 1 + Figure 1).
 
 A :class:`MeanCache` instance lives on the user's device.  Each cached entry
-holds the query text, its response, its (optionally PCA-compressed) embedding
-and its context chain.  On a lookup the cache:
+holds the query text, its response and its context chain; the query's
+(optionally PCA-compressed) embedding is stored once, as the entry's row in
+the vector index.  On a lookup the cache:
 
 1. embeds the query with the (FL-fine-tuned) local encoder,
 2. retrieves the top-k most similar cached queries by cosine similarity from
@@ -45,15 +46,15 @@ from repro.index.snapshot import (
     native_float_dtype,
     record_blocks,
     save_cache_snapshot,
-    stack_rows,
 )
 
 #: Snapshot format tag / version of ``MeanCache.save`` directories.
-#: Version 2 writes atomically (staged + renamed), stores arrays as raw
-#: per-array ``.npy`` files and persists embeddings at the index's native
-#: dtype.
+#: Version 2 writes atomically (staged + renamed) and stores arrays as raw
+#: per-array ``.npy`` files.  Version 3 stores each vector once, in the
+#: nested ``index/`` snapshot: v2's ``arrays/embeddings.npy`` copy is gone
+#: (a v2 snapshot still loads; its copy is checked, then dropped).
 MEANCACHE_FORMAT = "repro-meancache"
-MEANCACHE_VERSION = 2
+MEANCACHE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -123,24 +124,34 @@ class MeanCacheConfig:
 
 @dataclass
 class CacheEntry:
-    """One cached (query, response) pair with its embedding and context."""
+    """One cached (query, response) pair with its context chain.
+
+    The query's vector is not kept here: it lives once, as the entry's row
+    in the owning cache's vector index, and :attr:`embedding` reads it there.
+    """
 
     query: str
     response: str
-    embedding: np.ndarray
     context: ContextChain
     entry_id: int
+    #: the owning cache's vector index, which holds this entry's row
+    index: VectorIndex = field(repr=False, compare=False)
     created_at: float = 0.0
     last_accessed: float = 0.0
     hit_count: int = 0
 
+    @property
+    def embedding(self) -> np.ndarray:
+        """The entry's vector, read from its index row (a fresh float64
+        array; exact for a float index, dequantized for a quantized one)."""
+        return self.index.get(self.entry_id)
+
     def nbytes(self) -> int:
-        """Approximate storage footprint of the entry."""
+        """Text + context footprint (the vector is counted by the index)."""
         return (
             object_nbytes(self.query)
             + object_nbytes(self.response)
-            + int(self.embedding.nbytes)
-            + (int(self.context.embedding.nbytes) if self.context.embedding is not None else 0)
+            + self.context.nbytes
             + sum(object_nbytes(t) for t in self.context.texts)
         )
 
@@ -272,23 +283,19 @@ class MeanCache:
         return self.encoder.embedding_dim
 
     def embedding_storage_bytes(self) -> int:
-        """Bytes used by cached query embeddings (the Fig. 10a quantity).
+        """Bytes of the vector state the cache holds (the Fig. 10a quantity).
 
-        Counts the embeddings the entries store (float64 for a live-built
-        cache, the index's native dtype after a snapshot reload) plus the
-        context-chain embeddings.  The index's float32 search matrix is a
-        separate structure; inspect ``cache.index.nbytes`` for its
-        footprint.
+        The index's live rows (with their norms and ids) and any codec or
+        routing tables, plus the context-chain embeddings.  Each entry's
+        vector is counted once, as its index row: no entry keeps a copy.
         """
-        return sum(
-            int(e.embedding.nbytes)
-            + (int(e.context.embedding.nbytes) if e.context.embedding is not None else 0)
-            for e in self._entries.values()
+        return self._index.storage_nbytes + sum(
+            e.context.nbytes for e in self._entries.values()
         )
 
     def total_storage_bytes(self) -> int:
-        """Bytes used by the whole cache (texts + responses + embeddings)."""
-        return sum(entry.nbytes() for entry in self._entries.values())
+        """Bytes used by the whole cache (texts + responses + vector state)."""
+        return self._index.storage_nbytes + sum(e.nbytes() for e in self._entries.values())
 
     # ------------------------------------------------------------------ #
     # Embedding helpers
@@ -496,12 +503,14 @@ class MeanCache:
         while len(self._entries) >= self.config.max_entries:
             self._evict_one()
 
+        # The index copies ``embedding`` into its row; nothing else keeps it,
+        # so a row view of a lookup batch's probe matrix pins nothing.
         entry = CacheEntry(
             query=query,
             response=response,
-            embedding=embedding,
-            context=chain,
+            context=chain.stored_at(native_float_dtype(self._index)),
             entry_id=self._next_id,
+            index=self._index,
             created_at=self.clock(),
             last_accessed=self.clock(),
         )
@@ -531,7 +540,10 @@ class MeanCache:
         self.insert(query, response, context=context, embedding=embedding)
 
     def _write_through(self, entry: CacheEntry) -> None:
-        """Write ``entry`` through to the attached store, if any."""
+        """Write ``entry`` through to the attached store, if any.
+
+        The store is a mirror: its ``"embedding"`` is read from the entry's
+        index row, not a copy the cache keeps."""
         if self.store is not None:
             self.store.set(
                 f"entry:{entry.entry_id}",
@@ -617,10 +629,12 @@ class MeanCache:
         embs = self.encoder.encode(texts, compress=self.config.compressed)
         embs = np.atleast_2d(np.asarray(embs, dtype=np.float64))
         self._index.rebuild(embs, ids=[e.entry_id for e in live])
-        for i, entry in enumerate(live):
-            entry.embedding = embs[i]
+        native = native_float_dtype(self._index)
+        for entry in live:
             if not entry.context.is_empty:
-                entry.context = self._embed_context(list(entry.context.texts))
+                entry.context = self._embed_context(list(entry.context.texts)).stored_at(
+                    native
+                )
 
     def maintenance(self) -> None:
         """Off-query-path upkeep: delegate to the index's maintenance hook.
@@ -655,8 +669,9 @@ class MeanCache:
         One cache snapshot envelope (:func:`repro.index.snapshot.
         save_cache_snapshot`): the manifest carries config, stats,
         eviction-policy state and the next entry id; ``entries.json`` the
-        texts and per-entry metadata; ``arrays/`` the entry and context-chain
-        embeddings.  :meth:`load` rebuilds a cache whose lookup decisions are
+        texts and per-entry metadata; ``arrays/`` the entry ids and the
+        context-chain embeddings; the vectors live once, in the nested
+        ``index/`` snapshot.  :meth:`load` rebuilds a cache whose lookup decisions are
         byte-identical to this one's.  The encoder is *not* serialized —
         model weights are distributed by the FL pipeline, so ``load`` takes
         the encoder as an argument.
@@ -674,15 +689,15 @@ class MeanCache:
             }
             for e in entries
         ]
-        dim = entries[0].embedding.shape[0] if entries else (self._index.dim or 0)
-        native = native_float_dtype(self._index)
+        dim = self._index.dim or 0
         arrays = {
-            "embeddings": stack_rows([e.embedding for e in entries], dim, native),
             "entry_ids": np.asarray(
                 [int(e.entry_id) for e in entries], dtype=np.int64
             ),
             **pack_context_embeddings(
-                ((e.entry_id, e.context.embedding) for e in entries), dim, native
+                ((e.entry_id, e.context.embedding) for e in entries),
+                dim,
+                native_float_dtype(self._index),
             ),
         }
         config = asdict(self.config)
@@ -732,14 +747,14 @@ class MeanCache:
             cache.stats = CacheStats(**manifest["stats"])
             cache._policy = make_policy(manifest["policy"]["name"])
             cache._policy.load_state_dict(manifest["policy"]["state"])
-            return cache, manifest.get("embedding_dim")
+            return cache, manifest.get("embedding_dim"), int(manifest["version"])
 
-        (cache, saved_dim), index, meta, data, _ = load_cache_snapshot(
+        (cache, saved_dim, version), index, meta, data, _ = load_cache_snapshot(
             path,
             MEANCACHE_FORMAT,
             MEANCACHE_VERSION,
             build,
-            required=("embeddings", "entry_ids", "ctx_entry_ids", "ctx_embeddings"),
+            required=("entry_ids", "ctx_entry_ids", "ctx_embeddings"),
         )
         cache._index = index
         if (
@@ -751,33 +766,38 @@ class MeanCache:
                 f"snapshot at {path} is inconsistent: manifest embedding_dim "
                 f"{saved_dim} vs index dim {index.dim}"
             )
-        # Keep the stored dtype: snapshots persist at the index's native
-        # dtype, so the restored in-memory footprint matches the on-disk
-        # bytes instead of silently doubling back to float64.
-        embeddings = np.asarray(data["embeddings"])
         entry_ids = [int(i) for i in np.asarray(data["entry_ids"])]
-        ctx_embedding_of = unpack_context_embeddings(data)
         if len(meta) != len(entry_ids):
             raise SnapshotError(
                 f"snapshot at {path} is inconsistent: {len(meta)} entry records "
-                f"vs {len(entry_ids)} embeddings"
+                f"vs {len(entry_ids)} entry ids"
             )
+        if version < 3 and len(data.get("embeddings", ())) != len(entry_ids):
+            # Before v3 each vector was stored a second time beside the
+            # index's rows; the copy must line up with the entries, and is
+            # then dropped (the rows are what searches read).
+            raise SnapshotError(
+                f"snapshot at {path} is inconsistent: {len(entry_ids)} entries "
+                f"vs {len(data.get('embeddings', ()))} embeddings"
+            )
+        native = native_float_dtype(index)
+        ctx_embedding_of = unpack_context_embeddings(data)
         entries: Dict[int, CacheEntry] = {}
-        for record, entry_id, embedding in zip(meta, entry_ids, embeddings):
+        for record, entry_id in zip(meta, entry_ids):
             if int(record["entry_id"]) != entry_id:
                 raise SnapshotError(
                     f"snapshot at {path} is inconsistent: entries.json and "
-                    "the embedding arrays disagree on entry ids"
+                    "the entry id array disagree on entry ids"
                 )
             entries[entry_id] = CacheEntry(
                 query=record["query"],
                 response=record["response"],
-                embedding=embedding,
                 context=ContextChain(
                     texts=tuple(record["context"]),
                     embedding=ctx_embedding_of.get(entry_id),
-                ),
+                ).stored_at(native),
                 entry_id=entry_id,
+                index=index,
                 created_at=float(record["created_at"]),
                 last_accessed=float(record["last_accessed"]),
                 hit_count=int(record["hit_count"]),

@@ -32,7 +32,8 @@ class CompressionReport:
 
     @property
     def embedding_saving_fraction(self) -> float:
-        """Fraction of embedding storage saved (≈0.83 at 768→64 plus context chains)."""
+        """Fraction of embedding storage saved (≈0.91 at 768→64: float32 index
+        rows of 3,084 vs 268 B, plus context chains)."""
         if self.original_embedding_bytes == 0:
             return 0.0
         return 1.0 - self.compressed_embedding_bytes / self.original_embedding_bytes

@@ -64,6 +64,19 @@ class ContextChain:
             embedding = mean / norm if norm > 1e-12 else mean
         return cls(texts=texts, embedding=embedding)
 
+    def stored_at(self, dtype: np.dtype) -> "ContextChain":
+        """This chain as a cache stores it: the embedding as a private
+        ``dtype`` array (the cache's index dtype), sharing no memory with
+        the array it was built from."""
+        if self.embedding is None:
+            return self
+        return ContextChain(self.texts, np.array(self.embedding, dtype=dtype))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the chain embedding (0 for a standalone chain)."""
+        return 0 if self.embedding is None else int(self.embedding.nbytes)
+
     def similarity_to(self, other: "ContextChain") -> float:
         """Cosine similarity between two chain embeddings.
 

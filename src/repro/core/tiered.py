@@ -11,7 +11,7 @@ building blocks into that memory hierarchy:
   check).  Hot entries live here at full precision.
 * **L2** — a large :class:`QuantizedTier` over a quantized index (``sq8``
   or ``ivf+sq8``): per-entry storage is the code row (1 byte per dimension)
-  instead of a float64 embedding plus a float32 index row.
+  instead of L1's float32 index row.
   One ``QuantizedTier`` may be **shared** by many ``TieredCache`` instances —
   the :class:`~repro.serving.server.CacheServer` slots a ``TieredCache`` in
   as the shard-local cache with the quantized tier shared across shards (the
@@ -24,8 +24,8 @@ Data movement:
   live τ and context-verification rule, so no query is re-encoded;
 * an **L2 hit promotes** the entry into L1 (the dequantized vector is
   reconstructed from the code row — again no re-encode);
-* an **L1 eviction demotes** the victim into L2, re-using the entry's stored
-  embedding.
+* an **L1 eviction demotes** the victim into L2, quantizing the entry's L1
+  index row (again no re-encode).
 
 The tiers are disjoint (promotion removes from L2, demotion removes from
 L1), so an entry is scored **at most once per probe** across the hierarchy.
@@ -120,9 +120,8 @@ TIER_VERSION = 1
 class TierEntry:
     """One demoted (query, response) pair resident in the quantized tier.
 
-    Unlike :class:`~repro.core.cache.CacheEntry` there is **no** per-entry
-    float embedding: the vector lives only as a code row in the tier's
-    quantized index, which is the whole bytes-per-entry win.  Frozen: the
+    Like :class:`~repro.core.cache.CacheEntry` it holds **no** vector: the
+    vector lives only as a code row in the tier's quantized index.  Frozen: the
     tier renders an entry's ``entries.json`` block once and reuses it in
     every later snapshot (:meth:`QuantizedTier.save`).
     """
@@ -137,11 +136,7 @@ class TierEntry:
         return (
             object_nbytes(self.query)
             + object_nbytes(self.response)
-            + (
-                int(self.context.embedding.nbytes)
-                if self.context.embedding is not None
-                else 0
-            )
+            + self.context.nbytes
             + sum(object_nbytes(t) for t in self.context.texts)
         )
 
@@ -270,11 +265,9 @@ class QuantizedTier:
     def embedding_storage_bytes(self) -> int:
         """Bytes of vector state: code rows + codec/routing + ctx chains."""
         with self.lock:
-            total = int(self._index.nbytes)
-            total += int(self._index.codec_nbytes)
-            total += int(self._index.routing_nbytes)
-            total += sum(int(e.nbytes) for e in self._ctx.values())
-            return total
+            return self._index.storage_nbytes + sum(
+                int(e.nbytes) for e in self._ctx.values()
+            )
 
     def total_storage_bytes(self) -> int:
         """Bytes of the whole tier: texts + contexts + index payload, and
@@ -779,7 +772,7 @@ class _L1Cache(MeanCache):
     """MeanCache whose evictions hand the victim to a demotion hook."""
 
     #: set by the owning TieredCache; receives the full CacheEntry *before*
-    #: it leaves L1 (embedding and context chain intact — no re-encode).
+    #: it leaves L1 (its index row and context chain intact — no re-encode).
     on_evict: Optional[Callable[[CacheEntry], None]] = None
 
     def _evict_one(self) -> None:
@@ -885,7 +878,8 @@ class TieredCache:
         return {"l1": self.l1.stats, "l2": self.l2.stats}
 
     def embedding_storage_bytes(self) -> int:
-        """Embedding bytes across both tiers (L1 float entries + L2 codes)."""
+        """Vector bytes across both tiers (L1 float rows + L2 codes, and
+        both tiers' context chains)."""
         return self.l1.embedding_storage_bytes() + self.l2.embedding_storage_bytes()
 
     def total_storage_bytes(self) -> int:
@@ -895,15 +889,14 @@ class TieredCache:
     def storage_breakdown(self) -> Dict[str, int]:
         """Fleet-accounting view: entries and bytes per tier.
 
-        ``l1_bytes`` counts the exact tier's entry embeddings plus its
-        float index rows; ``l2_bytes`` counts the quantized payload (code
+        ``l1_bytes`` counts the exact tier's float index rows plus its
+        context chains; ``l2_bytes`` counts the quantized payload (code
         rows + codec/routing tables + context chains).
         """
         return {
             "l1_entries": len(self.l1),
             "l2_entries": len(self.l2),
-            "l1_bytes": self.l1.embedding_storage_bytes()
-            + int(self.l1.index.nbytes),
+            "l1_bytes": self.l1.embedding_storage_bytes(),
             "l2_bytes": self.l2.embedding_storage_bytes(),
         }
 
@@ -1032,7 +1025,9 @@ class TieredCache:
         self.insert(query, response, context=context, embedding=embedding)
 
     def _demote(self, entry: CacheEntry) -> None:
-        """L1 eviction hook: move the victim into L2, embedding and all."""
+        """L1 eviction hook: move the victim into L2 — its L1 index row
+        (still in place: the hook runs before the row is removed) and its
+        context chain."""
         self.l2.insert(
             entry.query,
             entry.response,

@@ -245,11 +245,6 @@ def _recall_against(
     return float(np.mean(fractions)) if fractions else 1.0
 
 
-def _total_nbytes(index) -> int:
-    """The backend's whole footprint: rows + routing + codec tables."""
-    return int(index.nbytes) + int(index.routing_nbytes) + int(index.codec_nbytes)
-
-
 def _build_backend(backend: str, dim: int, params: Mapping[str, object], seed: int):
     """Build a sweep backend, threading the sweep seed into its RNGs.
 
@@ -319,7 +314,7 @@ def run_backend_sweep(
         flat.search(queries, top_k=top_k)
         flat_lookup_batch_s = time.perf_counter() - start
 
-        flat_nbytes = _total_nbytes(flat)
+        flat_nbytes = flat.storage_nbytes
         result.points.append(
             BackendBenchPoint(
                 backend="flat",
@@ -363,7 +358,7 @@ def run_backend_sweep(
                     flat_lookup_s=flat_lookup_s,
                     flat_lookup_batch_s=flat_lookup_batch_s,
                     recall_at_k=_recall_against(truth, got),
-                    nbytes=_total_nbytes(index),
+                    nbytes=index.storage_nbytes,
                     flat_nbytes=flat_nbytes,
                 )
             )

@@ -17,7 +17,7 @@ Three measurements back the ``persistence`` section of ``BENCH_index.json``
 * :func:`run_tiered_fleet_bench` — the same fleet workload replayed through
   an all-exact fleet (one unbounded MeanCache per user) and a tiered fleet
   (small exact L1 per user over a quantized L2).  The gated floor: the
-  tiered fleet's bytes-per-entry is ≤0.5× the exact fleet's at an equal
+  tiered fleet's bytes-per-entry is below, and ≤0.65× of, the exact fleet's at an equal
   (±2pp) hit rate — the memory-hierarchy trade the paper's fleet needs to
   reach 10^6–10^7 total entries.
 
@@ -247,7 +247,7 @@ class TieredFleetBenchResult:
     tiered_hit_rate: float
     exact_bytes_per_entry: float
     tiered_bytes_per_entry: float
-    #: tiered / exact bytes-per-entry — the ≤0.5 floor quantity
+    #: tiered / exact bytes-per-entry — the ≤0.65 floor quantity
     bytes_ratio: float
     hit_rate_gap: float
     tiered_l1_entries: int

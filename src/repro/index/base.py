@@ -109,6 +109,11 @@ class VectorIndex(abc.ABC):
     codec_nbytes: int = 0
     routing_nbytes: int = 0
 
+    @property
+    def storage_nbytes(self) -> int:
+        """Every byte of vector state: ``nbytes`` + codec + routing tables."""
+        return int(self.nbytes) + int(self.codec_nbytes) + int(self.routing_nbytes)
+
     #: Whether ``search`` accepts the optional ``stop_score`` keyword
     #: (threshold-aware early termination).  Callers such as
     #: :func:`repro.core.pipeline.search_candidates` check this capability flag

@@ -222,8 +222,10 @@ def write_arrays(path: Path, arrays: Mapping[str, np.ndarray]) -> None:
 
     One file per array under ``arrays/`` keeps every matrix individually
     memory-mappable on load (an npz member cannot be mmapped through the zip
-    container).
+    container).  A snapshot without arrays has no ``arrays/`` directory.
     """
+    if not arrays:
+        return
     arrays_dir = Path(path) / ARRAYS_DIR
     arrays_dir.mkdir(parents=True, exist_ok=True)
     for name, value in arrays.items():
@@ -247,6 +249,8 @@ def read_arrays(
     path = Path(path)
     arrays_dir = path / ARRAYS_DIR
     if not arrays_dir.is_dir():
+        if expected is not None and not expected:
+            return {}  # nothing to read: the snapshot was written without arrays
         raise SnapshotError(f"no snapshot arrays at {arrays_dir}")
     out: Dict[str, np.ndarray] = {}
     for file in sorted(arrays_dir.glob("*.npy")):
@@ -381,7 +385,7 @@ _T = TypeVar("_T")
 
 
 def native_float_dtype(index: object) -> np.dtype:
-    """The float dtype cache snapshots store per-entry embeddings at.
+    """The float dtype caches store context-chain embeddings at.
 
     The index's storage dtype when it is a float type (``flat``/``ivf``),
     else float32 (quantized backends, custom indexes) — so the

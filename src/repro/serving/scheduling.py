@@ -476,7 +476,6 @@ def storage_report(caches: Iterable[object]) -> Dict[str, object]:
             hits += int(stats.hits)
             embedding_bytes = getattr(cache, "embedding_storage_bytes", None)
             cache_bytes = int(embedding_bytes()) if embedding_bytes else 0
-            cache_bytes += int(getattr(getattr(cache, "index", None), "nbytes", 0))
         total_bytes += cache_bytes
         total_entries += entries
     return {

@@ -21,9 +21,11 @@ The fixtures are generated by::
 
 ``tests/test_persistence.py`` loads each one eagerly and memory-mapped and
 compares exactly.  Regenerate only for a deliberate, documented format
-change (the last: the tiered manifest records the L2 hits its cache
-served, ``l2_hits``, which rewrote ``tiered/manifest.json`` and its hash in
-``expected.json`` and nothing else) or a value-level re-pin:
+change (the last: ``MeanCache`` and ``GPTCache`` snapshots went to format
+v3, which stores each vector once, in the nested ``index/`` snapshot —
+``arrays/embeddings.npy`` left ``meancache``, ``gptcache`` (which now has
+no ``arrays/`` at all) and ``tiered/l1``, and their manifests read
+``"version": 3``) or a value-level re-pin:
 
 * decision level (hit/miss, matched entry, response, victim, tier,
   ``decision_sha256``) is exact and never re-pinned without a ROADMAP line;
@@ -38,6 +40,12 @@ served, ``l2_hits``, which rewrote ``tiered/manifest.json`` and its hash in
 file that differs from the committed one; tier-1 runs it, so the committed
 bytes are always what the tree generates and never "generated at commit X" on
 trust.
+
+``legacy-v2/`` is the exception: the ``meancache``, ``gptcache`` and
+``tiered/l1`` (as ``tiered-l1``) snapshots exactly as the last format-v2
+build wrote them.  No build can write them again, so the generator leaves
+the directory alone and ``--check`` does not compare it; the test loads
+each and requires the decisions of its v3 successor.
 """
 
 from __future__ import annotations
@@ -55,6 +63,10 @@ import numpy as np
 
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures" / "snapshots"
 EXPECTED_PATH = FIXTURE_DIR / "expected.json"
+#: format-v2 snapshots kept as written (see the module docstring)
+LEGACY_DIR = FIXTURE_DIR / "legacy-v2"
+#: legacy fixture name -> the current fixture that succeeds it
+LEGACY_NAMES = {"meancache": "meancache", "gptcache": "gptcache", "tiered-l1": "tiered/l1"}
 
 DIM = 8
 N_ROWS = 300
@@ -356,10 +368,16 @@ def supports_mmap(name: str) -> bool:
 # Generator
 # --------------------------------------------------------------------------- #
 def generate(root: Path = FIXTURE_DIR) -> None:
-    """Write every fixture directory and ``expected.json`` under ``root``."""
-    if root.exists():
-        shutil.rmtree(root)
-    root.mkdir(parents=True)
+    """Write every fixture directory and ``expected.json`` under ``root``
+    (leaving ``legacy-v2/`` as it is)."""
+    root.mkdir(parents=True, exist_ok=True)
+    for child in root.iterdir():
+        if child.name == LEGACY_DIR.name:
+            continue
+        if child.is_dir():
+            shutil.rmtree(child)
+        else:
+            child.unlink()
     for backend in INDEX_BACKENDS:
         build_index(backend).save(root / fixture_name(backend))
     build_tier(root / "tier")
@@ -400,7 +418,12 @@ def check() -> List[str]:
     with tempfile.TemporaryDirectory() as tmp:
         fresh = Path(tmp) / FIXTURE_DIR.name
         generate(fresh)
-        committed, generated = tree_hashes(FIXTURE_DIR), tree_hashes(fresh)
+        committed = {
+            name: digest
+            for name, digest in tree_hashes(FIXTURE_DIR).items()
+            if not name.startswith(LEGACY_DIR.name + "/")
+        }
+        generated = tree_hashes(fresh)
         for name in sorted(set(committed) | set(generated)):
             if committed.get(name) == generated.get(name):
                 continue

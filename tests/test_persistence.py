@@ -17,7 +17,8 @@ Covers the snapshot subsystem end to end:
 * crash safety: a save killed mid-write (after arrays, before the manifest)
   leaves the previous snapshot loadable and the torn stage never loadable,
   saves fully replace the target directory (no stale arrays/delta logs),
-  embeddings persist at the index's native dtype, the append-only delta log
+  vectors persist once (in the index snapshot) and context chains at the
+  index's native dtype, format-v2 snapshots still load, the append-only delta log
   replays/compacts correctly (torn trailing line included), and
   ``load_index(mmap=True)`` restores without copying the row matrix
   (tracemalloc ceiling);
@@ -529,6 +530,36 @@ def test_golden_snapshot_loads_and_resaves_identically(name, mmap, tmp_path):
     assert gs.observe(name, loaded) == expected["observed"]
 
 
+@pytest.mark.parametrize("legacy", ["meancache", "gptcache", "tiered-l1"])
+def test_format_v2_snapshots_still_load(legacy, tmp_path):
+    """A v2 snapshot (each vector also in ``arrays/embeddings.npy``) loads,
+    re-saves as its v3 successor byte for byte, and decides exactly as it."""
+    import golden_snapshots as gs
+
+    current = gs.LEGACY_NAMES[legacy]
+    kind = "gptcache" if legacy == "gptcache" else "meancache"
+    assert (gs.LEGACY_DIR / legacy / "arrays" / "embeddings.npy").is_file()
+    shutil.copytree(gs.LEGACY_DIR / legacy, tmp_path / "v2")
+    shutil.copytree(gs.FIXTURE_DIR / current, tmp_path / "v3")
+    old = gs.load_fixture(kind, tmp_path / "v2")
+    new = gs.load_fixture(kind, tmp_path / "v3")
+    old.save(tmp_path / "resaved")
+    assert gs.tree_hashes(tmp_path / "resaved") == gs.tree_hashes(gs.FIXTURE_DIR / current)
+    assert gs.observe(kind, old) == gs.observe(kind, new)
+
+
+def test_format_v2_snapshot_with_a_torn_copy_is_refused(tmp_path):
+    """The dropped v2 copy is still checked: one row short is corrupt."""
+    import golden_snapshots as gs
+
+    path = tmp_path / "v2"
+    shutil.copytree(gs.LEGACY_DIR / "meancache", path)
+    embeddings = np.load(path / "arrays" / "embeddings.npy")
+    np.save(path / "arrays" / "embeddings.npy", embeddings[:-1])
+    with pytest.raises(SnapshotError, match="inconsistent"):
+        MeanCache.load(path, make_tiny_encoder())
+
+
 def test_committed_snapshot_fixtures_are_what_this_tree_generates():
     """``python -m golden_snapshots --check``: a full regeneration into a
     temporary directory reproduces every committed fixture file and
@@ -807,7 +838,9 @@ def test_save_replaces_whole_directory(tmp_path):
 
 
 def test_meancache_persists_native_index_dtype(tmp_path):
-    """Embeddings round-trip at the index's dtype — no silent float64 blowup."""
+    """The restored footprint is the on-disk one: vectors live once, in the
+    index snapshot, no loaded entry owns a vector array, and context chains
+    round-trip at the index's dtype."""
     encoder = make_tiny_encoder()
     cache = _populated_meancache(encoder)
     native = np.dtype(cache.index.dtype)
@@ -815,14 +848,18 @@ def test_meancache_persists_native_index_dtype(tmp_path):
     path = tmp_path / "mc"
     cache.save(path)
 
-    on_disk = np.load(path / "arrays" / "embeddings.npy", allow_pickle=False)
-    assert on_disk.dtype == native
+    assert not (path / "arrays" / "embeddings.npy").exists()
+    on_disk = np.load(path / "arrays" / "ctx_embeddings.npy", allow_pickle=False)
+    assert on_disk.dtype == native and len(on_disk) > 0
 
     loaded = MeanCache.load(path, encoder.clone())
-    assert all(e.embedding.dtype == native for e in loaded.entries)
+    for entry in loaded.entries:
+        assert not any(isinstance(value, np.ndarray) for value in vars(entry).values())
+        assert entry.context.is_empty or entry.context.embedding.dtype == native
+    assert loaded.embedding_storage_bytes() == cache.embedding_storage_bytes()
     # Stability: a second save/load cycle changes nothing.
     loaded.save(tmp_path / "mc2")
-    again = np.load(tmp_path / "mc2" / "arrays" / "embeddings.npy")
+    again = np.load(tmp_path / "mc2" / "arrays" / "ctx_embeddings.npy")
     np.testing.assert_array_equal(again, on_disk)
 
 
