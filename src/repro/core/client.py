@@ -7,6 +7,10 @@ and the new (query, response) pair is enrolled in the cache.  The client also
 tracks conversational state so follow-up queries automatically carry their
 context chain, and keeps latency/cost accounting used by the Figure 5
 experiment.
+
+The client holds running totals (:class:`ClientStats`), not a history: each
+answer goes back to the caller and is not kept, so a device's memory does
+not grow with the number of queries it has answered.
 """
 
 from __future__ import annotations
@@ -42,8 +46,32 @@ class ClientQueryResult:
 
 
 @dataclass
+class ClientStats:
+    """Running totals over every answer a :class:`MeanCacheClient` gave.
+
+    Folding answers in the order they were given sums exactly what a sum over
+    the list of answers would, so the client's aggregates need no history.
+    """
+
+    n_queries: int = 0
+    n_hits: int = 0
+    total_cost_usd: float = 0.0
+    total_latency_s: float = 0.0
+
+    def record(self, result: ClientQueryResult) -> None:
+        """Fold one answer into the running totals."""
+        self.n_queries += 1
+        self.n_hits += result.from_cache
+        self.total_cost_usd += result.cost_usd
+        self.total_latency_s += result.total_latency_s
+
+
+@dataclass
 class ConversationState:
-    """Rolling conversational history used to build context chains."""
+    """Rolling conversational history used to build context chains.
+
+    Only the last ``max_depth`` turns are ever read, so only those are kept.
+    """
 
     turns: List[str] = field(default_factory=list)
     max_depth: int = 3
@@ -55,6 +83,7 @@ class ConversationState:
     def add_turn(self, query: str) -> None:
         """Record that ``query`` was asked."""
         self.turns.append(query)
+        del self.turns[: -self.max_depth]
 
     def reset(self) -> None:
         """Start a fresh conversation."""
@@ -75,7 +104,7 @@ class MeanCacheClient:
         self.service = service
         self.client_id = client_id
         self.conversation = ConversationState(max_depth=max_context_depth)
-        self.results: List[ClientQueryResult] = []
+        self.stats = ClientStats()
 
     # ------------------------------------------------------------------ #
     def query(
@@ -112,7 +141,7 @@ class MeanCacheClient:
         else:
             self.conversation.reset()
             self.conversation.add_turn(text)
-        self.results.append(result)
+        self.stats.record(result)
         return result
 
     def query_many(
@@ -127,8 +156,8 @@ class MeanCacheClient:
         call plus one index matmul); each miss is then forwarded to the LLM
         service and, when ``enroll_on_miss``, enrolled in the cache.  Every
         probe gets its own :class:`ClientQueryResult` with the same per-result
-        accounting as :meth:`query`, and results are appended to
-        :attr:`results` in probe order.
+        accounting as :meth:`query`, folded into :attr:`stats` in probe
+        order.
 
         Unlike the sequential :meth:`query` loop, misses are enrolled only
         *after* the whole batch is classified, so a probe cannot hit an entry
@@ -157,7 +186,8 @@ class MeanCacheClient:
             self._result_for(text, context, decision, enroll_on_miss)
             for text, context, decision in zip(texts, ctx_lists, decisions)
         ]
-        self.results.extend(batch_results)
+        for result in batch_results:
+            self.stats.record(result)
         return batch_results
 
     def _result_for(
@@ -204,18 +234,18 @@ class MeanCacheClient:
     @property
     def hit_rate(self) -> float:
         """Fraction of this client's queries served from the local cache."""
-        if not self.results:
+        if not self.stats.n_queries:
             return 0.0
-        return sum(r.from_cache for r in self.results) / len(self.results)
+        return self.stats.n_hits / self.stats.n_queries
 
     @property
     def total_cost_usd(self) -> float:
         """Total simulated spend on the LLM service."""
-        return float(sum(r.cost_usd for r in self.results))
+        return self.stats.total_cost_usd
 
     @property
     def mean_latency_s(self) -> float:
         """Mean end-to-end latency across all queries."""
-        if not self.results:
+        if not self.stats.n_queries:
             return 0.0
-        return float(sum(r.total_latency_s for r in self.results) / len(self.results))
+        return self.stats.total_latency_s / self.stats.n_queries

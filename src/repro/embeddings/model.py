@@ -228,8 +228,49 @@ class SiameseEncoder:
 
         All four arrays are checked before any is replaced, so a rejected call
         leaves the old weights (and a frozen encoder's memo) in place; an
-        accepted one thaws the encoder.
+        accepted one thaws the encoder.  The encoder keeps copies.
         """
+        self._check_parameters(params)
+        self.unfreeze()
+        dtype = np.dtype(self.config.dtype)
+        self.W1, self.b1, self.W2, self.b2 = (np.array(p, dtype=dtype) for p in params)
+
+    def share_parameters(self, params: Sequence[np.ndarray]) -> None:
+        """Adopt ``params`` themselves as the weights, read-only.
+
+        For arrays that many encoders read at once, such as a zoo checkpoint
+        (:func:`repro.embeddings.zoo.load_encoder`): nothing is copied, the
+        arrays are made read-only, and the first in-place write copies them
+        (:meth:`writable_parameters`), so no encoder's training reaches
+        another.  Checked as :meth:`set_parameters` checks; the arrays must
+        already have the config's dtype.
+        """
+        self._check_parameters(params)
+        dtype = np.dtype(self.config.dtype)
+        for name, p in zip(self.PARAM_NAMES, params):
+            if p.dtype != dtype:
+                raise ValueError(f"parameter {name} is {p.dtype}, expected {dtype}")
+        self.unfreeze()
+        for p in params:
+            p.flags.writeable = False
+        self.W1, self.b1, self.W2, self.b2 = params
+
+    def writable_parameters(self) -> List[np.ndarray]:
+        """The four weight arrays themselves, ready for an in-place update.
+
+        Thaws the encoder, then replaces each array it cannot write (one it
+        shares, see :meth:`share_parameters`) with a private copy.  Every
+        in-place writer of the weights goes through this.
+        """
+        self.unfreeze()
+        self.W1, self.b1, self.W2, self.b2 = (
+            p if p.flags.writeable else p.copy() for p in (self.W1, self.b1, self.W2, self.b2)
+        )
+        return [self.W1, self.b1, self.W2, self.b2]
+
+    def _check_parameters(self, params: Sequence[np.ndarray]) -> None:
+        """Raise ``ValueError`` unless ``params`` are four finite arrays of
+        this encoder's shapes."""
         if len(params) != 4:
             raise ValueError(f"expected 4 parameter arrays, got {len(params)}")
         expected = [self.W1.shape, self.b1.shape, self.W2.shape, self.b2.shape]
@@ -238,12 +279,6 @@ class SiameseEncoder:
                 raise ValueError(f"parameter shape mismatch: {p.shape} != {shape}")
             if not np.isfinite(p).all():
                 raise ValueError(f"parameter {name} has non-finite values")
-        self.unfreeze()
-        dtype = np.dtype(self.config.dtype)
-        self.W1 = np.array(params[0], dtype=dtype)
-        self.b1 = np.array(params[1], dtype=dtype)
-        self.W2 = np.array(params[2], dtype=dtype)
-        self.b2 = np.array(params[3], dtype=dtype)
 
     def parameter_count(self) -> int:
         """Total number of scalar parameters."""
@@ -257,9 +292,12 @@ class SiameseEncoder:
 
         The four weight arrays and an attached PCA head's arrays become
         read-only, so an in-place writer raises instead of leaving the memo
-        stale.  ``set_parameters``, ``load_state_dict``, ``train_on_pairs``,
+        stale.  ``set_parameters``, ``share_parameters``,
+        ``writable_parameters``, ``load_state_dict``, ``train_on_pairs``,
         ``attach_pca``, ``detach_pca`` and ``fit_pca`` thaw the encoder again.
-        No-op when already frozen.
+        Arrays already read-only (shared ones) are left out of the lock, so
+        :meth:`unfreeze` never makes them writable.  No-op when already
+        frozen.
         """
         if self._memo is not None:
             return
@@ -536,6 +574,7 @@ class SiameseEncoder:
         Xa = self.featurize(texts_a)
         Xb = self.featurize(texts_b)
         n = len(pairs)
+        params = self.writable_parameters()
         epoch_losses: List[float] = []
         for _ in range(epochs):
             order = rng.permutation(n)
@@ -558,7 +597,6 @@ class SiameseEncoder:
                 grads_a = self.backward(cache_a, grad_a)
                 grads_b = self.backward(cache_b, grad_b)
                 grads = [ga + gb for ga, gb in zip(grads_a, grads_b)]
-                params = [self.W1, self.b1, self.W2, self.b2]
                 optimizer.step(params, grads)
                 losses.append(loss)
             epoch_losses.append(float(np.mean(losses)) if losses else 0.0)

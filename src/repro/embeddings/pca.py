@@ -5,6 +5,10 @@ learning principal components over the users' query embeddings and attaching
 them as an extra projection layer (paper §III-A4, Figure 3).  This module
 implements PCA via the SVD of the centred data matrix (``full_matrices=False``
 per the HPC optimization guide — we never need the full orthonormal basis).
+
+SciPy is imported by :meth:`PCA.fit`, not by this module: only a fit needs
+its SVD, and a process that only serves (projecting with a fitted head, or
+no head at all) never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import linalg as sla
 
 
 class PCA:
@@ -46,6 +49,8 @@ class PCA:
 
     def fit(self, X: np.ndarray) -> "PCA":
         """Learn the principal components of ``X`` (shape ``(n, d)``)."""
+        from scipy import linalg as sla
+
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         n, d = X.shape
         if n < 2:

@@ -211,6 +211,7 @@ ENCODER_SPECS: Dict[str, EncoderSpec] = {
 
 
 #: Cache of pretrained parameter lists, keyed by (zoo name, seed, pretrain flag).
+#: The arrays are read-only and shared by every encoder loaded from them.
 _PRETRAINED_CACHE: Dict[Tuple[str, int, bool], List[np.ndarray]] = {}
 
 
@@ -264,10 +265,14 @@ def _spec_fingerprint(spec: EncoderSpec) -> str:
 
 
 def _parameter_digest(params: Sequence[np.ndarray]) -> str:
-    """SHA-256 of the parameter arrays' bytes, in ``PARAM_NAMES`` order."""
+    """SHA-256 of the parameter arrays' bytes, in ``PARAM_NAMES`` order.
+
+    Each array's C-order buffer is hashed in place; only a non-contiguous
+    array is copied first.
+    """
     digest = hashlib.sha256()
     for array in params:
-        digest.update(array.tobytes())
+        digest.update(np.ascontiguousarray(array))
     return digest.hexdigest()
 
 
@@ -353,8 +358,12 @@ def load_encoder(name: str, seed: int | None = None, pretrained: bool = True) ->
     pretrained:
         When True (default) the returned encoder carries the spec's
         "public corpus" pretraining, read from its shipped checkpoint (cached
-        per process, so repeated loads are cheap).  When False the raw random
-        initialisation is returned.
+        per process, so repeated loads are cheap).  Every encoder loaded from
+        the cache shares its arrays read-only; the first in-place write, such
+        as fine-tuning, gives that encoder its own copies
+        (:meth:`SiameseEncoder.writable_parameters`), so what one encoder
+        learns never reaches another or a later load.  When False the raw
+        random initialisation is returned.
 
     Raises
     ------
@@ -405,7 +414,7 @@ def load_encoder(name: str, seed: int | None = None, pretrained: bool = True) ->
             _pretrain(encoder, spec)
             cached = encoder.get_parameters()
         _PRETRAINED_CACHE[cache_key] = cached
-    encoder.set_parameters(cached)
+    encoder.share_parameters(cached)
     return encoder
 
 

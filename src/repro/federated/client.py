@@ -108,6 +108,7 @@ class FLClient:
         n = len(pairs)
         last_epoch_loss = 0.0
         global_params_f64 = [np.asarray(p, dtype=np.float64) for p in global_parameters]
+        params = self.encoder.writable_parameters()
         for _epoch in range(cfg.local_epochs):
             order = rng.permutation(n)
             losses: List[float] = []
@@ -129,7 +130,6 @@ class FLClient:
                 grads_a = self.encoder.backward(cache_a, grad_a)
                 grads_b = self.encoder.backward(cache_b, grad_b)
                 grads = [ga + gb for ga, gb in zip(grads_a, grads_b)]
-                params = [self.encoder.W1, self.encoder.b1, self.encoder.W2, self.encoder.b2]
                 if cfg.fedprox_mu > 0.0:
                     prox = fedprox_proximal_gradient(params, global_params_f64, cfg.fedprox_mu)
                     grads = [g + pg for g, pg in zip(grads, prox)]

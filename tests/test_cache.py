@@ -7,7 +7,7 @@ from conftest import make_tiny_encoder
 from repro.baselines.gptcache import GPTCache, GPTCacheConfig
 from repro.baselines.keyword_cache import KeywordCache, KeywordCacheConfig
 from repro.core.cache import CacheDecision, MeanCache, MeanCacheConfig
-from repro.core.client import MeanCacheClient
+from repro.core.client import ClientStats, MeanCacheClient
 from repro.core.compression import compress_cache
 from repro.core.storage import InMemoryStore
 from repro.llm.service import SimulatedLLMService
@@ -406,7 +406,12 @@ class TestMeanCacheClient:
         assert results[0].cost_usd == 0.0 and results[0].llm_latency_s == 0.0
         assert results[1].cost_usd > 0 and results[1].llm_latency_s > 0
         # Per-result accounting feeds the same aggregate properties as query().
-        assert client.results == results
+        assert client.stats == ClientStats(
+            n_queries=2,
+            n_hits=1,
+            total_cost_usd=results[0].cost_usd + results[1].cost_usd,
+            total_latency_s=results[0].total_latency_s + results[1].total_latency_s,
+        )
         assert client.hit_rate == pytest.approx(0.5)
         assert client.total_cost_usd == pytest.approx(results[1].cost_usd)
         # The miss was enrolled.
