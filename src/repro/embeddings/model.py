@@ -5,7 +5,9 @@ Architecture (per query)::
     text --tokenize--> tokens --hash--> x  (n_features,)
     h = tanh(x @ W1 + b1)                 (hidden_dim,)
     z = h @ W2 + b2                       (output_dim,)
-    e = z / ||z||                         (unit-norm embedding)
+    v = z / ||z|| + anisotropy * u        (u: a fixed unit direction)
+    e = v / ||v||                         (unit-norm embedding)
+    e = normalise(e + text_noise * n_t)   (n_t: unit noise keyed on the text)
 
 ``x`` is sparse — a query sets ~50 of 2,048 hashed features — so at inference
 the first layer is what it is in every real sentence encoder, an embedding
@@ -37,6 +39,7 @@ changes the weights or the PCA head thaws the encoder and drops the memo.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -87,10 +90,11 @@ class EncoderConfig:
         as it does for GPTCache (high recall, many false hits on lexically
         close non-duplicates).  Set to 0 to disable.
     text_noise:
-        Standard deviation of a deterministic per-text noise component added
-        at ``encode`` time (keyed on the text itself).  Used only by the
-        ``llama2-sim`` configuration to reproduce the paper's finding that
-        raw LLM embeddings are a weak sentence-similarity signal.
+        Weight of a deterministic per-text noise component added at
+        ``encode`` time (a unit direction keyed on the text itself).
+        ``albert-sim`` sets a little (0.05) and ``llama2-sim`` a lot (0.5),
+        the latter to reproduce the paper's finding that raw LLM embeddings
+        are a weak sentence-similarity signal; 0 disables it.
     dtype:
         Parameter dtype.  float64 keeps the FL averaging exact in tests.
     """
@@ -348,6 +352,8 @@ class SiameseEncoder:
         whole matrix, and a row's activations do not depend on what it was
         batched with.  Cost grows with the non-zero count: a row with nine
         tenths of its features set costs about three times the dense product.
+        A one-row batch, the shape of every on-device probe, runs the same
+        arithmetic on vectors (:meth:`_forward_row`).
 
         With ``cache`` (training) the first layer is the dense ``X @ W1`` and
         the intermediates required by :meth:`backward` are stored in ``cache``.
@@ -364,6 +370,8 @@ class SiameseEncoder:
             )
         if cache is not None:
             pre_h = X @ self.W1 + self.b1
+        elif X.shape[0] == 1:
+            return self._forward_row(X[0])[np.newaxis]
         else:
             W1 = self.W1
             pre_h = np.empty((X.shape[0], W1.shape[1]), dtype=np.float64)
@@ -392,6 +400,31 @@ class SiameseEncoder:
             cache["z_norms"] = z_norms
             cache["v_norms"] = v_norms
             cache["e"] = e
+        return e
+
+    def _forward_row(self, x: np.ndarray) -> np.ndarray:
+        """Inference :meth:`forward` of the one float64 row ``x``, on vectors.
+
+        The ufuncs of the batched body in the same order, minus its 2-D
+        bookkeeping: ``np.sqrt(np.add.reduce(z * z))`` is what
+        ``np.linalg.norm(z, axis=1, keepdims=True)`` computes for a real row,
+        and a Python ``if`` replaces the ``np.where`` guard, so the embedding
+        is the bits a one-row batch gave.  A row of a larger batch may differ
+        from it in the last bits (its ``h @ W2`` is a matrix product).  The
+        non-zero features are found through a bool mask: the indices
+        ``np.flatnonzero`` gives, at a quarter of its cost on a float row.
+        """
+        nz = (x != 0.0).nonzero()[0]
+        pre_h = x[nz] @ self.W1[nz]
+        pre_h += self.b1
+        z = np.tanh(pre_h) @ self.W2 + self.b2
+        norm = np.sqrt(np.add.reduce(z * z))
+        e = z / (norm if norm > 1e-12 else 1.0)
+        alpha = self.config.anisotropy
+        if alpha > 0.0:
+            v = e + alpha * self._aniso_dir
+            norm = np.sqrt(np.add.reduce(v * v))
+            e = v / (norm if norm > 1e-12 else 1.0)
         return e
 
     def backward(self, cache: Dict[str, np.ndarray], grad_e: np.ndarray) -> List[np.ndarray]:
@@ -472,25 +505,27 @@ class SiameseEncoder:
         return np.array(found, dtype=np.float64).reshape(len(batch), self.config.output_dim)
 
     def _apply_text_noise(self, E: np.ndarray, texts: Sequence[str]) -> np.ndarray:
-        """Mix a deterministic per-text noise vector into each embedding.
+        """Mix a deterministic per-text noise vector into each embedding, in place.
 
-        Used by the ``llama2-sim`` configuration: raw LLM hidden states carry
-        a lot of text-specific information that is irrelevant to sentence
-        similarity, which is modelled here as a unit-norm pseudo-random
-        direction keyed on the exact text.  Paraphrases get *different* noise
-        directions, which is precisely what degrades duplicate detection.
+        Set by ``albert-sim`` (a little) and ``llama2-sim`` (a lot): raw LLM
+        hidden states carry a lot of text-specific information that is
+        irrelevant to sentence similarity, which is modelled here as a
+        unit-norm pseudo-random direction keyed on the exact text.
+        Paraphrases get *different* noise directions, which is precisely what
+        degrades duplicate detection.  ``E`` is the float64 matrix
+        :meth:`forward` just returned; each row is re-normalised
+        (``math.sqrt(v.dot(v))`` is ``np.linalg.norm(v)`` for a real vector).
         """
         sigma = self.config.text_noise
-        noisy = np.array(E, dtype=np.float64, copy=True)
-        for i, text in enumerate(texts):
-            rng = np.random.default_rng(stable_token_hash(text, self.config.seed))
-            noise = rng.normal(size=noisy.shape[1])
-            noise /= np.linalg.norm(noise)
-            noisy[i] = noisy[i] + sigma * noise
-            norm = np.linalg.norm(noisy[i])
+        seed = self.config.seed
+        for row, text in zip(E, texts):
+            noise = np.random.default_rng(stable_token_hash(text, seed)).normal(size=row.shape[0])
+            noise /= math.sqrt(noise.dot(noise))
+            row += sigma * noise
+            norm = math.sqrt(row.dot(row))
             if norm > 1e-12:
-                noisy[i] /= norm
-        return noisy
+                row /= norm
+        return E
 
     @property
     def embedding_dim(self) -> int:

@@ -185,6 +185,9 @@ class FlatIndex(RowStore):
         if self._size == 0:
             return [[] for _ in range(Q.shape[0])]
         queries_n = self._prepare_queries(Q, prenormalized)
+        floor = -math.inf if score_threshold is None else score_threshold
+        if Q.shape[0] == 1 and self._size <= self._chunk_size:
+            return [self._search_one(queries_n, top_k, floor)]
         scores, rows = chunked_topk(
             queries_n,
             self._rows[: self._size],
@@ -194,7 +197,6 @@ class FlatIndex(RowStore):
         )
         # float32 rounding can push a self-match a hair past 1.0.
         scores.clip(-1.0, 1.0, out=scores)
-        floor = -math.inf if score_threshold is None else score_threshold
         # One conversion per array: .tolist() yields the Python floats and
         # ints that float()/int() gave hit by hit.
         return [
@@ -204,4 +206,30 @@ class FlatIndex(RowStore):
                 if math.isfinite(score) and not score < floor
             ]
             for id_row, score_row in zip(self._ids[rows].tolist(), scores.tolist())
+        ]
+
+    def _search_one(self, query_n: np.ndarray, top_k: int, floor: float) -> List[IndexHit]:
+        """:meth:`search` of the one ``(1, d)`` unit probe over a single block.
+
+        :func:`chunked_topk`'s calls on the values it would see for one probe
+        and one block — the ``[+inf * k | -scores]`` buffer, the ``(1, d)``
+        by ``(d, n)`` product, ``argpartition(k - 1)`` and ``argsort`` — then
+        the same clip and finite filter, on vectors and without the merge
+        bookkeeping a second block would need.  Hits, scores and the order
+        among equal scores are the batched path's, bit for bit.
+        """
+        n = self._size
+        k = min(top_k, n)
+        neg = np.empty(k + n, dtype=self._dtype)
+        neg[:k] = np.inf
+        np.negative(query_n @ self._rows[:n].T, out=neg[np.newaxis, k:])
+        top = neg.argpartition(k - 1)[:k]
+        best = neg[top]
+        order = best.argsort()
+        scores = np.negative(best[order])
+        scores.clip(-1.0, 1.0, out=scores)
+        return [
+            IndexHit(id, score)
+            for id, score in zip(self._ids[top[order] - k].tolist(), scores.tolist())
+            if math.isfinite(score) and not score < floor
         ]

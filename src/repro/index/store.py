@@ -33,6 +33,7 @@ structures consistent with the rows.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +42,8 @@ from repro.index.base import VectorIndex
 from repro.index.postings import RowMap, ScratchBuffers
 
 _MIN_CAPACITY = 64
+
+_NON_FINITE = "vectors must have finite norms (NaN or inf component)"
 
 
 def _row_norms(M: np.ndarray) -> np.ndarray:
@@ -55,7 +58,7 @@ def _row_norms(M: np.ndarray) -> np.ndarray:
     """
     norms = np.sqrt(np.add.reduce(M * M, axis=1, keepdims=True))
     if not np.isfinite(norms).all():
-        raise ValueError("vectors must have finite norms (NaN or inf component)")
+        raise ValueError(_NON_FINITE)
     return norms
 
 
@@ -271,8 +274,16 @@ class RowStore(VectorIndex):
         float64 quotient rounded once on the way out, so scores do not change
         by a bit.
         """
-        norms = _row_norms(Q)
         unit = self._scratch.get("query.unit", Q.shape, dtype)
+        if Q.shape[0] == 1:
+            # One probe: the same reduce over the row as a vector, and a
+            # Python guard for the ``np.where`` (the same quotient bits).
+            q = Q[0]
+            norm = np.sqrt(np.add.reduce(q * q))
+            if not math.isfinite(norm):
+                raise ValueError(_NON_FINITE)
+            return np.divide(Q, norm if norm > 1e-12 else 1.0, out=unit)
+        norms = _row_norms(Q)
         np.divide(Q, np.where(norms > 1e-12, norms, 1.0), out=unit)
         return unit
 

@@ -15,7 +15,11 @@ non-zero features select; training ``forward(X, cache)`` keeps the dense
   flake, not a finding);
 * training is bit-equal to the oracle, intermediates included;
 * a row's first-layer activations no longer depend on its batch, an all-zero
-  row's are exactly ``b1``, and a wrong-width ``X`` raises in both modes.
+  row's are exactly ``b1``, and a wrong-width ``X`` raises in both modes;
+* inference, and ``encode`` with its text noise, equal the former lookup
+  body and noise loop (``reference_lookup_forward``,
+  ``reference_text_noise``) byte for byte at one row — the vector path a
+  batch of one takes — and at batches of 2, 8 and 64, edge rows included.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_forward import reference_forward
+from reference_forward import reference_forward, reference_lookup_forward, reference_text_noise
 from repro.datasets.corpus import Corpus
 from repro.embeddings import model as model_module
 from repro.embeddings.featurizer import HashedFeaturizer
@@ -118,8 +122,13 @@ def test_edge_rows_are_within_tolerance(encoder):
     got, want = encoder.forward(X), reference_forward(encoder, X)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.abs(got - want).max() <= TOLERANCE
+    assert got.tobytes() == reference_lookup_forward(encoder, X).tobytes()
     for row in X:  # one row at a time: the shape every on-device probe has
-        assert np.abs(encoder.forward(row) - reference_forward(encoder, row)).max() <= TOLERANCE
+        former = reference_lookup_forward(encoder, row)
+        assert np.abs(former - reference_forward(encoder, row)).max() <= TOLERANCE
+        for probe in (row, row[None, :]):
+            got = encoder.forward(probe)
+            assert got.shape == former.shape and got.tobytes() == former.tobytes()
 
 
 @pytest.mark.parametrize("name", ["albert-sim", "mpnet-sim", "tiny-float32"])
@@ -133,6 +142,23 @@ def test_both_round_to_the_same_float32(name):
     single = np.vstack([encoder.forward(row) for row in X]).astype(np.float32)
     oracle_single = np.vstack([reference_forward(encoder, row) for row in X]).astype(np.float32)
     assert np.array_equal(single, oracle_single)
+
+
+def reference_encode(encoder: SiameseEncoder, texts: "list[str]") -> np.ndarray:
+    """``encode(texts, compress=False)`` by the former bodies."""
+    E = reference_lookup_forward(encoder, encoder.featurize(texts))
+    return reference_text_noise(encoder, E, texts) if encoder.config.text_noise > 0.0 else E
+
+
+@pytest.mark.parametrize("size", [1, 2, 8, 64])
+def test_encode_is_bit_equal_to_the_former_bodies(encoder, size):
+    texts = corpus_texts(seed=13, n=size)
+    got, want = encoder.encode(texts, compress=False), reference_encode(encoder, texts)
+    assert got.shape == want.shape == (size, encoder.config.output_dim)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for text in texts[:16]:  # and one text at a time, the on-device shape
+        single = encoder.encode(text, compress=False)
+        assert single.tobytes() == reference_encode(encoder, [text])[0].tobytes()
 
 
 def test_training_forward_is_bit_equal_to_the_oracle(encoder):
@@ -174,4 +200,6 @@ def test_wrong_width_raises_naming_both_widths(width, training):
         encoder.forward(np.ones((3, width)), cache)
     with pytest.raises(ValueError, match=rf"{width} != 256"):
         encoder.forward(np.ones(width), cache)
+    with pytest.raises(ValueError, match=rf"{width} != 256"):
+        encoder.forward(np.ones((1, width)), cache)
     assert cache is None or cache == {}

@@ -158,8 +158,10 @@ def test_flat_search_matches_reference(
         index.remove(victim)
     if len(index) == 0:
         return
-    # The batch and the (d,) single-probe form (a gemv: its own last bits).
-    for probes in (queries, queries[0]):
+    # The batch, the (d,) single-probe form (a gemv: its own last bits) and
+    # the (1, d) matrix a cache lookup hands over; both single forms take
+    # the one-probe path whenever the corpus fits one chunk.
+    for probes in (queries, queries[0], queries[:1]):
         got = index.search(probes, top_k, threshold)
         assert hit_stream(got) == hit_stream(reference_flat_search(index, probes, top_k, threshold))
 
