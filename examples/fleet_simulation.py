@@ -203,48 +203,6 @@ def main() -> None:
         "(re-timing leaves query content untouched)"
     )
 
-    # 7. Threshold-aware early termination on the index hot path: with
-    #    ``early_stop_margin`` set, every lookup passes
-    #    ``stop_score = tau + margin`` down to the index, which probes cells
-    #    best-first and stops scanning a query the moment a candidate clears
-    #    the admission threshold with margin to spare — the fleet serves on
-    #    a threshold, so candidates beyond the first admissible one never
-    #    change the decision.  Admissions must match the exhaustive cache.
-    def build_cache(margin):
-        return MeanCache(
-            encoder,
-            MeanCacheConfig(
-                similarity_threshold=0.78,
-                max_entries=4096,
-                index_backend="ivf+sq8",
-                index_params={"min_train_size": 32, "nprobe": 4, "seed": 0},
-                early_stop_margin=margin,
-            ),
-        )
-
-    seed_queries = list(dict.fromkeys(event.query for event in trace))
-    probes = seed_queries[::3]  # re-ask a sample of what the cache holds
-    exhaustive_cache, early_cache = build_cache(None), build_cache(0.05)
-    for cache in (exhaustive_cache, early_cache):
-        cache.populate(seed_queries)
-        cache.index.maintenance()  # compact layout between windows, as the fleet does
-        cache.index.reset_scan_stats()
-    exhaustive_decisions = [d.hit for d in exhaustive_cache.lookup_batch(probes)]
-    early_decisions = [d.hit for d in early_cache.lookup_batch(probes)]
-    full_scan = exhaustive_cache.index.scan_stats
-    early_scan = early_cache.index.scan_stats
-    print()
-    print(
-        f"tau-aware early termination over {len(probes)} re-asked queries "
-        f"(ivf+sq8, tau=0.78, margin=0.05):\n"
-        f"  decisions identical to exhaustive scan: "
-        f"{early_decisions == exhaustive_decisions} "
-        f"({sum(early_decisions)}/{len(probes)} hits)\n"
-        f"  early stops: {early_scan['early_stops']}, rows scanned "
-        f"{early_scan['rows_scanned']} vs {full_scan['rows_scanned']} exhaustive "
-        f"({1 - early_scan['rows_scanned'] / max(full_scan['rows_scanned'], 1):.0%} saved)"
-    )
-
 
 if __name__ == "__main__":
     main()

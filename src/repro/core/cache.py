@@ -90,11 +90,6 @@ class MeanCacheConfig:
     index_params:
         Extra keyword parameters for the backend constructor (e.g.
         ``{"nprobe": 16}`` for IVF).
-    early_stop_margin:
-        When set (e.g. ``0.05``) and the index backend advertises
-        ``supports_stop_score``, lookups pass ``stop_score = τ + margin``
-        so the scan may stop once a confidently-admissible candidate is in
-        hand.  ``None`` (the default) keeps retrieval exhaustive.
     """
 
     similarity_threshold: float = 0.7
@@ -106,7 +101,6 @@ class MeanCacheConfig:
     compressed: bool = False
     index_backend: str = "flat"
     index_params: Optional[Mapping[str, object]] = None
-    early_stop_margin: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.similarity_threshold <= 1.0:
@@ -117,8 +111,6 @@ class MeanCacheConfig:
             raise ValueError("top_k must be >= 1")
         if self.max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        if self.early_stop_margin is not None and self.early_stop_margin < 0:
-            raise ValueError("early_stop_margin must be >= 0 when set")
         validate_backend(self.index_backend)
 
 
@@ -384,17 +376,7 @@ class MeanCache:
         matrix, embed_s = embed_probes(
             self.encoder, queries, config.compressed, embeddings
         )
-        hit_lists, search_s = search_candidates(
-            self._index,
-            matrix,
-            config.top_k,
-            # τ plus headroom over codec/scan score error
-            stop_score=(
-                None
-                if config.early_stop_margin is None
-                else config.similarity_threshold + config.early_stop_margin
-            ),
-        )
+        hit_lists, search_s = search_candidates(self._index, matrix, config.top_k)
         return [
             self._decide(
                 query,
@@ -742,7 +724,11 @@ class MeanCache:
         path = Path(path)
 
         def build(manifest: Mapping[str, object]) -> tuple:
-            cache = cls(encoder, MeanCacheConfig(**manifest["config"]), store=store)
+            # Snapshots written before threshold early stop was retired
+            # carry its margin; retrieval is exhaustive now, so it is dropped.
+            config = dict(manifest["config"])
+            config.pop("early_stop_margin", None)
+            cache = cls(encoder, MeanCacheConfig(**config), store=store)
             cache._next_id = int(manifest["next_id"])
             cache.stats = CacheStats(**manifest["stats"])
             cache._policy = make_policy(manifest["policy"]["name"])

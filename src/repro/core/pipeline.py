@@ -55,22 +55,18 @@ def search_candidates(
     index: VectorIndex,
     embeddings: np.ndarray,
     top_k: int,
-    stop_score: Optional[float] = None,
 ) -> Tuple[List[List[IndexHit]], float]:
     """Ranked top-k candidates per probe row and the per-probe search cost.
 
-    One index call covers the batch.  An empty index is not searched (every
-    probe gets ``[]`` at a cost of exactly 0.0).  ``stop_score`` lets a
-    backend that advertises ``supports_stop_score`` stop scanning once a
-    candidate at least that good is in hand; other backends never see it.
+    One index call covers the batch, and every probe gets its full top-k:
+    Algorithm 1 checks each candidate that clears τ in rank order, so the
+    scan never stops at the first good one.  An empty index is not searched
+    (every probe gets ``[]`` at a cost of exactly 0.0).
     """
     if len(index) == 0:
         return [[] for _ in embeddings], 0.0
-    kwargs = {}
-    if stop_score is not None and getattr(index, "supports_stop_score", False):
-        kwargs["stop_score"] = stop_score
     start = time.perf_counter()
-    hit_lists = index.search(embeddings, top_k=min(int(top_k), len(index)), **kwargs)
+    hit_lists = index.search(embeddings, top_k=min(int(top_k), len(index)))
     return hit_lists, (time.perf_counter() - start) / len(embeddings)
 
 

@@ -114,13 +114,6 @@ class VectorIndex(abc.ABC):
         """Every byte of vector state: ``nbytes`` + codec + routing tables."""
         return int(self.nbytes) + int(self.codec_nbytes) + int(self.routing_nbytes)
 
-    #: Whether ``search`` accepts the optional ``stop_score`` keyword
-    #: (threshold-aware early termination).  Callers such as
-    #: :func:`repro.core.pipeline.search_candidates` check this capability flag
-    #: instead of the signature, so backends without the feature (and test
-    #: doubles) keep working unchanged.
-    supports_stop_score: bool = False
-
     def maintenance(self) -> Dict[str, object]:
         """Run deferred background work (repartitioning, compaction).
 

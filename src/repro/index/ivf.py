@@ -56,7 +56,7 @@ class IVFIndex(RoutedIndex, FlatIndex):
     ----------
     dim, dtype, initial_capacity, chunk_size:
         Storage-layer knobs, identical to :class:`FlatIndex`.
-    nlist, nprobe, kmeans_iters, repartition_growth, auto_repartition, prune_probes:
+    nlist, nprobe, kmeans_iters, repartition_growth, auto_repartition:
         Routing knobs, see :class:`repro.index.routing.Router`.
     min_train_size:
         Below this many entries the index stays untrained and searches
@@ -83,7 +83,6 @@ class IVFIndex(RoutedIndex, FlatIndex):
         repartition_growth: float = 2.0,
         seed: int = 0,
         auto_repartition: bool = True,
-        prune_probes: bool = True,
     ) -> None:
         if min_train_size < 2:
             raise ValueError("min_train_size must be >= 2")
@@ -104,7 +103,6 @@ class IVFIndex(RoutedIndex, FlatIndex):
             kmeans_iters=kmeans_iters,
             repartition_growth=repartition_growth,
             auto_repartition=auto_repartition,
-            prune_probes=prune_probes,
             row_map=self._row_map,
         )
 
@@ -116,10 +114,6 @@ class IVFIndex(RoutedIndex, FlatIndex):
     # ------------------------------------------------------------------ #
     # Training / maintenance
     # ------------------------------------------------------------------ #
-    def _scored_rows(self, start: int, stop: int) -> np.ndarray:
-        """Storage rows ``[start, stop)`` — what the scan scores, verbatim."""
-        return self._rows[start:stop]
-
     def _train(self) -> None:
         """(Re)fit centroids on the live rows and rebuild every inverted list."""
         rows = self._rows[: self._size]
@@ -131,19 +125,16 @@ class IVFIndex(RoutedIndex, FlatIndex):
         )
 
     def maintenance(self) -> Dict[str, object]:
-        """Run deferred repartitioning and bound-stat refreshes off-query.
+        """Run deferred repartitioning off-query.
 
         With ``auto_repartition=False`` the growth/churn-triggered retraining
-        is deferred to this hook; it also precomputes the probe-pruning
-        stats so the first search after a (re)partition doesn't pay for them.
+        is deferred to this hook.
         """
         done: Dict[str, object] = {}
         if self._router.repartition_due:
             self._train()
             done["repartitioned"] = True
             done["trained_size"] = self._router.trained_size
-        if self._router.refresh_cell_stats(self._scored_rows):
-            done["cell_stats_refreshed"] = True
         return done
 
     # ------------------------------------------------------------------ #
@@ -151,9 +142,7 @@ class IVFIndex(RoutedIndex, FlatIndex):
     # ------------------------------------------------------------------ #
     def _post_add(self, ids: np.ndarray, start_row: int, unit: np.ndarray) -> None:
         block = self._rows[start_row : start_row + ids.shape[0]]
-        refit_due = self._router.note_added(
-            ids, start_row, block, self._scored_rows
-        )
+        refit_due = self._router.note_added(ids, start_row, block)
         if refit_due or (
             not self._router.is_trained and self._size >= self._min_train_size
         ):
@@ -210,15 +199,12 @@ class IVFIndex(RoutedIndex, FlatIndex):
     # ------------------------------------------------------------------ #
     # Search
     # ------------------------------------------------------------------ #
-    supports_stop_score = True
-
     def search(
         self,
         queries: np.ndarray,
         top_k: int = 5,
         score_threshold: Optional[float] = None,
         *,
-        stop_score: Optional[float] = None,
         prenormalized: bool = False,
     ) -> List[List[IndexHit]]:
         """Probe the ``nprobe`` nearest cells per query and rank their lists.
@@ -226,11 +212,10 @@ class IVFIndex(RoutedIndex, FlatIndex):
         Exact (inherited flat scan) while the index is untrained; afterwards
         each query costs one ``(1, nlist)`` centroid matmul plus a
         brute-force pass over the probed lists only (see
-        :meth:`repro.index.routing.Router.search` for the two scan modes and
-        what ``stop_score`` trades away).  ``prenormalized=True`` skips query
-        normalization as in :meth:`FlatIndex.search`.  All intermediates
-        live in reused scratch buffers; the only per-call allocations are
-        the returned hit lists.
+        :meth:`repro.index.routing.Router.search`).  ``prenormalized=True``
+        skips query normalization as in :meth:`FlatIndex.search`.  All
+        intermediates live in reused scratch buffers; the only per-call
+        allocations are the returned hit lists.
         """
         if not self._router.is_trained:
             return super().search(
@@ -268,12 +253,4 @@ class IVFIndex(RoutedIndex, FlatIndex):
             self._ids.take(rows, out=ids)
             return topk_hits(ids, scores, top_k, score_threshold)
 
-        return self._router.search(
-            Qn,
-            scorer,
-            rank,
-            self._scored_rows,
-            top_k,
-            self._dtype,
-            stop_score=stop_score,
-        )
+        return self._router.search(Qn, scorer, rank, self._dtype)

@@ -17,9 +17,9 @@ brute-forces only that subset.  Its bookkeeping lives here:
   an append, a restore or a layout pass writes at once, and the router
   borrows it: candidate gathering in a search needs thousands of
   translations per query, which one fancy-index answers;
-* the probe loops, the cell score bounds behind probe pruning, and the
-  ranking tail (:func:`det_topk`, :func:`topk_hits`) the quantized flat scan
-  shares, plus the :class:`ScratchBuffers` arena every hot path draws from.
+* the probe scan, the ranking tail (:func:`det_topk`, :func:`topk_hits`)
+  the quantized flat scan shares, and the :class:`ScratchBuffers` arena
+  every hot path draws from.
 
 All of it is internal: ids handed in must already be validated by the
 owning index.
@@ -354,131 +354,6 @@ def det_topk(scores: np.ndarray, k: int) -> np.ndarray:
     return sel
 
 
-# Pruning margin: a cell is skipped only when its score upper bound sits more
-# than this below the current keff-th best scan score.  Must strictly exceed
-# the float32 scan-score arithmetic error (~1e-5 at d ≤ a few hundred), so a
-# pruned row provably cannot enter the deterministic top-keff selection.
-_PRUNE_EPS = 1e-4
-# Inflates the orthogonal term of the bound against float32 rounding of the
-# query·centroid score (without it, qc² > 1 by one ulp would zero the term
-# while the true orthogonal component is still ~sqrt(2·ulp)).
-_QC_SLACK = 1e-4
-
-
-def cell_bounds(
-    centroid_scores: np.ndarray,
-    cell_stats: "tuple[np.ndarray, np.ndarray, np.ndarray]",
-    scratch: ScratchBuffers,
-    key: str,
-) -> np.ndarray:
-    """Per-(query, cell) upper bounds on any member row's scan score.
-
-    For a unit query ``q``, unit centroid ``c`` and stored row ``u``
-    decomposed as ``u = (u·c)·c + r`` with ``r ⊥ c``::
-
-        q·u = (u·c)(q·c) + q·r
-            ≤ max(qc·a_max, qc·a_min) + sqrt(1 − qc²)·b_max
-
-    where ``cell_stats = (a_min, a_max, b_max)`` hold each cell's extremes of
-    ``u·c`` and its maximum residual norm ``‖r‖``.  The stats stay
-    conservative under removals (a stale extreme only widens the bound) and
-    are anchored at 0 for cells never updated.  ``_QC_SLACK`` inflates the
-    orthogonal term against float32 rounding of ``qc``; callers must keep an
-    additional ``_PRUNE_EPS`` margin when comparing float32 scan scores to
-    the bound.  All temporaries live in ``scratch`` under ``key``.
-    """
-    a_min, a_max, b_max = cell_stats
-    q, nlist = centroid_scores.shape
-    qc = scratch.get(key + ".qc", (q, nlist), np.float64)
-    np.copyto(qc, centroid_scores, casting="same_kind")
-    t = scratch.get(key + ".t", (q, nlist), np.float64)
-    bounds = scratch.get(key + ".bounds", (q, nlist), np.float64)
-    np.multiply(qc, a_max[None, :], out=bounds)
-    np.multiply(qc, a_min[None, :], out=t)
-    np.maximum(bounds, t, out=bounds)
-    np.multiply(qc, qc, out=t)
-    np.subtract(1.0 + _QC_SLACK, t, out=t)
-    np.clip(t, 0.0, None, out=t)
-    np.sqrt(t, out=t)
-    np.multiply(t, b_max[None, :], out=t)
-    np.add(bounds, t, out=bounds)
-    return bounds
-
-
-def probe_scan(
-    probe_cells: np.ndarray,
-    lists: List[Postings],
-    row_map: RowMap,
-    score_rows: Callable[[np.ndarray, np.ndarray], None],
-    cand_ids: np.ndarray,
-    cand_rows: np.ndarray,
-    cand_scores: np.ndarray,
-    kth_buf: np.ndarray,
-    keff: int,
-    bounds_row: Optional[np.ndarray],
-    stop_score: Optional[float],
-    stats: dict,
-) -> int:
-    """One query's best-first probe loop (driven by ``routing.Router.search``).
-
-    Iterates ``probe_cells`` (best-first), gathering each cell's ids/rows
-    into the caller's scratch segments and scoring them via ``score_rows``.
-    Two terminations ride along:
-
-    * **Exact-bound pruning** (``bounds_row`` set): once ``keff`` candidates
-      exist, a cell whose upper bound sits ``_PRUNE_EPS`` below the running
-      keff-th best scan score is skipped — provably without changing the
-      deterministic top-keff selection, because every row it could have
-      contributed scores strictly below the (monotonically non-decreasing)
-      cut.  Decision-invariant.
-    * **Threshold early stop** (``stop_score`` set): stop probing once the
-      running best score reaches ``stop_score``.  Lossy by design (further
-      probes could still improve ranks below the best hit), so callers only
-      enable it when the consumer admits on a score threshold the best hit
-      already cleared.
-
-    Returns the number of candidates written.
-    """
-    filled = 0
-    kth = -np.inf
-    best = -np.inf
-    for li in probe_cells:
-        lst = lists[li]
-        c = len(lst)
-        if c == 0:
-            continue
-        if bounds_row is not None and filled >= keff and bounds_row[li] < kth - _PRUNE_EPS:
-            stats["probes_pruned"] += 1
-            continue
-        ids_seg = cand_ids[filled : filled + c]
-        ids_seg[:] = lst.view()
-        # Canonical (ascending-id) order inside each cell: BLAS gemv per-row
-        # results are position-dependent at small shapes, so without this a
-        # cell's scores would depend on its insertion/deletion history — and a
-        # snapshot-restored index (lists rebuilt in row order) would score
-        # the same rows a ulp differently from the live one that wrote it.
-        ids_seg.sort()
-        rows_view = cand_rows[filled : filled + c]
-        row_map.rows_into(ids_seg, rows_view)
-        scores_view = cand_scores[filled : filled + c]
-        score_rows(rows_view, scores_view)
-        filled += c
-        stats["probes_scanned"] += 1
-        stats["rows_scanned"] += c
-        m = float(scores_view.max())
-        if m > best:
-            best = m
-        if stop_score is not None and best >= stop_score:
-            stats["early_stops"] += 1
-            break
-        if bounds_row is not None and filled >= keff:
-            kb = kth_buf[:filled]
-            kb[:] = cand_scores[:filled]
-            kb.partition(filled - keff)
-            kth = float(kb[filled - keff])
-    return filled
-
-
 def probe_scan_batched(
     probe_cells: np.ndarray,
     lists: List[Postings],
@@ -489,16 +364,14 @@ def probe_scan_batched(
     cand_scores: np.ndarray,
     stats: dict,
 ) -> int:
-    """Single-pass probe scan: every probed cell gathered, then ONE scoring call.
+    """One query's probe scan: every probed cell gathered, then ONE scoring call.
 
-    The routed hot path.  Once cells are small (a few hundred
-    rows), :func:`probe_scan`'s per-cell Python/BLAS dispatch — not the
-    arithmetic — is the latency floor, at tens of microseconds per probe.
-    When neither threshold early termination nor bound pruning is requested
-    there is no per-cell control flow to honour, so this variant
-    concatenates every probed cell's ids, translates them to rows once, and
-    scores the whole block with a single ``score_rows`` call in ascending
-    **row** order.  Row order is the canonical scan order here for two
+    The routed scan (driven by ``routing.Router.search``).  Once cells are
+    small (a few hundred rows), per-cell Python/BLAS dispatch — not the
+    arithmetic — would be the latency floor, at tens of microseconds per
+    probe, so this scan concatenates every probed cell's ids, translates
+    them to rows once, and scores the whole block with a single
+    ``score_rows`` call in ascending **row** order.  Row order is the canonical scan order here for two
     reasons: it is reproducible (snapshots preserve row order byte-for-byte,
     so a restored index scores the same rows in the same BLAS positions as
     the live one that wrote it), and it is what makes the gather sequential

@@ -52,9 +52,8 @@ from repro.index.store import _MIN_CAPACITY, RowStore
 _ENCODE_BLOCK = 16384
 # Query-batch ceiling for the latency-path unrouted scan: the whole batch is
 # scored per chunk by one fused cast+gemm into scratch, each chunk's survivors
-# are cut by the deterministic ``det_topk``, and a single query may stop
-# early.  Larger batches take the batched-throughput gemm path, whose
-# per-query cost is already amortized.
+# are cut by the deterministic ``det_topk``.  Larger batches take the
+# batched-throughput gemm path, whose per-query cost is already amortized.
 _SMALL_BATCH_MAX = 4
 
 
@@ -77,7 +76,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
         dequantized codes (1 disables).
     routed:
         Enable IVF coarse routing over the quantized rows.
-    nlist, nprobe, kmeans_iters, repartition_growth, auto_repartition, prune_probes:
+    nlist, nprobe, kmeans_iters, repartition_growth, auto_repartition:
         Routing knobs, see :class:`repro.index.routing.Router`.
     seed:
         Seeds training-sample selection and every k-means.
@@ -98,7 +97,6 @@ class QuantizedIndex(RoutedIndex, RowStore):
         repartition_growth: float = 2.0,
         seed: int = 0,
         auto_repartition: bool = True,
-        prune_probes: bool = True,
     ) -> None:
         super().__init__(dim, initial_capacity, chunk_size, norm_dtype=np.float32)
         if min_train_size < 2:
@@ -117,7 +115,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
         self._layout_clustered = False  # rows grouped cell-major on disk?
         # Built for unrouted instances too (it stays untrained and empty, and
         # keeps an empty row map of its own — it never gathers): they share
-        # the nprobe/prune_probes/scan_stats surface.
+        # the nprobe/scan_stats surface.
         self._router = Router(
             np.float32,
             self._scratch,
@@ -126,7 +124,6 @@ class QuantizedIndex(RoutedIndex, RowStore):
             kmeans_iters=kmeans_iters,
             repartition_growth=repartition_growth,
             auto_repartition=auto_repartition,
-            prune_probes=prune_probes,
             row_map=self._row_map if self._routed else None,
         )
 
@@ -245,14 +242,8 @@ class QuantizedIndex(RoutedIndex, RowStore):
         )
 
     # ------------------------------------------------------------------ #
-    # Scan upkeep (pruning bound stats, cell-major layout)
+    # Scan upkeep (cell-major layout)
     # ------------------------------------------------------------------ #
-    def _scored_rows(self, start: int, stop: int) -> np.ndarray:
-        """Code rows ``[start, stop)`` decoded: the probe-pruning bound must
-        cover the *reconstructed* rows the scan actually scores, not the
-        exact originals."""
-        return self._codec.decode(self._rows[start:stop], dtype=np.float64)
-
     def _compact_layout(self) -> None:
         """Reorder storage cell-major: each cell's codes become one
         contiguous ascending-row range.
@@ -284,15 +275,12 @@ class QuantizedIndex(RoutedIndex, RowStore):
         self._layout_clustered = True
 
     def maintenance(self) -> Dict[str, object]:
-        """Run deferred repartitioning, layout compaction and bound-stat
-        refreshes off-query.
+        """Run deferred repartitioning and layout compaction off-query.
 
         With ``auto_repartition=False`` the growth/churn-triggered routing
         retraining is deferred to this hook (the serving fleet calls it
         between batching windows); it also groups code storage cell-major so
-        probe gathers read contiguous ranges, and precomputes the
-        probe-pruning stats so the first search after a (re)partition
-        doesn't pay for them.
+        probe gathers read contiguous ranges.
         """
         done: Dict[str, object] = {}
         if self._router.repartition_due:
@@ -302,17 +290,13 @@ class QuantizedIndex(RoutedIndex, RowStore):
         if self._router.is_trained and self._size and not self._layout_clustered:
             self._compact_layout()
             done["layout_compacted"] = True
-        if self._router.refresh_cell_stats(self._scored_rows):
-            done["cell_stats_refreshed"] = True
         return done
 
     # ------------------------------------------------------------------ #
     # Mutation hooks (the row store calls these after each change)
     # ------------------------------------------------------------------ #
     def _post_add(self, ids: np.ndarray, start_row: int, unit: np.ndarray) -> None:
-        refit_due = self._routed and self._router.note_added(
-            ids, start_row, unit, self._scored_rows
-        )
+        refit_due = self._routed and self._router.note_added(ids, start_row, unit)
         if not self._codec.is_trained:
             if self._size >= self._min_train_size:
                 self._train()
@@ -335,8 +319,6 @@ class QuantizedIndex(RoutedIndex, RowStore):
     # ------------------------------------------------------------------ #
     # Search
     # ------------------------------------------------------------------ #
-    supports_stop_score = True
-
     def _prepare_queries(
         self, Q: np.ndarray, prenormalized: bool
     ) -> "tuple[np.ndarray, np.ndarray]":
@@ -404,7 +386,6 @@ class QuantizedIndex(RoutedIndex, RowStore):
         top_k: int = 5,
         score_threshold: Optional[float] = None,
         *,
-        stop_score: Optional[float] = None,
         prenormalized: bool = False,
     ) -> List[List[IndexHit]]:
         """Batched top-k cosine search over the quantized rows.
@@ -414,12 +395,8 @@ class QuantizedIndex(RoutedIndex, RowStore):
         routed: the ``nprobe`` nearest cells' lists only.  Scores are cosine
         similarities up to the codec's reconstruction error (see the module
         docstring); ``score_threshold`` filters on those scores.
-
-        ``stop_score`` enables lossy threshold early termination: scanning a
-        query stops once its running best scan score reaches the value
-        (honored by the routed probe loop per query, and by the flat scan
-        for a single query; ignored while untrained).  ``prenormalized=True``
-        skips query normalization as in :meth:`FlatIndex.search`.
+        ``prenormalized=True`` skips query normalization as in
+        :meth:`FlatIndex.search`.
         """
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
@@ -451,16 +428,11 @@ class QuantizedIndex(RoutedIndex, RowStore):
                 lambda qi, rows, scores: self._rank(
                     rows, scores, unit[qi], top_k, score_threshold
                 ),
-                self._scored_rows,
-                top_k * self._rescore if self._rescore > 1 else top_k,
                 np.float32,
-                stop_score=stop_score,
             )
 
         if n_queries <= _SMALL_BATCH_MAX:
-            return self._search_flat_small(
-                Qf, unit, top_k, score_threshold, stop_score
-            )
+            return self._search_flat_small(Qf, unit, top_k, score_threshold)
         return self._search_flat_batch(Qf, unit, top_k, score_threshold)
 
     def _search_flat_small(
@@ -469,7 +441,6 @@ class QuantizedIndex(RoutedIndex, RowStore):
         unit64: np.ndarray,
         top_k: int,
         score_threshold: Optional[float],
-        stop_score: Optional[float],
     ) -> List[List[IndexHit]]:
         """Latency-path flat scan (≤ ``_SMALL_BATCH_MAX`` queries).
 
@@ -477,7 +448,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
         cast+gemm pass with every intermediate in scratch.  Each chunk's
         ``keff`` survivors are selected with the deterministic
         :func:`det_topk`, so the candidate set is a pure function of the scan
-        scores.  Early stop applies to a single query.
+        scores.
         """
         n = self._size
         n_queries = Qf.shape[0]
@@ -501,13 +472,6 @@ class QuantizedIndex(RoutedIndex, RowStore):
                 seg += start
                 acc_scores[j, fills[j] : fills[j] + cnt] = S[j][sel]
                 fills[j] += cnt
-            if (
-                stop_score is not None
-                and n_queries == 1
-                and float(acc_scores[0, : fills[0]].max()) >= stop_score
-            ):
-                self._router.scan_stats["early_stops"] += 1
-                break
         return [
             self._rank(
                 acc_rows[j, : fills[j]],

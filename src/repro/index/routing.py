@@ -3,10 +3,9 @@
 :class:`Router` owns everything that makes a search *routed*: the spherical
 k-means centroids, one inverted list of ids per cell, each stored row's
 cell (:attr:`Router.cells`, an array aligned with the owner's rows), the
-growth-or-churn repartition trigger, the per-cell score-bound stats behind
-exact probe pruning, the scan counters and the probe loop itself.  It
-never sees how rows are stored: :class:`repro.index.ivf.IVFIndex` (float
-rows) and the routed :class:`repro.index.quantized.QuantizedIndex` (uint8
+growth-or-churn repartition trigger, the scan counters and the probe loop
+itself.  It never sees how rows are stored: :class:`repro.index.ivf.IVFIndex`
+(float rows) and the routed :class:`repro.index.quantized.QuantizedIndex` (uint8
 codes) each hold one router, hand it float rows to partition, and supply a
 ``score_rows(rows, out)`` callable per query plus a ranking tail.  The
 probe scans gather through the owner's id → row
@@ -28,8 +27,6 @@ from repro.index.postings import (
     RowMap,
     ScratchBuffers,
     build_inverted_lists,
-    cell_bounds,
-    probe_scan,
     probe_scan_batched,
 )
 
@@ -37,15 +34,9 @@ from repro.index.postings import (
 # (a one-shot ``rows @ centroids.T`` is ~16 GB at 10⁶ rows and nlist ≈ 4√n).
 _ASSIGN_BLOCK_ELEMS = 4_194_304
 
-#: Scores the stored rows ``rows`` (ascending or per-cell order, as the scan
-#: chose) against one query, writing one score per row into ``out``.
+#: Scores the stored rows ``rows`` (in ascending row order) against one
+#: query, writing one score per row into ``out``.
 ScoreRows = Callable[[np.ndarray, np.ndarray], None]
-#: ``scored_rows(start, stop)``: storage rows ``[start, stop)`` as the float
-#: vectors the scan actually scores (a quantized owner decodes its codes) —
-#: what the pruning bounds must cover.  Passed per call, not held: a router
-#: keeping its owner's bound method would make every index a reference
-#: cycle, and its matrices would outlive it until a full collection.
-ScoredRows = Callable[[int, int], np.ndarray]
 
 
 def spherical_kmeans(
@@ -79,22 +70,16 @@ def spherical_kmeans(
     return np.ascontiguousarray(centroids, dtype=dtype)
 
 
-def sorted_probes(centroid_scores: np.ndarray, nprobe: int) -> np.ndarray:
-    """The ``nprobe`` best cells per query, in descending centroid-score order.
+def best_cells(centroid_scores: np.ndarray, nprobe: int) -> np.ndarray:
+    """The ``nprobe`` best cells per query, in no particular order.
 
-    Best-first probing is what makes exact-bound pruning and threshold early
-    termination effective (the best candidates surface in the first probes);
-    the stable sort keeps the order deterministic under score ties.
+    The probe scan sorts what it gathers by row, so the order of the cells
+    never reaches a score.
     """
     n_queries, nlist = centroid_scores.shape
     if nprobe < nlist:
-        part = np.argpartition(-centroid_scores, kth=nprobe - 1, axis=1)[:, :nprobe]
-    else:
-        part = np.broadcast_to(np.arange(nlist), (n_queries, nlist))
-    order = np.argsort(
-        -np.take_along_axis(centroid_scores, part, axis=1), axis=1, kind="stable"
-    )
-    return np.take_along_axis(part, order, axis=1)
+        return np.argpartition(-centroid_scores, kth=nprobe - 1, axis=1)[:, :nprobe]
+    return np.broadcast_to(np.arange(nlist), (n_queries, nlist))
 
 
 def training_sample(
@@ -131,8 +116,6 @@ class Router:
     auto_repartition:
         Whether :meth:`note_added` asks for a due refit at once (True) or
         flags it in :attr:`repartition_due` for the owner's ``maintenance()``.
-    prune_probes:
-        Whether ``stop_score`` searches skip cells by exact score bound.
     row_map:
         The owner's id → row map, which the probe scans gather through.
         An owner that never routes passes none and the router keeps an
@@ -148,7 +131,6 @@ class Router:
         kmeans_iters: int = 8,
         repartition_growth: float = 2.0,
         auto_repartition: bool = True,
-        prune_probes: bool = True,
         row_map: Optional[RowMap] = None,
     ) -> None:
         if nlist is not None and nlist < 1:
@@ -164,7 +146,6 @@ class Router:
         self.kmeans_iters = int(kmeans_iters)
         self.repartition_growth = float(repartition_growth)
         self.auto_repartition = bool(auto_repartition)
-        self.prune_probes = bool(prune_probes)
         self.centroids: Optional[np.ndarray] = None  # (nlist, d) unit rows
         self.lists: List[Postings] = []
         #: cell of each of the owner's rows ``[0, size)`` while trained
@@ -176,16 +157,7 @@ class Router:
         self.trained_size = 0
         self.mutations_since_train = 0
         self.repartition_due = False
-        # Per-cell (a_min, a_max, b_max) score-bound stats for exact probe
-        # pruning; computed lazily from the live rows on the first bounded
-        # search (or by refresh_cell_stats()) and updated incrementally on add.
-        self._cell_stats: "Optional[tuple]" = None
-        self.scan_stats: Dict[str, int] = {
-            "probes_scanned": 0,
-            "probes_pruned": 0,
-            "rows_scanned": 0,
-            "early_stops": 0,
-        }
+        self.scan_stats: Dict[str, int] = {"probes_scanned": 0, "rows_scanned": 0}
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -270,8 +242,6 @@ class Router:
         self.trained_size = size
         self.mutations_since_train = 0
         self.repartition_due = False
-        # Bound stats refer to the old partition; recompute lazily.
-        self._cell_stats = None
 
     # ------------------------------------------------------------------ #
     # Mutation upkeep
@@ -281,7 +251,6 @@ class Router:
         ids: np.ndarray,
         start_row: int,
         rows: np.ndarray,
-        scored_rows: ScoredRows,
     ) -> bool:
         """Route freshly stored ``rows`` (ids ``ids``, from ``start_row`` on).
 
@@ -303,8 +272,6 @@ class Router:
         for id, li in zip(ids.tolist(), assign.tolist()):
             self.lists[li].append(id)
         self.size += ids.shape[0]
-        if self._cell_stats is not None:
-            self._fold_cell_stats(scored_rows(start_row, stop), assign)
         self.mutations_since_train += ids.shape[0]
         threshold = self.repartition_growth * self.trained_size
         if self.size >= threshold or self.mutations_since_train >= threshold:
@@ -342,48 +309,6 @@ class Router:
         self.trained_size = 0
         self.mutations_since_train = 0
         self.repartition_due = False
-        self._cell_stats = None
-
-    # ------------------------------------------------------------------ #
-    # Probe-pruning bound stats
-    # ------------------------------------------------------------------ #
-    def _fold_cell_stats(self, rows: np.ndarray, assign: np.ndarray) -> None:
-        """Fold scored rows and their cells into the per-cell bound stats."""
-        a_min, a_max, b_max = self._cell_stats
-        R = np.asarray(rows, dtype=np.float64)
-        C = self.centroids[assign].astype(np.float64)
-        a = np.einsum("ij,ij->i", R, C)
-        sq = np.einsum("ij,ij->i", R, R)
-        b = np.sqrt(np.maximum(0.0, sq - a * a))
-        np.minimum.at(a_min, assign, a)
-        np.maximum.at(a_max, assign, a)
-        np.maximum.at(b_max, assign, b)
-
-    def _compute_cell_stats(self, scored_rows: ScoredRows) -> None:
-        """(Re)build the per-cell bound stats from every live row, blocked."""
-        nlist, dim = self.centroids.shape
-        self._cell_stats = (np.zeros(nlist), np.zeros(nlist), np.zeros(nlist))
-        size = self.size
-        block = max(1, _ASSIGN_BLOCK_ELEMS // max(dim, 1))
-        for start in range(0, size, block):
-            stop = min(start + block, size)
-            self._fold_cell_stats(scored_rows(start, stop), self.cells[start:stop])
-
-    def refresh_cell_stats(self, scored_rows: ScoredRows) -> bool:
-        """Precompute missing bound stats off-query; True if it did any work.
-
-        Lets the first ``stop_score`` search after a (re)fit skip the O(n)
-        pass.  A no-op while untrained, empty, or with pruning disabled.
-        """
-        if (
-            not self.prune_probes
-            or self.centroids is None
-            or self._cell_stats is not None
-            or not self.size
-        ):
-            return False
-        self._compute_cell_stats(scored_rows)
-        return True
 
     # ------------------------------------------------------------------ #
     # Snapshot protocol (array names carry the owner's prefix)
@@ -396,7 +321,6 @@ class Router:
             "kmeans_iters": self.kmeans_iters,
             "repartition_growth": self.repartition_growth,
             "auto_repartition": self.auto_repartition,
-            "prune_probes": self.prune_probes,
         }
 
     def snapshot_state(self) -> Dict[str, object]:
@@ -451,10 +375,7 @@ class Router:
         queries: np.ndarray,
         scorer: Callable[[int], ScoreRows],
         rank: Callable[[int, np.ndarray, np.ndarray], List[IndexHit]],
-        scored_rows: ScoredRows,
-        keff: int,
         score_dtype: np.dtype,
-        stop_score: Optional[float] = None,
     ) -> List[List[IndexHit]]:
         """Probe the ``nprobe`` nearest cells per query and rank their rows.
 
@@ -464,28 +385,17 @@ class Router:
         hit list.  Hit lists may hold fewer than ``top_k`` entries when the
         probed cells are sparse — the price of approximate search.
 
-        Plain searches take :func:`probe_scan_batched`: one gather and one
-        scoring call over every probed cell, in ascending row order (per-cell
-        dispatch is the latency floor once cells are small).  With
-        ``stop_score`` set the scan switches to the best-first per-cell
-        :func:`probe_scan`, which stops once the running best score reaches
-        the threshold — lossy by design, for callers that admit on a score
-        threshold the best hit already cleared — and, with
-        :attr:`prune_probes`, skips cells whose exact score bound cannot
-        enter the top ``keff`` (decision-invariant; bound pruning only pays
-        on that per-cell scan).
+        Every probed cell is scanned in full by :func:`probe_scan_batched`:
+        one gather and one scoring call over all of a query's probed cells,
+        in ascending row order, so the ranking sees every candidate the
+        probes reach.
         """
         n_queries = queries.shape[0]
         nlist = self.centroids.shape[0]
         sc = self._scratch
         centroid_scores = sc.get("rt.cscores", (n_queries, nlist), self._dtype)
         np.matmul(queries, self.centroids.T, out=centroid_scores)
-        probes = sorted_probes(centroid_scores, min(self._nprobe, nlist))
-        bounds = None
-        if stop_score is not None and self.prune_probes:
-            if self._cell_stats is None:
-                self._compute_cell_stats(scored_rows)
-            bounds = cell_bounds(centroid_scores, self._cell_stats, sc, "rt.bounds")
+        probes = best_cells(centroid_scores, min(self._nprobe, nlist))
         results: List[List[IndexHit]] = []
         for qi in range(n_queries):
             plist = probes[qi]
@@ -498,32 +408,16 @@ class Router:
             cand_ids = sc.get("rt.cand_ids", (total,), np.int64)
             cand_rows = sc.get("rt.cand_rows", (total,), np.int64)
             cand_scores = sc.get("rt.cand_scores", (total,), score_dtype)
-            if stop_score is not None:
-                filled = probe_scan(
-                    plist,
-                    self.lists,
-                    self.row_map,
-                    scorer(qi),
-                    cand_ids,
-                    cand_rows,
-                    cand_scores,
-                    sc.get("rt.kth", (total,), score_dtype),
-                    keff,
-                    bounds[qi] if bounds is not None else None,
-                    stop_score,
-                    self.scan_stats,
-                )
-            else:
-                filled = probe_scan_batched(
-                    plist,
-                    self.lists,
-                    self.row_map,
-                    scorer(qi),
-                    cand_ids,
-                    cand_rows,
-                    cand_scores,
-                    self.scan_stats,
-                )
+            filled = probe_scan_batched(
+                plist,
+                self.lists,
+                self.row_map,
+                scorer(qi),
+                cand_ids,
+                cand_rows,
+                cand_scores,
+                self.scan_stats,
+            )
             results.append(rank(qi, cand_rows[:filled], cand_scores[:filled]))
         return results
 
@@ -562,16 +456,6 @@ class RoutedIndex:
         self._router.nprobe = value
 
     @property
-    def prune_probes(self) -> bool:
-        """Whether exact-bound probe pruning is enabled (decision-invariant)."""
-        return self._router.prune_probes
-
-    @prune_probes.setter
-    def prune_probes(self, value: bool) -> None:
-        """Turn exact-bound probe pruning on or off."""
-        self._router.prune_probes = bool(value)
-
-    @property
     def routing_nbytes(self) -> int:
         """Bytes of the routing structures (centroids + lists + row map).
 
@@ -582,7 +466,7 @@ class RoutedIndex:
 
     @property
     def scan_stats(self) -> Dict[str, int]:
-        """Cumulative scan counters (scanned/pruned probes, rows, early stops)."""
+        """Cumulative scan counters (probes and rows scanned)."""
         return dict(self._router.scan_stats)
 
     def reset_scan_stats(self) -> None:

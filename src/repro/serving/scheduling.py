@@ -389,9 +389,8 @@ class BatchExecutor:
         """Deferred background work for ``targets`` — by default every cache
         the last batch touched.  Returns the shared tiers still owed upkeep.
 
-        IVF repartitioning (``auto_repartition=False``), probe-bound stat
-        refreshes, layout compaction and snapshot delta-log folding run
-        here, between batches — the query path itself never pays for
+        IVF repartitioning (``auto_repartition=False``), layout compaction
+        and snapshot delta-log folding run here, between batches — the query path itself never pays for
         reorganization.  A target exposing its own ``maintenance()`` owns
         the whole hook; otherwise the executor falls through to the
         target's index.

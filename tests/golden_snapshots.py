@@ -21,11 +21,13 @@ The fixtures are generated by::
 
 ``tests/test_persistence.py`` loads each one eagerly and memory-mapped and
 compares exactly.  Regenerate only for a deliberate, documented format
-change (the last: ``MeanCache`` and ``GPTCache`` snapshots went to format
-v3, which stores each vector once, in the nested ``index/`` snapshot —
-``arrays/embeddings.npy`` left ``meancache``, ``gptcache`` (which now has
-no ``arrays/`` at all) and ``tiered/l1``, and their manifests read
-``"version": 3``) or a value-level re-pin:
+change (the last: threshold early stop left the stack, so the five routed
+or quantized index manifests — ``index-ivf``, ``index-sq8``,
+``index-ivf+sq8``, ``tier/index`` and ``tiered/l2/index`` — no longer carry
+``"prune_probes"``, the ``meancache`` and ``tiered/l1`` manifests no longer
+carry ``"early_stop_margin"``, and ``expected.json`` lost its ``"stop"``
+observations; no array, ``entries.json`` or delta byte moved) or a
+value-level re-pin:
 
 * decision level (hit/miss, matched entry, response, victim, tier,
   ``decision_sha256``) is exact and never re-pinned without a ROADMAP line;
@@ -123,8 +125,6 @@ def observe_index(index) -> Dict[str, object]:
         "batch": hit_signature(index.search(queries, top_k=4)),
         "get": [[float(x).hex() for x in index.get(i)] for i in (live[0], live[-1])],
     }
-    if index.supports_stop_score:
-        seen["stop"] = hit_signature(index.search(queries[4], top_k=3, stop_score=0.5))
     return seen
 
 

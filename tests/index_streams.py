@@ -8,8 +8,8 @@ remove / id-reuse / repartition / maintenance / save+load / rebuild / clear
 script and records, at each checkpoint, what a caller can observe:
 
 * ``(id, score.hex())`` transcripts of single, 2-, 4-, 5- and 64-query
-  searches, with ``score_threshold``, with a reachable and an unreachable
-  ``stop_score``, and ``prenormalized`` in both float widths;
+  searches, with ``score_threshold``, and ``prenormalized`` in both float
+  widths;
 * ``scan_stats`` after those searches and every ``*_nbytes`` figure;
 * ``get`` reconstructions and whatever ``maintenance()`` reported.
 
@@ -22,7 +22,12 @@ the refactor it guards via::
     PYTHONPATH=src:tests python -m index_streams
 
 ``tests/test_index_streams.py`` replays the script and compares exactly.
-Regenerate only for a deliberate, documented change of search arithmetic.
+Regenerate only for a deliberate, documented change of search arithmetic
+or of what the script observes (the last: threshold early stop left the
+index layer, taking the ``stop_*`` searches, the ``probes_pruned`` and
+``early_stops`` scan counters and ``maintenance()``'s
+``cell_stats_refreshed`` with it; every other observation is the previous
+commit's, bit for bit).
 """
 
 from __future__ import annotations
@@ -98,19 +103,6 @@ def observe(index, queries: np.ndarray, stored: np.ndarray) -> Dict[str, object]
     seen["prenormalized_single"] = hit_signature(
         index.search(unit32[0], top_k=3, prenormalized=True)
     )
-    if index.supports_stop_score:
-        probes = np.vstack([stored, queries[:4]])
-        for label, stop in (("reachable", 0.5), ("unreachable", 2.0)):
-            seen[f"stop_{label}_single"] = hit_signature(
-                index.search(stored, top_k=3, stop_score=stop)
-            )
-            seen[f"stop_{label}_miss"] = hit_signature(
-                index.search(queries[5], top_k=3, stop_score=stop)
-            )
-            for size in (2, 5):
-                seen[f"stop_{label}_batch{size}"] = _digest(
-                    index.search(probes[:size], top_k=3, stop_score=stop)
-                )
     if hasattr(index, "scan_stats"):
         seen["scan_stats"] = dict(index.scan_stats)
     for name in _NBYTES:

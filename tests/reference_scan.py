@@ -2,8 +2,8 @@
 
 What ``QuantizedIndex`` used to carry as a second, runtime-selectable scan
 path: every candidate row is dequantized to a materialized float64 matrix
-and scored with one plain matmul — no query tables, no chunk pre-selection, no
-probe pruning.  With ``rescore > 1`` the index's final
+and scored with one plain matmul — no query tables, no chunk pre-selection.
+With ``rescore > 1`` the index's final
 scores are a float64 rescore of a deterministic candidate set, so its hits
 must equal this oracle's exactly; with ``rescore == 1`` only within codec
 error.
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.index import IndexHit, QuantizedIndex
 from repro.index.postings import det_topk, topk_hits
-from repro.index.routing import sorted_probes
+from repro.index.routing import best_cells
 from repro.index.store import normalize_rows
 
 
@@ -32,7 +32,7 @@ def reference_search(
     router = index._router
     if router.is_trained:  # only the rows of the cells the index probes
         cscores = unit.astype(np.float32) @ router.centroids.T
-        probes = sorted_probes(cscores, min(router.nprobe, router.nlist))
+        probes = best_cells(cscores, min(router.nprobe, router.nlist))
     results = []
     for qi, q64 in enumerate(unit):
         rows = np.arange(n)

@@ -484,6 +484,56 @@ def test_meancache_rejects_unknown_backend():
         MeanCacheConfig(index_backend="bogus")
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
+# The construction seed per backend: one whose two near-duplicates k-means
+# puts in different cells (a near-duplicate pair usually shares one, which
+# the test asserts rather than assumes).
+_SPLIT_PAIR_SEEDS = {"ivf": 11, "ivf+sq8": 42}
+
+
+@pytest.mark.parametrize("backend", sorted(_SPLIT_PAIR_SEEDS))
+def test_routed_lookup_serves_the_next_candidate_when_the_best_fails_context(backend):
+    """Algorithm 1 checks every top-k candidate that clears τ, in rank order.
+
+    Entry A (context "printer") is the probe's exact vector; entry B (context
+    "router") is A nudged by a quarter-length random direction, in another
+    cell.  Probed with A's vector under B's context, A clears τ but fails the
+    context check, so the cache must serve B: the routed scan has to reach
+    B's cell even though A's cell already held a candidate far above τ.
+    """
+    nlist = 8
+    cache = MeanCache(
+        make_tiny_encoder(),
+        MeanCacheConfig(
+            similarity_threshold=0.8,
+            index_backend=backend,
+            index_params={"min_train_size": 32, "nlist": nlist, "nprobe": nlist, "seed": 0},
+        ),
+    )
+    rng = np.random.default_rng(_SPLIT_PAIR_SEEDS[backend])
+    dim = cache.encoder.embedding_dim
+    a = _unit(rng.normal(size=dim))
+    b = _unit(a + 0.25 * _unit(rng.normal(size=dim)))
+    query = "how do I reset it"
+    a_id = cache.insert(query, "hold the printer's reset button", ["printer"], embedding=a)
+    b_id = cache.insert(query, "power-cycle the router", ["router"], embedding=b)
+    for i, row in enumerate(rng.normal(size=(200, dim))):
+        cache.insert(f"filler question {i}", "filler", embedding=row)
+
+    index = cache.index
+    router = index._router
+    assert router.is_trained and index.nprobe == router.nlist == nlist
+    assert router.cells[index._row_map.get(a_id)] != router.cells[index._row_map.get(b_id)]
+
+    decision = cache.lookup_batch([query], contexts=[["router"]], embeddings=a[None])[0]
+    assert decision.hit
+    assert decision.entry_id == b_id
+    assert decision.response == "power-cycle the router"
+
+
 def test_gptcache_runs_on_approximate_backend():
     cache = GPTCache(
         make_tiny_encoder(),

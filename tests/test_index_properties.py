@@ -370,7 +370,6 @@ from repro.index import load_index  # noqa: E402
 # The reference equals a quantized scan exactly only under an exact rescore,
 # so the ``rescore1`` compositions sit out the parity cases.
 QUANTIZED_NAMES = ("sq8", "sq8-chunked", "ivf+sq8", "ivf+sq8-deferred")
-STOP_SCORE_NAMES = tuple(name for name in BACKEND_NAMES if registry_name(name) != "flat")
 
 
 def hits_fingerprint(results):
@@ -480,60 +479,6 @@ def test_maintenance_compacts_and_is_idempotent(name):
     oracle[max(oracle) + 1] = None  # id bookkeeping not needed below
     third = index.maintenance()
     assert third.get("layout_compacted") is True
-
-
-@pytest.mark.parametrize("name", STOP_SCORE_NAMES)
-def test_stop_score_early_termination_invariant(name):
-    """Threshold early termination is lossy only *above* the threshold.
-
-    With an unreachable ``stop_score`` the scan must be exhaustive and
-    byte-identical to a plain search; with a reachable one, either the scan
-    still completed (identical hits) or it stopped early, in which case the
-    returned top-1 must already satisfy the threshold (up to codec error)
-    and the ``early_stops`` counter must record the shortcut.
-    """
-    params, tol = BACKENDS[name]
-    rng = np.random.default_rng(31)
-    index, oracle = build_mutated(name, rng)
-    assert index.supports_stop_score
-    probe_id = sorted(oracle)[len(oracle) // 2]
-    query = oracle[probe_id]
-    exhaustive = hits_fingerprint(index.search(query, top_k=3))
-
-    def same_decisions(got, want):
-        # The unrouted quantized scans take one path with or without
-        # ``stop_score``: byte-identical transcripts.  The routed ones
-        # rescore the same candidates in float64, but the per-cell
-        # ``probe_scan`` and the single-block ``probe_scan_batched`` hand
-        # them to the rescore gemv in different orders — identical ids,
-        # scores equal to a float64 ulp.  The float IVF backend and the
-        # routed quantized one without a rescore report raw float32 scan
-        # scores, and BLAS picks different kernels for the two candidate
-        # shapes — identical ids, scores equal to float32 ulps.
-        if registry_name(name) == "ivf" or name == "ivf+sq8-rescore1":
-            return same_ranking(got, want, 1e-6)
-        if name.startswith("ivf+"):
-            return same_ranking(got, want, 1e-12)
-        return got == want
-
-    # Unreachable threshold: never stops, identical decisions.
-    assert same_decisions(
-        hits_fingerprint(index.search(query, top_k=3, stop_score=2.0)), exhaustive
-    )
-    # Reachable threshold: a stored-vector query scores ~1.0, so any cell
-    # containing it clears 0.5 immediately.
-    index.reset_scan_stats()
-    stopped = hits_fingerprint(index.search(query, top_k=3, stop_score=0.5))[0]
-    assert stopped, "stop_score search returned nothing for a stored vector"
-    if not same_decisions([stopped], [exhaustive[0]]):
-        assert index.scan_stats["early_stops"] >= 1
-    assert stopped[0][1] >= 0.5 - tol
-    if "chunk_size" in params:
-        # A multi-chunk flat scan may stop at an earlier chunk whose best row
-        # already clears the threshold: the stored vector is then not seen.
-        assert stopped[0][0] in oracle
-    else:
-        assert stopped[0][0] == probe_id
 
 
 @pytest.mark.parametrize("name", BACKEND_NAMES)

@@ -272,6 +272,16 @@ def test_load_drops_retired_fused_scan_param(name, value, mmap, tmp_path):
     _check_load_drops_retired_param(name, "fused_scan", value, mmap, tmp_path)
 
 
+@pytest.mark.parametrize("mmap", [False, True])
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("name", ["ivf", "sq8", "ivf+sq8"])
+def test_load_drops_retired_prune_probes_param(name, value, mmap, tmp_path):
+    """Manifests written while the routed backends had exact-bound probe
+    pruning carry ``prune_probes`` (``true`` by default); either value loads
+    as the one exhaustive probe scan there is now."""
+    _check_load_drops_retired_param(name, "prune_probes", value, mmap, tmp_path)
+
+
 # --------------------------------------------------------------------------- #
 # Manifest validation
 # --------------------------------------------------------------------------- #
@@ -430,6 +440,33 @@ def test_meancache_round_trip_on_every_backend(backend, params, tmp_path):
     loaded = MeanCache.load(tmp_path / "mc", encoder.clone())
     assert type(loaded.index).__name__ == type(cache.index).__name__
     after = loaded.lookup_batch(probes)
+    assert [(d.hit, d.entry_id, float(d.similarity).hex()) for d in before] == [
+        (d.hit, d.entry_id, float(d.similarity).hex()) for d in after
+    ]
+
+
+def test_meancache_load_drops_retired_early_stop_margin(tmp_path):
+    """Snapshots written while ``MeanCacheConfig`` had ``early_stop_margin``
+    carry it (the ``legacy-v2`` fixtures hold ``null``).  A set margin loads
+    too, as the same config without it, and the cache decides like the live
+    one: retrieval hands every lookup its full top-k."""
+    encoder = make_tiny_encoder()
+    cache = _populated_meancache(
+        encoder, index_backend="ivf", index_params={"min_train_size": 16, "seed": 2}
+    )
+    probes = [f"how do I configure widget {i}" for i in range(0, 60, 2)]
+    probe_ctx = [["setting up widgets"]] * len(probes)
+    path = tmp_path / "mc"
+    cache.save(path)
+    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    assert "early_stop_margin" not in manifest["config"]
+    manifest["config"]["early_stop_margin"] = 0.05
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+    loaded = MeanCache.load(path, encoder.clone())
+    assert loaded.config == cache.config
+    before = cache.lookup_batch(probes, contexts=probe_ctx)
+    after = loaded.lookup_batch(probes, contexts=probe_ctx)
     assert [(d.hit, d.entry_id, float(d.similarity).hex()) for d in before] == [
         (d.hit, d.entry_id, float(d.similarity).hex()) for d in after
     ]

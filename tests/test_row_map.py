@@ -184,6 +184,4 @@ def test_an_ivf_index_restored_zero_copy_searches_before_any_id_keyed_call(tmp_p
     loaded = load_index(tmp_path / "snap", mmap=True)
     assert loaded.mmap_backed
     assert loaded.search(queries, top_k=5) == index.search(queries, top_k=5)
-    assert loaded.search(queries[0], top_k=5, stop_score=0.5) == index.search(
-        queries[0], top_k=5, stop_score=0.5
-    )
+    assert loaded.search(queries[0], top_k=5) == index.search(queries[0], top_k=5)
