@@ -4,10 +4,10 @@ Library code never calls ``time.time()`` directly (rule RPL002): anything a
 cache decision can depend on — entry ``created_at``/``last_accessed``
 stamps, TTL expiry, recency introspection — reads time from an injected
 ``Clock`` callable instead.  Production wiring injects ``time.time``;
-simulation wiring (:class:`~repro.serving.scheduling.BatchExecutor` with
-``stamp_event_time=True``) injects a :class:`VirtualClock` driven by trace
-event timestamps, so replays are independent of both wall-clock speed and
-event-processing order.
+replay wiring (:class:`~repro.serving.scheduling.BatchExecutor` with
+``stamp_event_time=True``) injects a :class:`VirtualClock` that the server
+moves to each flush's latest event timestamp, so replays are independent of
+wall-clock speed, event-processing order and shard count.
 """
 
 from __future__ import annotations

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (
@@ -748,16 +747,16 @@ def match_probes(probes: Sequence[TierProbe]) -> None:
 
 def serve_probes(
     probes: Sequence[TierProbe],
-    lock_for: Callable[["TieredCache"], ContextManager[object]] = lambda cache: nullcontext(),
+    lock_for: Callable[["TieredCache"], ContextManager[object]],
 ) -> None:
     """Serve matched probes, given in arrival order, cache by cache
-    (:meth:`TieredCache.serve_matches`, each under ``lock_for(cache)``).
+    (:meth:`TieredCache.serve_matches`, each under ``lock_for(cache)`` — the
+    lock of the server shard that owns the cache).
 
-    The caches go in the order of their earliest probe, whichever driver
-    ran the lookups, and all before any of the batch's misses enrols: no
-    enrolment's demotion can evict a matched entry ahead of its promotion,
-    and a batch ends in one state however its caches were grouped (across
-    the server's shards or in the simulator's one executor).
+    The caches go in the order of their earliest probe, and all before any
+    of the batch's misses enrols: no enrolment's demotion can evict a
+    matched entry ahead of its promotion, and a batch ends in one state
+    however its caches were grouped across the server's shards.
     """
     by_cache: Dict[int, List[TierProbe]] = {}
     for probe in probes:

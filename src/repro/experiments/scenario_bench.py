@@ -46,7 +46,7 @@ from repro.embeddings.model import SiameseEncoder
 from repro.federated.online import OnlineAdaptationConfig, OnlineThresholdAdapter
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.metrics.reporting import format_table
-from repro.serving.fleet import FleetConfig, FleetResult, FleetSimulator, UserStats
+from repro.serving.fleet import FleetConfig, FleetSimulator
 from repro.serving.scenarios import (
     CohortSpec,
     FloodingConfig,
@@ -63,6 +63,7 @@ from repro.serving.scenarios import (
     trace_from_logs,
     trace_to_logs,
 )
+from repro.serving.scheduling import FleetResult, UserStats
 from repro.serving.workload import (
     ArrivalSchedule,
     Trace,

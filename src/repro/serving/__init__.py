@@ -13,29 +13,24 @@ cache, sharing one LLM web service:
   N per-user caches (any variant with ``lookup_batch``/``enroll``) against one
   shared :class:`~repro.llm.service.SimulatedLLMService` on a virtual event
   clock, with batched lookup scheduling and per-fleet/per-user hit-rate,
-  latency and cost aggregation.
+  latency and cost aggregation — a façade over the server's deterministic
+  one-shard replay.
 * :mod:`repro.serving.scenarios` — the scenario zoo: adversarial
   cache-poisoning and near-miss-flooding streams, mixed-domain cohorts,
   multi-tenant mixes, external log import, plus the declarative
   :class:`ScenarioSpec` registry the evaluation matrix
   (:mod:`repro.experiments.scenario_bench`) drives.
-* :mod:`repro.serving.scheduling` — the shared serving core:
-  :class:`BatchExecutor` (the two-phase batch execution core both frontends
-  drive), :class:`CacheAdapter`, and :func:`iter_windows` (virtual-time
-  batching windows).
+* :mod:`repro.serving.scheduling` — the serving core under the server's
+  flush: :class:`BatchExecutor` (one shard's two-phase batch execution),
+  :class:`CacheAdapter`, the :class:`FleetResult` aggregation, and
+  :func:`iter_windows` (virtual-time batching windows).
 * :mod:`repro.serving.server` — :class:`CacheServer`, the live threaded
   serving tier: hash-sharded per-user caches behind per-shard locks, a
   bounded admission queue with :class:`BackpressureError` shedding, and an
   adaptive cross-user micro-batcher (:class:`MicroBatcher`).
 """
 
-from repro.serving.fleet import (
-    FleetConfig,
-    FleetResult,
-    FleetSimulator,
-    LookupOutcome,
-    UserStats,
-)
+from repro.serving.fleet import FleetConfig, FleetSimulator
 from repro.serving.scenarios import (
     CohortSpec,
     FloodingConfig,
@@ -57,6 +52,9 @@ from repro.serving.scenarios import (
 from repro.serving.scheduling import (
     BatchExecutor,
     CacheAdapter,
+    FleetResult,
+    LookupOutcome,
+    UserStats,
     iter_windows,
 )
 from repro.serving.server import (

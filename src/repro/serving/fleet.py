@@ -8,14 +8,13 @@ scheduled together — each cache's queries in the window go through a single
 ``lookup_batch`` call, so the per-query embed/search overhead amortizes the
 way a deployed batching frontend would.
 
-The simulator is one frontend over the shared serving core
-(:mod:`repro.serving.scheduling`): :func:`replay_windows` carves the trace
-into deterministic virtual-time windows and a
-:class:`~repro.serving.scheduling.BatchExecutor` runs each window through
-the same two-phase lookup/enroll semantics the live threaded server
-(:class:`~repro.serving.server.CacheServer`) uses under wall-clock load —
-``tests/test_serving_parity.py`` pins the two frontends byte-identical on a
-shared trace.
+The simulator is a façade over the one serving driver: its runs are
+:meth:`CacheServer.replay <repro.serving.server.CacheServer.replay>` on a
+deterministic one-shard server, the same flush the live threaded server
+runs under wall-clock load.  Sharding changes nothing a replay decides or
+stores — ``tests/test_serving_parity.py`` and
+``tests/test_serving_parity_properties.py`` pin the one-shard replay as the
+oracle for every shard count.
 
 Any cache variant rides along: every variant returns
 :class:`~repro.core.cache.CacheDecision`, which the executor folds into one
@@ -40,10 +39,10 @@ aggregate.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 from repro.index.snapshot import (
     SnapshotError,
@@ -52,14 +51,9 @@ from repro.index.snapshot import (
     write_manifest,
 )
 from repro.llm.service import SimulatedLLMService
-from repro.serving.scheduling import (
-    BatchExecutor,
-    CacheAdapter,
-    LookupOutcome,
-    iter_windows,
-    storage_report,
-)
-from repro.serving.workload import Trace, WorkloadEvent
+from repro.serving.scheduling import CacheAdapter, FleetResult
+from repro.serving.server import CacheServer, ServerConfig
+from repro.serving.workload import Trace
 
 #: Snapshot format tag / version of ``FleetSimulator.checkpoint`` directories.
 FLEET_FORMAT = "repro-fleet"
@@ -89,212 +83,6 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.batch_window_s < 0:
             raise ValueError("batch_window_s must be >= 0")
-
-
-@dataclass
-class UserStats:
-    """Per-user aggregation over one simulation run."""
-
-    lookups: int = 0
-    hits: int = 0
-    llm_requests: int = 0
-    cache_overhead_s: float = 0.0
-    llm_latency_s: float = 0.0
-    cost_usd: float = 0.0
-    #: hits verified correct / incorrect against the intent oracle (hits
-    #: without a verification signal count in neither)
-    true_hits: int = 0
-    false_hits: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of this user's lookups served locally."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    @property
-    def false_hit_rate(self) -> float:
-        """Fraction of lookups served a verified-wrong cached answer."""
-        return self.false_hits / self.lookups if self.lookups else 0.0
-
-    @property
-    def total_latency_s(self) -> float:
-        """Cache overhead plus simulated LLM latency, summed."""
-        return self.cache_overhead_s + self.llm_latency_s
-
-    @property
-    def mean_latency_s(self) -> float:
-        """Mean end-to-end latency per query."""
-        return self.total_latency_s / self.lookups if self.lookups else 0.0
-
-    @property
-    def true_hit_rate(self) -> float:
-        """Fraction of lookups served a verified-correct cached answer."""
-        return self.true_hits / self.lookups if self.lookups else 0.0
-
-    def record(self, outcome: LookupOutcome) -> None:
-        """Fold one lookup outcome into the totals."""
-        self.lookups += 1
-        self.hits += int(outcome.hit)
-        self.llm_requests += int(not outcome.hit)
-        self.cache_overhead_s += outcome.cache_overhead_s
-        self.llm_latency_s += outcome.llm_latency_s
-        self.cost_usd += outcome.cost_usd
-        if outcome.hit and outcome.verified is not None:
-            if outcome.verified:
-                self.true_hits += 1
-            else:
-                self.false_hits += 1
-
-    def add(self, other: "UserStats") -> None:
-        """Fold another user's totals into this one (cohort aggregation)."""
-        self.lookups += other.lookups
-        self.hits += other.hits
-        self.llm_requests += other.llm_requests
-        self.cache_overhead_s += other.cache_overhead_s
-        self.llm_latency_s += other.llm_latency_s
-        self.cost_usd += other.cost_usd
-        self.true_hits += other.true_hits
-        self.false_hits += other.false_hits
-
-
-@dataclass
-class FleetResult:
-    """Fleet-wide and per-user aggregation of one simulation run."""
-
-    n_users: int
-    n_events: int
-    virtual_duration_s: float
-    wall_clock_s: float
-    per_user: Dict[str, UserStats] = field(default_factory=dict)
-    outcomes: List[LookupOutcome] = field(default_factory=list)
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups across the fleet."""
-        return sum(u.lookups for u in self.per_user.values())
-
-    @property
-    def hits(self) -> int:
-        """Total cache hits across the fleet."""
-        return sum(u.hits for u in self.per_user.values())
-
-    @property
-    def hit_rate(self) -> float:
-        """Fleet-wide hit rate."""
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
-
-    @property
-    def true_hits(self) -> int:
-        """Hits verified correct against the intent oracle, fleet-wide."""
-        return sum(u.true_hits for u in self.per_user.values())
-
-    @property
-    def false_hits(self) -> int:
-        """Hits verified as false hits (wrong cached answer), fleet-wide."""
-        return sum(u.false_hits for u in self.per_user.values())
-
-    @property
-    def false_hit_rate(self) -> float:
-        """Fraction of fleet lookups served a verified-wrong cached answer."""
-        lookups = self.lookups
-        return self.false_hits / lookups if lookups else 0.0
-
-    @property
-    def true_hit_rate(self) -> float:
-        """Fraction of fleet lookups served a verified-correct cached answer."""
-        lookups = self.lookups
-        return self.true_hits / lookups if lookups else 0.0
-
-    @property
-    def mean_latency_s(self) -> float:
-        """Mean end-to-end latency per query across the fleet."""
-        lookups = self.lookups
-        if not lookups:
-            return 0.0
-        return sum(u.total_latency_s for u in self.per_user.values()) / lookups
-
-    @property
-    def total_cost_usd(self) -> float:
-        """Total simulated LLM spend across the fleet."""
-        return float(sum(u.cost_usd for u in self.per_user.values()))
-
-    @property
-    def throughput_lookups_per_s(self) -> float:
-        """Fleet lookup throughput against measured wall-clock time."""
-        if self.wall_clock_s <= 0:
-            return 0.0
-        return self.lookups / self.wall_clock_s
-
-    def stats_for(self, user_ids: Sequence[str]) -> UserStats:
-        """Aggregate stats over a user subset (a tenant, a cohort).
-
-        Users absent from the run contribute nothing — scenario drivers
-        pass the cohort's full id list even when some users never got a
-        single arrival.
-        """
-        merged = UserStats()
-        for user_id in user_ids:
-            stats = self.per_user.get(user_id)
-            if stats is not None:
-                merged.add(stats)
-        return merged
-
-    def format(self) -> str:
-        """One-paragraph text summary of the run."""
-        return (
-            f"fleet of {self.n_users} users — {self.n_events} lookups in "
-            f"{self.wall_clock_s:.2f}s wall-clock "
-            f"({self.throughput_lookups_per_s:,.0f} lookups/s); "
-            f"hit rate {self.hit_rate:.3f} "
-            f"(false-hit rate {self.false_hit_rate:.3f}), "
-            f"mean latency {self.mean_latency_s * 1000:.1f} ms, "
-            f"LLM spend ${self.total_cost_usd:.4f}, "
-            f"virtual duration {self.virtual_duration_s:.1f}s"
-        )
-
-
-def replay_windows(
-    trace: Trace,
-    batch_window_s: float,
-    step: Callable[[List[WorkloadEvent]], Iterable[LookupOutcome]],
-    collect_outcomes: bool = False,
-) -> FleetResult:
-    """The one replay loop: window → ``step`` → aggregate.
-
-    ``trace`` is carved into virtual-time windows of ``batch_window_s``;
-    ``step(window)`` serves one window and returns its outcomes, which are
-    folded into per-user and fleet-wide totals.  :meth:`FleetSimulator.run`
-    and :meth:`CacheServer.replay <repro.serving.server.CacheServer.replay>`
-    differ only in the ``step`` they pass.  ``collect_outcomes`` also
-    retains every per-event :class:`LookupOutcome` on the result (off by
-    default: at fleet scale the aggregate is the product).
-    """
-    per_user: Dict[str, UserStats] = {}
-    outcomes: List[LookupOutcome] = []
-    virtual_end = 0.0
-    start = time.perf_counter()
-    for window in iter_windows(trace.events, batch_window_s):
-        for outcome in step(window):
-            stats = per_user.setdefault(outcome.event.user_id, UserStats())
-            stats.record(outcome)
-            virtual_end = max(
-                virtual_end, outcome.event.time_s + outcome.total_latency_s
-            )
-            if collect_outcomes:
-                outcomes.append(outcome)
-    wall_clock = time.perf_counter() - start
-    # Count the users actually served rather than echoing the trace's
-    # configured fleet size: with churn, cold-start successors appear
-    # under fresh ids, so the two can legitimately differ.
-    return FleetResult(
-        n_users=len(per_user),
-        n_events=len(trace),
-        virtual_duration_s=virtual_end,
-        wall_clock_s=wall_clock,
-        per_user=per_user,
-        outcomes=outcomes,
-    )
 
 
 class FleetSimulator:
@@ -327,17 +115,24 @@ class FleetSimulator:
         self.service = service or SimulatedLLMService()
         self.config = config or FleetConfig()
         self.adaptation = adaptation
-        self.executor = BatchExecutor(
-            cache_factory=cache_factory,
+        self.server = CacheServer(
+            cache_factory,
             service=self.service,
-            enroll_on_miss=self.config.enroll_on_miss,
+            config=ServerConfig(
+                n_shards=1,
+                # A replay offers a whole window before it drains it: no
+                # window may be shed.
+                max_queue_depth=sys.maxsize,
+                enroll_on_miss=self.config.enroll_on_miss,
+                deterministic=True,
+            ),
             adaptation=adaptation,
         )
 
     @property
     def caches(self) -> Dict[str, CacheAdapter]:
-        """Live user-id → cache-adapter map (owned by the executor)."""
-        return self.executor.adapters
+        """User-id → cache-adapter map of every user served so far."""
+        return self.server.adapters
 
     # ------------------------------------------------------------------ #
     # Checkpoint / warm-start
@@ -401,7 +196,7 @@ class FleetSimulator:
             raise SnapshotError(f"fleet checkpoint at {path} has a corrupted user map")
         cache_of_key = {key: loader(path / key) for key in sorted(set(users.values()))}
         for user_id, key in users.items():
-            self.executor.register(user_id, cache_of_key[key])
+            self.server.register(user_id, cache_of_key[key])
 
     def storage_report(self) -> Dict[str, object]:
         """Fleet-level bytes-vs-hit-rate accounting across every live cache.
@@ -411,7 +206,7 @@ class FleetSimulator:
         tiered caches contribute a per-tier breakdown — see
         :func:`repro.serving.scheduling.storage_report`.
         """
-        return storage_report(adapter.cache for adapter in self.caches.values())
+        return self.server.storage_report()
 
     def run(self, trace: Trace, collect_outcomes: bool = False) -> FleetResult:
         """Replay ``trace`` through the fleet and aggregate the results.
@@ -424,20 +219,4 @@ class FleetSimulator:
             Also retain every per-event :class:`LookupOutcome` on the result
             (off by default: at fleet scale the aggregate is the product).
         """
-
-        def step(window: List[WorkloadEvent]) -> List[LookupOutcome]:
-            outcomes = self.executor.execute(window)
-            # Windows arrive in time order; adaptation rounds due inside
-            # this window fire before the next window's lookups, on the
-            # trace's virtual clock.
-            self.executor.advance_adaptation(window[-1].time_s)
-            # Deferred index reorganization (IVF repartitioning with
-            # ``auto_repartition=False``, cell-stat refreshes) runs between
-            # windows, off the lookup path: each touched cache's share, then
-            # each shared tier under them once.
-            self.executor.maintenance(self.executor.maintenance())
-            return outcomes
-
-        return replay_windows(
-            trace, self.config.batch_window_s, step, collect_outcomes
-        )
+        return self.server.replay(trace, self.config.batch_window_s, collect_outcomes)

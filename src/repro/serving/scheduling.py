@@ -1,55 +1,56 @@
-"""The serving core under every frontend.
+"""The serving core under :class:`~repro.serving.server.CacheServer`.
 
-The deterministic virtual-clock simulator
-(:class:`~repro.serving.fleet.FleetSimulator`) and the live threaded server
-(:class:`~repro.serving.server.CacheServer`) drive the *same* steps —
-"take a batch of arrivals, classify them through their caches, forward
-misses to the LLM service, enrol" — through this module, so the two
-frontends cannot drift:
+There is one serving driver: the server's flush (take a batch of arrivals,
+classify them through their caches, forward misses to the LLM service,
+enrol).  Live serving runs it on wall-clock micro-batches; its
+deterministic replay runs it on virtual-time windows, and
+:class:`~repro.serving.fleet.FleetSimulator` is that replay with one shard.
+This module holds the pieces the flush is made of:
 
 * :class:`CacheAdapter` — one batched lookup/enroll surface over any cache
   variant.  Every cache returns :class:`~repro.core.cache.CacheDecision`;
   the adapter only decides which optional arguments (contexts, precomputed
   embeddings) a variant's ``lookup_batch`` takes.
-* :class:`BatchExecutor` — executes one batch of
-  :class:`~repro.serving.workload.WorkloadEvent` arrivals with two-phase
-  semantics: **all** of a batch's lookups complete before **any** of its
-  misses enrol, so no event can hit an entry enrolled by a later-arriving
-  event and results are independent of grouping order.  A lookup that falls
-  through to a shared quantized tier is held back after the L1 pass and
-  answered by one batched match per tier
-  (:func:`~repro.core.tiered.match_probes`), so the rule holds across every
-  cache sharing the tier — across shards, in the server.  The executor owns
-  the per-cache intent oracle (hit verification), the optional
-  online-adaptation hookup, and the deferred maintenance passes (per cache,
-  then once per shared tier).
+* :class:`BatchExecutor` — one shard's users' caches, in two steps:
+  :meth:`~BatchExecutor.lookup` runs every cache's lookups (a tiered
+  cache's L1 misses are held back for one batched match per shared tier,
+  :func:`~repro.core.tiered.match_probes`), and
+  :meth:`~BatchExecutor.execute` then forwards the misses and enrols.  The
+  server completes every shard's lookups and promotions before any
+  enrolment, and enrols in arrival order, so no event can hit an entry
+  enrolled by a later-arriving event and results are independent of how
+  the flush is grouped into shards.  The
+  executor owns the per-cache intent oracle (hit verification), the
+  optional online-adaptation hookup, and the deferred maintenance passes
+  (per cache, then once per shared tier).
+* :class:`UserStats` / :class:`FleetResult` — per-user and fleet-wide
+  aggregation of a replay's outcomes.
 * :func:`iter_windows` — carves a trace into virtual-time batching windows
   (arrivals within ``batch_window_s`` of a window's first event batch
-  together).  The live server's wall-clock counterpart is its adaptive
-  micro-batcher (:class:`~repro.serving.server.MicroBatcher`).
-  ``tests/test_serving_parity.py`` replays one trace through both frontends
-  and asserts byte-identical per-event decisions.
+  together), which the replay flushes one at a time.  The live server's
+  wall-clock counterpart is its adaptive micro-batcher
+  (:class:`~repro.serving.server.MicroBatcher`).
 
 Concurrency contract
 --------------------
 :class:`BatchExecutor` is **not** thread-safe: it mutates caches, whose
 index backends share scratch buffers and rewire postings in place (no
 :class:`~repro.index.VectorIndex` backend supports concurrent calls — see
-``docs/api.md``).  The simulator runs one executor on one thread; the server
-runs one executor per shard and serializes each behind that shard's lock.
+``docs/api.md``).  The server runs one executor per shard and serializes
+each behind that shard's lock.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cache import CacheDecision
 from repro.core.clock import VirtualClock
-from repro.core.tiered import TieredCache, TierProbe, match_probes, serve_probes
+from repro.core.tiered import TieredCache, TierProbe
 from repro.serving.workload import WorkloadEvent
 
 
@@ -81,6 +82,169 @@ class LookupOutcome:
     def total_latency_s(self) -> float:
         """Latency the user experienced for this query."""
         return self.cache_overhead_s + self.llm_latency_s
+
+
+@dataclass
+class UserStats:
+    """Per-user aggregation over one replay."""
+
+    lookups: int = 0
+    hits: int = 0
+    llm_requests: int = 0
+    cache_overhead_s: float = 0.0
+    llm_latency_s: float = 0.0
+    cost_usd: float = 0.0
+    #: hits verified correct / incorrect against the intent oracle (hits
+    #: without a verification signal count in neither)
+    true_hits: int = 0
+    false_hits: int = 0
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of this user's lookups served locally."""
+        return self.hits / self.lookups if self.lookups else 0.0
+
+    @property
+    def false_hit_rate(self) -> float:
+        """Fraction of lookups served a verified-wrong cached answer."""
+        return self.false_hits / self.lookups if self.lookups else 0.0
+
+    @property
+    def total_latency_s(self) -> float:
+        """Cache overhead plus simulated LLM latency, summed."""
+        return self.cache_overhead_s + self.llm_latency_s
+
+    @property
+    def mean_latency_s(self) -> float:
+        """Mean end-to-end latency per query."""
+        return self.total_latency_s / self.lookups if self.lookups else 0.0
+
+    @property
+    def true_hit_rate(self) -> float:
+        """Fraction of lookups served a verified-correct cached answer."""
+        return self.true_hits / self.lookups if self.lookups else 0.0
+
+    def record(self, outcome: LookupOutcome) -> None:
+        """Fold one lookup outcome into the totals."""
+        self.lookups += 1
+        self.hits += int(outcome.hit)
+        self.llm_requests += int(not outcome.hit)
+        self.cache_overhead_s += outcome.cache_overhead_s
+        self.llm_latency_s += outcome.llm_latency_s
+        self.cost_usd += outcome.cost_usd
+        if outcome.hit and outcome.verified is not None:
+            if outcome.verified:
+                self.true_hits += 1
+            else:
+                self.false_hits += 1
+
+    def add(self, other: "UserStats") -> None:
+        """Fold another user's totals into this one (cohort aggregation)."""
+        self.lookups += other.lookups
+        self.hits += other.hits
+        self.llm_requests += other.llm_requests
+        self.cache_overhead_s += other.cache_overhead_s
+        self.llm_latency_s += other.llm_latency_s
+        self.cost_usd += other.cost_usd
+        self.true_hits += other.true_hits
+        self.false_hits += other.false_hits
+
+
+@dataclass
+class FleetResult:
+    """Fleet-wide and per-user aggregation of one replay."""
+
+    n_users: int
+    n_events: int
+    virtual_duration_s: float
+    wall_clock_s: float
+    per_user: Dict[str, UserStats] = field(default_factory=dict)
+    outcomes: List[LookupOutcome] = field(default_factory=list)
+
+    @property
+    def lookups(self) -> int:
+        """Total lookups across the fleet."""
+        return sum(u.lookups for u in self.per_user.values())
+
+    @property
+    def hits(self) -> int:
+        """Total cache hits across the fleet."""
+        return sum(u.hits for u in self.per_user.values())
+
+    @property
+    def hit_rate(self) -> float:
+        """Fleet-wide hit rate."""
+        lookups = self.lookups
+        return self.hits / lookups if lookups else 0.0
+
+    @property
+    def true_hits(self) -> int:
+        """Hits verified correct against the intent oracle, fleet-wide."""
+        return sum(u.true_hits for u in self.per_user.values())
+
+    @property
+    def false_hits(self) -> int:
+        """Hits verified as false hits (wrong cached answer), fleet-wide."""
+        return sum(u.false_hits for u in self.per_user.values())
+
+    @property
+    def false_hit_rate(self) -> float:
+        """Fraction of fleet lookups served a verified-wrong cached answer."""
+        lookups = self.lookups
+        return self.false_hits / lookups if lookups else 0.0
+
+    @property
+    def true_hit_rate(self) -> float:
+        """Fraction of fleet lookups served a verified-correct cached answer."""
+        lookups = self.lookups
+        return self.true_hits / lookups if lookups else 0.0
+
+    @property
+    def mean_latency_s(self) -> float:
+        """Mean end-to-end latency per query across the fleet."""
+        lookups = self.lookups
+        if not lookups:
+            return 0.0
+        return sum(u.total_latency_s for u in self.per_user.values()) / lookups
+
+    @property
+    def total_cost_usd(self) -> float:
+        """Total simulated LLM spend across the fleet."""
+        return float(sum(u.cost_usd for u in self.per_user.values()))
+
+    @property
+    def throughput_lookups_per_s(self) -> float:
+        """Fleet lookup throughput against measured wall-clock time."""
+        if self.wall_clock_s <= 0:
+            return 0.0
+        return self.lookups / self.wall_clock_s
+
+    def stats_for(self, user_ids: Sequence[str]) -> UserStats:
+        """Aggregate stats over a user subset (a tenant, a cohort).
+
+        Users absent from the run contribute nothing — scenario drivers
+        pass the cohort's full id list even when some users never got a
+        single arrival.
+        """
+        merged = UserStats()
+        for user_id in user_ids:
+            stats = self.per_user.get(user_id)
+            if stats is not None:
+                merged.add(stats)
+        return merged
+
+    def format(self) -> str:
+        """One-paragraph text summary of the run."""
+        return (
+            f"fleet of {self.n_users} users — {self.n_events} lookups in "
+            f"{self.wall_clock_s:.2f}s wall-clock "
+            f"({self.throughput_lookups_per_s:,.0f} lookups/s); "
+            f"hit rate {self.hit_rate:.3f} "
+            f"(false-hit rate {self.false_hit_rate:.3f}), "
+            f"mean latency {self.mean_latency_s * 1000:.1f} ms, "
+            f"LLM spend ${self.total_cost_usd:.4f}, "
+            f"virtual duration {self.virtual_duration_s:.1f}s"
+        )
 
 
 class CacheAdapter:
@@ -148,31 +312,22 @@ class CacheAdapter:
         )
 
 
-#: A batch between :meth:`BatchExecutor.lookup` and the rest of
-#: :meth:`BatchExecutor.execute`: its events and their decisions by event
-#: index.
-_OpenBatch = Tuple[Sequence[WorkloadEvent], Dict[int, CacheDecision]]
-
-
 class BatchExecutor:
-    """Executes batches of arrivals against per-user caches + one service.
+    """One shard's users' caches, executed a batch of arrivals at a time.
 
-    The execution core shared by :class:`~repro.serving.fleet.FleetSimulator`
-    and :class:`~repro.serving.server.CacheServer`.  One executor owns a set
-    of users' caches (created through ``cache_factory`` on first use), the
-    per-cache intent oracle used to verify hits, and the optional online
-    adaptation hookup; :meth:`execute` runs one batch with the pinned
-    two-phase semantics (all lookups, then misses/enrolment in arrival
-    order).  A frontend whose batch spans several executors over one shared
-    tier (the server's shards) opens each slice with :meth:`lookup`,
-    answers and serves every slice's held-back tier probes at once, and
-    then calls :meth:`execute` per slice for the rest.
+    One executor owns a set of users' caches (created through
+    ``cache_factory`` on first use), the per-cache intent oracle used to
+    verify hits, and the optional online adaptation hookup.  The server
+    runs a flush as :meth:`lookup` on every shard slice, then one match and
+    serving of all the flush's held-back tier probes, then :meth:`execute`
+    on every slice with the decisions its :meth:`lookup` returned (see
+    :meth:`CacheServer._classify_flush
+    <repro.serving.server.CacheServer._classify_flush>`).
 
-    ``stamp_event_time=True`` (the simulator) timestamps LLM requests with
-    each event's virtual arrival time; ``False`` (the live server) lets the
-    service read its own injected wall clock instead — the two-clocks fix
-    from :class:`~repro.llm.service.SimulatedLLMService`.
-
+    ``stamp_event_time=True`` (deterministic replay) timestamps LLM requests
+    with each event's virtual arrival time; ``False`` (the live server) lets
+    the service read its own injected wall clock instead — the two-clocks
+    fix from :class:`~repro.llm.service.SimulatedLLMService`.
     """
 
     def __init__(
@@ -188,11 +343,11 @@ class BatchExecutor:
         self.enroll_on_miss = enroll_on_miss
         self.adaptation = adaptation
         self.stamp_event_time = stamp_event_time
-        #: Simulation runs (``stamp_event_time=True``) drive every cache's
-        #: entry timestamps from this virtual clock, advanced to each
-        #: window's max event time before lookups run — entry TTL/recency
-        #: state then depends only on the trace, not on wall speed or
-        #: processing order.  The live server keeps caches on wall time.
+        #: With ``stamp_event_time=True`` every cache's entry timestamps come
+        #: from this virtual clock, which the server advances to each flush's
+        #: max event time before any lookup runs — entry TTL/recency state
+        #: then depends only on the trace, not on wall speed, processing
+        #: order or shard count.  The live server keeps caches on wall time.
         self.virtual_clock: Optional[VirtualClock] = (
             VirtualClock() if stamp_event_time else None
         )
@@ -201,8 +356,6 @@ class BatchExecutor:
         #: the oracle used to verify hits (user feedback stand-in)
         self._intent_maps: Dict[int, Dict[str, str]] = {}
         self._touched: Dict[int, CacheAdapter] = {}
-        #: the batch :meth:`lookup` opened for :meth:`execute`
-        self._open: Optional[_OpenBatch] = None
         self._service_accepts_now = "now" in inspect.signature(service.query).parameters
 
     # ------------------------------------------------------------------ #
@@ -237,8 +390,8 @@ class BatchExecutor:
         self,
         events: Sequence[WorkloadEvent],
         embeddings: Optional[np.ndarray] = None,
-    ) -> List[Tuple[int, TierProbe]]:
-        """Step (a) of a batch: every cache's lookups, up to the shared tier.
+    ) -> Tuple[List[CacheDecision], List[Tuple[int, TierProbe]]]:
+        """Phase 1 of a batch: every cache's lookups, up to the shared tier.
 
         The batch's arrivals are grouped by *underlying cache object*
         (per-user fleets: one group per user; a shared central cache: one
@@ -250,25 +403,18 @@ class BatchExecutor:
         cache stops after its L1 pass (:meth:`TieredCache.lookup_l1
         <repro.core.tiered.TieredCache.lookup_l1>`).
 
-        Returns those held-back L1 misses as ``(event index, probe)`` pairs
-        in arrival order; the caller answers and serves them
+        Returns one decision per event, in input order, and the held-back
+        L1 misses as ``(event index, probe)`` pairs in arrival order.  The
+        caller answers and serves those probes
         (:func:`~repro.core.tiered.match_probes`, then
-        :func:`~repro.core.tiered.serve_probes`) and then calls
-        :meth:`execute` with the same ``events`` object.  Opens the batch
-        for that call, discarding any batch a failed flush left open.
+        :func:`~repro.core.tiered.serve_probes`) — which completes their
+        decisions — and then hands the decisions to :meth:`execute`.
         """
-        self._open = None
-        if self.virtual_clock is not None and len(events):
-            # Window-level stamping: every entry enrolled by this batch is
-            # stamped with the window's max arrival time, so stamps are
-            # independent of intra-window processing order (pinned in
-            # tests/test_clock.py).
-            self.virtual_clock.advance_to(max(e.time_s for e in events))
         by_cache: Dict[int, Tuple[CacheAdapter, List[int]]] = {}
         for i, event in enumerate(events):
             adapter = self.adapter(event.user_id)
             by_cache.setdefault(id(adapter.cache), (adapter, []))[1].append(i)
-        looked_up: Dict[int, CacheDecision] = {}
+        decisions: Dict[int, CacheDecision] = {}
         held: List[Tuple[int, TierProbe]] = []
         for adapter, rows in by_cache.values():
             group = [events[i] for i in rows]
@@ -279,48 +425,29 @@ class BatchExecutor:
                 embeddings=group_embs,
             )
             for i, result in zip(rows, results):
-                looked_up[i] = result
+                decisions[i] = result
             held.extend((rows[probe.row], probe) for probe in probes)
         self._touched = {id(a.cache): a for a, _ in by_cache.values()}
-        self._open = (events, looked_up)
         held.sort(key=lambda pair: pair[0])
-        return held
+        return [decisions[i] for i in range(len(events))], held
 
     def execute(
         self,
         events: Sequence[WorkloadEvent],
-        embeddings: Optional[np.ndarray] = None,
+        decisions: Sequence[CacheDecision],
     ) -> List[LookupOutcome]:
-        """Run one batch of arrivals; returns outcomes in input order.
+        """Phase 2 of a batch: misses and enrolment, in input order.
 
-        Phase 1 — lookups: :meth:`lookup`, then one batched match per
-        shared tier over the L1 misses it held back, then the tiered
-        caches' promotions (:func:`~repro.core.tiered.serve_probes`).  When
-        :meth:`lookup` already opened a batch, its caller has answered and
-        served the held-back probes, and this call — which must get the
-        same ``events`` object — starts at phase 2.
-
-        Phase 2 — misses and enrolment, in input order.  All lookups
-        complete before any enrolment, so a decision can only depend on
-        entries enrolled by *previous* batches — no event can hit an entry
-        enrolled by a later-arriving event, even on a shared cache, and
-        results are independent of grouping order.
+        ``decisions`` are what :meth:`lookup` returned for the same
+        ``events``, once the flush has served its held-back tier probes.
+        All lookups complete before any enrolment, so a decision can only
+        depend on entries enrolled by *previous* batches — no event can hit
+        an entry enrolled by a later-arriving event, even on a shared cache,
+        and results are independent of grouping order.  Returns outcomes in
+        input order.
         """
-        opened, self._open = self._open, None
-        if opened is None:
-            probes = [probe for _, probe in self.lookup(events, embeddings)]
-            match_probes(probes)
-            serve_probes(probes)
-            opened, self._open = self._open, None
-        elif opened[0] is not events:
-            raise RuntimeError(
-                "execute() was given other events than the batch lookup() opened"
-            )
-        _, looked_up = opened
-
         outcomes: List[LookupOutcome] = []
-        for i, event in enumerate(events):
-            result = looked_up[i]
+        for event, result in zip(events, decisions):
             adapter = self.adapters[event.user_id]
             intent_map = self._intent_maps[id(adapter.cache)]
             # Verification against the intent oracle (the user-feedback
@@ -380,11 +507,6 @@ class BatchExecutor:
             outcomes.append(outcome)
         return outcomes
 
-    def advance_adaptation(self, now_s: float) -> None:
-        """Fire adaptation rounds due at ``now_s`` (no-op without a loop)."""
-        if self.adaptation is not None:
-            self.adaptation.advance(now_s)
-
     def maintenance(self, targets: Optional[Iterable[object]] = None) -> List[object]:
         """Deferred background work for ``targets`` — by default every cache
         the last batch touched.  Returns the shared tiers still owed upkeep.
@@ -401,8 +523,8 @@ class BatchExecutor:
         quantized tier is returned instead of maintained: a tier shared by
         many caches is owed one upkeep per batch, not one per cache.  The
         caller hands the returned tiers, each distinct object once, back as
-        ``targets`` when the whole batch has run — the simulator at once,
-        the server after its last shard slice.
+        ``targets`` when the whole batch has run — the server does so once
+        every shard has done its share.
         """
         if targets is None:
             targets = [adapter.cache for adapter in self._touched.values()]
@@ -426,8 +548,9 @@ class BatchExecutor:
 def storage_report(caches: Iterable[object]) -> Dict[str, object]:
     """Fleet-level bytes-vs-hit-rate accounting over a set of cache objects.
 
-    Shared by :meth:`FleetSimulator.storage_report` and
-    :meth:`CacheServer.storage_report`.  Each distinct cache *object* is
+    Behind :meth:`CacheServer.storage_report
+    <repro.serving.server.CacheServer.storage_report>` (and so the fleet
+    simulator's).  Each distinct cache *object* is
     counted once (pass duplicates freely — a shared central cache routed to
     by many users does not multiply).  Tiered caches contribute a per-tier
     breakdown, and a quantized tier shared by several tiered caches is

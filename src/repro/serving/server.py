@@ -1,8 +1,9 @@
-"""The real-concurrency serving tier: a threaded semantic-cache service.
+"""The serving tier: one flush, driven live or replayed deterministically.
 
-The simulator runs on a single-threaded virtual clock;
-:class:`CacheServer` serves the same federated-cache stack under *real*
-concurrent load:
+:class:`CacheServer` serves the federated-cache stack under *real*
+concurrent load, and replays traces through the same flush on a virtual
+clock (:meth:`CacheServer.replay`; the fleet simulator is that replay with
+one shard):
 
 * **Hash-sharded per-user caches.**  Users hash (stable CRC32) onto
   ``n_shards`` shards; each shard owns its users' caches behind one
@@ -32,13 +33,12 @@ concurrent load:
   :class:`~repro.core.tiered.QuantizedTier` (which carries its own lock);
   the server has no L2 path of its own.
 
-The execution semantics inside a flush are exactly the simulator's
-(:class:`~repro.serving.scheduling.BatchExecutor` is shared): all lookups
-complete before any enrolment.  Replaying a trace through
-:meth:`CacheServer.replay` (the synchronous single-worker deterministic
-mode) therefore produces byte-identical per-event decisions to
-:class:`~repro.serving.fleet.FleetSimulator` — ``tests/test_serving_parity.py``
-pins this.
+Inside a flush, all lookups complete before any enrolment, across shards
+as within one.  Replaying a trace through :meth:`CacheServer.replay` (the
+synchronous single-worker deterministic mode) therefore decides and stores
+the same at every shard count — :class:`~repro.serving.fleet.FleetSimulator`
+is the one-shard replay, and ``tests/test_serving_parity.py`` and
+``tests/test_serving_parity_properties.py`` pin the others to it.
 
 Live wall-clock serving runs on one daemon flush thread
 (:meth:`CacheServer.start` / :meth:`CacheServer.stop`) sleeping on the one
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import itertools
 import logging
 import threading
 import time
@@ -64,11 +65,19 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.runtime import guard_cache, maybe_tracked_lock
+from repro.core.cache import CacheDecision
 from repro.core.tiered import TierProbe, match_probes, serve_probes
 from repro.llm.service import SimulatedLLMService
 from repro.metrics.timing import LatencyHistogram
-from repro.serving.fleet import FleetResult, replay_windows
-from repro.serving.scheduling import BatchExecutor, LookupOutcome, storage_report
+from repro.serving.scheduling import (
+    BatchExecutor,
+    CacheAdapter,
+    FleetResult,
+    LookupOutcome,
+    UserStats,
+    iter_windows,
+    storage_report,
+)
 from repro.serving.workload import Trace, WorkloadEvent
 
 logger = logging.getLogger(__name__)
@@ -120,8 +129,9 @@ class ServerConfig:
         Whether misses enrol the LLM's response in the user's cache.
     deterministic:
         Replay mode: :meth:`CacheServer.replay` runs each flush inline on
-        the calling thread (no flush thread) and LLM requests are stamped
-        with virtual event times — byte-exact parity with the simulator.
+        the calling thread (no flush thread), and LLM requests and cache
+        entries are stamped with virtual event times — a replay decides the
+        same at every shard count.
     """
 
     n_shards: int = 4
@@ -366,8 +376,8 @@ class MicroBatcher:
         """Pop up to ``limit`` requests in FIFO order (``None`` = all).
 
         The default live flush passes ``max_batch_size``; the deterministic
-        replay drains a whole virtual window in one call so window grouping
-        matches the simulator's exactly.  A non-empty drain's size becomes
+        replay drains a whole virtual window in one call, so each window is
+        one flush.  A non-empty drain's size becomes
         the depth :meth:`due` next waits for.
         """
         if limit is None:
@@ -415,9 +425,8 @@ class CacheServer:
         the cross-user batched embed; without it each cache embeds its own
         flush slice.  ``service`` defaults to a thread-safe
         :class:`SimulatedLLMService` stamping requests on ``clock``.
-        ``adaptation`` hooks the online federated loop exactly as in the
-        simulator (advance fires after each flush on the flush's max event
-        time).
+        ``adaptation`` hooks the online federated loop (advance fires
+        after each flush on the flush's max event time).
         """
         self.config = config or ServerConfig()
         self.clock = clock
@@ -473,17 +482,27 @@ class CacheServer:
             shard = self._user_shard.get(user_id)
             if shard is not None:
                 return shard
-            cache = self._factory(user_id)
-            owner = self._cache_shard.get(id(cache))
-            if owner is None:
-                owner = zlib.crc32(user_id.encode("utf-8")) % self.config.n_shards
-                self._cache_shard[id(cache)] = owner
-            self._user_shard[user_id] = owner
-            self._shards[owner].executor.register(user_id, cache)
-            # Under REPRO_DEBUG_CONCURRENCY=1 the cache's index raises if
-            # mutated without this shard's lock held (no-op otherwise).
-            guard_cache(cache, self._shards[owner].lock, f"shard[{owner}].cache")
-            return owner
+            return self._place(user_id, self._factory(user_id))
+
+    def register(self, user_id: str, cache) -> int:
+        """Serve a user not served yet from ``cache`` (e.g. one loaded from
+        a checkpoint) instead of the factory's; returns the user's shard,
+        chosen as :meth:`shard_of` chooses it."""
+        with self._registry_lock:
+            return self._place(user_id, cache)
+
+    def _place(self, user_id: str, cache) -> int:
+        """Home ``user_id`` and ``cache`` on a shard (registry lock held)."""
+        owner = self._cache_shard.get(id(cache))
+        if owner is None:
+            owner = zlib.crc32(user_id.encode("utf-8")) % self.config.n_shards
+            self._cache_shard[id(cache)] = owner
+        self._user_shard[user_id] = owner
+        self._shards[owner].executor.register(user_id, cache)
+        # Under REPRO_DEBUG_CONCURRENCY=1 the cache's index raises if
+        # mutated without this shard's lock held (no-op otherwise).
+        guard_cache(cache, self._shards[owner].lock, f"shard[{owner}].cache")
+        return owner
 
     @property
     def n_users(self) -> int:
@@ -495,6 +514,15 @@ class CacheServer:
         shard = self.shard_of(user_id)
         return self._shards[shard].executor.adapters[user_id].cache
 
+    @property
+    def adapters(self) -> Dict[str, CacheAdapter]:
+        """User id → cache adapter of every user served so far, shard by shard."""
+        return {
+            user_id: adapter
+            for shard in self._shards
+            for user_id, adapter in shard.executor.adapters.items()
+        }
+
     def storage_report(self) -> Dict[str, object]:
         """Server-wide bytes-vs-hit-rate accounting over every live cache.
 
@@ -503,11 +531,7 @@ class CacheServer:
         quantized tier counted once) — see
         :func:`repro.serving.scheduling.storage_report`.
         """
-        return storage_report(
-            adapter.cache
-            for shard in self._shards
-            for adapter in shard.executor.adapters.values()
-        )
+        return storage_report(adapter.cache for adapter in self.adapters.values())
 
     # ------------------------------------------------------------------ #
     # Flush execution (shared by live + deterministic paths)
@@ -542,12 +566,18 @@ class CacheServer:
         shared tier, under the tier's lock alone.  (c) Every tiered cache
         with a held-back probe serves its matches and applies its
         promotions under its shard lock, caches in the order of their
-        earliest probe (:func:`~repro.core.tiered.serve_probes`, the
-        simulator's order too).  (d) Each slice, under its shard lock again,
-        forwards its misses and enrols (:meth:`BatchExecutor.execute`);
-        each cache it touched then does its own share of the deferred
-        upkeep.  So every lookup and promotion of the flush completes
-        before any of its misses enrols, across shards as within one.
+        earliest probe (:func:`~repro.core.tiered.serve_probes`).  (d) The
+        flush's misses go to the LLM and enrol in arrival order, each run
+        of consecutive same-shard events under its shard's lock
+        (:meth:`BatchExecutor.execute`, with the decisions from (a)), so a
+        shared tier receives the flush's demotions in arrival order; after
+        a shard's last run, the caches it touched do their own share of
+        the deferred upkeep.  So every lookup and promotion of the flush
+        completes before any of its misses enrols, and its caches and tiers
+        end the flush in one state whatever the shard count.  Replayed
+        flushes first move every shard's virtual clock to the flush's max
+        arrival time: each entry the flush stamps carries that one time,
+        whichever shard holds it.
 
         Slices run sequentially on the calling thread: flushes execute one
         at a time anyway — per-user FIFO depends on it — and with the GIL
@@ -557,52 +587,64 @@ class CacheServer:
         """
         events = [r.event for r in requests]
         embeddings = self._embed_flush(requests)
+        flush_time = max(e.time_s for e in events)
+        for shard in self._shards:
+            if shard.executor.virtual_clock is not None:
+                shard.executor.virtual_clock.advance_to(flush_time)
+        shard_of_event = [self.shard_of(event.user_id) for event in events]
         by_shard: Dict[int, List[int]] = {}
-        for i, event in enumerate(events):
-            by_shard.setdefault(self.shard_of(event.user_id), []).append(i)
-        slices = []
+        for i, shard_idx in enumerate(shard_of_event):
+            by_shard.setdefault(shard_idx, []).append(i)
+        decisions: Dict[int, CacheDecision] = {}
         held: List[Tuple[int, TierProbe]] = []
         shard_of_cache: Dict[int, _Shard] = {}
         for shard_idx, rows in by_shard.items():
             shard = self._shards[shard_idx]
-            shard_events = [events[i] for i in rows]
             shard_embs = (
                 embeddings[np.asarray(rows)] if embeddings is not None else None
             )
             with shard.lock:
-                probes = shard.executor.lookup(shard_events, embeddings=shard_embs)
+                found, probes = shard.executor.lookup([events[i] for i in rows], shard_embs)
+            for i, decision in zip(rows, found):
+                decisions[i] = decision
             for i, probe in probes:
                 held.append((rows[i], probe))
                 shard_of_cache[id(probe.cache)] = shard
-            slices.append((shard, rows, shard_events, shard_embs))
         held.sort(key=lambda pair: pair[0])
         probes = [probe for _, probe in held]
         match_probes(probes)
         serve_probes(probes, lambda cache: shard_of_cache[id(cache)].lock)
-        results: List[Optional[LookupOutcome]] = [None] * len(requests)
+        runs = [
+            (shard_idx, list(rows))
+            for shard_idx, rows in itertools.groupby(
+                range(len(events)), key=shard_of_event.__getitem__
+            )
+        ]
+        last_run = {shard_idx: k for k, (shard_idx, _) in enumerate(runs)}
+        outcomes: List[LookupOutcome] = []
         tiers: Dict[int, object] = {}
-        for shard, rows, shard_events, shard_embs in slices:
+        for k, (shard_idx, rows) in enumerate(runs):
+            shard = self._shards[shard_idx]
             with shard.lock:
-                outcomes = shard.executor.execute(shard_events, embeddings=shard_embs)
-                for tier in shard.executor.maintenance():
-                    tiers[id(tier)] = tier
-            for i, outcome in zip(rows, outcomes):
-                results[i] = outcome
-        # Every slice has committed its tier mutations; each shared tier's
+                outcomes += shard.executor.execute(
+                    [events[i] for i in rows], [decisions[i] for i in rows]
+                )
+                if last_run[shard_idx] == k:
+                    for tier in shard.executor.maintenance():
+                        tiers[id(tier)] = tier
+        # Every shard has committed its tier mutations; each shared tier's
         # own upkeep (index maintenance, compaction when due) runs once for
         # the flush, before any of its responses goes out.  The pass touches
         # no executor state, so any shard's executor serves.
         for tier in tiers.values():
             with tier.lock:
                 self._shards[0].executor.maintenance([tier])
-        if self.adaptation is not None and events:
-            self._advance_adaptation(max(e.time_s for e in events))
-        return [(request, results[i]) for i, request in enumerate(requests)]
-
-    def _advance_adaptation(self, now_s: float) -> None:
-        """Fire adaptation rounds after a flush (serialized across shards)."""
-        with self._registry_lock:
-            self.adaptation.advance(now_s)
+        if self.adaptation is not None:
+            # Rounds due by this flush's arrivals fire before the next flush,
+            # on the trace's clock in a replay.
+            with self._registry_lock:
+                self.adaptation.advance(flush_time)
+        return list(zip(requests, outcomes))
 
     def _record(
         self,
@@ -641,45 +683,61 @@ class CacheServer:
     ) -> FleetResult:
         """Replay a trace synchronously through the full serving path.
 
-        Events are offered to the admission queue window by window (the
-        same virtual-time windows the simulator schedules) and each window
-        drains as one flush, so per-event decisions are byte-identical to
-        :meth:`FleetSimulator.run` on the same trace — the parity pin.
+        ``trace`` is carved into virtual-time windows of ``batch_window_s``
+        (:func:`~repro.serving.scheduling.iter_windows`); each window's
+        events are offered to the admission queue and drain as one flush,
+        whose outcomes are folded into per-user and fleet-wide totals.
         Requires ``deterministic=True`` in the config (single worker,
-        virtual time stamps).  Events shed by the admission bound appear in
-        no aggregate except ``metrics.shed`` (size the queue generously when
-        parity matters).
+        virtual time stamps).  Decisions and stored entries do not depend
+        on ``n_shards``; :meth:`FleetSimulator.run
+        <repro.serving.fleet.FleetSimulator.run>` is this replay on one
+        shard.  Events shed by the admission bound appear in no aggregate
+        except ``metrics.shed`` (size the queue generously when parity
+        matters).  ``collect_outcomes`` also retains every per-event
+        :class:`~repro.serving.scheduling.LookupOutcome` on the result (off
+        by default: at fleet scale the aggregate is the product).
         """
         if not self.config.deterministic:
             raise ValueError("replay requires ServerConfig(deterministic=True)")
-
-        def step(window: List[WorkloadEvent]) -> List[LookupOutcome]:
-            requests: List[_PendingRequest] = []
-            for event in window:
-                request = _PendingRequest(event=event, enqueued_at=event.time_s)
-                try:
-                    self._batcher.offer(request, now=event.time_s)
-                except BackpressureError:
-                    self.metrics.shed += 1
-                    continue
-                requests.append(request)
-            drained = self._batcher.drain(limit=None)
-            assert drained == requests
-            if not drained:
-                return []
-            # A replayed window drains when its virtual window closes.
-            self.metrics.record_flush(len(drained), "deadline")
-            outcomes: List[LookupOutcome] = []
-            for request, outcome in self._classify_flush(drained):
-                self._record(request, outcome, len(drained), request.enqueued_at)
-                outcomes.append(outcome)
-            return outcomes
-
+        per_user: Dict[str, UserStats] = {}
+        outcomes: List[LookupOutcome] = []
+        virtual_end = 0.0
+        start = time.perf_counter()
         self._freeze_encoder()
         try:
-            return replay_windows(trace, batch_window_s, step, collect_outcomes)
+            for window in iter_windows(trace.events, batch_window_s):
+                for event in window:
+                    request = _PendingRequest(event=event, enqueued_at=event.time_s)
+                    try:
+                        self._batcher.offer(request, now=event.time_s)
+                    except BackpressureError:
+                        self.metrics.shed += 1
+                drained = self._batcher.drain()
+                if not drained:
+                    continue
+                # A replayed window drains when its virtual window closes.
+                self.metrics.record_flush(len(drained), "deadline")
+                for request, outcome in self._classify_flush(drained):
+                    self._record(request, outcome, len(drained), request.enqueued_at)
+                    per_user.setdefault(outcome.event.user_id, UserStats()).record(outcome)
+                    virtual_end = max(
+                        virtual_end, outcome.event.time_s + outcome.total_latency_s
+                    )
+                    if collect_outcomes:
+                        outcomes.append(outcome)
         finally:
             self._thaw_encoder()
+        # Count the users actually served rather than echoing the trace's
+        # configured fleet size: with churn, cold-start successors appear
+        # under fresh ids, so the two can legitimately differ.
+        return FleetResult(
+            n_users=len(per_user),
+            n_events=len(trace),
+            virtual_duration_s=virtual_end,
+            wall_clock_s=time.perf_counter() - start,
+            per_user=per_user,
+            outcomes=outcomes,
+        )
 
     # ------------------------------------------------------------------ #
     # Live serving: one flush thread, one condition

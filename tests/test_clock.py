@@ -1,10 +1,11 @@
-"""Tests for repro.core.clock and the MeanCache/BatchExecutor clock wiring.
+"""Tests for repro.core.clock and the MeanCache/CacheServer clock wiring.
 
 The determinism regression the issue pins down: entry ``created_at`` /
 ``last_accessed`` stamps — the inputs to TTL/recency introspection — must
 come from the *trace's* virtual time, not the machine's wall clock, so a
 replay produces identical cache state regardless of wall speed and of the
-order events inside one batch window happen to be processed.
+order events inside one batch window happen to be processed — or of how
+many shards the server spreads the users over.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from conftest import make_tiny_encoder
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.core.clock import VirtualClock, WALL_CLOCK
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
-from repro.serving.scheduling import BatchExecutor
-from repro.serving.workload import WorkloadEvent
+from repro.serving.server import CacheServer, ServerConfig
+from repro.serving.workload import Trace, WorkloadEvent
 
 
 def make_cache(clock=WALL_CLOCK) -> MeanCache:
@@ -86,19 +87,26 @@ class TestMeanCacheClockInjection:
         assert cache.entries[0].created_at == 7.0
 
 
-def _run_windows(windows):
-    """Replay windows of (time_s, user, query) through a fresh executor."""
-    caches = {}
-    executor = BatchExecutor(
-        cache_factory=lambda uid: caches.setdefault(uid, make_cache()),
+def _server(caches, n_shards):
+    """A deterministic server whose per-user caches land in ``caches``."""
+    return CacheServer(
+        lambda uid: caches.setdefault(uid, make_cache()),
         service=SimulatedLLMService(LLMServiceConfig(seed=0)),
-        stamp_event_time=True,
+        config=ServerConfig(deterministic=True, n_shards=n_shards),
     )
-    for window in windows:
-        events = [
-            WorkloadEvent(time_s=t, user_id=uid, query=q) for t, uid, q in window
-        ]
-        executor.execute(events)
+
+
+def _trace(windows):
+    return Trace(
+        [WorkloadEvent(time_s=t, user_id=uid, query=q) for w in windows for t, uid, q in w],
+        n_users=2,
+    )
+
+
+def _run_windows(windows, n_shards=1):
+    """Replay windows of (time_s, user, query), one flush per window."""
+    caches = {}
+    _server(caches, n_shards).replay(_trace(windows), batch_window_s=WINDOW_S)
     return caches
 
 
@@ -111,6 +119,8 @@ def _stamps(caches):
     }
 
 
+#: Wide enough that each of WINDOWS replays as one flush.
+WINDOW_S = 5.0
 WINDOWS = [
     [
         (10.0, "alice", "what is the capital of france"),
@@ -124,42 +134,41 @@ WINDOWS = [
 ]
 
 
-class TestExecutorVirtualClock:
-    def test_executor_injects_virtual_clock_into_caches(self):
-        caches = _run_windows(WINDOWS)
+@pytest.mark.parametrize("n_shards", [1, 2, 4])
+class TestReplayVirtualClock:
+    """Replay stamps entries with each flush's max arrival time, on every
+    shard alike (alice and bob live on different shards for 2 and 4)."""
+
+    def test_replay_injects_virtual_clock_into_caches(self, n_shards):
+        caches = _run_windows(WINDOWS, n_shards)
         for cache in caches.values():
             assert isinstance(cache.clock, VirtualClock)
 
-    def test_stamps_come_from_event_time_not_wall_time(self):
-        caches = _run_windows(WINDOWS)
+    def test_stamps_come_from_event_time_not_wall_time(self, n_shards):
+        caches = _run_windows(WINDOWS, n_shards)
         for created, accessed in _stamps(caches).values():
             # Trace times are tens of seconds; wall time is ~1.7e9.
             assert created <= 41.0
             assert accessed <= 41.0
 
-    def test_reorder_within_window_does_not_change_stamps(self):
+    def test_reorder_within_window_does_not_change_stamps(self, n_shards):
         """Intra-window processing order is an implementation detail."""
         reordered = [list(reversed(window)) for window in WINDOWS]
-        assert _stamps(_run_windows(WINDOWS)) == _stamps(_run_windows(reordered))
-
-    def test_wall_speed_does_not_change_stamps(self):
-        """A slow replay (wall-clock pauses between windows) stamps identically."""
-        caches_fast = _run_windows(WINDOWS)
-        caches_slow = {}
-        executor = BatchExecutor(
-            cache_factory=lambda uid: caches_slow.setdefault(uid, make_cache()),
-            service=SimulatedLLMService(LLMServiceConfig(seed=0)),
-            stamp_event_time=True,
+        assert _stamps(_run_windows(WINDOWS, n_shards)) == _stamps(
+            _run_windows(reordered, n_shards)
         )
+
+    def test_wall_speed_does_not_change_stamps(self, n_shards):
+        """A slow replay (wall-clock pauses between windows) stamps identically."""
+        caches_slow = {}
+        server = _server(caches_slow, n_shards)
         for window in WINDOWS:
             time.sleep(0.05)  # wall time passes; virtual time does not care
-            executor.execute(
-                [WorkloadEvent(time_s=t, user_id=uid, query=q) for t, uid, q in window]
-            )
-        assert _stamps(caches_fast) == _stamps(caches_slow)
+            server.replay(_trace([window]), batch_window_s=WINDOW_S)
+        assert _stamps(_run_windows(WINDOWS, n_shards)) == _stamps(caches_slow)
 
-    def test_repeat_lookup_restamps_recency_with_window_time(self):
-        caches = _run_windows(WINDOWS)
+    def test_repeat_lookup_restamps_recency_with_window_time(self, n_shards):
+        caches = _run_windows(WINDOWS, n_shards)
         stamps = _stamps(caches)
         created, accessed = stamps[("bob", "how do i reverse a list in python")]
         # Enrolled in window 1 (stamped with its max arrival 11.0), hit
@@ -167,16 +176,20 @@ class TestExecutorVirtualClock:
         assert created == 11.0
         assert accessed == 41.0
 
-    def test_live_server_mode_keeps_wall_clock(self):
-        caches = {}
-        executor = BatchExecutor(
-            cache_factory=lambda uid: caches.setdefault(uid, make_cache()),
-            service=SimulatedLLMService(LLMServiceConfig(seed=0), thread_safe=True),
-            stamp_event_time=False,
-        )
-        assert executor.virtual_clock is None
-        executor.execute(
-            [WorkloadEvent(time_s=0.0, user_id="alice", query="hello there")]
-        )
-        (entry,) = caches["alice"].entries
-        assert entry.created_at == pytest.approx(time.time(), abs=60.0)
+    def test_stamps_do_not_depend_on_shard_count(self, n_shards):
+        assert _stamps(_run_windows(WINDOWS, n_shards)) == _stamps(_run_windows(WINDOWS))
+
+
+def test_live_server_keeps_wall_clock():
+    caches = {}
+    server = CacheServer(
+        lambda uid: caches.setdefault(uid, make_cache()),
+        service=SimulatedLLMService(LLMServiceConfig(seed=0), thread_safe=True),
+    )
+    server.start()
+    try:
+        server.submit_threadsafe("alice", "hello there").result(timeout=10)
+    finally:
+        server.stop()
+    (entry,) = caches["alice"].entries
+    assert entry.created_at == pytest.approx(time.time(), abs=60.0)

@@ -33,9 +33,7 @@ from repro.core.cache import CacheStats, MeanCache, MeanCacheConfig
 from repro.core.context import ContextChain
 from repro.core.tiered import QuantizedTier, TieredCache, match_probes
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
-from repro.serving.scheduling import BatchExecutor
 from repro.serving.server import CacheServer, ServerConfig
-from repro.serving.workload import WorkloadEvent
 
 # L2 stays in its exact float staging phase below min_train_size, which
 # makes tier scores identical to flat search — the parity tests rely on
@@ -475,24 +473,6 @@ def test_a_match_that_left_the_tier_is_served_but_not_promoted():
     assert decision.entry_id == x_id
     assert len(cache.l1) == 0 and len(tier) == 0
     assert cache.stats.hits == 1
-
-
-def test_execute_refuses_events_other_than_the_open_batch():
-    """Once :meth:`BatchExecutor.lookup` opened a batch, ``execute`` with
-    another events list raises instead of looking it up a second time; the
-    refused batch is dropped, so the next ``execute`` runs a whole batch."""
-    encoder = make_tiny_encoder()
-    cache = _tiered(encoder)
-    executor = BatchExecutor(
-        lambda uid: cache, SimulatedLLMService(LLMServiceConfig(seed=0))
-    )
-    events = [WorkloadEvent(0.0, "u", _queries(1)[0])]
-    executor.lookup(events)
-    with pytest.raises(RuntimeError, match="other events"):
-        executor.execute(list(events))
-    assert cache.l1.stats.lookups == 1
-    (outcome,) = executor.execute(events)
-    assert not outcome.hit and cache.l1.stats.lookups == 2
 
 
 # --------------------------------------------------------------------------- #
