@@ -47,9 +47,11 @@ matched moves into the L1 of the earliest-arriving probe's cache only.
 Persistence: a ``QuantizedTier`` given a ``snapshot_dir`` keeps a crash-safe
 snapshot there — full generations written atomically via
 :func:`~repro.index.snapshot.atomic_snapshot_dir`, incremental mutations
-appended to the snapshot's delta log (:func:`~repro.index.snapshot.append_delta`)
-by :meth:`QuantizedTier.flush`, and the log folded back into a full snapshot
-by :meth:`QuantizedTier.maintenance` once it grows past ``compact_every``
+sealed into delta records (:meth:`QuantizedTier.seal`) and appended to the
+snapshot's delta log (:func:`~repro.index.snapshot.append_delta`), all the
+records owed with one write and one fsync, by :meth:`QuantizedTier.flush`,
+and the log folded back into a full snapshot by
+:meth:`QuantizedTier.maintenance` once it grows past ``compact_every``
 records.  :meth:`QuantizedTier.load` (``mmap=True``) adopts the code matrix
 as a read-only memory map — the zero-copy warm start benchmarked in
 ``BENCH_index.json``'s ``persistence`` section.
@@ -94,6 +96,7 @@ from repro.core.validation import require_query_text
 from repro.embeddings.model import SiameseEncoder
 from repro.index import IndexHit, make_index
 from repro.index.snapshot import (
+    DeltaRecord,
     SnapshotError,
     append_delta,
     atomic_snapshot_dir,
@@ -148,8 +151,10 @@ class QuantizedTier:
     ``max_entries`` is set; an unbounded tier never drops entries.
 
     With ``snapshot_dir`` set the tier maintains a crash-safe on-disk
-    snapshot: :meth:`flush` appends pending mutations to the snapshot's
-    delta log (cost proportional to the delta, never a full rewrite) and
+    snapshot: :meth:`seal` closes the mutations buffered so far into one
+    in-memory delta record, :meth:`flush` appends every record owed to the
+    snapshot's delta log with one write and one fsync (cost proportional to
+    the delta, never a full rewrite) and
     :meth:`maintenance` folds the log into a fresh full snapshot once it
     holds ``compact_every`` records.  A fold's CPU follows what changed
     since the last one: each entry's ``entries.json`` block is rendered by
@@ -167,10 +172,12 @@ class QuantizedTier:
     snapshot of this tier published over it
     (:meth:`TieredCache.published_at`).
 
-    Upkeep is split by owner.  Committing mutations (:meth:`flush`) is
-    owed by every cache that made some; :meth:`maintenance` — the index's
-    own upkeep and compaction — is owed once per served batch however many
-    caches share the tier (see ``docs/serving.md``, "Upkeep contract").
+    Upkeep is split by owner.  Sealing mutations (:meth:`seal`) is owed by
+    every cache that made some, so the log gains one record per shard
+    slice; :meth:`maintenance` — writing the sealed records (group commit),
+    the index's own upkeep and compaction — is owed once per served batch
+    however many caches share the tier (see ``docs/serving.md``, "Upkeep
+    contract").
     """
 
     def __init__(
@@ -212,7 +219,7 @@ class QuantizedTier:
         #: append reads it, stale once ``snapshot_dir`` is pointed elsewhere
         self._counted_dir: Optional[Path] = None
         self._log_records: Optional[int] = None
-        self._reset_pending()
+        self._forget_owed()
 
     def _log_length(self) -> Optional[int]:
         """Delta records on top of the baseline in ``snapshot_dir``, or
@@ -220,7 +227,7 @@ class QuantizedTier:
         on disk yet, or a :meth:`clear` since the last one.  Reads the
         directory once (cutting off a crashed append's torn tail on the
         way); :meth:`save`, :meth:`flush` and :meth:`clear` keep count after
-        that."""
+        that.  Records sealed but not yet written are not counted."""
         if self._counted_dir != self.snapshot_dir:
             self._log_records = (
                 open_delta_log(self.snapshot_dir)
@@ -231,12 +238,19 @@ class QuantizedTier:
         return self._log_records
 
     def _reset_pending(self) -> None:
-        """Forget the mutations buffered since the last flush (one delta
-        record commits them all)."""
+        """Forget the mutations buffered since the last seal (one delta
+        record carries them all)."""
         self._pending_ids: List[int] = []
         self._pending_vectors: List[np.ndarray] = []
         self._pending_meta: List[Dict[str, object]] = []
         self._pending_removed: List[int] = []
+
+    def _forget_owed(self) -> None:
+        """Forget every mutation the log does not hold yet, sealed or
+        buffered: a full snapshot in ``snapshot_dir`` now holds them, or a
+        clear left nothing to log."""
+        self._sealed: List[DeltaRecord] = []
+        self._reset_pending()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -449,7 +463,8 @@ class QuantizedTier:
         return self._entries[best.id], float(best.score)
 
     def clear(self) -> None:
-        """Drop every entry (pending delta buffers included).
+        """Drop every entry (pending delta buffers and sealed records
+        included).
 
         Committed like any other mutation: the snapshot in ``snapshot_dir``
         still holds the dropped entries, so the next :meth:`flush` publishes
@@ -461,7 +476,7 @@ class QuantizedTier:
             self._blocks.clear()
             self._ctx.clear()
             self._index.clear()
-            self._reset_pending()
+            self._forget_owed()
             self._counted_dir, self._log_records = self.snapshot_dir, None
 
     # ------------------------------------------------------------------ #
@@ -512,18 +527,20 @@ class QuantizedTier:
         """A full snapshot of the tier was just published at ``path``
         (caller holds the lock, and has since the snapshot was taken).  If
         that is the tier's own ``snapshot_dir``, it now captures every
-        pending mutation under an empty log; a copy saved elsewhere leaves
-        both as they were, still owed to ``snapshot_dir``."""
+        pending mutation and sealed record under an empty log; a copy saved
+        elsewhere leaves all of them as they were, still owed to
+        ``snapshot_dir``."""
         if self.snapshot_dir is not None and path.resolve() == self.snapshot_dir.resolve():
-            self._reset_pending()
+            self._forget_owed()
             self._counted_dir, self._log_records = self.snapshot_dir, 0
 
-    def flush(self) -> None:
-        """Commit pending mutations to the snapshot's delta log.
+    def seal(self) -> None:
+        """Close the mutations buffered so far into one delta record, owed
+        to the log until the next :meth:`flush` writes it.
 
-        Costs O(delta), not O(tier): one JSON line, carrying the vectors,
-        is appended to the log and fsynced.  The first flush (no snapshot
-        on disk yet) writes the full baseline instead.
+        Writes nothing, except on a tier with no baseline a record could
+        extend (none on disk yet, or a :meth:`clear` since the last one):
+        there the full baseline is written at once, as :meth:`flush` would.
         """
         if self.snapshot_dir is None:
             return
@@ -534,24 +551,46 @@ class QuantizedTier:
                 return
             if not (self._pending_ids or self._pending_removed):
                 return
-            try:
-                append_delta(
-                    self.snapshot_dir,
-                    vectors=(
-                        np.stack(self._pending_vectors) if self._pending_ids else None
-                    ),
-                    ids=list(self._pending_ids),
-                    removed=list(self._pending_removed),
-                    meta={"entries": list(self._pending_meta)},
-                    seq=n_records + 1,
+            self._sealed.append(
+                DeltaRecord(
+                    seq=n_records + len(self._sealed) + 1,
+                    ids=tuple(self._pending_ids),
+                    removed=tuple(self._pending_removed),
+                    vectors=np.stack(self._pending_vectors) if self._pending_ids else None,
+                    meta={"entries": self._pending_meta},
                 )
+            )
+            self._reset_pending()
+
+    def flush(self) -> None:
+        """Commit every mutation the log does not hold yet: what is still
+        buffered is sealed, then every sealed record is appended.
+
+        Costs O(delta), not O(tier): one JSON line per record, carrying its
+        vectors, all appended to the log with one write and fsynced once.
+        The first flush (no snapshot on disk yet) writes the full baseline
+        instead.  A failed append leaves the records owed, and the retry
+        writes them under the same seqs.
+        """
+        if self.snapshot_dir is None:
+            return
+        with self.lock:
+            self.seal()
+            # A failed append that could not take its bytes back may have
+            # left some of its records whole: the count (re-read by the seal
+            # after a failure) holds them, so they are not written twice.
+            self._sealed = [r for r in self._sealed if r.seq > self._log_records]
+            if not self._sealed:
+                return
+            try:
+                append_delta(self.snapshot_dir, records=self._sealed)
             except BaseException:
                 # A failed append may have left a fragment on the log: make
                 # the retry re-read the directory, which cuts it off.
                 self._counted_dir = None
                 raise
-            self._log_records = n_records + 1
-            self._reset_pending()
+            self._log_records = self._sealed[-1].seq
+            self._sealed = []
 
     def maintenance(self) -> None:
         """The tier's own off-query-path upkeep: index maintenance, then
@@ -560,8 +599,10 @@ class QuantizedTier:
         last one and writes the whole tier.
 
         Owed once per served batch, not once per cache sharing the tier
-        (the serving layer de-duplicates by tier identity).  Anything still
-        pending is flushed first, so a standalone tier needs no other call.
+        (the serving layer de-duplicates by tier identity).  Everything the
+        batch's caches sealed, and anything still buffered, is flushed
+        before the compaction check — one write and one fsync for all of it
+        — so a standalone tier needs no other call.
         """
         with self.lock:
             self._index.maintenance()
@@ -1049,17 +1090,20 @@ class TieredCache:
 
     def local_maintenance(self) -> None:
         """This cache's own share of between-batch upkeep: L1 index upkeep,
-        then committing the tier's pending mutations — its own, and any a
-        neighbour served in the same batch has not committed yet — as one
-        delta-log record, durable when this returns.  The tier's own upkeep
-        (:meth:`QuantizedTier.maintenance`) is not included: whoever drives
-        several caches over one tier owes that once per batch."""
+        then sealing the tier's buffered mutations — its own, and any a
+        neighbour served in the same batch has not sealed yet — into one
+        delta record (:meth:`QuantizedTier.seal`), which writes nothing.
+        The tier's own upkeep (:meth:`QuantizedTier.maintenance`, which
+        writes every sealed record with one append and one fsync) is not
+        included: whoever drives several caches over one tier owes that once
+        per batch, before any of the batch's responses goes out."""
         self.l1.maintenance()
-        self.l2.flush()
+        self.l2.seal()
 
     def maintenance(self) -> None:
         """Between-batch upkeep of a cache driven on its own:
-        :meth:`local_maintenance`, then the tier's."""
+        :meth:`local_maintenance`, then the tier's; the tier's mutations are
+        durable when this returns."""
         self.local_maintenance()
         self.l2.maintenance()
 

@@ -22,9 +22,10 @@ mid-write) never contains a complete manifest+arrays pair and is rejected by
 :func:`read_manifest` / :func:`read_arrays`; the previous generation at the
 target path survives byte-for-byte. Publishing replaces the *whole*
 directory, so files a smaller new generation does not write (stale deltas,
-larger prior arrays) cannot leak into it. A delta append is one write and one
-fsync of ``deltas.jsonl`` and touches no other file: a crash leaves the record
-absent or as a torn trailing line, which readers ignore and the next appender cuts off.
+larger prior arrays) cannot leak into it. A delta append — one record, or a
+group of them — is one write and one fsync of ``deltas.jsonl`` and touches no
+other file: a crash leaves a prefix of its records whole, then nothing or a
+torn trailing line, which readers ignore and the next appender cuts off.
 
 Loading validates the manifest *before* touching any array: a missing file,
 undecodable JSON, a foreign ``format`` tag or an unsupported ``version``
@@ -700,35 +701,14 @@ def read_deltas(path: "str | Path") -> List[DeltaRecord]:
     return records
 
 
-def append_delta(
-    path: "str | Path",
-    vectors: Optional[np.ndarray] = None,
-    ids: Optional[Sequence[int]] = None,
-    removed: Sequence[int] = (),
-    meta: Optional[object] = None,
-    seq: Optional[int] = None,
-) -> int:
-    """Append one mutation record to the snapshot's delta log; returns its seq.
-
-    Cost is proportional to the delta, not the snapshot: one JSON line is
-    appended to ``deltas.jsonl`` and fsynced once, and nothing else is
-    created or rewritten.  The added rows are in the line, as ``{"dtype",
-    "shape", "b64"}`` of their C-contiguous bytes, whatever their size (a
-    1,000 x 768 float32 delta is one ~4 MB line).  The log is folded back
-    into a full snapshot by :func:`compact_snapshot` (or implicitly by the
-    next :func:`save_index`, whose atomic directory replace discards it).
-
-    Without ``seq`` the call checks that a snapshot exists at ``path`` and
-    numbers the record from the log (:func:`open_delta_log`, which also cuts
-    off a crashed append's torn tail).  An appender that has done that once
-    and counts its own records passes ``seq`` — the count so far plus one —
-    and the call touches neither the manifest nor the log's existing lines.
-    """
-    path = Path(path)
-    if seq is None:
-        if not (path / MANIFEST_NAME).is_file():
-            raise SnapshotError(f"no snapshot at {path} to append a delta to")
-        seq = open_delta_log(path) + 1
+def _delta_line(
+    seq: int,
+    vectors: Optional[np.ndarray],
+    ids: Optional[Sequence[int]],
+    removed: Sequence[int],
+    meta: Optional[object],
+) -> bytes:
+    """One record's ``deltas.jsonl`` line (validated, newline-terminated)."""
     encoded: Optional[Dict[str, object]] = None
     if vectors is not None:
         rows = np.ascontiguousarray(np.atleast_2d(np.asarray(vectors)))
@@ -748,15 +728,67 @@ def append_delta(
     }
     if meta is not None:
         record["meta"] = meta
-    # The fsynced line is the commit point: a crash before it leaves the log
-    # as it was, a crash mid-append leaves a torn trailing line that readers
-    # skip and the next appender's open_delta_log cuts off.  An append that
-    # fails in-process takes its bytes back off the log, so the caller's
-    # retry of the same record is not a duplicate.
+    return (json.dumps(record) + "\n").encode("utf-8")
+
+
+def append_delta(
+    path: "str | Path",
+    vectors: Optional[np.ndarray] = None,
+    ids: Optional[Sequence[int]] = None,
+    removed: Sequence[int] = (),
+    meta: Optional[object] = None,
+    seq: Optional[int] = None,
+    records: Optional[Sequence[DeltaRecord]] = None,
+) -> int:
+    """Append mutation records to the snapshot's delta log; returns the last seq.
+
+    Cost is proportional to the delta, not the snapshot: each record is one
+    JSON line, the lines are appended to ``deltas.jsonl`` with one write and
+    fsynced once, and nothing else is created or rewritten.  The added rows
+    are in the line, as ``{"dtype", "shape", "b64"}`` of their C-contiguous
+    bytes, whatever their size (a 1,000 x 768 float32 delta is one ~4 MB
+    line).  The log is folded back into a full snapshot by
+    :func:`compact_snapshot` (or implicitly by the next :func:`save_index`,
+    whose atomic directory replace discards it).
+
+    One record is given by its fields.  Without ``seq`` the call checks that
+    a snapshot exists at ``path`` and numbers the record from the log
+    (:func:`open_delta_log`, which also cuts off a crashed append's torn
+    tail).  An appender that has done that once and counts its own records
+    passes ``seq`` — the count so far plus one — and the call touches
+    neither the manifest nor the log's existing lines.
+
+    ``records`` instead commits several :class:`DeltaRecord` at once, each
+    as its own line under its own ``seq`` (the caller counts): group commit,
+    one write and one fsync for all of them.  Every line is encoded (and
+    validated) before the log is opened.
+    """
+    path = Path(path)
+    if records is None:
+        if seq is None:
+            if not (path / MANIFEST_NAME).is_file():
+                raise SnapshotError(f"no snapshot at {path} to append a delta to")
+            seq = open_delta_log(path) + 1
+        data = _delta_line(seq, vectors, ids, removed, meta)
+    elif vectors is not None or ids or removed or meta is not None or seq is not None:
+        raise ValueError("pass records, or one record's fields, not both")
+    elif not records:
+        raise ValueError("no records to append")
+    else:
+        seq = records[-1].seq
+        data = b"".join(
+            _delta_line(r.seq, r.vectors, r.ids, r.removed, r.meta) for r in records
+        )
+    # The fsynced write is the commit point: a crash before it leaves the log
+    # as it was, a crash mid-append leaves whole records and then a torn
+    # trailing line, which readers skip and the next appender's
+    # open_delta_log cuts off.  An append that fails in-process takes all of
+    # its bytes back off the log, so the caller's retry of the same records
+    # is not a duplicate.
     with open(path / DELTAS_NAME, "ab") as fh:
         committed = fh.seek(0, os.SEEK_END)
         try:
-            fh.write((json.dumps(record) + "\n").encode("utf-8"))
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         except BaseException:

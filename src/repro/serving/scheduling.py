@@ -519,12 +519,14 @@ class BatchExecutor:
 
         A tiered cache does only its own share here
         (:meth:`~repro.core.tiered.TieredCache.local_maintenance`: L1 index
-        upkeep, and its tier mutations committed to the delta log), and its
-        quantized tier is returned instead of maintained: a tier shared by
-        many caches is owed one upkeep per batch, not one per cache.  The
-        caller hands the returned tiers, each distinct object once, back as
-        ``targets`` when the whole batch has run — the server does so once
-        every shard has done its share.
+        upkeep, and its tier mutations sealed into one delta record, not yet
+        written), and its quantized tier is returned instead of maintained:
+        a tier shared by many caches is owed one upkeep per batch, not one
+        per cache, and that upkeep writes every record the batch sealed with
+        one append and one fsync.  The caller hands the returned tiers, each
+        distinct object once, back as ``targets`` when the whole batch has
+        run and before any of its responses goes out — the server does so
+        once every shard has done its share.
         """
         if targets is None:
             targets = [adapter.cache for adapter in self._touched.values()]

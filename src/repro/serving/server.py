@@ -632,10 +632,11 @@ class CacheServer:
                 if last_run[shard_idx] == k:
                     for tier in shard.executor.maintenance():
                         tiers[id(tier)] = tier
-        # Every shard has committed its tier mutations; each shared tier's
-        # own upkeep (index maintenance, compaction when due) runs once for
-        # the flush, before any of its responses goes out.  The pass touches
-        # no executor state, so any shard's executor serves.
+        # Every shard has sealed its tier mutations; each shared tier's own
+        # upkeep (the sealed records written with one append and one fsync,
+        # index maintenance, compaction when due) runs once for the flush,
+        # before any of its responses goes out.  The pass touches no
+        # executor state, so any shard's executor serves.
         for tier in tiers.values():
             with tier.lock:
                 self._shards[0].executor.maintenance([tier])

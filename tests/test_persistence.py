@@ -740,17 +740,25 @@ def test_fleet_checkpoint_in_place_rebases_restored_tier_logs(tmp_path):
     resumed = _fleet(encoder, factory)
     resumed.restore(tmp_path / "ckpt", loader=lambda p: TieredCache.load(p, encoder))
     resumed.run(second)
-    caches = [adapter.cache for adapter in resumed.caches.values()]
-    assert all(delta_log_size(c.l2.snapshot_dir)[0] > 0 for c in caches)
-    for cache in caches:  # demotions still pending when the checkpoint lands
-        for i in range(3):
-            cache.insert(f"enrolled between windows {i}", "r")
+    server = resumed.server
+    # (cache, the lock of the shard serving it): the server owns the caches,
+    # so touching one from here takes that lock, as the server's flush does
+    caches = [
+        (adapter.cache, server._shards[server.shard_of(user)].lock)
+        for user, adapter in resumed.caches.items()
+    ]
+    assert all(delta_log_size(c.l2.snapshot_dir)[0] > 0 for c, _ in caches)
+    for cache, lock in caches:  # demotions still pending when the checkpoint lands
+        with lock:
+            for i in range(3):
+                cache.insert(f"enrolled between windows {i}", "r")
         assert cache.l2._pending_ids
     resumed.checkpoint(tmp_path / "ckpt")
-    for cache in caches:
+    for cache, lock in caches:
         assert not cache.l2._pending_ids
-        cache.insert("enrolled after the checkpoint", "r")
-        cache.maintenance()
+        with lock:
+            cache.insert("enrolled after the checkpoint", "r")
+            cache.maintenance()
         assert cache.l2._log_length() == delta_log_size(cache.l2.snapshot_dir)[0] == 1
         loaded = QuantizedTier.load(cache.l2.snapshot_dir)
         assert [e.query for e in loaded.entries] == [e.query for e in cache.l2.entries]

@@ -7,8 +7,8 @@ rendered ``entries.json`` block from the save that first wrote it, so:
 * the bytes are the reference encoding's — after every save,
   ``entries.json`` is ``json.dumps(records, indent=1)`` of the live entries,
   whatever ran before it (a generated operation sequence, GIPS-style:
-  insert with and without context, pop, FIFO eviction, clear, flush, save,
-  load-and-continue, compaction);
+  insert with and without context, pop, FIFO eviction, clear, seal, flush,
+  save, load-and-continue, compaction);
 * the block memo is a FIFO prefix of the live entries, each block the
   reference rendering of its record, and all of them once a save ran; the
   context-chain memo is the contextual entries in FIFO order; the router's
@@ -41,7 +41,7 @@ from conftest import make_tiny_encoder
 from repro.core.cache import MeanCacheConfig
 from repro.core.context import ContextChain
 from repro.core.tiered import QuantizedTier, TieredCache, _tier_entry_record
-from repro.index import make_index
+from repro.index import delta_log_size, make_index
 
 DIM = 8
 UNTRAINED = {"min_train_size": 10_000}
@@ -130,6 +130,10 @@ class TierFolds(RuleBasedStateMachine):
         self.tier.clear()
 
     @rule()
+    def seal(self):
+        self.tier.seal()
+
+    @rule()
     def flush(self):
         self.tier.flush()
 
@@ -179,6 +183,13 @@ class TierFolds(RuleBasedStateMachine):
         rows = index._id_to_row.rows(ids)
         assert np.array_equal(np.sort(rows), np.arange(n))
         assert np.array_equal(router.cells[rows], cells)
+
+    @invariant()
+    def sealed_records_continue_the_log(self):
+        sealed = [record.seq for record in self.tier._sealed]
+        if sealed:
+            committed = delta_log_size(self.root / "snap")[0]
+            assert sealed == list(range(committed + 1, committed + 1 + len(sealed)))
 
     @invariant()
     def a_save_writes_the_reference_encoding(self):
@@ -349,7 +360,7 @@ def test_a_cleared_tiered_cache_loads_as_it_is_live(tmp_path):
     cache.clear()
     cache.insert("one after the clear", "a")
     cache.insert("two after the clear", "b")  # demotes the first into L2
-    cache.local_maintenance()  # commits the tier's mutations
+    cache.local_maintenance()  # no baseline since the clear: the seal publishes one
     loaded = QuantizedTier.load(tmp_path / "cache" / "l2")
     assert _image(loaded) == _image(cache.l2)
     assert [e.query for e in loaded.entries] == ["one after the clear"]

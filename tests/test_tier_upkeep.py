@@ -3,13 +3,14 @@
 One flush (server) or window (simulator) over k users sharing one
 :class:`~repro.core.tiered.QuantizedTier`:
 
-* every touched cache does its own share — L1 index upkeep and committing
-  the tier's pending mutations to the delta log — inside its shard slice;
-  the first touched cache of a slice commits whatever the slice left
-  pending, so the log gains one record per shard slice that mutated the
+* every touched cache does its own share — L1 index upkeep and sealing
+  the tier's buffered mutations into one delta record — inside its shard
+  slice; the first touched cache of a slice seals whatever the slice left
+  buffered, so the log gains one record per shard slice that mutated the
   tier (never more than one per touching cache);
-* the tier's own upkeep (index maintenance, compaction when due) runs once
-  per distinct tier object, after the last slice;
+* the tier's own upkeep (the sealed records written with one append,
+  index maintenance, compaction when due) runs once per distinct tier
+  object, after the last slice;
 * a response is acknowledged only after its mutations are in the log.
 """
 
@@ -112,7 +113,7 @@ def test_server_flush_maintains_a_shared_tier_once(tmp_path):
     assert index_upkeep.n == 1
     assert compactions.n == 0
     assert [calls.n for calls in l1_upkeep] == [1] * len(USERS)
-    # One record per shard slice: the slice's first cache commits for all.
+    # One record per shard slice: the slice's first cache seals for all.
     assert delta_log_size(tier.snapshot_dir)[0] == len(shards) <= len(USERS)
     assert not tier._pending_ids and not tier._pending_removed
 

@@ -599,7 +599,16 @@ def log_op_sequences(draw):
     return draw(
         st.lists(
             st.sampled_from(
-                ["insert", "pop", "flush", "maintenance", "save", "save_elsewhere", "load"]
+                [
+                    "insert",
+                    "pop",
+                    "seal",
+                    "flush",
+                    "maintenance",
+                    "save",
+                    "save_elsewhere",
+                    "load",
+                ]
             ),
             min_size=1,
             max_size=30,
@@ -634,16 +643,20 @@ def test_tier_counts_its_delta_log_in_memory(ops, preexisting, tmp_path_factory)
             tier.insert(f"query {step}", "r", rng.normal(size=DIM))
         elif op == "pop" and len(tier):
             tier.pop(tier.entries[step % len(tier)].entry_id)
+        elif op == "seal":
+            tier.seal()
         elif op == "flush":
             tier.flush()
         elif op == "maintenance":
             tier.maintenance()
         elif op == "save":
             tier.save(snap)
+            assert not tier._sealed and not tier._pending_ids
         elif op == "save_elsewhere":
-            pending = list(tier._pending_ids)
+            owed = (list(tier._pending_ids), [(r.seq, r.ids) for r in tier._sealed])
             tier.save(tmp_path / "elsewhere")
-            assert tier._pending_ids == pending  # still owed to snapshot_dir
+            # still owed to snapshot_dir
+            assert (tier._pending_ids, [(r.seq, r.ids) for r in tier._sealed]) == owed
         elif op == "load" and (snap / "manifest.json").is_file():
             tier.flush()
             tier = QuantizedTier.load(snap)
@@ -829,7 +842,7 @@ def test_failed_append_leaves_the_log_as_it_was(tmp_path, monkeypatch):
         tier.flush()
     monkeypatch.undo()
     assert (snap / "deltas.jsonl").read_bytes() == before
-    assert tier._pending_ids  # still owed
+    assert tier._sealed  # still owed
 
     tier.flush()
     _assert_count_matches_disk(tier)
