@@ -1,7 +1,7 @@
 """Benchmarks: fleet serving throughput and online τ adaptation.
 
 ``test_fleet_throughput`` replays deterministic multi-user traffic
-(``repro.serving.WorkloadGenerator``) through ``FleetSimulator`` — a local
+(``repro.serving.WorkloadGenerator``) through ``CacheServer.replay`` — a local
 MeanCache per user in front of one shared simulated LLM service — and records
 fleet lookup throughput, hit rate, latency and cost in ``BENCH_fleet.json``
 at the repo root so later scaling PRs can track the trajectory.

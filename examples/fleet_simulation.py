@@ -6,10 +6,12 @@ Run with::
 
 It generates a deterministic multi-user traffic trace (Poisson arrivals,
 per-user topic mixes, conversations and paraphrase duplicates), replays it
-through a fleet of per-user MeanCaches against one simulated LLM service,
-prints the fleet-wide and busiest-user statistics, then saves the trace to a
-JSON file and replays it to show the results are bit-identical — the
-traffic-replay workflow used to compare cache variants on equal traffic.
+through a ``CacheServer`` holding one MeanCache per user against one
+simulated LLM service, prints the fleet-wide and busiest-user statistics,
+then saves the trace to a JSON file and replays it to show the results are
+bit-identical — the traffic-replay workflow used to compare cache variants
+on equal traffic.  It also checkpoints the fleet's caches and warm-starts a
+fresh server from the checkpoint.
 
 Then it closes the paper's federated loop online: the same fleet is
 re-run on *drifting* traffic with an ``OnlineThresholdAdapter`` mining
@@ -34,22 +36,24 @@ from repro.experiments.scenario_bench import run_scenario_matrix
 from repro.federated.online import OnlineAdaptationConfig, OnlineThresholdAdapter
 from repro.llm.service import LLMServiceConfig
 from repro.serving import (
+    CacheServer,
     DriftPhase,
-    FleetSimulator,
     ScenarioSpec,
+    ServerConfig,
     Trace,
     WorkloadConfig,
     WorkloadGenerator,
 )
 
 
-def make_simulator(encoder) -> FleetSimulator:
-    """A fresh fleet: one MeanCache per user, one shared service."""
-    return FleetSimulator(
-        cache_factory=lambda user_id: MeanCache(
-            encoder, MeanCacheConfig(similarity_threshold=0.78)
-        ),
-        service=SimulatedLLMService(LLMServiceConfig(seed=0)),
+def make_server(encoder, adaptation=None) -> CacheServer:
+    """A fresh fleet: one MeanCache per user, one shared service, replayed
+    deterministically on the trace's virtual clock."""
+    return CacheServer(
+        lambda user_id: MeanCache(encoder, MeanCacheConfig(similarity_threshold=0.78)),
+        SimulatedLLMService(LLMServiceConfig(seed=0)),
+        ServerConfig(deterministic=True),
+        adaptation=adaptation,
     )
 
 
@@ -79,7 +83,8 @@ def main() -> None:
 
     # 2. Replay it through the fleet (every device runs the same encoder).
     encoder = load_encoder("albert-sim")
-    result = make_simulator(encoder).run(trace)
+    server = make_server(encoder)
+    result = server.replay(trace)
     print()
     print(result.format())
 
@@ -95,15 +100,23 @@ def main() -> None:
         )
 
     # 4. Traffic replay: save the trace, reload it, run an identical fleet —
-    #    with hash-derived latency jitter the results match exactly.
+    #    with hash-derived latency jitter the results match exactly.  Then
+    #    checkpoint the fleet's caches and warm-start a fresh server.
     with tempfile.TemporaryDirectory() as tmp:
         path = trace.save(Path(tmp) / "fleet_trace.json")
-        replayed = make_simulator(encoder).run(Trace.load(path))
+        replayed = make_server(encoder).replay(Trace.load(path))
+        server.checkpoint(Path(tmp) / "checkpoint")
+        warm = make_server(encoder)
+        warm.restore(Path(tmp) / "checkpoint", lambda p: MeanCache.load(p, encoder))
     print()
     print(
         "replay from saved trace: "
         f"hit rate {replayed.hit_rate:.3f} (identical: "
         f"{replayed.hit_rate == result.hit_rate and replayed.total_cost_usd == result.total_cost_usd})"
+    )
+    print(
+        f"warm start from checkpoint: {warm.n_users} users, "
+        f"{warm.storage_report()['total_entries']} cached entries restored"
     )
 
     # 5. Online federated threshold adaptation on drifting traffic: halfway
@@ -142,13 +155,7 @@ def main() -> None:
             seed=0,
         )
     )
-    adaptive = FleetSimulator(
-        cache_factory=lambda user_id: MeanCache(
-            encoder, MeanCacheConfig(similarity_threshold=0.78)
-        ),
-        service=SimulatedLLMService(LLMServiceConfig(seed=0)),
-        adaptation=adapter,
-    ).run(drift_trace)
+    adaptive = make_server(encoder, adaptation=adapter).replay(drift_trace)
     print()
     print(
         f"online adaptation on drifting traffic: {len(adapter.history)} rounds, "

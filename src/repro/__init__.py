@@ -22,8 +22,8 @@ The package is organised as a set of substrates plus the core contribution:
     shares (three functions in ``repro.core.pipeline``).
 ``repro.serving``
     Multi-client serving: deterministic fleet workload generation, the
-    fleet simulator (N per-user caches against one shared service) and
-    JSON traffic replay.
+    cache server (N per-user caches against one shared service, live or
+    replaying a JSON traffic trace) and its checkpoints.
 ``repro.metrics``
     Cache-decision evaluation metrics (precision / recall / F-beta / accuracy).
 ``repro.experiments``
@@ -35,7 +35,7 @@ from repro.core.cache import MeanCache, MeanCacheConfig, CacheDecision, CacheEnt
 from repro.core.client import MeanCacheClient
 from repro.embeddings.zoo import load_encoder, ENCODER_SPECS
 from repro.llm.service import SimulatedLLMService, LLMServiceConfig
-from repro.serving import FleetSimulator, Trace, WorkloadGenerator
+from repro.serving import Trace, WorkloadGenerator
 
 __version__ = "1.0.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "ENCODER_SPECS",
     "SimulatedLLMService",
     "LLMServiceConfig",
-    "FleetSimulator",
     "Trace",
     "WorkloadGenerator",
     "__version__",

@@ -384,7 +384,7 @@ class SnapshotDisciplineRule(Rule):
     bytes reach disk either inside a ``with atomic_snapshot_dir(...)`` stage
     (fsync + ``os.replace`` publish) or through the append-only delta-log
     commit protocol.  In persistence code (``repro/index/``, ``repro/core/``,
-    ``repro/baselines/``, ``repro/serving/fleet.py``), any direct
+    ``repro/baselines/``, ``repro/serving/server.py``), any direct
     ``open(..., "w"/"wb")``, ``np.save*`` or ``Path.write_text/write_bytes``
     outside those scopes is flagged, and so is ``open`` in an append or
     update mode (``"a"``, ``"ab"``, ``"r+b"``) outside the delta log's one
@@ -395,7 +395,7 @@ class SnapshotDisciplineRule(Rule):
     name = "snapshot-io-discipline"
     description = "snapshot writes go through atomic_snapshot_dir / the delta-log protocol"
 
-    _SCOPES = ("repro/index/", "repro/core/", "repro/baselines/", "repro/serving/fleet.py")
+    _SCOPES = ("repro/index/", "repro/core/", "repro/baselines/", "repro/serving/server.py")
     #: snapshot.py functions that *are* the write protocol (hand-reviewed).
     #: write_* create files, and only inside a stage:
     _HELPER_FUNCTIONS = frozenset({"write_manifest", "write_arrays"})

@@ -7,10 +7,10 @@ trajectory:
 * :func:`run_fleet_bench` — lookup throughput at 100 / 1,000 users:
   a deterministic multi-user trace
   (:class:`~repro.serving.workload.WorkloadGenerator`) replayed through
-  :class:`~repro.serving.fleet.FleetSimulator` — one local MeanCache per
-  user, all sharing one frozen encoder and one simulated LLM service — with
-  wall-clock fleet throughput (lookups/s) plus hit-rate, latency and cost
-  aggregates.
+  :meth:`CacheServer.replay <repro.serving.server.CacheServer.replay>` —
+  one local MeanCache per user, all sharing one frozen encoder and one
+  simulated LLM service — with wall-clock fleet throughput (lookups/s)
+  plus hit-rate, latency and cost aggregates.
 * :func:`run_drift_adaptation_bench` — adaptive vs static τ on drifting
   traffic: the same fleet twice over one non-stationary trace (paraphrase
   style collapse + domain-mix drift + duplicate-rate shift + user churn),
@@ -34,7 +34,8 @@ from repro.federated.online import OnlineAdaptationConfig, OnlineThresholdAdapte
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.metrics.reporting import format_table
 from repro.metrics.timing import LatencyHistogram
-from repro.serving.fleet import FleetConfig, FleetResult, FleetSimulator
+from repro.serving.scheduling import FleetResult
+from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import DriftPhase, WorkloadConfig, WorkloadGenerator
 
 
@@ -225,13 +226,15 @@ def run_fleet_bench(
             ),
             seed=seed,
         ).generate()
-        simulator = FleetSimulator(
-            cache_factory=lambda user_id: MeanCache(encoder, cache_config),
-            service=SimulatedLLMService(LLMServiceConfig(seed=seed)),
-            config=FleetConfig(batch_window_s=batch_window_s),
+        server = CacheServer(
+            lambda user_id: MeanCache(encoder, cache_config),
+            SimulatedLLMService(LLMServiceConfig(seed=seed)),
+            ServerConfig(n_shards=1, deterministic=True),
         )
         result.points.append(
-            FleetBenchPoint.from_result(simulator.run(trace, collect_outcomes=True))
+            FleetBenchPoint.from_result(
+                server.replay(trace, batch_window_s, collect_outcomes=True)
+            )
         )
     return result
 
@@ -408,15 +411,15 @@ def run_drift_adaptation_bench(
     )
 
     def run_fleet(adaptation: Optional[OnlineThresholdAdapter]) -> FleetResult:
-        simulator = FleetSimulator(
-            cache_factory=lambda user_id: MeanCache(
+        server = CacheServer(
+            lambda user_id: MeanCache(
                 encoder, MeanCacheConfig(similarity_threshold=static_threshold)
             ),
-            service=SimulatedLLMService(LLMServiceConfig(seed=seed)),
-            config=FleetConfig(),
+            SimulatedLLMService(LLMServiceConfig(seed=seed)),
+            ServerConfig(n_shards=1, deterministic=True),
             adaptation=adaptation,
         )
-        return simulator.run(trace)
+        return server.replay(trace)
 
     static_result = run_fleet(None)
     adapter = OnlineThresholdAdapter(adaptation_config)

@@ -44,7 +44,7 @@ from repro.embeddings.tokenizer import Tokenizer, TokenizerConfig
 from repro.index import make_index
 from repro.index.snapshot import append_delta, load_index, save_index
 from repro.metrics.reporting import format_table
-from repro.serving.fleet import FleetConfig, FleetSimulator
+from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import WorkloadConfig, WorkloadGenerator
 
 
@@ -291,26 +291,24 @@ def run_tiered_fleet_bench(
         ),
         seed=seed,
     ).generate()
-    fleet_config = FleetConfig(batch_window_s=0.25)
+    fleet_config = ServerConfig(n_shards=1, deterministic=True)
 
-    exact_fleet = FleetSimulator(
-        cache_factory=lambda user_id: MeanCache(
-            encoder, MeanCacheConfig(max_entries=100_000)
-        ),
+    exact_fleet = CacheServer(
+        lambda user_id: MeanCache(encoder, MeanCacheConfig(max_entries=100_000)),
         config=fleet_config,
     )
-    exact_result = exact_fleet.run(trace)
+    exact_result = exact_fleet.replay(trace, 0.25)
     exact_report = exact_fleet.storage_report()
 
-    tiered_fleet = FleetSimulator(
-        cache_factory=lambda user_id: TieredCache(
+    tiered_fleet = CacheServer(
+        lambda user_id: TieredCache(
             encoder,
             MeanCacheConfig(max_entries=l1_entries),
             l2_params={"min_train_size": 16},
         ),
         config=fleet_config,
     )
-    tiered_result = tiered_fleet.run(trace)
+    tiered_result = tiered_fleet.replay(trace, 0.25)
     tiered_report = tiered_fleet.storage_report()
 
     exact_bpe = float(exact_report["bytes_per_entry"])

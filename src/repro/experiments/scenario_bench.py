@@ -2,12 +2,13 @@
 
 One driver, one matrix, one comparable table per scenario: every
 :class:`~repro.serving.scenarios.ScenarioSpec` in the matrix runs through
-the same :class:`~repro.serving.fleet.FleetSimulator` machinery and reports
-the same metric set — events, hit rate, verified true-hit rate, false-hit
-rate, mean latency, LLM cost, throughput — plus family-specific ``extras``
-(attack accounting, τ trajectories, per-tenant isolation gaps).  Scenarios
-with a natural counterfactual (the unpoisoned stream, the quiet tenant
-alone, the unwarped arrivals) also report that baseline's metrics, so
+one :meth:`CacheServer.replay <repro.serving.server.CacheServer.replay>`
+and reports the same metric set — events, hit rate, verified true-hit
+rate, false-hit rate, mean latency, LLM cost, throughput — plus
+family-specific ``extras`` (attack accounting, τ trajectories, per-tenant
+isolation gaps).  Scenarios with a natural counterfactual (the unpoisoned
+stream, the quiet tenant alone, the unwarped arrivals) also report that
+baseline's metrics, so
 per-family CI floors in ``benchmarks/test_bench_scenarios.py`` can gate
 *degradation*, not absolutes.
 
@@ -46,7 +47,6 @@ from repro.embeddings.model import SiameseEncoder
 from repro.federated.online import OnlineAdaptationConfig, OnlineThresholdAdapter
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.metrics.reporting import format_table
-from repro.serving.fleet import FleetConfig, FleetSimulator
 from repro.serving.scenarios import (
     CohortSpec,
     FloodingConfig,
@@ -64,6 +64,7 @@ from repro.serving.scenarios import (
     trace_to_logs,
 )
 from repro.serving.scheduling import FleetResult, UserStats
+from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import (
     ArrivalSchedule,
     Trace,
@@ -251,7 +252,7 @@ def _make_fleet(
     spec: ScenarioSpec,
     encoder: SiameseEncoder,
     adaptation: Optional[OnlineThresholdAdapter] = None,
-) -> FleetSimulator:
+) -> CacheServer:
     """A fleet per the spec: per-device caches, or one shared central cache."""
     cache_config = MeanCacheConfig(
         similarity_threshold=spec.similarity_threshold,
@@ -262,10 +263,10 @@ def _make_fleet(
         factory: Callable[[str], object] = lambda user_id: shared
     else:
         factory = lambda user_id: MeanCache(encoder, cache_config)
-    return FleetSimulator(
-        cache_factory=factory,
-        service=SimulatedLLMService(LLMServiceConfig(seed=spec.seed)),
-        config=FleetConfig(),
+    return CacheServer(
+        factory,
+        SimulatedLLMService(LLMServiceConfig(seed=spec.seed)),
+        ServerConfig(n_shards=1, deterministic=True),
         adaptation=adaptation,
     )
 
@@ -277,7 +278,7 @@ def _run(
     adaptation: Optional[OnlineThresholdAdapter] = None,
     collect_outcomes: bool = False,
 ) -> FleetResult:
-    return _make_fleet(spec, encoder, adaptation).run(
+    return _make_fleet(spec, encoder, adaptation).replay(
         trace, collect_outcomes=collect_outcomes
     )
 

@@ -209,10 +209,11 @@ class _DeviceState:
 class OnlineThresholdAdapter:
     """The fleet-side federated round driver.
 
-    Plug an instance into :class:`~repro.serving.fleet.FleetSimulator`
-    (``adaptation=``): the simulator registers each user's cache on first
+    Plug an instance into :class:`~repro.serving.server.CacheServer`
+    (``adaptation=``): the server registers each user's cache on first
     use, reports every lookup outcome through :meth:`observe`, and advances
-    the virtual clock through :meth:`advance`, which runs any due rounds.
+    the clock through :meth:`advance` after each flush (the trace's virtual
+    clock in a replay), which runs any due rounds.
     The adapter is deliberately fleet-agnostic — any driver can feed it, and
     it only assumes caches expose ``set_threshold`` (devices without the
     hook, e.g. the keyword baseline, are observed but never pushed to).

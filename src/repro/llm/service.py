@@ -102,7 +102,7 @@ class SimulatedLLMService:
     Two clocks can drive a deployment of this service, and the historical
     implementation silently assumed the first:
 
-    * the **virtual event clock** — the fleet simulator replays a trace at
+    * the **virtual event clock** — a server's replay runs a trace at
       virtual arrival times and passes each request's ``now`` explicitly;
     * the **wall clock** — the live threaded server issues requests in real
       time, so request stamps must come from ``time.monotonic``.

@@ -9,12 +9,6 @@ cache, sharing one LLM web service:
   per-user domain mixes, conversations/follow-ups, paraphrase duplicates,
   drift phases, :class:`ArrivalSchedule` diurnal/flash-crowd re-timing);
   :class:`Trace` serializes to JSON for traffic replay.
-* :mod:`repro.serving.fleet` — :class:`FleetSimulator` replays a trace over
-  N per-user caches (any variant with ``lookup_batch``/``enroll``) against one
-  shared :class:`~repro.llm.service.SimulatedLLMService` on a virtual event
-  clock, with batched lookup scheduling and per-fleet/per-user hit-rate,
-  latency and cost aggregation — a façade over the server's deterministic
-  one-shard replay.
 * :mod:`repro.serving.scenarios` — the scenario zoo: adversarial
   cache-poisoning and near-miss-flooding streams, mixed-domain cohorts,
   multi-tenant mixes, external log import, plus the declarative
@@ -24,13 +18,17 @@ cache, sharing one LLM web service:
   flush: :class:`BatchExecutor` (one shard's two-phase batch execution),
   :class:`CacheAdapter`, the :class:`FleetResult` aggregation, and
   :func:`iter_windows` (virtual-time batching windows).
-* :mod:`repro.serving.server` — :class:`CacheServer`, the live threaded
-  serving tier: hash-sharded per-user caches behind per-shard locks, a
-  bounded admission queue with :class:`BackpressureError` shedding, and an
-  adaptive cross-user micro-batcher (:class:`MicroBatcher`).
+* :mod:`repro.serving.server` — :class:`CacheServer`, the serving tier:
+  hash-sharded per-user caches (any variant with ``lookup_batch``/``enroll``)
+  behind per-shard locks against one shared
+  :class:`~repro.llm.service.SimulatedLLMService`, a bounded admission queue
+  with :class:`BackpressureError` shedding, and an adaptive cross-user
+  micro-batcher (:class:`MicroBatcher`).  The same flush replays a trace on a
+  virtual event clock (``CacheServer.replay``, with per-fleet/per-user
+  hit-rate, latency and cost aggregation), and the server checkpoints its
+  caches and warm-starts from them (``checkpoint`` / ``restore``).
 """
 
-from repro.serving.fleet import FleetConfig, FleetSimulator
 from repro.serving.scenarios import (
     CohortSpec,
     FloodingConfig,
@@ -76,9 +74,7 @@ from repro.serving.workload import (
 )
 
 __all__ = [
-    "FleetConfig",
     "FleetResult",
-    "FleetSimulator",
     "LookupOutcome",
     "UserStats",
     "BatchExecutor",

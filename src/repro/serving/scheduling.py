@@ -3,8 +3,7 @@
 There is one serving driver: the server's flush (take a batch of arrivals,
 classify them through their caches, forward misses to the LLM service,
 enrol).  Live serving runs it on wall-clock micro-batches; its
-deterministic replay runs it on virtual-time windows, and
-:class:`~repro.serving.fleet.FleetSimulator` is that replay with one shard.
+deterministic replay runs it on virtual-time windows.
 This module holds the pieces the flush is made of:
 
 * :class:`CacheAdapter` — one batched lookup/enroll surface over any cache

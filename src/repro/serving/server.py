@@ -2,8 +2,9 @@
 
 :class:`CacheServer` serves the federated-cache stack under *real*
 concurrent load, and replays traces through the same flush on a virtual
-clock (:meth:`CacheServer.replay`; the fleet simulator is that replay with
-one shard):
+clock (:meth:`CacheServer.replay`); it checkpoints its caches to disk and
+warm-starts from them (:meth:`CacheServer.checkpoint` /
+:meth:`CacheServer.restore`):
 
 * **Hash-sharded per-user caches.**  Users hash (stable CRC32) onto
   ``n_shards`` shards; each shard owns its users' caches behind one
@@ -36,16 +37,18 @@ one shard):
 Inside a flush, all lookups complete before any enrolment, across shards
 as within one.  Replaying a trace through :meth:`CacheServer.replay` (the
 synchronous single-worker deterministic mode) therefore decides and stores
-the same at every shard count — :class:`~repro.serving.fleet.FleetSimulator`
-is the one-shard replay, and ``tests/test_serving_parity.py`` and
-``tests/test_serving_parity_properties.py`` pin the others to it.
+the same at every shard count — ``tests/test_serving_parity.py`` and
+``tests/test_serving_parity_properties.py`` pin every shard count to the
+one-shard replay.
 
 Live wall-clock serving runs on one daemon flush thread
 (:meth:`CacheServer.start` / :meth:`CacheServer.stop`) sleeping on the one
 ``threading.Condition`` that guards the admission queue: client threads offer
 requests under it, the thread executes one flush at a time and resolves the
-futures itself.  The coroutine API (``serve`` / ``submit`` / ``shutdown``)
-wraps the threaded one.  ``experiments/serving_bench.py`` drives the server
+futures itself.  Each flush runs under the server's flush lock, which
+:meth:`CacheServer.checkpoint` also takes, so a live checkpoint is a cut
+between two flushes.  The coroutine API (``serve`` / ``submit`` /
+``shutdown``) wraps the threaded one.  ``experiments/serving_bench.py`` drives the server
 from real client threads and lands the numbers in ``BENCH_serving.json``.
 """
 
@@ -60,6 +63,7 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,6 +71,12 @@ import numpy as np
 from repro.analysis.runtime import guard_cache, maybe_tracked_lock
 from repro.core.cache import CacheDecision
 from repro.core.tiered import TierProbe, match_probes, serve_probes
+from repro.index.snapshot import (
+    SnapshotError,
+    atomic_snapshot_dir,
+    read_manifest,
+    write_manifest,
+)
 from repro.llm.service import SimulatedLLMService
 from repro.metrics.timing import LatencyHistogram
 from repro.serving.scheduling import (
@@ -81,6 +91,10 @@ from repro.serving.scheduling import (
 from repro.serving.workload import Trace, WorkloadEvent
 
 logger = logging.getLogger(__name__)
+
+#: Snapshot format tag / version of :meth:`CacheServer.checkpoint` directories.
+FLEET_FORMAT = "repro-fleet"
+FLEET_VERSION = 1
 
 #: Why a flush fired, as :meth:`MicroBatcher.fire_reason` names it:
 #: ``max_batch_size`` pending (``full``), as many pending as the last flush
@@ -116,8 +130,9 @@ class ServerConfig:
         Number of cache shards.  Users are assigned by stable hash; each
         shard's caches are mutated only under that shard's lock.
     max_queue_depth:
-        Admission bound: requests arriving while this many are already
-        pending are shed with :class:`BackpressureError`.
+        Admission bound on live traffic: requests arriving while this many
+        are already pending are shed with :class:`BackpressureError`.  A
+        replay never sheds.
     max_batch_size:
         Flush when this many requests are pending (the batch cap).
     max_batch_wait_s:
@@ -301,7 +316,7 @@ class MicroBatcher:
     the oldest has aged ``max_wait_s``.
 
     The class is not thread-safe; the server only touches it under its
-    condition (live mode) or from the replaying thread (deterministic mode).
+    condition.  A replay does not use it: each virtual window is one flush.
     """
 
     def __init__(
@@ -375,10 +390,9 @@ class MicroBatcher:
     def drain(self, limit: Optional[int] = None) -> List[object]:
         """Pop up to ``limit`` requests in FIFO order (``None`` = all).
 
-        The default live flush passes ``max_batch_size``; the deterministic
-        replay drains a whole virtual window in one call, so each window is
-        one flush.  A non-empty drain's size becomes
-        the depth :meth:`due` next waits for.
+        The live flush passes ``max_batch_size``; a failing flush thread
+        drains the rest.  A non-empty drain's size becomes the depth
+        :meth:`due` next waits for.
         """
         if limit is None:
             limit = len(self._pending)
@@ -452,6 +466,8 @@ class CacheServer:
             for i in range(self.config.n_shards)
         ]
         self._registry_lock = maybe_tracked_lock("server.registry")
+        #: held around each flush's execution and by :meth:`checkpoint`
+        self._flush_lock = maybe_tracked_lock("server.flush")
         self._user_shard: Dict[str, int] = {}
         self._cache_shard: Dict[int, int] = {}
         self._batcher = MicroBatcher(
@@ -532,6 +548,85 @@ class CacheServer:
         :func:`repro.serving.scheduling.storage_report`.
         """
         return storage_report(adapter.cache for adapter in self.adapters.values())
+
+    # ------------------------------------------------------------------ #
+    # Checkpoint / warm-start
+    # ------------------------------------------------------------------ #
+    def checkpoint(self, path: "str | Path") -> Path:
+        """Snapshot every live cache so a later server can warm-start from it.
+
+        Each distinct cache *object* is saved once (a shared central cache
+        produces one snapshot no matter how many users route to it) via its
+        ``save(path)`` method, and the manifest maps user ids to snapshot
+        subdirectories.  Caches without a ``save`` method (e.g. the keyword
+        baseline) raise :class:`~repro.index.SnapshotError`.
+
+        The whole checkpoint directory is staged and published atomically
+        (one ``os.replace``): a crash mid-checkpoint over a previous
+        checkpoint leaves the old generation intact, and snapshots for
+        users the server no longer serves cannot leak into the new one.
+
+        On a live server the checkpoint is a cut between two flushes: it
+        holds the flush lock throughout and saves each cache under its
+        shard's lock.  Admission goes on meanwhile; what arrives waits for
+        the next flush.  A failing ``save`` raises here, to the caller.
+        """
+        path = Path(path)
+        with self._flush_lock:
+            with self._registry_lock:
+                adapters = self.adapters
+            key_of_cache: Dict[int, str] = {}
+            users: Dict[str, str] = {}
+            with atomic_snapshot_dir(path) as stage:
+                for user_id, adapter in adapters.items():
+                    key = key_of_cache.get(id(adapter.cache))
+                    if key is None:
+                        key = f"cache_{len(key_of_cache)}"
+                        saver = getattr(adapter.cache, "save", None)
+                        if saver is None:
+                            raise SnapshotError(
+                                f"cache for user {user_id!r} "
+                                f"({type(adapter.cache).__name__}) has no save() method"
+                            )
+                        with self._lock_of(adapter.cache):
+                            saver(stage / key)
+                        key_of_cache[id(adapter.cache)] = key
+                    users[user_id] = key
+                write_manifest(
+                    stage,
+                    {"format": FLEET_FORMAT, "version": FLEET_VERSION, "users": users},
+                )
+            # A cache that keeps a delta log where its snapshot just landed (a
+            # restored tiered cache checkpointed in place) rebases it.
+            for adapter in adapters.values():
+                published_at = getattr(adapter.cache, "published_at", None)
+                if published_at is not None:
+                    with self._lock_of(adapter.cache):
+                        published_at(path / key_of_cache[id(adapter.cache)])
+        return path
+
+    def restore(self, path: "str | Path", loader: Callable[[Path], object]) -> None:
+        """Warm-start from a :meth:`checkpoint` directory.
+
+        ``loader(snapshot_dir)`` rebuilds one cache instance — e.g.
+        ``lambda p: MeanCache.load(p, encoder)``.  Each snapshot is loaded
+        once and shared by every user the manifest maps to it, so a
+        checkpointed central cache stays central.  Each restored user is
+        :meth:`register`-ed, so restore before serving them; users not in
+        the checkpoint keep going through ``cache_factory`` on first use.
+        """
+        path = Path(path)
+        manifest = read_manifest(path, FLEET_FORMAT, FLEET_VERSION)
+        users = manifest.get("users")
+        if not isinstance(users, dict):
+            raise SnapshotError(f"fleet checkpoint at {path} has a corrupted user map")
+        cache_of_key = {key: loader(path / key) for key in sorted(set(users.values()))}
+        for user_id, key in users.items():
+            self.register(user_id, cache_of_key[key])
+
+    def _lock_of(self, cache):
+        """The lock of the shard that owns ``cache``."""
+        return self._shards[self._cache_shard[id(cache)]].lock
 
     # ------------------------------------------------------------------ #
     # Flush execution (shared by live + deterministic paths)
@@ -685,21 +780,24 @@ class CacheServer:
         """Replay a trace synchronously through the full serving path.
 
         ``trace`` is carved into virtual-time windows of ``batch_window_s``
-        (:func:`~repro.serving.scheduling.iter_windows`); each window's
-        events are offered to the admission queue and drain as one flush,
-        whose outcomes are folded into per-user and fleet-wide totals.
-        Requires ``deterministic=True`` in the config (single worker,
-        virtual time stamps).  Decisions and stored entries do not depend
-        on ``n_shards``; :meth:`FleetSimulator.run
-        <repro.serving.fleet.FleetSimulator.run>` is this replay on one
-        shard.  Events shed by the admission bound appear in no aggregate
-        except ``metrics.shed`` (size the queue generously when parity
-        matters).  ``collect_outcomes`` also retains every per-event
-        :class:`~repro.serving.scheduling.LookupOutcome` on the result (off
-        by default: at fleet scale the aggregate is the product).
+        (:func:`~repro.serving.scheduling.iter_windows`); each window is
+        one flush, whose outcomes are folded into per-user and fleet-wide
+        totals.  Arrivals within one window are grouped per cache and
+        classified with one ``lookup_batch`` call before any of the
+        window's misses enrol: wider windows amortize more but defer
+        enrolment visibility to the next window, and ``0`` batches only
+        simultaneous arrivals.  The admission bound is for live traffic; a
+        replay never sheds.  Requires ``deterministic=True`` in the config
+        (single worker, virtual time stamps).  Decisions and stored entries
+        do not depend on ``n_shards``.  ``collect_outcomes`` also retains
+        every per-event :class:`~repro.serving.scheduling.LookupOutcome` on
+        the result (off by default: at fleet scale the aggregate is the
+        product).
         """
         if not self.config.deterministic:
             raise ValueError("replay requires ServerConfig(deterministic=True)")
+        if batch_window_s < 0:
+            raise ValueError("batch_window_s must be >= 0")
         per_user: Dict[str, UserStats] = {}
         outcomes: List[LookupOutcome] = []
         virtual_end = 0.0
@@ -707,18 +805,15 @@ class CacheServer:
         self._freeze_encoder()
         try:
             for window in iter_windows(trace.events, batch_window_s):
-                for event in window:
-                    request = _PendingRequest(event=event, enqueued_at=event.time_s)
-                    try:
-                        self._batcher.offer(request, now=event.time_s)
-                    except BackpressureError:
-                        self.metrics.shed += 1
-                drained = self._batcher.drain()
-                if not drained:
-                    continue
+                drained = [
+                    _PendingRequest(event=event, enqueued_at=event.time_s)
+                    for event in window
+                ]
                 # A replayed window drains when its virtual window closes.
                 self.metrics.record_flush(len(drained), "deadline")
-                for request, outcome in self._classify_flush(drained):
+                with self._flush_lock:
+                    pairs = self._classify_flush(drained)
+                for request, outcome in pairs:
                     self._record(request, outcome, len(drained), request.enqueued_at)
                     per_user.setdefault(outcome.event.user_id, UserStats()).record(outcome)
                     virtual_end = max(
@@ -839,7 +934,8 @@ class CacheServer:
             return
         self.metrics.record_flush(len(batch), reason)
         try:
-            pairs = self._classify_flush(batch)
+            with self._flush_lock:
+                pairs = self._classify_flush(batch)
         except BaseException as exc:
             # Fail the waiters either way: no client may hang on a flush
             # that will never resolve.

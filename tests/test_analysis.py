@@ -267,6 +267,16 @@ class TestRPL004:
         """
         assert "RPL004" not in rules_fired(snippet, rel="repro/metrics/report.py")
 
+    def test_server_checkpoint_code_is_in_scope(self):
+        snippet = """
+        def checkpoint(p, payload):
+            with open(p, "w") as f:
+                f.write(payload)
+        """
+        assert "RPL004" in rules_fired(snippet, rel="repro/serving/server.py")
+        real = REPO_ROOT / "src" / "repro" / "serving" / "server.py"
+        assert "RPL004" not in rules_fired(real.read_text(), rel="repro/serving/server.py")
+
     @pytest.mark.parametrize("mode", ["a", "ab", "r+b"])
     def test_in_place_write_outside_the_delta_log_fires(self, mode):
         snippet = f"""

@@ -11,7 +11,7 @@ from repro.core.client import ClientStats, MeanCacheClient
 from repro.core.compression import compress_cache
 from repro.core.storage import InMemoryStore
 from repro.llm.service import SimulatedLLMService
-from repro.serving.fleet import FleetSimulator
+from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import WorkloadConfig, WorkloadGenerator
 
 
@@ -350,8 +350,8 @@ class TestBaselines:
             WorkloadConfig(n_users=4, queries_per_user=12, duplicate_rate=0.5),
             seed=3,
         ).generate()
-        sim = FleetSimulator(factories[variant])
-        result = sim.run(trace)
+        sim = CacheServer(factories[variant], config=ServerConfig(deterministic=True))
+        result = sim.replay(trace)
         assert result.hit_rate > 0
         assert sim.storage_report()["hit_rate"] == result.hit_rate
 

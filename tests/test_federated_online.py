@@ -1,7 +1,7 @@
 """Tests for the online federated threshold adaptation loop.
 
 Covers the adapter in isolation (mining rules, recency windows, round
-driver, personalization, clamping) and integrated with ``FleetSimulator``
+driver, personalization, clamping) and integrated with ``CacheServer.replay``
 (live τ pushes, determinism under a fixed seed, variant tolerance).
 """
 
@@ -22,10 +22,10 @@ from repro.federated.online import (
 from repro.federated.sampling import RoundRobinSampler
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving import (
+    CacheServer,
     DriftPhase,
-    FleetConfig,
-    FleetSimulator,
     FloodingConfig,
+    ServerConfig,
     WorkloadConfig,
     WorkloadGenerator,
     build_flooding_trace,
@@ -293,15 +293,15 @@ class TestFleetIntegration:
         return WorkloadGenerator(config, seed=21).generate()
 
     def _run(self, trace, tiny_encoder, adapter=None):
-        simulator = FleetSimulator(
+        simulator = CacheServer(
             lambda uid: MeanCache(
                 tiny_encoder, MeanCacheConfig(similarity_threshold=0.7)
             ),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            FleetConfig(),
+            ServerConfig(deterministic=True),
             adaptation=adapter,
         )
-        return simulator.run(trace)
+        return simulator.replay(trace)
 
     def _adapter(self, seed=0):
         return OnlineThresholdAdapter(
@@ -354,13 +354,13 @@ class TestFleetIntegration:
             )
             return caches[uid]
 
-        simulator = FleetSimulator(
+        simulator = CacheServer(
             factory,
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            FleetConfig(),
+            ServerConfig(deterministic=True),
             adaptation=adapter,
         )
-        simulator.run(drift_trace)
+        simulator.replay(drift_trace)
         for uid, cache in caches.items():
             # The config every lookup reads afresh (that the next probe is
             # admitted under it: test_pipeline.py::test_set_threshold_is_live).
@@ -370,13 +370,13 @@ class TestFleetIntegration:
 
     def test_keyword_variant_observed_but_never_pushed(self, drift_trace):
         adapter = self._adapter()
-        simulator = FleetSimulator(
+        simulator = CacheServer(
             lambda uid: KeywordCache(),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            FleetConfig(),
+            ServerConfig(deterministic=True),
             adaptation=adapter,
         )
-        result = simulator.run(drift_trace)  # must not raise
+        result = simulator.replay(drift_trace)  # must not raise
         assert result.lookups == len(drift_trace)
 
     def test_mined_pairs_carry_texts_for_future_training(self, drift_trace, tiny_encoder):
@@ -467,15 +467,15 @@ class TestAdversarialFloodResistance:
         adapter = OnlineThresholdAdapter(
             self._config(min_threshold=0.55, round_interval_s=15.0)
         )
-        simulator = FleetSimulator(
+        simulator = CacheServer(
             lambda uid: MeanCache(
                 tiny_encoder, MeanCacheConfig(similarity_threshold=0.7)
             ),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            FleetConfig(),
+            ServerConfig(deterministic=True),
             adaptation=adapter,
         )
-        result = simulator.run(trace)
+        result = simulator.replay(trace)
         assert result.lookups == len(trace)
         assert adapter.history, "flooding run must drive adaptation rounds"
         assert adapter.threshold_trajectory()["threshold"].min() >= 0.55

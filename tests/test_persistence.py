@@ -11,7 +11,7 @@ Covers the snapshot subsystem end to end:
   byte-exactly, preserve stats and eviction order, and a saved+reloaded
   MeanCache replays the golden fixture's Table I decision stream (the
   acceptance criterion of ISSUE 4);
-* ``FleetSimulator.checkpoint``/``restore`` warm-starts a fleet whose
+* ``CacheServer.checkpoint``/``restore`` warm-starts a fleet whose
   second-half run matches an uninterrupted fleet exactly, and deduplicates
   a shared central cache;
 * crash safety: a save killed mid-write (after arrays, before the manifest)
@@ -48,7 +48,7 @@ from repro.baselines.keyword_cache import KeywordCache
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.index import SnapshotError, load_index, make_index
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
-from repro.serving.fleet import FleetConfig, FleetSimulator
+from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import Trace, WorkloadConfig, WorkloadGenerator
 
 DIM = 16
@@ -672,10 +672,10 @@ def _split_trace(seed=11, n_users=5):
 
 
 def _fleet(encoder, factory):
-    return FleetSimulator(
-        cache_factory=factory,
-        service=SimulatedLLMService(LLMServiceConfig(seed=0)),
-        config=FleetConfig(batch_window_s=0.25),
+    return CacheServer(
+        factory,
+        SimulatedLLMService(LLMServiceConfig(seed=0)),
+        ServerConfig(deterministic=True),
     )
 
 
@@ -685,16 +685,16 @@ def test_fleet_checkpoint_warm_start_matches_continuous_run(tmp_path):
     factory = lambda uid: MeanCache(encoder, MeanCacheConfig())
 
     continuous = _fleet(encoder, factory)
-    continuous.run(first)
-    expected = continuous.run(second)
+    continuous.replay(first, 0.25)
+    expected = continuous.replay(second, 0.25)
 
     interrupted = _fleet(encoder, factory)
-    interrupted.run(first)
+    interrupted.replay(first, 0.25)
     interrupted.checkpoint(tmp_path / "ckpt")
 
     resumed = _fleet(encoder, factory)
     resumed.restore(tmp_path / "ckpt", loader=lambda p: MeanCache.load(p, encoder))
-    got = resumed.run(second)
+    got = resumed.replay(second, 0.25)
 
     assert {u: (s.lookups, s.hits) for u, s in got.per_user.items()} == {
         u: (s.lookups, s.hits) for u, s in expected.per_user.items()
@@ -706,7 +706,7 @@ def test_fleet_checkpoint_deduplicates_shared_cache(tmp_path):
     first, second = _split_trace(seed=21)
     shared = GPTCache(encoder, GPTCacheConfig())
     sim = _fleet(encoder, lambda uid: shared)
-    sim.run(first)
+    sim.replay(first, 0.25)
     sim.checkpoint(tmp_path / "ckpt")
     manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
     assert set(manifest["users"].values()) == {"cache_0"}
@@ -716,9 +716,9 @@ def test_fleet_checkpoint_deduplicates_shared_cache(tmp_path):
         tmp_path / "ckpt", loader=lambda p: GPTCache.load(p, encoder=encoder)
     )
     # All restored users share one instance, as before the checkpoint.
-    caches = {id(a.cache) for a in resumed.caches.values()}
+    caches = {id(a.cache) for a in resumed.adapters.values()}
     assert len(caches) == 1
-    resumed.run(second)
+    resumed.replay(second, 0.25)
 
 
 def test_fleet_checkpoint_in_place_rebases_restored_tier_logs(tmp_path):
@@ -734,18 +734,17 @@ def test_fleet_checkpoint_in_place_rebases_restored_tier_logs(tmp_path):
         encoder, MeanCacheConfig(max_entries=2), l2_params={"min_train_size": 10_000}
     )
     sim = _fleet(encoder, factory)
-    sim.run(first)
+    sim.replay(first, 0.25)
     sim.checkpoint(tmp_path / "ckpt")
 
     resumed = _fleet(encoder, factory)
     resumed.restore(tmp_path / "ckpt", loader=lambda p: TieredCache.load(p, encoder))
-    resumed.run(second)
-    server = resumed.server
+    resumed.replay(second, 0.25)
     # (cache, the lock of the shard serving it): the server owns the caches,
     # so touching one from here takes that lock, as the server's flush does
     caches = [
-        (adapter.cache, server._shards[server.shard_of(user)].lock)
-        for user, adapter in resumed.caches.items()
+        (adapter.cache, resumed._shards[resumed.shard_of(user)].lock)
+        for user, adapter in resumed.adapters.items()
     ]
     assert all(delta_log_size(c.l2.snapshot_dir)[0] > 0 for c, _ in caches)
     for cache, lock in caches:  # demotions still pending when the checkpoint lands
@@ -766,11 +765,11 @@ def test_fleet_checkpoint_in_place_rebases_restored_tier_logs(tmp_path):
 
 def test_fleet_checkpoint_rejects_unsaveable_cache(tmp_path):
     # The keyword baseline has no save() method.
-    sim = FleetSimulator(cache_factory=lambda uid: KeywordCache())
+    sim = CacheServer(lambda uid: KeywordCache(), config=ServerConfig(deterministic=True))
     trace = WorkloadGenerator(
         WorkloadConfig(n_users=1, queries_per_user=2), seed=0
     ).generate()
-    sim.run(trace)
+    sim.replay(trace)
     with pytest.raises(SnapshotError, match="no save"):
         sim.checkpoint(tmp_path / "ckpt")
 

@@ -1,4 +1,4 @@
-"""Tests for the serving subsystem (workload generation, fleet simulation, replay)."""
+"""Tests for the serving subsystem (workload generation, fleet replay)."""
 
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving import (
     ArrivalSchedule,
     DriftPhase,
-    FleetConfig,
-    FleetSimulator,
+    CacheServer,
+    ServerConfig,
     Trace,
     WorkloadConfig,
     WorkloadEvent,
@@ -337,11 +337,12 @@ class TestDriftScenarios:
         trace = WorkloadGenerator(
             WorkloadConfig(**self.BASE, churn_fraction=1.0, churn_point=0.5), seed=9
         ).generate()
-        simulator = FleetSimulator(
+        simulator = CacheServer(
             _meancache_factory(tiny_encoder),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
+            ServerConfig(deterministic=True),
         )
-        result = simulator.run(trace)
+        result = simulator.replay(trace)
         assert result.n_users == len(trace.user_ids) == 2 * self.BASE["n_users"]
         assert set(result.per_user) == set(trace.user_ids)
 
@@ -380,11 +381,23 @@ class TestDriftScenarios:
             WorkloadConfig(**self.BASE, paraphrase_bias=1.2)
 
 
-class TestFleetSimulator:
+class TestFleetReplay:
+    def test_negative_window_is_rejected(self, small_trace, tiny_encoder):
+        server = CacheServer(
+            _meancache_factory(tiny_encoder),
+            SimulatedLLMService(LLMServiceConfig(seed=0)),
+            ServerConfig(deterministic=True),
+        )
+        with pytest.raises(ValueError, match="batch_window_s"):
+            server.replay(small_trace, -0.1)
+        assert server.metrics.flushes == 0 and server.n_users == 0
+
     def test_per_user_and_fleet_aggregation(self, small_trace, tiny_encoder):
         service = SimulatedLLMService(LLMServiceConfig(seed=0))
-        simulator = FleetSimulator(_meancache_factory(tiny_encoder), service)
-        result = simulator.run(small_trace)
+        simulator = CacheServer(
+            _meancache_factory(tiny_encoder), service, ServerConfig(deterministic=True)
+        )
+        result = simulator.replay(small_trace)
         assert result.n_events == len(small_trace)
         assert set(result.per_user) == set(small_trace.user_ids)
         assert result.lookups == len(small_trace)
@@ -398,11 +411,12 @@ class TestFleetSimulator:
 
     def test_replay_is_deterministic(self, small_trace, tiny_encoder):
         def run_once():
-            simulator = FleetSimulator(
+            simulator = CacheServer(
                 _meancache_factory(tiny_encoder),
                 SimulatedLLMService(LLMServiceConfig(seed=0)),
+                ServerConfig(deterministic=True),
             )
-            return simulator.run(small_trace)
+            return simulator.replay(small_trace)
 
         a, b = run_once(), run_once()
         assert a.hit_rate == b.hit_rate
@@ -422,12 +436,12 @@ class TestFleetSimulator:
         """
 
         def run_with_window(width):
-            simulator = FleetSimulator(
+            simulator = CacheServer(
                 _meancache_factory(tiny_encoder),
                 SimulatedLLMService(LLMServiceConfig(seed=0)),
-                FleetConfig(batch_window_s=width, enroll_on_miss=False),
+                ServerConfig(deterministic=True, enroll_on_miss=False),
             )
-            return simulator.run(small_trace, collect_outcomes=True)
+            return simulator.replay(small_trace, width, collect_outcomes=True)
 
         tight = run_with_window(0.0)
         wide = run_with_window(5.0)
@@ -448,19 +462,23 @@ class TestFleetSimulator:
             )
             return caches[user_id]
 
-        simulator = FleetSimulator(factory, SimulatedLLMService(LLMServiceConfig(seed=0)))
-        result = simulator.run(small_trace)
+        simulator = CacheServer(
+            factory,
+            SimulatedLLMService(LLMServiceConfig(seed=0)),
+            ServerConfig(deterministic=True),
+        )
+        result = simulator.replay(small_trace)
         assert set(caches) == set(small_trace.user_ids)
         for uid, cache in caches.items():
             stats = result.per_user[uid]
             assert len(cache) == stats.llm_requests  # every miss was enrolled
 
-        no_enroll = FleetSimulator(
+        no_enroll = CacheServer(
             _meancache_factory(tiny_encoder),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            FleetConfig(enroll_on_miss=False),
+            ServerConfig(deterministic=True, enroll_on_miss=False),
         )
-        empty_result = no_enroll.run(small_trace)
+        empty_result = no_enroll.replay(small_trace)
         assert empty_result.hits == 0  # nothing ever cached
 
     def test_enrolment_reuses_lookup_embeddings(self):
@@ -489,11 +507,12 @@ class TestFleetSimulator:
         assert cache.lookup("how can i sort a list in python").hit
 
     def test_hits_verified_against_intent_oracle(self, small_trace, tiny_encoder):
-        simulator = FleetSimulator(
+        simulator = CacheServer(
             _meancache_factory(tiny_encoder, threshold=0.6),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
+            ServerConfig(deterministic=True),
         )
-        result = simulator.run(small_trace, collect_outcomes=True)
+        result = simulator.replay(small_trace, collect_outcomes=True)
         hits = [o for o in result.outcomes if o.hit]
         assert hits, "expected some hits at a permissive threshold"
         # Every hit on generator traffic is verifiable (intent keys present
@@ -515,11 +534,12 @@ class TestFleetSimulator:
                 assert outcome.verified == (expected == outcome.event.intent_key)
 
     def test_outcomes_carry_similarity_and_matched_query(self, small_trace, tiny_encoder):
-        simulator = FleetSimulator(
+        simulator = CacheServer(
             _meancache_factory(tiny_encoder),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
+            ServerConfig(deterministic=True),
         )
-        result = simulator.run(small_trace, collect_outcomes=True)
+        result = simulator.replay(small_trace, collect_outcomes=True)
         for outcome in result.outcomes:
             assert 0.0 <= outcome.similarity <= 1.0 + 1e-9
             if outcome.hit:
@@ -527,20 +547,24 @@ class TestFleetSimulator:
                 assert outcome.similarity >= 0.8  # the fixture's τ
 
     def test_keyword_variant_rides_along(self, small_trace):
-        simulator = FleetSimulator(
-            lambda uid: KeywordCache(), SimulatedLLMService(LLMServiceConfig(seed=0))
+        simulator = CacheServer(
+            lambda uid: KeywordCache(),
+            SimulatedLLMService(LLMServiceConfig(seed=0)),
+            ServerConfig(deterministic=True),
         )
-        result = simulator.run(small_trace)
+        result = simulator.replay(small_trace)
         assert result.lookups == len(small_trace)
         assert 0.0 <= result.hit_rate <= 1.0
 
     def test_shared_central_cache_variant(self, small_trace, tiny_encoder):
         """One GPTCache instance for the whole fleet (central deployment)."""
         central = GPTCache(tiny_encoder, GPTCacheConfig(similarity_threshold=0.8))
-        simulator = FleetSimulator(
-            lambda uid: central, SimulatedLLMService(LLMServiceConfig(seed=0))
+        simulator = CacheServer(
+            lambda uid: central,
+            SimulatedLLMService(LLMServiceConfig(seed=0)),
+            ServerConfig(deterministic=True),
         )
-        result = simulator.run(small_trace)
+        result = simulator.replay(small_trace)
         assert result.lookups == len(small_trace)
         assert len(central) == result.lookups - result.hits
         # Central enrolment keeps per-user attribution (who asked what).
@@ -563,12 +587,12 @@ class TestFleetSimulator:
         ]
         trace = Trace(events=events, n_users=2)
         central = GPTCache(tiny_encoder, GPTCacheConfig(similarity_threshold=0.8))
-        simulator = FleetSimulator(
+        simulator = CacheServer(
             lambda uid: central,
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            FleetConfig(batch_window_s=0.25),
+            ServerConfig(deterministic=True),
         )
-        result = simulator.run(trace, collect_outcomes=True)
+        result = simulator.replay(trace, 0.25, collect_outcomes=True)
         assert [o.hit for o in result.outcomes] == [False, False, False]
         assert len(central) == 3  # every miss enrolled, duplicates included
 

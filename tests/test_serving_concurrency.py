@@ -24,6 +24,7 @@ lookup, insert (miss→enrol) and eviction churn — and assert:
 
 from __future__ import annotations
 
+import concurrent.futures
 import gc
 import logging
 import sys
@@ -338,6 +339,164 @@ def test_flush_failure_is_contained_to_its_batch(caplog):
     assert server._thread is None
     assert _server_threads() == []
     assert "Task was destroyed" not in caplog.text
+
+
+class TestLiveCheckpoint:
+    """A live server checkpoints between two flushes, from the caller's thread."""
+
+    def _factory(self, encoder):
+        # τ high enough that every distinct query misses and enrols; the
+        # default capacity never evicts at these sizes.
+        return lambda user_id: MeanCache(
+            encoder, MeanCacheConfig(similarity_threshold=0.999)
+        )
+
+    def _restore(self, encoder, path):
+        restored = _server(self._factory(encoder))
+        restored.restore(path, lambda p: MeanCache.load(p, encoder))
+        return restored
+
+    def test_checkpoint_mid_hammer_is_a_cut_between_flushes(self, tmp_path):
+        """Every miss answered before checkpoint() was called is in the
+        checkpoint, and nothing the live run never answered is."""
+        encoder = make_tiny_encoder()
+        n_threads, per_thread = 8, 24
+        server = _server(self._factory(encoder), max_batch_size=8)
+        answered = []  # (user, query) of each resolved miss, in resolution order
+        answered_lock = threading.Lock()
+        offered = []
+        quarter_done = threading.Event()
+
+        def client(tid):
+            for i in range(per_thread):
+                query = f"live checkpoint thread {tid} question {i} topic {tid * 97 + i}"
+                offered.append(query)
+                response = server.submit_threadsafe(f"user-{tid}", query).result(
+                    timeout=60
+                )
+                if not response.hit:
+                    with answered_lock:
+                        answered.append((response.user_id, response.query))
+                        if len(answered) >= n_threads * per_thread // 4:
+                            quarter_done.set()
+
+        threads = [threading.Thread(target=client, args=(t,)) for t in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        server.start()
+        try:
+            for thread in threads:
+                thread.start()
+            assert quarter_done.wait(timeout=60)
+            with answered_lock:
+                before = list(answered)
+            server.checkpoint(tmp_path / "ckpt")
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop()
+
+        assert len(offered) == n_threads * per_thread
+        metrics = server.metrics
+        assert len(offered) == metrics.completed + metrics.failed + metrics.shed
+        assert metrics.failed == metrics.shed == 0
+        restored = self._restore(encoder, tmp_path / "ckpt")
+        stored = {
+            (user, entry.query)
+            for user, adapter in restored.adapters.items()
+            for entry in adapter.cache.entries
+        }
+        assert set(before) <= stored
+        assert stored <= set(answered)
+        for adapter in restored.adapters.values():
+            assert_cache_invariants(adapter.cache)
+
+    def test_flushes_wait_while_a_checkpoint_saves(self, tmp_path):
+        """Admission goes on during a checkpoint, but no flush runs until it
+        is done — even for a user on another shard."""
+        encoder = make_tiny_encoder()
+        server = _server(self._factory(encoder), max_batch_wait_s=0.0)
+        saving, release = threading.Event(), threading.Event()
+        server.start()
+        try:
+            server.submit_threadsafe("user-0", "a question to save").result(timeout=10)
+            cache = server.cache_for("user-0")
+            save = cache.save
+
+            def slow_save(path):
+                saving.set()
+                assert release.wait(timeout=10)
+                return save(path)
+
+            cache.save = slow_save
+            other = next(
+                f"user-{i}"
+                for i in range(1, 64)
+                if server.shard_of(f"user-{i}") != server.shard_of("user-0")
+            )
+            checkpointer = threading.Thread(
+                target=server.checkpoint, args=(tmp_path / "ckpt",)
+            )
+            checkpointer.start()
+            assert saving.wait(timeout=10)
+            waiting = server.submit_threadsafe(other, "a question during the save")
+            with pytest.raises(concurrent.futures.TimeoutError):
+                waiting.result(timeout=0.2)
+            release.set()
+            checkpointer.join(timeout=10)
+            assert not checkpointer.is_alive()
+            assert waiting.result(timeout=10).response
+        finally:
+            release.set()
+            server.stop()
+        assert (tmp_path / "ckpt" / "manifest.json").exists()
+
+    def test_failing_save_reaches_the_caller_and_keeps_the_old_generation(
+        self, tmp_path
+    ):
+        """One cache's save raises mid-checkpoint: the caller sees it, the
+        previous checkpoint still restores, and serving goes on."""
+        encoder = make_tiny_encoder()
+        server = _server(self._factory(encoder))
+        path = tmp_path / "ckpt"
+
+        def round_of(name):
+            return {t: [f"{name} round {t} question {i}" for i in range(4)] for t in range(4)}
+
+        server.start()
+        try:
+            _, errors = _hammer(server, round_of("first"))
+            assert not errors
+            server.checkpoint(path)
+            expected = {
+                user: sorted(e.query for e in adapter.cache.entries)
+                for user, adapter in server.adapters.items()
+            }
+            _, errors = _hammer(server, round_of("second"))
+            assert not errors
+
+            def failing_save(path):
+                raise OSError("disk full")
+
+            # The last cache in checkpoint order: the others saved first.
+            list(server.adapters.values())[-1].cache.save = failing_save
+            with pytest.raises(OSError, match="disk full"):
+                server.checkpoint(path)
+            after = server.submit_threadsafe("user-0", "a question after the failure")
+            response = after.result(timeout=10)
+        finally:
+            server.stop()
+
+        assert response.response and not response.hit
+        assert server.metrics.failed == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+        restored = self._restore(encoder, path)
+        assert {
+            user: sorted(e.query for e in adapter.cache.entries)
+            for user, adapter in restored.adapters.items()
+        } == expected
 
 
 class TestFlushThreadLifecycle:

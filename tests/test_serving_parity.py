@@ -1,13 +1,11 @@
-"""Simulator / server parity regression (the PR 8 scheduler-refactor pin).
+"""Shard-count parity regression (the PR 8 scheduler-refactor pin).
 
-:class:`~repro.serving.fleet.FleetSimulator` and
-:class:`~repro.serving.server.CacheServer` are two frontends over the same
-scheduling core (:mod:`repro.serving.scheduling`): the simulator windows a
-trace on the virtual clock, the server micro-batches wall-clock arrivals.
-Replaying one trace through both — the server in its single-worker
-deterministic mode with matching window width — must produce **identical
-per-event decisions**: same hit/miss bits, same responses, bit-exact
-similarities, same admission of every event.
+:meth:`CacheServer.replay <repro.serving.server.CacheServer.replay>` on one
+shard is the oracle: every cache sits behind one lock and each virtual
+window is one flush.  Replaying the same trace through a sharded server
+with the same window width must produce **identical per-event decisions**:
+same hit/miss bits, same responses, bit-exact similarities, same admission
+of every event.
 
 Decision streams are compared in the golden-decision canonical form of
 ``tests/golden_decisions.py`` (hits as a ``"0"/"1"`` string, similarities as
@@ -32,7 +30,6 @@ from repro.baselines.keyword_cache import KeywordCache
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.core.tiered import QuantizedTier, TieredCache
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
-from repro.serving.fleet import FleetConfig, FleetSimulator
 from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import Trace, WorkloadConfig, WorkloadEvent, WorkloadGenerator
 
@@ -77,11 +74,8 @@ def _decision_stream(outcomes):
     }
 
 
-def _run_simulator(trace, factory):
-    simulator = FleetSimulator(
-        factory, _service(), FleetConfig(batch_window_s=BATCH_WINDOW_S)
-    )
-    return simulator.run(trace, collect_outcomes=True)
+def _run_oracle(trace, factory):
+    return _run_server(trace, factory, n_shards=1)[0]
 
 
 def _run_server(trace, factory, n_shards=4, **server_kwargs):
@@ -149,7 +143,7 @@ def collect_parity_summary():
     """The pinned MeanCache decision stream (fixture-regeneration entry)."""
     trace = _make_trace()
     encoder = make_tiny_encoder()
-    result = _run_simulator(trace, _meancache_factory(encoder))
+    result = _run_oracle(trace, _meancache_factory(encoder))
     summary = _decision_stream(result.outcomes)
     summary["trace_seed"] = TRACE_SEED
     summary["batch_window_s"] = BATCH_WINDOW_S
@@ -167,7 +161,7 @@ class TestSimulatorServerParity:
 
     def test_meancache_fleet_byte_identical(self, trace):
         encoder = make_tiny_encoder()
-        sim_result = _run_simulator(trace, _meancache_factory(encoder))
+        sim_result = _run_oracle(trace, _meancache_factory(encoder))
         srv_result, server = _run_server(trace, _meancache_factory(encoder))
         self.assert_identical_streams(sim_result, srv_result, len(trace))
         # The aggregates derive from the same streams.
@@ -182,7 +176,7 @@ class TestSimulatorServerParity:
         """One GPTCache for the whole fleet: the server pins it to one shard."""
         encoder = make_tiny_encoder()
         central_sim = GPTCache(encoder, GPTCacheConfig(similarity_threshold=0.8))
-        sim_result = _run_simulator(trace, lambda uid: central_sim)
+        sim_result = _run_oracle(trace, lambda uid: central_sim)
         central_srv = GPTCache(encoder, GPTCacheConfig(similarity_threshold=0.8))
         srv_result, server = _run_server(trace, lambda uid: central_srv)
         self.assert_identical_streams(sim_result, srv_result, len(trace))
@@ -190,13 +184,13 @@ class TestSimulatorServerParity:
         assert len({server.shard_of(uid) for uid in trace.user_ids}) == 1
 
     def test_tiered_fleet_byte_identical(self, trace, tmp_path):
-        """A shared tier maintained once per window (simulator) and once per
+        """A shared tier maintained once per window (one shard) and once per
         flush across shards (server) decides the same, and both leave a
         snapshot that loads back to the live tier."""
         encoder = make_tiny_encoder()
         sim_factory, sim_tier = _tiered_factory(encoder, tmp_path / "sim")
         srv_factory, srv_tier = _tiered_factory(encoder, tmp_path / "srv")
-        sim_result = _run_simulator(trace, sim_factory)
+        sim_result = _run_oracle(trace, sim_factory)
         srv_result, server = _run_server(trace, srv_factory)
         self.assert_identical_streams(sim_result, srv_result, len(trace))
         assert len({server.shard_of(uid) for uid in trace.user_ids}) > 1
@@ -208,7 +202,7 @@ class TestSimulatorServerParity:
             ]
 
     def test_keyword_variant_byte_identical(self, trace):
-        sim_result = _run_simulator(trace, lambda uid: KeywordCache())
+        sim_result = _run_oracle(trace, lambda uid: KeywordCache())
         srv_result, _ = _run_server(trace, lambda uid: KeywordCache())
         self.assert_identical_streams(sim_result, srv_result, len(trace))
 
@@ -255,7 +249,7 @@ class TestSimulatorServerParity:
         trace = Trace(events, n_users=2)
         sim_factory, _, _ = _one_entry_l1s(encoder)
         srv_factory, _, _ = _one_entry_l1s(encoder)
-        sim_result = _run_simulator(trace, sim_factory)
+        sim_result = _run_oracle(trace, sim_factory)
         srv_result, server = _run_server(trace, srv_factory)
         assert server.shard_of("a") != server.shard_of("b")
         self.assert_identical_streams(sim_result, srv_result, len(trace))
@@ -275,7 +269,7 @@ class TestSimulatorServerParity:
         ]
         trace = Trace(events, n_users=3)
         results = []
-        for run in (_run_simulator, lambda t, f: _run_server(t, f)[0]):
+        for run in (_run_oracle, lambda t, f: _run_server(t, f)[0]):
             factory, tier, caches = _one_entry_l1s(encoder)
             embedding, _ = MeanCache(encoder).embed(CROSS_SHARD_X)
             x_id = tier.insert(CROSS_SHARD_X, "answer X", embedding)
@@ -312,7 +306,7 @@ class TestSimulatorServerParity:
             servers.append(server)
             return result
 
-        for run in (_run_simulator, run_server):
+        for run in (_run_oracle, run_server):
             factory, tier, caches = _one_entry_l1s(encoder, tier_entries=1)
             embedding, _ = MeanCache(encoder).embed(CROSS_SHARD_X)
             tier.insert(CROSS_SHARD_X, "answer X", embedding)

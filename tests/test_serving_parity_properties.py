@@ -1,12 +1,10 @@
-"""Generated driver parity: the fleet simulator against sharded replay.
+"""Generated driver parity: the one-shard replay against sharded replay.
 
-:class:`~repro.serving.fleet.FleetSimulator` replays a trace through
-:class:`~repro.serving.server.CacheServer`'s deterministic flush with one
-shard; ``CacheServer(deterministic=True).replay`` runs the same flush over
-``n_shards`` shards.  Sharding is an implementation detail of the server, so
-the shard count must change nothing: ``tests/test_serving_parity.py`` pins
-that on hand-written traces, and this module generates the traces from the
-model instead.
+``CacheServer(deterministic=True).replay`` with one shard is the oracle;
+the same replay runs the same flush over ``n_shards`` shards.  Sharding is
+an implementation detail of the server, so the shard count must change
+nothing: ``tests/test_serving_parity.py`` pins that on hand-written traces,
+and this module generates the traces from the model instead.
 
 Hypothesis draws (``derandomize=True``, so CI is stable):
 
@@ -44,7 +42,6 @@ from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.core.tiered import QuantizedTier, TieredCache
 from repro.federated.online import OnlineAdaptationConfig, OnlineThresholdAdapter
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
-from repro.serving.fleet import FleetConfig, FleetSimulator
 from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import Trace, WorkloadConfig, WorkloadEvent, WorkloadGenerator
 
@@ -159,14 +156,14 @@ class _Run:
 
 def _simulate(case: FleetCase) -> _Run:
     factory, tiers = _factory(case)
-    simulator = FleetSimulator(
+    simulator = CacheServer(
         factory,
         _service(),
-        FleetConfig(batch_window_s=BATCH_WINDOW_S),
+        ServerConfig(n_shards=1, deterministic=True),
         adaptation=_adapter(case),
     )
-    result = simulator.run(case.trace, collect_outcomes=True)
-    caches = {uid: simulator.caches[uid].cache for uid in case.trace.user_ids}
+    result = simulator.replay(case.trace, BATCH_WINDOW_S, collect_outcomes=True)
+    caches = {uid: simulator.adapters[uid].cache for uid in case.trace.user_ids}
     return _Run(result.outcomes, caches, tiers, simulator.storage_report())
 
 

@@ -1,6 +1,6 @@
 """The upkeep contract of a shared quantized tier (``docs/serving.md``).
 
-One flush (server) or window (simulator) over k users sharing one
+One flush (live, or a replayed window) over k users sharing one
 :class:`~repro.core.tiered.QuantizedTier`:
 
 * every touched cache does its own share — L1 index upkeep and sealing
@@ -28,7 +28,6 @@ from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.core.tiered import QuantizedTier, TieredCache
 from repro.index import delta_log_size
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
-from repro.serving.fleet import FleetConfig, FleetSimulator
 from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import Trace, WorkloadEvent
 
@@ -135,16 +134,16 @@ def test_simulator_window_maintains_a_shared_tier_once(tmp_path):
     encoder = make_tiny_encoder()
     tier = _tier(tmp_path / "snap", compact_every=2)
     caches = _full_caches(encoder, {user: tier for user in USERS})
-    simulator = FleetSimulator(
-        caches.__getitem__, _service(), FleetConfig(batch_window_s=0.25)
+    simulator = CacheServer(
+        caches.__getitem__, _service(), ServerConfig(n_shards=1, deterministic=True)
     )
     index_upkeep = Calls(tier.index, "maintenance")
     compactions = Calls(tier, "save")
-    simulator.run(_one_window(USERS))
+    simulator.replay(_one_window(USERS), 0.25)
     # One executor sees the whole window: one record, nothing due yet.
     assert (index_upkeep.n, compactions.n) == (1, 0)
     assert delta_log_size(tier.snapshot_dir)[0] == 1
-    simulator.run(_one_window(USERS, round_no=1))
+    simulator.replay(_one_window(USERS, round_no=1), 0.25)
     assert (index_upkeep.n, compactions.n) == (2, 1)
     assert delta_log_size(tier.snapshot_dir)[0] == 0
 

@@ -3,7 +3,7 @@
 The replay loop (production logs -> :func:`trace_from_logs` -> fleet) is
 only trustworthy if serialization is lossless where it matters: for any
 generated workload, exporting through the foreign log schema and importing
-back must hand :class:`FleetSimulator` a stream that produces the *same
+back must hand :meth:`CacheServer.replay` a stream that produces the *same
 outcomes* — hit for hit, response for response, dollar for dollar.
 
 Hypothesis drives the workload shape (fleet size, duplicate/follow-up
@@ -27,8 +27,8 @@ from repro.baselines.keyword_cache import KeywordCache
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving import (
-    FleetConfig,
-    FleetSimulator,
+    CacheServer,
+    ServerConfig,
     Trace,
     WorkloadConfig,
     WorkloadGenerator,
@@ -53,12 +53,12 @@ def _generate(config: WorkloadConfig, seed: int) -> Trace:
 
 def _replay(trace: Trace, cache_factory) -> tuple:
     """Replay ``trace`` and distil the outcome sequence to comparable data."""
-    fleet = FleetSimulator(
-        cache_factory=cache_factory,
-        service=SimulatedLLMService(LLMServiceConfig(seed=0)),
-        config=FleetConfig(),
+    fleet = CacheServer(
+        cache_factory,
+        SimulatedLLMService(LLMServiceConfig(seed=0)),
+        ServerConfig(deterministic=True),
     )
-    result = fleet.run(trace, collect_outcomes=True)
+    result = fleet.replay(trace, collect_outcomes=True)
     return tuple(
         (
             o.event.user_id,
