@@ -385,10 +385,11 @@ class SnapshotDisciplineRule(Rule):
     (fsync + ``os.replace`` publish) or through the append-only delta-log
     commit protocol.  In persistence code (``repro/index/``, ``repro/core/``,
     ``repro/baselines/``, ``repro/serving/server.py``), any direct
-    ``open(..., "w"/"wb")``, ``np.save*`` or ``Path.write_text/write_bytes``
-    outside those scopes is flagged, and so is ``open`` in an append or
-    update mode (``"a"``, ``"ab"``, ``"r+b"``) outside the delta log's one
-    writer and one repairer.
+    ``open(..., "w"/"wb")`` (also ``os.fdopen(fd, "w")`` and pathlib's
+    ``.open("w")``, the mode positional or ``mode=``), ``np.save*`` or
+    ``Path.write_text/write_bytes`` outside those scopes is flagged, and so
+    is any of those openers in an append or update mode (``"a"``, ``"ab"``,
+    ``"r+b"``) outside the delta log's one writer and one repairer.
     """
 
     id = "RPL004"
@@ -434,13 +435,22 @@ class SnapshotDisciplineRule(Rule):
     def _write_call(self, node: ast.Call) -> Optional[Tuple[str, FrozenSet[str]]]:
         """(what the write is, the snapshot.py functions that may make it)."""
         func = node.func
-        if isinstance(func, ast.Name) and func.id == "open" and len(node.args) >= 2:
-            mode = node.args[1]
-            if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-                if mode.value.startswith(("w", "x")):
-                    return f'open(..., "{mode.value}")', self._HELPER_FUNCTIONS
-                if mode.value.startswith("a") or "+" in mode.value:
-                    return f'open(..., "{mode.value}")', self._LOG_FUNCTIONS
+        opener = _dotted(func)
+        if opener in ("open", "os.fdopen"):
+            mode_at = 1
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            opener, mode_at = ".open", 0  # pathlib: Path.open(mode)
+        else:
+            opener = None
+        if opener is not None:
+            mode = _mode_constant(node, mode_at)
+            if mode is None:
+                return None
+            label = f'{opener}({"..., " if mode_at else ""}"{mode}")'
+            if mode.startswith(("w", "x")):
+                return label, self._HELPER_FUNCTIONS
+            if mode.startswith("a") or "+" in mode:
+                return label, self._LOG_FUNCTIONS
             return None
         if isinstance(func, ast.Attribute):
             if func.attr in ("save", "savez", "savez_compressed") and isinstance(
@@ -450,6 +460,20 @@ class SnapshotDisciplineRule(Rule):
             if func.attr in ("write_text", "write_bytes"):
                 return f".{func.attr}()", self._HELPER_FUNCTIONS
         return None
+
+
+def _mode_constant(node: ast.Call, position: int) -> Optional[str]:
+    """The call's file mode, when it is a string constant (positional at
+    ``position`` or ``mode=``) made only of mode letters; else ``None``."""
+    if len(node.args) > position:
+        mode = node.args[position]
+    else:
+        mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), None)
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return None
+    if set(mode.value) - set("rwxabt+"):
+        return None
+    return mode.value
 
 
 class PublicApiHygieneRule(Rule):

@@ -1,7 +1,6 @@
 """MeanCache core: the paper's primary contribution.
 
-* :mod:`repro.core.storage` — persistent and in-memory key-value stores
-  (DiskCache replacement) with size accounting.
+* :mod:`repro.core.storage` — byte-level size accounting for cached values.
 * :mod:`repro.core.policy` — cache eviction policies (LRU / LFU / FIFO).
 * :mod:`repro.core.context` — context-chain representation and matching.
 * :mod:`repro.core.cache` — :class:`MeanCache` implementing Algorithm 1:
@@ -23,7 +22,6 @@ from repro.core.client import MeanCacheClient, ClientQueryResult
 from repro.core.compression import compress_cache, CompressionReport
 from repro.core.context import ContextChain, context_matches
 from repro.core.policy import LRUPolicy, LFUPolicy, FIFOPolicy, make_policy
-from repro.core.storage import InMemoryStore, DiskStore
 from repro.core.tiered import QuantizedTier, TierEntry, TieredCache
 
 __all__ = [
@@ -39,8 +37,6 @@ __all__ = [
     "LFUPolicy",
     "FIFOPolicy",
     "make_policy",
-    "InMemoryStore",
-    "DiskStore",
     "compress_cache",
     "CompressionReport",
     "QuantizedTier",

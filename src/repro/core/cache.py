@@ -35,7 +35,7 @@ from repro.core.context import (
 )
 from repro.core.pipeline import embed_probes, first_admissible, search_candidates
 from repro.core.policy import EvictionPolicy, make_policy
-from repro.core.storage import BaseStore, object_nbytes
+from repro.core.storage import object_nbytes
 from repro.core.validation import require_query_text, require_query_texts
 from repro.embeddings.model import SiameseEncoder
 from repro.index import IndexHit, VectorIndex
@@ -215,7 +215,6 @@ class MeanCache:
         self,
         encoder: SiameseEncoder,
         config: Optional[MeanCacheConfig] = None,
-        store: Optional[BaseStore] = None,
         index: Optional[VectorIndex] = None,
         clock: Clock = WALL_CLOCK,
     ) -> None:
@@ -230,7 +229,6 @@ class MeanCache:
             raise ValueError(
                 "config.compressed=True requires an encoder with a PCA head attached"
             )
-        self.store = store
         self._entries: Dict[int, CacheEntry] = {}  # entry_id -> entry, insertion order
         # An explicit (empty) ``index`` instance wins over the config's
         # backend name — see resolve_index for the shared invariant.
@@ -501,7 +499,6 @@ class MeanCache:
         self._entries[entry.entry_id] = entry
         self._policy.record_insert(entry.entry_id)
         self.stats.insertions += 1
-        self._write_through(entry)
         return entry.entry_id
 
     def enroll(
@@ -521,22 +518,6 @@ class MeanCache:
         """
         self.insert(query, response, context=context, embedding=embedding)
 
-    def _write_through(self, entry: CacheEntry) -> None:
-        """Write ``entry`` through to the attached store, if any.
-
-        The store is a mirror: its ``"embedding"`` is read from the entry's
-        index row, not a copy the cache keeps."""
-        if self.store is not None:
-            self.store.set(
-                f"entry:{entry.entry_id}",
-                {
-                    "query": entry.query,
-                    "response": entry.response,
-                    "embedding": entry.embedding,
-                    "context": list(entry.context.texts),
-                },
-            )
-
     def _evict_one(self) -> None:
         victim_id = self._policy.select_victim()
         self.remove(victim_id)
@@ -549,16 +530,12 @@ class MeanCache:
         del self._entries[entry_id]
         self._index.remove(entry_id)
         self._policy.record_remove(entry_id)
-        if self.store is not None and f"entry:{entry_id}" in self.store:
-            self.store.delete(f"entry:{entry_id}")
 
     def clear(self) -> None:
         """Drop all entries."""
         self._entries.clear()
         self._index.clear()
         self._policy = make_policy(self.config.eviction_policy)
-        if self.store is not None:
-            self.store.clear()
 
     # ------------------------------------------------------------------ #
     # Bulk / maintenance operations
@@ -711,7 +688,6 @@ class MeanCache:
         cls,
         path: "str | Path",
         encoder: SiameseEncoder,
-        store: Optional[BaseStore] = None,
     ) -> "MeanCache":
         """Rebuild a cache from a :meth:`save` snapshot.
 
@@ -728,7 +704,7 @@ class MeanCache:
             # carry its margin; retrieval is exhaustive now, so it is dropped.
             config = dict(manifest["config"])
             config.pop("early_stop_margin", None)
-            cache = cls(encoder, MeanCacheConfig(**config), store=store)
+            cache = cls(encoder, MeanCacheConfig(**config))
             cache._next_id = int(manifest["next_id"])
             cache.stats = CacheStats(**manifest["stats"])
             cache._policy = make_policy(manifest["policy"]["name"])
@@ -793,10 +769,6 @@ class MeanCache:
                 f"snapshot at {path} is inconsistent: entry ids and index ids differ"
             )
         cache._entries = entries
-        # Backfill the write-through mirror so external store readers see
-        # the same entries the cache serves.
-        for entry in entries.values():
-            cache._write_through(entry)
         return cache
 
 

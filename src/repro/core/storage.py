@@ -1,23 +1,16 @@
-"""Persistent and in-memory cache stores (DiskCache replacement).
+"""Byte-level size accounting for cached values.
 
-MeanCache persists the local cache with the DiskCache library in the paper's
-artifact.  Here two backends implement the same minimal mapping interface with
-byte-level size accounting (needed by the Figure 10 storage experiment):
-
-* :class:`InMemoryStore` — a plain dict-backed store (default for tests and
-  experiments; deterministic and fast).
-* :class:`DiskStore` — a directory-backed store writing one pickle file per
-  key with an atomic JSON index, surviving process restarts.
+:func:`object_nbytes` approximates what an entry's texts and metadata cost
+in the cache (``CacheEntry.nbytes`` in MeanCache and GPTCache, summed by
+their ``total_storage_bytes``).  Cache state persists only through the
+snapshot envelope (:meth:`repro.core.cache.MeanCache.save`), which stores
+each entry's vector once, as its row in the vector index.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import pickle
-import tempfile
-from pathlib import Path
-from typing import Any, Dict, Iterator, List
+from typing import Any
 
 import numpy as np
 
@@ -45,156 +38,3 @@ def object_nbytes(value: Any) -> int:
         return len(pickle.dumps(value))
     except Exception:  # pragma: no cover - exotic unpicklable objects
         return 64
-
-
-class BaseStore:
-    """Minimal mapping interface shared by both backends."""
-
-    def get(self, key: str) -> Any:
-        raise NotImplementedError
-
-    def set(self, key: str, value: Any) -> None:
-        raise NotImplementedError
-
-    def delete(self, key: str) -> None:
-        raise NotImplementedError
-
-    def __contains__(self, key: str) -> bool:
-        raise NotImplementedError
-
-    def keys(self) -> List[str]:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    def nbytes(self) -> int:
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        for key in list(self.keys()):
-            self.delete(key)
-
-
-class InMemoryStore(BaseStore):
-    """Dict-backed store with running size accounting."""
-
-    def __init__(self) -> None:
-        self._data: Dict[str, Any] = {}
-        self._sizes: Dict[str, int] = {}
-
-    def get(self, key: str) -> Any:
-        if key not in self._data:
-            raise KeyError(key)
-        return self._data[key]
-
-    def set(self, key: str, value: Any) -> None:
-        self._data[key] = value
-        self._sizes[key] = object_nbytes(key) + object_nbytes(value)
-
-    def delete(self, key: str) -> None:
-        if key not in self._data:
-            raise KeyError(key)
-        del self._data[key]
-        del self._sizes[key]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
-    def keys(self) -> List[str]:
-        return list(self._data.keys())
-
-    def nbytes(self) -> int:
-        return sum(self._sizes.values())
-
-    def items(self) -> Iterator:
-        return iter(self._data.items())
-
-
-class DiskStore(BaseStore):
-    """Directory-backed persistent store (one pickle per key + JSON index).
-
-    Writes are atomic (temp file + rename) so a crash never corrupts the
-    index.  Not safe for concurrent writers; MeanCache is a single-user local
-    cache, so a per-process lock is unnecessary for the reproduction.
-    """
-
-    INDEX_NAME = "index.json"
-
-    def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._index: Dict[str, Dict[str, Any]] = {}
-        self._load_index()
-
-    # ------------------------------------------------------------------ #
-    def _index_path(self) -> Path:
-        return self.directory / self.INDEX_NAME
-
-    def _load_index(self) -> None:
-        path = self._index_path()
-        if path.exists():
-            with open(path, "r", encoding="utf-8") as fh:
-                self._index = json.load(fh)
-        else:
-            self._index = {}
-
-    def _save_index(self) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self._index, fh)
-            os.replace(tmp, self._index_path())
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def _file_for(self, key: str) -> Path:
-        entry = self._index.get(key)
-        if entry is None:
-            raise KeyError(key)
-        return self.directory / entry["file"]
-
-    # ------------------------------------------------------------------ #
-    def get(self, key: str) -> Any:
-        path = self._file_for(key)
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
-
-    def set(self, key: str, value: Any) -> None:
-        filename = f"entry_{abs(hash(key)) & 0xFFFFFFFF:08x}_{len(self._index):08d}.pkl"
-        existing = self._index.get(key)
-        if existing is not None:
-            filename = existing["file"]
-        payload = pickle.dumps(value)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, self.directory / filename)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        self._index[key] = {
-            "file": filename,
-            "nbytes": len(payload) + object_nbytes(key),
-        }
-        self._save_index()
-
-    def delete(self, key: str) -> None:
-        path = self._file_for(key)
-        if path.exists():
-            path.unlink()
-        del self._index[key]
-        self._save_index()
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._index
-
-    def keys(self) -> List[str]:
-        return list(self._index.keys())
-
-    def nbytes(self) -> int:
-        return int(sum(entry["nbytes"] for entry in self._index.values()))

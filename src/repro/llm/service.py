@@ -12,6 +12,7 @@ experiment.  The service:
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -177,11 +178,7 @@ class SimulatedLLMService:
             issued_at_s=issued_at,
             completed_at_s=None if issued_at is None else issued_at + latency,
         )
-        if self._lock is not None:
-            with self._lock:
-                self.stats.record(response)
-                self._per_client.setdefault(client_id, ServiceStats()).record(response)
-        else:
+        with self._lock or contextlib.nullcontext():
             self.stats.record(response)
             self._per_client.setdefault(client_id, ServiceStats()).record(response)
         return response

@@ -10,7 +10,7 @@ from repro.metrics.classification import (
     recall,
 )
 from repro.metrics.reporting import format_table, format_confusion_matrix
-from repro.metrics.timing import LatencyHistogram, Timer
+from repro.metrics.timing import LatencyHistogram
 
 __all__ = [
     "ConfusionMatrix",
@@ -21,7 +21,6 @@ __all__ = [
     "accuracy",
     "evaluate_decisions",
     "LatencyHistogram",
-    "Timer",
     "format_table",
     "format_confusion_matrix",
 ]

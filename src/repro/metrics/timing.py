@@ -1,10 +1,12 @@
-"""Timing utilities.
+"""Latency summaries.
 
 Two notions of time coexist in the reproduction:
 
-* **Wall-clock time** (:class:`Timer`) — used for quantities the paper
-  actually measures on real hardware that we *can* also measure here, such as
-  embedding-computation time (Fig. 15) and semantic-search time (Fig. 10b).
+* **Wall-clock time** (``time.perf_counter_ns``) — used for quantities the
+  paper actually measures on real hardware that we *can* also measure here,
+  such as embedding-computation time (Fig. 15), semantic-search time
+  (Fig. 10b) and the serving layer's queue wait and end-to-end latency;
+  :class:`LatencyHistogram` summarizes them.
 * **Simulated time** (:class:`repro.core.clock.VirtualClock`) — used for
   quantities that depend on hardware we do not have (LLM inference latency
   in Fig. 5); the latency model contributes simulated durations so traces
@@ -13,99 +15,68 @@ Two notions of time coexist in the reproduction:
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-
-class Timer:
-    """A context-manager stopwatch accumulating wall-clock durations."""
-
-    def __init__(self) -> None:
-        self.durations: List[float] = []
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._start is None:  # pragma: no cover - defensive
-            return
-        self.durations.append(time.perf_counter() - self._start)
-        self._start = None
-
-    @property
-    def last(self) -> float:
-        """Most recent recorded duration (0.0 if none)."""
-        return self.durations[-1] if self.durations else 0.0
-
-    @property
-    def total(self) -> float:
-        """Sum of recorded durations."""
-        return float(sum(self.durations))
-
-    @property
-    def mean(self) -> float:
-        """Mean recorded duration (0.0 if none)."""
-        return self.total / len(self.durations) if self.durations else 0.0
-
-    def reset(self) -> None:
-        """Forget all recorded durations."""
-        self.durations.clear()
-        self._start = None
+#: Sub-bucket bits of :class:`LatencyHistogram`: values below ``2**(K+1)`` ns
+#: get one bucket each, and every higher power-of-two range is split into
+#: ``2**K`` equal sub-buckets, so a bucket's width is at most ``2**-K`` of
+#: its lower bound.
+K = 7
 
 
 class LatencyHistogram:
-    """Percentile summary over ``perf_counter_ns`` samples.
+    """Percentile summary over ``perf_counter_ns`` samples, in fixed memory.
 
-    Collects integer nanosecond durations, optionally discards the first
-    ``warmup`` recorded samples (cold caches, lazy imports, first-touch page
-    faults), and summarizes the rest as p50/p95/p99/mean.  Percentiles use the
-    nearest-rank method (the k-th smallest sample with
-    ``k = ceil(q/100 * n)``), so every reported value is an actually observed
-    latency rather than an interpolation — the convention serving dashboards
-    use for tail latency.
+    Each sample increments one count in a log-bucketed table instead of
+    being kept, so the table is bounded by the largest sample's bucket (at
+    most 7,424 counts for any 64-bit duration) however many samples
+    arrive.  Percentiles use the nearest-rank method (the k-th smallest
+    sample with ``k = ceil(q/100 * n)``) and report the lower bound of that
+    sample's bucket: exactly the sample below ``2**(K+1)`` ns, and within
+    ``2**-K`` (≈ 0.8 %) of it, never above it, everywhere else.  The mean is
+    exact, from a running sum.
     """
 
-    def __init__(self, warmup: int = 0) -> None:
-        if warmup < 0:
-            raise ValueError("warmup must be >= 0")
-        self.warmup = warmup
-        self._samples: List[int] = []
-        self._skipped = 0
+    def __init__(self) -> None:
+        self._counts: List[int] = []
+        self._count = 0
+        self._sum = 0
 
     def record(self, duration_ns: int) -> None:
-        """Record one duration in nanoseconds (warmup samples are dropped)."""
+        """Record one duration in nanoseconds."""
         if duration_ns < 0:
             raise ValueError("duration must be >= 0")
-        if self._skipped < self.warmup:
-            self._skipped += 1
-            return
-        self._samples.append(int(duration_ns))
-
-    def time(self):
-        """Context manager that records one ``perf_counter_ns`` interval."""
-        return _HistogramInterval(self)
+        value = int(duration_ns)
+        shift = value.bit_length() - K - 1
+        bucket = value if shift <= 0 else (shift << K) + (value >> shift)
+        counts = self._counts
+        if bucket >= len(counts):
+            counts.extend([0] * (bucket + 1 - len(counts)))
+        counts[bucket] += 1
+        self._count += 1
+        self._sum += value
 
     @property
     def count(self) -> int:
-        """Number of retained (post-warmup) samples."""
-        return len(self._samples)
-
-    @property
-    def samples(self) -> List[int]:
-        """Copy of the retained samples, in recording order."""
-        return list(self._samples)
+        """Number of recorded samples."""
+        return self._count
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile in nanoseconds (0.0 if empty)."""
-        if not self._samples:
-            return 0.0
         if not 0.0 < q <= 100.0:
             raise ValueError("percentile must be in (0, 100]")
-        ordered = sorted(self._samples)
-        rank = max(1, -(-int(q * len(ordered)) // 100))  # ceil(q*n/100), >= 1
-        return float(ordered[min(rank, len(ordered)) - 1])
+        if not self._count:
+            return 0.0
+        rank = max(1, -(-int(q * self._count) // 100))  # ceil(q*n/100), >= 1
+        seen = 0
+        for bucket, n in enumerate(self._counts):
+            seen += n
+            if seen >= rank:
+                break
+        if bucket < 2 << K:
+            return float(bucket)
+        shift = (bucket >> K) - 1
+        return float((bucket - (shift << K)) << shift)
 
     @property
     def p50(self) -> float:
@@ -124,20 +95,10 @@ class LatencyHistogram:
 
     @property
     def mean(self) -> float:
-        """Mean retained sample in nanoseconds (0.0 if empty)."""
-        if not self._samples:
+        """Mean sample in nanoseconds (0.0 if empty)."""
+        if not self._count:
             return 0.0
-        return float(sum(self._samples)) / len(self._samples)
-
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Return a new histogram holding both sets of retained samples.
-
-        Warmup trimming has already happened in each source histogram, so the
-        merged histogram performs no further trimming.
-        """
-        merged = LatencyHistogram(warmup=0)
-        merged._samples = self._samples + other._samples
-        return merged
+        return float(self._sum) / self._count
 
     def to_dict(self) -> Dict[str, float]:
         """JSON-ready summary (nanosecond floats plus the sample count)."""
@@ -148,18 +109,3 @@ class LatencyHistogram:
             "p99_ns": self.p99,
             "mean_ns": self.mean,
         }
-
-
-class _HistogramInterval:
-    """Context manager recording one interval into a LatencyHistogram."""
-
-    def __init__(self, hist: LatencyHistogram) -> None:
-        self._hist = hist
-        self._start = 0
-
-    def __enter__(self) -> "_HistogramInterval":
-        self._start = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._hist.record(time.perf_counter_ns() - self._start)

@@ -953,7 +953,8 @@ class CacheServer:
         resolved_at = self.clock()
         for request, outcome in pairs:
             response = self._record(request, outcome, len(batch), drained_at)
-            self.metrics.e2e_latency.record(int((resolved_at - request.enqueued_at) * 1e9))
+            e2e = max(0.0, resolved_at - request.enqueued_at)
+            self.metrics.e2e_latency.record(int(e2e * 1e9))
             request.future.set_result(response)
 
     # -- lifecycle ------------------------------------------------------ #

@@ -315,6 +315,41 @@ class TestRPL004:
         ]
         assert len(findings) == 2
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            'os.fdopen(fd, "wb")',
+            'os.fdopen(fd, mode="w", encoding="utf-8")',
+            'os.fdopen(fd, "ab")',
+            'path.open("w")',
+            'path.open(mode="xb")',
+            'path.open("r+")',
+        ],
+    )
+    def test_fdopen_and_pathlib_open_writes_fire(self, call):
+        snippet = f"""
+        import os
+
+        def save(path, fd, payload):
+            with {call} as f:
+                f.write(payload)
+        """
+        assert "RPL004" in rules_fired(snippet, rel="repro/core/mystore.py")
+
+    @pytest.mark.parametrize(
+        "call",
+        ['os.fdopen(fd, "rb")', "os.fdopen(fd)", 'path.open("r")', "path.open()"],
+    )
+    def test_fdopen_and_pathlib_open_reads_are_fine(self, call):
+        snippet = f"""
+        import os
+
+        def load(path, fd):
+            with {call} as f:
+                return f.read()
+        """
+        assert "RPL004" not in rules_fired(snippet, rel="repro/core/mystore.py")
+
 
 # --------------------------------------------------------------------------- #
 # RPL005 public-API hygiene

@@ -9,7 +9,6 @@ from repro.baselines.keyword_cache import KeywordCache, KeywordCacheConfig
 from repro.core.cache import CacheDecision, MeanCache, MeanCacheConfig
 from repro.core.client import ClientStats, MeanCacheClient
 from repro.core.compression import compress_cache
-from repro.core.storage import InMemoryStore
 from repro.llm.service import SimulatedLLMService
 from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import WorkloadConfig, WorkloadGenerator
@@ -87,14 +86,6 @@ class TestMeanCacheBasics:
         entry = cache.entries[0]
         assert entry.hit_count == 1
         assert cache.stats.hit_rate == pytest.approx(1.0)
-
-    def test_persistent_store_receives_entries(self, tiny_encoder):
-        store = InMemoryStore()
-        cache = MeanCache(tiny_encoder, store=store)
-        eid = cache.insert("sort a python list", "resp")
-        assert f"entry:{eid}" in store
-        cache.remove(eid)
-        assert f"entry:{eid}" not in store
 
     def test_config_validation(self, tiny_encoder):
         with pytest.raises(ValueError):

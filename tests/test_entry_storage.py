@@ -24,7 +24,7 @@ from repro.baselines.gptcache import GPTCache
 from repro.core.cache import MeanCache
 from repro.core.compression import compress_cache
 from repro.core.context import ContextChain
-from repro.core.storage import InMemoryStore, object_nbytes
+from repro.core.storage import object_nbytes
 from repro.embeddings.model import EncoderConfig, SiameseEncoder
 from repro.index import FlatIndex
 from repro.index.snapshot import native_float_dtype
@@ -118,8 +118,7 @@ def test_reported_embedding_bytes_are_what_the_process_holds():
 
 def test_entries_hold_no_vector_and_read_it_from_the_index():
     encoder = make_tiny_encoder()
-    store = InMemoryStore()
-    cache = MeanCache(encoder, store=store)
+    cache = MeanCache(encoder)
     _enrol_one_batch(cache)
     central = GPTCache(encoder)
     _enrol_one_batch(central)
@@ -130,11 +129,6 @@ def test_entries_hold_no_vector_and_read_it_from_the_index():
                 for f in dataclasses.fields(entry)
             )
             np.testing.assert_array_equal(entry.embedding, owner.index.get(entry.entry_id))
-    # the write-through store mirrors the index row
-    for entry in cache.entries:
-        np.testing.assert_array_equal(
-            store.get(f"entry:{entry.entry_id}")["embedding"], entry.embedding
-        )
 
 
 def test_rebuild_embeddings_reads_through_the_rebuilt_index():

@@ -1,7 +1,12 @@
 """Tests for the metrics package and the simulated LLM service."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.llm.latency import LatencyModel, LatencyModelConfig
 from repro.llm.responses import ResponseGenerator, count_tokens
@@ -16,7 +21,8 @@ from repro.metrics.classification import (
     recall,
 )
 from repro.metrics.reporting import format_confusion_matrix, format_metric_comparison, format_table
-from repro.metrics.timing import LatencyHistogram, Timer
+from repro.metrics.timing import K, LatencyHistogram
+from repro.serving.server import ServerMetrics
 
 
 class TestConfusionMatrix:
@@ -90,23 +96,6 @@ class TestReporting:
         assert "0.700" in text and "A" in text
 
 
-class TestTiming:
-    def test_timer_records_durations(self):
-        timer = Timer()
-        with timer:
-            sum(range(1000))
-        assert timer.last >= 0.0
-        assert len(timer.durations) == 1
-        assert timer.mean == timer.total
-
-    def test_timer_reset(self):
-        timer = Timer()
-        with timer:
-            pass
-        timer.reset()
-        assert timer.durations == [] and timer.last == 0.0
-
-
 class TestLatencyHistogram:
     def test_nearest_rank_percentiles(self):
         hist = LatencyHistogram()
@@ -128,37 +117,7 @@ class TestLatencyHistogram:
         hist.record(42)
         assert hist.p50 == 42.0 and hist.p99 == 42.0 and hist.mean == 42.0
 
-    def test_warmup_samples_are_dropped(self):
-        hist = LatencyHistogram(warmup=2)
-        for ns in (10_000, 20_000, 1, 2, 3):
-            hist.record(ns)
-        assert hist.count == 3
-        assert hist.samples == [1, 2, 3]
-        assert hist.p99 == 3.0
-
-    def test_time_context_manager_records(self):
-        hist = LatencyHistogram()
-        with hist.time():
-            sum(range(1000))
-        assert hist.count == 1
-        assert hist.p50 > 0.0
-
-    def test_merge_combines_samples(self):
-        a = LatencyHistogram()
-        b = LatencyHistogram()
-        for ns in (1, 2):
-            a.record(ns)
-        for ns in (3, 4):
-            b.record(ns)
-        merged = a.merge(b)
-        assert merged.count == 4
-        assert merged.percentile(100.0) == 4.0
-        # Sources are untouched.
-        assert a.count == 2 and b.count == 2
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram(warmup=-1)
         hist = LatencyHistogram()
         with pytest.raises(ValueError):
             hist.record(-5)
@@ -180,6 +139,74 @@ class TestLatencyHistogram:
             "p99_ns": 300.0,
             "mean_ns": 200.0,
         }
+
+    def test_table_is_bounded_for_any_64_bit_duration(self):
+        hist = LatencyHistogram()
+        largest = 2**64 - 1
+        for ns in (0, largest, 1):
+            hist.record(ns)
+        # 2**(K+1) exact buckets plus 2**K sub-buckets for each of the
+        # 64 - (K+1) higher powers of two.
+        assert len(hist._counts) == (2 << K) + (64 - K - 1) * (1 << K) == 7424
+        assert hist.percentile(1.0) == 0.0 and hist.p50 == 1.0
+        top = hist.percentile(100.0)
+        assert largest - largest * 2.0**-K <= top <= largest
+        assert hist.mean == float(largest + 1) / 3
+
+    def test_percentile_rejects_q_outside_range_even_when_empty(self):
+        hist = LatencyHistogram()
+        for q in (0.0, -1.0, 100.5):
+            with pytest.raises(ValueError):
+                hist.percentile(q)
+        assert hist.percentile(100.0) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 2 ** (K + 1)), st.integers(0, 10**12)),
+            min_size=1,
+            max_size=60,
+        ),
+        st.lists(st.floats(0.0, 100.0, exclude_min=True), min_size=1, max_size=5),
+    )
+    def test_percentiles_within_bucket_of_exact_nearest_rank(self, samples, qs):
+        hist = LatencyHistogram()
+        for ns in samples:
+            hist.record(ns)
+        assert hist.count == len(samples)
+        assert hist.mean == float(sum(samples)) / len(samples)  # exact, not bucketed
+        ordered = sorted(samples)
+        for q in qs + [50.0, 95.0, 99.0, 100.0]:
+            rank = max(1, -(-int(q * len(ordered)) // 100))
+            exact = ordered[min(rank, len(ordered)) - 1]
+            reported = hist.percentile(q)
+            if exact < 2 ** (K + 1):
+                assert reported == exact
+            else:
+                assert exact - exact * 2.0**-K <= reported <= exact
+
+    def test_server_metrics_memory_does_not_grow_with_requests(self):
+        def retained(n_records: int) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                metrics = ServerMetrics()
+                rng = np.random.default_rng(0)
+                # queue waits and end-to-end latencies spread over 1 µs..1 s
+                for ns in (10 ** rng.uniform(3, 9, size=n_records)).astype(int).tolist():
+                    metrics.queue_wait.record(ns)
+                    metrics.e2e_latency.record(ns)
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0] - before
+                assert metrics.e2e_latency.count == n_records
+                return held
+            finally:
+                tracemalloc.stop()
+
+        small = retained(10**3)
+        large = retained(10**5)
+        assert large - small <= 64 * 1024, (small, large)
 
 
 class TestLatencyModel:

@@ -483,20 +483,25 @@ def test_meancache_load_rejects_tampered_entries(tmp_path):
         MeanCache.load(tmp_path / "mc", encoder)
 
 
-def test_meancache_load_backfills_attached_store(tmp_path):
-    from repro.core.storage import InMemoryStore
-
+def test_meancache_loaded_cache_removes_and_saves_again(tmp_path):
+    """A loaded cache is a live one: a removal takes the entry out of its
+    index, and a second save/load round-trips the removal."""
     encoder = make_tiny_encoder()
     cache = _populated_meancache(encoder)
     cache.save(tmp_path / "mc")
-    store = InMemoryStore()
-    loaded = MeanCache.load(tmp_path / "mc", encoder, store=store)
-    assert len(store) == len(loaded)
+    loaded = MeanCache.load(tmp_path / "mc", encoder.clone())
     some = loaded.entries[0]
-    assert store.get(f"entry:{some.entry_id}")["query"] == some.query
-    # The mirror keeps tracking mutations, as it does for a live cache.
     loaded.remove(some.entry_id)
-    assert f"entry:{some.entry_id}" not in store
+    assert len(loaded) == len(cache) - 1
+    assert some.entry_id not in [e.entry_id for e in loaded.entries]
+    probe = loaded.lookup(some.query, some.context.texts)
+    assert probe.entry_id != some.entry_id
+
+    loaded.save(tmp_path / "mc2")
+    reloaded = MeanCache.load(tmp_path / "mc2", encoder.clone())
+    assert [e.entry_id for e in reloaded.entries] == [e.entry_id for e in loaded.entries]
+    probes = [e.query for e in cache.entries]
+    assert _decision_signature(reloaded, probes) == _decision_signature(loaded, probes)
 
 
 def test_gptcache_load_rejects_tampered_entries(tmp_path):

@@ -770,6 +770,38 @@ class TestFlushThreadLifecycle:
         assert (metrics.completed, metrics.failed, metrics.shed) == (0, 2, 0)
         assert metrics.offered == 2
 
+    def test_backward_clock_step_keeps_the_flush_thread_serving(self):
+        """The server's clock steps back 1 s while a flush runs: its request
+        still resolves (end-to-end latency clamps at 0, as queue wait does)
+        and the server keeps serving the next one."""
+        offset = [0.0]
+        server = CacheServer(
+            self._factory(),
+            service=_fast_service(),
+            config=ServerConfig(max_batch_size=1, max_batch_wait_s=0.0),
+            clock=lambda: time.monotonic() + offset[0],
+        )
+        classify = server._classify_flush
+
+        def classify_then_step_back(batch):
+            pairs = classify(batch)
+            if not offset[0]:
+                offset[0] = -1.0
+            return pairs
+
+        server._classify_flush = classify_then_step_back
+        server.start()
+        try:
+            first = server.submit_threadsafe("alice", "asked before the step").result(timeout=10)
+            second = server.submit_threadsafe("alice", "asked after the step").result(timeout=10)
+            assert server._thread.is_alive()
+        finally:
+            server.stop()
+        assert (first.query, second.query) == ("asked before the step", "asked after the step")
+        metrics = server.metrics
+        assert (metrics.completed, metrics.failed) == (2, 0)
+        assert metrics.e2e_latency.count == 2
+
     def test_submit_threadsafe_forwards_intent_key(self):
         """The thread API carries the intent key, so a re-ask is verified."""
 

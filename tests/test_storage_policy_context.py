@@ -1,4 +1,4 @@
-"""Tests for the storage backends, eviction policies and context chains."""
+"""Tests for size accounting, eviction policies and context chains."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from conftest import make_tiny_encoder
 from repro.core.context import ContextChain, context_matches
 from repro.core.policy import FIFOPolicy, LFUPolicy, LRUPolicy, make_policy
-from repro.core.storage import DiskStore, InMemoryStore, object_nbytes
+from repro.core.storage import object_nbytes
 
 
 class TestObjectNbytes:
@@ -19,64 +19,6 @@ class TestObjectNbytes:
     def test_containers_sum_members(self):
         assert object_nbytes(["ab", "cd"]) == 4
         assert object_nbytes({"k": "vv"}) == 3
-
-
-class TestInMemoryStore:
-    def test_set_get_delete(self):
-        store = InMemoryStore()
-        store.set("a", {"x": 1})
-        assert "a" in store and store.get("a") == {"x": 1}
-        store.delete("a")
-        assert "a" not in store
-        with pytest.raises(KeyError):
-            store.get("a")
-
-    def test_nbytes_tracks_content(self):
-        store = InMemoryStore()
-        store.set("k", np.zeros(100))
-        assert store.nbytes() >= 800
-        store.delete("k")
-        assert store.nbytes() == 0
-
-    def test_clear(self):
-        store = InMemoryStore()
-        for i in range(5):
-            store.set(f"k{i}", i)
-        store.clear()
-        assert len(store) == 0
-
-
-class TestDiskStore:
-    def test_persistence_across_instances(self, tmp_path):
-        store = DiskStore(tmp_path / "cache")
-        store.set("query:1", {"text": "hello", "emb": np.arange(4.0)})
-        reopened = DiskStore(tmp_path / "cache")
-        value = reopened.get("query:1")
-        assert value["text"] == "hello"
-        assert np.allclose(value["emb"], np.arange(4.0))
-
-    def test_overwrite_key(self, tmp_path):
-        store = DiskStore(tmp_path / "c")
-        store.set("k", 1)
-        store.set("k", 2)
-        assert store.get("k") == 2
-        assert len(store) == 1
-
-    def test_delete_removes_file(self, tmp_path):
-        store = DiskStore(tmp_path / "c")
-        store.set("k", "v")
-        store.delete("k")
-        assert "k" not in store
-        assert DiskStore(tmp_path / "c").keys() == []
-
-    def test_nbytes_positive(self, tmp_path):
-        store = DiskStore(tmp_path / "c")
-        store.set("k", np.zeros(64))
-        assert store.nbytes() > 0
-
-    def test_missing_key(self, tmp_path):
-        with pytest.raises(KeyError):
-            DiskStore(tmp_path / "c").get("nope")
 
 
 class TestPolicies:
