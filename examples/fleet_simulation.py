@@ -48,11 +48,11 @@ from repro.serving import (
 
 def make_server(encoder, adaptation=None) -> CacheServer:
     """A fresh fleet: one MeanCache per user, one shared service, replayed
-    deterministically on the trace's virtual clock."""
+    deterministically on the trace's timestamps."""
     return CacheServer(
         lambda user_id: MeanCache(encoder, MeanCacheConfig(similarity_threshold=0.78)),
         SimulatedLLMService(LLMServiceConfig(seed=0)),
-        ServerConfig(deterministic=True),
+        ServerConfig(),
         adaptation=adaptation,
     )
 

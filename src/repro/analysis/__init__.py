@@ -7,8 +7,8 @@ prose (``docs/serving.md``, ``docs/analysis.md``):
   live in the serving adapter layer (shard locks, the shared-L2 lock,
   the quantized tier's own lock);
 * the **determinism discipline** — library code never reads wall time or
-  global RNG state directly; time flows through injected clocks
-  (:mod:`repro.core.clock`) and randomness through seeded generators;
+  global RNG state directly; library state is never stamped with time
+  and randomness flows through seeded generators;
 * the **crash-safety discipline** — persistence code writes snapshots only
   through the atomic staging helpers in :mod:`repro.index.snapshot`.
 

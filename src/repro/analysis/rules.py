@@ -218,19 +218,20 @@ class ConcurrencyContractRule(Rule):
 class DeterminismRule(Rule):
     """RPL002: no wall-clock or global-RNG reads in library code.
 
-    The virtual-clock discipline (PR 8's two-clocks fix): everything a
-    replay or benchmark decision depends on flows through an injected clock
-    (:mod:`repro.core.clock`) or a seeded generator.  Flags calls to
+    Wall time must not reach library state: a cache entry, decision or
+    snapshot holds no wall-clock reading, and randomness comes from seeded
+    generators.  Flags calls to
     ``time.time()``, ``datetime.now()/utcnow()/today()``, the ``np.random``
     global generator, the stdlib ``random`` module, and *unseeded*
-    ``np.random.default_rng()``.  ``time.perf_counter``/``time.monotonic``
-    stay legal: measuring how long work took is not a determinism input —
-    stamping *state* with wall time is.
+    ``np.random.default_rng()``.  Measure durations with
+    ``time.perf_counter``/``time.monotonic``, which stay legal: measuring
+    how long work took is not a determinism input — stamping *state* with
+    wall time is.
     """
 
     id = "RPL002"
     name = "determinism"
-    description = "wall time via injected clocks only; RNG via seeded generators only"
+    description = "no wall time in library state; RNG via seeded generators only"
 
     _DATETIME_FACTORIES = frozenset({"now", "utcnow", "today", "fromtimestamp"})
 
@@ -257,8 +258,8 @@ class DeterminismRule(Rule):
                 yield ctx.finding(
                     self.id,
                     node,
-                    "time.time() in library code — take an injected clock "
-                    "(repro.core.clock) so virtual-time replays stay deterministic",
+                    "time.time() in library code — wall time must not reach "
+                    "library state; measure with perf_counter/monotonic",
                 )
                 continue
             # datetime.now()/utcnow()/today() on the datetime class or module
@@ -279,8 +280,9 @@ class DeterminismRule(Rule):
                     yield ctx.finding(
                         self.id,
                         node,
-                        f"datetime.{func.attr}() reads the wall clock — thread "
-                        "time through an injected clock instead",
+                        f"datetime.{func.attr}() reads the wall clock — wall "
+                        "time must not reach library state; measure with "
+                        "perf_counter/monotonic",
                     )
                     continue
             # np.random.* global generator / unseeded default_rng()

@@ -26,7 +26,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.clock import Clock, WALL_CLOCK
 from repro.core.context import (
     ContextChain,
     context_matches,
@@ -52,9 +51,11 @@ from repro.index.snapshot import (
 #: Version 2 writes atomically (staged + renamed) and stores arrays as raw
 #: per-array ``.npy`` files.  Version 3 stores each vector once, in the
 #: nested ``index/`` snapshot: v2's ``arrays/embeddings.npy`` copy is gone
-#: (a v2 snapshot still loads; its copy is checked, then dropped).
+#: (a v2 snapshot still loads; its copy is checked, then dropped).  Version
+#: 4 entry records hold no time: the two per-entry time stamps of v2/v3
+#: records are read and discarded.
 MEANCACHE_FORMAT = "repro-meancache"
-MEANCACHE_VERSION = 3
+MEANCACHE_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,6 @@ class CacheEntry:
     entry_id: int
     #: the owning cache's vector index, which holds this entry's row
     index: VectorIndex = field(repr=False, compare=False)
-    created_at: float = 0.0
-    last_accessed: float = 0.0
     hit_count: int = 0
 
     @property
@@ -216,14 +215,8 @@ class MeanCache:
         encoder: SiameseEncoder,
         config: Optional[MeanCacheConfig] = None,
         index: Optional[VectorIndex] = None,
-        clock: Clock = WALL_CLOCK,
     ) -> None:
         self.encoder = encoder
-        #: Time source for entry ``created_at``/``last_accessed`` stamps.
-        #: Production keeps wall time; the simulator injects a virtual
-        #: event clock (see repro.core.clock) so TTL/recency state is
-        #: independent of wall speed and processing order.
-        self.clock: Clock = clock
         self.config = config or MeanCacheConfig()
         if self.config.compressed and encoder.pca is None:
             raise ValueError(
@@ -238,14 +231,6 @@ class MeanCache:
         self._policy: EvictionPolicy = make_policy(self.config.eviction_policy)
         self._next_id = 0
         self.stats = CacheStats()
-
-    def set_clock(self, clock: Clock) -> None:
-        """Swap the timestamp source (used by simulation wiring).
-
-        Existing entry stamps are left untouched; only future
-        ``created_at``/``last_accessed`` writes read the new clock.
-        """
-        self.clock = clock
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -400,8 +385,8 @@ class MeanCache:
 
         Counts the lookup together with its hit or miss, so
         ``lookups == hits + misses`` whatever was rejected upstream.  A hit
-        also bumps the entry's hit counter, access stamp and eviction-policy
-        recency (Algorithm 1's cache-side effects).
+        also bumps the entry's hit counter and eviction-policy recency
+        (Algorithm 1's cache-side effects).
         """
         config = self.config
         chain: List[ContextChain] = []
@@ -436,7 +421,6 @@ class MeanCache:
             return decision
         entry = self._entries[best.id]
         entry.hit_count += 1
-        entry.last_accessed = self.clock()
         self._policy.record_access(entry.entry_id)
         self.stats.hits += 1
         decision.response = entry.response
@@ -491,8 +475,6 @@ class MeanCache:
             context=chain.stored_at(native_float_dtype(self._index)),
             entry_id=self._next_id,
             index=self._index,
-            created_at=self.clock(),
-            last_accessed=self.clock(),
         )
         self._index.add(embedding, id=entry.entry_id)
         self._next_id += 1
@@ -642,8 +624,6 @@ class MeanCache:
                 "query": e.query,
                 "response": e.response,
                 "context": list(e.context.texts),
-                "created_at": float(e.created_at),
-                "last_accessed": float(e.last_accessed),
                 "hit_count": int(e.hit_count),
             }
             for e in entries
@@ -760,8 +740,6 @@ class MeanCache:
                 ).stored_at(native),
                 entry_id=entry_id,
                 index=index,
-                created_at=float(record["created_at"]),
-                last_accessed=float(record["last_accessed"]),
                 hit_count=int(record["hit_count"]),
             )
         if set(entries) != set(cache._index.ids):

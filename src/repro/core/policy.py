@@ -59,17 +59,21 @@ class LRUPolicy(EvictionPolicy):
         self._order: "OrderedDict[int, None]" = OrderedDict()
 
     def record_insert(self, entry_id: int) -> None:
+        """Place the entry at the most-recent end of the order."""
         self._order.pop(entry_id, None)
         self._order[entry_id] = None
 
     def record_access(self, entry_id: int) -> None:
+        """Move a hit entry to the most-recent end of the order."""
         if entry_id in self._order:
             self._order.move_to_end(entry_id)
 
     def record_remove(self, entry_id: int) -> None:
+        """Drop the entry from the order."""
         self._order.pop(entry_id, None)
 
     def select_victim(self) -> int:
+        """The least recently inserted or hit entry."""
         if not self._order:
             raise LookupError("no entries to evict")
         return next(iter(self._order))
@@ -78,9 +82,11 @@ class LRUPolicy(EvictionPolicy):
         return len(self._order)
 
     def state_dict(self) -> Dict[str, object]:
+        """The order, least recently used first."""
         return {"order": [int(i) for i in self._order]}
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
+        """Reinstate the order, least recently used first."""
         self._order = OrderedDict((int(i), None) for i in state["order"])
 
 
@@ -92,20 +98,24 @@ class LFUPolicy(EvictionPolicy):
         self._recency: "OrderedDict[int, None]" = OrderedDict()
 
     def record_insert(self, entry_id: int) -> None:
+        """Start the entry at zero hits, at the most-recent end."""
         self._counts[entry_id] = 0
         self._recency.pop(entry_id, None)
         self._recency[entry_id] = None
 
     def record_access(self, entry_id: int) -> None:
+        """Count a hit and move the entry to the most-recent end."""
         if entry_id in self._counts:
             self._counts[entry_id] += 1
             self._recency.move_to_end(entry_id)
 
     def record_remove(self, entry_id: int) -> None:
+        """Drop the entry's hit count and recency."""
         self._counts.pop(entry_id, None)
         self._recency.pop(entry_id, None)
 
     def select_victim(self) -> int:
+        """The least recently used among the entries with the fewest hits."""
         if not self._counts:
             raise LookupError("no entries to evict")
         min_count = min(self._counts.values())
@@ -119,6 +129,7 @@ class LFUPolicy(EvictionPolicy):
         return len(self._counts)
 
     def state_dict(self) -> Dict[str, object]:
+        """The recency order and each entry's hit count."""
         # Counts as [id, count] pairs: JSON object keys would stringify ids.
         return {
             "recency": [int(i) for i in self._recency],
@@ -126,6 +137,7 @@ class LFUPolicy(EvictionPolicy):
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
+        """Reinstate the recency order and the hit counts."""
         self._counts = {int(i): int(c) for i, c in state["counts"]}
         self._recency = OrderedDict((int(i), None) for i in state["recency"])
 
@@ -137,17 +149,19 @@ class FIFOPolicy(EvictionPolicy):
         self._order: "OrderedDict[int, None]" = OrderedDict()
 
     def record_insert(self, entry_id: int) -> None:
+        """Place the entry at the newest end of the insertion order."""
         self._order.pop(entry_id, None)
         self._order[entry_id] = None
 
     def record_access(self, entry_id: int) -> None:
-        # FIFO ignores accesses by definition.
-        return None
+        """Nothing: FIFO ignores accesses by definition."""
 
     def record_remove(self, entry_id: int) -> None:
+        """Drop the entry from the insertion order."""
         self._order.pop(entry_id, None)
 
     def select_victim(self) -> int:
+        """The earliest inserted entry."""
         if not self._order:
             raise LookupError("no entries to evict")
         return next(iter(self._order))
@@ -156,9 +170,11 @@ class FIFOPolicy(EvictionPolicy):
         return len(self._order)
 
     def state_dict(self) -> Dict[str, object]:
+        """The insertion order, oldest first."""
         return {"order": [int(i) for i in self._order]}
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
+        """Reinstate the insertion order, oldest first."""
         self._order = OrderedDict((int(i), None) for i in state["order"])
 
 

@@ -877,6 +877,7 @@ class TieredCache:
     # ------------------------------------------------------------------ #
     @property
     def encoder(self) -> SiameseEncoder:
+        """The L1 tier's encoder, which embeds probes for both tiers."""
         return self.l1.encoder
 
     @property
@@ -1078,10 +1079,6 @@ class TieredCache:
     def set_threshold(self, threshold: float) -> None:
         """Update τ for both tiers (L2 reads the L1 config live)."""
         self.l1.set_threshold(threshold)
-
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        """Swap the L1 timestamp source (L2 entries carry no timestamps)."""
-        self.l1.set_clock(clock)
 
     def clear(self) -> None:
         """Drop all entries in both tiers."""

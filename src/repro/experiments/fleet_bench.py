@@ -229,7 +229,7 @@ def run_fleet_bench(
         server = CacheServer(
             lambda user_id: MeanCache(encoder, cache_config),
             SimulatedLLMService(LLMServiceConfig(seed=seed)),
-            ServerConfig(n_shards=1, deterministic=True),
+            ServerConfig(n_shards=1),
         )
         result.points.append(
             FleetBenchPoint.from_result(
@@ -416,7 +416,7 @@ def run_drift_adaptation_bench(
                 encoder, MeanCacheConfig(similarity_threshold=static_threshold)
             ),
             SimulatedLLMService(LLMServiceConfig(seed=seed)),
-            ServerConfig(n_shards=1, deterministic=True),
+            ServerConfig(n_shards=1),
             adaptation=adaptation,
         )
         return server.replay(trace)

@@ -291,7 +291,7 @@ def run_tiered_fleet_bench(
         ),
         seed=seed,
     ).generate()
-    fleet_config = ServerConfig(n_shards=1, deterministic=True)
+    fleet_config = ServerConfig(n_shards=1)
 
     exact_fleet = CacheServer(
         lambda user_id: MeanCache(encoder, MeanCacheConfig(max_entries=100_000)),

@@ -266,7 +266,7 @@ def _make_fleet(
     return CacheServer(
         factory,
         SimulatedLLMService(LLMServiceConfig(seed=spec.seed)),
-        ServerConfig(n_shards=1, deterministic=True),
+        ServerConfig(n_shards=1),
         adaptation=adaptation,
     )
 

@@ -1,7 +1,7 @@
 """Wall-clock serving benchmark: a threaded load generator over CacheServer.
 
-Everything else in the repo measures the serving stack on the simulator's
-virtual clock; this experiment measures the *live* tier.  A deterministic
+Everything else in the repo measures the serving stack by replaying traces
+on their own timestamps; this experiment measures the *live* tier.  A deterministic
 multi-user trace (:class:`~repro.serving.workload.WorkloadGenerator`, fleet
 sizes of 10^4–10^5 users) is driven through a started
 :class:`~repro.serving.server.CacheServer` by real client threads — each

@@ -37,6 +37,7 @@ class UniformSampler(ClientSampler):
         self._rng = np.random.default_rng(seed)
 
     def sample(self, client_ids: Sequence[str], n: int, round_number: int) -> List[str]:
+        """Draw ``n`` distinct clients uniformly at random."""
         k = self._check(client_ids, n)
         idx = self._rng.choice(len(client_ids), size=k, replace=False)
         return [client_ids[int(i)] for i in idx]
@@ -46,6 +47,7 @@ class RoundRobinSampler(ClientSampler):
     """Deterministic rotation through the client list."""
 
     def sample(self, client_ids: Sequence[str], n: int, round_number: int) -> List[str]:
+        """Take the next ``n`` clients in list order, wrapping around."""
         k = self._check(client_ids, n)
         start = (round_number * k) % len(client_ids)
         picked = [client_ids[(start + i) % len(client_ids)] for i in range(k)]
@@ -73,6 +75,7 @@ class ResourceAwareSampler(ClientSampler):
         self._rng = np.random.default_rng(seed)
 
     def sample(self, client_ids: Sequence[str], n: int, round_number: int) -> List[str]:
+        """Draw ``n`` distinct clients weighted by score; zero scores fill a shortfall."""
         k = self._check(client_ids, n)
         weights = np.array([self.scores.get(cid, 1.0) for cid in client_ids], dtype=np.float64)
         if weights.sum() <= 0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.llm.latency import LatencyModel, LatencyModelConfig
 from repro.llm.responses import ResponseGenerator, count_tokens
@@ -61,11 +61,9 @@ class LLMServiceConfig:
 class LLMResponse:
     """The result of one service request.
 
-    ``issued_at_s``/``completed_at_s`` are stamps on the *caller's* clock —
-    the simulator's virtual event clock or the live server's monotonic wall
-    clock (see :class:`SimulatedLLMService`'s ``clock`` parameter).  They
-    stay ``None`` when neither a ``now`` argument nor a service clock is
-    available, which is the historical behaviour.
+    ``issued_at_s``/``completed_at_s`` are stamps on the *caller's* clock,
+    set from the request's ``now``: a replay's trace time, or the submit
+    time on a live server's clock.  They stay ``None`` without ``now``.
     """
 
     query: str
@@ -100,21 +98,10 @@ class ServiceStats:
 class SimulatedLLMService:
     """Deterministic, offline substitute for an LLM web service.
 
-    Two clocks can drive a deployment of this service, and the historical
-    implementation silently assumed the first:
-
-    * the **virtual event clock** — a server's replay runs a trace at
-      virtual arrival times and passes each request's ``now`` explicitly;
-    * the **wall clock** — the live threaded server issues requests in real
-      time, so request stamps must come from ``time.monotonic``.
-
-    ``clock`` makes the choice injectable: a zero-argument callable the
-    service reads whenever a request arrives without an explicit ``now``.
-    Responses then carry ``issued_at_s``/``completed_at_s`` on whichever
-    clock applied, so callers never mix modelled virtual latencies into
-    measured wall-clock sums (the latent bug the live server surfaced).
-    With neither ``clock`` nor ``now`` the stamps stay ``None`` and
-    behaviour is byte-identical to the historical service.
+    The service reads no clock of its own: a caller that wants its
+    requests stamped passes ``now`` on its own clock (the server passes
+    each request's trace time in a replay and its submit time live), and
+    the response carries ``issued_at_s``/``completed_at_s`` on that clock.
 
     ``thread_safe=True`` guards the accounting (`stats`, per-client totals)
     with a lock; the historical unsynchronized ``+=`` updates lose requests
@@ -124,11 +111,9 @@ class SimulatedLLMService:
     def __init__(
         self,
         config: Optional[LLMServiceConfig] = None,
-        clock: Optional[Callable[[], float]] = None,
         thread_safe: bool = False,
     ) -> None:
         self.config = config or LLMServiceConfig()
-        self.clock = clock
         self._latency = LatencyModel(self.config.latency, seed=self.config.seed)
         self._responses = ResponseGenerator(self.config.response_tokens)
         self.stats = ServiceStats()
@@ -148,8 +133,7 @@ class SimulatedLLMService:
         The context contributes to prompt-token accounting and latency (longer
         prefill) but not to the response content, matching how the evaluation
         treats the service as a black box.  ``now`` stamps the request on the
-        caller's clock (the simulator passes virtual arrival times); when it
-        is omitted the service falls back to its injected ``clock``.
+        caller's clock; without it the response carries no stamps.
         """
         if not isinstance(prompt, str) or not prompt.strip():
             raise ValueError("prompt must be a non-empty string")
@@ -165,9 +149,6 @@ class SimulatedLLMService:
             prompt_tokens / 1000.0 * self.config.price_per_1k_prompt_tokens
             + resp_tokens / 1000.0 * self.config.price_per_1k_response_tokens
         )
-        issued_at = now
-        if issued_at is None and self.clock is not None:
-            issued_at = float(self.clock())
         response = LLMResponse(
             query=prompt,
             text=text,
@@ -175,8 +156,8 @@ class SimulatedLLMService:
             response_tokens=resp_tokens,
             latency_s=latency,
             cost_usd=cost,
-            issued_at_s=issued_at,
-            completed_at_s=None if issued_at is None else issued_at + latency,
+            issued_at_s=now,
+            completed_at_s=None if now is None else now + latency,
         )
         with self._lock or contextlib.nullcontext():
             self.stats.record(response)

@@ -7,10 +7,10 @@ Two notions of time coexist in the reproduction:
   such as embedding-computation time (Fig. 15), semantic-search time
   (Fig. 10b) and the serving layer's queue wait and end-to-end latency;
   :class:`LatencyHistogram` summarizes them.
-* **Simulated time** (:class:`repro.core.clock.VirtualClock`) — used for
-  quantities that depend on hardware we do not have (LLM inference latency
-  in Fig. 5); the latency model contributes simulated durations so traces
-  remain deterministic.
+* **Simulated time** (a trace's event timestamps) — used for quantities
+  that depend on hardware we do not have (LLM inference latency in Fig. 5);
+  the latency model contributes simulated durations so traces remain
+  deterministic.
 """
 
 from __future__ import annotations

@@ -17,14 +17,14 @@ cache, sharing one LLM web service:
 * :mod:`repro.serving.scheduling` — the serving core under the server's
   flush: :class:`BatchExecutor` (one shard's two-phase batch execution),
   :class:`CacheAdapter`, the :class:`FleetResult` aggregation, and
-  :func:`iter_windows` (virtual-time batching windows).
+  :func:`iter_windows` (trace-time batching windows).
 * :mod:`repro.serving.server` — :class:`CacheServer`, the serving tier:
   hash-sharded per-user caches (any variant with ``lookup_batch``/``enroll``)
   behind per-shard locks against one shared
   :class:`~repro.llm.service.SimulatedLLMService`, a bounded admission queue
   with :class:`BackpressureError` shedding, and an adaptive cross-user
-  micro-batcher (:class:`MicroBatcher`).  The same flush replays a trace on a
-  virtual event clock (``CacheServer.replay``, with per-fleet/per-user
+  micro-batcher (:class:`MicroBatcher`).  The same flush replays a trace on
+  its own timestamps (``CacheServer.replay``, with per-fleet/per-user
   hit-rate, latency and cost aggregation), and the server checkpoints its
   caches and warm-starts from them (``checkpoint`` / ``restore``).
 """

@@ -2,8 +2,8 @@
 
 There is one serving driver: the server's flush (take a batch of arrivals,
 classify them through their caches, forward misses to the LLM service,
-enrol).  Live serving runs it on wall-clock micro-batches; its
-deterministic replay runs it on virtual-time windows.
+enrol).  Live serving runs it on micro-batches cut on the server's
+clock; a replay runs it on the trace's batching windows.
 This module holds the pieces the flush is made of:
 
 * :class:`CacheAdapter` — one batched lookup/enroll surface over any cache
@@ -24,7 +24,7 @@ This module holds the pieces the flush is made of:
   (per cache, then once per shared tier).
 * :class:`UserStats` / :class:`FleetResult` — per-user and fleet-wide
   aggregation of a replay's outcomes.
-* :func:`iter_windows` — carves a trace into virtual-time batching windows
+* :func:`iter_windows` — carves a trace into trace-time batching windows
   (arrivals within ``batch_window_s`` of a window's first event batch
   together), which the replay flushes one at a time.  The live server's
   wall-clock counterpart is its adaptive micro-batcher
@@ -48,7 +48,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from repro.core.cache import CacheDecision
-from repro.core.clock import VirtualClock
 from repro.core.tiered import TieredCache, TierProbe
 from repro.serving.workload import WorkloadEvent
 
@@ -323,10 +322,9 @@ class BatchExecutor:
     :meth:`CacheServer._classify_flush
     <repro.serving.server.CacheServer._classify_flush>`).
 
-    ``stamp_event_time=True`` (deterministic replay) timestamps LLM requests
-    with each event's virtual arrival time; ``False`` (the live server) lets
-    the service read its own injected wall clock instead — the two-clocks
-    fix from :class:`~repro.llm.service.SimulatedLLMService`.
+    A service whose ``query`` takes ``now`` gets each miss's
+    ``event.time_s``: the trace time in a replay, the submit time on the
+    server's clock in a live run.
     """
 
     def __init__(
@@ -335,21 +333,11 @@ class BatchExecutor:
         service,
         enroll_on_miss: bool = True,
         adaptation: Optional[object] = None,
-        stamp_event_time: bool = True,
     ) -> None:
         self.cache_factory = cache_factory
         self.service = service
         self.enroll_on_miss = enroll_on_miss
         self.adaptation = adaptation
-        self.stamp_event_time = stamp_event_time
-        #: With ``stamp_event_time=True`` every cache's entry timestamps come
-        #: from this virtual clock, which the server advances to each flush's
-        #: max event time before any lookup runs — entry TTL/recency state
-        #: then depends only on the trace, not on wall speed, processing
-        #: order or shard count.  The live server keeps caches on wall time.
-        self.virtual_clock: Optional[VirtualClock] = (
-            VirtualClock() if stamp_event_time else None
-        )
         self.adapters: Dict[str, CacheAdapter] = {}
         #: per underlying cache object: enrolled query text -> intent key,
         #: the oracle used to verify hits (user feedback stand-in)
@@ -369,10 +357,6 @@ class BatchExecutor:
             adapter = CacheAdapter(cache)
             self.adapters[user_id] = adapter
             self._intent_maps.setdefault(id(cache), {})
-            if self.virtual_clock is not None:
-                set_clock = getattr(cache, "set_clock", None)
-                if callable(set_clock):
-                    set_clock(self.virtual_clock)
             if self.adaptation is not None:
                 self.adaptation.register_user(user_id, cache)
         return adapter
@@ -471,7 +455,7 @@ class BatchExecutor:
             )
             if not result.hit:
                 kwargs: Dict[str, object] = {}
-                if self._service_accepts_now and self.stamp_event_time:
+                if self._service_accepts_now:
                     kwargs["now"] = event.time_s
                 llm = self.service.query(
                     event.query,

@@ -1,8 +1,8 @@
-"""The serving tier: one flush, driven live or replayed deterministically.
+"""The serving tier: one flush, driven live or replayed from a trace.
 
 :class:`CacheServer` serves the federated-cache stack under *real*
-concurrent load, and replays traces through the same flush on a virtual
-clock (:meth:`CacheServer.replay`); it checkpoints its caches to disk and
+concurrent load, and replays traces through the same flush on the trace's
+own timestamps (:meth:`CacheServer.replay`); it checkpoints its caches to disk and
 warm-starts from them (:meth:`CacheServer.checkpoint` /
 :meth:`CacheServer.restore`):
 
@@ -35,13 +35,18 @@ warm-starts from them (:meth:`CacheServer.checkpoint` /
   the server has no L2 path of its own.
 
 Inside a flush, all lookups complete before any enrolment, across shards
-as within one.  Replaying a trace through :meth:`CacheServer.replay` (the
-synchronous single-worker deterministic mode) therefore decides and stores
-the same at every shard count — ``tests/test_serving_parity.py`` and
+as within one, and cache state holds no time.  Replaying a trace through
+:meth:`CacheServer.replay` (synchronous, on the calling thread) therefore
+decides and stores the same at every shard count — ``tests/test_serving_parity.py`` and
 ``tests/test_serving_parity_properties.py`` pin every shard count to the
 one-shard replay.
 
-Live wall-clock serving runs on one daemon flush thread
+The server has one clock, its admission clock (``clock``, default
+``time.monotonic``): it stamps each live request's submit time, which cuts
+micro-batches and is the ``now`` the LLM service sees.  A replayed
+request's time is its trace time.
+
+Live serving runs on one daemon flush thread
 (:meth:`CacheServer.start` / :meth:`CacheServer.stop`) sleeping on the one
 ``threading.Condition`` that guards the admission queue: client threads offer
 requests under it, the thread executes one flush at a time and resolves the
@@ -142,11 +147,6 @@ class ServerConfig:
         fresh server, or fewer clients than last flush) waits it out.
     enroll_on_miss:
         Whether misses enrol the LLM's response in the user's cache.
-    deterministic:
-        Replay mode: :meth:`CacheServer.replay` runs each flush inline on
-        the calling thread (no flush thread), and LLM requests and cache
-        entries are stamped with virtual event times — a replay decides the
-        same at every shard count.
     """
 
     n_shards: int = 4
@@ -154,7 +154,6 @@ class ServerConfig:
     max_batch_size: int = 64
     max_batch_wait_s: float = 0.002
     enroll_on_miss: bool = True
-    deterministic: bool = False
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -316,7 +315,7 @@ class MicroBatcher:
     the oldest has aged ``max_wait_s``.
 
     The class is not thread-safe; the server only touches it under its
-    condition.  A replay does not use it: each virtual window is one flush.
+    condition.  A replay does not use it: each trace window is one flush.
     """
 
     def __init__(
@@ -438,14 +437,15 @@ class CacheServer:
         ``encoder`` (with ``compress`` matching the caches' config) enables
         the cross-user batched embed; without it each cache embeds its own
         flush slice.  ``service`` defaults to a thread-safe
-        :class:`SimulatedLLMService` stamping requests on ``clock``.
+        :class:`SimulatedLLMService`.  ``clock`` is the admission clock:
+        live requests are stamped with their submit time on it.
         ``adaptation`` hooks the online federated loop (advance fires
         after each flush on the flush's max event time).
         """
         self.config = config or ServerConfig()
         self.clock = clock
         if service is None:
-            service = SimulatedLLMService(clock=clock, thread_safe=True)
+            service = SimulatedLLMService(thread_safe=True)
         self.service = service
         self.encoder = encoder
         self.compress = compress
@@ -459,7 +459,6 @@ class CacheServer:
                     service=service,
                     enroll_on_miss=self.config.enroll_on_miss,
                     adaptation=adaptation,
-                    stamp_event_time=self.config.deterministic,
                 ),
                 name=f"shard[{i}]",
             )
@@ -545,9 +544,13 @@ class CacheServer:
         Covers every shard-local cache, each distinct cache object counted
         once; tiered caches contribute their per-tier breakdown (a shared
         quantized tier counted once) — see
-        :func:`repro.serving.scheduling.storage_report`.
+        :func:`repro.serving.scheduling.storage_report`.  Like
+        :meth:`checkpoint`, it reads the caches between two flushes.
         """
-        return storage_report(adapter.cache for adapter in self.adapters.values())
+        with self._flush_lock:
+            with self._registry_lock:
+                adapters = self.adapters
+            return storage_report(adapter.cache for adapter in adapters.values())
 
     # ------------------------------------------------------------------ #
     # Checkpoint / warm-start
@@ -629,7 +632,7 @@ class CacheServer:
         return self._shards[self._cache_shard[id(cache)]].lock
 
     # ------------------------------------------------------------------ #
-    # Flush execution (shared by live + deterministic paths)
+    # Flush execution (shared by live serving and replay)
     # ------------------------------------------------------------------ #
     def _embed_flush(self, requests: Sequence[_PendingRequest]) -> Optional[np.ndarray]:
         """One cross-user encoder call for the whole flush (or None)."""
@@ -669,10 +672,7 @@ class CacheServer:
         a shard's last run, the caches it touched do their own share of
         the deferred upkeep.  So every lookup and promotion of the flush
         completes before any of its misses enrols, and its caches and tiers
-        end the flush in one state whatever the shard count.  Replayed
-        flushes first move every shard's virtual clock to the flush's max
-        arrival time: each entry the flush stamps carries that one time,
-        whichever shard holds it.
+        end the flush in one state whatever the shard count.
 
         Slices run sequentially on the calling thread: flushes execute one
         at a time anyway — per-user FIFO depends on it — and with the GIL
@@ -682,10 +682,6 @@ class CacheServer:
         """
         events = [r.event for r in requests]
         embeddings = self._embed_flush(requests)
-        flush_time = max(e.time_s for e in events)
-        for shard in self._shards:
-            if shard.executor.virtual_clock is not None:
-                shard.executor.virtual_clock.advance_to(flush_time)
         shard_of_event = [self.shard_of(event.user_id) for event in events]
         by_shard: Dict[int, List[int]] = {}
         for i, shard_idx in enumerate(shard_of_event):
@@ -739,7 +735,7 @@ class CacheServer:
             # Rounds due by this flush's arrivals fire before the next flush,
             # on the trace's clock in a replay.
             with self._registry_lock:
-                self.adaptation.advance(flush_time)
+                self.adaptation.advance(max(e.time_s for e in events))
         return list(zip(requests, outcomes))
 
     def _record(
@@ -769,7 +765,7 @@ class CacheServer:
         )
 
     # ------------------------------------------------------------------ #
-    # Deterministic replay (single-worker mode)
+    # Replay (synchronous, on the calling thread)
     # ------------------------------------------------------------------ #
     def replay(
         self,
@@ -779,7 +775,7 @@ class CacheServer:
     ) -> FleetResult:
         """Replay a trace synchronously through the full serving path.
 
-        ``trace`` is carved into virtual-time windows of ``batch_window_s``
+        ``trace`` is carved into trace-time windows of ``batch_window_s``
         (:func:`~repro.serving.scheduling.iter_windows`); each window is
         one flush, whose outcomes are folded into per-user and fleet-wide
         totals.  Arrivals within one window are grouped per cache and
@@ -787,15 +783,18 @@ class CacheServer:
         window's misses enrol: wider windows amortize more but defer
         enrolment visibility to the next window, and ``0`` batches only
         simultaneous arrivals.  The admission bound is for live traffic; a
-        replay never sheds.  Requires ``deterministic=True`` in the config
-        (single worker, virtual time stamps).  Decisions and stored entries
-        do not depend on ``n_shards``.  ``collect_outcomes`` also retains
+        replay never sheds.  Each flush runs on the calling thread, so a
+        replay raises ``RuntimeError`` while the server is running (after
+        :meth:`start`, before :meth:`stop` has joined the flush thread):
+        replayed and live flushes never interleave.  Decisions and stored
+        entries do not depend on ``n_shards``.  ``collect_outcomes`` also retains
         every per-event :class:`~repro.serving.scheduling.LookupOutcome` on
         the result (off by default: at fleet scale the aggregate is the
         product).
         """
-        if not self.config.deterministic:
-            raise ValueError("replay requires ServerConfig(deterministic=True)")
+        with self._wake:
+            if self._thread is not None:
+                raise RuntimeError("cannot replay while the server is running; stop() first")
         if batch_window_s < 0:
             raise ValueError("batch_window_s must be >= 0")
         per_user: Dict[str, UserStats] = {}
@@ -809,7 +808,7 @@ class CacheServer:
                     _PendingRequest(event=event, enqueued_at=event.time_s)
                     for event in window
                 ]
-                # A replayed window drains when its virtual window closes.
+                # A replayed window drains when its trace window closes.
                 self.metrics.record_flush(len(drained), "deadline")
                 with self._flush_lock:
                     pairs = self._classify_flush(drained)

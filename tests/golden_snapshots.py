@@ -21,13 +21,11 @@ The fixtures are generated by::
 
 ``tests/test_persistence.py`` loads each one eagerly and memory-mapped and
 compares exactly.  Regenerate only for a deliberate, documented format
-change (the last: threshold early stop left the stack, so the five routed
-or quantized index manifests — ``index-ivf``, ``index-sq8``,
-``index-ivf+sq8``, ``tier/index`` and ``tiered/l2/index`` — no longer carry
-``"prune_probes"``, the ``meancache`` and ``tiered/l1`` manifests no longer
-carry ``"early_stop_margin"``, and ``expected.json`` lost its ``"stop"``
-observations; no array, ``entries.json`` or delta byte moved) or a
-value-level re-pin:
+change (the last: ``MeanCache`` format v4, whose entry records hold no
+time, so the ``meancache`` and ``tiered/l1`` manifests say version 4, their
+``entries.json`` lost ``created_at``/``last_accessed``, and only those two
+trees and their ``expected.json`` resave hashes moved) or a value-level
+re-pin:
 
 * decision level (hit/miss, matched entry, response, victim, tier,
   ``decision_sha256``) is exact and never re-pinned without a ROADMAP line;
@@ -43,11 +41,13 @@ file that differs from the committed one; tier-1 runs it, so the committed
 bytes are always what the tree generates and never "generated at commit X" on
 trust.
 
-``legacy-v2/`` is the exception: the ``meancache``, ``gptcache`` and
-``tiered/l1`` (as ``tiered-l1``) snapshots exactly as the last format-v2
-build wrote them.  No build can write them again, so the generator leaves
-the directory alone and ``--check`` does not compare it; the test loads
-each and requires the decisions of its v3 successor.
+``legacy-v2/`` and ``legacy-v3/`` are the exception: the ``meancache``,
+``gptcache`` and ``tiered/l1`` (as ``tiered-l1``) snapshots exactly as the
+last format-v2 build wrote them, and the ``meancache`` and ``tiered-l1``
+ones as the last format-v3 build did (entry records with time stamps).  No
+build can write them again, so the generator leaves both directories alone
+and ``--check`` does not compare them; the test loads each and requires the
+decisions of its current successor.
 """
 
 from __future__ import annotations
@@ -65,8 +65,10 @@ import numpy as np
 
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures" / "snapshots"
 EXPECTED_PATH = FIXTURE_DIR / "expected.json"
-#: format-v2 snapshots kept as written (see the module docstring)
+#: format-v2 and format-v3 snapshots kept as written (see the module docstring)
 LEGACY_DIR = FIXTURE_DIR / "legacy-v2"
+LEGACY_V3_DIR = FIXTURE_DIR / "legacy-v3"
+LEGACY_DIRS = (LEGACY_DIR.name, LEGACY_V3_DIR.name)
 #: legacy fixture name -> the current fixture that succeeds it
 LEGACY_NAMES = {"meancache": "meancache", "gptcache": "gptcache", "tiered-l1": "tiered/l1"}
 
@@ -235,17 +237,6 @@ def build_index(backend: str):
     return index
 
 
-class _Ticks:
-    """Deterministic clock so entry timestamps do not depend on wall time."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        self.now += 1.0
-        return self.now
-
-
 def build_tier(path: Path):
     """A QuantizedTier whose snapshot at ``path`` carries a two-record delta log."""
     from repro.core.context import ContextChain
@@ -281,7 +272,6 @@ def build_meancache():
     cache = MeanCache(
         make_tiny_encoder(),
         MeanCacheConfig(max_entries=12, similarity_threshold=CACHE_THRESHOLD),
-        clock=_Ticks(),
     )
     cache.populate(CACHE_QUERIES, contexts=CACHE_CONTEXTS)
     cache.lookup_batch(CACHE_QUERIES[:6], contexts=CACHE_CONTEXTS[:6])
@@ -313,7 +303,6 @@ def build_tiered():
         MeanCacheConfig(max_entries=4, similarity_threshold=CACHE_THRESHOLD),
         l2_params={"min_train_size": 8, "seed": 3},
     )
-    cache.set_clock(_Ticks())
     for query, context in zip(CACHE_QUERIES, CACHE_CONTEXTS):
         cache.insert(query, f"answer to: {query}", context=context)
     cache.lookup_batch(CACHE_QUERIES[:3], contexts=CACHE_CONTEXTS[:3])
@@ -369,10 +358,10 @@ def supports_mmap(name: str) -> bool:
 # --------------------------------------------------------------------------- #
 def generate(root: Path = FIXTURE_DIR) -> None:
     """Write every fixture directory and ``expected.json`` under ``root``
-    (leaving ``legacy-v2/`` as it is)."""
+    (leaving ``legacy-v2/`` and ``legacy-v3/`` as they are)."""
     root.mkdir(parents=True, exist_ok=True)
     for child in root.iterdir():
-        if child.name == LEGACY_DIR.name:
+        if child.name in LEGACY_DIRS:
             continue
         if child.is_dir():
             shutil.rmtree(child)
@@ -421,7 +410,7 @@ def check() -> List[str]:
         committed = {
             name: digest
             for name, digest in tree_hashes(FIXTURE_DIR).items()
-            if not name.startswith(LEGACY_DIR.name + "/")
+            if name.split("/", 1)[0] not in LEGACY_DIRS
         }
         generated = tree_hashes(fresh)
         for name in sorted(set(committed) | set(generated)):

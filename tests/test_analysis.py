@@ -131,6 +131,20 @@ class TestRPL002:
         """
         assert "RPL002" not in rules_fired(snippet)
 
+    def test_wall_clock_messages_point_at_duration_clocks(self):
+        snippet = """
+        import time
+        from datetime import datetime
+
+        def stamp():
+            return time.time(), datetime.now()
+        """
+        messages = [f.message for f in run(snippet) if f.rule == "RPL002"]
+        assert len(messages) == 2
+        for message in messages:
+            assert "perf_counter/monotonic" in message
+            assert "repro.core.clock" not in message
+
     def test_datetime_now_fires(self):
         snippet = """
         from datetime import datetime

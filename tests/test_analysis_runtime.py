@@ -255,7 +255,7 @@ class TestServerUnderChecker:
         server = CacheServer(
             lambda uid: caches.setdefault(uid, make_cache()),
             service=SimulatedLLMService(LLMServiceConfig(seed=0), thread_safe=True),
-            config=ServerConfig(n_shards=2, max_batch_size=8, deterministic=True),
+            config=ServerConfig(n_shards=2, max_batch_size=8),
         )
         return server
 

@@ -341,7 +341,7 @@ class TestBaselines:
             WorkloadConfig(n_users=4, queries_per_user=12, duplicate_rate=0.5),
             seed=3,
         ).generate()
-        sim = CacheServer(factories[variant], config=ServerConfig(deterministic=True))
+        sim = CacheServer(factories[variant], config=ServerConfig())
         result = sim.replay(trace)
         assert result.hit_rate > 0
         assert sim.storage_report()["hit_rate"] == result.hit_rate

@@ -379,7 +379,7 @@ def _served_tier(snap: Path, live: bool = False):
         )
     else:
         service = SimulatedLLMService(LLMServiceConfig(seed=0))
-        config = ServerConfig(deterministic=True, n_shards=N_SHARDS)
+        config = ServerConfig(n_shards=N_SHARDS)
     server = CacheServer(caches.__getitem__, service=service, config=config)
     shards = {server.shard_of(user) for user in USERS}
     assert len(shards) >= 3

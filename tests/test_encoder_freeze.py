@@ -290,7 +290,7 @@ class TestServerFreezes:
 
     def test_replay_freezes_for_its_duration_only(self):
         encoder = make_tiny_encoder()
-        server = _server(encoder, deterministic=True)
+        server = _server(encoder)
         trace = _trace()
         result = server.replay(trace, collect_outcomes=True)
         assert len(result.outcomes) == len(trace)
@@ -306,7 +306,7 @@ class TestServerFreezes:
 
     def test_thawed_when_a_flush_raised(self):
         encoder = make_tiny_encoder()
-        server = _server(encoder, deterministic=True)
+        server = _server(encoder)
 
         def boom(events, embeddings=None):
             raise RuntimeError("flush failed")
@@ -333,7 +333,7 @@ class TestServerFreezes:
         encoder = make_tiny_encoder()
         server = CacheServer(
             lambda uid: MeanCache(encoder, MeanCacheConfig()),
-            config=ServerConfig(deterministic=True),
+            config=ServerConfig(),
         )
         server.replay(_trace())
         assert not _is_frozen(encoder)

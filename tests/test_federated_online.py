@@ -298,7 +298,7 @@ class TestFleetIntegration:
                 tiny_encoder, MeanCacheConfig(similarity_threshold=0.7)
             ),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            ServerConfig(deterministic=True),
+            ServerConfig(),
             adaptation=adapter,
         )
         return simulator.replay(trace)
@@ -357,7 +357,7 @@ class TestFleetIntegration:
         simulator = CacheServer(
             factory,
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            ServerConfig(deterministic=True),
+            ServerConfig(),
             adaptation=adapter,
         )
         simulator.replay(drift_trace)
@@ -373,7 +373,7 @@ class TestFleetIntegration:
         simulator = CacheServer(
             lambda uid: KeywordCache(),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            ServerConfig(deterministic=True),
+            ServerConfig(),
             adaptation=adapter,
         )
         result = simulator.replay(drift_trace)  # must not raise
@@ -472,7 +472,7 @@ class TestAdversarialFloodResistance:
                 tiny_encoder, MeanCacheConfig(similarity_threshold=0.7)
             ),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            ServerConfig(deterministic=True),
+            ServerConfig(),
             adaptation=adapter,
         )
         result = simulator.replay(trace)

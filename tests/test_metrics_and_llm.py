@@ -327,16 +327,8 @@ class TestSimulatedService:
 
 
 class TestServiceClocks:
-    """Regression tests for the two-clocks fix (injectable service clock).
-
-    The historical service silently assumed the simulator's virtual event
-    clock; stamping live wall-clock requests with it mixed modelled virtual
-    latencies into measured wall-clock sums.  The clock is now injectable:
-    the simulator passes ``now=<virtual arrival>`` per request, the live
-    server constructs the service with ``clock=time.monotonic`` and passes
-    nothing.  Both modes must stamp correctly — and neither may change the
-    modelled latency/cost, which depend only on the request itself.
-    """
+    """The service reads no clock: a request is stamped on the caller's
+    clock through ``now``, and carries no stamps without it."""
 
     def test_explicit_now_stamps_virtual_time(self):
         service = SimulatedLLMService()
@@ -344,33 +336,18 @@ class TestServiceClocks:
         assert resp.issued_at_s == 123.5
         assert resp.completed_at_s == pytest.approx(123.5 + resp.latency_s)
 
-    def test_injected_clock_stamps_wall_time(self):
-        ticks = iter([1000.0, 2000.0])
-        service = SimulatedLLMService(clock=lambda: next(ticks))
-        first = service.query("sort a python list")
-        second = service.query("plan a trip")
-        assert first.issued_at_s == 1000.0
-        assert second.issued_at_s == 2000.0
-        assert second.completed_at_s == pytest.approx(2000.0 + second.latency_s)
-
-    def test_explicit_now_overrides_injected_clock(self):
-        service = SimulatedLLMService(clock=lambda: 777.0)
-        resp = service.query("sort a python list", now=3.25)
-        assert resp.issued_at_s == 3.25
-
     def test_no_clock_keeps_historical_behaviour(self):
         resp = SimulatedLLMService().query("sort a python list")
         assert resp.issued_at_s is None
         assert resp.completed_at_s is None
 
-    def test_clock_choice_never_changes_modelled_latency_or_cost(self):
-        virtual = SimulatedLLMService(LLMServiceConfig(seed=0))
-        wall = SimulatedLLMService(LLMServiceConfig(seed=0), clock=lambda: 55.5)
-        a = virtual.query("identical prompt", client_id="u1", now=1.0)
-        b = wall.query("identical prompt", client_id="u1")
-        assert a.latency_s == b.latency_s
-        assert a.cost_usd == b.cost_usd
-        assert a.issued_at_s == 1.0 and b.issued_at_s == 55.5
+    def test_now_never_changes_modelled_latency_or_cost(self):
+        stamped = SimulatedLLMService(LLMServiceConfig(seed=0))
+        unstamped = SimulatedLLMService(LLMServiceConfig(seed=0))
+        a = stamped.query("identical prompt", client_id="u1", now=1.0)
+        b = unstamped.query("identical prompt", client_id="u1")
+        assert (a.text, a.latency_s, a.cost_usd) == (b.text, b.latency_s, b.cost_usd)
+        assert a.issued_at_s == 1.0 and b.issued_at_s is None
 
     def test_thread_safe_accounting_under_contention(self):
         import threading

@@ -572,22 +572,83 @@ def test_golden_snapshot_loads_and_resaves_identically(name, mmap, tmp_path):
     assert gs.observe(name, loaded) == expected["observed"]
 
 
-@pytest.mark.parametrize("legacy", ["meancache", "gptcache", "tiered-l1"])
-def test_format_v2_snapshots_still_load(legacy, tmp_path):
-    """A v2 snapshot (each vector also in ``arrays/embeddings.npy``) loads,
-    re-saves as its v3 successor byte for byte, and decides exactly as it."""
+@pytest.mark.parametrize(
+    "version,legacy",
+    [
+        ("v2", "meancache"),
+        ("v2", "gptcache"),
+        ("v2", "tiered-l1"),
+        ("v3", "meancache"),
+        ("v3", "tiered-l1"),
+    ],
+    ids=["meancache", "gptcache", "tiered-l1", "v3-meancache", "v3-tiered-l1"],
+)
+def test_format_v2_snapshots_still_load(version, legacy, tmp_path):
+    """A v2 snapshot (each vector also in ``arrays/embeddings.npy``) and a
+    v3 one (entry records with ``created_at``/``last_accessed`` stamps)
+    load, re-save as their current successor byte for byte, and decide
+    exactly as it.  A legacy ``tiered-l1`` also serves as the L1 of the
+    current ``tiered`` fixture, loaded eagerly and memory-mapped."""
     import golden_snapshots as gs
 
+    legacy_dir = {"v2": gs.LEGACY_DIR, "v3": gs.LEGACY_V3_DIR}[version]
     current = gs.LEGACY_NAMES[legacy]
     kind = "gptcache" if legacy == "gptcache" else "meancache"
-    assert (gs.LEGACY_DIR / legacy / "arrays" / "embeddings.npy").is_file()
-    shutil.copytree(gs.LEGACY_DIR / legacy, tmp_path / "v2")
-    shutil.copytree(gs.FIXTURE_DIR / current, tmp_path / "v3")
-    old = gs.load_fixture(kind, tmp_path / "v2")
-    new = gs.load_fixture(kind, tmp_path / "v3")
+    has_copy = (legacy_dir / legacy / "arrays" / "embeddings.npy").is_file()
+    assert has_copy == (version == "v2")
+    shutil.copytree(legacy_dir / legacy, tmp_path / "old")
+    shutil.copytree(gs.FIXTURE_DIR / current, tmp_path / "new")
+    old = gs.load_fixture(kind, tmp_path / "old")
+    new = gs.load_fixture(kind, tmp_path / "new")
     old.save(tmp_path / "resaved")
     assert gs.tree_hashes(tmp_path / "resaved") == gs.tree_hashes(gs.FIXTURE_DIR / current)
     assert gs.observe(kind, old) == gs.observe(kind, new)
+    if legacy != "tiered-l1":
+        return
+    expected = json.loads(gs.EXPECTED_PATH.read_text(encoding="utf-8"))["tiered"]
+    for mmap in (False, True):
+        tree = tmp_path / f"tiered-{int(mmap)}"
+        shutil.copytree(gs.FIXTURE_DIR / "tiered", tree)
+        shutil.rmtree(tree / "l1")
+        shutil.copytree(legacy_dir / legacy, tree / "l1")
+        assert gs.observe("tiered", gs.load_fixture("tiered", tree, mmap=mmap)) == (
+            expected["observed"]
+        )
+
+
+def test_cache_snapshots_do_not_depend_on_wall_time(tmp_path):
+    """Cache state holds no time: the same populate / lookup_batch / insert
+    sequence run twice, 10 ms apart and with no clock injected, saves
+    byte-identical ``MeanCache`` and ``TieredCache`` snapshot trees."""
+    import time
+
+    import golden_snapshots as gs
+
+    from repro.core.tiered import TieredCache
+
+    queries, contexts = gs.CACHE_QUERIES, gs.CACHE_CONTEXTS
+
+    def run(tag: str) -> None:
+        config = MeanCacheConfig(max_entries=4, similarity_threshold=gs.CACHE_THRESHOLD)
+        flat = MeanCache(make_tiny_encoder(), config)
+        flat.populate(queries[:10], contexts=contexts[:10])
+        tiered = TieredCache(
+            make_tiny_encoder(), config, l2_params={"min_train_size": 8, "seed": 3}
+        )
+        for query, context in zip(queries[:10], contexts[:10]):
+            tiered.insert(query, f"answer to: {query}", context=context)
+        for cache in (flat, tiered):
+            cache.lookup_batch(queries[:6], contexts=contexts[:6])
+            cache.insert(queries[10], "a late answer", context=contexts[10])
+        flat.save(tmp_path / tag / "meancache")
+        tiered.save(tmp_path / tag / "tiered")
+
+    run("first")
+    time.sleep(0.01)
+    run("second")
+    for name in ("meancache", "tiered"):
+        first = gs.tree_hashes(tmp_path / "first" / name)
+        assert first and first == gs.tree_hashes(tmp_path / "second" / name), name
 
 
 def test_format_v2_snapshot_with_a_torn_copy_is_refused(tmp_path):
@@ -680,7 +741,7 @@ def _fleet(encoder, factory):
     return CacheServer(
         factory,
         SimulatedLLMService(LLMServiceConfig(seed=0)),
-        ServerConfig(deterministic=True),
+        ServerConfig(),
     )
 
 
@@ -770,7 +831,7 @@ def test_fleet_checkpoint_in_place_rebases_restored_tier_logs(tmp_path):
 
 def test_fleet_checkpoint_rejects_unsaveable_cache(tmp_path):
     # The keyword baseline has no save() method.
-    sim = CacheServer(lambda uid: KeywordCache(), config=ServerConfig(deterministic=True))
+    sim = CacheServer(lambda uid: KeywordCache(), config=ServerConfig())
     trace = WorkloadGenerator(
         WorkloadConfig(n_users=1, queries_per_user=2), seed=0
     ).generate()
@@ -1177,7 +1238,7 @@ def test_fast_entries_writer_matches_indent_1_encoder(records):
     "records",
     [
         [],
-        [  # MeanCache
+        [  # MeanCache, format v3 (entry records with time stamps)
             {"entry_id": 0, "query": "caf\u00e9 \"q\"", "response": "r\\n", "context": [],
              "created_at": 12.5, "last_accessed": 1e-7, "hit_count": 3},
             {"entry_id": 1, "query": "q2", "response": "", "context": ["turn \u4e00", ""],

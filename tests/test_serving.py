@@ -340,7 +340,7 @@ class TestDriftScenarios:
         simulator = CacheServer(
             _meancache_factory(tiny_encoder),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            ServerConfig(deterministic=True),
+            ServerConfig(),
         )
         result = simulator.replay(trace)
         assert result.n_users == len(trace.user_ids) == 2 * self.BASE["n_users"]
@@ -386,7 +386,7 @@ class TestFleetReplay:
         server = CacheServer(
             _meancache_factory(tiny_encoder),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            ServerConfig(deterministic=True),
+            ServerConfig(),
         )
         with pytest.raises(ValueError, match="batch_window_s"):
             server.replay(small_trace, -0.1)
@@ -395,7 +395,7 @@ class TestFleetReplay:
     def test_per_user_and_fleet_aggregation(self, small_trace, tiny_encoder):
         service = SimulatedLLMService(LLMServiceConfig(seed=0))
         simulator = CacheServer(
-            _meancache_factory(tiny_encoder), service, ServerConfig(deterministic=True)
+            _meancache_factory(tiny_encoder), service, ServerConfig()
         )
         result = simulator.replay(small_trace)
         assert result.n_events == len(small_trace)
@@ -414,7 +414,7 @@ class TestFleetReplay:
             simulator = CacheServer(
                 _meancache_factory(tiny_encoder),
                 SimulatedLLMService(LLMServiceConfig(seed=0)),
-                ServerConfig(deterministic=True),
+                ServerConfig(),
             )
             return simulator.replay(small_trace)
 
@@ -439,7 +439,7 @@ class TestFleetReplay:
             simulator = CacheServer(
                 _meancache_factory(tiny_encoder),
                 SimulatedLLMService(LLMServiceConfig(seed=0)),
-                ServerConfig(deterministic=True, enroll_on_miss=False),
+                ServerConfig(enroll_on_miss=False),
             )
             return simulator.replay(small_trace, width, collect_outcomes=True)
 
@@ -465,7 +465,7 @@ class TestFleetReplay:
         simulator = CacheServer(
             factory,
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            ServerConfig(deterministic=True),
+            ServerConfig(),
         )
         result = simulator.replay(small_trace)
         assert set(caches) == set(small_trace.user_ids)
@@ -476,7 +476,7 @@ class TestFleetReplay:
         no_enroll = CacheServer(
             _meancache_factory(tiny_encoder),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            ServerConfig(deterministic=True, enroll_on_miss=False),
+            ServerConfig(enroll_on_miss=False),
         )
         empty_result = no_enroll.replay(small_trace)
         assert empty_result.hits == 0  # nothing ever cached
@@ -510,7 +510,7 @@ class TestFleetReplay:
         simulator = CacheServer(
             _meancache_factory(tiny_encoder, threshold=0.6),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            ServerConfig(deterministic=True),
+            ServerConfig(),
         )
         result = simulator.replay(small_trace, collect_outcomes=True)
         hits = [o for o in result.outcomes if o.hit]
@@ -537,7 +537,7 @@ class TestFleetReplay:
         simulator = CacheServer(
             _meancache_factory(tiny_encoder),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            ServerConfig(deterministic=True),
+            ServerConfig(),
         )
         result = simulator.replay(small_trace, collect_outcomes=True)
         for outcome in result.outcomes:
@@ -550,7 +550,7 @@ class TestFleetReplay:
         simulator = CacheServer(
             lambda uid: KeywordCache(),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            ServerConfig(deterministic=True),
+            ServerConfig(),
         )
         result = simulator.replay(small_trace)
         assert result.lookups == len(small_trace)
@@ -562,7 +562,7 @@ class TestFleetReplay:
         simulator = CacheServer(
             lambda uid: central,
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            ServerConfig(deterministic=True),
+            ServerConfig(),
         )
         result = simulator.replay(small_trace)
         assert result.lookups == len(small_trace)
@@ -590,7 +590,7 @@ class TestFleetReplay:
         simulator = CacheServer(
             lambda uid: central,
             SimulatedLLMService(LLMServiceConfig(seed=0)),
-            ServerConfig(deterministic=True),
+            ServerConfig(),
         )
         result = simulator.replay(trace, 0.25, collect_outcomes=True)
         assert [o.hit for o in result.outcomes] == [False, False, False]

@@ -37,6 +37,7 @@ from conftest import make_tiny_encoder
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving.server import BackpressureError, CacheServer, ServerConfig
+from repro.serving.workload import Trace, WorkloadEvent
 
 pytestmark = pytest.mark.serving
 
@@ -453,6 +454,49 @@ class TestLiveCheckpoint:
             server.stop()
         assert (tmp_path / "ckpt" / "manifest.json").exists()
 
+    def test_flushes_wait_while_a_storage_report_reads(self):
+        """A storage report reads the caches between two flushes, as a
+        checkpoint does: no flush runs while it walks them — even for a
+        user on another shard."""
+        encoder = make_tiny_encoder()
+        server = _server(self._factory(encoder), max_batch_wait_s=0.0)
+        reading, release = threading.Event(), threading.Event()
+        report = {}
+        server.start()
+        try:
+            server.submit_threadsafe("user-0", "a question to count").result(timeout=10)
+            cache = server.cache_for("user-0")
+            nbytes = cache.embedding_storage_bytes
+
+            def slow_nbytes():
+                reading.set()
+                assert release.wait(timeout=10)
+                return nbytes()
+
+            cache.embedding_storage_bytes = slow_nbytes
+            other = next(
+                f"user-{i}"
+                for i in range(1, 64)
+                if server.shard_of(f"user-{i}") != server.shard_of("user-0")
+            )
+            reporter = threading.Thread(
+                target=lambda: report.update(server.storage_report())
+            )
+            reporter.start()
+            assert reading.wait(timeout=10)
+            waiting = server.submit_threadsafe(other, "a question during the report")
+            with pytest.raises(concurrent.futures.TimeoutError):
+                waiting.result(timeout=0.2)
+            release.set()
+            reporter.join(timeout=10)
+            assert not reporter.is_alive()
+            assert waiting.result(timeout=10).response
+        finally:
+            release.set()
+            server.stop()
+        # Both users' caches, read before the second one enrolled anything.
+        assert (report["n_caches"], report["total_entries"]) == (2, 1)
+
     def test_failing_save_reaches_the_caller_and_keeps_the_old_generation(
         self, tmp_path
     ):
@@ -834,6 +878,81 @@ class TestFlushThreadLifecycle:
         finally:
             server.stop()
         assert recorder.observed == [(False, None), (True, True), (True, False)]
+
+
+class _SpyService(SimulatedLLMService):
+    """A thread-safe service that records each request's ``now``."""
+
+    def __init__(self):
+        super().__init__(LLMServiceConfig(seed=0), thread_safe=True)
+        self.nows = []
+
+    def query(self, prompt, client_id="default", context=None, response_tokens=None, now=None):
+        self.nows.append((prompt, now))
+        return super().query(prompt, client_id, context, response_tokens, now)
+
+
+class TestOneServerClock:
+    """The server's one clock is its admission clock: the LLM service sees
+    a replayed request's trace time and a live request's submit time."""
+
+    def _server(self, service, clock=time.monotonic):
+        encoder = make_tiny_encoder()
+        return CacheServer(
+            lambda user_id: MeanCache(encoder, MeanCacheConfig(similarity_threshold=0.999)),
+            service=service,
+            config=ServerConfig(n_shards=2, max_batch_size=1, max_batch_wait_s=0.0),
+            clock=clock,
+        )
+
+    def _trace(self):
+        events = [
+            WorkloadEvent(time_s=0.5 * i + 0.125, user_id=f"user-{i % 3}", query=f"trace q {i}")
+            for i in range(9)
+        ]
+        return Trace(events, n_users=3)
+
+    def test_replay_passes_each_event_trace_time(self):
+        spy = _SpyService()
+        trace = self._trace()
+        self._server(spy).replay(trace, batch_window_s=0.2)
+        assert spy.nows == [(e.query, e.time_s) for e in trace.events]
+
+    def test_live_passes_the_submit_time_on_the_server_clock(self):
+        spy = _SpyService()
+        submitted = []  # the clock's readings on the submitting thread
+        submitter = threading.current_thread()
+
+        def clock():
+            now = time.monotonic() + 5000.0
+            if threading.current_thread() is submitter:
+                submitted.append(now)
+            return now
+
+        server = self._server(spy, clock=clock)
+        server.start()
+        try:
+            for i in range(4):
+                server.submit_threadsafe(f"user-{i}", f"live q {i}").result(timeout=10)
+        finally:
+            server.stop()
+        assert len(submitted) == 4
+        assert spy.nows == [(f"live q {i}", now) for i, now in enumerate(submitted)]
+
+    def test_replay_refuses_a_running_server(self):
+        spy = _SpyService()
+        server = self._server(spy)
+        trace = self._trace()
+        server.start()
+        try:
+            with pytest.raises(RuntimeError, match="running"):
+                server.replay(trace)
+            server.submit_threadsafe("user-0", "live while refused").result(timeout=10)
+        finally:
+            server.stop()
+        assert [q for q, _ in spy.nows] == ["live while refused"]
+        server.replay(trace)
+        assert len(spy.nows) == 1 + len(trace)
 
 
 class TestHammerUnderRuntimeChecker:

@@ -82,7 +82,7 @@ def _run_server(trace, factory, n_shards=4, **server_kwargs):
     server = CacheServer(
         factory,
         service=_service(),
-        config=ServerConfig(deterministic=True, n_shards=n_shards),
+        config=ServerConfig(n_shards=n_shards),
         **server_kwargs,
     )
     return server.replay(

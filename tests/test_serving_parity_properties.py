@@ -1,6 +1,6 @@
 """Generated driver parity: the one-shard replay against sharded replay.
 
-``CacheServer(deterministic=True).replay`` with one shard is the oracle;
+``CacheServer.replay`` with one shard is the oracle;
 the same replay runs the same flush over ``n_shards`` shards.  Sharding is
 an implementation detail of the server, so the shard count must change
 nothing: ``tests/test_serving_parity.py`` pins that on hand-written traces,
@@ -20,9 +20,9 @@ Hypothesis draws (``derandomize=True``, so CI is stable):
 
 Three properties compare the two runs: the per-event decisions (hit,
 response, matched query, verified flag, ``float.hex`` similarity), the
-final storage (``storage_report``, every L1's and every tier's entries), and
-the entry stamps (``created_at`` / ``last_accessed``, which snapshots
-persist).  Tier-1 runs them at a small budget; the ``slow`` variants run a
+final storage (``storage_report``, every L1's and every tier's entries)
+and every L1's final eviction order (its policy's state).
+Tier-1 runs them at a small budget; the ``slow`` variants run a
 larger one.  A counterexample Hypothesis shrinks becomes a named case in
 :class:`TestShrunkCases`.
 """
@@ -159,7 +159,7 @@ def _simulate(case: FleetCase) -> _Run:
     simulator = CacheServer(
         factory,
         _service(),
-        ServerConfig(n_shards=1, deterministic=True),
+        ServerConfig(n_shards=1),
         adaptation=_adapter(case),
     )
     result = simulator.replay(case.trace, BATCH_WINDOW_S, collect_outcomes=True)
@@ -172,7 +172,7 @@ def _replay(case: FleetCase) -> _Run:
     server = CacheServer(
         factory,
         service=_service(),
-        config=ServerConfig(deterministic=True, n_shards=case.n_shards),
+        config=ServerConfig(n_shards=case.n_shards),
         adaptation=_adapter(case),
     )
     result = server.replay(case.trace, BATCH_WINDOW_S, collect_outcomes=True)
@@ -198,21 +198,32 @@ def _decisions(run: _Run) -> list:
 
 
 ENTRY_FIELDS = ("entry_id", "query", "response", "hit_count")
-STAMP_FIELDS = ("created_at", "last_accessed")
 
 
-def _l1_entries(run: _Run, stamps: bool) -> dict:
+def _l1_entries(run: _Run) -> dict:
     """Per user, the entries of the cache in front of the user (the L1);
-    a field a cache variant lacks (a GPTCache entry's stamps) reads None."""
-    fields = ENTRY_FIELDS + (STAMP_FIELDS if stamps else ())
+    a field a cache variant lacks (a GPTCache entry's hit count) reads None."""
     return {
-        uid: [tuple(getattr(e, f, None) for f in fields) for e in getattr(c, "l1", c).entries]
+        uid: [
+            tuple(getattr(e, f, None) for f in ENTRY_FIELDS)
+            for e in getattr(c, "l1", c).entries
+        ]
         for uid, c in run.caches.items()
     }
 
 
 def _tier_entries(run: _Run) -> list:
     return [[(e.entry_id, e.query, e.response) for e in t.entries] for t in run.tiers]
+
+
+def _policy_orders(run: _Run) -> dict:
+    """Per user, the eviction policy's state of the user's L1 (recency or
+    frequency order); None for a cache without a policy (a GPTCache)."""
+    orders = {}
+    for uid, c in run.caches.items():
+        policy = getattr(getattr(c, "l1", c), "_policy", None)
+        orders[uid] = policy.state_dict() if policy is not None else None
+    return orders
 
 
 def check_decisions(case: FleetCase) -> None:
@@ -226,17 +237,18 @@ def check_storage(case: FleetCase) -> None:
     """Both drivers leave the same entries in every L1 and every tier."""
     sim, srv = _simulate(case), _replay(case)
     assert srv.report == sim.report
-    assert _l1_entries(srv, stamps=False) == _l1_entries(sim, stamps=False)
+    assert _l1_entries(srv) == _l1_entries(sim)
     assert _tier_entries(srv) == _tier_entries(sim)
 
 
-def check_stamps(case: FleetCase) -> None:
-    """Every entry carries the same virtual-time stamps in both runs."""
+def check_policy_order(case: FleetCase) -> None:
+    """Both drivers leave every L1's eviction order the same: the next
+    victim of each cache does not depend on the shard count."""
     sim, srv = _simulate(case), _replay(case)
-    assert _l1_entries(srv, stamps=True) == _l1_entries(sim, stamps=True)
+    assert _policy_orders(srv) == _policy_orders(sim)
 
 
-CHECKS = [check_decisions, check_storage, check_stamps]
+CHECKS = [check_decisions, check_storage, check_policy_order]
 
 
 def _holds(check, max_examples: int) -> None:

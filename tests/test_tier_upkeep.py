@@ -91,7 +91,7 @@ def _replay_server(caches):
     return CacheServer(
         caches.__getitem__,
         service=_service(),
-        config=ServerConfig(deterministic=True, n_shards=N_SHARDS),
+        config=ServerConfig(n_shards=N_SHARDS),
     )
 
 
@@ -135,7 +135,7 @@ def test_simulator_window_maintains_a_shared_tier_once(tmp_path):
     tier = _tier(tmp_path / "snap", compact_every=2)
     caches = _full_caches(encoder, {user: tier for user in USERS})
     simulator = CacheServer(
-        caches.__getitem__, _service(), ServerConfig(n_shards=1, deterministic=True)
+        caches.__getitem__, _service(), ServerConfig(n_shards=1)
     )
     index_upkeep = Calls(tier.index, "maintenance")
     compactions = Calls(tier, "save")

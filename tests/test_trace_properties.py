@@ -56,7 +56,7 @@ def _replay(trace: Trace, cache_factory) -> tuple:
     fleet = CacheServer(
         cache_factory,
         SimulatedLLMService(LLMServiceConfig(seed=0)),
-        ServerConfig(deterministic=True),
+        ServerConfig(),
     )
     result = fleet.replay(trace, collect_outcomes=True)
     return tuple(
