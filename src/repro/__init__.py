@@ -3,10 +3,10 @@
 The package is organised as a set of substrates plus the core contribution:
 
 ``repro.embeddings``
-    Trainable siamese sentence-embedding models (NumPy), losses, optimizers,
+    Trainable siamese sentence-embedding models (NumPy), losses, an optimizer,
     PCA compression and vectorized cosine similarity search.
 ``repro.federated``
-    A from-scratch synchronous federated-learning framework (FedAvg/FedProx,
+    A from-scratch synchronous federated-learning framework (FedAvg,
     client sampling, threshold aggregation, simulation harness).
 ``repro.llm``
     A simulated LLM web service with a calibrated latency model.

@@ -10,10 +10,10 @@ in Figure 10(a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from repro.core.cache import MeanCache, MeanCacheConfig
+from repro.core.cache import MeanCache
 from repro.embeddings.pca import PCA
 
 
@@ -96,15 +96,7 @@ def compress_cache(
 
     # Switch the cache to compressed mode and re-embed its entries
     # (Figure 3-b: the PCA layer is now part of the deployed model).
-    cache.config = MeanCacheConfig(
-        similarity_threshold=cache.config.similarity_threshold,
-        context_threshold=cache.config.context_threshold,
-        top_k=cache.config.top_k,
-        verify_context=cache.config.verify_context,
-        max_entries=cache.config.max_entries,
-        eviction_policy=cache.config.eviction_policy,
-        compressed=True,
-    )
+    cache.config = replace(cache.config, compressed=True)
     cache.rebuild_embeddings()
 
     return CompressionReport(

@@ -27,7 +27,7 @@ from repro.datasets.contextual import (
 )
 from repro.datasets.corpus import Corpus, QueryIntent
 from repro.datasets.paraphrase import Paraphraser
-from repro.datasets.partition import partition_pairs, partition_iid, partition_by_topic
+from repro.datasets.partition import partition_pairs, partition_iid
 from repro.datasets.semantic_pairs import (
     QueryPair,
     QueryPairDataset,
@@ -54,5 +54,4 @@ __all__ = [
     "generate_user_study",
     "partition_pairs",
     "partition_iid",
-    "partition_by_topic",
 ]

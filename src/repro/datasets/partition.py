@@ -1,20 +1,16 @@
 """Federated data partitioning.
 
 The paper distributes the training and validation splits across 20 clients
-with non-overlapping data points (§IV-A1).  Two partitioning strategies are
-provided: IID random sharding (the paper's setup) and a topic-skewed non-IID
-partition (used by the ablation benchmarks to probe robustness of FedAvg to
-heterogeneous querying patterns, which the paper motivates but does not
-ablate).
+with non-overlapping data points (§IV-A1): IID random sharding.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 import numpy as np
 
-from repro.datasets.semantic_pairs import QueryPair, QueryPairDataset
+from repro.datasets.semantic_pairs import QueryPairDataset
 
 T = TypeVar("T")
 
@@ -38,42 +34,3 @@ def partition_pairs(
     shards = partition_iid(dataset.pairs, n_clients, seed=seed)
     return [QueryPairDataset(shard, seed=seed + i) for i, shard in enumerate(shards)]
 
-
-def partition_by_topic(
-    dataset: QueryPairDataset,
-    n_clients: int,
-    concentration: float = 0.5,
-    seed: int = 0,
-) -> List[QueryPairDataset]:
-    """Non-IID partition: each client's data is skewed toward a few domains.
-
-    Pairs are grouped by the domain of their first query's intent, then
-    assigned to clients with a Dirichlet(concentration) prior per domain —
-    the standard label-skew protocol in FL literature.  Lower concentration
-    means more skew.
-    """
-    if n_clients < 1:
-        raise ValueError("n_clients must be >= 1")
-    if concentration <= 0:
-        raise ValueError("concentration must be positive")
-    rng = np.random.default_rng(seed)
-
-    by_domain: Dict[str, List[QueryPair]] = {}
-    for pair in dataset.pairs:
-        domain = pair.intent_a.split("|", 1)[0]
-        by_domain.setdefault(domain, []).append(pair)
-
-    shards: List[List[QueryPair]] = [[] for _ in range(n_clients)]
-    for domain, pairs in sorted(by_domain.items()):
-        weights = rng.dirichlet([concentration] * n_clients)
-        assignments = rng.choice(n_clients, size=len(pairs), p=weights)
-        for pair, client in zip(pairs, assignments):
-            shards[int(client)].append(pair)
-
-    # Guarantee no client is empty (move one pair from the largest shard).
-    for i, shard in enumerate(shards):
-        if not shard:
-            donor = int(np.argmax([len(s) for s in shards]))
-            if shards[donor]:
-                shard.append(shards[donor].pop())
-    return [QueryPairDataset(shard, seed=seed + i) for i, shard in enumerate(shards)]

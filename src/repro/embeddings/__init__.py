@@ -10,7 +10,7 @@ implementation:
   with L2-normalised outputs, trainable by backpropagation.
 * :mod:`repro.embeddings.losses` — contrastive loss and multiple-negatives
   ranking loss (the two objectives used by MeanCache client training).
-* :mod:`repro.embeddings.optim` — SGD and Adam optimizers.
+* :mod:`repro.embeddings.optim` — the Adam optimizer.
 * :mod:`repro.embeddings.zoo` — the "model zoo" mirroring the paper's three
   encoder classes (``mpnet-sim``, ``albert-sim``, ``llama2-sim``).
 * :mod:`repro.embeddings.similarity` — vectorized cosine similarity and
@@ -22,7 +22,7 @@ implementation:
 from repro.embeddings.featurizer import HashedFeaturizer, FeaturizerConfig
 from repro.embeddings.losses import contrastive_loss, multiple_negatives_ranking_loss
 from repro.embeddings.model import SiameseEncoder, EncoderConfig
-from repro.embeddings.optim import SGD, Adam
+from repro.embeddings.optim import Adam
 from repro.embeddings.pca import PCA
 from repro.embeddings.similarity import cosine_similarity, semantic_search
 from repro.embeddings.tokenizer import Tokenizer, TokenizerConfig
@@ -37,7 +37,6 @@ __all__ = [
     "EncoderConfig",
     "contrastive_loss",
     "multiple_negatives_ranking_loss",
-    "SGD",
     "Adam",
     "PCA",
     "cosine_similarity",

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.embeddings.featurizer import FeaturizerConfig, HashedFeaturizer, stable_token_hash
 from repro.embeddings.losses import combined_multitask_loss
-from repro.embeddings.optim import Adam, Optimizer
+from repro.embeddings.optim import Adam
 from repro.embeddings.pca import PCA
 from repro.embeddings.tokenizer import Tokenizer, TokenizerConfig
 
@@ -575,7 +575,7 @@ class SiameseEncoder:
         pairs: Sequence[Tuple[str, str, int]],
         epochs: int = 1,
         batch_size: int = 32,
-        optimizer: Optional[Optimizer] = None,
+        optimizer: Optional[Adam] = None,
         margin: float = 1.3,
         mnr_scale: float = 20.0,
         contrastive_weight: float = 1.0,

@@ -1,8 +1,7 @@
-"""Gradient-descent optimizers for the NumPy encoder.
+"""The gradient-descent optimizer of the NumPy encoder.
 
-Only the two optimizers actually needed by the reproduction are provided:
-plain SGD (with optional momentum) and Adam (used by default for client-side
-fine-tuning, mirroring SBERT's default).
+Adam, the one optimizer the reproduction trains with (client-side
+fine-tuning and zoo pretraining, mirroring SBERT's default).
 """
 
 from __future__ import annotations
@@ -13,64 +12,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 
-class Optimizer:
-    """Base class: holds per-parameter state and applies updates in place."""
-
-    def __init__(self, lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-
-    def step(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
-        """Update ``params`` in place given ``grads`` (same structure)."""
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Clear accumulated state (momentum/moment estimates)."""
-        raise NotImplementedError
-
-
 @dataclass
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    lr: float = 0.1
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    _velocity: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        Optimizer.__init__(self, self.lr)
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-
-    def step(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
-        """``p -= lr * (momentum-smoothed, weight-decayed) g``, in place."""
-        if len(params) != len(grads):
-            raise ValueError("params and grads must have the same length")
-        for i, (p, g) in enumerate(zip(params, grads)):
-            if p.shape != g.shape:
-                raise ValueError(f"shape mismatch at parameter {i}: {p.shape} vs {g.shape}")
-            if self.weight_decay:
-                g = g + self.weight_decay * p
-            if self.momentum:
-                v = self._velocity.get(i)
-                if v is None:
-                    v = np.zeros_like(p)
-                v = self.momentum * v + g
-                self._velocity[i] = v
-                update = v
-            else:
-                update = g
-            p -= self.lr * update
-
-    def reset(self) -> None:
-        """Forget the momentum velocities."""
-        self._velocity.clear()
-
-
-@dataclass
-class Adam(Optimizer):
+class Adam:
     """Adam optimizer (Kingma & Ba, 2015)."""
 
     lr: float = 1e-2
@@ -84,7 +27,8 @@ class Adam(Optimizer):
     _scratch: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        Optimizer.__init__(self, self.lr)
+        if self.lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {self.lr}")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
 

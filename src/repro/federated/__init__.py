@@ -13,12 +13,11 @@ Implements the synchronous FL protocol of the paper (§II, §III-A):
 
 Modules
 -------
-* :mod:`repro.federated.messages` — flat-buffer parameter (de)serialization.
-* :mod:`repro.federated.aggregation` — FedAvg / FedProx-style aggregation and
-  threshold aggregation.
-* :mod:`repro.federated.sampling` — client-selection strategies.
+* :mod:`repro.federated.aggregation` — FedAvg and threshold aggregation.
+* :mod:`repro.federated.sampling` — uniform client selection.
 * :mod:`repro.federated.threshold` — optimal-cosine-threshold search.
-* :mod:`repro.federated.client` — the FL client (local training).
+* :mod:`repro.federated.client` — the FL client (local training through
+  :meth:`~repro.embeddings.model.SiameseEncoder.train_on_pairs`).
 * :mod:`repro.federated.server` — the FL server (round orchestration).
 * :mod:`repro.federated.simulation` — end-to-end simulation harness.
 * :mod:`repro.federated.online` — online threshold adaptation for the
@@ -26,21 +25,15 @@ Modules
   fleet's virtual clock, pushes personalized τ into live caches).
 """
 
-from repro.federated.aggregation import (
-    fedavg,
-    fedprox_aggregate,
-    aggregate_thresholds,
-    weighted_metric_mean,
-)
+from repro.federated.aggregation import fedavg, aggregate_thresholds
 from repro.federated.client import FLClient, ClientConfig, ClientUpdate
-from repro.federated.messages import parameters_to_buffer, buffer_to_parameters, ParameterSpec
 from repro.federated.online import (
     MinedPair,
     OnlineAdaptationConfig,
     OnlineRound,
     OnlineThresholdAdapter,
 )
-from repro.federated.sampling import UniformSampler, RoundRobinSampler, ResourceAwareSampler
+from repro.federated.sampling import UniformSampler
 from repro.federated.server import FLServer, ServerConfig, RoundResult
 from repro.federated.simulation import FLSimulation, SimulationConfig, SimulationResult
 from repro.federated.threshold import (
@@ -52,16 +45,9 @@ from repro.federated.threshold import (
 )
 
 __all__ = [
-    "parameters_to_buffer",
-    "buffer_to_parameters",
-    "ParameterSpec",
     "fedavg",
-    "fedprox_aggregate",
     "aggregate_thresholds",
-    "weighted_metric_mean",
     "UniformSampler",
-    "RoundRobinSampler",
-    "ResourceAwareSampler",
     "find_optimal_threshold",
     "threshold_sweep",
     "cache_mode_threshold_sweep",

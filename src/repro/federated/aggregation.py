@@ -3,10 +3,6 @@
 The paper uses FedAvg (Eq. 1): the new global model is the sample-count
 weighted mean of client models.  The global cosine-similarity threshold is the
 (unweighted) mean of the clients' locally-optimal thresholds (§III-A3).
-FedProx is included because the paper cites it as an alternative aggregation /
-local-objective scheme; our implementation provides the proximal-term gradient
-helper for clients plus a plain weighted average on the server (FedProx's
-server step equals FedAvg's).
 """
 
 from __future__ import annotations
@@ -63,36 +59,6 @@ def fedavg(
     return aggregated
 
 
-def fedprox_aggregate(
-    parameter_sets: Sequence[Sequence[np.ndarray]],
-    num_samples: Sequence[float],
-) -> List[np.ndarray]:
-    """FedProx server aggregation (identical to FedAvg's weighted mean)."""
-    return fedavg(parameter_sets, num_samples)
-
-
-def fedprox_proximal_gradient(
-    local_params: Sequence[np.ndarray],
-    global_params: Sequence[np.ndarray],
-    mu: float,
-) -> List[np.ndarray]:
-    """Gradient of the FedProx proximal term ``(mu/2) * ||w - w_global||^2``.
-
-    Clients add this to their loss gradients during local training to keep
-    local models close to the global model under heterogeneous data.
-    """
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    if len(local_params) != len(global_params):
-        raise ValueError("parameter lists differ in length")
-    grads: List[np.ndarray] = []
-    for local, global_ in zip(local_params, global_params):
-        if local.shape != global_.shape:
-            raise ValueError(f"shape mismatch: {local.shape} vs {global_.shape}")
-        grads.append(mu * (np.asarray(local, dtype=np.float64) - np.asarray(global_, dtype=np.float64)))
-    return grads
-
-
 def aggregate_thresholds(
     thresholds: Sequence[float],
     num_samples: Sequence[float] | None = None,
@@ -100,8 +66,8 @@ def aggregate_thresholds(
 ) -> float:
     """Aggregate client cosine-similarity thresholds into the global threshold.
 
-    The paper takes the plain mean (``weighted=False``); a sample-weighted
-    variant is provided for the ablation benchmarks.
+    The paper takes the plain mean (``weighted=False``); the online fleet
+    loop can weight by per-client observation counts instead.
     """
     thresholds = [float(t) for t in thresholds]
     if not thresholds:
@@ -130,12 +96,3 @@ def _check_sample_counts(num_samples: Sequence[float]) -> None:
             raise ValueError(f"sample count {n} at position {i} is negative")
     if float(sum(num_samples)) <= 0:
         raise ValueError("sample counts must sum to a positive value")
-
-
-def weighted_metric_mean(values: Sequence[float], num_samples: Sequence[float]) -> float:
-    """Sample-weighted mean of per-client evaluation metrics."""
-    if len(values) != len(num_samples):
-        raise ValueError("values and num_samples must align")
-    _check_sample_counts(num_samples)
-    total = float(sum(num_samples))
-    return float(sum(v * n for v, n in zip(values, num_samples)) / total)

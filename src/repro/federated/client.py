@@ -5,7 +5,8 @@ history).  Per round it:
 
 1. loads the global encoder weights it received,
 2. fine-tunes locally for ``local_epochs`` epochs with the multitask loss
-   (optionally with a FedProx proximal term),
+   (:meth:`~repro.embeddings.model.SiameseEncoder.train_on_pairs`, the loop
+   zoo pretraining runs too),
 3. searches its validation pairs for the locally-optimal cosine threshold,
 4. returns (updated weights, threshold, sample count, training loss).
 
@@ -22,10 +23,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.datasets.semantic_pairs import QueryPairDataset
-from repro.embeddings.losses import combined_multitask_loss
 from repro.embeddings.model import SiameseEncoder
 from repro.embeddings.optim import Adam
-from repro.federated.aggregation import fedprox_proximal_gradient
 from repro.federated.threshold import find_optimal_threshold
 
 
@@ -40,7 +39,6 @@ class ClientConfig:
     mnr_scale: float = 20.0
     contrastive_weight: float = 1.0
     mnr_weight: float = 1.0
-    fedprox_mu: float = 0.0
     threshold_beta: float = 0.5
     threshold_grid: int = 101
 
@@ -51,8 +49,6 @@ class ClientConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.fedprox_mu < 0:
-            raise ValueError("fedprox_mu must be >= 0")
 
 
 @dataclass
@@ -92,51 +88,21 @@ class FLClient:
         """Number of local training pairs (the FedAvg weight ``n_k``)."""
         return len(self.train_data)
 
-    def _local_train(self, global_parameters: Sequence[np.ndarray]) -> float:
+    def _local_train(self) -> float:
         """Run local epochs; returns the mean loss of the final epoch."""
         cfg = self.config
-        pairs = self.train_data.as_tuples()
-        if not pairs or cfg.local_epochs == 0:
-            return 0.0
-        optimizer = Adam(lr=cfg.learning_rate)
-        rng = np.random.default_rng(self.seed)
-        texts_a = [p[0] for p in pairs]
-        texts_b = [p[1] for p in pairs]
-        labels = np.array([p[2] for p in pairs], dtype=np.float64)
-        Xa = self.encoder.featurize(texts_a)
-        Xb = self.encoder.featurize(texts_b)
-        n = len(pairs)
-        last_epoch_loss = 0.0
-        global_params_f64 = [np.asarray(p, dtype=np.float64) for p in global_parameters]
-        params = self.encoder.writable_parameters()
-        for _epoch in range(cfg.local_epochs):
-            order = rng.permutation(n)
-            losses: List[float] = []
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                cache_a: Dict[str, np.ndarray] = {}
-                cache_b: Dict[str, np.ndarray] = {}
-                Ea = self.encoder.forward(Xa[idx], cache_a)
-                Eb = self.encoder.forward(Xb[idx], cache_b)
-                loss, grad_a, grad_b = combined_multitask_loss(
-                    Ea,
-                    Eb,
-                    labels[idx],
-                    margin=cfg.margin,
-                    mnr_scale=cfg.mnr_scale,
-                    contrastive_weight=cfg.contrastive_weight,
-                    mnr_weight=cfg.mnr_weight,
-                )
-                grads_a = self.encoder.backward(cache_a, grad_a)
-                grads_b = self.encoder.backward(cache_b, grad_b)
-                grads = [ga + gb for ga, gb in zip(grads_a, grads_b)]
-                if cfg.fedprox_mu > 0.0:
-                    prox = fedprox_proximal_gradient(params, global_params_f64, cfg.fedprox_mu)
-                    grads = [g + pg for g, pg in zip(grads, prox)]
-                optimizer.step(params, grads)
-                losses.append(loss)
-            last_epoch_loss = float(np.mean(losses)) if losses else 0.0
-        return last_epoch_loss
+        losses = self.encoder.train_on_pairs(
+            self.train_data.as_tuples(),
+            epochs=cfg.local_epochs,
+            batch_size=cfg.batch_size,
+            optimizer=Adam(lr=cfg.learning_rate),
+            margin=cfg.margin,
+            mnr_scale=cfg.mnr_scale,
+            contrastive_weight=cfg.contrastive_weight,
+            mnr_weight=cfg.mnr_weight,
+            shuffle_seed=self.seed,
+        )
+        return losses[-1] if losses else 0.0
 
     def fit(
         self,
@@ -146,7 +112,7 @@ class FLClient:
     ) -> ClientUpdate:
         """One FL round of local work (steps 2–3 of Figure 2)."""
         self.encoder.set_parameters(list(global_parameters))
-        train_loss = self._local_train(global_parameters)
+        train_loss = self._local_train()
         thresholds = np.linspace(0.0, 1.0, self.config.threshold_grid)
         # The threshold is tuned against the client's deployed cache
         # behaviour: validation pairs provide labelled probes, while the
@@ -160,7 +126,6 @@ class FLClient:
             thresholds=thresholds,
             beta=self.config.threshold_beta,
             default=global_threshold,
-            mode="cache",
             extra_cache_texts=history,
         )
         return ClientUpdate(

@@ -51,6 +51,7 @@ always receive the plain global τ.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
@@ -231,6 +232,7 @@ class OnlineThresholdAdapter:
         self._devices: Dict[str, _DeviceState] = {}
         self._cache_user_count: Dict[int, int] = {}
         self._next_round_time = self.config.round_interval_s
+        self._clock_started = False
         self._round_number = 0
 
     # ------------------------------------------------------------------ #
@@ -272,6 +274,14 @@ class OnlineThresholdAdapter:
         outcomes (``None``) are skipped — the loop learns only from labels
         the device can actually observe.
         """
+        if not self._clock_started:
+            # Rounds are owed from the first observation on: a live clock
+            # reads far from its origin, and the grid points of the idle span
+            # before it would otherwise all run in the next advance.
+            self._clock_started = True
+            interval = self.config.round_interval_s
+            first_due = (math.floor(time_s / interval) + 1) * interval
+            self._next_round_time = max(self._next_round_time, first_due)
         device = self._devices.get(user_id)
         if device is None or verified is None:
             return
@@ -296,7 +306,11 @@ class OnlineThresholdAdapter:
         )
 
     def advance(self, now_s: float) -> List[OnlineRound]:
-        """Run every round due at or before ``now_s`` on the virtual clock."""
+        """Run every round due at or before ``now_s`` on the virtual clock.
+
+        Rounds fall on the multiples of ``round_interval_s``; those before
+        the first :meth:`observe` are not owed.
+        """
         completed: List[OnlineRound] = []
         while self._next_round_time <= now_s:
             completed.append(self._run_round(self._next_round_time))

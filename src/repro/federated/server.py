@@ -30,7 +30,6 @@ class ServerConfig:
     clients_per_round: int = 4
     initial_threshold: float = 0.7
     evaluation_beta: float = 0.5
-    aggregate_thresholds_weighted: bool = False
 
     def __post_init__(self) -> None:
         if self.n_rounds < 1:
@@ -123,11 +122,7 @@ class FLServer:
         parameter_sets = [u.parameters for u in updates]
         weights = [float(u.num_samples) for u in updates]
         self.global_parameters = fedavg(parameter_sets, weights)
-        self.global_threshold = aggregate_thresholds(
-            [u.local_threshold for u in updates],
-            num_samples=weights,
-            weighted=self.config.aggregate_thresholds_weighted,
-        )
+        self.global_threshold = aggregate_thresholds([u.local_threshold for u in updates])
         self.global_encoder.set_parameters(self.global_parameters)
 
     def fit(self, n_rounds: Optional[int] = None) -> List[RoundResult]:

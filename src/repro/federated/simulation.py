@@ -1,27 +1,23 @@
 """End-to-end FL simulation harness (Flower's ``start_simulation`` analogue).
 
-Builds the full experiment from a pair dataset: partitions data across
-clients, instantiates per-client encoders, runs the round loop, and records
-the global-model metric curves.  Client local training within a round can
-optionally run across processes (``n_workers > 1``); parameters cross the
-process boundary as flat float64 buffers (see :mod:`repro.federated.messages`),
-so the parallel path exercises the same serialization discipline a real
-deployment (or an MPI job) would.
+Builds the full experiment from a pair dataset: partitions data IID across
+clients, instantiates per-client encoders, runs the server's round loop
+(:meth:`~repro.federated.server.FLServer.fit`), and records the global-model
+metric curves.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.datasets.partition import partition_pairs, partition_by_topic
+from repro.datasets.partition import partition_pairs
 from repro.datasets.semantic_pairs import QueryPairDataset
 from repro.embeddings.model import SiameseEncoder
 from repro.embeddings.zoo import load_encoder
-from repro.federated.client import ClientConfig, ClientUpdate, FLClient
+from repro.federated.client import ClientConfig, FLClient
 from repro.federated.sampling import ClientSampler, UniformSampler
 from repro.federated.server import FLServer, RoundResult, ServerConfig
 
@@ -42,21 +38,13 @@ class SimulationConfig:
     batch_size: int = 128
     learning_rate: float = 1e-2
     initial_threshold: float = 0.7
-    fedprox_mu: float = 0.0
-    partition: str = "iid"  # "iid" or "topic"
-    topic_concentration: float = 0.5
     contrastive_weight: float = 1.0
     mnr_weight: float = 1.0
-    n_workers: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_clients < 1:
             raise ValueError("n_clients must be >= 1")
-        if self.partition not in ("iid", "topic"):
-            raise ValueError("partition must be 'iid' or 'topic'")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
 
 
 @dataclass
@@ -86,13 +74,6 @@ class SimulationResult:
         return float(finite[-1] - finite[0])
 
 
-def _client_fit_worker(
-    client: FLClient, parameters: List[np.ndarray], threshold: float, round_number: int
-) -> ClientUpdate:
-    """Module-level worker so process pools can pickle the call."""
-    return client.fit(parameters, threshold, round_number)
-
-
 class FLSimulation:
     """Builds clients + server from a dataset and runs the round loop."""
 
@@ -110,22 +91,13 @@ class FLSimulation:
         self.val_data = val_data
         self.test_data = test_data
 
-        if cfg.partition == "iid":
-            train_shards = partition_pairs(train_data, cfg.n_clients, seed=cfg.seed)
-            val_shards = partition_pairs(val_data, cfg.n_clients, seed=cfg.seed + 1)
-        else:
-            train_shards = partition_by_topic(
-                train_data, cfg.n_clients, concentration=cfg.topic_concentration, seed=cfg.seed
-            )
-            val_shards = partition_by_topic(
-                val_data, cfg.n_clients, concentration=cfg.topic_concentration, seed=cfg.seed + 1
-            )
+        train_shards = partition_pairs(train_data, cfg.n_clients, seed=cfg.seed)
+        val_shards = partition_pairs(val_data, cfg.n_clients, seed=cfg.seed + 1)
 
         client_config = ClientConfig(
             local_epochs=cfg.local_epochs,
             batch_size=cfg.batch_size,
             learning_rate=cfg.learning_rate,
-            fedprox_mu=cfg.fedprox_mu,
             contrastive_weight=cfg.contrastive_weight,
             mnr_weight=cfg.mnr_weight,
         )
@@ -160,44 +132,9 @@ class FLSimulation:
         )
 
     # ------------------------------------------------------------------ #
-    def _run_round_parallel(self, round_number: int, executor: ProcessPoolExecutor) -> RoundResult:
-        server = self.server
-        selected = server.sampler.sample(
-            server.client_ids, server.config.clients_per_round, round_number
-        )
-        futures = [
-            executor.submit(
-                _client_fit_worker,
-                server.clients[cid],
-                server.global_parameters,
-                server.global_threshold,
-                round_number,
-            )
-            for cid in selected
-        ]
-        updates = [f.result() for f in futures]
-        server.apply_updates(updates)
-        evaluation = server.evaluate_global()
-        result = RoundResult(
-            round_number=round_number,
-            participating_clients=selected,
-            global_threshold=server.global_threshold,
-            mean_client_loss=float(np.mean([u.train_loss for u in updates])) if updates else 0.0,
-            evaluation=evaluation,
-        )
-        server.history.append(result)
-        return result
-
     def run(self, n_rounds: Optional[int] = None) -> SimulationResult:
         """Execute the simulation and return curves + the final global state."""
-        rounds = self.config.n_rounds if n_rounds is None else n_rounds
-        if self.config.n_workers <= 1:
-            for r in range(rounds):
-                self.server.run_round(r)
-        else:
-            with ProcessPoolExecutor(max_workers=self.config.n_workers) as executor:
-                for r in range(rounds):
-                    self._run_round_parallel(r, executor)
+        self.server.fit(n_rounds)
         curves = self.server.training_curves()
         final_metrics = self.server.evaluate_global()
         return SimulationResult(

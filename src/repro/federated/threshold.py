@@ -223,36 +223,25 @@ def find_optimal_threshold(
     beta: float = 0.5,
     compress: bool = True,
     default: float = 0.7,
-    mode: str = "cache",
     extra_cache_texts: Optional[Sequence[str]] = None,
 ) -> float:
     """Return the Fβ-optimal cosine threshold for ``encoder`` on ``pairs``.
 
-    ``mode="cache"`` (default) tunes against deployed-cache best-match scores
-    (:func:`cache_mode_threshold_sweep`); ``mode="pairwise"`` tunes against
-    isolated pair similarities (:func:`threshold_sweep`, the Figures 13/14
-    analysis).  Falls back to ``default`` when there are no pairs or only one
+    Tunes against deployed-cache best-match scores
+    (:func:`cache_mode_threshold_sweep`).  Falls back to ``default`` when there are no pairs or only one
     class is present (the sweep would be degenerate) — mirroring MeanCache's
     use of the server's global threshold for data-poor clients.
     """
-    if mode not in ("cache", "pairwise"):
-        raise ValueError("mode must be 'cache' or 'pairwise'")
     if not pairs:
         return default
     labels = {p[2] for p in pairs}
     if len(labels) < 2:
         return default
-    if mode == "cache":
-        result = cache_mode_threshold_sweep(
-            encoder,
-            pairs,
-            thresholds=thresholds,
-            beta=beta,
-            compress=compress,
-            extra_cache_texts=extra_cache_texts,
-        )
-    else:
-        result = threshold_sweep(
-            encoder, pairs, thresholds=thresholds, beta=beta, compress=compress
-        )
-    return result.optimal_threshold
+    return cache_mode_threshold_sweep(
+        encoder,
+        pairs,
+        thresholds=thresholds,
+        beta=beta,
+        compress=compress,
+        extra_cache_texts=extra_cache_texts,
+    ).optimal_threshold

@@ -9,6 +9,7 @@ from repro.baselines.keyword_cache import KeywordCache, KeywordCacheConfig
 from repro.core.cache import CacheDecision, MeanCache, MeanCacheConfig
 from repro.core.client import ClientStats, MeanCacheClient
 from repro.core.compression import compress_cache
+from repro.index import IVFIndex
 from repro.llm.service import SimulatedLLMService
 from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import WorkloadConfig, WorkloadGenerator
@@ -252,6 +253,24 @@ class TestCompression:
         assert cache.embedding_storage_bytes() < before
         assert report.embedding_saving_fraction > 0.8
         assert report.compressed_dim == 8 and report.original_dim == tiny_encoder.config.output_dim
+
+    def test_compression_keeps_the_index_backend(self, tiny_encoder, tmp_path):
+        """Only ``compressed`` flips: the backend and its params survive, in
+        the live config and through a save/load."""
+        params = {"nprobe": 4, "min_train_size": 8}
+        cache = MeanCache(
+            tiny_encoder,
+            MeanCacheConfig(similarity_threshold=0.8, index_backend="ivf", index_params=params),
+        )
+        cache.populate([f"question number {i} about subject {i % 11}" for i in range(40)])
+        compress_cache(cache, n_components=8)
+        assert cache.config.compressed
+        assert isinstance(cache.index, IVFIndex)
+        assert (cache.config.index_backend, dict(cache.config.index_params)) == ("ivf", params)
+        loaded = MeanCache.load(cache.save(tmp_path / "cache"), tiny_encoder)
+        assert loaded.config.compressed
+        assert isinstance(loaded.index, IVFIndex)
+        assert (loaded.config.index_backend, dict(loaded.config.index_params)) == ("ivf", params)
 
     def test_compressed_cache_still_hits_duplicates(self, trained_encoder):
         cache = MeanCache(trained_encoder, MeanCacheConfig(similarity_threshold=0.75))

@@ -7,7 +7,7 @@ import pytest
 from repro.datasets.contextual import FOLLOWUP_TEMPLATES, generate_contextual_dataset
 from repro.datasets.corpus import Corpus, QueryIntent, TEMPLATES
 from repro.datasets.paraphrase import Paraphraser
-from repro.datasets.partition import partition_by_topic, partition_iid, partition_pairs
+from repro.datasets.partition import partition_iid, partition_pairs
 from repro.datasets.semantic_pairs import generate_cache_workload, generate_pair_dataset
 from repro.datasets.userstudy import (
     FIGURE4_PARTICIPANT_COUNTS,
@@ -258,26 +258,6 @@ class TestPartitioning:
         assert len(shards) == 5
         assert sum(len(s) for s in shards) == len(small_pair_dataset)
 
-    def test_topic_partition_covers_all_pairs(self, small_pair_dataset):
-        shards = partition_by_topic(small_pair_dataset, 4, concentration=0.5, seed=3)
-        assert sum(len(s) for s in shards) == len(small_pair_dataset)
-        assert all(len(s) > 0 for s in shards)
-
-    def test_topic_partition_is_skewed(self, small_pair_dataset):
-        iid = partition_pairs(small_pair_dataset, 4, seed=4)
-        skewed = partition_by_topic(small_pair_dataset, 4, concentration=0.1, seed=4)
-        def domain_entropy(shards):
-            ents = []
-            for shard in shards:
-                domains = [p.intent_a.split("|")[0] for p in shard.pairs]
-                _, counts = np.unique(domains, return_counts=True)
-                p = counts / counts.sum()
-                ents.append(float(-(p * np.log(p + 1e-12)).sum()))
-            return np.mean(ents)
-        assert domain_entropy(skewed) < domain_entropy(iid)
-
-    def test_invalid_client_counts(self, small_pair_dataset):
+    def test_invalid_client_counts(self):
         with pytest.raises(ValueError):
             partition_iid([1, 2, 3], 0)
-        with pytest.raises(ValueError):
-            partition_by_topic(small_pair_dataset, 3, concentration=0.0)

@@ -162,7 +162,7 @@ WRITERS = {
     "train_on_pairs": lambda e: e.train_on_pairs(zoo._pretraining_pairs(16), batch_size=8),
     "set_parameters": lambda e: e.set_parameters(_nudged(e)),
     "FLClient.fit": lambda e: _fl_client(e).fit(_nudged(e), 0.7),
-    "FLClient._local_train": lambda e: _fl_client(e)._local_train(e.get_parameters()),
+    "FLClient._local_train": lambda e: _fl_client(e)._local_train(),
 }
 
 

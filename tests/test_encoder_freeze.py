@@ -11,7 +11,7 @@ from conftest import make_tiny_encoder
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.embeddings import model as model_module
 from repro.embeddings.model import EncoderConfig, SiameseEncoder
-from repro.embeddings.optim import SGD, Adam
+from repro.embeddings.optim import Adam
 from repro.embeddings.pca import PCA
 from repro.embeddings.similarity import cosine_similarity
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
@@ -121,7 +121,7 @@ class TestFrozenEncode:
 
 
 class TestLifecycle:
-    @pytest.mark.parametrize("optimizer", [Adam(lr=1e-2), SGD(lr=0.1)])
+    @pytest.mark.parametrize("optimizer", [Adam(lr=1e-2)])
     def test_in_place_writer_hits_a_read_only_array(self, frozen, optimizer):
         params = [frozen.W1, frozen.b1, frozen.W2, frozen.b2]
         with pytest.raises(ValueError, match="read-only"):

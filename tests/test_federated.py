@@ -5,21 +5,10 @@ import pytest
 
 from conftest import make_tiny_encoder
 from repro.datasets.semantic_pairs import QueryPairDataset, generate_pair_dataset
-from repro.federated.aggregation import (
-    aggregate_thresholds,
-    fedavg,
-    fedprox_aggregate,
-    fedprox_proximal_gradient,
-    weighted_metric_mean,
-)
+from repro.embeddings.optim import Adam
+from repro.federated.aggregation import aggregate_thresholds, fedavg
 from repro.federated.client import ClientConfig, FLClient
-from repro.federated.messages import (
-    ParameterSpec,
-    buffer_to_parameters,
-    parameters_nbytes,
-    parameters_to_buffer,
-)
-from repro.federated.sampling import ResourceAwareSampler, RoundRobinSampler, UniformSampler
+from repro.federated.sampling import UniformSampler
 from repro.federated.server import FLServer, ServerConfig
 from repro.federated.threshold import (
     cache_mode_threshold_sweep,
@@ -27,39 +16,6 @@ from repro.federated.threshold import (
     score_sweep,
     threshold_sweep,
 )
-
-
-# --------------------------------------------------------------------------- #
-# Messages
-# --------------------------------------------------------------------------- #
-class TestMessages:
-    def test_roundtrip(self, rng):
-        params = [rng.normal(size=(4, 3)), rng.normal(size=5), rng.normal(size=(2, 2, 2))]
-        buffer, spec = parameters_to_buffer(params)
-        assert buffer.ndim == 1
-        restored = buffer_to_parameters(buffer, spec)
-        assert all(np.allclose(a, b) for a, b in zip(params, restored))
-
-    def test_spec_sizes(self, rng):
-        params = [rng.normal(size=(4, 3)), rng.normal(size=5)]
-        spec = ParameterSpec.from_parameters(params)
-        assert spec.sizes == [12, 5]
-        assert spec.total_size == 17
-        assert spec.n_parameters == 2
-
-    def test_buffer_size_mismatch_rejected(self, rng):
-        params = [rng.normal(size=(2, 2))]
-        buffer, spec = parameters_to_buffer(params)
-        with pytest.raises(ValueError):
-            buffer_to_parameters(buffer[:-1], spec)
-
-    def test_empty_parameters(self):
-        buffer, spec = parameters_to_buffer([])
-        assert buffer.size == 0 and spec.total_size == 0
-
-    def test_nbytes(self, rng):
-        params = [rng.normal(size=(10, 10))]
-        assert parameters_nbytes(params) == 800
 
 
 # --------------------------------------------------------------------------- #
@@ -101,19 +57,6 @@ class TestFedAvg:
         with pytest.raises(ValueError):
             fedavg([[np.ones(2)], [np.ones(2)]], [0, 0])
 
-    def test_fedprox_server_equals_fedavg(self, rng):
-        clients = [[rng.normal(size=3)] for _ in range(3)]
-        weights = [2, 1, 4]
-        assert np.allclose(fedavg(clients, weights)[0], fedprox_aggregate(clients, weights)[0])
-
-    def test_fedprox_proximal_gradient(self):
-        local = [np.array([2.0, 0.0])]
-        global_ = [np.array([0.0, 0.0])]
-        grads = fedprox_proximal_gradient(local, global_, mu=0.5)
-        assert np.allclose(grads[0], [1.0, 0.0])
-        with pytest.raises(ValueError):
-            fedprox_proximal_gradient(local, global_, mu=-1.0)
-
 
 class TestThresholdAggregation:
     def test_plain_mean(self):
@@ -146,13 +89,6 @@ class TestThresholdAggregation:
             thresholds, num_samples=[7, 7, 7, 7], weighted=True
         ) == pytest.approx(aggregate_thresholds(thresholds))
 
-    def test_weighted_metric_mean(self):
-        assert weighted_metric_mean([1.0, 0.0], [1, 3]) == pytest.approx(0.25)
-
-    def test_weighted_metric_mean_rejects_negative_counts(self):
-        with pytest.raises(ValueError, match="negative"):
-            weighted_metric_mean([0.5, 0.5], [4, -1])
-
 
 # --------------------------------------------------------------------------- #
 # Sampling
@@ -169,57 +105,12 @@ class TestSamplers:
     def test_uniform_caps_at_population(self):
         assert len(UniformSampler(seed=0).sample(self.CLIENTS, 50, 0)) == 10
 
-    def test_round_robin_covers_all_clients(self):
-        sampler = RoundRobinSampler()
-        seen = set()
-        for r in range(5):
-            seen.update(sampler.sample(self.CLIENTS, 2, r))
-        assert seen == set(self.CLIENTS)
-
-    def test_resource_aware_prefers_high_scores(self):
-        scores = {c: 0.0 for c in self.CLIENTS}
-        scores["c3"] = 100.0
-        scores["c7"] = 100.0
-        picked = ResourceAwareSampler(scores, seed=0).sample(self.CLIENTS, 2, 0)
-        assert set(picked) == {"c3", "c7"}
-
-    def test_resource_aware_fills_from_zero_scores_when_short(self):
-        """Regression: fewer positive-score clients than the round needs.
-
-        ``rng.choice(..., replace=False, p=probs)`` raises when fewer than
-        ``n`` entries have nonzero probability; the sampler must instead take
-        every positive-score client and fill the rest uniformly from the
-        zero-score ones.
-        """
-        scores = {c: 0.0 for c in self.CLIENTS}
-        scores["c2"] = 5.0
-        picked = ResourceAwareSampler(scores, seed=0).sample(self.CLIENTS, 4, 0)
-        assert len(picked) == 4
-        assert len(set(picked)) == 4
-        assert "c2" in picked  # every positive-score client is selected
-
-    def test_resource_aware_zero_fill_is_deterministic(self):
-        scores = {"c0": 1.0}
-        a = ResourceAwareSampler(scores, seed=3).sample(self.CLIENTS, 5, 0)
-        b = ResourceAwareSampler(scores, seed=3).sample(self.CLIENTS, 5, 0)
-        assert a == b
-
-    def test_resource_aware_rejects_negative_scores(self):
-        with pytest.raises(ValueError):
-            ResourceAwareSampler({"a": -1.0})
-
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             UniformSampler().sample([], 1, 0)
 
     @pytest.mark.parametrize(
-        "sampler_factory",
-        [
-            lambda: UniformSampler(seed=0),
-            lambda: RoundRobinSampler(),
-            lambda: ResourceAwareSampler({"c0": 2.0, "c1": 1.0}, seed=0),
-        ],
-        ids=["uniform", "round_robin", "resource_aware"],
+        "sampler_factory", [lambda: UniformSampler(seed=0)], ids=["uniform"]
     )
     def test_all_samplers_cap_at_population_and_reject_zero(self, sampler_factory):
         """Shared edge cases: n > len(clients) caps, n == 0 raises."""
@@ -228,13 +119,6 @@ class TestSamplers:
         assert sorted(picked) == sorted(self.CLIENTS)  # capped, no duplicates
         with pytest.raises(ValueError):
             sampler_factory().sample(self.CLIENTS, 0, 0)
-
-    def test_round_robin_wraparound_has_no_duplicates(self):
-        """A round whose window wraps past the end must not repeat a client."""
-        sampler = RoundRobinSampler()
-        for r in range(12):
-            picked = sampler.sample(self.CLIENTS, 3, r)
-            assert len(picked) == len(set(picked)) == 3
 
 
 # --------------------------------------------------------------------------- #
@@ -276,8 +160,6 @@ class TestThresholdSearch:
         assert find_optimal_threshold(tiny_encoder, [], default=0.66) == 0.66
         only_pos = [("a b c", "a b c d", 1)]
         assert find_optimal_threshold(tiny_encoder, only_pos, default=0.66) == 0.66
-        with pytest.raises(ValueError):
-            find_optimal_threshold(tiny_encoder, self._pairs(), mode="bogus")
 
     def test_trained_encoder_has_higher_optimum_than_random_guess(self, tiny_encoder):
         pairs = self._pairs()
@@ -359,6 +241,51 @@ class TestFLClientServer:
         assert len(update.parameters) == 4
         # Local training must actually change the weights.
         assert any(not np.allclose(p, g) for p, g in zip(update.parameters, global_params))
+
+    def test_client_fit_is_the_encoders_training_then_threshold_search(self):
+        """A client's local work is ``train_on_pairs`` under its config and
+        seed, then the cache-mode τ search: the returned weights are
+        byte-equal to that reference, and so are the loss and τ."""
+        client = _make_clients(1)[0]
+        cfg = ClientConfig(
+            local_epochs=2,
+            batch_size=8,
+            learning_rate=5e-3,
+            margin=1.1,
+            mnr_scale=15.0,
+            contrastive_weight=0.5,
+            mnr_weight=2.0,
+            threshold_grid=21,
+        )
+        client.config = cfg
+        global_params = make_tiny_encoder(seed=5).get_parameters()
+        update = client.fit(global_params, 0.7)
+
+        reference = make_tiny_encoder(seed=5)
+        reference.set_parameters(global_params)
+        losses = reference.train_on_pairs(
+            client.train_data.as_tuples(),
+            epochs=cfg.local_epochs,
+            batch_size=cfg.batch_size,
+            optimizer=Adam(lr=cfg.learning_rate),
+            margin=cfg.margin,
+            mnr_scale=cfg.mnr_scale,
+            contrastive_weight=cfg.contrastive_weight,
+            mnr_weight=cfg.mnr_weight,
+            shuffle_seed=client.seed,
+        )
+        for got, want in zip(update.parameters, reference.get_parameters(), strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert update.train_loss == losses[-1]
+        tau = find_optimal_threshold(
+            reference,
+            client.val_data.as_tuples(),
+            thresholds=np.linspace(0.0, 1.0, cfg.threshold_grid),
+            beta=cfg.threshold_beta,
+            default=0.7,
+            extra_cache_texts=[p.query_a for p in client.train_data.pairs],
+        )
+        assert update.local_threshold == tau
 
     def test_client_zero_epochs_keeps_global_weights(self):
         client = _make_clients(1)[0]

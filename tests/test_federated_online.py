@@ -19,7 +19,7 @@ from repro.federated.online import (
     OnlineAdaptationConfig,
     OnlineThresholdAdapter,
 )
-from repro.federated.sampling import RoundRobinSampler
+from repro.federated.sampling import ClientSampler
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving import (
     CacheServer,
@@ -44,6 +44,13 @@ class _RecordingCache:
     @property
     def threshold(self):
         return self.pushed[-1] if self.pushed else None
+
+
+class _FirstClientsSampler(ClientSampler):
+    """Picks the first ``n`` client ids, so a test chooses the participant."""
+
+    def sample(self, client_ids, n, round_number):
+        return list(client_ids[: self._check(client_ids, n)])
 
 
 def _observe_batch(adapter, user_id, observations):
@@ -203,7 +210,7 @@ class TestRoundDriver:
 
     def test_personalization_blend(self):
         config = self._config(personalization=0.5, clients_per_round=1)
-        adapter = OnlineThresholdAdapter(config, sampler=RoundRobinSampler())
+        adapter = OnlineThresholdAdapter(config, sampler=_FirstClientsSampler())
         swept, idle = _RecordingCache(), _RecordingCache()
         adapter.register_user("u0", swept)
         adapter.register_user("u1", idle)

@@ -1,73 +1,14 @@
-"""Unit tests for the SGD and Adam optimizers."""
+"""Unit tests for the Adam optimizer."""
 
 import numpy as np
 import pytest
 
-from repro.embeddings.optim import SGD, Adam
+from repro.embeddings.optim import Adam
 
 
 def quadratic_grad(params):
     """Gradient of 0.5 * ||p||^2 for each parameter."""
     return [p.copy() for p in params]
-
-
-class TestSGD:
-    def test_basic_step(self):
-        p = [np.array([1.0, -2.0])]
-        SGD(lr=0.5).step(p, [np.array([1.0, 1.0])])
-        assert np.allclose(p[0], [0.5, -2.5])
-
-    def test_converges_on_quadratic(self):
-        params = [np.array([5.0, -3.0]), np.array([[2.0, 2.0]])]
-        opt = SGD(lr=0.2)
-        for _ in range(100):
-            opt.step(params, quadratic_grad(params))
-        assert all(np.abs(p).max() < 1e-4 for p in params)
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            params = [np.array([10.0])]
-            opt = SGD(lr=0.05, momentum=momentum)
-            for _ in range(30):
-                opt.step(params, quadratic_grad(params))
-            return abs(params[0][0])
-
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks_weights(self):
-        params = [np.array([1.0])]
-        SGD(lr=0.1, weight_decay=1.0).step(params, [np.array([0.0])])
-        assert params[0][0] < 1.0
-
-    def test_invalid_lr(self):
-        with pytest.raises(ValueError):
-            SGD(lr=0.0)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            SGD(lr=0.1, momentum=1.0)
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            SGD(lr=0.1).step([np.zeros(2)], [np.zeros(2), np.zeros(2)])
-
-    def test_mismatched_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            SGD(lr=0.1).step([np.zeros(2)], [np.zeros(3)])
-
-    def test_reset_clears_momentum(self):
-        opt = SGD(lr=0.1, momentum=0.9)
-        params = [np.array([1.0])]
-        opt.step(params, [np.array([1.0])])
-        assert opt._velocity
-        opt.reset()
-        assert not opt._velocity
-
-    def test_updates_in_place(self):
-        p = np.array([1.0, 1.0])
-        params = [p]
-        SGD(lr=0.1).step(params, [np.ones(2)])
-        assert params[0] is p  # same array object, mutated in place
 
 
 class TestAdam:
@@ -108,3 +49,13 @@ class TestAdam:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
             Adam(lr=0.1).step([np.zeros((2, 2))], [np.zeros((2, 3))])
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            Adam(lr=0.1).step([np.zeros(2)], [np.zeros(2), np.zeros(2)])
+
+    def test_updates_in_place(self):
+        p = np.array([1.0, 1.0])
+        params = [p]
+        Adam(lr=0.1).step(params, [np.ones(2)])
+        assert params[0] is p  # same array object, mutated in place

@@ -10,7 +10,6 @@ from repro.embeddings.featurizer import FeaturizerConfig, HashedFeaturizer
 from repro.embeddings.pca import PCA
 from repro.embeddings.similarity import cosine_similarity, pairwise_cosine, semantic_search
 from repro.federated.aggregation import aggregate_thresholds, fedavg
-from repro.federated.messages import buffer_to_parameters, parameters_to_buffer
 from repro.metrics.classification import confusion_matrix
 
 # Bounded, finite float arrays for numerical properties.
@@ -117,20 +116,6 @@ class TestFedAvgProperties:
     def test_threshold_mean_bounded(self, thresholds):
         agg = aggregate_thresholds(thresholds)
         assert min(thresholds) - 1e-12 <= agg <= max(thresholds) + 1e-12
-
-
-class TestMessageProperties:
-    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=999))
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_identity(self, n_params, seed):
-        rng = np.random.default_rng(seed)
-        params = [rng.normal(size=tuple(rng.integers(1, 5, size=rng.integers(1, 3)))) for _ in range(n_params)]
-        buffer, spec = parameters_to_buffer(params)
-        restored = buffer_to_parameters(buffer, spec)
-        assert len(restored) == len(params)
-        for a, b in zip(params, restored):
-            assert a.shape == b.shape
-            assert np.allclose(a, b)
 
 
 class TestConfusionMatrixProperties:

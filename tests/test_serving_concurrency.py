@@ -35,6 +35,7 @@ import pytest
 
 from conftest import make_tiny_encoder
 from repro.core.cache import MeanCache, MeanCacheConfig
+from repro.federated.online import OnlineAdaptationConfig, OnlineThresholdAdapter
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving.server import BackpressureError, CacheServer, ServerConfig
 from repro.serving.workload import Trace, WorkloadEvent
@@ -938,6 +939,33 @@ class TestOneServerClock:
             server.stop()
         assert len(submitted) == 4
         assert spy.nows == [(f"live q {i}", now) for i, now in enumerate(submitted)]
+
+    def test_live_adaptation_owes_no_rounds_before_the_first_request(self):
+        """A live clock reads far from its origin: the adapter's schedule
+        starts at the first request it sees, so that request runs no
+        catch-up rounds, and a request 31 s later runs exactly one."""
+        # Shift the clock 1e6 s out and one second past a 30 s grid point,
+        # so the first due round is 29 s after the first request.
+        shift = 1e6 - (time.monotonic() + 1e6) % 30.0 + 1.0
+        offset = [0.0]
+        adapter = OnlineThresholdAdapter(OnlineAdaptationConfig(round_interval_s=30.0))
+        encoder = make_tiny_encoder()
+        server = CacheServer(
+            lambda user_id: MeanCache(encoder, MeanCacheConfig(similarity_threshold=0.999)),
+            service=_fast_service(),
+            config=ServerConfig(max_batch_size=1, max_batch_wait_s=0.0),
+            clock=lambda: time.monotonic() + shift + offset[0],
+            adaptation=adapter,
+        )
+        server.start()
+        try:
+            server.submit_threadsafe("alice", "first live question").result(timeout=10)
+            assert adapter.history == []
+            offset[0] = 31.0
+            server.submit_threadsafe("alice", "second live question").result(timeout=10)
+            assert len(adapter.history) == 1
+        finally:
+            server.stop()
 
     def test_replay_refuses_a_running_server(self):
         spy = _SpyService()

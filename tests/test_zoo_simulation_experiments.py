@@ -99,26 +99,9 @@ class TestFLSimulation:
             for a, b in zip(pretrained.get_parameters(), trained.get_parameters())
         )
 
-    def test_topic_partition_mode(self):
-        pairs = generate_pair_dataset(n_pairs=120, seed=32)
-        train, val, test = pairs.split(0.7, 0.15, seed=1)
-        config = SimulationConfig(
-            encoder_name="albert-sim",
-            n_clients=3,
-            n_rounds=1,
-            clients_per_round=2,
-            local_epochs=1,
-            partition="topic",
-            seed=1,
-        )
-        result = FLSimulation(train, val, test_data=test, config=config).run()
-        assert result.n_rounds == 1
-
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            SimulationConfig(partition="weird")
-        with pytest.raises(ValueError):
-            SimulationConfig(n_workers=0)
+            SimulationConfig(n_clients=0)
 
 
 class TestExperimentSmoke:
