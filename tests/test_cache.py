@@ -1,5 +1,7 @@
 """Tests for MeanCache (Algorithm 1), compression and the client session."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,14 @@ class TestCompression:
         assert loaded.config.compressed
         assert isinstance(loaded.index, IVFIndex)
         assert (loaded.config.index_backend, dict(loaded.config.index_params)) == ("ivf", params)
+
+    def test_compression_changes_only_the_compressed_flag(self, tiny_encoder):
+        cache = self._populated_cache(tiny_encoder)
+        before = dataclasses.asdict(cache.config)
+        compress_cache(cache, n_components=8)
+        after = dataclasses.asdict(cache.config)
+        assert (before.pop("compressed"), after.pop("compressed")) == (False, True)
+        assert after == before
 
     def test_compressed_cache_still_hits_duplicates(self, trained_encoder):
         cache = MeanCache(trained_encoder, MeanCacheConfig(similarity_threshold=0.75))

@@ -258,6 +258,22 @@ class TestPartitioning:
         assert len(shards) == 5
         assert sum(len(s) for s in shards) == len(small_pair_dataset)
 
+    def test_iid_partition_is_deterministic_per_seed(self):
+        items = list(range(50))
+        assert partition_iid(items, 4, seed=3) == partition_iid(items, 4, seed=3)
+        assert partition_iid(items, 4, seed=3) != partition_iid(items, 4, seed=4)
+
+    def test_more_clients_than_items_leaves_empty_shards(self):
+        shards = partition_iid(["a", "b"], 5, seed=0)
+        assert sorted(len(s) for s in shards) == [0, 0, 0, 1, 1]
+        assert sorted(x for s in shards for x in s) == ["a", "b"]
+
+    def test_partition_pairs_shards_are_disjoint_and_keep_pairs(self, small_pair_dataset):
+        shards = partition_pairs(small_pair_dataset, 4, seed=1)
+        seen = [id(p) for shard in shards for p in shard.pairs]
+        assert len(seen) == len(set(seen))  # no pair lands on two clients
+        assert set(seen) == {id(p) for p in small_pair_dataset.pairs}
+
     def test_invalid_client_counts(self):
         with pytest.raises(ValueError):
             partition_iid([1, 2, 3], 0)

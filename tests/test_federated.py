@@ -8,7 +8,7 @@ from repro.datasets.semantic_pairs import QueryPairDataset, generate_pair_datase
 from repro.embeddings.optim import Adam
 from repro.federated.aggregation import aggregate_thresholds, fedavg
 from repro.federated.client import ClientConfig, FLClient
-from repro.federated.sampling import UniformSampler
+from repro.federated.sampling import ClientSampler, UniformSampler
 from repro.federated.server import FLServer, ServerConfig
 from repro.federated.threshold import (
     cache_mode_threshold_sweep,
@@ -57,6 +57,29 @@ class TestFedAvg:
         with pytest.raises(ValueError):
             fedavg([[np.ones(2)], [np.ones(2)]], [0, 0])
 
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            fedavg([[np.ones(2)], [np.ones(2)]], [3, -1])
+
+    def test_zero_weight_client_is_ignored(self):
+        out = fedavg([[np.full(3, 2.0)], [np.full(3, 100.0)]], [5, 0])
+        assert np.array_equal(out[0], np.full(3, 2.0))
+
+    def test_client_order_does_not_matter(self, rng):
+        clients = [[rng.normal(size=(2, 3)), rng.normal(size=4)] for _ in range(4)]
+        weights = [3, 1, 4, 2]
+        forward = fedavg(clients, weights)
+        backward = fedavg(clients[::-1], weights[::-1])
+        for a, b in zip(forward, backward, strict=True):
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_returns_fresh_float64_arrays(self):
+        a = [np.ones(3, dtype=np.float32)]
+        out = fedavg([a], [1])
+        assert out[0].dtype == np.float64
+        out[0][0] = 7.0
+        assert a[0][0] == 1.0  # the client's arrays are not aliased
+
 
 class TestThresholdAggregation:
     def test_plain_mean(self):
@@ -81,6 +104,19 @@ class TestThresholdAggregation:
         """
         with pytest.raises(ValueError, match="negative"):
             aggregate_thresholds([0.6, 0.8, 0.7], num_samples=[30, -10, 1], weighted=True)
+
+    def test_weighted_requires_one_count_per_threshold(self):
+        with pytest.raises(ValueError, match="one sample count"):
+            aggregate_thresholds([0.6, 0.8], weighted=True)
+        with pytest.raises(ValueError, match="one sample count"):
+            aggregate_thresholds([0.6, 0.8], num_samples=[1], weighted=True)
+
+    def test_weighted_zero_total_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            aggregate_thresholds([0.6, 0.8], num_samples=[0, 0], weighted=True)
+
+    def test_plain_mean_ignores_sample_counts(self):
+        assert aggregate_thresholds([0.6, 1.0], num_samples=[3, 1]) == pytest.approx(0.8)
 
     def test_weighted_equals_unweighted_for_equal_counts(self):
         """Parity: equal per-client counts reduce to the plain mean."""
@@ -108,6 +144,33 @@ class TestSamplers:
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             UniformSampler().sample([], 1, 0)
+
+    def test_uniform_rounds_draw_from_one_stream(self):
+        """Successive rounds of one sampler differ; a same-seeded sampler
+        replays the whole sequence."""
+        a = UniformSampler(seed=3)
+        b = UniformSampler(seed=3)
+        rounds_a = [a.sample(self.CLIENTS, 4, r) for r in range(5)]
+        rounds_b = [b.sample(self.CLIENTS, 4, r) for r in range(5)]
+        assert rounds_a == rounds_b
+        assert len({tuple(r) for r in rounds_a}) > 1
+
+    def test_uniform_seeds_differ(self):
+        draws = {tuple(UniformSampler(seed=s).sample(self.CLIENTS, 4, 0)) for s in range(6)}
+        assert len(draws) > 1
+
+    def test_uniform_selects_every_client_about_equally(self):
+        sampler = UniformSampler(seed=0)
+        counts = dict.fromkeys(self.CLIENTS, 0)
+        for r in range(2000):
+            for cid in sampler.sample(self.CLIENTS, 4, r):
+                counts[cid] += 1
+        # Expected 800 picks each (2000 rounds x 4 / 10 clients).
+        assert all(700 < c < 900 for c in counts.values())
+
+    def test_base_sampler_is_an_interface(self):
+        with pytest.raises(NotImplementedError):
+            ClientSampler().sample(self.CLIENTS, 1, 0)
 
     @pytest.mark.parametrize(
         "sampler_factory", [lambda: UniformSampler(seed=0)], ids=["uniform"]
@@ -155,6 +218,22 @@ class TestThresholdSearch:
         a = cache_mode_threshold_sweep(tiny_encoder, pairs)
         b = cache_mode_threshold_sweep(tiny_encoder, pairs, extra_cache_texts=[])
         assert a.optimal_threshold == b.optimal_threshold
+
+    def test_find_optimal_threshold_is_the_cache_mode_optimum(self, tiny_encoder):
+        pairs = self._pairs()
+        grid = np.linspace(0, 1, 21)
+        history = ["How do I fix a flat bicycle tire?", "Best way to learn piano"]
+        want = cache_mode_threshold_sweep(
+            tiny_encoder, pairs, thresholds=grid, beta=0.5, extra_cache_texts=history
+        ).optimal_threshold
+        got = find_optimal_threshold(
+            tiny_encoder, pairs, thresholds=grid, beta=0.5, extra_cache_texts=history
+        )
+        assert got == want
+
+    def test_find_optimal_threshold_only_negatives_returns_default(self, tiny_encoder):
+        only_neg = [("a b c", "x y z", 0), ("d e f", "u v w", 0)]
+        assert find_optimal_threshold(tiny_encoder, only_neg, default=0.42) == 0.42
 
     def test_find_optimal_threshold_defaults(self, tiny_encoder):
         assert find_optimal_threshold(tiny_encoder, [], default=0.66) == 0.66
@@ -229,6 +308,33 @@ def _make_clients(n_clients=3, pairs_per_client=24):
             )
         )
     return clients
+
+
+class _FirstClientsSampler(ClientSampler):
+    """Picks the first ``n`` client ids, so a test chooses the participants."""
+
+    def sample(self, client_ids, n, round_number):
+        return list(client_ids[: self._check(client_ids, n)])
+
+
+class TestConfigs:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"local_epochs": -1}, {"batch_size": 0}, {"learning_rate": 0.0}],
+        ids=["negative_epochs", "zero_batch", "zero_lr"],
+    )
+    def test_invalid_client_config_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ClientConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n_rounds": 0}, {"clients_per_round": 0}, {"initial_threshold": 1.5}],
+        ids=["zero_rounds", "zero_clients", "threshold_above_one"],
+    )
+    def test_invalid_server_config_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ServerConfig(**kwargs)
 
 
 class TestFLClientServer:
@@ -332,6 +438,68 @@ class TestFLClientServer:
         curves = server.training_curves()
         assert len(curves["round"]) == 2
         assert "precision" in curves
+
+    def test_client_fit_is_deterministic_from_the_global_state(self):
+        """A client restarts from the weights it is sent: two fits from one
+        global state return byte-equal updates."""
+        client = _make_clients(1)[0]
+        global_params = make_tiny_encoder(seed=5).get_parameters()
+        first = client.fit(global_params, 0.7)
+        second = client.fit(global_params, 0.7)
+        for a, b in zip(first.parameters, second.parameters, strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert (first.train_loss, first.local_threshold) == (
+            second.train_loss,
+            second.local_threshold,
+        )
+
+    def test_server_round_uses_the_injected_sampler(self):
+        clients = _make_clients(3)
+        server = FLServer(
+            make_tiny_encoder(seed=5),
+            clients,
+            config=ServerConfig(n_rounds=1, clients_per_round=2),
+            sampler=_FirstClientsSampler(),
+        )
+        result = server.run_round(0)
+        assert result.participating_clients == ["client-0", "client-1"]
+        assert result.evaluation == {}  # no server-side test pairs
+
+    def test_server_round_is_fedavg_of_the_client_updates(self):
+        """One round's global state is FedAvg of the selected clients' fits
+        and the plain mean of their thresholds."""
+        clients = _make_clients(2)
+        server = FLServer(
+            make_tiny_encoder(seed=5),
+            clients,
+            config=ServerConfig(n_rounds=1, clients_per_round=2, initial_threshold=0.7),
+            sampler=_FirstClientsSampler(),
+        )
+        start = [p.copy() for p in server.global_parameters]
+        result = server.run_round(0)
+
+        replay = _make_clients(2)
+        updates = [c.fit(start, 0.7, 0) for c in replay]
+        want = fedavg([u.parameters for u in updates], [u.num_samples for u in updates])
+        for got, exp in zip(server.global_parameters, want, strict=True):
+            assert got.tobytes() == exp.tobytes()
+        assert server.global_threshold == pytest.approx(
+            np.mean([u.local_threshold for u in updates])
+        )
+        assert result.mean_client_loss == pytest.approx(
+            np.mean([u.train_loss for u in updates])
+        )
+
+    def test_server_fit_rounds_argument_overrides_config(self):
+        server = FLServer(
+            make_tiny_encoder(seed=5),
+            _make_clients(2),
+            config=ServerConfig(n_rounds=5, clients_per_round=1),
+            seed=2,
+        )
+        history = server.fit(1)
+        assert [r.round_number for r in history] == [0]
+        assert server.training_curves()["round"].tolist() == [0]
 
     def test_server_requires_unique_client_ids(self):
         clients = _make_clients(2)

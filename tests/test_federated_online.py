@@ -274,6 +274,36 @@ class TestRoundDriver:
         assert list(trajectory["round"]) == [0, 1, 2]
         assert trajectory["threshold"].shape == (3,)
 
+    def test_first_observation_far_from_the_origin_owes_no_backlog(self):
+        """A clock that reads far from zero at the first observation (a live
+        server's monotonic clock) starts the schedule at the next grid point."""
+        adapter = OnlineThresholdAdapter(self._config())
+        adapter.register_user("u0", _RecordingCache())
+        t0 = 1_000_003.0
+        adapter.observe("u0", similarity=0.9, hit=True, verified=True, time_s=t0)
+        assert adapter.advance(t0) == []
+        assert adapter.advance(1_000_009.9) == []
+        (round_,) = adapter.advance(1_000_010.0)
+        assert round_.time_s == 1_000_010.0 and round_.round_number == 0
+
+    def test_first_observation_on_a_grid_point_does_not_owe_it(self):
+        adapter = OnlineThresholdAdapter(self._config())
+        adapter.register_user("u0", _RecordingCache())
+        adapter.observe("u0", similarity=0.9, hit=True, verified=True, time_s=40.0)
+        assert adapter.advance(40.0) == []
+        assert [r.time_s for r in adapter.advance(50.0)] == [50.0]
+
+    def test_later_observations_keep_the_schedule(self):
+        """Only the first observation starts the clock: an idle gap after it
+        is caught up round by round."""
+        adapter = OnlineThresholdAdapter(self._config())
+        adapter.register_user("u0", _RecordingCache())
+        adapter.observe("u0", similarity=0.9, hit=True, verified=True, time_s=2.0)
+        adapter.observe("u0", similarity=0.9, hit=True, verified=True, time_s=100.0)
+        assert [r.time_s for r in adapter.advance(100.0)] == [
+            10.0 * k for k in range(1, 11)
+        ]
+
     def test_round_records_serialize(self):
         adapter = OnlineThresholdAdapter(self._config())
         adapter.register_user("u0", _RecordingCache())

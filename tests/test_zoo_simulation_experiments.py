@@ -103,6 +103,33 @@ class TestFLSimulation:
         with pytest.raises(ValueError):
             SimulationConfig(n_clients=0)
 
+    def test_clients_hold_disjoint_iid_shards_of_the_training_data(self, sim_result):
+        sim, _ = sim_result
+        assert [c.client_id for c in sim.clients] == [f"client-{i:02d}" for i in range(4)]
+        held = [id(p) for c in sim.clients for p in c.train_data.pairs]
+        assert len(held) == len(set(held))
+        assert set(held) == {id(p) for p in sim.train_data.pairs}
+        sizes = [len(c.train_data) for c in sim.clients]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_clients_train_under_the_simulation_config(self, sim_result):
+        sim, _ = sim_result
+        cfg = sim.config
+        for i, client in enumerate(sim.clients):
+            assert client.seed == cfg.seed + 100 + i
+            assert (client.config.local_epochs, client.config.batch_size) == (
+                cfg.local_epochs,
+                cfg.batch_size,
+            )
+            assert client.config.learning_rate == cfg.learning_rate
+
+    def test_result_is_the_servers_final_state(self, sim_result):
+        sim, result = sim_result
+        assert result.history == sim.server.history
+        assert result.final_threshold == sim.server.global_threshold
+        for got, want in zip(result.final_parameters, sim.server.global_parameters, strict=True):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestExperimentSmoke:
     """End-to-end smoke tests of the experiment harness at a tiny scale."""
