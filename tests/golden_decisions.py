@@ -1,15 +1,19 @@
 """Golden-decision collector for the pipeline parity regression test.
 
 No rewrite of the lookup rule (``repro.core.pipeline``) may change a single
-hit/miss decision of any experiment.  This module runs the three
-decision-producing experiments — Table I (standalone), Table I (contextual)
-and Figure 5 — at ``quick`` scale and serializes every system's decision
-stream to a canonical JSON structure:
+hit/miss decision of any experiment.  This module runs the four
+decision-producing experiments — Table I (standalone), Table I (contextual),
+Figure 5 and Figure 10 — at ``quick`` scale and serializes every system's
+decision stream to a canonical JSON structure:
 
 * ``hits``   — the hit/miss bits as a ``"0"/"1"`` string (probe order);
 * ``sims``   — each decision's similarity as ``float.hex()`` (bit-exact);
 * ``matches``— the matched cache entry id (MeanCache) or matched query text
   (GPTCache), ``None`` on a miss.
+
+Figure 10 is pinned per measured point instead: system, ``n_cached``,
+``embedding_dim``, and ``storage_kb``/``f_score``/``precision``/``recall`` as
+``float.hex()``.  Its wall-clock search time is left out.
 
 ``tests/fixtures/golden_decisions_quick.json`` was generated from the seed's
 monolithic lookup loops via::
@@ -51,10 +55,11 @@ def _gptcache_match(decision):
 
 
 def collect_decision_summary(bundle=None) -> Dict[str, object]:
-    """Run table1 / contextual / fig05 and summarize every decision stream."""
+    """Run table1 / contextual / fig05 / fig10 and summarize every decision stream."""
     from repro.experiments.common import cached_system_bundle, resolve_scale
     from repro.experiments.contextual import run_contextual
     from repro.experiments.fig05_latency import run_fig05
+    from repro.experiments.fig10_compression import run_fig10
     from repro.experiments.table1 import (
         evaluate_gptcache_on_workload,
         evaluate_meancache_on_workload,
@@ -113,6 +118,21 @@ def collect_decision_summary(bundle=None) -> Dict[str, object]:
         for name, trace in fig05.traces.items()
         if trace.predictions is not None
     }
+
+    # --- Figure 10: every (system, cache size) point, in measured order.
+    fig10 = run_fig10(resolved.name, seed=GOLDEN_SEED, bundle=bundle)
+    summary["fig10"] = [
+        {
+            "system": p.system,
+            "n_cached": p.n_cached,
+            "embedding_dim": p.embedding_dim,
+            "storage_kb": float(p.storage_kb).hex(),
+            "f_score": float(p.f_score).hex(),
+            "precision": float(p.precision).hex(),
+            "recall": float(p.recall).hex(),
+        }
+        for p in fig10.points
+    ]
     return summary
 
 

@@ -4,9 +4,10 @@
 monolithic ``lookup``/``_decide``/``insert`` loops by
 ``tests/golden_decisions.py``; the three functions of
 ``repro.core.pipeline`` are the third implementation it pins.  This test
-re-runs Table I (standalone), Table I (contextual) and Figure 5 on the
-current code and asserts every system's hit/miss stream, similarity stream (bit-exact via
-``float.hex``) and matched-entry stream are byte-identical to the fixture.
+re-runs Table I (standalone), Table I (contextual), Figure 5 and Figure 10 on
+the current code and asserts every system's hit/miss stream, similarity stream (bit-exact via
+``float.hex``) and matched-entry stream, and every Figure 10 point, are
+byte-identical to the fixture.
 """
 
 from __future__ import annotations
@@ -61,3 +62,7 @@ def test_fig05_decisions_byte_identical(golden, current):
     for system, expected in golden["fig05"].items():
         got = current["fig05"][system]
         assert got["hits"] == expected["hits"], f"{system}: hit/miss stream changed"
+
+
+def test_fig10_points_byte_identical(golden, current):
+    assert current["fig10"] == golden["fig10"]
