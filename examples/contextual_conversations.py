@@ -14,7 +14,7 @@ miss and forwards it to the LLM.
 
 from __future__ import annotations
 
-from repro import GPTCache, GPTCacheConfig, MeanCache, MeanCacheConfig, load_encoder
+from repro import GPTCACHE_CONFIG, MeanCache, MeanCacheConfig, load_encoder
 from repro.core.client import MeanCacheClient
 from repro.llm.service import SimulatedLLMService
 
@@ -53,10 +53,14 @@ def main() -> None:
 
     # The same trap against a context-oblivious server-side cache.
     print("\n--- the same trap against a context-oblivious GPTCache ---")
-    gpt = GPTCache(load_encoder("albert-sim"), GPTCacheConfig(similarity_threshold=0.7))
+    gpt = MeanCache(load_encoder("albert-sim"), GPTCACHE_CONFIG)
     gpt.insert("Draw a line plot in Python", "matplotlib.pyplot.plot(...)")
-    gpt.insert("Change the color to red", "plt.plot(x, y, color='red')  # for the LINE PLOT")
-    trap = gpt.lookup("Change the color to red")  # asked in the circle conversation
+    gpt.insert(
+        "Change the color to red",
+        "plt.plot(x, y, color='red')  # for the LINE PLOT",
+        context=["Draw a line plot in Python"],
+    )
+    trap = gpt.lookup("Change the color to red", context=["Draw a circle in Python"])
     print(f"  GPTCache returns a hit: {trap.hit} (the cached answer refers to the wrong context)")
 
 

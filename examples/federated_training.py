@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import os
 
-from repro.baselines.gptcache import GPTCache, GPTCacheConfig
+from repro.baselines import GPTCACHE_CONFIG
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.datasets.semantic_pairs import generate_cache_workload, generate_pair_dataset
 from repro.embeddings.zoo import load_encoder
-from repro.experiments.table1 import evaluate_gptcache_on_workload, evaluate_meancache_on_workload
+from repro.experiments.table1 import evaluate_meancache_on_workload
 from repro.federated.simulation import FLSimulation, SimulationConfig
 
 
@@ -73,8 +73,8 @@ def main() -> None:
     )
     mc_eval = evaluate_meancache_on_workload(meancache, workload)
 
-    gptcache = GPTCache(load_encoder("albert-sim"), GPTCacheConfig(similarity_threshold=0.7))
-    gpt_eval = evaluate_gptcache_on_workload(gptcache, workload)
+    gptcache = MeanCache(load_encoder("albert-sim"), GPTCACHE_CONFIG)
+    gpt_eval = evaluate_meancache_on_workload(gptcache, workload)
 
     print("\nEnd-to-end cache decisions on a fresh 400-query workload (30% duplicates):")
     for name, ev in [("MeanCache (FL-trained)", mc_eval), ("GPTCache (baseline)", gpt_eval)]:

@@ -14,7 +14,9 @@ The package is organised as a set of substrates plus the core contribution:
     Deterministic synthetic datasets: duplicate-query pairs, contextual
     conversations, user-study logs and federated partitioning.
 ``repro.baselines``
-    GPTCache-style server-side semantic cache and a keyword-matching cache.
+    The GPTCache baseline as one ``MeanCache`` configuration
+    (``GPTCACHE_CONFIG``: fixed τ = 0.7, top-1, no context check, no
+    eviction) and a reader for its legacy snapshots.
 ``repro.core``
     MeanCache itself: the user-side semantic cache with context-chain
     verification, adaptive thresholds, PCA-compressed embeddings, eviction
@@ -30,7 +32,7 @@ The package is organised as a set of substrates plus the core contribution:
     One module per paper table/figure regenerating the reported series.
 """
 
-from repro.baselines.gptcache import GPTCache, GPTCacheConfig
+from repro.baselines import GPTCACHE_CONFIG
 from repro.core.cache import MeanCache, MeanCacheConfig, CacheDecision, CacheEntry
 from repro.core.client import MeanCacheClient
 from repro.embeddings.zoo import load_encoder, ENCODER_SPECS
@@ -45,8 +47,7 @@ __all__ = [
     "MeanCacheClient",
     "CacheDecision",
     "CacheEntry",
-    "GPTCache",
-    "GPTCacheConfig",
+    "GPTCACHE_CONFIG",
     "load_encoder",
     "ENCODER_SPECS",
     "SimulatedLLMService",

@@ -35,7 +35,11 @@ from repro.core.context import (
 from repro.core.pipeline import embed_probes, first_admissible, search_candidates
 from repro.core.policy import EvictionPolicy, make_policy
 from repro.core.storage import object_nbytes
-from repro.core.validation import require_query_text, require_query_texts
+from repro.core.validation import (
+    require_context_texts,
+    require_query_text,
+    require_query_texts,
+)
 from repro.embeddings.model import SiameseEncoder
 from repro.index import IndexHit, VectorIndex
 from repro.index.registry import resolve_index, validate_backend
@@ -66,15 +70,15 @@ class MeanCacheConfig:
     ----------
     similarity_threshold:
         The adaptive cosine threshold τ (learned via FL; 0.7 is GPTCache's
-        fixed default and serves as the cold-start value).
+        fixed value and serves as the cold-start value).
     context_threshold:
         Cosine threshold used when comparing context-chain embeddings.
     top_k:
         Number of similar cached queries retrieved per lookup (Algorithm 1
         examines each candidate's context chain).
     verify_context:
-        Toggle for the context-chain check (the ablation switch; GPTCache
-        corresponds to ``False``).
+        Toggle for the context-chain check (the ablation switch; the
+        GPTCache baseline, ``repro.baselines.GPTCACHE_CONFIG``, is ``False``).
     max_entries:
         Cache capacity; inserting beyond it evicts per ``eviction_policy``.
     eviction_policy:
@@ -149,11 +153,11 @@ class CacheEntry:
 
 @dataclass
 class CacheDecision:
-    """The outcome of one lookup, for every cache variant in the repository.
+    """The outcome of one lookup, for every cache in the repository.
 
-    :class:`MeanCache`, :class:`~repro.core.tiered.TieredCache` and the
-    ``GPTCache`` / ``KeywordCache`` baselines all return this type, so the
-    serving layer reads decisions without probing their shape.
+    :class:`MeanCache` (in any configuration, the GPTCache baseline's
+    included) and :class:`~repro.core.tiered.TieredCache` return this type,
+    so the serving layer reads decisions without probing their shape.
 
     For decisions produced by :meth:`MeanCache.lookup_batch`, ``embed_time_s``
     and ``search_time_s`` are the batch's wall-clock cost divided evenly over
@@ -174,9 +178,6 @@ class CacheDecision:
     context_verified: bool = False
     embed_time_s: float = 0.0
     search_time_s: float = 0.0
-    #: modelled round trip to a remote cache (the central GPTCache baseline
-    #: pays it even on a hit); 0.0 for an on-device cache
-    network_time_s: float = 0.0
     #: the probe's embedding as the lookup computed (or was handed) it; pass
     #: it to ``insert``/``enroll`` on a miss to skip a second encoder forward.
     embedding: Optional[np.ndarray] = None
@@ -187,8 +188,8 @@ class CacheDecision:
 
     @property
     def total_overhead_s(self) -> float:
-        """Embedding, search and (for a remote cache) network overhead."""
-        return self.embed_time_s + self.search_time_s + self.network_time_s
+        """Embedding plus search overhead."""
+        return self.embed_time_s + self.search_time_s
 
 
 @dataclass
@@ -296,7 +297,7 @@ class MeanCache:
         The same rule as :meth:`lookup_batch`, for one probe.
         """
         require_query_text(query)
-        return self._lookup([query], [context], None)[0]
+        return self._lookup([query], [require_context_texts(context)], None)[0]
 
     def lookup_batch(
         self,
@@ -336,8 +337,10 @@ class MeanCache:
         ``embeddings``) raises ``ValueError`` and counts no lookup.
         """
         queries = require_query_texts(queries)
-        if contexts is not None and len(contexts) != len(queries):
-            raise ValueError("contexts must align with queries")
+        if contexts is not None:
+            if len(contexts) != len(queries):
+                raise ValueError("contexts must align with queries")
+            contexts = [require_context_texts(c) for c in contexts]
         if not queries:
             return []
         return self._lookup(queries, contexts, embeddings)
@@ -447,6 +450,8 @@ class MeanCache:
         re-encode.
         """
         require_query_text(query)
+        if not isinstance(context, ContextChain):
+            context = require_context_texts(context)
         if embedding is None:
             embedding, _ = self.embed(query)
         embedding = np.asarray(embedding, dtype=np.float64).reshape(-1)

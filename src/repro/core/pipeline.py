@@ -4,8 +4,8 @@ Every semantic cache in the repo answers a batch of probes the same way:
 
     embed_probes → search_candidates → first_admissible (per probe)
 
-``MeanCache`` and ``GPTCache`` call all three from their ``_lookup`` body and
-build the decision themselves; the quantized L2 tier's ``match`` calls
+``MeanCache`` calls all three from its ``_lookup`` body and builds the
+decision itself; the quantized L2 tier's ``match`` calls
 :func:`first_admissible` over its own search, so the τ + context rule exists
 once.  The functions hold no state and read no config: the caller passes the
 values in force for this call, which is how a re-learned τ or a replaced

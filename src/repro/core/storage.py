@@ -1,8 +1,8 @@
 """Byte-level size accounting for cached values.
 
 :func:`object_nbytes` approximates what an entry's texts and metadata cost
-in the cache (``CacheEntry.nbytes`` in MeanCache and GPTCache, summed by
-their ``total_storage_bytes``).  Cache state persists only through the
+in the cache (``CacheEntry.nbytes``, summed by
+``MeanCache.total_storage_bytes``).  Cache state persists only through the
 snapshot envelope (:meth:`repro.core.cache.MeanCache.save`), which stores
 each entry's vector once, as its row in the vector index.
 """

@@ -10,7 +10,7 @@ not surface form — mirroring the paper's motivating example
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -47,34 +47,3 @@ class Paraphraser:
             q2 = self.corpus.realize(intent, rng=rng, template_index=t2, filler_index=attempts + 1)
             attempts += 1
         return q1, q2
-
-    def paraphrase_group(
-        self,
-        intent: QueryIntent,
-        size: int,
-        rng: np.random.Generator | None = None,
-    ) -> List[str]:
-        """Return ``size`` mutually-duplicate (and pairwise distinct) realisations."""
-        if size < 1:
-            raise ValueError("size must be >= 1")
-        rng = rng or self._rng
-        seen: List[str] = []
-        attempts = 0
-        max_attempts = size * 20
-        while len(seen) < size and attempts < max_attempts:
-            attempts += 1
-            template_index = int(rng.integers(len(TEMPLATES)))
-            q = self.corpus.realize(intent, rng=rng, template_index=template_index)
-            if q not in seen:
-                seen.append(q)
-        # If the intent has too few distinct realisations, pad by cycling
-        # fillers deterministically.
-        filler = 0
-        while len(seen) < size:
-            q = self.corpus.realize(intent, rng=rng, filler_index=filler)
-            filler += 1
-            if q not in seen:
-                seen.append(q)
-            if filler > 64:
-                seen.append(q + " " + "again" * (len(seen)))
-        return seen[:size]

@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.baselines.gptcache import GPTCache, GPTCacheConfig
+from repro.baselines import GPTCACHE_CONFIG
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.datasets.contextual import ContextualDataset, generate_contextual_dataset
 from repro.experiments.common import SystemBundle, cached_system_bundle, resolve_scale
@@ -29,7 +29,6 @@ from repro.metrics.reporting import format_confusion_matrix, format_metric_compa
 class ContextualSystemEvaluation:
     """Decisions and metrics of one system on the contextual workload."""
 
-    system: str
     predictions: np.ndarray
     metrics: Dict[str, float]
     matrix: ConfusionMatrix
@@ -81,30 +80,6 @@ def _evaluate_meancache(
     )
     cm = confusion_matrix(dataset.true_labels, predictions)
     return ContextualSystemEvaluation(
-        system="meancache",
-        predictions=predictions,
-        metrics=cm.metrics(beta),
-        matrix=cm,
-        trap_false_hits=trap_false_hits,
-    )
-
-
-def _evaluate_gptcache(
-    cache: GPTCache, dataset: ContextualDataset, beta: float
-) -> ContextualSystemEvaluation:
-    for turn in dataset.cached_turns:
-        cache.insert(turn.text, f"cached response for: {turn.text}")
-    # Context is ignored by the baseline, so the whole probe set batches.
-    decisions = cache.lookup_batch([probe.text for probe in dataset.probes])
-    predictions = np.array([d.hit for d in decisions], dtype=bool)
-    trap_false_hits = sum(
-        1
-        for probe, decision in zip(dataset.probes, decisions)
-        if decision.hit and probe.is_context_trap
-    )
-    cm = confusion_matrix(dataset.true_labels, predictions)
-    return ContextualSystemEvaluation(
-        system="gptcache",
         predictions=predictions,
         metrics=cm.metrics(beta),
         matrix=cm,
@@ -133,8 +108,8 @@ def run_contextual(
     )
     result = ContextualResult(dataset=dataset)
 
-    gpt = GPTCache(bundle.gptcache_encoder(), GPTCacheConfig(similarity_threshold=0.7))
-    result.systems["GPTCache"] = _evaluate_gptcache(gpt, dataset, beta)
+    gpt = MeanCache(bundle.gptcache_encoder(), GPTCACHE_CONFIG)
+    result.systems["GPTCache"] = _evaluate_meancache(gpt, dataset, beta)
 
     mpnet = bundle.meancache_mpnet
     mc = MeanCache(

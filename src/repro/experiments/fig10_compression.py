@@ -9,13 +9,12 @@ cutting storage by ~83% and speeding up the search, at a small F-score cost.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.gptcache import GPTCache, GPTCacheConfig
+from repro.baselines import GPTCACHE_CONFIG
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.core.compression import compress_cache
 from repro.datasets.semantic_pairs import generate_cache_workload
@@ -152,28 +151,10 @@ def run_fig10(
         )
 
         # --- GPTCache baseline (uncompressed ALBERT, fixed threshold) ---- #
-        gpt_encoder = bundle.gptcache_encoder()
-        gpt = GPTCache(gpt_encoder, GPTCacheConfig(similarity_threshold=0.7))
+        gpt = MeanCache(bundle.gptcache_encoder(), GPTCACHE_CONFIG)
         gpt.populate(workload.cached_queries)
-        predictions = np.zeros(workload.n_probes, dtype=bool)
-        search_times: List[float] = []
-        for i, probe in enumerate(workload.probes):
-            decision = gpt.lookup(probe.text)
-            predictions[i] = decision.hit
-            search_times.append(decision.search_time_s)
-        cm = confusion_matrix(workload.true_labels, predictions)
-        metrics = cm.metrics(beta)
         result.points.append(
-            CompressionPoint(
-                system="GPTCache",
-                n_cached=len(gpt),
-                storage_kb=gpt.embedding_storage_bytes() / 1024.0,
-                mean_search_time_s=float(np.mean(search_times)),
-                f_score=metrics["f_score"],
-                precision=metrics["precision"],
-                recall=metrics["recall"],
-                embedding_dim=gpt_encoder.embedding_dim,
-            )
+            _evaluate_cache_point(gpt, "GPTCache", workload, bundle.val_pairs, beta)
         )
 
         # --- MeanCache variants ------------------------------------------ #

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.baselines.gptcache import GPTCache, GPTCacheConfig
+from repro.baselines import GPTCACHE_CONFIG
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.datasets.semantic_pairs import CacheWorkload, generate_cache_workload
 from repro.experiments.common import SystemBundle, cached_system_bundle, resolve_scale
@@ -29,15 +29,14 @@ from repro.metrics.reporting import format_confusion_matrix, format_metric_compa
 
 @dataclass
 class SystemEvaluation:
-    """Decisions and metrics of one system on one workload.
+    """Decisions and metrics of one cache on one workload.
 
     ``overhead_mode`` records how ``mean_overhead_s`` was measured:
     ``"amortized"`` (the default batched evaluation — batch cost split over
     the probes) or ``"per-request"`` (each probe timed as its own lookup,
-    the seed's semantics; pass ``batched=False`` to the evaluators).
+    the seed's semantics; pass ``batched=False`` to the evaluator).
     """
 
-    system: str
     predictions: np.ndarray
     metrics: Dict[str, float]
     matrix: ConfusionMatrix
@@ -77,7 +76,10 @@ def evaluate_meancache_on_workload(
     beta: float = 0.5,
     batched: bool = True,
 ) -> SystemEvaluation:
-    """Populate ``cache`` with the workload and classify every probe.
+    """Empty ``cache``, populate it with the workload and classify every probe.
+
+    Evaluates MeanCache in any configuration, the GPTCache baseline's
+    (``GPTCACHE_CONFIG``) included.
 
     With ``batched=True`` (default) the whole probe set goes through
     :meth:`MeanCache.lookup_batch` — one query-encoding call plus one index
@@ -96,36 +98,6 @@ def evaluate_meancache_on_workload(
     overheads: List[float] = [d.total_overhead_s for d in decisions]
     cm = confusion_matrix(workload.true_labels, predictions)
     return SystemEvaluation(
-        system="meancache",
-        predictions=predictions,
-        metrics=cm.metrics(beta),
-        matrix=cm,
-        mean_overhead_s=float(np.mean(overheads)) if overheads else 0.0,
-        overhead_mode="amortized" if batched else "per-request",
-    )
-
-
-def evaluate_gptcache_on_workload(
-    cache: GPTCache,
-    workload: CacheWorkload,
-    beta: float = 0.5,
-    batched: bool = True,
-) -> SystemEvaluation:
-    """Populate the baseline cache with the workload and classify every probe.
-
-    ``batched`` selects amortized (default) vs per-request overhead timing,
-    as in :func:`evaluate_meancache_on_workload`; decisions are identical.
-    """
-    cache.populate(workload.cached_queries)
-    if batched:
-        decisions = cache.lookup_batch([probe.text for probe in workload.probes])
-    else:
-        decisions = [cache.lookup(probe.text) for probe in workload.probes]
-    predictions = np.array([d.hit for d in decisions], dtype=bool)
-    overheads: List[float] = [d.total_overhead_s for d in decisions]
-    cm = confusion_matrix(workload.true_labels, predictions)
-    return SystemEvaluation(
-        system="gptcache",
         predictions=predictions,
         metrics=cm.metrics(beta),
         matrix=cm,
@@ -166,8 +138,8 @@ def run_table1(
     result = Table1Result(workload=workload)
 
     # GPTCache baseline: frozen ALBERT-class encoder, fixed 0.7.
-    gpt = GPTCache(bundle.gptcache_encoder(), GPTCacheConfig(similarity_threshold=0.7))
-    result.systems["GPTCache"] = evaluate_gptcache_on_workload(gpt, workload, beta)
+    gpt = MeanCache(bundle.gptcache_encoder(), GPTCACHE_CONFIG)
+    result.systems["GPTCache"] = evaluate_meancache_on_workload(gpt, workload, beta)
 
     # MeanCache (MPNet): FL-trained encoder + learned threshold.
     mpnet = bundle.meancache_mpnet

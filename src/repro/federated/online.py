@@ -367,9 +367,7 @@ class OnlineThresholdAdapter:
             tau = cfg.personalization * local + (1.0 - cfg.personalization) * self.global_threshold
         tau = self._clamp(tau)
         device.threshold = tau
-        setter = getattr(device.cache, "set_threshold", None)
-        if setter is not None:
-            setter(tau)
+        device.cache.set_threshold(tau)
 
     def _run_round(self, time_s: float) -> OnlineRound:
         """One federated round: sample → local sweeps → aggregate → push."""

@@ -34,24 +34,6 @@ class ThresholdSweepResult:
     beta: float
     metadata: Dict[str, float] = field(default_factory=dict)
 
-    def as_series(self) -> Dict[str, np.ndarray]:
-        """All six sweep series keyed by name: the ``threshold`` grid plus
-        the five metric curves (``f1``, ``f_score``, ``precision``,
-        ``recall``, ``accuracy``).
-
-        Figures 13/14/16 plot the f1/precision/recall/accuracy subset; the
-        grid and the Fβ selection curve ride along so a caller can re-derive
-        the optimum or plot against the x-axis without a second sweep.
-        """
-        return {
-            "threshold": self.thresholds,
-            "f1": self.f1_scores,
-            "f_score": self.f_scores,
-            "precision": self.precisions,
-            "recall": self.recalls,
-            "accuracy": self.accuracies,
-        }
-
     def metrics_at_optimum(self) -> Dict[str, float]:
         """Headline metrics at the selected threshold."""
         i = self.optimal_index

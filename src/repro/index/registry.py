@@ -57,9 +57,8 @@ def available_backends() -> Tuple[str, ...]:
 def validate_backend(backend: str) -> str:
     """Normalise a backend name, raising ``ValueError`` for unknown ones.
 
-    Shared by :func:`make_index` and the cache configs
-    (``MeanCacheConfig`` / ``GPTCacheConfig``) so the lookup rule and the
-    error message cannot drift between them.  Returns the normalised key.
+    Shared by :func:`make_index` and ``MeanCacheConfig`` so the lookup rule
+    and the error message cannot drift between them.  Returns the normalised key.
     """
     key = str(backend).strip().lower()
     if key not in _FACTORIES:

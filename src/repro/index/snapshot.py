@@ -34,8 +34,9 @@ corrupted or future-format checkpoint is rejected instead of half-restored.
 
 Cache snapshot envelope
 -----------------------
-``MeanCache``, ``GPTCache`` and ``QuantizedTier`` snapshots are one envelope
-around an index snapshot, written by :func:`save_cache_snapshot` and read by
+``MeanCache`` and ``QuantizedTier`` snapshots (and the legacy
+``repro-gptcache`` ones :func:`repro.baselines.load_gptcache_snapshot`
+reads) are one envelope around an index snapshot, written by :func:`save_cache_snapshot` and read by
 :func:`load_cache_snapshot`: ``entries.json`` (per-entry texts and
 metadata), ``arrays/`` (per-entry embeddings at the index's native float
 dtype — :func:`native_float_dtype`), the vector index's own snapshot nested

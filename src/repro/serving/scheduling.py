@@ -265,9 +265,7 @@ class CacheAdapter:
 
         ``embeddings`` (one row per query) is the cross-cache micro-batcher's
         amortization hook: when the serving layer already embedded the whole
-        flush with one encoder call, vector caches skip their own encode.
-        Variants that cannot consume precomputed embeddings (the keyword
-        baseline) silently ignore them.
+        flush with one encoder call, the cache skips its own encode.
         """
         kwargs: Dict[str, object] = {}
         if self._accepts_contexts:
@@ -496,9 +494,8 @@ class BatchExecutor:
 
         IVF repartitioning (``auto_repartition=False``), layout compaction
         and snapshot delta-log folding run here, between batches — the query path itself never pays for
-        reorganization.  A target exposing its own ``maintenance()`` owns
-        the whole hook; otherwise the executor falls through to the
-        target's index.
+        reorganization.  Each target's own ``maintenance()`` owns the whole
+        hook.
 
         A tiered cache does only its own share here
         (:meth:`~repro.core.tiered.TieredCache.local_maintenance`: L1 index
@@ -520,13 +517,7 @@ class BatchExecutor:
                 local()
                 owed[id(target.l2)] = target.l2
                 continue
-            maintain = getattr(target, "maintenance", None)
-            if maintain is not None:
-                maintain()
-                continue
-            index = getattr(target, "index", None)
-            if index is not None and hasattr(index, "maintenance"):
-                index.maintenance()
+            target.maintenance()
         return list(owed.values())
 
 
@@ -551,7 +542,7 @@ def storage_report(caches: Iterable[object]) -> Dict[str, object]:
         if id(cache) in seen:
             continue
         seen[id(cache)] = cache
-        entries = len(cache) if hasattr(cache, "__len__") else 0
+        entries = len(cache)
         breakdown = getattr(cache, "storage_breakdown", None)
         if breakdown is not None:
             # A tiered cache: count its L1 per cache and its quantized tier
@@ -581,8 +572,7 @@ def storage_report(caches: Iterable[object]) -> Dict[str, object]:
             stats = cache.stats
             lookups += int(stats.lookups)
             hits += int(stats.hits)
-            embedding_bytes = getattr(cache, "embedding_storage_bytes", None)
-            cache_bytes = int(embedding_bytes()) if embedding_bytes else 0
+            cache_bytes = int(cache.embedding_storage_bytes())
         total_bytes += cache_bytes
         total_entries += entries
     return {

@@ -10,7 +10,7 @@ warm-starts from them (:meth:`CacheServer.checkpoint` /
   ``n_shards`` shards; each shard owns its users' caches behind one
   ``threading.Lock``, so index mutation is serialized per shard while a
   flush's lookups run across shards.  A ``cache_factory`` returning one
-  shared object (a central GPTCache) is detected by object identity and
+  shared object (a central cache in ``GPTCACHE_CONFIG``) is detected by object identity and
   collapsed onto a single owning shard — the shared index is never touched
   from two locks.
 * **Bounded admission queue with backpressure.**  ``max_queue_depth`` caps
@@ -76,6 +76,7 @@ import numpy as np
 from repro.analysis.runtime import guard_cache, maybe_tracked_lock
 from repro.core.cache import CacheDecision
 from repro.core.tiered import TierProbe, match_probes, serve_probes
+from repro.core.validation import require_context_texts
 from repro.index.snapshot import (
     SnapshotError,
     atomic_snapshot_dir,
@@ -850,15 +851,17 @@ class CacheServer:
         not queued: its future is already failed with
         :class:`BackpressureError` when this returns.  Raises
         ``RuntimeError`` when the server is not running (before
-        :meth:`start`, or once :meth:`stop` began).
+        :meth:`start`, or once :meth:`stop` began), and ``ValueError`` for a
+        context that is not a sequence of strings (nothing is admitted).
         """
+        context = require_context_texts(context)
         now = self.clock()
         future: "concurrent.futures.Future[ServerResponse]" = concurrent.futures.Future()
         event = WorkloadEvent(
             time_s=now,
             user_id=user_id,
             query=query,
-            context=tuple(context),
+            context=context,
             intent_key=intent_key,
         )
         request = _PendingRequest(event=event, enqueued_at=now, future=future)

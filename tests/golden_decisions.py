@@ -60,12 +60,7 @@ def collect_decision_summary(bundle=None) -> Dict[str, object]:
     from repro.experiments.contextual import run_contextual
     from repro.experiments.fig05_latency import run_fig05
     from repro.experiments.fig10_compression import run_fig10
-    from repro.experiments.table1 import (
-        evaluate_gptcache_on_workload,
-        evaluate_meancache_on_workload,
-        run_table1,
-    )
-    from repro.baselines.gptcache import GPTCache, GPTCacheConfig
+    from repro.baselines import GPTCACHE_CONFIG
     from repro.core.cache import MeanCache, MeanCacheConfig
     from repro.datasets.semantic_pairs import generate_cache_workload
 
@@ -83,7 +78,7 @@ def collect_decision_summary(bundle=None) -> Dict[str, object]:
         seed=GOLDEN_SEED + 100,
     )
     table1: Dict[str, object] = {}
-    gpt = GPTCache(bundle.gptcache_encoder(), GPTCacheConfig(similarity_threshold=0.7))
+    gpt = MeanCache(bundle.gptcache_encoder(), GPTCACHE_CONFIG)
     gpt.populate(workload.cached_queries)
     table1["GPTCache"] = _summarize(
         gpt.lookup_batch([p.text for p in workload.probes]), _gptcache_match

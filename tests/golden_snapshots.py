@@ -5,8 +5,8 @@ envelope under every cache) must not move a byte of any on-disk format nor a
 bit of any restored search.  This module builds one small instance of every
 persistable thing — the four index backends (trained where trainable, after
 a few removes), a :class:`~repro.core.tiered.QuantizedTier` with a
-two-record delta log, a ``MeanCache``, a ``GPTCache`` and a ``TieredCache``
-— and writes
+two-record delta log, a ``MeanCache``, a ``MeanCache`` in the GPTCache
+baseline's configuration and a ``TieredCache`` — and writes
 
 * ``tests/fixtures/snapshots/<name>/`` — the snapshot directories exactly as
   the generating commit's ``save`` wrote them, and
@@ -21,10 +21,10 @@ The fixtures are generated by::
 
 ``tests/test_persistence.py`` loads each one eagerly and memory-mapped and
 compares exactly.  Regenerate only for a deliberate, documented format
-change (the last: ``MeanCache`` format v4, whose entry records hold no
-time, so the ``meancache`` and ``tiered/l1`` manifests say version 4, their
-``entries.json`` lost ``created_at``/``last_accessed``, and only those two
-trees and their ``expected.json`` resave hashes moved) or a value-level
+change (the last: the ``gptcache`` fixture, once a ``repro-gptcache`` v3
+snapshot of the retired baseline class, is a ``MeanCache`` v4 snapshot in
+``GPTCACHE_CONFIG``; its decisions kept every field but ``entry_id``, which
+reads the matched entry's id instead of ``None``) or a value-level
 re-pin:
 
 * decision level (hit/miss, matched entry, response, victim, tier,
@@ -43,10 +43,12 @@ trust.
 
 ``legacy-v2/`` and ``legacy-v3/`` are the exception: the ``meancache``,
 ``gptcache`` and ``tiered/l1`` (as ``tiered-l1``) snapshots exactly as the
-last format-v2 build wrote them, and the ``meancache`` and ``tiered-l1``
-ones as the last format-v3 build did (entry records with time stamps).  No
+last format-v2 build wrote them, the ``meancache`` and ``tiered-l1`` ones as
+the last format-v3 build did (entry records with time stamps), and the
+``gptcache`` one as the last build with a ``repro-gptcache`` writer did.  No
 build can write them again, so the generator leaves both directories alone
-and ``--check`` does not compare them; the test loads each and requires the
+and ``--check`` does not compare them; the test loads each (a ``gptcache``
+through :func:`repro.baselines.load_gptcache_snapshot`) and requires the
 decisions of its current successor.
 """
 
@@ -186,15 +188,6 @@ def observe_meancache(cache) -> Dict[str, object]:
     return {"len": len(cache), "decisions": decision_fields(decisions)}
 
 
-def observe_gptcache(cache) -> Dict[str, object]:
-    """Probe a (restored) GPTCache with the fixed probe set."""
-    return {
-        "len": len(cache),
-        "users": cache.users(),
-        "decisions": decision_fields(cache.lookup_batch(CACHE_PROBES)),
-    }
-
-
 def tier_vectors() -> np.ndarray:
     """The embeddings the tier fixture enrols (and is probed with)."""
     return np.random.default_rng(21).normal(size=(40, DIM))
@@ -279,15 +272,19 @@ def build_meancache():
 
 
 def build_gptcache():
-    """A small two-user GPTCache."""
-    from conftest import make_tiny_encoder
-    from repro.baselines.gptcache import GPTCache, GPTCacheConfig
+    """A small central cache in the GPTCache baseline's configuration,
+    populated in the two batches the retired baseline's fixture used."""
+    from dataclasses import replace
 
-    cache = GPTCache(
-        make_tiny_encoder(), GPTCacheConfig(similarity_threshold=CACHE_THRESHOLD)
+    from conftest import make_tiny_encoder
+    from repro.baselines import GPTCACHE_CONFIG
+    from repro.core.cache import MeanCache
+
+    cache = MeanCache(
+        make_tiny_encoder(), replace(GPTCACHE_CONFIG, similarity_threshold=CACHE_THRESHOLD)
     )
-    cache.populate(CACHE_QUERIES[:10], user_id="alice")
-    cache.populate(CACHE_QUERIES[10:], user_id="bob")
+    cache.populate(CACHE_QUERIES[:10])
+    cache.populate(CACHE_QUERIES[10:])
     cache.lookup_batch(CACHE_QUERIES[:4])
     return cache
 
@@ -312,7 +309,6 @@ def build_tiered():
 def load_fixture(name: str, path: Path, mmap: bool = False):
     """Load the fixture ``name`` from (a copy at) ``path``."""
     from conftest import make_tiny_encoder
-    from repro.baselines.gptcache import GPTCache
     from repro.core.cache import MeanCache
     from repro.core.tiered import QuantizedTier, TieredCache
     from repro.index import load_index
@@ -321,10 +317,8 @@ def load_fixture(name: str, path: Path, mmap: bool = False):
         return load_index(path, mmap=mmap)
     if name == "tier":
         return QuantizedTier.load(path, mmap=mmap)
-    if name == "meancache":
+    if name in ("meancache", "gptcache"):
         return MeanCache.load(path, make_tiny_encoder())
-    if name == "gptcache":
-        return GPTCache.load(path, encoder=make_tiny_encoder())
     return TieredCache.load(path, make_tiny_encoder(), mmap=mmap)
 
 
@@ -334,8 +328,6 @@ def observe(name: str, loaded) -> Dict[str, object]:
         return observe_index(loaded)
     if name == "tier":
         return observe_tier(loaded)
-    if name == "gptcache":
-        return observe_gptcache(loaded)
     return observe_meancache(loaded)
 
 

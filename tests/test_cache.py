@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_encoder
-from repro.baselines.gptcache import GPTCache, GPTCacheConfig
-from repro.baselines.keyword_cache import KeywordCache, KeywordCacheConfig
-from repro.core.cache import CacheDecision, MeanCache, MeanCacheConfig
+from repro.baselines import GPTCACHE_CONFIG
+from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.core.client import ClientStats, MeanCacheClient
 from repro.core.compression import compress_cache
 from repro.index import IVFIndex
@@ -312,59 +311,45 @@ class TestCompression:
 
 
 class TestBaselines:
+    """The GPTCache baseline is ``MeanCache`` in ``GPTCACHE_CONFIG``."""
+
     def test_gptcache_fixed_threshold_hit_and_miss(self, trained_encoder):
-        gpt = GPTCache(trained_encoder, GPTCacheConfig(similarity_threshold=0.8))
-        gpt.insert("How can I sort a list in python?", "use sorted()", user_id="alice")
+        gpt = MeanCache(
+            trained_encoder, dataclasses.replace(GPTCACHE_CONFIG, similarity_threshold=0.8)
+        )
+        gpt.insert("How can I sort a list in python?", "use sorted()")
         hit = gpt.lookup("What is the best way to order a python list?")
         miss = gpt.lookup("How do I plan a trip to japan?")
         assert hit.hit and not miss.hit
-        assert hit.network_time_s > 0  # central cache always pays the round trip
+        assert len(hit.candidates) == 1  # top-1 retrieval
 
     def test_gptcache_is_context_oblivious(self, trained_encoder):
-        gpt = GPTCache(trained_encoder, GPTCacheConfig(similarity_threshold=0.8))
-        gpt.insert("Change the color to red", "resp")
+        gpt = MeanCache(
+            trained_encoder, dataclasses.replace(GPTCACHE_CONFIG, similarity_threshold=0.8)
+        )
+        gpt.insert("Change the color to red", "resp", context=["draw a line plot"])
         trap = gpt.lookup("Change the color to red", context=["totally different conversation"])
-        assert trap.hit
+        assert trap.hit and not trap.context_verified
 
-    def test_gptcache_central_storage_tracks_users(self, tiny_encoder):
-        gpt = GPTCache(tiny_encoder)
-        gpt.insert("q1 from alice", "r", user_id="alice")
-        gpt.insert("q2 from bob", "r", user_id="bob")
-        assert gpt.users() == ["alice", "bob"]
-        assert gpt.total_storage_bytes() > 0
+    def test_gptcache_central_storage_never_evicts(self, tiny_encoder):
+        gpt = MeanCache(tiny_encoder, GPTCACHE_CONFIG)
+        gpt.populate([f"question number {i}" for i in range(300)])
+        assert len(gpt) == 300 and gpt.stats.evictions == 0
+        assert gpt.total_storage_bytes() > gpt.embedding_storage_bytes() > 0
 
     def test_gptcache_validation(self, tiny_encoder):
         with pytest.raises(ValueError):
-            GPTCacheConfig(similarity_threshold=-0.1)
+            dataclasses.replace(GPTCACHE_CONFIG, similarity_threshold=-0.1)
         with pytest.raises(ValueError):
-            GPTCache(tiny_encoder).lookup("")
+            MeanCache(tiny_encoder, GPTCACHE_CONFIG).lookup("")
 
-    def test_keyword_cache_exact_match_only(self):
-        kc = KeywordCache()
-        kc.insert("How can I sort a list in Python?", "use sorted()")
-        assert kc.lookup("how can i sort a list in python").response == "use sorted()"
-        # A paraphrase is a miss for the keyword cache (the paper's motivation).
-        assert not kc.lookup("What is the best way to order a python list?").hit
-
-    def test_keyword_cache_eviction(self):
-        kc = KeywordCache(KeywordCacheConfig(max_entries=2))
-        kc.insert("query one alpha", "1")
-        kc.insert("query two beta", "2")
-        kc.insert("query three gamma", "3")
-        assert len(kc) == 2
-
-    def test_keyword_cache_sorted_tokens_mode(self):
-        kc = KeywordCache(KeywordCacheConfig(sort_tokens=True))
-        kc.insert("python list sort", "r")
-        assert kc.lookup("sort python list").response == "r"
-
-    @pytest.mark.parametrize("variant", ["shared_gptcache", "keyword"])
+    @pytest.mark.parametrize("variant", ["shared_gptcache", "per_user"])
     def test_baseline_fleet_storage_report_hit_rate(self, tiny_encoder, variant):
-        """storage_report reads the baselines' counters (it reported 0.0)."""
-        central = GPTCache(tiny_encoder, GPTCacheConfig())
+        """storage_report reads the caches' counters (it reported 0.0)."""
+        central = MeanCache(tiny_encoder, GPTCACHE_CONFIG)
         factories = {
             "shared_gptcache": lambda user_id: central,
-            "keyword": lambda user_id: KeywordCache(),
+            "per_user": lambda user_id: MeanCache(tiny_encoder),
         }
         trace = WorkloadGenerator(
             WorkloadConfig(n_users=4, queries_per_user=12, duplicate_rate=0.5),

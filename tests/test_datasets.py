@@ -68,16 +68,6 @@ class TestParaphraser:
         q1, q2 = para.realization_pair(intent)
         assert q1 != q2
 
-    def test_group_members_distinct(self, corpus):
-        para = Paraphraser(corpus, seed=1)
-        group = para.paraphrase_group(corpus.intents[7], size=6)
-        assert len(group) == 6
-        assert len(set(group)) == 6
-
-    def test_group_size_validation(self, corpus):
-        with pytest.raises(ValueError):
-            Paraphraser(corpus).paraphrase_group(corpus.intents[0], size=0)
-
 
 class TestPairDataset:
     def test_sizes_and_fractions(self):

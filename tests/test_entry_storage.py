@@ -1,7 +1,7 @@
 """An entry's vector is stored once: as its row in the cache's vector index.
 
-``MeanCache`` and ``GPTCache`` entries hold texts, metadata and (MeanCache)
-a context chain; ``entry.embedding`` reads the vector back from the index.
+``MeanCache`` entries (the GPTCache baseline's configuration included) hold
+texts, metadata and a context chain; ``entry.embedding`` reads the vector back from the index.
 These tests pin that nothing the caches keep aliases an array handed to
 them — in particular the ``(n, d)`` probe matrix of the lookup batch that
 enrolled them — and that ``embedding_storage_bytes`` is what the process
@@ -20,8 +20,8 @@ import pytest
 
 from conftest import make_tiny_encoder
 
-from repro.baselines.gptcache import GPTCache
-from repro.core.cache import MeanCache
+from repro.baselines import GPTCACHE_CONFIG
+from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.core.compression import compress_cache
 from repro.core.context import ContextChain
 from repro.core.storage import object_nbytes
@@ -37,10 +37,7 @@ CONTEXTS = [[f"earlier turn {i}"] if i % 2 else [] for i in range(N)]
 def _enrol_one_batch(cache, embeddings=None) -> None:
     """One lookup batch over QUERIES, every miss enrolled with its decision's
     embedding (the serving layer's path)."""
-    if isinstance(cache, GPTCache):
-        decisions = cache.lookup_batch(QUERIES, embeddings=embeddings)
-    else:
-        decisions = cache.lookup_batch(QUERIES, contexts=CONTEXTS, embeddings=embeddings)
+    decisions = cache.lookup_batch(QUERIES, contexts=CONTEXTS, embeddings=embeddings)
     for decision, context in zip(decisions, CONTEXTS):
         assert not decision.hit
         cache.enroll(decision.query, f"answer {decision.query}", context, None, decision.embedding)
@@ -52,11 +49,13 @@ def _root(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@pytest.mark.parametrize("make", [MeanCache, GPTCache])
-def test_enrolled_batch_matrix_is_freed_with_its_decisions(make):
+@pytest.mark.parametrize(
+    "config", [MeanCacheConfig(), GPTCACHE_CONFIG], ids=["MeanCache", "GPTCache"]
+)
+def test_enrolled_batch_matrix_is_freed_with_its_decisions(config):
     """Once the decisions are dropped, the batch's probe matrix is freed:
     no entry keeps a row view of it."""
-    cache = make(make_tiny_encoder())
+    cache = MeanCache(make_tiny_encoder(), config)
     decisions = cache.lookup_batch(QUERIES)
     matrix = weakref.ref(_root(decisions[0].embedding))
     for decision in decisions:
@@ -120,7 +119,7 @@ def test_entries_hold_no_vector_and_read_it_from_the_index():
     encoder = make_tiny_encoder()
     cache = MeanCache(encoder)
     _enrol_one_batch(cache)
-    central = GPTCache(encoder)
+    central = MeanCache(encoder, GPTCACHE_CONFIG)
     _enrol_one_batch(central)
     for owner in (cache, central):
         for entry in owner.entries:

@@ -246,16 +246,6 @@ class TestThresholdSearch:
         sweep = threshold_sweep(tiny_encoder, pairs)
         assert sweep.f_scores[sweep.optimal_index] > 0.8
 
-    def test_as_series_key_set_pinned(self, tiny_encoder):
-        """``as_series`` returns the threshold grid plus all five metric
-        curves — six series total (the docstring's contract)."""
-        sweep = threshold_sweep(tiny_encoder, self._pairs(), thresholds=np.linspace(0, 1, 11))
-        series = sweep.as_series()
-        assert set(series) == {"threshold", "f1", "f_score", "precision", "recall", "accuracy"}
-        for curve in series.values():
-            assert curve.shape == (11,)
-        assert np.array_equal(series["threshold"], sweep.thresholds)
-
     def test_score_sweep_matches_pairwise_sweep(self, tiny_encoder):
         """The extracted score-space core reproduces the encoder sweep."""
         from repro.federated.threshold import pair_similarities

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import make_tiny_encoder
 
-from repro.baselines.keyword_cache import KeywordCache
+from repro.baselines import GPTCACHE_CONFIG
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.federated.online import (
     MinedPair,
@@ -259,13 +259,6 @@ class TestRoundDriver:
         # The t=10 round (cutoff 5) still saw the fresher half.
         assert adapter.history[0].n_observations > 0
 
-    def test_caches_without_set_threshold_are_tolerated(self):
-        adapter = OnlineThresholdAdapter(self._config())
-        adapter.register_user("u0", object())  # no set_threshold anywhere
-        _observe_batch(adapter, "u0", _separable_observations())
-        adapter.advance(10.0)  # must not raise
-        assert adapter.threshold_for("u0") == pytest.approx(adapter.global_threshold)
-
     def test_trajectory_matches_history(self):
         adapter = OnlineThresholdAdapter(self._config())
         adapter.register_user("u0", _RecordingCache())
@@ -405,16 +398,25 @@ class TestFleetIntegration:
                 adapter.threshold_for(uid)
             )
 
-    def test_keyword_variant_observed_but_never_pushed(self, drift_trace):
+    def test_shared_central_cache_is_pushed_the_global_threshold(
+        self, drift_trace, tiny_encoder
+    ):
+        """One central cache in the GPTCache configuration for the whole
+        fleet: every push it gets is the global τ, never a user's own."""
         adapter = self._adapter()
+        central = MeanCache(tiny_encoder, GPTCACHE_CONFIG)
         simulator = CacheServer(
-            lambda uid: KeywordCache(),
+            lambda uid: central,
             SimulatedLLMService(LLMServiceConfig(seed=0)),
             ServerConfig(),
             adaptation=adapter,
         )
-        result = simulator.replay(drift_trace)  # must not raise
+        result = simulator.replay(drift_trace)
         assert result.lookups == len(drift_trace)
+        assert len(adapter.history) > 5
+        assert central.config.similarity_threshold == pytest.approx(
+            adapter.global_threshold
+        )
 
     def test_mined_pairs_carry_texts_for_future_training(self, drift_trace, tiny_encoder):
         adapter = self._adapter()

@@ -13,11 +13,13 @@ Three layers:
   benchmark sweep also enforces at scale).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import make_tiny_encoder
-from repro.baselines.gptcache import GPTCache, GPTCacheConfig
+from repro.baselines import GPTCACHE_CONFIG
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.experiments.index_bench import make_ann_workload
 from repro.index import (
@@ -535,11 +537,13 @@ def test_routed_lookup_serves_the_next_candidate_when_the_best_fails_context(bac
 
 
 def test_gptcache_runs_on_approximate_backend():
-    cache = GPTCache(
+    cache = MeanCache(
         make_tiny_encoder(),
-        GPTCacheConfig(index_backend="ivf", index_params=SMALL_PARAMS["ivf"]),
+        dataclasses.replace(
+            GPTCACHE_CONFIG, index_backend="ivf", index_params=SMALL_PARAMS["ivf"]
+        ),
     )
-    cache.insert("what's the weather like today", "sunny", user_id="u1")
+    cache.insert("what's the weather like today", "sunny")
     decision = cache.lookup("what's the weather like today")
     assert decision.hit
     assert type(cache.index).__name__ == "IVFIndex"
@@ -547,7 +551,7 @@ def test_gptcache_runs_on_approximate_backend():
 
 def test_gptcache_rejects_unknown_backend():
     with pytest.raises(ValueError, match="available"):
-        GPTCacheConfig(index_backend="bogus")
+        dataclasses.replace(GPTCACHE_CONFIG, index_backend="bogus")
 
 
 def test_explicit_index_instance_wins_over_config():
@@ -567,8 +571,6 @@ def test_injected_index_must_be_empty():
     populated.add([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="empty"):
         MeanCache(make_tiny_encoder(), index=populated)
-    with pytest.raises(ValueError, match="empty"):
-        GPTCache(make_tiny_encoder(), index=populated)
 
 
 @pytest.mark.parametrize("backend", BACKENDS + ["sq8", "ivf+sq8"])

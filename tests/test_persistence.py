@@ -7,7 +7,8 @@ Covers the snapshot subsystem end to end:
   quantized backends are still in their untrained staging phase;
 * corrupted, foreign-format and future-version manifests are rejected with
   :class:`~repro.index.SnapshotError` instead of half-restoring;
-* ``MeanCache``/``GPTCache`` snapshots reproduce decision streams
+* ``MeanCache`` snapshots (the GPTCache baseline's configuration included)
+  reproduce decision streams
   byte-exactly, preserve stats and eviction order, and a saved+reloaded
   MeanCache replays the golden fixture's Table I decision stream (the
   acceptance criterion of ISSUE 4);
@@ -34,6 +35,7 @@ from __future__ import annotations
 import json
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +45,7 @@ from hypothesis import strategies as st
 
 from conftest import make_tiny_encoder
 
-from repro.baselines.gptcache import GPTCache, GPTCacheConfig
-from repro.baselines.keyword_cache import KeywordCache
+from repro.baselines import GPTCACHE_CONFIG, load_gptcache_snapshot
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.index import SnapshotError, load_index, make_index
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
@@ -504,34 +505,56 @@ def test_meancache_loaded_cache_removes_and_saves_again(tmp_path):
     assert _decision_signature(reloaded, probes) == _decision_signature(loaded, probes)
 
 
-def test_gptcache_load_rejects_tampered_entries(tmp_path):
-    encoder = make_tiny_encoder()
-    cache = GPTCache(encoder, GPTCacheConfig())
-    cache.populate([f"question number {i}" for i in range(5)])
-    cache.save(tmp_path / "gpt")
+@pytest.mark.parametrize("version", ["legacy-v2", "legacy-v3"])
+def test_gptcache_load_rejects_tampered_entries(version, tmp_path):
+    """The legacy reader refuses a ``repro-gptcache`` snapshot whose entry
+    records no longer line up with its index rows."""
+    import golden_snapshots as gs
+
+    shutil.copytree(gs.FIXTURE_DIR / version / "gptcache", tmp_path / "gpt")
     entries = json.loads((tmp_path / "gpt" / "entries.json").read_text())
     entries.pop()
     (tmp_path / "gpt" / "entries.json").write_text(json.dumps(entries))
     with pytest.raises(SnapshotError, match="inconsistent"):
-        GPTCache.load(tmp_path / "gpt", encoder=encoder)
+        load_gptcache_snapshot(tmp_path / "gpt", make_tiny_encoder())
+
+
+def test_legacy_gptcache_snapshot_loads_as_the_baseline_config(tmp_path):
+    """A ``repro-gptcache`` snapshot reads as a MeanCache in the baseline's
+    configuration: the saved τ, list-position ids, empty contexts, LRU order
+    = insertion order, and the manifest's counters; it then enrols and
+    saves as a MeanCache."""
+    import golden_snapshots as gs
+
+    cache = load_gptcache_snapshot(
+        gs.LEGACY_V3_DIR / "gptcache", make_tiny_encoder()
+    )
+    assert cache.config == replace(GPTCACHE_CONFIG, similarity_threshold=gs.CACHE_THRESHOLD)
+    assert [e.entry_id for e in cache.entries] == list(range(len(gs.CACHE_QUERIES)))
+    assert [e.query for e in cache.entries] == gs.CACHE_QUERIES
+    assert all(e.context.is_empty for e in cache.entries)
+    assert cache._policy.select_victim() == 0
+    assert (cache.stats.lookups, cache.stats.hits, cache.stats.misses) == (4, 4, 0)
+    assert cache.insert("a brand new question", "r") == len(gs.CACHE_QUERIES)
+    cache.save(tmp_path / "mc")
+    assert MeanCache.load(tmp_path / "mc", make_tiny_encoder()).config == cache.config
 
 
 def test_gptcache_round_trip_decisions(tmp_path):
     encoder = make_tiny_encoder()
-    cache = GPTCache(encoder, GPTCacheConfig())
-    cache.populate([f"question number {i}" for i in range(25)], user_id="alice")
-    cache.populate(["what is the weather"], user_id="bob")
+    cache = MeanCache(encoder, GPTCACHE_CONFIG)
+    cache.populate([f"question number {i}" for i in range(25)])
+    cache.populate(["what is the weather"])
     probes = [f"question number {i}" for i in range(0, 40, 2)]
     before = cache.lookup_batch(probes)
     cache.save(tmp_path / "gpt")
-    loaded = GPTCache.load(tmp_path / "gpt", encoder=encoder)
-    assert loaded.users() == cache.users()
-    assert loaded.lookups == cache.lookups
+    loaded = MeanCache.load(tmp_path / "gpt", encoder)
+    assert loaded.config == GPTCACHE_CONFIG
+    assert loaded.stats == cache.stats
     after = loaded.lookup_batch(probes)
     assert [(d.hit, d.matched_query, float(d.similarity).hex()) for d in before] == [
         (d.hit, d.matched_query, float(d.similarity).hex()) for d in after
     ]
-    # Enrolment keeps working: ids are list positions in the baseline.
     loaded.insert("a brand new question", "r")
     assert len(loaded) == len(cache) + 1
 
@@ -579,30 +602,37 @@ def test_golden_snapshot_loads_and_resaves_identically(name, mmap, tmp_path):
         ("v2", "gptcache"),
         ("v2", "tiered-l1"),
         ("v3", "meancache"),
+        ("v3", "gptcache"),
         ("v3", "tiered-l1"),
     ],
-    ids=["meancache", "gptcache", "tiered-l1", "v3-meancache", "v3-tiered-l1"],
+    ids=["meancache", "gptcache", "tiered-l1", "v3-meancache", "v3-gptcache", "v3-tiered-l1"],
 )
 def test_format_v2_snapshots_still_load(version, legacy, tmp_path):
     """A v2 snapshot (each vector also in ``arrays/embeddings.npy``) and a
     v3 one (entry records with ``created_at``/``last_accessed`` stamps)
     load, re-save as their current successor byte for byte, and decide
-    exactly as it.  A legacy ``tiered-l1`` also serves as the L1 of the
-    current ``tiered`` fixture, loaded eagerly and memory-mapped."""
+    exactly as it.  A ``repro-gptcache`` snapshot (v2 or v3) goes through
+    the legacy reader and must decide as its successor; its re-save cannot
+    be byte-equal, since the retired class kept no hit counts or recency.
+    A legacy ``tiered-l1`` also serves as the L1 of the current ``tiered``
+    fixture, loaded eagerly and memory-mapped."""
     import golden_snapshots as gs
 
     legacy_dir = {"v2": gs.LEGACY_DIR, "v3": gs.LEGACY_V3_DIR}[version]
     current = gs.LEGACY_NAMES[legacy]
-    kind = "gptcache" if legacy == "gptcache" else "meancache"
     has_copy = (legacy_dir / legacy / "arrays" / "embeddings.npy").is_file()
     assert has_copy == (version == "v2")
     shutil.copytree(legacy_dir / legacy, tmp_path / "old")
     shutil.copytree(gs.FIXTURE_DIR / current, tmp_path / "new")
-    old = gs.load_fixture(kind, tmp_path / "old")
-    new = gs.load_fixture(kind, tmp_path / "new")
+    new = gs.load_fixture("meancache", tmp_path / "new")
+    if legacy == "gptcache":
+        old = load_gptcache_snapshot(tmp_path / "old", make_tiny_encoder())
+        assert gs.observe(legacy, old) == gs.observe(legacy, new)
+        return
+    old = gs.load_fixture("meancache", tmp_path / "old")
     old.save(tmp_path / "resaved")
     assert gs.tree_hashes(tmp_path / "resaved") == gs.tree_hashes(gs.FIXTURE_DIR / current)
-    assert gs.observe(kind, old) == gs.observe(kind, new)
+    assert gs.observe(legacy, old) == gs.observe(legacy, new)
     if legacy != "tiered-l1":
         return
     expected = json.loads(gs.EXPECTED_PATH.read_text(encoding="utf-8"))["tiered"]
@@ -770,17 +800,15 @@ def test_fleet_checkpoint_warm_start_matches_continuous_run(tmp_path):
 def test_fleet_checkpoint_deduplicates_shared_cache(tmp_path):
     encoder = make_tiny_encoder()
     first, second = _split_trace(seed=21)
-    shared = GPTCache(encoder, GPTCacheConfig())
+    shared = MeanCache(encoder, GPTCACHE_CONFIG)
     sim = _fleet(encoder, lambda uid: shared)
     sim.replay(first, 0.25)
     sim.checkpoint(tmp_path / "ckpt")
     manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
     assert set(manifest["users"].values()) == {"cache_0"}
 
-    resumed = _fleet(encoder, lambda uid: GPTCache(encoder, GPTCacheConfig()))
-    resumed.restore(
-        tmp_path / "ckpt", loader=lambda p: GPTCache.load(p, encoder=encoder)
-    )
+    resumed = _fleet(encoder, lambda uid: MeanCache(encoder, GPTCACHE_CONFIG))
+    resumed.restore(tmp_path / "ckpt", loader=lambda p: MeanCache.load(p, encoder))
     # All restored users share one instance, as before the checkpoint.
     caches = {id(a.cache) for a in resumed.adapters.values()}
     assert len(caches) == 1
@@ -829,9 +857,15 @@ def test_fleet_checkpoint_in_place_rebases_restored_tier_logs(tmp_path):
         assert [e.query for e in loaded.entries] == [e.query for e in cache.l2.entries]
 
 
+class _UnsaveableCache(MeanCache):
+    """A cache the server can serve but not checkpoint: it has no ``save``."""
+
+    save = None
+
+
 def test_fleet_checkpoint_rejects_unsaveable_cache(tmp_path):
-    # The keyword baseline has no save() method.
-    sim = CacheServer(lambda uid: KeywordCache(), config=ServerConfig())
+    encoder = make_tiny_encoder()
+    sim = CacheServer(lambda uid: _UnsaveableCache(encoder), config=ServerConfig())
     trace = WorkloadGenerator(
         WorkloadConfig(n_users=1, queries_per_user=2), seed=0
     ).generate()
@@ -1244,7 +1278,7 @@ def test_fast_entries_writer_matches_indent_1_encoder(records):
             {"entry_id": 1, "query": "q2", "response": "", "context": ["turn \u4e00", ""],
              "created_at": 0.0, "last_accessed": -0.0, "hit_count": 0},
         ],
-        [{"query": "q", "response": "r", "user_id": None}],  # GPTCache
+        [{"query": "q", "response": "r", "user_id": None}],  # legacy GPTCache
         [{"entry_id": 7, "query": "q", "response": "r", "context": ["only turn"]}],  # tier
         [{"a": 1}, {"a": [1]}],  # a column that is a list in one record only
         [{"a": [[1]]}],  # nested one level too deep: the fallback

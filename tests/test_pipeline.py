@@ -18,31 +18,30 @@ test_stage_names                                    the module's public names ar
 test_probe_context_embedded_only_on_candidate       chain embedded only once a candidate clears
                                                     τ, and once for two verified candidates
 test_context_mismatch_rejects_candidate             contextual entry ≠ standalone probe
-test_key_embed_and_exact_retrieve                   normalised exact key match, no pseudo-hit
 test_capacity_enroll_evicts_until_room              enrolment evicts until one fits (live bound)
-test_unbounded_enroll_never_evicts                  central enrolment never evicts, keeps user_id
+test_unbounded_enroll_never_evicts                  central enrolment never evicts
 test_meancache_stages                               MeanCache: context rule on + capacity bound
 test_meancache_ablation_disables_context_stage      verify_context=False ignores chains
 test_verify_context_read_live_from_config           replaced config retoggles the context rule
-test_gptcache_stages                                GPTCache: context ignored + unbounded
-test_keyword_cache_swaps_retrieve                   exact match at 1.0, paraphrase misses
+test_gptcache_stages                                GPTCache config: context ignored + unbounded
 test_set_threshold_is_live                          next probe admitted under the pushed τ
-test_lookup_and_batch_agree_across_variants         sequential ≡ batched, MeanCache and keyword
-test_every_variant_returns_cache_decision[×4]       one decision type, fields populated
+test_lookup_and_batch_agree_across_variants         sequential ≡ batched, MeanCache and GPTCache
+test_every_variant_returns_cache_decision[×3]       one decision type, fields populated
 ==================================================  ==========================================
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.gptcache import GPTCache, GPTCacheConfig
-from repro.baselines.keyword_cache import KeywordCache, KeywordCacheConfig
+from repro.baselines import GPTCACHE_CONFIG
 from repro.core import pipeline
 from repro.core.cache import CacheDecision, MeanCache, MeanCacheConfig
 from repro.core.context import ContextChain
@@ -159,8 +158,7 @@ class TestLookupPipeline:
         cache, encoder = toy_cache
         assert cache.lookup_batch([]) == []
         assert cache.stats.lookups == 0 and encoder.batches == []
-        assert GPTCache(encoder).lookup_batch([]) == []
-        assert KeywordCache().lookup_batch([]) == []
+        assert MeanCache(encoder, GPTCACHE_CONFIG).lookup_batch([]) == []
 
     def test_stage_names(self):
         """The module is the three functions: no class, no other public name."""
@@ -218,20 +216,6 @@ class TestContextVerifyLaziness:
         assert decision.similarity == pytest.approx(1.0)  # top retrieved, not admitted
 
 
-class TestExactKeyStages:
-    def test_key_embed_and_exact_retrieve(self):
-        cache = KeywordCache(KeywordCacheConfig(remove_stopwords=False))
-        assert not cache.lookup("hello world").hit  # empty cache
-        cache.insert("HeLLo   world", "hi")
-        hit, miss = cache.lookup("hello, WORLD!"), cache.lookup("missing")
-        assert (hit.hit, hit.response, hit.similarity) == (True, "hi", 1.0)
-        assert (miss.hit, miss.response, miss.similarity) == (False, None, 0.0)
-        # A dictionary probe: no pseudo-candidate, no entry id, no timings.
-        assert hit.candidates == [] and hit.entry_id is None
-        assert hit.total_overhead_s == 0.0
-        assert (cache.lookups, cache.hits) == (3, 1)
-
-
 class TestEnrollStages:
     def test_capacity_enroll_evicts_until_room(self):
         cache = MeanCache(_TableEncoder(), MeanCacheConfig(max_entries=5))
@@ -243,18 +227,14 @@ class TestEnrollStages:
         cache.config = MeanCacheConfig(max_entries=3)
         cache.enroll("query 5", "r", embedding=_unit(1.0, 5.0))
         assert (len(cache), cache.stats.evictions) == (3, 3)
-        keyword = KeywordCache(KeywordCacheConfig(max_entries=2))
-        for text in ("alpha", "beta", "gamma"):
-            keyword.enroll(text, "r", context=("ignored",), user_id="u", embedding=EAST)
-        assert len(keyword) == 2 and "alpha" not in keyword and "gamma" in keyword
 
     def test_unbounded_enroll_never_evicts(self):
-        cache = GPTCache(_TableEncoder(), GPTCacheConfig())
+        cache = MeanCache(_TableEncoder({"ignored": NORTH}), GPTCACHE_CONFIG)
         for i in range(50):
             cache.enroll(f"query {i}", "r", context=("ignored",), embedding=_unit(1.0, float(i)))
         cache.enroll("the last", "r", user_id="user-7", embedding=NORTH)
-        assert len(cache) == 51  # central enrolment never evicts
-        assert [e.user_id for e in cache.entries[-2:]] == ["default", "user-7"]
+        # central enrolment never evicts
+        assert (len(cache), cache.stats.evictions) == (51, 0)
 
 
 class TestCacheWiring:
@@ -294,21 +274,13 @@ class TestCacheWiring:
         assert not cache.lookup("how can i sort a list in python").hit
 
     def test_gptcache_stages(self, tiny_encoder):
-        """GPTCache: conversation state is ignored and nothing is evicted."""
-        cache = GPTCache(tiny_encoder, GPTCacheConfig())
+        """GPTCache config: conversation state is ignored and nothing is evicted."""
+        cache = MeanCache(tiny_encoder, GPTCACHE_CONFIG)
         cache.enroll("how can i sort a list in python", "r", context=["earlier turn"])
         decision = cache.lookup("how can i sort a list in python", context=["another chat"])
         assert decision.hit and not decision.context_verified
-        assert "max_entries" not in GPTCacheConfig.__dataclass_fields__
-
-    def test_keyword_cache_swaps_retrieve(self):
-        """KeywordCache: normalised exact match at 1.0; a paraphrase misses."""
-        cache = KeywordCache()
-        cache.insert("How can I sort a list in Python?", "use sorted()")
-        exact = cache.lookup("how can i sort a list in python")
-        assert exact.hit and exact.similarity == 1.0 and exact.response == "use sorted()"
-        paraphrase = cache.lookup("what is the best way to order a python list")
-        assert not paraphrase.hit and paraphrase.similarity == 0.0
+        assert len(decision.candidates) == 1
+        assert cache.config.max_entries == sys.maxsize
 
     def test_set_threshold_is_live(self, tiny_encoder):
         cache = MeanCache(tiny_encoder, MeanCacheConfig(similarity_threshold=0.999999))
@@ -323,24 +295,20 @@ class TestCacheWiring:
             "what is the best way to order a python list",
             "how do i reverse a string in python",
         ]
-        mc_a = MeanCache(tiny_encoder.clone(), MeanCacheConfig(similarity_threshold=0.6))
-        mc_b = MeanCache(tiny_encoder.clone(), MeanCacheConfig(similarity_threshold=0.6))
-        mc_a.populate(queries)
-        mc_b.populate(queries)
-        sequential = [mc_a.lookup(p) for p in probes]
-        batched = mc_b.lookup_batch(probes)
-        for s, b in zip(sequential, batched):
-            assert s.hit == b.hit
-            assert s.entry_id == b.entry_id
-            assert s.similarity == pytest.approx(b.similarity)
+        for config in (MeanCacheConfig(), GPTCACHE_CONFIG):
+            config = dataclasses.replace(config, similarity_threshold=0.6)
+            mc_a = MeanCache(tiny_encoder.clone(), config)
+            mc_b = MeanCache(tiny_encoder.clone(), config)
+            mc_a.populate(queries)
+            mc_b.populate(queries)
+            sequential = [mc_a.lookup(p) for p in probes]
+            batched = mc_b.lookup_batch(probes)
+            for s, b in zip(sequential, batched):
+                assert s.hit == b.hit
+                assert s.entry_id == b.entry_id
+                assert s.similarity == pytest.approx(b.similarity)
 
-        kw_a, kw_b = KeywordCache(), KeywordCache()
-        kw_a.populate(queries)
-        kw_b.populate(queries)
-        for s, b in zip([kw_a.lookup(p) for p in probes], kw_b.lookup_batch(probes)):
-            assert (s.hit, s.response) == (b.hit, b.response)
-
-    @pytest.mark.parametrize("variant", ["meancache", "gptcache", "keyword", "tiered"])
+    @pytest.mark.parametrize("variant", ["meancache", "gptcache", "tiered"])
     def test_every_variant_returns_cache_decision(self, tiny_encoder, variant):
         """The one lookup result type: what the serving layer reads off a
         decision is populated by every cache, single and batched."""
@@ -358,33 +326,25 @@ class TestCacheWiring:
             for decision in (hit, miss):
                 assert decision.total_overhead_s >= 0.0
                 assert decision.total_overhead_s == pytest.approx(
-                    decision.embed_time_s
-                    + decision.search_time_s
-                    + decision.network_time_s
+                    decision.embed_time_s + decision.search_time_s
                 )
-            # Only the remote (central) variant pays a network round trip,
-            # on hits and misses alike.
-            rtt = GPTCacheConfig().network_rtt_s if variant == "gptcache" else 0.0
-            assert hit.network_time_s == miss.network_time_s == rtt
 
 
 def _variant(name, encoder):
     return {
         "meancache": lambda: MeanCache(encoder, MeanCacheConfig()),
-        "gptcache": lambda: GPTCache(encoder, GPTCacheConfig()),
-        "keyword": lambda: KeywordCache(),
+        "gptcache": lambda: MeanCache(encoder, GPTCACHE_CONFIG),
         "tiered": lambda: TieredCache(encoder, MeanCacheConfig()),
     }[name]()
 
 
-VARIANTS = ["meancache", "gptcache", "keyword", "tiered"]
-SEMANTIC = ["meancache", "gptcache", "tiered"]
+VARIANTS = ["meancache", "gptcache", "tiered"]
 
 
 class TestRejectedLookupsDoNotCount:
     """A lookup the cache refuses leaves ``lookups == hits + misses``."""
 
-    @pytest.mark.parametrize("variant", SEMANTIC)
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_rejected_embeddings_count_nothing(self, tiny_encoder, variant):
         cache = _variant(variant, tiny_encoder)
         cache.insert("how can i sort a list in python", "use sorted()")
@@ -398,14 +358,15 @@ class TestRejectedLookupsDoNotCount:
             stats = cache.stats
             assert (stats.lookups, stats.hits, stats.misses) == (2, 1, 1)
 
-    def test_keyword_cache_rejects_non_text_before_counting(self):
-        cache = KeywordCache()
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_non_text_rejected_before_counting(self, tiny_encoder, variant):
+        cache = _variant(variant, tiny_encoder)
         for bad in (None, 5, "", "   "):
             with pytest.raises(ValueError, match="non-empty string"):
                 cache.lookup(bad)
         with pytest.raises(ValueError, match="non-empty string"):
             cache.lookup_batch(["fine", None])
-        assert (cache.lookups, cache.hits) == (0, 0)
+        assert (cache.stats.lookups, cache.stats.hits) == (0, 0)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_bare_string_is_not_a_batch(self, tiny_encoder, variant):
@@ -418,6 +379,66 @@ class TestRejectedLookupsDoNotCount:
             with pytest.raises(ValueError, match="not one string"):
                 cache.populate("abc")
             assert len(cache) == 0
+
+
+def _full_cache(variant, encoder):
+    """A cache of ``variant`` holding two entries at a capacity of two."""
+    base = GPTCACHE_CONFIG if variant == "gptcache" else MeanCacheConfig()
+    config = dataclasses.replace(base, max_entries=2, similarity_threshold=0.999)
+    cache = TieredCache(encoder, config) if variant == "tiered" else MeanCache(encoder, config)
+    cache.insert("how can i sort a list in python", "r1")
+    cache.insert("plan a trip to japan", "r2", context=["travel chat"])
+    return cache
+
+
+def _cache_state(cache):
+    stats = cache.stats
+    front = getattr(cache, "l1", cache)
+    return (
+        (stats.lookups, stats.hits, stats.misses, stats.insertions, stats.evictions),
+        [(e.entry_id, e.query, e.context.texts) for e in front.entries],
+        len(cache),
+    )
+
+
+class TestContextTextsValidated:
+    """A context is a sequence of turn strings.  A bare string (stored as
+    one turn per character) and a non-string turn (an ``AttributeError``
+    deep in the tokenizer) are refused at every front door, before anything
+    is counted, embedded or evicted."""
+
+    @pytest.mark.parametrize("bad", ["make it red", ["a turn", 5]], ids=["str", "int-turn"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_refused_before_counting_or_evicting(self, tiny_encoder, variant, bad):
+        cache = _full_cache(variant, tiny_encoder)
+        before = _cache_state(cache)
+        calls = (
+            lambda: cache.lookup("plan a trip to japan", context=bad),
+            lambda: cache.lookup_batch(["plan a trip to japan"], contexts=[bad]),
+            lambda: cache.lookup_batch(["q one", "q two"], contexts=[["fine"], bad]),
+            lambda: cache.insert("a third question", "r3", context=bad),
+            lambda: cache.enroll("a third question", "r3", bad),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="context"):
+                call()
+            assert _cache_state(cache) == before
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_lists_and_tuples_of_strings_still_work(self, tiny_encoder, variant):
+        cache = _full_cache(variant, tiny_encoder)
+        assert cache.lookup("plan a trip to japan", context=("travel chat",)).hit
+        (decision,) = cache.lookup_batch(["plan a trip to japan"], contexts=[["travel chat"]])
+        assert decision.hit
+        cache.insert("make it red", "r3", context=["draw a line plot", "make it bigger"])
+        entry = getattr(cache, "l1", cache).entries[-1]
+        assert entry.context.texts == ("draw a line plot", "make it bigger")
+
+    def test_chain_passes_through_insert(self, tiny_encoder):
+        cache = MeanCache(tiny_encoder)
+        chain = ContextChain.from_texts(["draw a line plot"], encoder=tiny_encoder)
+        cache.insert("make it red", "r", context=chain)
+        assert cache.entries[0].context.texts == ("draw a line plot",)
 
 
 def test_lookup_and_lookup_batch_never_enter_each_other(tiny_encoder, monkeypatch):
@@ -494,7 +515,9 @@ def test_every_call_site_equals_the_oracle(case):
     config = MeanCacheConfig(similarity_threshold=tau, top_k=n, verify_context=verify)
     cache = MeanCache(encoder, config)
     tier = QuantizedTier(backend="sq8")
-    central = GPTCache(encoder, GPTCacheConfig(similarity_threshold=tau, top_k=n))
+    central = MeanCache(
+        encoder, dataclasses.replace(GPTCACHE_CONFIG, similarity_threshold=tau, top_k=n)
+    )
     for i in range(n):
         vector = _unit(1.0, float(i))
         cache.insert(f"entry {i}", f"r{i}", context=chains[i], embedding=vector)

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_tiny_encoder
 
-from repro.baselines.gptcache import GPTCache, GPTCacheConfig
-from repro.baselines.keyword_cache import KeywordCache
+from repro.baselines import GPTCACHE_CONFIG
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.experiments.fleet_bench import run_drift_adaptation_bench, run_fleet_bench
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
@@ -546,9 +546,9 @@ class TestFleetReplay:
                 assert outcome.matched_query is not None
                 assert outcome.similarity >= 0.8  # the fixture's τ
 
-    def test_keyword_variant_rides_along(self, small_trace):
+    def test_per_user_baseline_config_rides_along(self, small_trace, tiny_encoder):
         simulator = CacheServer(
-            lambda uid: KeywordCache(),
+            lambda uid: MeanCache(tiny_encoder, GPTCACHE_CONFIG),
             SimulatedLLMService(LLMServiceConfig(seed=0)),
             ServerConfig(),
         )
@@ -557,8 +557,9 @@ class TestFleetReplay:
         assert 0.0 <= result.hit_rate <= 1.0
 
     def test_shared_central_cache_variant(self, small_trace, tiny_encoder):
-        """One GPTCache instance for the whole fleet (central deployment)."""
-        central = GPTCache(tiny_encoder, GPTCacheConfig(similarity_threshold=0.8))
+        """One cache in the GPTCache configuration for the whole fleet
+        (central deployment)."""
+        central = MeanCache(tiny_encoder, replace(GPTCACHE_CONFIG, similarity_threshold=0.8))
         simulator = CacheServer(
             lambda uid: central,
             SimulatedLLMService(LLMServiceConfig(seed=0)),
@@ -567,10 +568,7 @@ class TestFleetReplay:
         result = simulator.replay(small_trace)
         assert result.lookups == len(small_trace)
         assert len(central) == result.lookups - result.hits
-        # Central enrolment keeps per-user attribution (who asked what).
-        assert set(central.users()) == {
-            uid for uid, stats in result.per_user.items() if stats.llm_requests
-        }
+        assert (central.stats.lookups, central.stats.hits) == (result.lookups, result.hits)
 
     def test_no_causality_inversion_on_shared_cache(self, tiny_encoder):
         """An event must never hit an entry enrolled by a later arrival.
@@ -586,7 +584,7 @@ class TestFleetReplay:
             WorkloadEvent(time_s=0.24, user_id="user-a", query=q),
         ]
         trace = Trace(events=events, n_users=2)
-        central = GPTCache(tiny_encoder, GPTCacheConfig(similarity_threshold=0.8))
+        central = MeanCache(tiny_encoder, replace(GPTCACHE_CONFIG, similarity_threshold=0.8))
         simulator = CacheServer(
             lambda uid: central,
             SimulatedLLMService(LLMServiceConfig(seed=0)),

@@ -725,6 +725,25 @@ class TestFlushThreadLifecycle:
             server.submit_threadsafe("alice", "too late")
         assert server.metrics.offered == 0
 
+    @pytest.mark.parametrize("bad", ["make it red", ["a turn", 5]], ids=["str", "int-turn"])
+    def test_malformed_context_is_refused_before_admission(self, bad):
+        """A bare-string context would be admitted as one turn per
+        character; a non-string turn would fail the whole flush in the
+        tokenizer.  Both raise in the caller's thread and admit nothing."""
+        server = _server(self._factory())
+        server.start()
+        try:
+            with pytest.raises(ValueError, match="context"):
+                server.submit_threadsafe("alice", "change the color to red", context=bad)
+            assert server.metrics.offered == 0
+            served = server.submit_threadsafe(
+                "alice", "change the color to red", context=["draw a line plot"]
+            )
+            assert served.result(timeout=10).user_id == "alice"
+        finally:
+            server.stop()
+        assert (server.metrics.offered, server.metrics.completed) == (1, 1)
+
     def test_stop_timeout_keeps_the_thread_and_the_freeze(self, caplog):
         """stop(timeout) expiring mid-flush warns, keeps the handle and the
         encoder frozen; a second stop() finishes the join and thaws."""

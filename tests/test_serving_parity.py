@@ -20,13 +20,13 @@ deliberate, documented decision-level change::
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import make_tiny_encoder
-from repro.baselines.gptcache import GPTCache, GPTCacheConfig
-from repro.baselines.keyword_cache import KeywordCache
+from repro.baselines import GPTCACHE_CONFIG
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.core.tiered import QuantizedTier, TieredCache
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
@@ -173,11 +173,13 @@ class TestSimulatorServerParity:
         assert len(shards_used) > 1
 
     def test_shared_central_cache_byte_identical(self, trace):
-        """One GPTCache for the whole fleet: the server pins it to one shard."""
+        """One central cache in the GPTCache configuration for the whole
+        fleet: the server pins it to one shard."""
         encoder = make_tiny_encoder()
-        central_sim = GPTCache(encoder, GPTCacheConfig(similarity_threshold=0.8))
+        config = replace(GPTCACHE_CONFIG, similarity_threshold=0.8)
+        central_sim = MeanCache(encoder, config)
         sim_result = _run_oracle(trace, lambda uid: central_sim)
-        central_srv = GPTCache(encoder, GPTCacheConfig(similarity_threshold=0.8))
+        central_srv = MeanCache(encoder, config)
         srv_result, server = _run_server(trace, lambda uid: central_srv)
         self.assert_identical_streams(sim_result, srv_result, len(trace))
         # Every user collapsed onto the shared cache's owning shard.
@@ -201,9 +203,14 @@ class TestSimulatorServerParity:
                 (e.entry_id, e.query) for e in tier.entries
             ]
 
-    def test_keyword_variant_byte_identical(self, trace):
-        sim_result = _run_oracle(trace, lambda uid: KeywordCache())
-        srv_result, _ = _run_server(trace, lambda uid: KeywordCache())
+    def test_per_user_baseline_config_byte_identical(self, trace):
+        encoder = make_tiny_encoder()
+
+        def factory(uid):
+            return MeanCache(encoder, GPTCACHE_CONFIG)
+
+        sim_result = _run_oracle(trace, factory)
+        srv_result, _ = _run_server(trace, factory)
         self.assert_identical_streams(sim_result, srv_result, len(trace))
 
     def test_parity_independent_of_shard_count(self, trace):

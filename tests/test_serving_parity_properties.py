@@ -15,7 +15,8 @@ Hypothesis draws (``derandomize=True``, so CI is stable):
 * ``n_shards`` from {1, 2, 3, 4};
 * the fleet: per-user ``MeanCache`` (LRU, LFU or FIFO eviction), per-user
   ``TieredCache`` over one shared tier (``max_entries`` 1–4 or unbounded),
-  one central ``GPTCache``, or a mixed fleet of all three;
+  one central ``MeanCache`` in the GPTCache configuration, or a mixed
+  fleet of all three;
 * online threshold adaptation on or off.
 
 Three properties compare the two runs: the per-event decisions (hit,
@@ -37,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_tiny_encoder
-from repro.baselines.gptcache import GPTCache, GPTCacheConfig
+from repro.baselines import GPTCACHE_CONFIG
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.core.tiered import QuantizedTier, TieredCache
 from repro.federated.online import OnlineAdaptationConfig, OnlineThresholdAdapter
@@ -109,7 +110,7 @@ def _factory(case: FleetCase):
         eviction_policy=case.policy,
     )
     tier = QuantizedTier(max_entries=case.tier_entries)
-    central = GPTCache(ENCODER, GPTCacheConfig(similarity_threshold=THRESHOLD))
+    central = MeanCache(ENCODER, replace(GPTCACHE_CONFIG, similarity_threshold=THRESHOLD))
     kinds = {
         uid: (case.fleet if case.fleet != "mixed" else FLEETS[i % 3])
         for i, uid in enumerate(case.trace.user_ids)
@@ -201,11 +202,10 @@ ENTRY_FIELDS = ("entry_id", "query", "response", "hit_count")
 
 
 def _l1_entries(run: _Run) -> dict:
-    """Per user, the entries of the cache in front of the user (the L1);
-    a field a cache variant lacks (a GPTCache entry's hit count) reads None."""
+    """Per user, the entries of the cache in front of the user (the L1)."""
     return {
         uid: [
-            tuple(getattr(e, f, None) for f in ENTRY_FIELDS)
+            tuple(getattr(e, f) for f in ENTRY_FIELDS)
             for e in getattr(c, "l1", c).entries
         ]
         for uid, c in run.caches.items()
@@ -218,12 +218,10 @@ def _tier_entries(run: _Run) -> list:
 
 def _policy_orders(run: _Run) -> dict:
     """Per user, the eviction policy's state of the user's L1 (recency or
-    frequency order); None for a cache without a policy (a GPTCache)."""
-    orders = {}
-    for uid, c in run.caches.items():
-        policy = getattr(getattr(c, "l1", c), "_policy", None)
-        orders[uid] = policy.state_dict() if policy is not None else None
-    return orders
+    frequency order)."""
+    return {
+        uid: getattr(c, "l1", c)._policy.state_dict() for uid, c in run.caches.items()
+    }
 
 
 def check_decisions(case: FleetCase) -> None:

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from conftest import make_tiny_encoder
 
-from repro.baselines.keyword_cache import KeywordCache
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving import (
@@ -102,8 +101,9 @@ def test_log_round_trip_replays_to_identical_outcomes(config, seed):
     """Trace -> logs -> import -> replay == direct replay, draw for draw."""
     trace = _generate(config, seed)
     imported = trace_from_logs(trace_to_logs(trace), normalize_time=False)
-    direct = _replay(trace, lambda uid: KeywordCache())
-    replayed = _replay(imported, lambda uid: KeywordCache())
+    encoder = make_tiny_encoder()
+    direct = _replay(trace, lambda uid: MeanCache(encoder))
+    replayed = _replay(imported, lambda uid: MeanCache(encoder))
     assert replayed == direct
 
 
