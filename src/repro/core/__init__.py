@@ -1,7 +1,7 @@
 """MeanCache core: the paper's primary contribution.
 
 * :mod:`repro.core.storage` — byte-level size accounting for cached values.
-* :mod:`repro.core.policy` — cache eviction policies (LRU / LFU / FIFO).
+* :mod:`repro.core.policy` — the cache's LRU eviction order.
 * :mod:`repro.core.context` — context-chain representation and matching.
 * :mod:`repro.core.cache` — :class:`MeanCache` implementing Algorithm 1:
   embedding-based semantic matching with an adaptive cosine threshold,
@@ -21,7 +21,7 @@ from repro.core.cache import MeanCache, MeanCacheConfig, CacheDecision, CacheEnt
 from repro.core.client import MeanCacheClient, ClientQueryResult
 from repro.core.compression import compress_cache, CompressionReport
 from repro.core.context import ContextChain, context_matches
-from repro.core.policy import LRUPolicy, LFUPolicy, FIFOPolicy, make_policy
+from repro.core.policy import LRUPolicy
 from repro.core.tiered import QuantizedTier, TierEntry, TieredCache
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
     "ContextChain",
     "context_matches",
     "LRUPolicy",
-    "LFUPolicy",
-    "FIFOPolicy",
-    "make_policy",
     "compress_cache",
     "CompressionReport",
     "QuantizedTier",

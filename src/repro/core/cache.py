@@ -33,7 +33,7 @@ from repro.core.context import (
     unpack_context_embeddings,
 )
 from repro.core.pipeline import embed_probes, first_admissible, search_candidates
-from repro.core.policy import EvictionPolicy, make_policy
+from repro.core.policy import LRUPolicy
 from repro.core.storage import object_nbytes
 from repro.core.validation import (
     require_context_texts,
@@ -80,9 +80,8 @@ class MeanCacheConfig:
         Toggle for the context-chain check (the ablation switch; the
         GPTCache baseline, ``repro.baselines.GPTCACHE_CONFIG``, is ``False``).
     max_entries:
-        Cache capacity; inserting beyond it evicts per ``eviction_policy``.
-    eviction_policy:
-        ``"lru"``, ``"lfu"`` or ``"fifo"``.
+        Cache capacity; inserting beyond it evicts the least recently used
+        entry (the paper's LRU policy, the only one).
     compressed:
         Whether embeddings stored in the cache are PCA-compressed (the
         encoder must have a PCA head attached).
@@ -102,7 +101,6 @@ class MeanCacheConfig:
     top_k: int = 5
     verify_context: bool = True
     max_entries: int = 100_000
-    eviction_policy: str = "lru"
     compressed: bool = False
     index_backend: str = "flat"
     index_params: Optional[Mapping[str, object]] = None
@@ -229,7 +227,7 @@ class MeanCache:
         self._index = resolve_index(
             index, self.config.index_backend, self.config.index_params
         )
-        self._policy: EvictionPolicy = make_policy(self.config.eviction_policy)
+        self._policy = LRUPolicy()
         self._next_id = 0
         self.stats = CacheStats()
 
@@ -388,7 +386,7 @@ class MeanCache:
 
         Counts the lookup together with its hit or miss, so
         ``lookups == hits + misses`` whatever was rejected upstream.  A hit
-        also bumps the entry's hit counter and eviction-policy recency
+        also bumps the entry's hit counter and LRU recency
         (Algorithm 1's cache-side effects).
         """
         config = self.config
@@ -522,7 +520,7 @@ class MeanCache:
         """Drop all entries."""
         self._entries.clear()
         self._index.clear()
-        self._policy = make_policy(self.config.eviction_policy)
+        self._policy = LRUPolicy()
 
     # ------------------------------------------------------------------ #
     # Bulk / maintenance operations
@@ -614,7 +612,7 @@ class MeanCache:
 
         One cache snapshot envelope (:func:`repro.index.snapshot.
         save_cache_snapshot`): the manifest carries config, stats,
-        eviction-policy state and the next entry id; ``entries.json`` the
+        the LRU order and the next entry id; ``entries.json`` the
         texts and per-entry metadata; ``arrays/`` the entry ids and the
         context-chain embeddings; the vectors live once, in the nested
         ``index/`` snapshot.  :meth:`load` rebuilds a cache whose lookup decisions are
@@ -652,10 +650,7 @@ class MeanCache:
             "config": config,
             "next_id": int(self._next_id),
             "stats": asdict(self.stats),
-            "policy": {
-                "name": self.config.eviction_policy,
-                "state": self._policy.state_dict(),
-            },
+            "policy": {"name": "lru", "state": self._policy.state_dict()},
             "embedding_dim": int(dim) if dim else None,
         }
         return save_cache_snapshot(
@@ -689,10 +684,17 @@ class MeanCache:
             # carry its margin; retrieval is exhaustive now, so it is dropped.
             config = dict(manifest["config"])
             config.pop("early_stop_margin", None)
+            # Snapshots written while the eviction policy was a setting name
+            # it; LRU is the only policy now, so only an LRU cache loads.
+            policy = (config.pop("eviction_policy", "lru"), manifest["policy"]["name"])
+            if policy != ("lru", "lru"):
+                raise SnapshotError(
+                    f"snapshot at {path} uses eviction policy {policy[0]!r}; "
+                    "only 'lru' is supported"
+                )
             cache = cls(encoder, MeanCacheConfig(**config))
             cache._next_id = int(manifest["next_id"])
             cache.stats = CacheStats(**manifest["stats"])
-            cache._policy = make_policy(manifest["policy"]["name"])
             cache._policy.load_state_dict(manifest["policy"]["state"])
             return cache, manifest.get("embedding_dim"), int(manifest["version"])
 
@@ -750,6 +752,13 @@ class MeanCache:
         if set(entries) != set(cache._index.ids):
             raise SnapshotError(
                 f"snapshot at {path} is inconsistent: entry ids and index ids differ"
+            )
+        # The order holds no id twice (load_state_dict refused that), so it
+        # lists each entry exactly once when it names the same ids.
+        if set(cache._policy.state_dict()["order"]) != set(entries):
+            raise SnapshotError(
+                f"snapshot at {path} is inconsistent: the LRU order and the "
+                "entry ids differ"
             )
         cache._entries = entries
         return cache

@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.core.cache import CacheDecision, MeanCache
+from repro.core.validation import require_context_texts
 from repro.llm.service import SimulatedLLMService
+
+#: How many of the conversation's latest turns a follow-up carries as its
+#: context chain.
+MAX_CONTEXT_DEPTH = 3
 
 
 @dataclass
@@ -70,20 +75,20 @@ class ClientStats:
 class ConversationState:
     """Rolling conversational history used to build context chains.
 
-    Only the last ``max_depth`` turns are ever read, so only those are kept.
+    Only the last :data:`MAX_CONTEXT_DEPTH` turns are ever read, so only
+    those are kept.
     """
 
     turns: List[str] = field(default_factory=list)
-    max_depth: int = 3
 
     def context_for_next_query(self) -> List[str]:
         """The parent queries (most recent last) for the next follow-up."""
-        return self.turns[-self.max_depth :]
+        return self.turns[-MAX_CONTEXT_DEPTH:]
 
     def add_turn(self, query: str) -> None:
         """Record that ``query`` was asked."""
         self.turns.append(query)
-        del self.turns[: -self.max_depth]
+        del self.turns[:-MAX_CONTEXT_DEPTH]
 
     def reset(self) -> None:
         """Start a fresh conversation."""
@@ -98,12 +103,11 @@ class MeanCacheClient:
         cache: MeanCache,
         service: SimulatedLLMService,
         client_id: str = "user-0",
-        max_context_depth: int = 3,
     ) -> None:
         self.cache = cache
         self.service = service
         self.client_id = client_id
-        self.conversation = ConversationState(max_depth=max_context_depth)
+        self.conversation = ConversationState()
         self.stats = ClientStats()
 
     # ------------------------------------------------------------------ #
@@ -112,9 +116,9 @@ class MeanCacheClient:
         text: str,
         context: Optional[Sequence[str]] = None,
         is_followup: bool = False,
-        enroll_on_miss: bool = True,
     ) -> ClientQueryResult:
-        """Answer a user query via the cache, falling back to the LLM service.
+        """Answer a user query via the cache, falling back to the LLM service
+        and enrolling its response on a miss.
 
         Parameters
         ----------
@@ -126,15 +130,13 @@ class MeanCacheClient:
             ``is_followup`` is True, else treats the query as standalone.
         is_followup:
             Whether the query continues the current conversation.
-        enroll_on_miss:
-            Whether to insert the LLM's response into the cache on a miss.
         """
         if context is None:
             context = self.conversation.context_for_next_query() if is_followup else []
-        context = list(context)
+        context = list(require_context_texts(context))
 
         decision = self.cache.lookup(text, context=context)
-        result = self._result_for(text, context, decision, enroll_on_miss)
+        result = self._result_for(text, context, decision)
 
         if is_followup or context:
             self.conversation.add_turn(text)
@@ -148,16 +150,14 @@ class MeanCacheClient:
         self,
         texts: Sequence[str],
         contexts: Optional[Sequence[Sequence[str]]] = None,
-        enroll_on_miss: bool = True,
     ) -> List[ClientQueryResult]:
         """Answer a whole probe list through one batched cache lookup.
 
         All probes go through :meth:`MeanCache.lookup_batch` (one encoder
         call plus one index matmul); each miss is then forwarded to the LLM
-        service and, when ``enroll_on_miss``, enrolled in the cache.  Every
-        probe gets its own :class:`ClientQueryResult` with the same per-result
-        accounting as :meth:`query`, folded into :attr:`stats` in probe
-        order.
+        service and enrolled in the cache.  Every probe gets its own
+        :class:`ClientQueryResult` with the same per-result accounting as
+        :meth:`query`, folded into :attr:`stats` in probe order.
 
         Unlike the sequential :meth:`query` loop, misses are enrolled only
         *after* the whole batch is classified, so a probe cannot hit an entry
@@ -172,8 +172,6 @@ class MeanCacheClient:
         contexts:
             Optional per-probe conversational contexts aligned with
             ``texts``; ``None`` treats every probe as standalone.
-        enroll_on_miss:
-            Whether to insert each miss's LLM response into the cache.
         """
         texts = list(texts)
         if contexts is not None and len(contexts) != len(texts):
@@ -183,7 +181,7 @@ class MeanCacheClient:
         )
         decisions = self.cache.lookup_batch(texts, contexts=contexts)
         batch_results = [
-            self._result_for(text, context, decision, enroll_on_miss)
+            self._result_for(text, context, decision)
             for text, context, decision in zip(texts, ctx_lists, decisions)
         ]
         for result in batch_results:
@@ -195,11 +193,10 @@ class MeanCacheClient:
         text: str,
         context: List[str],
         decision: CacheDecision,
-        enroll_on_miss: bool,
     ) -> ClientQueryResult:
         """Resolve one decision: serve a hit locally, fall back to the LLM
-        (enrolling the response when asked) on a miss, with the shared
-        per-result latency/cost accounting."""
+        and enrol its response on a miss, with the shared per-result
+        latency/cost accounting."""
         if decision.hit:
             return ClientQueryResult(
                 query=text,
@@ -211,11 +208,10 @@ class MeanCacheClient:
                 cost_usd=0.0,
             )
         llm_response = self.service.query(text, client_id=self.client_id, context=context)
-        if enroll_on_miss:
-            # Reuse the lookup's embedding so enrolment skips a re-encode.
-            self.cache.insert(
-                text, llm_response.text, context=context, embedding=decision.embedding
-            )
+        # Reuse the lookup's embedding so enrolment skips a re-encode.
+        self.cache.insert(
+            text, llm_response.text, context=context, embedding=decision.embedding
+        )
         return ClientQueryResult(
             query=text,
             response=llm_response.text,

@@ -759,8 +759,8 @@ def match_probes(probes: Sequence[TierProbe]) -> None:
     context rule.
 
     An entry matched by probes of several caches is claimed by the cache of
-    the earliest of them: only there is it promoted (if that cache promotes
-    on hit); every other probe is served it from the tier.
+    the earliest of them: only there is it promoted; every other probe is
+    served it from the tier.
     """
     groups: Dict[Tuple[int, int], List[TierProbe]] = {}
     for probe in probes:
@@ -782,8 +782,7 @@ def match_probes(probes: Sequence[TierProbe]) -> None:
     for probe in probes:
         if probe.found is not None:
             key = (id(probe.cache.l2), probe.found[0].entry_id)
-            owner = claims.setdefault(key, probe.cache)
-            probe.promote = owner is probe.cache and owner.promote_on_hit
+            probe.promote = claims.setdefault(key, probe.cache) is probe.cache
 
 
 def serve_probes(
@@ -831,8 +830,9 @@ class TieredCache:
     reaches: ``lookup_batch(queries, contexts=, embeddings=)``, an
     ``enroll`` that inserts into L1, ``save``/``load``, ``set_threshold``
     and ``maintenance``.  Pass a pre-built ``l2`` to share
-    one quantized tier across many per-user caches (fleet/server mode); by
-    default each instance owns a private tier.
+    one quantized tier across many per-user caches (fleet/server mode), or
+    to choose the tier's backend, capacity or snapshot directory; by
+    default each instance owns a private ``QuantizedTier()``.
     """
 
     def __init__(
@@ -840,30 +840,12 @@ class TieredCache:
         encoder: SiameseEncoder,
         config: Optional[MeanCacheConfig] = None,
         l2: Optional[QuantizedTier] = None,
-        l2_backend: str = "sq8",
-        l2_params: Optional[Mapping[str, object]] = None,
-        l2_max_entries: Optional[int] = None,
-        promote_on_hit: bool = True,
-        snapshot_dir: "str | Path | None" = None,
-        compact_every: int = 64,
     ) -> None:
         """``config`` is the L1's MeanCacheConfig — ``max_entries`` is the
-        L1 capacity (its evictions demote rather than drop).  ``l2`` wins
-        over the ``l2_*`` knobs when given."""
+        L1 capacity (its evictions demote rather than drop)."""
         self.l1 = _L1Cache(encoder, config)
         self.l1.on_evict = self._demote
-        if l2 is None:
-            l2 = QuantizedTier(
-                backend=l2_backend,
-                params=l2_params,
-                max_entries=l2_max_entries,
-                snapshot_dir=(
-                    Path(snapshot_dir) / "l2" if snapshot_dir is not None else None
-                ),
-                compact_every=compact_every,
-            )
-        self.l2 = l2
-        self.promote_on_hit = bool(promote_on_hit)
+        self.l2 = l2 if l2 is not None else QuantizedTier()
         # L2→L1 promotions pass through l1.insert; tracked so the combined
         # stats can report them as movement rather than new insertions.
         self._promotions = 0
@@ -1131,7 +1113,6 @@ class TieredCache:
                     {
                         "format": TIERED_FORMAT,
                         "version": TIERED_VERSION,
-                        "promote_on_hit": self.promote_on_hit,
                         "promotions": self._promotions,
                         "l2_hits": self._l2_hits,
                     },
@@ -1165,13 +1146,19 @@ class TieredCache:
         """
         path = Path(path)
         manifest = read_manifest(path, TIERED_FORMAT, TIERED_VERSION)
+        # Snapshots written while promotion was a setting record it; an L2
+        # hit always promotes now, so only a promoting cache loads.
+        if manifest.get("promote_on_hit", True) is not True:
+            raise SnapshotError(
+                f"snapshot at {path} does not promote L2 hits; every tiered "
+                "cache does now"
+            )
         l1 = _L1Cache.load(path / "l1", encoder)
         l2 = QuantizedTier.load(path / "l2", mmap=mmap)
         cache = cls.__new__(cls)
         cache.l1 = l1
         cache.l1.on_evict = cache._demote
         cache.l2 = l2
-        cache.promote_on_hit = bool(manifest.get("promote_on_hit", True))
         cache._promotions = int(manifest.get("promotions", 0))
         cache._l2_hits = int(manifest.get("l2_hits", 0))
         return cache

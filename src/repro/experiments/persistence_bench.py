@@ -37,7 +37,7 @@ from typing import Dict
 import numpy as np
 
 from repro.core.cache import MeanCache, MeanCacheConfig
-from repro.core.tiered import TieredCache
+from repro.core.tiered import QuantizedTier, TieredCache
 from repro.embeddings.featurizer import FeaturizerConfig, HashedFeaturizer
 from repro.embeddings.model import EncoderConfig, SiameseEncoder
 from repro.embeddings.tokenizer import Tokenizer, TokenizerConfig
@@ -304,7 +304,7 @@ def run_tiered_fleet_bench(
         lambda user_id: TieredCache(
             encoder,
             MeanCacheConfig(max_entries=l1_entries),
-            l2_params={"min_train_size": 16},
+            l2=QuantizedTier(params={"min_train_size": 16}),
         ),
         config=fleet_config,
     )

@@ -216,8 +216,8 @@ class OnlineThresholdAdapter:
     the clock through :meth:`advance` after each flush (the trace's virtual
     clock in a replay), which runs any due rounds.
     The adapter is deliberately fleet-agnostic — any driver can feed it, and
-    it only assumes caches expose ``set_threshold`` (devices without the
-    hook, e.g. the keyword baseline, are observed but never pushed to).
+    it only assumes each cache exposes ``set_threshold`` (``MeanCache`` and
+    ``TieredCache`` both do), and every registered cache is pushed to.
     """
 
     def __init__(

@@ -26,7 +26,7 @@ from repro.index.base import IndexHit, VectorIndex
 from repro.index.flat import FlatIndex
 from repro.index.ivf import IVFIndex
 from repro.index.quantized import QuantizedIndex
-from repro.index.registry import available_backends, make_index, register_index
+from repro.index.registry import available_backends, make_index
 from repro.index.snapshot import (
     SnapshotError,
     append_delta,
@@ -53,6 +53,5 @@ __all__ = [
     "load_index",
     "make_index",
     "read_deltas",
-    "register_index",
     "save_index",
 ]

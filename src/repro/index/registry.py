@@ -1,4 +1,4 @@
-"""String-keyed factory registry for vector-index backends.
+"""The fixed table of vector-index backends, selected by name.
 
 Everything that owns a :class:`~repro.index.base.VectorIndex` — the caches,
 the quantized tier, the fleet benchmark — selects its backend
@@ -11,17 +11,14 @@ a code change:
 >>> type(index).__name__
 'IVFIndex'
 
-Built-in backends: ``"flat"`` (exact), ``"ivf"`` (k-means inverted lists),
+The backends: ``"flat"`` (exact), ``"ivf"`` (k-means inverted lists),
 ``"sq8"`` (int8 scalar-quantized storage) and the routed composition
-``"ivf+sq8"`` (IVF cells over quantized rows).  Out-of-tree
-backends (a GPU matrix, a remote shard) register themselves with
-:func:`register_index` and become addressable from every cache config in
-the process.
+``"ivf+sq8"`` (IVF cells over quantized rows).
 """
 
 from __future__ import annotations
 
-import inspect
+import functools
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.index.base import VectorIndex
@@ -29,29 +26,19 @@ from repro.index.flat import FlatIndex
 from repro.index.ivf import IVFIndex
 from repro.index.quantized import QuantizedIndex
 
-_FACTORIES: Dict[str, Callable[..., VectorIndex]] = {}
-
-
-def register_index(
-    name: str, factory: Callable[..., VectorIndex], overwrite: bool = False
-) -> None:
-    """Register a backend factory under ``name`` (case-insensitive).
-
-    ``factory`` is any callable returning a :class:`VectorIndex` when called
-    with ``dim=...`` plus backend-specific keyword parameters.  Re-registering
-    an existing name raises unless ``overwrite=True``.
-    """
-    key = name.strip().lower()
-    if not key:
-        raise ValueError("backend name must be non-empty")
-    if key in _FACTORIES and not overwrite:
-        raise ValueError(f"index backend {key!r} is already registered")
-    _FACTORIES[key] = factory
+#: name -> (factory, whether the factory takes a ``seed``): the exact and
+#: routed float backends, then the quantized index unrouted and routed.
+_BACKENDS: Dict[str, Tuple[Callable[..., VectorIndex], bool]] = {
+    "flat": (FlatIndex, False),
+    "ivf": (IVFIndex, True),
+    "sq8": (functools.partial(QuantizedIndex, routed=False), True),
+    "ivf+sq8": (functools.partial(QuantizedIndex, routed=True), True),
+}
 
 
 def available_backends() -> Tuple[str, ...]:
-    """The registered backend names, sorted."""
-    return tuple(sorted(_FACTORIES))
+    """The backend names, sorted."""
+    return tuple(sorted(_BACKENDS))
 
 
 def validate_backend(backend: str) -> str:
@@ -61,7 +48,7 @@ def validate_backend(backend: str) -> str:
     and the error message cannot drift between them.  Returns the normalised key.
     """
     key = str(backend).strip().lower()
-    if key not in _FACTORIES:
+    if key not in _BACKENDS:
         raise ValueError(
             f"unknown index backend {backend!r}; available: "
             + ", ".join(available_backends())
@@ -75,8 +62,8 @@ def make_index(backend: str = "flat", **params) -> VectorIndex:
     Parameters
     ----------
     backend:
-        A registered name (case-insensitive) — out of the box ``"flat"``,
-        ``"ivf"``, ``"sq8"`` or ``"ivf+sq8"``.
+        A backend name (case-insensitive): ``"flat"``, ``"ivf"``, ``"sq8"``
+        or ``"ivf+sq8"``.
     **params:
         Passed through to the backend constructor (``dim``, ``dtype``, and
         the backend's own knobs: ``nlist``/``nprobe`` for IVF, ``rescore``
@@ -87,7 +74,7 @@ def make_index(backend: str = "flat", **params) -> VectorIndex:
     ValueError
         For an unknown backend name (the message lists what is available).
     """
-    return _FACTORIES[validate_backend(backend)](**params)
+    return _BACKENDS[validate_backend(backend)][0](**params)
 
 
 def seeded_params(
@@ -97,22 +84,12 @@ def seeded_params(
 
     Shared by the benchmark harnesses (``run_backend_sweep`` /
     ``run_fleet_bench``) so their determinism rule cannot drift.  An
-    explicit ``seed`` in ``params`` always wins.  Otherwise support is read
-    off the factory's signature: every seeded backend names ``seed``
-    explicitly (the quantized-composition factories included).  Backends
-    without a seed parameter (``flat``, custom registrations) come back
-    unchanged.
+    explicit ``seed`` in ``params`` always wins.  A backend without a seed
+    (``flat``) comes back unchanged.
     """
     merged = dict(params)
-    if "seed" in merged:
-        return merged
-    factory = _FACTORIES[validate_backend(backend)]
-    try:
-        signature_params = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # pragma: no cover - C-level callables
-        signature_params = {}
-    if "seed" in signature_params:
-        merged["seed"] = seed
+    if _BACKENDS[validate_backend(backend)][1]:
+        merged.setdefault("seed", seed)
     return merged
 
 
@@ -134,29 +111,3 @@ def resolve_index(
             raise ValueError("an explicitly injected index must be empty")
         return index
     return make_index(backend, **dict(params or {}))
-
-
-def _quantized(routed: bool) -> Callable[..., VectorIndex]:
-    """Factory for the unrouted or routed :class:`QuantizedIndex`.
-
-    ``seed`` is an explicit parameter so :func:`seeded_params` can detect
-    seed support from the signature.
-    """
-
-    def factory(seed: int = 0, **params) -> VectorIndex:
-        params.setdefault("routed", routed)
-        return QuantizedIndex(seed=seed, **params)
-
-    return factory
-
-
-#: name -> factory: the exact and routed float backends, then the quantized
-#: index unrouted and routed.
-_BUILTIN: Dict[str, Callable[..., VectorIndex]] = {
-    "flat": FlatIndex,
-    "ivf": IVFIndex,
-    "sq8": _quantized(routed=False),
-    "ivf+sq8": _quantized(routed=True),
-}
-for _name, _factory in _BUILTIN.items():
-    register_index(_name, _factory)

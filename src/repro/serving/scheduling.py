@@ -329,12 +329,10 @@ class BatchExecutor:
         self,
         cache_factory: Callable[[str], object],
         service,
-        enroll_on_miss: bool = True,
         adaptation: Optional[object] = None,
     ) -> None:
         self.cache_factory = cache_factory
         self.service = service
-        self.enroll_on_miss = enroll_on_miss
         self.adaptation = adaptation
         self.adapters: Dict[str, CacheAdapter] = {}
         #: per underlying cache object: enrolled query text -> intent key,
@@ -464,16 +462,15 @@ class BatchExecutor:
                 outcome.response = llm.text
                 outcome.llm_latency_s = llm.latency_s
                 outcome.cost_usd = llm.cost_usd
-                if self.enroll_on_miss:
-                    adapter.enroll(
-                        event.query,
-                        llm.text,
-                        event.context,
-                        event.user_id,
-                        embedding=result.embedding,
-                    )
-                    if event.intent_key:
-                        intent_map[event.query] = event.intent_key
+                adapter.enroll(
+                    event.query,
+                    llm.text,
+                    event.context,
+                    event.user_id,
+                    embedding=result.embedding,
+                )
+                if event.intent_key:
+                    intent_map[event.query] = event.intent_key
             if self.adaptation is not None:
                 self.adaptation.observe(
                     event.user_id,

@@ -146,15 +146,12 @@ class ServerConfig:
         pending request has waited this long, even if fewer requests are
         pending than the last flush drained.  Only a change in traffic (a
         fresh server, or fewer clients than last flush) waits it out.
-    enroll_on_miss:
-        Whether misses enrol the LLM's response in the user's cache.
     """
 
     n_shards: int = 4
     max_queue_depth: int = 4096
     max_batch_size: int = 64
     max_batch_wait_s: float = 0.002
-    enroll_on_miss: bool = True
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -458,7 +455,6 @@ class CacheServer:
                 BatchExecutor(
                     cache_factory=cache_factory,
                     service=service,
-                    enroll_on_miss=self.config.enroll_on_miss,
                     adaptation=adaptation,
                 ),
                 name=f"shard[{i}]",
@@ -562,8 +558,9 @@ class CacheServer:
         Each distinct cache *object* is saved once (a shared central cache
         produces one snapshot no matter how many users route to it) via its
         ``save(path)`` method, and the manifest maps user ids to snapshot
-        subdirectories.  Caches without a ``save`` method (e.g. the keyword
-        baseline) raise :class:`~repro.index.SnapshotError`.
+        subdirectories.  A cache without a ``save`` method (a caller's own
+        cache type: ``MeanCache`` and ``TieredCache`` both have one) raises
+        :class:`~repro.index.SnapshotError`.
 
         The whole checkpoint directory is staged and published atomically
         (one ``os.replace``): a crash mid-checkpoint over a previous

@@ -21,10 +21,10 @@ The fixtures are generated by::
 
 ``tests/test_persistence.py`` loads each one eagerly and memory-mapped and
 compares exactly.  Regenerate only for a deliberate, documented format
-change (the last: the ``gptcache`` fixture, once a ``repro-gptcache`` v3
-snapshot of the retired baseline class, is a ``MeanCache`` v4 snapshot in
-``GPTCACHE_CONFIG``; its decisions kept every field but ``entry_id``, which
-reads the matched entry's id instead of ``None``) or a value-level
+change (the last: ``MeanCache`` manifests no longer carry
+``config.eviction_policy`` and ``TieredCache`` manifests no longer carry
+``promote_on_hit``, once LRU and promotion became fixed behaviour; only the
+four manifests' digests moved, every decision stayed) or a value-level
 re-pin:
 
 * decision level (hit/miss, matched entry, response, victim, tier,
@@ -293,12 +293,12 @@ def build_tiered():
     """A TieredCache whose small L1 has demoted most entries into L2."""
     from conftest import make_tiny_encoder
     from repro.core.cache import MeanCacheConfig
-    from repro.core.tiered import TieredCache
+    from repro.core.tiered import QuantizedTier, TieredCache
 
     cache = TieredCache(
         make_tiny_encoder(),
         MeanCacheConfig(max_entries=4, similarity_threshold=CACHE_THRESHOLD),
-        l2_params={"min_train_size": 8, "seed": 3},
+        l2=QuantizedTier(params={"min_train_size": 8, "seed": 3}),
     )
     for query, context in zip(CACHE_QUERIES, CACHE_CONTEXTS):
         cache.insert(query, f"answer to: {query}", context=context)

@@ -18,6 +18,8 @@ import pytest
 from repro.analysis import AnalysisEngine, Baseline, Finding
 from repro.analysis.engine import BASELINE_NAME, find_baseline
 
+pytestmark = pytest.mark.concurrency
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 ENGINE = AnalysisEngine()
 

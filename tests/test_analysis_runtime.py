@@ -30,6 +30,8 @@ from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.index import make_index
 from repro.index.flat import FlatIndex
 
+pytestmark = pytest.mark.concurrency
+
 
 @pytest.fixture(autouse=True)
 def _clean_registry():

@@ -107,7 +107,7 @@ class TestMeanCacheBasics:
 
 class TestEviction:
     def test_capacity_enforced_with_lru(self, tiny_encoder):
-        cache = MeanCache(tiny_encoder, MeanCacheConfig(max_entries=3, eviction_policy="lru"))
+        cache = MeanCache(tiny_encoder, MeanCacheConfig(max_entries=3))
         for i in range(5):
             cache.insert(f"query number {i} about topic {i}", f"r{i}")
         assert len(cache) == 3
@@ -118,7 +118,7 @@ class TestEviction:
     def test_lru_keeps_recently_accessed(self, tiny_encoder):
         cache = MeanCache(
             tiny_encoder,
-            MeanCacheConfig(max_entries=2, eviction_policy="lru", similarity_threshold=0.99),
+            MeanCacheConfig(max_entries=2, similarity_threshold=0.99),
         )
         cache.insert("alpha bravo charlie", "r0")
         cache.insert("delta echo foxtrot", "r1")
@@ -384,11 +384,23 @@ class TestMeanCacheClient:
         contextual_entries = [e for e in cache.entries if not e.context.is_empty]
         assert len(contextual_entries) == 1
 
-    def test_enroll_on_miss_can_be_disabled(self, tiny_encoder):
-        cache = MeanCache(tiny_encoder)
+    def test_followups_carry_the_last_three_turns(self, tiny_encoder):
+        """A follow-up's context chain is the conversation's latest
+        ``MAX_CONTEXT_DEPTH`` (3) turns, and every miss enrols with it."""
+        cache = MeanCache(tiny_encoder, MeanCacheConfig(similarity_threshold=0.99))
         client = MeanCacheClient(cache, SimulatedLLMService())
-        client.query("some query", enroll_on_miss=False)
-        assert len(cache) == 0
+        turns = [f"question number {i} about topic {i}" for i in range(5)]
+        client.query(turns[0])
+        for turn in turns[1:]:
+            client.query(turn, is_followup=True)
+        assert [e.context.texts for e in cache.entries] == [
+            (),
+            tuple(turns[:1]),
+            tuple(turns[:2]),
+            tuple(turns[:3]),
+            tuple(turns[1:4]),
+        ]
+        assert client.conversation.context_for_next_query() == turns[2:]
 
     def test_new_conversation_resets_context(self, tiny_encoder):
         cache = MeanCache(tiny_encoder)
@@ -423,6 +435,9 @@ class TestMeanCacheClient:
         assert len(cache) == 2
 
     def test_query_many_matches_sequential_decisions(self, trained_encoder):
+        """The batched classification query_many runs decides each probe as
+        the one-probe lookup query runs does (classified without enrolling,
+        so no probe can hit an earlier probe's entry)."""
         probes = [
             "What is the best way to order a python list?",
             "How do I plan a trip to japan?",
@@ -432,12 +447,11 @@ class TestMeanCacheClient:
         cache_b = MeanCache(trained_encoder.clone(), MeanCacheConfig(similarity_threshold=0.8))
         for cache in (cache_a, cache_b):
             cache.populate(["How can I sort a list in python?"])
-        client_a = MeanCacheClient(cache_a, SimulatedLLMService())
-        client_b = MeanCacheClient(cache_b, SimulatedLLMService())
-        sequential = [client_a.query(p, enroll_on_miss=False) for p in probes]
-        batched = client_b.query_many(probes, enroll_on_miss=False)
-        assert [r.from_cache for r in sequential] == [r.from_cache for r in batched]
-        assert [r.response for r in sequential] == [r.response for r in batched]
+        sequential = [cache_a.lookup(p) for p in probes]
+        batched = cache_b.lookup_batch(probes)
+        assert [d.hit for d in sequential] == [d.hit for d in batched] == [True, False, False]
+        assert [d.response for d in sequential] == [d.response for d in batched]
+        assert [d.entry_id for d in sequential] == [d.entry_id for d in batched]
 
     def test_query_many_context_alignment_validated(self, tiny_encoder):
         client = MeanCacheClient(MeanCache(tiny_encoder), SimulatedLLMService())

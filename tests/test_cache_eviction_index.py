@@ -1,16 +1,16 @@
 """Randomized eviction × index interplay: bookkeeping never diverges.
 
 Drives randomized insert / lookup / remove sequences through a small
-:class:`MeanCache` under every eviction policy, asserting after **every**
-step that the three id spaces stay consistent:
+:class:`MeanCache`, asserting after **every** step that the three id
+spaces stay consistent:
 
 * ids in the vector index == ids of the live entries,
-* the eviction policy tracks exactly the live ids,
+* the LRU order tracks exactly the live ids,
 * ``len(cache) == len(index) == len(policy)``.
 
 Evictions happen naturally whenever an insert exceeds ``max_entries``; the
-index must drop exactly the victim's row (swap-with-last) and the policy
-must forget it.
+index must drop exactly the victim's row (swap-with-last) and the LRU
+order must forget it.
 """
 
 from __future__ import annotations
@@ -18,45 +18,35 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-import pytest
 
 from conftest import make_tiny_encoder
 
 from repro.core.cache import MeanCache, MeanCacheConfig
 
-POLICIES = ("lru", "lfu", "fifo")
-
 
 def _assert_consistent(cache: MeanCache) -> None:
     entry_ids = {e.entry_id for e in cache.entries}
     index_ids = set(cache.index.ids)
-    policy_ids = set()
-    policy = cache._policy
-    if hasattr(policy, "_order"):
-        policy_ids = set(policy._order)
-    elif hasattr(policy, "_counts"):
-        policy_ids = set(policy._counts)
+    order = cache._policy.state_dict()["order"]
     assert index_ids == entry_ids, "index ids diverged from live entries"
-    assert policy_ids == entry_ids, "policy ids diverged from live entries"
-    assert len(cache) == len(cache.index) == len(policy)
+    assert set(order) == entry_ids, "LRU order diverged from live entries"
+    assert len(cache) == len(cache.index) == len(order)
     # Every live id must resolve to a finite vector of the right dimension.
     for entry_id in entry_ids:
         vec = cache.index.get(entry_id)
         assert np.all(np.isfinite(vec))
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_randomized_insert_lookup_evict_consistency(policy):
+def test_randomized_insert_lookup_evict_consistency():
     # crc32, not hash(): str hashes are salted per process, and a failing
     # randomized sequence must be reproducible by rerunning.
-    rng = np.random.default_rng(zlib.crc32(policy.encode()))
+    rng = np.random.default_rng(zlib.crc32(b"lru"))
     encoder = make_tiny_encoder(seed=11)
     cache = MeanCache(
         encoder,
         MeanCacheConfig(
             similarity_threshold=0.5,
             max_entries=12,
-            eviction_policy=policy,
             top_k=3,
         ),
     )
@@ -92,12 +82,8 @@ def test_randomized_insert_lookup_evict_consistency(policy):
     assert cache.stats.insertions == inserted
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_eviction_to_zero_and_refill(policy):
-    cache = MeanCache(
-        make_tiny_encoder(seed=3),
-        MeanCacheConfig(max_entries=5, eviction_policy=policy),
-    )
+def test_eviction_to_zero_and_refill():
+    cache = MeanCache(make_tiny_encoder(seed=3), MeanCacheConfig(max_entries=5))
     ids = cache.populate([f"query number {i}" for i in range(5)])
     for entry_id in ids:
         cache.remove(entry_id)

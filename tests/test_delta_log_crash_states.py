@@ -34,6 +34,8 @@ from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import Trace, WorkloadEvent
 
+pytestmark = pytest.mark.concurrency
+
 DIM = 16
 UNTRAINED = {"min_train_size": 10_000}
 LOG = "deltas.jsonl"

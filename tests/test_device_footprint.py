@@ -23,7 +23,7 @@ import pytest
 import repro
 from conftest import make_tiny_encoder
 from repro.core.cache import MeanCache, MeanCacheConfig
-from repro.core.client import ConversationState, MeanCacheClient
+from repro.core.client import MAX_CONTEXT_DEPTH, ConversationState, MeanCacheClient
 from repro.datasets.semantic_pairs import generate_pair_dataset
 from repro.embeddings import zoo
 from repro.embeddings.model import SiameseEncoder
@@ -111,7 +111,8 @@ def test_totals_are_the_sums_over_the_answers(tiny_encoder):
 
 
 def test_conversation_keeps_only_the_turns_it_reads():
-    state, asked = ConversationState(max_depth=3), []
+    assert MAX_CONTEXT_DEPTH == 3
+    state, asked = ConversationState(), []
     for i in range(10):
         assert state.context_for_next_query() == asked[-3:]
         state.add_turn(f"turn {i}")

@@ -18,6 +18,8 @@ from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import WorkloadConfig, WorkloadGenerator
 
+pytestmark = pytest.mark.concurrency
+
 TEXTS = [
     "sort a list in python",
     "order a python list",

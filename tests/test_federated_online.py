@@ -31,6 +31,8 @@ from repro.serving import (
     build_flooding_trace,
 )
 
+pytestmark = pytest.mark.concurrency
+
 
 class _RecordingCache:
     """Minimal cache stand-in recording every pushed threshold."""

@@ -2,8 +2,8 @@
 
 Three layers:
 
-* the backend registry (``make_index`` / ``register_index``) resolves names,
-  rejects unknowns and accepts out-of-tree factories;
+* the backend table (``make_index`` / ``seeded_params``) resolves names,
+  rejects unknowns and seeds exactly the seeded backends;
 * every backend (flat / ivf / sq8 / ivf+sq8) honours the same
   ``VectorIndex`` edge cases — empty-index lookups, remove-then-add id
   reuse, dim mismatches, ``rebuild`` round-trips — via one parametrized
@@ -29,9 +29,8 @@ from repro.index import (
     VectorIndex,
     available_backends,
     make_index,
-    register_index,
 )
-from repro.index.registry import _FACTORIES
+from repro.index.registry import seeded_params
 
 BACKENDS = ["flat", "ivf"]
 # The shared row store sits under every registered name, so the edge-case
@@ -149,22 +148,16 @@ class TestRegistry:
         with pytest.raises(ValueError, match="flat"):
             make_index("hnsw")
 
-    def test_register_duplicate_rejected_unless_overwrite(self):
-        with pytest.raises(ValueError):
-            register_index("flat", FlatIndex)
-
-    def test_register_custom_backend(self):
-        register_index("flat64", lambda **kw: FlatIndex(dtype=np.float64, **kw))
-        try:
-            index = make_index("flat64", dim=4)
-            assert isinstance(index, FlatIndex)
-            assert index.dtype == np.float64
-        finally:
-            _FACTORIES.pop("flat64", None)
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_index("  ", FlatIndex)
+    def test_seeded_params_seeds_every_backend_but_flat(self):
+        assert seeded_params("flat", {"dim": 4}, seed=7) == {"dim": 4}
+        for backend in ("ivf", "sq8", " IVF+SQ8 "):
+            params = seeded_params(backend, {"dim": 4}, seed=7)
+            assert params == {"dim": 4, "seed": 7}
+            assert make_index(backend, **params)._seed == 7
+        # An explicit seed wins.
+        assert seeded_params("sq8", {"seed": 1}, seed=7) == {"seed": 1}
+        with pytest.raises(ValueError, match="flat"):
+            seeded_params("hnsw", {}, seed=7)
 
 
 # --------------------------------------------------------------------------- #

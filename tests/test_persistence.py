@@ -52,6 +52,8 @@ from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import Trace, WorkloadConfig, WorkloadGenerator
 
+pytestmark = pytest.mark.concurrency
+
 DIM = 16
 
 BACKENDS = {
@@ -389,12 +391,9 @@ def _populated_meancache(encoder, **config_kwargs):
     return cache
 
 
-@pytest.mark.parametrize("policy", ["lru", "lfu", "fifo"])
-def test_meancache_round_trip_decisions_and_policy(policy, tmp_path):
+def test_meancache_round_trip_decisions_and_policy(tmp_path):
     encoder = make_tiny_encoder()
-    cache = _populated_meancache(
-        encoder, max_entries=40, eviction_policy=policy, index_backend="flat"
-    )
+    cache = _populated_meancache(encoder, max_entries=40, index_backend="flat")
     probes = [f"how do I configure widget {i}" for i in range(0, 45, 3)]
     probe_ctx = [["setting up widgets"]] * len(probes)
     before = cache.lookup_batch(probes, contexts=probe_ctx)
@@ -411,8 +410,8 @@ def test_meancache_round_trip_decisions_and_policy(policy, tmp_path):
     assert [(d.hit, d.entry_id, float(d.similarity).hex()) for d in before] == [
         (d.hit, d.entry_id, float(d.similarity).hex()) for d in after
     ]
-    # Replaying identical hit traffic leaves both policies in the same
-    # state (LRU/LFU re-touch the same ids in the same order), so from here
+    # Replaying identical hit traffic leaves both LRU orders in the same
+    # state (the hits re-touch the same ids in the same order), so from here
     # the caches must evict in lock-step.
     # Eviction order must continue exactly where the saved cache left off:
     # fill both to capacity and compare which entries survive.
@@ -646,6 +645,67 @@ def test_format_v2_snapshots_still_load(version, legacy, tmp_path):
         )
 
 
+def _edit_manifest(root: Path, edit) -> None:
+    """Rewrite ``root/manifest.json`` after ``edit`` mutated its payload."""
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name,key,kept,retired",
+    [("meancache", "eviction_policy", "lru", "lfu"), ("tiered", "promote_on_hit", True, False)],
+    ids=["meancache", "tiered"],
+)
+def test_manifests_naming_a_retired_setting_load_only_at_its_one_value(
+    name, key, kept, retired, tmp_path
+):
+    """A manifest written while LRU eviction and L2 promotion were settings
+    names them: one holding the only value left (``"lru"``, ``true``) loads
+    and decides as the fixture does; any other value raises."""
+    import golden_snapshots as gs
+
+    expected = json.loads(gs.EXPECTED_PATH.read_text(encoding="utf-8"))[name]
+    for value in (kept, retired):
+        tree = tmp_path / str(value)
+        shutil.copytree(gs.FIXTURE_DIR / name, tree)
+
+        def edit(manifest):
+            (manifest["config"] if name == "meancache" else manifest)[key] = value
+
+        _edit_manifest(tree, edit)
+        if value == kept:
+            assert gs.observe(name, gs.load_fixture(name, tree)) == expected["observed"]
+        else:
+            with pytest.raises(SnapshotError, match="lfu|promote"):
+                gs.load_fixture(name, tree)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [[0, 1, 99], [0, 1, 1], [0, 1], [0, 1, 2, 2]],
+    ids=["unknown-id", "repeated-id", "missing-id", "extra-repeat"],
+)
+def test_meancache_load_rejects_a_tampered_lru_order(order, tmp_path):
+    """The saved LRU order must list each entry id exactly once: an order
+    naming an id the cache does not hold would make a later eviction pick
+    a victim that is not there."""
+    cache = MeanCache(make_tiny_encoder(), MeanCacheConfig(max_entries=3))
+    for i in range(3):
+        cache.insert(f"query number {i} about topic {i}", f"r{i}")
+    cache.save(tmp_path / "mc")
+    MeanCache.load(tmp_path / "mc", make_tiny_encoder())  # the untampered copy loads
+
+    def edit(manifest):
+        assert manifest["policy"]["state"]["order"] == [0, 1, 2]
+        manifest["policy"]["state"]["order"] = order
+
+    _edit_manifest(tmp_path / "mc", edit)
+    with pytest.raises(SnapshotError, match="LRU order"):
+        MeanCache.load(tmp_path / "mc", make_tiny_encoder())
+
+
 def test_cache_snapshots_do_not_depend_on_wall_time(tmp_path):
     """Cache state holds no time: the same populate / lookup_batch / insert
     sequence run twice, 10 ms apart and with no clock injected, saves
@@ -654,7 +714,7 @@ def test_cache_snapshots_do_not_depend_on_wall_time(tmp_path):
 
     import golden_snapshots as gs
 
-    from repro.core.tiered import TieredCache
+    from repro.core.tiered import QuantizedTier, TieredCache
 
     queries, contexts = gs.CACHE_QUERIES, gs.CACHE_CONTEXTS
 
@@ -663,7 +723,9 @@ def test_cache_snapshots_do_not_depend_on_wall_time(tmp_path):
         flat = MeanCache(make_tiny_encoder(), config)
         flat.populate(queries[:10], contexts=contexts[:10])
         tiered = TieredCache(
-            make_tiny_encoder(), config, l2_params={"min_train_size": 8, "seed": 3}
+            make_tiny_encoder(),
+            config,
+            l2=QuantizedTier(params={"min_train_size": 8, "seed": 3}),
         )
         for query, context in zip(queries[:10], contexts[:10]):
             tiered.insert(query, f"answer to: {query}", context=context)
@@ -825,7 +887,9 @@ def test_fleet_checkpoint_in_place_rebases_restored_tier_logs(tmp_path):
     encoder = make_tiny_encoder()
     first, second = _split_trace(n_users=2)
     factory = lambda uid: TieredCache(
-        encoder, MeanCacheConfig(max_entries=2), l2_params={"min_train_size": 10_000}
+        encoder,
+        MeanCacheConfig(max_entries=2),
+        l2=QuantizedTier(params={"min_train_size": 10_000}),
     )
     sim = _fleet(encoder, factory)
     sim.replay(first, 0.25)

@@ -44,10 +44,14 @@ from hypothesis import strategies as st
 from repro.baselines import GPTCACHE_CONFIG
 from repro.core import pipeline
 from repro.core.cache import CacheDecision, MeanCache, MeanCacheConfig
+from repro.core.client import MeanCacheClient
 from repro.core.context import ContextChain
 from repro.core.pipeline import embed_probes, first_admissible, search_candidates
 from repro.core.tiered import QuantizedTier, TieredCache
 from repro.index import FlatIndex, IndexHit
+from repro.llm.service import SimulatedLLMService
+
+pytestmark = pytest.mark.concurrency
 
 
 def _unit(*coords):
@@ -423,6 +427,35 @@ class TestContextTextsValidated:
             with pytest.raises(ValueError, match="context"):
                 call()
             assert _cache_state(cache) == before
+
+    @pytest.mark.parametrize("bad", ["draw a line plot", ["a turn", 5]], ids=["str", "int-turn"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_client_refuses_before_asking_or_storing(self, tiny_encoder, variant, bad):
+        """The client's front doors refuse a bad context before the cache,
+        the LLM service or the conversation sees the query (a bare string
+        once reached the cache as one turn per character)."""
+        cache = _full_cache(variant, tiny_encoder)
+        client = MeanCacheClient(cache, SimulatedLLMService())
+        client.query("plan a trip to japan")
+        before = (
+            _cache_state(cache),
+            dataclasses.asdict(client.stats),
+            list(client.conversation.turns),
+        )
+        calls = (
+            lambda: client.query("make it red", context=bad),
+            lambda: client.query("make it red", context=bad, is_followup=True),
+            lambda: client.query_many(["make it red"], contexts=[bad]),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="context"):
+                call()
+            after = (
+                _cache_state(cache),
+                dataclasses.asdict(client.stats),
+                client.conversation.turns,
+            )
+            assert after == before
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_lists_and_tuples_of_strings_still_work(self, tiny_encoder, variant):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.policy import LFUPolicy, LRUPolicy
+from repro.core.policy import LRUPolicy
 from repro.embeddings.featurizer import FeaturizerConfig, HashedFeaturizer
 from repro.embeddings.pca import PCA
 from repro.embeddings.similarity import cosine_similarity, pairwise_cosine, semantic_search
@@ -157,18 +157,18 @@ class TestPolicyProperties:
     @given(st.lists(st.tuples(st.sampled_from(["insert", "access", "remove"]), st.integers(0, 9)), max_size=60))
     @settings(max_examples=60, deadline=None)
     def test_policies_never_track_ghost_entries(self, ops):
-        for policy in (LRUPolicy(), LFUPolicy()):
-            live = set()
-            for op, key in ops:
-                if op == "insert":
-                    policy.record_insert(key)
-                    live.add(key)
-                elif op == "access":
-                    policy.record_access(key)
-                else:
-                    policy.record_remove(key)
-                    live.discard(key)
-            assert len(policy) == len(live)
-            if live:
-                victim = policy.select_victim()
-                assert victim in live
+        policy = LRUPolicy()
+        live = set()
+        for op, key in ops:
+            if op == "insert":
+                policy.record_insert(key)
+                live.add(key)
+            elif op == "access":
+                policy.record_access(key)
+            else:
+                policy.record_remove(key)
+                live.discard(key)
+        assert len(policy) == len(live)
+        if live:
+            victim = policy.select_victim()
+            assert victim in live

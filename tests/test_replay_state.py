@@ -24,6 +24,8 @@ from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import Trace, WorkloadEvent
 
+pytestmark = pytest.mark.concurrency
+
 #: Wide enough that each of WINDOWS replays as one flush.
 WINDOW_S = 5.0
 WINDOWS = [

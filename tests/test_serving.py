@@ -17,15 +17,19 @@ from repro.experiments.fleet_bench import run_drift_adaptation_bench, run_fleet_
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving import (
     ArrivalSchedule,
-    DriftPhase,
+    BatchExecutor,
     CacheServer,
+    DriftPhase,
     ServerConfig,
     Trace,
     WorkloadConfig,
     WorkloadEvent,
     WorkloadGenerator,
     apply_arrival_schedule,
+    iter_windows,
 )
+
+pytestmark = pytest.mark.concurrency
 
 
 @pytest.fixture(scope="module")
@@ -428,32 +432,46 @@ class TestFleetReplay:
     def test_batch_window_does_not_change_classification(self, small_trace, tiny_encoder):
         """Batched scheduling is an amortization, not a semantics change.
 
-        With enrolment off, a lookup is pure classification and must be
-        identical under any window width.  (With enrolment *on*, windowing
-        legitimately delays intra-window enrolment — a probe cannot hit an
-        entry enrolled by an earlier probe of the same window — so decisions
-        there are only window-invariant when no such pair occurs.)
+        Classification alone (:meth:`BatchExecutor.lookup`, which enrols
+        nothing) must be identical under any window width.  (A replay also
+        enrols, and windowing legitimately delays intra-window enrolment —
+        a probe cannot hit an entry enrolled by an earlier probe of the same
+        window — so its decisions are only window-invariant when no such
+        pair occurs.)
         """
+        # Each user's cache starts with the first half of the user's events.
+        warm = {}
+        for event in small_trace:
+            warm.setdefault(event.user_id, [])
+            if len(warm[event.user_id]) < 6:
+                warm[event.user_id].append(event)
 
-        def run_with_window(width):
-            simulator = CacheServer(
-                _meancache_factory(tiny_encoder),
-                SimulatedLLMService(LLMServiceConfig(seed=0)),
-                ServerConfig(enroll_on_miss=False),
+        def factory(user_id):
+            cache = MeanCache(tiny_encoder, MeanCacheConfig(similarity_threshold=0.8))
+            cache.populate(
+                [e.query for e in warm[user_id]], contexts=[e.context for e in warm[user_id]]
             )
-            return simulator.replay(small_trace, width, collect_outcomes=True)
+            return cache
 
-        tight = run_with_window(0.0)
-        wide = run_with_window(5.0)
-        # Compare per-event hit decisions keyed by (user, time): grouping
-        # differs, decisions must not (per-user caches, hashed jitter).
-        key = lambda o: (o.event.user_id, o.event.time_s)
-        tight_hits = {key(o): o.hit for o in tight.outcomes}
-        wide_hits = {key(o): o.hit for o in wide.outcomes}
-        assert tight_hits == wide_hits
-        assert tight.total_cost_usd == pytest.approx(wide.total_cost_usd)
+        def classify_with_window(width):
+            executor = BatchExecutor(factory, SimulatedLLMService(LLMServiceConfig(seed=0)))
+            hits = {}
+            for window in iter_windows(small_trace, width):
+                decisions, held = executor.lookup(window)
+                assert not held  # no tiered cache, so no tier probe
+                # Keyed by (user, time): grouping differs, decisions must not.
+                hits.update(
+                    ((e.user_id, e.time_s), d.hit) for e, d in zip(window, decisions)
+                )
+            return hits
 
-    def test_enroll_on_miss_populates_user_caches(self, small_trace, tiny_encoder):
+        tight = classify_with_window(0.0)
+        wide = classify_with_window(5.0)
+        assert len(tight) == len(small_trace)
+        assert tight == wide
+        assert any(tight.values()) and not all(tight.values())
+
+    def test_every_miss_enrols_in_the_user_cache(self, small_trace, tiny_encoder):
         caches = {}
 
         def factory(user_id):
@@ -472,14 +490,6 @@ class TestFleetReplay:
         for uid, cache in caches.items():
             stats = result.per_user[uid]
             assert len(cache) == stats.llm_requests  # every miss was enrolled
-
-        no_enroll = CacheServer(
-            _meancache_factory(tiny_encoder),
-            SimulatedLLMService(LLMServiceConfig(seed=0)),
-            ServerConfig(enroll_on_miss=False),
-        )
-        empty_result = no_enroll.replay(small_trace)
-        assert empty_result.hits == 0  # nothing ever cached
 
     def test_enrolment_reuses_lookup_embeddings(self):
         """A miss's enrolment reuses the Embed stage's output — no re-encode."""

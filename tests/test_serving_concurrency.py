@@ -40,7 +40,7 @@ from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving.server import BackpressureError, CacheServer, ServerConfig
 from repro.serving.workload import Trace, WorkloadEvent
 
-pytestmark = pytest.mark.serving
+pytestmark = [pytest.mark.serving, pytest.mark.concurrency]
 
 N_THREADS = 6
 REQUESTS_PER_THREAD = 20

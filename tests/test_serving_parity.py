@@ -33,6 +33,8 @@ from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import Trace, WorkloadConfig, WorkloadEvent, WorkloadGenerator
 
+pytestmark = pytest.mark.concurrency
+
 FIXTURE_PATH = (
     Path(__file__).resolve().parent / "fixtures" / "golden_serving_decisions.json"
 )

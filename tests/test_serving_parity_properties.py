@@ -13,7 +13,7 @@ Hypothesis draws (``derandomize=True``, so CI is stable):
   of an earlier query and every arrival re-timed so that several users share
   one batching window;
 * ``n_shards`` from {1, 2, 3, 4};
-* the fleet: per-user ``MeanCache`` (LRU, LFU or FIFO eviction), per-user
+* the fleet: per-user ``MeanCache`` (LRU eviction), per-user
   ``TieredCache`` over one shared tier (``max_entries`` 1–4 or unbounded),
   one central ``MeanCache`` in the GPTCache configuration, or a mixed
   fleet of all three;
@@ -22,7 +22,7 @@ Hypothesis draws (``derandomize=True``, so CI is stable):
 Three properties compare the two runs: the per-event decisions (hit,
 response, matched query, verified flag, ``float.hex`` similarity), the
 final storage (``storage_report``, every L1's and every tier's entries)
-and every L1's final eviction order (its policy's state).
+and every L1's final LRU order.
 Tier-1 runs them at a small budget; the ``slow`` variants run a
 larger one.  A counterexample Hypothesis shrinks becomes a named case in
 :class:`TestShrunkCases`.
@@ -46,6 +46,8 @@ from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import Trace, WorkloadConfig, WorkloadEvent, WorkloadGenerator
 
+pytestmark = pytest.mark.concurrency
+
 BATCH_WINDOW_S = 0.25
 THRESHOLD = 0.7
 #: Inter-arrival gaps: most are shorter than the window, so windows hold
@@ -63,7 +65,6 @@ class FleetCase:
     trace: Trace
     n_shards: int
     fleet: str
-    policy: str = "lru"
     l1_entries: int = 2
     tier_entries: Optional[int] = None
     adaptive: bool = False
@@ -83,7 +84,7 @@ def traces(draw) -> Trace:
         now += draw(st.sampled_from(GAPS))
         if events and draw(st.integers(0, 3)) == 0:
             # A verbatim repeat of a recent query (any user's), so exact
-            # hits, cross-user hits on a central cache and LFU counts occur.
+            # hits and cross-user hits on a central cache occur.
             earlier = events[-draw(st.integers(1, min(4, len(events))))]
             event = replace(event, query=earlier.query, intent_key=earlier.intent_key)
         events.append(replace(event, time_s=round(now, 6)))
@@ -95,7 +96,6 @@ fleet_cases = st.builds(
     trace=traces(),
     n_shards=st.integers(min_value=1, max_value=4),
     fleet=st.sampled_from(FLEETS),
-    policy=st.sampled_from(("lru", "lfu", "fifo")),
     l1_entries=st.integers(min_value=1, max_value=4),
     tier_entries=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
     adaptive=st.booleans(),
@@ -107,7 +107,6 @@ def _factory(case: FleetCase):
     config = MeanCacheConfig(
         similarity_threshold=THRESHOLD,
         max_entries=case.l1_entries,
-        eviction_policy=case.policy,
     )
     tier = QuantizedTier(max_entries=case.tier_entries)
     central = MeanCache(ENCODER, replace(GPTCACHE_CONFIG, similarity_threshold=THRESHOLD))
@@ -217,8 +216,7 @@ def _tier_entries(run: _Run) -> list:
 
 
 def _policy_orders(run: _Run) -> dict:
-    """Per user, the eviction policy's state of the user's L1 (recency or
-    frequency order)."""
+    """Per user, the LRU order of the user's L1."""
     return {
         uid: getattr(c, "l1", c)._policy.state_dict() for uid, c in run.caches.items()
     }

@@ -1,11 +1,11 @@
-"""Tests for size accounting, eviction policies and context chains."""
+"""Tests for size accounting, the LRU eviction order and context chains."""
 
 import numpy as np
 import pytest
 
 from conftest import make_tiny_encoder
 from repro.core.context import ContextChain, context_matches
-from repro.core.policy import FIFOPolicy, LFUPolicy, LRUPolicy, make_policy
+from repro.core.policy import LRUPolicy
 from repro.core.storage import object_nbytes
 
 
@@ -29,31 +29,6 @@ class TestPolicies:
         policy.record_access(0)  # 0 becomes most recent; 1 is oldest now
         assert policy.select_victim() == 1
 
-    def test_lfu_evicts_least_frequent(self):
-        policy = LFUPolicy()
-        for i in range(3):
-            policy.record_insert(i)
-        policy.record_access(0)
-        policy.record_access(0)
-        policy.record_access(2)
-        assert policy.select_victim() == 1
-
-    def test_lfu_ties_break_by_recency(self):
-        policy = LFUPolicy()
-        policy.record_insert(1)
-        policy.record_insert(2)
-        policy.record_access(1)
-        policy.record_access(2)
-        # equal counts; 1 was accessed earlier -> evict 1
-        assert policy.select_victim() == 1
-
-    def test_fifo_ignores_accesses(self):
-        policy = FIFOPolicy()
-        policy.record_insert(1)
-        policy.record_insert(2)
-        policy.record_access(1)
-        assert policy.select_victim() == 1
-
     def test_remove_forgets_entry(self):
         policy = LRUPolicy()
         policy.record_insert(1)
@@ -63,16 +38,19 @@ class TestPolicies:
         assert len(policy) == 1
 
     def test_empty_policy_raises(self):
-        for policy in (LRUPolicy(), LFUPolicy(), FIFOPolicy()):
-            with pytest.raises(LookupError):
-                policy.select_victim()
+        with pytest.raises(LookupError):
+            LRUPolicy().select_victim()
 
-    def test_factory(self):
-        assert isinstance(make_policy("lru"), LRUPolicy)
-        assert isinstance(make_policy("LFU"), LFUPolicy)
-        assert isinstance(make_policy("fifo"), FIFOPolicy)
-        with pytest.raises(ValueError):
-            make_policy("random")
+    def test_state_round_trip_and_duplicate_ids_rejected(self):
+        policy = LRUPolicy()
+        for i in (3, 1, 2):
+            policy.record_insert(i)
+        policy.record_access(3)
+        restored = LRUPolicy()
+        restored.load_state_dict(policy.state_dict())
+        assert restored.state_dict() == {"order": [1, 2, 3]}
+        with pytest.raises(ValueError, match="twice"):
+            restored.load_state_dict({"order": [1, 2, 1]})
 
 
 class TestContextChain:

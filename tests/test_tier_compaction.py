@@ -32,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -42,6 +43,8 @@ from repro.core.cache import MeanCacheConfig
 from repro.core.context import ContextChain
 from repro.core.tiered import QuantizedTier, TieredCache, _tier_entry_record
 from repro.index import delta_log_size, make_index
+
+pytestmark = pytest.mark.concurrency
 
 DIM = 8
 UNTRAINED = {"min_train_size": 10_000}
@@ -350,8 +353,7 @@ def test_a_cleared_tiered_cache_loads_as_it_is_live(tmp_path):
     cache = TieredCache(
         make_tiny_encoder(),
         MeanCacheConfig(max_entries=1),
-        l2_params=UNTRAINED,
-        snapshot_dir=tmp_path / "cache",
+        l2=QuantizedTier(params=UNTRAINED, snapshot_dir=tmp_path / "cache" / "l2"),
     )
     for i in range(4):
         cache.insert(f"question number {i}", f"answer {i}")
@@ -375,7 +377,9 @@ def test_the_l2_fall_through_reuses_the_chain_l1_embedded(monkeypatch):
     L2 — embedding its chain once, not once per tier."""
     encoder = make_tiny_encoder()
     cache = TieredCache(
-        encoder, MeanCacheConfig(max_entries=1, similarity_threshold=0.9), l2_params=UNTRAINED
+        encoder,
+        MeanCacheConfig(max_entries=1, similarity_threshold=0.9),
+        l2=QuantizedTier(params=UNTRAINED),
     )
     query, ours, theirs = (
         "how do I reset the flux capacitor",

@@ -31,6 +31,8 @@ from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import Trace, WorkloadEvent
 
+pytestmark = pytest.mark.concurrency
+
 UNTRAINED = {"min_train_size": 10_000}
 N_SHARDS = 3
 USERS = [f"user-{i}" for i in range(6)]

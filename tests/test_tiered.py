@@ -35,6 +35,8 @@ from repro.core.tiered import QuantizedTier, TieredCache, match_probes
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving.server import CacheServer, ServerConfig
 
+pytestmark = pytest.mark.concurrency
+
 # L2 stays in its exact float staging phase below min_train_size, which
 # makes tier scores identical to flat search — the parity tests rely on
 # that; the quantized regime is exercised by the trained-tier tests.
@@ -74,12 +76,15 @@ def _queries(n):
     return [f"how do I handle {t}" for t in TOPICS[:n]]
 
 
-def _tiered(encoder, l1_entries=4, **kwargs):
-    kwargs.setdefault("l2_params", UNTRAINED)
+def _tiered(encoder, l1_entries=4, l2=None, **tier_kwargs):
+    """A tiered cache over ``l2``, or over a private untrained tier built
+    with ``tier_kwargs``."""
+    if l2 is None:
+        l2 = QuantizedTier(**{"params": UNTRAINED, **tier_kwargs})
     return TieredCache(
         encoder,
         MeanCacheConfig(max_entries=l1_entries, similarity_threshold=TAU),
-        **kwargs,
+        l2=l2,
     )
 
 
@@ -195,19 +200,22 @@ def test_entry_never_scored_twice_per_probe():
         assert len(cache) == len(l1) + len(l2)
 
 
-def test_promote_on_hit_false_leaves_entry_in_l2():
-    cache = _tiered(make_tiny_encoder(), l1_entries=2, promote_on_hit=False)
-    queries = _queries(6)
-    for q in queries:
-        cache.insert(q, f"response to {q}")
-    victim = queries[0]
-    decision = cache.lookup(victim)
-    assert decision.hit and decision.response == f"response to {victim}"
-    assert victim in {e.query for e in cache.l2.entries}
+def test_default_tier_is_private_and_unbounded():
+    """Without ``l2=`` each cache owns a fresh ``QuantizedTier()``: sq8, no
+    capacity bound, no snapshot directory, shared with no other cache."""
+    encoder = make_tiny_encoder()
+    first, second = TieredCache(encoder), TieredCache(encoder)
+    assert first.l2 is not second.l2
+    for cache in (first, second):
+        assert isinstance(cache.l2.index, type(QuantizedTier().index))
+        assert (cache.l2.max_entries, cache.l2.snapshot_dir) == (None, None)
+        assert cache.l2.index.routed is False
+    first.insert("how do I handle composting", "r")
+    assert (len(first), len(second)) == (1, 0)
 
 
 def test_l2_capacity_evicts_fifo_for_real():
-    cache = _tiered(make_tiny_encoder(), l1_entries=2, l2_max_entries=3)
+    cache = _tiered(make_tiny_encoder(), l1_entries=2, max_entries=3)
     queries = _queries(10)
     for q in queries:
         cache.insert(q, "r")
@@ -775,8 +783,7 @@ def test_tiered_cache_checkpointed_in_place_keeps_a_loadable_log(reloaded, tmp_p
     cache = TieredCache(
         encoder,
         MeanCacheConfig(max_entries=2),
-        l2_params=dict(UNTRAINED),
-        snapshot_dir=snap,
+        l2=QuantizedTier(params=dict(UNTRAINED), snapshot_dir=snap / "l2"),
     )
     queries = _queries(12)
     for q in queries[:4]:

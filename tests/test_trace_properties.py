@@ -35,6 +35,8 @@ from repro.serving import (
     trace_to_logs,
 )
 
+pytestmark = pytest.mark.concurrency
+
 workload_configs = st.builds(
     WorkloadConfig,
     n_users=st.integers(min_value=1, max_value=4),
