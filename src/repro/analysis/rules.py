@@ -391,7 +391,7 @@ class SnapshotDisciplineRule(Rule):
     ``.open("w")``, the mode positional or ``mode=``), ``np.save*`` or
     ``Path.write_text/write_bytes`` outside those scopes is flagged, and so
     is any of those openers in an append or update mode (``"a"``, ``"ab"``,
-    ``"r+b"``) outside the delta log's one writer and one repairer.
+    ``"r+b"``) outside the delta log's writers and its repairer.
     """
 
     id = "RPL004"
@@ -403,8 +403,11 @@ class SnapshotDisciplineRule(Rule):
     #: write_* create files, and only inside a stage:
     _HELPER_FUNCTIONS = frozenset({"write_manifest", "write_arrays"})
     #: append_delta is the log's commit point and only appends; _delta_lines
-    #: cuts a crashed append's torn tail off in place:
-    _LOG_FUNCTIONS = frozenset({"append_delta", "_delta_lines"})
+    #: cuts a crashed append's torn tail off in place; replace_delta_log (a
+    #: minor fold) writes a temp file beside the log and renames it over it:
+    _LOG_FUNCTIONS = frozenset({"append_delta", "_delta_lines", "replace_delta_log"})
+    #: ... of which only replace_delta_log creates a file:
+    _LOG_CREATORS = frozenset({"replace_delta_log"})
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Flag direct file writes outside the atomic staging protocol."""
@@ -450,7 +453,7 @@ class SnapshotDisciplineRule(Rule):
                 return None
             label = f'{opener}({"..., " if mode_at else ""}"{mode}")'
             if mode.startswith(("w", "x")):
-                return label, self._HELPER_FUNCTIONS
+                return label, self._HELPER_FUNCTIONS | self._LOG_CREATORS
             if mode.startswith("a") or "+" in mode:
                 return label, self._LOG_FUNCTIONS
             return None

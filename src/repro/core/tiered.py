@@ -50,18 +50,21 @@ snapshot there — full generations written atomically via
 sealed into delta records (:meth:`QuantizedTier.seal`) and appended to the
 snapshot's delta log (:func:`~repro.index.snapshot.append_delta`), all the
 records owed with one write and one fsync, by :meth:`QuantizedTier.flush`,
-and the log folded back into a full snapshot by
-:meth:`QuantizedTier.maintenance` once it grows past ``compact_every``
-records.  :meth:`QuantizedTier.load` (``mmap=True``) adopts the code matrix
-as a read-only memory map — the zero-copy warm start benchmarked in
-``BENCH_index.json``'s ``persistence`` section.
+and the log folded by :meth:`QuantizedTier.maintenance` every
+``compact_every`` records — into one record of the changes since the last
+full snapshot (a minor fold), or into a new full snapshot once that record
+would pass half of it (a major fold).  :meth:`QuantizedTier.load`
+(``mmap=True``) adopts the code matrix as a read-only memory map — the
+zero-copy warm start benchmarked in ``BENCH_index.json``'s ``persistence``
+section.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import asdict, dataclass
+import json
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (
     Callable,
@@ -100,13 +103,16 @@ from repro.index.snapshot import (
     SnapshotError,
     append_delta,
     atomic_snapshot_dir,
+    delta_line,
     load_cache_snapshot,
     native_float_dtype,
     open_delta_log,
     read_deltas,
     read_manifest,
     record_blocks,
+    replace_delta_log,
     save_cache_snapshot,
+    snapshot_nbytes,
     split_blocks,
     write_manifest,
 )
@@ -143,6 +149,60 @@ class TierEntry:
         )
 
 
+def _entries_meta(texts: Sequence[str], **fields: object) -> str:
+    """A delta record's ``meta`` as JSON text, from its entries' records
+    rendered one by one: ``{"entries": [...]}``, then ``fields``."""
+    tail = "".join(f", {json.dumps(k)}: {json.dumps(v)}" for k, v in fields.items())
+    return '{"entries": [' + ", ".join(texts) + "]" + tail + "}"
+
+
+@dataclass
+class _Changes:
+    """What a tier changed since its last full snapshot in ``directory``
+    (its ``snapshot_dir``): what a minor fold writes, as one log record.
+
+    An entry added and then removed leaves no trace, as within one seal
+    window (:meth:`QuantizedTier.seal`).
+    """
+
+    directory: Path
+    #: bytes of that full snapshot, its delta log left out
+    nbytes: int
+    #: the index's :attr:`~repro.index.quantized.QuantizedIndex.trainings`
+    #: as of that snapshot: rows replayed onto it are encoded and routed as
+    #: the live ones only while no fit ran since
+    trainings: int
+    #: id -> (float32 row, the entry's delta record as JSON text) of each
+    #: live entry added since, in FIFO order
+    added: Dict[int, Tuple[np.ndarray, str]] = field(default_factory=dict)
+    #: ids the full snapshot holds that were removed since, in order
+    removed: List[int] = field(default_factory=list)
+    #: log records the last minor fold wrote (0 after a full snapshot)
+    folded: int = 0
+
+    def note_removed(self, entry_id: int) -> None:
+        if self.added.pop(entry_id, None) is None:
+            self.removed.append(entry_id)
+
+    def record(self, next_id: int, stats: CacheStats) -> bytes:
+        """The one log record a minor fold writes: every row and entry
+        record as rendered when the entry arrived, joined, and the tier's
+        next id and counters, which the full snapshot holds as of its own
+        time."""
+        rows = [row for row, _ in self.added.values()]
+        return delta_line(
+            1,
+            np.stack(rows) if rows else None,
+            list(self.added),
+            self.removed,
+            encoded_meta=_entries_meta(
+                [text for _, text in self.added.values()],
+                next_id=next_id,
+                stats=asdict(stats),
+            ),
+        )
+
+
 class QuantizedTier:
     """The shared L2: texts keyed by id over a quantized vector index.
 
@@ -155,14 +215,22 @@ class QuantizedTier:
     in-memory delta record, :meth:`flush` appends every record owed to the
     snapshot's delta log with one write and one fsync (cost proportional to
     the delta, never a full rewrite) and
-    :meth:`maintenance` folds the log into a fresh full snapshot once it
-    holds ``compact_every`` records.  A fold's CPU follows what changed
-    since the last one: each entry's ``entries.json`` block is rendered by
-    the first full snapshot that holds it (or kept from the file
-    :meth:`load` read) for the entry's lifetime, so a fold renders only the
-    entries added since, and the context-chain arrays are packed from the
-    contextual entries alone.  Its bytes do not: every fold still writes
-    the whole tier.
+    :meth:`maintenance` folds the log once ``compact_every`` records were
+    appended since the last fold.  A fold costs what changed since the
+    tier's last full snapshot in ``snapshot_dir``: the tier keeps each
+    entry added since (its float32 row and its delta entry record, rendered
+    once) and the ids removed since, and a *minor* fold atomically replaces
+    the log with one record of them
+    (:func:`~repro.index.snapshot.replace_delta_log`) — one file written
+    and fsynced, whatever the size of the tier.  A *major* fold, a full
+    snapshot, runs only when that record would pass half of the full
+    snapshot's bytes, when there is no full snapshot to fold onto, or when
+    the index refitted its codec or routing since it (rows replayed onto
+    the older snapshot would be encoded or routed otherwise).  Its CPU
+    follows what changed too: each entry's ``entries.json`` block is
+    rendered by the first full snapshot that holds it (or kept from the
+    file :meth:`load` read) for the entry's lifetime, and the context-chain
+    arrays are packed from the contextual entries alone.
 
     The tier counts its log records in memory: the directory is read once,
     before the first append to a snapshot that was already there (which
@@ -219,6 +287,10 @@ class QuantizedTier:
         #: append reads it, stale once ``snapshot_dir`` is pointed elsewhere
         self._counted_dir: Optional[Path] = None
         self._log_records: Optional[int] = None
+        #: the changes since the full snapshot in ``snapshot_dir`` — None
+        #: while there is none this tier wrote or loaded, or a clear or a
+        #: detached mutation made the next fold a full one
+        self._changes: Optional[_Changes] = None
         self._forget_owed()
 
     def _log_length(self) -> Optional[int]:
@@ -242,7 +314,8 @@ class QuantizedTier:
         record carries them all)."""
         self._pending_ids: List[int] = []
         self._pending_vectors: List[np.ndarray] = []
-        self._pending_meta: List[Dict[str, object]] = []
+        #: each pending entry's delta record, rendered as JSON once
+        self._pending_texts: List[str] = []
         self._pending_removed: List[int] = []
 
     def _forget_owed(self) -> None:
@@ -284,11 +357,13 @@ class QuantizedTier:
 
     def total_storage_bytes(self) -> int:
         """Bytes of the whole tier: texts + contexts + index payload, and
-        the rendered ``entries.json`` blocks :meth:`save` keeps.  The blocks
-        are a host-side copy of the texts, so :meth:`embedding_storage_bytes`
-        and :meth:`TieredCache.storage_breakdown` (bytes-per-entry
-        accounting) leave them out."""
+        the rendered ``entries.json`` blocks and delta entry records
+        :meth:`save` keeps.  Those are a host-side copy of the texts, so
+        :meth:`embedding_storage_bytes` and
+        :meth:`TieredCache.storage_breakdown` (bytes-per-entry accounting)
+        leave them out."""
         with self.lock:
+            changes = self._changes.added.values() if self._changes is not None else ()
             return (
                 self.embedding_storage_bytes()
                 + sum(
@@ -298,6 +373,7 @@ class QuantizedTier:
                     for e in self._entries.values()
                 )
                 + sum(map(object_nbytes, self._blocks.values()))
+                + sum(object_nbytes(text) for _, text in changes)
             )
 
     # ------------------------------------------------------------------ #
@@ -319,8 +395,10 @@ class QuantizedTier:
         require_query_text(query)
         context = context if context is not None else ContextChain.empty()
         # float32 up front: the delta log persists float32 rows, so feeding
-        # the index the same bits keeps replayed scores byte-identical.
-        vector = np.asarray(embedding, dtype=np.float32).reshape(-1)
+        # the index the same bits keeps replayed scores byte-identical.  A
+        # copy: the row is kept until a fold writes it, and the caller may
+        # reuse its buffer.
+        vector = np.array(embedding, dtype=np.float32).reshape(-1)
         with self.lock:
             if self.max_entries is not None:
                 while len(self._entries) >= self.max_entries:
@@ -335,10 +413,15 @@ class QuantizedTier:
             )
             self._hold(entry)
             self.stats.insertions += 1
-            if self.snapshot_dir is not None:
+            if self.snapshot_dir is None:
+                self._changes = None
+            else:
+                text = json.dumps(_tier_entry_record(entry))
                 self._pending_ids.append(entry_id)
                 self._pending_vectors.append(vector)
-                self._pending_meta.append(_tier_entry_record(entry))
+                self._pending_texts.append(text)
+                if self._changes is not None:
+                    self._changes.added[entry_id] = (vector, text)
             return entry_id
 
     def _hold(self, entry: TierEntry) -> None:
@@ -356,14 +439,18 @@ class QuantizedTier:
     def _remove_locked(self, entry_id: int) -> None:
         self._drop(entry_id)
         self._index.remove(entry_id)
-        if self.snapshot_dir is not None:
+        if self.snapshot_dir is None:
+            self._changes = None
+        else:
+            if self._changes is not None:
+                self._changes.note_removed(entry_id)
             if entry_id in self._pending_ids:
                 # Added and removed within one flush window: cancel the add
                 # instead of logging a dead row.
                 pos = self._pending_ids.index(entry_id)
                 del self._pending_ids[pos]
                 del self._pending_vectors[pos]
-                del self._pending_meta[pos]
+                del self._pending_texts[pos]
             else:
                 self._pending_removed.append(entry_id)
 
@@ -478,22 +565,34 @@ class QuantizedTier:
             self._index.clear()
             self._forget_owed()
             self._counted_dir, self._log_records = self.snapshot_dir, None
+            self._changes = None
 
     # ------------------------------------------------------------------ #
     # Persistence: atomic full snapshots + append-only delta log
     # ------------------------------------------------------------------ #
     def save(self, path: "str | Path") -> Path:
-        """Write a full snapshot atomically (discarding any delta log).
+        """Fold the tier into ``path``: what :meth:`maintenance` calls.
 
-        ``entries.json`` is joined from per-entry blocks: an entry's block
-        is rendered by the first save that holds it (or kept from the file
-        :meth:`load` read) until the entry leaves.  The entries without one
-        are the FIFO suffix added since, so a save renders only those; the
-        context-chain arrays are packed from the contextual entries alone.
-        The arrays, the index snapshot and the file bytes are written whole
-        every time, each file fsynced once.
+        At the tier's own ``snapshot_dir``, with a full snapshot there to
+        fold onto and no index refit since it, a *minor* fold replaces the
+        delta log with one record of the changes since that snapshot, when
+        the record is at most half the snapshot's bytes: one file written,
+        fsynced, renamed over the log, then one directory fsync.  Otherwise
+        a *major* fold writes a full snapshot atomically (discarding any
+        delta log).  Either way a load of ``path`` gives the tier as it is.
+
+        A full snapshot's ``entries.json`` is joined from per-entry blocks:
+        an entry's block is rendered by the first full snapshot that holds
+        it (or kept from the file :meth:`load` read) until the entry leaves.
+        The entries without one are the FIFO suffix added since, so a save
+        renders only those; the context-chain arrays are packed from the
+        contextual entries alone.  The arrays, the index snapshot and the
+        file bytes are written whole every time, each file fsynced once.
         """
+        path = Path(path)
         with self.lock:
+            if self._minor_fold(path):
+                return path
             fresh = list(itertools.islice(self._entries.values(), len(self._blocks), None))
             rendered = record_blocks(
                 [_tier_entry_record(e, with_ctx_embedding=False) for e in fresh]
@@ -523,16 +622,52 @@ class QuantizedTier:
             self._rebaselined(path)
         return path
 
+    def _is_own(self, path: Path) -> bool:
+        """Whether ``path`` is the tier's ``snapshot_dir``."""
+        return self.snapshot_dir is not None and path.resolve() == self.snapshot_dir.resolve()
+
+    def _minor_fold(self, path: Path) -> bool:
+        """Replace the log at ``path`` with one record of the changes since
+        the full snapshot there, if ``path`` is the tier's own directory,
+        the index did not refit since and the record is at most half that
+        snapshot (caller holds the lock); returns whether it did."""
+        changes = self._changes
+        if (
+            changes is None
+            or changes.directory != self.snapshot_dir
+            or not self._is_own(path)
+            or getattr(self._index, "trainings", 0) != changes.trainings
+        ):
+            return False
+        record = changes.record(self._next_id, self.stats)
+        if 2 * len(record) > changes.nbytes:
+            return False
+        try:
+            replace_delta_log(path, record)
+        except BaseException:
+            # The log may be the old one or the new: count it afresh.
+            self._counted_dir = None
+            raise
+        self._forget_owed()
+        self._counted_dir, self._log_records = self.snapshot_dir, 1
+        changes.folded = 1
+        return True
+
     def _rebaselined(self, path: Path) -> None:
         """A full snapshot of the tier was just published at ``path``
         (caller holds the lock, and has since the snapshot was taken).  If
         that is the tier's own ``snapshot_dir``, it now captures every
-        pending mutation and sealed record under an empty log; a copy saved
-        elsewhere leaves all of them as they were, still owed to
-        ``snapshot_dir``."""
-        if self.snapshot_dir is not None and path.resolve() == self.snapshot_dir.resolve():
+        pending mutation and sealed record under an empty log, and the next
+        minor fold writes the changes since it; a copy saved elsewhere
+        leaves all of them as they were, still owed to ``snapshot_dir``."""
+        if self._is_own(path):
             self._forget_owed()
             self._counted_dir, self._log_records = self.snapshot_dir, 0
+            self._changes = _Changes(
+                self.snapshot_dir,
+                snapshot_nbytes(path),
+                getattr(self._index, "trainings", 0),
+            )
 
     def seal(self) -> None:
         """Close the mutations buffered so far into one delta record, owed
@@ -557,7 +692,7 @@ class QuantizedTier:
                     ids=tuple(self._pending_ids),
                     removed=tuple(self._pending_removed),
                     vectors=np.stack(self._pending_vectors) if self._pending_ids else None,
-                    meta={"entries": self._pending_meta},
+                    encoded_meta=_entries_meta(self._pending_texts),
                 )
             )
             self._reset_pending()
@@ -593,10 +728,11 @@ class QuantizedTier:
             self._sealed = []
 
     def maintenance(self) -> None:
-        """The tier's own off-query-path upkeep: index maintenance, then
-        compaction once the delta log holds ``compact_every`` records.  A
-        compaction is a :meth:`save`: it renders the entries added since the
-        last one and writes the whole tier.
+        """The tier's own off-query-path upkeep: index maintenance, then a
+        fold once ``compact_every`` records were appended to the delta log
+        since the last fold, minor or major.  A fold is a :meth:`save` to
+        ``snapshot_dir``: minor, it writes the changes since the last full
+        snapshot as one log record; major, the whole tier.
 
         Owed once per served batch, not once per cache sharing the tier
         (the serving layer de-duplicates by tier identity).  Everything the
@@ -607,7 +743,10 @@ class QuantizedTier:
         with self.lock:
             self._index.maintenance()
             self.flush()
-            if self.snapshot_dir is not None and self._log_length() >= self.compact_every:
+            if self.snapshot_dir is None:
+                return
+            folded = self._changes.folded if self._changes is not None else 0
+            if self._log_length() - folded >= self.compact_every:
                 self.save(self.snapshot_dir)
 
     @classmethod
@@ -618,7 +757,9 @@ class QuantizedTier:
         memory map (zero-copy warm start) — replaying a non-empty delta log
         materializes it again, so compacted snapshots restore fastest.  The
         loaded tier keeps ``snapshot_dir = path`` and continues appending
-        there; set it to ``None`` to detach.
+        there; set it to ``None`` to detach.  The snapshot it loaded is its
+        last full one, and what the log added and removed its changes since,
+        so its next fold can be a minor one.
 
         The base snapshot's ``entries.json`` blocks are kept as read
         (:func:`~repro.index.snapshot.split_blocks`), so the first save
@@ -663,29 +804,49 @@ class QuantizedTier:
         blocks = split_blocks(text, len(tier._entries))
         if blocks is not None:
             tier._blocks = dict(zip(tier._entries, blocks))
+        base_ids = set(tier._entries)
+        changes = _Changes(path, snapshot_nbytes(path), getattr(index, "trainings", 0))
         # Replay the delta log (texts from each record's meta, vectors into
         # the index) — mutations committed after the base snapshot.
         for record in read_deltas(path):
+            rows = {}
             if record.vectors is not None and record.ids:
                 tier._index.add_batch(record.vectors, ids=list(record.ids))
-            entry_records = (record.meta or {}).get("entries", [])
-            for entry_record in entry_records:
+                rows = dict(zip(record.ids, record.vectors))
+            meta = record.meta or {}
+            for entry_record in meta.get("entries", []):
                 ctx_embedding = entry_record.get("ctx_embedding")
-                tier._hold(
-                    _tier_entry_from_record(
-                        entry_record,
-                        np.asarray(ctx_embedding, dtype=np.float32)
-                        if ctx_embedding is not None
-                        else None,
-                    )
+                entry = _tier_entry_from_record(
+                    entry_record,
+                    np.asarray(ctx_embedding, dtype=np.float32)
+                    if ctx_embedding is not None
+                    else None,
                 )
+                tier._hold(entry)
+                row = rows.get(entry.entry_id)
+                if row is not None:
+                    changes.added[entry.entry_id] = (row, json.dumps(entry_record))
             for removed_id in record.removed:
                 removed_id = int(removed_id)
                 if removed_id in tier._entries:
                     tier._drop(removed_id)
                     tier._index.remove(removed_id)
+                    changes.note_removed(removed_id)
             if record.ids:
                 tier._next_id = max(tier._next_id, max(record.ids) + 1)
+            # A minor fold's record carries what a full snapshot's manifest
+            # would: the next id (an id it dropped may have been the last
+            # issued) and the counters.
+            if "next_id" in meta:
+                tier._next_id = max(tier._next_id, int(meta["next_id"]))
+            if "stats" in meta:
+                tier.stats = CacheStats(**meta["stats"])
+        # A log the tier's own records did not write (an entry without its
+        # row, say) leaves the next fold a full one.
+        if base_ids.isdisjoint(changes.added) and set(tier._entries) == base_ids.difference(
+            changes.removed
+        ).union(changes.added):
+            tier._changes = changes
         return tier
 
 

@@ -223,6 +223,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
         else:
             # Snapshots record the codec's training size either way.
             self._router.trained_size = self._size
+            self._router.trainings += 1
         self._rows = codes  # the float staging rows are dropped here
 
     def _fit_routing(self, rows: np.ndarray, sample: np.ndarray) -> None:

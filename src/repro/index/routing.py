@@ -157,6 +157,10 @@ class Router:
         self.trained_size = 0
         self.mutations_since_train = 0
         self.repartition_due = False
+        #: fits of the owner's codec or routing so far (never reset): rows
+        #: replayed onto a snapshot taken before a fit are encoded or
+        #: routed differently from the live ones
+        self.trainings = 0
         self.scan_stats: Dict[str, int] = {"probes_scanned": 0, "rows_scanned": 0}
 
     # ------------------------------------------------------------------ #
@@ -242,6 +246,7 @@ class Router:
         self.trained_size = size
         self.mutations_since_train = 0
         self.repartition_due = False
+        self.trainings += 1
 
     # ------------------------------------------------------------------ #
     # Mutation upkeep
@@ -439,6 +444,11 @@ class RoutedIndex:
         if rng_state is not None:
             self._rng = np.random.default_rng(self._seed)
             self._rng.bit_generator.state = rng_state
+
+    @property
+    def trainings(self) -> int:
+        """How many times this instance fitted its codec or routing."""
+        return self._router.trainings
 
     @property
     def nlist(self) -> int:

@@ -11,21 +11,28 @@ A snapshot is a directory holding:
   :func:`load_index` can memory-map them (``mmap=True``) without copying;
 * optionally ``deltas.jsonl`` — an append-only delta log of mutations applied
   since the full snapshot, one self-contained JSON line per record
-  (:func:`append_delta`), folded back in by :func:`compact_snapshot`.
+  (:func:`append_delta`), folded back in by :func:`compact_snapshot` or
+  replaced whole by one record of the same changes
+  (:func:`replace_delta_log`, a shared tier's minor fold).
 
 Crash-safety contract
 ---------------------
-Every snapshot write stages the complete directory under a ``tmp-`` sibling,
-fsyncs it, and publishes it with ``os.replace`` (:func:`atomic_snapshot_dir`).
-The manifest is written *last* inside the stage, so a torn stage (crash
-mid-write) never contains a complete manifest+arrays pair and is rejected by
-:func:`read_manifest` / :func:`read_arrays`; the previous generation at the
-target path survives byte-for-byte. Publishing replaces the *whole*
-directory, so files a smaller new generation does not write (stale deltas,
-larger prior arrays) cannot leak into it. A delta append — one record, or a
-group of them — is one write and one fsync of ``deltas.jsonl`` and touches no
-other file: a crash leaves a prefix of its records whole, then nothing or a
-torn trailing line, which readers ignore and the next appender cuts off.
+Every full snapshot write stages the complete directory inside a ``tmp-``
+sibling, fsyncs it, and publishes it with ``os.replace``
+(:func:`atomic_snapshot_dir`). The manifest is written *last* inside the
+stage, so a torn stage (crash mid-write) never contains a complete
+manifest+arrays pair and is rejected by :func:`read_manifest` /
+:func:`read_arrays`; the previous generation at the target path survives
+byte-for-byte, moved back by the next load or publish if a crash caught it
+moved aside. Publishing replaces the *whole* directory, so files a smaller
+new generation does not write (stale deltas, larger prior arrays) cannot
+leak into it. A delta append — one record, or a group of them — is one
+write and one fsync of ``deltas.jsonl`` and touches no other file: a crash
+leaves a prefix of its records whole, then nothing or a torn trailing
+line, which readers ignore and the next appender cuts off.  Replacing the
+log writes a temp file beside it and renames it over the log: a crash
+leaves the old log or the new one, and at worst a torn temp file no reader
+opens.
 
 Loading validates the manifest *before* touching any array: a missing file,
 undecodable JSON, a foreign ``format`` tag or an unsupported ``version``
@@ -134,41 +141,68 @@ def _fsync_tree(root: Path) -> None:
         _fsync_dir(Path(dirpath))
 
 
+def _work_root(target: Path) -> Path:
+    """Where publishes at ``target`` stage: ``tmp-<name>`` beside it, one
+    work directory per publish inside (more than one only after a crash),
+    so finding what an interrupted publish left reads this directory, not
+    the parent."""
+    return target.parent / f"tmp-{target.name}"
+
+
+def _recover_previous(target: Path) -> None:
+    """Put back the generation a publish moved aside, when a hard crash
+    stopped it before the new one took ``target``'s place (in-process
+    failures roll back themselves)."""
+    if target.exists():
+        return
+    for previous in _work_root(target).glob("*/previous"):
+        if (previous / MANIFEST_NAME).is_file():
+            os.replace(previous, target)
+            _fsync_dir(target.parent)
+            return
+
+
 @contextmanager
 def atomic_snapshot_dir(path: "str | Path") -> Iterator[Path]:
     """Stage a snapshot directory and atomically publish it at ``path``.
 
-    Yields a fresh ``tmp-``-prefixed sibling directory to write into. On
-    clean exit the stage is fsynced and renamed over ``path`` (the previous
-    generation, if any, is moved aside first and removed after the publish),
-    so readers only ever observe a complete old or a complete new snapshot —
-    never a mix. On an exception the stage is deleted and the target is left
-    untouched; a hard crash can at worst leave a ``tmp-`` sibling behind,
-    which no loader accepts as a snapshot path and which the next successful
-    publish does not depend on.
+    Yields a fresh stage inside the ``tmp-<name>`` sibling to write into.
+    On clean exit the stage is fsynced and renamed over ``path`` (the
+    previous generation, if any, is moved into the stage's work directory
+    first), so readers only ever observe a complete old or a complete new
+    snapshot — never a mix. On an exception the target is left as it was:
+    one raised between the two renames moves the previous generation back.
+    A hard crash between them leaves ``path`` missing and the previous
+    generation in the work directory; the next load of ``path``
+    (:func:`read_manifest`) or publish at it moves that back first.  Every
+    publish ends by removing ``tmp-<name>``, with whatever an interrupted
+    publish left there — so one publisher writes a path at a time, and a
+    name starting ``tmp-`` is not a snapshot path.
     """
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=f"tmp-{target.name}-", dir=target.parent))
+    root = _work_root(target)
+    root.mkdir(parents=True, exist_ok=True)
+    _recover_previous(target)
+    work = Path(tempfile.mkdtemp(dir=root))
+    stage, previous = work / "stage", work / "previous"
     try:
+        stage.mkdir()
         yield stage
-    except BaseException:
-        shutil.rmtree(stage, ignore_errors=True)
-        raise
-    _fsync_tree(stage)
-    doomed: Optional[Path] = None
-    if target.exists():
-        doomed = (
-            Path(
-                tempfile.mkdtemp(prefix=f"tmp-{target.name}-old-", dir=target.parent)
-            )
-            / "previous"
-        )
-        os.replace(target, doomed)
-    os.replace(stage, target)
-    _fsync_dir(target.parent)
-    if doomed is not None:
-        shutil.rmtree(doomed.parent, ignore_errors=True)
+        _fsync_tree(stage)
+        if target.exists():
+            os.replace(target, previous)
+        try:
+            os.replace(stage, target)
+        except BaseException:
+            if previous.exists():
+                os.replace(previous, target)
+            raise
+        _fsync_dir(target.parent)
+    finally:
+        # A failed move back leaves the only complete generation here: put
+        # it back (or raise) before anything is removed.
+        _recover_previous(target)
+        shutil.rmtree(root, ignore_errors=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -194,10 +228,14 @@ def read_manifest(
 
     Checks, in order: the directory and manifest exist, the JSON decodes to
     an object, the ``format`` tag matches ``expected_format``, and the
-    ``version`` is an integer in ``[1, max_version]``.
+    ``version`` is an integer in ``[1, max_version]``.  A path that a hard
+    crash left without its snapshot mid-publish gets the previous
+    generation back first (see :func:`atomic_snapshot_dir`).
     """
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
+    if not manifest_path.is_file():
+        _recover_previous(path)
     if not manifest_path.is_file():
         raise SnapshotError(f"no snapshot manifest at {manifest_path}")
     try:
@@ -602,6 +640,9 @@ class DeltaRecord:
     vectors: Optional[np.ndarray]
     #: opaque JSON payload the caller attached (e.g. the tier's entry texts)
     meta: Optional[object] = None
+    #: for a record not yet written: its ``meta`` already encoded as JSON
+    #: text (see :func:`delta_line`); a record read back carries ``meta``
+    encoded_meta: Optional[str] = None
 
     def apply(self, index) -> None:
         """Replay this delta against a restored index."""
@@ -702,14 +743,21 @@ def read_deltas(path: "str | Path") -> List[DeltaRecord]:
     return records
 
 
-def _delta_line(
+def delta_line(
     seq: int,
     vectors: Optional[np.ndarray],
     ids: Optional[Sequence[int]],
-    removed: Sequence[int],
-    meta: Optional[object],
+    removed: Sequence[int] = (),
+    meta: Optional[object] = None,
+    encoded_meta: Optional[str] = None,
 ) -> bytes:
-    """One record's ``deltas.jsonl`` line (validated, newline-terminated)."""
+    """One record's ``deltas.jsonl`` line (validated, newline-terminated).
+
+    ``encoded_meta`` is a ``meta`` the caller has already encoded as JSON
+    text, spliced in as it is: a record whose payload is kept rendered
+    piece by piece (:meth:`~repro.core.tiered.QuantizedTier.save`) is not
+    encoded again whole.
+    """
     encoded: Optional[Dict[str, object]] = None
     if vectors is not None:
         rows = np.ascontiguousarray(np.atleast_2d(np.asarray(vectors)))
@@ -721,6 +769,8 @@ def _delta_line(
         encoded = {"dtype": rows.dtype.str, "shape": list(rows.shape), "b64": b64}
     elif ids:
         raise ValueError("ids given without vectors")
+    if meta is not None and encoded_meta is not None:
+        raise ValueError("pass meta or encoded_meta, not both")
     record: Dict[str, object] = {
         "seq": seq,
         "ids": [int(i) for i in (ids or ())],
@@ -729,7 +779,10 @@ def _delta_line(
     }
     if meta is not None:
         record["meta"] = meta
-    return (json.dumps(record) + "\n").encode("utf-8")
+    line = json.dumps(record)
+    if encoded_meta is not None:
+        line = f'{line[:-1]}, "meta": {encoded_meta}}}'
+    return (line + "\n").encode("utf-8")
 
 
 def append_delta(
@@ -750,7 +803,8 @@ def append_delta(
     bytes, whatever their size (a 1,000 x 768 float32 delta is one ~4 MB
     line).  The log is folded back into a full snapshot by
     :func:`compact_snapshot` (or implicitly by the next :func:`save_index`,
-    whose atomic directory replace discards it).
+    whose atomic directory replace discards it), or replaced whole by
+    :func:`replace_delta_log`.
 
     One record is given by its fields.  Without ``seq`` the call checks that
     a snapshot exists at ``path`` and numbers the record from the log
@@ -770,7 +824,7 @@ def append_delta(
             if not (path / MANIFEST_NAME).is_file():
                 raise SnapshotError(f"no snapshot at {path} to append a delta to")
             seq = open_delta_log(path) + 1
-        data = _delta_line(seq, vectors, ids, removed, meta)
+        data = delta_line(seq, vectors, ids, removed, meta)
     elif vectors is not None or ids or removed or meta is not None or seq is not None:
         raise ValueError("pass records, or one record's fields, not both")
     elif not records:
@@ -778,7 +832,8 @@ def append_delta(
     else:
         seq = records[-1].seq
         data = b"".join(
-            _delta_line(r.seq, r.vectors, r.ids, r.removed, r.meta) for r in records
+            delta_line(r.seq, r.vectors, r.ids, r.removed, r.meta, r.encoded_meta)
+            for r in records
         )
     # The fsynced write is the commit point: a crash before it leaves the log
     # as it was, a crash mid-append leaves whole records and then a torn
@@ -797,6 +852,52 @@ def append_delta(
                 fh.truncate(committed)
             raise
     return seq
+
+
+#: the prefix of the temp file :func:`replace_delta_log` writes beside the log
+_LOG_TEMP_PREFIX = f"tmp-{DELTAS_NAME}-"
+
+
+def replace_delta_log(path: "str | Path", data: bytes) -> None:
+    """Atomically replace the snapshot's delta log with ``data``.
+
+    ``data`` is whole records (:func:`delta_line`); a fold that writes what
+    changed since the full snapshot as one record ends the log it folded
+    this way.  The bytes go to a temp file in the snapshot directory with
+    one write and one fsync, ``os.replace`` puts it in the log's place and
+    the directory is fsynced: a crash leaves the old log or the new one,
+    plus at worst a torn temp file, which no reader opens and the next call
+    removes.  An in-process failure removes its temp file.
+    """
+    path = Path(path)
+    for stray in path.glob(_LOG_TEMP_PREFIX + "*"):
+        stray.unlink()
+    fd, temp = tempfile.mkstemp(prefix=_LOG_TEMP_PREFIX, dir=path)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temp, path / DELTAS_NAME)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise
+    _fsync_dir(path)
+
+
+def snapshot_nbytes(path: "str | Path") -> int:
+    """Bytes of the full snapshot at ``path``: every file under it bar the
+    delta log and a :func:`replace_delta_log` temp file."""
+    path = Path(path)
+    total = 0
+    for dirpath, _dirnames, filenames in os.walk(path):
+        top = Path(dirpath) == path
+        for name in filenames:
+            if top and (name == DELTAS_NAME or name.startswith(_LOG_TEMP_PREFIX)):
+                continue
+            total += os.stat(os.path.join(dirpath, name)).st_size
+    return total
 
 
 def open_delta_log(path: "str | Path") -> int:

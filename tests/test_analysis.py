@@ -317,6 +317,24 @@ class TestRPL004:
         # The allowlist is snapshot.py's, not the name's.
         assert "RPL004" in rules_fired(snippet, rel="repro/core/mystore.py")
 
+    def test_the_fold_may_write_its_temp_file_beside_the_log(self):
+        snippet = """
+        import os
+        import tempfile
+
+        def replace_delta_log(path, data):
+            fd, temp = tempfile.mkstemp(dir=path)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(temp, path / "deltas.jsonl")
+        """
+        assert "RPL004" not in rules_fired(snippet, rel="repro/index/snapshot.py")
+        # The allowlist is snapshot.py's, not the name's ...
+        assert "RPL004" in rules_fired(snippet, rel="repro/core/tiered.py")
+        # ... and the function's: inline in another function it fires.
+        renamed = snippet.replace("def replace_delta_log", "def fold_in_place")
+        assert "RPL004" in rules_fired(renamed, rel="repro/index/snapshot.py")
+
     def test_append_delta_may_no_longer_create_files(self):
         snippet = """
         import numpy as np

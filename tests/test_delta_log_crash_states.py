@@ -8,9 +8,11 @@ hand-picking kill points, these tests enumerate them: the log is cut at
 *every* byte offset of its last record, and of a multi-record commit, and
 the append is failed at *every* call it makes (``write``, ``flush``,
 ``os.fsync``) — standalone, in a replayed server flush and in a live one.
-The last tests count what a commit costs — one open and one ``fsync`` of the
-log per commit (per server flush that changed the tier), no file or
-directory created.
+A minor fold — one record of the changes since the full snapshot, written
+to a temp file and renamed over the log — is cut at every byte of that
+file and failed at every call it makes.  The last tests count what a
+commit costs — one open and one ``fsync`` of the log per commit (per server
+flush that changed the tier), no file or directory created.
 """
 
 from __future__ import annotations
@@ -452,6 +454,122 @@ def test_a_live_flush_whose_commit_fails_fails_only_its_futures(tmp_path, fail):
     assert server.metrics.failed == len(USERS)
     assert server.metrics.flushes == 2
     _assert_each_record_once(tier, 2 * len(shards))
+
+
+# --------------------------------------------------------------------------- #
+# A minor fold: one record of the changes since the full snapshot replaces
+# the log
+# --------------------------------------------------------------------------- #
+def _tier_due_a_minor_fold(snap: Path):
+    """:func:`_tier_with_two_records` plus two more records — an add, then
+    its removal and a baseline entry's — all acknowledged.  Returns the
+    tier, its state and the record its minor fold writes."""
+    tier, _, _ = _tier_with_two_records(snap)
+    gone = tier.insert("added, then taken back", "r", np.random.default_rng(28).normal(size=DIM))
+    tier.flush()
+    tier.pop(gone)
+    tier.pop(tier.entries[0].entry_id)
+    tier.flush()
+    record = tier._changes.record(tier._next_id, tier.stats)
+    assert delta_log_size(snap)[0] == 4 and 2 * len(record) <= tier._changes.nbytes
+    return tier, _state(tier), record
+
+
+def _strays(snap: Path):
+    return [p.name for p in snap.iterdir() if p.name.startswith("tmp-")]
+
+
+def test_every_cut_of_a_minor_folds_temp_file_loads_as_acknowledged(tmp_path):
+    """A crash while the fold writes its temp file (or after, before the
+    rename) leaves the old log and a torn temp file: the load ignores the
+    file and is the tier as of its last flush, and the restarted tier's
+    fold removes it and writes the entries the live one would have."""
+    snap = tmp_path / "snap"
+    _, acknowledged, record = _tier_due_a_minor_fold(snap)
+    log = (snap / LOG).read_bytes()
+    stray = snap / f"{snapshot._LOG_TEMP_PREFIX}a1b2c3d4"
+    for cut in range(len(record) + 1):
+        stray.write_bytes(record[:cut])
+        assert _state(QuantizedTier.load(snap)) == acknowledged, cut
+    assert (snap / LOG).read_bytes() == log
+
+    restarted = QuantizedTier.load(snap)
+    restarted.save(snap)
+    assert _strays(snap) == []
+    (folded,) = read_deltas(snap)
+    (expected,) = [json.loads(line) for line in record.splitlines()]
+    assert (list(folded.ids), list(folded.removed)) == (expected["ids"], expected["removed"])
+    assert folded.meta["entries"] == expected["meta"]["entries"]
+    assert _state(QuantizedTier.load(snap)) == acknowledged
+
+
+class _FailingTemp:
+    """The fold's temp file object, its write cut short by an error."""
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@contextmanager
+def _failing_fold(fail: str, snap: Path):
+    """Make the minor fold fail at its ``fail`` call."""
+    real_fdopen, real_fsync, real_replace = os.fdopen, os.fsync, os.replace
+
+    def failing_fdopen(fd, *args, **kwargs):
+        fh = real_fdopen(fd, *args, **kwargs)
+        return _FailingTemp(fh) if fail == "write" else fh
+
+    def failing_fsync(fd):
+        path = Path(os.readlink(f"/proc/self/fd/{fd}"))
+        temp = path.name.startswith(snapshot._LOG_TEMP_PREFIX)
+        if (fail == "fsync" and temp) or (fail == "directory fsync" and path == snap):
+            raise OSError(5, "Input/output error")
+        real_fsync(fd)
+
+    def failing_replace(src, dst):
+        if fail == "replace":
+            raise OSError(5, "Input/output error")
+        real_replace(src, dst)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(snapshot.os, "fdopen", failing_fdopen)
+        patch.setattr(snapshot.os, "fsync", failing_fsync)
+        patch.setattr(snapshot.os, "replace", failing_replace)
+        yield
+
+
+@pytest.mark.parametrize("fail", ["write", "fsync", "replace", "directory fsync"])
+def test_a_minor_fold_failing_at_any_call_loads_as_acknowledged(tmp_path, fail):
+    """Up to the rename the old log stands, after it the new one — either
+    loads to the tier as of its last flush — and no temp file is left.  The
+    tier goes on: its next flush and fold leave a log that loads to it."""
+    snap = tmp_path / "snap"
+    tier, acknowledged, record = _tier_due_a_minor_fold(snap)
+    log = (snap / LOG).read_bytes()
+    with _failing_fold(fail, snap.resolve()), pytest.raises(OSError):
+        tier.save(snap)
+    assert (snap / LOG).read_bytes() == (record if fail == "directory fsync" else log)
+    assert _strays(snap) == []
+    assert _state(QuantizedTier.load(snap)) == acknowledged
+
+    tier.insert("after the failed fold", "r", np.random.default_rng(29).normal(size=DIM))
+    tier.flush()
+    tier.save(snap)
+    assert delta_log_size(snap)[0] == 1
+    assert _state(QuantizedTier.load(snap)) == _state(tier)
 
 
 def _tree(root: Path):

@@ -1,21 +1,29 @@
 """What a shared-tier compaction writes, and what it renders to write it.
 
-A :class:`~repro.core.tiered.QuantizedTier` folds its delta log into a full
-snapshot every ``compact_every`` records.  The fold keeps each live entry's
-rendered ``entries.json`` block from the save that first wrote it, so:
+A :class:`~repro.core.tiered.QuantizedTier` folds its delta log every
+``compact_every`` records.  A *minor* fold replaces the log with one record
+of the changes since the tier's last full snapshot; a *major* fold — once
+that record would pass half the full snapshot's bytes, or with no full
+snapshot to fold onto — writes a new full snapshot, keeping each live
+entry's rendered ``entries.json`` block from the save that first wrote it.
+So:
 
-* the bytes are the reference encoding's — after every save,
-  ``entries.json`` is ``json.dumps(records, indent=1)`` of the live entries,
-  whatever ran before it (a generated operation sequence, GIPS-style:
-  insert with and without context, pop, FIFO eviction, clear, seal, flush,
-  save, load-and-continue, compaction);
+* after every fold the snapshot directory loads to the live tier, and a
+  major fold's bytes are the reference encoding's — ``entries.json`` is
+  ``json.dumps(records, indent=1)`` of the live entries — whatever ran
+  before it (a generated operation sequence, GIPS-style: insert with and
+  without context, pop, FIFO eviction, clear, seal, flush, folds, saves
+  elsewhere, load-and-continue);
 * the block memo is a FIFO prefix of the live entries, each block the
-  reference rendering of its record, and all of them once a save ran; the
-  context-chain memo is the contextual entries in FIFO order; the router's
-  per-row cells agree with its inverted lists;
-* a fold renders the entries added since the previous one, not the tier —
-  and the first fold after a load renders only what the delta log added;
-* a fold fsyncs each file it writes once.
+  reference rendering of its record, and all of them once a full snapshot
+  ran; the context-chain memo is the contextual entries in FIFO order; the
+  router's per-row cells agree with its inverted lists;
+* a minor fold renders no block, writes one file — its record — and
+  fsyncs it and the directory once; a major fold renders the entries added
+  since the last full snapshot, not the tier (the first full snapshot after
+  a load only what the delta log added), and fsyncs each file once;
+* a reload after any number of minor folds, and after the switch to a
+  major one, is the live tier, match scores included.
 
 Also here: ``clear()`` is durable like any other mutation, a context chain
 the L1 lookup embedded is not embedded again for the L2 fall-through, and
@@ -42,7 +50,7 @@ from conftest import make_tiny_encoder
 from repro.core.cache import MeanCacheConfig
 from repro.core.context import ContextChain
 from repro.core.tiered import QuantizedTier, TieredCache, _tier_entry_record
-from repro.index import delta_log_size, make_index
+from repro.index import delta_log_size, make_index, snapshot
 
 pytestmark = pytest.mark.concurrency
 
@@ -57,6 +65,18 @@ def _unit(seed: int) -> np.ndarray:
 
 def _image(tier):
     return [(e.entry_id, e.query, e.response, e.context.texts) for e in tier.entries]
+
+
+def _state(tier):
+    """What a load must restore: the entries, their chain embeddings (kept
+    as float32) and the index's ids."""
+    chains = [
+        None
+        if e.context.embedding is None
+        else np.asarray(e.context.embedding, dtype=np.float32).tobytes()
+        for e in tier.entries
+    ]
+    return _image(tier), chains, sorted(int(i) for i in tier.index.ids)
 
 
 def _reference_entries_json(tier) -> str:
@@ -102,12 +122,12 @@ class TierFolds(RuleBasedStateMachine):
         )
 
     def attach(self, tier: QuantizedTier) -> None:
-        """Drive ``tier`` from now on, noting every save it makes."""
-        self.tier, self.saved = tier, False
+        """Drive ``tier`` from now on, noting where it saves."""
+        self.tier, self.saved = tier, None
         save = tier.save
 
         def noted(path):
-            self.saved = True
+            self.saved = Path(path)
             return save(path)
 
         tier.save = noted
@@ -145,8 +165,16 @@ class TierFolds(RuleBasedStateMachine):
         self.tier.maintenance()
 
     @rule()
-    def save(self):
+    def save_to_its_own_directory(self):
         self.tier.save(self.root / "snap")
+
+    @rule()
+    def save_elsewhere(self):
+        owed = [record.seq for record in self.tier._sealed]
+        self.tier.save(self.root / "elsewhere")
+        # A copy elsewhere is a full snapshot, and leaves the tier's own
+        # directory owed what it was.
+        assert [record.seq for record in self.tier._sealed] == owed
 
     @rule()
     def load_and_continue(self):
@@ -195,12 +223,18 @@ class TierFolds(RuleBasedStateMachine):
             assert sealed == list(range(committed + 1, committed + 1 + len(sealed)))
 
     @invariant()
-    def a_save_writes_the_reference_encoding(self):
-        if self.saved:
-            self.saved = False
-            written = (self.root / "snap" / "entries.json").read_text(encoding="utf-8")
+    def a_fold_loads_to_the_live_tier(self):
+        path, self.saved = self.saved, None
+        if path is None:
+            return
+        records = delta_log_size(path)[0]
+        if records == 0:  # a full snapshot: the reference encoding
+            written = (path / "entries.json").read_text(encoding="utf-8")
             assert written == _reference_entries_json(self.tier)
             assert set(self.tier._blocks) == set(self.tier._entries)
+        else:  # a minor fold: one record of the changes since the full one
+            assert records == 1 and path == self.root / "snap"
+        assert _state(QuantizedTier.load(path)) == _state(self.tier)
 
     def teardown(self):
         shutil.rmtree(self.root, ignore_errors=True)
@@ -233,26 +267,39 @@ def _contextual(i: int):
 
 
 def test_a_fold_renders_only_the_entries_added_since_the_last(tmp_path, monkeypatch):
+    """Minor folds render no ``entries.json`` block; the major fold the
+    record grows into renders the entries added since the last full
+    snapshot, and no other."""
+    snap = tmp_path / "snap"
     rendered = _count_renders(monkeypatch)
-    tier = QuantizedTier(
-        dim=DIM, params=UNTRAINED, snapshot_dir=tmp_path / "snap", compact_every=1
-    )
+    tier = QuantizedTier(dim=DIM, params=UNTRAINED, snapshot_dir=snap, compact_every=1)
     old = [tier.insert(f"old {i}", "r", _unit(i)) for i in range(40)]
     tier.maintenance()  # the baseline renders every entry once
     assert sorted(rendered) == old
-    for fold in range(3):
-        rendered.clear()
-        new = [tier.insert(f"new {fold} {i}", "r", _unit(100 + i)) for i in range(3)]
+    rendered.clear()
+    since_full, majors = [], []
+    for fold in range(12):
+        since_full += [tier.insert(f"new {fold} {i}", "r", _unit(100 + i)) for i in range(3)]
         tier.pop(old[fold])
         tier.maintenance()  # one log record is due: a fold
-        assert sorted(rendered) == new
-        assert set(tier._blocks) == {e.entry_id for e in tier.entries}
-    assert QuantizedTier.load(tmp_path / "snap").entries == tier.entries
+        if delta_log_size(snap)[0] == 0:
+            majors.append(fold)
+            assert sorted(rendered) == since_full
+            assert set(tier._blocks) == {e.entry_id for e in tier.entries}
+            since_full = []
+            rendered.clear()
+        else:
+            assert rendered == []
+        assert QuantizedTier.load(snap).entries == tier.entries
+    assert majors and majors[0] > 0  # minor folds first, then the switch
 
 
 def test_the_first_fold_after_a_load_renders_only_what_the_deltas_added(
     tmp_path, monkeypatch
 ):
+    """A loaded tier folds onto the snapshot it loaded: its first fold is
+    minor and renders nothing, and its first full snapshot renders only
+    the entries the delta log added."""
     snap = tmp_path / "snap"
     tier = QuantizedTier(
         dim=DIM,
@@ -276,9 +323,14 @@ def test_the_first_fold_after_a_load_renders_only_what_the_deltas_added(
     kept = list(loaded._blocks)
     rendered = _count_renders(monkeypatch)
     loaded.save(snap)
+    assert rendered == [] and delta_log_size(snap) == (1, len(added) - 1)
+    assert _state(QuantizedTier.load(snap)) == _state(tier)
+    loaded.save(tmp_path / "full")
     assert rendered == added[1:]
     assert kept == [i for i in old if i != old[2]]
-    assert (snap / "entries.json").read_text(encoding="utf-8") == _reference_entries_json(tier)
+    assert (tmp_path / "full" / "entries.json").read_text(
+        encoding="utf-8"
+    ) == _reference_entries_json(tier)
 
 
 def test_an_entries_file_that_does_not_rejoin_is_rendered_again(tmp_path, monkeypatch):
@@ -294,31 +346,51 @@ def test_an_entries_file_that_does_not_rejoin_is_rendered_again(tmp_path, monkey
     assert _image(loaded) == _image(tier)
     assert loaded._blocks == {}
     rendered = _count_renders(monkeypatch)
-    loaded.save(snap)
+    loaded.save(tmp_path / "full")  # a full snapshot
     assert rendered == ids
-    assert (snap / "entries.json").read_text(encoding="utf-8") == reference
+    assert (tmp_path / "full" / "entries.json").read_text(encoding="utf-8") == reference
+
+
+def _routed_tier(snap, compact_every=1):
+    """A routed tier that trains early and never refits after (a refit
+    makes the next fold a major one)."""
+    return QuantizedTier(
+        dim=DIM,
+        backend="ivf+sq8",
+        params={"min_train_size": 6, "nlist": 2, "seed": 0, "repartition_growth": 1e6},
+        snapshot_dir=snap,
+        compact_every=compact_every,
+    )
+
+
+class _Fsyncs(list):
+    """The names of the files and directories fsynced from now on."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        fsync = os.fsync
+
+        def named(fd):
+            self.append(Path(os.readlink(f"/proc/self/fd/{fd}")).name)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", named)
 
 
 def test_a_fold_fsyncs_each_file_once(tmp_path, monkeypatch):
-    """The index snapshot is written into the tier's stage, not staged,
+    """A major fold: the index snapshot is written into the tier's stage, not staged,
     fsynced and published on its own inside it."""
     snap = tmp_path / "snap"
-    tier = QuantizedTier(
-        dim=DIM,
-        backend="ivf+sq8",
-        params={"min_train_size": 6, "nlist": 2, "seed": 0},
-        snapshot_dir=snap,
-        compact_every=1,
-    )
+    tier = _routed_tier(snap)
     for i in range(20):
         tier.insert(f"q{i}", "r", _unit(i), _contextual(i))
     tier.flush()
-    tier.insert("one more", "r", _unit(99))
+    for i in range(30):  # more than half the snapshot: the fold is major
+        tier.insert(f"more {i}", "r", _unit(100 + i), _contextual(i))
     tier.flush()
-    fsynced = []
-    fsync = os.fsync
-    monkeypatch.setattr(os, "fsync", lambda fd: (fsynced.append(fd), fsync(fd))[1])
+    fsynced = _Fsyncs(monkeypatch)
     tier.save(snap)  # what maintenance() does once the log is due
+    assert delta_log_size(snap)[0] == 0
     written = list(snap.rglob("*"))
     assert {p.relative_to(snap).as_posix() for p in written} >= {
         "entries.json",
@@ -330,6 +402,103 @@ def test_a_fold_fsyncs_each_file_once(tmp_path, monkeypatch):
     # Once per file and directory under the snapshot, once for the snapshot
     # directory itself and once for its parent after the rename.
     assert len(fsynced) == len(written) + 2
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_a_minor_fold_writes_one_file_and_fsyncs_it_and_the_directory_once(
+    tmp_path, monkeypatch
+):
+    snap = tmp_path / "snap"
+    tier = _routed_tier(snap)
+    first = [tier.insert(f"q{i}", "r", _unit(i), _contextual(i)) for i in range(20)]
+    tier.flush()
+    tier.insert("one more", "r", _unit(99), _contextual(0))
+    tier.flush()
+    tier.pop(first[3])
+    tier.flush()  # two log records, folded into one
+    record = tier._changes.record(tier._next_id, tier.stats)
+    before = _files(snap)
+    rendered = _count_renders(monkeypatch)
+    fsynced = _Fsyncs(monkeypatch)
+    tier.save(snap)  # what maintenance() does once the log is due
+    after = _files(snap)
+    assert sorted(after) == sorted(before)  # no file made, none left behind
+    changed = [name for name in after if after[name] != before[name]]
+    assert changed == ["deltas.jsonl"] and after["deltas.jsonl"] == record
+    assert sum(map(len, after.values())) - sum(map(len, before.values())) == len(
+        record
+    ) - len(before["deltas.jsonl"])
+    assert delta_log_size(snap) == (1, 1) and rendered == []
+    (temp, directory) = fsynced
+    assert temp.startswith(snapshot._LOG_TEMP_PREFIX) and directory == "snap"
+    assert _state(QuantizedTier.load(snap)) == _state(tier)
+
+
+def _signature(tier, probes):
+    """Search and match results, float scores bit for bit, once the index's
+    own maintenance (the cell-major layout) has run."""
+    tier.index.maintenance()
+    searched = [
+        [(hit.id, float(hit.score).hex()) for hit in hits]
+        for hits in tier.index.search(probes, top_k=4)
+    ]
+    matched = [
+        None if found is None else (found[0].entry_id, float(found[1]).hex())
+        for found in tier.match(probes, 4, [0.2] * len(probes))
+    ]
+    return searched, matched
+
+
+def test_a_reload_after_minor_folds_and_the_switch_to_a_major_is_the_live_tier(tmp_path):
+    snap = tmp_path / "snap"
+    tier = _routed_tier(snap)
+    base = [tier.insert(f"base {i}", "r", _unit(i), _contextual(i)) for i in range(40)]
+    tier.maintenance()  # the baseline
+    probes = np.stack([_unit(500 + i) for i in range(6)])
+    kinds = []
+    for fold in range(14):
+        added = [
+            tier.insert(f"fold {fold} {i}", "r", _unit(200 + 3 * fold + i), _contextual(i))
+            for i in range(3)
+        ]
+        tier.pop(base[fold])
+        tier.pop(added[fold % 3])
+        tier.maintenance()  # one record appended: a fold
+        kinds.append("minor" if delta_log_size(snap)[0] else "major")
+        loaded = QuantizedTier.load(snap)
+        assert _state(loaded) == _state(tier), kinds
+        # Every third fold drops the newest id: the loaded tier issues past it.
+        assert (loaded._next_id, loaded.stats) == (tier._next_id, tier.stats), kinds
+        assert _signature(loaded, probes) == _signature(tier, probes), kinds
+    first_major = kinds.index("major")
+    assert first_major >= 2 and "minor" in kinds[first_major:]
+
+
+def test_a_fold_after_the_index_trained_is_major(tmp_path):
+    """Rows replayed onto a snapshot taken before the codec trained would
+    be encoded otherwise than the live ones: however small the changes,
+    the fold after a fit writes a full snapshot."""
+    snap = tmp_path / "snap"
+    tier = QuantizedTier(
+        dim=DIM, params={"min_train_size": 30, "seed": 0}, snapshot_dir=snap, compact_every=1
+    )
+    for i in range(28):
+        tier.insert(f"q{i}", "r", _unit(i))
+    tier.maintenance()  # the baseline, untrained
+    for i in range(3):  # the 30th row trains the codec
+        tier.insert(f"late {i}", "r", _unit(100 + i))
+    assert tier.index.is_trained
+    tier.maintenance()
+    assert delta_log_size(snap)[0] == 0
+    probes = np.stack([_unit(500 + i) for i in range(4)])
+    loaded = QuantizedTier.load(snap)
+    assert _signature(loaded, probes) == _signature(tier, probes)
+    tier.insert("after the fit", "r", _unit(200))
+    tier.maintenance()  # nothing refitted since the full snapshot: minor
+    assert delta_log_size(snap) == (1, 1)
 
 
 # --------------------------------------------------------------------------- #
