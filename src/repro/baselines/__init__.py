@@ -39,7 +39,7 @@ def load_gptcache_snapshot(path: "str | Path", encoder: SiameseEncoder) -> MeanC
         cache.stats = CacheStats(lookups=lookups, hits=hits, misses=lookups - hits)
         return cache
 
-    cache, index, records, data, _ = load_cache_snapshot(
+    cache, index, records, data = load_cache_snapshot(
         path, "repro-gptcache", 3, build, required=()
     )
     n = len(records)

@@ -47,7 +47,6 @@ from repro.index.snapshot import (
     SnapshotError,
     load_cache_snapshot,
     native_float_dtype,
-    record_blocks,
     save_cache_snapshot,
 )
 
@@ -658,7 +657,7 @@ class MeanCache:
             MEANCACHE_FORMAT,
             MEANCACHE_VERSION,
             payload,
-            record_blocks(records),
+            records,
             arrays,
             self._index,
         )
@@ -698,7 +697,7 @@ class MeanCache:
             cache._policy.load_state_dict(manifest["policy"]["state"])
             return cache, manifest.get("embedding_dim"), int(manifest["version"])
 
-        (cache, saved_dim, version), index, meta, data, _ = load_cache_snapshot(
+        (cache, saved_dim, version), index, meta, data = load_cache_snapshot(
             path,
             MEANCACHE_FORMAT,
             MEANCACHE_VERSION,

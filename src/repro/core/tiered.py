@@ -45,18 +45,19 @@ traffic — pinned in ``tests/test_tiered.py``), and an entry several caches
 matched moves into the L1 of the earliest-arriving probe's cache only.
 
 Persistence: a ``QuantizedTier`` given a ``snapshot_dir`` keeps a crash-safe
-snapshot there — full generations written atomically via
-:func:`~repro.index.snapshot.atomic_snapshot_dir`, incremental mutations
-sealed into delta records (:meth:`QuantizedTier.seal`) and appended to the
-snapshot's delta log (:func:`~repro.index.snapshot.append_delta`), all the
-records owed with one write and one fsync, by :meth:`QuantizedTier.flush`,
-and the log folded by :meth:`QuantizedTier.maintenance` every
-``compact_every`` records — into one record of the changes since the last
-full snapshot (a minor fold), or into a new full snapshot once that record
-would pass half of it (a major fold).  :meth:`QuantizedTier.load`
-(``mmap=True``) adopts the code matrix as a read-only memory map — the
-zero-copy warm start benchmarked in ``BENCH_index.json``'s ``persistence``
-section.
+snapshot there under one rule — a change set since the full snapshot, or a
+full snapshot next.  Full generations are written atomically via
+:func:`~repro.index.snapshot.atomic_snapshot_dir`; the tier's one change
+set (what it changed since its last full snapshot there) is cut into delta
+records by :meth:`QuantizedTier.seal` and appended to the snapshot's delta
+log (:func:`~repro.index.snapshot.append_delta`), all the records owed
+with one write and one fsync, by :meth:`QuantizedTier.flush`; and
+:meth:`QuantizedTier.maintenance` folds the log every ``compact_every``
+records — into one record of the change set (a minor fold), or into a new
+full snapshot once that record would pass half of it (a major fold).
+:meth:`QuantizedTier.load` (``mmap=True``) adopts the code matrix as a
+read-only memory map — the zero-copy warm start benchmarked in
+``BENCH_index.json``'s ``persistence`` section.
 """
 
 from __future__ import annotations
@@ -109,11 +110,9 @@ from repro.index.snapshot import (
     open_delta_log,
     read_deltas,
     read_manifest,
-    record_blocks,
     replace_delta_log,
     save_cache_snapshot,
     snapshot_nbytes,
-    split_blocks,
     write_manifest,
 )
 
@@ -129,9 +128,8 @@ class TierEntry:
     """One demoted (query, response) pair resident in the quantized tier.
 
     Like :class:`~repro.core.cache.CacheEntry` it holds **no** vector: the
-    vector lives only as a code row in the tier's quantized index.  Frozen: the
-    tier renders an entry's ``entries.json`` block once and reuses it in
-    every later snapshot (:meth:`QuantizedTier.save`).
+    vector lives only as a code row in the tier's quantized index.  Frozen:
+    what a match returns stays as the tier held it at match time.
     """
 
     entry_id: int
@@ -159,10 +157,12 @@ def _entries_meta(texts: Sequence[str], **fields: object) -> str:
 @dataclass
 class _Changes:
     """What a tier changed since its last full snapshot in ``directory``
-    (its ``snapshot_dir``): what a minor fold writes, as one log record.
+    (its ``snapshot_dir``): the tier's one mutation tracker while attached.
 
-    An entry added and then removed leaves no trace, as within one seal
-    window (:meth:`QuantizedTier.seal`).
+    A minor fold writes all of it as one log record (:meth:`record`); each
+    seal cuts its record from what changed since the seal before
+    (:meth:`cut`).  An entry added and then removed within one seal window
+    leaves no trace.
     """
 
     directory: Path
@@ -172,17 +172,64 @@ class _Changes:
     #: as of that snapshot: rows replayed onto it are encoded and routed as
     #: the live ones only while no fit ran since
     trainings: int
+    #: the tier's next id as of that snapshot, which holds no id at or past it
+    base_next_id: int
+    #: records in the snapshot's log; None until the log is read (after a
+    #: load, or after a write to it failed)
+    log_records: Optional[int] = 0
+    #: log records the last minor fold wrote (0 after a full snapshot)
+    folded: int = 0
     #: id -> (float32 row, the entry's delta record as JSON text) of each
     #: live entry added since, in FIFO order
     added: Dict[int, Tuple[np.ndarray, str]] = field(default_factory=dict)
-    #: ids the full snapshot holds that were removed since, in order
+    #: ids removed since, in order: those the full snapshot holds, then
+    #: those the next seal owes (an entry a record before it added)
     removed: List[int] = field(default_factory=list)
-    #: log records the last minor fold wrote (0 after a full snapshot)
-    folded: int = 0
+    #: the tier's next id at the last seal, and the length of ``removed`` then
+    sealed_next_id: int = field(init=False)
+    sealed_removed: int = 0
+
+    def __post_init__(self) -> None:
+        self.sealed_next_id = self.base_next_id
 
     def note_removed(self, entry_id: int) -> None:
-        if self.added.pop(entry_id, None) is None:
+        if self.added.pop(entry_id, None) is None or entry_id < self.sealed_next_id:
             self.removed.append(entry_id)
+
+    def seal_all(self, next_id: int) -> None:
+        """Everything changed so far is sealed, the tier's next id being
+        ``next_id``: the window's removals of entries the full snapshot does
+        not hold were owed to the seal alone."""
+        window = self.removed[self.sealed_removed :]
+        self.removed[self.sealed_removed :] = [i for i in window if i < self.base_next_id]
+        self.sealed_removed = len(self.removed)
+        self.sealed_next_id = next_id
+
+    def cut(self, seq: int, next_id: int) -> Optional[DeltaRecord]:
+        """The seal's record, numbered ``seq``: the live entries added since
+        the last seal (their ids at or past the next id then) and the ids
+        removed since, or None when the tier did not change.  Its ``meta``
+        carries ``next_id`` when that is past what its ids give a reload (a
+        cancelled add held the newest id)."""
+        mark = self.sealed_next_id
+        ids = list(itertools.takewhile(mark.__le__, reversed(self.added)))[::-1]
+        removed = self.removed[self.sealed_removed :]
+        if not ids and not removed and next_id == mark:
+            return None
+        self.seal_all(next_id)
+        rows = [self.added[i] for i in ids]
+        texts = [text for _, text in rows]
+        # the next id a reload takes from the log with this record on it
+        implied = ids[-1] + 1 if ids else mark
+        return DeltaRecord(
+            seq=seq,
+            ids=tuple(ids),
+            removed=tuple(removed),
+            vectors=np.stack([row for row, _ in rows]) if rows else None,
+            encoded_meta=_entries_meta(texts)
+            if next_id == implied
+            else _entries_meta(texts, next_id=next_id),
+        )
 
     def record(self, next_id: int, stats: CacheStats) -> bytes:
         """The one log record a minor fold writes: every row and entry
@@ -194,7 +241,7 @@ class _Changes:
             1,
             np.stack(rows) if rows else None,
             list(self.added),
-            self.removed,
+            [i for i in self.removed if i < self.base_next_id],
             encoded_meta=_entries_meta(
                 [text for _, text in self.added.values()],
                 next_id=next_id,
@@ -211,34 +258,37 @@ class QuantizedTier:
     ``max_entries`` is set; an unbounded tier never drops entries.
 
     With ``snapshot_dir`` set the tier maintains a crash-safe on-disk
-    snapshot: :meth:`seal` closes the mutations buffered so far into one
-    in-memory delta record, :meth:`flush` appends every record owed to the
-    snapshot's delta log with one write and one fsync (cost proportional to
-    the delta, never a full rewrite) and
-    :meth:`maintenance` folds the log once ``compact_every`` records were
-    appended since the last fold.  A fold costs what changed since the
-    tier's last full snapshot in ``snapshot_dir``: the tier keeps each
-    entry added since (its float32 row and its delta entry record, rendered
-    once) and the ids removed since, and a *minor* fold atomically replaces
-    the log with one record of them
-    (:func:`~repro.index.snapshot.replace_delta_log`) — one file written
-    and fsynced, whatever the size of the tier.  A *major* fold, a full
-    snapshot, runs only when that record would pass half of the full
-    snapshot's bytes, when there is no full snapshot to fold onto, or when
-    the index refitted its codec or routing since it (rows replayed onto
-    the older snapshot would be encoded or routed otherwise).  Its CPU
-    follows what changed too: each entry's ``entries.json`` block is
-    rendered by the first full snapshot that holds it (or kept from the
-    file :meth:`load` read) for the entry's lifetime, and the context-chain
-    arrays are packed from the contextual entries alone.
+    snapshot, under one rule: a change set since the full snapshot, or a
+    full snapshot next.  While attached, the tier keeps what changed since
+    its last full snapshot in ``snapshot_dir`` — each entry added since (its
+    float32 row and its delta entry record, rendered once) and the ids
+    removed since — and nothing else.  :meth:`seal` cuts one in-memory
+    delta record from it (what changed since the seal before),
+    :meth:`flush` appends every record owed to the snapshot's delta log
+    with one write and one fsync (cost proportional to the delta, never a
+    full rewrite), and :meth:`maintenance` folds the log once
+    ``compact_every`` records were appended since the last fold.  A
+    *minor* fold atomically replaces the log with one record of the whole
+    change set (:func:`~repro.index.snapshot.replace_delta_log`) — one file
+    written and fsynced, whatever the size of the tier.  A *major* fold, a
+    full snapshot with ``entries.json`` rendered whole, runs only when that
+    record would pass half of the full snapshot's bytes, or when the index
+    refitted its codec or routing since it (rows replayed onto the older
+    snapshot would be encoded or routed otherwise).
 
-    The tier counts its log records in memory: the directory is read once,
-    before the first append to a snapshot that was already there (which
-    is also when a torn tail left by a crashed append is cut off), and
-    again only after an append of its own failed — nothing else may write
-    to ``snapshot_dir`` while the tier is attached to it, bar a full
-    snapshot of this tier published over it
-    (:meth:`TieredCache.published_at`).
+    A tier with no change set for its ``snapshot_dir`` writes a full
+    snapshot at its next seal instead of a record: a tier that never wrote
+    or loaded one there, a cleared one, one mutated while detached
+    (``snapshot_dir = None``), one whose :meth:`load` read a log its own
+    records did not write, and one whose ``snapshot_dir`` was pointed
+    elsewhere.
+
+    The tier counts its log records in memory: the log is read once, before
+    the first append after a :meth:`load` (which is also when a torn tail
+    left by a crashed append is cut off), and again only after a write of
+    its own failed — nothing else may write to ``snapshot_dir`` while the
+    tier is attached to it, bar a full snapshot of this tier published over
+    it (:meth:`TieredCache.published_at`).
 
     Upkeep is split by owner.  Sealing mutations (:meth:`seal`) is owed by
     every cache that made some, so the log gains one record per shard
@@ -268,13 +318,6 @@ class QuantizedTier:
         self._params = dict(params)
         self._index = make_index(backend, **params)
         self._entries: Dict[int, TierEntry] = {}  # id -> entry, FIFO order
-        #: id -> the entry's rendered entries.json block, for the entries
-        #: some save() rendered or load() read: always a FIFO prefix of
-        #: ``_entries`` (see save)
-        self._blocks: Dict[int, str] = {}
-        #: id -> context-chain embedding of each live contextual entry, in
-        #: FIFO order: what a save packs, without walking every entry
-        self._ctx: Dict[int, np.ndarray] = {}
         self._next_id = 0
         self.max_entries = max_entries
         self.stats = CacheStats()
@@ -283,47 +326,26 @@ class QuantizedTier:
             Path(snapshot_dir) if snapshot_dir is not None else None
         )
         self.compact_every = int(compact_every)
-        #: the directory ``_log_records`` describes: unset until the first
-        #: append reads it, stale once ``snapshot_dir`` is pointed elsewhere
-        self._counted_dir: Optional[Path] = None
-        self._log_records: Optional[int] = None
         #: the changes since the full snapshot in ``snapshot_dir`` — None
         #: while there is none this tier wrote or loaded, or a clear or a
-        #: detached mutation made the next fold a full one
+        #: detached mutation made the next seal a full snapshot
         self._changes: Optional[_Changes] = None
-        self._forget_owed()
+        #: records sealed but not yet appended to the log, in seq order
+        self._sealed: List[DeltaRecord] = []
 
     def _log_length(self) -> Optional[int]:
-        """Delta records on top of the baseline in ``snapshot_dir``, or
-        ``None`` while there is no baseline a log record can extend: none
-        on disk yet, or a :meth:`clear` since the last one.  Reads the
-        directory once (cutting off a crashed append's torn tail on the
-        way); :meth:`save`, :meth:`flush` and :meth:`clear` keep count after
-        that.  Records sealed but not yet written are not counted."""
-        if self._counted_dir != self.snapshot_dir:
-            self._log_records = (
-                open_delta_log(self.snapshot_dir)
-                if (self.snapshot_dir / "manifest.json").is_file()
-                else None
-            )
-            self._counted_dir = self.snapshot_dir
-        return self._log_records
-
-    def _reset_pending(self) -> None:
-        """Forget the mutations buffered since the last seal (one delta
-        record carries them all)."""
-        self._pending_ids: List[int] = []
-        self._pending_vectors: List[np.ndarray] = []
-        #: each pending entry's delta record, rendered as JSON once
-        self._pending_texts: List[str] = []
-        self._pending_removed: List[int] = []
-
-    def _forget_owed(self) -> None:
-        """Forget every mutation the log does not hold yet, sealed or
-        buffered: a full snapshot in ``snapshot_dir`` now holds them, or a
-        clear left nothing to log."""
-        self._sealed: List[DeltaRecord] = []
-        self._reset_pending()
+        """Records in the log of the tier's full snapshot in
+        ``snapshot_dir``, or ``None`` while it has no change set there (its
+        next seal writes a full snapshot).  Reads the log after a load or a
+        failed write (cutting off a crashed append's torn tail on the way);
+        :meth:`save` and :meth:`flush` keep count otherwise.  Records
+        sealed but not yet written are not counted."""
+        changes = self._changes
+        if changes is None or changes.directory != self.snapshot_dir:
+            return None
+        if changes.log_records is None:
+            changes.log_records = open_delta_log(changes.directory)
+        return changes.log_records
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -352,14 +374,15 @@ class QuantizedTier:
         """Bytes of vector state: code rows + codec/routing + ctx chains."""
         with self.lock:
             return self._index.storage_nbytes + sum(
-                int(e.nbytes) for e in self._ctx.values()
+                int(e.context.embedding.nbytes)
+                for e in self._entries.values()
+                if e.context.embedding is not None
             )
 
     def total_storage_bytes(self) -> int:
         """Bytes of the whole tier: texts + contexts + index payload, and
-        the rendered ``entries.json`` blocks and delta entry records
-        :meth:`save` keeps.  Those are a host-side copy of the texts, so
-        :meth:`embedding_storage_bytes` and
+        the delta entry records its change set keeps.  Those are a
+        host-side copy of the texts, so :meth:`embedding_storage_bytes` and
         :meth:`TieredCache.storage_breakdown` (bytes-per-entry accounting)
         leave them out."""
         with self.lock:
@@ -372,7 +395,6 @@ class QuantizedTier:
                     + sum(object_nbytes(t) for t in e.context.texts)
                     for e in self._entries.values()
                 )
-                + sum(map(object_nbytes, self._blocks.values()))
                 + sum(object_nbytes(text) for _, text in changes)
             )
 
@@ -411,48 +433,22 @@ class QuantizedTier:
             entry = TierEntry(
                 entry_id=entry_id, query=query, response=response, context=context
             )
-            self._hold(entry)
+            self._entries[entry_id] = entry
             self.stats.insertions += 1
             if self.snapshot_dir is None:
                 self._changes = None
-            else:
+            elif self._changes is not None:
                 text = json.dumps(_tier_entry_record(entry))
-                self._pending_ids.append(entry_id)
-                self._pending_vectors.append(vector)
-                self._pending_texts.append(text)
-                if self._changes is not None:
-                    self._changes.added[entry_id] = (vector, text)
+                self._changes.added[entry_id] = (vector, text)
             return entry_id
 
-    def _hold(self, entry: TierEntry) -> None:
-        """Keep ``entry`` as the newest (its index row is the caller's)."""
-        self._entries[entry.entry_id] = entry
-        if entry.context.embedding is not None:
-            self._ctx[entry.entry_id] = entry.context.embedding
-
-    def _drop(self, entry_id: int) -> None:
-        """Forget ``entry_id`` and what is kept beside it (not its index row)."""
-        del self._entries[entry_id]
-        self._blocks.pop(entry_id, None)
-        self._ctx.pop(entry_id, None)
-
     def _remove_locked(self, entry_id: int) -> None:
-        self._drop(entry_id)
+        del self._entries[entry_id]
         self._index.remove(entry_id)
         if self.snapshot_dir is None:
             self._changes = None
-        else:
-            if self._changes is not None:
-                self._changes.note_removed(entry_id)
-            if entry_id in self._pending_ids:
-                # Added and removed within one flush window: cancel the add
-                # instead of logging a dead row.
-                pos = self._pending_ids.index(entry_id)
-                del self._pending_ids[pos]
-                del self._pending_vectors[pos]
-                del self._pending_texts[pos]
-            else:
-                self._pending_removed.append(entry_id)
+        elif self._changes is not None:
+            self._changes.note_removed(entry_id)
 
     def pop(self, entry_id: int) -> Tuple[TierEntry, np.ndarray]:
         """Remove and return ``(entry, embedding)`` — the promotion path.
@@ -550,21 +546,17 @@ class QuantizedTier:
         return self._entries[best.id], float(best.score)
 
     def clear(self) -> None:
-        """Drop every entry (pending delta buffers and sealed records
-        included).
+        """Drop every entry (sealed records included).
 
         Committed like any other mutation: the snapshot in ``snapshot_dir``
-        still holds the dropped entries, so the next :meth:`flush` publishes
-        a full snapshot (of what the tier holds by then) instead of
-        appending to its log.
+        still holds the dropped entries, so the tier keeps no change set and
+        the next :meth:`seal` publishes a full snapshot (of what the tier
+        holds by then) instead of appending to its log.
         """
         with self.lock:
             self._entries.clear()
-            self._blocks.clear()
-            self._ctx.clear()
             self._index.clear()
-            self._forget_owed()
-            self._counted_dir, self._log_records = self.snapshot_dir, None
+            self._sealed = []
             self._changes = None
 
     # ------------------------------------------------------------------ #
@@ -573,31 +565,20 @@ class QuantizedTier:
     def save(self, path: "str | Path") -> Path:
         """Fold the tier into ``path``: what :meth:`maintenance` calls.
 
-        At the tier's own ``snapshot_dir``, with a full snapshot there to
-        fold onto and no index refit since it, a *minor* fold replaces the
-        delta log with one record of the changes since that snapshot, when
-        the record is at most half the snapshot's bytes: one file written,
-        fsynced, renamed over the log, then one directory fsync.  Otherwise
-        a *major* fold writes a full snapshot atomically (discarding any
-        delta log).  Either way a load of ``path`` gives the tier as it is.
-
-        A full snapshot's ``entries.json`` is joined from per-entry blocks:
-        an entry's block is rendered by the first full snapshot that holds
-        it (or kept from the file :meth:`load` read) until the entry leaves.
-        The entries without one are the FIFO suffix added since, so a save
-        renders only those; the context-chain arrays are packed from the
-        contextual entries alone.  The arrays, the index snapshot and the
-        file bytes are written whole every time, each file fsynced once.
+        At the tier's own ``snapshot_dir``, with a change set since the full
+        snapshot there and no index refit since it, a *minor* fold replaces
+        the delta log with one record of the change set, when the record is
+        at most half the snapshot's bytes: one file written, fsynced,
+        renamed over the log, then one directory fsync.  Otherwise a *major*
+        fold writes a full snapshot atomically (discarding any delta log),
+        its ``entries.json`` rendered whole.  Either way a load of ``path``
+        gives the tier as it is.
         """
         path = Path(path)
         with self.lock:
             if self._minor_fold(path):
                 return path
-            fresh = list(itertools.islice(self._entries.values(), len(self._blocks), None))
-            rendered = record_blocks(
-                [_tier_entry_record(e, with_ctx_embedding=False) for e in fresh]
-            )
-            self._blocks.update(zip((e.entry_id for e in fresh), rendered))
+            entries = self._entries.values()
             payload = {
                 "backend": self._backend,
                 "params": dict(self._params),
@@ -611,9 +592,9 @@ class QuantizedTier:
                 TIER_FORMAT,
                 TIER_VERSION,
                 payload,
-                list(self._blocks.values()),
+                [_tier_entry_record(e, with_ctx_embedding=False) for e in entries],
                 pack_context_embeddings(
-                    self._ctx.items(),
+                    ((e.entry_id, e.context.embedding) for e in entries),
                     self._index.dim or 0,
                     native_float_dtype(self._index),
                 ),
@@ -646,36 +627,37 @@ class QuantizedTier:
             replace_delta_log(path, record)
         except BaseException:
             # The log may be the old one or the new: count it afresh.
-            self._counted_dir = None
+            changes.log_records = None
             raise
-        self._forget_owed()
-        self._counted_dir, self._log_records = self.snapshot_dir, 1
-        changes.folded = 1
+        self._sealed = []
+        changes.seal_all(self._next_id)
+        changes.log_records = changes.folded = 1
         return True
 
     def _rebaselined(self, path: Path) -> None:
         """A full snapshot of the tier was just published at ``path``
         (caller holds the lock, and has since the snapshot was taken).  If
-        that is the tier's own ``snapshot_dir``, it now captures every
-        pending mutation and sealed record under an empty log, and the next
-        minor fold writes the changes since it; a copy saved elsewhere
-        leaves all of them as they were, still owed to ``snapshot_dir``."""
+        that is the tier's own ``snapshot_dir``, it now holds every change
+        and sealed record under an empty log, and the tier's change set
+        starts over from it; a copy saved elsewhere leaves both as they
+        were, still owed to ``snapshot_dir``."""
         if self._is_own(path):
-            self._forget_owed()
-            self._counted_dir, self._log_records = self.snapshot_dir, 0
+            self._sealed = []
             self._changes = _Changes(
                 self.snapshot_dir,
                 snapshot_nbytes(path),
                 getattr(self._index, "trainings", 0),
+                self._next_id,
             )
 
     def seal(self) -> None:
-        """Close the mutations buffered so far into one delta record, owed
-        to the log until the next :meth:`flush` writes it.
+        """Cut one delta record from the change set — what changed since
+        the last seal — owed to the log until the next :meth:`flush`
+        writes it.
 
-        Writes nothing, except on a tier with no baseline a record could
-        extend (none on disk yet, or a :meth:`clear` since the last one):
-        there the full baseline is written at once, as :meth:`flush` would.
+        Writes nothing, except on a tier with no change set for its
+        ``snapshot_dir`` (see the class docstring): there a full snapshot is
+        written at once, as :meth:`flush` would.
         """
         if self.snapshot_dir is None:
             return
@@ -684,59 +666,51 @@ class QuantizedTier:
             if n_records is None:
                 self.save(self.snapshot_dir)
                 return
-            if not (self._pending_ids or self._pending_removed):
-                return
-            self._sealed.append(
-                DeltaRecord(
-                    seq=n_records + len(self._sealed) + 1,
-                    ids=tuple(self._pending_ids),
-                    removed=tuple(self._pending_removed),
-                    vectors=np.stack(self._pending_vectors) if self._pending_ids else None,
-                    encoded_meta=_entries_meta(self._pending_texts),
-                )
-            )
-            self._reset_pending()
+            record = self._changes.cut(n_records + len(self._sealed) + 1, self._next_id)
+            if record is not None:
+                self._sealed.append(record)
 
     def flush(self) -> None:
-        """Commit every mutation the log does not hold yet: what is still
-        buffered is sealed, then every sealed record is appended.
+        """Commit every mutation the log does not hold yet: what changed
+        since the last seal is sealed, then every sealed record is appended.
 
         Costs O(delta), not O(tier): one JSON line per record, carrying its
         vectors, all appended to the log with one write and fsynced once.
-        The first flush (no snapshot on disk yet) writes the full baseline
-        instead.  A failed append leaves the records owed, and the retry
-        writes them under the same seqs.
+        A tier with no change set writes a full snapshot instead.  A failed
+        append leaves the records owed, and the retry writes them under the
+        same seqs.
         """
         if self.snapshot_dir is None:
             return
         with self.lock:
             self.seal()
+            changes = self._changes
             # A failed append that could not take its bytes back may have
             # left some of its records whole: the count (re-read by the seal
             # after a failure) holds them, so they are not written twice.
-            self._sealed = [r for r in self._sealed if r.seq > self._log_records]
+            self._sealed = [r for r in self._sealed if r.seq > changes.log_records]
             if not self._sealed:
                 return
             try:
                 append_delta(self.snapshot_dir, records=self._sealed)
             except BaseException:
                 # A failed append may have left a fragment on the log: make
-                # the retry re-read the directory, which cuts it off.
-                self._counted_dir = None
+                # the retry re-read it, which cuts the fragment off.
+                changes.log_records = None
                 raise
-            self._log_records = self._sealed[-1].seq
+            changes.log_records = self._sealed[-1].seq
             self._sealed = []
 
     def maintenance(self) -> None:
         """The tier's own off-query-path upkeep: index maintenance, then a
         fold once ``compact_every`` records were appended to the delta log
         since the last fold, minor or major.  A fold is a :meth:`save` to
-        ``snapshot_dir``: minor, it writes the changes since the last full
-        snapshot as one log record; major, the whole tier.
+        ``snapshot_dir``: minor, it writes the change set as one log
+        record; major, the whole tier.
 
         Owed once per served batch, not once per cache sharing the tier
         (the serving layer de-duplicates by tier identity).  Everything the
-        batch's caches sealed, and anything still buffered, is flushed
+        batch's caches sealed, and anything changed since, is flushed
         before the compaction check — one write and one fsync for all of it
         — so a standalone tier needs no other call.
         """
@@ -745,8 +719,8 @@ class QuantizedTier:
             self.flush()
             if self.snapshot_dir is None:
                 return
-            folded = self._changes.folded if self._changes is not None else 0
-            if self._log_length() - folded >= self.compact_every:
+            changes = self._changes
+            if changes.log_records - changes.folded >= self.compact_every:
                 self.save(self.snapshot_dir)
 
     @classmethod
@@ -758,14 +732,13 @@ class QuantizedTier:
         materializes it again, so compacted snapshots restore fastest.  The
         loaded tier keeps ``snapshot_dir = path`` and continues appending
         there; set it to ``None`` to detach.  The snapshot it loaded is its
-        last full one, and what the log added and removed its changes since,
-        so its next fold can be a minor one.
+        last full one, and what the log added and removed its change set
+        since, so its next fold can be a minor one — unless the log is not
+        one its records wrote, which makes its next seal a full snapshot.
 
-        The base snapshot's ``entries.json`` blocks are kept as read
-        (:func:`~repro.index.snapshot.split_blocks`), so the first save
-        renders only the entries the delta log added; a file that does not
-        split back into its records' blocks (edited by hand, say) keeps
-        none, and that save renders every entry.
+        A log record that does not replay onto what came before it (it adds
+        an id already held, say) raises :class:`SnapshotError` naming the
+        log, the line and the seq.
         """
         path = Path(path)
 
@@ -781,7 +754,7 @@ class QuantizedTier:
             tier.stats = CacheStats(**manifest.get("stats", {}))
             return tier
 
-        tier, index, meta, data, text = load_cache_snapshot(
+        tier, index, meta, data = load_cache_snapshot(
             path,
             TIER_FORMAT,
             TIER_VERSION,
@@ -792,26 +765,31 @@ class QuantizedTier:
         tier._index = index
         ctx_embedding_of = unpack_context_embeddings(data)
         for record in meta:
-            tier._hold(
-                _tier_entry_from_record(record, ctx_embedding_of.get(int(record["entry_id"])))
+            entry_id = int(record["entry_id"])
+            tier._entries[entry_id] = _tier_entry_from_record(
+                record, ctx_embedding_of.get(entry_id)
             )
         if set(tier._entries) != set(tier._index.ids):
             raise SnapshotError(
                 f"snapshot at {path} is inconsistent: entry ids and index ids differ"
             )
-        # Keep the file's blocks if it splits into one per entry (counting
-        # distinct ids, so a record listed twice keeps none).
-        blocks = split_blocks(text, len(tier._entries))
-        if blocks is not None:
-            tier._blocks = dict(zip(tier._entries, blocks))
         base_ids = set(tier._entries)
-        changes = _Changes(path, snapshot_nbytes(path), getattr(index, "trainings", 0))
+        changes = _Changes(
+            path,
+            snapshot_nbytes(path),
+            getattr(index, "trainings", 0),
+            tier._next_id,
+            log_records=None,
+        )
         # Replay the delta log (texts from each record's meta, vectors into
         # the index) — mutations committed after the base snapshot.
         for record in read_deltas(path):
             rows = {}
             if record.vectors is not None and record.ids:
-                tier._index.add_batch(record.vectors, ids=list(record.ids))
+                try:
+                    tier._index.add_batch(record.vectors, ids=list(record.ids))
+                except ValueError as exc:
+                    raise record.error(path, exc) from exc
                 rows = dict(zip(record.ids, record.vectors))
             meta = record.meta or {}
             for entry_record in meta.get("entries", []):
@@ -822,30 +800,33 @@ class QuantizedTier:
                     if ctx_embedding is not None
                     else None,
                 )
-                tier._hold(entry)
+                tier._entries[entry.entry_id] = entry
                 row = rows.get(entry.entry_id)
                 if row is not None:
                     changes.added[entry.entry_id] = (row, json.dumps(entry_record))
             for removed_id in record.removed:
                 removed_id = int(removed_id)
                 if removed_id in tier._entries:
-                    tier._drop(removed_id)
+                    del tier._entries[removed_id]
                     tier._index.remove(removed_id)
                     changes.note_removed(removed_id)
             if record.ids:
                 tier._next_id = max(tier._next_id, max(record.ids) + 1)
             # A minor fold's record carries what a full snapshot's manifest
             # would: the next id (an id it dropped may have been the last
-            # issued) and the counters.
+            # issued) and the counters; a seal's carries the next id when a
+            # cancelled add held the newest.
             if "next_id" in meta:
                 tier._next_id = max(tier._next_id, int(meta["next_id"]))
             if "stats" in meta:
                 tier.stats = CacheStats(**meta["stats"])
         # A log the tier's own records did not write (an entry without its
-        # row, say) leaves the next fold a full one.
+        # row, say) leaves the tier no change set: its next seal writes a
+        # full snapshot.
         if base_ids.isdisjoint(changes.added) and set(tier._entries) == base_ids.difference(
             changes.removed
         ).union(changes.added):
+            changes.seal_all(tier._next_id)
             tier._changes = changes
         return tier
 
@@ -1230,9 +1211,10 @@ class TieredCache:
 
     def local_maintenance(self) -> None:
         """This cache's own share of between-batch upkeep: L1 index upkeep,
-        then sealing the tier's buffered mutations — its own, and any a
-        neighbour served in the same batch has not sealed yet — into one
-        delta record (:meth:`QuantizedTier.seal`), which writes nothing.
+        then sealing what the tier changed since its last seal — this
+        cache's mutations, and any a neighbour served in the same batch has
+        not sealed yet — into one delta record (:meth:`QuantizedTier.seal`),
+        which writes nothing.
         The tier's own upkeep (:meth:`QuantizedTier.maintenance`, which
         writes every sealed record with one append and one fsync) is not
         included: whoever drives several caches over one tier owes that once

@@ -415,7 +415,10 @@ def load_index(
     index._restore(state, arrays)
     if replay_deltas:
         for record in read_deltas(path):
-            record.apply(index)
+            try:
+                record.apply(index)
+            except (KeyError, ValueError) as exc:
+                raise record.error(path, exc) from exc
     return index
 
 
@@ -443,133 +446,31 @@ def stack_rows(rows: Sequence[np.ndarray], dim: int, dtype: np.dtype) -> np.ndar
     return np.stack(rows).astype(dtype, copy=False)
 
 
-#: ``json.dumps(..., indent=1)`` runs the pure-Python encoder (``indent``
-#: selects it), which took three quarters of a 10^4-entry tier's compaction;
-#: an encoder with separators but no ``indent`` runs in C.  These two put one
-#: leaf per line: a column of scalars, and the items of a list-valued field
-#: at the depth ``indent=1`` gives them.
-_COLUMN = json.JSONEncoder(separators=(",\n", ": "))
-_ITEMS = json.JSONEncoder(separators=(",\n   ", ": "))
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def record_blocks(records: Sequence[Mapping[str, object]]) -> List[str]:
-    """Each record as ``json.dumps(records, indent=1)`` prints it in the list.
-
-    A record's block depends on that record alone, so a caller may keep the
-    blocks of records that do not change and join them with new ones
-    (:func:`save_cache_snapshot` does the joining).  Covers what cache
-    snapshots carry from C-encoder calls: dicts that all have the same
-    string keys in the same order, each key's values all scalars or all
-    flat lists of scalars.  Every scalar column is encoded by one C call and
-    split back into its leaves (a JSON string holds no raw newline, so the
-    separator occurs nowhere else); the ``indent=1`` framing around them is
-    composed by hand.  Any other shape goes to the ``indent=1`` encoder one
-    record at a time, its lines shifted one level deeper.
-    """
-    records = list(records)
-    if not records:
-        return []
-    keys = tuple(records[0]) if type(records[0]) is dict else ()
-    if (
-        not keys
-        or set(map(type, keys)) != {str}
-        or set(map(type, records)) != {dict}
-        or not all(map(keys.__eq__, map(tuple, records)))
-    ):
-        return _indented_blocks(records)
-    columns: List[List[str]] = []
-    for key in keys:
-        column = [record[key] for record in records]
-        kinds = set(map(type, column))
-        if kinds <= _SCALARS:
-            columns.append(_COLUMN.encode(column)[1:-1].split(",\n"))
-        elif kinds == {list} and all(
-            set(map(type, items)) <= _SCALARS for items in filter(None, column)
-        ):
-            columns.append(
-                [
-                    f"[\n   {_ITEMS.encode(items)[1:-1]}\n  ]" if items else "[]"
-                    for items in column
-                ]
-            )
-        else:
-            return _indented_blocks(records)
-    # One %-template per record shape; a "%" inside a key is doubled so it
-    # does not read as a conversion.
-    fields = (json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
-    template = "{\n  " + ",\n  ".join(fields) + "\n }"
-    return list(map(template.__mod__, zip(*columns)))
-
-
-def _indented_blocks(records: Sequence[Mapping[str, object]]) -> List[str]:
-    """The ``indent=1`` encoder's blocks: a list item sits one level deeper
-    than the same value printed on its own (no JSON string holds a raw
-    newline, so every newline is a line break to indent)."""
-    return [json.dumps(record, indent=1).replace("\n", "\n ") for record in records]
-
-
-def _join_blocks(blocks: Sequence[str]) -> str:
-    """The ``indent=1`` list around :func:`record_blocks` output."""
-    return "[\n " + ",\n ".join(blocks) + "\n]" if blocks else "[]"
-
-
-#: Where one record's block ends and the next begins in an ``indent=1``
-#: list of objects: a record closes at one space of indent, anything nested
-#: in it at two or more, and no JSON string holds a raw newline.
-_BETWEEN_RECORDS = "\n },\n {"
-
-
-def split_blocks(text: str, count: int) -> Optional[List[str]]:
-    """The inverse of :func:`_join_blocks` for an ``entries.json`` text.
-
-    ``text`` is the file as read (its trailing newline included) and
-    ``count`` the number of records it parsed to.  Returns the ``count``
-    record blocks, or None when the text did not come from joining blocks —
-    re-indented by hand, say: the split is accepted only if it yields
-    ``count`` blocks that join back to ``text`` byte for byte.
-    """
-    head, tail = "[\n {", "\n }\n]\n"
-    if text == "[]\n":
-        blocks: List[str] = []
-    elif text.startswith(head) and text.endswith(tail):
-        inner = text[len(head) : -len(tail)]
-        blocks = ["{" + part + "\n }" for part in inner.split(_BETWEEN_RECORDS)]
-    else:
-        return None
-    if len(blocks) != count or _join_blocks(blocks) + "\n" != text:
-        return None
-    return blocks
-
-
-def _dumps_records(records: List[Mapping[str, object]]) -> str:
-    """``json.dumps(records, indent=1)``, byte for byte (see :func:`record_blocks`)."""
-    return _join_blocks(record_blocks(records))
-
-
 def save_cache_snapshot(
     path: "str | Path",
     format_tag: str,
     version: int,
     payload: Mapping[str, object],
-    blocks: Sequence[str],
+    records: Sequence[Mapping[str, object]],
     arrays: Mapping[str, np.ndarray],
     index: object,
 ) -> Path:
     """Atomically publish one cache snapshot envelope at ``path``.
 
     ``payload`` is the cache's own manifest content (config, counters, …);
-    ``blocks`` — the entry records as :func:`record_blocks` renders them,
-    in entry order — become ``entries.json``, ``arrays`` the per-array
-    ``.npy`` files and ``index`` the nested ``index/`` snapshot, written
-    straight into the one stage (which fsyncs each file once).  The
+    ``records`` — the entry records, in entry order — become
+    ``entries.json`` (``json.dumps(records, indent=1)``), ``arrays`` the
+    per-array ``.npy`` files and ``index`` the nested ``index/`` snapshot,
+    written straight into the one stage (which fsyncs each file once).  The
     manifest is written last, so a torn stage is never loadable; the
     previous generation at ``path`` is replaced wholesale (stale delta logs
     or larger prior arrays cannot survive into the new one).
     """
     path = Path(path)
     with atomic_snapshot_dir(path) as stage:
-        (stage / ENTRIES_NAME).write_text(_join_blocks(blocks) + "\n", encoding="utf-8")
+        (stage / ENTRIES_NAME).write_text(
+            json.dumps(list(records), indent=1) + "\n", encoding="utf-8"
+        )
         write_arrays(stage, arrays)
         _write_index(index, stage / INDEX_DIR)
         write_manifest(
@@ -591,13 +492,10 @@ def load_cache_snapshot(
     build: Callable[[Mapping[str, object]], _T],
     required: Sequence[str],
     mmap: bool = False,
-) -> "Tuple[_T, object, List[Dict[str, object]], Dict[str, np.ndarray], str]":
+) -> "Tuple[_T, object, List[Dict[str, object]], Dict[str, np.ndarray]]":
     """Read a :func:`save_cache_snapshot` envelope; raises :class:`SnapshotError`.
 
-    Returns ``(build(manifest), index, entries.json records, arrays,
-    entries.json text)`` — the text the records were parsed from, so a
-    caller can keep the records' blocks (:func:`split_blocks`) without
-    reading the file again.
+    Returns ``(build(manifest), index, entries.json records, arrays)``.
     The manifest is validated before anything else is touched; ``build``
     turns its payload into the (still empty) cache, and a manifest whose
     format and version pass but whose payload is truncated or renamed
@@ -616,13 +514,12 @@ def load_cache_snapshot(
         ) from exc
     index = load_index(path / INDEX_DIR, mmap=mmap)
     try:
-        text = (path / ENTRIES_NAME).read_text(encoding="utf-8")
+        records = json.loads((path / ENTRIES_NAME).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise SnapshotError(f"snapshot at {path} has no {ENTRIES_NAME}") from exc
-    records = json.loads(text)
     listed = manifest.get("arrays")
     expected = set(required) | set(listed if isinstance(listed, list) else ())
-    return built, index, records, read_arrays(path, expected=sorted(expected)), text
+    return built, index, records, read_arrays(path, expected=sorted(expected))
 
 
 # --------------------------------------------------------------------------- #
@@ -643,6 +540,8 @@ class DeltaRecord:
     #: for a record not yet written: its ``meta`` already encoded as JSON
     #: text (see :func:`delta_line`); a record read back carries ``meta``
     encoded_meta: Optional[str] = None
+    #: for a record read back: its 1-based line in the log
+    line: Optional[int] = None
 
     def apply(self, index) -> None:
         """Replay this delta against a restored index."""
@@ -650,6 +549,18 @@ class DeltaRecord:
             index.add_batch(self.vectors, ids=list(self.ids))
         for removed_id in self.removed:
             index.remove(int(removed_id))
+
+    def error(self, path: "str | Path", exc: Exception) -> SnapshotError:
+        """What a load raises when this record, read from the log of the
+        snapshot at ``path``, does not replay onto what came before it (an
+        id added twice, say)."""
+        return _log_error(Path(path), self.line, self.seq, exc)
+
+
+def _log_error(path: Path, line: Optional[int], seq: object, exc: Exception) -> SnapshotError:
+    return SnapshotError(
+        f"delta log {path / DELTAS_NAME}: line {line} (seq {seq}): {type(exc).__name__}: {exc}"
+    )
 
 
 def _delta_lines(path: Path, repair: bool = False) -> List[Tuple[int, Dict[str, object]]]:
@@ -735,11 +646,8 @@ def read_deltas(path: "str | Path") -> List[DeltaRecord]:
                 if list(vectors.shape) != shape or vectors.shape[:1] != (len(ids),):
                     raise ValueError(f"{vectors.shape} rows for shape {shape}, {len(ids)} ids")
         except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-            raise SnapshotError(
-                f"delta log {path / DELTAS_NAME}: line {lineno} (seq {line.get('seq')}): "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        records.append(DeltaRecord(seq, ids, removed, vectors, line.get("meta")))
+            raise _log_error(path, lineno, line.get("seq"), exc) from exc
+        records.append(DeltaRecord(seq, ids, removed, vectors, line.get("meta"), line=lineno))
     return records
 
 
@@ -755,8 +663,8 @@ def delta_line(
 
     ``encoded_meta`` is a ``meta`` the caller has already encoded as JSON
     text, spliced in as it is: a record whose payload is kept rendered
-    piece by piece (:meth:`~repro.core.tiered.QuantizedTier.save`) is not
-    encoded again whole.
+    piece by piece (a :class:`~repro.core.tiered.QuantizedTier`'s entries)
+    is not encoded again whole.
     """
     encoded: Optional[Dict[str, object]] = None
     if vectors is not None:

@@ -38,6 +38,14 @@ def make_tiny_encoder(seed: int = 5, anisotropy: float = 0.3) -> SiameseEncoder:
     return SiameseEncoder(config, featurizer)
 
 
+def seal_adds_no_record(tier) -> bool:
+    """Whether a ``seal()`` of ``tier`` now adds no record: every mutation
+    it made is sealed or written already."""
+    owed = [record.seq for record in tier._sealed]
+    tier.seal()
+    return [record.seq for record in tier._sealed] == owed
+
+
 @pytest.fixture()
 def tiny_encoder() -> SiameseEncoder:
     """A fresh tiny encoder per test."""

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_tiny_encoder
+from conftest import make_tiny_encoder, seal_adds_no_record
 
 from repro.core.cache import MeanCacheConfig
 from repro.core.context import ContextChain
@@ -103,9 +103,10 @@ def _tier_with_a_sealed_group(snap: Path):
     tier.pop(tier.entries[0].entry_id)
     tier.seal()
     states.append(_state(tier))
-    tier.insert("still buffered", "r", rng.normal(size=DIM))
+    buffered = tier.insert("still buffered", "r", rng.normal(size=DIM))
     states.append(_state(tier))
-    assert [r.seq for r in tier._sealed] == [3, 4, 5] and tier._pending_ids
+    assert [r.seq for r in tier._sealed] == [3, 4, 5]
+    assert all(buffered not in r.ids for r in tier._sealed)
     assert tier._sealed[2].vectors is None  # the pure removal
     return tier, states
 
@@ -263,10 +264,10 @@ def test_a_grouped_commit_failing_at_any_call_takes_all_its_bytes_back(tmp_path,
         tier.flush()
     assert (snap / LOG).read_bytes() == before
     assert [(r.seq, r.ids, r.removed) for r in tier._sealed][:3] == owed
-    assert [r.seq for r in tier._sealed] == [3, 4, 5, 6] and not tier._pending_ids
+    assert [r.seq for r in tier._sealed] == [3, 4, 5, 6] and seal_adds_no_record(tier)
 
     tier.flush()
-    assert not tier._sealed and not tier._pending_ids
+    assert not tier._sealed and seal_adds_no_record(tier)
     after = (snap / LOG).read_bytes()
     assert after.startswith(before) and _seqs(after) == [1, 2, 3, 4, 5, 6]
     assert _state(QuantizedTier.load(snap)) == _state(tier) == states[-1]
@@ -318,7 +319,7 @@ def test_a_save_over_snapshot_dir_drops_the_sealed_records(tmp_path):
     snap = tmp_path / "snap"
     tier, states = _tier_with_a_sealed_group(snap)
     tier.save(snap)
-    assert not tier._sealed and not tier._pending_ids
+    assert not tier._sealed and seal_adds_no_record(tier)
     assert delta_log_size(snap) == (0, 0)
     assert _state(QuantizedTier.load(snap)) == states[-1]
     tier.flush()  # nothing owed
@@ -349,7 +350,7 @@ def test_a_clear_drops_the_sealed_records(tmp_path):
     snap = tmp_path / "snap"
     tier, _ = _tier_with_a_sealed_group(snap)
     tier.clear()
-    assert not tier._sealed and not tier._pending_ids
+    assert not tier._sealed
     tier.flush()
     assert delta_log_size(snap) == (0, 0)
     assert len(QuantizedTier.load(snap)) == 0
@@ -411,7 +412,7 @@ def _assert_each_record_once(tier, n_records: int) -> None:
     assert [r.seq for r in records] == list(range(1, n_records + 1))
     added = [i for r in records for i in r.ids]
     assert len(added) == len(set(added))
-    assert not tier._sealed and not tier._pending_ids
+    assert not tier._sealed and seal_adds_no_record(tier)
     assert _state(QuantizedTier.load(tier.snapshot_dir)) == _state(tier)
 
 
@@ -622,7 +623,7 @@ def test_a_commit_is_one_append_and_one_fsync(tmp_path):
     assert mkdirs == []
     assert opened == [(LOG, "ab")]
     assert sorted(os.listdir(snap)) == listing and _tree(snap) == tree
-    assert not tier._pending_ids and delta_log_size(snap)[0] == 3
+    assert seal_adds_no_record(tier) and delta_log_size(snap)[0] == 3
     assert _state(QuantizedTier.load(snap)) == _state(tier)
 
 

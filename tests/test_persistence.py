@@ -40,10 +40,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import make_tiny_encoder
+from conftest import make_tiny_encoder, seal_adds_no_record
 
 from repro.baselines import GPTCACHE_CONFIG, load_gptcache_snapshot
 from repro.core.cache import MeanCache, MeanCacheConfig
@@ -909,11 +907,11 @@ def test_fleet_checkpoint_in_place_rebases_restored_tier_logs(tmp_path):
         with lock:
             for i in range(3):
                 cache.insert(f"enrolled between windows {i}", "r")
-        assert cache.l2._pending_ids
+        assert len(QuantizedTier.load(cache.l2.snapshot_dir)) != len(cache.l2)
     resumed.checkpoint(tmp_path / "ckpt")
     for cache, lock in caches:
-        assert not cache.l2._pending_ids
         with lock:
+            assert seal_adds_no_record(cache.l2)
             cache.insert("enrolled after the checkpoint", "r")
             cache.maintenance()
         assert cache.l2._log_length() == delta_log_size(cache.l2.snapshot_dir)[0] == 1
@@ -1282,79 +1280,38 @@ def test_a_log_of_the_per_delta_npy_format_is_refused(tmp_path):
     assert append_delta(path, removed=[2]) == 2
 
 
-_JSON_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-(2**70), 2**70),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.text(max_size=12),  # non-ASCII, controls, quotes, backslashes, "%"
-    st.sampled_from(['"', "\\", "\n", ",\n", "},\n {", "%s", "\u2028", "\x00"]),
-)
-_JSON_VALUES = st.one_of(_JSON_LEAVES, st.lists(_JSON_LEAVES, max_size=3))
-#: same keys in every record (the shape the fast path covers) ...
-_UNIFORM_RECORDS = st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True).flatmap(
-    lambda keys: st.lists(st.fixed_dictionaries({k: _JSON_VALUES for k in keys}), max_size=6)
-)
-#: ... and everything it must hand to the reference encoder
-_RAGGED_RECORDS = st.lists(
-    st.one_of(
-        st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=4),
-        st.dictionaries(
-            st.text(max_size=4), st.lists(st.lists(_JSON_LEAVES, max_size=2), max_size=2), max_size=2
-        ),
-        st.dictionaries(st.integers(0, 9), _JSON_LEAVES, max_size=3),
-        _JSON_LEAVES,
-    ),
-    max_size=5,
-)
+def _append_an_id_already_held(path, held_id, dim):
+    """Hand-append a second record to the log at ``path``: one row under
+    ``held_id``, an id the snapshot already holds."""
+    from repro.index import append_delta
+
+    append_delta(path, removed=[])
+    append_delta(
+        path, vectors=np.ones((1, dim), dtype=np.float32), ids=[held_id], meta={"entries": []}
+    )
 
 
-def _joined_blocks(records):
-    """The records' :func:`record_blocks`, each rendered alone as the memo of
-    a tier keeps them, in the ``indent=1`` list framing."""
-    from repro.index.snapshot import record_blocks
-
-    blocks = record_blocks(records)
-    assert blocks == [block for record in records for block in record_blocks([record])]
-    return "[\n " + ",\n ".join(blocks) + "\n]" if blocks else "[]"
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(records=st.one_of(_UNIFORM_RECORDS, _RAGGED_RECORDS))
-def test_fast_entries_writer_matches_indent_1_encoder(records):
-    """``entries.json`` text == ``json.dumps(records, indent=1)`` whatever
-    the records hold: the shapes the fast path covers and the ones it hands
-    to the reference encoder — and so do the per-record blocks, whichever
-    batch rendered each."""
-    from repro.index.snapshot import _dumps_records
-
-    assert _dumps_records(records) == json.dumps(records, indent=1)
-    assert _joined_blocks(records) == json.dumps(records, indent=1)
+def test_an_index_log_that_adds_a_held_id_is_a_snapshot_error(tmp_path):
+    """The backend's bare ``ValueError`` does not escape the loader: the
+    error names the log, the line and the seq."""
+    index, path = _snapshot_with_log(tmp_path)
+    _append_an_id_already_held(path, index.ids[0], 4)
+    with pytest.raises(SnapshotError, match=r"line 2 \(seq 2\).*already in the index") as caught:
+        load_index(path)
+    assert str(path / "deltas.jsonl") in str(caught.value)
 
 
-@pytest.mark.parametrize(
-    "records",
-    [
-        [],
-        [  # MeanCache, format v3 (entry records with time stamps)
-            {"entry_id": 0, "query": "caf\u00e9 \"q\"", "response": "r\\n", "context": [],
-             "created_at": 12.5, "last_accessed": 1e-7, "hit_count": 3},
-            {"entry_id": 1, "query": "q2", "response": "", "context": ["turn \u4e00", ""],
-             "created_at": 0.0, "last_accessed": -0.0, "hit_count": 0},
-        ],
-        [{"query": "q", "response": "r", "user_id": None}],  # legacy GPTCache
-        [{"entry_id": 7, "query": "q", "response": "r", "context": ["only turn"]}],  # tier
-        [{"a": 1}, {"a": [1]}],  # a column that is a list in one record only
-        [{"a": [[1]]}],  # nested one level too deep: the fallback
-        [{"a": {"b": 1}}],
-        [{}],
-    ],
-)
-def test_fast_entries_writer_on_the_shapes_caches_write(records):
-    from repro.index.snapshot import _dumps_records
+def test_a_tier_log_that_adds_a_held_id_is_a_snapshot_error(tmp_path):
+    from repro.core.tiered import QuantizedTier
 
-    assert _dumps_records(records) == json.dumps(records, indent=1)
-    assert _joined_blocks(records) == json.dumps(records, indent=1)
+    path = tmp_path / "tier"
+    tier = QuantizedTier(dim=4, params={"min_train_size": 10_000}, snapshot_dir=path)
+    held = tier.insert("held", "r", np.ones(4))
+    tier.flush()  # the full snapshot
+    _append_an_id_already_held(path, held, 4)
+    with pytest.raises(SnapshotError, match=r"line 2 \(seq 2\).*already in the index") as caught:
+        QuantizedTier.load(path)
+    assert str(path / "deltas.jsonl") in str(caught.value)
 
 
 def test_mmap_load_is_zero_copy(tmp_path):

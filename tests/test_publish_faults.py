@@ -6,7 +6,10 @@ and the stage into place (two ``os.replace``) and removes the ``tmp-``
 directory it staged in (``shutil.rmtree``).  A shim makes each of those calls fail in
 turn, under every writer that publishes a snapshot — an index, a
 ``MeanCache``, a full ``QuantizedTier`` snapshot and a ``TieredCache`` —
-in two ways:
+and then each write into the stage (``write_manifest``, ``write_arrays``);
+a ``CacheServer.checkpoint`` over ``TieredCache`` users and over
+``MeanCache`` users is failed at every one of those calls.  Each fails in
+two ways:
 
 * **fault**: the one call raises and the code goes on handling it in
   process (rollback, cleanup);
@@ -29,10 +32,15 @@ import pytest
 
 from conftest import make_tiny_encoder
 
+from repro.core import tiered
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.core.context import ContextChain
 from repro.core.tiered import QuantizedTier, TieredCache
 from repro.index import load_index, make_index, snapshot
+from repro.llm.service import LLMServiceConfig, SimulatedLLMService
+from repro.serving import server
+from repro.serving.server import CacheServer, ServerConfig
+from repro.serving.workload import Trace, WorkloadEvent
 
 pytestmark = pytest.mark.concurrency
 
@@ -44,6 +52,13 @@ POINTS = [
     (snapshot, "_fsync_dir"),
     (snapshot.shutil, "rmtree"),
 ]
+#: the writes into a stage, through each module a writer calls them from
+WRITES = [
+    (snapshot, "write_manifest"),
+    (snapshot, "write_arrays"),
+    (tiered, "write_manifest"),
+    (server, "write_manifest"),
+]
 
 
 class Fault(OSError):
@@ -54,15 +69,24 @@ class Shim:
     """Counts the shimmed calls; raises at call number ``fail_at`` (and at
     every later one too when ``crash``)."""
 
-    def __init__(self, patch: pytest.MonkeyPatch, fail_at: int = -1, crash: bool = False):
+    def __init__(
+        self,
+        patch: pytest.MonkeyPatch,
+        fail_at: int = -1,
+        crash: bool = False,
+        points=POINTS,
+    ):
         self.calls = 0
+        #: the name of each call so far, in order
+        self.names: List[str] = []
         self.fail_at, self.crash = fail_at, crash
-        for owner, name in POINTS:
-            patch.setattr(owner, name, self._wrap(getattr(owner, name)))
+        for owner, name in points:
+            patch.setattr(owner, name, self._wrap(name, getattr(owner, name)))
 
-    def _wrap(self, real: Callable) -> Callable:
+    def _wrap(self, name: str, real: Callable) -> Callable:
         def shimmed(*args, **kwargs):
             n, self.calls = self.calls, self.calls + 1
+            self.names.append(name)
             if n == self.fail_at or (self.crash and 0 <= self.fail_at <= n):
                 raise Fault(f"shimmed failure at call {n}")
             return real(*args, **kwargs)
@@ -246,3 +270,116 @@ def test_cleanup_spares_a_sibling_whose_name_extends_the_target(tmp_path):
     foreign.mkdir(parents=True)
     snapshot.save_index(index, tmp_path / "snap")
     assert foreign.is_dir()
+
+
+# --------------------------------------------------------------------------- #
+# Writes into the stage, and the fleet checkpoint
+# --------------------------------------------------------------------------- #
+def _fail_each_call(scenario, old, new, tmp_path, crash, pick) -> set:
+    """Fail ``scenario.save`` over ``old`` at each of its shimmed calls
+    (:data:`POINTS` and :data:`WRITES`) that ``pick(name)`` selects; check
+    that the path loads to the old or the new state and that the next save
+    leaves no ``tmp-`` entry.  Returns the states the failures left."""
+    points = POINTS + WRITES
+    shutil.copytree(tmp_path / "old", tmp_path / "count" / "snap")
+    with pytest.MonkeyPatch.context() as patch:
+        counted = Shim(patch, points=points)
+        scenario.save(tmp_path / "count" / "snap")
+    chosen = [n for n, name in enumerate(counted.names) if pick(name)]
+    assert chosen
+    outcomes = set()
+    for fail_at in chosen:
+        root = tmp_path / f"at-{fail_at}"
+        shutil.copytree(tmp_path / "old", root / "snap")
+        with pytest.MonkeyPatch.context() as patch:
+            shim = Shim(patch, fail_at=fail_at, crash=crash, points=points)
+            with pytest.raises(Fault):
+                scenario.save(root / "snap")
+            assert shim.calls > fail_at
+        got = scenario.state(root / "snap")
+        assert got in (old, new), f"failure at call {fail_at} ({counted.names[fail_at]})"
+        outcomes.add("new" if got == new else "old")
+        scenario.save(root / "snap")
+        assert scenario.state(root / "snap") == new
+        assert _leftovers(root) == []
+    return outcomes
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["fault", "crash"])
+@pytest.mark.parametrize("writer", list(SCENARIOS))
+def test_a_write_into_the_stage_failing_leaves_the_old_state(writer, crash, tmp_path):
+    scenario, old, new, _ = _old_and_new(SCENARIOS[writer], tmp_path)
+    writes = {name for _, name in WRITES}
+    assert _fail_each_call(scenario, old, new, tmp_path, crash, writes.__contains__) == {"old"}
+
+
+def _window(users, round_no: int) -> Trace:
+    events = [
+        WorkloadEvent(
+            time_s=float(round_no),
+            user_id=user,
+            query=f"{user} asks question {round_no} about topic {7 * round_no + i}",
+        )
+        for i, user in enumerate(users)
+    ]
+    return Trace(events=events, n_users=len(users))
+
+
+def _fleet_scenario(users, factory, loader, signature) -> Scenario:
+    """A two-shard server whose ``users`` each hold a cache from
+    ``factory``: ``save`` is a checkpoint, ``state`` what a restore into a
+    new server gives each user, ``mutate`` one more window of traffic."""
+
+    def new_server():
+        return CacheServer(
+            factory, SimulatedLLMService(LLMServiceConfig(seed=0)), ServerConfig(n_shards=2)
+        )
+
+    live = new_server()
+    rounds = iter(range(100))
+    live.replay(_window(users, next(rounds)))
+
+    def state(path):
+        restored = new_server()
+        restored.restore(path, loader)
+        return sorted((user, signature(a.cache)) for user, a in restored.adapters.items())
+
+    return Scenario(live.checkpoint, state, lambda: live.replay(_window(users, next(rounds))))
+
+
+def _tiered_fleet() -> Scenario:
+    """One user: a tiered cache's save is three publishes, each failed at
+    every call (the users' map is the MeanCache fleet's to cover)."""
+    encoder = make_tiny_encoder()
+    return _fleet_scenario(
+        ["alice"],
+        lambda user: TieredCache(
+            encoder,
+            MeanCacheConfig(max_entries=1, similarity_threshold=0.99),
+            l2=QuantizedTier(params={"min_train_size": 10_000}),
+        ),
+        lambda path: TieredCache.load(path, encoder),
+        lambda cache: ([e.query for e in cache.l1.entries], _tier_state(cache.l2)),
+    )
+
+
+def _meancache_fleet() -> Scenario:
+    encoder = make_tiny_encoder()
+    return _fleet_scenario(
+        ["alice", "bob"],
+        lambda user: MeanCache(encoder, MeanCacheConfig(similarity_threshold=0.99)),
+        lambda path: MeanCache.load(path, encoder),
+        lambda cache: [(e.entry_id, e.query, e.response) for e in cache.entries],
+    )
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["fault", "crash"])
+@pytest.mark.parametrize(
+    "users", [_tiered_fleet, _meancache_fleet], ids=["TieredCache", "MeanCache"]
+)
+def test_a_checkpoint_failing_at_any_call_leaves_the_old_or_the_new_checkpoint(
+    users, crash, tmp_path
+):
+    scenario, old, new, _ = _old_and_new(users, tmp_path)
+    outcomes = _fail_each_call(scenario, old, new, tmp_path, crash, lambda name: True)
+    assert outcomes == {"old", "new"}

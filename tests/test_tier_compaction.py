@@ -1,27 +1,25 @@
-"""What a shared-tier compaction writes, and what it renders to write it.
+"""What a shared-tier compaction writes, and that a load gets the live tier back.
 
-A :class:`~repro.core.tiered.QuantizedTier` folds its delta log every
-``compact_every`` records.  A *minor* fold replaces the log with one record
-of the changes since the tier's last full snapshot; a *major* fold — once
-that record would pass half the full snapshot's bytes, or with no full
-snapshot to fold onto — writes a new full snapshot, keeping each live
-entry's rendered ``entries.json`` block from the save that first wrote it.
-So:
+A :class:`~repro.core.tiered.QuantizedTier` keeps one change set — what it
+changed since its last full snapshot in ``snapshot_dir`` — and folds its
+delta log every ``compact_every`` records.  A *minor* fold replaces the log
+with one record of the change set; a *major* fold — once that record would
+pass half the full snapshot's bytes, or with no change set to fold — writes
+a new full snapshot, its ``entries.json`` rendered whole.  So:
 
-* after every fold the snapshot directory loads to the live tier, and a
-  major fold's bytes are the reference encoding's — ``entries.json`` is
-  ``json.dumps(records, indent=1)`` of the live entries — whatever ran
-  before it (a generated operation sequence, GIPS-style: insert with and
-  without context, pop, FIFO eviction, clear, seal, flush, folds, saves
-  elsewhere, load-and-continue);
-* the block memo is a FIFO prefix of the live entries, each block the
-  reference rendering of its record, and all of them once a full snapshot
-  ran; the context-chain memo is the contextual entries in FIFO order; the
-  router's per-row cells agree with its inverted lists;
-* a minor fold renders no block, writes one file — its record — and
-  fsyncs it and the directory once; a major fold renders the entries added
-  since the last full snapshot, not the tier (the first full snapshot after
-  a load only what the delta log added), and fsyncs each file once;
+* after every flush and every fold the snapshot directory loads to the live
+  tier (its next id included), and a major fold's bytes are the reference
+  encoding's — ``entries.json`` is ``json.dumps(records, indent=1)`` of the
+  live entries — whatever ran before it (a generated operation sequence,
+  GIPS-style: insert with and without context, pop, FIFO eviction, clear,
+  seal, flush, folds, saves elsewhere, load-and-continue, mutations while
+  detached, a fresh tier taking the directory over); the shrunk sequences
+  that broke this before the change set was the tier's one tracker are
+  kept as named tests;
+* the router's per-row cells agree with its inverted lists;
+* a minor fold renders no ``entries.json`` record, writes one file — its
+  record — and fsyncs it and the directory once; a major fold fsyncs each
+  file once;
 * a reload after any number of minor folds, and after the switch to a
   major one, is the live tier, match scores included.
 
@@ -50,7 +48,7 @@ from conftest import make_tiny_encoder
 from repro.core.cache import MeanCacheConfig
 from repro.core.context import ContextChain
 from repro.core.tiered import QuantizedTier, TieredCache, _tier_entry_record
-from repro.index import delta_log_size, make_index, snapshot
+from repro.index import delta_log_size, make_index, read_deltas, snapshot
 
 pytestmark = pytest.mark.concurrency
 
@@ -84,12 +82,6 @@ def _reference_entries_json(tier) -> str:
     return json.dumps(records, indent=1) + "\n"
 
 
-def _reference_block(entry) -> str:
-    """``entry``'s record as ``json.dumps(records, indent=1)`` prints it in the list."""
-    text = json.dumps([_tier_entry_record(entry, with_ctx_embedding=False)], indent=1)
-    return text[len("[\n ") : -len("\n]")]
-
-
 def _members(router):
     """Every routed id and its cell, in list order (cell 0's ids first)."""
     views = [lst.view() for lst in router.lists]
@@ -101,25 +93,29 @@ def _members(router):
 # --------------------------------------------------------------------------- #
 # Generated operation sequences
 # --------------------------------------------------------------------------- #
+def _folding_tier(snap: Path) -> QuantizedTier:
+    """A routed tier, FIFO-bounded, folding every two log records."""
+    return QuantizedTier(
+        dim=DIM,
+        backend="ivf+sq8",
+        params={"min_train_size": 6, "nlist": 2, "seed": 0},
+        max_entries=12,
+        snapshot_dir=snap,
+        compact_every=2,
+    )
+
+
 class TierFolds(RuleBasedStateMachine):
-    """One routed tier (FIFO-bounded, folding every two log records) driven
-    through arbitrary interleavings; the live tier is the oracle for what a
-    load returns, the ``indent=1`` encoder for what a save writes."""
+    """One routed tier (:func:`_folding_tier`) driven through arbitrary
+    interleavings; the live tier is the oracle for what a load returns, the
+    ``indent=1`` encoder for what a save writes."""
 
     def __init__(self) -> None:
         super().__init__()
         self.root = Path(tempfile.mkdtemp(prefix="tier-folds-"))
         self.steps = 0
-        self.attach(
-            QuantizedTier(
-                dim=DIM,
-                backend="ivf+sq8",
-                params={"min_train_size": 6, "nlist": 2, "seed": 0},
-                max_entries=12,
-                snapshot_dir=self.root / "snap",
-                compact_every=2,
-            )
-        )
+        self.flushed = False
+        self.attach(_folding_tier(self.root / "snap"))
 
     def attach(self, tier: QuantizedTier) -> None:
         """Drive ``tier`` from now on, noting where it saves."""
@@ -159,10 +155,12 @@ class TierFolds(RuleBasedStateMachine):
     @rule()
     def flush(self):
         self.tier.flush()
+        self.flushed = True
 
     @rule()
     def maintenance(self):
         self.tier.maintenance()
+        self.flushed = True
 
     @rule()
     def save_to_its_own_directory(self):
@@ -183,24 +181,28 @@ class TierFolds(RuleBasedStateMachine):
         assert _image(loaded) == _image(self.tier)
         self.attach(loaded)
 
-    @invariant()
-    def block_memo_is_a_fifo_prefix_of_reference_blocks(self):
-        tier = self.tier
-        kept = list(tier._blocks)
-        assert kept == list(tier._entries)[: len(kept)]
-        for entry_id, block in tier._blocks.items():
-            assert block == _reference_block(tier.entry(entry_id))
+    @rule(seeds=st.lists(st.integers(0, 2**16), max_size=2), pop=st.booleans())
+    def mutate_while_detached(self, seeds, pop):
+        self.tier.snapshot_dir = None
+        for seed in seeds:
+            self.insert(seed, False)
+        if pop and len(self.tier):
+            self.tier.pop(self.tier.entries[0].entry_id)
+        self.tier.snapshot_dir = self.root / "snap"
+
+    @rule(seeds=st.lists(st.integers(0, 2**16), max_size=2))
+    def fresh_tier_takes_the_directory(self, seeds):
+        self.attach(_folding_tier(self.root / "snap"))
+        for seed in seeds:
+            self.insert(seed, False)
 
     @invariant()
-    def ctx_memo_is_the_contextual_entries_in_fifo_order(self):
-        expected = [
-            (e.entry_id, e.context.embedding)
-            for e in self.tier.entries
-            if e.context.embedding is not None
-        ]
-        assert list(self.tier._ctx) == [entry_id for entry_id, _ in expected]
-        for entry_id, embedding in expected:
-            assert self.tier._ctx[entry_id] is embedding
+    def a_flush_loads_to_the_live_tier(self):
+        flushed, self.flushed = self.flushed, False
+        if flushed:
+            loaded = QuantizedTier.load(self.root / "snap")
+            assert _state(loaded) == _state(self.tier)
+            assert loaded._next_id == self.tier._next_id
 
     @invariant()
     def router_cells_agree_with_the_lists(self):
@@ -231,7 +233,6 @@ class TierFolds(RuleBasedStateMachine):
         if records == 0:  # a full snapshot: the reference encoding
             written = (path / "entries.json").read_text(encoding="utf-8")
             assert written == _reference_entries_json(self.tier)
-            assert set(self.tier._blocks) == set(self.tier._entries)
         else:  # a minor fold: one record of the changes since the full one
             assert records == 1 and path == self.root / "snap"
         assert _state(QuantizedTier.load(path)) == _state(self.tier)
@@ -244,6 +245,54 @@ TestTierFolds = TierFolds.TestCase
 TestTierFolds.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None, derandomize=True
 )
+
+
+# The shrunk sequences :class:`TierFolds` found while a seal's record came
+# from buffers of its own rather than from the tier's change set.
+
+
+def test_a_fresh_tier_over_another_tiers_snapshot_loads_as_itself_after_its_first_flush(
+    tmp_path,
+):
+    """The fresh tier's ids start over, so appending them to the log of a
+    snapshot that holds the same ids left a directory no load accepted."""
+    snap = tmp_path / "snap"
+    first = _folding_tier(snap)
+    first.insert("the first tier's", "r", _unit(0))
+    first.flush()
+    fresh = _folding_tier(snap)
+    fresh.insert("the fresh tier's", "r", _unit(1))
+    fresh.flush()
+    loaded = QuantizedTier.load(snap)
+    assert _state(loaded) == _state(fresh)
+    assert loaded._next_id == fresh._next_id == 1
+
+
+def test_an_insert_made_while_detached_is_in_the_load_after_the_next_flush(tmp_path):
+    """The flush after re-attaching acknowledged the insert without writing it."""
+    snap = tmp_path / "snap"
+    tier = _folding_tier(snap)
+    tier.flush()
+    tier.snapshot_dir = None
+    tier.insert("while detached", "r", _unit(0))
+    tier.snapshot_dir = snap
+    tier.flush()
+    assert _state(QuantizedTier.load(snap)) == _state(tier)
+
+
+def test_a_reload_does_not_reissue_an_id_a_cancelled_add_held(tmp_path):
+    """An add popped within its seal window leaves no row in the log, but
+    its id was issued: the record carries the tier's next id."""
+    snap = tmp_path / "snap"
+    tier = _folding_tier(snap)
+    tier.insert("kept", "r", _unit(0))
+    tier.flush()
+    tier.pop(tier.insert("cancelled", "r", _unit(1)))
+    tier.flush()
+    assert read_deltas(snap)[-1].meta == {"entries": [], "next_id": 2}
+    loaded = QuantizedTier.load(snap)
+    assert loaded._next_id == tier._next_id == 2
+    assert _state(loaded) == _state(tier)
 
 
 # --------------------------------------------------------------------------- #
@@ -266,40 +315,35 @@ def _contextual(i: int):
     return ContextChain(texts=(f"turn {i}",), embedding=_unit(1000 + i)) if i % 3 == 0 else None
 
 
-def test_a_fold_renders_only_the_entries_added_since_the_last(tmp_path, monkeypatch):
-    """Minor folds render no ``entries.json`` block; the major fold the
-    record grows into renders the entries added since the last full
-    snapshot, and no other."""
+def test_a_major_fold_writes_the_reference_entries_json(tmp_path):
+    """Minor folds first, then the switch to a major one once the record
+    grows past half the full snapshot: each major fold's ``entries.json``
+    is ``json.dumps(records, indent=1)`` of the live entries, and after
+    every fold the directory loads to the live tier."""
     snap = tmp_path / "snap"
-    rendered = _count_renders(monkeypatch)
     tier = QuantizedTier(dim=DIM, params=UNTRAINED, snapshot_dir=snap, compact_every=1)
-    old = [tier.insert(f"old {i}", "r", _unit(i)) for i in range(40)]
-    tier.maintenance()  # the baseline renders every entry once
-    assert sorted(rendered) == old
-    rendered.clear()
-    since_full, majors = [], []
+    old = [tier.insert(f"old {i}", "r", _unit(i), _contextual(i)) for i in range(40)]
+    tier.maintenance()  # the baseline
+    majors = []
     for fold in range(12):
-        since_full += [tier.insert(f"new {fold} {i}", "r", _unit(100 + i)) for i in range(3)]
+        for i in range(3):
+            tier.insert(f"new {fold} {i}", "r", _unit(100 + i), _contextual(i))
         tier.pop(old[fold])
         tier.maintenance()  # one log record is due: a fold
         if delta_log_size(snap)[0] == 0:
             majors.append(fold)
-            assert sorted(rendered) == since_full
-            assert set(tier._blocks) == {e.entry_id for e in tier.entries}
-            since_full = []
-            rendered.clear()
-        else:
-            assert rendered == []
-        assert QuantizedTier.load(snap).entries == tier.entries
+            written = (snap / "entries.json").read_text(encoding="utf-8")
+            assert written == _reference_entries_json(tier)
+        assert _state(QuantizedTier.load(snap)) == _state(tier)
     assert majors and majors[0] > 0  # minor folds first, then the switch
 
 
-def test_the_first_fold_after_a_load_renders_only_what_the_deltas_added(
-    tmp_path, monkeypatch
+def test_the_first_fold_after_a_load_is_minor_and_a_full_snapshot_is_the_reference(
+    tmp_path,
 ):
     """A loaded tier folds onto the snapshot it loaded: its first fold is
-    minor and renders nothing, and its first full snapshot renders only
-    the entries the delta log added."""
+    minor (one record of what the delta log added and removed), and a full
+    snapshot of it is the reference encoding."""
     snap = tmp_path / "snap"
     tier = QuantizedTier(
         dim=DIM,
@@ -320,34 +364,30 @@ def test_the_first_fold_after_a_load_renders_only_what_the_deltas_added(
 
     loaded = QuantizedTier.load(snap)
     assert _image(loaded) == _image(tier)
-    kept = list(loaded._blocks)
-    rendered = _count_renders(monkeypatch)
     loaded.save(snap)
-    assert rendered == [] and delta_log_size(snap) == (1, len(added) - 1)
+    assert delta_log_size(snap) == (1, len(added) - 1)
     assert _state(QuantizedTier.load(snap)) == _state(tier)
     loaded.save(tmp_path / "full")
-    assert rendered == added[1:]
-    assert kept == [i for i in old if i != old[2]]
     assert (tmp_path / "full" / "entries.json").read_text(
         encoding="utf-8"
     ) == _reference_entries_json(tier)
+    assert _state(QuantizedTier.load(tmp_path / "full")) == _state(tier)
 
 
-def test_an_entries_file_that_does_not_rejoin_is_rendered_again(tmp_path, monkeypatch):
+def test_an_entries_file_indented_otherwise_loads_and_saves_as_the_reference(tmp_path):
     snap = tmp_path / "snap"
     tier = QuantizedTier(dim=DIM, params=UNTRAINED, snapshot_dir=snap)
-    ids = [tier.insert(f"q{i}", f"r {i}", _unit(i), _contextual(i)) for i in range(7)]
+    for i in range(7):
+        tier.insert(f"q{i}", f"r {i}", _unit(i), _contextual(i))
     tier.save(snap)
     reference = (snap / "entries.json").read_text(encoding="utf-8")
+    assert reference == _reference_entries_json(tier)
     records = json.loads(reference)
     (snap / "entries.json").write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
 
     loaded = QuantizedTier.load(snap)
-    assert _image(loaded) == _image(tier)
-    assert loaded._blocks == {}
-    rendered = _count_renders(monkeypatch)
+    assert _state(loaded) == _state(tier)
     loaded.save(tmp_path / "full")  # a full snapshot
-    assert rendered == ids
     assert (tmp_path / "full" / "entries.json").read_text(encoding="utf-8") == reference
 
 

@@ -22,7 +22,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import make_tiny_encoder
+from conftest import make_tiny_encoder, seal_adds_no_record
 
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.core.tiered import QuantizedTier, TieredCache
@@ -116,7 +116,7 @@ def test_server_flush_maintains_a_shared_tier_once(tmp_path):
     assert [calls.n for calls in l1_upkeep] == [1] * len(USERS)
     # One record per shard slice: the slice's first cache seals for all.
     assert delta_log_size(tier.snapshot_dir)[0] == len(shards) <= len(USERS)
-    assert not tier._pending_ids and not tier._pending_removed
+    assert seal_adds_no_record(tier)
 
 
 def test_server_flush_compacts_at_most_once(tmp_path):

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_tiny_encoder
+from conftest import make_tiny_encoder, seal_adds_no_record
 
 from repro.core.cache import CacheStats, MeanCache, MeanCacheConfig
 from repro.core.context import ContextChain
@@ -659,12 +659,12 @@ def test_tier_counts_its_delta_log_in_memory(ops, preexisting, tmp_path_factory)
             tier.maintenance()
         elif op == "save":
             tier.save(snap)
-            assert not tier._sealed and not tier._pending_ids
+            assert not tier._sealed and seal_adds_no_record(tier)
         elif op == "save_elsewhere":
-            owed = (list(tier._pending_ids), [(r.seq, r.ids) for r in tier._sealed])
+            owed = [(r.seq, r.ids) for r in tier._sealed]
             tier.save(tmp_path / "elsewhere")
-            # still owed to snapshot_dir
-            assert (tier._pending_ids, [(r.seq, r.ids) for r in tier._sealed]) == owed
+            # still owed to snapshot_dir (the final load checks the rest)
+            assert [(r.seq, r.ids) for r in tier._sealed] == owed
         elif op == "load" and (snap / "manifest.json").is_file():
             tier.flush()
             tier = QuantizedTier.load(snap)
@@ -673,7 +673,10 @@ def test_tier_counts_its_delta_log_in_memory(ops, preexisting, tmp_path_factory)
     assert _tier_state(QuantizedTier.load(snap)) == _tier_state(tier)
 
 
-def test_tier_constructed_over_an_existing_snapshot_counts_its_log(tmp_path):
+def test_tier_constructed_over_an_existing_snapshot_counts_no_log_of_it(tmp_path):
+    """A tier keeps no change set for a directory it did not write or load:
+    it counts no log there, and its first flush publishes a full snapshot
+    of itself over what another tier left."""
     from repro.index import delta_log_size
 
     snap = tmp_path / "snap"
@@ -683,13 +686,20 @@ def test_tier_constructed_over_an_existing_snapshot_counts_its_log(tmp_path):
         first.insert(f"earlier {i}", "r", rng.normal(size=DIM))
         first.flush()
     tier = QuantizedTier(dim=DIM, params=UNTRAINED, snapshot_dir=snap)
-    assert tier._log_length() == delta_log_size(snap)[0] == 2
-    # Pointed at another directory, the tier counts that one afresh.
+    assert tier._log_length() is None and delta_log_size(snap)[0] == 2
+    tier.insert("the new tier's own", "r", rng.normal(size=DIM))
+    tier.flush()
+    _assert_count_matches_disk(tier)
+    assert tier._log_length() == 0
+    assert _tier_state(QuantizedTier.load(snap)) == _tier_state(tier)
+    # Pointed at another directory, the tier has no change set there either.
     tier.snapshot_dir = tmp_path / "moved"
+    assert tier._log_length() is None
     tier.insert("after the move", "r", rng.normal(size=DIM))
     tier.flush()  # no baseline there yet: this writes it
     _assert_count_matches_disk(tier)
-    assert tier._log_length() == 0 and delta_log_size(snap)[0] == 2
+    assert tier._log_length() == 0 and delta_log_size(snap)[0] == 0
+    assert _tier_state(QuantizedTier.load(tmp_path / "moved")) == _tier_state(tier)
 
 
 def test_steady_state_upkeep_never_rereads_the_log(tmp_path, monkeypatch):
@@ -797,9 +807,10 @@ def test_tiered_cache_checkpointed_in_place_keeps_a_loadable_log(reloaded, tmp_p
     assert delta_log_size(snap / "l2")[0] == 1
     for q in queries[8:10]:
         cache.insert(q, f"response to {q}")
-    assert cache.l2._pending_ids  # demotions pending across the checkpoint
+    # demotions pending across the checkpoint
+    assert _tier_state(QuantizedTier.load(snap / "l2")) != _tier_state(cache.l2)
     cache.save(snap)
-    assert not cache.l2._pending_ids
+    assert seal_adds_no_record(cache.l2)
     _assert_count_matches_disk(cache.l2)
     for q in queries[10:]:
         cache.insert(q, f"response to {q}")
@@ -814,10 +825,9 @@ def test_tiered_cache_checkpointed_in_place_keeps_a_loadable_log(reloaded, tmp_p
 
     # a checkpoint saved elsewhere leaves the pending demotions owed
     cache.insert("one more to demote", "r")
-    pending = list(cache.l2._pending_ids)
-    assert pending
+    assert _tier_state(QuantizedTier.load(snap / "l2")) != _tier_state(cache.l2)
     cache.save(tmp_path / "elsewhere")
-    assert cache.l2._pending_ids == pending
+    assert _tier_state(QuantizedTier.load(snap / "l2")) != _tier_state(cache.l2)
     cache.maintenance()
     assert _tier_state(QuantizedTier.load(snap / "l2")) == _tier_state(cache.l2)
 
