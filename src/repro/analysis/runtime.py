@@ -13,7 +13,8 @@ once per lock-construction site, and untracked paths keep plain
   can deadlock, and raises :class:`LockCycleError` immediately instead of
   hanging a test;
 * **ownership** — mutating methods of an instrumented index
-  (``add``/``add_batch``/``remove``/``clear``/``rebuild``/``search``) raise
+  (``add``/``add_batch``/``remove``/``clear``/``rebuild``/``search``/
+  ``maintenance``) raise
   :class:`LockOwnershipError` when invoked while the owning tracked lock is
   not held by the calling thread.
 
@@ -45,7 +46,8 @@ ENV_FLAG = "REPRO_DEBUG_CONCURRENCY"
 
 #: Index methods that mutate backend state (or, like ``search``, read state
 #: that a concurrent mutation would corrupt) and therefore require the
-#: owning lock.
+#: owning lock.  ``maintenance`` rewrites rows, ids and lists (a routing
+#: refit, the quantized layout compaction).
 GUARDED_INDEX_METHODS: Tuple[str, ...] = (
     "add",
     "add_batch",
@@ -53,6 +55,7 @@ GUARDED_INDEX_METHODS: Tuple[str, ...] = (
     "clear",
     "rebuild",
     "search",
+    "maintenance",
 )
 
 

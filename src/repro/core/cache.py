@@ -571,13 +571,18 @@ class MeanCache:
         texts = [e.query for e in live]
         embs = self.encoder.encode(texts, compress=self.config.compressed)
         embs = np.atleast_2d(np.asarray(embs, dtype=np.float64))
-        self._index.rebuild(embs, ids=[e.entry_id for e in live])
+        # Everything is embedded before anything changes: an index that
+        # refuses the rows (a NaN from the encoder) leaves the cache as it was.
         native = native_float_dtype(self._index)
-        for entry in live:
-            if not entry.context.is_empty:
-                entry.context = self._embed_context(list(entry.context.texts)).stored_at(
-                    native
-                )
+        chains = [
+            entry.context
+            if entry.context.is_empty
+            else self._embed_context(list(entry.context.texts)).stored_at(native)
+            for entry in live
+        ]
+        self._index.rebuild(embs, ids=[e.entry_id for e in live])
+        for entry, chain in zip(live, chains):
+            entry.context = chain
 
     def maintenance(self) -> None:
         """Off-query-path upkeep: delegate to the index's maintenance hook.

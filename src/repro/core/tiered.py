@@ -168,7 +168,7 @@ class _Changes:
     directory: Path
     #: bytes of that full snapshot, its delta log left out
     nbytes: int
-    #: the index's :attr:`~repro.index.quantized.QuantizedIndex.trainings`
+    #: the index's :attr:`~repro.index.base.VectorIndex.trainings`
     #: as of that snapshot: rows replayed onto it are encoded and routed as
     #: the live ones only while no fit ran since
     trainings: int
@@ -617,7 +617,7 @@ class QuantizedTier:
             changes is None
             or changes.directory != self.snapshot_dir
             or not self._is_own(path)
-            or getattr(self._index, "trainings", 0) != changes.trainings
+            or self._index.trainings != changes.trainings
         ):
             return False
         record = changes.record(self._next_id, self.stats)
@@ -646,7 +646,7 @@ class QuantizedTier:
             self._changes = _Changes(
                 self.snapshot_dir,
                 snapshot_nbytes(path),
-                getattr(self._index, "trainings", 0),
+                self._index.trainings,
                 self._next_id,
             )
 
@@ -777,7 +777,7 @@ class QuantizedTier:
         changes = _Changes(
             path,
             snapshot_nbytes(path),
-            getattr(index, "trainings", 0),
+            index.trainings,
             tier._next_id,
             log_records=None,
         )

@@ -24,7 +24,6 @@ True
 
 from repro.index.base import IndexHit, VectorIndex
 from repro.index.flat import FlatIndex
-from repro.index.ivf import IVFIndex
 from repro.index.quantized import QuantizedIndex
 from repro.index.registry import available_backends, make_index
 from repro.index.snapshot import (
@@ -40,7 +39,6 @@ from repro.index.snapshot import (
 
 __all__ = [
     "FlatIndex",
-    "IVFIndex",
     "IndexHit",
     "QuantizedIndex",
     "SnapshotError",

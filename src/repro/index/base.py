@@ -108,6 +108,9 @@ class VectorIndex(abc.ABC):
     #: property, so storage accounting reads them without probing.
     codec_nbytes: int = 0
     routing_nbytes: int = 0
+    #: Fits of the codec or routing so far, never reset (0 for an index that
+    #: never trains): rows replayed onto an older snapshot may differ.
+    trainings: int = 0
 
     @property
     def storage_nbytes(self) -> int:

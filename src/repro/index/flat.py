@@ -18,6 +18,11 @@ Scores are exact cosine similarities (this is still an exhaustive search; the
 index changes the constants, not the asymptotics of one matmul).  Storage is
 ``float32`` by default, which halves memory and roughly doubles matmul
 throughput at a ~1e-6 score tolerance versus float64 (see ``docs/api.md``).
+
+With ``routed=True`` (registered as ``"ivf"``) the rows are partitioned into
+spherical k-means cells once ``min_train_size`` are stored, and a query scans
+only its ``nprobe`` nearest cells: sublinear, approximate search (see
+:class:`~repro.index.routing.RoutedIndex`).
 """
 
 from __future__ import annotations
@@ -29,11 +34,13 @@ import numpy as np
 
 from repro.embeddings.similarity import chunked_topk
 from repro.index.base import IndexHit
-from repro.index.store import _MIN_CAPACITY, RowStore
+from repro.index.postings import topk_hits
+from repro.index.routing import RoutedIndex, ScoreRows
+from repro.index.store import _MIN_CAPACITY
 
 
-class FlatIndex(RowStore):
-    """Exact incremental cosine index (contiguous, pre-normalized storage).
+class FlatIndex(RoutedIndex):
+    """Incremental cosine index over contiguous, pre-normalized float rows.
 
     Parameters
     ----------
@@ -47,6 +54,13 @@ class FlatIndex(RowStore):
         Rows pre-allocated before the first doubling.
     chunk_size:
         Corpus rows per matmul block during search (bounds peak memory).
+    routed:
+        Route searches through IVF cells (the ``"ivf"`` backend); False
+        (``"flat"``) builds no router and ignores the knobs below.
+    nlist, nprobe, kmeans_iters, repartition_growth, auto_repartition:
+        Routing knobs, see :class:`repro.index.routing.Router`.
+    min_train_size, train_sample, seed:
+        Training knobs, see :class:`repro.index.routing.RoutedIndex`.
     """
 
     def __init__(
@@ -55,11 +69,33 @@ class FlatIndex(RowStore):
         dtype: np.dtype = np.float32,
         initial_capacity: int = _MIN_CAPACITY,
         chunk_size: int = 65536,
+        routed: bool = False,
+        nlist: Optional[int] = None,
+        nprobe: int = 8,
+        min_train_size: int = 256,
+        train_sample: int = 32768,
+        kmeans_iters: int = 8,
+        repartition_growth: float = 2.0,
+        seed: int = 0,
+        auto_repartition: bool = True,
     ) -> None:
         self._dtype = np.dtype(dtype)
         super().__init__(dim, initial_capacity, chunk_size, norm_dtype=self._dtype)
         if self._dtype.kind != "f":
             raise ValueError("dtype must be a floating-point type")
+        if routed:
+            self._init_routing(
+                self._dtype,
+                True,
+                min_train_size,
+                train_sample,
+                seed,
+                nlist=nlist,
+                nprobe=nprobe,
+                kmeans_iters=kmeans_iters,
+                repartition_growth=repartition_growth,
+                auto_repartition=auto_repartition,
+            )
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -134,27 +170,44 @@ class FlatIndex(RowStore):
     # ------------------------------------------------------------------ #
     # Snapshot protocol (see repro.index.snapshot)
     # ------------------------------------------------------------------ #
-    snapshot_backend = "flat"
+    @property
+    def snapshot_backend(self) -> str:
+        """The registry name of this composition: ``flat``, ``ivf`` when routed."""
+        return "ivf" if self._routed else "flat"
 
     def _snapshot_params(self) -> Dict[str, object]:
-        return {
+        params: Dict[str, object] = {
             "dim": self._constructor_dim,
             "dtype": self._dtype.name,
             "initial_capacity": self._initial_capacity,
             "chunk_size": self._chunk_size,
         }
+        if self._router is not None:
+            params.update(self._router.snapshot_params())
+            params["min_train_size"] = self._min_train_size
+            params["train_sample"] = self._train_sample
+            params["seed"] = self._seed
+        return params
 
     def _snapshot_state(self) -> Dict[str, object]:
-        return {"dim": self._dim, "next_id": self._next_id}
+        state: Dict[str, object] = {"dim": self._dim, "next_id": self._next_id}
+        if self._router is not None:
+            state.update(self._router.snapshot_state(), rng_state=self._rng.bit_generator.state)
+        return state
 
     def _snapshot_arrays(self) -> Dict[str, np.ndarray]:
-        return self._snapshot_rows("matrix")
+        arrays = self._snapshot_rows("matrix")
+        if self._router is not None:
+            arrays.update(self._router.snapshot_arrays(""))
+        return arrays
 
     def _restore(
         self, state: Mapping[str, object], arrays: Mapping[str, np.ndarray]
     ) -> None:
         self.clear(reset_ids=True)
         self._restore_rows(state, arrays["matrix"], arrays["norms"], arrays["ids"])
+        if self._router is not None:
+            self._restore_routing(state, arrays, "")
 
     # ------------------------------------------------------------------ #
     # Search
@@ -175,7 +228,8 @@ class FlatIndex(RowStore):
         per-call normalization happens.  ``prenormalized=True`` additionally
         skips the query-side normalization (the caller asserts the rows are
         already unit-norm; an already-contiguous storage-dtype matrix is then
-        used without a single copy).
+        used without a single copy).  Once the routing is trained, only the
+        ``nprobe`` nearest cells' rows are scored (:meth:`_search_routed`).
         """
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
@@ -185,6 +239,8 @@ class FlatIndex(RowStore):
         if self._size == 0:
             return [[] for _ in range(Q.shape[0])]
         queries_n = self._prepare_queries(Q, prenormalized)
+        if self._router is not None and self._router.is_trained:
+            return self._search_routed(queries_n, top_k, score_threshold)
         floor = -math.inf if score_threshold is None else score_threshold
         if Q.shape[0] == 1 and self._size <= self._chunk_size:
             return [self._search_one(queries_n, top_k, floor)]
@@ -233,3 +289,30 @@ class FlatIndex(RowStore):
             for id, score in zip(self._ids[top[order] - k].tolist(), scores.tolist())
             if math.isfinite(score) and not score < floor
         ]
+
+    def _search_routed(
+        self, queries_n: np.ndarray, top_k: int, score_threshold: Optional[float]
+    ) -> List[List[IndexHit]]:
+        """The router's probe loop with a float gather+gemv row scorer;
+        every intermediate lives in reused scratch buffers."""
+        sc = self._scratch
+        matrix = self._rows
+
+        def scorer(qi: int) -> ScoreRows:
+            qn = queries_n[qi]
+
+            def score_rows(rows: np.ndarray, out: np.ndarray) -> None:
+                rowbuf = sc.get(
+                    "ivf.rowgather", (rows.shape[0], matrix.shape[1]), self._dtype
+                )
+                matrix.take(rows, axis=0, out=rowbuf)
+                np.matmul(rowbuf, qn, out=out)
+
+            return score_rows
+
+        def rank(qi: int, rows: np.ndarray, scores: np.ndarray) -> List[IndexHit]:
+            ids = sc.get("ivf.hit_ids", rows.shape, np.int64)
+            self._ids.take(rows, out=ids)
+            return topk_hits(ids, scores, top_k, score_threshold)
+
+        return self._router.search(queries_n, scorer, rank, self._dtype)

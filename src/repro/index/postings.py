@@ -1,7 +1,7 @@
 """Internal building blocks of the routed scans and the quantized scan.
 
-The IVF router (:mod:`repro.index.routing`, under
-:class:`repro.index.ivf.IVFIndex` and the routed
+The IVF router (:mod:`repro.index.routing`, under the routed
+:class:`repro.index.flat.FlatIndex` and the routed
 :class:`repro.index.quantized.QuantizedIndex`) sends a query to a small
 subset of the stored rows — the inverted lists of its nearest cells — and
 brute-forces only that subset.  Its bookkeeping lives here:

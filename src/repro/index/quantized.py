@@ -9,8 +9,8 @@ the uint8 code rows of a :class:`~repro.index.codecs.ScalarQuantizer`
 :mod:`repro.index.codecs`).
 
 Row storage is the shared :class:`~repro.index.store.RowStore`; the payload
-changes phase once.  The index trains lazily like
-:class:`~repro.index.IVFIndex`: below ``min_train_size`` vectors the payload
+changes phase once.  The index trains lazily like the routed
+:class:`~repro.index.FlatIndex`: below ``min_train_size`` vectors the payload
 is float32 staging rows, searched exactly; the first add reaching the
 threshold trains the codec and swaps the payload for the uint8 code rows of
 the staged vectors.  The codec is trained once and then frozen (the
@@ -23,13 +23,10 @@ the final ``top_k`` from that — tightening the ordering at a per-query cost
 proportional to ``top_k · rescore`` instead of ``n``.
 
 Optional **IVF routing** (``routed=True``, registered as ``"ivf+sq8"``):
-the same spherical-k-means coarse quantizer as
-:class:`~repro.index.IVFIndex` is trained alongside the codec, so a query
-scans only the ``nprobe`` nearest cells' codes — compounding the memory win
-with sublinear lookups.  Routing retrains (from the *dequantized* rows — the
-float originals are gone by design) when size or churn since the last
-training passes ``repartition_growth ×`` the trained size; the codec itself
-stays frozen.
+the routing of :class:`~repro.index.routing.RoutedIndex`, trained beside the
+codec, so a query scans only its ``nprobe`` nearest cells' codes.  A refit
+works from the *dequantized* rows (the float originals are gone by design);
+the codec stays frozen.
 
 Determinism: training-sample selection, k-means init and re-seeding all
 derive from ``seed``, so a given operation sequence reproduces bit-identical
@@ -45,8 +42,8 @@ import numpy as np
 from repro.index.base import IndexHit
 from repro.index.codecs import ScalarQuantizer
 from repro.index.postings import det_topk, topk_hits
-from repro.index.routing import RoutedIndex, Router, training_sample
-from repro.index.store import _MIN_CAPACITY, RowStore
+from repro.index.routing import RoutedIndex, training_sample
+from repro.index.store import _MIN_CAPACITY
 
 # Rows per encode/decode block: bounds the temporary float matrices.
 _ENCODE_BLOCK = 16384
@@ -57,7 +54,7 @@ _ENCODE_BLOCK = 16384
 _SMALL_BATCH_MAX = 4
 
 
-class QuantizedIndex(RoutedIndex, RowStore):
+class QuantizedIndex(RoutedIndex):
     """Cosine index over int8 scalar-quantized code rows.
 
     Registered as ``"sq8"`` and, with ``routed=True``, ``"ivf+sq8"`` (see
@@ -99,32 +96,25 @@ class QuantizedIndex(RoutedIndex, RowStore):
         auto_repartition: bool = True,
     ) -> None:
         super().__init__(dim, initial_capacity, chunk_size, norm_dtype=np.float32)
-        if min_train_size < 2:
-            raise ValueError("min_train_size must be >= 2")
-        if train_sample < 2:
-            raise ValueError("train_sample must be >= 2")
         if rescore < 1:
             raise ValueError("rescore must be >= 1")
         self._codec = ScalarQuantizer()
-        self._min_train_size = int(min_train_size)
-        self._train_sample = int(train_sample)
         self._rescore = int(rescore)
-        self._routed = bool(routed)
-        self._seed = int(seed)
-        self._rng = np.random.default_rng(seed)
         self._layout_clustered = False  # rows grouped cell-major on disk?
-        # Built for unrouted instances too (it stays untrained and empty, and
-        # keeps an empty row map of its own — it never gathers): they share
-        # the nprobe/scan_stats surface.
-        self._router = Router(
-            np.float32,
-            self._scratch,
+        # The router is built for unrouted instances too (it stays untrained
+        # and empty): they share the nprobe/scan_stats surface, and its
+        # trained size records the codec's.
+        self._init_routing(
+            np.dtype(np.float32),
+            routed,
+            min_train_size,
+            train_sample,
+            seed,
             nlist=nlist,
             nprobe=nprobe,
             kmeans_iters=kmeans_iters,
             repartition_growth=repartition_growth,
             auto_repartition=auto_repartition,
-            row_map=self._row_map if self._routed else None,
         )
 
     # ------------------------------------------------------------------ #
@@ -139,11 +129,6 @@ class QuantizedIndex(RoutedIndex, RowStore):
     def is_trained(self) -> bool:
         """Whether the codec exists (False → exact float32 staging scans)."""
         return self._codec.is_trained
-
-    @property
-    def routed(self) -> bool:
-        """Whether IVF coarse routing is enabled for this instance."""
-        return self._routed
 
     @property
     def code_width(self) -> Optional[int]:
@@ -227,20 +212,17 @@ class QuantizedIndex(RoutedIndex, RowStore):
         self._rows = codes  # the float staging rows are dropped here
 
     def _fit_routing(self, rows: np.ndarray, sample: np.ndarray) -> None:
-        """(Re)partition the live rows into the router's cells."""
-        self._router.fit(rows, sample, self._ids[: self._size], self._rng)
+        super()._fit_routing(rows, sample)
         # Storage still reflects arrival order until the next maintenance().
         self._layout_clustered = False
 
-    def _retrain_routing(self) -> None:
-        """Re-partition from the dequantized rows (the floats are gone)."""
+    def _routing_rows(self) -> np.ndarray:
+        """The dequantized rows: a refit sees these, the floats are gone."""
         rows = np.empty((self._size, self._dim), dtype=np.float32)
         for start in range(0, self._size, _ENCODE_BLOCK):
             chunk = self._rows[start : min(start + _ENCODE_BLOCK, self._size)]
             rows[start : start + chunk.shape[0]] = self._codec.decode(chunk)
-        self._fit_routing(
-            rows, training_sample(rows, self._train_sample, self._rng)
-        )
+        return rows
 
     # ------------------------------------------------------------------ #
     # Scan upkeep (cell-major layout)
@@ -283,11 +265,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
         between batching windows); it also groups code storage cell-major so
         probe gathers read contiguous ranges.
         """
-        done: Dict[str, object] = {}
-        if self._router.repartition_due:
-            self._retrain_routing()
-            done["repartitioned"] = True
-            done["trained_size"] = self._router.trained_size
+        done = super().maintenance()
         if self._router.is_trained and self._size and not self._layout_clustered:
             self._compact_layout()
             done["layout_compacted"] = True
@@ -296,26 +274,20 @@ class QuantizedIndex(RoutedIndex, RowStore):
     # ------------------------------------------------------------------ #
     # Mutation hooks (the row store calls these after each change)
     # ------------------------------------------------------------------ #
+    # Only a routed, trained index ever compacts, so an unrouted or staging
+    # one's layout flag is False already and these writes change nothing.
     def _post_add(self, ids: np.ndarray, start_row: int, unit: np.ndarray) -> None:
-        refit_due = self._routed and self._router.note_added(ids, start_row, unit)
-        if not self._codec.is_trained:
-            if self._size >= self._min_train_size:
-                self._train()
-            return
-        if self._routed:
-            self._layout_clustered = False
-            if refit_due:
-                self._retrain_routing()
+        self._layout_clustered = False
+        super()._post_add(ids, start_row, unit)
 
     def _post_remove(self, id: int, row: int, moved_id: Optional[int]) -> None:
-        if self._routed:
-            self._router.note_removed(id, row, self._size)
-            self._layout_clustered = False
+        self._layout_clustered = False
+        super()._post_remove(id, row, moved_id)
 
     def _post_clear(self) -> None:
         self._codec.reset()
-        self._router.clear()
         self._layout_clustered = False
+        super()._post_clear()
 
     # ------------------------------------------------------------------ #
     # Search
@@ -579,14 +551,7 @@ class QuantizedIndex(RoutedIndex, RowStore):
             arrays["ids"],
             adopt_mmap=not self._routed,
         )
-        if self._routed:
-            self._router.restore(
-                state, arrays, np.asarray(arrays["ids"], dtype=np.int64), "rt_"
-            )
-        else:
-            self._router.trained_size = int(state["trained_size"])
+        self._restore_routing(state, arrays, "rt_")
         # Snapshots preserve row order byte-for-byte, so cell-major layout
-        # survives the round trip and the flag can be restored as-is; cell
-        # stats recompute lazily.
+        # survives the round trip and the flag can be restored as-is.
         self._layout_clustered = bool(state.get("layout_clustered", False))
-        self._restore_rng(state)

@@ -8,12 +8,12 @@ a code change:
 
 >>> from repro.index import make_index
 >>> index = make_index("ivf", dim=64, nprobe=16)
->>> type(index).__name__
-'IVFIndex'
+>>> type(index).__name__, index.routed
+('FlatIndex', True)
 
-The backends: ``"flat"`` (exact), ``"ivf"`` (k-means inverted lists),
-``"sq8"`` (int8 scalar-quantized storage) and the routed composition
-``"ivf+sq8"`` (IVF cells over quantized rows).
+The backends are two classes, each unrouted or IVF-routed: ``"flat"`` and
+``"ivf"`` are :class:`~repro.index.flat.FlatIndex` (float rows), ``"sq8"``
+and ``"ivf+sq8"`` :class:`~repro.index.quantized.QuantizedIndex` (int8 codes).
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.index.base import VectorIndex
 from repro.index.flat import FlatIndex
-from repro.index.ivf import IVFIndex
 from repro.index.quantized import QuantizedIndex
 
-#: name -> (factory, whether the factory takes a ``seed``): the exact and
-#: routed float backends, then the quantized index unrouted and routed.
+#: name -> (factory, whether its ``seed`` matters): the float index
+#: unrouted and routed, then the quantized index unrouted and routed.
 _BACKENDS: Dict[str, Tuple[Callable[..., VectorIndex], bool]] = {
     "flat": (FlatIndex, False),
-    "ivf": (IVFIndex, True),
+    "ivf": (functools.partial(FlatIndex, routed=True), True),
     "sq8": (functools.partial(QuantizedIndex, routed=False), True),
     "ivf+sq8": (functools.partial(QuantizedIndex, routed=True), True),
 }
@@ -84,8 +83,8 @@ def seeded_params(
 
     Shared by the benchmark harnesses (``run_backend_sweep`` /
     ``run_fleet_bench``) so their determinism rule cannot drift.  An
-    explicit ``seed`` in ``params`` always wins.  A backend without a seed
-    (``flat``) comes back unchanged.
+    explicit ``seed`` in ``params`` always wins.  A backend whose seed
+    changes nothing (``flat``, which never trains) comes back unchanged.
     """
     merged = dict(params)
     if _BACKENDS[validate_backend(backend)][1]:

@@ -369,7 +369,7 @@ class RowStore(VectorIndex):
         self._post_remove(id, row, moved_id)
 
     def rebuild(self, vectors: np.ndarray, ids: Sequence[int]) -> None:
-        """Replace the whole index contents (e.g. after re-embedding)."""
+        """Replace the whole contents (e.g. after re-embedding); a refused one changes nothing."""
         ids = [int(i) for i in ids]
         V = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         if not ids:
@@ -386,6 +386,9 @@ class RowStore(VectorIndex):
                 f"vector dim {V.shape[1]} does not match index dim "
                 f"{self._constructor_dim}"
             )
+        _row_norms(V)  # add_batch's value check, before the old rows go
+        if len(set(ids)) != len(ids):
+            raise ValueError("ids must be unique")
         self.clear(reset_ids=False)
         self.add_batch(V, ids=ids)
 

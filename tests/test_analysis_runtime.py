@@ -175,6 +175,21 @@ class TestOwnershipGuards:
             assert index.search([[1.0, 0.0]], top_k=1)
 
     @pytest.mark.parametrize("backend", STORE_CLIENTS)
+    def test_guarded_maintenance_requires_lock(self, backend):
+        """``maintenance`` rewrites rows, ids and lists (a routing refit, the
+        quantized layout compaction), so it is guarded like a mutation."""
+        lock = TrackedLock("shard")
+        index = guard_index(
+            make_index(backend, min_train_size=8, auto_repartition=False), lock, "test.index"
+        )
+        with lock:
+            index.add_batch([[float(i), 1.0] for i in range(40)])
+        with pytest.raises(LockOwnershipError, match="maintenance"):
+            index.maintenance()
+        with lock:
+            index.maintenance()
+
+    @pytest.mark.parametrize("backend", STORE_CLIENTS)
     def test_guarded_rebuild_reenters_guarded_add_batch(self, backend):
         """The shared ``rebuild`` body calls ``self.add_batch`` — the
         instance-level guarded wrapper — so it must pass with the lock held

@@ -10,7 +10,7 @@ from repro.baselines import GPTCACHE_CONFIG
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.core.client import ClientStats, MeanCacheClient
 from repro.core.compression import compress_cache
-from repro.index import IVFIndex
+from repro.index import FlatIndex
 from repro.llm.service import SimulatedLLMService
 from repro.serving.server import CacheServer, ServerConfig
 from repro.serving.workload import WorkloadConfig, WorkloadGenerator
@@ -266,11 +266,11 @@ class TestCompression:
         cache.populate([f"question number {i} about subject {i % 11}" for i in range(40)])
         compress_cache(cache, n_components=8)
         assert cache.config.compressed
-        assert isinstance(cache.index, IVFIndex)
+        assert isinstance(cache.index, FlatIndex) and cache.index.routed
         assert (cache.config.index_backend, dict(cache.config.index_params)) == ("ivf", params)
         loaded = MeanCache.load(cache.save(tmp_path / "cache"), tiny_encoder)
         assert loaded.config.compressed
-        assert isinstance(loaded.index, IVFIndex)
+        assert isinstance(loaded.index, FlatIndex) and loaded.index.routed
         assert (loaded.config.index_backend, dict(loaded.config.index_params)) == ("ivf", params)
 
     def test_compression_changes_only_the_compressed_flag(self, tiny_encoder):

@@ -24,10 +24,10 @@ from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.experiments.index_bench import make_ann_workload
 from repro.index import (
     FlatIndex,
-    IVFIndex,
     QuantizedIndex,
     VectorIndex,
     available_backends,
+    load_index,
     make_index,
 )
 from repro.index.registry import seeded_params
@@ -82,7 +82,7 @@ def trained_index(backend: str, rng, dim=16, n=64) -> VectorIndex:
     overrides = {"min_train_size": 32} if registry_name(backend) in TRAINABLE else {}
     index = small_index(backend, dim=dim, **overrides)
     index.add_batch(rng.normal(size=(n, dim)))
-    assert getattr(index, "is_trained", True)
+    assert index.is_trained == (registry_name(backend) in TRAINABLE)
     return index
 
 
@@ -131,11 +131,33 @@ class TestRegistry:
 
     def test_make_index_types(self):
         assert isinstance(make_index("flat"), FlatIndex)
-        assert isinstance(make_index("ivf"), IVFIndex)
         assert isinstance(make_index("sq8"), QuantizedIndex)
+        ivf = make_index("ivf")
+        assert isinstance(ivf, FlatIndex) and ivf.routed
+
+    @pytest.mark.parametrize(
+        "name, cls, routed",
+        [
+            ("flat", FlatIndex, False),
+            ("ivf", FlatIndex, True),
+            ("sq8", QuantizedIndex, False),
+            ("ivf+sq8", QuantizedIndex, True),
+        ],
+    )
+    def test_each_name_is_a_class_and_a_routing_flag(self, name, cls, routed, tmp_path):
+        """A registry name is one of two classes, routed or not, and a
+        snapshot comes back as the same class, flag and name."""
+        index = make_index(name, dim=4)
+        assert type(index) is cls and index.routed is routed
+        assert index.snapshot_backend == name
+        index.add_batch(np.eye(4))
+        loaded = load_index(index.save(tmp_path / "snap"))
+        assert type(loaded) is cls and loaded.routed is routed
+        assert loaded.snapshot_backend == name
 
     def test_case_and_whitespace_insensitive(self):
-        assert isinstance(make_index("  IVF "), IVFIndex)
+        ivf = make_index("  IVF ")
+        assert isinstance(ivf, FlatIndex) and ivf.routed
 
     def test_params_forwarded(self):
         index = make_index("ivf", dim=16, nprobe=3)
@@ -285,12 +307,29 @@ class TestBackendEdgeCases:
         assert 100 not in index and 101 not in index
         assert index.add_batch(block) == [64, 65, 66]
 
+    def test_rejected_rebuild_leaves_the_index_as_it_was(self, backend, rng):
+        """A rebuild refused for a non-finite row or for duplicate ids is
+        refused before the old contents go: nothing is dropped."""
+        index = trained_index(backend, rng)
+        queries = rng.normal(size=(3, 16))
+        before = storage_state(index, queries)
+        block = rng.normal(size=(5, 16))
+        poisoned = block.copy()
+        poisoned[3, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            index.rebuild(poisoned, ids=range(100, 105))
+        with pytest.raises(ValueError, match="unique"):
+            index.rebuild(block, ids=[100, 101, 102, 101, 103])
+        assert storage_state(index, queries) == before
+        assert index.is_trained == (registry_name(backend) in TRAINABLE)
+        assert index.add(rng.normal(size=16)) == 64  # no auto id was burnt
+
     def test_rebuild_to_empty_resets_training(self, backend, rng):
         index = trained_index(backend, rng)
         index.rebuild(np.empty((0, 16)), ids=[])
         assert len(index) == 0 and index.ids == [] and index.nbytes == 0
         assert index.allocated_nbytes == 0
-        assert not getattr(index, "is_trained", False)
+        assert not index.is_trained
         assert index.search(np.ones(16)) == [[]]
         assert index.add(rng.normal(size=16)) == 64  # auto ids stay monotonic
 
@@ -357,7 +396,7 @@ def test_ivf_untrained_matches_flat_exactly(rng=np.random.default_rng(11)):
     V = rng.normal(size=(50, 16))
     Q = rng.normal(size=(10, 16))
     flat = FlatIndex(dim=16)
-    ivf = IVFIndex(dim=16, min_train_size=1_000)  # stays untrained
+    ivf = FlatIndex(dim=16, routed=True, min_train_size=1_000)  # stays untrained
     flat.add_batch(V)
     ivf.add_batch(V)
     assert not ivf.is_trained
@@ -369,7 +408,9 @@ def test_ivf_untrained_matches_flat_exactly(rng=np.random.default_rng(11)):
 
 
 def test_ivf_trains_and_repartitions(rng=np.random.default_rng(12)):
-    ivf = IVFIndex(dim=8, min_train_size=32, nlist=4, nprobe=4, repartition_growth=2.0)
+    ivf = FlatIndex(
+        dim=8, routed=True, min_train_size=32, nlist=4, nprobe=4, repartition_growth=2.0
+    )
     ivf.add_batch(rng.normal(size=(31, 8)))
     assert not ivf.is_trained
     ivf.add(rng.normal(size=8))
@@ -471,7 +512,42 @@ def test_meancache_runs_on_any_backend(backend):
     assert hit.hit and hit.response == "use sorted()"
     miss = cache.lookup("completely unrelated gardening question")
     assert not miss.hit
-    assert type(cache.index).__name__ == {"flat": "FlatIndex", "ivf": "IVFIndex"}[backend]
+    assert type(cache.index) is FlatIndex
+    assert cache.index.routed == (backend == "ivf")
+
+
+@pytest.mark.parametrize("backend", ["flat", "ivf", "sq8", "ivf+sq8"])
+def test_a_refused_re_embed_leaves_the_cache_whole(backend, tmp_path, monkeypatch):
+    """An encoder that returns NaN makes ``rebuild_embeddings`` raise, and the
+    cache keeps every entry, its index rows and its context chains: re-asks
+    still hit and a save loads back."""
+    encoder = make_tiny_encoder()
+    cache = MeanCache(
+        encoder,
+        MeanCacheConfig(
+            similarity_threshold=0.8,
+            index_backend=backend,
+            index_params=SMALL_PARAMS[backend],
+        ),
+    )
+    cache.insert("how do I sort a list in python", "use sorted()")
+    cache.insert("what is the capital of france", "paris", ["geography quiz"])
+    queries = encoder.encode(["how do I sort a list in python", "capital of france"])
+    before = storage_state(cache.index, queries)
+    chains = [entry.context for entry in cache._entries.values()]
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            encoder,
+            "encode",
+            lambda texts, compress=True: np.full((len(texts), encoder.embedding_dim), np.nan),
+        )
+        with pytest.raises(ValueError, match="finite"):
+            cache.rebuild_embeddings()
+    assert storage_state(cache.index, queries) == before
+    assert [entry.context for entry in cache._entries.values()] == chains
+    assert cache.lookup("how do I sort a list in python").hit
+    loaded = MeanCache.load(cache.save(tmp_path / "cache"), encoder)
+    assert sorted(loaded.index.ids) == sorted(cache.index.ids)
 
 
 def test_meancache_rejects_unknown_backend():
@@ -539,7 +615,7 @@ def test_gptcache_runs_on_approximate_backend():
     cache.insert("what's the weather like today", "sunny")
     decision = cache.lookup("what's the weather like today")
     assert decision.hit
-    assert type(cache.index).__name__ == "IVFIndex"
+    assert type(cache.index) is FlatIndex and cache.index.routed
 
 
 def test_gptcache_rejects_unknown_backend():
@@ -548,7 +624,7 @@ def test_gptcache_rejects_unknown_backend():
 
 
 def test_explicit_index_instance_wins_over_config():
-    prebuilt = IVFIndex(dim=None, min_train_size=8, nlist=2, nprobe=2)
+    prebuilt = FlatIndex(dim=None, routed=True, min_train_size=8, nlist=2, nprobe=2)
     cache = MeanCache(
         make_tiny_encoder(),
         MeanCacheConfig(index_backend="flat"),

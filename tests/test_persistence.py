@@ -913,7 +913,8 @@ def test_fleet_checkpoint_in_place_rebases_restored_tier_logs(tmp_path):
         with lock:
             assert seal_adds_no_record(cache.l2)
             cache.insert("enrolled after the checkpoint", "r")
-            cache.maintenance()
+            with cache.l2.lock:  # the tier's own upkeep, as a flush runs it
+                cache.maintenance()
         assert cache.l2._log_length() == delta_log_size(cache.l2.snapshot_dir)[0] == 1
         loaded = QuantizedTier.load(cache.l2.snapshot_dir)
         assert [e.query for e in loaded.entries] == [e.query for e in cache.l2.entries]
