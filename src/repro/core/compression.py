@@ -92,12 +92,19 @@ def compress_cache(
     raw_embeddings = cache.encoder.encode(texts, compress=False)
     pca = PCA(n_components=n_components)
     pca.fit(raw_embeddings)
-    cache.encoder.attach_pca(pca)
 
     # Switch the cache to compressed mode and re-embed its entries
-    # (Figure 3-b: the PCA layer is now part of the deployed model).
+    # (Figure 3-b: the PCA layer is now part of the deployed model).  A
+    # refused re-embed leaves the cache as it was, so the head and the mode
+    # go back with it: never a compressed model over uncompressed rows.
+    previous = cache.encoder.pca, cache.config
+    cache.encoder.attach_pca(pca)
     cache.config = replace(cache.config, compressed=True)
-    cache.rebuild_embeddings()
+    try:
+        cache.rebuild_embeddings()
+    except BaseException:
+        cache.encoder.pca, cache.config = previous
+        raise
 
     return CompressionReport(
         n_entries=len(cache),

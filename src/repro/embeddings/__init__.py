@@ -13,8 +13,8 @@ implementation:
 * :mod:`repro.embeddings.optim` — the Adam optimizer.
 * :mod:`repro.embeddings.zoo` — the "model zoo" mirroring the paper's three
   encoder classes (``mpnet-sim``, ``albert-sim``, ``llama2-sim``).
-* :mod:`repro.embeddings.similarity` — vectorized cosine similarity and
-  top-k semantic search (SBERT ``semantic_search`` replacement).
+* :mod:`repro.embeddings.similarity` — vectorized cosine similarity (top-k
+  search over cached embeddings is :mod:`repro.index`).
 * :mod:`repro.embeddings.pca` — principal component analysis used for
   embedding compression.
 """
@@ -24,7 +24,7 @@ from repro.embeddings.losses import contrastive_loss, multiple_negatives_ranking
 from repro.embeddings.model import SiameseEncoder, EncoderConfig
 from repro.embeddings.optim import Adam
 from repro.embeddings.pca import PCA
-from repro.embeddings.similarity import cosine_similarity, semantic_search
+from repro.embeddings.similarity import cosine_similarity
 from repro.embeddings.tokenizer import Tokenizer, TokenizerConfig
 from repro.embeddings.zoo import load_encoder, ENCODER_SPECS, EncoderSpec
 
@@ -40,7 +40,6 @@ __all__ = [
     "Adam",
     "PCA",
     "cosine_similarity",
-    "semantic_search",
     "load_encoder",
     "ENCODER_SPECS",
     "EncoderSpec",

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.embeddings.model import SiameseEncoder
-from repro.embeddings.similarity import pairwise_cosine, semantic_search
+from repro.embeddings.similarity import cosine_similarity, pairwise_cosine
 from repro.metrics.classification import confusion_matrix
 
 
@@ -187,8 +187,9 @@ def cache_mode_threshold_sweep(
     labels = np.array([bool(p[2]) for p in pairs])
     cache_embs = np.atleast_2d(encoder.encode(cache_texts, compress=compress))
     probe_embs = np.atleast_2d(encoder.encode(probe_texts, compress=compress))
-    hits = semantic_search(probe_embs, cache_embs, top_k=1)
-    best = np.array([h[0].score if h else -1.0 for h in hits])
+    # fmax skips a NaN similarity; a probe with no finite one scores -1.
+    best = np.fmax.reduce(cosine_similarity(probe_embs, cache_embs), axis=1)
+    best[~np.isfinite(best)] = -1.0
     return score_sweep(
         best,
         labels,

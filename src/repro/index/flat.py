@@ -12,7 +12,9 @@ deletes, id addressing and snapshot storage are the shared row store's
   length once at insert time and stored as-is in the storage dtype (the
   original norm is kept so the raw vector can be reconstructed), so a lookup
   is one matmul with no corpus pass;
-* the exhaustive, chunked top-k **search** over those rows.
+* the exhaustive, chunked top-k **search** over those rows
+  (:func:`repro.index.postings.exact_scan`, the ranking rule every backend
+  shares).
 
 Scores are exact cosine similarities (this is still an exhaustive search; the
 index changes the constants, not the asymptotics of one matmul).  Storage is
@@ -27,14 +29,12 @@ only its ``nprobe`` nearest cells: sublinear, approximate search (see
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.embeddings.similarity import chunked_topk
 from repro.index.base import IndexHit
-from repro.index.postings import topk_hits
+from repro.index.postings import exact_scan, topk_hits
 from repro.index.routing import RoutedIndex, ScoreRows
 from repro.index.store import _MIN_CAPACITY
 
@@ -48,8 +48,8 @@ class FlatIndex(RoutedIndex):
         Vector dimensionality.  May be omitted; the first added vector then
         fixes it.
     dtype:
-        Storage dtype of the matrix (``np.float32`` default, ``np.float64``
-        for bit-exact parity with :func:`repro.embeddings.similarity.semantic_search`).
+        Storage dtype of the matrix (``np.float32`` default; ``np.float64``
+        scores are float64 cosines of the float64 unit rows).
     initial_capacity:
         Rows pre-allocated before the first doubling.
     chunk_size:
@@ -223,7 +223,8 @@ class FlatIndex(RoutedIndex):
         """Batched top-k cosine search over the live rows.
 
         Accepts a single ``(d,)`` query or a ``(q, d)`` batch; returns one
-        list of :class:`IndexHit` (sorted by descending score) per query.
+        list of :class:`IndexHit` (by descending score, equal scores by
+        ascending id: :func:`~repro.index.postings.topk_hits`) per query.
         The corpus side of the matmul is the pre-normalized matrix, so no
         per-call normalization happens.  ``prenormalized=True`` additionally
         skips the query-side normalization (the caller asserts the rows are
@@ -241,54 +242,10 @@ class FlatIndex(RoutedIndex):
         queries_n = self._prepare_queries(Q, prenormalized)
         if self._router is not None and self._router.is_trained:
             return self._search_routed(queries_n, top_k, score_threshold)
-        floor = -math.inf if score_threshold is None else score_threshold
-        if Q.shape[0] == 1 and self._size <= self._chunk_size:
-            return [self._search_one(queries_n, top_k, floor)]
-        scores, rows = chunked_topk(
-            queries_n,
-            self._rows[: self._size],
-            top_k=top_k,
-            chunk_size=self._chunk_size,
-            corpus_prenormalized=True,
-        )
-        # float32 rounding can push a self-match a hair past 1.0.
-        scores.clip(-1.0, 1.0, out=scores)
-        # One conversion per array: .tolist() yields the Python floats and
-        # ints that float()/int() gave hit by hit.
-        return [
-            [
-                IndexHit(id, score)
-                for id, score in zip(id_row, score_row)
-                if math.isfinite(score) and not score < floor
-            ]
-            for id_row, score_row in zip(self._ids[rows].tolist(), scores.tolist())
-        ]
-
-    def _search_one(self, query_n: np.ndarray, top_k: int, floor: float) -> List[IndexHit]:
-        """:meth:`search` of the one ``(1, d)`` unit probe over a single block.
-
-        :func:`chunked_topk`'s calls on the values it would see for one probe
-        and one block — the ``[+inf * k | -scores]`` buffer, the ``(1, d)``
-        by ``(d, n)`` product, ``argpartition(k - 1)`` and ``argsort`` — then
-        the same clip and finite filter, on vectors and without the merge
-        bookkeeping a second block would need.  Hits, scores and the order
-        among equal scores are the batched path's, bit for bit.
-        """
         n = self._size
-        k = min(top_k, n)
-        neg = np.empty(k + n, dtype=self._dtype)
-        neg[:k] = np.inf
-        np.negative(query_n @ self._rows[:n].T, out=neg[np.newaxis, k:])
-        top = neg.argpartition(k - 1)[:k]
-        best = neg[top]
-        order = best.argsort()
-        scores = np.negative(best[order])
-        scores.clip(-1.0, 1.0, out=scores)
-        return [
-            IndexHit(id, score)
-            for id, score in zip(self._ids[top[order] - k].tolist(), scores.tolist())
-            if math.isfinite(score) and not score < floor
-        ]
+        return exact_scan(
+            queries_n, self._rows[:n], self._ids[:n], top_k, score_threshold, self._chunk_size
+        )
 
     def _search_routed(
         self, queries_n: np.ndarray, top_k: int, score_threshold: Optional[float]

@@ -1,4 +1,4 @@
-"""Internal building blocks of the routed scans and the quantized scan.
+"""Internal building blocks of every scan: exact, routed and quantized.
 
 The IVF router (:mod:`repro.index.routing`, under the routed
 :class:`repro.index.flat.FlatIndex` and the routed
@@ -17,9 +17,13 @@ brute-forces only that subset.  Its bookkeeping lives here:
   an append, a restore or a layout pass writes at once, and the router
   borrows it: candidate gathering in a search needs thousands of
   translations per query, which one fancy-index answers;
-* the probe scan, the ranking tail (:func:`det_topk`, :func:`topk_hits`)
-  the quantized flat scan shares, and the :class:`ScratchBuffers` arena
-  every hot path draws from.
+* the exact scan (:func:`exact_scan`), the probe scan, and the one ranking
+  rule every search ends in (:func:`topk_hits` over :func:`det_topk`):
+  every row above the k-th score is kept, ties at the cut are filled from
+  the lowest row, and hits are listed by ``(-score, id)`` — so which of
+  several equal-score entries a search returns is a function of the rows
+  and ids alone, the same on every host and backend;
+* the :class:`ScratchBuffers` arena every hot path draws from.
 
 All of it is internal: ids handed in must already be validated by the
 owning index.
@@ -334,24 +338,26 @@ def det_topk(scores: np.ndarray, k: int) -> np.ndarray:
     """Deterministic top-``k`` selection: indices of the ``k`` largest scores.
 
     ``np.argpartition`` breaks ties at the cut value by internal pivot order,
-    which differs between otherwise score-identical scan implementations.
-    This helper makes the *set* of selected rows a pure function of the score
-    values: every row strictly above the cut is taken, and ties at the cut
-    are filled lowest-index-first.  The fused and reference ADC scans rank
-    duplicate codes with exactly equal scan scores, so running both through
-    this selection yields identical candidate sets — the keystone of the
-    decision-invariance parity tests.  Returned indices are sorted ascending.
+    which differs between otherwise score-identical scan implementations and
+    between hosts (numpy's SIMD dispatch).  This helper makes the *set* of
+    selected rows a pure function of the score values: every row strictly
+    above the cut is taken, and ties at the cut are filled lowest-index-first.
+    Only when rows equal to the cut fall on both sides of the partition are
+    they re-gathered; otherwise the partition already is that set.  NaN
+    scores rank below every number.  Returned indices are sorted ascending.
     """
     n = int(scores.shape[0])
     if k >= n:
         return np.arange(n, dtype=np.int64)
-    part = np.argpartition(-scores, kth=k - 1)[:k]
-    cut = scores[part].min()
-    above = np.nonzero(scores > cut)[0]
-    ties = np.nonzero(scores == cut)[0]
-    sel = np.concatenate([above, ties[: k - above.shape[0]]])
-    sel.sort()
-    return sel
+    part = np.argpartition(-scores, kth=k - 1)
+    top = part[:k]
+    cut = scores[part[k - 1]]
+    if np.count_nonzero(scores >= cut) > k:
+        above = np.nonzero(scores > cut)[0]
+        ties = np.nonzero(scores == cut)[0]
+        top = np.concatenate([above, ties[: k - above.shape[0]]])
+    top.sort()
+    return top
 
 
 def probe_scan_batched(
@@ -428,22 +434,57 @@ def topk_hits(
 ) -> List[IndexHit]:
     """Rank one query's scored candidates into a descending hit list.
 
-    Shared tail of the routed and quantized searches: partial-select the top
-    scores, order them, clip float32 rounding back into the valid cosine
-    range and apply the optional score floor.
+    The one ranking rule of every search: the :func:`det_topk` selection
+    (ties at the cut go to the lowest candidate position), listed by
+    ``(-score, id)`` — exact score ties rank the lower id first, so the hit
+    list does not depend on candidate order (probe order differs between
+    the fused and reference scan paths).  Scores are clipped back into the
+    valid cosine range (float32 rounding can push a self-match a hair past
+    1.0), and a hit must score at least ``score_threshold``; a NaN score is
+    never a hit.
     """
     top = det_topk(scores, min(top_k, scores.shape[0]))
-    # Order by (-score, id): exact score ties rank the lower id first, so the
-    # final hit list does not depend on candidate order (probe order differs
-    # between the fused and reference scan paths).
     sel = top[np.lexsort((candidate_ids[top], -scores[top]))]
-    ranked_scores = np.clip(scores[sel], -1.0, 1.0)
-    ranked_ids = candidate_ids[sel]
-    if score_threshold is not None:
-        keep = ranked_scores >= score_threshold
-        ranked_scores = ranked_scores[keep]
-        ranked_ids = ranked_ids[keep]
+    floor = -math.inf if score_threshold is None else score_threshold
     hits: List[IndexHit] = []
-    for id, score in zip(ranked_ids.tolist(), ranked_scores.tolist()):
-        hits.append(IndexHit(id=id, score=score))
+    for id, score in zip(candidate_ids[sel].tolist(), scores[sel].tolist()):
+        score = 1.0 if score > 1.0 else -1.0 if score < -1.0 else score
+        if score >= floor:
+            hits.append(IndexHit(id, score))
     return hits
+
+
+def exact_scan(
+    queries: np.ndarray,
+    rows: np.ndarray,
+    ids: np.ndarray,
+    top_k: int,
+    score_threshold: Optional[float],
+    chunk_size: int,
+) -> List[List[IndexHit]]:
+    """Exhaustive top-k search of unit ``queries`` over every stored row.
+
+    ``rows[i]`` holds id ``ids[i]``.  Scores are ``queries @ block.T`` over
+    ``chunk_size``-row blocks, so peak extra memory is bounded by one
+    ``(q, chunk_size)`` score block whatever the corpus size; a corpus that
+    fits one block is a single product.  Each query ranks through
+    :func:`topk_hits`; over several blocks, each block's :func:`det_topk`
+    survivors are kept in ascending row order and ranked once, which keeps
+    exactly the rows a single block would have kept.
+    """
+    n = rows.shape[0]
+    if n <= chunk_size:
+        return [topk_hits(ids, s, top_k, score_threshold) for s in queries @ rows.T]
+    k = min(top_k, n)
+    cand_rows: List[List[np.ndarray]] = [[] for _ in queries]
+    cand_scores: List[List[np.ndarray]] = [[] for _ in queries]
+    for start in range(0, n, chunk_size):
+        block = queries @ rows[start : start + chunk_size].T
+        for qi, s in enumerate(block):
+            sel = det_topk(s, k)
+            cand_rows[qi].append(sel + start)
+            cand_scores[qi].append(s[sel])
+    return [
+        topk_hits(ids[np.concatenate(r)], np.concatenate(s), top_k, score_threshold)
+        for r, s in zip(cand_rows, cand_scores)
+    ]

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.index.base import IndexHit
 from repro.index.codecs import ScalarQuantizer
-from repro.index.postings import det_topk, topk_hits
+from repro.index.postings import det_topk, exact_scan, topk_hits
 from repro.index.routing import RoutedIndex, training_sample
 from repro.index.store import _MIN_CAPACITY
 
@@ -383,14 +383,11 @@ class QuantizedIndex(RoutedIndex):
         unit, Qf = self._prepare_queries(Q, prenormalized)
 
         if not self._codec.is_trained:
-            # Staging phase is bounded by min_train_size: one matmul is fine.
-            scores = Qf @ self._rows[: self._size].T
-            return [
-                topk_hits(
-                    self._ids[: self._size], scores[qi], top_k, score_threshold
-                )
-                for qi in range(n_queries)
-            ]
+            # The staging rows are float32 unit vectors: the flat exact scan.
+            n = self._size
+            return exact_scan(
+                Qf, self._rows[:n], self._ids[:n], top_k, score_threshold, self._chunk_size
+            )
 
         if self._router.is_trained:
             # The router runs the probe loop over the codec's per-query

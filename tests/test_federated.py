@@ -219,6 +219,48 @@ class TestThresholdSearch:
         b = cache_mode_threshold_sweep(tiny_encoder, pairs, extra_cache_texts=[])
         assert a.optimal_threshold == b.optimal_threshold
 
+    def _sweep_scores(self, monkeypatch, cache_embs, probe_embs):
+        """The best-match score per probe the cache-mode sweep hands on."""
+        import repro.federated.threshold as threshold
+
+        class Encoder:
+            def encode(self, texts, compress=True):
+                return cache_embs if texts[0] == "cached" else probe_embs
+
+        seen = {}
+        monkeypatch.setattr(
+            threshold, "score_sweep", lambda scores, labels, **kw: seen.setdefault("s", scores)
+        )
+        pairs = [("cached", "probe", 1)] * len(probe_embs)
+        cache_mode_threshold_sweep(
+            Encoder(), pairs, extra_cache_texts=["cached"] * (len(cache_embs) - len(pairs))
+        )
+        return seen["s"]
+
+    def test_cache_mode_sweep_scores_the_best_finite_similarity(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        cache = rng.standard_normal((5, 8))
+        probes = rng.standard_normal((3, 8))
+        probes[1] = cache[3]
+        want = (probes / np.linalg.norm(probes, axis=1, keepdims=True)) @ (
+            cache / np.linalg.norm(cache, axis=1, keepdims=True)
+        ).T
+        cache[0] = np.nan  # a non-finite row is skipped, not propagated
+        best = self._sweep_scores(monkeypatch, cache, probes)
+        assert best.tolist() == pytest.approx(want[:, 1:].max(axis=1).tolist(), abs=1e-12)
+        assert best[1] == pytest.approx(1.0)
+
+    def test_cache_mode_sweep_scores_a_probe_with_no_finite_similarity_minus_one(
+        self, monkeypatch
+    ):
+        rng = np.random.default_rng(3)
+        cache = rng.standard_normal((4, 8))
+        probes = rng.standard_normal((3, 8))
+        probes[2] = np.nan
+        best = self._sweep_scores(monkeypatch, cache, probes)
+        assert best[2] == -1.0
+        assert np.all(np.isfinite(best)) and np.all(best[:2] > -1.0)
+
     def test_find_optimal_threshold_is_the_cache_mode_optimum(self, tiny_encoder):
         pairs = self._pairs()
         grid = np.linspace(0, 1, 21)

@@ -1,8 +1,7 @@
 """Tests for the incremental vector index (repro.index).
 
-The load-bearing property is *parity*: FlatIndex.search must agree with the
-brute-force :func:`semantic_search` reference on the vectors it currently
-holds — including after deletions (swap-with-last) and capacity growth —
+The load-bearing property is *parity*: FlatIndex.search must agree with a
+brute-force cosine ranking of the vectors it currently holds — including after deletions (swap-with-last) and capacity growth —
 up to the float32 storage tolerance.
 """
 
@@ -11,23 +10,31 @@ import pytest
 
 from conftest import make_tiny_encoder
 from repro.core.cache import MeanCache, MeanCacheConfig
-from repro.embeddings.similarity import semantic_search
+from repro.embeddings.similarity import cosine_similarity
 from repro.index import FlatIndex, IndexHit, VectorIndex
 
 SCORE_ATOL = 1e-5  # float32 storage vs float64 reference
 
 
-def assert_parity(index, vectors, ids, queries, top_k=5):
+def brute_force(queries, vectors, top_k):
+    """``(row, score)`` of the ``top_k`` rows of ``vectors`` most similar to
+    each query, by descending score."""
+    sims = cosine_similarity(np.atleast_2d(queries), vectors)
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :top_k]
+    return [[(int(r), float(s[r])) for r in rows] for s, rows in zip(sims, order)]
+
+
+def assert_parity(index, vectors, ids, queries, top_k=5, atol=SCORE_ATOL):
     """index.search must match brute-force search over (vectors, ids)."""
     got = index.search(queries, top_k=top_k)
-    ref = semantic_search(queries, vectors, top_k=top_k)
+    ref = brute_force(queries, vectors, top_k)
     assert len(got) == len(ref)
     for got_hits, ref_hits in zip(got, ref):
         assert len(got_hits) == len(ref_hits)
         np.testing.assert_allclose(
-            [h.score for h in got_hits], [h.score for h in ref_hits], atol=SCORE_ATOL
+            [h.score for h in got_hits], [score for _, score in ref_hits], atol=atol
         )
-        assert [h.id for h in got_hits] == [ids[h.index] for h in ref_hits]
+        assert [h.id for h in got_hits] == [ids[row] for row, _ in ref_hits]
 
 
 class TestFlatIndexBasics:
@@ -101,6 +108,19 @@ class TestFlatIndexBasics:
         score = index.search(v, top_k=1)[0][0].score
         assert score <= 1.0
         assert score == pytest.approx(1.0, abs=1e-6)
+
+    def test_finds_exact_match_first(self, rng):
+        X = rng.normal(size=(50, 16))
+        index = FlatIndex()
+        ids = index.add_batch(X)
+        hits = index.search(X[17], top_k=3)[0]
+        assert hits[0].id == ids[17]
+        assert hits[0].score == pytest.approx(1.0, abs=1e-6)
+
+    def test_top_k_capped_by_corpus_size(self, rng):
+        index = FlatIndex()
+        index.add_batch(rng.normal(size=(4, 8)))
+        assert [len(hits) for hits in index.search(rng.normal(size=(2, 8)), top_k=10)] == [4, 4]
 
     def test_threshold_filters(self, rng):
         index = FlatIndex()
@@ -251,13 +271,7 @@ class TestFlatIndexParity:
         X = rng.normal(size=(80, 16))
         index = FlatIndex(dtype=np.float64)
         ids = index.add_batch(X)
-        q = rng.normal(size=16)
-        got = index.search(q, top_k=5)[0]
-        ref = semantic_search(q, X, top_k=5)[0]
-        assert [h.id for h in got] == [ids[h.index] for h in ref]
-        np.testing.assert_allclose(
-            [h.score for h in got], [h.score for h in ref], atol=1e-12
-        )
+        assert_parity(index, X, ids, rng.normal(size=16), top_k=5, atol=1e-12)
 
     def test_chunked_search_matches_unchunked(self, rng):
         X = rng.normal(size=(150, 8))

@@ -21,6 +21,7 @@ import pytest
 from conftest import make_tiny_encoder
 from repro.baselines import GPTCACHE_CONFIG
 from repro.core.cache import MeanCache, MeanCacheConfig
+from repro.core.compression import compress_cache
 from repro.experiments.index_bench import make_ann_workload
 from repro.index import (
     FlatIndex,
@@ -548,6 +549,26 @@ def test_a_refused_re_embed_leaves_the_cache_whole(backend, tmp_path, monkeypatc
     assert cache.lookup("how do I sort a list in python").hit
     loaded = MeanCache.load(cache.save(tmp_path / "cache"), encoder)
     assert sorted(loaded.index.ids) == sorted(cache.index.ids)
+
+
+def test_a_refused_compression_leaves_the_cache_and_its_encoder_as_they_were():
+    """An index pinned to 64 dims refuses the 8-dim re-embed: ``compress_cache``
+    raises, and the encoder carries no PCA head, the cache is not compressed,
+    its rows are unchanged and a re-ask still hits."""
+    encoder = make_tiny_encoder()
+    cache = MeanCache(
+        encoder, MeanCacheConfig(similarity_threshold=0.8, index_params={"dim": 64})
+    )
+    cache.populate([f"question number {i} about subject {i % 11}" for i in range(20)])
+    config = cache.config
+    queries = encoder.encode(["question number 3 about subject 3", "an unseen question"])
+    before = storage_state(cache.index, queries)
+    with pytest.raises(ValueError, match="dim 8"):
+        compress_cache(cache, n_components=8)
+    assert encoder.pca is None
+    assert cache.config == config and not cache.config.compressed
+    assert storage_state(cache.index, queries) == before
+    assert cache.lookup("question number 3 about subject 3").hit
 
 
 def test_meancache_rejects_unknown_backend():

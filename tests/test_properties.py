@@ -8,8 +8,9 @@ from hypothesis.extra import numpy as hnp
 from repro.core.policy import LRUPolicy
 from repro.embeddings.featurizer import FeaturizerConfig, HashedFeaturizer
 from repro.embeddings.pca import PCA
-from repro.embeddings.similarity import cosine_similarity, pairwise_cosine, semantic_search
+from repro.embeddings.similarity import cosine_similarity, pairwise_cosine
 from repro.federated.aggregation import aggregate_thresholds, fedavg
+from repro.index import FlatIndex
 from repro.metrics.classification import confusion_matrix
 
 # Bounded, finite float arrays for numerical properties.
@@ -53,7 +54,7 @@ class TestCosineProperties:
         assert np.allclose(sims, 1.0)
 
 
-class TestSemanticSearchProperties:
+class TestFlatSearchProperties:
     @given(
         st.integers(min_value=1, max_value=40),
         st.integers(min_value=2, max_value=12),
@@ -65,7 +66,9 @@ class TestSemanticSearchProperties:
         rng = np.random.default_rng(seed)
         corpus = rng.normal(size=(n_corpus, dim))
         query = rng.normal(size=dim)
-        hits = semantic_search(query, corpus, top_k=top_k)[0]
+        index = FlatIndex(dtype=np.float64)
+        index.add_batch(corpus)
+        hits = index.search(query, top_k=top_k)[0]
         all_sims = cosine_similarity(query, corpus).ravel()
         expected_best = float(np.max(all_sims))
         assert hits[0].score == pytest.approx(expected_best, abs=1e-9)

@@ -1,14 +1,9 @@
-"""Unit tests for cosine similarity and top-k semantic search."""
+"""Unit tests for cosine similarity (top-k search is tested in ``test_index.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.embeddings.similarity import (
-    SearchHit,
-    cosine_similarity,
-    pairwise_cosine,
-    semantic_search,
-)
+from repro.embeddings.similarity import cosine_similarity, pairwise_cosine
 
 
 class TestCosineSimilarity:
@@ -51,59 +46,3 @@ class TestPairwiseCosine:
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             pairwise_cosine(rng.normal(size=(3, 4)), rng.normal(size=(4, 4)))
-
-
-class TestSemanticSearch:
-    def test_finds_exact_match_first(self, rng):
-        corpus = rng.normal(size=(50, 16))
-        query = corpus[17]
-        hits = semantic_search(query, corpus, top_k=3)[0]
-        assert hits[0].index == 17
-        assert hits[0].score == pytest.approx(1.0)
-
-    def test_scores_sorted_descending(self, rng):
-        corpus = rng.normal(size=(30, 8))
-        hits = semantic_search(rng.normal(size=8), corpus, top_k=10)[0]
-        scores = [h.score for h in hits]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_top_k_capped_by_corpus_size(self, rng):
-        corpus = rng.normal(size=(4, 8))
-        hits = semantic_search(rng.normal(size=8), corpus, top_k=10)[0]
-        assert len(hits) == 4
-
-    def test_threshold_filters_hits(self, rng):
-        corpus = rng.normal(size=(20, 8))
-        hits = semantic_search(rng.normal(size=8), corpus, top_k=20, score_threshold=2.0)[0]
-        assert hits == []
-
-    def test_empty_corpus(self):
-        assert semantic_search(np.ones(4), np.zeros((0, 4)), top_k=3) == [[]]
-
-    def test_multiple_queries(self, rng):
-        corpus = rng.normal(size=(25, 8))
-        queries = rng.normal(size=(3, 8))
-        results = semantic_search(queries, corpus, top_k=2)
-        assert len(results) == 3
-        assert all(len(r) == 2 for r in results)
-
-    def test_chunked_search_matches_unchunked(self, rng):
-        corpus = rng.normal(size=(200, 8))
-        query = rng.normal(size=8)
-        full = semantic_search(query, corpus, top_k=5)[0]
-        chunked = semantic_search(query, corpus, top_k=5, chunk_size=17)[0]
-        assert [h.index for h in full] == [h.index for h in chunked]
-        assert np.allclose([h.score for h in full], [h.score for h in chunked])
-
-    def test_invalid_top_k(self, rng):
-        with pytest.raises(ValueError):
-            semantic_search(np.ones(4), rng.normal(size=(5, 4)), top_k=0)
-
-    def test_dim_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError):
-            semantic_search(np.ones(3), rng.normal(size=(5, 4)))
-
-    def test_hit_is_named_tuple_like(self, rng):
-        hits = semantic_search(np.ones(4), np.eye(4), top_k=1)[0]
-        assert isinstance(hits[0], SearchHit)
-        assert isinstance(hits[0].index, int)

@@ -1,33 +1,35 @@
-"""Differential test of the one top-k routine against its predecessor.
+"""Every flat search against the brute-force oracle of the one ranking rule.
 
-``chunked_topk`` was rewritten in place to reuse one buffer; what it must not
-change is a single returned bit *or the order among exactly equal scores* —
-with duplicated rows (the same text cached under several contexts) that order
-decides which entries' context chains Algorithm 1 gets to verify.  The oracle
-is the old body, kept verbatim in ``tests/reference_topk.py``; the cases are
-generated, not hand-picked: duplicated rows, ``k`` from 1 to past the corpus
-size, one to four probes, both float widths, ``chunk_size`` below ``k``, equal
-to the corpus and above it, ``corpus_prenormalized`` both ways.  The same
-comparison then runs through the public entry points the caches call.
+With duplicated rows (the same text cached under several contexts) the order
+among exactly equal scores decides which entries' context chains Algorithm 1
+gets to verify, so it is fixed by one rule, the same for every backend and
+host: every row above the k-th score is kept, ties at the cut are filled from
+the lowest row, and hits are listed by ``(-score, id)``.  The oracle in
+``tests/reference_topk.py`` sorts every score; the cases are generated, not
+hand-picked: duplicated rows, ``k`` from 1 to past the corpus size, one to
+four probes, both float widths, ``chunk_size`` below ``k``, inside the corpus
+and above it, swap-deleted rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_topk import (
-    reference_chunked_topk,
-    reference_flat_search,
-    reference_semantic_search,
-)
+import repro
+from conftest import make_tiny_encoder
+from reference_topk import reference_search
 from repro.core.cache import MeanCache, MeanCacheConfig
-from repro.embeddings.similarity import chunked_topk, semantic_search
-from repro.index import FlatIndex
+from repro.index import FlatIndex, QuantizedIndex
+from repro.index.postings import det_topk, exact_scan, topk_hits
 
 
 def make_case(seed: int, n: int, distinct: int, q: int, dim: int, dtype, unit: bool):
@@ -45,95 +47,38 @@ def make_case(seed: int, n: int, distinct: int, q: int, dim: int, dtype, unit: b
 
 
 def chunk_sizes(n: int, k: int):
-    """Below ``k`` (placeholders survive a block), mid-corpus, exactly the
-    corpus, and above it (the single-block case every small cache runs)."""
+    """Below ``k``, mid-corpus, exactly the corpus, and above it (the single
+    block every small cache runs)."""
     return sorted({1, max(1, k - 1), max(1, n // 2), n, n + 3, 65536})
 
 
-def assert_same_topk(queries, corpus, k, chunk_size, prenormalized):
-    want_scores, want_rows = reference_chunked_topk(
-        queries, corpus, k, chunk_size=chunk_size, corpus_prenormalized=prenormalized
-    )
-    scores, rows = chunked_topk(
-        queries, corpus, k, chunk_size=chunk_size, corpus_prenormalized=prenormalized
-    )
-    assert scores.shape == want_scores.shape and scores.dtype == want_scores.dtype
-    assert rows.shape == want_rows.shape and rows.dtype == want_rows.dtype
-    assert np.array_equal(rows, want_rows)
-    assert scores.tobytes() == want_scores.tobytes()
-    assert scores.flags.writeable  # FlatIndex.search clips in place
-
-
 def hit_stream(results):
-    """``(id or corpus row, score bits)`` per hit, ``IndexHit``/``SearchHit`` alike."""
-    return [[(key, float(score).hex()) for key, score in map(astuple, hits)] for hits in results]
+    """``(id, score bits)`` per hit."""
+    return [[(hit.id, float(hit.score).hex()) for hit in hits] for hits in results]
+
+
+def assert_matches_reference(index, probes, top_k, threshold=None):
+    got = index.search(probes, top_k, threshold)
+    assert hit_stream(got) == hit_stream(reference_search(index, probes, top_k, threshold))
+
+
+#: A unit row whose products with itself are exact in any summation order,
+#: so ``n`` copies of it tie exactly, in every BLAS kernel.
+EXACT_ROW = np.zeros(16)
+EXACT_ROW[[1, 4, 9, 12]] = 0.5
+
+
+def tied_index(n: int, dtype, chunk_size: int) -> FlatIndex:
+    """``n`` copies of :data:`EXACT_ROW` under shuffled ids, after a swap-delete."""
+    ids = np.random.default_rng(n).permutation(n + 1) + 10
+    index = FlatIndex(dtype=dtype, chunk_size=chunk_size)
+    index.add_batch(np.tile(EXACT_ROW, (n + 1, 1)), ids=ids)
+    index.remove(int(ids[n // 2]))  # the last row swaps into its slot
+    return index
 
 
 # --------------------------------------------------------------------------- #
-# The kernel
-# --------------------------------------------------------------------------- #
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    n=st.integers(1, 40),
-    distinct_share=st.floats(0.0, 1.0),
-    q=st.integers(1, 4),
-    dim=st.integers(1, 8),
-    dtype=st.sampled_from([np.float32, np.float64]),
-    k_over=st.integers(-40, 2),
-    prenormalized=st.booleans(),
-)
-def test_chunked_topk_matches_reference(
-    seed, n, distinct_share, q, dim, dtype, k_over, prenormalized
-):
-    distinct = max(1, round(distinct_share * n))
-    k = max(1, n + k_over)  # 1 … n + 2
-    queries, corpus = make_case(seed, n, distinct, q, dim, dtype, unit=prenormalized)
-    for chunk_size in chunk_sizes(n, k):
-        assert_same_topk(queries, corpus, k, chunk_size, prenormalized)
-
-
-def test_chunked_topk_matches_reference_seeded_sweep():
-    """5,000 seeded cases on top of the Hypothesis ones: 0 mismatches."""
-    rng = np.random.default_rng(2024)
-    multi_chunk = below_k = 0
-    for case in range(5000):
-        n = int(rng.integers(1, 48))
-        k = int(rng.integers(1, n + 3))
-        chunk_size = int(rng.choice(chunk_sizes(n, k)))
-        prenormalized = bool(case % 2)
-        queries, corpus = make_case(
-            seed=case,
-            n=n,
-            distinct=int(rng.integers(1, n + 1)),
-            q=int(rng.integers(1, 5)),
-            dim=int(rng.integers(1, 9)),
-            dtype=(np.float32, np.float64)[(case // 2) % 2],
-            unit=prenormalized,
-        )
-        assert_same_topk(queries, corpus, k, chunk_size, prenormalized)
-        multi_chunk += chunk_size < n
-        below_k += chunk_size < min(k, n)
-    assert multi_chunk > 1000 and below_k > 500  # the sweep reaches both
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [1, 2, 5, 22, 64, 257])
-def test_all_rows_equal_keeps_the_tie_order(n, dtype):
-    """Every score ties: the returned rows are whatever the two selection
-    calls leave, and that must be what they left before."""
-    row = np.random.default_rng(n).standard_normal(16)
-    row /= np.linalg.norm(row)
-    corpus = np.ascontiguousarray(np.tile(row, (n, 1)).astype(dtype))
-    queries = np.stack([row, -row]).astype(dtype)
-    for k in sorted({1, min(5, n), n, n + 2}):
-        for chunk_size in chunk_sizes(n, k):
-            assert_same_topk(queries[:1], corpus, k, chunk_size, True)
-            assert_same_topk(queries, corpus, k, chunk_size, True)
-
-
-# --------------------------------------------------------------------------- #
-# Through the public entry points
+# FlatIndex.search against the oracle
 # --------------------------------------------------------------------------- #
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
@@ -158,33 +103,57 @@ def test_flat_search_matches_reference(
         index.remove(victim)
     if len(index) == 0:
         return
-    # The batch, the (d,) single-probe form (a gemv: its own last bits) and
-    # the (1, d) matrix a cache lookup hands over; both single forms take
-    # the one-probe path whenever the corpus fits one chunk.
+    # The batch, the (d,) single-probe form and the (1, d) matrix a cache
+    # lookup hands over.
     for probes in (queries, queries[0], queries[:1]):
-        got = index.search(probes, top_k, threshold)
-        assert hit_stream(got) == hit_stream(reference_flat_search(index, probes, top_k, threshold))
+        assert_matches_reference(index, probes, top_k, threshold)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    n=st.integers(1, 40),
-    distinct_share=st.floats(0.0, 1.0),
-    q=st.integers(1, 4),
-    top_k=st.integers(1, 8),
-    chunk_size=st.sampled_from([1, 3, 7, 40, 65536]),
-    threshold=st.sampled_from([None, 0.0, 0.9]),
-)
-def test_semantic_search_matches_reference(
-    seed, n, distinct_share, q, top_k, chunk_size, threshold
-):
-    queries, corpus = make_case(
-        seed, n, max(1, round(distinct_share * n)), q, 8, np.float64, unit=False
-    )
-    got = semantic_search(queries, corpus, top_k, threshold, chunk_size)
-    want = reference_semantic_search(queries, corpus, top_k, threshold, chunk_size)
-    assert hit_stream(got) == hit_stream(want)
+def test_flat_search_matches_reference_seeded_sweep():
+    """2,000 seeded cases on top of the Hypothesis ones: 0 mismatches."""
+    rng = np.random.default_rng(2024)
+    multi_chunk = below_k = 0
+    for case in range(2000):
+        n = int(rng.integers(1, 48))
+        k = int(rng.integers(1, n + 3))
+        chunk_size = int(rng.choice(chunk_sizes(n, k)))
+        queries, corpus = make_case(
+            seed=case,
+            n=n,
+            distinct=int(rng.integers(1, n + 1)),
+            q=int(rng.integers(1, 5)),
+            dim=int(rng.integers(1, 9)),
+            dtype=np.float64,
+            unit=bool(case % 2),
+        )
+        index = FlatIndex(dtype=(np.float32, np.float64)[(case // 2) % 2], chunk_size=chunk_size)
+        index.add_batch(corpus, ids=rng.permutation(n) + 10)
+        if n > 2:
+            index.remove(int(index.ids[0]))
+        assert_matches_reference(index, queries, k)
+        assert_matches_reference(index, queries[:1], k)
+        multi_chunk += chunk_size < len(index)
+        below_k += chunk_size < min(k, len(index))
+    assert multi_chunk > 500 and below_k > 200  # the sweep reaches both
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 2, 5, 22, 64, 257])
+def test_all_rows_equal_rank_by_the_rule(n, dtype):
+    """Every score ties exactly (a row whose products are exact): the hits
+    are the ``k`` lowest rows, listed by ascending id — for one probe and a
+    batch, with one block or many."""
+    row = EXACT_ROW
+    for chunk_size in chunk_sizes(n, min(5, n)):
+        index = tied_index(n, dtype, chunk_size)
+        live = index._ids[:n].tolist()
+        for k in sorted({1, min(5, n), n, n + 2}):
+            want = [(id, (1.0).hex()) for id in sorted(live[:k])]
+            assert hit_stream(index.search(row, k)) == [want]
+            got = index.search(np.stack([row, -row]), k)
+            assert hit_stream(got[:1]) == [want]
+            assert [h.id for h in got[1]] == sorted(live[:k])
+            assert_matches_reference(index, np.stack([row, -row]), k)
 
 
 def test_all_duplicate_index_returns_the_same_ids_in_the_same_order():
@@ -195,7 +164,7 @@ def test_all_duplicate_index_returns_the_same_ids_in_the_same_order():
         index.remove(10 + n // 2)
         for top_k in (1, 5, n + 1):
             got = index.search(row, top_k=top_k)
-            assert hit_stream(got) == hit_stream(reference_flat_search(index, row, top_k))
+            assert hit_stream(got) == hit_stream(reference_search(index, row, top_k))
             scores = [h.score for h in got[0]]
             assert max(scores) - min(scores) < 1e-6  # ties up to the BLAS kernel's tail
 
@@ -203,7 +172,7 @@ def test_all_duplicate_index_returns_the_same_ids_in_the_same_order():
 def test_same_text_under_many_contexts_keeps_its_candidate_order(tiny_encoder):
     """More than ``top_k`` entries share one embedding (one text, different
     conversations): which of them are retrieved — hence verified against the
-    probe's context — is decided by tie order alone."""
+    probe's context — is decided by the ranking rule alone."""
     cache = MeanCache(tiny_encoder, MeanCacheConfig(top_k=3, similarity_threshold=0.9))
     text = "change the color to red"
     parents = [f"how do I draw a {shape} in matplotlib" for shape in
@@ -213,10 +182,155 @@ def test_same_text_under_many_contexts_keeps_its_candidate_order(tiny_encoder):
     cache.remove(ids[1])  # the last row swaps into its slot
     for parent in (parents[4], parents[0], "something never cached"):
         decision = cache.lookup(text, context=[parent])
-        want = reference_flat_search(cache.index, decision.embedding, top_k=3)[0]
+        want = reference_search(cache.index, decision.embedding, top_k=3)[0]
         assert [(h.id, h.score.hex()) for h in decision.candidates] == [
             (h.id, h.score.hex()) for h in want
         ]
         scores = [h.score for h in decision.candidates]
         assert max(scores) - min(scores) < 1e-6
         assert {h.id for h in decision.candidates} <= set(ids)
+
+
+# --------------------------------------------------------------------------- #
+# The ranking kernels themselves
+# --------------------------------------------------------------------------- #
+def test_det_topk_keeps_every_row_above_the_cut_and_fills_ties_from_the_lowest_row():
+    scores = np.array([0.5, 0.9, 0.5, 0.7, 0.5, 0.9])
+    want = {1: [1], 2: [1, 5], 3: [1, 3, 5], 4: [0, 1, 3, 5], 5: [0, 1, 2, 3, 5]}
+    for k, rows in want.items():
+        assert det_topk(scores, k).tolist() == rows
+    rng = np.random.default_rng(11)
+    for _ in range(500):  # few distinct values: most cuts fall inside a tie
+        n = int(rng.integers(1, 40))
+        scores = rng.integers(-3, 4, size=n).astype(rng.choice([np.float32, np.float64]))
+        k = int(rng.integers(1, n + 1))
+        stable = np.argsort(-scores, kind="stable")[:k]
+        assert det_topk(scores, k).tolist() == sorted(stable.tolist())
+
+
+def test_det_topk_ranks_nan_below_every_number():
+    scores = np.array([np.nan, 0.1, np.nan, -0.3, 0.2])
+    assert det_topk(scores, 2).tolist() == [1, 4]
+    assert det_topk(scores, 3).tolist() == [1, 3, 4]
+
+
+def test_topk_hits_never_returns_a_nan_score():
+    ids = np.array([40, 41, 42, 43])
+    scores = np.array([np.nan, 0.25, np.nan, 0.5], dtype=np.float32)
+    hits = topk_hits(ids, scores, 4, None)
+    assert [(h.id, h.score) for h in hits] == [(43, 0.5), (41, 0.25)]
+    assert topk_hits(ids, scores, 4, -1.0) == hits
+
+
+def test_topk_hits_threshold_is_an_exact_comparison():
+    """A float32 score one rounding below a float64 threshold is not a hit."""
+    score = np.float32(0.7)
+    ids = np.array([7])
+    scores = np.array([score])
+    assert [h.id for h in topk_hits(ids, scores, 1, float(score))] == [7]
+    assert topk_hits(ids, scores, 1, float(np.nextafter(float(score), 1.0))) == []
+
+
+def test_topk_hits_clips_scores_into_the_cosine_range():
+    ids = np.array([1, 2, 3])
+    scores = np.array([np.nextafter(np.float32(1), np.float32(2)), 0.5,
+                       np.nextafter(np.float32(-1), np.float32(-2))], dtype=np.float32)
+    hits = topk_hits(ids, scores, 3, None)
+    assert [(h.id, h.score) for h in hits] == [(1, 1.0), (2, 0.5), (3, -1.0)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_exact_scan_ranks_by_the_rule_over_any_number_of_blocks(dtype):
+    """Rows of ±0.5 and 0 in four dimensions: every product is exact and
+    most scores tie, so one block and many must keep the very same rows."""
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        n = int(rng.integers(1, 50))
+        rows = (rng.integers(-1, 2, size=(n, 4)) * 0.5).astype(dtype)
+        queries = (rng.integers(-1, 2, size=(int(rng.integers(1, 4)), 4)) * 0.5).astype(dtype)
+        ids = rng.permutation(n) + 100
+        top_k = int(rng.integers(1, n + 3))
+        want = []
+        for q in queries:
+            scores = rows @ q
+            top = np.argsort(-scores, kind="stable")[:top_k]
+            top = top[np.lexsort((ids[top], -scores[top]))]
+            want.append([(int(ids[i]), float(scores[i]).hex()) for i in top])
+        for chunk_size in sorted({1, 2, 5, max(1, n // 2), n, 65536}):
+            got = exact_scan(queries, rows, ids, top_k, None, chunk_size)
+            assert hit_stream(got) == want
+
+
+@pytest.mark.parametrize("chunk_size", [7, 65536])
+def test_the_untrained_quantized_staging_scan_ranks_by_the_rule(chunk_size):
+    """Below its training size a quantized index scans its float32 staging
+    rows exactly: the same hits, bit for bit, as a float32 flat index."""
+    ids = np.random.default_rng(5).permutation(41) + 10
+    quantized = QuantizedIndex(chunk_size=chunk_size)
+    flat = FlatIndex(dtype=np.float32, chunk_size=chunk_size)
+    for index in (quantized, flat):
+        index.add_batch(np.tile(EXACT_ROW, (41, 1)), ids=ids)
+        index.remove(int(ids[20]))
+    assert not quantized.is_trained
+    rows = quantized._ids[:40].tolist()  # in row order, after the swap-delete
+    probes = np.stack([EXACT_ROW, -EXACT_ROW])
+    for k in (1, 5, 40, 45):
+        got = quantized.search(probes, k)
+        assert [h.id for h in got[0]] == sorted(rows[:k])
+        assert hit_stream(got) == hit_stream(flat.search(probes, k))
+
+
+# --------------------------------------------------------------------------- #
+# The order does not depend on the host
+# --------------------------------------------------------------------------- #
+def tie_streams() -> dict:
+    """The hit streams of the tie cases, keyed by case, plus whether numpy
+    dispatches its AVX-512 (``X86_V4``) kernels in this process."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    streams: dict = {"x86_v4": bool(__cpu_features__.get("X86_V4"))}
+    row = EXACT_ROW
+    other = np.random.default_rng(4).standard_normal(16)
+    for dtype in (np.float32, np.float64):
+        for chunk_size in (65536, 64):  # one block, several
+            index = tied_index(300, dtype, chunk_size)
+            index.add(other)
+            for name, probes in (("one", row), ("batch", np.stack([row, other, -row]))):
+                for k in (1, 5, 32):
+                    key = f"{np.dtype(dtype).name}/{chunk_size}/{name}/{k}"
+                    streams[key] = hit_stream(index.search(probes, k))
+    cache = MeanCache(make_tiny_encoder(), MeanCacheConfig(top_k=3, similarity_threshold=0.9))
+    text = "change the color to red"
+    parents = [f"how do I draw a {shape} in matplotlib" for shape in
+               ("circle", "square", "line", "histogram", "heatmap", "violin plot", "pie")]
+    ids = [cache.insert(text, f"answer {i}", context=[p]) for i, p in enumerate(parents)]
+    cache.remove(ids[2])
+    for parent in parents + ["something never cached"]:
+        decision = cache.lookup(text, context=[parent])
+        streams[f"cache/{parent}"] = [
+            decision.hit,
+            [(h.id, float(h.score).hex()) for h in decision.candidates],
+        ]
+    return streams
+
+
+def test_the_tie_order_is_the_same_with_and_without_avx512_dispatch():
+    """The tie cases run in two processes, one with numpy's AVX-512 kernels
+    switched off (what an AVX2-only host runs), and return equal hits."""
+    tests = Path(__file__).resolve().parent
+    path = [str(Path(repro.__file__).resolve().parents[1]), str(tests)]
+    script = "import json, test_topk_differential as t; print(json.dumps(t.tie_streams()))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    runs = []
+    for disable in (None, "X86_V4,AVX512_ICL,AVX512_SPR"):
+        if disable:
+            env["NPY_DISABLE_CPU_FEATURES"] = disable
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        runs.append(json.loads(done.stdout.splitlines()[-1]))
+    with_avx512, without = runs
+    assert without.pop("x86_v4") is False
+    with_avx512.pop("x86_v4")
+    assert with_avx512 == without
