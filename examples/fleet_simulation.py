@@ -17,12 +17,6 @@ Then it closes the paper's federated loop online: the same fleet is
 re-run on *drifting* traffic with an ``OnlineThresholdAdapter`` mining
 labelled pairs from each device's own lookups and re-learning the cosine
 threshold τ in periodic federated rounds on the virtual clock.
-
-Finally it runs a slice of the scenario zoo — an adversarial
-cache-poisoning stream against a shared cache and a flash-crowd arrival
-spike — through the declarative matrix driver and prints the per-scenario
-comparison table (the same shape ``BENCH_scenarios.json`` records; see
-``docs/scenarios.md``).
 """
 
 from __future__ import annotations
@@ -32,13 +26,11 @@ import tempfile
 from pathlib import Path
 
 from repro import MeanCache, MeanCacheConfig, SimulatedLLMService, load_encoder
-from repro.experiments.scenario_bench import run_scenario_matrix
 from repro.federated.online import OnlineAdaptationConfig, OnlineThresholdAdapter
 from repro.llm.service import LLMServiceConfig
 from repro.serving import (
     CacheServer,
     DriftPhase,
-    ScenarioSpec,
     ServerConfig,
     Trace,
     WorkloadConfig,
@@ -165,50 +157,6 @@ def main() -> None:
     )
     taus = sorted(adapter.threshold_for(uid) for uid in adapter.user_ids)
     print(f"personalized device thresholds span [{taus[0]:.2f}, {taus[-1]:.2f}]")
-
-    # 6. Scenario matrix: two declarative specs from the zoo — an attacker
-    #    front-running victims' first asks on a *shared* cache, and a 10x
-    #    flash-crowd arrival spike — run through one driver that reports the
-    #    same metric table for every scenario.
-    scenario_specs = [
-        ScenarioSpec(
-            name="demo_poisoning",
-            family="poisoning",
-            description="hard-negative front-running on a shared cache",
-            n_users=6 if SMOKE else 10,
-            queries_per_user=10 if SMOKE else 30,
-            shared_cache=True,
-            params={"target_fraction": 0.5, "lead_s": 5.0},
-        ),
-        ScenarioSpec(
-            name="demo_flash_crowd",
-            family="arrival",
-            n_users=6 if SMOKE else 10,
-            queries_per_user=10 if SMOKE else 30,
-            params={
-                "kind": "flash_crowd",
-                "flash_at_s": 20.0,
-                "flash_duration_s": 30.0,
-                "flash_multiplier": 10.0,
-            },
-        ),
-    ]
-    matrix = run_scenario_matrix(scenario_specs, encoder=encoder)
-    print()
-    print(matrix.format())
-    poisoning = matrix.get("demo_poisoning")
-    print(
-        f"poisoning: {poisoning.extras['poison_served']} poison hits served, "
-        f"victim false-hit rate {poisoning.metrics.false_hit_rate:.3f} "
-        f"vs {poisoning.baseline.false_hit_rate:.3f} unpoisoned"
-    )
-    flash = matrix.get("demo_flash_crowd")
-    print(
-        f"flash crowd: peak {flash.extras['peak_arrivals_per_s']} arrivals/s "
-        f"vs {flash.extras['baseline_peak_arrivals_per_s']} stationary; "
-        f"hit rate delta {flash.extras['hit_rate_delta']:+.3f} "
-        "(re-timing leaves query content untouched)"
-    )
 
 
 if __name__ == "__main__":

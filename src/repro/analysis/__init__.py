@@ -16,19 +16,18 @@ This package turns those contracts into checked code:
 
 * :mod:`repro.analysis.engine` — a reusable AST-based lint engine (rule
   registry, ``# repro: ignore[rule-id]`` suppressions, JSON/text
-  reporters, committed-baseline support);
+  reporters);
 * :mod:`repro.analysis.rules` — the project rules RPL001..RPL005;
 * :mod:`repro.analysis.runtime` — the opt-in (``REPRO_DEBUG_CONCURRENCY=1``)
   runtime lock-order and index-ownership tracker the thread-hammer suites
   run under.
 
-Run the engine locally with ``python -m repro.analysis src/repro``; the
-committed baseline lives at ``src/repro/analysis/baseline.json``.
+Run the engine locally with ``python -m repro.analysis src/repro``; it
+exits non-zero on any finding.
 """
 
 from repro.analysis.engine import (
     AnalysisEngine,
-    Baseline,
     Finding,
     ModuleContext,
     Report,
@@ -50,7 +49,6 @@ from repro.analysis.runtime import (
 
 __all__ = [
     "AnalysisEngine",
-    "Baseline",
     "Finding",
     "ModuleContext",
     "Report",

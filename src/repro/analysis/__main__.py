@@ -2,29 +2,17 @@
 
 Usage::
 
-    python -m repro.analysis src/repro              # text report, exit 1 on new findings
+    python -m repro.analysis src/repro              # text report, exit 1 on any finding
     python -m repro.analysis src/repro --json       # machine-readable report
-    python -m repro.analysis src/repro --no-baseline
-    python -m repro.analysis src/repro --write-baseline   # refresh baseline.json
-
-With no ``--baseline`` argument the committed baseline is auto-discovered
-(``src/repro/analysis/baseline.json``); ``--write-baseline`` rewrites it
-from the current findings — review the diff before committing.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.engine import (
-    BASELINE_NAME,
-    AnalysisEngine,
-    Baseline,
-    find_baseline,
-)
+from repro.analysis.engine import AnalysisEngine
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -40,38 +28,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="files or directories to analyze (default: src/repro)",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="explicit baseline file (default: auto-discover the committed one)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring any baseline",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
     args = parser.parse_args(argv)
 
-    engine = AnalysisEngine()
-    baseline_path: Optional[Path] = None
-    if not args.no_baseline:
-        baseline_path = args.baseline or find_baseline(args.paths)
-    baseline = Baseline.load(baseline_path) if baseline_path is not None else None
-
-    if args.write_baseline:
-        report = engine.run_paths(args.paths, baseline=None)
-        target = args.baseline or baseline_path or Path(__file__).parent / BASELINE_NAME
-        Baseline.from_findings(report.findings).save(target)
-        print(f"wrote {len(report.findings)} finding(s) to {target}")
-        return 0
-
-    report = engine.run_paths(args.paths, baseline=baseline)
+    report = AnalysisEngine().run_paths(args.paths)
     print(report.to_json() if args.json else report.to_text())
     return 0 if report.ok else 1
 

@@ -3,7 +3,7 @@
 The engine is deliberately small and dependency-free: a rule is an object
 with an ``id`` and a ``check(ctx)`` generator over :class:`Finding`s, a
 module is parsed once into a :class:`ModuleContext` shared by every rule,
-and three orthogonal mechanisms decide what a run reports:
+and a run reports every finding no suppression silences:
 
 * **suppressions** — a ``# repro: ignore[RPL002]`` comment on the finding's
   line (or on a comment-only line directly above it) silences that rule
@@ -11,12 +11,6 @@ and three orthogonal mechanisms decide what a run reports:
   line.  Suppressions are for *individually reviewed* exceptions and should
   carry a justification in the surrounding comment (see
   ``docs/analysis.md``).
-* **baseline** — a committed JSON file of fingerprinted pre-existing
-  findings (:class:`Baseline`).  A finding whose ``(rule, path, message)``
-  fingerprint appears in the baseline is reported as *baselined*, not new,
-  so the CI gate fails only on regressions.  Fingerprints carry no line
-  numbers: moving code around does not invalidate the baseline, changing
-  the offending construct does.
 * **reporters** — :meth:`Report.to_text` for humans, :meth:`Report.to_json`
   for tooling.
 
@@ -31,11 +25,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-#: Name of the committed baseline file, discovered by walking up from the
-#: scanned paths (and shipped inside the package for `-m repro.analysis`).
-BASELINE_NAME = "baseline.json"
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 _IGNORE_RE = re.compile(r"#\s*repro:\s*ignore(?:\[([A-Za-z0-9_,\s-]+)\])?")
 
@@ -50,11 +40,6 @@ class Finding:
     col: int
     message: str
 
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.message)
-
     def format(self) -> str:
         """``path:line:col: RULE message`` — the text-reporter line."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -67,7 +52,7 @@ class ModuleContext:
         self.path = path
         #: package-relative posix path (e.g. ``repro/core/cache.py``) — the
         #: thing rules scope on, and the path recorded in findings so
-        #: baselines survive checkouts at different absolute locations.
+        #: reports read the same from checkouts at different locations.
         self.rel = rel if rel is not None else _package_rel(path)
         self.source = source
         self.lines = source.splitlines()
@@ -141,85 +126,25 @@ class Rule:
         raise NotImplementedError
 
 
-class Baseline:
-    """A committed set of fingerprinted pre-existing findings.
-
-    Stored as JSON: ``{"version": 1, "findings": [{"rule", "path",
-    "message", "count"}, ...]}``.  ``count`` allows the same fingerprint to
-    occur more than once in a file (e.g. two unannotated overloads with an
-    identical message); occurrences beyond the baselined count are new.
-    """
-
-    def __init__(self, counts: Optional[Dict[Tuple[str, str, str], int]] = None) -> None:
-        self.counts: Dict[Tuple[str, str, str], int] = dict(counts or {})
-
-    @classmethod
-    def load(cls, path: "str | Path") -> "Baseline":
-        """Read a baseline file; a missing file is an empty baseline."""
-        path = Path(path)
-        if not path.is_file():
-            return cls()
-        data = json.loads(path.read_text(encoding="utf-8"))
-        counts: Dict[Tuple[str, str, str], int] = {}
-        for record in data.get("findings", []):
-            key = (str(record["rule"]), str(record["path"]), str(record["message"]))
-            counts[key] = counts.get(key, 0) + int(record.get("count", 1))
-        return cls(counts)
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        """Baseline exactly the given findings (the ``--write-baseline`` path)."""
-        counts: Dict[Tuple[str, str, str], int] = {}
-        for finding in findings:
-            counts[finding.fingerprint] = counts.get(finding.fingerprint, 0) + 1
-        return cls(counts)
-
-    def save(self, path: "str | Path") -> None:
-        """Write the baseline as stable, diff-friendly JSON."""
-        records = [
-            {"rule": rule, "path": rel, "message": message, "count": count}
-            for (rule, rel, message), count in sorted(self.counts.items())
-        ]
-        Path(path).write_text(
-            json.dumps({"version": 1, "findings": records}, indent=1) + "\n",
-            encoding="utf-8",
-        )
-
-    def split(self, findings: Sequence[Finding]) -> Tuple[List[Finding], List[Finding]]:
-        """Partition findings into (new, baselined)."""
-        remaining = dict(self.counts)
-        new: List[Finding] = []
-        old: List[Finding] = []
-        for finding in findings:
-            left = remaining.get(finding.fingerprint, 0)
-            if left > 0:
-                remaining[finding.fingerprint] = left - 1
-                old.append(finding)
-            else:
-                new.append(finding)
-        return new, old
-
-
 @dataclass
 class Report:
     """The outcome of one engine run."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: int = 0
     files: int = 0
 
     @property
     def ok(self) -> bool:
-        """True when no *new* (non-baselined, non-suppressed) findings exist."""
+        """True when no (unsuppressed) findings exist."""
         return not self.findings
 
     def to_text(self) -> str:
-        """Human-readable report (one line per new finding + a summary)."""
+        """Human-readable report (one line per finding + a summary)."""
         lines = [finding.format() for finding in self.findings]
         lines.append(
             f"{len(self.findings)} finding(s) in {self.files} file(s) "
-            f"({len(self.baselined)} baselined, {self.suppressed} suppressed)"
+            f"({self.suppressed} suppressed)"
         )
         return "\n".join(lines)
 
@@ -230,7 +155,6 @@ class Report:
                 "ok": self.ok,
                 "files": self.files,
                 "suppressed": self.suppressed,
-                "baselined": len(self.baselined),
                 "findings": [
                     {
                         "rule": f.rule,
@@ -285,18 +209,13 @@ class AnalysisEngine:
 
         The fixture-test entry point: ``rel`` controls which scoped rules
         apply (e.g. ``repro/index/flat.py`` activates the index-side
-        checks).  Suppression comments in the snippet are honoured;
-        baselines are not consulted.
+        checks).  Suppression comments in the snippet are honoured.
         """
         ctx = ModuleContext(path=rel, source=source, rel=rel)
         findings, _suppressed = self.check_module(ctx)
         return findings
 
-    def run_paths(
-        self,
-        paths: Sequence["str | Path"],
-        baseline: Optional[Baseline] = None,
-    ) -> Report:
+    def run_paths(self, paths: Sequence["str | Path"]) -> Report:
         """Analyze every ``*.py`` file under ``paths`` (files or directories)."""
         report = Report()
         for file in iter_python_files(paths):
@@ -320,8 +239,6 @@ class AnalysisEngine:
             report.suppressed += suppressed
             report.files += 1
         report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        if baseline is not None:
-            report.findings, report.baselined = baseline.split(report.findings)
         return report
 
 
@@ -347,31 +264,6 @@ def _package_rel(path: str) -> str:
         if parts[i] == "repro":
             return "/".join(parts[i:])
     return Path(path).name
-
-
-def find_baseline(paths: Sequence["str | Path"]) -> Optional[Path]:
-    """Locate the committed baseline near the scanned paths.
-
-    Looks for ``baseline.json`` inside a scanned ``repro/analysis``
-    directory first (the committed location), then walks each path's
-    ancestors for a ``.repro-analysis-baseline.json`` (an out-of-tree
-    override for downstream checkouts).
-    """
-    for raw in paths:
-        candidate = Path(raw)
-        if candidate.is_dir():
-            packaged = candidate / "analysis" / BASELINE_NAME
-            if packaged.is_file():
-                return packaged
-            packaged = candidate / "repro" / "analysis" / BASELINE_NAME
-            if packaged.is_file():
-                return packaged
-    for raw in paths:
-        for ancestor in [Path(raw)] + list(Path(raw).resolve().parents):
-            override = ancestor / ".repro-analysis-baseline.json"
-            if override.is_file():
-                return override
-    return None
 
 
 def default_rules() -> List[Rule]:

@@ -11,9 +11,8 @@ cache, sharing one LLM web service:
   :class:`Trace` serializes to JSON for traffic replay.
 * :mod:`repro.serving.scenarios` — the scenario zoo: adversarial
   cache-poisoning and near-miss-flooding streams, mixed-domain cohorts,
-  multi-tenant mixes, external log import, plus the declarative
-  :class:`ScenarioSpec` registry the evaluation matrix
-  (:mod:`repro.experiments.scenario_bench`) drives.
+  multi-tenant mixes and external log import, as seeded trace builders
+  (each family's floor is a check in ``tests/test_scenarios.py``).
 * :mod:`repro.serving.scheduling` — the serving core under the server's
   flush: :class:`BatchExecutor` (one shard's two-phase batch execution),
   :class:`CacheAdapter`, the :class:`FleetResult` aggregation, and
@@ -34,15 +33,11 @@ from repro.serving.scenarios import (
     FloodingConfig,
     MultiTenantConfig,
     PoisoningConfig,
-    ScenarioSpec,
-    available_scenarios,
     build_cohort_trace,
     build_flooding_trace,
     build_multi_tenant_trace,
-    get_scenario,
     inject_poisoning,
     merge_traces,
-    register_scenario,
     relabel_users,
     trace_from_logs,
     trace_to_logs,
@@ -97,15 +92,11 @@ __all__ = [
     "FloodingConfig",
     "MultiTenantConfig",
     "PoisoningConfig",
-    "ScenarioSpec",
-    "available_scenarios",
     "build_cohort_trace",
     "build_flooding_trace",
     "build_multi_tenant_trace",
-    "get_scenario",
     "inject_poisoning",
     "merge_traces",
-    "register_scenario",
     "relabel_users",
     "trace_from_logs",
     "trace_to_logs",

@@ -1,4 +1,4 @@
-"""Scenario zoo: adversarial / heterogeneous workload construction + specs.
+"""Scenario zoo: adversarial / heterogeneous workload construction.
 
 PRs 1–5 evaluated the serving stack on one workload shape — Poisson
 arrivals over Dirichlet domain mixes with a couple of drift phases.  This
@@ -7,9 +7,8 @@ heterogeneous devices, adversarially mixed traffic) demands.  Everything
 here is **trace construction**: pure, seeded transforms of
 :class:`~repro.serving.workload.Trace` streams, with no encoder or cache
 dependency, so every scenario replays through any fleet configuration.
-The declarative *runner* — one matrix of scenarios, each producing the
-same per-scenario hit / true-hit / false-hit / latency / cost table —
-lives in :mod:`repro.experiments.scenario_bench`.
+Each family's check — one replay through ``CacheServer.replay`` and the
+family's floor — is a test in ``tests/test_scenarios.py``.
 
 Scenario families
 -----------------
@@ -32,11 +31,6 @@ Scenario families
   isolation floor bounds how much the noisy tenant may cost a quiet one.
 * **replay** — :func:`trace_from_logs`: external request logs (foreign
   field names, unordered) imported into a replayable :class:`Trace`.
-
-:class:`ScenarioSpec` + the registry (:func:`register_scenario`,
-:func:`get_scenario`, :func:`available_scenarios`) make the zoo
-declarative: a spec is a named, JSON-serializable description of one
-scenario; the matrix driver resolves and runs them uniformly.
 """
 
 from __future__ import annotations
@@ -72,11 +66,6 @@ __all__ = [
     "build_multi_tenant_trace",
     "trace_from_logs",
     "trace_to_logs",
-    "ScenarioSpec",
-    "SCENARIO_FAMILIES",
-    "register_scenario",
-    "get_scenario",
-    "available_scenarios",
 ]
 
 
@@ -401,8 +390,9 @@ class MultiTenantConfig:
     The noisy tenant floods all-unique traffic (nothing it asks is ever
     re-asked, so none of it is cacheable) at a multiple of the quiet
     arrival rate — the classic noisy-neighbour pattern.  Isolation holds
-    when a quiet tenant's hit rate in the mixed deployment stays within a
-    small ε of its hit rate running alone on the same seed.
+    when a quiet tenant's hit rate and verified (true) hit rate in the
+    mixed deployment stay within a small ε of its rates running alone on
+    the same seed.
     """
 
     n_quiet_users: int = 8
@@ -567,103 +557,3 @@ def trace_to_logs(
         }
         for e in trace.events
     ]
-
-
-# --------------------------------------------------------------------------- #
-# Declarative scenario specs + registry
-# --------------------------------------------------------------------------- #
-#: The scenario families the matrix driver knows how to run.
-SCENARIO_FAMILIES = frozenset(
-    {"poisoning", "flooding", "arrival", "mixed_domain", "multi_tenant", "replay"}
-)
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """One named, declarative scenario description.
-
-    A spec is data, not code: family selects the construction + floor
-    semantics, ``workload`` overrides the honest-traffic
-    :class:`WorkloadConfig` knobs, ``params`` feeds the family's own config
-    (e.g. :class:`PoisoningConfig` fields), and ``adaptation`` (when not
-    ``None``) switches the fleet onto an
-    :class:`~repro.federated.online.OnlineThresholdAdapter` built from the
-    given :class:`~repro.federated.online.OnlineAdaptationConfig`
-    overrides.  Everything serializes to JSON, so the whole matrix is
-    reproducible from the benchmark payload alone.
-    """
-
-    name: str
-    family: str
-    description: str = ""
-    n_users: int = 8
-    queries_per_user: int = 30
-    seed: int = 0
-    similarity_threshold: float = 0.75
-    workload: Mapping[str, object] = field(default_factory=dict)
-    params: Mapping[str, object] = field(default_factory=dict)
-    adaptation: Optional[Mapping[str, object]] = None
-    shared_cache: bool = False
-    max_entries: int = 100_000
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("scenario name must be non-empty")
-        if self.family not in SCENARIO_FAMILIES:
-            raise ValueError(
-                f"unknown scenario family {self.family!r}; "
-                f"expected one of {sorted(SCENARIO_FAMILIES)}"
-            )
-        if self.n_users < 1 or self.queries_per_user < 1:
-            raise ValueError("n_users and queries_per_user must be >= 1")
-        if not 0.0 <= self.similarity_threshold <= 1.0:
-            raise ValueError("similarity_threshold must be in [0, 1]")
-        if self.max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        object.__setattr__(self, "workload", dict(self.workload))
-        object.__setattr__(self, "params", dict(self.params))
-        if self.adaptation is not None:
-            object.__setattr__(self, "adaptation", dict(self.adaptation))
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (recorded in the benchmark payload)."""
-        return {
-            "name": self.name,
-            "family": self.family,
-            "description": self.description,
-            "n_users": self.n_users,
-            "queries_per_user": self.queries_per_user,
-            "seed": self.seed,
-            "similarity_threshold": self.similarity_threshold,
-            "workload": dict(self.workload),
-            "params": dict(self.params),
-            "adaptation": None if self.adaptation is None else dict(self.adaptation),
-            "shared_cache": self.shared_cache,
-            "max_entries": self.max_entries,
-        }
-
-
-_REGISTRY: Dict[str, ScenarioSpec] = {}
-
-
-def register_scenario(spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec:
-    """Add a spec to the zoo registry (rejects silent name collisions)."""
-    if not replace and spec.name in _REGISTRY:
-        raise ValueError(f"scenario {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def get_scenario(name: str) -> ScenarioSpec:
-    """Look up a registered spec by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; registered: {available_scenarios()}"
-        ) from None
-
-
-def available_scenarios() -> List[str]:
-    """Registered scenario names, sorted."""
-    return sorted(_REGISTRY)

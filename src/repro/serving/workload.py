@@ -34,8 +34,8 @@ stationary generator, so existing traces and benchmarks are unaffected.
 flash crowds on the Poisson arrivals as a pure time-warp of the drawn
 arrival times (inhomogeneous-Poisson time rescaling).  The warp runs after
 generation and consumes no RNG draws, so schedules can never perturb the
-seeded query contents — the structural guarantee the scenario zoo
-(:mod:`repro.serving.scenarios`) builds on.
+seeded query contents — the structural guarantee the arrival-scenario
+check in ``tests/test_scenarios.py`` relies on.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Tests for the repro.analysis static lint engine and its project rules.
 
 Each rule gets fixture snippets (known-violation + known-clean) fed through
-``AnalysisEngine.run_source``; suppression comments and the committed
-baseline get behavioural tests; and a meta-test asserts the live repo is
-violation-free modulo the committed baseline — the same gate CI runs via
-``python -m repro.analysis src/repro``.
+``AnalysisEngine.run_source``; suppression comments get behavioural
+tests; and a meta-test asserts the live repo is violation-free — the same
+gate CI runs via ``python -m repro.analysis src/repro``.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisEngine, Baseline, Finding
-from repro.analysis.engine import BASELINE_NAME, find_baseline
+from repro.analysis import AnalysisEngine
+from repro.analysis.__main__ import main
 
 pytestmark = pytest.mark.concurrency
 
@@ -483,42 +482,6 @@ class TestSuppression:
 
 
 # --------------------------------------------------------------------------- #
-# Baseline
-# --------------------------------------------------------------------------- #
-def _finding(rule="RPL005", path="repro/x.py", message="msg", line=1):
-    return Finding(rule=rule, path=path, line=line, col=0, message=message)
-
-
-class TestBaseline:
-    def test_roundtrip(self, tmp_path):
-        baseline = Baseline.from_findings([_finding(), _finding(line=9)])
-        target = tmp_path / BASELINE_NAME
-        baseline.save(target)
-        loaded = Baseline.load(target)
-        assert loaded.counts == baseline.counts
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert Baseline.load(tmp_path / "nope.json").counts == {}
-
-    def test_split_respects_counts(self):
-        baseline = Baseline.from_findings([_finding(), _finding(line=9)])
-        # Three occurrences of the baselined fingerprint: two absorbed, one new.
-        findings = [_finding(line=n) for n in (1, 9, 30)]
-        new, old = baseline.split(findings)
-        assert len(old) == 2 and len(new) == 1
-
-    def test_unrelated_finding_is_new(self):
-        baseline = Baseline.from_findings([_finding()])
-        new, old = baseline.split([_finding(message="other msg")])
-        assert len(new) == 1 and not old
-
-    def test_fingerprint_is_line_independent(self):
-        baseline = Baseline.from_findings([_finding(line=10)])
-        new, old = baseline.split([_finding(line=999)])
-        assert not new and len(old) == 1
-
-
-# --------------------------------------------------------------------------- #
 # Engine plumbing + live-repo meta-test
 # --------------------------------------------------------------------------- #
 class TestEngine:
@@ -540,27 +503,55 @@ class TestEngine:
         assert data["ok"] is True
         assert data["findings"] == []
 
-    def test_live_repo_clean_modulo_baseline(self):
-        """The repo gate: no new findings beyond the committed baseline."""
-        src = REPO_ROOT / "src" / "repro"
-        baseline_path = find_baseline([src])
-        assert baseline_path is not None, "committed baseline.json not found"
-        report = AnalysisEngine().run_paths([src], baseline=Baseline.load(baseline_path))
-        assert report.ok, "new findings:\n" + report.to_text()
+    def test_live_repo_has_no_findings(self):
+        """The repo gate: the live tree has no unsuppressed finding."""
+        report = AnalysisEngine().run_paths([REPO_ROOT / "src" / "repro"])
+        assert report.ok, "findings:\n" + report.to_text()
 
-    def test_committed_baseline_not_stale(self):
-        """Every baselined fingerprint still corresponds to a live finding.
 
-        Guards against the baseline silently masking *future* regressions:
-        fixing a baselined finding should shrink the baseline too.
-        """
-        src = REPO_ROOT / "src" / "repro"
-        baseline = Baseline.load(find_baseline([src]))
-        report = AnalysisEngine().run_paths([src], baseline=None)
-        live = Baseline.from_findings(report.findings).counts
-        stale = {
-            key: count
-            for key, count in baseline.counts.items()
-            if live.get(key, 0) < count
-        }
-        assert not stale, f"baseline entries no longer firing: {sorted(stale)}"
+# --------------------------------------------------------------------------- #
+# The command line (what CI's static-analysis job runs)
+# --------------------------------------------------------------------------- #
+_CLEAN = (
+    '"""A documented module."""\n\n\n'
+    'def answer() -> int:\n    """The answer."""\n    return 42\n'
+)
+_WALL_CLOCK = (
+    '"""A module that reads the wall clock."""\n\nimport time\n\n\n'
+    'def stamp() -> float:\n    """Now."""\n    return time.time()\n'
+)
+
+
+def _package(tmp_path, source: str, suppress: bool = False) -> Path:
+    """A one-module ``repro/core`` tree under ``tmp_path``."""
+    module = tmp_path / "repro" / "core" / "sample.py"
+    module.parent.mkdir(parents=True)
+    if suppress:
+        source = source.replace("time.time()", "time.time()  # repro: ignore[RPL002]")
+    module.write_text(source, encoding="utf-8")
+    return tmp_path / "repro"
+
+
+class TestCommandLine:
+    def test_clean_tree_exits_zero(self, tmp_path, capsys):
+        assert main([str(_package(tmp_path, _CLEAN))]) == 0
+        assert capsys.readouterr().out.startswith("0 finding(s) in 1 file(s)")
+
+    def test_any_finding_exits_one_and_is_printed(self, tmp_path, capsys):
+        assert main([str(_package(tmp_path, _WALL_CLOCK))]) == 1
+        out = capsys.readouterr().out
+        assert "repro/core/sample.py:8:11: RPL002" in out
+        assert "1 finding(s) in 1 file(s) (0 suppressed)" in out
+
+    def test_suppressed_finding_is_counted_not_reported(self, tmp_path, capsys):
+        assert main([str(_package(tmp_path, _WALL_CLOCK, suppress=True))]) == 0
+        assert "0 finding(s) in 1 file(s) (1 suppressed)" in capsys.readouterr().out
+
+    def test_json_report_lists_each_finding(self, tmp_path, capsys):
+        assert main([str(_package(tmp_path, _WALL_CLOCK)), "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["ok"] is False
+        assert data["files"] == 1
+        assert [(f["rule"], f["path"], f["line"]) for f in data["findings"]] == [
+            ("RPL002", "repro/core/sample.py", 8)
+        ]

@@ -1,47 +1,48 @@
-"""Tests for the scenario zoo (trace construction, registry, matrix driver).
+"""Tests for the scenario zoo: trace construction and the six scenario checks.
 
 Construction tests are encoder-free: every scenario family is a pure,
 seeded trace transform, so correctness (victim streams untouched by the
 attacker, cohort membership, tenant stream identity, log import fidelity)
-is asserted on the traces themselves.  The matrix driver is exercised
-end-to-end at tiny-encoder scale — one small spec per family — plus the
-empty/singleton smoke the CI benchmarks job relies on.
+is asserted on the traces themselves.
+
+The scenario checks replay each family's trace through
+``CacheServer(..., ServerConfig(n_shards=1)).replay`` with the pretrained
+``albert-sim`` encoder and assert the family's floor.  Attack scenarios
+compare the victims' (honest users', quiet tenant's) stats against the
+same traffic without the adversary, so the floors bound a *delta*; they
+also demand that the attack lands, or the check would pass on a broken
+construction.  See ``docs/scenarios.md``.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from conftest import make_tiny_encoder
-
+from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.datasets.corpus import Corpus
-from repro.experiments.scenario_bench import run_scenario, run_scenario_matrix
+from repro.federated.online import OnlineAdaptationConfig, OnlineThresholdAdapter
+from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving import (
+    ArrivalSchedule,
+    CacheServer,
     CohortSpec,
     FloodingConfig,
     MultiTenantConfig,
     PoisoningConfig,
-    ScenarioSpec,
+    ServerConfig,
     WorkloadConfig,
     WorkloadGenerator,
-    available_scenarios,
+    apply_arrival_schedule,
     build_cohort_trace,
     build_flooding_trace,
     build_multi_tenant_trace,
-    get_scenario,
     inject_poisoning,
     merge_traces,
-    register_scenario,
     relabel_users,
     trace_from_logs,
     trace_to_logs,
 )
-from repro.serving.scenarios import _REGISTRY
-
-
-@pytest.fixture(scope="module")
-def tiny_encoder():
-    return make_tiny_encoder()
 
 
 # --------------------------------------------------------------------------- #
@@ -77,6 +78,34 @@ class TestTraceSurgery:
         trace = WorkloadGenerator(WorkloadConfig(n_users=2, queries_per_user=5)).generate()
         with pytest.raises(ValueError, match="collide"):
             merge_traces(trace, trace)
+
+    def test_relabel_keeps_every_field_but_the_id(self):
+        trace = WorkloadGenerator(
+            WorkloadConfig(n_users=3, queries_per_user=6, followup_rate=0.5)
+        ).generate()
+        relabelled = relabel_users(trace, "t-")
+        assert relabelled.metadata["user_prefix"] == "t-"
+        for before, after in zip(trace.events, relabelled.events):
+            assert after.user_id == f"t-{before.user_id}"
+            assert (after.context, after.is_followup, after.kind, after.intent_key) == (
+                before.context,
+                before.is_followup,
+                before.kind,
+                before.intent_key,
+            )
+
+    def test_merge_counts_the_users_of_every_input(self):
+        a = relabel_users(
+            WorkloadGenerator(WorkloadConfig(n_users=2, queries_per_user=4), seed=1).generate(),
+            "a-",
+        )
+        b = relabel_users(
+            WorkloadGenerator(WorkloadConfig(n_users=3, queries_per_user=4), seed=2).generate(),
+            "b-",
+        )
+        merged = merge_traces(a, b)
+        assert merged.n_users == 5
+        assert [m["user_prefix"] for m in merged.metadata["merged"]] == ["a-", "b-"]
 
 
 # --------------------------------------------------------------------------- #
@@ -134,6 +163,18 @@ class TestPoisoning:
             PoisoningConfig(lead_s=0.0)
         with pytest.raises(ValueError):
             PoisoningConfig(attacker_shards=0)
+
+    def test_poison_comes_from_at_most_attacker_shards_identities(self):
+        corpus = Corpus(seed=0)
+        base = WorkloadGenerator(
+            WorkloadConfig(n_users=4, queries_per_user=15), corpus=corpus, seed=0
+        ).generate()
+        config = PoisoningConfig(target_fraction=1.0, attacker_shards=1)
+        poisoned, info = inject_poisoning(base, corpus, config, seed=0)
+        assert info.attacker_ids == {"attacker-00000"}
+        assert poisoned.n_users == base.n_users + 1
+        assert poisoned.metadata["poisoning"]["n_targets"] == info.n_targets
+        assert poisoned.metadata["poisoning"]["n_attackers"] == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -203,6 +244,61 @@ class TestStreamBuilders:
         # The noisy tenant floods *unique* traffic (cache-useless churn).
         assert all(e.kind == "unique" for e in noisy_events)
 
+    def test_flooding_trace_is_deterministic_under_seed(self):
+        honest_config = WorkloadConfig(n_users=2, queries_per_user=6)
+        flooding = FloodingConfig(n_flooders=1, queries_per_flooder=10)
+        once = build_flooding_trace(honest_config, flooding, seed=3)[0]
+        twice = build_flooding_trace(honest_config, flooding, seed=3)[0]
+        other = build_flooding_trace(honest_config, flooding, seed=4)[0]
+        assert once.to_dict() == twice.to_dict()
+        assert other.to_dict() != once.to_dict()
+
+    def test_flooding_config_validation(self):
+        for bad in (
+            {"n_flooders": 0},
+            {"queries_per_flooder": 0},
+            {"duplicate_rate": 1.5},
+            {"paraphrase_bias": -0.1},
+            {"arrival_rate_qps": 0.0},
+        ):
+            with pytest.raises(ValueError):
+                FloodingConfig(**bad)
+
+    def test_cohort_spec_validation(self):
+        assert CohortSpec(name="x", domains=["cooking"]).domains == ("cooking",)
+        with pytest.raises(ValueError, match="name"):
+            CohortSpec(name="", domains=("cooking",))
+        with pytest.raises(ValueError, match="domain"):
+            CohortSpec(name="x", domains=())
+        with pytest.raises(ValueError):
+            CohortSpec(name="x", domains=("cooking",), n_users=0)
+        with pytest.raises(ValueError, match="at least one cohort"):
+            build_cohort_trace([])
+
+    def test_multi_tenant_config_validation(self):
+        for bad in (
+            {"n_quiet_users": 0},
+            {"n_noisy_users": 0},
+            {"queries_per_noisy_user": 0},
+            {"noisy_rate_multiplier": 0.0},
+        ):
+            with pytest.raises(ValueError):
+                MultiTenantConfig(**bad)
+
+    def test_noisy_tenant_arrives_faster_than_quiet_users(self):
+        mixed, _alone, quiet_ids, noisy_ids = build_multi_tenant_trace(
+            MultiTenantConfig(noisy_rate_multiplier=5.0), seed=0
+        )
+
+        def mean_gap_s(user_ids):
+            gaps = []
+            for uid in user_ids:
+                times = [e.time_s for e in mixed.events if e.user_id == uid]
+                gaps.extend(np.diff(times))
+            return float(np.mean(gaps))
+
+        assert mean_gap_s(noisy_ids) < mean_gap_s(quiet_ids) / 2
+
 
 # --------------------------------------------------------------------------- #
 # External log import/export
@@ -250,145 +346,241 @@ class TestLogImport:
         with pytest.raises(ValueError, match="user"):
             trace_from_logs([{"timestamp": 0.0, "prompt": "q"}])
 
+    def test_empty_logs_give_an_empty_trace(self):
+        trace = trace_from_logs([])
+        assert len(trace) == 0
+        assert trace.n_users == 0
 
-# --------------------------------------------------------------------------- #
-# Spec registry
-# --------------------------------------------------------------------------- #
-class TestScenarioRegistry:
-    def test_default_zoo_is_registered_with_five_plus_families(self):
-        names = available_scenarios()
-        specs = [get_scenario(n) for n in names]
-        assert len({s.family for s in specs}) >= 5
+    def test_missing_optional_fields_degrade_to_unverifiable_first_asks(self):
+        trace = trace_from_logs([{"timestamp": 3.0, "user": "u", "prompt": "q"}])
+        event = trace.events[0]
+        assert event.intent_key == ""
+        assert event.context == ()
+        assert not event.is_followup
+        assert event.time_s == 0.0
 
-    def test_register_rejects_silent_collisions(self):
-        spec = ScenarioSpec(name="collision-probe", family="replay")
-        register_scenario(spec)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_scenario(ScenarioSpec(name="collision-probe", family="arrival"))
-            replaced = register_scenario(
-                ScenarioSpec(name="collision-probe", family="arrival"), replace=True
-            )
-            assert get_scenario("collision-probe") is replaced
-        finally:
-            _REGISTRY.pop("collision-probe", None)
+    def test_normalize_time_off_keeps_the_foreign_epoch(self):
+        records = [
+            {"timestamp": 1700000005.0, "user": "u1", "prompt": "b"},
+            {"timestamp": 1700000001.0, "user": "u0", "prompt": "a"},
+        ]
+        trace = trace_from_logs(records, normalize_time=False)
+        assert [e.time_s for e in trace.events] == [1700000001.0, 1700000005.0]
 
-    def test_unknown_scenario_error_lists_registry(self):
-        with pytest.raises(KeyError, match="registered"):
-            get_scenario("no-such-scenario")
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="family"):
-            ScenarioSpec(name="x", family="chaos")
-        with pytest.raises(ValueError):
-            ScenarioSpec(name="", family="replay")
-        with pytest.raises(ValueError):
-            ScenarioSpec(name="x", family="replay", n_users=0)
-        with pytest.raises(ValueError):
-            ScenarioSpec(name="x", family="replay", similarity_threshold=1.5)
-
-    def test_spec_serializes_to_json_shape(self):
-        spec = ScenarioSpec(
-            name="x", family="flooding", params={"n_flooders": 2}, adaptation={"seed": 3}
-        )
-        d = spec.to_dict()
-        assert d["family"] == "flooding"
-        assert d["params"] == {"n_flooders": 2}
-        assert d["adaptation"] == {"seed": 3}
 
 
 # --------------------------------------------------------------------------- #
-# Matrix driver (tiny-encoder scale)
+# The scenario checks (albert-sim encoder, one replay per stream)
 # --------------------------------------------------------------------------- #
-def _tiny_spec(family: str, **kwargs) -> ScenarioSpec:
-    defaults = dict(
-        name=f"tiny-{family}", family=family, n_users=3, queries_per_user=8
+def _replay(encoder, trace, *, shared=False, max_entries=100_000, adaptation=None,
+            collect_outcomes=False):
+    """Replay ``trace`` on a fresh fleet: per-device caches or one shared cache."""
+    config = MeanCacheConfig(similarity_threshold=0.75, max_entries=max_entries)
+    cache = MeanCache(encoder, config) if shared else None
+    server = CacheServer(
+        lambda user_id: cache if shared else MeanCache(encoder, config),
+        SimulatedLLMService(LLMServiceConfig(seed=0)),
+        ServerConfig(n_shards=1),
+        adaptation=adaptation,
     )
-    defaults.update(kwargs)
-    return ScenarioSpec(**defaults)
+    return server.replay(trace, collect_outcomes=collect_outcomes)
 
 
-TINY_SPECS = [
-    _tiny_spec("poisoning", shared_cache=True),
-    _tiny_spec(
-        "flooding",
-        params={"n_flooders": 2, "queries_per_flooder": 30},
-        adaptation={"round_interval_s": 10.0, "min_observations": 6, "min_threshold": 0.5},
-    ),
-    _tiny_spec("arrival", params={"kind": "flash_crowd", "flash_at_s": 10.0}),
-    _tiny_spec(
-        "mixed_domain",
-        params={
-            "cohorts": [
-                {"name": "west", "domains": ["programming"], "n_users": 2, "queries_per_user": 6},
-                {"name": "east", "domains": ["cooking"], "n_users": 2, "queries_per_user": 6},
-            ]
-        },
-    ),
-    _tiny_spec(
-        "multi_tenant",
-        shared_cache=True,
-        params={"n_quiet_users": 2, "queries_per_quiet_user": 8, "n_noisy_users": 1, "queries_per_noisy_user": 16},
-    ),
-    _tiny_spec("replay"),
-]
+def _assert_served(lookups, hit_rate, cost_usd):
+    """What every scenario must show: events served, a hit rate, LLM spend."""
+    assert lookups > 0
+    assert 0.0 <= hit_rate <= 1.0
+    assert cost_usd > 0.0
 
 
-class TestMatrixDriver:
-    @pytest.mark.parametrize("spec", TINY_SPECS, ids=lambda s: s.family)
-    def test_every_family_runs_and_reports_metrics(self, spec, tiny_encoder):
-        result = run_scenario(spec, encoder=tiny_encoder, encoder_name="tiny")
-        assert result.family == spec.family
-        assert result.metrics.n_events > 0
-        assert 0.0 <= result.metrics.hit_rate <= 1.0
-        assert result.metrics.total_cost_usd > 0.0
-        payload = result.to_dict()
-        assert payload["spec"]["name"] == spec.name
-        assert set(payload["metrics"]) == {
-            "n_events",
-            "hit_rate",
-            "true_hit_rate",
-            "false_hit_rate",
-            "mean_latency_s",
-            "total_cost_usd",
-            "throughput_lookups_per_s",
-        }
+def test_poisoning_scenario(albert_encoder):
+    """Hard-negative front-running on a shared cache lands, but boundedly."""
+    corpus = Corpus(seed=0)
+    base = WorkloadGenerator(
+        WorkloadConfig(n_users=10, queries_per_user=30, duplicate_rate=0.35, followup_rate=0.1),
+        corpus=corpus,
+        seed=0,
+    ).generate()
+    poisoned, info = inject_poisoning(
+        base, corpus, PoisoningConfig(target_fraction=0.5, lead_s=5.0, object_bias=0.95), seed=0
+    )
+    attacked = _replay(albert_encoder, poisoned, shared=True, collect_outcomes=True)
+    clean = _replay(albert_encoder, base, shared=True)
+    victim_ids = set(base.user_ids)
+    victims = attacked.stats_for(base.user_ids)
+    unpoisoned = clean.stats_for(base.user_ids)
+    _assert_served(victims.lookups, victims.hit_rate, victims.cost_usd)
 
-    def test_empty_matrix_needs_no_encoder(self, monkeypatch):
-        """The CI smoke: an empty spec list must not touch the encoder zoo."""
+    poison_served = sum(
+        1
+        for o in attacked.outcomes
+        if o.hit and o.event.user_id in victim_ids and o.matched_query in info.poison_queries
+    )
+    assert poison_served >= 1
+    # Real but bounded: extra victim false hits in (0, 0.2] over the same
+    # honest traffic unpoisoned.
+    delta = victims.false_hit_rate - unpoisoned.false_hit_rate
+    assert 0.0 < delta <= 0.2, delta
+    assert victims.true_hit_rate >= unpoisoned.true_hit_rate - 0.05, (victims, unpoisoned)
 
-        def boom(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("encoder loaded for an empty matrix")
 
-        monkeypatch.setattr("repro.embeddings.zoo.load_encoder", boom)
-        matrix = run_scenario_matrix([])
-        assert len(matrix) == 0
-        assert matrix.families == []
-        assert matrix.to_dict()["scenarios"] == {}
+def test_flooding_scenario(albert_encoder):
+    """Near-miss flooding drags the federated τ, never past its clamp."""
+    honest_config = WorkloadConfig(
+        n_users=10, queries_per_user=40, duplicate_rate=0.35, paraphrase_bias=0.7
+    )
+    trace, honest_ids, _flooder_ids = build_flooding_trace(
+        honest_config,
+        FloodingConfig(
+            n_flooders=4, queries_per_flooder=150, duplicate_rate=0.95, paraphrase_bias=0.0
+        ),
+        seed=0,
+    )
 
-    def test_singleton_matrix(self, tiny_encoder):
-        matrix = run_scenario_matrix(
-            [_tiny_spec("replay", name="tiny-singleton")],
-            encoder=tiny_encoder,
-            encoder_name="tiny",
+    def adapter():
+        return OnlineThresholdAdapter(
+            OnlineAdaptationConfig(
+                initial_threshold=0.75,
+                seed=0,
+                round_interval_s=15.0,
+                clients_per_round=14,
+                min_observations=12,
+                min_threshold=0.55,
+                weighted=True,
+            )
         )
-        assert len(matrix) == 1
-        assert matrix.get("tiny-singleton").extras["replay_deterministic"]
-        with pytest.raises(KeyError):
-            matrix.get("absent")
-        assert "tiny-singleton" in matrix.format()
 
-    def test_flooding_spec_without_adaptation_rejected(self, tiny_encoder):
-        spec = _tiny_spec("flooding", name="tiny-flood-bare")
-        with pytest.raises(ValueError, match="adaptation"):
-            run_scenario(spec, encoder=tiny_encoder)
+    attacked_adapter, clean_adapter = adapter(), adapter()
+    attacked = _replay(albert_encoder, trace, adaptation=attacked_adapter)
+    clean = _replay(
+        albert_encoder,
+        WorkloadGenerator(honest_config, seed=0).generate(),
+        adaptation=clean_adapter,
+    )
+    honest = attacked.stats_for(honest_ids)
+    honest_alone = clean.stats_for(honest_ids)
+    _assert_served(honest.lookups, honest.hit_rate, honest.cost_usd)
 
-    def test_matrix_none_runs_registered_zoo_names(self):
-        # Resolution only — the full default zoo is the benchmark's job.
-        assert set(available_scenarios()) >= {
-            "cache_poisoning",
-            "near_miss_flooding",
-            "flash_crowd",
-            "multi_tenant_isolation",
-            "external_trace_replay",
-        }
+    # Clamp invariant: no aggregated τ, global or served per device, ever
+    # crosses the configured floor.
+    floor = attacked_adapter.config.min_threshold
+    assert len(attacked_adapter.history) > 0
+    assert attacked_adapter.threshold_trajectory()["threshold"].min() >= floor - 1e-9
+    assert min(
+        attacked_adapter.threshold_for(uid) for uid in attacked_adapter.user_ids
+    ) >= floor - 1e-9
+    # The attack must drag τ below the clean run's, or the scenario
+    # exercises nothing ...
+    assert attacked_adapter.global_threshold < clean_adapter.global_threshold
+    # ... while the clamp keeps honest users' false-hit inflation small.
+    assert honest.false_hit_rate - honest_alone.false_hit_rate <= 0.08
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        ArrivalSchedule(kind="diurnal", period_s=120.0, amplitude=0.8),
+        ArrivalSchedule(
+            kind="flash_crowd", flash_at_s=30.0, flash_duration_s=30.0, flash_multiplier=10.0
+        ),
+    ],
+    ids=["diurnal_cycle", "flash_crowd"],
+)
+def test_arrival_scenario(albert_encoder, schedule):
+    """Diurnal and flash-crowd re-timing moves load, not query content."""
+    base = WorkloadGenerator(WorkloadConfig(n_users=10, queries_per_user=30), seed=0).generate()
+    warped = apply_arrival_schedule(base, schedule)
+    stationary = _replay(albert_encoder, base)
+    result = _replay(albert_encoder, warped)
+    _assert_served(result.lookups, result.hit_rate, result.total_cost_usd)
+    assert result.lookups == stationary.lookups
+    assert abs(result.hit_rate - stationary.hit_rate) <= 0.02
+    if schedule.kind == "flash_crowd":
+        # The flash window concentrates real load: peak arrivals at least
+        # 3x the stationary peak, total duration compressed.
+        def peak_arrivals_per_s(trace):
+            return int(np.bincount(np.floor([e.time_s for e in trace.events]).astype(int)).max())
+
+        assert peak_arrivals_per_s(warped) >= 3 * peak_arrivals_per_s(base)
+        assert warped.duration_s < base.duration_s
+
+
+def test_cohort_scenario(albert_encoder):
+    """Disjoint-vocabulary cohorts each get service, without contamination."""
+    trace, members = build_cohort_trace(
+        [
+            CohortSpec(
+                name="west",
+                domains=("programming", "science", "devices", "finance"),
+                n_users=6,
+                queries_per_user=30,
+            ),
+            CohortSpec(
+                name="east",
+                domains=("cooking", "travel", "gardening", "fitness"),
+                n_users=6,
+                queries_per_user=30,
+            ),
+        ],
+        seed=0,
+    )
+    result = _replay(albert_encoder, trace)
+    _assert_served(result.lookups, result.hit_rate, result.total_cost_usd)
+    for name, ids in members.items():
+        cohort = result.stats_for(ids)
+        assert cohort.hit_rate >= 0.05, name
+        assert cohort.false_hit_rate <= 0.10, name
+
+
+@pytest.mark.parametrize(
+    "max_entries, bound",
+    # Provisioned for the working set, then capacity-starved: eviction
+    # pressure is real, so degradation may show but must stay graceful.
+    [(100_000, 0.03), (64, 0.15)],
+    ids=["provisioned", "capacity_starved"],
+)
+def test_tenancy_scenario(albert_encoder, max_entries, bound):
+    """A noisy tenant costs a quiet one little hit rate and few true hits."""
+    mixed, quiet_alone, quiet_ids, noisy_ids = build_multi_tenant_trace(
+        MultiTenantConfig(
+            n_quiet_users=8,
+            queries_per_quiet_user=30,
+            n_noisy_users=2,
+            queries_per_noisy_user=120,
+            noisy_rate_multiplier=5.0,
+        ),
+        seed=0,
+    )
+    noisy_events = sum(1 for e in mixed.events if e.user_id in set(noisy_ids))
+    assert noisy_events / len(mixed) >= 0.3
+    quiet = _replay(albert_encoder, mixed, shared=True, max_entries=max_entries).stats_for(
+        quiet_ids
+    )
+    alone = _replay(
+        albert_encoder, quiet_alone, shared=True, max_entries=max_entries
+    ).stats_for(quiet_ids)
+    _assert_served(quiet.lookups, quiet.hit_rate, quiet.cost_usd)
+    assert quiet.hit_rate > 0.0
+    assert alone.hit_rate - quiet.hit_rate <= bound, (quiet, alone)
+    # The noisy tenant's unique traffic draws on the quiet tenant's corpus,
+    # so raw hits can rise with it as false hits; judge the isolation on
+    # verified hits too.
+    assert alone.true_hit_rate - quiet.true_hit_rate <= bound, (quiet, alone)
+
+
+def test_replay_scenario(albert_encoder):
+    """Imported logs replay deterministically and match the direct run."""
+    base = WorkloadGenerator(
+        WorkloadConfig(n_users=8, queries_per_user=25, duplicate_rate=0.4), seed=0
+    ).generate()
+    imported = trace_from_logs(trace_to_logs(base))
+    replayed = _replay(albert_encoder, imported)
+    again = _replay(albert_encoder, imported)
+    direct = _replay(albert_encoder, base)
+    _assert_served(replayed.lookups, replayed.hit_rate, replayed.total_cost_usd)
+    assert replayed.hit_rate == again.hit_rate
+    assert replayed.total_cost_usd == again.total_cost_usd
+    assert replayed.false_hit_rate == again.false_hit_rate
+    assert replayed.hit_rate == direct.hit_rate
+    assert replayed.total_cost_usd == direct.total_cost_usd
