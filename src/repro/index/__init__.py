@@ -3,9 +3,12 @@
 The cache-side replacement for "a numpy array we vstack onto": a contiguous,
 pre-normalized embedding matrix with amortized-O(1) appends, O(d) swap-delete
 and one-matmul batched search — plus sublinear approximate search (IVF inverted
-lists) and int8 scalar-quantized storage, unrouted or IVF-routed, behind the
-same :class:`VectorIndex` contract, selected by name through
-:func:`make_index`.  Every backend snapshots to a crash-safe versioned
+lists) and int8 scalar-quantized storage.  Every backend is one index body
+(row store × optional codec × optional router, :mod:`repro.index.body`)
+behind the :class:`VectorIndex` contract, selected by name through
+:func:`make_index`: :class:`FlatIndex` is the body without a codec
+(``flat``/``ivf``), :class:`QuantizedIndex` with the int8 one
+(``sq8``/``ivf+sq8``).  Every backend snapshots to a crash-safe versioned
 directory (JSON manifest + per-array ``.npy``, published atomically) via
 ``index.save(path)`` / :func:`load_index` — ``mmap=True`` restores without
 copying, and :func:`append_delta` / :func:`compact_snapshot` maintain an

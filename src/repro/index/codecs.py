@@ -8,8 +8,9 @@ tables, the contiguous-chunk scorer of the flat scan and the gathered-rows
 scorer of the routed probe scan.  Scoring is asymmetric: the query stays
 float32 and the affine identity ``q · (offset + scale·c) = q·offset +
 (q·scale) · c`` reduces a chunk to one cast plus one matmul.
-:class:`~repro.index.quantized.QuantizedIndex` composes the codec with the
-shared row store and the IVF router.
+The index body (:class:`~repro.index.body.IndexBody`) composes it with the
+shared row store and the IVF router into
+:class:`~repro.index.quantized.QuantizedIndex`.
 
 The codec is trained once and then frozen (the faiss contract); ``reset``
 forgets the ranges.

@@ -1,8 +1,7 @@
 """Internal building blocks of every scan: exact, routed and quantized.
 
-The IVF router (:mod:`repro.index.routing`, under the routed
-:class:`repro.index.flat.FlatIndex` and the routed
-:class:`repro.index.quantized.QuantizedIndex`) sends a query to a small
+The IVF router (:mod:`repro.index.routing`, under every routed index
+body, :class:`repro.index.body.IndexBody`) sends a query to a small
 subset of the stored rows — the inverted lists of its nearest cells — and
 brute-forces only that subset.  Its bookkeeping lives here:
 

@@ -11,9 +11,12 @@ a code change:
 >>> type(index).__name__, index.routed
 ('FlatIndex', True)
 
-The backends are two classes, each unrouted or IVF-routed: ``"flat"`` and
-``"ivf"`` are :class:`~repro.index.flat.FlatIndex` (float rows), ``"sq8"``
-and ``"ivf+sq8"`` :class:`~repro.index.quantized.QuantizedIndex` (int8 codes).
+Every backend is the one index body (:class:`~repro.index.body.IndexBody`),
+unrouted or IVF-routed, behind one of two registry classes: ``"flat"`` and
+``"ivf"`` are :class:`~repro.index.flat.FlatIndex` (no codec: float rows),
+``"sq8"`` and ``"ivf+sq8"`` :class:`~repro.index.quantized.QuantizedIndex`
+(the int8 codec).  The classes stay distinct so that each backend's methods
+can be wrapped (e.g. traced) per class.
 """
 
 from __future__ import annotations

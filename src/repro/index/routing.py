@@ -4,21 +4,19 @@
 k-means centroids, one inverted list of ids per cell, each stored row's
 cell (:attr:`Router.cells`, an array aligned with the owner's rows), the
 growth-or-churn repartition trigger, the scan counters and the probe loop
-itself.  It never sees how rows are stored: the routed
-:class:`repro.index.flat.FlatIndex` (float rows) and the routed
-:class:`repro.index.quantized.QuantizedIndex` (uint8 codes) each hold one
-router, hand it float rows to partition, and supply a
-``score_rows(rows, out)`` callable per query plus a ranking tail.  The
-probe scans gather through the owner's id → row
+itself.  It never sees how rows are stored: the routed index body
+(:class:`repro.index.body.IndexBody`, float rows for ``ivf``, uint8 codes
+for ``ivf+sq8``) holds one router, hands it float rows to partition, and
+supplies a ``score_rows(rows, out)`` callable per query plus a ranking
+tail.  The probe scans gather through the owner's id → row
 :class:`~repro.index.postings.RowMap`, which the router borrows and never
-writes: the owner keeps it, as it keeps the rows.  The store-side glue
-both owners share is :class:`RoutedIndex`.
+writes: the owner keeps it, as it keeps the rows.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -30,7 +28,6 @@ from repro.index.postings import (
     build_inverted_lists,
     probe_scan_batched,
 )
-from repro.index.store import RowStore
 
 # Rows per assignment-matmul block: bounds the (block × nlist) score matrix
 # (a one-shot ``rows @ centroids.T`` is ~16 GB at 10⁶ rows and nlist ≈ 4√n).
@@ -39,6 +36,8 @@ _ASSIGN_BLOCK_ELEMS = 4_194_304
 #: Scores the stored rows ``rows`` (in ascending row order) against one
 #: query, writing one score per row into ``out``.
 ScoreRows = Callable[[np.ndarray, np.ndarray], None]
+#: ``rank(qi, rows, scores)``: query ``qi``'s hit list from its scored rows.
+Rank = Callable[[int, np.ndarray, np.ndarray], List[IndexHit]]
 
 
 def spherical_kmeans(
@@ -381,7 +380,7 @@ class Router:
         self,
         queries: np.ndarray,
         scorer: Callable[[int], ScoreRows],
-        rank: Callable[[int, np.ndarray, np.ndarray], List[IndexHit]],
+        rank: Rank,
         score_dtype: np.dtype,
     ) -> List[List[IndexHit]]:
         """Probe the ``nprobe`` nearest cells per query and rank their rows.
@@ -428,169 +427,3 @@ class Router:
             results.append(rank(qi, cand_rows[:filled], cand_scores[:filled]))
         return results
 
-
-class RoutedIndex(RowStore):
-    """A row store that can route: what ``FlatIndex`` and ``QuantizedIndex`` share.
-
-    A subclass calls :meth:`_init_routing` and may override
-    :meth:`_routing_rows` (the float rows k-means sees: by default the
-    stored rows) and :meth:`_train` (the first fit).  k-means runs once
-    ``min_train_size`` rows are stored (search is exact before), on at most
-    ``train_sample`` of them, seeded by ``seed``.  A query then scans only
-    its ``nprobe`` nearest cells' rows, O(nlist·d + (nprobe/nlist)·n·d)
-    instead of O(n·d).  The routing refits when the size, or the adds and
-    removes since the last fit (a bounded cache under churn), reach
-    ``repartition_growth ×`` the size at that fit: amortized O(d) per
-    mutation.  An exact ``FlatIndex`` has no router and no ``scan_stats``.
-    """
-
-    _router: Optional[Router] = None
-    _routed = False
-    _min_train_size: int
-    _train_sample: int
-    _seed: int
-    _rng: np.random.Generator
-
-    def _init_routing(
-        self,
-        dtype: np.dtype,
-        routed: bool,
-        min_train_size: int,
-        train_sample: int,
-        seed: int,
-        **knobs: Any,
-    ) -> None:
-        """Validate the training knobs; build the RNG and the :class:`Router`."""
-        if min_train_size < 2:
-            raise ValueError("min_train_size must be >= 2")
-        if train_sample < 2:
-            raise ValueError("train_sample must be >= 2")
-        self._routed = bool(routed)
-        self._min_train_size = int(min_train_size)
-        self._train_sample = int(train_sample)
-        self._seed = int(seed)
-        self._rng = np.random.default_rng(seed)
-        self._router = Router(
-            dtype,
-            self._scratch,
-            row_map=self._row_map if self._routed else None,  # only a routed one gathers
-            **knobs,
-        )
-
-    def _routing_rows(self) -> np.ndarray:
-        """The live rows as float unit rows, in row order, for k-means."""
-        return self._rows[: self._size]
-
-    def _fit_routing(self, rows: np.ndarray, sample: np.ndarray) -> None:
-        """(Re)partition the live ``rows`` into cells fitted on ``sample``."""
-        self._router.fit(rows, sample, self._ids[: self._size], self._rng)
-
-    def _refit_routing(self) -> None:
-        """Refit the cells on a fresh sample of the live rows."""
-        rows = self._routing_rows()
-        self._fit_routing(rows, training_sample(rows, self._train_sample, self._rng))
-
-    def _train(self) -> None:
-        """The first fit, once ``min_train_size`` rows are stored."""
-        self._refit_routing()
-
-    @property
-    def is_trained(self) -> bool:
-        """Whether the coarse quantizer exists (False → exact scans)."""
-        return self._router is not None and self._router.is_trained
-
-    def maintenance(self) -> Dict[str, object]:
-        """Run a refit that ``auto_repartition=False`` deferred off the add path."""
-        done: Dict[str, object] = {}
-        if self._router is not None and self._router.repartition_due:
-            self._refit_routing()
-            done["repartitioned"] = True
-            done["trained_size"] = self._router.trained_size
-        return done
-
-    # ------------------------------------------------------------------ #
-    # Mutation hooks (the row store calls these after each change)
-    # ------------------------------------------------------------------ #
-    def _post_add(self, ids: np.ndarray, start_row: int, unit: np.ndarray) -> None:
-        if self._router is None:
-            return
-        refit_due = self._routed and self._router.note_added(ids, start_row, unit)
-        if not self.is_trained:
-            if self._size >= self._min_train_size:
-                self._train()
-        elif refit_due:
-            self._refit_routing()
-
-    def _post_remove(self, id: int, row: int, moved_id: Optional[int]) -> None:
-        if self._routed:
-            self._router.note_removed(id, row, self._size)
-
-    def _post_clear(self) -> None:
-        if self._router is not None:
-            self._router.clear()
-
-    def _restore_routing(
-        self, state: Mapping[str, object], arrays: Mapping[str, np.ndarray], prefix: str
-    ) -> None:
-        """Reinstate the router and the RNG stream once the rows are restored."""
-        if self._routed:
-            # The probe scans gather through the row map: fill it now even
-            # after a zero-copy (mmap) restore, which defers it.
-            self._fill_row_map()
-        # The snapshot's id column, not self._ids: a trained index drained
-        # to empty restores with no storage allocated at all.
-        ids = np.asarray(arrays["ids"], dtype=np.int64)
-        self._router.restore(state, arrays, ids, prefix)
-        rng_state = state.get("rng_state")
-        if rng_state is not None:
-            self._rng = np.random.default_rng(self._seed)
-            self._rng.bit_generator.state = rng_state
-
-    @property
-    def routed(self) -> bool:
-        """Whether searches route through IVF cells once trained."""
-        return self._routed
-
-    def _live_router(self) -> Router:
-        """The router; an index without one has no routing surface at all."""
-        if self._router is None:
-            raise AttributeError(f"an unrouted {type(self).__name__} has no router")
-        return self._router
-
-    @property
-    def trainings(self) -> int:
-        """How many times this instance fitted its codec or routing."""
-        return 0 if self._router is None else self._router.trainings
-
-    @property
-    def nlist(self) -> int:
-        """Current number of routing cells (0 while unrouted or untrained)."""
-        return 0 if self._router is None else self._router.nlist
-
-    @property
-    def nprobe(self) -> int:
-        """Cells probed per routed query (the recall/throughput dial)."""
-        return self._live_router().nprobe
-
-    @nprobe.setter
-    def nprobe(self, value: int) -> None:
-        """Set the probe count; raise for values below 1."""
-        self._live_router().nprobe = value
-
-    @property
-    def routing_nbytes(self) -> int:
-        """Bytes of the routing structures (centroids + lists + row map).
-
-        Kept separate from ``nbytes``, which across every backend counts
-        only the live row storage.
-        """
-        return 0 if self._router is None else self._router.nbytes
-
-    @property
-    def scan_stats(self) -> Dict[str, int]:
-        """Cumulative scan counters (probes and rows scanned)."""
-        return dict(self._live_router().scan_stats)
-
-    def reset_scan_stats(self) -> None:
-        """Zero the :attr:`scan_stats` counters."""
-        self._live_router().reset_scan_stats()

@@ -1,11 +1,10 @@
 """Row-addressed storage: the one storage layer under every index backend.
 
 Every backend keeps its vectors as the rows of one contiguous *payload*
-matrix — unit float rows for the flat family (``flat``/``ivf``), float32
-staging rows and later uint8 code rows for the quantized family (``sq8``
-and its routed composition ``ivf+sq8``) — beside a column of the
-original L2 norms and an int64 id column.  :class:`RowStore` is the single
-implementation of that discipline:
+matrix — unit float rows, replaced by uint8 code rows once a codec
+(``sq8``, ``ivf+sq8``) trains — beside a column of the original L2 norms
+and an int64 id column.  :class:`RowStore` is the single implementation of
+that discipline:
 
 * **amortized-O(1) appends** — capacity doubles when full, so an insert is
   one row write;
@@ -22,19 +21,18 @@ implementation of that discipline:
 * **validation at the door** — duplicate ids, mismatched dims and rows whose
   norm is not finite (NaN/inf components) are rejected before any state
   changes, so no backend can store a row it cannot score;
-* ``rebuild``/``clear`` and the storage half of the snapshot protocol.
+* ``rebuild``/``clear``.
 
-A backend supplies only what differs: :meth:`RowStore._row_layout` (payload
-width and dtype), :meth:`RowStore._encode_rows` (unit rows → payload rows:
-the identity cast, or ``quantizer.encode``), ``get``, ``search`` and the
-``_post_add``/``_post_remove``/``_post_clear`` hooks that keep routing
-structures consistent with the rows.
+The index body on top (:class:`repro.index.body.IndexBody`) supplies the
+payload layout and encoding of its phase, ``get``, ``search`` and the
+``_post_add``/``_post_remove``/``_post_clear`` hooks that train the codec
+and keep the routing consistent with the rows.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -409,66 +407,3 @@ class RowStore(VectorIndex):
         if reset_ids:
             self._next_id = 0
         self._post_clear()
-
-    # ------------------------------------------------------------------ #
-    # Storage half of the snapshot protocol (see repro.index.snapshot)
-    # ------------------------------------------------------------------ #
-    def _snapshot_rows(self, payload_name: str) -> Dict[str, np.ndarray]:
-        """The live payload, norm and id arrays, keyed for the snapshot."""
-        n = self._size
-        if self._rows is None:
-            # Never filled, or drained and reloaded: nothing is allocated.
-            width, dtype = self._row_layout()
-            return {
-                payload_name: np.zeros((0, width), dtype=dtype),
-                "norms": np.zeros(0, dtype=self._norm_dtype),
-                "ids": np.zeros(0, dtype=np.int64),
-            }
-        return {
-            payload_name: self._rows[:n],
-            "norms": self._norms[:n],
-            "ids": self._ids[:n],
-        }
-
-    def _restore_rows(
-        self,
-        state: Mapping[str, object],
-        rows: np.ndarray,
-        norms: np.ndarray,
-        ids: np.ndarray,
-        adopt_mmap: bool = True,
-    ) -> None:
-        """Reinstate dim, ``next_id`` and the row arrays into this cleared store.
-
-        Whatever else :meth:`_row_layout` depends on (a codec's trained flag)
-        must already be restored.  Memory-mapped ``rows`` in the payload dtype are adopted
-        without copying when ``adopt_mmap`` allows (capacity == size; the id
-        map is filled on the first id-keyed call and the first mutation
-        materializes a private copy); anything else is copied — snapshots
-        store the storage dtypes, so those copies are bit-exact round-trips.
-        """
-        if state["dim"] is not None:
-            self._check_dim(int(state["dim"]))
-        ids = np.asarray(ids, dtype=np.int64)
-        n = int(ids.shape[0])
-        if n:
-            dtype = self._row_layout()[1]
-            if (
-                adopt_mmap
-                and isinstance(rows, np.memmap)
-                and rows.dtype == dtype
-                and np.asarray(norms).dtype == self._norm_dtype
-            ):
-                self._rows = rows
-                self._norms = np.asarray(norms)
-                self._ids = ids
-                self._row_map_deferred = True
-                self._mmap_backed = True
-            else:
-                self._ensure_capacity(n)
-                self._rows[:n] = np.asarray(rows, dtype=dtype)
-                self._norms[:n] = np.asarray(norms, dtype=self._norm_dtype)
-                self._ids[:n] = ids
-                self._row_map.set_block(ids, 0)
-            self._size = n
-        self._next_id = int(state["next_id"])

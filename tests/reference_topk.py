@@ -23,7 +23,7 @@ def reference_search(
     n, chunk = len(index), index._chunk_size
     if n == 0:
         return [[] for _ in Q]
-    unit, rows, ids = index._prepare_queries(Q, False), index._rows[:n], index._ids[:n]
+    unit, rows, ids = index._prepare_queries(Q, False)[1], index._rows[:n], index._ids[:n]
     scores = np.concatenate([unit @ rows[s : s + chunk].T for s in range(0, n, chunk)], axis=1)
     results = []
     for s in scores:

@@ -406,13 +406,13 @@ class TestPrenormalizedZeroCopy:
         index = FlatIndex(dim=32)
         index.add_batch(rng.normal(size=(50, 32)))
         q = self._unit_queries(rng, 4, 32)
-        prepared = index._prepare_queries(q, prenormalized=True)
+        _, prepared = index._prepare_queries(q, prenormalized=True)
         assert prepared is q
         assert np.shares_memory(prepared, q)
         # A non-contiguous batch pays exactly one cast into scratch — never
         # a silent chain of intermediate copies.
         odd = np.asfortranarray(q)
-        prepared = index._prepare_queries(odd, prenormalized=True)
+        _, prepared = index._prepare_queries(odd, prenormalized=True)
         assert not np.shares_memory(prepared, odd)
         np.testing.assert_array_equal(prepared, q)
 

@@ -373,6 +373,25 @@ def test_rejected_batch_leaves_dim_unpinned(backend):
     assert index.dim == 8 and index.ids == [0]
 
 
+@pytest.mark.parametrize("backend", available_backends())
+def test_search_refuses_malformed_queries_and_top_k_alike(backend, rng):
+    """Every backend checks a search's inputs in one preamble, in either phase:
+    a batch of more than two dimensions is named by its shape (not read as a
+    dim mismatch), a non-integral ``top_k`` is a ``TypeError`` naming it (an
+    integer-valued numpy scalar passes), and ``top_k < 1`` a ``ValueError``."""
+    for index in (small_index(backend, dim=16), trained_index(backend, rng)):
+        index.add_batch(rng.normal(size=(4, 16)))
+        query = rng.normal(size=16)
+        with pytest.raises(ValueError, match=r"\(1, 2, 16\)"):
+            index.search(np.ones((1, 2, 16)))
+        for bad in (2.5, 2.0, "2", None):
+            with pytest.raises(TypeError, match="top_k"):
+                index.search(query, top_k=bad)
+        with pytest.raises(ValueError, match="top_k"):
+            index.search(query, top_k=0)
+        assert index.search(query, top_k=np.int64(3)) == index.search(query, top_k=3)
+
+
 # --------------------------------------------------------------------------- #
 # Recall floors on the standard workload (the parity-style test)
 # --------------------------------------------------------------------------- #

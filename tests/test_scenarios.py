@@ -418,6 +418,22 @@ def test_poisoning_scenario(albert_encoder):
         if o.hit and o.event.user_id in victim_ids and o.matched_query in info.poison_queries
     )
     assert poison_served >= 1
+    # Front-running: a victim's first ask (not a re-ask, not a follow-up) is
+    # served a poison enrolled at most lead_s before it.  A poison landing
+    # after its target still serves later asks, but none within the lead.
+    lead_s = poisoned.metadata["poisoning"]["lead_s"]
+    enrolled_at = {e.query: e.time_s for e in poisoned.events if e.user_id in info.attacker_ids}
+    front_run = sum(
+        1
+        for o in attacked.outcomes
+        if o.hit
+        and o.event.user_id in victim_ids
+        and o.event.kind == "unique"
+        and not o.event.is_followup
+        and o.matched_query in enrolled_at
+        and 0.0 <= o.event.time_s - enrolled_at[o.matched_query] <= lead_s
+    )
+    assert front_run >= 1
     # Real but bounded: extra victim false hits in (0, 0.2] over the same
     # honest traffic unpoisoned.
     delta = victims.false_hit_rate - unpoisoned.false_hit_rate
