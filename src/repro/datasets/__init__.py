@@ -18,40 +18,3 @@ synthetic equivalents:
   Figure 4 totals.
 * :mod:`repro.datasets.partition` — federated (per-client) partitioning.
 """
-
-from repro.datasets.contextual import (
-    ContextualTurn,
-    Conversation,
-    ContextualDataset,
-    generate_contextual_dataset,
-)
-from repro.datasets.corpus import Corpus, QueryIntent
-from repro.datasets.paraphrase import Paraphraser
-from repro.datasets.partition import partition_pairs, partition_iid
-from repro.datasets.semantic_pairs import (
-    QueryPair,
-    QueryPairDataset,
-    CacheWorkload,
-    generate_pair_dataset,
-    generate_cache_workload,
-)
-from repro.datasets.userstudy import UserStudyParticipant, generate_user_study
-
-__all__ = [
-    "Corpus",
-    "QueryIntent",
-    "Paraphraser",
-    "QueryPair",
-    "QueryPairDataset",
-    "CacheWorkload",
-    "generate_pair_dataset",
-    "generate_cache_workload",
-    "ContextualTurn",
-    "Conversation",
-    "ContextualDataset",
-    "generate_contextual_dataset",
-    "UserStudyParticipant",
-    "generate_user_study",
-    "partition_pairs",
-    "partition_iid",
-]

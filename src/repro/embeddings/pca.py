@@ -6,9 +6,8 @@ them as an extra projection layer (paper §III-A4, Figure 3).  This module
 implements PCA via the SVD of the centred data matrix (``full_matrices=False``
 per the HPC optimization guide — we never need the full orthonormal basis).
 
-SciPy is imported by :meth:`PCA.fit`, not by this module: only a fit needs
-its SVD, and a process that only serves (projecting with a fitted head, or
-no head at all) never loads it.
+The SVD is NumPy's (LAPACK ``gesdd``), so a fit loads no second numerical
+stack into the process.
 """
 
 from __future__ import annotations
@@ -49,8 +48,6 @@ class PCA:
 
     def fit(self, X: np.ndarray) -> "PCA":
         """Learn the principal components of ``X`` (shape ``(n, d)``)."""
-        from scipy import linalg as sla
-
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         n, d = X.shape
         if n < 2:
@@ -59,13 +56,17 @@ class PCA:
             raise ValueError(
                 f"n_components={self.n_components} exceeds min(n_samples, n_features)={min(n, d)}"
             )
-        self.mean_ = X.mean(axis=0)
-        Xc = X - self.mean_
+        # LAPACK would iterate on a NaN until it reports no convergence.
+        if not np.isfinite(X).all():
+            raise ValueError("array must not contain infs or NaNs")
+        mean = X.mean(axis=0)
+        Xc = X - mean
         # Thin SVD: we only need the top singular vectors.
-        _, s, vt = sla.svd(Xc, full_matrices=False)
+        _, s, vt = np.linalg.svd(Xc, full_matrices=False)
         variance = (s**2) / max(n - 1, 1)
         total_var = variance.sum()
         k = self.n_components
+        self.mean_ = mean
         self.components_ = vt[:k].copy()
         self.explained_variance_ = variance[:k].copy()
         self.explained_variance_ratio_ = (

@@ -9,16 +9,3 @@ Figure 5 response-time experiment and for the remote LLM-based web service
 * :mod:`repro.llm.responses` — deterministic synthetic response generation.
 * :mod:`repro.llm.service` — the service facade with request accounting.
 """
-
-from repro.llm.latency import LatencyModel, LatencyModelConfig
-from repro.llm.responses import ResponseGenerator
-from repro.llm.service import SimulatedLLMService, LLMServiceConfig, LLMResponse
-
-__all__ = [
-    "LatencyModel",
-    "LatencyModelConfig",
-    "ResponseGenerator",
-    "SimulatedLLMService",
-    "LLMServiceConfig",
-    "LLMResponse",
-]

@@ -12,7 +12,8 @@ cache, sharing one LLM web service:
 * :mod:`repro.serving.scenarios` — the scenario zoo: adversarial
   cache-poisoning and near-miss-flooding streams, mixed-domain cohorts,
   multi-tenant mixes and external log import, as seeded trace builders
-  (each family's floor is a check in ``tests/test_scenarios.py``).
+  (each family's floor is a check in ``tests/test_scenarios.py``); import
+  them from that module, the package does not re-export them.
 * :mod:`repro.serving.scheduling` — the serving core under the server's
   flush: :class:`BatchExecutor` (one shard's two-phase batch execution),
   :class:`CacheAdapter`, the :class:`FleetResult` aggregation, and
@@ -28,20 +29,6 @@ cache, sharing one LLM web service:
   caches and warm-starts from them (``checkpoint`` / ``restore``).
 """
 
-from repro.serving.scenarios import (
-    CohortSpec,
-    FloodingConfig,
-    MultiTenantConfig,
-    PoisoningConfig,
-    build_cohort_trace,
-    build_flooding_trace,
-    build_multi_tenant_trace,
-    inject_poisoning,
-    merge_traces,
-    relabel_users,
-    trace_from_logs,
-    trace_to_logs,
-)
 from repro.serving.scheduling import (
     BatchExecutor,
     CacheAdapter,
@@ -88,16 +75,4 @@ __all__ = [
     "WorkloadEvent",
     "WorkloadGenerator",
     "apply_arrival_schedule",
-    "CohortSpec",
-    "FloodingConfig",
-    "MultiTenantConfig",
-    "PoisoningConfig",
-    "build_cohort_trace",
-    "build_flooding_trace",
-    "build_multi_tenant_trace",
-    "inject_poisoning",
-    "merge_traces",
-    "relabel_users",
-    "trace_from_logs",
-    "trace_to_logs",
 ]

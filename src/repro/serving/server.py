@@ -59,7 +59,6 @@ from real client threads and lands the numbers in ``BENCH_serving.json``.
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import itertools
 import logging
@@ -1007,10 +1006,14 @@ class CacheServer:
         intent_key: str = "",
     ) -> ServerResponse:
         """:meth:`submit_threadsafe`, awaited (shed → :class:`BackpressureError`)."""
+        import asyncio
+
         return await asyncio.wrap_future(
             self.submit_threadsafe(user_id, query, context, intent_key)
         )
 
     async def shutdown(self) -> None:
         """:meth:`stop`, off-loaded so the caller's loop keeps running."""
+        import asyncio
+
         await asyncio.to_thread(self.stop)

@@ -1,9 +1,9 @@
 """What a device process keeps resident: imports, answers, encoder weights.
 
-A process that only serves loads no SciPy (``PCA.fit`` imports it), a
-``MeanCacheClient`` keeps running totals rather than every answer it gave,
-and zoo encoders share the process's verified checkpoint arrays read-only,
-copying them on the first in-place write.
+A process that serves loads no SciPy (not even to fit a PCA head) and no
+module it never calls, a ``MeanCacheClient`` keeps running totals rather
+than every answer it gave, and zoo encoders share the process's verified
+checkpoint arrays read-only, copying them on the first in-place write.
 """
 
 from __future__ import annotations
@@ -36,21 +36,25 @@ TEXTS = ["sort a list in python", "grill salmon fillets", "plan a trip to japan"
 _IMPORT_SCRIPT = """
 import sys
 import repro, repro.serving.server, repro.core.tiered, repro.core.client, repro.embeddings.zoo
-loaded = [m for m in ("scipy", "numpy.f2py", "charset_normalizer") if m in sys.modules]
+unused = (
+    "scipy", "numpy.f2py", "charset_normalizer", "asyncio", "repro.serving.scenarios",
+    "repro.datasets.semantic_pairs", "repro.metrics.classification",
+)
+loaded = [m for m in unused if m in sys.modules]
 assert not loaded, loaded
 
 import numpy as np
 from repro.embeddings.pca import PCA
 X = np.random.default_rng(0).normal(size=(40, 8)) * np.arange(1, 9)
 pca = PCA(n_components=3).fit(X)
-assert "scipy" in sys.modules
+assert "scipy" not in sys.modules
 assert np.allclose(pca.components_ @ pca.components_.T, np.eye(3))
 assert np.all(np.diff(pca.explained_variance_) <= 0)
 assert pca.transform(X).shape == (40, 3)
 """
 
 
-def test_serving_imports_load_no_scipy_until_a_pca_fit():
+def test_serving_and_a_pca_fit_load_no_scipy_and_no_unused_module():
     path = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], env=env, check=True)

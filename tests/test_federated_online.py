@@ -24,12 +24,11 @@ from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving import (
     CacheServer,
     DriftPhase,
-    FloodingConfig,
     ServerConfig,
     WorkloadConfig,
     WorkloadGenerator,
-    build_flooding_trace,
 )
+from repro.serving.scenarios import FloodingConfig, build_flooding_trace
 
 pytestmark = pytest.mark.concurrency
 

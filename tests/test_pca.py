@@ -46,6 +46,20 @@ class TestFit:
         with pytest.raises(ValueError):
             PCA(n_components=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_and_nothing_fitted(self, data, bad):
+        X = data.copy()
+        X[3, 7] = bad
+        pca = PCA(n_components=5)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            pca.fit(X)
+        assert not pca.is_fitted and pca.mean_ is None
+        fitted = PCA(n_components=5).fit(data)
+        before = fitted.state_dict()
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fitted.fit(X)
+        assert all(np.array_equal(v, fitted.state_dict()[k]) for k, v in before.items())
+
 
 class TestTransform:
     def test_transform_shape(self, data):

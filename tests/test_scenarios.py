@@ -26,14 +26,16 @@ from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving import (
     ArrivalSchedule,
     CacheServer,
-    CohortSpec,
-    FloodingConfig,
-    MultiTenantConfig,
-    PoisoningConfig,
     ServerConfig,
     WorkloadConfig,
     WorkloadGenerator,
     apply_arrival_schedule,
+)
+from repro.serving.scenarios import (
+    CohortSpec,
+    FloodingConfig,
+    MultiTenantConfig,
+    PoisoningConfig,
     build_cohort_trace,
     build_flooding_trace,
     build_multi_tenant_trace,

@@ -31,9 +31,8 @@ from repro.serving import (
     Trace,
     WorkloadConfig,
     WorkloadGenerator,
-    trace_from_logs,
-    trace_to_logs,
 )
+from repro.serving.scenarios import trace_from_logs, trace_to_logs
 
 pytestmark = pytest.mark.concurrency
 
