@@ -9,7 +9,9 @@ script and records, at each checkpoint, what a caller can observe:
 
 * ``(id, score.hex())`` transcripts of single, 2-, 4-, 5- and 64-query
   searches, with ``score_threshold``, and ``prenormalized`` in both float
-  widths;
+  widths; each batched one also as an ids-only ``*_ids`` digest, so a
+  re-pin can tell a change of which entries a search returns from a change
+  of score bits alone;
 * ``scan_stats`` after those searches and every ``*_nbytes`` figure;
 * ``get`` reconstructions and whatever ``maintenance()`` reported.
 
@@ -78,6 +80,17 @@ def _digest(results) -> str:
     return _sha(hit_signature(results))
 
 
+def _digest_ids(results) -> str:
+    """Ids-only digest: which entries a search returns, in rank order, without score bits."""
+    return _sha([[int(h.id) for h in hits] for hits in results])
+
+
+def _record(seen: Dict[str, object], key: str, results) -> None:
+    """Pin a batched result at both levels: ``key`` (score bits) and ``key_ids``."""
+    seen[key] = _digest(results)
+    seen[key + "_ids"] = _digest_ids(results)
+
+
 def _unit(rows: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
@@ -92,14 +105,14 @@ def observe(index, queries: np.ndarray, stored: np.ndarray) -> Dict[str, object]
         "threshold": hit_signature(index.search(queries[3], top_k=5, score_threshold=0.3)),
     }
     for size in (2, 4, 5, 64):
-        seen[f"batch{size}"] = _digest(index.search(queries[:size], top_k=5))
-    seen["batch5_top2_threshold"] = _digest(
-        index.search(queries[:5], top_k=2, score_threshold=0.2)
+        _record(seen, f"batch{size}", index.search(queries[:size], top_k=5))
+    _record(
+        seen, "batch5_top2_threshold", index.search(queries[:5], top_k=2, score_threshold=0.2)
     )
     unit = _unit(queries[:6])
-    seen["prenormalized_f64"] = _digest(index.search(unit, top_k=4, prenormalized=True))
+    _record(seen, "prenormalized_f64", index.search(unit, top_k=4, prenormalized=True))
     unit32 = np.ascontiguousarray(unit, dtype=np.float32)
-    seen["prenormalized_f32"] = _digest(index.search(unit32, top_k=4, prenormalized=True))
+    _record(seen, "prenormalized_f32", index.search(unit32, top_k=4, prenormalized=True))
     seen["prenormalized_single"] = hit_signature(
         index.search(unit32[0], top_k=3, prenormalized=True)
     )
