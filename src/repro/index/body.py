@@ -14,14 +14,16 @@ in that float phase forever.  The codec is trained once and frozen (the
 faiss contract; ``clear``/``rebuild`` reset it).  The routing refits when
 the size, or the adds and removes since the last fit, reach
 ``repartition_growth ×`` the size at that fit, from the dequantized rows
-once the floats are gone.  A search scores, by phase: routed → the probe
+once the floats are gone.  A search has two branches: routed → the probe
 loop over the ``nprobe`` nearest cells, with the codec's gathered-row
-scorer or a float gather+gemv; trained codec → the codec's chunk scan, its
-``top_k·rescore`` best candidates re-scored in float64 against the
-dequantized codes; otherwise → :func:`~repro.index.postings.exact_scan`.
-Every path ranks through :func:`~repro.index.postings.topk_hits`, and
-training-sample selection, k-means init and re-seeding all derive from
-``seed``, so an operation sequence reproduces bit-identical results.
+scorer or a float gather+gemv; everything else, at every batch size →
+:func:`~repro.index.postings.exact_scan`, over ``Qs @ block.T`` of the
+float rows or the codec's fused chunk scorer.  Both end in one rank: once
+the codec is trained, the ``top_k·rescore`` best candidates are re-scored
+in float64 against the dequantized codes, then
+:func:`~repro.index.postings.topk_hits` lists the hits.  Training-sample
+selection, k-means init and re-seeding all derive from ``seed``, so an
+operation sequence reproduces bit-identical results.
 
 :class:`~repro.index.flat.FlatIndex` and
 :class:`~repro.index.quantized.QuantizedIndex` are the two registry classes,
@@ -32,23 +34,22 @@ from __future__ import annotations
 
 import operator
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.index.base import IndexHit
 from repro.index.codecs import ScalarQuantizer
-from repro.index.postings import det_topk, exact_scan, topk_hits
-from repro.index.routing import Rank, Router, ScoreRows, training_sample
+from repro.index.postings import ScoreChunk, det_topk, exact_scan, topk_hits
+from repro.index.routing import Router, ScoreRows, training_sample
 from repro.index.store import RowStore
 
 # Rows per encode/decode block: bounds the temporary float matrices.
 _ENCODE_BLOCK = 16384
-# Query-batch ceiling for the latency-path codec scan: the whole batch is
-# scored per chunk by one fused cast+gemm into scratch, each chunk's survivors
-# are cut by the deterministic ``det_topk``.  Larger batches take the
-# batched-throughput gemm path, whose per-query cost is already amortized.
-_SMALL_BATCH_MAX = 4
+# Scores per codec scan chunk: the codec scores a whole batch's chunk into
+# one float32 block in scratch, so q queries scan chunks of at most
+# ``_SCORE_BLOCK // q`` rows and any batch retains at most 512 KB of scores.
+_SCORE_BLOCK = 1 << 17
 
 
 def _blockwise(
@@ -330,8 +331,8 @@ class IndexBody(RowStore):
     ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         """``(float64 unit rows or None, unit rows in the scan dtype)``, in scratch.
 
-        Only a codec index builds the float64 rows (its rescore reads them),
-        so a float index's exact scan makes no query copy it does not use.
+        Only a trained codec index builds the float64 rows (its rescore reads
+        them), so a float-row scan makes no query copy it does not use.
         The default path is the store's float64 normalization
         (:meth:`RowStore._unit_queries`).  ``prenormalized=True`` asserts
         unit rows: a contiguous batch in the scan dtype passes through with
@@ -339,14 +340,15 @@ class IndexBody(RowStore):
         """
         if Q.shape[1] != self._dim:
             raise ValueError(f"query dim {Q.shape[1]} != index dim {self._dim}")
+        coded = self._coded
         if not prenormalized:
-            if self._codec is None:
+            if not coded:
                 return None, self._unit_queries(Q, self._dtype)
             unit = self._unit_queries(Q)
             source = unit
         else:
             unit = None
-            if self._codec is not None:
+            if coded:
                 unit = self._scratch.get("query.unit", Q.shape, np.float64)
                 np.copyto(unit, Q, casting="unsafe")
             if Q.dtype == self._dtype and Q.flags.c_contiguous:
@@ -391,24 +393,27 @@ class IndexBody(RowStore):
         if self._size == 0:
             return [[] for _ in range(Q.shape[0])]
         unit, Qs = self._prepare_queries(Q, prenormalized)
-        routed = self._router is not None and self._router.is_trained
-        coded = self._coded
-        if not (routed or coded):
-            n = self._size
-            return exact_scan(
-                Qs, self._rows[:n], self._ids[:n], top_k, score_threshold, self._chunk_size
-            )
-        rank = partial(self._rank, unit=unit, top_k=top_k, score_threshold=score_threshold)
-        if routed:
+        rank = partial(self._rank, unit, top_k, score_threshold)
+        n, coded = self._size, self._coded
+        if self._router is not None and self._router.is_trained:
             scorers = (
                 self._codec.row_scorers(Qs, self._rows, self._scratch)
                 if coded
                 else self._float_row_scorers(Qs)
             )
             return self._router.search(Qs, scorers, rank, self._dtype)
-        if Qs.shape[0] <= _SMALL_BATCH_MAX:
-            return self._search_coded_small(Qs, top_k, rank)
-        return self._search_coded_batch(Qs, top_k, rank)
+        if coded:
+            chunk = min(self._chunk_size, max(1, _SCORE_BLOCK // Qs.shape[0]))
+            score = self._codec.chunk_scorer(Qs, self._rows, min(chunk, n), self._scratch)
+            keep = top_k * self._rescore
+        else:
+            chunk, keep, score = self._chunk_size, top_k, self._float_chunk_scorer(Qs)
+        return exact_scan(score, n, keep, chunk, rank)
+
+    def _float_chunk_scorer(self, Qs: np.ndarray) -> ScoreChunk:
+        """``Qs @ block.T`` over a block of the live float rows."""
+        rows = self._rows[: self._size]
+        return lambda start, stop: Qs @ rows[start:stop].T
 
     def _float_row_scorers(self, Qs: np.ndarray) -> Callable[[int], ScoreRows]:
         """Gather+gemv scorers of the float rows, every buffer in scratch."""
@@ -428,99 +433,33 @@ class IndexBody(RowStore):
 
     def _rank(
         self,
-        qi: int,
-        cand_rows: np.ndarray,
-        cand_scores: np.ndarray,
         unit: Optional[np.ndarray],
         top_k: int,
         score_threshold: Optional[float],
+        qi: int,
+        cand_rows: Union[np.ndarray, slice],
+        cand_scores: np.ndarray,
     ) -> List[IndexHit]:
         """Final ranking of query ``qi``'s candidate rows, with optional rescore.
 
-        With ``rescore > 1`` the ``top_k·rescore`` best candidates (the
-        deterministic :func:`det_topk` cut) are re-scored in float64, the
-        dequantized codes against ``unit[qi]``, before the final cut: the
-        hits are then a pure function of the scan scores, which
-        ``tests/reference_scan.py`` checks against a decode-and-rescore
-        oracle exactly.
+        Once a codec is trained and ``rescore > 1``, the ``top_k·rescore``
+        best candidates (the deterministic :func:`det_topk` cut) are
+        re-scored in float64, the dequantized codes against ``unit[qi]``,
+        before the final cut: the hits are then a pure function of the scan
+        scores, which ``tests/reference_scan.py`` checks against a
+        decode-and-rescore oracle exactly.
         """
-        n = cand_scores.shape[0]
-        if self._rescore > 1:
+        if self._rescore > 1 and self._coded:
+            n = cand_scores.shape[0]
             keff = min(top_k * self._rescore, n)
             if keff < n:
                 keep = det_topk(cand_scores, keff)
-                cand_rows = cand_rows[keep]
-                cand_scores = cand_scores[keep]
+                # Every row as ``slice(0, n)``: the positions are the rows.
+                cand_rows = keep if isinstance(cand_rows, slice) else cand_rows[keep]
             decoded = self._codec.decode(self._rows[cand_rows], dtype=np.float64)
-            cand_scores = decoded @ unit[qi]
+            # One dot per row (a gemv's bits depend on a row's position).
+            cand_scores = np.vecdot(decoded, unit[qi])
         return topk_hits(self._ids[cand_rows], cand_scores, top_k, score_threshold)
-
-    def _search_coded_small(self, Qs: np.ndarray, top_k: int, rank: Rank) -> List[List[IndexHit]]:
-        """Latency-path codec scan (≤ ``_SMALL_BATCH_MAX`` queries).
-
-        The codec scores each chunk for the whole batch in a single blocked
-        cast+gemm pass with every intermediate in scratch.  Each chunk's
-        ``keff`` survivors are selected with the deterministic
-        :func:`det_topk`, so the candidate set is a pure function of the scan
-        scores.
-        """
-        n = self._size
-        n_queries = Qs.shape[0]
-        sc = self._scratch
-        chunk = self._chunk_size
-        keff = min(max(top_k * self._rescore, top_k), n)
-        cap = min(keff * -(-n // chunk), n)
-        score = self._codec.chunk_scorer(Qs, self._rows, min(chunk, n), sc)
-        acc_rows = sc.get("flat.acc_rows", (n_queries, cap), np.int64)
-        acc_scores = sc.get("flat.acc_scores", (n_queries, cap), np.float64)
-        fills = [0] * n_queries
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            S = score(start, stop)
-            kk = min(keff, stop - start)
-            for j in range(n_queries):
-                sel = det_topk(S[j], kk)
-                cnt = sel.shape[0]
-                seg = acc_rows[j, fills[j] : fills[j] + cnt]
-                seg[:] = sel
-                seg += start
-                acc_scores[j, fills[j] : fills[j] + cnt] = S[j][sel]
-                fills[j] += cnt
-        return [
-            rank(j, acc_rows[j, : fills[j]], acc_scores[j, : fills[j]]) for j in range(n_queries)
-        ]
-
-    def _search_coded_batch(self, Qs: np.ndarray, top_k: int, rank: Rank) -> List[List[IndexHit]]:
-        """Batched-throughput codec scan (> ``_SMALL_BATCH_MAX`` queries).
-
-        Chunked :meth:`ScalarQuantizer.scores
-        <repro.index.codecs.ScalarQuantizer.scores>` gemms with an
-        ``argpartition`` cut per chunk.
-        """
-        n_queries = Qs.shape[0]
-        keff = min(max(top_k * self._rescore, top_k), self._size)
-        chunk_rows: List[np.ndarray] = []
-        chunk_scores: List[np.ndarray] = []
-        for start in range(0, self._size, self._chunk_size):
-            stop = min(start + self._chunk_size, self._size)
-            S = self._codec.scores(Qs, self._rows[start:stop])
-            c = stop - start
-            kk = min(keff, c)
-            if kk < c:
-                idx = np.argpartition(-S, kth=kk - 1, axis=1)[:, :kk]
-                chunk_scores.append(np.take_along_axis(S, idx, axis=1))
-                chunk_rows.append(idx + start)
-            else:
-                chunk_scores.append(S)
-                chunk_rows.append(
-                    np.broadcast_to(np.arange(start, stop), (n_queries, c))
-                )
-        # Joins a handful of fixed-size chunk results once per *batch* (the
-        # chunking bounds peak score-matrix memory); per-entry copies were
-        # already eliminated by the preallocated code rows.
-        rows = np.concatenate(chunk_rows, axis=1)  # repro: ignore[RPL003]
-        scores = np.concatenate(chunk_scores, axis=1)  # repro: ignore[RPL003]
-        return [rank(qi, rows[qi], scores[qi]) for qi in range(n_queries)]
 
     # ------------------------------------------------------------------ #
     # Snapshot protocol (see repro.index.snapshot)

@@ -4,8 +4,9 @@
 row affinely to one uint8.  Ranges are learned per dimension from the train
 set, so the 256 levels cover the span the data actually occupies.  It owns
 everything codec-specific about scanning the code rows — the per-batch query
-tables, the contiguous-chunk scorer of the flat scan and the gathered-rows
-scorer of the routed probe scan.  Scoring is asymmetric: the query stays
+tables, the contiguous-chunk scorer of the exact scan
+(:func:`~repro.index.postings.exact_scan`, every unrouted search) and the
+gathered-rows scorer of the routed probe scan.  Scoring is asymmetric: the query stays
 float32 and the affine identity ``q · (offset + scale·c) = q·offset +
 (q·scale) · c`` reduces a chunk to one cast plus one matmul.
 The index body (:class:`~repro.index.body.IndexBody`) composes it with the
@@ -23,7 +24,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.index.postings import ScratchBuffers
+from repro.index.postings import ScoreChunk, ScratchBuffers
 from repro.index.routing import ScoreRows
 
 # Code rows per uint8→float32 cast block in the fused SQ8 scan: large enough
@@ -35,11 +36,6 @@ _SCAN_BLOCK = 4096
 # (512KB) both stay L2-resident between the write and the gemv read, which
 # measures ~1.4x faster than a single whole-candidate-set pass at 10^6.
 _GATHER_BLOCK = 2048
-
-#: ``score(start, stop)``: float32 scores, shape ``(q, stop-start)``, of the
-#: whole query batch against code rows ``[start, stop)``; the result is only
-#: valid until the next call.
-ScoreChunk = Callable[[int, int], np.ndarray]
 
 
 class ScalarQuantizer:
@@ -92,15 +88,6 @@ class ScalarQuantizer:
         """Dequantize codes back to (approximate) float rows."""
         return codes.astype(dtype) * self.scale.astype(dtype) + self.offset.astype(dtype)
 
-    def scores(self, queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Asymmetric float32-query × uint8-corpus dot products, ``(q, n)``.
-
-        The affine identity makes the per-chunk work one cast of the codes
-        plus one matmul.
-        """
-        scaled_q = queries * self.scale[None, :]
-        return scaled_q @ codes.astype(np.float32).T + (queries @ self.offset)[:, None]
-
     def _prepare(
         self, Qf: np.ndarray, scratch: ScratchBuffers
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -114,7 +101,7 @@ class ScalarQuantizer:
     def chunk_scorer(
         self, Qf: np.ndarray, codes: np.ndarray, width: int, scratch: ScratchBuffers
     ) -> ScoreChunk:
-        """Single-pass fused variant of :meth:`scores` for the whole batch.
+        """Fused scorer of contiguous code-row chunks for the whole batch.
 
         Prepares the batch's query tables in ``scratch``; the returned
         ``score`` scores chunks of at most ``width`` rows of ``codes``.  The

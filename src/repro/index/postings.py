@@ -31,13 +31,20 @@ owning index.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
 from repro.index.base import IndexHit
 
 _MIN_POSTING_CAPACITY = 8
+
+#: ``score(start, stop)``: the scores, shape ``(q, stop - start)``, of the
+#: whole query batch against rows ``[start, stop)``; valid until the next call.
+ScoreChunk = Callable[[int, int], np.ndarray]
+#: ``rank(qi, rows, scores)``: query ``qi``'s hit list from its scored rows,
+#: given as ascending row indices or, for every row at once, ``slice(0, n)``.
+Rank = Callable[[int, Union[np.ndarray, slice], np.ndarray], List[IndexHit]]
 
 
 class Postings:
@@ -453,37 +460,49 @@ def topk_hits(
     return hits
 
 
-def exact_scan(
-    queries: np.ndarray,
-    rows: np.ndarray,
-    ids: np.ndarray,
-    top_k: int,
-    score_threshold: Optional[float],
-    chunk_size: int,
-) -> List[List[IndexHit]]:
-    """Exhaustive top-k search of unit ``queries`` over every stored row.
+def _det_topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """:func:`det_topk` of every row of a finite ``(q, n)`` block: ``(q, min(k, n))``.
 
-    ``rows[i]`` holds id ``ids[i]``.  Scores are ``queries @ block.T`` over
-    ``chunk_size``-row blocks, so peak extra memory is bounded by one
-    ``(q, chunk_size)`` score block whatever the corpus size; a corpus that
-    fits one block is a single product.  Each query ranks through
-    :func:`topk_hits`; over several blocks, each block's :func:`det_topk`
-    survivors are kept in ascending row order and ranked once, which keeps
-    exactly the rows a single block would have kept.
+    Finite scores put at least ``k`` of each row at or above its cut, so one
+    count over the block finds whether any row must re-gather its ties.
     """
-    n = rows.shape[0]
+    q, n = scores.shape
+    if k >= n:
+        return np.broadcast_to(np.arange(n, dtype=np.int64), (q, n))
+    part = np.argpartition(-scores, kth=k - 1, axis=1)
+    top = part[:, :k]
+    at_cut = scores >= scores[np.arange(q)[:, None], part[:, k - 1 : k]]
+    if np.count_nonzero(at_cut) > q * k:  # some row's ties straddle its cut
+        for qi in np.flatnonzero(np.count_nonzero(at_cut, axis=1) > k):
+            top[qi] = det_topk(scores[qi], k)
+    top.sort(axis=1)
+    return top
+
+
+def exact_scan(
+    score: ScoreChunk, n: int, keep: int, chunk_size: int, rank: Rank
+) -> List[List[IndexHit]]:
+    """Exhaustive search of a query batch over rows ``[0, n)``: every unrouted scan.
+
+    ``score`` scores ``chunk_size``-row blocks, so peak extra memory is one
+    ``(q, chunk_size)`` score block whatever the corpus size.  A corpus that
+    fits one block is a single ``score(0, n)``, and each query ranks every
+    row (``slice(0, n)``).  Over several blocks, each block's :func:`det_topk`
+    ``keep`` survivors per query are kept in ascending row order and ranked
+    once.  A ``rank`` that cuts to at most ``keep`` rows by that rule then
+    sees exactly the rows one block would have left it, so neither the
+    chunking nor the batch size changes which rows are candidates.
+    """
     if n <= chunk_size:
-        return [topk_hits(ids, s, top_k, score_threshold) for s in queries @ rows.T]
-    k = min(top_k, n)
-    cand_rows: List[List[np.ndarray]] = [[] for _ in queries]
-    cand_scores: List[List[np.ndarray]] = [[] for _ in queries]
+        every = slice(0, n)
+        return [rank(qi, every, s) for qi, s in enumerate(score(0, n))]
+    rows: List[np.ndarray] = []
+    scores: List[np.ndarray] = []
     for start in range(0, n, chunk_size):
-        block = queries @ rows[start : start + chunk_size].T
-        for qi, s in enumerate(block):
-            sel = det_topk(s, k)
-            cand_rows[qi].append(sel + start)
-            cand_scores[qi].append(s[sel])
-    return [
-        topk_hits(ids[np.concatenate(r)], np.concatenate(s), top_k, score_threshold)
-        for r, s in zip(cand_rows, cand_scores)
-    ]
+        block = score(start, min(start + chunk_size, n))
+        sel = _det_topk_rows(block, keep)
+        rows.append(sel + start)
+        scores.append(np.take_along_axis(block, sel, axis=1))
+    cand_rows = np.concatenate(rows, axis=1)
+    cand_scores = np.concatenate(scores, axis=1)
+    return [rank(qi, cand_rows[qi], cand_scores[qi]) for qi in range(cand_rows.shape[0])]

@@ -23,6 +23,7 @@ import numpy as np
 from repro.index.base import IndexHit
 from repro.index.postings import (
     Postings,
+    Rank,
     RowMap,
     ScratchBuffers,
     build_inverted_lists,
@@ -36,8 +37,6 @@ _ASSIGN_BLOCK_ELEMS = 4_194_304
 #: Scores the stored rows ``rows`` (in ascending row order) against one
 #: query, writing one score per row into ``out``.
 ScoreRows = Callable[[np.ndarray, np.ndarray], None]
-#: ``rank(qi, rows, scores)``: query ``qi``'s hit list from its scored rows.
-Rank = Callable[[int, np.ndarray, np.ndarray], List[IndexHit]]
 
 
 def spherical_kmeans(

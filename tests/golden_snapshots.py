@@ -33,8 +33,10 @@ re-pin:
   by a PR that shows decision-level equality on every fixture and on the four
   bench workloads seed by seed, regenerates with the command above only, and
   lists each changed value with old/new hex and ulp distance (the last: the
-  encoder's lookup first layer moved ``tiered``'s float64 L2 re-score by one
-  ulp; every snapshot tree stayed byte-identical).
+  quantized float64 rescore takes one dot product per row instead of a
+  gemv, which moved 49 rescored scores of ``index-sq8``, ``index-ivf+sq8``,
+  ``tier`` and ``tiered`` by 1 or 2 ulp; every snapshot tree stayed
+  byte-identical).
 
 ``--check`` regenerates into a temporary directory instead and reports every
 file that differs from the committed one; tier-1 runs it, so the committed

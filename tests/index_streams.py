@@ -25,11 +25,11 @@ the refactor it guards via::
 
 ``tests/test_index_streams.py`` replays the script and compares exactly.
 Regenerate only for a deliberate, documented change of search arithmetic
-or of what the script observes (the last: threshold early stop left the
-index layer, taking the ``stop_*`` searches, the ``probes_pruned`` and
-``early_stops`` scan counters and ``maintenance()``'s
-``cell_stats_refreshed`` with it; every other observation is the previous
-commit's, bit for bit).
+or of what the script observes, first at the old code when the script
+changes (the last: a trained unrouted ``sq8`` index scans every batch size
+through the one exact scan, and the float64 rescore takes one dot per row
+instead of a gemv, so rescored scores moved by at most 2.2e-16, ``sq8``
+``scan_nbytes`` moved, and every ``*_ids`` digest held).
 """
 
 from __future__ import annotations

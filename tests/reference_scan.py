@@ -42,6 +42,6 @@ def reference_search(
         scores = decoded[rows] @ q64
         if index.rescore > 1:
             rows = rows[det_topk(scores, min(top_k * index.rescore, rows.shape[0]))]
-            scores = decoded[rows] @ q64
+            scores = np.vecdot(decoded[rows], q64)  # one dot per row, as the index
         results.append(topk_hits(ids[rows], scores, top_k, None))
     return results

@@ -377,17 +377,6 @@ def hits_fingerprint(results):
     return [[(h.id, h.score) for h in hits] for hits in results]
 
 
-def same_ranking(got, want, atol: float) -> bool:
-    """Identical ids in identical order, scores equal within ``atol``."""
-    if [[i for i, _ in hits] for hits in got] != [[i for i, _ in hits] for hits in want]:
-        return False
-    return all(
-        abs(sg - sw) <= atol
-        for hits_got, hits_want in zip(got, want)
-        for (_, sg), (_, sw) in zip(hits_got, hits_want)
-    )
-
-
 def build_mutated(name: str, rng: np.random.Generator, n: int = 160):
     """A trained index that has seen growth, deletes and re-adds.
 
@@ -428,13 +417,9 @@ def test_fused_scan_parity_on_mutated_index(name, maintained):
     assert [
         hits_fingerprint(index.search(q, top_k=5))[0] for q in queries
     ] == reference
-    # Batch size must not change decisions either (small batches take the
-    # latency path, large ones the blocked batch path).  The
-    # unrouted batch path cuts each chunk with ``argpartition``, which hands
-    # the rescore the same candidates in another order than the oracle's
-    # ascending rows, and a float64 gemv is order-dependent in the last bit.
-    batch = hits_fingerprint(index.search(queries, top_k=5))
-    assert batch == reference if index.routed else same_ranking(batch, reference, 1e-12)
+    # Batch size must not change a bit either: every batch size scans the
+    # same candidates and rescores them in ascending row order.
+    assert hits_fingerprint(index.search(queries, top_k=5)) == reference
     for qi, hits in enumerate(reference):
         assert hits, f"query {qi} returned no hits"
 
@@ -457,8 +442,7 @@ def test_snapshot_restore_parity(name, tmp_path):
     check_state(restored, oracle, name)
     assert hits_fingerprint(restored.search(queries, top_k=5)) == live
     reference = hits_fingerprint(reference_search(restored, queries, top_k=5))
-    # (the 5-query unrouted batch orders its rescore gemv by argpartition)
-    assert live == reference if index.routed else same_ranking(live, reference, 1e-12)
+    assert live == reference
 
 
 @pytest.mark.parametrize("name", ("ivf+sq8", "ivf+sq8-deferred"))

@@ -256,8 +256,14 @@ def test_exact_scan_ranks_by_the_rule_over_any_number_of_blocks(dtype):
             top = np.argsort(-scores, kind="stable")[:top_k]
             top = top[np.lexsort((ids[top], -scores[top]))]
             want.append([(int(ids[i]), float(scores[i]).hex()) for i in top])
+        def score(start, stop):
+            return queries @ rows[start:stop].T
+
+        def rank(qi, cand_rows, cand_scores):
+            return topk_hits(ids[cand_rows], cand_scores, top_k, None)
+
         for chunk_size in sorted({1, 2, 5, max(1, n // 2), n, 65536}):
-            got = exact_scan(queries, rows, ids, top_k, None, chunk_size)
+            got = exact_scan(score, n, top_k, chunk_size, rank)
             assert hit_stream(got) == want
 
 
@@ -334,3 +340,84 @@ def test_the_tie_order_is_the_same_with_and_without_avx512_dispatch():
     assert without.pop("x86_v4") is False
     with_avx512.pop("x86_v4")
     assert with_avx512 == without
+
+
+# --------------------------------------------------------------------------- #
+# Duplicated entries in a trained quantized index: one winner at every batch size
+# --------------------------------------------------------------------------- #
+def tied_tier_winners() -> dict:
+    """Default ``QuantizedTier``s (``sq8``, trained at 256 entries) that hold
+    eight entries with one embedding and different responses, among 300
+    others: per tier, the lowest of the eight ids and the winner of each
+    probe row when ``match`` gets 1, 4, 5 or 8 probes of that embedding."""
+    from repro.core.tiered import QuantizedTier
+
+    cases = []
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        tier = QuantizedTier()
+        for i in range(300):
+            tier.insert(f"question {i}", f"answer {i}", rng.standard_normal(32))
+        tied = rng.standard_normal(32)
+        ids = [tier.insert("the tied question", f"tied answer {i}", tied) for i in range(8)]
+        assert tier.index.is_trained
+        winners = {}
+        for q in (1, 4, 5, 8):
+            found = tier.match(np.tile(tied, (q, 1)), 5, [0.9] * q)
+            winners[q] = [entry.entry_id for entry, _ in found]
+        cases.append({"lowest": min(ids), "winners": winners})
+    return {"cases": cases}
+
+
+def assert_lowest_id_wins(streams: dict) -> None:
+    for case in streams["cases"]:
+        for q, winners in case["winners"].items():
+            assert winners == [case["lowest"]] * int(q), (q, winners, case["lowest"])
+
+
+def test_a_tied_quantized_tier_matches_the_lowest_id_at_every_probe_count():
+    assert_lowest_id_wins(tied_tier_winners())
+
+
+def test_a_tied_quantized_tier_matches_the_lowest_id_without_avx512_dispatch():
+    """The same tiers in a process with numpy's AVX-512 kernels switched off."""
+    tests = Path(__file__).resolve().parent
+    path = [str(Path(repro.__file__).resolve().parents[1]), str(tests)]
+    script = "import json, test_topk_differential as t; print(json.dumps(t.tied_tier_winners()))"
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(path),
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR",
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert_lowest_id_wins(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_a_tied_sq8_meancache_decides_the_same_one_probe_at_a_time_and_batched():
+    """``lookup`` per probe and one ``lookup_batch`` of six probes pick the
+    same entries, the lowest of the tied ids among them."""
+    tied_text = "change the color to red"
+    probes = [tied_text, "how do I sort a list", tied_text, "what is a monad", tied_text,
+              "change the colour to red"]
+
+    def build():
+        cache = MeanCache(make_tiny_encoder(), MeanCacheConfig(index_backend="sq8"))
+        rng = np.random.default_rng(11)
+        for i in range(300):
+            cache.insert(f"question {i}", f"answer {i}", embedding=rng.standard_normal(64))
+        tied, _ = cache.embed(tied_text)
+        ids = [cache.insert(tied_text, f"tied answer {i}", embedding=tied) for i in range(8)]
+        assert cache.index.is_trained
+        return cache, min(ids)
+
+    def decided(decision):
+        return (decision.hit, decision.entry_id, decision.response,
+                [hit.id for hit in decision.candidates])
+
+    one, lowest = build()
+    batched, _ = build()
+    singles = [decided(one.lookup(text)) for text in probes]
+    assert [decided(d) for d in batched.lookup_batch(probes)] == singles
+    assert [entry_id for hit, entry_id, _, _ in singles[::2] if hit] == [lowest] * 3
