@@ -376,7 +376,7 @@ class SiameseEncoder:
             W1 = self.W1
             pre_h = np.empty((X.shape[0], W1.shape[1]), dtype=np.float64)
             for i, x in enumerate(X):
-                nz = np.flatnonzero(x)
+                nz = (x != 0.0).nonzero()[0]
                 pre_h[i] = x[nz] @ W1[nz]
             pre_h += self.b1
         h = np.tanh(pre_h)

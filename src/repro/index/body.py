@@ -17,8 +17,9 @@ the size, or the adds and removes since the last fit, reach
 once the floats are gone.  A search has two branches: routed → the probe
 loop over the ``nprobe`` nearest cells, with the codec's gathered-row
 scorer or a float gather+gemv; everything else, at every batch size →
-:func:`~repro.index.postings.exact_scan`, over ``Qs @ block.T`` of the
-float rows or the codec's fused chunk scorer.  Both end in one rank: once
+:func:`~repro.index.postings.exact_scan`, over rows × probes blocks
+(``block @ Qs.T``) of the float rows or the codec's fused chunk scorer, cut
+per probe at a block-maximum bound.  Both end in one rank: once
 the codec is trained, the ``top_k·rescore`` best candidates are re-scored
 in float64 against the dequantized codes, then
 :func:`~repro.index.postings.topk_hits` lists the hits.  Training-sample
@@ -268,7 +269,7 @@ class IndexBody(RowStore):
         # key, which is unique because the ids are.
         base = int(ids.min())
         span = int(ids.max()) - base + 1
-        order = np.argsort(cells * span + (ids - base))  # new row -> old row
+        order = np.argsort(cells * span + (ids - base), kind="stable")  # new row -> old row
         self._rows[:n] = self._rows[:n].take(order, axis=0)
         self._norms[:n] = self._norms[:n].take(order)
         ids[:] = ids.take(order)
@@ -411,9 +412,9 @@ class IndexBody(RowStore):
         return exact_scan(score, n, keep, chunk, rank)
 
     def _float_chunk_scorer(self, Qs: np.ndarray) -> ScoreChunk:
-        """``Qs @ block.T`` over a block of the live float rows."""
+        """``block @ Qs.T``, rows × probes, over a block of the live float rows."""
         rows = self._rows[: self._size]
-        return lambda start, stop: Qs @ rows[start:stop].T
+        return lambda start, stop: rows[start:stop] @ Qs.T
 
     def _float_row_scorers(self, Qs: np.ndarray) -> Callable[[int], ScoreRows]:
         """Gather+gemv scorers of the float rows, every buffer in scratch."""

@@ -104,7 +104,8 @@ class ScalarQuantizer:
         """Fused scorer of contiguous code-row chunks for the whole batch.
 
         Prepares the batch's query tables in ``scratch``; the returned
-        ``score`` scores chunks of at most ``width`` rows of ``codes``.  The
+        ``score`` scores chunks of at most ``width`` rows of ``codes`` into
+        one rows × queries ``(width, q)`` float32 block in scratch.  The
         uint8→float32 cast happens in ``_SCAN_BLOCK``-row blocks reused from
         ``scratch`` and every intermediate lives in scratch too — no
         chunk-sized float matrix is ever materialized and nothing query- or
@@ -112,18 +113,18 @@ class ScalarQuantizer:
         """
         q, d = Qf.shape
         scaled_q, q_off = self._prepare(Qf, scratch)
-        sbuf = scratch.get("sq8.scores", (q, width), np.float32)
+        sbuf = scratch.get("sq8.scores", (width, q), np.float32)
 
         def score(start: int, stop: int) -> np.ndarray:
             n = stop - start
-            out = sbuf[:, :n]
+            out = sbuf[:n]
             block = scratch.get("sq8.cast", (min(_SCAN_BLOCK, n), d), np.float32)
             for s in range(start, stop, _SCAN_BLOCK):
                 e = min(s + _SCAN_BLOCK, stop)
                 b = block[: e - s]
                 np.copyto(b, codes[s:e], casting="unsafe")
-                np.matmul(scaled_q, b.T, out=out[:, s - start : e - start])
-            np.add(out, q_off[:, None], out=out)
+                np.matmul(b, scaled_q.T, out=out[s - start : e - start])
+            np.add(out, q_off, out=out)
             return out
 
         return score

@@ -16,7 +16,8 @@ brute-forces only that subset.  Its bookkeeping lives here:
   an append, a restore or a layout pass writes at once, and the router
   borrows it: candidate gathering in a search needs thousands of
   translations per query, which one fancy-index answers;
-* the exact scan (:func:`exact_scan`), the probe scan, and the one ranking
+* the exact scan (:func:`exact_scan`, cut per probe at a block-maximum
+  bound), the probe scan, and the one ranking
   rule every search ends in (:func:`topk_hits` over :func:`det_topk`):
   every row above the k-th score is kept, ties at the cut are filled from
   the lowest row, and hits are listed by ``(-score, id)`` — so which of
@@ -31,16 +32,22 @@ owning index.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.index.base import IndexHit
 
 _MIN_POSTING_CAPACITY = 8
+#: Rows per group of the exact scan's cut: a probe's bound is the ``keep``-th
+#: largest of its group maxima (see :func:`exact_scan`).
+_CUT_GROUP = 128
+#: Fewest groups per kept row a scan is cut at; a shorter one ranks every row.
+_CUT_MIN_GROUPS = 4
 
-#: ``score(start, stop)``: the scores, shape ``(q, stop - start)``, of the
-#: whole query batch against rows ``[start, stop)``; valid until the next call.
+#: ``score(start, stop)``: the scores, shape ``(stop - start, q)`` (rows ×
+#: probes), of rows ``[start, stop)`` against the whole query batch; valid
+#: until the next call.
 ScoreChunk = Callable[[int, int], np.ndarray]
 #: ``rank(qi, rows, scores)``: query ``qi``'s hit list from its scored rows,
 #: given as ascending row indices or, for every row at once, ``slice(0, n)``.
@@ -460,23 +467,57 @@ def topk_hits(
     return hits
 
 
-def _det_topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
-    """:func:`det_topk` of every row of a finite ``(q, n)`` block: ``(q, min(k, n))``.
+def _cut(block: np.ndarray, keep: int, start: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Each probe's rows of a ``(rows, q)`` score block at or above its bound.
 
-    Finite scores put at least ``k`` of each row at or above its cut, so one
-    count over the block finds whether any row must re-gather its ties.
+    The block's rows fall into groups of ``g`` consecutive rows (``g`` up to
+    ``_CUT_GROUP``, fewer in a short block so that it still holds
+    ``_CUT_MIN_GROUPS·keep`` groups).  A probe's bound is the ``keep``-th
+    largest of its group maxima: ``keep`` distinct rows score at least that,
+    so the probe's ``keep``-th best score is never below it, and the rows at
+    or above the bound hold every row :func:`det_topk` ``(keep)`` can pick,
+    ties at its cut included.  Returns ``(rows + start, scores)`` per probe,
+    ascending by row.  A NaN maximum (an all-NaN group) ranks below every
+    number; a probe with fewer than ``keep`` groups holding a number has no
+    bound and keeps every row.
     """
-    q, n = scores.shape
-    if k >= n:
-        return np.broadcast_to(np.arange(n, dtype=np.int64), (q, n))
-    part = np.argpartition(-scores, kth=k - 1, axis=1)
-    top = part[:, :k]
-    at_cut = scores >= scores[np.arange(q)[:, None], part[:, k - 1 : k]]
-    if np.count_nonzero(at_cut) > q * k:  # some row's ties straddle its cut
-        for qi in np.flatnonzero(np.count_nonzero(at_cut, axis=1) > k):
-            top[qi] = det_topk(scores[qi], k)
-    top.sort(axis=1)
-    return top
+    n, q = block.shape
+    group = max(1, min(_CUT_GROUP, n // (_CUT_MIN_GROUPS * keep)))
+    full = n - n % group
+    groups = -(-n // group)
+    if groups < keep:
+        every = np.arange(start, start + n, dtype=np.int64)
+        return [(every, block[:, qi].copy()) for qi in range(q)]
+    # Group maxima by pairwise halving (the halves share a row when odd):
+    # each fmax runs over long contiguous runs, where one reduce over the
+    # group axis would loop over q columns at a time.
+    maxima = block[:full].reshape(-1, group, q)
+    while maxima.shape[1] > 1:
+        size = maxima.shape[1]
+        maxima = np.fmax(maxima[:, : size - size // 2], maxima[:, size // 2 :])
+    maxima = maxima[:, 0]
+    if full < n:
+        maxima = np.vstack([maxima, np.fmax.reduce(block[full:], axis=0)])
+    bound = -np.partition(-maxima, keep - 1, axis=0)[keep - 1]
+    # The (probe, group) pairs whose group reaches the bound, probe-major,
+    # each with its group's rows and their scores.
+    probe, first = np.nonzero(maxima.T >= bound[:, None])
+    rows = (first * group)[:, None] + np.arange(group)
+    if full < n:  # a short last group: its missing rows read row n - 1, then drop
+        inside = rows < n
+        np.minimum(rows, n - 1, out=rows)
+    scores = block.reshape(-1).take(rows * q + probe[:, None])
+    take = scores >= bound[probe, None]
+    if full < n:
+        take &= inside
+    ends = np.zeros(probe.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(take, axis=1), out=ends[1:])
+    offsets = ends[np.searchsorted(probe, np.arange(q + 1))].tolist()
+    rows, scores = rows[take] + start, scores[take]
+    cut = [(rows[a:b], scores[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+    for qi in np.flatnonzero(np.isnan(bound)).tolist():
+        cut[qi] = (np.arange(start, start + n, dtype=np.int64), block[:, qi].copy())
+    return cut
 
 
 def exact_scan(
@@ -484,25 +525,34 @@ def exact_scan(
 ) -> List[List[IndexHit]]:
     """Exhaustive search of a query batch over rows ``[0, n)``: every unrouted scan.
 
-    ``score`` scores ``chunk_size``-row blocks, so peak extra memory is one
-    ``(q, chunk_size)`` score block whatever the corpus size.  A corpus that
-    fits one block is a single ``score(0, n)``, and each query ranks every
-    row (``slice(0, n)``).  Over several blocks, each block's :func:`det_topk`
-    ``keep`` survivors per query are kept in ascending row order and ranked
-    once.  A ``rank`` that cuts to at most ``keep`` rows by that rule then
-    sees exactly the rows one block would have left it, so neither the
-    chunking nor the batch size changes which rows are candidates.
+    ``score`` scores ``chunk_size``-row blocks as rows × probes, so peak
+    extra memory is one ``(chunk_size, q)`` score block whatever the corpus
+    size.  A corpus that fits one block is a single ``score(0, n)``.  If it
+    is also too short to cut usefully (under ``_CUT_MIN_GROUPS·keep`` groups
+    of ``_CUT_GROUP`` rows: every device-sized cache), each query ranks every
+    row (``slice(0, n)``).  Otherwise each block keeps, per query, its rows
+    at or above a bound that no :func:`det_topk` ``(keep)`` pick falls below
+    (:func:`_cut`), and each query ranks its kept rows of every block once,
+    in ascending row order.  A ``rank`` that cuts to at most ``keep`` rows by
+    that rule then sees every row it would keep from the whole corpus, ties
+    included, so neither the cut, the chunking nor the batch size changes
+    which rows it keeps.
     """
     if n <= chunk_size:
-        every = slice(0, n)
-        return [rank(qi, every, s) for qi, s in enumerate(score(0, n))]
-    rows: List[np.ndarray] = []
-    scores: List[np.ndarray] = []
-    for start in range(0, n, chunk_size):
-        block = score(start, min(start + chunk_size, n))
-        sel = _det_topk_rows(block, keep)
-        rows.append(sel + start)
-        scores.append(np.take_along_axis(block, sel, axis=1))
-    cand_rows = np.concatenate(rows, axis=1)
-    cand_scores = np.concatenate(scores, axis=1)
-    return [rank(qi, cand_rows[qi], cand_scores[qi]) for qi in range(cand_rows.shape[0])]
+        block = score(0, n)
+        if n < _CUT_MIN_GROUPS * _CUT_GROUP * keep:
+            every = slice(0, n)
+            return [rank(qi, every, s) for qi, s in enumerate(block.T)]
+        return [rank(qi, rows, s) for qi, (rows, s) in enumerate(_cut(block, keep, 0))]
+    blocks = [
+        _cut(score(start, min(start + chunk_size, n)), keep, start)
+        for start in range(0, n, chunk_size)
+    ]
+    return [
+        rank(
+            qi,
+            np.concatenate([cut[qi][0] for cut in blocks]),
+            np.concatenate([cut[qi][1] for cut in blocks]),
+        )
+        for qi in range(len(blocks[0]))
+    ]

@@ -26,10 +26,9 @@ the refactor it guards via::
 ``tests/test_index_streams.py`` replays the script and compares exactly.
 Regenerate only for a deliberate, documented change of search arithmetic
 or of what the script observes, first at the old code when the script
-changes (the last: a trained unrouted ``sq8`` index scans every batch size
-through the one exact scan, and the float64 rescore takes one dot per row
-instead of a gemv, so rescored scores moved by at most 2.2e-16, ``sq8``
-``scan_nbytes`` moved, and every ``*_ids`` digest held).
+changes (the last: the exact scan scores rows × probes, ``rows @ Qs.T``,
+so 4 float64 scores of ``flat-f64``'s 64-query searches (16 places)
+moved by 1 ulp and every ``*_ids`` digest held).
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from conftest import make_tiny_encoder
 from reference_topk import reference_search
 from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.index import FlatIndex, QuantizedIndex
+from repro.index import postings
 from repro.index.postings import det_topk, exact_scan, topk_hits
 
 
@@ -239,6 +240,35 @@ def test_topk_hits_clips_scores_into_the_cosine_range():
     assert [(h.id, h.score) for h in hits] == [(1, 1.0), (2, 0.5), (3, -1.0)]
 
 
+def rule_hits(scores: np.ndarray, ids: np.ndarray, top_k: int):
+    """The ranking rule by sorting every score: the first ``top_k`` by
+    (-score, row), NaN last, listed by (-score, id) with scores clipped into
+    [-1, 1]; a NaN is never a hit."""
+    top = np.lexsort((np.arange(scores.shape[0]), -scores))[:top_k]
+    top = top[np.lexsort((ids[top], -scores[top]))]
+    clipped = np.clip(scores[top].astype(np.float64), -1.0, 1.0)
+    return [(int(ids[i]), s.hex()) for i, s in zip(top, clipped.tolist()) if s == s]
+
+
+def assert_scan_follows_the_rule(rows, queries, ids, top_k, chunk_sizes):
+    """``exact_scan`` over rows × probes blocks, at each chunk size, keeps
+    what :func:`rule_hits` keeps from the whole corpus.  Every chunk is a
+    slice of one product, so no chunk shape moves a score bit."""
+    n = rows.shape[0]
+    block = rows @ queries.T
+    want = [rule_hits(block[:, qi], ids, top_k) for qi in range(queries.shape[0])]
+
+    def score(start, stop):
+        return block[start:stop]
+
+    def rank(qi, cand_rows, cand_scores):
+        return topk_hits(ids[cand_rows], cand_scores, top_k, None)
+
+    for chunk_size in chunk_sizes:
+        got = exact_scan(score, n, top_k, chunk_size, rank)
+        assert hit_stream(got) == want, (n, top_k, chunk_size)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_exact_scan_ranks_by_the_rule_over_any_number_of_blocks(dtype):
     """Rows of ±0.5 and 0 in four dimensions: every product is exact and
@@ -250,21 +280,77 @@ def test_exact_scan_ranks_by_the_rule_over_any_number_of_blocks(dtype):
         queries = (rng.integers(-1, 2, size=(int(rng.integers(1, 4)), 4)) * 0.5).astype(dtype)
         ids = rng.permutation(n) + 100
         top_k = int(rng.integers(1, n + 3))
-        want = []
-        for q in queries:
-            scores = rows @ q
-            top = np.argsort(-scores, kind="stable")[:top_k]
-            top = top[np.lexsort((ids[top], -scores[top]))]
-            want.append([(int(ids[i]), float(scores[i]).hex()) for i in top])
-        def score(start, stop):
-            return queries @ rows[start:stop].T
+        assert_scan_follows_the_rule(
+            rows, queries, ids, top_k, sorted({1, 2, 5, max(1, n // 2), n, 65536})
+        )
 
-        def rank(qi, cand_rows, cand_scores):
-            return topk_hits(ids[cand_rows], cand_scores, top_k, None)
 
-        for chunk_size in sorted({1, 2, 5, max(1, n // 2), n, 65536}):
-            got = exact_scan(score, n, top_k, chunk_size, rank)
-            assert hit_stream(got) == want
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_exact_scan_cut_keeps_what_the_rule_keeps(dtype):
+    """Past the cut threshold (``_CUT_MIN_GROUPS·_CUT_GROUP`` rows per kept
+    row): corpora from just below it to ~3× it, rows repeated so that ties
+    straddle the bound, NaN rows and one all-NaN group, 1, 3 and 64 probes,
+    ``keep`` 1–20, one block and several."""
+    per_keep = postings._CUT_MIN_GROUPS * postings._CUT_GROUP
+    rng = np.random.default_rng(7)
+    for case in range(18):
+        top_k = int(rng.integers(1, 21)) if case % 3 else int(rng.integers(1, 4))
+        q = (1, 3, 64)[case % 3]
+        n = int(rng.integers(per_keep * top_k - 3, 3 * per_keep * top_k))
+        if case % 2:  # exact products in few values: ties everywhere
+            rows = rng.integers(-1, 2, size=(n, 4)) * 0.5
+            queries = rng.integers(-1, 2, size=(q, 4)) * 0.5
+        else:  # repeats of a few hundred rows
+            base = rng.standard_normal((int(rng.integers(50, 400)), 8))
+            rows = base[rng.integers(0, base.shape[0], size=n)]
+            queries = rng.standard_normal((q, 8))
+        rows[-1] = queries[0]  # probe 0's own vector, in the last (often short) group
+        # NaN beside probe 0's best rows, inside their groups, and elsewhere.
+        top = np.argsort(-(rows @ queries[0]), kind="stable")[:top_k]
+        beside = np.setdiff1d(top ^ 1, top)
+        rows[beside[beside < n - 1]] = np.nan
+        rows[rng.integers(0, n - 1, size=5)] = np.nan
+        if case % 4 < 2:
+            group = int(rng.integers(0, n // postings._CUT_GROUP))
+            rows[group * postings._CUT_GROUP : (group + 1) * postings._CUT_GROUP] = np.nan
+        ids = rng.permutation(n) + 100
+        chunks = (n, n + 7, n // 3 + 1, max(top_k, 1000), top_k)
+        assert_scan_follows_the_rule(
+            rows.astype(dtype), queries.astype(dtype), ids, top_k, chunks
+        )
+
+
+def test_a_scan_with_fewer_numeric_groups_than_kept_rows_ranks_every_row():
+    """Two groups hold a number and three rows are kept: no bound exists,
+    and the three numeric rows are the hits."""
+    rows = np.full((3000, 4), np.nan)
+    rows[[5, 6, 2999]] = [[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0.5, 0.5, 0, 0]]
+    queries = np.ones((2, 4))
+    assert_scan_follows_the_rule(rows, queries, np.arange(3000), 3, (3000, 2000))
+    assert_scan_follows_the_rule(np.full((3000, 4), np.nan), queries, np.arange(3000), 3, (3000,))
+
+
+def test_a_bulk_flat_search_ranks_a_few_rows_per_probe(monkeypatch):
+    """A 64-probe search of 20,000 float32 rows hands each probe's rank at
+    most a few hundred rows, and finds what ranking every row finds."""
+    rng = np.random.default_rng(51)
+    index = FlatIndex(dim=64)
+    index.add_batch(rng.standard_normal((20_000, 64)))
+    queries = rng.standard_normal((64, 64))
+    queries = (queries / np.linalg.norm(queries, axis=1, keepdims=True)).astype(np.float32)
+    handed = []
+    rank = index._rank
+
+    def spy(unit, top_k, threshold, qi, cand_rows, cand_scores):
+        handed.append(cand_scores.shape[0])
+        return rank(unit, top_k, threshold, qi, cand_rows, cand_scores)
+
+    monkeypatch.setattr(index, "_rank", spy)
+    got = index.search(queries, 5, prenormalized=True)
+    assert len(handed) == 64 and max(handed) <= 300
+    block = index._rows[:20_000] @ queries.T
+    want = [topk_hits(index._ids[:20_000], block[:, qi], 5, None) for qi in range(64)]
+    assert hit_stream(got) == hit_stream(want)
 
 
 @pytest.mark.parametrize("chunk_size", [7, 65536])
