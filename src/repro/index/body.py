@@ -19,12 +19,12 @@ loop over the ``nprobe`` nearest cells, with the codec's gathered-row
 scorer or a float gather+gemv; everything else, at every batch size →
 :func:`~repro.index.postings.exact_scan`, over rows × probes blocks
 (``block @ Qs.T``) of the float rows or the codec's fused chunk scorer, cut
-per probe at a block-maximum bound.  Both end in one rank: once
-the codec is trained, the ``top_k·rescore`` best candidates are re-scored
-in float64 against the dequantized codes, then
-:func:`~repro.index.postings.topk_hits` lists the hits.  Training-sample
-selection, k-means init and re-seeding all derive from ``seed``, so an
-operation sequence reproduces bit-identical results.
+per probe at a block-maximum bound.  Those scan scores only cut: both
+branches end in one rank (:meth:`IndexBody._rank`), which rescores the
+candidates within a computed ``ε`` of the ``top_k``-th scan score with one
+dot per row and lists them with :func:`~repro.index.postings.topk_hits`.
+Training-sample selection, k-means init and re-seeding all derive from
+``seed``, so an operation sequence reproduces bit-identical results.
 
 :class:`~repro.index.flat.FlatIndex` and
 :class:`~repro.index.quantized.QuantizedIndex` are the two registry classes,
@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.index.base import IndexHit
 from repro.index.codecs import ScalarQuantizer
-from repro.index.postings import ScoreChunk, det_topk, exact_scan, topk_hits
+from repro.index.postings import exact_scan, topk_hits
 from repro.index.routing import Router, ScoreRows, training_sample
 from repro.index.store import RowStore
 
@@ -51,6 +51,8 @@ _ENCODE_BLOCK = 16384
 # one float32 block in scratch, so q queries scan chunks of at most
 # ``_SCORE_BLOCK // q`` rows and any batch retains at most 512 KB of scores.
 _SCORE_BLOCK = 1 << 17
+# Up to this many candidates, scoring them all beats finding the band.
+_BAND_MIN_ROWS = 64
 
 
 def _blockwise(
@@ -68,8 +70,7 @@ class IndexBody(RowStore):
 
     ``dtype`` is the float dtype of the rows (before encoding), the norms and
     the scanned queries; ``codec`` replaces the float rows once trained, or
-    is ``None``; ``rescore`` is a codec index's rescore multiplier R (1
-    disables).  Training starts once ``min_train_size`` rows are stored, on
+    is ``None``.  Training starts once ``min_train_size`` rows are stored, on
     at most ``train_sample`` of them, seeded by ``seed``; an unrouted index
     without a codec never trains, builds no router and ignores these and the
     routing ``knobs`` (see :class:`repro.index.routing.Router`).
@@ -82,7 +83,6 @@ class IndexBody(RowStore):
         initial_capacity: int,
         chunk_size: int,
         codec: Optional[ScalarQuantizer],
-        rescore: int,
         routed: bool,
         min_train_size: int,
         train_sample: int,
@@ -93,10 +93,7 @@ class IndexBody(RowStore):
         super().__init__(dim, initial_capacity, chunk_size, norm_dtype=self._dtype)
         if self._dtype.kind != "f":
             raise ValueError("dtype must be a floating-point type")
-        if rescore < 1:
-            raise ValueError("rescore must be >= 1")
         self._codec = codec
-        self._rescore = int(rescore)
         self._routed = bool(routed)
         self._layout_clustered = False  # code rows grouped cell-major?
         self._router: Optional[Router] = None
@@ -258,8 +255,8 @@ class IndexBody(RowStore):
         With arrival-order storage a probe gather at 10⁶ entries touches one
         ~64-byte code row per 4 KB page (DRAM-latency bound); afterwards it
         reads ``nprobe`` sequential runs.  A pure storage permutation: ids,
-        cells and codes are unchanged, only BLAS summation order (float
-        ulps) shifts, which the float64 rescore absorbs.  Float rows
+        cells and codes are unchanged, only the scan's BLAS summation order
+        (float ulps) shifts, which the rank's band absorbs.  Float rows
         (``ivf``) keep arrival order, which their snapshots pin.
         """
         self._materialize()
@@ -332,7 +329,7 @@ class IndexBody(RowStore):
     ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         """``(float64 unit rows or None, unit rows in the scan dtype)``, in scratch.
 
-        Only a trained codec index builds the float64 rows (its rescore reads
+        Only a trained codec index builds the float64 rows (its rank reads
         them), so a float-row scan makes no query copy it does not use.
         The default path is the store's float64 normalization
         (:meth:`RowStore._unit_queries`).  ``prenormalized=True`` asserts
@@ -394,7 +391,8 @@ class IndexBody(RowStore):
         if self._size == 0:
             return [[] for _ in range(Q.shape[0])]
         unit, Qs = self._prepare_queries(Q, prenormalized)
-        rank = partial(self._rank, unit, top_k, score_threshold)
+        # Decoded code rows rank against the float64 unit rows, float rows as scanned.
+        rank = partial(self._rank, Qs if unit is None else unit, top_k, score_threshold)
         n, coded = self._size, self._coded
         if self._router is not None and self._router.is_trained:
             scorers = (
@@ -402,19 +400,14 @@ class IndexBody(RowStore):
                 if coded
                 else self._float_row_scorers(Qs)
             )
-            return self._router.search(Qs, scorers, rank, self._dtype)
+            return self._router.search(Qs, scorers, rank)
         if coded:
             chunk = min(self._chunk_size, max(1, _SCORE_BLOCK // Qs.shape[0]))
             score = self._codec.chunk_scorer(Qs, self._rows, min(chunk, n), self._scratch)
-            keep = top_k * self._rescore
-        else:
-            chunk, keep, score = self._chunk_size, top_k, self._float_chunk_scorer(Qs)
-        return exact_scan(score, n, keep, chunk, rank)
-
-    def _float_chunk_scorer(self, Qs: np.ndarray) -> ScoreChunk:
-        """``block @ Qs.T``, rows × probes, over a block of the live float rows."""
-        rows = self._rows[: self._size]
-        return lambda start, stop: rows[start:stop] @ Qs.T
+        else:  # rows × probes blocks of the live float rows
+            rows, chunk = self._rows[:n], self._chunk_size
+            score = lambda start, stop: rows[start:stop] @ Qs.T  # noqa: E731
+        return exact_scan(score, n, top_k, chunk, rank, self._band)
 
     def _float_row_scorers(self, Qs: np.ndarray) -> Callable[[int], ScoreRows]:
         """Gather+gemv scorers of the float rows, every buffer in scratch."""
@@ -432,35 +425,53 @@ class IndexBody(RowStore):
 
         return scorer
 
+    # ε, derived.  A row's scan score s and rank score r round one exact dot
+    # product; with unit roundoff u and γ_n = n·u/(1 − n·u), a d-term dot in
+    # any order is within γ_d·Σ|x_i·y_i| of it.  Float rows: s and r take the
+    # same stored row and scan-dtype query, both unit to within γ_{d+2}, so
+    # b = |s − r| ≤ 2·γ_d·(1 + γ_{d+2})².  Code rows (float32 scan): with
+    # M = Σ|q_i|·w_i and w = 255·scale + |offset|, the scan's products and sums
+    # err by γ_{d+2}·(1 + u)·M, the query's float32 cast by u·M and the float64
+    # decode and dot by under u·M, so by γ_{d+4}·M in all; M ≤ ‖q‖·‖w‖ with
+    # ‖q‖ ≤ 1 + γ_{d+2}, and a factor 1 + u covers ‖w‖'s rounding:
+    # b ≤ γ_{d+4}·(1 + γ_{d+2})·(1 + u)·‖w‖.  With s_k the k-th best s, the k
+    # rows at s ≥ s_k have r ≥ s_k − b, so the k-th best r is too, and every
+    # row ranking at or above it (ties included) has s ≥ s_k − 2b: ε = 2b.
+    def _band(self) -> float:
+        """``ε = 2b``: twice the bound ``b`` on any row's ``|s − r|``, derived above."""
+        d, u = self._dim, 2.0**-24 if self._coded else float(np.finfo(self._dtype).eps) / 2
+        g, g2, g4 = (n * u / (1 - n * u) if n * u < 1 else np.inf for n in (d, d + 2, d + 4))
+        if self._coded:
+            return 2 * g4 * (1 + g2) * (1 + u) * self._codec.dot_bound
+        return 4 * g * (1 + g2) ** 2
+
     def _rank(
         self,
-        unit: Optional[np.ndarray],
+        query: np.ndarray,
         top_k: int,
         score_threshold: Optional[float],
         qi: int,
         cand_rows: Union[np.ndarray, slice],
         cand_scores: np.ndarray,
     ) -> List[IndexHit]:
-        """Final ranking of query ``qi``'s candidate rows, with optional rescore.
+        """Query ``qi``'s hits among its scanned candidates: every search's one rank.
 
-        Once a codec is trained and ``rescore > 1``, the ``top_k·rescore``
-        best candidates (the deterministic :func:`det_topk` cut) are
-        re-scored in float64, the dequantized codes against ``unit[qi]``,
-        before the final cut: the hits are then a pure function of the scan
-        scores, which ``tests/reference_scan.py`` checks against a
-        decode-and-rescore oracle exactly.
+        The scan scores only cut.  The candidates within :meth:`_band` of the
+        ``top_k``-th best (NaN below every number; all when fewer are numeric)
+        are scored one dot per row against ``query[qi]`` (code rows decoded to
+        float64) and ranked by :func:`topk_hits`, as a brute force would.
         """
-        if self._rescore > 1 and self._coded:
-            n = cand_scores.shape[0]
-            keff = min(top_k * self._rescore, n)
-            if keff < n:
-                keep = det_topk(cand_scores, keff)
-                # Every row as ``slice(0, n)``: the positions are the rows.
-                cand_rows = keep if isinstance(cand_rows, slice) else cand_rows[keep]
-            decoded = self._codec.decode(self._rows[cand_rows], dtype=np.float64)
-            # One dot per row (a gemv's bits depend on a row's position).
-            cand_scores = np.vecdot(decoded, unit[qi])
-        return topk_hits(self._ids[cand_rows], cand_scores, top_k, score_threshold)
+        n = cand_scores.shape[0]
+        if n > max(top_k, _BAND_MIN_ROWS):
+            kth = -np.partition(-cand_scores, top_k - 1)[top_k - 1]
+            if kth == kth:  # NaN: fewer than top_k are numeric, so every row ranks
+                # In float64: a float32 ``kth − ε`` could round up past a row.
+                band = np.flatnonzero(cand_scores >= np.float64(kth) - self._band())
+                cand_rows = band if isinstance(cand_rows, slice) else cand_rows[band]
+        rows = self._rows[cand_rows]
+        if self._coded:
+            rows = self._codec.decode(rows, dtype=np.float64)
+        return topk_hits(self._ids[cand_rows], np.vecdot(rows, query[qi]), top_k, score_threshold)
 
     # ------------------------------------------------------------------ #
     # Snapshot protocol (see repro.index.snapshot)
@@ -490,8 +501,7 @@ class IndexBody(RowStore):
         routing, seed = self._router.snapshot_params(), {"seed": self._seed}
         if self._codec is None:
             return {**dim, "dtype": self._dtype.name, **storage, **routing, **training, **seed}
-        codec = {"rescore": self._rescore, "routed": self._routed}
-        return {**dim, **storage, **training, **codec, **routing, **seed}
+        return {**dim, **storage, **training, "routed": self._routed, **routing, **seed}
 
     def _snapshot_state(self) -> Dict[str, object]:
         state: Dict[str, object] = {"dim": self._dim, "next_id": self._next_id}

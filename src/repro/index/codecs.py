@@ -8,7 +8,8 @@ tables, the contiguous-chunk scorer of the exact scan
 (:func:`~repro.index.postings.exact_scan`, every unrouted search) and the
 gathered-rows scorer of the routed probe scan.  Scoring is asymmetric: the query stays
 float32 and the affine identity ``q · (offset + scale·c) = q·offset +
-(q·scale) · c`` reduces a chunk to one cast plus one matmul.
+(q·scale) · c`` reduces a chunk to one cast plus one matmul.  Those scores
+only cut; the index ranks by each row's float64 decode, one dot per row.
 The index body (:class:`~repro.index.body.IndexBody`) composes it with the
 shared row store and the IVF router into
 :class:`~repro.index.quantized.QuantizedIndex`.
@@ -77,6 +78,12 @@ class ScalarQuantizer:
         span[span < 1e-9] = 1e-9
         self.offset = lo.astype(np.float32)
         self.scale = (span / 255.0).astype(np.float32)
+
+    @property
+    def dot_bound(self) -> float:
+        """``‖255·scale + |offset|‖``: bounds a unit query's ``Σ|q_i·x_i|`` on any decode."""
+        weights = 255.0 * self.scale.astype(np.float64) + np.abs(self.offset.astype(np.float64))
+        return float(np.linalg.norm(weights))
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
         """Quantize float rows to uint8 codes (values outside the range clip)."""

@@ -78,7 +78,6 @@ class FlatIndex(IndexBody):
             initial_capacity,
             chunk_size,
             codec=None,
-            rescore=1,
             routed=routed,
             min_train_size=min_train_size,
             train_sample=train_sample,

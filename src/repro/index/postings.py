@@ -17,7 +17,7 @@ brute-forces only that subset.  Its bookkeeping lives here:
   borrows it: candidate gathering in a search needs thousands of
   translations per query, which one fancy-index answers;
 * the exact scan (:func:`exact_scan`, cut per probe at a block-maximum
-  bound), the probe scan, and the one ranking
+  bound lowered by the rank's band), the probe scan, and the one ranking
   rule every search ends in (:func:`topk_hits` over :func:`det_topk`):
   every row above the k-th score is kept, ties at the cut are filled from
   the lowest row, and hits are listed by ``(-score, id)`` — so which of
@@ -385,20 +385,15 @@ def probe_scan_batched(
 ) -> int:
     """One query's probe scan: every probed cell gathered, then ONE scoring call.
 
-    The routed scan (driven by ``routing.Router.search``).  Once cells are
-    small (a few hundred rows), per-cell Python/BLAS dispatch — not the
-    arithmetic — would be the latency floor, at tens of microseconds per
-    probe, so this scan concatenates every probed cell's ids, translates
-    them to rows once, and scores the whole block with a single
-    ``score_rows`` call in ascending **row** order.  Row order is the canonical scan order here for two
-    reasons: it is reproducible (snapshots preserve row order byte-for-byte,
-    so a restored index scores the same rows in the same BLAS positions as
-    the live one that wrote it), and it is what makes the gather sequential
-    once the owning index has compacted its storage cell-major — the
-    difference between a DRAM-latency-bound scan and a bandwidth-bound one.
-    Candidate identity is carried by ``cand_rows`` (``cand_ids`` is staging
-    only); callers map rows back to ids via their row→id array.  Returns
-    the number of candidates written.
+    The routed scan (driven by ``routing.Router.search``).  With cells of a
+    few hundred rows, per-cell Python/BLAS dispatch, not the arithmetic,
+    would be the latency floor, so this scan concatenates every probed
+    cell's ids, translates them to rows once, and scores the whole block
+    with a single ``score_rows`` call in ascending **row** order: the order
+    the rank fills ties from, and the one that makes the gather sequential
+    once the owner has compacted its storage cell-major.  Candidate identity
+    is carried by ``cand_rows`` (``cand_ids`` is staging only).  Returns the
+    number of candidates written.
     """
     filled = 0
     cells = 0
@@ -467,19 +462,21 @@ def topk_hits(
     return hits
 
 
-def _cut(block: np.ndarray, keep: int, start: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Each probe's rows of a ``(rows, q)`` score block at or above its bound.
+def _cut(
+    block: np.ndarray, keep: int, start: int, eps: float
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Each probe's rows of a ``(rows, q)`` score block within ``eps`` of its bound.
 
     The block's rows fall into groups of ``g`` consecutive rows (``g`` up to
     ``_CUT_GROUP``, fewer in a short block so that it still holds
     ``_CUT_MIN_GROUPS·keep`` groups).  A probe's bound is the ``keep``-th
     largest of its group maxima: ``keep`` distinct rows score at least that,
     so the probe's ``keep``-th best score is never below it, and the rows at
-    or above the bound hold every row :func:`det_topk` ``(keep)`` can pick,
-    ties at its cut included.  Returns ``(rows + start, scores)`` per probe,
-    ascending by row.  A NaN maximum (an all-NaN group) ranks below every
-    number; a probe with fewer than ``keep`` groups holding a number has no
-    bound and keeps every row.
+    or above ``bound − eps`` hold every row within ``eps`` of that score,
+    ties included.  Returns ``(rows + start, scores)`` per probe, ascending
+    by row.  A NaN maximum (an all-NaN group) ranks below every number; a
+    probe with fewer than ``keep`` groups holding a number has no bound and
+    keeps every row.
     """
     n, q = block.shape
     group = max(1, min(_CUT_GROUP, n // (_CUT_MIN_GROUPS * keep)))
@@ -498,7 +495,8 @@ def _cut(block: np.ndarray, keep: int, start: int) -> List[Tuple[np.ndarray, np.
     maxima = maxima[:, 0]
     if full < n:
         maxima = np.vstack([maxima, np.fmax.reduce(block[full:], axis=0)])
-    bound = -np.partition(-maxima, keep - 1, axis=0)[keep - 1]
+    # In float64: a float32 ``bound − eps`` could round up past a row.
+    bound = -np.partition(-maxima, keep - 1, axis=0)[keep - 1].astype(np.float64) - eps
     # The (probe, group) pairs whose group reaches the bound, probe-major,
     # each with its group's rows and their scores.
     probe, first = np.nonzero(maxima.T >= bound[:, None])
@@ -521,7 +519,7 @@ def _cut(block: np.ndarray, keep: int, start: int) -> List[Tuple[np.ndarray, np.
 
 
 def exact_scan(
-    score: ScoreChunk, n: int, keep: int, chunk_size: int, rank: Rank
+    score: ScoreChunk, n: int, keep: int, chunk_size: int, rank: Rank, band: Callable[[], float]
 ) -> List[List[IndexHit]]:
     """Exhaustive search of a query batch over rows ``[0, n)``: every unrouted scan.
 
@@ -531,21 +529,22 @@ def exact_scan(
     is also too short to cut usefully (under ``_CUT_MIN_GROUPS·keep`` groups
     of ``_CUT_GROUP`` rows: every device-sized cache), each query ranks every
     row (``slice(0, n)``).  Otherwise each block keeps, per query, its rows
-    at or above a bound that no :func:`det_topk` ``(keep)`` pick falls below
-    (:func:`_cut`), and each query ranks its kept rows of every block once,
-    in ascending row order.  A ``rank`` that cuts to at most ``keep`` rows by
-    that rule then sees every row it would keep from the whole corpus, ties
-    included, so neither the cut, the chunking nor the batch size changes
-    which rows it keeps.
+    within ``eps = band()`` of a bound that no :func:`det_topk` ``(keep)``
+    pick falls below (:func:`_cut`), and each query ranks its kept rows of
+    every block once, in ascending row order.  A ``rank`` that keeps the rows
+    within ``eps`` of its ``keep``-th best score then sees every row it would
+    keep from the whole corpus, ties included, so neither the cut, the
+    chunking nor the batch size changes which rows it keeps.
     """
     if n <= chunk_size:
         block = score(0, n)
         if n < _CUT_MIN_GROUPS * _CUT_GROUP * keep:
             every = slice(0, n)
             return [rank(qi, every, s) for qi, s in enumerate(block.T)]
-        return [rank(qi, rows, s) for qi, (rows, s) in enumerate(_cut(block, keep, 0))]
+        return [rank(qi, rows, s) for qi, (rows, s) in enumerate(_cut(block, keep, 0, band()))]
+    eps = band()
     blocks = [
-        _cut(score(start, min(start + chunk_size, n)), keep, start)
+        _cut(score(start, min(start + chunk_size, n)), keep, start, eps)
         for start in range(0, n, chunk_size)
     ]
     return [

@@ -14,11 +14,9 @@ searched exactly like a float32 :class:`~repro.index.FlatIndex`; the first
 add reaching the threshold trains the codec and swaps the payload for the
 uint8 code rows of the staged vectors.
 
-Optional **exact re-ranking**: with ``rescore > 1`` a search first selects
-``top_k · rescore`` candidates by the fast quantized scores, then recomputes
-those candidates' scores in float64 against the dequantized codes and ranks
-the final ``top_k`` from that — tightening the ordering at a per-query cost
-proportional to ``top_k · rescore`` instead of ``n``.
+Its scores are **exact for the codes**: the fast float32 scan only cuts, and
+the rank scores the rows within rounding of its cut in float64 against their
+dequantized codes (see :meth:`~repro.index.body.IndexBody._rank`).
 
 Optional **IVF routing** (``routed=True``, registered as ``"ivf+sq8"``):
 trained beside the codec, so a query scans only its ``nprobe`` nearest
@@ -50,10 +48,6 @@ class QuantizedIndex(IndexBody):
     min_train_size, train_sample:
         The codec (and routing) train on the first ``min_train_size`` rows,
         subsampled to at most ``train_sample``.
-    rescore:
-        Exact-rescore multiplier R — each query's ``top_k·R`` best
-        candidates by quantized score are re-ranked in float64 against the
-        dequantized codes (1 disables).
     routed:
         Enable IVF coarse routing over the quantized rows.
     nlist, nprobe, kmeans_iters, repartition_growth, auto_repartition:
@@ -69,7 +63,6 @@ class QuantizedIndex(IndexBody):
         chunk_size: int = 65536,
         min_train_size: int = 256,
         train_sample: int = 32768,
-        rescore: int = 2,
         routed: bool = False,
         nlist: Optional[int] = None,
         nprobe: int = 8,
@@ -84,7 +77,6 @@ class QuantizedIndex(IndexBody):
             initial_capacity,
             chunk_size,
             codec=ScalarQuantizer(),
-            rescore=rescore,
             routed=routed,
             min_train_size=min_train_size,
             train_sample=train_sample,
@@ -107,11 +99,6 @@ class QuantizedIndex(IndexBody):
         if self._dim is None:
             return None
         return int(self._codec.code_width(self._dim))
-
-    @property
-    def rescore(self) -> int:
-        """Exact-rescore multiplier R (top-k·R candidates re-ranked in f64)."""
-        return self._rescore
 
     @property
     def codec_nbytes(self) -> int:

@@ -68,8 +68,8 @@ def make_index(backend: str = "flat", **params) -> VectorIndex:
         or ``"ivf+sq8"``.
     **params:
         Passed through to the backend constructor (``dim``, ``dtype``, and
-        the backend's own knobs: ``nlist``/``nprobe`` for IVF, ``rescore``
-        for the quantized ones, …).
+        the backend's own knobs: ``nlist``/``nprobe`` for IVF,
+        ``min_train_size`` for the trained ones, …).
 
     Raises
     ------

@@ -380,7 +380,6 @@ class Router:
         queries: np.ndarray,
         scorer: Callable[[int], ScoreRows],
         rank: Rank,
-        score_dtype: np.dtype,
     ) -> List[List[IndexHit]]:
         """Probe the ``nprobe`` nearest cells per query and rank their rows.
 
@@ -404,15 +403,13 @@ class Router:
         results: List[List[IndexHit]] = []
         for qi in range(n_queries):
             plist = probes[qi]
-            total = 0
-            for li in plist:
-                total += len(self.lists[li])
+            total = sum(len(self.lists[li]) for li in plist)
             if total == 0:
                 results.append([])
                 continue
             cand_ids = sc.get("rt.cand_ids", (total,), np.int64)
             cand_rows = sc.get("rt.cand_rows", (total,), np.int64)
-            cand_scores = sc.get("rt.cand_scores", (total,), score_dtype)
+            cand_scores = sc.get("rt.cand_scores", (total,), self._dtype)
             filled = probe_scan_batched(
                 plist,
                 self.lists,

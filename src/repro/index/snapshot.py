@@ -94,9 +94,10 @@ _ARRAY_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.+-]*$")
 #: ``scan_threads`` went with the thread-pool probe scan (always 1 — nothing
 #: ever set it), ``fused_scan`` with the decode-to-float64 reference scan
 #: (now ``tests/reference_scan.py``), the probe-pruning flag with threshold
-#: early stop (the routed scan now always reads every probed cell).  Dropped
-#: on load; any other unknown key is still rejected by the backend constructor.
-_RETIRED_PARAMS = ("scan_threads", "fused_scan", "prune_probes")
+#: early stop (the routed scan now always reads every probed cell), ``rescore``
+#: with the rank's computed band.  Dropped on load; any other unknown key is
+#: still rejected by the backend constructor.
+_RETIRED_PARAMS = ("scan_threads", "fused_scan", "prune_probes", "rescore")
 
 #: Backends that no longer exist, each with the registered name that
 #: replaces it (each lost to its replacement on recall at no fewer bytes per

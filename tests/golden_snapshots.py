@@ -21,22 +21,21 @@ The fixtures are generated by::
 
 ``tests/test_persistence.py`` loads each one eagerly and memory-mapped and
 compares exactly.  Regenerate only for a deliberate, documented format
-change (the last: ``MeanCache`` manifests no longer carry
-``config.eviction_policy`` and ``TieredCache`` manifests no longer carry
-``promote_on_hit``, once LRU and promotion became fixed behaviour; only the
-four manifests' digests moved, every decision stayed) or a value-level
-re-pin:
+change (the last: quantized index manifests no longer carry ``rescore``,
+which the rank's computed band replaced; the four ``sq8``/``ivf+sq8``
+manifests — ``index-sq8``, ``index-ivf+sq8``, ``tier/index``,
+``tiered/l2/index`` — and their resave digests moved, every decision
+stayed) or a value-level re-pin:
 
 * decision level (hit/miss, matched entry, response, victim, tier,
   ``decision_sha256``) is exact and never re-pinned without a ROADMAP line;
 * value level (``float.hex()`` scores, on-disk float arrays) may be re-pinned
   by a PR that shows decision-level equality on every fixture and on the four
   bench workloads seed by seed, regenerates with the command above only, and
-  lists each changed value with old/new hex and ulp distance (the last: the
-  quantized float64 rescore takes one dot product per row instead of a
-  gemv, which moved 49 rescored scores of ``index-sq8``, ``index-ivf+sq8``,
-  ``tier`` and ``tiered`` by 1 or 2 ulp; every snapshot tree stayed
-  byte-identical).
+  lists each changed value with old/new hex and ulp distance (the last, in
+  the same commit as the format change: every search's hits are scored one
+  dot per row, which moved 86 float32 scores of ``index-flat``,
+  ``index-ivf``, ``meancache``, ``gptcache`` and ``tiered`` by 1 to 3 ulp).
 
 ``--check`` regenerates into a temporary directory instead and reports every
 file that differs from the committed one; tier-1 runs it, so the committed

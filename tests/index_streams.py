@@ -2,8 +2,8 @@
 
 A refactor of the index layer (who owns a scan, which class a registry name
 builds) must not move one bit of one score.  This module drives every
-registered backend — plus the ``rescore=1``, deferred-repartition, float64
-and multi-chunk variants — through one fixed add / add_batch /
+registered backend — plus the deferred-repartition, float64 and
+multi-chunk variants — through one fixed add / add_batch /
 remove / id-reuse / repartition / maintenance / save+load / rebuild / clear
 script and records, at each checkpoint, what a caller can observe:
 
@@ -26,9 +26,10 @@ the refactor it guards via::
 ``tests/test_index_streams.py`` replays the script and compares exactly.
 Regenerate only for a deliberate, documented change of search arithmetic
 or of what the script observes, first at the old code when the script
-changes (the last: the exact scan scores rows × probes, ``rows @ Qs.T``,
-so 4 float64 scores of ``flat-f64``'s 64-query searches (16 places)
-moved by 1 ulp and every ``*_ids`` digest held).
+changes (the last: every search's hits are scored one dot per row and the
+``rescore=1`` compositions went with the knob; score bits of every
+composition moved, by at most 3 float32 ulp or 3 float64 ulp in the
+readable transcripts, and every surviving ``*_ids`` digest held).
 """
 
 from __future__ import annotations
@@ -56,9 +57,7 @@ COMPOSITIONS: Dict[str, Tuple[str, Dict[str, object]]] = {
     "ivf-deferred": ("ivf", {**_ROUTED, "auto_repartition": False}),
     "sq8": ("sq8", {"min_train_size": 32, "seed": 5}),
     "sq8-chunked": ("sq8", {"min_train_size": 32, "seed": 5, "chunk_size": 48}),
-    "sq8-rescore1": ("sq8", {"min_train_size": 32, "seed": 5, "rescore": 1, "chunk_size": 48}),
     "ivf+sq8": ("ivf+sq8", dict(_ROUTED)),
-    "ivf+sq8-rescore1": ("ivf+sq8", {**_ROUTED, "rescore": 1}),
     "ivf+sq8-deferred": ("ivf+sq8", {**_ROUTED, "auto_repartition": False}),
 }
 

@@ -1,12 +1,12 @@
 """Decode-to-float64 reference scan: the oracle the quantized scans are checked against.
 
 What ``QuantizedIndex`` used to carry as a second, runtime-selectable scan
-path: every candidate row is dequantized to a materialized float64 matrix
-and scored with one plain matmul — no query tables, no chunk pre-selection.
-With ``rescore > 1`` the index's final
-scores are a float64 rescore of a deterministic candidate set, so its hits
-must equal this oracle's exactly; with ``rescore == 1`` only within codec
-error.
+path, now a brute force: every candidate row (every row, or those of the
+cells the index probes) is dequantized to float64 and scored against the
+float64 unit query with its own dot product (one ``np.vecdot`` per row), and
+:func:`~repro.index.postings.topk_hits` ranks them.  The index's fast scan
+only cuts, and its rank rescores every row within rounding of the cut the
+same way, so its hits must equal this oracle's exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 
 from repro.index import IndexHit, QuantizedIndex
-from repro.index.postings import det_topk, topk_hits
+from repro.index.postings import topk_hits
 from repro.index.routing import best_cells
 from repro.index.store import normalize_rows
 
@@ -39,9 +39,5 @@ def reference_search(
         if router.is_trained:
             cells = [router.lists[li].view() for li in probes[qi]]
             rows = np.sort(router.row_map.rows(np.concatenate(cells)))
-        scores = decoded[rows] @ q64
-        if index.rescore > 1:
-            rows = rows[det_topk(scores, min(top_k * index.rescore, rows.shape[0]))]
-            scores = np.vecdot(decoded[rows], q64)  # one dot per row, as the index
-        results.append(topk_hits(ids[rows], scores, top_k, None))
+        results.append(topk_hits(ids[rows], np.vecdot(decoded[rows], q64), top_k, None))
     return results

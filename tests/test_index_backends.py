@@ -39,15 +39,15 @@ BACKENDS = ["flat", "ivf"]
 # their exact float32 staging phase for the score-exact cases (a codec
 # trained on a handful of rows cannot survive them); the storage contract
 # cases train them explicitly.  The ``-variant`` compositions rerun the
-# suite with float64 storage, deferred repartition, a multi-chunk flat scan
-# and a routed scan without exact rescore.
+# suite with float64 storage, deferred repartition and multi-chunk scans of
+# staged quantized rows and of float rows.
 EDGE_BACKENDS = BACKENDS + [
     "sq8",
     "ivf+sq8",
     "flat-f64",
     "ivf-deferred",
     "sq8-chunked",
-    "ivf+sq8-rescore1",
+    "flat-chunked",
 ]
 TRAINABLE = {"ivf", "sq8", "ivf+sq8"}
 
@@ -63,7 +63,7 @@ SMALL_PARAMS = {
     "flat-f64": {"dtype": np.float64},
     "ivf-deferred": {"min_train_size": 8, "nlist": 4, "nprobe": 4, "auto_repartition": False},
     "sq8-chunked": {"chunk_size": 16},
-    "ivf+sq8-rescore1": {"nlist": 4, "nprobe": 4, "rescore": 1},
+    "flat-chunked": {"chunk_size": 3},
 }
 
 
@@ -164,8 +164,10 @@ class TestRegistry:
         index = make_index("ivf", dim=16, nprobe=3)
         assert index.dim == 16
         assert index.nprobe == 3
-        routed = make_index("ivf+sq8", rescore=3, nprobe=2)
-        assert (routed.routed, routed.rescore, routed.nprobe) == (True, 3, 2)
+        routed = make_index("ivf+sq8", nprobe=2)
+        assert (routed.routed, routed.nprobe) == (True, 2)
+        with pytest.raises(TypeError, match="rescore"):  # the rank's band replaced it
+            make_index("sq8", rescore=2)
 
     def test_unknown_backend_lists_available(self):
         with pytest.raises(ValueError, match="flat"):

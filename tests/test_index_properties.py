@@ -42,15 +42,17 @@ _SQ8 = {"min_train_size": 24, "seed": 7}
 
 #: composition name -> (constructor params sized for fast tests, score
 #: tolerance vs the float64 oracle).  A name is a registry backend, optionally
-#: followed by ``-variant``: float64 storage, deferred repartition, a
-#: multi-chunk unrouted scan, or no exact rescore.  Tolerances: the float32
+#: followed by ``-variant``: float64 storage, deferred repartition or a
+#: multi-chunk unrouted scan.  Tolerances: the float32
 #: storage of the exact backends rounds at ~1e-7; SQ8 adds per-dim int8
 #: quantization error.
 BACKENDS = {
     "flat": ({}, 1e-5),
     "flat-f64": ({"dtype": "float64"}, 1e-5),
+    "flat-chunked": ({"chunk_size": 16}, 1e-5),
     "ivf": (dict(_ROUTED), 1e-5),
     "ivf-deferred": ({**_ROUTED, "auto_repartition": False}, 1e-5),
+    "ivf-f64": ({**_ROUTED, "dtype": "float64"}, 1e-5),
     # SQ8's tolerance is loose here because ranges trained on only 24
     # vectors clip later out-of-range adds; at production training sizes the
     # error is ~1e-3 (benchmarks/test_bench_index.py pins recall instead).
@@ -58,9 +60,7 @@ BACKENDS = {
     # random cosine, |error| ~ 0.5-1.
     "sq8": (dict(_SQ8), 0.35),
     "sq8-chunked": ({**_SQ8, "chunk_size": 16}, 0.35),
-    "sq8-rescore1": ({**_SQ8, "rescore": 1, "chunk_size": 16}, 0.35),
     "ivf+sq8": (dict(_ROUTED), 0.35),
-    "ivf+sq8-rescore1": ({**_ROUTED, "rescore": 1}, 0.35),
     "ivf+sq8-deferred": ({**_ROUTED, "auto_repartition": False}, 0.35),
 }
 
@@ -359,16 +359,14 @@ def test_rebuild_round_trip(name):
 # The fused ADC scans, scratch-buffer reuse, cell-major layout compaction and
 # snapshot restore must all return the *same* hits as the straightforward
 # decode-to-float64 scan (``tests/reference_scan.py``).  "Same" is exact
-# (id, score) equality, not approximate: final scores come from the float64
-# decode-and-rescore of a deterministic candidate set (``det_topk`` is
-# tie-closed), so any drift is a real bug in candidate selection or row
+# (id, score) equality, not approximate: final scores are one float64 dot
+# per decoded row, over every row within a computed rounding band of the
+# scan's cut, so any drift is a real bug in candidate selection or row
 # bookkeeping, not floating-point noise.
 
 from reference_scan import reference_search  # noqa: E402  (section-local import)
 from repro.index import load_index  # noqa: E402
 
-# The reference equals a quantized scan exactly only under an exact rescore,
-# so the ``rescore1`` compositions sit out the parity cases.
 QUANTIZED_NAMES = ("sq8", "sq8-chunked", "ivf+sq8", "ivf+sq8-deferred")
 
 

@@ -274,6 +274,16 @@ def test_load_drops_retired_fused_scan_param(name, value, mmap, tmp_path):
 
 
 @pytest.mark.parametrize("mmap", [False, True])
+@pytest.mark.parametrize("value", [1, 2])
+@pytest.mark.parametrize("name", ["sq8", "ivf+sq8"])
+def test_load_drops_retired_rescore_param(name, value, mmap, tmp_path):
+    """Manifests written while the quantized backends had a ``rescore``
+    multiplier carry it (``2`` by default); either value loads as the one
+    rank there is now, whose band is computed from the rounding error."""
+    _check_load_drops_retired_param(name, "rescore", value, mmap, tmp_path)
+
+
+@pytest.mark.parametrize("mmap", [False, True])
 @pytest.mark.parametrize("value", [True, False])
 @pytest.mark.parametrize("name", ["ivf", "sq8", "ivf+sq8"])
 def test_load_drops_retired_prune_probes_param(name, value, mmap, tmp_path):

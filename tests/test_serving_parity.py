@@ -12,7 +12,9 @@ Decision streams are compared in the golden-decision canonical form of
 ``float.hex()``), and one MeanCache stream is additionally pinned against
 ``tests/fixtures/golden_serving_decisions.json`` so a change that shifts
 *both* frontends together is caught too.  Regenerate that fixture only for a
-deliberate, documented decision-level change::
+deliberate, documented decision-level change, or a value-level re-pin that
+moves only ``sims`` (the last: hits scored one dot per row, 53 similarities
+by at most 8 float32 ulp)::
 
     PYTHONPATH=src:tests python -m test_serving_parity
 """

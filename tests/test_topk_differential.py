@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -26,9 +27,10 @@ from hypothesis import strategies as st
 
 import repro
 from conftest import make_tiny_encoder
+from reference_scan import reference_search as reference_scan_search
 from reference_topk import reference_search
 from repro.core.cache import MeanCache, MeanCacheConfig
-from repro.index import FlatIndex, QuantizedIndex
+from repro.index import FlatIndex, QuantizedIndex, make_index
 from repro.index import postings
 from repro.index.postings import det_topk, exact_scan, topk_hits
 
@@ -167,7 +169,7 @@ def test_all_duplicate_index_returns_the_same_ids_in_the_same_order():
             got = index.search(row, top_k=top_k)
             assert hit_stream(got) == hit_stream(reference_search(index, row, top_k))
             scores = [h.score for h in got[0]]
-            assert max(scores) - min(scores) < 1e-6  # ties up to the BLAS kernel's tail
+            assert scores == [scores[0]] * len(scores)  # one dot per row: exact ties
 
 
 def test_same_text_under_many_contexts_keeps_its_candidate_order(tiny_encoder):
@@ -188,7 +190,7 @@ def test_same_text_under_many_contexts_keeps_its_candidate_order(tiny_encoder):
             (h.id, h.score.hex()) for h in want
         ]
         scores = [h.score for h in decision.candidates]
-        assert max(scores) - min(scores) < 1e-6
+        assert scores == [scores[0]] * len(scores)
         assert {h.id for h in decision.candidates} <= set(ids)
 
 
@@ -251,9 +253,10 @@ def rule_hits(scores: np.ndarray, ids: np.ndarray, top_k: int):
 
 
 def assert_scan_follows_the_rule(rows, queries, ids, top_k, chunk_sizes):
-    """``exact_scan`` over rows × probes blocks, at each chunk size, keeps
-    what :func:`rule_hits` keeps from the whole corpus.  Every chunk is a
-    slice of one product, so no chunk shape moves a score bit."""
+    """``exact_scan`` over rows × probes blocks, at each chunk size and with
+    its cut lowered by no band or a wide one, keeps what :func:`rule_hits`
+    keeps from the whole corpus.  Every chunk is a slice of one product, so
+    no chunk shape moves a score bit."""
     n = rows.shape[0]
     block = rows @ queries.T
     want = [rule_hits(block[:, qi], ids, top_k) for qi in range(queries.shape[0])]
@@ -265,8 +268,9 @@ def assert_scan_follows_the_rule(rows, queries, ids, top_k, chunk_sizes):
         return topk_hits(ids[cand_rows], cand_scores, top_k, None)
 
     for chunk_size in chunk_sizes:
-        got = exact_scan(score, n, top_k, chunk_size, rank)
-        assert hit_stream(got) == want, (n, top_k, chunk_size)
+        for eps in (0.0, 0.3):
+            got = exact_scan(score, n, top_k, chunk_size, rank, lambda: eps)
+            assert hit_stream(got) == want, (n, top_k, chunk_size, eps)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -348,9 +352,61 @@ def test_a_bulk_flat_search_ranks_a_few_rows_per_probe(monkeypatch):
     monkeypatch.setattr(index, "_rank", spy)
     got = index.search(queries, 5, prenormalized=True)
     assert len(handed) == 64 and max(handed) <= 300
-    block = index._rows[:20_000] @ queries.T
+    block = np.vecdot(index._rows[:20_000, None], queries)  # every row's own dot
     want = [topk_hits(index._ids[:20_000], block[:, qi], 5, None) for qi in range(64)]
     assert hit_stream(got) == hit_stream(want)
+
+
+def near_tie_case(rng, top_k: int, dim: int):
+    """Past the cut threshold (``512·top_k`` rows or more): 40 rows a hair
+    apart around one row that scores ~0.9 against the probe (their scan
+    scores straddle the ``top_k``-th within the rank's band), 5 exact copies
+    of it among them, and random rows elsewhere; plus three probes."""
+    n = 512 * top_k + int(rng.integers(0, 600))
+    rows = rng.standard_normal((n, dim))
+    probe = rng.standard_normal(dim)
+    base = probe / np.linalg.norm(probe) + 0.5 * rng.standard_normal(dim) / np.sqrt(dim)
+    near = rng.choice(n, size=40, replace=False)
+    scale = 10.0 ** rng.integers(-8, -4, size=(40, 1))
+    rows[near] = base + scale * rng.standard_normal((40, dim))
+    rows[near[:5]] = base
+    probes = np.stack([probe, rows[near[7]], rng.standard_normal(dim)])
+    return rows, probes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_cut_path_ranks_near_ties_as_the_row_local_oracle(dtype):
+    """Rows within the rank's band of the ``top_k``-th scan score, exact
+    copies among them, rank as the brute force over every row's own dot
+    ranks them: one block or several, one probe or three."""
+    rng = np.random.default_rng(52)
+    for case in range(6):
+        top_k = int(rng.integers(1, 4))
+        rows, probes = near_tie_case(rng, top_k, (16, 64, 384)[case % 3])
+        n = rows.shape[0]
+        ids = rng.permutation(n) + 10
+        for chunk_size in (65536, n // 3 + 1, 700):
+            index = FlatIndex(dtype=dtype, chunk_size=chunk_size)
+            index.add_batch(rows, ids=ids)
+            for batch in (probes, probes[0]):
+                assert_matches_reference(index, batch, top_k)
+
+
+def test_a_trained_quantized_cut_path_ranks_near_ties_as_the_decode_oracle():
+    """The same near ties in a trained ``sq8`` index: its hits equal the
+    decode-to-float64 brute force over every row, at any chunk size."""
+    rng = np.random.default_rng(53)
+    for case in range(6):
+        top_k = int(rng.integers(1, 4))
+        rows, probes = near_tie_case(rng, top_k, (16, 64, 384)[case % 3])
+        n = rows.shape[0]
+        for chunk_size in (65536, n // 3 + 1, 700):
+            index = QuantizedIndex(chunk_size=chunk_size)
+            index.add_batch(rows)
+            assert index.is_trained
+            want = hit_stream(reference_scan_search(index, probes, top_k))
+            assert hit_stream(index.search(probes, top_k)) == want
+            assert hit_stream(index.search(probes[0], top_k)) == want[:1]
 
 
 @pytest.mark.parametrize("chunk_size", [7, 65536])
@@ -507,3 +563,89 @@ def test_a_tied_sq8_meancache_decides_the_same_one_probe_at_a_time_and_batched()
     singles = [decided(one.lookup(text)) for text in probes]
     assert [decided(d) for d in batched.lookup_batch(probes)] == singles
     assert [entry_id for hit, entry_id, _, _ in singles[::2] if hit] == [lowest] * 3
+
+
+# --------------------------------------------------------------------------- #
+# Copies of one random embedding: exact ties on every backend and kernel set
+# --------------------------------------------------------------------------- #
+#: registry name -> the storage dtypes it takes (a quantized index has one)
+DUPLICATE_BACKENDS = {
+    "flat": ("float32", "float64"),
+    "ivf": ("float32", "float64"),
+    "sq8": (None,),
+    "ivf+sq8": (None,),
+}
+
+
+def duplicated_rows_streams() -> dict:
+    """Indexes holding 2–13 copies of one random embedding among 2–13 (never
+    trained) or 300–340 (trained) random rows, in shuffled row order under
+    ascending, gapped ids.  Per index: the copies' ids, whether it trained,
+    and per probe count (1–8 probes of the embedding) the ``top_k=1`` winner
+    and the ``top_k=copies`` hits of each probe, with score bits."""
+    cases = []
+    for seed in range(6):
+        for name, dtypes in DUPLICATE_BACKENDS.items():
+            for dtype in dtypes:
+                for large in (False, True):
+                    rng = np.random.default_rng([seed, large])
+                    dim = (24, 64, 768)[seed % 3]
+                    n_copies = int(rng.integers(2, 14))
+                    n_others = int(rng.integers(300, 341) if large else rng.integers(2, 14))
+                    embedding = rng.standard_normal(dim)
+                    rows = np.vstack([rng.standard_normal((n_others, dim)),
+                                      np.tile(embedding, (n_copies, 1))])
+                    order = rng.permutation(rows.shape[0])
+                    ids = np.sort(rng.choice(10 * rows.shape[0], rows.shape[0], replace=False))
+                    params = {} if dtype is None else {"dtype": dtype}
+                    index = make_index(name, **params)
+                    index.add_batch(rows[order], ids=ids)
+                    copies = sorted(ids[order >= n_others].tolist())
+                    found = {}
+                    for q in (1, 2, 5, 8):
+                        probes = np.tile(embedding, (q, 1))
+                        found[q] = {
+                            "top1": [hits[0].id for hits in index.search(probes, 1)],
+                            "all": hit_stream(index.search(probes, n_copies)),
+                        }
+                    cases.append({"case": [seed, name, dtype, large], "copies": copies,
+                                  "trained": bool(getattr(index, "is_trained", False)),
+                                  "found": found})
+    return {"cases": cases}
+
+
+def assert_copies_tie_and_the_lowest_id_wins(streams: dict) -> None:
+    for case in streams["cases"]:
+        name, large = case["case"][1], case["case"][3]
+        assert case["trained"] == (large and name != "flat"), case["case"]
+        lowest = case["copies"][0]
+        for q, found in case["found"].items():
+            assert found["top1"] == [lowest] * int(q), (case["case"], q, found["top1"])
+            for hits in found["all"]:
+                assert [id for id, _ in hits] == case["copies"], (case["case"], q)
+                assert len({score for _, score in hits}) == 1, (case["case"], q, hits)
+
+
+def test_copies_of_one_embedding_tie_exactly_and_the_lowest_id_wins():
+    """Random (not :data:`EXACT_ROW`) copies score the same bits on every
+    backend, trained or not, at any probe count, so the lowest id wins."""
+    assert_copies_tie_and_the_lowest_id_wins(duplicated_rows_streams())
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE=Haswell names an x86-64 kernel set",
+)
+def test_copies_of_one_embedding_tie_exactly_under_the_haswell_kernels():
+    """The same indexes in a process running OpenBLAS's Haswell (AVX2-only)
+    kernels, whose tails sum a row by its position in other ways."""
+    tests = Path(__file__).resolve().parent
+    path = [str(Path(repro.__file__).resolve().parents[1]), str(tests)]
+    script = (
+        "import json, test_topk_differential as t; print(json.dumps(t.duplicated_rows_streams()))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "OPENBLAS_CORETYPE": "Haswell"}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert_copies_tie_and_the_lowest_id_wins(json.loads(done.stdout.splitlines()[-1]))
