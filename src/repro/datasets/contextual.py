@@ -17,7 +17,7 @@ equivalent synthetic dataset with the same composition:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -167,16 +167,6 @@ class ContextualTurn:
     def has_context(self) -> bool:
         """True when the turn is a follow-up with at least one parent."""
         return len(self.context) > 0
-
-
-@dataclass
-class Conversation:
-    """An ordered list of turns forming one conversation."""
-
-    turns: List[ContextualTurn] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.turns)
 
 
 @dataclass(frozen=True)

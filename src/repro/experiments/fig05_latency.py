@@ -176,11 +176,3 @@ def run_fig05(
         )
     return result
 
-
-def run_fig06(
-    scale: "str | None" = None,
-    seed: int = 0,
-    bundle: Optional[SystemBundle] = None,
-) -> Fig5Result:
-    """Figure 6 uses the same run as Figure 5 (decision series per probe)."""
-    return run_fig05(scale=scale, seed=seed, bundle=bundle)

@@ -831,7 +831,8 @@ def compact_snapshot(path: "str | Path", mmap: bool = False) -> object:
 
     Loads the base snapshot plus deltas, then atomically republishes the
     result as a fresh full snapshot (dropping the log). Runs off the query
-    path — cache tiers hook it into their ``maintenance()`` cadence.
+    path. Cache tiers do not call it: ``QuantizedTier.maintenance`` folds
+    its log through ``save``.
     """
     index = load_index(path, mmap=mmap, replay_deltas=True)
     save_index(index, path)

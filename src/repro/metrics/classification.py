@@ -153,21 +153,3 @@ def accuracy(
 ) -> float:
     """Accuracy of hit/miss decisions."""
     return confusion_matrix(true_labels, predicted_labels).accuracy()
-
-
-def fbeta_score(
-    true_labels: Sequence[bool] | np.ndarray,
-    predicted_labels: Sequence[bool] | np.ndarray,
-    beta: float = 0.5,
-) -> float:
-    """Fβ of hit decisions (β = 0.5 by default, as in the paper)."""
-    return confusion_matrix(true_labels, predicted_labels).fbeta(beta)
-
-
-def evaluate_decisions(
-    true_labels: Sequence[bool] | np.ndarray,
-    predicted_labels: Sequence[bool] | np.ndarray,
-    beta: float = 0.5,
-) -> Dict[str, float]:
-    """Convenience wrapper returning the full metric dict."""
-    return confusion_matrix(true_labels, predicted_labels).metrics(beta)

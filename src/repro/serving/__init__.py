@@ -7,13 +7,10 @@ cache, sharing one LLM web service:
 * :mod:`repro.serving.workload` — :class:`WorkloadGenerator` produces
   deterministic, seeded multi-user traffic traces (Poisson arrivals,
   per-user domain mixes, conversations/follow-ups, paraphrase duplicates,
-  drift phases, :class:`ArrivalSchedule` diurnal/flash-crowd re-timing);
-  :class:`Trace` serializes to JSON for traffic replay.
-* :mod:`repro.serving.scenarios` — the scenario zoo: adversarial
-  cache-poisoning and near-miss-flooding streams, mixed-domain cohorts,
-  multi-tenant mixes and external log import, as seeded trace builders
-  (each family's floor is a check in ``tests/test_scenarios.py``); import
-  them from that module, the package does not re-export them.
+  drift phases and churn); :class:`Trace` serializes to JSON for traffic
+  replay.  The scenario zoo (adversarial, multi-tenant and re-timed
+  streams) is test support, ``tests/scenario_traces.py``: a serving
+  process never builds those traces.
 * :mod:`repro.serving.scheduling` — the serving core under the server's
   flush: :class:`BatchExecutor` (one shard's two-phase batch execution),
   :class:`CacheAdapter`, the :class:`FleetResult` aggregation, and
@@ -46,13 +43,11 @@ from repro.serving.server import (
     ServerResponse,
 )
 from repro.serving.workload import (
-    ArrivalSchedule,
     DriftPhase,
     Trace,
     WorkloadConfig,
     WorkloadEvent,
     WorkloadGenerator,
-    apply_arrival_schedule,
 )
 
 __all__ = [
@@ -68,11 +63,9 @@ __all__ = [
     "ServerConfig",
     "ServerMetrics",
     "ServerResponse",
-    "ArrivalSchedule",
     "DriftPhase",
     "Trace",
     "WorkloadConfig",
     "WorkloadEvent",
     "WorkloadGenerator",
-    "apply_arrival_schedule",
 ]

@@ -30,23 +30,23 @@ mid-stream with cold-start successors (fresh id, empty history, new domain
 mix).  A config without drift knobs generates streams identical to the
 stationary generator, so existing traces and benchmarks are unaffected.
 
-**Arrival schedules.**  :class:`ArrivalSchedule` layers diurnal cycles and
-flash crowds on the Poisson arrivals as a pure time-warp of the drawn
-arrival times (inhomogeneous-Poisson time rescaling).  The warp runs after
-generation and consumes no RNG draws, so schedules can never perturb the
-seeded query contents — the structural guarantee the arrival-scenario
-check in ``tests/test_scenarios.py`` relies on.
+A follow-up's context chain keeps the last
+:data:`~repro.core.client.MAX_CONTEXT_DEPTH` turns, the depth a client
+sends.  Scenario streams (adversaries, tenant mixes, diurnal and
+flash-crowd re-timing) are trace transforms that only the scenario checks
+run; they live in ``tests/scenario_traces.py``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.client import MAX_CONTEXT_DEPTH
 from repro.datasets.corpus import Corpus
 
 
@@ -165,147 +165,6 @@ class Trace:
 
 
 @dataclass(frozen=True)
-class ArrivalSchedule:
-    """Deterministic rate profile layered on the Poisson arrival process.
-
-    The stationary generator draws each user's arrivals as a *homogeneous*
-    Poisson process.  A schedule reshapes those arrival times into an
-    inhomogeneous process — diurnal load cycles, flash crowds — through the
-    time-rescaling identity: a homogeneous arrival at virtual time ``u``
-    lands at the warped time ``t`` solving ``∫₀ᵗ m(s) ds = u``, where
-    ``m(t)`` is the schedule's rate multiplier.  Where ``m`` is large
-    (peak hours, a flash crowd) arrivals compress together; where it is
-    small they spread out.
-
-    The warp is a pure, monotone transform of *already-drawn* times: it
-    consumes no RNG draws and never touches event contents, so layering,
-    changing or removing a schedule cannot perturb the per-user seeded
-    query stream (``tests/test_serving.py`` pins that invariant with a
-    golden digest).
-
-    Attributes
-    ----------
-    kind:
-        ``"constant"`` (identity), ``"diurnal"`` (sinusoidal load cycle) or
-        ``"flash_crowd"`` (a rate spike over one interval).
-    period_s:
-        Diurnal cycle length in virtual seconds.
-    amplitude:
-        Diurnal multiplier swing: ``m(t) = 1 + amplitude·sin(2πt/period)``,
-        so the rate oscillates in ``[1-amplitude, 1+amplitude]``; must stay
-        below 1.0 to keep the intensity positive.
-    flash_at_s, flash_duration_s, flash_multiplier:
-        Flash-crowd window: between ``flash_at_s`` and
-        ``flash_at_s + flash_duration_s`` the arrival rate is multiplied by
-        ``flash_multiplier`` (≥ 1), compressing that interval's arrivals
-        into a burst.
-    """
-
-    kind: str = "constant"
-    period_s: float = 600.0
-    amplitude: float = 0.6
-    flash_at_s: float = 120.0
-    flash_duration_s: float = 60.0
-    flash_multiplier: float = 8.0
-
-    #: grid points used for the numeric inversion of the cumulative rate
-    _GRID_POINTS = 8193
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("constant", "diurnal", "flash_crowd"):
-            raise ValueError(f"unknown arrival schedule kind: {self.kind!r}")
-        if self.period_s <= 0:
-            raise ValueError("period_s must be > 0")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError("amplitude must be in [0, 1)")
-        if self.flash_at_s < 0:
-            raise ValueError("flash_at_s must be >= 0")
-        if self.flash_duration_s <= 0:
-            raise ValueError("flash_duration_s must be > 0")
-        if self.flash_multiplier < 1.0:
-            raise ValueError("flash_multiplier must be >= 1")
-
-    def rate_multiplier(self, times_s: "np.ndarray | float") -> np.ndarray:
-        """The instantaneous rate multiplier ``m(t)`` (vectorized)."""
-        t = np.asarray(times_s, dtype=np.float64)
-        if self.kind == "diurnal":
-            return 1.0 + self.amplitude * np.sin(2.0 * np.pi * t / self.period_s)
-        if self.kind == "flash_crowd":
-            in_flash = (t >= self.flash_at_s) & (
-                t < self.flash_at_s + self.flash_duration_s
-            )
-            return np.where(in_flash, self.flash_multiplier, 1.0)
-        return np.ones_like(t)
-
-    def warp(self, times_s: Sequence[float]) -> np.ndarray:
-        """Map homogeneous arrival times onto the schedule's clock.
-
-        Solves ``Λ(t) = u`` for each input time ``u`` on a dense grid
-        (``Λ`` is the cumulative rate multiplier), preserving order — the
-        warp is strictly monotone because ``m(t) > 0`` everywhere.
-        """
-        times = np.asarray(times_s, dtype=np.float64)
-        if self.kind == "constant" or times.size == 0:
-            return times.copy()
-        floor = 1.0 - self.amplitude if self.kind == "diurnal" else 1.0
-        horizon = float(times.max()) / floor * 1.001 + 1.0
-        grid = np.linspace(0.0, horizon, self._GRID_POINTS)
-        m = self.rate_multiplier(grid)
-        steps = np.diff(grid)
-        cumulative = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (m[1:] + m[:-1]) * steps)]
-        )
-        return np.interp(times, cumulative, grid)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (stored in trace metadata)."""
-        return {
-            "kind": self.kind,
-            "period_s": self.period_s,
-            "amplitude": self.amplitude,
-            "flash_at_s": self.flash_at_s,
-            "flash_duration_s": self.flash_duration_s,
-            "flash_multiplier": self.flash_multiplier,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ArrivalSchedule":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            kind=str(data.get("kind", "constant")),
-            period_s=float(data.get("period_s", 600.0)),
-            amplitude=float(data.get("amplitude", 0.6)),
-            flash_at_s=float(data.get("flash_at_s", 120.0)),
-            flash_duration_s=float(data.get("flash_duration_s", 60.0)),
-            flash_multiplier=float(data.get("flash_multiplier", 8.0)),
-        )
-
-
-def apply_arrival_schedule(trace: "Trace", schedule: ArrivalSchedule) -> "Trace":
-    """Re-time an existing trace under an arrival schedule.
-
-    Returns a new :class:`Trace` whose events carry warped arrival times
-    (contents untouched), re-sorted into the fleet's global time order; the
-    schedule is recorded in the trace metadata.  Because the warp is a pure
-    function of time, applying a schedule to a generated trace and
-    generating with ``WorkloadConfig.arrival_schedule`` set produce the
-    same result — the former is what scenario baselines use to compare one
-    stream with and without its schedule.
-    """
-    times = schedule.warp([e.time_s for e in trace.events])
-    events = [
-        replace(event, time_s=float(t)) for event, t in zip(trace.events, times)
-    ]
-    events.sort(key=lambda e: (e.time_s, e.user_id))
-    return Trace(
-        events=events,
-        n_users=trace.n_users,
-        seed=trace.seed,
-        metadata={**trace.metadata, "arrival_schedule": schedule.to_dict()},
-    )
-
-
-@dataclass(frozen=True)
 class DriftPhase:
     """One mid-stream shift of the traffic distribution.
 
@@ -378,8 +237,6 @@ class WorkloadConfig:
     followup_rate:
         Probability a query continues the user's current conversation
         (carrying a context chain) rather than starting a fresh one.
-    max_context_depth:
-        Parent queries kept in a follow-up's context chain.
     domain_concentration:
         Dirichlet concentration of each user's domain-preference vector
         (lower = more specialised users).
@@ -395,11 +252,6 @@ class WorkloadConfig:
         empty history, re-drawn domain mix) takes over its arrival slots.
     churn_point:
         Stream fraction at which churned users are replaced.
-    arrival_schedule:
-        Optional :class:`ArrivalSchedule` layered on the Poisson arrivals
-        (diurnal cycles, flash crowds).  Applied as a pure time-warp *after*
-        all per-user streams are drawn, so it can never perturb the seeded
-        query contents; ``None`` keeps homogeneous arrivals.
     """
 
     n_users: int = 10
@@ -407,13 +259,11 @@ class WorkloadConfig:
     arrival_rate_qps: float = 0.2
     duplicate_rate: float = 0.3
     followup_rate: float = 0.25
-    max_context_depth: int = 3
     domain_concentration: float = 1.0
     paraphrase_bias: Optional[float] = None
     drift_phases: Tuple[DriftPhase, ...] = ()
     churn_fraction: float = 0.0
     churn_point: float = 0.5
-    arrival_schedule: Optional[ArrivalSchedule] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "drift_phases", tuple(self.drift_phases))
@@ -434,8 +284,6 @@ class WorkloadConfig:
             raise ValueError("duplicate_rate must be in [0, 1]")
         if not 0.0 <= self.followup_rate <= 1.0:
             raise ValueError("followup_rate must be in [0, 1]")
-        if self.max_context_depth < 1:
-            raise ValueError("max_context_depth must be >= 1")
         if self.domain_concentration <= 0:
             raise ValueError("domain_concentration must be > 0")
 
@@ -533,9 +381,7 @@ class WorkloadGenerator:
                 intent = pool[int(rng.integers(len(pool)))]
                 kind = "unique"
             text = self.corpus.realize(intent, rng=rng, object_bias=paraphrase_bias)
-            context = (
-                tuple(conversation[-cfg.max_context_depth :]) if is_followup else ()
-            )
+            context = tuple(conversation[-MAX_CONTEXT_DEPTH:]) if is_followup else ()
             events.append(
                 WorkloadEvent(
                     time_s=t,
@@ -561,7 +407,7 @@ class WorkloadGenerator:
         # user id (two users never share an id, and one user's events already
         # arrive in increasing time).
         all_events.sort(key=lambda e: (e.time_s, e.user_id))
-        trace = Trace(
+        return Trace(
             events=all_events,
             n_users=cfg.n_users,
             seed=self.seed,
@@ -570,7 +416,7 @@ class WorkloadGenerator:
                 "arrival_rate_qps": cfg.arrival_rate_qps,
                 "duplicate_rate": cfg.duplicate_rate,
                 "followup_rate": cfg.followup_rate,
-                "max_context_depth": cfg.max_context_depth,
+                "max_context_depth": MAX_CONTEXT_DEPTH,
                 "domain_concentration": cfg.domain_concentration,
                 "paraphrase_bias": cfg.paraphrase_bias,
                 "drift_phases": [p.to_dict() for p in cfg.drift_phases],
@@ -578,9 +424,3 @@ class WorkloadGenerator:
                 "churn_point": cfg.churn_point,
             },
         )
-        # The schedule is layered on as a pure time-warp of the finished
-        # stream (and recorded in metadata only when set, so stationary
-        # traces stay byte-identical to pre-schedule generators).
-        if cfg.arrival_schedule is not None:
-            trace = apply_arrival_schedule(trace, cfg.arrival_schedule)
-        return trace

@@ -1,14 +1,16 @@
-"""Scenario zoo: adversarial / heterogeneous workload construction.
+"""Scenario zoo: adversarial / heterogeneous trace construction for the checks.
 
-PRs 1–5 evaluated the serving stack on one workload shape — Poisson
+The serving stack is checked on more than one workload shape — Poisson
 arrivals over Dirichlet domain mixes with a couple of drift phases.  This
-module goes wide, the way the paper's deployment framing (millions of
-heterogeneous devices, adversarially mixed traffic) demands.  Everything
-here is **trace construction**: pure, seeded transforms of
+test-support module goes wide, the way the paper's deployment framing
+(millions of heterogeneous devices, adversarially mixed traffic) demands.
+Everything here is **trace construction**: pure, seeded transforms of
 :class:`~repro.serving.workload.Trace` streams, with no encoder or cache
 dependency, so every scenario replays through any fleet configuration.
 Each family's check — one replay through ``CacheServer.replay`` and the
-family's floor — is a test in ``tests/test_scenarios.py``.
+family's floor — is a test in ``tests/test_scenarios.py``.  A serving
+process never runs any of it, so it lives beside the tests, which import it
+as ``scenario_traces``.
 
 Scenario families
 -----------------
@@ -20,9 +22,9 @@ Scenario families
   weak-paraphrase re-asks whose similarities land in the near-threshold
   band the online τ adapter mines, trying to drag the federated threshold
   down for everyone.
-* **arrival** — :class:`~repro.serving.workload.ArrivalSchedule` layered
-  diurnal cycles and flash crowds (re-exported here; the warp itself lives
-  with the generator).
+* **arrival** — :class:`ArrivalSchedule` and :func:`apply_arrival_schedule`:
+  diurnal cycles and flash crowds layered on a generated trace as a pure
+  time-warp of its arrival times.
 * **mixed_domain** — :func:`build_cohort_trace`: cohorts of users drawing
   from disjoint domain-restricted corpora (the synthetic stand-in for
   multilingual / mixed-domain fleets), merged into one stream.
@@ -35,19 +37,17 @@ Scenario families
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.datasets.corpus import Corpus
 from repro.serving.workload import (
-    ArrivalSchedule,
     Trace,
     WorkloadConfig,
     WorkloadEvent,
     WorkloadGenerator,
-    apply_arrival_schedule,
 )
 
 __all__ = [
@@ -123,6 +123,147 @@ def merge_traces(*traces: Trace) -> Trace:
         n_users=len(seen),
         seed=traces[0].seed if traces else 0,
         metadata={"merged": [dict(t.metadata) for t in traces]},
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Arrival schedules (diurnal cycles, flash crowds)
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class ArrivalSchedule:
+    """Deterministic rate profile layered on the Poisson arrival process.
+
+    The stationary generator draws each user's arrivals as a *homogeneous*
+    Poisson process.  A schedule reshapes those arrival times into an
+    inhomogeneous process — diurnal load cycles, flash crowds — through the
+    time-rescaling identity: a homogeneous arrival at virtual time ``u``
+    lands at the warped time ``t`` solving ``∫₀ᵗ m(s) ds = u``, where
+    ``m(t)`` is the schedule's rate multiplier.  Where ``m`` is large
+    (peak hours, a flash crowd) arrivals compress together; where it is
+    small they spread out.
+
+    The warp is a pure, monotone transform of *already-drawn* times: it
+    consumes no RNG draws and never touches event contents, so layering,
+    changing or removing a schedule cannot perturb the per-user seeded
+    query stream.
+
+    Attributes
+    ----------
+    kind:
+        ``"constant"`` (identity), ``"diurnal"`` (sinusoidal load cycle) or
+        ``"flash_crowd"`` (a rate spike over one interval).
+    period_s:
+        Diurnal cycle length in virtual seconds.
+    amplitude:
+        Diurnal multiplier swing: ``m(t) = 1 + amplitude·sin(2πt/period)``,
+        so the rate oscillates in ``[1-amplitude, 1+amplitude]``; must stay
+        below 1.0 to keep the intensity positive.
+    flash_at_s, flash_duration_s, flash_multiplier:
+        Flash-crowd window: between ``flash_at_s`` and
+        ``flash_at_s + flash_duration_s`` the arrival rate is multiplied by
+        ``flash_multiplier`` (≥ 1), compressing that interval's arrivals
+        into a burst.
+    """
+
+    kind: str = "constant"
+    period_s: float = 600.0
+    amplitude: float = 0.6
+    flash_at_s: float = 120.0
+    flash_duration_s: float = 60.0
+    flash_multiplier: float = 8.0
+
+    #: grid points used for the numeric inversion of the cumulative rate
+    _GRID_POINTS = 8193
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("constant", "diurnal", "flash_crowd"):
+            raise ValueError(f"unknown arrival schedule kind: {self.kind!r}")
+        if self.period_s <= 0:
+            raise ValueError("period_s must be > 0")
+        if not 0.0 <= self.amplitude < 1.0:
+            raise ValueError("amplitude must be in [0, 1)")
+        if self.flash_at_s < 0:
+            raise ValueError("flash_at_s must be >= 0")
+        if self.flash_duration_s <= 0:
+            raise ValueError("flash_duration_s must be > 0")
+        if self.flash_multiplier < 1.0:
+            raise ValueError("flash_multiplier must be >= 1")
+
+    def rate_multiplier(self, times_s: "np.ndarray | float") -> np.ndarray:
+        """The instantaneous rate multiplier ``m(t)`` (vectorized)."""
+        t = np.asarray(times_s, dtype=np.float64)
+        if self.kind == "diurnal":
+            return 1.0 + self.amplitude * np.sin(2.0 * np.pi * t / self.period_s)
+        if self.kind == "flash_crowd":
+            in_flash = (t >= self.flash_at_s) & (
+                t < self.flash_at_s + self.flash_duration_s
+            )
+            return np.where(in_flash, self.flash_multiplier, 1.0)
+        return np.ones_like(t)
+
+    def warp(self, times_s: Sequence[float]) -> np.ndarray:
+        """Map homogeneous arrival times onto the schedule's clock.
+
+        Solves ``Λ(t) = u`` for each input time ``u`` on a dense grid
+        (``Λ`` is the cumulative rate multiplier), preserving order — the
+        warp is strictly monotone because ``m(t) > 0`` everywhere.
+        """
+        times = np.asarray(times_s, dtype=np.float64)
+        if self.kind == "constant" or times.size == 0:
+            return times.copy()
+        floor = 1.0 - self.amplitude if self.kind == "diurnal" else 1.0
+        horizon = float(times.max()) / floor * 1.001 + 1.0
+        grid = np.linspace(0.0, horizon, self._GRID_POINTS)
+        m = self.rate_multiplier(grid)
+        steps = np.diff(grid)
+        cumulative = np.concatenate(
+            [[0.0], np.cumsum(0.5 * (m[1:] + m[:-1]) * steps)]
+        )
+        return np.interp(times, cumulative, grid)
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-serializable form (stored in trace metadata)."""
+        return {
+            "kind": self.kind,
+            "period_s": self.period_s,
+            "amplitude": self.amplitude,
+            "flash_at_s": self.flash_at_s,
+            "flash_duration_s": self.flash_duration_s,
+            "flash_multiplier": self.flash_multiplier,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "ArrivalSchedule":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            kind=str(data.get("kind", "constant")),
+            period_s=float(data.get("period_s", 600.0)),
+            amplitude=float(data.get("amplitude", 0.6)),
+            flash_at_s=float(data.get("flash_at_s", 120.0)),
+            flash_duration_s=float(data.get("flash_duration_s", 60.0)),
+            flash_multiplier=float(data.get("flash_multiplier", 8.0)),
+        )
+
+
+def apply_arrival_schedule(trace: "Trace", schedule: ArrivalSchedule) -> "Trace":
+    """Re-time an existing trace under an arrival schedule.
+
+    Returns a new :class:`Trace` whose events carry warped arrival times
+    (contents untouched), re-sorted into the fleet's global time order; the
+    schedule is recorded in the trace metadata.  The warp is a pure
+    function of time, so the arrival check compares one stream with and
+    without its schedule.
+    """
+    times = schedule.warp([e.time_s for e in trace.events])
+    events = [
+        replace(event, time_s=float(t)) for event, t in zip(trace.events, times)
+    ]
+    events.sort(key=lambda e: (e.time_s, e.user_id))
+    return Trace(
+        events=events,
+        n_users=trace.n_users,
+        seed=trace.seed,
+        metadata={**trace.metadata, "arrival_schedule": schedule.to_dict()},
     )
 
 

@@ -37,7 +37,7 @@ _IMPORT_SCRIPT = """
 import sys
 import repro, repro.serving.server, repro.core.tiered, repro.core.client, repro.embeddings.zoo
 unused = (
-    "scipy", "numpy.f2py", "charset_normalizer", "asyncio", "repro.serving.scenarios",
+    "scipy", "numpy.f2py", "charset_normalizer", "asyncio",
     "repro.datasets.semantic_pairs", "repro.metrics.classification",
 )
 loaded = [m for m in unused if m in sys.modules]

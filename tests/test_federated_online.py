@@ -28,7 +28,7 @@ from repro.serving import (
     WorkloadConfig,
     WorkloadGenerator,
 )
-from repro.serving.scenarios import FloodingConfig, build_flooding_trace
+from scenario_traces import FloodingConfig, build_flooding_trace
 
 pytestmark = pytest.mark.concurrency
 

@@ -15,8 +15,6 @@ from repro.metrics.classification import (
     ConfusionMatrix,
     accuracy,
     confusion_matrix,
-    evaluate_decisions,
-    fbeta_score,
     precision,
     recall,
 )
@@ -71,8 +69,6 @@ class TestConfusionMatrix:
         assert precision(y_true, y_pred) == cm.precision()
         assert recall(y_true, y_pred) == cm.recall()
         assert accuracy(y_true, y_pred) == cm.accuracy()
-        assert fbeta_score(y_true, y_pred) == cm.fbeta(0.5)
-        assert evaluate_decisions(y_true, y_pred)["f_score"] == cm.fbeta(0.5)
 
     def test_false_hit_rate(self):
         cm = ConfusionMatrix(true_hits=10, false_hits=25, true_misses=75, false_misses=5)

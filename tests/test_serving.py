@@ -16,7 +16,6 @@ from repro.core.cache import MeanCache, MeanCacheConfig
 from repro.experiments.fleet_bench import run_drift_adaptation_bench, run_fleet_bench
 from repro.llm.service import LLMServiceConfig, SimulatedLLMService
 from repro.serving import (
-    ArrivalSchedule,
     BatchExecutor,
     CacheServer,
     DriftPhase,
@@ -25,9 +24,9 @@ from repro.serving import (
     WorkloadConfig,
     WorkloadEvent,
     WorkloadGenerator,
-    apply_arrival_schedule,
     iter_windows,
 )
+from scenario_traces import ArrivalSchedule, apply_arrival_schedule
 
 pytestmark = pytest.mark.concurrency
 
@@ -178,17 +177,6 @@ class TestArrivalSchedules:
         in_same_band = sum(1 for e in trace if 20.0 <= e.time_s <= 50.0)
         assert in_flash > in_same_band
         assert warped.duration_s < trace.duration_s
-
-    def test_generate_with_schedule_equals_post_hoc_warp(self):
-        schedule = ArrivalSchedule(kind="diurnal", period_s=90.0, amplitude=0.5)
-        config = WorkloadConfig(**self.GOLDEN_CONFIG)
-        direct = WorkloadGenerator(
-            WorkloadConfig(**self.GOLDEN_CONFIG, arrival_schedule=schedule), seed=0
-        ).generate()
-        post_hoc = apply_arrival_schedule(
-            WorkloadGenerator(config, seed=0).generate(), schedule
-        )
-        assert direct.to_dict() == post_hoc.to_dict()
 
     def test_schedule_serialization_round_trip(self):
         schedule = ArrivalSchedule(

@@ -32,7 +32,7 @@ from repro.serving import (
     WorkloadConfig,
     WorkloadGenerator,
 )
-from repro.serving.scenarios import trace_from_logs, trace_to_logs
+from scenario_traces import trace_from_logs, trace_to_logs
 
 pytestmark = pytest.mark.concurrency
 
