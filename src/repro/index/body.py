@@ -14,15 +14,21 @@ in that float phase forever.  The codec is trained once and frozen (the
 faiss contract; ``clear``/``rebuild`` reset it).  The routing refits when
 the size, or the adds and removes since the last fit, reach
 ``repartition_growth ×`` the size at that fit, from the dequantized rows
-once the floats are gone.  A search has two branches: routed → the probe
-loop over the ``nprobe`` nearest cells, with the codec's gathered-row
-scorer or a float gather+gemv; everything else, at every batch size →
+once the floats are gone.  ``maintenance()`` stores a routed codec
+index's code rows cell-major and keeps each cell's row offsets until the
+next add, remove or refit.  A search has two branches: routed → the probe
+loop over the ``nprobe`` nearest cells, whose candidates are the probed
+cells' row ranges while those offsets exist and otherwise the rows the
+inverted lists name, sorted (the same rows in the same order either way),
+scored by the codec's gathered-row scorer or a float gather+gemv;
+everything else, at every batch size →
 :func:`~repro.index.postings.exact_scan`, over rows × probes blocks
 (``block @ Qs.T``) of the float rows or the codec's fused chunk scorer, cut
 per probe at a block-maximum bound.  Those scan scores only cut: both
 branches end in one rank (:meth:`IndexBody._rank`), which rescores the
-candidates within a computed ``ε`` of the ``top_k``-th scan score with one
-dot per row and lists them with :func:`~repro.index.postings.topk_hits`.
+candidates within a computed ``ε`` (at most one computation per search)
+of the ``top_k``-th scan score with one dot per row and lists them with
+:func:`~repro.index.postings.topk_hits`.
 Training-sample selection, k-means init and re-seeding all derive from
 ``seed``, so an operation sequence reproduces bit-identical results.
 
@@ -95,7 +101,9 @@ class IndexBody(RowStore):
             raise ValueError("dtype must be a floating-point type")
         self._codec = codec
         self._routed = bool(routed)
-        self._layout_clustered = False  # code rows grouped cell-major?
+        # Row offsets of each cell while the code rows are stored cell-major
+        # (cell c is rows [b[c], b[c+1])); None until maintenance() groups them.
+        self._cell_bounds: Optional[np.ndarray] = None
         self._router: Optional[Router] = None
         if not (self._routed or codec is not None):
             return
@@ -246,18 +254,22 @@ class IndexBody(RowStore):
             sample = training_sample(rows, self._train_sample, self._rng)
         self._router.fit(rows, sample, self._ids[: self._size], self._rng)
         # Storage still reflects arrival order until the next maintenance().
-        self._layout_clustered = False
+        self._cell_bounds = None
 
     def _compact_layout(self) -> None:
         """Reorder a routed codec index's storage cell-major: each cell's codes
-        become one contiguous ascending-row range.
+        become one contiguous ascending-row range, whose offsets
+        (:attr:`_cell_bounds`, one ``searchsorted`` of the sorted cells) the
+        probe scans then read as their candidates.
 
         With arrival-order storage a probe gather at 10⁶ entries touches one
         ~64-byte code row per 4 KB page (DRAM-latency bound); afterwards it
-        reads ``nprobe`` sequential runs.  A pure storage permutation: ids,
-        cells and codes are unchanged, only the scan's BLAS summation order
-        (float ulps) shifts, which the rank's band absorbs.  Float rows
-        (``ivf``) keep arrival order, which their snapshots pin.
+        reads ``nprobe`` sequential runs, and a probe's candidate rows are
+        its cells' ranges, with no id lookup or sort.  A pure storage
+        permutation: ids, cells and codes are unchanged, only the scan's
+        BLAS summation order (float ulps) shifts, which the rank's band
+        absorbs.  Float rows (``ivf``) keep arrival order, which their
+        snapshots pin, and scan through the inverted lists.
         """
         self._materialize()
         n = self._size
@@ -272,7 +284,7 @@ class IndexBody(RowStore):
         ids[:] = ids.take(order)
         cells[:] = cells.take(order)
         self._row_map.remap_block(ids, 0)
-        self._layout_clustered = True
+        self._cell_bounds = self._router.cell_bounds(n)
 
     def maintenance(self) -> Dict[str, object]:
         """Run deferred repartitioning and layout compaction off-query.
@@ -280,7 +292,8 @@ class IndexBody(RowStore):
         With ``auto_repartition=False`` the growth/churn-triggered routing
         refit is deferred to this hook (the serving fleet calls it between
         batching windows); a routed codec index also groups its code storage
-        cell-major here, so probe gathers read contiguous ranges.
+        cell-major here, so its probes read their cells as contiguous ranges
+        until the next mutation.
         """
         done: Dict[str, object] = {}
         router = self._router
@@ -290,7 +303,7 @@ class IndexBody(RowStore):
             self._refit_routing()
             done["repartitioned"] = True
             done["trained_size"] = router.trained_size
-        if self._coded and router.is_trained and self._size and not self._layout_clustered:
+        if self._coded and router.is_trained and self._size and self._cell_bounds is None:
             self._compact_layout()
             done["layout_compacted"] = True
         return done
@@ -301,7 +314,7 @@ class IndexBody(RowStore):
     def _post_add(self, ids: np.ndarray, start_row: int, unit: np.ndarray) -> None:
         if self._router is None:
             return
-        self._layout_clustered = False
+        self._cell_bounds = None
         refit_due = self._routed and self._router.note_added(ids, start_row, unit)
         if not self.is_trained:
             if self._size >= self._min_train_size:
@@ -310,14 +323,14 @@ class IndexBody(RowStore):
             self._refit_routing()
 
     def _post_remove(self, id: int, row: int, moved_id: Optional[int]) -> None:
-        self._layout_clustered = False
+        self._cell_bounds = None
         if self._routed:
             self._router.note_removed(id, row, self._size)
 
     def _post_clear(self) -> None:
         if self._codec is not None:
             self._codec.reset()
-        self._layout_clustered = False
+        self._cell_bounds = None
         if self._router is not None:
             self._router.clear()
 
@@ -391,8 +404,9 @@ class IndexBody(RowStore):
         if self._size == 0:
             return [[] for _ in range(Q.shape[0])]
         unit, Qs = self._prepare_queries(Q, prenormalized)
+        band = self._band_once()
         # Decoded code rows rank against the float64 unit rows, float rows as scanned.
-        rank = partial(self._rank, Qs if unit is None else unit, top_k, score_threshold)
+        rank = partial(self._rank, Qs if unit is None else unit, top_k, score_threshold, band)
         n, coded = self._size, self._coded
         if self._router is not None and self._router.is_trained:
             scorers = (
@@ -400,14 +414,14 @@ class IndexBody(RowStore):
                 if coded
                 else self._float_row_scorers(Qs)
             )
-            return self._router.search(Qs, scorers, rank)
+            return self._router.search(Qs, scorers, rank, self._cell_bounds)
         if coded:
             chunk = min(self._chunk_size, max(1, _SCORE_BLOCK // Qs.shape[0]))
             score = self._codec.chunk_scorer(Qs, self._rows, min(chunk, n), self._scratch)
         else:  # rows × probes blocks of the live float rows
             rows, chunk = self._rows[:n], self._chunk_size
             score = lambda start, stop: rows[start:stop] @ Qs.T  # noqa: E731
-        return exact_scan(score, n, top_k, chunk, rank, self._band)
+        return exact_scan(score, n, top_k, chunk, rank, band)
 
     def _float_row_scorers(self, Qs: np.ndarray) -> Callable[[int], ScoreRows]:
         """Gather+gemv scorers of the float rows, every buffer in scratch."""
@@ -445,29 +459,42 @@ class IndexBody(RowStore):
             return 2 * g4 * (1 + g2) * (1 + u) * self._codec.dot_bound
         return 4 * g * (1 + g2) ** 2
 
+    def _band_once(self) -> Callable[[], float]:
+        """:meth:`_band` for one search: computed on first call, then reused."""
+        memo: List[float] = []
+
+        def band() -> float:
+            if not memo:
+                memo.append(self._band())
+            return memo[0]
+
+        return band
+
     def _rank(
         self,
         query: np.ndarray,
         top_k: int,
         score_threshold: Optional[float],
+        band: Callable[[], float],
         qi: int,
         cand_rows: Union[np.ndarray, slice],
         cand_scores: np.ndarray,
     ) -> List[IndexHit]:
         """Query ``qi``'s hits among its scanned candidates: every search's one rank.
 
-        The scan scores only cut.  The candidates within :meth:`_band` of the
-        ``top_k``-th best (NaN below every number; all when fewer are numeric)
-        are scored one dot per row against ``query[qi]`` (code rows decoded to
-        float64) and ranked by :func:`topk_hits`, as a brute force would.
+        The scan scores only cut.  The candidates within ``band()`` (the
+        search's :meth:`_band_once`) of the ``top_k``-th best (NaN below
+        every number; all when fewer are numeric) are scored one dot per row
+        against ``query[qi]`` (code rows decoded to float64) and ranked by
+        :func:`topk_hits`, as a brute force would.
         """
         n = cand_scores.shape[0]
         if n > max(top_k, _BAND_MIN_ROWS):
             kth = -np.partition(-cand_scores, top_k - 1)[top_k - 1]
             if kth == kth:  # NaN: fewer than top_k are numeric, so every row ranks
                 # In float64: a float32 ``kth − ε`` could round up past a row.
-                band = np.flatnonzero(cand_scores >= np.float64(kth) - self._band())
-                cand_rows = band if isinstance(cand_rows, slice) else cand_rows[band]
+                near = np.flatnonzero(cand_scores >= np.float64(kth) - band())
+                cand_rows = near if isinstance(cand_rows, slice) else cand_rows[near]
         rows = self._rows[cand_rows]
         if self._coded:
             rows = self._codec.decode(rows, dtype=np.float64)
@@ -510,7 +537,7 @@ class IndexBody(RowStore):
         if self._router is not None:
             state.update(self._router.snapshot_state())
             if self._codec is not None:
-                state["layout_clustered"] = self._layout_clustered
+                state["layout_clustered"] = self._cell_bounds is not None
             state["rng_state"] = self._rng.bit_generator.state
         return state
 
@@ -580,6 +607,9 @@ class IndexBody(RowStore):
         if rng_state is not None:
             self._rng = np.random.default_rng(self._seed)
             self._rng.bit_generator.state = rng_state
-        # Snapshots preserve row order byte-for-byte, so cell-major layout
-        # survives the round trip and the flag can be restored as-is.
-        self._layout_clustered = bool(state.get("layout_clustered", False))
+        # Snapshots preserve row order byte-for-byte, so a cell-major layout
+        # survives the round trip; its cell offsets are recomputed from the
+        # cells (None if they are not ascending: the next maintenance()
+        # regroups the rows).
+        if state.get("layout_clustered", False) and self._router.is_trained and n:
+            self._cell_bounds = self._router.cell_bounds(n)

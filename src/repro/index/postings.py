@@ -17,7 +17,9 @@ brute-forces only that subset.  Its bookkeeping lives here:
   borrows it: candidate gathering in a search needs thousands of
   translations per query, which one fancy-index answers;
 * the exact scan (:func:`exact_scan`, cut per probe at a block-maximum
-  bound lowered by the rank's band), the probe scan, and the one ranking
+  bound lowered by the rank's band), the probe scan's candidate rows
+  (through the inverted lists, :func:`posting_rows`, or as a cell-major
+  layout's row ranges, :func:`range_rows`), and the one ranking
   rule every search ends in (:func:`topk_hits` over :func:`det_topk`):
   every row above the k-th score is kept, ties at the cut are filled from
   the lowest row, and hits are listed by ``(-score, id)`` — so which of
@@ -373,28 +375,26 @@ def det_topk(scores: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
-def probe_scan_batched(
-    probe_cells: np.ndarray,
-    lists: List[Postings],
-    row_map: RowMap,
-    score_rows: Callable[[np.ndarray, np.ndarray], None],
-    cand_ids: np.ndarray,
-    cand_rows: np.ndarray,
-    cand_scores: np.ndarray,
-    stats: dict,
-) -> int:
-    """One query's probe scan: every probed cell gathered, then ONE scoring call.
+def posting_rows(
+    probe_cells: np.ndarray, lists: List[Postings], row_map: RowMap, scratch: ScratchBuffers
+) -> Tuple[np.ndarray, int]:
+    """One query's candidate rows through the inverted lists: ``(rows, cells)``.
 
-    The routed scan (driven by ``routing.Router.search``).  With cells of a
-    few hundred rows, per-cell Python/BLAS dispatch, not the arithmetic,
-    would be the latency floor, so this scan concatenates every probed
-    cell's ids, translates them to rows once, and scores the whole block
-    with a single ``score_rows`` call in ascending **row** order: the order
-    the rank fills ties from, and the one that makes the gather sequential
-    once the owner has compacted its storage cell-major.  Candidate identity
-    is carried by ``cand_rows`` (``cand_ids`` is staging only).  Returns the
-    number of candidates written.
+    The routed scan's candidates (``routing.Router.search``) for rows stored
+    in any order: float ``ivf`` rows, which keep arrival order, and code rows
+    mutated since the owner last grouped them cell-major (a grouped layout
+    takes :func:`range_rows`).  With cells of a few hundred rows, per-cell
+    Python/BLAS dispatch, not the arithmetic, would be the latency floor, so
+    this concatenates every probed cell's ids, translates them to rows once
+    and sorts them: the router scores them with a single call in ascending
+    **row** order, the order the rank fills ties from.  The rows live in
+    scratch (``rt.cand_rows``, staged through ``rt.cand_ids``); ``cells``
+    counts the non-empty probed cells.
     """
+    total = sum(len(lists[li]) for li in probe_cells)
+    if total == 0:
+        return np.empty(0, dtype=np.int64), 0
+    cand_ids = scratch.get("rt.cand_ids", (total,), np.int64)
     filled = 0
     cells = 0
     for li in probe_cells:
@@ -405,15 +405,33 @@ def probe_scan_batched(
         cand_ids[filled : filled + c] = lst.view()
         filled += c
         cells += 1
-    if filled == 0:
-        return 0
-    rows = cand_rows[:filled]
-    row_map.rows_into(cand_ids[:filled], rows)
+    rows = scratch.get("rt.cand_rows", (total,), np.int64)
+    row_map.rows_into(cand_ids, rows)
     rows.sort()
-    score_rows(rows, cand_scores[:filled])
-    stats["probes_scanned"] += cells
-    stats["rows_scanned"] += filled
-    return filled
+    return rows, cells
+
+
+def range_rows(
+    probe_cells: np.ndarray, cell_bounds: np.ndarray, scratch: ScratchBuffers
+) -> Tuple[np.ndarray, int]:
+    """One query's candidate rows over a cell-major layout: ``(rows, cells)``.
+
+    Cell ``c`` is rows ``[cell_bounds[c], cell_bounds[c + 1])``, and
+    ``probe_cells`` ascend, so their ranges written one after another into
+    scratch (``rt.cand_rows``) are the rows :func:`posting_rows` gathers and
+    sorts, in the same ascending order, with no id lookup and no sort.
+    Empty cells add no row and count no cell.
+    """
+    starts = cell_bounds[probe_cells]
+    sizes = cell_bounds[probe_cells + 1] - starts
+    total = int(sizes.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), 0
+    rows = scratch.get("rt.cand_rows", (total,), np.int64)
+    ends = np.cumsum(sizes)
+    # Slot i of range j holds starts[j] + (i − the range's first slot, ends[j] − sizes[j]).
+    np.add(np.repeat(starts - ends + sizes, sizes), np.arange(total, dtype=np.int64), out=rows)
+    return rows, int(np.count_nonzero(sizes))
 
 
 def build_inverted_lists(ids: np.ndarray, assign: np.ndarray, nlist: int) -> List[Postings]:

@@ -10,7 +10,9 @@ for ``ivf+sq8``) holds one router, hands it float rows to partition, and
 supplies a ``score_rows(rows, out)`` callable per query plus a ranking
 tail.  The probe scans gather through the owner's id → row
 :class:`~repro.index.postings.RowMap`, which the router borrows and never
-writes: the owner keeps it, as it keeps the rows.
+writes: the owner keeps it, as it keeps the rows.  An owner that stores
+its rows cell-major hands :meth:`Router.search` the cells' row offsets
+(:meth:`Router.cell_bounds`) instead, and the probes read row ranges.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from repro.index.postings import (
     RowMap,
     ScratchBuffers,
     build_inverted_lists,
-    probe_scan_batched,
+    posting_rows,
+    range_rows,
 )
 
 # Rows per assignment-matmul block: bounds the (block × nlist) score matrix
@@ -305,6 +308,18 @@ class Router:
         self.size -= 1
         self.mutations_since_train += 1
 
+    def cell_bounds(self, n: int) -> Optional[np.ndarray]:
+        """Row offsets of the cells of rows ``[0, n)`` stored cell-major.
+
+        Cell ``c`` holds rows ``[b[c], b[c + 1])``: one ``searchsorted`` of
+        :attr:`cells`, which the owner has grouped in ascending cell order.
+        ``None`` when the cells are not ascending.
+        """
+        cells = self.cells[:n]
+        if np.any(cells[1:] < cells[:-1]):
+            return None
+        return np.searchsorted(cells, np.arange(self.nlist + 1))
+
     def clear(self) -> None:
         """Forget the partition and every routed id (counters keep running)."""
         self.centroids = None
@@ -380,6 +395,7 @@ class Router:
         queries: np.ndarray,
         scorer: Callable[[int], ScoreRows],
         rank: Rank,
+        cell_bounds: Optional[np.ndarray],
     ) -> List[List[IndexHit]]:
         """Probe the ``nprobe`` nearest cells per query and rank their rows.
 
@@ -389,10 +405,15 @@ class Router:
         hit list.  Hit lists may hold fewer than ``top_k`` entries when the
         probed cells are sparse — the price of approximate search.
 
-        Every probed cell is scanned in full by :func:`probe_scan_batched`:
-        one gather and one scoring call over all of a query's probed cells,
-        in ascending row order, so the ranking sees every candidate the
-        probes reach.
+        Every probed cell is scanned in full, with one scoring call over all
+        of a query's probed cells in ascending row order, so the ranking
+        sees every candidate the probes reach.  The candidate rows come from
+        ``cell_bounds`` (:meth:`cell_bounds`) when the owner stores its rows
+        cell-major: the probed cells' row ranges, in ascending cell order
+        (:func:`~repro.index.postings.range_rows`).  Otherwise they come
+        from the inverted lists through the row map, then sorted
+        (:func:`~repro.index.postings.posting_rows`).  Both give the same
+        rows in the same order.
         """
         n_queries = queries.shape[0]
         nlist = self.centroids.shape[0]
@@ -400,26 +421,21 @@ class Router:
         centroid_scores = sc.get("rt.cscores", (n_queries, nlist), self._dtype)
         np.matmul(queries, self.centroids.T, out=centroid_scores)
         probes = best_cells(centroid_scores, min(self._nprobe, nlist))
+        if cell_bounds is not None:  # np.sort copies: probes may be a read-only view
+            probes = np.sort(probes, axis=1)
         results: List[List[IndexHit]] = []
         for qi in range(n_queries):
-            plist = probes[qi]
-            total = sum(len(self.lists[li]) for li in plist)
-            if total == 0:
+            if cell_bounds is None:
+                rows, cells = posting_rows(probes[qi], self.lists, self.row_map, sc)
+            else:
+                rows, cells = range_rows(probes[qi], cell_bounds, sc)
+            if cells == 0:
                 results.append([])
                 continue
-            cand_ids = sc.get("rt.cand_ids", (total,), np.int64)
-            cand_rows = sc.get("rt.cand_rows", (total,), np.int64)
-            cand_scores = sc.get("rt.cand_scores", (total,), self._dtype)
-            filled = probe_scan_batched(
-                plist,
-                self.lists,
-                self.row_map,
-                scorer(qi),
-                cand_ids,
-                cand_rows,
-                cand_scores,
-                self.scan_stats,
-            )
-            results.append(rank(qi, cand_rows[:filled], cand_scores[:filled]))
+            scores = sc.get("rt.cand_scores", rows.shape, self._dtype)
+            scorer(qi)(rows, scores)
+            self.scan_stats["probes_scanned"] += cells
+            self.scan_stats["rows_scanned"] += rows.shape[0]
+            results.append(rank(qi, rows, scores))
         return results
 

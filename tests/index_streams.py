@@ -26,10 +26,11 @@ the refactor it guards via::
 ``tests/test_index_streams.py`` replays the script and compares exactly.
 Regenerate only for a deliberate, documented change of search arithmetic
 or of what the script observes, first at the old code when the script
-changes (the last: every search's hits are scored one dot per row and the
-``rescore=1`` compositions went with the knob; score bits of every
-composition moved, by at most 3 float32 ulp or 3 float64 ulp in the
-readable transcripts, and every surviving ``*_ids`` digest held).
+changes (the last: a compacted routed codec index reads its probed cells
+as row ranges and makes no id staging buffer, so the ``loaded`` and
+``loaded_mmap`` observations of ``ivf+sq8`` and ``ivf+sq8-deferred`` moved
+in ``scan_nbytes`` alone, 55,808 → 55,296 and 53,248 → 52,736 B; every
+transcript, ``*_ids`` digest and ``scan_stats`` held).
 """
 
 from __future__ import annotations

@@ -131,13 +131,6 @@ class TestArrivalSchedules:
                 "to the pre-arrival-schedule generator"
             )
 
-    def test_schedule_off_is_byte_identical(self):
-        """No schedule configured -> trace identical, metadata untouched."""
-        base = WorkloadGenerator(WorkloadConfig(**self.GOLDEN_CONFIG), seed=0)
-        trace = base.generate()
-        assert "arrival_schedule" not in trace.metadata
-        assert _trace_digest(trace) == self.GOLDEN[0]
-
     def test_constant_schedule_is_identity_on_times(self):
         trace = WorkloadGenerator(WorkloadConfig(**self.GOLDEN_CONFIG), seed=0).generate()
         warped = apply_arrival_schedule(trace, ArrivalSchedule(kind="constant"))
