@@ -168,7 +168,7 @@ class _Changes:
     directory: Path
     #: bytes of that full snapshot, its delta log left out
     nbytes: int
-    #: the index's :attr:`~repro.index.base.VectorIndex.trainings`
+    #: the index's :attr:`~repro.index.VectorIndex.trainings`
     #: as of that snapshot: rows replayed onto it are encoded and routed as
     #: the live ones only while no fit ran since
     trainings: int

@@ -473,7 +473,7 @@ def default_latency_backends() -> Mapping[str, Mapping[str, object]]:
     it comes first — plus the quantized pair the fused-scan work targets.
     ``ivf+sq8`` probes 64 cells — the high-recall serving configuration,
     where the scan (not the routing) dominates — with repartitioning
-    deferred to :meth:`~repro.index.base.VectorIndex.maintenance` as the
+    deferred to :meth:`~repro.index.VectorIndex.maintenance` as the
     serving fleet runs it.
     """
     return {

@@ -3,19 +3,18 @@
 The cache-side replacement for "a numpy array we vstack onto": a contiguous,
 pre-normalized embedding matrix with amortized-O(1) appends, O(d) swap-delete
 and one-matmul batched search — plus sublinear approximate search (IVF inverted
-lists) and int8 scalar-quantized storage.  Every backend is one index body
-(row store × optional codec × optional router, :mod:`repro.index.body`)
-behind the :class:`VectorIndex` contract, selected by name through
-:func:`make_index`: :class:`FlatIndex` is the body without a codec
-(``flat``/``ivf``), :class:`QuantizedIndex` with the int8 one
-(``sq8``/``ivf+sq8``).  Every backend snapshots to a crash-safe versioned
-directory (JSON manifest + per-array ``.npy``, published atomically) via
-``index.save(path)`` / :func:`load_index` — ``mmap=True`` restores without
-copying, and :func:`append_delta` / :func:`compact_snapshot` maintain an
-append-only mutation log on top.  See
-``docs/architecture.md`` for the design, ``docs/api.md`` for the public
-surface and ``docs/benchmarks.md`` for the measured recall/throughput/memory
-trade-off.
+lists) and int8 scalar-quantized storage.  Every backend is the one
+:class:`VectorIndex` (row store × optional codec × optional router,
+:mod:`repro.index.body`), selected by name through :func:`make_index`:
+:class:`FlatIndex` is the index without a codec (``flat``/``ivf``),
+:class:`QuantizedIndex` with the int8 one (``sq8``/``ivf+sq8``).  Every
+backend snapshots to a crash-safe versioned directory (JSON manifest +
+per-array ``.npy``, published atomically) via ``index.save(path)`` /
+:func:`load_index` — ``mmap=True`` restores without copying, and
+:func:`append_delta` / :func:`compact_snapshot` maintain an append-only
+mutation log on top.  See ``docs/architecture.md`` for the design,
+``docs/api.md`` for the public surface and ``docs/benchmarks.md`` for the
+measured recall/throughput/memory trade-off.
 
 >>> from repro.index import make_index
 >>> index = make_index("flat", dim=4)
@@ -25,8 +24,9 @@ trade-off.
 True
 """
 
-from repro.index.base import IndexHit, VectorIndex
+from repro.index.body import VectorIndex
 from repro.index.flat import FlatIndex
+from repro.index.postings import IndexHit
 from repro.index.quantized import QuantizedIndex
 from repro.index.registry import available_backends, make_index
 from repro.index.snapshot import (

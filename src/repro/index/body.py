@@ -1,10 +1,32 @@
-"""The one index body under every backend: row store × codec × router.
+"""The one vector index: row store × codec × router.
 
-:class:`IndexBody` is the shared :class:`~repro.index.store.RowStore`
-(appends, swap-deletes, id addressing), an optional codec and an optional
-IVF :class:`~repro.index.routing.Router`.  The four registry names are its
+:class:`VectorIndex` owns a cache's embedding rows.  Callers hand it stable
+integer ids and get the same ids back from :meth:`VectorIndex.search`, so it
+is free to reorder rows internally.  The four registry names are its
 configurations: ``flat``/``ivf`` have no codec, ``sq8``/``ivf+sq8`` the
-:class:`~repro.index.codecs.ScalarQuantizer`, and the ``ivf`` ones route.
+:class:`~repro.index.codecs.ScalarQuantizer`, and the ``ivf`` ones route
+through an IVF :class:`~repro.index.routing.Router`.
+
+The vectors are the rows of one contiguous *payload* matrix — unit float
+rows, replaced by uint8 code rows once a codec trains — beside a column of
+the original L2 norms and an int64 id column:
+
+* **amortized-O(1) appends** — capacity doubles when full, so an insert is
+  one row write;
+* **swap-with-last deletion** — removing a row copies the last row into its
+  slot: O(row width), no matrix copy, no re-index loop;
+* **id-centric addressing** — one id → row
+  :class:`~repro.index.postings.RowMap` (a dense base-anchored ``int64``
+  table, re-anchored to the live id span under churn) that the router
+  borrows for its gathers.  After a memory-mapped restore of an unrouted
+  index it stays empty until the first id-keyed call, so a zero-copy warm
+  start pays no O(n) pass;
+* **mmap adopt / materialize** — ``load_index(mmap=True)`` adopts the mapped
+  snapshot arrays as storage; the first mutation copies them once;
+* **validation at the door** — duplicate ids, mismatched dims and rows whose
+  norm is not finite (NaN/inf components) are rejected before any state
+  changes, and a snapshot whose arrays disagree (row counts, row width, a
+  repeated id) does not load.
 
 Every index starts with unit float rows in its ``dtype``, searched exactly.
 Once ``min_train_size`` rows are stored it trains on a seeded sample of
@@ -25,7 +47,7 @@ everything else, at every batch size →
 :func:`~repro.index.postings.exact_scan`, over rows × probes blocks
 (``block @ Qs.T``) of the float rows or the codec's fused chunk scorer, cut
 per probe at a block-maximum bound.  Those scan scores only cut: both
-branches end in one rank (:meth:`IndexBody._rank`), which rescores the
+branches end in one rank (:meth:`VectorIndex._rank`), which rescores the
 candidates within a computed ``ε`` (at most one computation per search)
 of the ``top_k``-th scan score with one dot per row and lists them with
 :func:`~repro.index.postings.topk_hits`.
@@ -34,23 +56,29 @@ Training-sample selection, k-means init and re-seeding all derive from
 
 :class:`~repro.index.flat.FlatIndex` and
 :class:`~repro.index.quantized.QuantizedIndex` are the two registry classes,
-each this body behind its own constructor.
+each this index behind its own constructor.  There is no abstract base:
+any other object with the methods :class:`repro.core.cache.MeanCache` calls
+(``add``, ``add_batch``, ``remove``, ``search``, ``rebuild``, ``get``,
+``clear``, ``len``, ``dim``, ``ids``, ``nbytes``, ``storage_nbytes``,
+``maintenance``) slots under it by duck typing (see ``docs/api.md``).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.index.base import IndexHit
 from repro.index.codecs import ScalarQuantizer
-from repro.index.postings import exact_scan, topk_hits
+from repro.index.postings import IndexHit, RowMap, ScratchBuffers, exact_scan, topk_hits
 from repro.index.routing import Router, ScoreRows, training_sample
-from repro.index.store import RowStore
+from repro.index.snapshot import SnapshotError, save_index
 
+_MIN_CAPACITY = 64
 # Rows per encode/decode block: bounds the temporary float matrices.
 _ENCODE_BLOCK = 16384
 # Scores per codec scan chunk: the codec scores a whole batch's chunk into
@@ -59,6 +87,46 @@ _ENCODE_BLOCK = 16384
 _SCORE_BLOCK = 1 << 17
 # Up to this many candidates, scoring them all beats finding the band.
 _BAND_MIN_ROWS = 64
+
+_NON_FINITE = "vectors must have finite norms (NaN or inf component)"
+
+
+def _row_norms(M: np.ndarray) -> np.ndarray:
+    """``(n, 1)`` L2 norms of the float rows of ``M``; raises for a non-finite one.
+
+    The one place the index validates values: a row (or query) with a NaN or
+    inf component has no cosine, and its norm — computed here anyway — is
+    where that shows, so the check costs no extra pass over the data.  The
+    ufuncs are the ones ``np.linalg.norm(M, axis=1, keepdims=True)`` runs for
+    a real matrix, called without its argument dispatch, which for a single
+    probe cost more than the arithmetic.
+    """
+    norms = np.sqrt(np.add.reduce(M * M, axis=1, keepdims=True))
+    if not np.isfinite(norms).all():
+        raise ValueError(_NON_FINITE)
+    return norms
+
+
+def normalize_rows(vectors: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Unit-normalize rows in float64, returning (unit rows, norms).
+
+    The one normalization rule of the index, so the epsilon and dtype policy
+    cannot drift between backends.  Raises ``ValueError`` for rows whose norm
+    is not finite.
+    """
+    V = np.asarray(vectors, dtype=np.float64)
+    if V.ndim != 2:
+        V = np.atleast_2d(V)
+    norms = _row_norms(V)
+    unit = V / np.where(norms > 1e-12, norms, 1.0)
+    return unit, norms[:, 0]
+
+
+def _grown(array: np.ndarray, capacity: int, size: int) -> np.ndarray:
+    """``array`` re-allocated to ``capacity`` rows, live prefix copied."""
+    grown = np.empty((capacity,) + array.shape[1:], dtype=array.dtype)
+    grown[:size] = array[:size]
+    return grown
 
 
 def _blockwise(
@@ -71,15 +139,20 @@ def _blockwise(
     return out
 
 
-class IndexBody(RowStore):
+class VectorIndex:
     """Cosine index over unit float rows or a codec's code rows, optionally routed.
 
-    ``dtype`` is the float dtype of the rows (before encoding), the norms and
-    the scanned queries; ``codec`` replaces the float rows once trained, or
-    is ``None``.  Training starts once ``min_train_size`` rows are stored, on
-    at most ``train_sample`` of them, seeded by ``seed``; an unrouted index
-    without a codec never trains, builds no router and ignores these and the
-    routing ``knobs`` (see :class:`repro.index.routing.Router`).
+    ``search`` agrees with a brute-force cosine scan of the stored vectors
+    (up to floating-point tolerance; see ``docs/api.md`` for the float32
+    note).  ``dim`` may be omitted; the first added vector then fixes it.
+    ``dtype`` is the float dtype of the rows (before encoding), the norms
+    and the scanned queries; ``initial_capacity`` rows are allocated before
+    the first doubling; a search scores at most ``chunk_size`` rows per
+    block.  ``codec`` replaces the float rows once trained, or is ``None``.
+    Training starts once ``min_train_size`` rows are stored, on at most
+    ``train_sample`` of them, seeded by ``seed``; an unrouted index without
+    a codec never trains, builds no router and ignores these and the routing
+    ``knobs`` (see :class:`repro.index.routing.Router`).
     """
 
     def __init__(
@@ -95,10 +168,35 @@ class IndexBody(RowStore):
         seed: int,
         **knobs: Any,
     ) -> None:
-        self._dtype = np.dtype(dtype)
-        super().__init__(dim, initial_capacity, chunk_size, norm_dtype=self._dtype)
+        self._dtype = np.dtype(dtype)  # of the float rows, the norms and the queries
+        if dim is not None and dim < 1:
+            raise ValueError("dim must be >= 1")
+        if initial_capacity < 1:
+            raise ValueError("initial_capacity must be >= 1")
+        if chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
         if self._dtype.kind != "f":
             raise ValueError("dtype must be a floating-point type")
+        self._dim = dim
+        self._constructor_dim = dim  # restored on clear(); None means data-driven
+        self._initial_capacity = int(initial_capacity)
+        self._chunk_size = int(chunk_size)
+        self._size = 0
+        self._next_id = 0
+        self._rows: Optional[np.ndarray] = None  # (capacity, width) payload rows
+        self._norms: Optional[np.ndarray] = None  # (capacity,) original L2 norms
+        self._ids: Optional[np.ndarray] = None  # (capacity,) int64 entry ids
+        # id -> row map (read through _id_to_row).  An mmap-backed restore
+        # defers filling it to the first id-keyed call, so a zero-copy warm
+        # start pays no O(n) pass up front.
+        self._row_map = RowMap()
+        self._row_map_deferred = False
+        # True while storage is an adopted read-only memmap from
+        # load_index(mmap=True); any mutation first materializes a copy.
+        self._mmap_backed = False
+        # Reused query-preparation and scan buffers: repeat lookups against
+        # the same index never re-allocate them.
+        self._scratch = ScratchBuffers()
         self._codec = codec
         self._routed = bool(routed)
         # Row offsets of each cell while the code rows are stored cell-major
@@ -129,6 +227,91 @@ class IndexBody(RowStore):
     # Introspection
     # ------------------------------------------------------------------ #
     @property
+    def _id_to_row(self) -> RowMap:
+        """The id -> storage-row map, filled here if a restore deferred it."""
+        if self._row_map_deferred:
+            self._fill_row_map()
+        return self._row_map
+
+    def _fill_row_map(self) -> None:
+        """Map the live ids now, if a restore left the map empty.
+
+        Raises :class:`~repro.index.snapshot.SnapshotError` (and leaves the
+        map empty) when the restored id column repeats an id: each id must
+        then map to its own row, and a repeated one maps to one row only.
+        """
+        if self._row_map_deferred:
+            ids = self._ids[: self._size]
+            self._row_map.set_block(ids, 0)
+            misplaced = np.flatnonzero(self._row_map.rows(ids) != np.arange(self._size))
+            if misplaced.size:
+                self._row_map.clear()
+                raise SnapshotError(f"snapshot ids repeat id {ids[misplaced[0]]}")
+            self._row_map_deferred = False
+
+    @property
+    def mmap_backed(self) -> bool:
+        """True while storage is a read-only memory map (zero-copy restore)."""
+        return self._mmap_backed
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __contains__(self, id: int) -> bool:
+        return int(id) in self._id_to_row
+
+    @property
+    def dim(self) -> Optional[int]:
+        """Vector dimensionality, or None while the index is empty and unset."""
+        return self._dim
+
+    @property
+    def ids(self) -> List[int]:
+        """Ids of the stored vectors (internal row order)."""
+        return [] if self._ids is None else self._ids[: self._size].tolist()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the *live* rows: payload + cached norms + id column.
+
+        Exactly ``len(self) * (row width * itemsize + norm itemsize + 8)``;
+        codec tables and routing structures are fixed overheads reported by
+        ``codec_nbytes`` / ``routing_nbytes``.  The backing arrays are
+        over-allocated for amortized-O(1) appends, so the process-level
+        footprint is :attr:`allocated_nbytes`.
+        """
+        if self._rows is None:
+            return 0
+        n = self._size
+        return int(self._rows[:n].nbytes + self._norms[:n].nbytes + self._ids[:n].nbytes)
+
+    @property
+    def allocated_nbytes(self) -> int:
+        """Bytes actually allocated (capacity rows, not just live ones)."""
+        if self._rows is None:
+            return 0
+        return int(self._rows.nbytes + self._norms.nbytes + self._ids.nbytes)
+
+    @property
+    def codec_nbytes(self) -> int:
+        """Bytes of the trained codec tables (0 without a codec)."""
+        return 0 if self._codec is None else int(self._codec.nbytes)
+
+    @property
+    def routing_nbytes(self) -> int:
+        """Bytes of the routing structures (centroids + lists + row map).
+
+        Kept separate from ``nbytes``, which across every backend counts
+        only the live row storage.
+        """
+        return 0 if self._router is None else self._router.nbytes
+
+    @property
+    def storage_nbytes(self) -> int:
+        """Every byte of vector state: ``nbytes`` + codec + routing tables."""
+        return int(self.nbytes) + int(self.codec_nbytes) + int(self.routing_nbytes)
+
+    @property
     def is_trained(self) -> bool:
         """Whether the codec (without one: the routing) is trained; False → exact scans."""
         if self._codec is not None:
@@ -148,7 +331,8 @@ class IndexBody(RowStore):
 
     @property
     def trainings(self) -> int:
-        """How many times this instance fitted its codec or routing."""
+        """Fits of the codec or routing so far, never reset (0 for an index
+        that never trains): rows replayed onto an older snapshot may differ."""
         return 0 if self._router is None else self._router.trainings
 
     @property
@@ -167,15 +351,6 @@ class IndexBody(RowStore):
         self._live_router().nprobe = value
 
     @property
-    def routing_nbytes(self) -> int:
-        """Bytes of the routing structures (centroids + lists + row map).
-
-        Kept separate from ``nbytes``, which across every backend counts
-        only the live row storage.
-        """
-        return 0 if self._router is None else self._router.nbytes
-
-    @property
     def scan_stats(self) -> Dict[str, int]:
         """Cumulative scan counters (probes and rows scanned)."""
         return dict(self._live_router().scan_stats)
@@ -185,7 +360,7 @@ class IndexBody(RowStore):
         self._live_router().reset_scan_stats()
 
     def get(self, id: int) -> np.ndarray:
-        """The stored vector for ``id``.
+        """The stored vector for ``id``; raises ``KeyError`` for unknown ids.
 
         Exact from the float rows; once a codec is trained, the dequantized
         code times the cached norm — approximate by design.
@@ -214,16 +389,218 @@ class IndexBody(RowStore):
             return width, np.dtype(np.uint8)
         return self._dim or 0, self._dtype
 
-    def _encode_rows(self, unit: np.ndarray) -> np.ndarray:
-        """Quantize once trained; float rows are stored as-is."""
-        return self._codec.encode(unit) if self._coded else unit
-
     def _float_rows(self) -> np.ndarray:
         """The live rows as float unit rows, in row order: dequantized once coded."""
         rows = self._rows[: self._size]
         if not self._coded:
             return rows
         return _blockwise(self._codec.decode, rows, np.empty((self._size, self._dim), self._dtype))
+
+    def _materialize(self) -> None:
+        """Replace mmap-backed storage with a private in-memory copy.
+
+        Called before any mutation: the mapped arrays from
+        ``load_index(mmap=True)`` are read-only (and shared with the
+        snapshot file), so the first add/remove pays one copy and every
+        later mutation is the usual in-place path.
+        """
+        if not self._mmap_backed:
+            return
+        self._rows = np.array(self._rows)
+        self._norms = np.array(self._norms)
+        self._ids = np.array(self._ids)
+        self._mmap_backed = False
+
+    def _ensure_capacity(self, extra: int) -> None:
+        needed = self._size + extra
+        if self._rows is None:
+            capacity = max(self._initial_capacity, needed)
+            width, dtype = self._row_layout()
+            self._rows = np.empty((capacity, width), dtype=dtype)
+            self._norms = np.empty(capacity, dtype=self._dtype)
+            self._ids = np.empty(capacity, dtype=np.int64)
+            return
+        capacity = self._rows.shape[0]
+        if needed <= capacity:
+            return
+        while capacity < needed:
+            capacity *= 2
+        self._rows = _grown(self._rows, capacity, self._size)
+        self._norms = _grown(self._norms, capacity, self._size)
+        self._ids = _grown(self._ids, capacity, self._size)
+
+    def _check_dim(self, d: int) -> None:
+        if self._dim is None:
+            self._dim = int(d)
+        elif d != self._dim:
+            raise ValueError(f"vector dim {d} does not match index dim {self._dim}")
+
+    def _unit_queries(self, Q: np.ndarray, dtype: np.dtype = np.float64) -> np.ndarray:
+        """Unit rows of the ``(q, d)`` float64 batch ``Q`` as ``dtype``, in scratch.
+
+        Same ufuncs in the same order as :func:`normalize_rows` (non-finite
+        queries are rejected the same way); a narrower ``dtype`` is the
+        float64 quotient rounded once on the way out, so scores do not change
+        by a bit.
+        """
+        unit = self._scratch.get("query.unit", Q.shape, dtype)
+        if Q.shape[0] == 1:
+            # One probe: the same reduce over the row as a vector, and a
+            # Python guard for the ``np.where`` (the same quotient bits).
+            q = Q[0]
+            norm = np.sqrt(np.add.reduce(q * q))
+            if not math.isfinite(norm):
+                raise ValueError(_NON_FINITE)
+            return np.divide(Q, norm if norm > 1e-12 else 1.0, out=unit)
+        norms = _row_norms(Q)
+        np.divide(Q, np.where(norms > 1e-12, norms, 1.0), out=unit)
+        return unit
+
+    # ------------------------------------------------------------------ #
+    # Mutation
+    # ------------------------------------------------------------------ #
+    def add(self, vector: np.ndarray, id: Optional[int] = None) -> int:
+        """Insert one vector; returns its id (auto-assigned when ``id`` is None)."""
+        vector = np.asarray(vector, dtype=np.float64).reshape(1, -1)
+        unit, norms = normalize_rows(vector)  # rejects non-finite rows
+        if id is None:
+            id = self._next_id
+        id = int(id)
+        row_map = self._id_to_row
+        if id in row_map:
+            raise ValueError(f"id {id} is already in the index")
+        self._check_dim(vector.shape[1])  # last check: it pins an unset dim
+        self._next_id = max(self._next_id, id + 1)
+        self._materialize()
+        self._ensure_capacity(1)
+        row = self._size
+        self._rows[row] = (self._codec.encode(unit) if self._coded else unit)[0]
+        self._norms[row] = norms[0]
+        self._ids[row] = id
+        row_map.set(id, row)
+        self._size += 1
+        if self._router is not None:
+            self._note_added(np.asarray([id], dtype=np.int64), row, unit)
+        return id
+
+    def add_batch(
+        self, vectors: np.ndarray, ids: Optional[Sequence[int]] = None
+    ) -> List[int]:
+        """Insert many vectors at once; returns their ids in order."""
+        V = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        if V.size == 0:
+            return []
+        unit, norms = normalize_rows(V)  # rejects non-finite rows
+        n = V.shape[0]
+        if ids is None:
+            ids = list(range(self._next_id, self._next_id + n))
+        else:
+            ids = [int(i) for i in ids]
+            if len(ids) != n:
+                raise ValueError("ids must align with vectors")
+            if len(set(ids)) != n:
+                raise ValueError("ids must be unique")
+            row_map = self._id_to_row
+            for i in ids:
+                if i in row_map:
+                    raise ValueError(f"id {i} is already in the index")
+        self._check_dim(V.shape[1])  # last check: it pins an unset dim
+        self._materialize()
+        self._ensure_capacity(n)
+        start = self._size
+        id_block = np.asarray(ids, dtype=np.int64)
+        self._rows[start : start + n] = self._codec.encode(unit) if self._coded else unit
+        self._norms[start : start + n] = norms
+        self._ids[start : start + n] = id_block
+        self._id_to_row.set_block(id_block, start)
+        self._size += n
+        self._next_id = max(self._next_id, max(ids) + 1)
+        if self._router is not None:
+            self._note_added(id_block, start, unit)
+        return list(ids)
+
+    def _note_added(self, ids: np.ndarray, start_row: int, unit: np.ndarray) -> None:
+        """Train or refit after ``len(ids)`` rows (float64 ``unit`` before
+        encoding) were appended at ``start_row`` to an index with a router."""
+        self._cell_bounds = None
+        refit_due = self._routed and self._router.note_added(ids, start_row, unit)
+        if not self.is_trained:
+            if self._size >= self._min_train_size:
+                self._train()
+        elif refit_due:
+            self._refit_routing()
+
+    def remove(self, id: int) -> None:
+        """Delete one vector by id; raises ``KeyError`` for unknown ids."""
+        id = int(id)
+        row_map = self._id_to_row
+        row = row_map.get(id)
+        if row is None:
+            raise KeyError(f"no vector with id {id}")
+        self._materialize()
+        last = self._size - 1
+        moved_id: Optional[int] = None
+        if row != last:
+            # Swap-with-last: O(width) instead of an O(n·width) compaction.
+            self._rows[row] = self._rows[last]
+            self._norms[row] = self._norms[last]
+            moved_id = int(self._ids[last])
+            self._ids[row] = moved_id
+        self._size -= 1
+        row_map.swap_remove(id, row, moved_id, self._ids[: self._size])
+        self._cell_bounds = None
+        if self._routed:
+            self._router.note_removed(id, row, self._size)
+
+    def rebuild(self, vectors: np.ndarray, ids: Sequence[int]) -> None:
+        """Replace the whole contents (e.g. after re-embedding); a refused one changes nothing."""
+        ids = [int(i) for i in ids]
+        V = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        if not ids:
+            # np.atleast_2d turns an empty 1-D input into shape (1, 0), so
+            # handle "rebuild to empty" before the alignment check.
+            if V.size != 0:
+                raise ValueError("ids must align with vectors")
+            self.clear(reset_ids=False)
+            return
+        if V.shape[0] != len(ids):
+            raise ValueError("ids must align with vectors")
+        if self._constructor_dim is not None and V.shape[1] != self._constructor_dim:
+            raise ValueError(
+                f"vector dim {V.shape[1]} does not match index dim "
+                f"{self._constructor_dim}"
+            )
+        _row_norms(V)  # add_batch's value check, before the old rows go
+        if len(set(ids)) != len(ids):
+            raise ValueError("ids must be unique")
+        self.clear(reset_ids=False)
+        self.add_batch(V, ids=ids)
+
+    def clear(self, reset_ids: bool = True) -> None:
+        """Drop every vector; ``reset_ids=False`` keeps auto-ids monotonic.
+
+        ``MeanCache`` relies on both forms (``reset_ids=False`` during
+        re-embedding).  The codec and routing reset with the rows.
+        """
+        self._size = 0
+        self._rows = None
+        self._norms = None
+        self._ids = None
+        self._row_map.clear()
+        self._row_map_deferred = False
+        self._mmap_backed = False
+        self._scratch.clear()
+        # A data-driven dim unpins so the next add may re-fix it (e.g. the
+        # cache is cleared and re-populated after a PCA head changed the
+        # embedding dimensionality); an explicit constructor dim stays.
+        self._dim = self._constructor_dim
+        if reset_ids:
+            self._next_id = 0
+        if self._codec is not None:
+            self._codec.reset()
+        self._cell_bounds = None
+        if self._router is not None:
+            self._router.clear()
 
     # ------------------------------------------------------------------ #
     # Training and routing upkeep
@@ -293,7 +670,8 @@ class IndexBody(RowStore):
         refit is deferred to this hook (the serving fleet calls it between
         batching windows); a routed codec index also groups its code storage
         cell-major here, so its probes read their cells as contiguous ranges
-        until the next mutation.
+        until the next mutation.  Returns a small summary of the work done
+        (empty when nothing was due).
         """
         done: Dict[str, object] = {}
         router = self._router
@@ -309,32 +687,6 @@ class IndexBody(RowStore):
         return done
 
     # ------------------------------------------------------------------ #
-    # Mutation hooks (the row store calls these after each change)
-    # ------------------------------------------------------------------ #
-    def _post_add(self, ids: np.ndarray, start_row: int, unit: np.ndarray) -> None:
-        if self._router is None:
-            return
-        self._cell_bounds = None
-        refit_due = self._routed and self._router.note_added(ids, start_row, unit)
-        if not self.is_trained:
-            if self._size >= self._min_train_size:
-                self._train()
-        elif refit_due:
-            self._refit_routing()
-
-    def _post_remove(self, id: int, row: int, moved_id: Optional[int]) -> None:
-        self._cell_bounds = None
-        if self._routed:
-            self._router.note_removed(id, row, self._size)
-
-    def _post_clear(self) -> None:
-        if self._codec is not None:
-            self._codec.reset()
-        self._cell_bounds = None
-        if self._router is not None:
-            self._router.clear()
-
-    # ------------------------------------------------------------------ #
     # Search
     # ------------------------------------------------------------------ #
     def _prepare_queries(
@@ -344,8 +696,8 @@ class IndexBody(RowStore):
 
         Only a trained codec index builds the float64 rows (its rank reads
         them), so a float-row scan makes no query copy it does not use.
-        The default path is the store's float64 normalization
-        (:meth:`RowStore._unit_queries`).  ``prenormalized=True`` asserts
+        The default path is the float64 normalization
+        (:meth:`_unit_queries`).  ``prenormalized=True`` asserts
         unit rows: a contiguous batch in the scan dtype passes through with
         zero copies, any other pays one cast into scratch.
         """
@@ -513,6 +865,18 @@ class IndexBody(RowStore):
             return "ivf" if self._routed else "flat"
         return ("ivf+" if self._routed else "") + self._codec.name
 
+    def save(self, path: "str | Path") -> Path:
+        """Snapshot the live index state to a directory, atomically.
+
+        Stages a versioned ``manifest.json`` (backend name, constructor
+        parameters, scalar state) plus raw per-array ``.npy`` files of the
+        live numpy state under ``arrays/``, then publishes the directory
+        with one rename; :func:`repro.index.load_index` rebuilds an
+        identical index from it (``mmap=True`` adopts the storage matrix
+        without copying).
+        """
+        return save_index(self, path)
+
     def _array_names(self) -> Tuple[str, str]:
         """``(payload array name, routing array prefix)``."""
         if self._codec is None:
@@ -520,6 +884,7 @@ class IndexBody(RowStore):
         return ("codes" if self._coded else "staging"), "rt_"
 
     def _snapshot_params(self) -> Dict[str, object]:
+        """Constructor kwargs that rebuild an empty equivalent instance."""
         dim = {"dim": self._constructor_dim}
         storage = {"initial_capacity": self._initial_capacity, "chunk_size": self._chunk_size}
         if self._router is None:
@@ -531,6 +896,7 @@ class IndexBody(RowStore):
         return {**dim, **storage, **training, "routed": self._routed, **routing, **seed}
 
     def _snapshot_state(self) -> Dict[str, object]:
+        """JSON-serializable scalar state (next id, training counters, …)."""
         state: Dict[str, object] = {"dim": self._dim, "next_id": self._next_id}
         if self._codec is not None:
             state["trained"] = bool(self._codec.is_trained)
@@ -542,13 +908,14 @@ class IndexBody(RowStore):
         return state
 
     def _snapshot_arrays(self) -> Dict[str, np.ndarray]:
+        """The live numpy state, keyed for the snapshot's array files."""
         payload, prefix = self._array_names()
         if self._rows is None:
             # Never filled, or drained and reloaded: nothing is allocated.
             width, dtype = self._row_layout()
             arrays = {
                 payload: np.zeros((0, width), dtype=dtype),
-                "norms": np.zeros(0, dtype=self._norm_dtype),
+                "norms": np.zeros(0, dtype=self._dtype),
                 "ids": np.zeros(0, dtype=np.int64),
             }
         else:
@@ -561,6 +928,14 @@ class IndexBody(RowStore):
         return arrays
 
     def _restore(self, state: Mapping[str, object], arrays: Mapping[str, np.ndarray]) -> None:
+        """Reinstate a snapshot into this (freshly constructed) instance.
+
+        Raises :class:`~repro.index.snapshot.SnapshotError` when the payload,
+        ``norms`` and ``ids`` arrays disagree on the row count, the payload
+        is not the layout's width, or the ids repeat one (checked when the
+        id map fills: here, or on the first id-keyed call of a zero-copy
+        restore).
+        """
         self.clear(reset_ids=True)
         if self._codec is not None and state["trained"]:
             self._codec.restore_arrays(arrays)
@@ -571,8 +946,13 @@ class IndexBody(RowStore):
         # The snapshot's id column: a trained index drained to empty restores
         # with no storage allocated at all.
         ids = np.asarray(arrays["ids"], dtype=np.int64)
+        width, dtype = self._row_layout()
+        if ids.ndim != 1 or rows.shape != (ids.shape[0], width) or norms.shape != ids.shape:
+            raise SnapshotError(
+                f"snapshot arrays disagree: {payload} {rows.shape}, norms "
+                f"{norms.shape} and ids {ids.shape} for rows {width} wide"
+            )
         n = int(ids.shape[0])
-        dtype = self._row_layout()[1]
         # A memory-mapped payload in the storage dtypes is adopted without a
         # copy (capacity == size; the id map fills on the first id-keyed
         # call, the first mutation materializes a private copy) — except by
@@ -584,24 +964,24 @@ class IndexBody(RowStore):
             and not (self._routed and self._codec is not None)
             and isinstance(rows, np.memmap)
             and rows.dtype == dtype
-            and norms.dtype == self._norm_dtype
+            and norms.dtype == self._dtype
         ):
             self._rows, self._norms, self._ids = rows, norms, ids
-            self._row_map_deferred = self._mmap_backed = True
+            self._mmap_backed = True
         elif n:
             self._ensure_capacity(n)
             self._rows[:n] = np.asarray(rows, dtype=dtype)
-            self._norms[:n] = np.asarray(norms, dtype=self._norm_dtype)
+            self._norms[:n] = np.asarray(norms, dtype=self._dtype)
             self._ids[:n] = ids
-            self._row_map.set_block(ids, 0)
         self._size = n
         self._next_id = int(state["next_id"])
+        self._row_map_deferred = n > 0
+        if not self._mmap_backed or self._routed:
+            # The probe scans gather through the row map: a routed index
+            # fills it now even after a zero-copy restore.
+            self._fill_row_map()
         if self._router is None:
             return
-        if self._routed:
-            # The probe scans gather through the row map: fill it now even
-            # after a zero-copy (mmap) restore, which defers it.
-            self._fill_row_map()
         self._router.restore(state, arrays, ids, prefix)
         rng_state = state.get("rng_state")
         if rng_state is not None:

@@ -10,8 +10,8 @@ gathered-rows scorer of the routed probe scan.  Scoring is asymmetric: the query
 float32 and the affine identity ``q · (offset + scale·c) = q·offset +
 (q·scale) · c`` reduces a chunk to one cast plus one matmul.  Those scores
 only cut; the index ranks by each row's float64 decode, one dot per row.
-The index body (:class:`~repro.index.body.IndexBody`) composes it with the
-shared row store and the IVF router into
+The index (:class:`~repro.index.body.VectorIndex`) composes it with its
+row store and the IVF router into
 :class:`~repro.index.quantized.QuantizedIndex`.
 
 The codec is trained once and then frozen (the faiss contract); ``reset``

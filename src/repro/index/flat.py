@@ -9,7 +9,7 @@ unit length once at insert time and stored as-is in the storage dtype (the
 original norm is kept so the raw vector can be reconstructed), so a lookup is
 one matmul with no corpus pass.
 
-It is the one index body (:class:`~repro.index.body.IndexBody`) with no
+It is the one index (:class:`~repro.index.body.VectorIndex`) with no
 codec: it never leaves the float phase a quantized index starts in, so its
 search is the exhaustive, chunked :func:`~repro.index.postings.exact_scan`
 of those rows — exact cosine similarities (the index changes the constants,
@@ -28,11 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.index.body import IndexBody
-from repro.index.store import _MIN_CAPACITY
+from repro.index.body import _MIN_CAPACITY, VectorIndex
 
 
-class FlatIndex(IndexBody):
+class FlatIndex(VectorIndex):
     """Incremental cosine index over contiguous, pre-normalized float rows.
 
     Parameters
@@ -53,7 +52,7 @@ class FlatIndex(IndexBody):
     nlist, nprobe, kmeans_iters, repartition_growth, auto_repartition:
         Routing knobs, see :class:`repro.index.routing.Router`.
     min_train_size, train_sample, seed:
-        Training knobs, see :class:`repro.index.body.IndexBody`.
+        Training knobs, see :class:`repro.index.body.VectorIndex`.
     """
 
     def __init__(

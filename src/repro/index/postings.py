@@ -1,7 +1,7 @@
 """Internal building blocks of every scan: exact, routed and quantized.
 
-The IVF router (:mod:`repro.index.routing`, under every routed index
-body, :class:`repro.index.body.IndexBody`) sends a query to a small
+The IVF router (:mod:`repro.index.routing`, under every routed
+:class:`repro.index.body.VectorIndex`) sends a query to a small
 subset of the stored rows — the inverted lists of its nearest cells — and
 brute-forces only that subset.  Its bookkeeping lives here:
 
@@ -10,9 +10,9 @@ brute-forces only that subset.  Its bookkeeping lives here:
   amortized O(1) (capacity doubling, like the index matrix itself), removal
   is swap-with-last, and ``view()`` exposes the live ids as a numpy slice so
   search-side gathers never copy per element.
-* :class:`RowMap` — the id → row mapping of every row store (a dense
+* :class:`RowMap` — the id → row mapping of every index (a dense
   ``int64`` array indexed by id, ``-1`` for absent ids).  It answers the
-  store's one-at-a-time operations (``get``/``in``/``set``) and the blocks
+  index's one-at-a-time operations (``get``/``in``/``set``) and the blocks
   an append, a restore or a layout pass writes at once, and the router
   borrows it: candidate gathering in a search needs thousands of
   translations per query, which one fancy-index answers;
@@ -20,25 +20,25 @@ brute-forces only that subset.  Its bookkeeping lives here:
   bound lowered by the rank's band), the probe scan's candidate rows
   (through the inverted lists, :func:`posting_rows`, or as a cell-major
   layout's row ranges, :func:`range_rows`), and the one ranking
-  rule every search ends in (:func:`topk_hits` over :func:`det_topk`):
+  rule every search ends in (:func:`topk_hits` over :func:`det_topk`, listing
+  :class:`IndexHit` results — the one public type here):
   every row above the k-th score is kept, ties at the cut are filled from
   the lowest row, and hits are listed by ``(-score, id)`` — so which of
   several equal-score entries a search returns is a function of the rows
   and ids alone, the same on every host and backend;
 * the :class:`ScratchBuffers` arena every hot path draws from.
 
-All of it is internal: ids handed in must already be validated by the
+Everything else is internal: ids handed in must already be validated by the
 owning index.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
-
-from repro.index.base import IndexHit
 
 _MIN_POSTING_CAPACITY = 8
 #: Rows per group of the exact scan's cut: a probe's bound is the ``keep``-th
@@ -53,7 +53,7 @@ _CUT_MIN_GROUPS = 4
 ScoreChunk = Callable[[int, int], np.ndarray]
 #: ``rank(qi, rows, scores)``: query ``qi``'s hit list from its scored rows,
 #: given as ascending row indices or, for every row at once, ``slice(0, n)``.
-Rank = Callable[[int, Union[np.ndarray, slice], np.ndarray], List[IndexHit]]
+Rank = Callable[[int, Union[np.ndarray, slice], np.ndarray], List["IndexHit"]]
 
 
 class Postings:
@@ -450,6 +450,14 @@ def build_inverted_lists(ids: np.ndarray, assign: np.ndarray, nlist: int) -> Lis
     for li in range(nlist):
         lists[li].extend(sorted_ids[starts[li] : ends[li]])
     return lists
+
+
+@dataclass(frozen=True)
+class IndexHit:
+    """One search result: the stored entry's id and its cosine score."""
+
+    id: int
+    score: float
 
 
 def topk_hits(

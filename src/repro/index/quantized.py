@@ -8,7 +8,7 @@ the uint8 code rows of a :class:`~repro.index.codecs.ScalarQuantizer`
 (``"sq8"``); how a code row is built and scored is the codec's business (see
 :mod:`repro.index.codecs`).
 
-It is the one index body (:class:`~repro.index.body.IndexBody`) with that
+It is the one index (:class:`~repro.index.body.VectorIndex`) with that
 codec.  Below ``min_train_size`` vectors the payload is float32 staging rows,
 searched exactly like a float32 :class:`~repro.index.FlatIndex`; the first
 add reaching the threshold trains the codec and swaps the payload for the
@@ -16,7 +16,7 @@ uint8 code rows of the staged vectors.
 
 Its scores are **exact for the codes**: the fast float32 scan only cuts, and
 the rank scores the rows within rounding of its cut in float64 against their
-dequantized codes (see :meth:`~repro.index.body.IndexBody._rank`).
+dequantized codes (see :meth:`~repro.index.body.VectorIndex._rank`).
 
 Optional **IVF routing** (``routed=True``, registered as ``"ivf+sq8"``):
 trained beside the codec, so a query scans only its ``nprobe`` nearest
@@ -30,12 +30,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.index.body import IndexBody
+from repro.index.body import _MIN_CAPACITY, VectorIndex
 from repro.index.codecs import ScalarQuantizer
-from repro.index.store import _MIN_CAPACITY
 
 
-class QuantizedIndex(IndexBody):
+class QuantizedIndex(VectorIndex):
     """Cosine index over int8 scalar-quantized code rows.
 
     Registered as ``"sq8"`` and, with ``routed=True``, ``"ivf+sq8"`` (see
@@ -99,11 +98,6 @@ class QuantizedIndex(IndexBody):
         if self._dim is None:
             return None
         return int(self._codec.code_width(self._dim))
-
-    @property
-    def codec_nbytes(self) -> int:
-        """Bytes of the trained codec tables (scale + offset)."""
-        return int(self._codec.nbytes)
 
     @property
     def scan_nbytes(self) -> int:

@@ -1,6 +1,6 @@
 """The fixed table of vector-index backends, selected by name.
 
-Everything that owns a :class:`~repro.index.base.VectorIndex` — the caches,
+Everything that owns a :class:`~repro.index.body.VectorIndex` — the caches,
 the quantized tier, the fleet benchmark — selects its backend
 through :func:`make_index`, so swapping exact search for IVF or quantized
 storage is a configuration change (``MeanCacheConfig(index_backend="ivf")``) rather than
@@ -11,7 +11,7 @@ a code change:
 >>> type(index).__name__, index.routed
 ('FlatIndex', True)
 
-Every backend is the one index body (:class:`~repro.index.body.IndexBody`),
+Every backend is the one index (:class:`~repro.index.body.VectorIndex`),
 unrouted or IVF-routed, behind one of two registry classes: ``"flat"`` and
 ``"ivf"`` are :class:`~repro.index.flat.FlatIndex` (no codec: float rows),
 ``"sq8"`` and ``"ivf+sq8"`` :class:`~repro.index.quantized.QuantizedIndex`
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from repro.index.base import VectorIndex
+from repro.index.body import VectorIndex
 from repro.index.flat import FlatIndex
 from repro.index.quantized import QuantizedIndex
 

@@ -4,8 +4,8 @@
 k-means centroids, one inverted list of ids per cell, each stored row's
 cell (:attr:`Router.cells`, an array aligned with the owner's rows), the
 growth-or-churn repartition trigger, the scan counters and the probe loop
-itself.  It never sees how rows are stored: the routed index body
-(:class:`repro.index.body.IndexBody`, float rows for ``ivf``, uint8 codes
+itself.  It never sees how rows are stored: the routed index
+(:class:`repro.index.body.VectorIndex`, float rows for ``ivf``, uint8 codes
 for ``ivf+sq8``) holds one router, hands it float rows to partition, and
 supplies a ``score_rows(rows, out)`` callable per query plus a ranking
 tail.  The probe scans gather through the owner's id → row
@@ -22,8 +22,8 @@ from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.index.base import IndexHit
 from repro.index.postings import (
+    IndexHit,
     Postings,
     Rank,
     RowMap,

@@ -322,17 +322,11 @@ def _write_index(index: object, directory: Path) -> None:
     No staging and no fsync: the caller's :func:`atomic_snapshot_dir`
     stage does both once for everything it holds.
     """
-    backend = getattr(index, "snapshot_backend", None)
-    if backend is None:
-        raise SnapshotError(
-            f"{type(index).__name__} does not support snapshots "
-            "(no snapshot_backend name)"
-        )
     arrays = index._snapshot_arrays()
     manifest = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
-        "backend": backend,
+        "backend": index.snapshot_backend,
         "params": index._snapshot_params(),
         "state": index._snapshot_state(),
         "arrays": sorted(arrays),
@@ -357,9 +351,7 @@ def save_index(index: object, path: "str | Path") -> Path:
     return path
 
 
-def load_index(
-    path: "str | Path", mmap: bool = False, replay_deltas: bool = True
-) -> object:
+def load_index(path: "str | Path", mmap: bool = False) -> object:
     """Rebuild an index from a :func:`save_index` snapshot.
 
     Returns a fresh instance of the saved backend with identical live state
@@ -374,8 +366,8 @@ def load_index(
     (``ivf``, ``ivf+sq8``) still rebuild those structures and gain only the
     smaller read.
 
-    ``replay_deltas`` applies the snapshot's append-only delta log (if any)
-    on top of the restored base — see :func:`append_delta`. Replaying
+    The snapshot's append-only delta log (if any) is replayed on top of the
+    restored base — see :func:`append_delta`. Replaying
     mutations materializes mmap-adopted storage; a compacted snapshot
     (:func:`compact_snapshot`) keeps the warm start zero-copy.
     """
@@ -414,12 +406,11 @@ def load_index(
             f"snapshot at {path} has params the {backend!r} backend rejects: {exc}"
         ) from exc
     index._restore(state, arrays)
-    if replay_deltas:
-        for record in read_deltas(path):
-            try:
-                record.apply(index)
-            except (KeyError, ValueError) as exc:
-                raise record.error(path, exc) from exc
+    for record in read_deltas(path):
+        try:
+            record.apply(index)
+        except (KeyError, ValueError) as exc:
+            raise record.error(path, exc) from exc
     return index
 
 
@@ -834,6 +825,6 @@ def compact_snapshot(path: "str | Path", mmap: bool = False) -> object:
     path. Cache tiers do not call it: ``QuantizedTier.maintenance`` folds
     its log through ``save``.
     """
-    index = load_index(path, mmap=mmap, replay_deltas=True)
+    index = load_index(path, mmap=mmap)
     save_index(index, path)
     return index

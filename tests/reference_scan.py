@@ -16,9 +16,9 @@ from typing import List
 import numpy as np
 
 from repro.index import IndexHit, QuantizedIndex
+from repro.index.body import normalize_rows
 from repro.index.postings import topk_hits
 from repro.index.routing import best_cells
-from repro.index.store import normalize_rows
 
 
 def reference_search(
